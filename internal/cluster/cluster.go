@@ -125,7 +125,7 @@ type Config struct {
 	Telemetry *telemetry.Registry
 
 	// NeighborCount, PeerTTL, Clock, and TreeOptions are passed through to
-	// every shard; see server.Config.
+	// every shard; see server.Config. TreeOptions currently carries nothing.
 	NeighborCount int
 	PeerTTL       time.Duration
 	Clock         func() time.Time

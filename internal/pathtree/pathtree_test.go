@@ -285,19 +285,42 @@ func TestRouterConflictDetection(t *testing.T) {
 	tr := New(0, Options{})
 	mustInsert(t, tr, 1, P(11, 5, 0))
 	mustInsert(t, tr, 2, P(11, 0)) // 11 directly under root now too
-	st := tr.Stats()
-	if st.RouterConflicts == 0 {
-		t.Fatal("conflict not detected")
+	if st := tr.Stats(); st.RouterConflicts != 1 {
+		t.Fatalf("conflicts=%d want 1", st.RouterConflicts)
 	}
 	// Both peers must still be queryable.
 	if d, err := tr.DTree(1, 2); err != nil || d <= 0 {
 		t.Fatalf("dtree=%d err=%v", d, err)
 	}
+	// The count describes the trie as it is now: once the second position is
+	// pruned the conflict is gone, whichever of the two peers leaves.
+	tr.Remove(2)
+	if st := tr.Stats(); st.RouterConflicts != 0 {
+		t.Fatalf("conflicts=%d after removing the conflicting peer, want 0", st.RouterConflicts)
+	}
+	mustInsert(t, tr, 2, P(11, 0))
+	tr.Remove(1)
+	if st := tr.Stats(); st.RouterConflicts != 0 {
+		t.Fatalf("conflicts=%d after removing the first-seen peer, want 0", st.RouterConflicts)
+	}
 }
 
 // --- brute-force reference ---
 
-// refDTree computes dtree from stored paths by suffix matching.
+// pathDTree computes dtree between two peer→landmark paths by suffix
+// matching.
+func pathDTree(pp, qq []topology.NodeID) int {
+	i, j := len(pp)-1, len(qq)-1
+	common := 0
+	for i >= 0 && j >= 0 && pp[i] == qq[j] {
+		common++
+		i--
+		j--
+	}
+	return (len(pp) - common) + (len(qq) - common)
+}
+
+// refDTree computes dtree between two inserted peers from their stored paths.
 func refDTree(t *Tree, p, q PeerID) int {
 	pp, err := t.PathOf(p)
 	if err != nil {
@@ -307,14 +330,7 @@ func refDTree(t *Tree, p, q PeerID) int {
 	if err != nil {
 		panic(err)
 	}
-	i, j := len(pp)-1, len(qq)-1
-	common := 0
-	for i >= 0 && j >= 0 && pp[i] == qq[j] {
-		common++
-		i--
-		j--
-	}
-	return (len(pp) - common) + (len(qq) - common)
+	return pathDTree(pp, qq)
 }
 
 // refClosest is the O(n log n) reference for Closest.
@@ -571,7 +587,7 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	}
 	tr.root.subtreeCount--
 	// Corrupt the child order.
-	n := tr.byRouter[11]
+	n := tr.root.child(11)
 	if len(n.childOrder) >= 2 {
 		n.childOrder[0], n.childOrder[1] = n.childOrder[1], n.childOrder[0]
 		if err := tr.CheckInvariants(); err == nil {

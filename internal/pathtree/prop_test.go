@@ -247,3 +247,147 @@ func TestQuickInsertRemoveInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// heapPath is loadgen.TreePath's shape (which this package cannot import):
+// position pos of an 8-ary heap of routers under the landmark, so peers
+// attach at interior routers as well as at the leaves.
+func heapPath(pos int) []topology.NodeID {
+	var path []topology.NodeID
+	for r := topology.NodeID(pos); r > 0; r = (r - 1) / 8 {
+		path = append(path, r)
+	}
+	return append(path, propLandmark)
+}
+
+// bruteClosest is the oracle: every peer's dtree to the query path computed
+// from the reported paths by suffix matching, fully sorted, first k kept.
+func bruteClosest(paths map[PeerID][]topology.NodeID, query []topology.NodeID, k int, exclude PeerID) []Candidate {
+	want := []Candidate{}
+	for p, path := range paths {
+		if p == exclude {
+			continue
+		}
+		want = append(want, Candidate{Peer: p, DTree: pathDTree(path, query)})
+	}
+	sort.Slice(want, func(i, j int) bool {
+		if want[i].DTree != want[j].DTree {
+			return want[i].DTree < want[j].DTree
+		}
+		return want[i].Peer < want[j].Peer
+	})
+	if len(want) > k {
+		want = want[:k]
+	}
+	return want
+}
+
+// TestClosestMatchesOracleWhereBoundBites checks the depth-bounded search
+// against bruteClosest on the populations where a wrong bound would show:
+// sparse deep heaps (few peers, long unbranched descents), dense shallow ones
+// (many peers at equal dtree straddling the kth place, peers attached at
+// interior routers, several peers per router), with k below, at and above the
+// tie group sizes, for resident peers and for newcomers whose path leaves the
+// trie above the leaves — before and after interleaved removals.
+func TestClosestMatchesOracleWhereBoundBites(t *testing.T) {
+	shapes := []struct {
+		name             string
+		peers, positions int
+	}{
+		{"sparse-deep", 40, 200_000},
+		{"mid", 300, 5_000},
+		{"tie-heavy", 400, 72}, // ≈5 peers per router, three levels
+	}
+	for _, sh := range shapes {
+		t.Run(sh.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(sh.peers)))
+			tree := New(propLandmark, Options{})
+			paths := make(map[PeerID][]topology.NodeID, sh.peers)
+			for p := PeerID(1); int(p) <= sh.peers; p++ {
+				paths[p] = heapPath(1 + rng.Intn(sh.positions))
+				if err := tree.Insert(p, paths[p]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			check := func(stage string) {
+				t.Helper()
+				for trial := 0; trial < 60; trial++ {
+					for _, k := range []int{1, 5, 16} {
+						// A resident peer.
+						p := PeerID(1 + rng.Intn(sh.peers))
+						if _, ok := paths[p]; ok {
+							got, err := tree.Closest(p, k)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if want := bruteClosest(paths, paths[p], k, p); !reflect.DeepEqual(got, want) {
+								t.Fatalf("%s: Closest(%d,%d)\ngot  %v\nwant %v", stage, p, k, got, want)
+							}
+						}
+						// A newcomer: a heap path whose lowest 0–3 hops are
+						// replaced by routers no peer has reported, so the
+						// match ends at an interior router.
+						query := heapPath(1 + rng.Intn(sh.positions))
+						cut := rng.Intn(min(4, len(query)))
+						for i := 0; i < cut; i++ {
+							query[i] = topology.NodeID(1_000_000 + i)
+						}
+						got, err := tree.ClosestToPathExcluding(query, k, p)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if want := bruteClosest(paths, query, k, p); !reflect.DeepEqual(got, want) {
+							t.Fatalf("%s: ClosestToPathExcluding(%v,%d,%d)\ngot  %v\nwant %v", stage, query, k, p, got, want)
+						}
+					}
+				}
+			}
+			check("full")
+			for round := 0; round < 3; round++ {
+				for p := range paths {
+					if rng.Intn(3) == 0 {
+						tree.Remove(p)
+						delete(paths, p)
+					}
+				}
+				check("after removals")
+			}
+			if err := tree.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestClosestVisitsBounded pins the query's cost, not just its answer: the
+// mean number of trie nodes a query enqueues, on the tree shape the
+// benchmark drives (8-ary router heap, 200 000 positions, k=5), must stay
+// small and must fall as the population grows. An unbounded per-level search
+// (the previous kernel) enqueues about 800 nodes per query at 10 000 peers
+// and 72 at 100 000; the bounded one 52 and 14.
+func TestClosestVisitsBounded(t *testing.T) {
+	const k, queries = 5, 2000
+	for _, c := range []struct{ peers, maxMean int }{{10_000, 100}, {100_000, 40}} {
+		rng := rand.New(rand.NewSource(7))
+		tree := New(propLandmark, Options{})
+		for p := 1; p <= c.peers; p++ {
+			if err := tree.Insert(PeerID(p), heapPath(1+rng.Intn(200_000))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var resident, newcomer queryScratch
+		for i := 0; i < queries; i++ {
+			p := PeerID(1 + rng.Intn(c.peers))
+			n := tree.byPeer[p]
+			closestFrom(n, int(n.depth), k, excludeSet{self: p, hasSelf: true}, &resident)
+			path := heapPath(1 + rng.Intn(200_000))
+			closestFrom(tree.deepestMatch(path), len(path)-1, k, excludeSet{self: p, hasSelf: true}, &newcomer)
+		}
+		for name, sc := range map[string]*queryScratch{"Closest": &resident, "ClosestToPathExcluding": &newcomer} {
+			mean := float64(sc.visits) / queries
+			t.Logf("peers=%d %s: %.1f nodes enqueued per query", c.peers, name, mean)
+			if mean > float64(c.maxMean) {
+				t.Errorf("peers=%d %s: %.1f nodes enqueued per query, want ≤ %d", c.peers, name, mean, c.maxMean)
+			}
+		}
+	}
+}

@@ -71,7 +71,8 @@ type Config struct {
 	// Clock supplies the current time; defaults to time.Now. Simulations
 	// inject a virtual clock here.
 	Clock func() time.Time
-	// TreeOptions tunes the underlying path trees.
+	// TreeOptions is handed to every path tree. pathtree.Options currently
+	// carries nothing.
 	TreeOptions pathtree.Options
 }
 

@@ -242,11 +242,11 @@ func TestLandmarkQueryMembership(t *testing.T) {
 	if _, _, _, err := w.p.Add(Query{Kind: proto.QueryLandmark, Landmark: 42}); err == nil {
 		t.Fatal("unknown landmark accepted")
 	}
-	w.join(1, 10, 5, 0)  // other tree: invisible
-	w.join(2, 50, 100)   // enter
-	w.join(2, 51, 100)   // update
-	w.leave(2)           // leave
-	w.leave(1)           // not a member: no event
+	w.join(1, 10, 5, 0) // other tree: invisible
+	w.join(2, 50, 100)  // enter
+	w.join(2, 51, 100)  // update
+	w.leave(2)          // leave
+	w.leave(1)          // not a member: no event
 	evs := drain(t, sub)
 	want := []uint8{proto.EventEnter, proto.EventUpdate, proto.EventLeave}
 	if len(evs) != len(want) {

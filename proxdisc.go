@@ -433,11 +433,12 @@ type RouterID = topology.NodeID
 type Candidate = pathtree.Candidate
 
 // PathTree is the paper's core data structure: a per-landmark prefix tree
-// of router paths supporting O(path length) insertion and O(k·path length)
-// exact k-closest queries. Safe for concurrent use.
+// of router paths supporting O(path length) insertion and exact k-closest
+// queries whose cost follows the routers near the query point, not the
+// population. Safe for concurrent use.
 type PathTree = pathtree.Tree
 
-// PathTreeOptions tunes a PathTree.
+// PathTreeOptions tunes a PathTree; it currently carries nothing.
 type PathTreeOptions = pathtree.Options
 
 // NewPathTree returns an empty path tree rooted at the given landmark
