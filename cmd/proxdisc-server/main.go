@@ -80,7 +80,7 @@ func main() {
 		replicas    = flag.Int("replicas", 1, "copies of each shard's state (replica sets with automatic failover)")
 		role        = flag.String("role", "primary", "this node's replication role: primary or replica (replica governs wire behaviour; its state must be fed out of band, e.g. snapshot shipping)")
 		primAddr    = flag.String("primary-addr", "", "the primary node's TCP address (required with -role replica)")
-		workers     = flag.Int("workers", 0, "pipelined-request worker pool size (0 = 4×GOMAXPROCS)")
+		workers     = flag.Int("workers", 0, "worker pool size for pipelined writes, forwards and proxied lookups; local reads are served on their connection's goroutine (0 = 4×GOMAXPROCS)")
 		maxBatch    = flag.Int("max-batch", 0, "largest batch join accepted (0 = wire-format maximum)")
 		dataDir     = flag.String("data-dir", "", "directory for durable state (WAL + snapshots); restart recovers the acknowledged peer set")
 		follow      = flag.String("follow", "", "run as a follower of the durable primary at this TCP address: stream its op log, apply it to a local copy, serve reads (implies -role replica)")
@@ -273,8 +273,8 @@ func main() {
 		Logf:            logf,
 		Telemetry:       reg,
 		SlowOpThreshold: *slowOp,
-		SlowOp: func(id uint64, typ proto.MsgType, d time.Duration) {
-			slog.Warn("slow request", "id", id, "type", typ.String(), "took", d)
+		SlowOp: func(id uint64, typ proto.MsgType, d time.Duration, inline bool) {
+			slog.Warn("slow request", "id", id, "type", typ.String(), "inline", inline, "took", d)
 		},
 	})
 	if err != nil {

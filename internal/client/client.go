@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -114,7 +115,10 @@ type Config struct {
 // Client is a connection to the management server. It is safe for
 // concurrent use: on a version-2 connection requests from any number of
 // goroutines are pipelined and demultiplexed by request ID; on a
-// version-1 connection they serialize behind a lock.
+// version-1 connection they serialize behind a lock. Pipelined requests
+// are unordered with respect to each other: the server may answer — and
+// apply — them in any order, so a caller that needs one request to see
+// another's effect waits for the first response before sending the second.
 //
 // When the server is a sharded cluster node it may answer a join with a
 // redirect to the node owning the join's landmark; the client follows
@@ -147,15 +151,16 @@ type Client struct {
 	// syscall can deliver many pipelined response frames.
 	br *bufio.Reader
 
-	// Pipelining state (version 2 only). Writes serialize on wmu into a
-	// buffered writer; a caller that can see another caller already
-	// waiting for wmu skips the flush, so the last writer out pushes
-	// several request frames to the kernel in one syscall (write
-	// coalescing). An idle connection still flushes every request
+	// Pipelining state (version 2 only). A caller appends its request
+	// frame to bw under wmu, releases wmu, yields the processor once, and
+	// then flushes whatever is buffered — so callers that became runnable
+	// together (say, woken one after another by readLoop) all append during
+	// the first one's yield and their frames reach the kernel in one
+	// syscall; the rest find the buffer empty and skip the flush. On an
+	// idle connection the yield returns at once and the request is flushed
 	// immediately.
 	wmu      sync.Mutex
 	bw       *bufio.Writer
-	waiters  atomic.Int32
 	nextID   atomic.Uint64
 	slots    chan struct{} // in-flight semaphore, cap MaxInFlight
 	pmu      sync.Mutex
@@ -733,19 +738,20 @@ func (c *Client) exchangePipelined(ctx context.Context, reqType proto.MsgType, p
 	c.pmu.Unlock()
 
 	timeout := c.callTimeout(ctx)
-	c.waiters.Add(1)
 	c.wmu.Lock()
-	c.waiters.Add(-1)
 	err := c.conn.SetWriteDeadline(time.Now().Add(timeout))
 	if err == nil {
 		err = proto.WriteFrameID(c.bw, reqType, id, payload)
 	}
-	if err == nil && c.waiters.Load() == 0 {
-		// No other caller is waiting to write: flush now. Otherwise the
-		// last writer out flushes everyone's frames in one syscall.
-		err = c.bw.Flush()
-	}
 	c.wmu.Unlock()
+	if err == nil {
+		// Let every other runnable caller append its frame first; whoever
+		// gets back here first flushes them all (see the wmu comment).
+		runtime.Gosched()
+		c.wmu.Lock()
+		err = c.bw.Flush() // no write when another caller already flushed our frame
+		c.wmu.Unlock()
+	}
 	if err != nil {
 		c.forget(id)
 		return 0, nil, fmt.Errorf("client: send: %w", err)

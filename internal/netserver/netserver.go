@@ -6,10 +6,39 @@
 // package proto). A connection starts on protocol version 1 (strict
 // lock-step, served serially in request order). When a client negotiates
 // version 2 via MsgHello, every subsequent frame carries a request ID and
-// decoded requests are dispatched to a bounded worker pool shared by all
-// pipelined connections, so a slow operation (a forwarded join, a
-// scatter-gather cluster call) no longer head-of-line-blocks the
-// connection: responses are written as they complete, matched by ID.
+// responses are matched by ID, in whatever order they complete. A
+// pipelined request then takes one of two roads, chosen by what it can
+// wait on, never by configuration:
+//
+//   - Requests that can never wait on the disk or on another node — a
+//     lookup of a peer registered here, status, landmarks — are served
+//     inline on the connection's reader goroutine and appended to the
+//     connection's write buffer. The reader flushes right before it would
+//     block on the socket, so N lookups that arrived in one segment leave
+//     in one write: one function call and a share of one syscall per
+//     direction.
+//   - Everything else — joins, batches, leave, refresh, lookups of a peer
+//     whose join this node forwarded — goes to a bounded worker pool shared
+//     by all connections, so a slow operation (an fsync, a forwarded join)
+//     does not head-of-line-block the connection; responses come back
+//     through a per-connection queue and writer goroutine, so a worker
+//     never touches a socket.
+//
+// Two contracts follow. Pipelined requests on one connection are
+// unordered with respect to each other: a lookup sent behind a join may be
+// answered from the state before it. And one connection's inline reads are
+// served serially on its goroutine — per-connection read throughput is one
+// core; open more connections to scale.
+//
+// A local lookup takes exactly these locks. In the front end: fwdMu.RLock
+// (is the peer proxied?), addrMu.RLock (overlay addresses of the answer),
+// and the connection's own write mutex. In a server.Server backend: the
+// published left-right side's fence (side.mu.RLock, which writers take
+// exclusively only on the side no reader is being sent to) and
+// pathtree.Tree.mu.RLock. A cluster.Cluster backend adds the peer index
+// stripe's RLock and the shard group's mutex — exclusive, but held only
+// for the replica pick. Writers hold fwdMu and addrMu exclusively for one
+// map update at a time.
 //
 // The server also tracks each peer's advertised overlay address so
 // closest-peer answers carry dialable endpoints.
@@ -155,10 +184,11 @@ type Config struct {
 	// applied/head position so the node's replication lag is observable
 	// over the wire.
 	Replication ReplicationStatus
-	// Workers bounds how many version-2 (pipelined) requests are served
-	// concurrently across all connections. When the pool is saturated,
-	// connection readers block — natural backpressure instead of unbounded
-	// goroutine growth. Default: 4×GOMAXPROCS, at least 8.
+	// Workers bounds how many pipelined requests that can wait — writes,
+	// forwards and proxied lookups; local reads never enter the pool — are
+	// served concurrently across all connections. When the pool is
+	// saturated, connection readers block — natural backpressure instead of
+	// unbounded goroutine growth. Default: 4×GOMAXPROCS, at least 8.
 	Workers int
 	// MaxBatch caps the batch joins this server accepts and advertises in
 	// its hello ack (default proto.MaxBatch; it is also the hard ceiling).
@@ -191,8 +221,10 @@ type Config struct {
 	// check is two loads and a compare on the hot path.
 	SlowOpThreshold time.Duration
 	// SlowOp receives slow-request reports: the request's pipeline ID
-	// (0 on lock-step connections), message type, and service time.
-	SlowOp func(id uint64, typ proto.MsgType, d time.Duration)
+	// (0 on lock-step connections), message type, service time, and
+	// whether it was served inline on the connection's reader goroutine
+	// rather than by the worker pool.
+	SlowOp func(id uint64, typ proto.MsgType, d time.Duration, inline bool)
 }
 
 // NetServer is a running TCP front end. Close it to release the listener.
@@ -202,10 +234,12 @@ type NetServer struct {
 	local map[topology.NodeID]bool // landmarks served by cfg.Server at start
 
 	mu    sync.Mutex
-	addrs map[pathtree.PeerID]string
 	conns map[net.Conn]struct{}
 
-	fwdMu    sync.Mutex
+	addrMu sync.RWMutex // its own lock: every answer reads addrs, nothing else shares it
+	addrs  map[pathtree.PeerID]string
+
+	fwdMu    sync.RWMutex               // read-locked by every peer-keyed request (forwardedOwner)
 	fwd      map[string]*client.Client  // node-to-node forwarding connections
 	fwdPeers map[pathtree.PeerID]string // peers whose joins this node proxied, by owner address
 	front    *frontState                // durable mirror of fwdPeers; no-op when Config.DataDir is empty
@@ -239,7 +273,14 @@ type NetServer struct {
 type srvMetrics struct {
 	reqs     [proto.NumMsgTypes]*telemetry.Counter
 	lat      [proto.NumMsgTypes]*telemetry.Histogram
-	queueSat *telemetry.Counter // enqueues that found the worker pool full
+	road     [2]*telemetry.Counter // requests served by the pool [0] and inline on a reader [1]
+	queueSat *telemetry.Counter    // enqueues that found the worker pool full
+
+	// Pipelined response frames appended to write buffers and the flushes
+	// that pushed them to a socket: frames/flushes is the server's frames
+	// per write syscall.
+	respFrames  *telemetry.Counter
+	respFlushes *telemetry.Counter
 
 	followStalls   *telemetry.Counter // sender stalls on a full follower send window
 	followCatchups *telemetry.Counter // followers re-seeded via snapshot instead of the WAL
@@ -258,7 +299,11 @@ func (s *NetServer) initMetrics() {
 	// Slot 0 catches out-of-range wire types.
 	s.met.reqs[0] = r.Counter(`proxdisc_requests_total{type="unknown"}`)
 	s.met.lat[0] = r.Histogram(`proxdisc_request_duration_seconds{type="unknown"}`)
+	s.met.road[0] = r.Counter(`proxdisc_requests_by_road_total{road="pool"}`)
+	s.met.road[1] = r.Counter(`proxdisc_requests_by_road_total{road="inline"}`)
 	s.met.queueSat = r.Counter("proxdisc_worker_queue_saturation_total")
+	s.met.respFrames = r.Counter("proxdisc_response_frames_total")
+	s.met.respFlushes = r.Counter("proxdisc_response_flushes_total")
 	s.met.followStalls = r.Counter("proxdisc_follower_send_window_stalls_total")
 	s.met.followCatchups = r.Counter("proxdisc_follower_snapshot_catchups_total")
 	r.GaugeFunc("proxdisc_worker_queue_depth", func() float64 { return float64(len(s.tasks)) })
@@ -274,20 +319,26 @@ func (s *NetServer) initMetrics() {
 }
 
 // observeReq records one served request: its per-type counter and
-// latency histogram, plus the slow-op report when the service time
-// crosses the configured threshold.
-func (s *NetServer) observeReq(typ proto.MsgType, id uint64, d time.Duration) {
+// latency histogram, the road that served it (inline on the connection's
+// reader, or the pool — lock-step requests count as pool), plus the
+// slow-op report when the service time crosses the configured threshold.
+func (s *NetServer) observeReq(typ proto.MsgType, id uint64, d time.Duration, inline bool) {
 	i := int(typ)
 	if i >= proto.NumMsgTypes {
 		i = 0
 	}
 	s.met.reqs[i].Inc()
 	s.met.lat[i].Observe(d)
+	road := 0
+	if inline {
+		road = 1
+	}
+	s.met.road[road].Inc()
 	if th := s.cfg.SlowOpThreshold; th > 0 && d >= th {
 		if s.cfg.SlowOp != nil {
-			s.cfg.SlowOp(id, typ, d)
+			s.cfg.SlowOp(id, typ, d, inline)
 		} else {
-			s.cfg.Logf("netserver: slow request: id=%d type=%s took %v", id, typ, d)
+			s.cfg.Logf("netserver: slow request: id=%d type=%s inline=%t took %v", id, typ, inline, d)
 		}
 	}
 }
@@ -313,23 +364,26 @@ type task struct {
 // wireConn wraps an accepted connection with its negotiated protocol
 // version. Version-1 responses are written directly by the connection's
 // reader goroutine (strict lock-step, so there is never concurrency).
-// After the version-2 upgrade, responses from pool workers go through a
-// bounded queue drained by a dedicated per-connection writer goroutine:
-// workers never block on one connection's backpressure, so a slow-reading
-// client cannot wedge the shared pool — its queue fills and the
-// connection is dropped instead. The writer flushes only when the queue
-// is momentarily empty, so under load many response frames reach the
-// kernel in one syscall.
+// After the version-2 upgrade two goroutines append whole frames to bw
+// under wmu. The reader appends the responses it served inline and flushes
+// right before it would block on the socket, so a run of pipelined reads
+// leaves in one syscall; a client that stops reading stalls only this
+// reader, until the write deadline kills the connection. Responses from
+// pool workers (and stream pushes) go through a bounded queue drained by a
+// dedicated writer goroutine, which flushes when the queue is momentarily
+// empty: workers never block on one connection's backpressure, so a
+// slow-reading client cannot wedge the shared pool — its queue fills and
+// the connection is dropped instead.
 type wireConn struct {
 	net.Conn
-	version uint16 // read/written only by the connection's reader goroutine
+	version uint16     // read/written only by the connection's reader goroutine
+	wmu     sync.Mutex // guards bw and the write deadline once version 2 is on
 	bw      *bufio.Writer
 	out     chan outFrame // v2 response queue, created at upgrade
 	stop    chan struct{} // closed by the reader to retire the writer
 	dead    chan struct{} // closed by the writer when it exits
 }
 
-// outFrame is one queued version-2 response.
 // outFrame is one queued response. Enqueuing transfers ownership of
 // payload to the connection's writer, which recycles it into the proto
 // buffer pool after the frame is written — producers must not retain or
@@ -457,7 +511,7 @@ func (s *NetServer) worker() {
 		case t := <-s.tasks:
 			start := time.Now()
 			typ, resp := s.handleReq(t.typ, t.payload)
-			s.observeReq(t.typ, t.id, time.Since(start))
+			s.observeReq(t.typ, t.id, time.Since(start), false)
 			proto.PutBuf(t.payload)
 			s.respond(t.wc, outFrame{typ: typ, id: t.id, payload: resp})
 		case <-s.closed:
@@ -480,32 +534,70 @@ func (s *NetServer) respond(wc *wireConn, f outFrame) {
 	}
 }
 
-// writeLoop is a connection's dedicated response writer (version 2 only).
-// It coalesces: frames are written back-to-back while the queue is
-// non-empty and flushed in one syscall when it drains. Every write cycle
-// runs under a deadline, so a stalled peer costs at most ReadTimeout
-// before the connection dies — and only its own connection.
+// writeFrame appends one version-2 response to the connection's write
+// buffer and recycles the payload; a queued frame (the writeLoop's) is
+// flushed when the queue behind it is empty, an inline one is left for the
+// reader to flush. Every frame re-arms the write deadline, so whichever
+// write ends up touching the socket — this one when the buffer fills, or a
+// later flush — runs under one: a stalled peer costs at most ReadTimeout
+// before the connection dies, and only its own connection.
+func (s *NetServer) writeFrame(wc *wireConn, f outFrame, queued bool) error {
+	wc.wmu.Lock()
+	err := wc.SetWriteDeadline(time.Now().Add(s.cfg.ReadTimeout))
+	if err == nil {
+		err = proto.WriteFrameID(wc.bw, f.typ, f.id, f.payload)
+	}
+	s.met.respFrames.Inc()
+	if err == nil && queued && len(wc.out) == 0 {
+		err = s.flushLocked(wc)
+	}
+	wc.wmu.Unlock()
+	// The frame bytes were copied into the write buffer (or the connection
+	// is dying); the payload is ours to recycle — see the outFrame
+	// ownership contract.
+	proto.PutBuf(f.payload)
+	return err
+}
+
+// flushLocked pushes the write buffer to the socket unless the other
+// writer already did. Callers hold wc.wmu.
+func (s *NetServer) flushLocked(wc *wireConn) error {
+	if wc.bw.Buffered() == 0 {
+		return nil
+	}
+	s.met.respFlushes.Inc()
+	return wc.bw.Flush()
+}
+
+// flushInline flushes the responses the connection's reader served inline;
+// false means the connection is dead.
+func (s *NetServer) flushInline(wc *wireConn) bool {
+	wc.wmu.Lock()
+	err := s.flushLocked(wc)
+	wc.wmu.Unlock()
+	if err != nil {
+		s.logWriteErr(err)
+	}
+	return err == nil
+}
+
+func (s *NetServer) logWriteErr(err error) {
+	if !errors.Is(err, net.ErrClosed) {
+		s.cfg.Logf("netserver: write: %v", err)
+	}
+}
+
+// writeLoop is a connection's dedicated writer for queued responses
+// (version 2 only). It coalesces: frames are written back-to-back while
+// the queue is non-empty and flushed in one syscall when it drains.
 func (s *NetServer) writeLoop(wc *wireConn) {
 	defer s.wg.Done()
 	defer close(wc.dead)
 	for {
 		select {
 		case f := <-wc.out:
-			err := wc.SetWriteDeadline(time.Now().Add(s.cfg.ReadTimeout))
-			if err == nil {
-				err = proto.WriteFrameID(wc.bw, f.typ, f.id, f.payload)
-			}
-			// The frame bytes were copied into the write buffer (or the
-			// connection is dying); the payload is ours to recycle — see
-			// the outFrame ownership contract.
-			proto.PutBuf(f.payload)
-			if err == nil && len(wc.out) == 0 {
-				err = wc.bw.Flush()
-			}
-			if err != nil {
-				if !errors.Is(err, net.ErrClosed) {
-					s.cfg.Logf("netserver: write: %v", err)
-				}
+			if err := s.writeFrame(wc, f, true); err != nil {
+				s.logWriteErr(err)
 				wc.Close() // the reader sees the close and winds down
 				return
 			}
@@ -603,9 +695,21 @@ func (s *NetServer) handle(nc net.Conn) {
 	// version-1 → version-2 framing switch without losing buffered bytes,
 	// and lets one read syscall deliver many pipelined request frames.
 	br := bufio.NewReaderSize(nc, 16<<10)
+	unflushed := false // this goroutine appended inline responses since its last flush
 	for {
-		if err := nc.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout)); err != nil {
-			return
+		// Flush and re-arm the idle deadline only when the next read would
+		// touch the socket: while complete pipelined frames sit in br their
+		// inline responses pile up in the write buffer and leave together.
+		// A frame that arrived in part counts as not there — its sender has
+		// ReadTimeout from now to finish it.
+		if wc.version < proto.Version2 || !proto.FrameBuffered(br) {
+			if unflushed && !s.flushInline(wc) {
+				return
+			}
+			unflushed = false
+			if err := nc.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout)); err != nil {
+				return
+			}
 		}
 		if wc.version >= proto.Version2 {
 			typ, id, payload, err := proto.ReadFrameID(br)
@@ -638,14 +742,33 @@ func (s *NetServer) handle(nc net.Conn) {
 				proto.PutBuf(payload)
 				continue
 			}
-			// Hand the request to the pool; block when it is saturated so
-			// a flooding client feels backpressure instead of growing an
+			// Requests that cannot wait on the disk or another node are
+			// served right here, into the write buffer.
+			start := time.Now()
+			if respType, resp, ok := s.serveInline(typ, payload); ok {
+				s.observeReq(typ, id, time.Since(start), true)
+				proto.PutBuf(payload)
+				if err := s.writeFrame(wc, outFrame{typ: respType, id: id, payload: resp}, false); err != nil {
+					s.logWriteErr(err)
+					return
+				}
+				unflushed = true
+				continue
+			}
+			// Hand everything else to the pool; block when it is saturated
+			// so a flooding client feels backpressure instead of growing an
 			// unbounded queue. The non-blocking first try costs nothing
 			// when the pool keeps up and counts every time it does not.
 			select {
 			case s.tasks <- task{wc: wc, typ: typ, id: id, payload: payload}:
 			default:
 				s.met.queueSat.Inc()
+				// Answers already served must not wait out the pool.
+				if unflushed && !s.flushInline(wc) {
+					proto.PutBuf(payload)
+					return
+				}
+				unflushed = false
 				select {
 				case s.tasks <- task{wc: wc, typ: typ, id: id, payload: payload}:
 				case <-s.closed:
@@ -675,7 +798,7 @@ func (s *NetServer) handle(nc net.Conn) {
 		// one request at a time and rely on lock-step responses.
 		start := time.Now()
 		respType, resp := s.handleReq(typ, payload)
-		s.observeReq(typ, 0, time.Since(start))
+		s.observeReq(typ, 0, time.Since(start), false)
 		proto.PutBuf(payload)
 		if err := wc.writeV1(respType, resp); err != nil {
 			s.cfg.Logf("netserver: write: %v", err)
@@ -755,10 +878,53 @@ func errResp(code uint16, err error) (proto.MsgType, []byte) {
 	return proto.MsgError, proto.EncodeError(&proto.Error{Code: code, Message: err.Error()})
 }
 
+// serveInline serves a pipelined request on the calling reader goroutine
+// when it can never wait on the disk or another node: status, landmarks,
+// and a well-formed lookup of a peer whose join this node did not forward.
+// ok=false sends the request to the pool untouched. The set is decided by
+// what the request can wait on, and a lookup that turns out to be proxied
+// is never started here, so a reader blocks only on its own socket.
+func (s *NetServer) serveInline(typ proto.MsgType, payload []byte) (respType proto.MsgType, resp []byte, ok bool) {
+	switch typ {
+	case proto.MsgStatusRequest, proto.MsgLandmarksRequest:
+		respType, resp = s.handleReq(typ, payload)
+		return respType, resp, true
+	case proto.MsgLookupRequest:
+		req, err := proto.DecodeLookupRequest(payload)
+		if err != nil {
+			return 0, nil, false // handleReq words the rejection
+		}
+		p := pathtree.PeerID(req.Peer)
+		if _, forwarded := s.forwardedOwner(p); forwarded {
+			return 0, nil, false
+		}
+		respType, resp = s.lookupLocal(p)
+		return respType, resp, true
+	}
+	return 0, nil, false
+}
+
+// lookupLocal answers a lookup from the local backend.
+func (s *NetServer) lookupLocal(p pathtree.PeerID) (proto.MsgType, []byte) {
+	cands, err := s.cfg.Server.Lookup(p)
+	if err != nil {
+		code := proto.CodeInternal
+		if errors.Is(err, server.ErrUnknownPeer) {
+			code = proto.CodeUnknownPeer
+		}
+		return errResp(code, err)
+	}
+	b, err := proto.EncodeLookupResponse(&proto.LookupResponse{Neighbors: s.toWire(cands)})
+	if err != nil {
+		return errResp(proto.CodeInternal, err)
+	}
+	return proto.MsgLookupResponse, b
+}
+
 // handleReq serves one decoded request and returns exactly one response
 // frame (type and payload). It never retains the request payload, so the
 // caller may recycle it afterwards. It is called concurrently by pool
-// workers for pipelined connections.
+// workers and, for the kinds serveInline picks, by connection readers.
 func (s *NetServer) handleReq(typ proto.MsgType, payload []byte) (proto.MsgType, []byte) {
 	if s.cfg.Role == RoleReplica {
 		if t, resp, handled := s.rejectWriteOnReplica(typ, payload); handled {
@@ -894,19 +1060,7 @@ func (s *NetServer) handleReq(typ proto.MsgType, payload []byte) (proto.MsgType,
 			}
 			return proto.MsgLookupResponse, b
 		}
-		cands, err := s.cfg.Server.Lookup(pathtree.PeerID(req.Peer))
-		if err != nil {
-			code := proto.CodeInternal
-			if errors.Is(err, server.ErrUnknownPeer) {
-				code = proto.CodeUnknownPeer
-			}
-			return errResp(code, err)
-		}
-		b, err := proto.EncodeLookupResponse(&proto.LookupResponse{Neighbors: s.toWire(cands)})
-		if err != nil {
-			return errResp(proto.CodeInternal, err)
-		}
-		return proto.MsgLookupResponse, b
+		return s.lookupLocal(pathtree.PeerID(req.Peer))
 
 	case proto.MsgLeaveRequest:
 		o, err := proto.DecodeLeaveOp(payload)
@@ -931,9 +1085,9 @@ func (s *NetServer) handleReq(typ proto.MsgType, payload []byte) (proto.MsgType,
 		if err := s.cfg.Server.Apply(o); err != nil && !errors.Is(err, server.ErrUnknownPeer) {
 			return errResp(proto.CodeInternal, err)
 		}
-		s.mu.Lock()
+		s.addrMu.Lock()
 		delete(s.addrs, o.Peer)
-		s.mu.Unlock()
+		s.addrMu.Unlock()
 		return proto.MsgAck, nil
 
 	case proto.MsgRefreshRequest:
@@ -1119,9 +1273,14 @@ func (s *NetServer) serveBatchJoin(o op.Op, forwarded bool) (proto.MsgType, []by
 // retires any stale proxied registration at another node: the peer lives
 // here now, and the old owner must not keep capturing its follow-ups.
 func (s *NetServer) registerLocalJoin(p pathtree.PeerID, overlayAddr string) {
-	s.mu.Lock()
+	s.addrMu.Lock()
 	s.addrs[p] = overlayAddr
-	s.mu.Unlock()
+	s.addrMu.Unlock()
+	// Almost every join is of a peer never proxied: find that out under the
+	// read lock, beside the lookups, and write-lock only to retire an entry.
+	if _, ok := s.forwardedOwner(p); !ok {
+		return
+	}
 	s.fwdMu.Lock()
 	stale, wasForwarded := s.fwdPeers[p]
 	delete(s.fwdPeers, p)
@@ -1205,9 +1364,9 @@ func (s *NetServer) recordForwarded(p pathtree.PeerID, addr string) {
 	s.fwdMu.Unlock()
 	s.front.setForwarded(p, addr, s.copyFwdPeers)
 	if s.cfg.Server.Apply(op.Leave(p)) == nil {
-		s.mu.Lock()
+		s.addrMu.Lock()
 		delete(s.addrs, p)
-		s.mu.Unlock()
+		s.addrMu.Unlock()
 	}
 }
 
@@ -1223,8 +1382,8 @@ func (s *NetServer) dropForwarded(p pathtree.PeerID) {
 // copyFwdPeers snapshots the forwarded-peer map for front-state
 // compaction.
 func (s *NetServer) copyFwdPeers() map[pathtree.PeerID]string {
-	s.fwdMu.Lock()
-	defer s.fwdMu.Unlock()
+	s.fwdMu.RLock()
+	defer s.fwdMu.RUnlock()
 	m := make(map[pathtree.PeerID]string, len(s.fwdPeers))
 	for p, a := range s.fwdPeers {
 		m[p] = a
@@ -1235,8 +1394,8 @@ func (s *NetServer) copyFwdPeers() map[pathtree.PeerID]string {
 // forwardedOwner reports the node address a peer's join was proxied to, if
 // any.
 func (s *NetServer) forwardedOwner(p pathtree.PeerID) (string, bool) {
-	s.fwdMu.Lock()
-	defer s.fwdMu.Unlock()
+	s.fwdMu.RLock()
+	defer s.fwdMu.RUnlock()
 	addr, ok := s.fwdPeers[p]
 	return addr, ok
 }
@@ -1343,7 +1502,7 @@ func (s *NetServer) dropForwardClient(addr string, fc *client.Client) {
 func (s *NetServer) toWire(cands []pathtree.Candidate) []proto.Candidate {
 	out := make([]proto.Candidate, len(cands))
 	var misses []int
-	s.mu.Lock()
+	s.addrMu.RLock()
 	for i, c := range cands {
 		addr, ok := s.addrs[c.Peer]
 		if !ok {
@@ -1355,7 +1514,7 @@ func (s *NetServer) toWire(cands []pathtree.Candidate) []proto.Candidate {
 			Addr:  addr,
 		}
 	}
-	s.mu.Unlock()
+	s.addrMu.RUnlock()
 	for _, i := range misses {
 		p := cands[i].Peer
 		info, err := s.cfg.Server.PeerInfo(p)
@@ -1363,9 +1522,9 @@ func (s *NetServer) toWire(cands []pathtree.Candidate) []proto.Candidate {
 			continue
 		}
 		out[i].Addr = info.Addr
-		s.mu.Lock()
+		s.addrMu.Lock()
 		s.addrs[p] = info.Addr
-		s.mu.Unlock()
+		s.addrMu.Unlock()
 	}
 	return out
 }

@@ -748,35 +748,26 @@ func TestBatchJoinAcrossNodes(t *testing.T) {
 }
 
 // TestSlowConsumerDoesNotWedgePool opens a pipelined connection that
-// floods requests without ever reading responses. The server must drop
-// THAT connection once its response queue fills — and must keep serving
-// other clients normally the whole time, proving one stalled reader
-// cannot wedge the shared worker pool.
+// floods pool-served requests without ever reading responses. The server
+// must drop THAT connection once its response queue fills — and must keep
+// serving other clients normally the whole time, proving one stalled
+// reader cannot wedge the shared worker pool. (Requests served inline on
+// the reader goroutine never reach the queue; TestInlineSlowReaderIsolated
+// covers that road.)
 func TestSlowConsumerDoesNotWedgePool(t *testing.T) {
 	ns, _ := startServer(t)
 
 	// Hand-rolled v2 session that never reads after the hello ack.
-	conn, err := net.Dial("tcp", ns.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := proto.WriteFrame(conn, proto.MsgHello,
-		proto.EncodeHello(&proto.Hello{MaxVersion: proto.MaxVersion, MaxBatch: proto.MaxBatch})); err != nil {
-		t.Fatal(err)
-	}
-	typ, ack, err := proto.ReadFrame(conn)
-	if err != nil || typ != proto.MsgHelloAck {
-		t.Fatalf("hello ack: typ=%d err=%v", typ, err)
-	}
-	_ = ack
-	// Flood landmark requests and never read a single response. Once the
-	// kernel buffers and the 256-frame response queue fill, the server
-	// must drop the connection, which surfaces here as a write error.
+	conn := rawV2(t, ns.Addr())
+	// Flood refreshes of an unknown peer (answered with an error by a pool
+	// worker) and never read a single response. Once the kernel buffers
+	// and the 256-frame response queue fill, the server must drop the
+	// connection, which surfaces here as a write error.
 	conn.SetWriteDeadline(time.Now().Add(20 * time.Second))
+	refresh := proto.EncodeRefreshRequest(&proto.RefreshRequest{Peer: 404})
 	dropped := false
 	for i := 0; i < 500_000; i++ {
-		if err := proto.WriteFrameID(conn, proto.MsgLandmarksRequest, uint64(i+1), nil); err != nil {
+		if err := proto.WriteFrameID(conn, proto.MsgRefreshRequest, uint64(i+1), refresh); err != nil {
 			dropped = true
 			break
 		}

@@ -147,6 +147,14 @@ func TestMetricsEndpointEndToEnd(t *testing.T) {
 	if _, ok := seriesWithPrefix(samples, `proxdisc_request_duration_seconds_bucket{type="join_request"`); !ok {
 		t.Fatal("no join_request latency buckets exported")
 	}
+	// Which road served them, and what the responses cost in writes.
+	if in, pool := samples[`proxdisc_requests_by_road_total{road="inline"}`], samples[`proxdisc_requests_by_road_total{road="pool"}`]; in < 1 || pool < joins {
+		t.Fatalf("requests by road: inline=%v pool=%v, want >= 1 and >= %d", in, pool, joins)
+	}
+	frames, flushes := samples["proxdisc_response_frames_total"], samples["proxdisc_response_flushes_total"]
+	if frames < joins+1 || flushes < 1 || flushes > frames {
+		t.Fatalf("response frames=%v flushes=%v, want frames >= %d and 1 <= flushes <= frames", frames, flushes, joins+1)
+	}
 
 	// Worker pool.
 	if _, ok := samples["proxdisc_worker_queue_depth"]; !ok {

@@ -5,6 +5,7 @@
 package proto
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"testing"
@@ -33,7 +34,13 @@ func FuzzReadFrame(f *testing.F) {
 				t.Fatalf("v1 round trip diverged: %v %v/%v", err, typ, typ2)
 			}
 		}
-		if typ, id, payload, err := ReadFrameID(bytes.NewReader(data)); err == nil {
+		typ, id, payload, err := ReadFrameID(bytes.NewReader(data))
+		// The in-place road through a bufio.Reader must agree with it.
+		btyp, bid, bpayload, berr := ReadFrameID(bufio.NewReaderSize(bytes.NewReader(data), 16))
+		if (err == nil) != (berr == nil) || btyp != typ || bid != id || !bytes.Equal(bpayload, payload) {
+			t.Fatalf("raw and buffered readers disagree: %v/%v %v/%v id=%d/%d", err, berr, typ, btyp, id, bid)
+		}
+		if err == nil {
 			var out bytes.Buffer
 			if err := WriteFrameID(&out, typ, id, payload); err != nil {
 				t.Fatalf("re-encode of accepted v2 frame failed: %v", err)

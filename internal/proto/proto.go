@@ -26,6 +26,7 @@
 package proto
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -353,38 +354,51 @@ const (
 	frameIDHeaderSize = 13 // length + type + request ID
 )
 
-// WriteFrame writes one version-1 frame (type + payload) to w as a single
-// Write call, assembling the frame in a pooled buffer.
+// WriteFrame writes one version-1 frame (type + payload) to w.
 func WriteFrame(w io.Writer, t MsgType, payload []byte) error {
-	if len(payload)+1 > MaxFrameSize {
-		return ErrFrameTooLarge
-	}
-	frame := GetBuf(frameHeaderSize + len(payload))
-	binary.BigEndian.PutUint32(frame[:4], uint32(len(payload)+1))
-	frame[4] = byte(t)
-	copy(frame[frameHeaderSize:], payload)
-	_, err := w.Write(frame)
-	PutBuf(frame)
-	if err != nil {
-		return fmt.Errorf("proto: write frame: %w", err)
-	}
-	return nil
+	return writeFrame(w, frameHeaderSize, t, 0, payload)
 }
 
 // WriteFrameID writes one version-2 frame (type + request ID + payload) to
-// w as a single Write call. The declared length covers the type byte, the
-// 8-byte ID, and the payload.
+// w. The declared length covers the type byte, the 8-byte ID, and the
+// payload.
 func WriteFrameID(w io.Writer, t MsgType, id uint64, payload []byte) error {
-	if len(payload)+9 > MaxFrameSize {
+	return writeFrame(w, frameIDHeaderSize, t, id, payload)
+}
+
+// writeFrame is both frame writers. Into a *bufio.Writer — every hot
+// path — the header is built in the writer's own spare buffer space and
+// the payload appended behind it: no second buffer, no extra copy. Any
+// other writer gets the frame assembled in a pooled buffer and handed over
+// as a single Write call, so a raw connection never sees a frame split
+// into two segments.
+func writeFrame(w io.Writer, hdrSize int, t MsgType, id uint64, payload []byte) error {
+	size := hdrSize - 4 + len(payload) // what the length field declares: everything behind it
+	if size > MaxFrameSize {
 		return ErrFrameTooLarge
 	}
-	frame := GetBuf(frameIDHeaderSize + len(payload))
-	binary.BigEndian.PutUint32(frame[:4], uint32(len(payload)+9))
-	frame[4] = byte(t)
-	binary.BigEndian.PutUint64(frame[5:13], id)
-	copy(frame[frameIDHeaderSize:], payload)
-	_, err := w.Write(frame)
-	PutBuf(frame)
+	bw, buffered := w.(*bufio.Writer)
+	var frame []byte
+	if buffered {
+		frame = bw.AvailableBuffer()
+	} else {
+		frame = GetBuf(hdrSize + len(payload))[:0]
+	}
+	frame = binary.BigEndian.AppendUint32(frame, uint32(size))
+	frame = append(frame, byte(t))
+	if hdrSize == frameIDHeaderSize {
+		frame = binary.BigEndian.AppendUint64(frame, id)
+	}
+	var err error
+	if buffered {
+		if _, err = bw.Write(frame); err == nil {
+			_, err = bw.Write(payload)
+		}
+	} else {
+		frame = append(frame, payload...)
+		_, err = w.Write(frame)
+		PutBuf(frame)
+	}
 	if err != nil {
 		return fmt.Errorf("proto: write frame: %w", err)
 	}
@@ -395,46 +409,73 @@ func WriteFrameID(w io.Writer, t MsgType, id uint64, payload []byte) error {
 // from the frame buffer pool and is owned by the caller, who may recycle
 // it with PutBuf once fully decoded.
 func ReadFrame(r io.Reader) (MsgType, []byte, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err
-	}
-	size := binary.BigEndian.Uint32(hdr[:4])
-	if size < 1 || size > MaxFrameSize {
-		return 0, nil, ErrFrameTooLarge
-	}
-	t := MsgType(hdr[4])
-	payload := GetBuf(int(size - 1))
-	if _, err := io.ReadFull(r, payload); err != nil {
-		PutBuf(payload)
-		return 0, nil, fmt.Errorf("proto: read payload: %w", err)
-	}
-	return t, payload, nil
+	t, _, payload, err := readFrame(r, frameHeaderSize)
+	return t, payload, err
 }
 
 // ReadFrameID reads one version-2 frame from r. The returned payload comes
 // from the frame buffer pool and is owned by the caller, who may recycle
 // it with PutBuf once fully decoded.
 func ReadFrameID(r io.Reader) (MsgType, uint64, []byte, error) {
-	var hdr [13]byte
-	if _, err := io.ReadFull(r, hdr[:5]); err != nil {
+	return readFrame(r, frameIDHeaderSize)
+}
+
+// readFrame is both frame readers: the whole fixed header in one step, the
+// declared length checked against the protocol bounds before anything is
+// allocated for it, then the payload. From a *bufio.Reader — every hot
+// path — the header is parsed in place in the reader's buffer; any other
+// reader pays one small allocation for it.
+func readFrame(r io.Reader, hdrSize int) (t MsgType, id uint64, payload []byte, err error) {
+	var hdr []byte
+	br, buffered := r.(*bufio.Reader)
+	if buffered {
+		hdr, err = br.Peek(hdrSize)
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+	} else {
+		hdr = make([]byte, hdrSize)
+		var n int
+		n, err = io.ReadFull(r, hdr)
+		hdr = hdr[:n]
+	}
+	// An impossible length is reported as such even when the stream ends
+	// inside the header.
+	var size int
+	if len(hdr) >= 4 {
+		size = int(binary.BigEndian.Uint32(hdr)) - (hdrSize - 4)
+		if size < 0 || size > MaxFrameSize-(hdrSize-4) {
+			return 0, 0, nil, ErrFrameTooLarge
+		}
+	}
+	if err != nil {
 		return 0, 0, nil, err
 	}
-	size := binary.BigEndian.Uint32(hdr[:4])
-	if size < 9 || size > MaxFrameSize {
-		return 0, 0, nil, ErrFrameTooLarge
+	t = MsgType(hdr[4])
+	if hdrSize == frameIDHeaderSize {
+		id = binary.BigEndian.Uint64(hdr[5:])
 	}
-	t := MsgType(hdr[4])
-	if _, err := io.ReadFull(r, hdr[5:13]); err != nil {
-		return 0, 0, nil, fmt.Errorf("proto: read request id: %w", err)
+	if buffered {
+		br.Discard(hdrSize) // hdr is dead from here: the next read may overwrite it
 	}
-	id := binary.BigEndian.Uint64(hdr[5:13])
-	payload := GetBuf(int(size - 9))
+	payload = GetBuf(size)
 	if _, err := io.ReadFull(r, payload); err != nil {
 		PutBuf(payload)
 		return 0, 0, nil, fmt.Errorf("proto: read payload: %w", err)
 	}
 	return t, id, payload, nil
+}
+
+// FrameBuffered reports whether br already holds one complete version-2
+// frame, i.e. whether the next ReadFrameID is served from memory without
+// touching (and possibly blocking on) the underlying reader.
+func FrameBuffered(br *bufio.Reader) bool {
+	n := br.Buffered()
+	if n < frameIDHeaderSize {
+		return false
+	}
+	hdr, _ := br.Peek(4)
+	return uint64(n-4) >= uint64(binary.BigEndian.Uint32(hdr))
 }
 
 // --- encoding primitives ---

@@ -1,8 +1,10 @@
 package proto
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
@@ -563,6 +565,124 @@ func TestBufPoolReuse(t *testing.T) {
 		t.Fatalf("len=%d", len(c))
 	}
 	PutBuf(c)
+}
+
+// TestFramesThroughBufio drives the in-place road both frame functions
+// take on bufio readers and writers: header built in the writer's spare
+// space and parsed in the reader's buffer. The 16-byte buffers make
+// headers straddle buffer ends and every payload outgrow the buffer; the
+// result must be what the one-Write road produces, byte for byte, with the
+// same errors for the same malformed streams.
+func TestFramesThroughBufio(t *testing.T) {
+	payloads := [][]byte{nil, {1}, bytes.Repeat([]byte{7}, 11), bytes.Repeat([]byte{9}, 100)}
+	for _, size := range []int{16, 64, 16 << 10} {
+		var viaBufio, direct bytes.Buffer
+		bw := bufio.NewWriterSize(&viaBufio, size)
+		for i, p := range payloads {
+			if err := WriteFrameID(bw, MsgLookupResponse, uint64(i+1), p); err != nil {
+				t.Fatal(err)
+			}
+			if err := WriteFrame(bw, MsgAck, p); err != nil {
+				t.Fatal(err)
+			}
+			WriteFrameID(&direct, MsgLookupResponse, uint64(i+1), p)
+			WriteFrame(&direct, MsgAck, p)
+		}
+		if err := bw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(viaBufio.Bytes(), direct.Bytes()) {
+			t.Fatalf("bufio size %d: buffered and direct writers produced different streams", size)
+		}
+		br := bufio.NewReaderSize(&viaBufio, size)
+		for i, p := range payloads {
+			typ, id, got, err := ReadFrameID(br)
+			if err != nil || typ != MsgLookupResponse || id != uint64(i+1) || !bytes.Equal(got, p) {
+				t.Fatalf("bufio size %d frame %d: typ=%v id=%d payload=%v err=%v", size, i, typ, id, got, err)
+			}
+			typ, got, err = ReadFrame(br)
+			if err != nil || typ != MsgAck || !bytes.Equal(got, p) {
+				t.Fatalf("bufio size %d v1 frame %d: typ=%v payload=%v err=%v", size, i, typ, got, err)
+			}
+		}
+		if _, _, _, err := ReadFrameID(br); err != io.EOF {
+			t.Fatalf("end of stream: %v, want a bare io.EOF", err)
+		}
+	}
+
+	var one bytes.Buffer
+	WriteFrameID(&one, MsgJoinRequest, 42, []byte{1, 2, 3, 4})
+	raw := one.Bytes()
+	for cut := 1; cut < len(raw); cut++ {
+		_, _, _, err := ReadFrameID(bufio.NewReader(bytes.NewReader(raw[:cut])))
+		if err == nil || (cut < frameIDHeaderSize && err != io.ErrUnexpectedEOF) {
+			t.Fatalf("truncation at %d of %d: %v", cut, len(raw), err)
+		}
+	}
+	for _, bad := range [][]byte{
+		{0, 0, 0, 5, byte(MsgAck), 0, 0, 0, 0}, // below the 9-byte minimum, stream ends inside the header
+		{0xff, 0xff, 0xff, 0xff, byte(MsgAck), 0, 0, 0, 0, 0, 0, 0, 0, 1},
+	} {
+		if _, _, _, err := ReadFrameID(bufio.NewReader(bytes.NewReader(bad))); !errors.Is(err, ErrFrameTooLarge) {
+			t.Fatalf("bad length %v: %v", bad[:4], err)
+		}
+	}
+}
+
+// TestFrameBuffered: true exactly when the next ReadFrameID needs no byte
+// the reader does not already hold.
+func TestFrameBuffered(t *testing.T) {
+	var stream bytes.Buffer
+	WriteFrameID(&stream, MsgLookupRequest, 1, []byte{1, 2, 3, 4, 5, 6, 7, 8})
+	WriteFrameID(&stream, MsgStatusRequest, 2, nil)
+	raw := stream.Bytes()
+	for cut := 0; cut <= len(raw); cut++ {
+		br := bufio.NewReader(bytes.NewReader(raw[:cut]))
+		br.Peek(1) // pull what there is into the buffer
+		if got, want := FrameBuffered(br), cut >= 21; got != want {
+			t.Fatalf("%d bytes buffered: FrameBuffered=%v want %v", cut, got, want)
+		}
+		if cut < 21 {
+			continue
+		}
+		if _, _, p, err := ReadFrameID(br); err != nil {
+			t.Fatal(err)
+		} else {
+			PutBuf(p)
+		}
+		if got, want := FrameBuffered(br), cut == len(raw); got != want {
+			t.Fatalf("%d bytes, one frame read: FrameBuffered=%v want %v", cut, got, want)
+		}
+	}
+	// A declared length that is garbage is simply "not buffered": the read
+	// that follows reports it.
+	br := bufio.NewReader(bytes.NewReader(bytes.Repeat([]byte{0xff}, 32)))
+	br.Peek(1)
+	if FrameBuffered(br) {
+		t.Fatal("garbage length counted as a buffered frame")
+	}
+}
+
+// TestFrameRoundTripAllocs: a frame written to and read from buffered
+// streams allocates nothing — no assembly buffer, no escaping header.
+func TestFrameRoundTripAllocs(t *testing.T) {
+	var pipe bytes.Buffer
+	bw, br := bufio.NewWriter(&pipe), bufio.NewReader(&pipe)
+	payload := make([]byte, 8)
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := WriteFrameID(bw, MsgLookupRequest, 7, payload); err != nil {
+			t.Fatal(err)
+		}
+		bw.Flush()
+		_, _, p, err := ReadFrameID(br)
+		if err != nil {
+			t.Fatal(err)
+		}
+		PutBuf(p)
+	})
+	if allocs != 0 {
+		t.Fatalf("frame round trip allocates %v times", allocs)
+	}
 }
 
 // --- hello negotiation ---

@@ -34,13 +34,34 @@
 // outstanding request per connection, responses in order. Version 2 —
 // negotiated automatically at Dial time via a hello/acknowledge exchange —
 // tags every frame with a request ID, so a single connection carries many
-// concurrent requests: the client pipelines them, the server dispatches
-// them to a bounded worker pool (NetServerConfig.Workers), and responses
-// are matched by ID as they complete. Compatibility is two-way: a new
-// client falls back to lock-step against an old server (which rejects the
-// hello as an unknown message and keeps the connection usable), and an old
-// client that never sends a hello gets the serial version-1 treatment from
-// a new server.
+// concurrent requests and responses are matched by ID as they complete.
+// Compatibility is two-way: a new client falls back to lock-step against
+// an old server (which rejects the hello as an unknown message and keeps
+// the connection usable), and an old client that never sends a hello gets
+// the serial version-1 treatment from a new server.
+//
+// A pipelined request is served on one of two roads, chosen by what it can
+// wait on. Reads that can never wait on the disk or another node — a
+// lookup of a peer registered on this node, status, landmarks — run on
+// the connection's own reader goroutine and are appended to its write
+// buffer, which is flushed right before the reader would block on the
+// socket: N lookups that arrived together leave in one write. Everything
+// else — joins, batches, leave, refresh, lookups proxied to another node —
+// goes to a bounded worker pool (NetServerConfig.Workers) and comes back
+// through a per-connection queue, so a worker never blocks on a socket and
+// a client that stops reading harms only its own connection, which is
+// dropped within the read timeout. The client coalesces the same way:
+// callers that become runnable together share one write. Two contracts
+// follow: pipelined requests on one connection are unordered with respect
+// to each other (wait for a response before sending a request that must
+// see its effect), and one connection's reads are served serially — a
+// connection's read throughput is one core; open more connections to
+// scale. A local lookup takes the front end's forwarded-peer and
+// address-cache read locks and its connection's write mutex, plus the
+// backend's read-side locks (package netserver lists them exactly);
+// nothing on that path is held exclusively for longer than a map update.
+// proxdisc_response_frames_total over proxdisc_response_flushes_total is
+// the server's frames per write syscall.
 //
 // Version 2 also adds batched joins: Client.JoinBatch packs up to the
 // server's advertised limit (at most 32, the wire cap) of joins into one
@@ -280,7 +301,8 @@
 // /debug/pprof/ — next to the node. The server binary also logs
 // structured records via log/slog (-log-level picks the floor) and, with
 // -slow-op DURATION, warns about every request served slower than the
-// threshold, tagged with its request ID and message type
+// threshold, tagged with its request ID, message type and whether it was
+// served inline on its connection's goroutine or by the worker pool
 // (NetServerConfig.SlowOpThreshold and .SlowOp are the library-level
 // hooks).
 //
@@ -288,9 +310,12 @@
 //
 //   - Front end: proxdisc_requests_total{type=...} and
 //     proxdisc_request_duration_seconds{type=...} per message type;
-//     proxdisc_worker_queue_depth, proxdisc_worker_pool_size, and
-//     proxdisc_worker_queue_saturation_total for the pipelined worker
-//     pool.
+//     proxdisc_requests_by_road_total{road="inline"|"pool"} for which
+//     road served them; proxdisc_response_frames_total and
+//     proxdisc_response_flushes_total for pipelined responses and the
+//     write syscalls that carried them; proxdisc_worker_queue_depth,
+//     proxdisc_worker_pool_size, and
+//     proxdisc_worker_queue_saturation_total for the worker pool.
 //   - Replication, primary side: proxdisc_followers_connected;
 //     proxdisc_follower_acked_seq{follower=ADDR} and
 //     proxdisc_follower_lag{follower=ADDR} per connected follower
