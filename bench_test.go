@@ -23,6 +23,7 @@ import (
 
 	"proxdisc/internal/client"
 	"proxdisc/internal/cluster"
+	"proxdisc/internal/conf"
 	"proxdisc/internal/experiment"
 	"proxdisc/internal/loadgen"
 	"proxdisc/internal/netserver"
@@ -722,7 +723,7 @@ func benchNetCluster(b *testing.B, reg *telemetry.Registry) *netserver.NetServer
 	if err != nil {
 		b.Fatal(err)
 	}
-	ns, err := netserver.Listen(netserver.Config{Addr: "127.0.0.1:0", Server: logic, Telemetry: reg})
+	ns, err := netserver.Listen(netserver.Config{Common: conf.Common{Telemetry: reg}, Addr: "127.0.0.1:0", Server: logic})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -1649,7 +1650,7 @@ func benchReadPlane(b *testing.B, subscribe bool) (wireBytes, ops uint64) {
 	}
 	defer clu.Close()
 	reg := telemetry.NewRegistry()
-	ns, err := netserver.Listen(netserver.Config{Addr: "127.0.0.1:0", Server: clu, Telemetry: reg})
+	ns, err := netserver.Listen(netserver.Config{Common: conf.Common{Telemetry: reg}, Addr: "127.0.0.1:0", Server: clu})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -43,6 +43,7 @@ import (
 	"time"
 
 	"proxdisc/internal/cluster"
+	"proxdisc/internal/conf"
 	"proxdisc/internal/netserver"
 	"proxdisc/internal/pathtree"
 	"proxdisc/internal/proto"
@@ -77,8 +78,7 @@ func main() {
 		ttl         = flag.Duration("peer-ttl", 0, "expire peers silent for this long (0 = never)")
 		sweep       = flag.Duration("sweep-interval", 30*time.Second, "expiry sweep period when -peer-ttl is set")
 		shards      = flag.Int("shards", 1, "run a landmark-sharded cluster of this many shards")
-		replicas    = flag.Int("replicas", 1, "copies of each shard's state (replica sets with automatic failover)")
-		role        = flag.String("role", "primary", "this node's replication role: primary or replica (replica governs wire behaviour; its state must be fed out of band, e.g. snapshot shipping)")
+		role        = flag.String("role", "primary", "this node's replication role: primary or replica (replica governs wire behaviour only; -follow is the replica whose state is kept in sync)")
 		primAddr    = flag.String("primary-addr", "", "the primary node's TCP address (required with -role replica)")
 		workers     = flag.Int("workers", 0, "worker pool size for pipelined writes, forwards and proxied lookups; local reads are served on their connection's goroutine (0 = 4×GOMAXPROCS)")
 		maxBatch    = flag.Int("max-batch", 0, "largest batch join accepted (0 = wire-format maximum)")
@@ -125,19 +125,15 @@ func main() {
 	if *shards < 1 {
 		die("-shards must be at least 1", "shards", *shards)
 	}
-	if *replicas < 1 {
-		die("-replicas must be at least 1", "replicas", *replicas)
-	}
 	// Follower mode: a wire role of replica whose copy is fed by the
-	// primary's op stream instead of out-of-band snapshot shipping. It
-	// supplies the primary address, so it must resolve before the role
-	// validation below.
+	// primary's op stream. It supplies the primary address, so it must
+	// resolve before the role validation below.
 	if *follow != "" {
 		if *primAddr == "" {
 			*primAddr = *follow
 		}
-		if *shards > 1 || *replicas > 1 {
-			die("-follow runs a single local copy; drop -shards/-replicas")
+		if *shards > 1 {
+			die("-follow runs a single local copy; drop -shards")
 		}
 	}
 	nodeRole := netserver.RolePrimary
@@ -156,9 +152,9 @@ func main() {
 	}
 	var logic management
 	var clu *cluster.Cluster
-	if *follow == "" && (*shards > 1 || *replicas > 1 || *dataDir != "") {
-		// A durable deployment always runs the cluster plane (a 1-shard,
-		// 1-replica cluster answers identically to a standalone server):
+	if *follow == "" && (*shards > 1 || *dataDir != "") {
+		// A durable deployment always runs the cluster plane (a 1-shard
+		// cluster answers identically to a standalone server):
 		// the cluster owns the WAL and the snapshot cadence.
 		clusterDir := ""
 		if *dataDir != "" {
@@ -167,7 +163,6 @@ func main() {
 		clu, err = cluster.New(cluster.Config{
 			Landmarks:     lmIDs,
 			Shards:        *shards,
-			Replicas:      *replicas,
 			NeighborCount: *neighbors,
 			PeerTTL:       *ttl,
 			DataDir:       clusterDir,
@@ -212,10 +207,9 @@ func main() {
 			die("follower backend cannot restore snapshots")
 		}
 		follower, err = netserver.StartFollower(netserver.FollowerConfig{
+			Common:      conf.Common{Telemetry: reg, Logger: logf},
 			PrimaryAddr: *follow,
 			Backend:     fb,
-			Logf:        logf,
-			Telemetry:   reg,
 		})
 		if err != nil {
 			die("follow failed", "primary", *follow, "err", err)
@@ -261,6 +255,7 @@ func main() {
 		repl = follower
 	}
 	ns, err := netserver.Listen(netserver.Config{
+		Common:          conf.Common{Telemetry: reg, Logger: logf},
 		Addr:            *addr,
 		Server:          logic,
 		LandmarkAddrs:   lmAddrs,
@@ -270,8 +265,6 @@ func main() {
 		MaxBatch:        *maxBatch,
 		DataDir:         frontDir,
 		Replication:     repl,
-		Logf:            logf,
-		Telemetry:       reg,
 		SlowOpThreshold: *slowOp,
 		SlowOp: func(id uint64, typ proto.MsgType, d time.Duration, inline bool) {
 			slog.Warn("slow request", "id", id, "type", typ.String(), "inline", inline, "took", d)
@@ -286,7 +279,7 @@ func main() {
 	}
 	slog.Info("management server listening",
 		"addr", ns.Addr(), "landmarks", fmt.Sprint(lmIDs), "k", *neighbors,
-		"shards", *shards, "replicas", *replicas, "role", roleName)
+		"shards", *shards, "role", roleName)
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)

@@ -60,9 +60,15 @@ const DefaultMaxInFlight = 64
 // Config tunes a Client connection.
 type Config struct {
 	// Common holds the knobs shared with the other networked components
-	// (conf.Common). Common.Telemetry and Common.Backoff are used when the
-	// deprecated flat fields below are unset; the client logs nothing, so
-	// Common.Logger is accepted and ignored.
+	// (conf.Common). Common.Telemetry, when set, receives the client's
+	// operational metrics: proxdisc_client_inflight (pipelined requests
+	// currently outstanding), proxdisc_client_retries_total,
+	// proxdisc_client_redirects_total, and proxdisc_client_failovers_total.
+	// Aux connections (redirect targets, failover redials) report into the
+	// same series. Common.Backoff is the initial pause before the second
+	// and later transport retries (default 50ms); not-primary redirects
+	// retry immediately. The client logs nothing, so Common.Logger is
+	// accepted and ignored.
 	conf.Common
 	// Timeout bounds each request/response exchange (default 10s). The
 	// context-first methods bound each call by min(Timeout, the context's
@@ -83,10 +89,10 @@ type Config struct {
 	// transport failure or a not-primary rejection (default 0: fail fast).
 	// The first transport retry redials the target immediately (the
 	// historic dead-connection redial); each later one waits
-	// FailoverBackoff first, doubling per attempt up to 2s — the
+	// Common.Backoff first, doubling per attempt up to 2s — the
 	// bounded-backoff failover path for clients of a replicated
-	// deployment, where a crashed node's address comes back (or its
-	// replica answers) within a promotion window.
+	// deployment, where a crashed node's address comes back (or a
+	// follower answers) within a promotion window.
 	//
 	// Retried requests are at-least-once: a write whose connection died
 	// after the send may be applied twice. Every request is idempotent at
@@ -94,22 +100,6 @@ type Config struct {
 	// retry changes no state — but per-request timeouts are never
 	// re-sent, since the original may still be in flight.
 	FailoverRetries int
-	// FailoverBackoff is the initial pause before the second and later
-	// transport retries (default 50ms). Not-primary redirects retry
-	// immediately.
-	//
-	// Deprecated: set Common.Backoff instead. When both are set, this
-	// field wins.
-	FailoverBackoff time.Duration
-	// Telemetry, when set, receives the client's operational metrics:
-	// proxdisc_client_inflight (pipelined requests currently outstanding),
-	// proxdisc_client_retries_total, proxdisc_client_redirects_total, and
-	// proxdisc_client_failovers_total. Aux connections (redirect targets,
-	// failover redials) report into the same series.
-	//
-	// Deprecated: set Common.Telemetry instead. When both are set, this
-	// field wins.
-	Telemetry *telemetry.Registry
 }
 
 // Client is a connection to the management server. It is safe for
@@ -219,8 +209,6 @@ func Dial(addr string, timeout time.Duration) (*Client, error) {
 
 // DialConfig connects to the management server.
 func DialConfig(addr string, cfg Config) (*Client, error) {
-	cfg.Telemetry = cfg.Common.ResolveTelemetry(cfg.Telemetry)
-	cfg.FailoverBackoff = cfg.Common.ResolveBackoff(cfg.FailoverBackoff, 0)
 	if cfg.Timeout == 0 {
 		cfg.Timeout = 10 * time.Second
 	}
@@ -452,12 +440,9 @@ func (c *Client) transportAttempts() int {
 }
 
 // backoffDelay is the bounded exponential pause before transport retry
-// `attempt` (1-based): FailoverBackoff doubling per attempt, capped at 2s.
+// `attempt` (1-based): Common.Backoff doubling per attempt, capped at 2s.
 func (c *Client) backoffDelay(attempt int) time.Duration {
-	d := c.cfg.FailoverBackoff
-	if d <= 0 {
-		d = 50 * time.Millisecond
-	}
+	d := c.cfg.ResolveBackoff(50 * time.Millisecond)
 	for i := 1; i < attempt && d < 2*time.Second; i++ {
 		d *= 2
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"proxdisc/internal/conf"
 	"proxdisc/internal/proto"
 )
 
@@ -360,7 +361,7 @@ func TestNegotiationRejectsGarbage(t *testing.T) {
 
 // TestFailoverHelpers pins the retry-policy arithmetic: the attempt budget
 // floors at the historic redial-once, and the backoff doubles from
-// FailoverBackoff up to the 2s cap.
+// Common.Backoff up to the 2s cap.
 func TestFailoverHelpers(t *testing.T) {
 	c := &Client{cfg: Config{}}
 	if got := c.transportAttempts(); got != 2 {
@@ -373,7 +374,7 @@ func TestFailoverHelpers(t *testing.T) {
 	if d := c.backoffDelay(1); d != 50*time.Millisecond {
 		t.Fatalf("backoff(1)=%v", d)
 	}
-	c.cfg.FailoverBackoff = 300 * time.Millisecond
+	c.cfg.Backoff = 300 * time.Millisecond
 	if d := c.backoffDelay(2); d != 600*time.Millisecond {
 		t.Fatalf("backoff(2)=%v", d)
 	}
@@ -437,10 +438,10 @@ func TestNotPrimaryFailbackToDialledAddress(t *testing.T) {
 		scripted{typ: proto.MsgLookupResponse, payload: lookupResp},
 	)
 	c, err := DialConfig(fs.ln.Addr().String(), Config{
+		Common:            conf.Common{Backoff: 10 * time.Millisecond},
 		Timeout:           time.Second,
 		DisablePipelining: true,
 		FailoverRetries:   2,
-		FailoverBackoff:   10 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

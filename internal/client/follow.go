@@ -24,9 +24,8 @@ import (
 // primary's send window and as its half of the idle-stream heartbeat.
 
 // FollowHandler consumes a primary's replication stream: ops through the
-// same op.Replicator interface the cluster's in-process replicas
-// implement, plus whole-state snapshots when the follower is too far
-// behind the primary's log retention.
+// op.Replicator interface, plus whole-state snapshots when the follower
+// is too far behind the primary's log retention.
 type FollowHandler interface {
 	op.Replicator
 	// RestoreSnapshot replaces the local state with the snapshot in r,

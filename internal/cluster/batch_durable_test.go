@@ -43,7 +43,7 @@ func (t *recTap) snapshot() (seqs []uint64, recs [][]byte) {
 // batches stay one-record each (group commit shares fsyncs, not frames).
 func TestBatchJoinOneRecordOneFrame(t *testing.T) {
 	dir := t.TempDir()
-	c, err := New(durableConfig(dir, 4, 1))
+	c, err := New(durableConfig(dir, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestBatchJoinOneRecordOneFrame(t *testing.T) {
 	// flush beyond what commit already fsynced.
 	c = nil
 
-	re, err := New(durableConfig(dir, 4, 1))
+	re, err := New(durableConfig(dir, 4))
 	if err != nil {
 		t.Fatalf("reopen after crash: %v", err)
 	}
@@ -195,7 +195,7 @@ func TestPacedCopyRate(t *testing.T) {
 // durability contract: a paced checkpoint restores to the same answers.
 func TestCheckpointPacedRecovers(t *testing.T) {
 	dir := t.TempDir()
-	cfg := durableConfig(dir, 4, 1)
+	cfg := durableConfig(dir, 4)
 	cfg.CheckpointBytesPerSec = 1 << 20
 	c, err := New(cfg)
 	if err != nil {

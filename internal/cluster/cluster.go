@@ -20,6 +20,33 @@
 // Because shards never share tree state, a Cluster returns byte-identical
 // candidate sets to a single server.Server over the same peer population —
 // sharding changes capacity, not answers.
+//
+// A shard is one server.Server behind a handoff gate; the cluster keeps no
+// second copy of it. Copies live in other processes, fed by the committed
+// op stream (netserver.StartFollower).
+//
+// # Locks on the hot paths
+//
+// Cluster.Lookup takes, in order: the peer index stripe's RLock (released
+// before the shard is touched); then, inside server.Server.Lookup, the
+// published left-right side's fence (side.mu.RLock) and the landmark
+// tree's pathtree.Tree.mu.RLock. Nothing exclusive, nothing of the
+// cluster's own beyond the index stripe. An index miss adds a FindPeer
+// scatter, which reads every shard the same way.
+//
+// Cluster.JoinOp takes: Cluster.mu.RLock (table, moving set, epoch fence)
+// just long enough to take the owning shard's gate, shard.opMu.RLock,
+// which is held across the apply; inside server.mutate, pendMu for the
+// queue push, then the writer mutex wmu — and, when this writer is the
+// combiner, pendMu again to drain the queue, each side's side.mu.Lock in
+// turn and pathtree.Tree.mu.Lock per tree operation; then the peer index
+// stripe's Lock for the index update. After the gate is released a
+// durable cluster appends to the write-ahead log: the shard stream's
+// append mutex and wal.Sharded's seqMu, then the group-commit syncMu for
+// whoever leads the fsync. The cluster adds no write lock of its own: the
+// handoff gate is shared by writers and exclusive only for MoveLandmark's
+// copy phase (the two shards involved) and Expire's sweep (all shards,
+// ascending order), both serialised by hoMu.
 package cluster
 
 import (
@@ -56,17 +83,6 @@ type Config struct {
 	// MaxFanout bounds the concurrency of scatter-gather operations
 	// (default: one in-flight call per shard).
 	MaxFanout int
-	// Replicas is the number of copies of each shard's state (default 1:
-	// unreplicated). With R copies, every write applies to the shard's
-	// primary and propagates to the other replicas through a per-shard
-	// ordered apply log, so the shard survives up to R−1 replica failures
-	// with zero lost peers (see FailShard, RecoverReplica).
-	Replicas int
-	// HealthCheck, when set, is consulted by CheckHealth for every live
-	// replica; returning false marks the replica failed (promoting a
-	// survivor when it was the primary).
-	HealthCheck func(shard, replica int, s *server.Server) bool
-
 	// RebalanceInterval, when positive, runs the load-driven rebalancer in
 	// the background: every interval the planner compares per-shard peer
 	// counts and issues fenced MoveLandmark handoffs until no single move
@@ -136,10 +152,10 @@ type Config struct {
 // API as server.Server and is safe for concurrent use.
 type Cluster struct {
 	cfg    Config
-	shards []*shardGroup
+	shards []*shard
 
-	// mu guards the assignment table, the landmark epochs, the in-progress
-	// handoff set, and the in-progress failover set.
+	// mu guards the assignment table, the landmark epochs, and the
+	// in-progress handoff set.
 	mu    sync.RWMutex
 	table map[topology.NodeID]int
 	// epochs is the authoritative copy of each landmark's fencing epoch
@@ -150,9 +166,6 @@ type Cluster struct {
 	// deposed owner.
 	epochs map[topology.NodeID]uint64
 	moving map[topology.NodeID]*handoff
-	// failing flags shards whose primary is mid-promotion; joins resolving
-	// to them buffer and replay exactly like joins for a moving landmark.
-	failing map[int]*handoff
 
 	// hoMu serializes handoffs and cluster-wide snapshots.
 	hoMu sync.Mutex
@@ -210,7 +223,11 @@ func (c *Cluster) initMetrics() {
 		shard := strconv.Itoa(i)
 		g.applies = r.Counter(`proxdisc_shard_apply_total{shard="` + shard + `"}`)
 		r.GaugeFunc(`proxdisc_shard_peers{shard="`+shard+`"}`, func() float64 {
-			return float64(g.primarySrv().NumPeers())
+			return float64(g.srv.NumPeers())
+		})
+		// Applies over publications is the shard's flat-combining batch size.
+		r.GaugeFunc(`proxdisc_server_publications_total{shard="`+shard+`"}`, func() float64 {
+			return float64(g.srv.Publications())
 		})
 	}
 }
@@ -223,8 +240,8 @@ func (c *Cluster) now() time.Time {
 	return time.Now()
 }
 
-// stamp fills a zero op timestamp from the cluster clock, so the primary,
-// every replica, and the write-ahead log all see the same instant.
+// stamp fills a zero op timestamp from the cluster clock, so the shard,
+// the write-ahead log, and every follower all see the same instant.
 func (c *Cluster) stamp(o op.Op) op.Op {
 	if o.Time == 0 {
 		switch o.Kind {
@@ -249,12 +266,6 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Assign == nil {
 		cfg.Assign = RoundRobin()
 	}
-	if cfg.Replicas == 0 {
-		cfg.Replicas = 1
-	}
-	if cfg.Replicas < 0 {
-		return nil, fmt.Errorf("cluster: negative replica count %d", cfg.Replicas)
-	}
 	table := cfg.Assign.Assign(cfg.Landmarks, cfg.Shards)
 	perShard := make([][]topology.NodeID, cfg.Shards)
 	for _, lm := range cfg.Landmarks {
@@ -268,13 +279,12 @@ func New(cfg Config) (*Cluster, error) {
 		perShard[shard] = append(perShard[shard], lm)
 	}
 	c := &Cluster{
-		cfg:     cfg,
-		shards:  make([]*shardGroup, cfg.Shards),
-		table:   make(map[topology.NodeID]int, len(table)),
-		epochs:  make(map[topology.NodeID]uint64),
-		moving:  make(map[topology.NodeID]*handoff),
-		failing: make(map[int]*handoff),
-		idx:     newPeerIndex(),
+		cfg:    cfg,
+		shards: make([]*shard, cfg.Shards),
+		table:  make(map[topology.NodeID]int, len(table)),
+		epochs: make(map[topology.NodeID]uint64),
+		moving: make(map[topology.NodeID]*handoff),
+		idx:    newPeerIndex(),
 	}
 	for lm, shard := range table {
 		c.table[lm] = shard
@@ -282,7 +292,7 @@ func New(cfg Config) (*Cluster, error) {
 	for i, lms := range perShard {
 		// A shard assigned no landmarks is an elastic shard: it starts
 		// empty and fills through rebalancing handoffs.
-		g, err := newShardGroup(lms, cfg.Replicas, cfg)
+		g, err := newShard(lms, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: shard %d: %w", i, err)
 		}
@@ -305,8 +315,8 @@ func New(cfg Config) (*Cluster, error) {
 // NumShards reports the number of shards.
 func (c *Cluster) NumShards() int { return len(c.shards) }
 
-// Shard exposes one shard's primary server, for tests and diagnostics.
-func (c *Cluster) Shard(i int) *server.Server { return c.shards[i].primarySrv() }
+// Shard exposes one shard's server, for tests and diagnostics.
+func (c *Cluster) Shard(i int) *server.Server { return c.shards[i].srv }
 
 // ShardFor reports which shard currently owns a landmark.
 func (c *Cluster) ShardFor(lm topology.NodeID) (int, bool) {
@@ -340,7 +350,7 @@ func (c *Cluster) Landmarks() []topology.NodeID {
 }
 
 // NeighborCount reports the configured answer size.
-func (c *Cluster) NeighborCount() int { return c.shards[0].primarySrv().NeighborCount() }
+func (c *Cluster) NeighborCount() int { return c.shards[0].srv.NeighborCount() }
 
 // Join routes the peer's join to the shard owning its path's landmark and
 // returns the closest-peer answer, exactly as server.Server.Join would. If
@@ -367,7 +377,7 @@ func (c *Cluster) JoinOp(o op.Op) ([]pathtree.Candidate, error) {
 }
 
 // joinRoute routes a join op to the shard owning its path's landmark,
-// waiting out handoffs and failovers, and maintains the peer index. It is
+// waiting out handoffs, and maintains the peer index. It is
 // the shared road of answering joins (quiet=false) and silent replay
 // (quiet=true, the WAL recovery path).
 func (c *Cluster) joinRoute(o op.Op, quiet bool) ([]pathtree.Candidate, error) {
@@ -385,11 +395,6 @@ func (c *Cluster) joinRoute(o op.Op, quiet bool) ([]pathtree.Candidate, error) {
 		if ho := c.moving[lm]; ho != nil {
 			c.mu.RUnlock()
 			<-ho.done // buffered during the transfer; replay below
-			continue
-		}
-		if ho := c.failing[shard]; ho != nil {
-			c.mu.RUnlock()
-			<-ho.done // buffered during the failover; replay against the new primary
 			continue
 		}
 		if o.Epoch != 0 && o.Epoch != c.epochs[lm] {
@@ -497,7 +502,7 @@ func (c *Cluster) JoinBatchOp(o op.Op) []server.BatchResult {
 			out[i].Err = fmt.Errorf("%w (router %d)", server.ErrUnknownLandmark, lm)
 			continue
 		}
-		if c.moving[lm] != nil || c.failing[shard] != nil || dup(it.Peer, i) {
+		if c.moving[lm] != nil || dup(it.Peer, i) {
 			deferred = append(deferred, i)
 			continue
 		}
@@ -584,13 +589,10 @@ type batchGroup struct {
 }
 
 // Lookup re-answers the closest-peers query for a registered peer,
-// delegating to the shard that holds it. The answer is served by any live
-// replica of the shard (dealt round-robin): replicas apply every write
-// synchronously in log order, so their answers are identical to the
-// primary's.
+// delegating to the shard that holds it.
 func (c *Cluster) Lookup(p pathtree.PeerID) ([]pathtree.Candidate, error) {
 	if shard, ok := c.idx.get(p); ok {
-		cands, err := c.shards[shard].readSrv().Lookup(p)
+		cands, err := c.shards[shard].srv.Lookup(p)
 		if err == nil || !errors.Is(err, server.ErrUnknownPeer) {
 			return cands, err
 		}
@@ -600,7 +602,7 @@ func (c *Cluster) Lookup(p pathtree.PeerID) ([]pathtree.Candidate, error) {
 	if err != nil {
 		return nil, err
 	}
-	return c.shards[shard].readSrv().Lookup(p)
+	return c.shards[shard].srv.Lookup(p)
 }
 
 // Refresh updates a peer's liveness timestamp.
@@ -650,7 +652,7 @@ func (c *Cluster) applyRouted(o op.Op, quiet bool) error {
 		}
 		return nil
 	case op.KindRefresh, op.KindSetSuperPeer:
-		return c.onPeerShard(o.Peer, func(g *shardGroup) error {
+		return c.onPeerShard(o.Peer, func(g *shard) error {
 			_, err := g.applyOp(o, quiet)
 			return err
 		})
@@ -674,7 +676,7 @@ func (c *Cluster) applyRouted(o op.Op, quiet bool) error {
 // the peer's landmark is mid-handoff). Holding the shard's operation gate
 // excludes the call from a handoff's copy phase, so the update cannot land
 // on a tree that has already been serialized for transfer and be lost.
-func (c *Cluster) onPeerShard(p pathtree.PeerID, fn func(g *shardGroup) error) error {
+func (c *Cluster) onPeerShard(p pathtree.PeerID, fn func(g *shard) error) error {
 	if shard, ok := c.idx.get(p); ok {
 		g := c.shards[shard]
 		g.opMu.RLock()
@@ -694,11 +696,10 @@ func (c *Cluster) onPeerShard(p pathtree.PeerID, fn func(g *shardGroup) error) e
 	return fn(g)
 }
 
-// PeerInfo returns a copy of the record for peer p, read from any live
-// replica of its shard.
+// PeerInfo returns a copy of the record for peer p.
 func (c *Cluster) PeerInfo(p pathtree.PeerID) (server.PeerInfo, error) {
 	if shard, ok := c.idx.get(p); ok {
-		info, err := c.shards[shard].readSrv().PeerInfo(p)
+		info, err := c.shards[shard].srv.PeerInfo(p)
 		if err == nil || !errors.Is(err, server.ErrUnknownPeer) {
 			return info, err
 		}
@@ -769,12 +770,12 @@ func (c *Cluster) Peers() []pathtree.PeerID {
 }
 
 // Expire sweeps every shard for peers past their TTL, returning the merged
-// expired IDs in ascending order. The sweep is replicated and logged as a
-// single ExpireOp carrying the deadline — not as per-peer leaves — so
-// replica logs and the WAL stay compact and byte-comparable, and every
-// copy (or a restarted node) re-derives the identical expiry set from the
-// deadline and the op-carried refresh timestamps. A zero PeerTTL disables
-// expiry.
+// expired IDs in ascending order. The sweep is logged and shipped to
+// followers as a single ExpireOp carrying the deadline — not as per-peer
+// leaves — so the WAL stays compact and byte-comparable, and every
+// follower (or a restarted node) re-derives the identical expiry set from
+// the deadline and the op-carried refresh timestamps. A zero PeerTTL
+// disables expiry.
 func (c *Cluster) Expire() []pathtree.PeerID {
 	if c.cfg.PeerTTL <= 0 {
 		return nil
@@ -810,8 +811,8 @@ func (c *Cluster) expireRouted(o op.Op) []pathtree.PeerID {
 		}
 	}()
 	per := make([][]pathtree.PeerID, len(c.shards))
-	_ = c.forEachGroup(context.Background(), func(i int, g *shardGroup) error {
-		res, _ := g.applyOp(o, false)
+	_ = c.ForEachShard(context.Background(), func(i int, _ *server.Server) error {
+		res, _ := c.shards[i].applyOp(o, false)
 		per[i] = res.expired
 		return nil
 	})
@@ -836,8 +837,8 @@ func (c *Cluster) Stats() server.Stats {
 	c.hoMu.Lock()
 	defer c.hoMu.Unlock()
 	per := make([]server.Stats, len(c.shards))
-	_ = c.forEachGroup(context.Background(), func(i int, g *shardGroup) error {
-		per[i] = g.stats()
+	_ = c.ForEachShard(context.Background(), func(i int, s *server.Server) error {
+		per[i] = s.Stats()
 		return nil
 	})
 	merged := server.Stats{TreeStats: make(map[topology.NodeID]pathtree.Stats)}
@@ -848,6 +849,7 @@ func (c *Cluster) Stats() server.Stats {
 		merged.Expiries += st.Expiries
 		merged.Queries += st.Queries
 		merged.SuperPeerDelegations += st.SuperPeerDelegations
+		merged.Publications += st.Publications
 		for lm, ts := range st.TreeStats {
 			merged.TreeStats[lm] = ts
 		}

@@ -288,9 +288,17 @@ func TestStatsAggregation(t *testing.T) {
 	c := newTestCluster(t, 4)
 	populate(t, c, 32)
 	c.Leave(1)
+	for p := pathtree.PeerID(2); p <= 9; p++ {
+		if _, err := c.Lookup(p); err != nil {
+			t.Fatal(err)
+		}
+	}
 	st := c.Stats()
 	if st.Peers != 31 {
 		t.Fatalf("Peers=%d", st.Peers)
+	}
+	if st.Queries != 32+8 {
+		t.Fatalf("Queries=%d, want 40 (32 join answers + 8 lookups)", st.Queries)
 	}
 	if st.Joins != 32 || st.Leaves != 1 {
 		t.Fatalf("Joins=%d Leaves=%d", st.Joins, st.Leaves)

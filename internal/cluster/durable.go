@@ -267,7 +267,7 @@ func (c *Cluster) restoreSnapshot(r io.Reader) error {
 		if err := tmp.SnapshotLandmarks(&buf, lms...); err != nil {
 			return fmt.Errorf("cluster: snapshot split: %w", err)
 		}
-		restored, err := c.shards[shard].absorb(buf.Bytes())
+		restored, err := c.shards[shard].srv.Absorb(&buf)
 		if err != nil {
 			return fmt.Errorf("cluster: snapshot absorb into shard %d: %w", shard, err)
 		}

@@ -19,11 +19,10 @@ import (
 )
 
 // durableConfig builds a durable test config over the shared landmark set.
-func durableConfig(dir string, shards, replicas int) Config {
+func durableConfig(dir string, shards int) Config {
 	return Config{
 		Landmarks: testLandmarks,
 		Shards:    shards,
-		Replicas:  replicas,
 		DataDir:   dir,
 	}
 }
@@ -132,16 +131,12 @@ func runWorkload(t *testing.T, c *Cluster) {
 // that crashed without any shutdown flush (the WAL is simply abandoned
 // mid-workload, kill -9 style) reopens from its data directory and serves
 // the exact peer set and the exact answers it acknowledged — across
-// standalone, sharded, and replicated planes.
+// standalone and sharded planes.
 func TestCrashRecoveryExactState(t *testing.T) {
-	for _, tc := range []struct{ shards, replicas int }{
-		{1, 1},
-		{4, 1},
-		{2, 2},
-	} {
-		t.Run(fmt.Sprintf("shards=%d,replicas=%d", tc.shards, tc.replicas), func(t *testing.T) {
+	for _, shards := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			dir := t.TempDir()
-			c, err := New(durableConfig(dir, tc.shards, tc.replicas))
+			c, err := New(durableConfig(dir, shards))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -151,7 +146,7 @@ func TestCrashRecoveryExactState(t *testing.T) {
 			// abandoned with its WAL mid-life.
 			c = nil
 
-			re, err := New(durableConfig(dir, tc.shards, tc.replicas))
+			re, err := New(durableConfig(dir, shards))
 			if err != nil {
 				t.Fatalf("reopen after crash: %v", err)
 			}
@@ -182,7 +177,7 @@ func TestCrashRecoveryMatchesUninterruptedRun(t *testing.T) {
 		return now
 	}
 	dir := t.TempDir()
-	cfgDurable := durableConfig(dir, 4, 1)
+	cfgDurable := durableConfig(dir, 4)
 	cfgDurable.Clock = clock
 
 	durable, err := New(cfgDurable)
@@ -201,7 +196,7 @@ func TestCrashRecoveryMatchesUninterruptedRun(t *testing.T) {
 	}
 	runWorkload(t, control)
 
-	re, err := New(durableConfig(dir, 4, 1))
+	re, err := New(durableConfig(dir, 4))
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -214,7 +209,7 @@ func TestCrashRecoveryMatchesUninterruptedRun(t *testing.T) {
 // empty tail, and the answers still match.
 func TestCleanShutdownTruncatesLog(t *testing.T) {
 	dir := t.TempDir()
-	c, err := New(durableConfig(dir, 2, 1))
+	c, err := New(durableConfig(dir, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +241,7 @@ func TestCleanShutdownTruncatesLog(t *testing.T) {
 		t.Fatalf("%d log records left after the final snapshot", tail)
 	}
 
-	re, err := New(durableConfig(dir, 2, 1))
+	re, err := New(durableConfig(dir, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +255,7 @@ func TestCleanShutdownTruncatesLog(t *testing.T) {
 // the exact acknowledged state.
 func TestCheckpointMidWorkloadThenCrash(t *testing.T) {
 	dir := t.TempDir()
-	c, err := New(durableConfig(dir, 4, 1))
+	c, err := New(durableConfig(dir, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +278,7 @@ func TestCheckpointMidWorkloadThenCrash(t *testing.T) {
 	want := captureAnswers(t, c)
 	c = nil // crash
 
-	re, err := New(durableConfig(dir, 4, 1))
+	re, err := New(durableConfig(dir, 4))
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -295,7 +290,7 @@ func TestCheckpointMidWorkloadThenCrash(t *testing.T) {
 // the background checkpointer must fire, then crashes and recovers.
 func TestAutoSnapshotTriggers(t *testing.T) {
 	dir := t.TempDir()
-	cfg := durableConfig(dir, 2, 1)
+	cfg := durableConfig(dir, 2)
 	cfg.SnapshotEvery = 16
 	c, err := New(cfg)
 	if err != nil {
@@ -323,7 +318,7 @@ func TestAutoSnapshotTriggers(t *testing.T) {
 	want := captureAnswers(t, c)
 	c = nil // crash
 
-	re, err := New(durableConfig(dir, 2, 1))
+	re, err := New(durableConfig(dir, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +332,7 @@ func TestAutoSnapshotTriggers(t *testing.T) {
 // acknowledged and drop the tail without complaint.
 func TestTornWalTailIgnored(t *testing.T) {
 	dir := t.TempDir()
-	c, err := New(durableConfig(dir, 2, 1))
+	c, err := New(durableConfig(dir, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +355,7 @@ func TestTornWalTailIgnored(t *testing.T) {
 	f.Write([]byte{0, 0, 0, 42, 0, 0, 0, 0, 0, 0, 0, 13, 0xca, 0xfe, 0xba})
 	f.Close()
 
-	re, err := New(durableConfig(dir, 2, 1))
+	re, err := New(durableConfig(dir, 2))
 	if err != nil {
 		t.Fatalf("reopen with torn tail: %v", err)
 	}
@@ -386,7 +381,7 @@ func TestExpireLoggedAsSingleOp(t *testing.T) {
 		now = now.Add(d)
 	}
 	dir := t.TempDir()
-	cfg := durableConfig(dir, 2, 2)
+	cfg := durableConfig(dir, 2)
 	cfg.PeerTTL = time.Minute
 	cfg.Clock = clock
 	c, err := New(cfg)
@@ -448,59 +443,12 @@ func TestExpireLoggedAsSingleOp(t *testing.T) {
 	}
 }
 
-// TestExpireReplicatedAsOneOpAcrossFailover ties the compact expiry to
-// failover: after the sweep, a promoted replica — which received the one
-// ExpireOp, not explicit leaves — must agree exactly with the answers the
-// old primary gave.
-func TestExpireReplicatedAsOneOpAcrossFailover(t *testing.T) {
-	now := time.Unix(7000, 0)
-	var mu sync.Mutex
-	clock := func() time.Time {
-		mu.Lock()
-		defer mu.Unlock()
-		return now
-	}
-	c, err := New(Config{
-		Landmarks: testLandmarks,
-		Shards:    2,
-		Replicas:  3,
-		PeerTTL:   time.Minute,
-		Clock:     clock,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 12; i++ {
-		if _, err := c.Join(pathtree.PeerID(i+1), synthPath(testLandmarks[i%8], i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mu.Lock()
-	now = now.Add(2 * time.Minute)
-	mu.Unlock()
-	for p := pathtree.PeerID(1); p <= 3; p++ {
-		if err := c.Refresh(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if expired := c.Expire(); len(expired) != 9 {
-		t.Fatalf("expired %d peers, want 9", len(expired))
-	}
-	want := captureAnswers(t, c)
-	for shard := 0; shard < 2; shard++ {
-		if err := c.FailShard(shard); err != nil {
-			t.Fatal(err)
-		}
-	}
-	assertSameAnswers(t, want, captureAnswers(t, c), "promoted replicas after ExpireOp")
-}
-
 // TestDurableRejectsForeignSnapshot guards the config/state contract: a
 // data directory whose snapshot references landmarks outside the
 // configured set must fail loudly at open, not silently drop peers.
 func TestDurableRejectsForeignSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	c, err := New(durableConfig(dir, 2, 1))
+	c, err := New(durableConfig(dir, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -522,7 +470,7 @@ func TestDurableRejectsForeignSnapshot(t *testing.T) {
 // the WAL as multiple records and recover completely.
 func TestDurableFlagAndWideBatchChunking(t *testing.T) {
 	dir := t.TempDir()
-	c, err := New(durableConfig(dir, 2, 1))
+	c, err := New(durableConfig(dir, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -578,7 +526,7 @@ func TestDurableFlagAndWideBatchChunking(t *testing.T) {
 		t.Fatalf("wide batch committed as %d records, want it chunked", batchRecs)
 	}
 
-	re, err := New(durableConfig(dir, 2, 1))
+	re, err := New(durableConfig(dir, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -594,7 +542,7 @@ func TestDurableFlagAndWideBatchChunking(t *testing.T) {
 func TestApplyOpDoor(t *testing.T) {
 	now := time.Unix(4000, 0)
 	dir := t.TempDir()
-	cfg := durableConfig(dir, 2, 1)
+	cfg := durableConfig(dir, 2)
 	cfg.PeerTTL = time.Minute
 	cfg.Clock = func() time.Time { return now }
 	c, err := New(cfg)
@@ -646,7 +594,7 @@ func TestApplyOpDoor(t *testing.T) {
 func TestShardedWALKillDashNineRecovery(t *testing.T) {
 	now := time.Unix(9000, 0)
 	run := func(dir string) *Cluster {
-		cfg := durableConfig(dir, 4, 1)
+		cfg := durableConfig(dir, 4)
 		cfg.Clock = func() time.Time { return now } // identical stamps across runs
 		c, err := New(cfg)
 		if err != nil {
@@ -718,7 +666,7 @@ func TestShardedWALKillDashNineRecovery(t *testing.T) {
 		t.Fatalf("killed dir has segments for %d streams, want 4", len(streams))
 	}
 
-	cfg := durableConfig(cleanDir, 4, 1)
+	cfg := durableConfig(cleanDir, 4)
 	cfg.Clock = func() time.Time { return now }
 	cleanRe, err := New(cfg)
 	if err != nil {

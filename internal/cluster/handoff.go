@@ -114,11 +114,7 @@ func (c *Cluster) MoveLandmark(lm topology.NodeID, dst int) error {
 	// in ascending shard order (the cluster-wide multi-lock order) and
 	// released before touching c.mu (the table) — Join acquires mu then a
 	// gate, so holding a gate across a mu acquisition would invert that
-	// order. With replicated shards the tree moves between whole replica
-	// groups: the snapshot is taken from the source primary and absorbed
-	// by every live destination replica, and the source side drops the
-	// landmark from every live replica, so the groups stay in lock-step
-	// across the handoff.
+	// order.
 	lo, hi := src, dst
 	if lo > hi {
 		lo, hi = hi, lo
@@ -130,30 +126,30 @@ func (c *Cluster) MoveLandmark(lm topology.NodeID, dst int) error {
 		c.shards[lo].opMu.Unlock()
 	}
 	var buf bytes.Buffer
-	if err := c.shards[src].snapshotLandmarks(&buf, lm); err != nil {
+	if err := c.shards[src].srv.SnapshotLandmarks(&buf, lm); err != nil {
 		unlock()
 		finish()
 		return fmt.Errorf("cluster: handoff snapshot: %w", err)
 	}
 	c.hook(moveStageSnapshot)
-	moved, err := c.shards[dst].absorb(buf.Bytes())
+	moved, err := c.shards[dst].srv.Absorb(&buf)
 	if err != nil {
 		unlock()
 		finish()
 		return fmt.Errorf("cluster: handoff absorb: %w", err)
 	}
 	c.hook(moveStageAbsorb)
-	// Apply the move op to the destination group: it raises the
-	// destination's landmark epoch and rides the per-shard replica log
-	// (and the follower op stream), so every copy of the new owner fences
-	// at the post-move epoch.
+	// Apply the move op to the destination shard: it raises the
+	// destination's landmark epoch, and (once committed below) rides the
+	// follower op stream, so every copy of the new owner fences at the
+	// post-move epoch.
 	mv := op.MoveLandmark(lm, src, dst, newEpoch)
 	if _, err := c.shards[dst].applyOp(mv, true); err != nil {
 		unlock()
 		finish()
 		return fmt.Errorf("cluster: handoff epoch apply: %w", err)
 	}
-	c.shards[src].dropLandmark(lm)
+	c.shards[src].srv.DropLandmark(lm)
 	c.hook(moveStageDrop)
 	unlock()
 
@@ -204,12 +200,12 @@ func (c *Cluster) Snapshot(w io.Writer) error {
 func (c *Cluster) snapshotLocked(w io.Writer) error {
 	var parts []io.Reader
 	for i, g := range c.shards {
-		lms := g.primarySrv().Landmarks()
+		lms := g.srv.Landmarks()
 		if len(lms) == 0 {
 			continue // elastic shard, or drained by handoffs
 		}
 		var buf bytes.Buffer
-		if err := g.snapshotLandmarks(&buf, lms...); err != nil {
+		if err := g.srv.SnapshotLandmarks(&buf, lms...); err != nil {
 			return fmt.Errorf("cluster: snapshot shard %d: %w", i, err)
 		}
 		parts = append(parts, &buf)
@@ -241,17 +237,17 @@ func (c *Cluster) replayMove(o op.Op) error {
 		}
 	} else {
 		var buf bytes.Buffer
-		if err := c.shards[src].snapshotLandmarks(&buf, lm); err != nil {
+		if err := c.shards[src].srv.SnapshotLandmarks(&buf, lm); err != nil {
 			return fmt.Errorf("cluster: recovered move snapshot: %w", err)
 		}
-		moved, err := c.shards[dst].absorb(buf.Bytes())
+		moved, err := c.shards[dst].srv.Absorb(&buf)
 		if err != nil {
 			return fmt.Errorf("cluster: recovered move absorb: %w", err)
 		}
 		if _, err := c.shards[dst].applyOp(mv, true); err != nil {
 			return fmt.Errorf("cluster: recovered move epoch apply: %w", err)
 		}
-		c.shards[src].dropLandmark(lm)
+		c.shards[src].srv.DropLandmark(lm)
 		c.table[lm] = dst
 		for _, p := range moved {
 			c.idx.swap(p, dst)

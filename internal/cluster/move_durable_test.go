@@ -92,7 +92,7 @@ func TestMoveLandmarkCrashAtEveryStage(t *testing.T) {
 	for _, tc := range stages {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			c, err := New(durableConfig(dir, 4, 1))
+			c, err := New(durableConfig(dir, 4))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -119,7 +119,7 @@ func TestMoveLandmarkCrashAtEveryStage(t *testing.T) {
 			}
 			c.moveHook = nil
 
-			re, err := New(durableConfig(killDir, 4, 1))
+			re, err := New(durableConfig(killDir, 4))
 			if err != nil {
 				t.Fatalf("reopen from crash image: %v", err)
 			}
@@ -158,7 +158,7 @@ func TestMoveLandmarkCrashAtEveryStage(t *testing.T) {
 // so the move stays in effect even with an empty WAL tail.
 func TestMoveSurvivesCheckpointAndRestart(t *testing.T) {
 	dir := t.TempDir()
-	c, err := New(durableConfig(dir, 4, 1))
+	c, err := New(durableConfig(dir, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestMoveSurvivesCheckpointAndRestart(t *testing.T) {
 	}
 	c = nil // crash after the checkpoint
 
-	re, err := New(durableConfig(dir, 4, 1))
+	re, err := New(durableConfig(dir, 4))
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -210,6 +210,10 @@ func TestStaleEpochFencing(t *testing.T) {
 	epoch1 := c.Epoch(lm)
 	if epoch1 != 1 {
 		t.Fatalf("epoch after first move = %d, want 1", epoch1)
+	}
+	// The move op was applied to the new owner, not just the table.
+	if got := c.Shard((src + 1) % c.NumShards()).Epoch(lm); got != 1 {
+		t.Fatalf("destination shard fences at epoch %d, want 1", got)
 	}
 
 	fenced := op.Join(1, synthPath(lm, 10), "", 0)
@@ -364,33 +368,5 @@ func TestRebalanceLoopLifecycle(t *testing.T) {
 	}
 	if err := c.Close(); err != nil { // idempotent
 		t.Fatal(err)
-	}
-}
-
-// TestMoveLandmarkReplicated drives a fenced move on a replicated cluster
-// and checks every replica of the destination fences at the new epoch
-// (the move op rides the per-shard apply log).
-func TestMoveLandmarkReplicated(t *testing.T) {
-	c, err := New(Config{Landmarks: testLandmarks, Shards: 2, Replicas: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	populate(t, c, 32)
-	lm := testLandmarks[0]
-	src, _ := c.ShardFor(lm)
-	dst := 1 - src
-	if err := c.MoveLandmark(lm, dst); err != nil {
-		t.Fatal(err)
-	}
-	g := c.shards[dst]
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for i, r := range g.reps {
-		if r == nil || r.srv == nil {
-			continue
-		}
-		if got := r.srv.Epoch(lm); got != 1 {
-			t.Fatalf("destination replica %d at epoch %d, want 1", i, got)
-		}
 	}
 }

@@ -64,7 +64,7 @@ func (c *Cluster) planMove(minGap int) (lm topology.NodeID, dst int, ok bool) {
 	}
 	c.mu.RUnlock()
 	for l, s := range table {
-		st := c.shards[s].primarySrv().Stats()
+		st := c.shards[s].srv.Stats()
 		n := st.TreeStats[l].Peers
 		load[s] += n
 		perShard[s] = append(perShard[s], lmLoad{l, n})

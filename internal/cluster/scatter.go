@@ -9,23 +9,14 @@ import (
 	"proxdisc/internal/server"
 )
 
-// ForEachShard runs fn once per shard — against the shard's current
-// primary server — with at most Config.MaxFanout calls in flight,
-// collecting the first error. Cancelling ctx stops launching new calls and
-// is reported as ctx's error; calls already running are awaited so fn
+// ForEachShard runs fn once per shard — against the shard's server — with
+// at most Config.MaxFanout calls in flight, collecting the first error.
+// Cancelling ctx stops launching new calls and is reported as ctx's
+// error; calls already running are awaited so fn
 // never outlives ForEachShard. This is the scatter half of every
 // cross-landmark operation; callers gather results through fn's closure,
 // writing only to their own shard's slot so no further locking is needed.
 func (c *Cluster) ForEachShard(ctx context.Context, fn func(shard int, s *server.Server) error) error {
-	return c.forEachGroup(ctx, func(shard int, g *shardGroup) error {
-		return fn(shard, g.primarySrv())
-	})
-}
-
-// forEachGroup is ForEachShard over the replica groups themselves, for
-// operations that must write through the apply log (Expire) rather than
-// read one replica.
-func (c *Cluster) forEachGroup(ctx context.Context, fn func(shard int, g *shardGroup) error) error {
 	fanout := c.cfg.MaxFanout
 	if fanout <= 0 || fanout > len(c.shards) {
 		fanout = len(c.shards)
@@ -58,7 +49,7 @@ launch:
 				setErr(err)
 				return
 			}
-			setErr(fn(i, c.shards[i]))
+			setErr(fn(i, c.shards[i].srv))
 		}(i)
 	}
 	wg.Wait()

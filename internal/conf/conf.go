@@ -1,8 +1,7 @@
 // Package conf holds the configuration knobs every networked component of
 // proxdisc grew independently — telemetry sink, diagnostic logger, retry
 // backoff — as one embeddable struct. netserver.Config, FollowerConfig and
-// client.Config embed Common; their pre-existing flat fields remain as
-// deprecated aliases that win when set, so no caller breaks.
+// client.Config embed Common.
 package conf
 
 import (
@@ -24,33 +23,16 @@ type Common struct {
 	Backoff time.Duration
 }
 
-// ResolveTelemetry returns the legacy field when set, else the embedded
-// one — the precedence every config applies at its entry point.
-func (c Common) ResolveTelemetry(legacy *telemetry.Registry) *telemetry.Registry {
-	if legacy != nil {
-		return legacy
-	}
-	return c.Telemetry
-}
-
-// ResolveLogger returns the legacy logger when set, else the embedded one,
-// else a silent logger — never nil.
-func (c Common) ResolveLogger(legacy func(format string, args ...any)) func(format string, args ...any) {
-	if legacy != nil {
-		return legacy
-	}
+// ResolveLogger returns the configured logger, or a silent one — never nil.
+func (c Common) ResolveLogger() func(format string, args ...any) {
 	if c.Logger != nil {
 		return c.Logger
 	}
 	return func(string, ...any) {}
 }
 
-// ResolveBackoff returns the legacy duration when set, else the embedded
-// one, else def.
-func (c Common) ResolveBackoff(legacy, def time.Duration) time.Duration {
-	if legacy > 0 {
-		return legacy
-	}
+// ResolveBackoff returns the configured backoff, or def when unset.
+func (c Common) ResolveBackoff(def time.Duration) time.Duration {
 	if c.Backoff > 0 {
 		return c.Backoff
 	}

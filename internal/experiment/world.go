@@ -68,14 +68,6 @@ type WorldConfig struct {
 	// landmark-sharded cluster of that many shards instead of a single
 	// server. It must not exceed NumLandmarks.
 	Shards int
-	// Replicas, when at least 2, keeps that many copies of each shard's
-	// state (see cluster.Config.Replicas) and forces the cluster plane even
-	// when Shards is unset, so simulations exercise the replicated path.
-	Replicas int
-	// Failovers schedules management-plane crashes and recoveries at
-	// points in the arrival sequence, so simulations exercise failover
-	// mid-workload. Requires a replicated cluster plane.
-	Failovers []FailoverEvent
 	// BatchSize, when at least 2, registers newcomers through the
 	// management plane's batched join path (Directory.JoinBatch) in groups
 	// of this size — the wire protocol's flash-crowd fast path — instead
@@ -84,7 +76,7 @@ type WorldConfig struct {
 	BatchSize int
 	// DataDir, when set, runs the management plane durably (WAL plus
 	// on-disk snapshots, see cluster.Config.DataDir) and forces the
-	// cluster plane even when Shards and Replicas are unset, so
+	// cluster plane even when Shards is unset, so
 	// simulations exercise the persistent write path end to end.
 	DataDir string
 	// Followers, when at least 1, attaches that many multi-process-style
@@ -126,19 +118,6 @@ func (c *WorldConfig) applyDefaults() {
 	}
 }
 
-// FailoverEvent is one scheduled management-plane incident: once
-// AfterJoins peers have joined, the named shard's primary is killed (a
-// surviving replica is promoted), or — with Recover — a previously failed
-// replica is rebuilt from a survivor's snapshot.
-type FailoverEvent struct {
-	// AfterJoins is the cumulative join count that triggers the event.
-	AfterJoins int
-	// Shard is the shard the event hits.
-	Shard int
-	// Recover rebuilds a failed replica instead of killing the primary.
-	Recover bool
-}
-
 // World is a fully wired simulated deployment.
 type World struct {
 	Cfg       WorldConfig
@@ -157,12 +136,8 @@ type World struct {
 	// all joins — the "measurement cost" axis of the quickness experiment.
 	ProbeCount int
 
-	// clu is set when the management plane is a cluster, for failover
-	// scheduling; joins counts protocol joins to drive the schedule.
-	clu       *cluster.Cluster
-	joins     int
-	nextEvent int
-	failovers []FailoverEvent
+	// clu is set when the management plane is a cluster.
+	clu *cluster.Cluster
 
 	// front and followers are the multi-process-style replication
 	// topology (WorldConfig.Followers): a TCP front end over the cluster
@@ -204,11 +179,10 @@ func BuildWorld(cfg WorldConfig) (*World, error) {
 		srv Directory
 		clu *cluster.Cluster
 	)
-	if cfg.Shards > 1 || cfg.Replicas > 1 || cfg.DataDir != "" {
+	if cfg.Shards > 1 || cfg.DataDir != "" {
 		clu, err = cluster.New(cluster.Config{
 			Landmarks:     landmarks,
 			Shards:        cfg.Shards,
-			Replicas:      cfg.Replicas,
 			NeighborCount: cfg.NeighborCount,
 			DataDir:       cfg.DataDir,
 		})
@@ -221,12 +195,6 @@ func BuildWorld(cfg WorldConfig) (*World, error) {
 	}
 	if err != nil {
 		return nil, fmt.Errorf("experiment: server: %w", err)
-	}
-	if len(cfg.Failovers) > 0 && cfg.Replicas < 2 {
-		// Catch the misconfiguration up front: with a single copy per
-		// shard, the first scheduled kill would be refused mid-simulation
-		// (and a recovery would find nothing to rebuild).
-		return nil, errors.New("experiment: failover schedule needs a replicated cluster plane (Replicas >= 2)")
 	}
 	var (
 		front        *netserver.NetServer
@@ -281,8 +249,6 @@ func BuildWorld(cfg WorldConfig) (*World, error) {
 			return nil, fmt.Errorf("experiment: subscriber client: %w", err)
 		}
 	}
-	failovers := append([]FailoverEvent(nil), cfg.Failovers...)
-	sort.SliceStable(failovers, func(i, j int) bool { return failovers[i].AfterJoins < failovers[j].AfterJoins })
 	leaves := topology.LeafRouters(g)
 	// Exclude leaves that happen to be landmarks (possible in the "leaf"
 	// placement ablation).
@@ -307,7 +273,6 @@ func BuildWorld(cfg WorldConfig) (*World, error) {
 		rng:          rng,
 		traceRNG:     rand.New(rand.NewSource(cfg.Seed + 3)),
 		clu:          clu,
-		failovers:    failovers,
 		front:        front,
 		followers:    followers,
 		followerSrvs: followerSrvs,
@@ -416,13 +381,9 @@ func (w *World) Close() error {
 	return nil
 }
 
-// noteJoin advances the arrival count, gives the earliest arrivals their
-// live subscriptions (WorldConfig.Subscribers), and fires any scheduled
-// failover events it crossed: kills promote a surviving replica (buffering
-// in-flight joins exactly as a landmark handoff would), recoveries rebuild
-// a failed replica from a survivor's snapshot plus the logged tail.
+// noteJoin gives the earliest arrivals their live subscriptions
+// (WorldConfig.Subscribers).
 func (w *World) noteJoin(p pathtree.PeerID) error {
-	w.joins++
 	if w.subClient != nil && len(w.subs) < w.Cfg.Subscribers {
 		sub, err := w.subClient.Subscribe(context.Background(), client.KClosest(int64(p)))
 		if err != nil {
@@ -433,19 +394,6 @@ func (w *World) noteJoin(p pathtree.PeerID) error {
 			for range sub.Events() {
 			}
 		}()
-	}
-	for w.nextEvent < len(w.failovers) && w.failovers[w.nextEvent].AfterJoins <= w.joins {
-		ev := w.failovers[w.nextEvent]
-		w.nextEvent++
-		if ev.Recover {
-			if _, err := w.clu.RecoverReplica(ev.Shard); err != nil {
-				return fmt.Errorf("experiment: scheduled recovery of shard %d: %w", ev.Shard, err)
-			}
-			continue
-		}
-		if err := w.clu.FailShard(ev.Shard); err != nil {
-			return fmt.Errorf("experiment: scheduled failover of shard %d: %w", ev.Shard, err)
-		}
 	}
 	return nil
 }

@@ -361,7 +361,7 @@ func (f *followConn) sendBatch(recs []proto.OpRecord) bool {
 		}
 		// Cannot happen: take/shipTail budget multi-record batches to the
 		// frame size. Fail loudly rather than desynchronize the stream.
-		f.hub.s.cfg.Logf("netserver: encode op records: %v", err)
+		f.hub.s.cfg.Logger("netserver: encode op records: %v", err)
 		return false
 	}
 	if !f.send(proto.MsgOpRecords, payload) {
@@ -386,21 +386,21 @@ func (f *followConn) sendChunks(typ proto.MsgType, seq uint64, r io.Reader) bool
 	nxt := make([]byte, proto.MaxChunkData)
 	n, eof, err := readFill(r, cur)
 	if err != nil {
-		f.hub.s.cfg.Logf("netserver: read chunk source: %v", err)
+		f.hub.s.cfg.Logger("netserver: read chunk source: %v", err)
 		return false
 	}
 	for {
 		var m int
 		if !eof {
 			if m, eof, err = readFill(r, nxt); err != nil {
-				f.hub.s.cfg.Logf("netserver: read chunk source: %v", err)
+				f.hub.s.cfg.Logger("netserver: read chunk source: %v", err)
 				return false
 			}
 		}
 		final := eof && m == 0
 		payload, perr := proto.EncodeStreamChunk(&proto.StreamChunk{Seq: seq, Final: final, Data: cur[:n]})
 		if perr != nil {
-			f.hub.s.cfg.Logf("netserver: encode chunk: %v", perr)
+			f.hub.s.cfg.Logger("netserver: encode chunk: %v", perr)
 			return false
 		}
 		if !f.send(typ, payload) {
@@ -527,7 +527,7 @@ func (f *followConn) catchup(cursor uint64) (uint64, bool) {
 	}
 	rc, snapSeq, err := src.CatchupSnapshot()
 	if err != nil {
-		f.hub.s.cfg.Logf("netserver: follow catch-up snapshot: %v", err)
+		f.hub.s.cfg.Logger("netserver: follow catch-up snapshot: %v", err)
 		return 0, false
 	}
 	defer rc.Close()

@@ -12,6 +12,7 @@ import (
 
 	"proxdisc/internal/client"
 	"proxdisc/internal/cluster"
+	"proxdisc/internal/conf"
 	"proxdisc/internal/op"
 	"proxdisc/internal/pathtree"
 	"proxdisc/internal/proto"
@@ -74,11 +75,11 @@ func newFollowerNode(t *testing.T, primaryAddr string, after uint64, backend *se
 		}
 	}
 	f, err := StartFollower(FollowerConfig{
+		Common:      conf.Common{Logger: t.Logf},
 		PrimaryAddr: primaryAddr,
 		Backend:     backend,
 		After:       after,
 		Timeout:     5 * time.Second,
-		Logf:        t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -192,23 +193,65 @@ func TestFollowerConvergesUnderConcurrentWrites(t *testing.T) {
 }
 
 // TestFollowerByteIdenticalAcrossMidStreamMove commits a fenced landmark
-// handoff (MoveLandmark) on the primary while concurrent writers are
-// still streaming joins, and asserts the follower converges to a
-// byte-identical copy. The move op rides the committed op stream like any
-// other record; on the follower's flat copy it lands as the landmark's
-// epoch bump, so the canonical snapshots — epochs included — must match
-// exactly.
+// handoff (MoveLandmark), a super-peer flag and a TTL expiry sweep on the
+// primary while concurrent writers are still streaming joins, and asserts
+// the follower converges to a byte-identical copy. Every one of them rides
+// the committed op stream like any other record: the move lands on the
+// follower's flat copy as the landmark's epoch bump, and the sweep — which
+// spans both shards — as ONE deadline-carrying expire op, never as
+// per-peer leaves, so the canonical snapshots (epochs, flags and refresh
+// times included) must match exactly.
 func TestFollowerByteIdenticalAcrossMidStreamMove(t *testing.T) {
-	clu, ns := newFollowedPlane(t, t.TempDir())
+	var clockMu sync.Mutex
+	now := time.Unix(9000, 0)
+	clock := func() time.Time { clockMu.Lock(); defer clockMu.Unlock(); return now }
+	clu, err := cluster.New(cluster.Config{
+		Landmarks: []topology.NodeID{0, 100},
+		Shards:    2,
+		DataDir:   t.TempDir(),
+		NoSync:    true,
+		PeerTTL:   time.Minute,
+		Clock:     clock,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer clu.Close()
+	ns, err := Listen(Config{Addr: "127.0.0.1:0", Server: clu})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer ns.Close()
 
+	// The copy has no TTL of its own: it expires peers only through the
+	// primary's expire ops.
 	fsrv, err := server.New(server.Config{Landmarks: []topology.NodeID{0, 100}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	f := newFollowerNode(t, ns.Addr(), 0, fsrv)
 	defer f.Close()
+	var kindMu sync.Mutex
+	kinds := make(map[op.Kind]int)
+	f.SetApplyTap(func(_ uint64, o op.Op) {
+		kindMu.Lock()
+		kinds[o.Kind]++
+		kindMu.Unlock()
+	})
+
+	// Six early arrivals on both landmarks, then the clock passes their
+	// TTL; only peer 9001 refreshes in time.
+	for p := int64(9001); p <= 9006; p++ {
+		if _, err := clu.JoinOp(joinOp(p, "", []int32{int32(p), int32(p % 2 * 100)})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clockMu.Lock()
+	now = now.Add(2 * time.Minute)
+	clockMu.Unlock()
+	if err := clu.Refresh(9001); err != nil {
+		t.Fatal(err)
+	}
 
 	const writers = 4
 	var wg sync.WaitGroup
@@ -234,10 +277,17 @@ func TestFollowerByteIdenticalAcrossMidStreamMove(t *testing.T) {
 		}(w)
 	}
 	close(start)
-	// The handoff lands mid-stream, racing the writers above.
+	// The handoff, the flag and the sweep land mid-stream, racing the
+	// writers above.
 	src, _ := clu.ShardFor(0)
 	if err := clu.MoveLandmark(0, 1-src); err != nil {
 		t.Fatal(err)
+	}
+	if err := clu.SetSuperPeer(9001, true); err != nil {
+		t.Fatal(err)
+	}
+	if expired := clu.Expire(); len(expired) != 5 {
+		t.Fatalf("sweep expired %v, want the five unrefreshed early arrivals", expired)
 	}
 	wg.Wait()
 	close(errs)
@@ -249,6 +299,21 @@ func TestFollowerByteIdenticalAcrossMidStreamMove(t *testing.T) {
 	assertSameState(t, clu, fsrv)
 	if got := fsrv.Epoch(0); got != 1 {
 		t.Fatalf("follower epoch for moved landmark = %d, want 1", got)
+	}
+	if info, err := fsrv.PeerInfo(9001); err != nil || !info.SuperPeer {
+		t.Fatalf("follower lost the super-peer flag: info=%+v err=%v", info, err)
+	}
+	if _, err := fsrv.PeerInfo(9002); !errors.Is(err, server.ErrUnknownPeer) {
+		t.Fatalf("follower kept an expired peer: %v", err)
+	}
+	kindMu.Lock()
+	defer kindMu.Unlock()
+	if kinds[op.KindExpire] != 1 || kinds[op.KindLeave] != 0 {
+		t.Fatalf("two-shard sweep reached the follower as %d expire ops and %d leaves, want 1 and 0",
+			kinds[op.KindExpire], kinds[op.KindLeave])
+	}
+	if kinds[op.KindMoveLandmark] != 1 || kinds[op.KindSetSuperPeer] != 1 {
+		t.Fatalf("follower applied ops by kind %v", kinds)
 	}
 }
 
@@ -677,7 +742,7 @@ func TestStartFollowerValidation(t *testing.T) {
 // for unit tests of the sender's buffer and window state machine.
 func newTestFollowConn(t *testing.T) (*followConn, *NetServer) {
 	t.Helper()
-	s := &NetServer{closed: make(chan struct{}), cfg: Config{Logf: t.Logf}}
+	s := &NetServer{closed: make(chan struct{}), cfg: Config{Common: conf.Common{Logger: t.Logf}}}
 	t.Cleanup(func() { close(s.closed) })
 	c1, c2 := net.Pipe()
 	t.Cleanup(func() { c1.Close(); c2.Close() })

@@ -18,12 +18,11 @@ import (
 // This file is the follower role: a process that keeps a local copy of a
 // primary's management state by consuming its committed op stream over
 // TCP, applying every record through the backend's single Apply door —
-// the same door in-process replicas and WAL recovery use — and restoring
-// from a shipped snapshot when it reconnects too far behind. A NetServer
-// configured with Role RoleReplica in front of the same backend then
-// serves reads from the copy and points writes at the primary: together
-// they are the multi-process replica deployment the single-process
-// replica sets of the cluster rehearse.
+// the same door WAL recovery uses — and restoring from a shipped snapshot
+// when it reconnects too far behind. A NetServer configured with Role
+// RoleReplica in front of the same backend then serves reads from the
+// copy and points writes at the primary: together they are the replica
+// deployment, and the one way a shard's state is replicated.
 
 // FollowerBackend is the state a Follower maintains: the read/write
 // surface a NetServer fronts, plus whole-state restore for snapshot
@@ -39,9 +38,16 @@ type FollowerBackend interface {
 // FollowerConfig configures a Follower.
 type FollowerConfig struct {
 	// Common holds the knobs shared with the other networked components
-	// (conf.Common): Common.Telemetry, Common.Logger and Common.Backoff
-	// are used when the deprecated flat Telemetry/Logf/ReconnectBackoff
-	// fields below are unset.
+	// (conf.Common). Common.Telemetry, when set, receives the follower's
+	// applied/head/lag gauges (proxdisc_follow_applied_seq,
+	// proxdisc_follow_head_seq, proxdisc_follow_lag) and a reconnect
+	// counter (proxdisc_follow_reconnects_total). Common.Logger receives
+	// diagnostics; nil silences them. Common.Backoff is the initial pause
+	// before redialling a dead stream (default 50ms, doubling per failure
+	// up to 2s). The resumed session picks up exactly where the last one
+	// stopped: catch-up runs from the acknowledged offset, via the
+	// primary's WAL tail — or its latest snapshot when the tail has been
+	// compacted away.
 	conf.Common
 	// PrimaryAddr is the primary node's TCP address.
 	PrimaryAddr string
@@ -52,35 +58,12 @@ type FollowerConfig struct {
 	After uint64
 	// Timeout bounds the dial and each frame read (default 15s).
 	Timeout time.Duration
-	// ReconnectBackoff is the initial pause before redialling a dead
-	// stream (default 50ms, doubling per failure up to 2s). The resumed
-	// session picks up exactly where the last one stopped: catch-up runs
-	// from the acknowledged offset, via the primary's WAL tail — or its
-	// latest snapshot when the tail has been compacted away.
-	//
-	// Deprecated: set Common.Backoff instead. When both are set, this
-	// field wins.
-	ReconnectBackoff time.Duration
-	// Logf receives diagnostics; nil silences them.
-	//
-	// Deprecated: set Common.Logger instead. When both are set, this field
-	// wins.
-	Logf func(format string, args ...any)
-	// Telemetry, when set, receives the follower's applied/head/lag
-	// gauges (proxdisc_follow_applied_seq, proxdisc_follow_head_seq,
-	// proxdisc_follow_lag) and a reconnect counter
-	// (proxdisc_follow_reconnects_total).
-	//
-	// Deprecated: set Common.Telemetry instead. When both are set, this
-	// field wins.
-	Telemetry *telemetry.Registry
 }
 
 // Follower maintains a local copy of a primary's state from its op
 // stream, reconnecting (and catching up) across stream failures until
-// closed. It implements op.Replicator — the interface it shares with the
-// cluster's in-process replicas — and the replication-status surface a
-// NetServer reports in MsgStatusResponse.
+// closed. It implements op.Replicator and the replication-status surface
+// a NetServer reports in MsgStatusResponse.
 type Follower struct {
 	cfg FollowerConfig
 
@@ -119,9 +102,8 @@ func StartFollower(cfg FollowerConfig) (*Follower, error) {
 	if cfg.Timeout == 0 {
 		cfg.Timeout = 15 * time.Second
 	}
-	cfg.Telemetry = cfg.Common.ResolveTelemetry(cfg.Telemetry)
-	cfg.Logf = cfg.Common.ResolveLogger(cfg.Logf)
-	cfg.ReconnectBackoff = cfg.Common.ResolveBackoff(cfg.ReconnectBackoff, 50*time.Millisecond)
+	cfg.Logger = cfg.ResolveLogger()
+	cfg.Backoff = cfg.ResolveBackoff(50 * time.Millisecond)
 	f := &Follower{cfg: cfg, closed: make(chan struct{})}
 	f.applied.Store(cfg.After)
 	f.reconnects = cfg.Telemetry.Counter("proxdisc_follow_reconnects_total")
@@ -150,7 +132,7 @@ func (f *Follower) sessionConfig() client.FollowConfig {
 // run consumes sessions until Close, redialling with bounded backoff.
 func (f *Follower) run(sess *client.FollowSession) {
 	defer f.wg.Done()
-	backoff := f.cfg.ReconnectBackoff
+	backoff := f.cfg.Backoff
 	for {
 		if sess != nil {
 			f.setSess(sess)
@@ -163,9 +145,9 @@ func (f *Follower) run(sess *client.FollowSession) {
 			default:
 			}
 			f.noteErr(err)
-			f.cfg.Logf("netserver: follower stream to %s ended: %v (resuming after seq %d)",
+			f.cfg.Logger("netserver: follower stream to %s ended: %v (resuming after seq %d)",
 				f.cfg.PrimaryAddr, err, f.applied.Load())
-			backoff = f.cfg.ReconnectBackoff // the session ran; start backoff afresh
+			backoff = f.cfg.Backoff // the session ran; start backoff afresh
 			sess = nil
 		}
 		select {
@@ -178,7 +160,7 @@ func (f *Follower) run(sess *client.FollowSession) {
 		sess, err = client.Follow(f.cfg.PrimaryAddr, f.sessionConfig())
 		if err != nil {
 			f.noteErr(err)
-			f.cfg.Logf("netserver: follower redial %s: %v", f.cfg.PrimaryAddr, err)
+			f.cfg.Logger("netserver: follower redial %s: %v", f.cfg.PrimaryAddr, err)
 			if backoff *= 2; backoff > 2*time.Second {
 				backoff = 2 * time.Second
 			}

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"proxdisc/internal/client"
+	"proxdisc/internal/conf"
 	"proxdisc/internal/proto"
 	"proxdisc/internal/server"
 	"proxdisc/internal/topology"
@@ -73,7 +74,7 @@ func twoLandmarkNode(t *testing.T, readTimeout time.Duration, logf func(string, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	ns, err := Listen(Config{Addr: "127.0.0.1:0", Server: logic, ReadTimeout: readTimeout, Logf: logf})
+	ns, err := Listen(Config{Common: conf.Common{Logger: logf}, Addr: "127.0.0.1:0", Server: logic, ReadTimeout: readTimeout})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 
 	"proxdisc/internal/client"
 	"proxdisc/internal/cluster"
+	"proxdisc/internal/conf"
 	"proxdisc/internal/proto"
 	"proxdisc/internal/server"
 	"proxdisc/internal/topology"
@@ -151,43 +152,54 @@ func TestV1SessionRejectsBatchFrames(t *testing.T) {
 	}
 }
 
-// startReplicaPair runs a primary/replica pair of NetServers over a shared
-// replicated cluster backend, as a single-process stand-in for a
-// two-node deployment.
-func startReplicaPair(t *testing.T) (primary, replica *NetServer, logic *cluster.Cluster) {
+// startReplicaPair runs the deployment RoleReplica exists for: a durable
+// primary behind one front end, and a replica-role front end over a
+// follower's copy of it. The follower is returned so tests can wait for
+// the copy to catch up before reading from it (replication is
+// asynchronous).
+func startReplicaPair(t *testing.T, landmarks ...topology.NodeID) (primary, replica *NetServer, logic *cluster.Cluster, f *Follower) {
 	t.Helper()
 	logic, err := cluster.New(cluster.Config{
-		Landmarks: []topology.NodeID{0, 100},
-		Shards:    2,
-		Replicas:  2,
+		Landmarks: landmarks,
+		Shards:    len(landmarks),
+		DataDir:   t.TempDir(),
+		NoSync:    true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { logic.Close() })
 	primary, err = Listen(Config{Addr: "127.0.0.1:0", Server: logic})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { primary.Close() })
+	copySrv, err := server.New(server.Config{Landmarks: landmarks})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f = newFollowerNode(t, primary.Addr(), 0, copySrv)
+	t.Cleanup(func() { f.Close() })
 	replica, err = Listen(Config{
 		Addr:        "127.0.0.1:0",
-		Server:      logic,
+		Server:      copySrv,
 		Role:        RoleReplica,
 		PrimaryAddr: primary.Addr(),
+		Replication: f,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { replica.Close() })
-	return primary, replica, logic
+	return primary, replica, logic, f
 }
 
 // TestReplicaRoleRedirectsWrites dials the REPLICA node: joins must be
 // redirected to the primary transparently, peer-keyed writes must fail
 // over to the primary via CodeNotPrimary, and reads must be served by the
-// replica locally.
+// replica from its follower-fed copy.
 func TestReplicaRoleRedirectsWrites(t *testing.T) {
-	primary, replica, logic := startReplicaPair(t)
+	primary, replica, logic, f := startReplicaPair(t, 0, 100)
 
 	c, err := client.DialConfig(replica.Addr(), client.Config{Timeout: 5 * time.Second, FailoverRetries: 2})
 	if err != nil {
@@ -203,18 +215,16 @@ func TestReplicaRoleRedirectsWrites(t *testing.T) {
 	if st.Role != proto.RoleReplica || st.PrimaryAddr != primary.Addr() {
 		t.Fatalf("status=%+v", st)
 	}
-	if st.Shards != 2 || st.Replicas != 2 || st.Live != 4 {
-		t.Fatalf("layout=%+v", st)
-	}
 
-	// A join through the replica lands (via redirect) on the shared plane.
+	// A join through the replica lands (via redirect) on the primary.
 	if _, err := c.Join(1, "127.0.0.1:9001", []int32{10, 0}); err != nil {
 		t.Fatalf("join via replica: %v", err)
 	}
 	if logic.NumPeers() != 1 {
 		t.Fatalf("peers=%d", logic.NumPeers())
 	}
-	// Reads are served locally by the replica.
+	// Reads are served locally by the replica, once its copy caught up.
+	waitApplied(t, f, logic)
 	if _, err := c.Lookup(1); err != nil {
 		t.Fatalf("lookup via replica: %v", err)
 	}
@@ -235,6 +245,7 @@ func TestReplicaRoleRedirectsWrites(t *testing.T) {
 	if _, err := c.Join(7, "127.0.0.1:9007", []int32{20, 0}); err != nil {
 		t.Fatal(err)
 	}
+	waitApplied(t, f, logic)
 	c2, err := client.DialConfig(replica.Addr(), client.Config{Timeout: 5 * time.Second, FailoverRetries: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -252,6 +263,11 @@ func TestReplicaRoleRedirectsWrites(t *testing.T) {
 	if logic.NumPeers() != 0 {
 		t.Fatalf("peers=%d after cold leave", logic.NumPeers())
 	}
+	// The departures reach the replica's copy through the stream.
+	waitApplied(t, f, logic)
+	if _, err := c2.Lookup(7); err == nil {
+		t.Fatal("replica still answers for a peer that left")
+	}
 }
 
 // TestForwardedJoinToReplicaFailsOver covers the node-to-node path hitting
@@ -259,25 +275,7 @@ func TestReplicaRoleRedirectsWrites(t *testing.T) {
 // replica front end must follow the CodeNotPrimary answer to the primary
 // instead of hard-failing, so the end client never notices.
 func TestForwardedJoinToReplicaFailsOver(t *testing.T) {
-	owner, err := server.New(server.Config{Landmarks: []topology.NodeID{100}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ownerPrimary, err := Listen(Config{Addr: "127.0.0.1:0", Server: owner})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ownerPrimary.Close() })
-	ownerReplica, err := Listen(Config{
-		Addr:        "127.0.0.1:0",
-		Server:      owner,
-		Role:        RoleReplica,
-		PrimaryAddr: ownerPrimary.Addr(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ownerReplica.Close() })
+	_, ownerReplica, owner, _ := startReplicaPair(t, 100)
 	// node1's map points landmark 100 at the REPLICA front end.
 	node1, _ := startNode(t, []topology.NodeID{0},
 		map[topology.NodeID]string{100: ownerReplica.Addr()}, true)
@@ -315,7 +313,8 @@ func TestListenRejectsReplicaWithoutPrimary(t *testing.T) {
 	}
 }
 
-// TestPrimaryStatus pins the status answer of an unreplicated node.
+// TestPrimaryStatus pins the status answer of a primary node: one shard
+// for a plain server, NumShards for a cluster, each shard one live copy.
 func TestPrimaryStatus(t *testing.T) {
 	ns, _ := startServer(t)
 	c := dial(t, ns)
@@ -323,8 +322,25 @@ func TestPrimaryStatus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Role != proto.RolePrimary || st.Shards != 1 || st.Replicas != 1 || st.PrimaryAddr != "" {
+	if st.Role != proto.RolePrimary || st.Shards != 1 || st.Replicas != 1 || st.Live != 1 || st.PrimaryAddr != "" {
 		t.Fatalf("status=%+v", st)
+	}
+
+	clu, err := cluster.New(cluster.Config{Landmarks: []topology.NodeID{0, 100}, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cns, err := Listen(Config{Addr: "127.0.0.1:0", Server: clu})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cns.Close() })
+	st, err = dial(t, cns).Status()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Role != proto.RolePrimary || st.Shards != 2 || st.Replicas != 1 || st.Live != 2 {
+		t.Fatalf("cluster status=%+v", st)
 	}
 }
 
@@ -393,8 +409,8 @@ func TestClientFailoverRedialsPrimary(t *testing.T) {
 	}
 	c, err := client.DialConfig(ns.Addr(), client.Config{
 		Timeout:         2 * time.Second,
+		Common:          conf.Common{Backoff: 10 * time.Millisecond},
 		FailoverRetries: 3,
-		FailoverBackoff: 10 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

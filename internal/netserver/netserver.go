@@ -36,9 +36,8 @@
 // published left-right side's fence (side.mu.RLock, which writers take
 // exclusively only on the side no reader is being sent to) and
 // pathtree.Tree.mu.RLock. A cluster.Cluster backend adds the peer index
-// stripe's RLock and the shard group's mutex — exclusive, but held only
-// for the replica pick. Writers hold fwdMu and addrMu exclusively for one
-// map update at a time.
+// stripe's RLock and nothing else (package cluster lists its locks).
+// Writers hold fwdMu and addrMu exclusively for one map update at a time.
 //
 // The server also tracks each peer's advertised overlay address so
 // closest-peer answers carry dialable endpoints.
@@ -78,7 +77,7 @@ import (
 // it as typed ops (package op) decoded straight from the wire: the
 // answering join entry points carry the overlay address inside the op, and
 // every answerless write goes through the one Apply door — the same door
-// replica propagation and WAL replay use.
+// follower replication and WAL replay use.
 type Backend interface {
 	Landmarks() []topology.NodeID
 	NeighborCount() int
@@ -108,13 +107,6 @@ func (s *NetServer) backendEpoch(lm topology.NodeID) uint64 {
 	return 0
 }
 
-// ReplicaReporter is implemented by replicated backends (cluster.Cluster
-// with Replicas ≥ 2): a NetServer fronting one advertises the shard and
-// replica layout in its status responses.
-type ReplicaReporter interface {
-	ReplicaSummary() (shards, replicas, live int)
-}
-
 // ReplicationStatus is the position a follower node reports in its status
 // responses; *Follower implements it.
 type ReplicationStatus interface {
@@ -135,20 +127,20 @@ const (
 	// primary's address (leave, refresh), so clients fail over instead of
 	// mutating a stale copy.
 	//
-	// The role governs wire behaviour only; keeping the replica's backend
-	// state in sync with the primary's is the deployment's job. A
-	// single-process deployment shares one replicated cluster.Cluster
-	// between both front ends (the replicas then stay in lock-step through
-	// the cluster's apply log); a multi-process one must feed the replica
-	// backend out of band, e.g. periodic server.Snapshot/Restore shipping.
+	// The role governs wire behaviour only. The deployment it exists for
+	// puts the front end on a Follower's backend (StartFollower), which
+	// keeps that copy in sync from the primary's committed op stream;
+	// Config.Replication then reports the copy's applied/head position.
 	RoleReplica
 )
 
 // Config configures a NetServer.
 type Config struct {
 	// Common holds the knobs shared with the other networked components
-	// (conf.Common): Common.Telemetry and Common.Logger are used when the
-	// deprecated flat Telemetry/Logf fields below are unset. The front end
+	// (conf.Common). Common.Telemetry, when set, registers the front end's
+	// metrics — per-type request counters and latency histograms, worker
+	// queue depth and saturation, and the replication-stream series.
+	// Common.Logger receives diagnostics; nil silences them. The front end
 	// has no backoff of its own, so Common.Backoff is accepted and ignored.
 	conf.Common
 	// Addr is the TCP listen address (e.g. "127.0.0.1:0").
@@ -204,20 +196,8 @@ type Config struct {
 	// ReadTimeout bounds how long a connection may sit idle between
 	// requests (default 30s).
 	ReadTimeout time.Duration
-	// Logf receives diagnostics; nil silences them.
-	//
-	// Deprecated: set Common.Logger instead. When both are set, this field
-	// wins.
-	Logf func(format string, args ...any)
-	// Telemetry, when set, registers the front end's metrics — per-type
-	// request counters and latency histograms, worker queue depth and
-	// saturation, and the replication-stream series — with the registry.
-	//
-	// Deprecated: set Common.Telemetry instead. When both are set, this
-	// field wins.
-	Telemetry *telemetry.Registry
 	// SlowOpThreshold, when positive, reports every request whose service
-	// time exceeds it through SlowOp (or, when SlowOp is nil, Logf). The
+	// time exceeds it through SlowOp (or, when SlowOp is nil, Logger). The
 	// check is two loads and a compare on the hot path.
 	SlowOpThreshold time.Duration
 	// SlowOp receives slow-request reports: the request's pipeline ID
@@ -338,7 +318,7 @@ func (s *NetServer) observeReq(typ proto.MsgType, id uint64, d time.Duration, in
 		if s.cfg.SlowOp != nil {
 			s.cfg.SlowOp(id, typ, d, inline)
 		} else {
-			s.cfg.Logf("netserver: slow request: id=%d type=%s inline=%t took %v", id, typ, inline, d)
+			s.cfg.Logger("netserver: slow request: id=%d type=%s inline=%t took %v", id, typ, inline, d)
 		}
 	}
 }
@@ -415,8 +395,7 @@ func Listen(cfg Config) (*NetServer, error) {
 	if cfg.Server == nil {
 		return nil, errors.New("netserver: nil management server")
 	}
-	cfg.Telemetry = cfg.Common.ResolveTelemetry(cfg.Telemetry)
-	cfg.Logf = cfg.Common.ResolveLogger(cfg.Logf)
+	cfg.Logger = cfg.ResolveLogger()
 	if cfg.ReadTimeout == 0 {
 		cfg.ReadTimeout = 30 * time.Second
 	}
@@ -529,7 +508,7 @@ func (s *NetServer) respond(wc *wireConn, f outFrame) {
 	case wc.out <- f:
 	case <-wc.dead:
 	default:
-		s.cfg.Logf("netserver: dropping connection with %d unread responses", len(wc.out))
+		s.cfg.Logger("netserver: dropping connection with %d unread responses", len(wc.out))
 		wc.Close() // unblocks the reader and writer, which clean up
 	}
 }
@@ -583,7 +562,7 @@ func (s *NetServer) flushInline(wc *wireConn) bool {
 
 func (s *NetServer) logWriteErr(err error) {
 	if !errors.Is(err, net.ErrClosed) {
-		s.cfg.Logf("netserver: write: %v", err)
+		s.cfg.Logger("netserver: write: %v", err)
 	}
 }
 
@@ -662,7 +641,7 @@ func (s *NetServer) acceptLoop() {
 				return
 			default:
 			}
-			s.cfg.Logf("netserver: accept: %v", err)
+			s.cfg.Logger("netserver: accept: %v", err)
 			return
 		}
 		s.mu.Lock()
@@ -715,7 +694,7 @@ func (s *NetServer) handle(nc net.Conn) {
 			typ, id, payload, err := proto.ReadFrameID(br)
 			if err != nil {
 				if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-					s.cfg.Logf("netserver: read: %v", err)
+					s.cfg.Logger("netserver: read: %v", err)
 				}
 				return
 			}
@@ -781,7 +760,7 @@ func (s *NetServer) handle(nc net.Conn) {
 		typ, payload, err := proto.ReadFrame(br)
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-				s.cfg.Logf("netserver: read: %v", err)
+				s.cfg.Logger("netserver: read: %v", err)
 			}
 			return
 		}
@@ -789,7 +768,7 @@ func (s *NetServer) handle(nc net.Conn) {
 			err := s.negotiate(wc, payload)
 			proto.PutBuf(payload)
 			if err != nil {
-				s.cfg.Logf("netserver: write: %v", err)
+				s.cfg.Logger("netserver: write: %v", err)
 				return
 			}
 			continue
@@ -801,7 +780,7 @@ func (s *NetServer) handle(nc net.Conn) {
 		s.observeReq(typ, 0, time.Since(start), false)
 		proto.PutBuf(payload)
 		if err := wc.writeV1(respType, resp); err != nil {
-			s.cfg.Logf("netserver: write: %v", err)
+			s.cfg.Logger("netserver: write: %v", err)
 			return
 		}
 	}
@@ -938,9 +917,11 @@ func (s *NetServer) handleReq(typ proto.MsgType, payload []byte) (proto.MsgType,
 			st.Role = proto.RoleReplica
 			st.PrimaryAddr = s.cfg.PrimaryAddr
 		}
-		if rr, ok := s.cfg.Server.(ReplicaReporter); ok {
-			shards, replicas, live := rr.ReplicaSummary()
-			st.Shards, st.Replicas, st.Live = uint16(shards), uint16(replicas), uint16(live)
+		if ns, ok := s.cfg.Server.(interface{ NumShards() int }); ok {
+			// Every shard is one live copy; further copies are follower
+			// processes, which report their own status.
+			st.Shards = uint16(ns.NumShards())
+			st.Live = st.Shards
 		}
 		if dr, ok := s.cfg.Server.(DurabilityReporter); ok {
 			ds := dr.DurabilityStats()
@@ -1496,8 +1477,8 @@ func (s *NetServer) dropForwardClient(addr string, fc *client.Client) {
 // toWire converts pathtree candidates to wire candidates with addresses.
 // The address cache is write-through over the backend's durable peer
 // records: a miss (a peer restored from disk before it re-contacted this
-// front end, or one registered through a sibling front end of the same
-// replicated backend) falls back to the backend's PeerInfo and refills
+// front end, or one registered through the primary and applied to this
+// node's follower copy) falls back to the backend's PeerInfo and refills
 // the cache.
 func (s *NetServer) toWire(cands []pathtree.Candidate) []proto.Candidate {
 	out := make([]proto.Candidate, len(cands))

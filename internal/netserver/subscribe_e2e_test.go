@@ -11,6 +11,7 @@ import (
 
 	"proxdisc/internal/client"
 	"proxdisc/internal/cluster"
+	"proxdisc/internal/conf"
 	"proxdisc/internal/proto"
 	"proxdisc/internal/server"
 	"proxdisc/internal/topology"
@@ -127,9 +128,9 @@ func TestSubscribeChurnCoherence(t *testing.T) {
 	}()
 
 	c, err := client.DialConfig(addr, client.Config{
+		Common:          conf.Common{Backoff: 25 * time.Millisecond},
 		Timeout:         5 * time.Second,
 		FailoverRetries: 20,
-		FailoverBackoff: 25 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -199,7 +199,7 @@ func (s *NetServer) subSender(wc *wireConn, id uint64, sb *sub.Subscriber) {
 		}
 		payload, err := s.encodeSubEvent(&ev)
 		if err != nil {
-			s.cfg.Logf("netserver: encode sub event: %v", err)
+			s.cfg.Logger("netserver: encode sub event: %v", err)
 			continue
 		}
 		select {

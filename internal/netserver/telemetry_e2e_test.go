@@ -11,6 +11,7 @@ import (
 
 	"proxdisc/internal/client"
 	"proxdisc/internal/cluster"
+	"proxdisc/internal/conf"
 	"proxdisc/internal/server"
 	"proxdisc/internal/telemetry"
 	"proxdisc/internal/topology"
@@ -83,7 +84,7 @@ func TestMetricsEndpointEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer clu.Close()
-	ns, err := Listen(Config{Addr: "127.0.0.1:0", Server: clu, Telemetry: reg})
+	ns, err := Listen(Config{Common: conf.Common{Telemetry: reg}, Addr: "127.0.0.1:0", Server: clu})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,11 +102,10 @@ func TestMetricsEndpointEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	fol, err := StartFollower(FollowerConfig{
+		Common:      conf.Common{Telemetry: reg, Logger: t.Logf},
 		PrimaryAddr: ns.Addr(),
 		Backend:     fsrv,
 		Timeout:     5 * time.Second,
-		Logf:        t.Logf,
-		Telemetry:   reg,
 	})
 	if err != nil {
 		t.Fatal(err)

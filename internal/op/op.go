@@ -2,16 +2,15 @@
 // management plane. Every write — a peer joining, a flash-crowd batch of
 // joins, a departure, a liveness refresh, a super-peer flag, a TTL expiry
 // sweep — is one Op, and every layer that moves writes around speaks Op:
-// the server applies them, the cluster's replica apply log and rebuild
-// tails carry them, the write-ahead log persists them, and the TCP front
-// end decodes wire requests into them before dispatch. One type, one
-// binary codec, one replay semantics, so the propagate/record/recover
-// paths can never drift apart.
+// the server applies them, the write-ahead log persists them, the
+// follower stream ships them, and the TCP front end decodes wire requests
+// into them before dispatch. One type, one binary codec, one replay
+// semantics, so the record/ship/recover paths can never drift apart.
 //
 // Ops are deterministic: a Join or Refresh carries the apply-time
 // timestamp and an Expire carries its cutoff deadline, so replaying the
-// same op sequence on any copy — a synchronous replica, a rebuilt one, or
-// a process restarted from the WAL — reproduces byte-identical state,
+// same op sequence on any copy — a follower in another process, or a
+// process restarted from the WAL — reproduces byte-identical state,
 // including TTL bookkeeping.
 //
 // The binary codec is big-endian with 16-bit counts and hard field caps,
@@ -45,7 +44,7 @@ const (
 	// KindSetSuperPeer flags or unflags a peer as a super-peer.
 	KindSetSuperPeer
 	// KindExpire sweeps out every peer whose last refresh predates the
-	// op's Time (the deadline). Replicated and logged as the one sweep
+	// op's Time (the deadline). Logged and shipped as the one sweep
 	// command rather than as per-peer leaves, so logs stay compact and
 	// byte-comparable across copies.
 	KindExpire
@@ -174,9 +173,8 @@ func MoveLandmark(lm topology.NodeID, src, dst int, epoch uint64) Op {
 	return Op{Kind: KindMoveLandmark, Move: MoveEntry{Landmark: lm, Src: src, Dst: dst, Epoch: epoch}}
 }
 
-// Replicator is one consumer of a committed op stream: an in-process
-// replica applying ops synchronously under its shard's group lock, or a
-// network follower applying ops streamed to it from another process.
+// Replicator is one consumer of a committed op stream: a network follower
+// applying ops streamed to it from another process (netserver.Follower).
 // Implementations receive every op exactly once per stream position, in
 // ascending sequence order; because ops are deterministic overwrites, a
 // consumer that deduplicates by sequence may safely be handed overlapping

@@ -10,7 +10,7 @@ import (
 
 // This file bridges wire payloads and the canonical typed operation
 // (package op): servers decode write-class requests directly into ops and
-// dispatch those, so the message a client sent, the command the replicas
+// dispatch those, so the message a client sent, the command followers
 // apply, and the record the write-ahead log persists are one value with
 // one meaning. The wire layouts themselves are unchanged — version-1
 // clients keep interoperating — only the decode target is unified.

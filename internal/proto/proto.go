@@ -1191,7 +1191,7 @@ func DecodeBatchJoinResponse(b []byte) (*BatchJoinResponse, error) {
 // Node roles carried by Status.
 const (
 	// RolePrimary marks a node that accepts writes (also the role of every
-	// standalone, unreplicated server).
+	// standalone server).
 	RolePrimary uint8 = 1
 	// RoleReplica marks a read-only replica that redirects writes to its
 	// primary.
@@ -1202,13 +1202,14 @@ const (
 type Status struct {
 	// Role is RolePrimary or RoleReplica.
 	Role uint8
-	// Shards and Replicas describe the management plane behind this node:
-	// the shard count and the configured copies per shard (both 1 for a
-	// standalone server).
+	// Shards is the shard count of the management plane behind this node
+	// (1 for a standalone server). Replicas and Live keep their wire
+	// slots from the builds that kept several copies of a shard in one
+	// process: a node now reports Replicas = 1 and Live = Shards, and
+	// further copies are follower nodes reporting their own status.
 	Shards   uint16
 	Replicas uint16
-	// Live is the number of live replicas across all shards.
-	Live uint16
+	Live     uint16
 	// PrimaryAddr is the TCP address of the primary node, set on replicas.
 	PrimaryAddr string
 

@@ -105,6 +105,10 @@ type Stats struct {
 	// SuperPeerDelegations counts queries answered by delegating to a
 	// nearby super-peer rather than by a full tree walk.
 	SuperPeerDelegations int
+	// Publications counts left-right publications: one per combined batch
+	// of writes, so writes applied over publications is the flat-combining
+	// batch size (see mutate).
+	Publications int
 	// TreeStats maps each landmark to its path-tree statistics.
 	TreeStats map[topology.NodeID]pathtree.Stats
 }
@@ -168,7 +172,7 @@ type Server struct {
 	pending   []*writeReq
 	pendSpare []*writeReq
 
-	joins, leaves, expiries, queries, delegations atomic.Int64
+	joins, leaves, expiries, queries, delegations, publications atomic.Int64
 }
 
 // New builds a server for the given landmark set.
@@ -276,6 +280,7 @@ func (s *Server) mutate(apply func(st *state, first bool)) {
 	}
 	w.mu.Unlock()
 	old := s.read.Swap(w)
+	s.publications.Add(1)
 	s.write = old
 	old.mu.Lock()
 	for _, r := range batch {
@@ -350,12 +355,12 @@ func (s *Server) stamp(o op.Op) op.Op {
 
 // Apply is the server's single mutation entry point: it applies one typed
 // operation without computing any answer. Every path that moves writes
-// around — replica propagation, promotion tail-replay, rebuild catch-up,
-// WAL recovery — calls Apply, so a replayed stream reaches exactly the
-// state the original stream built. The answering front doors (Join,
-// JoinOp, JoinBatch, Lookup-free writes) are thin wrappers over the same
-// core. A zero o.Time is stamped from the server clock; stamped ops apply
-// at their recorded instant regardless of the local clock.
+// around — follower replication, WAL recovery — calls Apply, so a
+// replayed stream reaches exactly the state the original stream built.
+// The answering front doors (Join, JoinOp, JoinBatch, Lookup-free writes)
+// are thin wrappers over the same core. A zero o.Time is stamped from the
+// server clock; stamped ops apply at their recorded instant regardless of
+// the local clock.
 func (s *Server) Apply(o op.Op) error {
 	o = s.stamp(o)
 	var err error
@@ -428,10 +433,10 @@ func (st *state) apply(o op.Op, cfg *Config) (counters, error) {
 		// A server applies the epoch half of a handoff: the peer transfer
 		// itself travels as a snapshot (Absorb on the destination,
 		// DropLandmark on the source). A follower's flat copy holds every
-		// landmark, so for it the move IS just the epoch bump; a shard
-		// replica sees the op after absorbing the tree. The tree is created
-		// if absent so a replica that never held the landmark still records
-		// its fence.
+		// landmark, so for it the move IS just the epoch bump; the
+		// destination shard sees the op after absorbing the tree. The tree
+		// is created if absent so a copy that never held the landmark still
+		// records its fence.
 		lm := o.Move.Landmark
 		if _, ok := st.trees[lm]; !ok {
 			st.trees[lm] = pathtree.New(lm, cfg.TreeOptions)
@@ -479,7 +484,7 @@ func (s *Server) JoinOp(o op.Op) ([]pathtree.Candidate, error) {
 
 // resolveJoin validates a join's path, resolves its landmark tree, and
 // retires the peer's old record when it re-joins under a different
-// landmark. Shared by the answering and replica-apply registration paths
+// landmark. Shared by the answering and silent-apply registration paths
 // so their semantics can never drift apart.
 func (st *state) resolveJoin(p pathtree.PeerID, path []topology.NodeID) (*pathtree.Tree, topology.NodeID, error) {
 	if len(path) == 0 {
@@ -564,7 +569,7 @@ func (s *Server) JoinBatch(items []BatchJoin) []BatchResult {
 
 // JoinBatchOp answers and applies a KindBatchJoin op, entry by entry in
 // order under one writer round. Callers that record or propagate the op
-// must first trim it to the entries that succeeded, so replicas and logs
+// must first trim it to the entries that succeeded, so followers and logs
 // never see a rejected entry.
 func (s *Server) JoinBatchOp(o op.Op) []BatchResult {
 	o = s.stamp(o)
@@ -744,12 +749,8 @@ func (s *Server) Epochs() map[topology.NodeID]uint64 {
 	return out
 }
 
-// QueryCounters reports the served-query and super-peer-delegation counts
-// without walking any tree — the cheap accessor replica-set aggregation
-// uses where full Stats would pay an O(nodes) traversal per landmark.
-func (s *Server) QueryCounters() (queries, delegations int) {
-	return int(s.queries.Load()), int(s.delegations.Load())
-}
+// Publications reports Stats.Publications without walking any tree.
+func (s *Server) Publications() int { return int(s.publications.Load()) }
 
 // Stats snapshots server counters and tree shapes.
 func (s *Server) Stats() Stats {
@@ -762,6 +763,7 @@ func (s *Server) Stats() Stats {
 		Expiries:             int(s.expiries.Load()),
 		Queries:              int(s.queries.Load()),
 		SuperPeerDelegations: int(s.delegations.Load()),
+		Publications:         int(s.publications.Load()),
 		TreeStats:            make(map[topology.NodeID]pathtree.Stats, len(rs.st.trees)),
 	}
 	for lm, tree := range rs.st.trees {

@@ -76,42 +76,38 @@
 //
 // # Replication and failover
 //
-// A sharded cluster can keep R copies of every shard's state
-// (ClusterConfig.Replicas; the default 1 is unreplicated). Writes — joins,
-// batch joins, leaves, refreshes, super-peer flags, TTL expiries — apply
-// to the shard's primary replica and propagate to the others through a
-// per-shard ordered apply log before the call returns, so every live
-// replica is an exact copy: reads may be served by any of them, and the
-// answers are identical. The consistency guarantee is therefore
-// read-your-writes with no replica lag; the price is one in-memory apply
-// per replica on the write path, not a network round trip, since replicas
-// share the process.
+// A shard is one server: a cluster keeps exactly one copy of every shard's
+// state in its process, and further copies live in other processes as
+// followers (StartFollower, or proxdisc-server -follow ADDR; see
+// "Cross-process replication" below). There is one replication road.
 //
-// A replica crash (simulated with Cluster.FailShard / FailReplica, or
-// driven by the ClusterConfig.HealthCheck hook via CheckHealth) tolerates
-// up to R−1 failures per shard with zero lost peers: a surviving replica
-// is promoted after replaying any unapplied log tail, and joins arriving
-// inside the promotion window buffer and replay against the new primary —
-// the same contract landmark handoffs give. Cluster.RecoverReplica
-// rebuilds a failed copy from a survivor's snapshot plus the writes logged
-// during the rebuild, restoring the replication factor without pausing
-// the write path.
+// What a follower guarantees: it applies the primary's committed op
+// stream — joins, batch joins, leaves, refreshes, super-peer flags, TTL
+// expiry sweeps (one op per sweep), landmark moves — in commit order
+// through the same Apply door crash recovery uses, so once it has applied
+// up to the primary's head its state serializes to a byte-identical
+// snapshot. Replication is asynchronous: the primary acknowledges a write
+// when its own write-ahead log has it, not when a follower does, so a
+// follower's reads may lag the primary's by its reported lag
+// (NodeStatus.Head − NodeStatus.Applied) and are not read-your-writes.
 //
-// Across processes, a NetServer can front a replica in RoleReplica: it
-// serves reads from the local copy and answers writes with a redirect to
-// the primary (joins) or its address (everything else), which Client
+// The client-side half: a NetServer fronting a follower's copy runs in
+// RoleReplica — it serves reads locally and answers writes with a redirect
+// to the primary (joins) or its address (everything else), which Client
 // follows; ClientConfig.FailoverRetries adds bounded-backoff redials after
-// node crashes. SimulationConfig.Replicas and .Failovers run whole
-// simulations over the replicated plane with scheduled crash/recover
-// events.
+// node crashes, so a client of a restarted primary (same address, same
+// data directory) resumes without caller involvement. Promotion is still
+// manual: nothing elects a follower when the primary is lost for good — an
+// operator restarts a node over the follower's state as the new primary
+// and repoints the others.
 //
 // # Durability and recovery
 //
 // Every mutation of the management plane — a join, a batched join, a
 // leave, a refresh, a super-peer flag, a TTL expiry sweep — is one typed
 // operation with one canonical binary encoding. The same op value is
-// applied to the primary, propagated to replicas, and (on durable nodes)
-// persisted, so the replica stream and the on-disk stream can never
+// applied to the owning shard, persisted (on durable nodes), and shipped
+// to followers, so the replication stream and the on-disk stream can never
 // disagree. Ops are deterministic: joins and refreshes carry their apply
 // timestamp and an expiry sweep carries its deadline, which is why a
 // replayed stream reproduces the original state exactly, TTL bookkeeping
@@ -158,9 +154,9 @@
 // number, shipping the log IS shipping the state. A follower process
 // (StartFollower, or proxdisc-server -follow ADDR) subscribes to a
 // primary's committed op stream over the v2 wire framing and applies
-// every record to a local copy through the same single Apply door the
-// in-process replicas and crash recovery use — one op.Replicator
-// interface, three consumers, zero drift.
+// every record to a local copy through the same single Apply door crash
+// recovery uses — one door, two consumers (follower replication through
+// the op.Replicator interface, and WAL replay), zero drift.
 //
 // Roles. The primary serves the stream from its WAL: live records flow
 // from a commit tap into each follower's bounded buffer, a follower that
@@ -277,10 +273,10 @@
 // deadline, retry backoffs abort when the context ends, and a
 // subscription's context scopes its whole lifetime. The original methods
 // (Join, Lookup, Status, ...) remain as thin compatibility wrappers over
-// context.Background(). Shared configuration knobs (telemetry registry,
-// logger, reconnect backoff) are collapsing into an embedded CommonConfig
-// on ClientConfig, NetServerConfig, and FollowerConfig; the old flat
-// fields keep working but are deprecated.
+// context.Background(). The configuration knobs the networked components
+// share (telemetry registry, logger, reconnect backoff) live in one
+// embedded CommonConfig on ClientConfig, NetServerConfig, and
+// FollowerConfig.
 //
 // # Observability
 //
@@ -288,8 +284,8 @@
 // dependency-free metric store whose hot path is a couple of atomic
 // operations on pre-resolved handles (zero allocations, no locks, no
 // lookups per request). Components accept a *TelemetryRegistry in their
-// configs (ClusterConfig.Telemetry, NetServerConfig.Telemetry,
-// FollowerConfig.Telemetry, ClientConfig.Telemetry); pass the process
+// configs (ClusterConfig.Telemetry, and CommonConfig.Telemetry embedded in
+// NetServerConfig, FollowerConfig and ClientConfig); pass the process
 // default from Telemetry() to aggregate one process's layers into one
 // scrape, or a fresh registry to keep planes separate. A nil registry
 // costs nothing and records nothing.
@@ -325,8 +321,10 @@
 //   - Replication, follower side: proxdisc_follow_applied_seq,
 //     proxdisc_follow_head_seq, proxdisc_follow_lag, and
 //     proxdisc_follow_reconnects_total.
-//   - Cluster: proxdisc_peers; proxdisc_shard_peers{shard=N} and
-//     proxdisc_shard_apply_total{shard=N} per shard;
+//   - Cluster: proxdisc_peers; proxdisc_shard_peers{shard=N},
+//     proxdisc_shard_apply_total{shard=N} and
+//     proxdisc_server_publications_total{shard=N} per shard (applies over
+//     publications is the flat-combining batch size);
 //     proxdisc_scatter_fanout_total, proxdisc_handoffs_total, and
 //     proxdisc_checkpoint_duration_seconds.
 //   - Write-ahead log: proxdisc_wal_appends_total,
@@ -417,13 +415,11 @@
 // the single-vCPU 2.1 GHz reference box the committed baseline records
 // ~52k joins/s at batch=32 (wire to fsync) with lookup p99 under 100µs
 // against the million-peer tree. The benchmark scales its offered load
-// with GOMAXPROCS (one pipelined connection per processor), and CI also
-// runs it at -cpu 1,4: a proxdisc-benchcmp -metric-ratio gate requires
-// the 4-CPU variant to sustain at least 1.5x the 1-CPU joins/s of the
-// same run, with mutex and block profiles uploaded next to the cpu/heap
-// pprofs so any new contention point is visible in the artifacts. A
-// joins/s floor gate (cmd/proxdisc-benchcmp -metric) fails any PR that
-// walks the throughput back, even where raw ns/op is too noisy to see it.
+// with GOMAXPROCS (one pipelined connection per processor); no multi-core
+// series is recorded or gated until a runner with at least four cores
+// exists to record one. A joins/s floor gate (cmd/proxdisc-benchcmp
+// -metric, at -cpu 1) fails any PR that walks the throughput back, even
+// where raw ns/op is too noisy to see it.
 package proxdisc
 
 import (
@@ -490,26 +486,18 @@ type ClusterConfig = cluster.Config
 // Cluster is a landmark-sharded management service: N server shards behind
 // a router that assigns each landmark to a shard, scatter-gathers
 // cross-landmark operations, and supports live landmark handoff between
-// shards (MoveLandmark). With ClusterConfig.Replicas ≥ 2 each shard is a
-// replica set with automatic failover (FailShard, RecoverReplica,
-// CheckHealth). With ClusterConfig.DataDir it is durable: writes commit
-// to a write-ahead log, snapshots land on disk (Checkpoint), restarts
-// recover exactly (see "Durability and recovery" above), and Close shuts
-// it down cleanly. It exposes the same API as Server and returns
-// identical answers. Safe for concurrent use.
+// shards (MoveLandmark). Each shard is one Server; copies live in other
+// processes as followers (see "Replication and failover" above). With
+// ClusterConfig.DataDir it is durable: writes commit to a write-ahead
+// log, snapshots land on disk (Checkpoint), restarts recover exactly (see
+// "Durability and recovery" above), and Close shuts it down cleanly. It
+// exposes the same API as Server and returns identical answers. Safe for
+// concurrent use.
 type Cluster = cluster.Cluster
 
 // ClusterAssigner chooses the initial landmark→shard assignment of a
 // cluster; see cluster.RoundRobin and cluster.HashMod.
 type ClusterAssigner = cluster.Assigner
-
-// ShardHealth describes one cluster shard's replica set: its current
-// primary and how many of its configured replicas are live.
-type ShardHealth = cluster.ShardHealth
-
-// ClusterReplicaID names one replica of one cluster shard, as reported by
-// Cluster.CheckHealth.
-type ClusterReplicaID = cluster.ReplicaID
 
 // NewCluster builds a sharded management cluster for a set of landmark
 // routers.
@@ -540,7 +528,7 @@ type FollowerConfig = netserver.FollowerConfig
 func StartFollower(cfg FollowerConfig) (*Follower, error) { return netserver.StartFollower(cfg) }
 
 // NodeStatus is a node's wire-reported status: replication role, shard
-// and replica layout, durability telemetry (snapshot seq, WAL tail,
+// count, durability telemetry (snapshot seq, WAL tail,
 // replay time), and the applied/head replication position.
 type NodeStatus = proto.Status
 
@@ -552,9 +540,8 @@ type TelemetryRegistry = telemetry.Registry
 
 // Telemetry returns the process-default metric registry — the one
 // cmd/proxdisc-server exports and the natural choice for
-// ClusterConfig.Telemetry, NetServerConfig.Telemetry,
-// FollowerConfig.Telemetry, and ClientConfig.Telemetry when one process
-// hosts one node.
+// ClusterConfig.Telemetry and the networked components'
+// CommonConfig.Telemetry when one process hosts one node.
 func Telemetry() *TelemetryRegistry { return telemetry.Default() }
 
 // MetricsHandler serves a registry's metrics in the Prometheus text
@@ -578,14 +565,13 @@ type Client = client.Client
 // ClientConfig tunes a management-server connection: request timeout,
 // the in-flight pipelining cap, a switch to force the version-1 lock-step
 // protocol, and the failover retry budget (FailoverRetries,
-// FailoverBackoff) for replicated deployments.
+// CommonConfig.Backoff) for replicated deployments.
 type ClientConfig = client.Config
 
 // CommonConfig holds the configuration knobs shared by the networked
 // components — a telemetry registry, a diagnostic logger, a reconnect/
 // retry backoff. It is embedded in ClientConfig, NetServerConfig, and
-// FollowerConfig, replacing their individually duplicated fields (which
-// remain as deprecated aliases).
+// FollowerConfig.
 type CommonConfig = conf.Common
 
 // BatchJoinItem is one entry of a Client.JoinBatch call.
@@ -682,10 +668,6 @@ type WireCandidate = proto.Candidate
 // SimulationConfig configures a simulated deployment. See
 // experiment.WorldConfig for field documentation.
 type SimulationConfig = experiment.WorldConfig
-
-// SimFailoverEvent schedules a management-plane crash or recovery at a
-// point in a simulation's arrival sequence (SimulationConfig.Failovers).
-type SimFailoverEvent = experiment.FailoverEvent
 
 // Simulation is a complete in-process deployment over a generated
 // router-level topology: landmarks, tracer, and management server.

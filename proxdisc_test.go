@@ -1,6 +1,7 @@
 package proxdisc
 
 import (
+	"bytes"
 	"testing"
 	"time"
 )
@@ -200,15 +201,22 @@ func TestPublicShardedSimulation(t *testing.T) {
 	}
 }
 
-// TestPublicReplicatedCluster drives the replication surface end to end:
-// replicated shards, a primary kill, a replica rebuild, and a scheduled
-// failover inside a simulation.
+// TestPublicReplicatedCluster drives the replication surface end to end
+// through the public API: a durable sharded primary behind a TCP front
+// end, and a follower streaming its op log into a local copy until the two
+// serialize identically.
 func TestPublicReplicatedCluster(t *testing.T) {
 	landmarks := []RouterID{0, 100, 200, 300}
-	c, err := NewCluster(ClusterConfig{Landmarks: landmarks, Shards: 2, Replicas: 2})
+	c, err := NewCluster(ClusterConfig{Landmarks: landmarks, Shards: 2, DataDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer c.Close()
+	ns, err := ListenAndServe(NetServerConfig{Addr: "127.0.0.1:0", Server: c})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ns.Close()
 	paths := [][]RouterID{
 		{10, 11, 0}, {12, 11, 0}, {20, 21, 100}, {22, 21, 100}, {30, 200}, {40, 300},
 	}
@@ -217,44 +225,34 @@ func TestPublicReplicatedCluster(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, h := range c.Health() {
-		if h.Live != 2 {
-			t.Fatalf("health=%+v", h)
-		}
-	}
-	if err := c.FailShard(0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.RecoverReplica(0); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.NumPeers(); got != len(paths) {
-		t.Fatalf("peers=%d after failover+rebuild", got)
-	}
-	for i := range paths {
-		if _, err := c.Lookup(PeerID(i + 1)); err != nil {
-			t.Fatalf("lookup %d: %v", i+1, err)
-		}
+	if !c.Leave(2) {
+		t.Fatal("leave failed")
 	}
 
-	sim, err := NewSimulation(SimulationConfig{
-		Topology:     TopologyConfig{CoreRouters: 200, LeafRouters: 200, EdgesPerNode: 2, Seed: 9},
-		NumLandmarks: 4,
-		Shards:       2,
-		Replicas:     2,
-		Failovers:    []SimFailoverEvent{{AfterJoins: 20, Shard: 0}},
-		Seed:         9,
-	})
+	copySrv, err := NewServer(ServerConfig{Landmarks: landmarks})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.JoinN(40); err != nil {
+	f, err := StartFollower(FollowerConfig{PrimaryAddr: ns.Addr(), Backend: copySrv})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sim.Server.NumPeers(); got != 40 {
-		t.Fatalf("peers=%d", got)
+	defer f.Close()
+	head := c.CommittedHead()
+	for deadline := time.Now().Add(10 * time.Second); f.Applied() < head; {
+		if time.Now().After(deadline) {
+			t.Fatalf("follower stuck at seq %d of %d (last err %v)", f.Applied(), head, f.Err())
+		}
+		time.Sleep(2 * time.Millisecond)
 	}
-	if h := sim.Cluster().Health()[0]; h.Live != 1 {
-		t.Fatalf("scheduled failover did not run: %+v", h)
+	var want, got bytes.Buffer
+	if err := c.Snapshot(&want); err != nil {
+		t.Fatal(err)
+	}
+	if err := copySrv.Snapshot(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want.Bytes(), got.Bytes()) {
+		t.Fatalf("follower copy differs from the primary: %d vs %d peers", copySrv.NumPeers(), c.NumPeers())
 	}
 }
