@@ -43,7 +43,11 @@
 // ("Foo-8"), each recording its gomaxprocs in the summary, so -cpu 1,4
 // runs gate the 4-CPU numbers independently instead of comparing them
 // against 1-CPU baselines. Unsuffixed names always mean GOMAXPROCS=1;
-// pin baseline-producing runs with -cpu 1 to keep those keys stable.
+// pin baseline-producing runs with -cpu 1 to keep those keys stable. A
+// "Foo-N" series with N above this machine's CPU count measured N
+// goroutines time-slicing fewer cores, not N-way scaling: it is reported
+// as recorded on too few cores and dropped from every verdict and from
+// -out, so it can neither pass a gate nor become a baseline.
 package main
 
 import (
@@ -53,6 +57,7 @@ import (
 	"fmt"
 	"os"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -113,6 +118,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "proxdisc-benchcmp: no benchmark results in input")
 		os.Exit(2)
 	}
+	dropUnderCored(os.Stdout, cur, runtime.NumCPU())
 	if *out != "" {
 		if err := writeSummary(*out, cur); err != nil {
 			fmt.Fprintf(os.Stderr, "proxdisc-benchcmp: %v\n", err)
@@ -195,6 +201,24 @@ func main() {
 		fmt.Fprintf(os.Stderr, "proxdisc-benchcmp: %d benchmark(s) regressed allocs/op\n", allocRegressions)
 		os.Exit(1)
 	}
+}
+
+// dropUnderCored removes from cur every series recorded at a GOMAXPROCS
+// above ncpu, naming each, and returns how many it dropped.
+func dropUnderCored(w *os.File, cur *Summary, ncpu int) int {
+	var names []string
+	for name, b := range cur.Benchmarks {
+		if b.GOMAXPROCS > ncpu {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		fmt.Fprintf(w, "%s: recorded on too few cores (GOMAXPROCS %d on %d CPUs) — dropped\n",
+			name, cur.Benchmarks[name].GOMAXPROCS, ncpu)
+		delete(cur.Benchmarks, name)
+	}
+	return len(names)
 }
 
 // ratioSpec gates benchmark A within pct percent of benchmark B, both from

@@ -85,6 +85,34 @@ PASS
 	}
 }
 
+// TestDropUnderCored: a Name-N series with N above the machine's CPU count
+// leaves the summary — and with it every verdict and -out — while series
+// the machine could really run stay.
+func TestDropUnderCored(t *testing.T) {
+	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer devnull.Close()
+	cur := &Summary{Benchmarks: map[string]*Bench{
+		"MillionPeerNode":   {NsPerOp: 100, GOMAXPROCS: 1},
+		"MillionPeerNode-2": {NsPerOp: 70, GOMAXPROCS: 2},
+		"MillionPeerNode-4": {NsPerOp: 60, GOMAXPROCS: 4},
+		"Legacy":            {NsPerOp: 5}, // summaries older than the field
+	}}
+	if got := dropUnderCored(devnull, cur, 2); got != 1 {
+		t.Fatalf("dropped %d series on 2 CPUs, want 1", got)
+	}
+	if _, kept := cur.Benchmarks["MillionPeerNode-4"]; kept || len(cur.Benchmarks) != 3 {
+		t.Fatalf("after the drop: %v", cur.Benchmarks)
+	}
+	// The dropped series now fails a gate that names it, like any absent one.
+	specs, _ := parseMetricRatios("MillionPeerNode-4:MillionPeerNode:joins/s:1.5")
+	if got := checkMetricRatios(devnull, cur, specs); got != 1 {
+		t.Fatalf("gate on a dropped series: failures=%d want 1", got)
+	}
+}
+
 func TestMetricRatioGate(t *testing.T) {
 	specs, err := parseMetricRatios("MillionPeerNode-4:MillionPeerNode:joins/s:1.5")
 	if err != nil {

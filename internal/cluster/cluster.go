@@ -140,12 +140,11 @@ type Config struct {
 	// registry only decides whether anyone can read it.
 	Telemetry *telemetry.Registry
 
-	// NeighborCount, PeerTTL, Clock, and TreeOptions are passed through to
-	// every shard; see server.Config. TreeOptions currently carries nothing.
+	// NeighborCount, PeerTTL, and Clock are passed through to every shard;
+	// see server.Config.
 	NeighborCount int
 	PeerTTL       time.Duration
 	Clock         func() time.Time
-	TreeOptions   pathtree.Options
 }
 
 // Cluster is a landmark-sharded management service. It exposes the same

@@ -2,90 +2,37 @@ package cluster
 
 import (
 	"bytes"
-	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"proxdisc/internal/op"
 	"proxdisc/internal/server"
-	"proxdisc/internal/topology"
 	"proxdisc/internal/wal"
 )
 
-// checkpointMagic opens a checkpoint file that carries a cluster header
-// (the landmark→shard table as of the checkpoint) ahead of the merged
-// server snapshot. A gob stream can never begin with a zero byte, so the
-// leading 0x00 makes the header unambiguous against bare snapshots
-// written by older versions or by Cluster.Snapshot directly — both of
-// which restoreSnapshot still accepts, falling back to the configured
-// assignment table.
-var checkpointMagic = [8]byte{0x00, 'p', 'x', 'd', 'c', 't', 'b', '1'}
-
-// checkpointMeta is the cluster-level header of a checkpoint file: the
-// state that lives above the shards and would otherwise be silently reset
-// to its configured value on restart. The landmark epochs need no entry
-// here — they ride inside the server snapshot itself (v3).
-type checkpointMeta struct {
-	Table []tableEntry
-}
-
-// tableEntry is one landmark→shard assignment, sorted by landmark so the
-// header bytes are deterministic.
-type tableEntry struct {
-	Landmark topology.NodeID
-	Shard    int
-}
-
-// writeCheckpoint writes the full checkpoint file in two phases. The
-// serialization phase builds the whole checkpoint in memory under one
-// hoMu hold, so the table in the header and the trees in the snapshot
-// describe the same instant even against concurrent handoffs — and the
-// lock is released the moment the bytes exist. The write phase then
-// copies them to disk with no cluster lock held, paced to
+// writeCheckpoint writes the checkpoint file: the cluster's snapshot in
+// its placed form (server.WriteSnapshot), an op stream whose
+// KindMoveLandmark records name each landmark's owning shard and epoch, so
+// the file carries the landmark→shard table as well as the trees — state
+// that lives above the shards and would otherwise silently reset to its
+// configured value on restart. It runs in two phases. The serialization
+// phase builds the whole stream in memory under one hoMu hold, so the
+// table and the trees describe the same instant even against concurrent
+// handoffs — and the lock is released the moment the bytes exist. The
+// write phase then copies them to disk with no cluster lock held, paced to
 // Config.CheckpointBytesPerSec so a large snapshot cannot monopolize the
 // device under the write-ahead log and stall foreground commits.
 func (c *Cluster) writeCheckpoint(w io.Writer) error {
 	var buf bytes.Buffer
-	if err := c.serializeCheckpoint(&buf); err != nil {
+	c.hoMu.Lock()
+	err := c.snapshotLocked(&buf, true)
+	c.hoMu.Unlock()
+	if err != nil {
 		return err
 	}
 	return pacedCopy(w, buf.Bytes(), c.cfg.CheckpointBytesPerSec)
-}
-
-// serializeCheckpoint builds the checkpoint bytes: magic, a
-// length-prefixed gob header (length-prefixed because gob decoders read
-// ahead, so the snapshot decoder must get its own cleanly-bounded
-// stream), then the merged snapshot — all under one hoMu hold.
-func (c *Cluster) serializeCheckpoint(w io.Writer) error {
-	c.hoMu.Lock()
-	defer c.hoMu.Unlock()
-	c.mu.RLock()
-	meta := checkpointMeta{Table: make([]tableEntry, 0, len(c.table))}
-	for lm, shard := range c.table {
-		meta.Table = append(meta.Table, tableEntry{lm, shard})
-	}
-	c.mu.RUnlock()
-	sort.Slice(meta.Table, func(i, j int) bool { return meta.Table[i].Landmark < meta.Table[j].Landmark })
-	var hdr bytes.Buffer
-	if err := gob.NewEncoder(&hdr).Encode(meta); err != nil {
-		return fmt.Errorf("cluster: checkpoint header: %w", err)
-	}
-	if _, err := w.Write(checkpointMagic[:]); err != nil {
-		return err
-	}
-	var n [4]byte
-	binary.BigEndian.PutUint32(n[:], uint32(hdr.Len()))
-	if _, err := w.Write(n[:]); err != nil {
-		return err
-	}
-	if _, err := w.Write(hdr.Bytes()); err != nil {
-		return err
-	}
-	return c.snapshotLocked(w)
 }
 
 // pacedCopy writes b to w in chunks, sleeping between chunks to hold the
@@ -111,37 +58,6 @@ func pacedCopy(w io.Writer, b []byte, bytesPerSec int64) error {
 	return nil
 }
 
-// readCheckpointHeader splits a checkpoint stream into its cluster header
-// (nil for a bare snapshot) and the snapshot body.
-func readCheckpointHeader(r io.Reader) (*checkpointMeta, io.Reader, error) {
-	prefix := make([]byte, len(checkpointMagic))
-	n, err := io.ReadFull(r, prefix)
-	if err == io.EOF || err == io.ErrUnexpectedEOF {
-		// Shorter than a magic: can only be a bare (possibly truncated)
-		// snapshot; let the snapshot decoder produce the real error.
-		return nil, bytes.NewReader(prefix[:n]), nil
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	if !bytes.Equal(prefix, checkpointMagic[:]) {
-		return nil, io.MultiReader(bytes.NewReader(prefix), r), nil
-	}
-	var nbuf [4]byte
-	if _, err := io.ReadFull(r, nbuf[:]); err != nil {
-		return nil, nil, fmt.Errorf("cluster: checkpoint header length: %w", err)
-	}
-	hdr := make([]byte, binary.BigEndian.Uint32(nbuf[:]))
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return nil, nil, fmt.Errorf("cluster: checkpoint header body: %w", err)
-	}
-	var meta checkpointMeta
-	if err := gob.NewDecoder(bytes.NewReader(hdr)).Decode(&meta); err != nil {
-		return nil, nil, fmt.Errorf("cluster: checkpoint header decode: %w", err)
-	}
-	return &meta, r, nil
-}
-
 // defaultSnapshotEvery is the op-count fallback between automatic
 // checkpoints; defaultSnapshotBytes is the adaptive byte trigger
 // (accumulated WAL record bytes since the last checkpoint).
@@ -154,9 +70,32 @@ const (
 func (c *Cluster) Durable() bool { return c.log != nil }
 
 // openDurable opens the data directory, rebuilds the shards from the
-// latest snapshot plus the write-ahead log tail, and arms the background
+// latest checkpoint plus the write-ahead log tail, and arms the background
 // checkpointer. Called by New before the cluster is visible to anyone.
+//
+// A checkpoint is a compacted op log, so loading it is replaying it: its
+// records go down the same applyRecovered road as the tail. Its Move
+// records come first and carry each landmark's owner and epoch — replayMove
+// moves the still-empty tree to the recorded owner and flips the table —
+// so a restart recovers the exact post-handoff placement, NOT the
+// configured assignment, and the tail replays against the right owners.
+// The checkpoint is read before the log is opened and must be good to its
+// end frame: a truncated or corrupt file, one in the gob format that
+// preceded op streams, or one that names a landmark or shard this
+// configuration lacks fails the open with nothing on disk touched.
 func (c *Cluster) openDurable() error {
+	var snapSeq uint64
+	if r, seq, ok, err := wal.OpenLatestSnapshot(c.cfg.DataDir); err != nil {
+		return err
+	} else if ok {
+		err := op.ReadStream(r, func(o *op.Op) error { return c.applyRecovered(seq, *o) })
+		r.Close()
+		if err != nil {
+			return fmt.Errorf("cluster: checkpoint %d: %w", seq, err)
+		}
+		snapSeq = seq
+		c.lastSnapSeq.Store(snapSeq)
+	}
 	// One WAL stream per shard: commits to different shards append under
 	// different stream locks and share fsyncs through the cross-stream
 	// group commit. A data directory written by the old single-stream log
@@ -170,23 +109,9 @@ func (c *Cluster) openDurable() error {
 	if err != nil {
 		return err
 	}
-	var snapSeq uint64
-	if r, seq, ok, err := wal.OpenLatestSnapshot(c.cfg.DataDir); err != nil {
-		log.Close()
-		return err
-	} else if ok {
-		err := c.restoreSnapshot(r)
-		r.Close()
-		if err != nil {
-			log.Close()
-			return err
-		}
-		snapSeq = seq
-		c.lastSnapSeq.Store(snapSeq)
-		// The log can never fall behind its snapshot's sequence (possible
-		// only when segment files were removed out from under it).
-		log.EnsureSeq(snapSeq)
-	}
+	// The log can never fall behind its snapshot's sequence (possible only
+	// when segment files were removed out from under it).
+	log.EnsureSeq(snapSeq)
 	replayStart := time.Now()
 	if err := log.Replay(snapSeq, func(seq uint64, rec []byte) error {
 		o, err := op.Decode(rec)
@@ -213,76 +138,11 @@ func (c *Cluster) openDurable() error {
 	return nil
 }
 
-// restoreSnapshot loads a checkpoint (a cluster header plus one merged
-// server snapshot; a bare snapshot from an older version restores too)
-// and deals its landmark trees out to the owning shards through the same
-// SnapshotLandmarks/Absorb machinery landmark handoffs use, rebuilding
-// the peer index and the landmark epochs as it goes.
-//
-// Ownership comes from the checkpoint's own table, NOT the configured
-// assignment: a restart must recover the exact post-handoff placement, or
-// the WAL tail would replay against the wrong owner and completed moves
-// would silently revert. Only a headerless (pre-header) checkpoint falls
-// back to the configured table — such a file can only predate MoveLandmark
-// being logged at all.
-func (c *Cluster) restoreSnapshot(r io.Reader) error {
-	meta, body, err := readCheckpointHeader(r)
-	if err != nil {
-		return err
-	}
-	if meta != nil {
-		for _, e := range meta.Table {
-			if e.Shard < 0 || e.Shard >= len(c.shards) {
-				return fmt.Errorf("cluster: checkpoint places landmark %d on shard %d, but only %d shards are configured",
-					e.Landmark, e.Shard, len(c.shards))
-			}
-		}
-		for _, e := range meta.Table {
-			c.table[e.Landmark] = e.Shard
-		}
-	}
-	tmp, err := server.Restore(body, server.Config{
-		PeerTTL:     c.cfg.PeerTTL,
-		Clock:       c.cfg.Clock,
-		TreeOptions: c.cfg.TreeOptions,
-	})
-	if err != nil {
-		return fmt.Errorf("cluster: snapshot restore: %w", err)
-	}
-	for lm, e := range tmp.Epochs() {
-		if e > c.epochs[lm] {
-			c.epochs[lm] = e
-		}
-	}
-	perShard := make(map[int][]topology.NodeID)
-	for _, lm := range tmp.Landmarks() {
-		shard, ok := c.table[lm]
-		if !ok {
-			return fmt.Errorf("cluster: snapshot landmark %d is not in the configured landmark set", lm)
-		}
-		perShard[shard] = append(perShard[shard], lm)
-	}
-	for shard, lms := range perShard {
-		var buf bytes.Buffer
-		if err := tmp.SnapshotLandmarks(&buf, lms...); err != nil {
-			return fmt.Errorf("cluster: snapshot split: %w", err)
-		}
-		restored, err := c.shards[shard].srv.Absorb(&buf)
-		if err != nil {
-			return fmt.Errorf("cluster: snapshot absorb into shard %d: %w", shard, err)
-		}
-		for _, p := range restored {
-			c.idx.swap(p, shard)
-		}
-	}
-	return nil
-}
-
-// applyRecovered replays one logged op through the normal routing,
-// silently (no answers, no re-logging). A leave, refresh, or super-flag
-// whose peer is gone is tolerated: commit order can differ from apply
-// order for operations racing on the same peer, and either serialization
-// is a valid history.
+// applyRecovered replays one recovered op — a checkpoint record or a
+// logged one — through the normal routing, silently (no answers, no
+// re-logging). A leave, refresh, or super-flag whose peer is gone is
+// tolerated: commit order can differ from apply order for operations
+// racing on the same peer, and either serialization is a valid history.
 func (c *Cluster) applyRecovered(seq uint64, o op.Op) error {
 	err := c.applyRouted(o, true)
 	if err != nil && !errors.Is(err, server.ErrUnknownPeer) {
@@ -490,9 +350,11 @@ func (c *Cluster) CommittedHead() uint64 {
 	return c.log.LastSeq()
 }
 
-// CatchupSnapshot opens the latest on-disk snapshot and the sequence it
+// CatchupSnapshot opens the latest on-disk checkpoint and the sequence it
 // covers, writing a fresh one first if none exists yet — the bulk half of
 // follower catch-up when the WAL no longer retains the follower's tail.
+// The file ships as it is: a follower's flat copy applies the Move records
+// for their epochs and ignores the owners they name.
 func (c *Cluster) CatchupSnapshot() (io.ReadCloser, uint64, error) {
 	if c.log == nil {
 		return nil, 0, errNotDurable
@@ -511,17 +373,7 @@ func (c *Cluster) CatchupSnapshot() (io.ReadCloser, uint64, error) {
 			return nil, 0, errors.New("cluster: checkpoint left no snapshot on disk")
 		}
 	}
-	// Followers restore a bare server snapshot; strip the cluster header
-	// (ownership is the leader's concern — the follower holds a flat copy).
-	_, body, err := readCheckpointHeader(r)
-	if err != nil {
-		r.Close()
-		return nil, 0, err
-	}
-	return struct {
-		io.Reader
-		io.Closer
-	}{body, r}, seq, nil
+	return r, seq, nil
 }
 
 // DurabilityStats reports the durable node's operational surface: last

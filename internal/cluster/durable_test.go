@@ -1,15 +1,16 @@
 package cluster
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
-
-	"errors"
 
 	"proxdisc/internal/op"
 	"proxdisc/internal/pathtree"
@@ -462,6 +463,119 @@ func TestDurableRejectsForeignSnapshot(t *testing.T) {
 	if err == nil {
 		t.Fatal("open with a shrunken landmark set silently succeeded")
 	}
+}
+
+// TestDurableRejectsShrunkenShardCount is the sibling contract for the
+// shard count: a checkpoint records each landmark's owning shard, and a
+// configuration with fewer shards than an owner it names must fail the
+// open instead of dealing the landmark somewhere else.
+func TestDurableRejectsShrunkenShardCount(t *testing.T) {
+	dir := t.TempDir()
+	c, err := New(durableConfig(dir, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Join(1, synthPath(testLandmarks[3], 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(durableConfig(dir, 2)); err == nil || !strings.Contains(err.Error(), "shard") {
+		t.Fatalf("open with 2 of the 4 shards the checkpoint places landmarks on: %v", err)
+	}
+}
+
+// dirListing maps every file in dir to its size.
+func dirListing(t *testing.T, dir string) map[string]int64 {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]int64, len(ents))
+	for _, e := range ents {
+		info, err := e.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = info.Size()
+	}
+	return out
+}
+
+// TestDurableRefusesDamagedCheckpoint: a node whose newest checkpoint is
+// cut short anywhere (record boundaries included), has any byte damaged,
+// or is in a format older than op streams does not open — no silent
+// restore of the readable prefix, no fallback to an empty node — and the
+// refusal leaves every file in the directory exactly as it found it.
+func TestDurableRefusesDamagedCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	c, err := New(durableConfig(dir, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 12; i++ {
+		if _, err := c.JoinOp(op.Join(pathtree.PeerID(i+1), synthPath(testLandmarks[i%8], i), fmt.Sprintf("10.0.0.%d:41", i), 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.SetSuperPeer(7, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.MoveLandmark(testLandmarks[0], 1); err != nil {
+		t.Fatal(err)
+	}
+	want := captureAnswers(t, c)
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snaps, err := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
+	if err != nil || len(snaps) != 1 {
+		t.Fatalf("snapshots after Close: %v err=%v", snaps, err)
+	}
+	good, err := os.ReadFile(snaps[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused := func(label string, data []byte, wantInErr string) {
+		t.Helper()
+		if err := os.WriteFile(snaps[0], data, 0o666); err != nil {
+			t.Fatal(err)
+		}
+		before := dirListing(t, dir)
+		re, err := New(durableConfig(dir, 2))
+		if err == nil {
+			re.Close()
+			t.Fatalf("%s: the node opened", label)
+		}
+		if !strings.Contains(err.Error(), wantInErr) {
+			t.Fatalf("%s: refused with %q, want it to mention %q", label, err, wantInErr)
+		}
+		if after := dirListing(t, dir); !reflect.DeepEqual(before, after) {
+			t.Fatalf("%s: the refusal changed the directory:\n before %v\n after  %v", label, before, after)
+		}
+	}
+	for n := 0; n < len(good); n++ {
+		refused(fmt.Sprintf("truncated to %d of %d bytes", n, len(good)), good[:n], "checkpoint")
+	}
+	for i := range good {
+		flipped := bytes.Clone(good)
+		flipped[i] ^= 1 << (i % 8)
+		refused(fmt.Sprintf("bit %d of byte %d flipped", i%8, i), flipped, "checkpoint")
+	}
+	refused("old checkpoint magic", append([]byte("\x00pxdctb1\x00\x00\x00\x10"), good...), "format")
+	refused("bare gob snapshot", []byte("\x4f\xff\x81\x03\x01\x01\x08snapshot\x01\xff\x82\x00\x01\x05"), "format")
+
+	if err := os.WriteFile(snaps[0], good, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	re, err := New(durableConfig(dir, 2))
+	if err != nil {
+		t.Fatalf("reopen with the checkpoint put back: %v", err)
+	}
+	defer re.Close()
+	assertSameAnswers(t, want, captureAnswers(t, re), "after the refusals")
 }
 
 // TestDurableFlagAndWideBatchChunking covers the Durable accessor and the

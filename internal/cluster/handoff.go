@@ -186,37 +186,32 @@ func (c *Cluster) MoveLandmark(lm topology.NodeID, dst int) error {
 
 // Snapshot serializes the whole cluster's durable state as one standard
 // server snapshot (restorable by server.Restore or absorbable by any
-// shard), by merging per-shard snapshots without rebuilding any tree. It
-// is consistent with respect to handoffs.
+// shard), byte-identical to the one a single server holding the same state
+// would write. It is consistent with respect to handoffs.
 func (c *Cluster) Snapshot(w io.Writer) error {
 	c.hoMu.Lock()
 	defer c.hoMu.Unlock()
-	return c.snapshotLocked(w)
+	return c.snapshotLocked(w, false)
 }
 
-// snapshotLocked is Snapshot's body; the caller holds hoMu. Split out so
-// writeCheckpoint can prefix the merged snapshot with the checkpoint
-// header under a single hoMu hold.
-func (c *Cluster) snapshotLocked(w io.Writer) error {
-	var parts []io.Reader
+// snapshotLocked writes every shard's state as one snapshot; the caller
+// holds hoMu. placed selects the checkpoint form, whose Move records name
+// the owning shards (see writeCheckpoint).
+func (c *Cluster) snapshotLocked(w io.Writer, placed bool) error {
+	srvs := make([]*server.Server, len(c.shards))
 	for i, g := range c.shards {
-		lms := g.srv.Landmarks()
-		if len(lms) == 0 {
-			continue // elastic shard, or drained by handoffs
-		}
-		var buf bytes.Buffer
-		if err := g.srv.SnapshotLandmarks(&buf, lms...); err != nil {
-			return fmt.Errorf("cluster: snapshot shard %d: %w", i, err)
-		}
-		parts = append(parts, &buf)
+		srvs[i] = g.srv
 	}
-	return server.MergeSnapshots(w, parts...)
+	return server.WriteSnapshot(w, placed, srvs...)
 }
 
 // replayMove re-applies a recovered KindMoveLandmark op: the recovery-path
 // twin of MoveLandmark. Replay is single-threaded (the cluster is not yet
 // serving), so no gates or buffering are needed — the tree copy, table
-// flip, epoch raise, and index repoint happen back to back.
+// flip, epoch raise, and index repoint happen back to back. A checkpoint's
+// Move records (Src = Dst = owner) arrive here too, ahead of any join: the
+// destination is all that is read, so they place each still-empty tree on
+// its recorded owner, or only raise its epoch when it is already there.
 func (c *Cluster) replayMove(o op.Op) error {
 	lm, dst := o.Move.Landmark, o.Move.Dst
 	if dst < 0 || dst >= len(c.shards) {
@@ -230,8 +225,9 @@ func (c *Cluster) replayMove(o op.Op) error {
 	}
 	mv := op.MoveLandmark(lm, src, dst, o.Move.Epoch)
 	if src == dst {
-		// The snapshot this replay follows already included the move's
-		// effects (checkpoint after the flip); only the epoch may lag.
+		// The landmark is already where the op puts it (a checkpoint
+		// record, or a logged move the checkpoint already reflected); only
+		// the epoch may lag.
 		if _, err := c.shards[dst].applyOp(mv, true); err != nil {
 			return fmt.Errorf("cluster: recovered move epoch apply: %w", err)
 		}

@@ -74,7 +74,7 @@ func ownersOf(c *Cluster, lm topology.NodeID) []int {
 // exactly one owner with zero lost peers and unchanged answers: stages
 // before the WAL commit recover the pre-move ownership, the stage after
 // it recovers the post-move ownership. This is the regression test for
-// the headline bug — restoreSnapshot re-dealing trees by the configured
+// the headline bug — the checkpoint restore re-dealing trees by the configured
 // table, silently undoing completed moves and replaying the WAL tail
 // against the wrong owner.
 func TestMoveLandmarkCrashAtEveryStage(t *testing.T) {

@@ -54,7 +54,6 @@ func newShard(lms []topology.NodeID, cfg Config) (*shard, error) {
 		NeighborCount: cfg.NeighborCount,
 		PeerTTL:       cfg.PeerTTL,
 		Clock:         cfg.Clock,
-		TreeOptions:   cfg.TreeOptions,
 	}
 	build := server.New
 	if len(lms) == 0 {

@@ -3,9 +3,11 @@
 // joins, a departure, a liveness refresh, a super-peer flag, a TTL expiry
 // sweep — is one Op, and every layer that moves writes around speaks Op:
 // the server applies them, the write-ahead log persists them, the
-// follower stream ships them, and the TCP front end decodes wire requests
-// into them before dispatch. One type, one binary codec, one replay
-// semantics, so the record/ship/recover paths can never drift apart.
+// checkpoint compacts them, the follower stream ships them, and the TCP
+// front end decodes wire requests into them before dispatch. One type, one
+// binary codec, one replay semantics, so the record/ship/recover paths can
+// never drift apart. A snapshot is itself a run of ops — the shortest one
+// that rebuilds the state — framed as an op stream (stream.go).
 //
 // Ops are deterministic: a Join or Refresh carries the apply-time
 // timestamp and an Expire carries its cutoff deadline, so replaying the

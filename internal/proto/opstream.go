@@ -12,7 +12,10 @@ import (
 // MsgSnapshotChunk frames, acknowledging its applied offset with MsgOpAck.
 // Record payloads are the canonical op encoding (package op) exactly as
 // the write-ahead log stores them, so the bytes a follower applies are the
-// bytes the primary committed — one codec from wire to disk.
+// bytes the primary committed — one codec from wire to disk. A
+// MsgSnapshotChunk payload is opaque here; what it carries is the
+// primary's checkpoint file, itself a framed run of the same op encoding
+// (op.ReadStream), so catch-up adds no second format either.
 
 // Op-stream limits.
 const (

@@ -10,29 +10,19 @@ import (
 	"proxdisc/internal/topology"
 )
 
-// fuzzSeedSnapshot serializes a small populated server for the fuzz corpus.
-func fuzzSeedSnapshot(tb testing.TB) []byte {
+// fuzzSeedSnapshot serializes a small populated server for the fuzz
+// corpus: the given ops over two landmarks, then one moved landmark so the
+// seed carries a non-zero fencing epoch.
+func fuzzSeedSnapshot(tb testing.TB, ops ...op.Op) []byte {
 	tb.Helper()
 	s, err := New(Config{Landmarks: []topology.NodeID{0, 50}})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if _, err := s.Join(1, []topology.NodeID{10, 11, 0}); err != nil {
-		tb.Fatal(err)
-	}
-	if _, err := s.Join(2, []topology.NodeID{12, 11, 0}); err != nil {
-		tb.Fatal(err)
-	}
-	if _, err := s.Join(3, []topology.NodeID{20, 50}); err != nil {
-		tb.Fatal(err)
-	}
-	if err := s.SetSuperPeer(2, true); err != nil {
-		tb.Fatal(err)
-	}
-	// A moved landmark gives the seed a non-zero fencing epoch, so the
-	// corpus exercises the v3 snapshot layout.
-	if err := s.Apply(op.MoveLandmark(0, 0, 1, 3)); err != nil {
-		tb.Fatal(err)
+	for _, o := range append(ops, op.MoveLandmark(0, 0, 1, 3)) {
+		if err := s.Apply(o); err != nil {
+			tb.Fatal(err)
+		}
 	}
 	var buf bytes.Buffer
 	if err := s.Snapshot(&buf); err != nil {
@@ -41,16 +31,27 @@ func fuzzSeedSnapshot(tb testing.TB) []byte {
 	return buf.Bytes()
 }
 
-// FuzzAbsorb feeds arbitrary bytes to the snapshot decoder behind Absorb —
-// the surface a replica rebuild and a shard handoff trust — and, whenever
-// the input decodes as a valid snapshot, checks the absorb/re-snapshot
-// round trip: absorbing the server's own snapshot into a fresh server must
+// FuzzAbsorb feeds arbitrary bytes to the snapshot reader behind Absorb —
+// op.ReadStream's framing plus op.DecodeInto, the surface a shard handoff,
+// a checkpoint load and a follower catch-up trust — and, whenever the
+// input reads as a valid snapshot, checks the absorb/re-snapshot round
+// trip: absorbing the server's own snapshot into a fresh server must
 // reproduce the identical peer set, paths included, and absorbing it twice
 // must change nothing (idempotence under the live-record-wins rule).
 func FuzzAbsorb(f *testing.F) {
-	f.Add(fuzzSeedSnapshot(f))
+	f.Add(fuzzSeedSnapshot(f,
+		op.Join(1, []topology.NodeID{10, 11, 0}, "", 1),
+		op.Join(2, []topology.NodeID{12, 11, 0}, "", 2),
+		op.Join(3, []topology.NodeID{20, 50}, "", 3),
+		op.SetSuperPeer(2, true)))
 	f.Add([]byte{})
-	f.Add([]byte("not a gob stream"))
+	// Two runs of equal LastRefresh (two peers each) and a super-peer.
+	f.Add(fuzzSeedSnapshot(f,
+		op.Join(1, []topology.NodeID{10, 11, 0}, "10.0.0.1:41", 7),
+		op.Join(2, []topology.NodeID{20, 50}, "", 7),
+		op.Join(3, []topology.NodeID{12, 11, 0}, "", 9),
+		op.Join(4, []topology.NodeID{21, 50}, "10.0.0.4:41", 9),
+		op.SetSuperPeer(4, true)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dst, err := New(Config{Landmarks: []topology.NodeID{9999}})
 		if err != nil {
@@ -79,8 +80,10 @@ func FuzzAbsorb(f *testing.F) {
 		if !reflect.DeepEqual(peersWithPaths(t, dst), peersWithPaths(t, clone)) {
 			t.Fatal("round-trip changed the peer records")
 		}
-		if !reflect.DeepEqual(dst.Epochs(), clone.Epochs()) {
-			t.Fatalf("round-trip changed the landmark epochs: %v vs %v", dst.Epochs(), clone.Epochs())
+		for _, lm := range dst.Landmarks() {
+			if dst.Epoch(lm) != clone.Epoch(lm) {
+				t.Fatalf("round-trip changed landmark %d's epoch: %d vs %d", lm, dst.Epoch(lm), clone.Epoch(lm))
+			}
 		}
 		// Idempotence: absorbing the same snapshot again is a no-op.
 		again, err := dst.Absorb(bytes.NewReader(data))

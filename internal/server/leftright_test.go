@@ -252,7 +252,7 @@ func TestLeftRightChurn(t *testing.T) {
 	if err := s.Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	ref, err := Restore(&buf, Config{})
+	ref, err := Restore(&buf, Config{NeighborCount: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,9 +71,6 @@ type Config struct {
 	// Clock supplies the current time; defaults to time.Now. Simulations
 	// inject a virtual clock here.
 	Clock func() time.Time
-	// TreeOptions is handed to every path tree. pathtree.Options currently
-	// carries nothing.
-	TreeOptions pathtree.Options
 }
 
 // PeerInfo is the server's record of one peer.
@@ -123,8 +120,8 @@ type state struct {
 	peers map[pathtree.PeerID]*PeerInfo
 	// epochs holds each landmark's fencing epoch. Only landmarks that have
 	// moved at least once have an entry; absence means epoch zero. The
-	// epoch is durable state: it rides in snapshots (version 3) and in
-	// KindMoveLandmark ops, so every copy agrees on who owns a landmark.
+	// epoch is durable state: it rides in KindMoveLandmark ops, in the log
+	// and in snapshots alike, so every copy agrees on who owns a landmark.
 	epochs map[topology.NodeID]uint64
 }
 
@@ -201,7 +198,7 @@ func newState(cfg *Config) (state, error) {
 		if _, dup := st.trees[lm]; dup {
 			return state{}, fmt.Errorf("server: duplicate landmark %d", lm)
 		}
-		st.trees[lm] = pathtree.New(lm, cfg.TreeOptions)
+		st.trees[lm] = pathtree.New(lm, pathtree.Options{})
 	}
 	return st, nil
 }
@@ -324,17 +321,13 @@ func (s *Server) addCounters(c counters) {
 }
 
 // Landmarks returns the registered landmark routers in ascending order.
+// The tree set is mutable at runtime (Absorb, DropLandmark), so the read
+// needs the side held.
 func (s *Server) Landmarks() []topology.NodeID {
 	rs := s.acquireRead()
 	defer rs.mu.RUnlock()
-	return rs.st.landmarks()
-}
-
-// landmarks lists the tree set in ascending order; it is mutable at
-// runtime (Absorb, DropLandmark), so every read needs the side held.
-func (st *state) landmarks() []topology.NodeID {
-	out := make([]topology.NodeID, 0, len(st.trees))
-	for lm := range st.trees {
+	out := make([]topology.NodeID, 0, len(rs.st.trees))
+	for lm := range rs.st.trees {
 		out = append(out, lm)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
@@ -365,7 +358,7 @@ func (s *Server) Apply(o op.Op) error {
 	o = s.stamp(o)
 	var err error
 	s.mutate(func(st *state, first bool) {
-		c, e := st.apply(o, &s.cfg)
+		c, e := st.apply(o)
 		if first {
 			err = e
 			s.addCounters(c)
@@ -377,7 +370,7 @@ func (s *Server) Apply(o op.Op) error {
 // apply dispatches one op against a state copy. It must be deterministic:
 // the same op against equal copies effects the equal change (mutate runs
 // it on both).
-func (st *state) apply(o op.Op, cfg *Config) (counters, error) {
+func (st *state) apply(o op.Op) (counters, error) {
 	var c counters
 	switch o.Kind {
 	case op.KindJoin:
@@ -439,7 +432,7 @@ func (st *state) apply(o op.Op, cfg *Config) (counters, error) {
 		// records its fence.
 		lm := o.Move.Landmark
 		if _, ok := st.trees[lm]; !ok {
-			st.trees[lm] = pathtree.New(lm, cfg.TreeOptions)
+			st.trees[lm] = pathtree.New(lm, pathtree.Options{})
 		}
 		if o.Move.Epoch > st.epochs[lm] {
 			st.epochs[lm] = o.Move.Epoch
@@ -476,7 +469,7 @@ func (s *Server) JoinOp(o op.Op) ([]pathtree.Candidate, error) {
 		if err == nil {
 			// Replay the registration silently on the retired copy; the
 			// answer was already computed on the published one.
-			_, _ = st.apply(o, &s.cfg)
+			_, _ = st.apply(o)
 		}
 	})
 	return cands, err
@@ -597,7 +590,7 @@ func (s *Server) JoinBatchOp(o op.Op) []BatchResult {
 				continue
 			}
 			single.Join = o.Batch[i]
-			_, _ = st.apply(single, &s.cfg)
+			_, _ = st.apply(single)
 		}
 	})
 	return out
@@ -736,17 +729,6 @@ func (s *Server) Epoch(lm topology.NodeID) uint64 {
 	rs := s.acquireRead()
 	defer rs.mu.RUnlock()
 	return rs.st.epochs[lm]
-}
-
-// Epochs returns a copy of every non-zero landmark fencing epoch.
-func (s *Server) Epochs() map[topology.NodeID]uint64 {
-	rs := s.acquireRead()
-	defer rs.mu.RUnlock()
-	out := make(map[topology.NodeID]uint64, len(rs.st.epochs))
-	for lm, e := range rs.st.epochs {
-		out[lm] = e
-	}
-	return out
 }
 
 // Publications reports Stats.Publications without walking any tree.

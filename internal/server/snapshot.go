@@ -1,278 +1,241 @@
 package server
 
 import (
-	"encoding/gob"
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
-	"time"
+	"slices"
 
+	"proxdisc/internal/op"
 	"proxdisc/internal/pathtree"
 	"proxdisc/internal/topology"
 )
 
-// snapshot is the gob-serialized server state. Trees are not serialized:
-// they are rebuilt from the stored paths on restore, which keeps the format
-// independent of the tree's in-memory layout.
-type snapshot struct {
-	Version       int
-	Landmarks     []topology.NodeID
-	NeighborCount int
-	Peers         []snapshotPeer
-	// Epochs lists the non-zero landmark fencing epochs, ascending by
-	// landmark (version 3). A sorted slice rather than a map: gob map
-	// iteration order would break the byte-identity contract between a
-	// primary's snapshot and a converged follower's.
-	Epochs []snapshotEpoch
+// A snapshot is a compacted op log: the shortest run of canonical ops that
+// rebuilds the state, framed as an op stream (package op, stream.go: every
+// record length-bounded and CRC-checked, the whole closed by a counted end
+// frame). What the wire carries, the write-ahead log persists and the
+// follower stream ships is also what a snapshot, a checkpoint file and a
+// shipped catch-up image are made of. In order, a snapshot holds
+//
+//  1. one KindMoveLandmark per held landmark, ascending, carrying its
+//     fencing epoch, with Src = Dst = the landmark's owner: the shard index
+//     in a cluster checkpoint, 0 everywhere else (a server ignores both;
+//     cluster recovery reads ownership from them);
+//  2. every peer as one entry of a KindBatchJoin whose Time is the peer's
+//     LastRefresh: peers in (LastRefresh, ID) order, each run of equal
+//     LastRefresh cut into records of at most op.MaxBatch entries;
+//  3. one KindSetSuperPeer per flagged peer, ascending.
+//
+// The content is a function of the state alone, never of the op history
+// that built it or of map iteration order, so copies holding equal state
+// write equal bytes: the contract a converged follower is checked against.
+// Trees are not serialized; the joins rebuild them.
+
+// snapPeer is one peer record lifted out of a state copy. entry.Path
+// aliases the record's path, which is safe past the read hold: a stored
+// path is never written again, only replaced together with its record.
+type snapPeer struct {
+	at    int64 // LastRefresh in Unix nanoseconds
+	entry op.JoinEntry
+	super bool
 }
 
-type snapshotEpoch struct {
-	Landmark topology.NodeID
-	Epoch    uint64
+// image is the content of a snapshot before ordering and framing.
+type image struct {
+	moves []op.MoveEntry
+	peers []snapPeer
 }
 
-type snapshotPeer struct {
-	ID          pathtree.PeerID
-	Landmark    topology.NodeID
-	Path        []topology.NodeID
-	Addr        string
-	SuperPeer   bool
-	LastRefresh time.Time
-}
-
-// snapshotVersion is the current format: version 2 added the peer overlay
-// address, version 3 the landmark fencing epochs. Older snapshots decode
-// fine (gob leaves absent fields zero — an address-less peer, an
-// all-epoch-zero landmark set), so decoders accept all three.
-const snapshotVersion = 3
-
-// checkSnapshotVersion rejects snapshots from the future.
-func checkSnapshotVersion(v int) error {
-	if v < 1 || v > snapshotVersion {
-		return fmt.Errorf("server: unsupported snapshot version %d", v)
-	}
-	return nil
-}
-
-// epochsSnap collects the non-zero fencing epochs of the landmarks in
-// want (every held landmark when want is nil), sorted ascending.
-func (st *state) epochsSnap(want map[topology.NodeID]bool) []snapshotEpoch {
-	var out []snapshotEpoch
-	for lm, e := range st.epochs {
-		if e == 0 || (want != nil && !want[lm]) {
-			continue
-		}
-		if _, held := st.trees[lm]; !held {
-			continue
-		}
-		out = append(out, snapshotEpoch{Landmark: lm, Epoch: e})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Landmark < out[j].Landmark })
-	return out
-}
-
-// adoptEpochs raises the local fencing epochs to a snapshot's (an epoch
-// never goes backwards, whatever order snapshot parts arrive in).
-func (st *state) adoptEpochs(es []snapshotEpoch) {
-	for _, e := range es {
-		if e.Epoch > st.epochs[e.Landmark] {
-			st.epochs[e.Landmark] = e.Epoch
-		}
-	}
-}
-
-// Snapshot serializes the server's durable state (landmarks, configuration,
-// and every peer's path) so a restarted management server can resume
-// serving without waiting for the whole population to rejoin — the
-// management server is a single point of failure in the paper's
-// architecture, and this is the standard mitigation. It reads the
-// published copy, so a snapshot never blocks writers longer than one
-// left-right fence.
-func (s *Server) Snapshot(w io.Writer) error {
+// collect copies the landmarks in want (every held one when want is nil)
+// and the peers under them out of the published copy under one read hold,
+// so a snapshot never blocks writers longer than one left-right fence.
+func (s *Server) collect(img *image, owner int, want map[topology.NodeID]bool) {
 	rs := s.acquireRead()
+	defer rs.mu.RUnlock()
 	st := &rs.st
-	snap := snapshot{
-		Version:       snapshotVersion,
-		Landmarks:     st.landmarks(),
-		NeighborCount: s.cfg.NeighborCount,
-		Peers:         make([]snapshotPeer, 0, len(st.peers)),
+	for lm := range st.trees {
+		if want == nil || want[lm] {
+			img.moves = append(img.moves, op.MoveEntry{Landmark: lm, Src: owner, Dst: owner, Epoch: st.epochs[lm]})
+		}
 	}
 	for _, info := range st.peers {
-		snap.Peers = append(snap.Peers, snapshotPeer{
-			ID:          info.ID,
-			Landmark:    info.Landmark,
-			Path:        append([]topology.NodeID(nil), info.Path...),
-			Addr:        info.Addr,
-			SuperPeer:   info.SuperPeer,
-			LastRefresh: info.LastRefresh,
-		})
+		if want == nil || want[info.Landmark] {
+			img.peers = append(img.peers, snapPeer{info.LastRefresh.UnixNano(),
+				op.JoinEntry{Peer: info.ID, Addr: info.Addr, Path: info.Path}, info.SuperPeer})
+		}
 	}
-	snap.Epochs = st.epochsSnap(nil)
-	rs.mu.RUnlock()
-	sort.Slice(snap.Peers, func(i, j int) bool { return snap.Peers[i].ID < snap.Peers[j].ID })
-	if err := gob.NewEncoder(w).Encode(&snap); err != nil {
-		return fmt.Errorf("server: snapshot encode: %w", err)
+}
+
+// write orders the image and frames it as an op stream.
+func (img *image) write(w io.Writer) error {
+	slices.SortFunc(img.moves, func(a, b op.MoveEntry) int { return cmp.Compare(a.Landmark, b.Landmark) })
+	slices.SortFunc(img.peers, func(a, b snapPeer) int {
+		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.entry.Peer, b.entry.Peer))
+	})
+	sw := op.NewStreamWriter(w)
+	for _, m := range img.moves {
+		sw.Write(op.Op{Kind: op.KindMoveLandmark, Move: m})
+	}
+	var supers []pathtree.PeerID
+	batch := make([]op.JoinEntry, 0, op.MaxBatch)
+	for i := 0; i < len(img.peers); {
+		at := img.peers[i].at
+		batch = batch[:0]
+		for ; i < len(img.peers) && img.peers[i].at == at && len(batch) < op.MaxBatch; i++ {
+			batch = append(batch, img.peers[i].entry)
+			if img.peers[i].super {
+				supers = append(supers, img.peers[i].entry.Peer)
+			}
+		}
+		sw.Write(op.BatchJoin(batch, at))
+	}
+	slices.Sort(supers)
+	for _, p := range supers {
+		sw.Write(op.SetSuperPeer(p, true))
+	}
+	if err := sw.Close(); err != nil { // the first failed Write, or the flush
+		return fmt.Errorf("server: snapshot write: %w", err)
 	}
 	return nil
 }
 
-// SnapshotLandmarks serializes the state of a subset of the server's
-// landmarks: the named landmark trees and every peer registered under them,
-// in the same format as Snapshot. The cluster layer uses it to hand a
-// landmark's tree from one shard to another.
+// WriteSnapshot serializes servers holding disjoint landmark sets — the
+// shards of one cluster — as a single snapshot, ordered exactly as one
+// server holding all of it would write it. With placed set each landmark's
+// owner is its holder's position in srvs (the cluster checkpoint form);
+// otherwise 0 (the logical form, byte-comparable with a follower's copy).
+func WriteSnapshot(w io.Writer, placed bool, srvs ...*Server) error {
+	var img image
+	for i, s := range srvs {
+		owner := 0
+		if placed {
+			owner = i
+		}
+		s.collect(&img, owner, nil)
+	}
+	return img.write(w)
+}
+
+// Snapshot serializes the server's durable state (landmarks, epochs, and
+// every peer's path, address, flag and refresh time) so a restarted
+// management server can resume serving without waiting for the whole
+// population to rejoin — the management server is a single point of
+// failure in the paper's architecture, and this is the standard mitigation.
+func (s *Server) Snapshot(w io.Writer) error { return WriteSnapshot(w, false, s) }
+
+// SnapshotLandmarks serializes the named landmark trees and every peer
+// registered under them, in the same format as Snapshot. The cluster layer
+// uses it to hand a landmark's tree from one shard to another.
 func (s *Server) SnapshotLandmarks(w io.Writer, lms ...topology.NodeID) error {
 	want := make(map[topology.NodeID]bool, len(lms))
-	rs := s.acquireRead()
-	st := &rs.st
 	for _, lm := range lms {
-		if _, ok := st.trees[lm]; !ok {
-			rs.mu.RUnlock()
-			return fmt.Errorf("server: snapshot of unknown landmark %d", lm)
-		}
 		want[lm] = true
 	}
-	snap := snapshot{
-		Version:       snapshotVersion,
-		Landmarks:     append([]topology.NodeID(nil), lms...),
-		NeighborCount: s.cfg.NeighborCount,
+	var img image
+	if s.collect(&img, 0, want); len(img.moves) != len(want) {
+		return fmt.Errorf("server: snapshot of a landmark not held here (asked for %v)", lms)
 	}
-	for _, info := range st.peers {
-		if !want[info.Landmark] {
-			continue
-		}
-		snap.Peers = append(snap.Peers, snapshotPeer{
-			ID:          info.ID,
-			Landmark:    info.Landmark,
-			Path:        append([]topology.NodeID(nil), info.Path...),
-			Addr:        info.Addr,
-			SuperPeer:   info.SuperPeer,
-			LastRefresh: info.LastRefresh,
-		})
-	}
-	snap.Epochs = st.epochsSnap(want)
-	rs.mu.RUnlock()
-	sort.Slice(snap.Landmarks, func(i, j int) bool { return snap.Landmarks[i] < snap.Landmarks[j] })
-	sort.Slice(snap.Peers, func(i, j int) bool { return snap.Peers[i].ID < snap.Peers[j].ID })
-	if err := gob.NewEncoder(w).Encode(&snap); err != nil {
-		return fmt.Errorf("server: snapshot encode: %w", err)
-	}
-	return nil
+	return img.write(w)
 }
 
-// absorb merges a decoded snapshot into one state copy; it must be
-// deterministic across copies (it iterates the snapshot's slices, never a
-// map). Returns the IDs of the peers actually inserted, unsorted.
-func (st *state) absorb(snap *snapshot, cfg *Config) ([]pathtree.PeerID, error) {
-	for _, lm := range snap.Landmarks {
-		if _, ok := st.trees[lm]; !ok {
-			st.trees[lm] = pathtree.New(lm, cfg.TreeOptions)
+// snapshotOps is a decoded snapshot: its landmark and join ops in stream
+// order, and the set of peers it flags as super-peers.
+type snapshotOps struct {
+	ops    []op.Op
+	supers map[pathtree.PeerID]bool
+}
+
+// readSnapshot decodes a whole snapshot. Nothing is returned unless the
+// stream was good to its end frame and held only the three kinds above, so
+// no caller ever acts on a prefix.
+func readSnapshot(r io.Reader) (snapshotOps, error) {
+	snap := snapshotOps{supers: make(map[pathtree.PeerID]bool)}
+	err := op.ReadStream(r, func(o *op.Op) error {
+		switch o.Kind {
+		case op.KindSetSuperPeer:
+			snap.supers[o.Peer] = o.Super
+		case op.KindMoveLandmark, op.KindBatchJoin:
+			snap.ops = append(snap.ops, *o)
+			*o = op.Op{} // the slices now belong to snap
+		default:
+			return fmt.Errorf("op kind %d has no place in a snapshot", o.Kind)
 		}
+		return nil
+	})
+	if err != nil {
+		return snapshotOps{}, fmt.Errorf("server: snapshot: %w", err)
 	}
-	st.adoptEpochs(snap.Epochs)
-	var absorbed []pathtree.PeerID
-	for _, p := range snap.Peers {
-		if _, exists := st.peers[p.ID]; exists {
+	return snap, nil
+}
+
+// load applies a snapshot to one state copy through the singular join
+// road, stopping at the first failure, and returns the IDs of the peers it
+// inserted. A peer already registered keeps its record, flag included: the
+// live record is newer than the snapshot. It must be deterministic across
+// copies (it walks the op slice, never a map).
+func (st *state) load(snap snapshotOps) ([]pathtree.PeerID, error) {
+	var inserted []pathtree.PeerID
+	for i := range snap.ops {
+		o := &snap.ops[i]
+		if o.Kind == op.KindMoveLandmark {
+			st.apply(*o) // creates the tree if absent; never lowers an epoch; cannot fail
 			continue
 		}
-		tree, ok := st.trees[p.Landmark]
-		if !ok {
-			return absorbed, fmt.Errorf("server: snapshot peer %d references unknown landmark %d", p.ID, p.Landmark)
+		for j := range o.Batch {
+			e := &o.Batch[j]
+			if _, live := st.peers[e.Peer]; live {
+				continue
+			}
+			tree, lm, err := st.resolveJoin(e.Peer, e.Path)
+			if err == nil {
+				err = st.insertJoin(tree, lm, e, o.Time)
+			}
+			if err != nil {
+				return inserted, fmt.Errorf("server: snapshot peer %d: %w", e.Peer, err)
+			}
+			st.peers[e.Peer].SuperPeer = snap.supers[e.Peer]
+			inserted = append(inserted, e.Peer)
 		}
-		if err := tree.Insert(p.ID, p.Path); err != nil {
-			return absorbed, fmt.Errorf("server: snapshot peer %d: %w", p.ID, err)
-		}
-		st.peers[p.ID] = &PeerInfo{
-			ID:          p.ID,
-			Landmark:    p.Landmark,
-			Path:        append([]topology.NodeID(nil), p.Path...),
-			Addr:        p.Addr,
-			SuperPeer:   p.SuperPeer,
-			LastRefresh: p.LastRefresh,
-		}
-		absorbed = append(absorbed, p.ID)
 	}
-	return absorbed, nil
+	return inserted, nil
 }
 
 // Absorb merges a snapshot into a live server: the snapshot's landmark
 // trees are created if absent and its peers inserted. A peer already
 // registered here is skipped — the live record is newer than the snapshot.
-// Absorb returns the IDs of the peers actually inserted, in ascending order.
+// Absorb returns the IDs of the peers actually inserted, in ascending
+// order. A snapshot that does not read cleanly to its end changes nothing.
 func (s *Server) Absorb(r io.Reader) ([]pathtree.PeerID, error) {
-	var snap snapshot
-	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("server: snapshot decode: %w", err)
-	}
-	if err := checkSnapshotVersion(snap.Version); err != nil {
+	snap, err := readSnapshot(r)
+	if err != nil {
 		return nil, err
 	}
-	var absorbed []pathtree.PeerID
-	var err error
+	var inserted []pathtree.PeerID
 	s.mutate(func(st *state, first bool) {
-		a, e := st.absorb(&snap, &s.cfg)
-		if first {
-			absorbed, err = a, e
+		if ins, e := st.load(snap); first {
+			inserted, err = ins, e
 		}
 	})
-	sort.Slice(absorbed, func(i, j int) bool { return absorbed[i] < absorbed[j] })
-	return absorbed, err
-}
-
-// rebuild constructs a fresh state from a snapshot (the follower's
-// catch-up restore form): configured landmarks union the snapshot's,
-// every peer from the snapshot alone.
-func rebuild(snap *snapshot, cfg *Config) (state, error) {
-	st := state{
-		trees:  make(map[topology.NodeID]*pathtree.Tree, len(cfg.Landmarks)),
-		peers:  make(map[pathtree.PeerID]*PeerInfo, len(snap.Peers)),
-		epochs: make(map[topology.NodeID]uint64, len(snap.Epochs)),
-	}
-	for _, lm := range cfg.Landmarks {
-		st.trees[lm] = pathtree.New(lm, cfg.TreeOptions)
-	}
-	for _, lm := range snap.Landmarks {
-		if _, ok := st.trees[lm]; !ok {
-			st.trees[lm] = pathtree.New(lm, cfg.TreeOptions)
-		}
-	}
-	for _, p := range snap.Peers {
-		tree, ok := st.trees[p.Landmark]
-		if !ok {
-			return state{}, fmt.Errorf("server: snapshot peer %d references unknown landmark %d", p.ID, p.Landmark)
-		}
-		if err := tree.Insert(p.ID, p.Path); err != nil {
-			return state{}, fmt.Errorf("server: snapshot peer %d: %w", p.ID, err)
-		}
-		st.peers[p.ID] = &PeerInfo{
-			ID:          p.ID,
-			Landmark:    p.Landmark,
-			Path:        append([]topology.NodeID(nil), p.Path...),
-			Addr:        p.Addr,
-			SuperPeer:   p.SuperPeer,
-			LastRefresh: p.LastRefresh,
-		}
-	}
-	st.adoptEpochs(snap.Epochs)
-	return st, nil
+	slices.Sort(inserted)
+	return inserted, err
 }
 
 // ResetFromSnapshot replaces the server's entire peer state with the
-// snapshot's: every tree is rebuilt from scratch and every pre-existing
-// peer record dropped, keeping only the configured landmark set (union
-// the snapshot's). It is the follower's catch-up restore — a follower far
-// behind its primary receives a whole-state snapshot, and merging it in
-// (Absorb) would resurrect peers the primary has since removed.
+// snapshot's, keeping only the configured landmark set (union the
+// snapshot's). It is the follower's catch-up restore — merging a
+// whole-state snapshot in (Absorb) would resurrect peers the primary has
+// since removed. The new state is swapped in only if the whole snapshot,
+// end frame included, was good and every op applied; otherwise the
+// previous state stays.
 func (s *Server) ResetFromSnapshot(r io.Reader) error {
-	var snap snapshot
-	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
-		return fmt.Errorf("server: snapshot decode: %w", err)
-	}
-	if err := checkSnapshotVersion(snap.Version); err != nil {
+	snap, err := readSnapshot(r)
+	if err != nil {
 		return err
 	}
-	var err error
 	s.mutate(func(st *state, first bool) {
-		fresh, e := rebuild(&snap, &s.cfg)
+		fresh, _ := newState(&s.cfg) // the landmark set was checked at construction
+		_, e := fresh.load(snap)
 		if first {
 			err = e
 		}
@@ -305,84 +268,22 @@ func (s *Server) DropLandmark(lm topology.NodeID) []pathtree.PeerID {
 			out = removed
 		}
 	})
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
-// MergeSnapshots combines several snapshot streams with disjoint landmark
-// sets into one snapshot, without rebuilding any path trees — the cluster
-// uses it to emit a whole-cluster snapshot from per-shard ones. All parts
-// must agree on the neighbour count.
-func MergeSnapshots(w io.Writer, parts ...io.Reader) error {
-	if len(parts) == 0 {
-		return fmt.Errorf("server: merge of zero snapshots")
-	}
-	out := snapshot{Version: snapshotVersion}
-	seen := make(map[topology.NodeID]bool)
-	for i, r := range parts {
-		var snap snapshot
-		if err := gob.NewDecoder(r).Decode(&snap); err != nil {
-			return fmt.Errorf("server: merge part %d decode: %w", i, err)
-		}
-		if err := checkSnapshotVersion(snap.Version); err != nil {
-			return fmt.Errorf("server: merge part %d: %w", i, err)
-		}
-		if i == 0 {
-			out.NeighborCount = snap.NeighborCount
-		} else if snap.NeighborCount != out.NeighborCount {
-			return fmt.Errorf("server: merge part %d: neighbour count %d != %d",
-				i, snap.NeighborCount, out.NeighborCount)
-		}
-		for _, lm := range snap.Landmarks {
-			if seen[lm] {
-				return fmt.Errorf("server: merge part %d: duplicate landmark %d", i, lm)
-			}
-			seen[lm] = true
-			out.Landmarks = append(out.Landmarks, lm)
-		}
-		out.Peers = append(out.Peers, snap.Peers...)
-		out.Epochs = append(out.Epochs, snap.Epochs...)
-	}
-	sort.Slice(out.Landmarks, func(i, j int) bool { return out.Landmarks[i] < out.Landmarks[j] })
-	sort.Slice(out.Peers, func(i, j int) bool { return out.Peers[i].ID < out.Peers[j].ID })
-	sort.Slice(out.Epochs, func(i, j int) bool { return out.Epochs[i].Landmark < out.Epochs[j].Landmark })
-	if err := gob.NewEncoder(w).Encode(&out); err != nil {
-		return fmt.Errorf("server: merge encode: %w", err)
-	}
-	return nil
-}
-
-// Restore builds a server from a snapshot. The snapshot's landmarks and
-// neighbour count are used; cfg supplies the runtime-only settings (TTL,
-// clock, tree options).
+// Restore builds a server from a snapshot. The snapshot supplies the
+// landmarks, epochs and peers; cfg supplies what is configuration
+// (neighbour count, TTL, clock).
 func Restore(r io.Reader, cfg Config) (*Server, error) {
-	var snap snapshot
-	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("server: snapshot decode: %w", err)
-	}
-	if err := checkSnapshotVersion(snap.Version); err != nil {
-		return nil, err
-	}
-	cfg.Landmarks = snap.Landmarks
-	cfg.NeighborCount = snap.NeighborCount
-	// newServer rather than New: a freshly added elastic shard legitimately
+	// NewEmpty rather than New: a freshly added elastic shard legitimately
 	// snapshots (and so restores) with zero landmarks.
-	s, err := newServer(cfg)
+	s, err := NewEmpty(cfg)
+	if err == nil {
+		err = s.ResetFromSnapshot(r)
+	}
 	if err != nil {
 		return nil, err
-	}
-	var rerr error
-	s.mutate(func(st *state, first bool) {
-		fresh, e := rebuild(&snap, &s.cfg)
-		if first {
-			rerr = e
-		}
-		if e == nil {
-			*st = fresh
-		}
-	})
-	if rerr != nil {
-		return nil, rerr
 	}
 	return s, nil
 }

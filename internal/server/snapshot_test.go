@@ -2,13 +2,24 @@ package server
 
 import (
 	"bytes"
-	"encoding/gob"
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
 
+	"proxdisc/internal/op"
+	"proxdisc/internal/pathtree"
 	"proxdisc/internal/topology"
 )
+
+// oldFormatSnapshots are the openings of the two snapshot formats that
+// preceded op streams: a cluster checkpoint (magic, then a gob header) and
+// a bare gob-encoded server snapshot. No reader is kept for either.
+var oldFormatSnapshots = map[string][]byte{
+	"checkpoint magic": []byte("\x00pxdctb1\x00\x00\x00\x10old gob header.."),
+	"bare gob":         []byte("\x4f\xff\x81\x03\x01\x01\x08snapshot\x01\xff\x82\x00\x01\x05"),
+}
 
 func TestSnapshotRoundTrip(t *testing.T) {
 	s := newTestServer(t, 0, 100)
@@ -32,7 +43,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if restored.NumPeers() != 3 {
 		t.Fatalf("restored peers=%d", restored.NumPeers())
 	}
-	// Landmarks and neighbour count carried over.
+	// Landmarks carried over; the neighbour count is configuration.
 	lms := restored.Landmarks()
 	if len(lms) != 2 || lms[0] != 0 || lms[1] != 100 {
 		t.Fatalf("landmarks=%v", lms)
@@ -67,26 +78,104 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSnapshotPreservesRefreshTimes: refresh times ride the snapshot as the
+// Time of the batch records, so expiry after a restore behaves as if the
+// server had never stopped. The snapshot is a function of the state, not
+// of the history: a twin driven to the same state by other ops in another
+// order writes the same bytes, and a run of more than op.MaxBatch peers
+// sharing one LastRefresh is cut into several records and still round-trips.
 func TestSnapshotPreservesRefreshTimes(t *testing.T) {
 	now := time.Unix(5000, 0)
 	clock := func() time.Time { return now }
-	s, err := New(Config{Landmarks: []topology.NodeID{0}, PeerTTL: 30 * time.Second, Clock: clock})
+	cfg := Config{Landmarks: []topology.NodeID{0}, PeerTTL: 30 * time.Second, Clock: clock}
+	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	const crowd = op.MaxBatch + 44
+	flash := make([]BatchJoin, crowd)
+	for i := range flash {
+		flash[i] = BatchJoin{Peer: pathtree.PeerID(100 + i), Path: []topology.NodeID{topology.NodeID(20 + i%7), 11, 0}}
+	}
+	t0 := now
 	mustJoin(t, s, 1, 10)
+	mustJoin(t, s, 3, 12)
 	now = now.Add(20 * time.Second)
+	t1 := now
 	mustJoin(t, s, 2, 11)
+	for _, res := range s.JoinBatch(flash) {
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+	}
+	// Peer 3's refresh moves it from the t0 run into the t1 run; peer 2's
+	// flag is set and cleared again, peer 3's stays.
+	if err := s.Refresh(3); err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range []op.Op{op.SetSuperPeer(2, true), op.SetSuperPeer(3, true), op.SetSuperPeer(2, false)} {
+		if err := s.Apply(o); err != nil {
+			t.Fatal(err)
+		}
+	}
 
-	var buf bytes.Buffer
+	twin, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	rng.Shuffle(len(flash), func(i, j int) { flash[i], flash[j] = flash[j], flash[i] })
+	for _, it := range flash {
+		if err := twin.Apply(op.Join(it.Peer, it.Path, "", t1.UnixNano())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, o := range []op.Op{
+		op.Join(3, []topology.NodeID{12, 0}, "", t1.UnixNano()),
+		op.SetSuperPeer(3, true),
+		op.Join(2, []topology.NodeID{11, 0}, "", t1.UnixNano()),
+		op.Join(1, []topology.NodeID{10, 0}, "", t0.UnixNano()),
+	} {
+		if err := twin.Apply(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var buf, twinBuf bytes.Buffer
 	if err := s.Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := Restore(&buf, Config{PeerTTL: 30 * time.Second, Clock: clock})
+	if err := twin.Snapshot(&twinBuf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), twinBuf.Bytes()) {
+		t.Fatal("equal states reached by different histories wrote different snapshots")
+	}
+	var runs []int // entries per record of the t1 run
+	if err := op.ReadStream(bytes.NewReader(buf.Bytes()), func(o *op.Op) error {
+		if o.Kind == op.KindBatchJoin && o.Time == t1.UnixNano() {
+			runs = append(runs, len(o.Batch))
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(runs) != 2 || runs[0] != op.MaxBatch || runs[1] != crowd+2-op.MaxBatch {
+		t.Fatalf("t1 run of %d peers cut into records of %v entries", crowd+2, runs)
+	}
+
+	restored, err := Restore(bytes.NewReader(buf.Bytes()), Config{PeerTTL: 30 * time.Second, Clock: clock})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 15 more seconds: peer 1 is 35s stale, peer 2 is 15s.
+	var again bytes.Buffer
+	if err := restored.Snapshot(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
+		t.Fatal("restore then snapshot is not the identity")
+	}
+	// 15 more seconds: peer 1 is 35s stale, everyone else is 15s.
 	now = now.Add(15 * time.Second)
 	expired := restored.Expire()
 	if len(expired) != 1 || expired[0] != 1 {
@@ -95,7 +184,7 @@ func TestSnapshotPreservesRefreshTimes(t *testing.T) {
 }
 
 func TestRestoreRejectsGarbage(t *testing.T) {
-	if _, err := Restore(strings.NewReader("not a gob stream"), Config{}); err == nil {
+	if _, err := Restore(strings.NewReader("not an op stream"), Config{}); err == nil {
 		t.Fatal("accepted garbage")
 	}
 	if _, err := Restore(bytes.NewReader(nil), Config{}); err == nil {
@@ -166,19 +255,38 @@ func TestResetFromSnapshot(t *testing.T) {
 		t.Fatal("reset copy is not byte-identical to the source")
 	}
 
-	// Garbage and future-version snapshots are rejected; the loaded state
-	// survives untouched.
-	if err := dst.ResetFromSnapshot(bytes.NewReader([]byte("not a snapshot"))); err == nil {
-		t.Fatal("garbage snapshot accepted")
+	// Garbage, every truncation of a good snapshot, and the formats that
+	// preceded op streams are rejected by every reader — the old formats by
+	// name — and the loaded state survives untouched.
+	bad := map[string][]byte{"garbage": []byte("not a snapshot")}
+	for name, data := range oldFormatSnapshots {
+		bad[name] = data
 	}
-	var future bytes.Buffer
-	if err := gob.NewEncoder(&future).Encode(&snapshot{Version: 99}); err != nil {
+	for n := 0; n < snap.Len(); n += 7 {
+		bad[fmt.Sprintf("truncated to %d bytes", n)] = snap.Bytes()[:n]
+	}
+	for name, data := range bad {
+		_, oldFormat := oldFormatSnapshots[name]
+		_, restoreErr := Restore(bytes.NewReader(data), Config{})
+		_, absorbErr := dst.Absorb(bytes.NewReader(data))
+		for reader, err := range map[string]error{
+			"ResetFromSnapshot": dst.ResetFromSnapshot(bytes.NewReader(data)),
+			"Absorb":            absorbErr,
+			"Restore":           restoreErr,
+		} {
+			if err == nil {
+				t.Fatalf("%s accepted a %s snapshot", reader, name)
+			}
+			if oldFormat && !strings.Contains(err.Error(), "format") {
+				t.Fatalf("%s refused an old-format (%s) snapshot without naming the format: %v", reader, name, err)
+			}
+		}
+	}
+	b.Reset()
+	if err := dst.Snapshot(&b); err != nil {
 		t.Fatal(err)
 	}
-	if err := dst.ResetFromSnapshot(bytes.NewReader(future.Bytes())); err == nil {
-		t.Fatal("future snapshot version accepted")
-	}
-	if dst.NumPeers() != 2 {
-		t.Fatalf("failed resets corrupted state: %d peers", dst.NumPeers())
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatal("refused snapshots changed the state")
 	}
 }

@@ -117,16 +117,24 @@
 // are appended to a segmented, CRC-framed write-ahead log before the call
 // returns; concurrent writers share fsyncs through group commit, so the
 // durability cost amortizes under load. The cluster's state is
-// periodically snapshotted to the same directory (every
+// periodically checkpointed to the same directory (every
 // ClusterConfig.SnapshotEvery ops, in the background, and again on
-// Cluster.Close), after which the log is truncated at the snapshot
-// boundary — the disk footprint is bounded by the snapshot cadence.
-// NewCluster on a populated directory recovers before returning: it
-// restores the latest snapshot into the shards and replays the log tail
-// through the normal apply path, so a restarted node serves the exact
-// peer set (and, for joins that arrived over the wire, the exact overlay
-// addresses) it acknowledged before the crash. A record torn by the crash
-// itself was never acknowledged and is dropped by CRC. Expiry sweeps are
+// Cluster.Close), after which the log is truncated at the checkpoint
+// boundary — the disk footprint is bounded by the checkpoint cadence.
+// A checkpoint is a compacted op log, written in the same op codec as the
+// log it replaces: one move op per landmark (its owning shard and fencing
+// epoch), every peer as an entry of a batch-join op stamped with its last
+// refresh, one flag op per super-peer — each record length-bounded and
+// CRC-framed, the file closed by a counted end frame. NewCluster on a
+// populated directory recovers before returning: it replays the latest
+// checkpoint and then the log tail through the one normal apply path, so
+// a restarted node serves the exact peer set (and, for joins that arrived
+// over the wire, the exact overlay addresses) it acknowledged before the
+// crash. A log record torn by the crash itself was never acknowledged and
+// is dropped by CRC; a checkpoint, which is only ever renamed into place
+// whole, gets no such tolerance — one that is truncated, fails a CRC, or
+// is in the gob format that preceded op streams (no reader for it is
+// kept) fails NewCluster with the directory untouched. Expiry sweeps are
 // logged as a single deadline-carrying op, not as per-peer leaves, so
 // logs stay compact and every copy re-derives the identical expiry set.
 //
@@ -163,8 +171,8 @@
 // lags is fed by reading the log's files (the WAL is the retention
 // buffer — a slow follower costs a file read, not memory), and a follower
 // behind the log's retention floor — it reconnected after the primary
-// compacted — receives the latest on-disk snapshot plus the tail after
-// it. The follower node fronts its copy with a replica-role NetServer:
+// compacted — receives the latest on-disk checkpoint, shipped as the op
+// stream it is, plus the tail after it. The follower node fronts its copy with a replica-role NetServer:
 // reads are served locally, writes redirect to the primary.
 //
 // Acknowledged offsets and flow control. Followers acknowledge their
@@ -179,8 +187,11 @@
 // WAL tail when the primary still retains it, from snapshot + tail when
 // it does not. Snapshot restore replaces the local copy rather than
 // merging, so peers that departed during the outage disappear from the
-// follower too. Convergence is exact: a follower that has applied the
-// primary's head serializes to a byte-identical snapshot.
+// follower too — and only once the whole shipped stream, end frame
+// included, has read cleanly; until then the follower keeps what it had.
+// Convergence is exact: a snapshot is a function of the state alone, so
+// a follower that has applied the primary's head serializes to a
+// byte-identical one.
 //
 // Monitoring. Status responses (Client.Status) carry the durable
 // telemetry: last snapshot sequence, WAL tail length, recovery replay
@@ -207,7 +218,8 @@
 // one shard owning the landmark and zero peers lost.
 //
 // Each move increments the landmark's fencing epoch, a monotonic counter
-// persisted in snapshots and carried by the move op. Writers that route
+// carried by the move op — in the log and, one per landmark, in every
+// snapshot. Writers that route
 // by a cached ownership table can stamp their ops with the epoch they
 // observed (redirects carry the current epoch for this purpose); a
 // mutation carrying a stale epoch is rejected loudly with a
@@ -370,8 +382,8 @@
 // commits as exactly ONE write-ahead-log record, and shares its fsync
 // with concurrent batches through the group-commit window — so the
 // per-join cost of durability shrinks with load instead of growing.
-// Checkpoints are shaped the same way: a snapshot serializes to memory
-// under the cluster's locks (fast), then streams to disk lock-free;
+// Checkpoints are shaped the same way: the op stream is encoded to memory
+// under the cluster's handoff lock (fast), then streams to disk lock-free;
 // ClusterConfig.CheckpointBytesPerSec caps that background write rate so
 // a multi-gigabyte snapshot cannot monopolize the disk the WAL's fsyncs
 // are latency-bound on.
