@@ -29,18 +29,17 @@
 //
 // Cluster.Lookup takes, in order: the peer index stripe's RLock (released
 // before the shard is touched); then, inside server.Server.Lookup, the
-// published left-right side's fence (side.mu.RLock) and the landmark
-// tree's pathtree.Tree.mu.RLock. Nothing exclusive, nothing of the
-// cluster's own beyond the index stripe. An index miss adds a FindPeer
+// published left-right side's fence (side.mu.RLock) — the trees below it
+// take no lock of their own. Nothing exclusive, nothing of the cluster's
+// own beyond the index stripe. An index miss adds a FindPeer
 // scatter, which reads every shard the same way.
 //
 // Cluster.JoinOp takes: Cluster.mu.RLock (table, moving set, epoch fence)
 // just long enough to take the owning shard's gate, shard.opMu.RLock,
 // which is held across the apply; inside server.mutate, pendMu for the
 // queue push, then the writer mutex wmu — and, when this writer is the
-// combiner, pendMu again to drain the queue, each side's side.mu.Lock in
-// turn and pathtree.Tree.mu.Lock per tree operation; then the peer index
-// stripe's Lock for the index update. After the gate is released a
+// combiner, pendMu again to drain the queue and each side's side.mu.Lock in
+// turn; then the peer index stripe's Lock for the index update. After the gate is released a
 // durable cluster appends to the write-ahead log: the shard stream's
 // append mutex and wal.Sharded's seqMu, then the group-commit syncMu for
 // whoever leads the fsync. The cluster adds no write lock of its own: the

@@ -31,16 +31,16 @@
 // core; open more connections to scale.
 //
 // A local lookup takes exactly these locks. In the front end: fwdMu.RLock
-// (is the peer proxied?), addrMu.RLock (overlay addresses of the answer),
-// and the connection's own write mutex. In a server.Server backend: the
-// published left-right side's fence (side.mu.RLock, which writers take
-// exclusively only on the side no reader is being sent to) and
-// pathtree.Tree.mu.RLock. A cluster.Cluster backend adds the peer index
-// stripe's RLock and nothing else (package cluster lists its locks).
-// Writers hold fwdMu and addrMu exclusively for one map update at a time.
+// (is the peer proxied?) and the connection's own write mutex. In a
+// server.Server backend: the published left-right side's fence
+// (side.mu.RLock, which writers take exclusively only on the side no reader
+// is being sent to) and nothing below it. A cluster.Cluster backend adds the
+// peer index stripe's RLock and nothing else (package cluster lists its
+// locks). Writers hold fwdMu exclusively for one map update at a time.
 //
-// The server also tracks each peer's advertised overlay address so
-// closest-peer answers carry dialable endpoints.
+// Closest-peer answers carry dialable endpoints: every candidate comes back
+// from the backend with the overlay address its peer advertised, read from
+// the peer's record (see toWire).
 //
 // A NetServer fronts either a standalone server.Server or one node of a
 // landmark-sharded cluster (see Backend). In cluster deployments each node
@@ -215,9 +215,6 @@ type NetServer struct {
 
 	mu    sync.Mutex
 	conns map[net.Conn]struct{}
-
-	addrMu sync.RWMutex // its own lock: every answer reads addrs, nothing else shares it
-	addrs  map[pathtree.PeerID]string
 
 	fwdMu    sync.RWMutex               // read-locked by every peer-keyed request (forwardedOwner)
 	fwd      map[string]*client.Client  // node-to-node forwarding connections
@@ -442,7 +439,6 @@ func Listen(cfg Config) (*NetServer, error) {
 		cfg:      cfg,
 		ln:       ln,
 		local:    make(map[topology.NodeID]bool),
-		addrs:    make(map[pathtree.PeerID]string),
 		conns:    make(map[net.Conn]struct{}),
 		fwdPeers: fwdPeers,
 		front:    front,
@@ -893,7 +889,7 @@ func (s *NetServer) lookupLocal(p pathtree.PeerID) (proto.MsgType, []byte) {
 		}
 		return errResp(code, err)
 	}
-	b, err := proto.EncodeLookupResponse(&proto.LookupResponse{Neighbors: s.toWire(cands)})
+	b, err := proto.EncodeLookupResponse(&proto.LookupResponse{Neighbors: toWire(cands)})
 	if err != nil {
 		return errResp(proto.CodeInternal, err)
 	}
@@ -1066,9 +1062,6 @@ func (s *NetServer) handleReq(typ proto.MsgType, payload []byte) (proto.MsgType,
 		if err := s.cfg.Server.Apply(o); err != nil && !errors.Is(err, server.ErrUnknownPeer) {
 			return errResp(proto.CodeInternal, err)
 		}
-		s.addrMu.Lock()
-		delete(s.addrs, o.Peer)
-		s.addrMu.Unlock()
 		return proto.MsgAck, nil
 
 	case proto.MsgRefreshRequest:
@@ -1150,8 +1143,8 @@ func (s *NetServer) serveJoin(o op.Op) (proto.MsgType, []byte) {
 		}
 		return errResp(code, err)
 	}
-	s.registerLocalJoin(o.Join.Peer, o.Join.Addr)
-	b, err := proto.EncodeJoinResponse(&proto.JoinResponse{Neighbors: s.toWire(cands)})
+	s.retireForwarded(o.Join.Peer)
+	b, err := proto.EncodeJoinResponse(&proto.JoinResponse{Neighbors: toWire(cands)})
 	if err != nil {
 		return errResp(proto.CodeInternal, err)
 	}
@@ -1239,8 +1232,8 @@ func (s *NetServer) serveBatchJoin(o op.Op, forwarded bool) (proto.MsgType, []by
 				results[i] = proto.BatchJoinResult{Code: code, Message: err.Error()}
 				continue
 			}
-			s.registerLocalJoin(entries[k].Peer, entries[k].Addr)
-			results[i] = proto.BatchJoinResult{Neighbors: s.toWire(res[k].Neighbors)}
+			s.retireForwarded(entries[k].Peer)
+			results[i] = proto.BatchJoinResult{Neighbors: toWire(res[k].Neighbors)}
 		}
 	}
 	b, err := proto.EncodeBatchJoinResponse(&proto.BatchJoinResponse{Results: results})
@@ -1250,13 +1243,10 @@ func (s *NetServer) serveBatchJoin(o op.Op, forwarded bool) (proto.MsgType, []by
 	return proto.MsgBatchJoinResponse, b
 }
 
-// registerLocalJoin records a locally joined peer's overlay address and
-// retires any stale proxied registration at another node: the peer lives
-// here now, and the old owner must not keep capturing its follow-ups.
-func (s *NetServer) registerLocalJoin(p pathtree.PeerID, overlayAddr string) {
-	s.addrMu.Lock()
-	s.addrs[p] = overlayAddr
-	s.addrMu.Unlock()
+// retireForwarded retires any stale proxied registration a locally joined
+// peer has at another node: the peer lives here now, and the old owner must
+// not keep capturing its follow-ups.
+func (s *NetServer) retireForwarded(p pathtree.PeerID) {
 	// Almost every join is of a peer never proxied: find that out under the
 	// read lock, beside the lookups, and write-lock only to retire an entry.
 	if _, ok := s.forwardedOwner(p); !ok {
@@ -1344,11 +1334,7 @@ func (s *NetServer) recordForwarded(p pathtree.PeerID, addr string) {
 	s.fwdPeers[p] = addr
 	s.fwdMu.Unlock()
 	s.front.setForwarded(p, addr, s.copyFwdPeers)
-	if s.cfg.Server.Apply(op.Leave(p)) == nil {
-		s.addrMu.Lock()
-		delete(s.addrs, p)
-		s.addrMu.Unlock()
-	}
+	_ = s.cfg.Server.Apply(op.Leave(p)) // an unknown peer had no local record to retire
 }
 
 // dropForwarded forgets a proxied peer's ownership entry (and its durable
@@ -1474,38 +1460,14 @@ func (s *NetServer) dropForwardClient(addr string, fc *client.Client) {
 	fc.Close()
 }
 
-// toWire converts pathtree candidates to wire candidates with addresses.
-// The address cache is write-through over the backend's durable peer
-// records: a miss (a peer restored from disk before it re-contacted this
-// front end, or one registered through the primary and applied to this
-// node's follower copy) falls back to the backend's PeerInfo and refills
-// the cache.
-func (s *NetServer) toWire(cands []pathtree.Candidate) []proto.Candidate {
+// toWire converts a backend's answer to its wire form. Every candidate
+// carries its peer's overlay address already: the backend reads it from the
+// peer's record as it builds the answer, and "" there means the peer
+// advertised none.
+func toWire(cands []pathtree.Candidate) []proto.Candidate {
 	out := make([]proto.Candidate, len(cands))
-	var misses []int
-	s.addrMu.RLock()
 	for i, c := range cands {
-		addr, ok := s.addrs[c.Peer]
-		if !ok {
-			misses = append(misses, i)
-		}
-		out[i] = proto.Candidate{
-			Peer:  int64(c.Peer),
-			DTree: int32(c.DTree),
-			Addr:  addr,
-		}
-	}
-	s.addrMu.RUnlock()
-	for _, i := range misses {
-		p := cands[i].Peer
-		info, err := s.cfg.Server.PeerInfo(p)
-		if err != nil || info.Addr == "" {
-			continue
-		}
-		out[i].Addr = info.Addr
-		s.addrMu.Lock()
-		s.addrs[p] = info.Addr
-		s.addrMu.Unlock()
+		out[i] = proto.Candidate{Peer: int64(c.Peer), DTree: int32(c.DTree), Addr: c.Addr}
 	}
 	return out
 }

@@ -114,7 +114,7 @@ func (s *NetServer) serveSubscribe(wc *wireConn, id uint64, payload []byte) {
 		// winds down through its Done channel.
 		s.plane.Remove(old)
 	}
-	ack, err := proto.EncodeSubscribeAck(&proto.SubscribeAck{Seq: seq, Neighbors: s.toWire(snapshot)})
+	ack, err := proto.EncodeSubscribeAck(&proto.SubscribeAck{Seq: seq, Neighbors: toWire(snapshot)})
 	if err != nil {
 		s.plane.Remove(sb)
 		t, resp := errResp(proto.CodeInternal, err)
@@ -215,18 +215,23 @@ func (s *NetServer) subSender(wc *wireConn, id uint64, sb *sub.Subscriber) {
 	}
 }
 
-// encodeSubEvent resolves a plane event to its wire form. Addresses come
-// through the same toWire cache the pull path uses, so a pushed candidate
-// is byte-identical to the one a fresh lookup would return.
+// encodeSubEvent resolves a plane event to its wire form. A resync carries
+// a backend answer, addresses included; a single-peer event names only a
+// peer and a distance, so its address is read from the peer's record here —
+// a pushed candidate is byte-identical to the one a fresh lookup would
+// return.
 func (s *NetServer) encodeSubEvent(ev *sub.Event) ([]byte, error) {
 	m := proto.SubEvent{Seq: ev.Seq, Kind: ev.Kind}
 	switch ev.Kind {
 	case proto.EventEnter, proto.EventUpdate:
-		m.Cand = s.toWire([]pathtree.Candidate{{Peer: ev.Peer, DTree: ev.DTree}})[0]
+		m.Cand = proto.Candidate{Peer: int64(ev.Peer), DTree: int32(ev.DTree)}
+		if info, err := s.cfg.Server.PeerInfo(ev.Peer); err == nil {
+			m.Cand.Addr = info.Addr
+		}
 	case proto.EventLeave:
 		m.Cand = proto.Candidate{Peer: int64(ev.Peer)}
 	case proto.EventResync:
-		m.Neighbors = s.toWire(ev.Neighbors)
+		m.Neighbors = toWire(ev.Neighbors)
 	}
 	return proto.EncodeSubEvent(&m)
 }

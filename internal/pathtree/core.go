@@ -1,0 +1,733 @@
+package pathtree
+
+import (
+	"errors"
+	"fmt"
+	"iter"
+	"math/bits"
+	"slices"
+
+	"proxdisc/internal/topology"
+)
+
+// Slab geometry. Nodes and records are carved from chunks of slabSize
+// slots, child pairs from chunks of kidChunk pairs; a chunk is never
+// reallocated, so growing a tree copies nothing and its slack is at most one
+// chunk per pool.
+const (
+	slabShift = 8
+	slabSize  = 1 << slabShift
+	kidShift  = 10
+	kidChunk  = 1 << kidShift
+
+	none int32 = -1 // the nil index
+	root int32 = 0  // the landmark's node, carved first
+)
+
+// node is one router of the trie: 32 bytes, no pointers, every link an
+// index into one of the tree's pools.
+type node struct {
+	router topology.NodeID
+	// parent is the node one hop closer to the landmark (none at the root);
+	// while the node is parked on the free list it is the list link.
+	parent int32
+	// depth is the distance from the landmark in hops; none marks a free node.
+	depth int32
+	// subtreeCount is the number of peers attached in this node's subtree,
+	// itself included. Pruning fires when it reaches zero.
+	subtreeCount int32
+	// firstPeer heads the chain of records attached exactly here (their
+	// path ends at this router), linked through Record.next.
+	firstPeer int32
+	// kidsOff, kidsLen and kidsCap locate the node's children in the kid
+	// pool: a run of kidsCap pairs (zero or a power of two) of which the
+	// first kidsLen are in use, sorted ascending by router.
+	kidsOff, kidsLen, kidsCap int32
+}
+
+// kid is one entry of a node's child run: the child's router beside its
+// node index, so a search compares keys that sit together in one cache line
+// instead of dereferencing a child per probe.
+type kid struct {
+	router topology.NodeID
+	idx    int32
+}
+
+// Record is the one record a tree holds per resident peer: everything the
+// management server keeps about the peer apart from its path, which is the
+// parent chain of the node the record hangs off. The trie reads ID and its
+// own two links; RefreshNanos, Addr and Super are the caller's, zero on a
+// fresh record.
+type Record struct {
+	// ID is the peer.
+	ID PeerID
+	// RefreshNanos is the time of the last join or refresh, in Unix
+	// nanoseconds.
+	RefreshNanos int64
+	// Addr is the peer's advertised overlay address.
+	Addr string
+	// node is the trie node the peer is attached at (none while the record
+	// is free); next links the records attached at one node, and the free
+	// list.
+	node, next int32
+	// Super marks a super-peer.
+	Super bool
+}
+
+// slab is a pool of fixed-size slots carved from chunks and addressed by
+// index.
+type slab[T any] struct {
+	chunks []*[slabSize]T
+	carved int32 // slots handed out so far, free ones included
+	free   int32 // head of the free list (none when empty)
+	freeN  int32
+}
+
+func (s *slab[T]) at(i int32) *T { return &s.chunks[i>>slabShift][i&(slabSize-1)] }
+
+// carve returns a never-used slot, opening a chunk when the last is full.
+func (s *slab[T]) carve() int32 {
+	if int(s.carved)>>slabShift == len(s.chunks) {
+		s.chunks = append(s.chunks, new([slabSize]T))
+	}
+	s.carved++
+	return s.carved - 1
+}
+
+// kidPool hands out runs of child pairs in power-of-two sizes. Freed runs
+// wait on a free list per size and are reused whole; nothing is split or
+// merged, so a run's size class never changes.
+type kidPool struct {
+	// chunks[i] starts at pool offset i<<kidShift. A run longer than one
+	// chunk owns consecutive entries, each a suffix of one allocation, so
+	// slicing from its first entry reaches the whole run.
+	chunks [][]kid
+	// next and end bound the part of the newest chunk not yet handed out.
+	next, end int32
+	free      [31]int32 // per size class, linked through the first pair's idx
+	carved    int32     // pairs handed out so far, free ones included
+	freeN     int32     // pairs on the free lists
+}
+
+func (p *kidPool) run(off, n int32) []kid {
+	return p.chunks[off>>kidShift][off&(kidChunk-1):][:n]
+}
+
+// alloc returns the offset of a run of 1<<class pairs.
+func (p *kidPool) alloc(class int) int32 {
+	size := int32(1) << class
+	if off := p.free[class]; off != none {
+		p.free[class] = p.run(off, 1)[0].idx
+		p.freeN -= size
+		return off
+	}
+	if p.end-p.next < size {
+		// Park what is left of the current chunk on the free lists, largest
+		// piece first, and open a chunk (or, for a run that outgrows one, a
+		// region of whole chunks).
+		for left := p.end - p.next; left > 0; left = p.end - p.next {
+			piece := bits.Len32(uint32(left)) - 1
+			p.carved += 1 << piece
+			p.release(p.next, piece)
+			p.next += 1 << piece
+		}
+		region := make([]kid, max(size, kidChunk))
+		p.next = int32(len(p.chunks)) << kidShift
+		p.end = p.next + int32(len(region))
+		for o := 0; o < len(region); o += kidChunk {
+			p.chunks = append(p.chunks, region[o:])
+		}
+	}
+	off := p.next
+	p.next += size
+	p.carved += size
+	return off
+}
+
+// release parks a run on its size class's free list.
+func (p *kidPool) release(off int32, class int) {
+	p.run(off, 1)[0].idx = p.free[class]
+	p.free[class] = off
+	p.freeN += 1 << class
+}
+
+// Core is the per-landmark path prefix tree, keyed by slot: Join returns
+// the slot of the peer's record, and every later call names the peer by it.
+// Core takes no lock and keeps no index from peer IDs to slots — both are
+// its caller's: calls that modify the tree need exclusive access, queries
+// may run concurrently with each other. Tree is the locked, ID-keyed form.
+type Core struct {
+	landmark topology.NodeID
+	nodes    slab[node]
+	recs     slab[Record]
+	kids     kidPool
+}
+
+// NewCore returns an empty tree for the given landmark router.
+func NewCore(landmark topology.NodeID) *Core {
+	c := &Core{landmark: landmark}
+	c.nodes.free, c.recs.free = none, none
+	for i := range c.kids.free {
+		c.kids.free[i] = none
+	}
+	*c.nodes.at(c.nodes.carve()) = node{router: landmark, parent: none, firstPeer: none}
+	return c
+}
+
+// Landmark returns the landmark router this tree is rooted at.
+func (c *Core) Landmark() topology.NodeID { return c.landmark }
+
+// Len reports the number of peers currently in the tree.
+func (c *Core) Len() int { return int(c.nodes.at(root).subtreeCount) }
+
+// Record returns the record in slot, for the caller to read or to set the
+// fields that are its own. The pointer is good until the slot is removed.
+func (c *Core) Record(slot int32) *Record { return c.recs.at(slot) }
+
+// Records iterates over every resident peer's slot and record, in slot
+// order. The loop body may Remove the slot it was handed.
+func (c *Core) Records() iter.Seq2[int32, *Record] {
+	return func(yield func(int32, *Record) bool) {
+		for slot := int32(0); slot < c.recs.carved; slot++ {
+			if rec := c.recs.at(slot); rec.node != none && !yield(slot, rec) {
+				return
+			}
+		}
+	}
+}
+
+// ValidatePath checks a reported peer→landmark router path: non-empty,
+// ending at the landmark, no anonymous and no repeated router. Core trusts
+// its caller to have made this check; it is made once, where a path enters.
+func ValidatePath(path []topology.NodeID, landmark topology.NodeID) error {
+	if len(path) == 0 {
+		return errors.New("pathtree: empty path")
+	}
+	if path[len(path)-1] != landmark {
+		return fmt.Errorf("pathtree: path ends at router %d, not landmark %d",
+			path[len(path)-1], landmark)
+	}
+	// Paths are short (bounded by the wire limit), so a quadratic scan for
+	// repeats beats building a set: it allocates nothing on the hot path.
+	for i, r := range path {
+		if r == topology.InvalidNode {
+			return errors.New("pathtree: path contains anonymous router; strip before insert")
+		}
+		for _, q := range path[:i] {
+			if q == r {
+				return fmt.Errorf("pathtree: router %d repeats in path", r)
+			}
+		}
+	}
+	return nil
+}
+
+// search returns the position of router r in a sorted child run, or, when it
+// is absent, the position it would be inserted at. It runs once per path hop
+// of every join and query; the open-coded search is a third faster on
+// BenchmarkPathTreeChurn than slices.BinarySearchFunc, which calls its
+// comparison through a func value.
+func search(run []kid, r topology.NodeID) (int, bool) {
+	lo, hi := 0, len(run)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if run[mid].router < r {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(run) && run[lo].router == r
+}
+
+// kidsOf returns n's children, sorted by router.
+func (c *Core) kidsOf(n *node) []kid {
+	if n.kidsLen == 0 {
+		return nil // a leaf owns no run
+	}
+	return c.kids.run(n.kidsOff, n.kidsLen)
+}
+
+// descend walks down from the landmark as far as the trie matches the
+// reported (peer-side first) path. It returns the node reached, the index
+// in path of the first hop the trie lacks (-1 when the whole path matched)
+// and the position that hop would take among the reached node's children.
+func (c *Core) descend(path []topology.NodeID, sc *Scratch) (cur int32, i, at int) {
+	cur = root
+	for i = len(path) - 2; i >= 0; i-- {
+		run := c.kidsOf(c.nodes.at(cur))
+		var ok bool
+		if at, ok = search(run, path[i]); !ok {
+			break
+		}
+		cur = run[at].idx
+	}
+	if sc != nil {
+		sc.hops += len(path) - 2 - i
+	}
+	return cur, i, at
+}
+
+// addChild links a new node for router r under parent at position at of its
+// child run, moving the run to one of twice the size when it is full.
+func (c *Core) addChild(parent int32, at int, r topology.NodeID) int32 {
+	idx := c.nodes.free
+	if idx != none {
+		c.nodes.free = c.nodes.at(idx).parent
+		c.nodes.freeN--
+	} else {
+		idx = c.nodes.carve()
+	}
+	pn := c.nodes.at(parent)
+	*c.nodes.at(idx) = node{router: r, parent: parent, depth: pn.depth + 1, firstPeer: none}
+	if pn.kidsLen == pn.kidsCap {
+		class := 0
+		if pn.kidsCap > 0 {
+			class = bits.TrailingZeros32(uint32(pn.kidsCap)) + 1
+		}
+		off := c.kids.alloc(class)
+		if pn.kidsCap > 0 {
+			copy(c.kids.run(off, pn.kidsLen), c.kidsOf(pn))
+			c.kids.release(pn.kidsOff, class-1)
+		}
+		pn.kidsOff, pn.kidsCap = off, 1<<class
+	}
+	pn.kidsLen++
+	run := c.kidsOf(pn)
+	copy(run[at+1:], run[at:])
+	run[at] = kid{router: r, idx: idx}
+	return idx
+}
+
+// Join attaches peer p at the end of its reported path (peer-side first,
+// ending at the landmark) and returns the slot of its record, fresh apart
+// from ID. With k > 0 it first answers the newcomer's closest-peers query,
+// on the same descent: the walk down the path stops where the trie stops
+// matching, the query runs from there, and the walk resumes creating the
+// routers that were missing. The hits alias sc and are good until sc is used
+// again. The path must have passed ValidatePath, and p must not be resident:
+// a peer that re-joins is removed first.
+func (c *Core) Join(p PeerID, path []topology.NodeID, k int, sc *Scratch) (slot int32, hits []Hit) {
+	cur, i, at := c.descend(path, sc)
+	if k > 0 {
+		hits = c.closestFrom(cur, len(path)-1, k, none, nil, sc)
+	}
+	for ; i >= 0; i-- {
+		cur = c.addChild(cur, at, path[i])
+		at = 0 // a node just made has no children to sort among
+	}
+	slot = c.recs.free
+	if slot != none {
+		c.recs.free = c.recs.at(slot).next
+		c.recs.freeN--
+	} else {
+		slot = c.recs.carve()
+	}
+	n := c.nodes.at(cur)
+	*c.recs.at(slot) = Record{ID: p, node: cur, next: n.firstPeer}
+	n.firstPeer = slot
+	for m := cur; m != none; {
+		n = c.nodes.at(m)
+		n.subtreeCount++
+		m = n.parent
+	}
+	return slot, hits
+}
+
+// Insert is Join without the query.
+func (c *Core) Insert(p PeerID, path []topology.NodeID) int32 {
+	slot, _ := c.Join(p, path, 0, nil)
+	return slot
+}
+
+// Remove detaches the peer in slot, recycles its record and prunes the trie
+// branches it leaves empty.
+func (c *Core) Remove(slot int32) {
+	rec := c.recs.at(slot)
+	at := rec.node
+	link := &c.nodes.at(at).firstPeer
+	for *link != slot {
+		link = &c.recs.at(*link).next
+	}
+	*link = rec.next
+	// Clearing the record drops its hold on the address string.
+	*rec = Record{node: none, next: c.recs.free}
+	c.recs.free = slot
+	c.recs.freeN++
+	for m := at; m != none; {
+		n := c.nodes.at(m)
+		n.subtreeCount--
+		m = n.parent
+	}
+	// Prune empty leaves upward, recycling each node and its child run.
+	// Modifying calls have the tree to themselves, so no query can still
+	// hold an index into what is recycled here.
+	for m := at; m != root; {
+		n := c.nodes.at(m)
+		if n.subtreeCount != 0 {
+			break
+		}
+		parent := n.parent
+		pn := c.nodes.at(parent)
+		run := c.kidsOf(pn)
+		i, _ := search(run, n.router)
+		copy(run[i:], run[i+1:])
+		pn.kidsLen--
+		if n.kidsCap > 0 {
+			c.kids.release(n.kidsOff, bits.TrailingZeros32(uint32(n.kidsCap)))
+		}
+		*n = node{parent: c.nodes.free, depth: none}
+		c.nodes.free = m
+		c.nodes.freeN++
+		m = parent
+	}
+}
+
+// Depth returns the trie depth of the peer in slot: its path length to the
+// landmark.
+func (c *Core) Depth(slot int32) int { return int(c.nodes.at(c.recs.at(slot).node).depth) }
+
+// DTree returns the inferred tree distance between the peers in two slots:
+// the walk from one up to their deepest common ancestor and down to the
+// other.
+func (c *Core) DTree(a, b int32) int {
+	na, nb := c.nodes.at(c.recs.at(a).node), c.nodes.at(c.recs.at(b).node)
+	sum := na.depth + nb.depth
+	for na.depth > nb.depth {
+		na = c.nodes.at(na.parent)
+	}
+	for nb.depth > na.depth {
+		nb = c.nodes.at(nb.parent)
+	}
+	for na != nb {
+		na, nb = c.nodes.at(na.parent), c.nodes.at(nb.parent)
+	}
+	return int(sum - 2*na.depth)
+}
+
+// AppendPath appends the reported path of the peer in slot to dst, peer-side
+// first: the routers of its node's parent chain.
+func (c *Core) AppendPath(dst []topology.NodeID, slot int32) []topology.NodeID {
+	for m := c.recs.at(slot).node; m != none; {
+		n := c.nodes.at(m)
+		dst = append(dst, n.router)
+		m = n.parent
+	}
+	return dst
+}
+
+// Walk visits every resident peer, depth-first, with its reported path
+// (peer-side first). Peers attached at one router are handed the same slice;
+// it aliases memory Walk allocates in large blocks and never writes again,
+// so fn may keep it but must not modify it.
+func (c *Core) Walk(fn func(rec *Record, path []topology.NodeID)) {
+	var stack, block []topology.NodeID // routers from the landmark down; unused arena
+	var visit func(m int32)
+	visit = func(m int32) {
+		n := c.nodes.at(m)
+		stack = append(stack, n.router)
+		if n.firstPeer != none {
+			if len(block) < len(stack) {
+				block = make([]topology.NodeID, max(len(stack), 1<<14))
+			}
+			path := block[:len(stack):len(stack)]
+			block = block[len(stack):]
+			for i, r := range stack {
+				path[len(path)-1-i] = r
+			}
+			for s := n.firstPeer; s != none; {
+				rec := c.recs.at(s)
+				s = rec.next
+				fn(rec, path)
+			}
+		}
+		for _, kd := range c.kidsOf(n) {
+			visit(kd.idx)
+		}
+		stack = stack[:len(stack)-1]
+	}
+	visit(root)
+}
+
+// Hit is one entry of a query's answer as the trie produces it: the
+// candidate's slot beside its ID, so the caller reads whatever else the
+// answer needs straight from the record.
+type Hit struct {
+	Peer  PeerID
+	DTree int32
+	Slot  int32
+}
+
+// Scratch is a query's reusable working memory: the breadth-first queue and
+// the top-k buffer the returned hits alias. One Scratch serves one query at
+// a time; GetScratch hands them out of a pool.
+type Scratch struct {
+	queue []int32
+	top   []Hit
+	// visits counts the trie nodes queries enqueued and hops the child-run
+	// searches descents made; TestClosestVisitsBounded reads both.
+	visits, hops int
+}
+
+// Closest returns the k peers with the smallest dtree distance to the peer
+// in slot, that peer excluded, sorted by (DTree, Peer). The hits alias sc.
+func (c *Core) Closest(slot int32, k int, sc *Scratch) []Hit {
+	at := c.recs.at(slot).node
+	return c.closestFrom(at, int(c.nodes.at(at).depth), k, slot, nil, sc)
+}
+
+// ClosestToPath answers the query for a newcomer whose (validated) path is
+// given without inserting it, leaving out the peer in slot skip (none for
+// nobody) and any peer in exclude.
+func (c *Core) ClosestToPath(path []topology.NodeID, k int, skip int32, exclude map[PeerID]bool, sc *Scratch) []Hit {
+	// The newcomer's would-be depth is len(path)-1, wherever the trie stops
+	// matching its path.
+	cur, _, _ := c.descend(path, sc)
+	return c.closestFrom(cur, len(path)-1, k, skip, exclude, sc)
+}
+
+// closestFrom computes the exact k-nearest peers by dtree for a query point
+// located at trie node start with the given query depth (which may exceed
+// start's depth when the query path diverged below start).
+//
+// The walk ascends the ancestor chain; at each ancestor a (depth da) it
+// searches a's subtree, minus the child subtree already covered, breadth
+// first. A peer found there at depth dq has dca depth exactly da, hence
+// dtree = (qd − da) + (dq − da), so the search meets peers in non-decreasing
+// dtree order. Once k candidates are held with kth-best distance w it
+// neither enqueues nor scans a node deeper than w − qd + 2·da — inclusive, so
+// an equal-distance peer with a smaller ID still wins its tie — and the
+// ascent stops at the first ancestor whose own distance qd − da exceeds w.
+// That makes the answer exact, not approximate.
+func (c *Core) closestFrom(start int32, queryDepth, k int, skip int32, exclude map[PeerID]bool, sc *Scratch) []Hit {
+	if k <= 0 {
+		return nil
+	}
+	if cap(sc.top) < k {
+		sc.top = make([]Hit, 0, k)
+	}
+	out := sc.top[:0:k]
+	queue := sc.queue
+	covered := none
+	for a := start; a != none; {
+		an := c.nodes.at(a)
+		da := int(an.depth)
+		if len(out) == k && queryDepth-da > int(out[k-1].DTree) {
+			break
+		}
+		base := queryDepth - 2*da // base + depth = dtree of a peer found under a
+		queue = append(queue[:0], a)
+		for i := 0; i < len(queue); i++ {
+			n := c.nodes.at(queue[i])
+			d := base + int(n.depth)
+			if len(out) == k && d > int(out[k-1].DTree) {
+				break // BFS order: every later node is at least as deep
+			}
+			for s := n.firstPeer; s != none; {
+				rec := c.recs.at(s)
+				if s != skip && (exclude == nil || !exclude[rec.ID]) {
+					out = pushHit(out, Hit{Peer: rec.ID, DTree: int32(d), Slot: s})
+				}
+				s = rec.next
+			}
+			if len(out) == k && d+1 > int(out[k-1].DTree) {
+				continue
+			}
+			for _, kd := range c.kidsOf(n) {
+				if kd.idx != covered {
+					queue = append(queue, kd.idx)
+				}
+			}
+		}
+		sc.visits += len(queue)
+		covered = a
+		a = an.parent
+	}
+	sc.queue = queue
+	return out
+}
+
+// pushHit inserts h into out, which is sorted by (DTree, Peer) and never
+// grows beyond its capacity: when full, h either displaces the last entry or
+// is dropped.
+func pushHit(out []Hit, h Hit) []Hit {
+	less := func(x, y Hit) bool {
+		return x.DTree < y.DTree || (x.DTree == y.DTree && x.Peer < y.Peer)
+	}
+	if len(out) == cap(out) {
+		if !less(h, out[len(out)-1]) {
+			return out
+		}
+		out = out[:len(out)-1]
+	}
+	i := len(out)
+	out = append(out, h)
+	for ; i > 0 && less(h, out[i-1]); i-- {
+		out[i] = out[i-1]
+	}
+	out[i] = h
+	return out
+}
+
+// Stats summarizes tree shape for diagnostics and experiments.
+type Stats struct {
+	// Peers is the number of peers stored.
+	Peers int
+	// Nodes is the number of trie nodes, including the root.
+	Nodes int
+	// MaxDepth is the deepest trie node.
+	MaxDepth int
+	// RouterConflicts counts the trie positions beyond the first that some
+	// router currently occupies (possible with lossy or truncated
+	// traceroutes): Nodes minus distinct routers. The trie remains correct;
+	// the number surfaces measurement-quality problems.
+	RouterConflicts int
+}
+
+// Stats computes current tree statistics in one pass over the node slab.
+func (c *Core) Stats() Stats {
+	s := Stats{Peers: c.Len()}
+	routers := make([]topology.NodeID, 0, c.nodes.carved-c.nodes.freeN)
+	for i := int32(0); i < c.nodes.carved; i++ {
+		if n := c.nodes.at(i); n.depth != none {
+			routers = append(routers, n.router)
+			s.MaxDepth = max(s.MaxDepth, int(n.depth))
+		}
+	}
+	s.Nodes = len(routers)
+	slices.Sort(routers)
+	s.RouterConflicts = s.Nodes - len(slices.Compact(routers))
+	return s
+}
+
+// ArenaStats reports the occupancy of a tree's three pools. In each, what is
+// carved stays carved: removed peers and pruned routers park their slots on
+// a free list for the next join, so under steady churn the carved figures
+// stop moving.
+type ArenaStats struct {
+	// Allocated is the number of nodes ever carved — the node pool's
+	// high-water mark, not counting the root. Free of them are parked on the
+	// free list; Live = Allocated − Free are in the trie.
+	Allocated, Free, Live int
+	// Records and FreeRecords are the same two figures for peer records.
+	Records, FreeRecords int
+	// Kids and FreeKids are the same for child pairs: pairs handed out in
+	// runs, and pairs in runs parked on the per-size free lists.
+	Kids, FreeKids int
+}
+
+// ArenaStats returns current pool occupancy.
+func (c *Core) ArenaStats() ArenaStats {
+	allocated, free := int(c.nodes.carved)-1, int(c.nodes.freeN)
+	return ArenaStats{
+		Allocated: allocated, Free: free, Live: allocated - free,
+		Records: int(c.recs.carved), FreeRecords: int(c.recs.freeN),
+		Kids: int(c.kids.carved), FreeKids: int(c.kids.freeN),
+	}
+}
+
+// CheckInvariants deeply validates the tree's internal consistency: subtree
+// counters, depth bookkeeping, parent/child symmetry, sorted child runs, the
+// peer chains, and, for each of the three pools, that every slot carved is
+// either reachable from the root or parked on a free list. It is O(size) and
+// intended for tests and debugging; it returns the first violation found.
+func (c *Core) CheckInvariants() error {
+	var liveNodes, liveRecs, liveKids int32
+	var walk func(m int32) (int32, error)
+	walk = func(m int32) (int32, error) {
+		n := c.nodes.at(m)
+		liveNodes++
+		liveKids += n.kidsCap
+		if n.kidsLen > n.kidsCap || n.kidsCap&(n.kidsCap-1) != 0 {
+			return 0, fmt.Errorf("pathtree: node %d holds %d children in a run of %d", n.router, n.kidsLen, n.kidsCap)
+		}
+		var count int32
+		for s := n.firstPeer; s != none; s = c.recs.at(s).next {
+			if count++; count > c.recs.carved {
+				return 0, fmt.Errorf("pathtree: peer chain at node %d is cyclic", n.router)
+			}
+			if at := c.recs.at(s).node; at != m {
+				return 0, fmt.Errorf("pathtree: peer %d chained at node %d but records node index %d", c.recs.at(s).ID, n.router, at)
+			}
+		}
+		liveRecs += count
+		run := c.kidsOf(n)
+		for i, kd := range run {
+			if i > 0 && run[i-1].router >= kd.router {
+				return 0, fmt.Errorf("pathtree: node %d child run not strictly ascending", n.router)
+			}
+			ch := c.nodes.at(kd.idx)
+			if ch.router != kd.router {
+				return 0, fmt.Errorf("pathtree: node %d files child %d under router %d", n.router, ch.router, kd.router)
+			}
+			if ch.parent != m {
+				return 0, fmt.Errorf("pathtree: child %d of %d has wrong parent", ch.router, n.router)
+			}
+			if ch.depth != n.depth+1 {
+				return 0, fmt.Errorf("pathtree: child %d depth %d under depth %d", ch.router, ch.depth, n.depth)
+			}
+			sub, err := walk(kd.idx)
+			if err != nil {
+				return 0, err
+			}
+			count += sub
+		}
+		if count != n.subtreeCount {
+			return 0, fmt.Errorf("pathtree: node %d subtreeCount %d, actual %d", n.router, n.subtreeCount, count)
+		}
+		if m != root && count == 0 {
+			return 0, fmt.Errorf("pathtree: empty node %d not pruned", n.router)
+		}
+		return count, nil
+	}
+	if _, err := walk(root); err != nil {
+		return err
+	}
+	freeNodes, err := chainLen(c.nodes.free, c.nodes.carved, func(i int32) (int32, bool) {
+		n := c.nodes.at(i)
+		return n.parent, n.depth == none && n.kidsCap == 0
+	})
+	if err != nil || freeNodes != c.nodes.freeN || liveNodes+freeNodes != c.nodes.carved {
+		return fmt.Errorf("pathtree: node pool: %d live + %d free (%d accounted, %v) != %d carved",
+			liveNodes, freeNodes, c.nodes.freeN, err, c.nodes.carved)
+	}
+	freeRecs, err := chainLen(c.recs.free, c.recs.carved, func(i int32) (int32, bool) {
+		r := c.recs.at(i)
+		return r.next, r.node == none && r.Addr == ""
+	})
+	if err != nil || freeRecs != c.recs.freeN || liveRecs+freeRecs != c.recs.carved {
+		return fmt.Errorf("pathtree: record pool: %d live + %d free (%d accounted, %v) != %d carved",
+			liveRecs, freeRecs, c.recs.freeN, err, c.recs.carved)
+	}
+	var freeKids int32
+	for class, head := range c.kids.free {
+		runs, err := chainLen(head, c.kids.carved, func(off int32) (int32, bool) {
+			return c.kids.run(off, 1)[0].idx, true
+		})
+		if err != nil {
+			return fmt.Errorf("pathtree: kid pool, size class %d: %v", class, err)
+		}
+		freeKids += runs << class
+	}
+	if freeKids != c.kids.freeN || liveKids+freeKids != c.kids.carved {
+		return fmt.Errorf("pathtree: kid pool: %d live + %d free (%d accounted) != %d carved",
+			liveKids, freeKids, c.kids.freeN, c.kids.carved)
+	}
+	return nil
+}
+
+// chainLen walks a free list from head, checking each entry with next (which
+// also says whether the entry looks free) and giving up after limit entries.
+func chainLen(head, limit int32, next func(int32) (int32, bool)) (int32, error) {
+	var n int32
+	for i := head; i != none; n++ {
+		if n > limit {
+			return 0, errors.New("free list is cyclic")
+		}
+		var ok bool
+		if i, ok = next(i); !ok {
+			return 0, errors.New("free list holds a live entry")
+		}
+	}
+	return n, nil
+}

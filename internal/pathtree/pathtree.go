@@ -15,7 +15,7 @@
 // argument of §2), dtree tracks the true hop distance d(p,q) closely.
 //
 // Inserting a newcomer walks its L-hop path once: a binary search of each
-// router's sorted child list, then a counter update per hop — O(L·log f) for
+// router's sorted child run, then a counter update per hop — O(L·log f) for
 // fan-out f, no hashing. A closest-peer query ascends the newcomer's ancestor
 // chain and searches each ancestor's other subtrees breadth-first. Until k
 // candidates are held that search is unbounded; from then on it never
@@ -23,9 +23,34 @@
 // candidate, so the work follows the number of routers within that distance,
 // not the population n — and shrinks as the tree fills up.
 // TestClosestVisitsBounded pins the count: a mean of at most 100 nodes per
-// query at 10 000 peers and 40 at 100 000 (fan-out 8, k=5).
+// query at 10 000 peers and 40 at 100 000 (fan-out 8, k=5), and one descent
+// of the path per answered join.
 //
-// The tree is safe for concurrent use.
+// # Layout
+//
+// A tree is three pools of fixed-size, index-linked slots, each carved from
+// chunks that are never reallocated and recycled through free lists:
+//
+//   - nodes: one 32-byte, pointer-free slot per router (router, parent,
+//     depth, subtree count, head of its peer chain, and where its children
+//     are);
+//   - child runs: per node a power-of-two run of {router, node index} pairs
+//     sorted by router, so the per-hop search reads keys that sit together
+//     instead of dereferencing a child per probe;
+//   - records: one Record per resident peer — ID, refresh time, address,
+//     super-peer flag — chained to the node its path ends at. A peer's path
+//     is not stored: it is the parent chain of that node.
+//
+// The node and child pools hold no pointers, so the collector never scans
+// them; a record holds one (the address string).
+//
+// # Two types
+//
+// Core is the tree keyed by slot. It takes no lock and keeps no index from
+// peer ID to slot: the management server, which already serialises access to
+// each of its state copies and already maps every peer ID to where the peer
+// lives, embeds it directly. Tree wraps a Core with that index and a
+// read-write lock: it is keyed by peer ID and safe for concurrent use.
 package pathtree
 
 import (
@@ -50,136 +75,37 @@ type Candidate struct {
 	Peer PeerID
 	// DTree is the inferred path-tree distance in router hops.
 	DTree int
+	// Addr is the candidate's advertised overlay address, when whoever
+	// produced the answer holds it (the management server does; a bare Tree
+	// does not).
+	Addr string
 }
 
 // Options tunes a Tree. It currently carries nothing: the query is exact and
 // sizes itself from k.
 type Options struct{}
 
-// Tree is the per-landmark path prefix tree.
+// Tree is the per-landmark path prefix tree, keyed by peer ID. It is safe
+// for concurrent use.
 type Tree struct {
-	mu       sync.RWMutex
-	landmark topology.NodeID
-	root     *node
-	byPeer   map[PeerID]*node
-
-	// Node arena. All non-root nodes are carved from fixed-size slabs and
-	// recycled through a free list when pruned, so steady-state insert/remove
-	// churn retires no node memory to the garbage collector. Slabs are never
-	// appended to in place (a fresh slab replaces an exhausted one), so node
-	// pointers stay stable for the tree's lifetime. Only mutators touch these
-	// fields, under t.mu's write lock.
-	slab      []node
-	slabUsed  int
-	free      *node // free list, linked through node.parent
-	allocated int   // nodes ever carved from slabs (arena high-water mark)
-	freeLen   int   // nodes currently on the free list
-}
-
-// slabNodes is how many nodes each arena slab holds. Large enough to
-// amortize slab allocation across many inserts, small enough that a
-// near-empty tree doesn't pin much memory.
-const slabNodes = 256
-
-type node struct {
-	router topology.NodeID
-	depth  int32
-	parent *node
-	// childOrder holds the child nodes sorted ascending by router ID. It is
-	// the only child index: fan-out is small, so a binary search here beats
-	// a per-node hash map on every path hop, and queries walk it in a
-	// deterministic order.
-	childOrder []*node
-	// peers attached exactly at this router (their path ends here), in
-	// insertion order.
-	peers []PeerID
-	// subtreeCount is the number of peers attached in this node's subtree,
-	// including itself. Maintained on insert/remove; this is the "ordered
-	// list" bookkeeping that makes insertion O(path length).
-	subtreeCount int
-}
-
-// childIndex returns the position of the child with router r in childOrder,
-// or, when there is none, the position it would be inserted at. It runs once
-// per path hop of every insert, remove and query; the open-coded search is a
-// third faster on BenchmarkPathTreeChurn than slices.BinarySearchFunc, which
-// calls its comparison through a func value.
-func (n *node) childIndex(r topology.NodeID) (int, bool) {
-	lo, hi := 0, len(n.childOrder)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if n.childOrder[mid].router < r {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo, lo < len(n.childOrder) && n.childOrder[lo].router == r
-}
-
-// child returns the child with router r, or nil.
-func (n *node) child(r topology.NodeID) *node {
-	if i, ok := n.childIndex(r); ok {
-		return n.childOrder[i]
-	}
-	return nil
-}
-
-// allocNode returns a node for router r, preferring the free list (the
-// recycled node keeps the capacity of its childOrder and peers slices) and
-// otherwise carving from the current slab. Callers hold t.mu.
-func (t *Tree) allocNode(r topology.NodeID, parent *node, depth int32) *node {
-	if n := t.free; n != nil {
-		t.free = n.parent
-		t.freeLen--
-		n.router = r
-		n.parent = parent
-		n.depth = depth
-		return n
-	}
-	if t.slabUsed == len(t.slab) {
-		t.slab = make([]node, slabNodes)
-		t.slabUsed = 0
-	}
-	n := &t.slab[t.slabUsed]
-	t.slabUsed++
-	t.allocated++
-	n.router = r
-	n.parent = parent
-	n.depth = depth
-	return n
-}
-
-// freeNode pushes a pruned node onto the free list. The caller guarantees n
-// is unlinked from the trie and empty (no peers, no children) — pruning
-// only fires on such nodes. The parent pointer doubles as the free-list
-// link; slices keep their storage for reuse. Callers hold t.mu.
-func (t *Tree) freeNode(n *node) {
-	n.childOrder = n.childOrder[:0]
-	n.peers = n.peers[:0]
-	n.subtreeCount = 0
-	n.parent = t.free
-	t.free = n
-	t.freeLen++
+	mu     sync.RWMutex
+	core   *Core
+	byPeer map[PeerID]int32 // peer → slot in core
 }
 
 // New returns an empty tree for the given landmark router.
 func New(landmark topology.NodeID, _ Options) *Tree {
-	return &Tree{
-		landmark: landmark,
-		root:     &node{router: landmark},
-		byPeer:   make(map[PeerID]*node),
-	}
+	return &Tree{core: NewCore(landmark), byPeer: make(map[PeerID]int32)}
 }
 
 // Landmark returns the landmark router this tree is rooted at.
-func (t *Tree) Landmark() topology.NodeID { return t.landmark }
+func (t *Tree) Landmark() topology.NodeID { return t.core.Landmark() }
 
 // Len reports the number of peers currently in the tree.
 func (t *Tree) Len() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.root.subtreeCount
+	return t.core.Len()
 }
 
 // Contains reports whether peer p is in the tree.
@@ -190,67 +116,38 @@ func (t *Tree) Contains(p PeerID) bool {
 	return ok
 }
 
+// slotOf resolves a peer to its slot. Callers hold t.mu.
+func (t *Tree) slotOf(p PeerID) (int32, error) {
+	slot, ok := t.byPeer[p]
+	if !ok {
+		return none, fmt.Errorf("%w: %d", ErrUnknownPeer, p)
+	}
+	return slot, nil
+}
+
 // Depth returns the trie depth of peer p (its path length to the landmark).
 func (t *Tree) Depth(p PeerID) (int, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	n, ok := t.byPeer[p]
-	if !ok {
-		return 0, fmt.Errorf("%w: %d", ErrUnknownPeer, p)
+	slot, err := t.slotOf(p)
+	if err != nil {
+		return 0, err
 	}
-	return int(n.depth), nil
-}
-
-// validatePath checks a reported peer→landmark router path.
-func (t *Tree) validatePath(path []topology.NodeID) error {
-	if len(path) == 0 {
-		return errors.New("pathtree: empty path")
-	}
-	if path[len(path)-1] != t.landmark {
-		return fmt.Errorf("pathtree: path ends at router %d, not landmark %d",
-			path[len(path)-1], t.landmark)
-	}
-	// Paths are short (bounded by the wire limit), so a quadratic scan for
-	// repeats beats building a set: it allocates nothing on the hot path.
-	for i, r := range path {
-		if r == topology.InvalidNode {
-			return errors.New("pathtree: path contains anonymous router; strip before insert")
-		}
-		for _, q := range path[:i] {
-			if q == r {
-				return fmt.Errorf("pathtree: router %d repeats in path", r)
-			}
-		}
-	}
-	return nil
+	return t.core.Depth(slot), nil
 }
 
 // Insert adds peer p with its reported router path (peer-side first, ending
 // at the landmark). Re-inserting an existing peer replaces its path.
 func (t *Tree) Insert(p PeerID, path []topology.NodeID) error {
-	if err := t.validatePath(path); err != nil {
+	if err := ValidatePath(path, t.core.Landmark()); err != nil {
 		return err
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if _, ok := t.byPeer[p]; ok {
-		t.removeLocked(p)
+	if slot, ok := t.byPeer[p]; ok {
+		t.core.Remove(slot)
 	}
-	// Walk from the landmark (end of slice) toward the peer, creating
-	// nodes as needed.
-	cur := t.root
-	for i := len(path) - 2; i >= 0; i-- {
-		at, ok := cur.childIndex(path[i])
-		if !ok {
-			cur.childOrder = slices.Insert(cur.childOrder, at, t.allocNode(path[i], cur, cur.depth+1))
-		}
-		cur = cur.childOrder[at]
-	}
-	cur.peers = append(cur.peers, p)
-	t.byPeer[p] = cur
-	for n := cur; n != nil; n = n.parent {
-		n.subtreeCount++
-	}
+	t.byPeer[p] = t.core.Insert(p, path)
 	return nil
 }
 
@@ -259,79 +156,48 @@ func (t *Tree) Insert(p PeerID, path []topology.NodeID) error {
 func (t *Tree) Remove(p PeerID) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.removeLocked(p)
-}
-
-func (t *Tree) removeLocked(p PeerID) bool {
-	n, ok := t.byPeer[p]
-	if !ok {
-		return false
+	slot, ok := t.byPeer[p]
+	if ok {
+		delete(t.byPeer, p)
+		t.core.Remove(slot)
 	}
-	delete(t.byPeer, p)
-	for i, q := range n.peers {
-		if q == p {
-			n.peers = append(n.peers[:i], n.peers[i+1:]...)
-			break
-		}
-	}
-	for m := n; m != nil; m = m.parent {
-		m.subtreeCount--
-	}
-	// Prune empty leaves upward, recycling each into the arena free list.
-	// Mutations hold the write lock, so no in-flight query can still hold a
-	// reference to a recycled node.
-	for m := n; m != t.root && m.subtreeCount == 0; {
-		parent := m.parent
-		at, _ := parent.childIndex(m.router)
-		parent.childOrder = slices.Delete(parent.childOrder, at, at+1)
-		t.freeNode(m)
-		m = parent
-	}
-	return true
+	return ok
 }
 
 // DTree returns the inferred tree distance between two inserted peers.
 func (t *Tree) DTree(p, q PeerID) (int, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	np, ok := t.byPeer[p]
-	if !ok {
-		return 0, fmt.Errorf("%w: %d", ErrUnknownPeer, p)
+	sp, err := t.slotOf(p)
+	if err != nil {
+		return 0, err
 	}
-	nq, ok := t.byPeer[q]
-	if !ok {
-		return 0, fmt.Errorf("%w: %d", ErrUnknownPeer, q)
+	sq, err := t.slotOf(q)
+	if err != nil {
+		return 0, err
 	}
-	dca := deepestCommonAncestor(np, nq)
-	return int(np.depth + nq.depth - 2*dca.depth), nil
+	return t.core.DTree(sp, sq), nil
 }
 
-func deepestCommonAncestor(a, b *node) *node {
-	for a.depth > b.depth {
-		a = a.parent
-	}
-	for b.depth > a.depth {
-		b = b.parent
-	}
-	for a != b {
-		a = a.parent
-		b = b.parent
-	}
-	return a
-}
+// scratchPool recycles query working memory. Queries run concurrently under
+// a read lock (Tree) or on a published state copy (the management server), so
+// the scratch is pooled rather than hung off the tree.
+var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 
-// excludeSet is the query-side exclusion filter. The overwhelmingly common
-// case — excluding only the querying peer itself — is a single comparison,
-// so queries never allocate a set; a caller-supplied map rides along for
-// the general case.
-type excludeSet struct {
-	self    PeerID
-	hasSelf bool
-	m       map[PeerID]bool
-}
+// GetScratch takes a Scratch from the pool; Release returns it.
+func GetScratch() *Scratch { return scratchPool.Get().(*Scratch) }
 
-func (e *excludeSet) contains(p PeerID) bool {
-	return (e.hasSelf && p == e.self) || e.m[p]
+// Release returns sc to the pool. Hits that alias it are dead from here on.
+func (sc *Scratch) Release() { scratchPool.Put(sc) }
+
+// candidates copies a query's hits out of its scratch: the query's one
+// allocation.
+func candidates(hits []Hit) []Candidate {
+	out := make([]Candidate, len(hits))
+	for i, h := range hits {
+		out[i] = Candidate{Peer: h.Peer, DTree: int(h.DTree)}
+	}
+	return out
 }
 
 // Closest returns the k peers with the smallest dtree distance to inserted
@@ -339,13 +205,13 @@ func (e *excludeSet) contains(p PeerID) bool {
 func (t *Tree) Closest(p PeerID, k int) ([]Candidate, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	n, ok := t.byPeer[p]
-	if !ok {
-		return nil, fmt.Errorf("%w: %d", ErrUnknownPeer, p)
+	slot, err := t.slotOf(p)
+	if err != nil || k <= 0 {
+		return nil, err
 	}
-	sc := scratchPool.Get().(*queryScratch)
-	defer scratchPool.Put(sc)
-	return closestFrom(n, int(n.depth), k, excludeSet{self: p, hasSelf: true}, sc), nil
+	sc := GetScratch()
+	defer sc.Release()
+	return candidates(t.core.Closest(slot, k, sc)), nil
 }
 
 // ClosestToPath answers a closest-peers query for a (possibly not yet
@@ -353,132 +219,30 @@ func (t *Tree) Closest(p PeerID, k int) ([]Candidate, error) {
 // exclude. This is the server's "second round": the newcomer's candidate
 // list is computed before or without inserting it.
 func (t *Tree) ClosestToPath(path []topology.NodeID, k int, exclude map[PeerID]bool) ([]Candidate, error) {
-	return t.closestToPath(path, k, excludeSet{m: exclude})
+	return t.closestToPath(path, k, 0, false, exclude)
 }
 
 // ClosestToPathExcluding is ClosestToPath with a single excluded peer
 // (almost always the joiner itself). It exists so the join hot path never
 // materializes an exclusion map.
 func (t *Tree) ClosestToPathExcluding(path []topology.NodeID, k int, self PeerID) ([]Candidate, error) {
-	return t.closestToPath(path, k, excludeSet{self: self, hasSelf: true})
+	return t.closestToPath(path, k, self, true, nil)
 }
 
-func (t *Tree) closestToPath(path []topology.NodeID, k int, exclude excludeSet) ([]Candidate, error) {
-	if err := t.validatePath(path); err != nil {
+func (t *Tree) closestToPath(path []topology.NodeID, k int, self PeerID, hasSelf bool, exclude map[PeerID]bool) ([]Candidate, error) {
+	if err := ValidatePath(path, t.core.Landmark()); err != nil || k <= 0 {
 		return nil, err
 	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	sc := scratchPool.Get().(*queryScratch)
-	defer scratchPool.Put(sc)
-	// The newcomer's would-be depth is len(path)-1, wherever the trie stops
-	// matching its path.
-	return closestFrom(t.deepestMatch(path), len(path)-1, k, exclude, sc), nil
+	skip := none
+	if slot, ok := t.byPeer[self]; ok && hasSelf {
+		skip = slot
+	}
+	sc := GetScratch()
+	defer sc.Release()
+	return candidates(t.core.ClosestToPath(path, k, skip, exclude, sc)), nil
 }
-
-// deepestMatch walks down from the root as far as the trie matches the
-// reported (peer-side first) path and returns the node reached. Callers hold
-// t.mu.
-func (t *Tree) deepestMatch(path []topology.NodeID) *node {
-	cur := t.root
-	for i := len(path) - 2; i >= 0; i-- {
-		c := cur.child(path[i])
-		if c == nil {
-			break
-		}
-		cur = c
-	}
-	return cur
-}
-
-// closestFrom computes the exact k-nearest peers by dtree for a query point
-// located at trie node start with the given query depth (which may exceed
-// start.depth when the query path diverged below start).
-//
-// The walk ascends the ancestor chain; at each ancestor a (depth da) it
-// searches a's subtree, minus the child subtree already covered, breadth
-// first. A peer found there at depth dq has dca depth exactly da, hence
-// dtree = (qd − da) + (dq − da), so the search meets peers in non-decreasing
-// dtree order. Once k candidates are held with kth-best distance w it
-// neither enqueues nor scans a node deeper than w − qd + 2·da — inclusive, so
-// an equal-distance peer with a smaller ID still wins its tie — and the
-// ascent stops at the first ancestor whose own distance qd − da exceeds w.
-// That makes the answer exact, not approximate. out doubles as the top-k
-// buffer and the result: the query's one allocation.
-func closestFrom(start *node, queryDepth, k int, exclude excludeSet, sc *queryScratch) []Candidate {
-	if k <= 0 {
-		return nil
-	}
-	out := make([]Candidate, 0, k)
-	queue := sc.queue
-	var skip *node
-	for a := start; a != nil; a = a.parent {
-		da := int(a.depth)
-		if len(out) == k && queryDepth-da > out[k-1].DTree {
-			break
-		}
-		base := queryDepth - 2*da // base + depth = dtree of a peer found under a
-		queue = append(queue[:0], a)
-		for i := 0; i < len(queue); i++ {
-			n := queue[i]
-			d := base + int(n.depth)
-			if len(out) == k && d > out[k-1].DTree {
-				break // BFS order: every later node is at least as deep
-			}
-			for _, p := range n.peers {
-				if !exclude.contains(p) {
-					out = pushCandidate(out, Candidate{Peer: p, DTree: d})
-				}
-			}
-			if len(out) == k && d+1 > out[k-1].DTree {
-				continue
-			}
-			for _, c := range n.childOrder {
-				if c != skip {
-					queue = append(queue, c)
-				}
-			}
-		}
-		sc.visits += len(queue)
-		skip = a
-	}
-	sc.queue = queue
-	return out
-}
-
-// pushCandidate inserts c into out, which is sorted by (DTree, Peer) and
-// never grows beyond its capacity: when full, c either displaces the last
-// entry or is dropped.
-func pushCandidate(out []Candidate, c Candidate) []Candidate {
-	less := func(x, y Candidate) bool {
-		return x.DTree < y.DTree || (x.DTree == y.DTree && x.Peer < y.Peer)
-	}
-	if len(out) == cap(out) {
-		if !less(c, out[len(out)-1]) {
-			return out
-		}
-		out = out[:len(out)-1]
-	}
-	i := len(out)
-	out = append(out, c)
-	for ; i > 0 && less(c, out[i-1]); i-- {
-		out[i] = out[i-1]
-	}
-	out[i] = c
-	return out
-}
-
-// queryScratch carries a query's reusable working memory, the BFS queue,
-// and counts the trie nodes the query enqueued (read by
-// TestClosestVisitsBounded). Queries run under the tree's read lock, so many
-// can be in flight at once — the scratch is pooled rather than hung off the
-// Tree.
-type queryScratch struct {
-	queue  []*node
-	visits int
-}
-
-var scratchPool = sync.Pool{New: func() any { return &queryScratch{} }}
 
 // Peers returns all peer IDs in the tree in ascending order.
 func (t *Tree) Peers() []PeerID {
@@ -496,120 +260,37 @@ func (t *Tree) Peers() []PeerID {
 func (t *Tree) PathOf(p PeerID) ([]topology.NodeID, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	n, ok := t.byPeer[p]
-	if !ok {
-		return nil, fmt.Errorf("%w: %d", ErrUnknownPeer, p)
+	slot, err := t.slotOf(p)
+	if err != nil {
+		return nil, err
 	}
-	path := make([]topology.NodeID, 0, n.depth+1)
-	for m := n; m != nil; m = m.parent {
-		path = append(path, m.router)
-	}
-	return path, nil
+	return t.core.AppendPath(make([]topology.NodeID, 0, t.core.Depth(slot)+1), slot), nil
 }
 
-// Stats summarizes tree shape for diagnostics and experiments.
-type Stats struct {
-	// Peers is the number of peers stored.
-	Peers int
-	// Nodes is the number of trie nodes, including the root.
-	Nodes int
-	// MaxDepth is the deepest trie node.
-	MaxDepth int
-	// RouterConflicts counts the trie positions beyond the first that some
-	// router currently occupies (possible with lossy or truncated
-	// traceroutes): Nodes minus distinct routers. The trie remains correct;
-	// the number surfaces measurement-quality problems.
-	RouterConflicts int
-}
-
-// ArenaStats reports the tree's node-arena occupancy.
-type ArenaStats struct {
-	// Allocated is the number of nodes ever carved from the slab arena — its
-	// high-water mark. The root node lives outside the arena and is not
-	// counted.
-	Allocated int
-	// Free is the number of recycled nodes currently on the free list,
-	// awaiting reuse by a future Insert.
-	Free int
-	// Live is Allocated − Free: the non-root nodes currently in the trie.
-	Live int
-}
-
-// ArenaStats returns current node-arena occupancy. Under steady-state churn
+// ArenaStats returns current pool occupancy. Under steady-state churn
 // (inserts balanced by removes) Allocated stays bounded: pruned nodes are
 // recycled rather than retired to the garbage collector.
 func (t *Tree) ArenaStats() ArenaStats {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return ArenaStats{Allocated: t.allocated, Free: t.freeLen, Live: t.allocated - t.freeLen}
+	return t.core.ArenaStats()
 }
 
-// CheckInvariants deeply validates the tree's internal consistency:
-// subtree counters, depth bookkeeping, parent/child symmetry, sorted child
-// order, the peer index, and arena accounting. It is O(nodes) and intended for
-// tests and debugging; it returns the first violation found.
+// CheckInvariants is Core.CheckInvariants plus the peer index: every indexed
+// peer's slot holds that peer's record, and nothing else is resident.
 func (t *Tree) CheckInvariants() error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	seenPeers := 0
-	seenNodes := 0
-	var walk func(n *node) (int, error)
-	walk = func(n *node) (int, error) {
-		seenNodes++
-		for i, c := range n.childOrder {
-			r := c.router
-			if i > 0 && n.childOrder[i-1].router >= r {
-				return 0, fmt.Errorf("pathtree: node %d childOrder not strictly ascending", n.router)
-			}
-			if c.parent != n {
-				return 0, fmt.Errorf("pathtree: child %d of %d has wrong parent", r, n.router)
-			}
-			if c.depth != n.depth+1 {
-				return 0, fmt.Errorf("pathtree: child %d depth %d under depth %d", r, c.depth, n.depth)
-			}
-		}
-		count := len(n.peers)
-		for _, p := range n.peers {
-			at, ok := t.byPeer[p]
-			if !ok || at != n {
-				return 0, fmt.Errorf("pathtree: peer %d index inconsistent", p)
-			}
-			seenPeers++
-		}
-		for _, c := range n.childOrder {
-			sub, err := walk(c)
-			if err != nil {
-				return 0, err
-			}
-			count += sub
-		}
-		if count != n.subtreeCount {
-			return 0, fmt.Errorf("pathtree: node %d subtreeCount %d, actual %d",
-				n.router, n.subtreeCount, count)
-		}
-		return count, nil
-	}
-	if _, err := walk(t.root); err != nil {
+	if err := t.core.CheckInvariants(); err != nil {
 		return err
 	}
-	if seenPeers != len(t.byPeer) {
-		return fmt.Errorf("pathtree: %d peers attached but %d indexed", seenPeers, len(t.byPeer))
-	}
-	// Arena accounting: every carved node is either reachable in the trie
-	// (the root is not arena-backed) or parked on the free list.
-	if live := seenNodes - 1; live+t.freeLen != t.allocated {
-		return fmt.Errorf("pathtree: arena accounting: %d live + %d free != %d allocated",
-			live, t.freeLen, t.allocated)
-	}
-	freeWalked := 0
-	for f := t.free; f != nil; f = f.parent {
-		freeWalked++
-		if freeWalked > t.allocated {
-			return errors.New("pathtree: arena free list is cyclic")
+	for slot, rec := range t.core.Records() {
+		if at, ok := t.byPeer[rec.ID]; !ok || at != slot {
+			return fmt.Errorf("pathtree: peer %d index inconsistent", rec.ID)
 		}
 	}
-	if freeWalked != t.freeLen {
-		return fmt.Errorf("pathtree: free list holds %d nodes, accounting says %d", freeWalked, t.freeLen)
+	if t.core.Len() != len(t.byPeer) {
+		return fmt.Errorf("pathtree: %d peers attached but %d indexed", t.core.Len(), len(t.byPeer))
 	}
 	return nil
 }
@@ -618,21 +299,5 @@ func (t *Tree) CheckInvariants() error {
 func (t *Tree) Stats() Stats {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	s := Stats{Peers: t.root.subtreeCount}
-	routers := make([]topology.NodeID, 0, t.allocated-t.freeLen+1)
-	var walk func(n *node)
-	walk = func(n *node) {
-		routers = append(routers, n.router)
-		if int(n.depth) > s.MaxDepth {
-			s.MaxDepth = int(n.depth)
-		}
-		for _, c := range n.childOrder {
-			walk(c)
-		}
-	}
-	walk(t.root)
-	s.Nodes = len(routers)
-	slices.Sort(routers)
-	s.RouterConflicts = s.Nodes - len(slices.Compact(routers))
-	return s
+	return t.core.Stats()
 }

@@ -133,7 +133,7 @@ func TestClosestOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []Candidate{{2, 2}, {3, 3}, {4, 4}}
+	want := []Candidate{{Peer: 2, DTree: 2}, {Peer: 3, DTree: 3}, {Peer: 4, DTree: 4}}
 	if len(got) != 3 {
 		t.Fatalf("closest=%v", got)
 	}
@@ -174,7 +174,7 @@ func TestClosestToPathWithoutInsertion(t *testing.T) {
 		t.Fatal(err)
 	}
 	// dtree(new,1) = (2-1)+(2-1)=2 ; dtree(new,2)=(2-0)+(1-0)=3
-	want := []Candidate{{1, 2}, {2, 3}}
+	want := []Candidate{{Peer: 1, DTree: 2}, {Peer: 2, DTree: 3}}
 	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
 		t.Fatalf("got=%v want %v", got, want)
 	}
@@ -581,18 +581,33 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 		t.Fatalf("healthy tree failed: %v", err)
 	}
 	// Corrupt a subtree counter directly.
-	tr.root.subtreeCount++
+	c := tr.core
+	c.nodes.at(root).subtreeCount++
 	if err := tr.CheckInvariants(); err == nil {
 		t.Fatal("corrupted counter not detected")
 	}
-	tr.root.subtreeCount--
+	c.nodes.at(root).subtreeCount--
 	// Corrupt the child order.
-	n := tr.root.child(11)
-	if len(n.childOrder) >= 2 {
-		n.childOrder[0], n.childOrder[1] = n.childOrder[1], n.childOrder[0]
-		if err := tr.CheckInvariants(); err == nil {
-			t.Fatal("corrupted order not detected")
-		}
+	run := c.kidsOf(c.nodes.at(c.kidsOf(c.nodes.at(root))[0].idx))
+	run[0], run[1] = run[1], run[0]
+	if err := tr.CheckInvariants(); err == nil {
+		t.Fatal("corrupted order not detected")
+	}
+	run[0], run[1] = run[1], run[0]
+	// Break a peer chain: the record forgets which node it hangs off.
+	c.recs.at(tr.byPeer[1]).node = root
+	if err := tr.CheckInvariants(); err == nil {
+		t.Fatal("corrupted peer chain not detected")
+	}
+	c.recs.at(tr.byPeer[1]).node = run[0].idx
+	// Leak a child run: accounting no longer closes.
+	c.kids.carved++
+	if err := tr.CheckInvariants(); err == nil {
+		t.Fatal("leaked child pair not detected")
+	}
+	c.kids.carved--
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatalf("restored tree failed: %v", err)
 	}
 }
 

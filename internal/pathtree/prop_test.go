@@ -363,26 +363,36 @@ func TestClosestMatchesOracleWhereBoundBites(t *testing.T) {
 // benchmark drives (8-ary router heap, 200 000 positions, k=5), must stay
 // small and must fall as the population grows. An unbounded per-level search
 // (the previous kernel) enqueues about 800 nodes per query at 10 000 peers
-// and 72 at 100 000; the bounded one 52 and 14.
+// and 72 at 100 000; the bounded one 52 and 14. An answered join is held to
+// the same bound and to one descent: joining under a path the trie already
+// holds searches exactly one child run per hop — a query followed by a
+// separate insert would search two.
 func TestClosestVisitsBounded(t *testing.T) {
 	const k, queries = 5, 2000
 	for _, c := range []struct{ peers, maxMean int }{{10_000, 100}, {100_000, 40}} {
 		rng := rand.New(rand.NewSource(7))
-		tree := New(propLandmark, Options{})
+		core := NewCore(propLandmark)
+		slots := make([]int32, c.peers+1)
+		paths := make([][]topology.NodeID, c.peers+1)
 		for p := 1; p <= c.peers; p++ {
-			if err := tree.Insert(PeerID(p), heapPath(1+rng.Intn(200_000))); err != nil {
-				t.Fatal(err)
-			}
+			paths[p] = heapPath(1 + rng.Intn(200_000))
+			slots[p] = core.Insert(PeerID(p), paths[p])
 		}
-		var resident, newcomer queryScratch
+		var resident, newcomer, joiner Scratch
+		joinHops := 0
 		for i := 0; i < queries; i++ {
-			p := PeerID(1 + rng.Intn(c.peers))
-			n := tree.byPeer[p]
-			closestFrom(n, int(n.depth), k, excludeSet{self: p, hasSelf: true}, &resident)
-			path := heapPath(1 + rng.Intn(200_000))
-			closestFrom(tree.deepestMatch(path), len(path)-1, k, excludeSet{self: p, hasSelf: true}, &newcomer)
+			p := 1 + rng.Intn(c.peers)
+			core.Closest(slots[p], k, &resident)
+			core.ClosestToPath(heapPath(1+rng.Intn(200_000)), k, slots[p], nil, &newcomer)
+			path := paths[1+rng.Intn(c.peers)]
+			slot, _ := core.Join(PeerID(c.peers+1+i), path, k, &joiner)
+			joinHops += len(path) - 1
+			core.Remove(slot)
 		}
-		for name, sc := range map[string]*queryScratch{"Closest": &resident, "ClosestToPathExcluding": &newcomer} {
+		if joiner.hops != joinHops {
+			t.Errorf("peers=%d Join: %d child-run searches over paths of %d hops in all, want one per hop", c.peers, joiner.hops, joinHops)
+		}
+		for name, sc := range map[string]*Scratch{"Closest": &resident, "ClosestToPath": &newcomer, "Join": &joiner} {
 			mean := float64(sc.visits) / queries
 			t.Logf("peers=%d %s: %.1f nodes enqueued per query", c.peers, name, mean)
 			if mean > float64(c.maxMean) {

@@ -1,0 +1,484 @@
+package server
+
+import (
+	"bytes"
+	"cmp"
+	"fmt"
+	"io"
+	"math/rand"
+	"reflect"
+	"slices"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"proxdisc/internal/op"
+	"proxdisc/internal/pathtree"
+	"proxdisc/internal/topology"
+)
+
+// retiredSnapshot writes the snapshot of the state copy no reader is being
+// sent to. Between writes the two copies are equal, so it must match
+// Snapshot byte for byte.
+func (s *Server) retiredSnapshot(w io.Writer) error {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	var img image
+	s.write.st.collect(&img, 0, nil)
+	return img.write(w)
+}
+
+// checkSides runs the trie invariant checker over every tree of both state
+// copies and checks each copy's peer map against its trees: every resident
+// record is the one its peer's ref names, and nothing else is mapped.
+func (s *Server) checkSides() error {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	for _, side := range []*side{s.write, s.read.Load()} {
+		side.mu.RLock()
+		resident := 0
+		for lm, tree := range side.st.trees {
+			if err := tree.CheckInvariants(); err != nil {
+				side.mu.RUnlock()
+				return fmt.Errorf("landmark %d: %w", lm, err)
+			}
+			for slot, rec := range tree.Records() {
+				if r, ok := side.st.peers[rec.ID]; !ok || r != (ref{lm, slot}) {
+					side.mu.RUnlock()
+					return fmt.Errorf("peer %d resident at %d/%d but mapped to %v (%v)", rec.ID, lm, slot, r, ok)
+				}
+				resident++
+			}
+		}
+		mapped := len(side.st.peers)
+		side.mu.RUnlock()
+		if resident != mapped {
+			return fmt.Errorf("%d records resident, %d peers mapped", resident, mapped)
+		}
+	}
+	return nil
+}
+
+// modelPeer is what the reference model knows of one registered peer: the
+// arguments of the op that last wrote each field.
+type modelPeer struct {
+	path    []topology.NodeID
+	addr    string
+	super   bool
+	refresh int64
+}
+
+// model is the brute-force reference: a map from peer to its last report,
+// and the set of landmarks held.
+type model struct {
+	peers map[pathtree.PeerID]modelPeer
+	lms   map[topology.NodeID]bool
+}
+
+func (m *model) clone() *model {
+	c := &model{peers: make(map[pathtree.PeerID]modelPeer, len(m.peers)), lms: make(map[topology.NodeID]bool)}
+	for p, mp := range m.peers {
+		c.peers[p] = mp
+	}
+	for lm := range m.lms {
+		c.lms[lm] = true
+	}
+	return c
+}
+
+func landmarkOf(path []topology.NodeID) topology.NodeID { return path[len(path)-1] }
+
+// closest is the reference answer (pathtree/prop_test.go's bruteClosest,
+// over the peers of one landmark and with addresses): every other peer's
+// dtree to p by suffix matching of the two reported paths, fully sorted,
+// first k kept.
+func (m *model) closest(p pathtree.PeerID, k int) []pathtree.Candidate {
+	mine := m.peers[p].path
+	want := []pathtree.Candidate{}
+	for q, mq := range m.peers {
+		if q == p || landmarkOf(mq.path) != landmarkOf(mine) {
+			continue
+		}
+		i, j := len(mine)-1, len(mq.path)-1
+		for i >= 0 && j >= 0 && mine[i] == mq.path[j] {
+			i, j = i-1, j-1
+		}
+		want = append(want, pathtree.Candidate{Peer: q, DTree: i + 1 + j + 1, Addr: mq.addr})
+	}
+	slices.SortFunc(want, func(a, b pathtree.Candidate) int {
+		return cmp.Or(cmp.Compare(a.DTree, b.DTree), cmp.Compare(a.Peer, b.Peer))
+	})
+	return want[:min(k, len(want))]
+}
+
+// modelPath draws a short path through a small router universe under lm, so
+// that peers share routers, attach at interior routers and collide on the
+// same one.
+func modelPath(rng *rand.Rand, lm topology.NodeID) []topology.NodeID {
+	var path []topology.NodeID
+	for r := topology.NodeID(1 + rng.Intn(120)); r > 0 && len(path) < 6; r /= topology.NodeID(2 + rng.Intn(3)) {
+		path = append(path, 1000*(lm+1)+r)
+	}
+	return append(path, lm)
+}
+
+// TestStateMachineMatchesModel drives a server through seeded random steps —
+// join, re-join under another path or another landmark, batch join with bad
+// entries, leave, refresh, super-peer flag, expiry, DropLandmark, Absorb,
+// ResetFromSnapshot — and after every step requires: the two state copies
+// snapshot to the same bytes; every tree of both copies passes
+// CheckInvariants (counters, chains, the three pools' accounting) and agrees
+// with its copy's peer map; every peer's PeerInfo, path included, is what
+// was last reported; and Lookup equals the brute-force answer.
+func TestStateMachineMatchesModel(t *testing.T) {
+	lms := []topology.NodeID{0, 1, 2}
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		now := int64(1_000_000)
+		s, err := New(Config{
+			Landmarks: lms, NeighborCount: 4, PeerTTL: 40,
+			Clock: func() time.Time { return time.Unix(0, now) },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := &model{peers: map[pathtree.PeerID]modelPeer{}, lms: map[topology.NodeID]bool{0: true, 1: true, 2: true}}
+		var saved []byte // a whole-state snapshot taken at some earlier step…
+		var savedModel *model
+		var dropped []byte // …and the snapshot of a landmark since dropped
+		var droppedModel map[pathtree.PeerID]modelPeer
+
+		join := func(p pathtree.PeerID) op.JoinEntry {
+			return op.JoinEntry{Peer: p, Path: modelPath(rng, lms[rng.Intn(len(lms))]), Addr: fmt.Sprintf("a%d.%d", p, rng.Intn(3))}
+		}
+		registered := func(e op.JoinEntry) {
+			m.peers[e.Peer] = modelPeer{path: e.Path, addr: e.Addr, refresh: now}
+		}
+		for step := 0; step < 400; step++ {
+			now += int64(1 + rng.Intn(3))
+			p := pathtree.PeerID(1 + rng.Intn(60))
+			desc := ""
+			switch r := rng.Intn(100); {
+			case r < 40: // join, or re-join wherever the new path leads
+				e := join(p)
+				desc = fmt.Sprintf("join %d %v", p, e.Path)
+				want := []pathtree.Candidate{}
+				if m.lms[landmarkOf(e.Path)] {
+					probe := m.clone()
+					probe.peers[p] = modelPeer{path: e.Path}
+					want = probe.closest(p, 4)
+				}
+				got, err := s.JoinOp(op.Op{Kind: op.KindJoin, Join: e})
+				if ok := m.lms[landmarkOf(e.Path)]; ok != (err == nil) {
+					t.Fatalf("seed %d step %d %s: err=%v, landmark held=%v", seed, step, desc, err, ok)
+				} else if ok {
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("seed %d step %d %s:\ngot  %v\nwant %v", seed, step, desc, got, want)
+					}
+					registered(e)
+				}
+			case r < 50: // a batch: good entries, a repeated peer, and two bad ones
+				es := []op.JoinEntry{join(p), join(p + 1), {Peer: p + 2, Path: []topology.NodeID{7, 7, 0}}, join(p), {Peer: p + 3}}
+				desc = fmt.Sprintf("batch from %d", p)
+				for i, res := range s.JoinBatchOp(op.BatchJoin(es, 0)) {
+					good := len(es[i].Path) > 0 && es[i].Path[0] != 7 && m.lms[landmarkOf(es[i].Path)]
+					if good != (res.Err == nil) {
+						t.Fatalf("seed %d step %d %s: entry %d err=%v, want accepted=%v", seed, step, desc, i, res.Err, good)
+					}
+					if good {
+						registered(es[i])
+					}
+				}
+			case r < 62:
+				desc = fmt.Sprintf("leave %d", p)
+				_, known := m.peers[p]
+				if s.Leave(p) != known {
+					t.Fatalf("seed %d step %d %s: known=%v", seed, step, desc, known)
+				}
+				delete(m.peers, p)
+			case r < 72:
+				desc = fmt.Sprintf("refresh %d", p)
+				mp, known := m.peers[p]
+				if err := s.Refresh(p); (err == nil) != known {
+					t.Fatalf("seed %d step %d %s: err=%v known=%v", seed, step, desc, err, known)
+				}
+				if known {
+					mp.refresh = now
+					m.peers[p] = mp
+				}
+			case r < 80:
+				desc = fmt.Sprintf("super %d", p)
+				mp, known := m.peers[p]
+				flag := rng.Intn(2) == 0
+				if err := s.SetSuperPeer(p, flag); (err == nil) != known {
+					t.Fatalf("seed %d step %d %s: err=%v known=%v", seed, step, desc, err, known)
+				}
+				if known {
+					mp.super = flag
+					m.peers[p] = mp
+				}
+			case r < 86:
+				desc = "expire"
+				var want []pathtree.PeerID
+				for q, mq := range m.peers {
+					if mq.refresh < now-40 {
+						want = append(want, q)
+						delete(m.peers, q)
+					}
+				}
+				slices.Sort(want)
+				if got := s.Expire(); !slices.Equal(got, want) {
+					t.Fatalf("seed %d step %d expire: got %v want %v", seed, step, got, want)
+				}
+			case r < 90: // hand a landmark away, keeping its snapshot
+				lm := lms[rng.Intn(len(lms))]
+				desc = fmt.Sprintf("drop %d", lm)
+				if !m.lms[lm] {
+					break
+				}
+				var buf bytes.Buffer
+				if err := s.SnapshotLandmarks(&buf, lm); err != nil {
+					t.Fatal(err)
+				}
+				dropped, droppedModel = buf.Bytes(), map[pathtree.PeerID]modelPeer{}
+				var want []pathtree.PeerID
+				for q, mq := range m.peers {
+					if landmarkOf(mq.path) == lm {
+						droppedModel[q] = mq
+						want = append(want, q)
+						delete(m.peers, q)
+					}
+				}
+				slices.Sort(want)
+				delete(m.lms, lm)
+				if got := s.DropLandmark(lm); !slices.Equal(got, want) {
+					t.Fatalf("seed %d step %d %s: got %v want %v", seed, step, desc, got, want)
+				}
+			case r < 94: // take it back: a live record beats the snapshot's
+				desc = "absorb"
+				if dropped == nil {
+					break
+				}
+				var want []pathtree.PeerID
+				for q, mq := range droppedModel {
+					m.lms[landmarkOf(mq.path)] = true
+					if _, live := m.peers[q]; !live {
+						m.peers[q] = mq
+						want = append(want, q)
+					}
+				}
+				slices.Sort(want)
+				got, err := s.Absorb(bytes.NewReader(dropped))
+				if err != nil || !slices.Equal(got, want) {
+					t.Fatalf("seed %d step %d absorb: got %v, %v want %v", seed, step, got, err, want)
+				}
+				// The snapshot names its landmark even when it held no peer.
+				for _, lm := range s.Landmarks() {
+					m.lms[lm] = true
+				}
+				dropped = nil
+			case r < 97:
+				desc = "save"
+				var buf bytes.Buffer
+				if err := s.Snapshot(&buf); err != nil {
+					t.Fatal(err)
+				}
+				saved, savedModel = buf.Bytes(), m.clone()
+			default:
+				desc = "reset"
+				if saved == nil {
+					break
+				}
+				if err := s.ResetFromSnapshot(bytes.NewReader(saved)); err != nil {
+					t.Fatal(err)
+				}
+				m = savedModel.clone()
+				for _, lm := range lms { // the configured set comes back with a reset
+					m.lms[lm] = true
+				}
+			}
+
+			var pub, ret bytes.Buffer
+			if err := s.Snapshot(&pub); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.retiredSnapshot(&ret); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(pub.Bytes(), ret.Bytes()) {
+				t.Fatalf("seed %d step %d %s: the two state copies snapshot differently", seed, step, desc)
+			}
+			if err := s.checkSides(); err != nil {
+				t.Fatalf("seed %d step %d %s: %v", seed, step, desc, err)
+			}
+			if s.NumPeers() != len(m.peers) {
+				t.Fatalf("seed %d step %d %s: %d peers, model holds %d", seed, step, desc, s.NumPeers(), len(m.peers))
+			}
+			for q, mq := range m.peers {
+				want := PeerInfo{ID: q, Landmark: landmarkOf(mq.path), Path: mq.path, Addr: mq.addr,
+					SuperPeer: mq.super, LastRefresh: time.Unix(0, mq.refresh)}
+				if got, err := s.PeerInfo(q); err != nil || !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d step %d %s: PeerInfo(%d)\ngot  %+v, %v\nwant %+v", seed, step, desc, q, got, err, want)
+				}
+				if got, err := s.Lookup(q); err != nil || !reflect.DeepEqual(got, m.closest(q, 4)) {
+					t.Fatalf("seed %d step %d %s: Lookup(%d)\ngot  %v, %v\nwant %v", seed, step, desc, q, got, err, m.closest(q, 4))
+				}
+			}
+		}
+	}
+}
+
+// TestChurnRecyclesSlots churns a fixed population ten times over — every
+// peer leaves and re-joins, in a fresh random order each round, as the first
+// fill was — and requires each pool of each tree of both state copies to stay
+// within one chunk of what the first fill carved: records, nodes and child
+// pairs come back from the free lists instead of being carved anew. (Child
+// runs are recycled by exact size, so what a fill carves depends on how many
+// nodes pass through each size at once: peers arriving in path order carve a
+// fifth less than peers arriving in random order, which is why the first
+// fill is shuffled too.)
+func TestChurnRecyclesSlots(t *testing.T) {
+	const peers = 12_000
+	s, err := New(Config{Landmarks: residentLandmarks})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(20))
+	joins := make([]op.Op, peers)
+	for i := range joins {
+		joins[i] = residentJoin(i)
+	}
+	for _, i := range rng.Perm(peers) {
+		if _, err := s.JoinOp(joins[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	carved := func() map[string]pathtree.ArenaStats {
+		out := map[string]pathtree.ArenaStats{}
+		for name, side := range map[string]*side{"write": s.write, "read": s.read.Load()} {
+			for lm, tree := range side.st.trees {
+				out[fmt.Sprintf("%s side, landmark %d", name, lm)] = tree.ArenaStats()
+			}
+		}
+		return out
+	}
+	first := carved()
+	for round := 0; round < 10; round++ {
+		for _, i := range rng.Perm(peers) {
+			if !s.Leave(joins[i].Join.Peer) {
+				t.Fatalf("round %d: peer %d not registered", round, joins[i].Join.Peer)
+			}
+		}
+		for _, i := range rng.Perm(peers) {
+			if _, err := s.JoinOp(joins[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for where, now := range carved() {
+			was := first[where]
+			if now.Records > was.Records+256 || now.Allocated > was.Allocated+256 || now.Kids > was.Kids+1024 {
+				t.Fatalf("round %d, %s: carved %+v, first fill carved %+v", round, where, now, was)
+			}
+		}
+	}
+	if err := s.checkSides(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLookupNeverSeesRecycledSlot is the server-level twin of pathtree's
+// TestConcurrentChurnQueryNeverSeesRecycled: writers churn peers in and out,
+// recycling records, nodes and child runs the whole time, while readers look
+// up a stable population on the published copy. Every answer must be well
+// formed — distinct candidates, sorted, none the asker — and every candidate
+// must carry the address its ID was registered with, which fails if a reader
+// ever follows a slot that was recycled under it. Run with -race for the
+// full guarantee: a writer touching the copy readers are on is a data race.
+func TestLookupNeverSeesRecycledSlot(t *testing.T) {
+	const landmark topology.NodeID = 9
+	const stable = 60
+	addrOf := func(p pathtree.PeerID) string { return fmt.Sprintf("peer-%d:1", p) }
+	s, err := New(Config{Landmarks: []topology.NodeID{landmark}, NeighborCount: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= stable; i++ {
+		p := pathtree.PeerID(i)
+		if _, err := s.JoinOp(op.Join(p, churnPath(landmark, i), addrOf(p), 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var stop atomic.Bool
+	var writers, readers sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		writers.Add(1)
+		go func(w int) {
+			defer writers.Done()
+			for r := 0; !stop.Load(); r++ {
+				// Churners share the stable peers' upper routers, so pruning
+				// and re-creating their branches rewrites child runs the
+				// readers' searches pass through.
+				p := pathtree.PeerID(10_000*(w+1) + r%300)
+				if _, err := s.JoinOp(op.Join(p, churnPath(landmark, int(p)), addrOf(p), 0)); err != nil {
+					t.Error(err)
+					return
+				}
+				if r%4 != 0 {
+					s.Leave(p)
+				}
+			}
+		}(w)
+	}
+	for g := 0; g < 3; g++ {
+		readers.Add(1)
+		go func(g int) {
+			defer readers.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for i := 0; i < 3000; i++ {
+				p := pathtree.PeerID(1 + rng.Intn(stable))
+				got, err := s.Lookup(p)
+				if err != nil {
+					t.Errorf("lookup(%d): %v", p, err)
+					return
+				}
+				for j, c := range got {
+					if c.Peer == p || c.Addr != addrOf(c.Peer) || c.DTree < 0 || c.DTree > 6 ||
+						(j > 0 && (got[j-1].DTree > c.DTree || got[j-1].Peer == c.Peer)) {
+						t.Errorf("lookup(%d) malformed at %d: %+v", p, j, got)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	readers.Wait()
+	stop.Store(true)
+	writers.Wait()
+	if err := s.checkSides(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestApplyBatchSkipsBadEntries: a replayed batch is tolerant — an entry
+// that fails the door check or names a landmark not held here is skipped,
+// the rest apply, on both state copies alike.
+func TestApplyBatchSkipsBadEntries(t *testing.T) {
+	s := newTestServer(t)
+	err := s.Apply(op.BatchJoin([]op.JoinEntry{
+		{Peer: 1, Path: []topology.NodeID{4, 0}},
+		{Peer: 2, Path: []topology.NodeID{4, 4, 0}}, // repeated router
+		{Peer: 3}, // empty path
+		{Peer: 4, Path: []topology.NodeID{4, 77}}, // landmark not held
+		{Peer: 5, Path: []topology.NodeID{5, 0}},
+	}, 9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Peers(); !slices.Equal(got, []pathtree.PeerID{1, 5}) {
+		t.Fatalf("peers %v, want [1 5]", got)
+	}
+	if err := s.checkSides(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -1,0 +1,94 @@
+package server
+
+import (
+	"fmt"
+	"runtime"
+	"testing"
+
+	"proxdisc/internal/loadgen"
+	"proxdisc/internal/op"
+	"proxdisc/internal/pathtree"
+	"proxdisc/internal/topology"
+)
+
+// residentLandmarks is the benchmark's landmark set.
+var residentLandmarks = []topology.NodeID{0, 1, 2, 3}
+
+// residentJoin is peer i's join as the benchmark's load generator would
+// send it: a TreePath under one of four landmarks and an overlay address.
+func residentJoin(i int) op.Op {
+	raw := loadgen.TreePath(int32(i%len(residentLandmarks)), i)
+	path := make([]topology.NodeID, len(raw))
+	for j, r := range raw {
+		path[j] = topology.NodeID(r)
+	}
+	return op.Join(pathtree.PeerID(i+1), path, fmt.Sprintf("10.%d.%d.%d:9000", i>>16&255, i>>8&255, i&255), 0)
+}
+
+func heapAlloc() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestResidentBytesPerPeer pins what a resident peer costs: the live heap a
+// server holds for 50 000 peers with addresses, both state copies counted,
+// divided by the peers. The budget is the measured 266 B plus 10 %; the
+// layout this one replaced (a PeerInfo with its own path per peer per copy,
+// two ID maps per copy, pointer-linked trie nodes) measured 584 B.
+func TestResidentBytesPerPeer(t *testing.T) {
+	const peers, budget = 50_000, 292
+	joins := make([]op.Op, peers)
+	for i := range joins {
+		joins[i] = residentJoin(i)
+	}
+	base := heapAlloc()
+	s, err := New(Config{Landmarks: residentLandmarks})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range joins {
+		if _, err := s.JoinOp(joins[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	perPeer := float64(heapAlloc()-base) / peers
+	t.Logf("%.1f B of live heap per resident peer (two state copies)", perPeer)
+	if perPeer > budget {
+		t.Errorf("%.1f B per resident peer, want ≤ %d", perPeer, budget)
+	}
+	runtime.KeepAlive(s)
+	runtime.KeepAlive(joins)
+}
+
+// TestAnsweredJoinAllocs pins what an answered join allocates once the
+// slabs are warm: the peer re-joins under the path it already holds, so its
+// record, trie nodes and child runs all come back from the free lists, and
+// both state copies are written. What is left, five allocations, is the
+// answer slice and the closure mutate queues with the three variables it
+// captures (the op, the answer, the error); the address string arrives
+// already allocated, by whoever decoded the request. The layout this one
+// replaced allocated nine: a PeerInfo and a path copy per state copy on top.
+func TestAnsweredJoinAllocs(t *testing.T) {
+	s, err := New(Config{Landmarks: residentLandmarks})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2000; i++ {
+		if _, err := s.JoinOp(residentJoin(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	o := residentJoin(777)
+	allocs := testing.AllocsPerRun(200, func() {
+		if cands, err := s.JoinOp(o); err != nil || len(cands) != DefaultNeighborCount {
+			t.Fatalf("join: %v, %v", cands, err)
+		}
+	})
+	t.Logf("%.0f allocations per answered join", allocs)
+	if allocs > 5 {
+		t.Errorf("%.0f allocations per answered join into warm slabs, want ≤ 5", allocs)
+	}
+}

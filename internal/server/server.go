@@ -11,6 +11,30 @@
 // The server also implements the paper's future-work items: peer departure
 // and expiry (faulty peers / handover), and super-peer delegation.
 //
+// # What is resident
+//
+// Per landmark, one pathtree.Core: the trie of routers and, chained to the
+// router each peer's path ends at, one fixed-size pathtree.Record per peer —
+// ID, refresh time in nanoseconds, address, super-peer flag. The record is
+// all that is stored of a peer. Its path is not: it is the chain of routers
+// from the record's node up to the landmark, and PeerInfo and snapshots
+// rebuild it from there. Beside the trees a state copy holds one map, from
+// peer ID to (landmark, slot), which is how every peer-keyed request finds
+// the record. Measured with 50 000 loadgen.TreePath peers carrying addresses
+// over four landmarks (TestResidentBytesPerPeer), one state copy costs
+//
+//	peer records      48 B/peer   one 48-byte slot each
+//	trie nodes        44 B/peer   32-byte slots, 1.37 routers per peer
+//	child runs        11 B/peer   8-byte {router, node} pairs
+//	peers map         29 B/peer   int64 → {int32, int32}, no pointers
+//	chunk slack        1 B/peer   at most one chunk per pool per tree
+//	                 133 B/peer
+//
+// and the server keeps two copies (below), 266 B/peer in all, plus the
+// address string's bytes, which the copies share. Of those pools only the
+// records hold a pointer (the address), so a collection marks one object per
+// 256 peers instead of several per peer.
+//
 // # Concurrency: left-right read views
 //
 // The server keeps two complete copies of its state (trees, peer records,
@@ -30,7 +54,7 @@ package server
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -73,13 +97,15 @@ type Config struct {
 	Clock func() time.Time
 }
 
-// PeerInfo is the server's record of one peer.
+// PeerInfo is what the server knows of one peer, as PeerInfo() reports it.
+// It is assembled per call from the peer's record and the trie, not stored.
 type PeerInfo struct {
 	// ID is the peer's identifier.
 	ID pathtree.PeerID
 	// Landmark is the landmark whose tree holds the peer.
 	Landmark topology.NodeID
-	// Path is the reported router path, peer-side first.
+	// Path is the reported router path, peer-side first: the routers from
+	// the peer's trie node up to the landmark.
 	Path []topology.NodeID
 	// Addr is the peer's advertised overlay address, when the join came in
 	// over the wire ("" for in-process joins). It is durable state: it
@@ -112,17 +138,26 @@ type Stats struct {
 
 // state is one complete copy of the server's mutable state. The server
 // keeps two (left-right): the published copy serves readers, the other
-// absorbs writes, and they trade places on every write batch. Path slices
-// inside PeerInfo are never shared between copies' records being mutated —
-// each copy owns its PeerInfo structs outright.
+// absorbs writes, and they trade places on every write batch. The copies
+// share nothing mutable: of a peer, only the bytes of its address string.
 type state struct {
-	trees map[topology.NodeID]*pathtree.Tree
-	peers map[pathtree.PeerID]*PeerInfo
+	trees map[topology.NodeID]*pathtree.Core
+	// peers says where each registered peer's record lives. It is the one
+	// per-peer map a copy holds, and it holds no pointers, so the collector
+	// never scans it.
+	peers map[pathtree.PeerID]ref
 	// epochs holds each landmark's fencing epoch. Only landmarks that have
 	// moved at least once have an entry; absence means epoch zero. The
 	// epoch is durable state: it rides in KindMoveLandmark ops, in the log
 	// and in snapshots alike, so every copy agrees on who owns a landmark.
 	epochs map[topology.NodeID]uint64
+}
+
+// ref locates a peer's record: the landmark whose tree holds it and the slot
+// within that tree.
+type ref struct {
+	lm   topology.NodeID
+	slot int32
 }
 
 // side pairs one state copy with its grace-period fence.
@@ -169,6 +204,10 @@ type Server struct {
 	pending   []*writeReq
 	pendSpare []*writeReq
 
+	// wsc is the writers' query scratch: answering joins run one at a time,
+	// under wmu.
+	wsc pathtree.Scratch
+
 	joins, leaves, expiries, queries, delegations, publications atomic.Int64
 }
 
@@ -190,15 +229,15 @@ func NewEmpty(cfg Config) (*Server, error) {
 
 func newState(cfg *Config) (state, error) {
 	st := state{
-		trees:  make(map[topology.NodeID]*pathtree.Tree, len(cfg.Landmarks)),
-		peers:  make(map[pathtree.PeerID]*PeerInfo),
+		trees:  make(map[topology.NodeID]*pathtree.Core, len(cfg.Landmarks)),
+		peers:  make(map[pathtree.PeerID]ref),
 		epochs: make(map[topology.NodeID]uint64),
 	}
 	for _, lm := range cfg.Landmarks {
 		if _, dup := st.trees[lm]; dup {
 			return state{}, fmt.Errorf("server: duplicate landmark %d", lm)
 		}
-		st.trees[lm] = pathtree.New(lm, pathtree.Options{})
+		st.trees[lm] = pathtree.NewCore(lm)
 	}
 	return st, nil
 }
@@ -330,7 +369,7 @@ func (s *Server) Landmarks() []topology.NodeID {
 	for lm := range rs.st.trees {
 		out = append(out, lm)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -356,6 +395,14 @@ func (s *Server) stamp(o op.Op) op.Op {
 // the local clock.
 func (s *Server) Apply(o op.Op) error {
 	o = s.stamp(o)
+	switch o.Kind {
+	case op.KindJoin:
+		if err := validateJoin(&o.Join); err != nil {
+			return err
+		}
+	case op.KindBatchJoin:
+		o.Batch = validEntries(o.Batch)
+	}
 	var err error
 	s.mutate(func(st *state, first bool) {
 		c, e := st.apply(o)
@@ -367,34 +414,47 @@ func (s *Server) Apply(o op.Op) error {
 	return err
 }
 
+// validateJoin is the check every reported path passes exactly once, at the
+// door it enters by (Apply, JoinOp, JoinBatchOp, a snapshot being read),
+// before the op reaches either state copy: past it, state and trie trust
+// their input. That the path ends at a landmark held here is the one check
+// left to the state, which alone knows its trees.
+func validateJoin(e *op.JoinEntry) error {
+	if len(e.Path) == 0 {
+		return errors.New("server: empty path")
+	}
+	return pathtree.ValidatePath(e.Path, e.Path[len(e.Path)-1])
+}
+
+// validEntries drops the entries of a replayed batch that fail validateJoin.
+// A recorded batch carries only entries the primary accepted, so none
+// should — the copy is made only when one does — but a tolerant replay skips
+// a bad entry rather than abort the batch.
+func validEntries(batch []op.JoinEntry) []op.JoinEntry {
+	invalid := func(e op.JoinEntry) bool { return validateJoin(&e) != nil }
+	if !slices.ContainsFunc(batch, invalid) {
+		return batch
+	}
+	return slices.DeleteFunc(slices.Clone(batch), invalid)
+}
+
 // apply dispatches one op against a state copy. It must be deterministic:
 // the same op against equal copies effects the equal change (mutate runs
-// it on both).
+// it on both). Join paths have passed validateJoin.
 func (st *state) apply(o op.Op) (counters, error) {
 	var c counters
 	switch o.Kind {
 	case op.KindJoin:
-		tree, lm, err := st.resolveJoin(o.Join.Peer, o.Join.Path)
-		if err != nil {
-			return c, err
-		}
-		if err := st.insertJoin(tree, lm, &o.Join, o.Time); err != nil {
+		if _, _, err := st.join(&o.Join, o.Time, 0, nil); err != nil {
 			return c, err
 		}
 		c.joins++
 		return c, nil
 	case op.KindBatchJoin:
-		// Batch entries that fail individually are skipped, matching the
-		// answering path's per-entry isolation: recorded batch ops carry
-		// only entries the primary accepted, so on replay none should
-		// fail — but a tolerant replay never aborts a whole batch.
+		// An entry whose landmark is not held here is skipped, matching the
+		// answering path's per-entry isolation.
 		for i := range o.Batch {
-			e := &o.Batch[i]
-			tree, lm, err := st.resolveJoin(e.Peer, e.Path)
-			if err != nil {
-				continue
-			}
-			if st.insertJoin(tree, lm, e, o.Time) == nil {
+			if _, _, err := st.join(&o.Batch[i], o.Time, 0, nil); err == nil {
 				c.joins++
 			}
 		}
@@ -406,21 +466,21 @@ func (st *state) apply(o op.Op) (counters, error) {
 		c.leaves++
 		return c, nil
 	case op.KindRefresh:
-		info, ok := st.peers[o.Peer]
-		if !ok {
-			return c, fmt.Errorf("%w: %d", ErrUnknownPeer, o.Peer)
+		rec, err := st.record(o.Peer)
+		if err != nil {
+			return c, err
 		}
-		info.LastRefresh = time.Unix(0, o.Time)
+		rec.RefreshNanos = o.Time
 		return c, nil
 	case op.KindSetSuperPeer:
-		info, ok := st.peers[o.Peer]
-		if !ok {
-			return c, fmt.Errorf("%w: %d", ErrUnknownPeer, o.Peer)
+		rec, err := st.record(o.Peer)
+		if err != nil {
+			return c, err
 		}
-		info.SuperPeer = o.Super
+		rec.Super = o.Super
 		return c, nil
 	case op.KindExpire:
-		c.expiries = len(st.expireBefore(time.Unix(0, o.Time)))
+		c.expiries = len(st.expireBefore(o.Time))
 		return c, nil
 	case op.KindMoveLandmark:
 		// A server applies the epoch half of a handoff: the peer transfer
@@ -432,7 +492,7 @@ func (st *state) apply(o op.Op) (counters, error) {
 		// records its fence.
 		lm := o.Move.Landmark
 		if _, ok := st.trees[lm]; !ok {
-			st.trees[lm] = pathtree.New(lm, pathtree.Options{})
+			st.trees[lm] = pathtree.NewCore(lm)
 		}
 		if o.Move.Epoch > st.epochs[lm] {
 			st.epochs[lm] = o.Move.Epoch
@@ -455,11 +515,14 @@ func (s *Server) Join(p pathtree.PeerID, path []topology.NodeID) ([]pathtree.Can
 // primary apply path.
 func (s *Server) JoinOp(o op.Op) ([]pathtree.Candidate, error) {
 	o = s.stamp(o)
+	if err := validateJoin(&o.Join); err != nil {
+		return nil, err
+	}
 	var cands []pathtree.Candidate
 	var err error
 	s.mutate(func(st *state, first bool) {
 		if first {
-			cands, err = st.joinOp(o, s.cfg.NeighborCount)
+			_, cands, err = st.join(&o.Join, o.Time, s.cfg.NeighborCount, &s.wsc)
 			if err == nil {
 				s.joins.Add(1)
 				s.queries.Add(1)
@@ -469,64 +532,60 @@ func (s *Server) JoinOp(o op.Op) ([]pathtree.Candidate, error) {
 		if err == nil {
 			// Replay the registration silently on the retired copy; the
 			// answer was already computed on the published one.
-			_, _ = st.apply(o)
+			_, _, _ = st.join(&o.Join, o.Time, 0, nil)
 		}
 	})
 	return cands, err
 }
 
-// resolveJoin validates a join's path, resolves its landmark tree, and
-// retires the peer's old record when it re-joins under a different
-// landmark. Shared by the answering and silent-apply registration paths
-// so their semantics can never drift apart.
-func (st *state) resolveJoin(p pathtree.PeerID, path []topology.NodeID) (*pathtree.Tree, topology.NodeID, error) {
-	if len(path) == 0 {
-		return nil, 0, errors.New("server: empty path")
+// record returns peer p's record on this copy.
+func (st *state) record(p pathtree.PeerID) (*pathtree.Record, error) {
+	r, ok := st.peers[p]
+	if !ok {
+		return nil, fmt.Errorf("%w: %d", ErrUnknownPeer, p)
 	}
-	lm := path[len(path)-1]
+	return st.trees[r.lm].Record(r.slot), nil
+}
+
+// answer copies a query's hits out of the scratch into the neighbour list —
+// the address read from each candidate's record — and reports whether a
+// super-peer sits within delegation range (dtree ≤ 2).
+func answer(tree *pathtree.Core, hits []pathtree.Hit) (cands []pathtree.Candidate, superNear bool) {
+	cands = make([]pathtree.Candidate, len(hits))
+	for i, h := range hits {
+		rec := tree.Record(h.Slot)
+		cands[i] = pathtree.Candidate{Peer: h.Peer, DTree: int(h.DTree), Addr: rec.Addr}
+		superNear = superNear || (rec.Super && h.DTree <= 2)
+	}
+	return cands, superNear
+}
+
+// join is the one registration road, shared by the answering and the silent
+// paths so their semantics can never drift apart: it resolves the entry's
+// landmark tree, retires the record of a peer that re-joins (under whichever
+// landmark it was), and attaches the peer at the end of its path with a
+// fresh record stamped at the op's time. With k > 0 the newcomer's k closest
+// peers are computed on the way down the path, before it is attached, so a
+// peer never appears in its own answer; sc is that query's scratch. The
+// entry's path has passed validateJoin.
+func (st *state) join(e *op.JoinEntry, timeNanos int64, k int, sc *pathtree.Scratch) (*pathtree.Record, []pathtree.Candidate, error) {
+	lm := e.Path[len(e.Path)-1]
 	tree, ok := st.trees[lm]
 	if !ok {
-		return nil, 0, fmt.Errorf("%w (router %d)", ErrUnknownLandmark, lm)
+		return nil, nil, fmt.Errorf("%w (router %d)", ErrUnknownLandmark, lm)
 	}
-	// If the peer re-joins under a different landmark, drop the old record.
-	if old, exists := st.peers[p]; exists && old.Landmark != lm {
-		st.trees[old.Landmark].Remove(p)
+	if old, exists := st.peers[e.Peer]; exists {
+		st.trees[old.lm].Remove(old.slot)
 	}
-	return tree, lm, nil
-}
-
-// insertJoin performs the registration half of a join: the tree insert
-// and the peer record, stamped at the op's time. Counterpart of
-// resolveJoin.
-func (st *state) insertJoin(tree *pathtree.Tree, lm topology.NodeID, e *op.JoinEntry, timeNanos int64) error {
-	if err := tree.Insert(e.Peer, e.Path); err != nil {
-		return err
+	slot, hits := tree.Join(e.Peer, e.Path, k, sc)
+	st.peers[e.Peer] = ref{lm, slot}
+	rec := tree.Record(slot)
+	rec.RefreshNanos, rec.Addr = timeNanos, e.Addr
+	var cands []pathtree.Candidate
+	if k > 0 {
+		cands, _ = answer(tree, hits)
 	}
-	st.peers[e.Peer] = &PeerInfo{
-		ID:          e.Peer,
-		Landmark:    lm,
-		Path:        append([]topology.NodeID(nil), e.Path...),
-		Addr:        e.Addr,
-		LastRefresh: time.Unix(0, timeNanos),
-	}
-	return nil
-}
-
-// joinOp is the answering join body: the closest-peers query followed by
-// the same registration apply performs. It runs on the write copy only.
-func (st *state) joinOp(o op.Op, neighborCount int) ([]pathtree.Candidate, error) {
-	tree, lm, err := st.resolveJoin(o.Join.Peer, o.Join.Path)
-	if err != nil {
-		return nil, err
-	}
-	cands, err := tree.ClosestToPathExcluding(o.Join.Path, neighborCount, o.Join.Peer)
-	if err != nil {
-		return nil, err
-	}
-	if err := st.insertJoin(tree, lm, &o.Join, o.Time); err != nil {
-		return nil, err
-	}
-	return cands, nil
+	return rec, cands, nil
 }
 
 // BatchJoin is one entry of a batched join.
@@ -570,27 +629,26 @@ func (s *Server) JoinBatchOp(o op.Op) []BatchResult {
 	if len(o.Batch) == 0 {
 		return out
 	}
+	for i := range o.Batch {
+		out[i].Err = validateJoin(&o.Batch[i])
+	}
 	s.mutate(func(st *state, first bool) {
-		single := op.Op{Kind: op.KindJoin, Time: o.Time}
-		if first {
-			n := 0
-			for i := range o.Batch {
-				single.Join = o.Batch[i]
-				out[i].Neighbors, out[i].Err = st.joinOp(single, s.cfg.NeighborCount)
-				if out[i].Err == nil {
+		n := 0
+		for i := range o.Batch {
+			switch e := &o.Batch[i]; {
+			case out[i].Err != nil:
+				// Rejected at the door or by the first application.
+			case first:
+				if _, out[i].Neighbors, out[i].Err = st.join(e, o.Time, s.cfg.NeighborCount, &s.wsc); out[i].Err == nil {
 					n++
 				}
+			default:
+				_, _, _ = st.join(e, o.Time, 0, nil)
 			}
+		}
+		if first {
 			s.joins.Add(int64(n))
 			s.queries.Add(int64(n))
-			return
-		}
-		for i := range o.Batch {
-			if out[i].Err != nil {
-				continue
-			}
-			single.Join = o.Batch[i]
-			_, _ = st.apply(single)
 		}
 	})
 	return out
@@ -604,22 +662,17 @@ func (s *Server) JoinBatchOp(o op.Op) []BatchResult {
 func (s *Server) Lookup(p pathtree.PeerID) ([]pathtree.Candidate, error) {
 	rs := s.acquireRead()
 	defer rs.mu.RUnlock()
-	st := &rs.st
-	info, ok := st.peers[p]
+	r, ok := rs.st.peers[p]
 	if !ok {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownPeer, p)
 	}
-	tree := st.trees[info.Landmark]
-	cands, err := tree.Closest(p, s.cfg.NeighborCount)
-	if err != nil {
-		return nil, err
-	}
+	tree := rs.st.trees[r.lm]
+	sc := pathtree.GetScratch()
+	cands, superNear := answer(tree, tree.Closest(r.slot, s.cfg.NeighborCount, sc))
+	sc.Release()
 	s.queries.Add(1)
-	for _, c := range cands {
-		if q := st.peers[c.Peer]; q != nil && q.SuperPeer && c.DTree <= 2 {
-			s.delegations.Add(1)
-			break
-		}
+	if superNear {
+		s.delegations.Add(1)
 	}
 	return cands, nil
 }
@@ -631,11 +684,11 @@ func (s *Server) Refresh(p pathtree.PeerID) error {
 
 // leave removes a registered peer from one state copy.
 func (st *state) leave(p pathtree.PeerID) error {
-	info, ok := st.peers[p]
+	r, ok := st.peers[p]
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrUnknownPeer, p)
 	}
-	st.trees[info.Landmark].Remove(p)
+	st.trees[r.lm].Remove(r.slot)
 	delete(st.peers, p)
 	return nil
 }
@@ -646,17 +699,19 @@ func (s *Server) Leave(p pathtree.PeerID) bool {
 }
 
 // expireBefore sweeps out peers whose last refresh is strictly before the
-// cutoff, returning the expired IDs in ascending order.
-func (st *state) expireBefore(cutoff time.Time) []pathtree.PeerID {
+// cutoff (Unix nanoseconds), returning the expired IDs in ascending order.
+func (st *state) expireBefore(cutoff int64) []pathtree.PeerID {
 	var out []pathtree.PeerID
-	for p, info := range st.peers {
-		if info.LastRefresh.Before(cutoff) {
-			st.trees[info.Landmark].Remove(p)
-			delete(st.peers, p)
-			out = append(out, p)
+	for _, tree := range st.trees {
+		for slot, rec := range tree.Records() {
+			if rec.RefreshNanos < cutoff {
+				out = append(out, rec.ID)
+				delete(st.peers, rec.ID)
+				tree.Remove(slot)
+			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -671,13 +726,13 @@ func (s *Server) Expire() []pathtree.PeerID {
 
 // ExpireOp applies a KindExpire op and returns the expired IDs — the
 // answering form of the sweep; Apply runs the identical sweep silently.
-// Because the op carries its deadline and every peer's LastRefresh comes
+// Because the op carries its deadline and every peer's refresh time comes
 // from op timestamps, every copy that applies the same ExpireOp expires
 // exactly the same peers.
 func (s *Server) ExpireOp(o op.Op) []pathtree.PeerID {
 	var out []pathtree.PeerID
 	s.mutate(func(st *state, first bool) {
-		expired := st.expireBefore(time.Unix(0, o.Time))
+		expired := st.expireBefore(o.Time)
 		if first {
 			out = expired
 			s.expiries.Add(int64(len(expired)))
@@ -691,17 +746,26 @@ func (s *Server) SetSuperPeer(p pathtree.PeerID, super bool) error {
 	return s.Apply(op.SetSuperPeer(p, super))
 }
 
-// PeerInfo returns a copy of the record for peer p.
+// PeerInfo returns the record for peer p. Its Path is rebuilt from the trie
+// (the routers from the peer's node up to the landmark) into a slice the
+// caller owns.
 func (s *Server) PeerInfo(p pathtree.PeerID) (PeerInfo, error) {
 	rs := s.acquireRead()
 	defer rs.mu.RUnlock()
-	info, ok := rs.st.peers[p]
+	r, ok := rs.st.peers[p]
 	if !ok {
 		return PeerInfo{}, fmt.Errorf("%w: %d", ErrUnknownPeer, p)
 	}
-	cp := *info
-	cp.Path = append([]topology.NodeID(nil), info.Path...)
-	return cp, nil
+	tree := rs.st.trees[r.lm]
+	rec := tree.Record(r.slot)
+	return PeerInfo{
+		ID:          p,
+		Landmark:    r.lm,
+		Path:        tree.AppendPath(make([]topology.NodeID, 0, tree.Depth(r.slot)+1), r.slot),
+		Addr:        rec.Addr,
+		SuperPeer:   rec.Super,
+		LastRefresh: time.Unix(0, rec.RefreshNanos),
+	}, nil
 }
 
 // NumPeers reports the number of registered peers.
@@ -719,7 +783,7 @@ func (s *Server) Peers() []pathtree.PeerID {
 	for p := range rs.st.peers {
 		out = append(out, p)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

@@ -32,9 +32,9 @@ import (
 // write equal bytes: the contract a converged follower is checked against.
 // Trees are not serialized; the joins rebuild them.
 
-// snapPeer is one peer record lifted out of a state copy. entry.Path
-// aliases the record's path, which is safe past the read hold: a stored
-// path is never written again, only replaced together with its record.
+// snapPeer is one peer record lifted out of a state copy. entry.Path is the
+// path as the trie walk rebuilt it, in memory the walk allocated: no state
+// copy refers to it, so it is safe past the read hold.
 type snapPeer struct {
 	at    int64 // LastRefresh in Unix nanoseconds
 	entry op.JoinEntry
@@ -53,17 +53,23 @@ type image struct {
 func (s *Server) collect(img *image, owner int, want map[topology.NodeID]bool) {
 	rs := s.acquireRead()
 	defer rs.mu.RUnlock()
-	st := &rs.st
-	for lm := range st.trees {
-		if want == nil || want[lm] {
-			img.moves = append(img.moves, op.MoveEntry{Landmark: lm, Src: owner, Dst: owner, Epoch: st.epochs[lm]})
+	rs.st.collect(img, owner, want)
+}
+
+// collect is Server.collect's body over one state copy. A peer's path is
+// not stored, so each tree is walked once, depth-first, and hands every peer
+// the path the walk stands on.
+func (st *state) collect(img *image, owner int, want map[topology.NodeID]bool) {
+	for lm, tree := range st.trees {
+		if want != nil && !want[lm] {
+			continue
 		}
-	}
-	for _, info := range st.peers {
-		if want == nil || want[info.Landmark] {
-			img.peers = append(img.peers, snapPeer{info.LastRefresh.UnixNano(),
-				op.JoinEntry{Peer: info.ID, Addr: info.Addr, Path: info.Path}, info.SuperPeer})
-		}
+		img.moves = append(img.moves, op.MoveEntry{Landmark: lm, Src: owner, Dst: owner, Epoch: st.epochs[lm]})
+		img.peers = slices.Grow(img.peers, tree.Len())
+		tree.Walk(func(rec *pathtree.Record, path []topology.NodeID) {
+			img.peers = append(img.peers, snapPeer{rec.RefreshNanos,
+				op.JoinEntry{Peer: rec.ID, Addr: rec.Addr, Path: path}, rec.Super})
+		})
 	}
 }
 
@@ -147,15 +153,23 @@ type snapshotOps struct {
 }
 
 // readSnapshot decodes a whole snapshot. Nothing is returned unless the
-// stream was good to its end frame and held only the three kinds above, so
-// no caller ever acts on a prefix.
+// stream was good to its end frame, held only the three kinds above and
+// every path in it passed validateJoin, so no caller ever acts on a prefix
+// and no state copy ever sees an unchecked path.
 func readSnapshot(r io.Reader) (snapshotOps, error) {
 	snap := snapshotOps{supers: make(map[pathtree.PeerID]bool)}
 	err := op.ReadStream(r, func(o *op.Op) error {
 		switch o.Kind {
 		case op.KindSetSuperPeer:
 			snap.supers[o.Peer] = o.Super
-		case op.KindMoveLandmark, op.KindBatchJoin:
+		case op.KindBatchJoin:
+			for i := range o.Batch {
+				if err := validateJoin(&o.Batch[i]); err != nil {
+					return fmt.Errorf("peer %d: %w", o.Batch[i].Peer, err)
+				}
+			}
+			fallthrough
+		case op.KindMoveLandmark:
 			snap.ops = append(snap.ops, *o)
 			*o = op.Op{} // the slices now belong to snap
 		default:
@@ -187,14 +201,11 @@ func (st *state) load(snap snapshotOps) ([]pathtree.PeerID, error) {
 			if _, live := st.peers[e.Peer]; live {
 				continue
 			}
-			tree, lm, err := st.resolveJoin(e.Peer, e.Path)
-			if err == nil {
-				err = st.insertJoin(tree, lm, e, o.Time)
-			}
+			rec, _, err := st.join(e, o.Time, 0, nil)
 			if err != nil {
 				return inserted, fmt.Errorf("server: snapshot peer %d: %w", e.Peer, err)
 			}
-			st.peers[e.Peer].SuperPeer = snap.supers[e.Peer]
+			rec.Super = snap.supers[e.Peer]
 			inserted = append(inserted, e.Peer)
 		}
 	}
@@ -252,15 +263,14 @@ func (s *Server) ResetFromSnapshot(r io.Reader) error {
 func (s *Server) DropLandmark(lm topology.NodeID) []pathtree.PeerID {
 	var out []pathtree.PeerID
 	s.mutate(func(st *state, first bool) {
-		if _, ok := st.trees[lm]; !ok {
+		tree, ok := st.trees[lm]
+		if !ok {
 			return
 		}
-		var removed []pathtree.PeerID
-		for p, info := range st.peers {
-			if info.Landmark == lm {
-				delete(st.peers, p)
-				removed = append(removed, p)
-			}
+		removed := make([]pathtree.PeerID, 0, tree.Len())
+		for _, rec := range tree.Records() {
+			delete(st.peers, rec.ID)
+			removed = append(removed, rec.ID)
 		}
 		delete(st.trees, lm)
 		delete(st.epochs, lm)

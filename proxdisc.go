@@ -56,10 +56,12 @@
 // to each other (wait for a response before sending a request that must
 // see its effect), and one connection's reads are served serially — a
 // connection's read throughput is one core; open more connections to
-// scale. A local lookup takes the front end's forwarded-peer and
-// address-cache read locks and its connection's write mutex, plus the
-// backend's read-side locks (package netserver lists them exactly);
-// nothing on that path is held exclusively for longer than a map update.
+// scale. A local lookup takes the front end's forwarded-peer read lock and
+// its connection's write mutex, plus the backend's read-side locks (package
+// netserver lists them exactly); nothing on that path is held exclusively
+// for longer than a map update. Answers carry each candidate's overlay
+// address straight from the peer's record in the backend; the front end
+// keeps no address table of its own.
 // proxdisc_response_frames_total over proxdisc_response_flushes_total is
 // the server's frames per write syscall.
 //
@@ -255,9 +257,9 @@
 // Client.CachedLookup answers a k-closest query from that cache when a
 // covering subscription is live — zero round trips, zero server work — and
 // falls back to the wire transparently when none is. Pushed candidates
-// travel through the same address-resolution path as pull answers, so at
-// any quiescent point the cache is byte-identical to what a fresh Lookup
-// would return.
+// carry the address the peer's record holds, as pull answers do, so at any
+// quiescent point the cache is byte-identical to what a fresh Lookup would
+// return.
 //
 // Delivery is bounded end to end: each subscription has a fixed server-
 // side queue; a consumer that falls behind first has same-peer events
@@ -405,14 +407,22 @@
 //     produced; a directory written by the old single-stream log is
 //     adopted read-only and continues under sharded segments.
 //
-//   - Arena-allocated path-tree nodes. Each tree carves its trie nodes
-//     from per-tree slabs and recycles pruned nodes through a free list
-//     (the lifetime rule: a node is freed only while the tree's write lock
-//     is held and the node is unreachable, so no query ever observes a
-//     recycled node; freed nodes keep their maps and slice capacity for
-//     the next insert). Steady-state churn therefore retires NO node
-//     memory to the garbage collector — BenchmarkPathTreeChurn is pinned
-//     at 0 allocs/op in the committed baseline.
+//   - One record per resident peer, in pointer-free slabs. Each tree
+//     carves three pools from fixed-size chunks and links them by int32
+//     index: 32-byte trie nodes, runs of {router, node} child pairs, and
+//     one 48-byte record per peer (ID, refresh time, address, super-peer
+//     flag) chained to the router its path ends at. A peer's path is not
+//     stored — it is that router's parent chain — and a state copy keeps
+//     one map, peer ID to (landmark, slot). A management server holds
+//     about 266 B per resident peer, both left-right copies counted
+//     (package server has the table; TestResidentBytesPerPeer pins it),
+//     and only the records hold a pointer, so the collector has one object
+//     to mark per 256 peers. Freed slots are recycled through free lists
+//     (the lifetime rule: a slot is freed only by a writer that has the
+//     copy to itself, so no query ever observes a recycled slot), and
+//     steady-state churn retires NO tree memory to the garbage collector —
+//     BenchmarkPathTreeChurn is pinned at 0 allocs/op in the committed
+//     baseline, TestChurnRecyclesSlots pins the pools' high-water marks.
 //
 //   - Coalesced left-right writes. Server writers flat-combine: mutations
 //     queue, and the writer that wins the writer mutex applies the whole
@@ -461,8 +471,9 @@ type PeerID = pathtree.PeerID
 // RouterID identifies a router in a topology.
 type RouterID = topology.NodeID
 
-// Candidate is one closest-peer answer entry: the peer and its inferred
-// path-tree distance in router hops.
+// Candidate is one closest-peer answer entry: the peer, its inferred
+// path-tree distance in router hops and, in a management server's answers,
+// the overlay address the peer advertised.
 type Candidate = pathtree.Candidate
 
 // PathTree is the paper's core data structure: a per-landmark prefix tree
