@@ -1031,8 +1031,7 @@ func BenchmarkMillionPeerNode(b *testing.B) {
 // connection issuing 32-join batches — against background readers running
 // lookups of resident peers for the whole measured window. Run with
 // -cpu 1,4 to see the write plane scale; the contention profile of this
-// benchmark (-mutexprofile/-blockprofile) is what drove the sharded WAL
-// and the left-right write coalescer.
+// benchmark (-mutexprofile/-blockprofile) is what drove the sharded WAL.
 func BenchmarkMillionPeerNodeParallel(b *testing.B) {
 	if testing.Short() {
 		b.Skip("the million-peer fill takes on the order of a minute")

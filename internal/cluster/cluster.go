@@ -29,18 +29,18 @@
 //
 // Cluster.Lookup takes, in order: the peer index stripe's RLock (released
 // before the shard is touched); then, inside server.Server.Lookup, the
-// published left-right side's fence (side.mu.RLock) — the trees below it
-// take no lock of their own. Nothing exclusive, nothing of the cluster's
-// own beyond the index stripe. An index miss adds a FindPeer
-// scatter, which reads every shard the same way.
+// server's state lock, read-held — the trees below it take no lock of their
+// own. Nothing exclusive, nothing of the cluster's own beyond the index
+// stripe. An index miss adds a FindPeer scatter, which reads every shard the
+// same way.
 //
 // Cluster.JoinOp takes: Cluster.mu.RLock (table, moving set, epoch fence)
 // just long enough to take the owning shard's gate, shard.opMu.RLock,
-// which is held across the apply; inside server.mutate, pendMu for the
-// queue push, then the writer mutex wmu — and, when this writer is the
-// combiner, pendMu again to drain the queue and each side's side.mu.Lock in
-// turn; then the peer index stripe's Lock for the index update. After the gate is released a
-// durable cluster appends to the write-ahead log: the shard stream's
+// which is held across the apply; inside the server, the writer mutex for
+// the whole op and, under it, the state lock exclusively around each single
+// mutation (one per batch entry) — opMu → writer mutex → state lock; then
+// the peer index stripe's Lock for the index update. After the gate is
+// released a durable cluster appends to the write-ahead log: the shard stream's
 // append mutex and wal.Sharded's seqMu, then the group-commit syncMu for
 // whoever leads the fsync. The cluster adds no write lock of its own: the
 // handoff gate is shared by writers and exclusive only for MoveLandmark's
@@ -222,10 +222,6 @@ func (c *Cluster) initMetrics() {
 		g.applies = r.Counter(`proxdisc_shard_apply_total{shard="` + shard + `"}`)
 		r.GaugeFunc(`proxdisc_shard_peers{shard="`+shard+`"}`, func() float64 {
 			return float64(g.srv.NumPeers())
-		})
-		// Applies over publications is the shard's flat-combining batch size.
-		r.GaugeFunc(`proxdisc_server_publications_total{shard="`+shard+`"}`, func() float64 {
-			return float64(g.srv.Publications())
 		})
 	}
 }
@@ -847,7 +843,6 @@ func (c *Cluster) Stats() server.Stats {
 		merged.Expiries += st.Expiries
 		merged.Queries += st.Queries
 		merged.SuperPeerDelegations += st.SuperPeerDelegations
-		merged.Publications += st.Publications
 		for lm, ts := range st.TreeStats {
 			merged.TreeStats[lm] = ts
 		}

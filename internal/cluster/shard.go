@@ -21,8 +21,8 @@ type opResult struct {
 }
 
 // shard is one shard of the cluster: a server.Server behind the handoff
-// gate. The server serialises its own writers (server.mutate flat-combines
-// them under one publication), so the shard adds no write lock of its own;
+// gate. The server serialises its own writers (its writer mutex), so the
+// shard adds no write lock of its own;
 // copies of a shard live in other processes, fed by the committed op
 // stream (see netserver.StartFollower).
 type shard struct {

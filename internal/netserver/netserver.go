@@ -32,9 +32,9 @@
 //
 // A local lookup takes exactly these locks. In the front end: fwdMu.RLock
 // (is the peer proxied?) and the connection's own write mutex. In a
-// server.Server backend: the published left-right side's fence
-// (side.mu.RLock, which writers take exclusively only on the side no reader
-// is being sent to) and nothing below it. A cluster.Cluster backend adds the
+// server.Server backend: the state lock, read-held (a writer takes it
+// exclusively for one join at a time; snapshots and other whole-state walks
+// never take it) and nothing below it. A cluster.Cluster backend adds the
 // peer index stripe's RLock and nothing else (package cluster lists its
 // locks). Writers hold fwdMu exclusively for one map update at a time.
 //

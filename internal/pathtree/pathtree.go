@@ -48,8 +48,8 @@
 //
 // Core is the tree keyed by slot. It takes no lock and keeps no index from
 // peer ID to slot: the management server, which already serialises access to
-// each of its state copies and already maps every peer ID to where the peer
-// lives, embeds it directly. Tree wraps a Core with that index and a
+// its state and already maps every peer ID to where the peer lives, embeds
+// it directly. Tree wraps a Core with that index and a
 // read-write lock: it is keyed by peer ID and safe for concurrent use.
 package pathtree
 
@@ -180,8 +180,8 @@ func (t *Tree) DTree(p, q PeerID) (int, error) {
 }
 
 // scratchPool recycles query working memory. Queries run concurrently under
-// a read lock (Tree) or on a published state copy (the management server), so
-// the scratch is pooled rather than hung off the tree.
+// a read lock (Tree's own, or the management server's state lock), so the
+// scratch is pooled rather than hung off the tree.
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 
 // GetScratch takes a Scratch from the pool; Release returns it.

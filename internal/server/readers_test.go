@@ -3,105 +3,16 @@ package server
 import (
 	"bytes"
 	"fmt"
-	"runtime"
+	"io"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"proxdisc/internal/op"
 	"proxdisc/internal/pathtree"
 	"proxdisc/internal/topology"
 )
-
-// TestMutateCoalescesPendingWriters pins the flat-combining contract
-// deterministically: writers queued while a combiner holds the writer
-// mutex are all run by the next combiner in ONE batch — every first-apply
-// before any second-apply, one publication for the lot — and each
-// mutation applies exactly once per state copy.
-func TestMutateCoalescesPendingWriters(t *testing.T) {
-	const writers = 10
-	s, err := New(Config{Landmarks: []topology.NodeID{0}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		// Occupies wmu: its first apply parks until the test releases it.
-		s.mutate(func(st *state, first bool) {
-			if first {
-				close(entered)
-				<-release
-			}
-		})
-	}()
-	<-entered
-
-	// The blocker holds wmu, so these writers can only enqueue and wait.
-	type event struct {
-		writer int
-		first  bool
-	}
-	var evMu sync.Mutex
-	var events []event
-	for i := 0; i < writers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			s.mutate(func(st *state, first bool) {
-				evMu.Lock()
-				events = append(events, event{writer: i, first: first})
-				evMu.Unlock()
-			})
-		}(i)
-	}
-	// Wait until every writer is in the combining queue, then let go.
-	for {
-		s.pendMu.Lock()
-		n := len(s.pending)
-		s.pendMu.Unlock()
-		if n == writers {
-			break
-		}
-		runtime.Gosched()
-	}
-	close(release)
-	wg.Wait()
-
-	if len(events) != 2*writers {
-		t.Fatalf("recorded %d applies, want %d (each writer exactly once per copy)", len(events), 2*writers)
-	}
-	// One batch: all first-applies precede all second-applies, and the
-	// second pass replays the identical writer order.
-	var firsts, seconds []int
-	for i, e := range events {
-		if e.first {
-			if len(seconds) > 0 {
-				t.Fatalf("first-apply after a second-apply at event %d: writers were not combined into one batch: %v", i, events)
-			}
-			firsts = append(firsts, e.writer)
-		} else {
-			seconds = append(seconds, e.writer)
-		}
-	}
-	if len(firsts) != writers || len(seconds) != writers {
-		t.Fatalf("got %d first-applies and %d second-applies, want %d each", len(firsts), len(seconds), writers)
-	}
-	for i := range firsts {
-		if firsts[i] != seconds[i] {
-			t.Fatalf("second pass order %v != first pass order %v", seconds, firsts)
-		}
-	}
-	seen := map[int]bool{}
-	for _, w := range firsts {
-		if seen[w] {
-			t.Fatalf("writer %d applied twice on the same copy: %v", w, firsts)
-		}
-		seen[w] = true
-	}
-}
 
 // churnPath builds a deterministic synthetic path for peer i ending at the
 // landmark: a small fanout tree of routers so nearby IDs share prefixes.
@@ -112,15 +23,14 @@ func churnPath(landmark topology.NodeID, i int) []topology.NodeID {
 	return []topology.NodeID{c, b, a, landmark}
 }
 
-// TestLeftRightChurn hammers the left-right read view: writer goroutines
-// churn joins/leaves/refreshes while reader goroutines run lookups and
-// info reads the whole time. Readers assert they never observe a torn
-// view (an anchor peer that vanishes, a path that does not end at the
-// landmark, an answer naming the queried peer itself); afterwards, at a
-// quiescent point, the live answers must match a fresh server rebuilt
-// from the snapshot — and must be identical before and after one more
-// write swaps the two copies, proving both copies converged.
-func TestLeftRightChurn(t *testing.T) {
+// TestReadersDuringChurn hammers the state lock: writer goroutines churn
+// joins/leaves/refreshes while reader goroutines run lookups and info
+// reads the whole time. Readers assert they never observe a torn view (an
+// anchor peer that vanishes, a path that does not end at the landmark, an
+// answer naming the queried peer itself); afterwards, at a quiescent
+// point, the live answers must match a fresh server rebuilt from the
+// snapshot.
+func TestReadersDuringChurn(t *testing.T) {
 	const landmark topology.NodeID = 9
 	const anchors = 40
 	s, err := New(Config{Landmarks: []topology.NodeID{landmark}, NeighborCount: 8})
@@ -259,7 +169,6 @@ func TestLeftRightChurn(t *testing.T) {
 	if got, want := s.NumPeers(), ref.NumPeers(); got != want {
 		t.Fatalf("NumPeers %d != rebuilt %d", got, want)
 	}
-	before := make(map[pathtree.PeerID][]pathtree.Candidate, anchors)
 	for i := 0; i < anchors; i++ {
 		p := pathtree.PeerID(i + 1)
 		live, err := s.Lookup(p)
@@ -278,25 +187,96 @@ func TestLeftRightChurn(t *testing.T) {
 				t.Fatalf("anchor %d: live answer %v != rebuilt %v", p, live, fresh)
 			}
 		}
-		before[p] = live
 	}
-	// One more write publishes the other copy; answers must not change —
-	// the two left-right copies converged to the same state.
-	if err := s.Refresh(1); err != nil {
+}
+
+// TestLookupProceedsWhileWriterMutexHeld pins which lock a whole-state walk
+// holds. With the writer mutex held — first by the test itself, standing in
+// for a snapshot in progress, then by Snapshot, Stats, Peers, the scan of an
+// expiry sweep and the scan of DropLandmark, each parked in walkHook —
+// Lookup, PeerInfo and NumPeers return, and a JoinOp does not until the
+// mutex is released.
+func TestLookupProceedsWhileWriterMutexHeld(t *testing.T) {
+	const landmark, spare topology.NodeID = 9, 8
+	s, err := New(Config{Landmarks: []topology.NodeID{landmark, spare}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	for p, want := range before {
-		got, err := s.Lookup(p)
-		if err != nil {
-			t.Fatalf("post-swap lookup %d: %v", p, err)
+	for i := 1; i <= 20; i++ {
+		if _, err := s.JoinOp(op.Join(pathtree.PeerID(i), churnPath(landmark, i), "", int64(i))); err != nil {
+			t.Fatal(err)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("anchor %d: answer changed across copy swap: %v != %v", p, got, want)
-		}
-		for j := range got {
-			if got[j] != want[j] {
-				t.Fatalf("anchor %d: answer changed across copy swap: %v != %v", p, got, want)
+	}
+	newcomer := 100
+	// held runs while someone holds the writer mutex; release makes them
+	// let go of it.
+	held := func(who string, release func()) {
+		t.Helper()
+		read := make(chan error, 1)
+		go func() {
+			_, err := s.Lookup(10)
+			if err == nil {
+				_, err = s.PeerInfo(11)
 			}
+			if n := s.NumPeers(); err == nil && n < 18 {
+				err = fmt.Errorf("NumPeers %d", n)
+			}
+			read <- err
+		}()
+		select {
+		case err := <-read:
+			if err != nil {
+				t.Fatalf("%s holds the writer mutex: %v", who, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s holds the writer mutex: readers wait for it", who)
 		}
+		newcomer++
+		joined := make(chan error, 1)
+		go func() {
+			_, err := s.JoinOp(op.Join(pathtree.PeerID(newcomer), churnPath(landmark, newcomer), "", 0))
+			joined <- err
+		}()
+		select {
+		case <-joined:
+			t.Fatalf("%s holds the writer mutex: a join got past it", who)
+		case <-time.After(20 * time.Millisecond):
+		}
+		release()
+		if err := <-joined; err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s.wmu.Lock()
+	held("the test", s.wmu.Unlock)
+
+	walks := []struct {
+		name string
+		walk func()
+	}{
+		{"Snapshot", func() { _ = s.Snapshot(io.Discard) }},
+		{"Stats", func() { s.Stats() }},
+		{"Peers", func() { s.Peers() }},
+		{"ExpireOp", func() { s.ExpireOp(op.Expire(3)) }}, // peers 1 and 2
+		{"DropLandmark", func() { s.DropLandmark(spare) }},
+	}
+	for _, w := range walks {
+		entered, release, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+		s.walkHook = func() {
+			close(entered)
+			<-release
+		}
+		go func() {
+			w.walk()
+			close(done)
+		}()
+		<-entered
+		held(w.name, func() { close(release) })
+		<-done
+	}
+	s.walkHook = nil
+	if got, want := s.NumPeers(), 20-2+1+len(walks); got != want {
+		t.Fatalf("%d peers after the walks, want %d", got, want)
 	}
 }

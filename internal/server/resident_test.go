@@ -34,12 +34,10 @@ func heapAlloc() uint64 {
 }
 
 // TestResidentBytesPerPeer pins what a resident peer costs: the live heap a
-// server holds for 50 000 peers with addresses, both state copies counted,
-// divided by the peers. The budget is the measured 266 B plus 10 %; the
-// layout this one replaced (a PeerInfo with its own path per peer per copy,
-// two ID maps per copy, pointer-linked trie nodes) measured 584 B.
+// server holds for 50 000 peers with addresses, divided by the peers. The
+// budget is the measured 133 B plus 10 %; the package comment has the table.
 func TestResidentBytesPerPeer(t *testing.T) {
-	const peers, budget = 50_000, 292
+	const peers, budget = 50_000, 146
 	joins := make([]op.Op, peers)
 	for i := range joins {
 		joins[i] = residentJoin(i)
@@ -55,7 +53,7 @@ func TestResidentBytesPerPeer(t *testing.T) {
 		}
 	}
 	perPeer := float64(heapAlloc()-base) / peers
-	t.Logf("%.1f B of live heap per resident peer (two state copies)", perPeer)
+	t.Logf("%.1f B of live heap per resident peer", perPeer)
 	if perPeer > budget {
 		t.Errorf("%.1f B per resident peer, want ≤ %d", perPeer, budget)
 	}
@@ -65,12 +63,9 @@ func TestResidentBytesPerPeer(t *testing.T) {
 
 // TestAnsweredJoinAllocs pins what an answered join allocates once the
 // slabs are warm: the peer re-joins under the path it already holds, so its
-// record, trie nodes and child runs all come back from the free lists, and
-// both state copies are written. What is left, five allocations, is the
-// answer slice and the closure mutate queues with the three variables it
-// captures (the op, the answer, the error); the address string arrives
-// already allocated, by whoever decoded the request. The layout this one
-// replaced allocated nine: a PeerInfo and a path copy per state copy on top.
+// record, trie nodes and child runs all come back from the free lists. What
+// is left is one allocation, the answer slice; the address string arrives
+// already allocated, by whoever decoded the request.
 func TestAnsweredJoinAllocs(t *testing.T) {
 	s, err := New(Config{Landmarks: residentLandmarks})
 	if err != nil {
@@ -88,7 +83,7 @@ func TestAnsweredJoinAllocs(t *testing.T) {
 		}
 	})
 	t.Logf("%.0f allocations per answered join", allocs)
-	if allocs > 5 {
-		t.Errorf("%.0f allocations per answered join into warm slabs, want ≤ 5", allocs)
+	if allocs > 1 {
+		t.Errorf("%.0f allocations per answered join into warm slabs, want ≤ 1", allocs)
 	}
 }

@@ -18,10 +18,10 @@
 // ID, refresh time in nanoseconds, address, super-peer flag. The record is
 // all that is stored of a peer. Its path is not: it is the chain of routers
 // from the record's node up to the landmark, and PeerInfo and snapshots
-// rebuild it from there. Beside the trees a state copy holds one map, from
+// rebuild it from there. Beside the trees the state holds one map, from
 // peer ID to (landmark, slot), which is how every peer-keyed request finds
 // the record. Measured with 50 000 loadgen.TreePath peers carrying addresses
-// over four landmarks (TestResidentBytesPerPeer), one state copy costs
+// over four landmarks (TestResidentBytesPerPeer), a peer costs
 //
 //	peer records      48 B/peer   one 48-byte slot each
 //	trie nodes        44 B/peer   32-byte slots, 1.37 routers per peer
@@ -30,25 +30,51 @@
 //	chunk slack        1 B/peer   at most one chunk per pool per tree
 //	                 133 B/peer
 //
-// and the server keeps two copies (below), 266 B/peer in all, plus the
-// address string's bytes, which the copies share. Of those pools only the
-// records hold a pointer (the address), so a collection marks one object per
-// 256 peers instead of several per peer.
+// plus the address string's bytes. There is one copy of all of it. Of those
+// pools only the records hold a pointer (the address), so a collection marks
+// one object per 256 peers instead of several per peer.
 //
-// # Concurrency: left-right read views
+// # Concurrency: two locks
 //
-// The server keeps two complete copies of its state (trees, peer records,
-// epochs). Readers load the currently published copy through an atomic
-// pointer and read it under that copy's RLock; writers serialize on a
-// writer mutex, mutate the unpublished copy, atomically publish it, and
-// then replay the same mutation on the retired copy. The per-copy RWMutex
-// is a grace-period fence, not a contention point: a writer's Lock only
-// waits for stale readers that loaded the copy before it was retired —
-// steady-state readers always hold the published copy and never wait on a
-// writer, and a whole Apply batch costs readers at most one pointer load.
-// Contending writers flat-combine: mutations queue, and the writer that
-// wins the mutex runs the whole queue under a single publication, so k
-// concurrent writers pay one grace-period wait instead of k (see mutate).
+// The writer mutex (wmu) serialises mutators: every op is applied once, by
+// one goroutine at a time, in the order they won the mutex. Every whole-state
+// walk holds it too — collect (Snapshot, SnapshotLandmarks, WriteSnapshot),
+// Stats, Peers, and the scans by which an expiry sweep and DropLandmark find
+// their peers. A walk is a writer that does not write: holding wmu it reads
+// the state with no other lock, writers queue behind it, and lookups do not
+// notice it.
+//
+// The state lock (mu, an RWMutex) is what lookups take. Lookup, PeerInfo,
+// NumPeers, Epoch and Landmarks read-hold it. A writer, wmu already held,
+// takes it exclusively around one single mutation and nothing else: one
+// state.join per entry of a batch (the answer is copied out after the
+// release), one Remove per expired peer, one map delete per peer of a dropped
+// landmark, one insert per absorbed peer, one assignment for
+// ResetFromSnapshot, whose new state is built before either lock is taken.
+// So the order is wmu → mu, a reader waits for at most the one mutation in
+// progress, and a writer for the lookups in flight when it asks.
+//
+// The hold is per entry, not per batch, because that — not a second copy of
+// the state — is what keeps lookups off the writers' path. This package
+// once kept two copies (left-right: writers mutate the copy no reader is
+// sent to, publish it, then repeat the mutation on the other), which cost
+// 133 B/peer and a second application of every op, live and replayed.
+// BenchmarkLookupBesideBatchWriter — 100 000 peers, one reader timing each
+// lookup, beside one writer running JoinBatchOp of 32 flat out, 2 CPUs —
+// measured, lookup p50 / p99 and both sides' throughput:
+//
+//	                          p50       p99    lookups/s   joins/s
+//	no writer                1.3 µs    5.3 µs    634k        —
+//	left-right, two copies   1.6 µs   12.3 µs    459k       249k
+//	one copy, mu per batch  35.9 µs   76.5 µs     26k       817k
+//	one copy, mu per entry   3.0 µs   19.2 µs    230k       236k   (this package)
+//
+// (medians of three alternated runs each). Held across a batch, the lock
+// makes every lookup wait out up to 32 joins and starves the reader 17-fold;
+// held per entry a lookup's median stays within a join's length of the
+// uncontended one. What is left of the gap to left-right is the price of
+// parking: a reader that meets a writer sleeps and is woken, where under
+// left-right it never met one.
 package server
 
 import (
@@ -128,23 +154,17 @@ type Stats struct {
 	// SuperPeerDelegations counts queries answered by delegating to a
 	// nearby super-peer rather than by a full tree walk.
 	SuperPeerDelegations int
-	// Publications counts left-right publications: one per combined batch
-	// of writes, so writes applied over publications is the flat-combining
-	// batch size (see mutate).
-	Publications int
 	// TreeStats maps each landmark to its path-tree statistics.
 	TreeStats map[topology.NodeID]pathtree.Stats
 }
 
-// state is one complete copy of the server's mutable state. The server
-// keeps two (left-right): the published copy serves readers, the other
-// absorbs writes, and they trade places on every write batch. The copies
-// share nothing mutable: of a peer, only the bytes of its address string.
+// state is the server's mutable state: the trees, the peer map and the
+// epochs. A server holds one, and ResetFromSnapshot replaces it whole.
 type state struct {
 	trees map[topology.NodeID]*pathtree.Core
 	// peers says where each registered peer's record lives. It is the one
-	// per-peer map a copy holds, and it holds no pointers, so the collector
-	// never scans it.
+	// per-peer map the server holds, and it holds no pointers, so the
+	// collector never scans it.
 	peers map[pathtree.PeerID]ref
 	// epochs holds each landmark's fencing epoch. Only landmarks that have
 	// moved at least once have an entry; absence means epoch zero. The
@@ -160,55 +180,29 @@ type ref struct {
 	slot int32
 }
 
-// side pairs one state copy with its grace-period fence.
-type side struct {
-	mu sync.RWMutex
-	st state
-}
-
-// counters is the activity attributable to one applied op; the Server
-// folds it into its atomic totals exactly once per op (on the first of
-// the two state applications).
-type counters struct {
-	joins, leaves, expiries int
-}
-
-// writeReq is one queued mutation awaiting a combiner. done is buffered:
-// a token arriving means a combiner holding wmu already ran (and
-// published) this request on the caller's behalf.
-type writeReq struct {
-	apply func(st *state, first bool)
-	done  chan struct{}
-}
-
-var writeReqPool = sync.Pool{
-	New: func() any { return &writeReq{done: make(chan struct{}, 1)} },
-}
-
 // Server is the management server. It is safe for concurrent use.
 type Server struct {
 	cfg Config
 
-	// wmu serializes writers and guards write; read always points at the
-	// published side. See the package comment for the left-right protocol.
-	wmu   sync.Mutex
-	write *side
-	read  atomic.Pointer[side]
-
-	// pendMu guards the flat-combining queue: mutators enqueue here, and
-	// whichever of them wins wmu drains the queue and runs the whole batch
-	// under a single publication. pendSpare is the drained slice, recycled
-	// by the combiner (which owns it, under wmu) to keep enqueueing
-	// allocation-free.
-	pendMu    sync.Mutex
-	pending   []*writeReq
-	pendSpare []*writeReq
+	// wmu is the writer mutex. It serialises mutators, and every whole-state
+	// walk holds it too: a walk is a writer that does not write. Nothing
+	// changes st without it, so its holder reads st with no other lock.
+	wmu sync.Mutex
+	// mu is the state lock. Readers of one peer or one number read-hold it;
+	// a writer, wmu already held, takes it exclusively around one single
+	// mutation and nothing else. See the package comment.
+	mu sync.RWMutex
+	st state
 
 	// wsc is the writers' query scratch: answering joins run one at a time,
 	// under wmu.
 	wsc pathtree.Scratch
 
-	joins, leaves, expiries, queries, delegations, publications atomic.Int64
+	// walkHook, when set, runs at the start of every whole-state walk, with
+	// wmu held and mu not. Tests park a walk in it; nothing else sets it.
+	walkHook func()
+
+	joins, leaves, expiries, queries, delegations atomic.Int64
 }
 
 // New builds a server for the given landmark set.
@@ -253,120 +247,30 @@ func newServer(cfg Config) (*Server, error) {
 		cfg.Clock = time.Now
 	}
 	s := &Server{cfg: cfg}
-	a, err := newState(&s.cfg)
-	if err != nil {
+	var err error
+	if s.st, err = newState(&s.cfg); err != nil {
 		return nil, err
 	}
-	b, _ := newState(&s.cfg)
-	s.write = &side{st: a}
-	s.read.Store(&side{st: b})
 	return s, nil
 }
 
-// mutate runs apply against both state copies under the left-right
-// protocol. apply is invoked exactly twice: first on the unpublished
-// write copy with first=true (answers are computed there), then — after
-// that copy has been atomically published to readers — on the retired
-// copy with first=false to bring it up to date. apply must effect the
-// identical state change on both copies; outside mutate the two copies
-// are always equal.
-//
-// Writers flat-combine: each mutation enqueues, and whichever writer wins
-// wmu drains the queue and runs every queued mutation — in enqueue order —
-// under ONE publication and ONE pair of grace-period fences. Under
-// multi-core contention this turns k writers queued on the old per-write
-// protocol (k publications, each waiting out a reader grace period) into
-// one combined batch, while an uncontended write costs only an extra
-// queue push. Mutations still execute strictly serialized, so apply
-// closures need no locking of their own.
-func (s *Server) mutate(apply func(st *state, first bool)) {
-	req := writeReqPool.Get().(*writeReq)
-	req.apply = apply
-	s.pendMu.Lock()
-	s.pending = append(s.pending, req)
-	s.pendMu.Unlock()
-
-	s.wmu.Lock()
-	select {
-	case <-req.done:
-		// A combiner that held wmu before us already ran and published
-		// this request; the token receive orders its writes (including
-		// our answer closure's results) before our return.
-		s.wmu.Unlock()
-		req.apply = nil
-		writeReqPool.Put(req)
-		return
-	default:
-	}
-	// We are the combiner. Drain the queue — it contains our own request
-	// and any others that enqueued before we won wmu.
-	s.pendMu.Lock()
-	batch := s.pending
-	s.pending = s.pendSpare[:0]
-	s.pendMu.Unlock()
-
-	w := s.write
-	// The fence: stale readers that loaded this copy before it was
-	// retired (at least one whole batch ago) may still hold RLocks; wait
-	// them out and hold the write lock across the mutation so late
-	// stragglers block rather than observe a half-applied batch.
-	w.mu.Lock()
-	for _, r := range batch {
-		r.apply(&w.st, true)
-	}
-	w.mu.Unlock()
-	old := s.read.Swap(w)
-	s.publications.Add(1)
-	s.write = old
-	old.mu.Lock()
-	for _, r := range batch {
-		r.apply(&old.st, false)
-	}
-	old.mu.Unlock()
-	// Hand tokens to the coalesced waiters BEFORE releasing wmu: the next
-	// wmu holder must observe its token, or it would combine a batch its
-	// own request is no longer part of and return with apply never run.
-	for i, r := range batch {
-		if r != req {
-			r.done <- struct{}{}
-		}
-		batch[i] = nil
-	}
-	s.pendSpare = batch[:0]
-	s.wmu.Unlock()
-	req.apply = nil
-	writeReqPool.Put(req)
-}
-
-// acquireRead returns the published side with its fence read-held.
-// Callers must rs.mu.RUnlock() when done with rs.st.
-func (s *Server) acquireRead() *side {
-	rs := s.read.Load()
-	rs.mu.RLock()
-	return rs
-}
-
-// addCounters folds one op's activity into the atomic totals.
-func (s *Server) addCounters(c counters) {
-	if c.joins != 0 {
-		s.joins.Add(int64(c.joins))
-	}
-	if c.leaves != 0 {
-		s.leaves.Add(int64(c.leaves))
-	}
-	if c.expiries != 0 {
-		s.expiries.Add(int64(c.expiries))
+// walking marks the start of a whole-state walk. The caller holds wmu, which
+// keeps every mutator out for as long as the walk lasts, and does not hold
+// mu, so lookups run beside the walk.
+func (s *Server) walking() {
+	if s.walkHook != nil {
+		s.walkHook()
 	}
 }
 
 // Landmarks returns the registered landmark routers in ascending order.
 // The tree set is mutable at runtime (Absorb, DropLandmark), so the read
-// needs the side held.
+// needs the state lock.
 func (s *Server) Landmarks() []topology.NodeID {
-	rs := s.acquireRead()
-	defer rs.mu.RUnlock()
-	out := make([]topology.NodeID, 0, len(rs.st.trees))
-	for lm := range rs.st.trees {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	out := make([]topology.NodeID, 0, len(s.st.trees))
+	for lm := range s.st.trees {
 		out = append(out, lm)
 	}
 	slices.Sort(out)
@@ -403,22 +307,44 @@ func (s *Server) Apply(o op.Op) error {
 	case op.KindBatchJoin:
 		o.Batch = validEntries(o.Batch)
 	}
-	var err error
-	s.mutate(func(st *state, first bool) {
-		c, e := st.apply(o)
-		if first {
-			err = e
-			s.addCounters(c)
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	switch o.Kind {
+	case op.KindJoin:
+		_, err := s.register(&o.Join, o.Time, 0)
+		if err == nil {
+			s.joins.Add(1)
 		}
-	})
+		return err
+	case op.KindBatchJoin:
+		// An entry whose landmark is not held here is skipped, matching the
+		// answering path's per-entry isolation.
+		n := 0
+		for i := range o.Batch {
+			if _, err := s.register(&o.Batch[i], o.Time, 0); err == nil {
+				n++
+			}
+		}
+		s.joins.Add(int64(n))
+		return nil
+	case op.KindExpire:
+		s.expire(o.Time)
+		return nil
+	}
+	s.mu.Lock()
+	err := s.st.apply(o)
+	s.mu.Unlock()
+	if err == nil && o.Kind == op.KindLeave {
+		s.leaves.Add(1)
+	}
 	return err
 }
 
 // validateJoin is the check every reported path passes exactly once, at the
 // door it enters by (Apply, JoinOp, JoinBatchOp, a snapshot being read),
-// before the op reaches either state copy: past it, state and trie trust
-// their input. That the path ends at a landmark held here is the one check
-// left to the state, which alone knows its trees.
+// before the op reaches the state: past it, state and trie trust their
+// input. That the path ends at a landmark held here is the one check left to
+// the state, which alone knows its trees.
 func validateJoin(e *op.JoinEntry) error {
 	if len(e.Path) == 0 {
 		return errors.New("server: empty path")
@@ -438,50 +364,34 @@ func validEntries(batch []op.JoinEntry) []op.JoinEntry {
 	return slices.DeleteFunc(slices.Clone(batch), invalid)
 }
 
-// apply dispatches one op against a state copy. It must be deterministic:
-// the same op against equal copies effects the equal change (mutate runs
-// it on both). Join paths have passed validateJoin.
-func (st *state) apply(o op.Op) (counters, error) {
-	var c counters
+// apply dispatches an op that is one single mutation of a registered peer or
+// of a landmark (joins go through register; a sweep is one mutation per
+// expired peer, and Server.expire takes it apart). The caller holds the
+// state lock exclusively, or owns st outright.
+func (st *state) apply(o op.Op) error {
 	switch o.Kind {
-	case op.KindJoin:
-		if _, _, err := st.join(&o.Join, o.Time, 0, nil); err != nil {
-			return c, err
-		}
-		c.joins++
-		return c, nil
-	case op.KindBatchJoin:
-		// An entry whose landmark is not held here is skipped, matching the
-		// answering path's per-entry isolation.
-		for i := range o.Batch {
-			if _, _, err := st.join(&o.Batch[i], o.Time, 0, nil); err == nil {
-				c.joins++
-			}
-		}
-		return c, nil
 	case op.KindLeave:
-		if err := st.leave(o.Peer); err != nil {
-			return c, err
+		r, ok := st.peers[o.Peer]
+		if !ok {
+			return fmt.Errorf("%w: %d", ErrUnknownPeer, o.Peer)
 		}
-		c.leaves++
-		return c, nil
+		st.trees[r.lm].Remove(r.slot)
+		delete(st.peers, o.Peer)
+		return nil
 	case op.KindRefresh:
 		rec, err := st.record(o.Peer)
 		if err != nil {
-			return c, err
+			return err
 		}
 		rec.RefreshNanos = o.Time
-		return c, nil
+		return nil
 	case op.KindSetSuperPeer:
 		rec, err := st.record(o.Peer)
 		if err != nil {
-			return c, err
+			return err
 		}
 		rec.Super = o.Super
-		return c, nil
-	case op.KindExpire:
-		c.expiries = len(st.expireBefore(o.Time))
-		return c, nil
+		return nil
 	case op.KindMoveLandmark:
 		// A server applies the epoch half of a handoff: the peer transfer
 		// itself travels as a snapshot (Absorb on the destination,
@@ -497,9 +407,9 @@ func (st *state) apply(o op.Op) (counters, error) {
 		if o.Move.Epoch > st.epochs[lm] {
 			st.epochs[lm] = o.Move.Epoch
 		}
-		return c, nil
+		return nil
 	default:
-		return c, fmt.Errorf("server: cannot apply op kind %d", o.Kind)
+		return fmt.Errorf("server: cannot apply op kind %d", o.Kind)
 	}
 }
 
@@ -518,27 +428,34 @@ func (s *Server) JoinOp(o op.Op) ([]pathtree.Candidate, error) {
 	if err := validateJoin(&o.Join); err != nil {
 		return nil, err
 	}
-	var cands []pathtree.Candidate
-	var err error
-	s.mutate(func(st *state, first bool) {
-		if first {
-			_, cands, err = st.join(&o.Join, o.Time, s.cfg.NeighborCount, &s.wsc)
-			if err == nil {
-				s.joins.Add(1)
-				s.queries.Add(1)
-			}
-			return
-		}
-		if err == nil {
-			// Replay the registration silently on the retired copy; the
-			// answer was already computed on the published one.
-			_, _, _ = st.join(&o.Join, o.Time, 0, nil)
-		}
-	})
+	s.wmu.Lock()
+	cands, err := s.register(&o.Join, o.Time, s.cfg.NeighborCount)
+	s.wmu.Unlock()
+	if err == nil {
+		s.joins.Add(1)
+		s.queries.Add(1)
+	}
 	return cands, err
 }
 
-// record returns peer p's record on this copy.
+// register is one join's visit to the state, for a caller holding wmu. The
+// state lock is held exclusively for st.join alone — the descent, the
+// newcomer's query on the way down, the attach — and released before the
+// answer is copied out of the scratch: reading the hits' records needs only
+// wmu. Lookups therefore wait for at most one join, however long the batch
+// the join came in.
+func (s *Server) register(e *op.JoinEntry, timeNanos int64, k int) ([]pathtree.Candidate, error) {
+	s.mu.Lock()
+	tree, _, hits, err := s.st.join(e, timeNanos, k, &s.wsc)
+	s.mu.Unlock()
+	if err != nil || k == 0 {
+		return nil, err
+	}
+	cands, _ := answer(tree, hits)
+	return cands, nil
+}
+
+// record returns peer p's record.
 func (st *state) record(p pathtree.PeerID) (*pathtree.Record, error) {
 	r, ok := st.peers[p]
 	if !ok {
@@ -564,15 +481,16 @@ func answer(tree *pathtree.Core, hits []pathtree.Hit) (cands []pathtree.Candidat
 // paths so their semantics can never drift apart: it resolves the entry's
 // landmark tree, retires the record of a peer that re-joins (under whichever
 // landmark it was), and attaches the peer at the end of its path with a
-// fresh record stamped at the op's time. With k > 0 the newcomer's k closest
-// peers are computed on the way down the path, before it is attached, so a
-// peer never appears in its own answer; sc is that query's scratch. The
-// entry's path has passed validateJoin.
-func (st *state) join(e *op.JoinEntry, timeNanos int64, k int, sc *pathtree.Scratch) (*pathtree.Record, []pathtree.Candidate, error) {
+// fresh record stamped at the op's time, which it returns as (tree, slot).
+// With k > 0 the newcomer's k closest peers are found on the way down the
+// path, before it is attached, so a peer never appears in its own answer;
+// the hits alias sc, that query's scratch. The entry's path has passed
+// validateJoin.
+func (st *state) join(e *op.JoinEntry, timeNanos int64, k int, sc *pathtree.Scratch) (*pathtree.Core, int32, []pathtree.Hit, error) {
 	lm := e.Path[len(e.Path)-1]
 	tree, ok := st.trees[lm]
 	if !ok {
-		return nil, nil, fmt.Errorf("%w (router %d)", ErrUnknownLandmark, lm)
+		return nil, 0, nil, fmt.Errorf("%w (router %d)", ErrUnknownLandmark, lm)
 	}
 	if old, exists := st.peers[e.Peer]; exists {
 		st.trees[old.lm].Remove(old.slot)
@@ -581,11 +499,7 @@ func (st *state) join(e *op.JoinEntry, timeNanos int64, k int, sc *pathtree.Scra
 	st.peers[e.Peer] = ref{lm, slot}
 	rec := tree.Record(slot)
 	rec.RefreshNanos, rec.Addr = timeNanos, e.Addr
-	var cands []pathtree.Candidate
-	if k > 0 {
-		cands, _ = answer(tree, hits)
-	}
-	return rec, cands, nil
+	return tree, slot, hits, nil
 }
 
 // BatchJoin is one entry of a batched join.
@@ -606,11 +520,12 @@ type BatchResult struct {
 	Err       error
 }
 
-// JoinBatch registers a batch of peers under a single writer round —
-// the flash-crowd fast path: one left-right publication amortized over
-// the whole batch instead of per join. Entries are applied in order
-// (so a duplicate peer within the batch behaves exactly like sequential
-// joins), and one entry's failure does not affect the others.
+// JoinBatch registers a batch of peers under a single writer round — the
+// flash-crowd fast path: one acquisition of the writer mutex for the whole
+// batch, the state lock taken entry by entry so lookups slip in between.
+// Entries are applied in order (so a duplicate peer within the batch
+// behaves exactly like sequential joins), and one entry's failure does not
+// affect the others.
 func (s *Server) JoinBatch(items []BatchJoin) []BatchResult {
 	entries := make([]op.JoinEntry, len(items))
 	for i, it := range items {
@@ -626,47 +541,39 @@ func (s *Server) JoinBatch(items []BatchJoin) []BatchResult {
 func (s *Server) JoinBatchOp(o op.Op) []BatchResult {
 	o = s.stamp(o)
 	out := make([]BatchResult, len(o.Batch))
-	if len(o.Batch) == 0 {
-		return out
-	}
 	for i := range o.Batch {
 		out[i].Err = validateJoin(&o.Batch[i])
 	}
-	s.mutate(func(st *state, first bool) {
-		n := 0
-		for i := range o.Batch {
-			switch e := &o.Batch[i]; {
-			case out[i].Err != nil:
-				// Rejected at the door or by the first application.
-			case first:
-				if _, out[i].Neighbors, out[i].Err = st.join(e, o.Time, s.cfg.NeighborCount, &s.wsc); out[i].Err == nil {
-					n++
-				}
-			default:
-				_, _, _ = st.join(e, o.Time, 0, nil)
-			}
+	n := 0
+	s.wmu.Lock()
+	for i := range o.Batch {
+		if out[i].Err != nil {
+			continue // rejected at the door
 		}
-		if first {
-			s.joins.Add(int64(n))
-			s.queries.Add(int64(n))
+		if out[i].Neighbors, out[i].Err = s.register(&o.Batch[i], o.Time, s.cfg.NeighborCount); out[i].Err == nil {
+			n++
 		}
-	})
+	}
+	s.wmu.Unlock()
+	s.joins.Add(int64(n))
+	s.queries.Add(int64(n))
 	return out
 }
 
 // Lookup re-answers the closest-peers query for an already registered peer.
 // When a super-peer exists at dtree 0..2 from the peer, the server delegates
 // (counts the delegation and still returns the list, modelling the
-// super-peer answering from its local cache). Lookup runs entirely on the
-// published read copy: it never waits on writers.
+// super-peer answering from its local cache). Lookup read-holds the state
+// lock: it waits for at most the one mutation a writer is in the middle of,
+// never for a batch, a snapshot or any other walk.
 func (s *Server) Lookup(p pathtree.PeerID) ([]pathtree.Candidate, error) {
-	rs := s.acquireRead()
-	defer rs.mu.RUnlock()
-	r, ok := rs.st.peers[p]
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	r, ok := s.st.peers[p]
 	if !ok {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownPeer, p)
 	}
-	tree := rs.st.trees[r.lm]
+	tree := s.st.trees[r.lm]
 	sc := pathtree.GetScratch()
 	cands, superNear := answer(tree, tree.Closest(r.slot, s.cfg.NeighborCount, sc))
 	sc.Release()
@@ -682,35 +589,36 @@ func (s *Server) Refresh(p pathtree.PeerID) error {
 	return s.Apply(op.Refresh(p, 0))
 }
 
-// leave removes a registered peer from one state copy.
-func (st *state) leave(p pathtree.PeerID) error {
-	r, ok := st.peers[p]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrUnknownPeer, p)
-	}
-	st.trees[r.lm].Remove(r.slot)
-	delete(st.peers, p)
-	return nil
-}
-
 // Leave removes peer p; it reports whether the peer was registered.
 func (s *Server) Leave(p pathtree.PeerID) bool {
 	return s.Apply(op.Leave(p)) == nil
 }
 
-// expireBefore sweeps out peers whose last refresh is strictly before the
-// cutoff (Unix nanoseconds), returning the expired IDs in ascending order.
-func (st *state) expireBefore(cutoff int64) []pathtree.PeerID {
+// expire sweeps out peers whose last refresh is strictly before the cutoff
+// (Unix nanoseconds), counts them and returns their IDs in ascending order.
+// The caller holds wmu. Finding the expired is a walk, made tree by tree
+// under wmu alone; each removal is a mutation with a state-lock hold of its
+// own.
+func (s *Server) expire(cutoff int64) []pathtree.PeerID {
+	s.walking()
 	var out []pathtree.PeerID
-	for _, tree := range st.trees {
+	var slots []int32
+	for _, tree := range s.st.trees {
+		slots = slots[:0]
 		for slot, rec := range tree.Records() {
 			if rec.RefreshNanos < cutoff {
+				slots = append(slots, slot)
 				out = append(out, rec.ID)
-				delete(st.peers, rec.ID)
-				tree.Remove(slot)
 			}
 		}
+		for _, slot := range slots {
+			s.mu.Lock()
+			delete(s.st.peers, tree.Record(slot).ID)
+			tree.Remove(slot)
+			s.mu.Unlock()
+		}
 	}
+	s.expiries.Add(int64(len(out)))
 	slices.Sort(out)
 	return out
 }
@@ -730,15 +638,9 @@ func (s *Server) Expire() []pathtree.PeerID {
 // from op timestamps, every copy that applies the same ExpireOp expires
 // exactly the same peers.
 func (s *Server) ExpireOp(o op.Op) []pathtree.PeerID {
-	var out []pathtree.PeerID
-	s.mutate(func(st *state, first bool) {
-		expired := st.expireBefore(o.Time)
-		if first {
-			out = expired
-			s.expiries.Add(int64(len(expired)))
-		}
-	})
-	return out
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	return s.expire(o.Time)
 }
 
 // SetSuperPeer marks or unmarks peer p as a super-peer.
@@ -750,13 +652,13 @@ func (s *Server) SetSuperPeer(p pathtree.PeerID, super bool) error {
 // (the routers from the peer's node up to the landmark) into a slice the
 // caller owns.
 func (s *Server) PeerInfo(p pathtree.PeerID) (PeerInfo, error) {
-	rs := s.acquireRead()
-	defer rs.mu.RUnlock()
-	r, ok := rs.st.peers[p]
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	r, ok := s.st.peers[p]
 	if !ok {
 		return PeerInfo{}, fmt.Errorf("%w: %d", ErrUnknownPeer, p)
 	}
-	tree := rs.st.trees[r.lm]
+	tree := s.st.trees[r.lm]
 	rec := tree.Record(r.slot)
 	return PeerInfo{
 		ID:          p,
@@ -770,19 +672,20 @@ func (s *Server) PeerInfo(p pathtree.PeerID) (PeerInfo, error) {
 
 // NumPeers reports the number of registered peers.
 func (s *Server) NumPeers() int {
-	rs := s.acquireRead()
-	defer rs.mu.RUnlock()
-	return len(rs.st.peers)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return len(s.st.peers)
 }
 
 // Peers returns all registered peer IDs in ascending order.
 func (s *Server) Peers() []pathtree.PeerID {
-	rs := s.acquireRead()
-	defer rs.mu.RUnlock()
-	out := make([]pathtree.PeerID, 0, len(rs.st.peers))
-	for p := range rs.st.peers {
+	s.wmu.Lock()
+	s.walking()
+	out := make([]pathtree.PeerID, 0, len(s.st.peers))
+	for p := range s.st.peers {
 		out = append(out, p)
 	}
+	s.wmu.Unlock()
 	slices.Sort(out)
 	return out
 }
@@ -790,29 +693,26 @@ func (s *Server) Peers() []pathtree.PeerID {
 // Epoch reports a landmark's current fencing epoch (zero for a landmark
 // that never moved or is not held here).
 func (s *Server) Epoch(lm topology.NodeID) uint64 {
-	rs := s.acquireRead()
-	defer rs.mu.RUnlock()
-	return rs.st.epochs[lm]
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.st.epochs[lm]
 }
-
-// Publications reports Stats.Publications without walking any tree.
-func (s *Server) Publications() int { return int(s.publications.Load()) }
 
 // Stats snapshots server counters and tree shapes.
 func (s *Server) Stats() Stats {
-	rs := s.acquireRead()
-	defer rs.mu.RUnlock()
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	s.walking()
 	st := Stats{
-		Peers:                len(rs.st.peers),
+		Peers:                len(s.st.peers),
 		Joins:                int(s.joins.Load()),
 		Leaves:               int(s.leaves.Load()),
 		Expiries:             int(s.expiries.Load()),
 		Queries:              int(s.queries.Load()),
 		SuperPeerDelegations: int(s.delegations.Load()),
-		Publications:         int(s.publications.Load()),
-		TreeStats:            make(map[topology.NodeID]pathtree.Stats, len(rs.st.trees)),
+		TreeStats:            make(map[topology.NodeID]pathtree.Stats, len(s.st.trees)),
 	}
-	for lm, tree := range rs.st.trees {
+	for lm, tree := range s.st.trees {
 		st.TreeStats[lm] = tree.Stats()
 	}
 	return st

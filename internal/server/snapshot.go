@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"sync"
 
 	"proxdisc/internal/op"
 	"proxdisc/internal/pathtree"
@@ -32,9 +33,9 @@ import (
 // write equal bytes: the contract a converged follower is checked against.
 // Trees are not serialized; the joins rebuild them.
 
-// snapPeer is one peer record lifted out of a state copy. entry.Path is the
-// path as the trie walk rebuilt it, in memory the walk allocated: no state
-// copy refers to it, so it is safe past the read hold.
+// snapPeer is one peer record lifted out of the state. entry.Path is the
+// path as the trie walk rebuilt it, in memory the walk allocated: the state
+// does not refer to it, so it is safe past the walk.
 type snapPeer struct {
 	at    int64 // LastRefresh in Unix nanoseconds
 	entry op.JoinEntry
@@ -48,23 +49,20 @@ type image struct {
 }
 
 // collect copies the landmarks in want (every held one when want is nil)
-// and the peers under them out of the published copy under one read hold,
-// so a snapshot never blocks writers longer than one left-right fence.
+// and the peers under them out of the state. It is a walk: the writer mutex
+// keeps mutators out while it copies, and the state lock is never taken, so
+// a snapshot costs lookups nothing. A peer's path is not stored, so each
+// tree is walked once, depth-first, and hands every peer the path the walk
+// stands on.
 func (s *Server) collect(img *image, owner int, want map[topology.NodeID]bool) {
-	rs := s.acquireRead()
-	defer rs.mu.RUnlock()
-	rs.st.collect(img, owner, want)
-}
-
-// collect is Server.collect's body over one state copy. A peer's path is
-// not stored, so each tree is walked once, depth-first, and hands every peer
-// the path the walk stands on.
-func (st *state) collect(img *image, owner int, want map[topology.NodeID]bool) {
-	for lm, tree := range st.trees {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	s.walking()
+	for lm, tree := range s.st.trees {
 		if want != nil && !want[lm] {
 			continue
 		}
-		img.moves = append(img.moves, op.MoveEntry{Landmark: lm, Src: owner, Dst: owner, Epoch: st.epochs[lm]})
+		img.moves = append(img.moves, op.MoveEntry{Landmark: lm, Src: owner, Dst: owner, Epoch: s.st.epochs[lm]})
 		img.peers = slices.Grow(img.peers, tree.Len())
 		tree.Walk(func(rec *pathtree.Record, path []topology.NodeID) {
 			img.peers = append(img.peers, snapPeer{rec.RefreshNanos,
@@ -155,7 +153,7 @@ type snapshotOps struct {
 // readSnapshot decodes a whole snapshot. Nothing is returned unless the
 // stream was good to its end frame, held only the three kinds above and
 // every path in it passed validateJoin, so no caller ever acts on a prefix
-// and no state copy ever sees an unchecked path.
+// and the state never sees an unchecked path.
 func readSnapshot(r io.Reader) (snapshotOps, error) {
 	snap := snapshotOps{supers: make(map[pathtree.PeerID]bool)}
 	err := op.ReadStream(r, func(o *op.Op) error {
@@ -183,17 +181,20 @@ func readSnapshot(r io.Reader) (snapshotOps, error) {
 	return snap, nil
 }
 
-// load applies a snapshot to one state copy through the singular join
-// road, stopping at the first failure, and returns the IDs of the peers it
-// inserted. A peer already registered keeps its record, flag included: the
-// live record is newer than the snapshot. It must be deterministic across
-// copies (it walks the op slice, never a map).
-func (st *state) load(snap snapshotOps) ([]pathtree.PeerID, error) {
+// load applies a snapshot to st through the singular join road, stopping at
+// the first failure, and returns the IDs of the peers it inserted. A peer
+// already registered keeps its record, flag included: the live record is
+// newer than the snapshot. mu is taken around each landmark and each peer
+// put in: the state lock when st is the live state (the caller holds wmu), a
+// lock of the caller's own when st is still being built.
+func (st *state) load(snap snapshotOps, mu sync.Locker) ([]pathtree.PeerID, error) {
 	var inserted []pathtree.PeerID
 	for i := range snap.ops {
 		o := &snap.ops[i]
 		if o.Kind == op.KindMoveLandmark {
+			mu.Lock()
 			st.apply(*o) // creates the tree if absent; never lowers an epoch; cannot fail
+			mu.Unlock()
 			continue
 		}
 		for j := range o.Batch {
@@ -201,11 +202,15 @@ func (st *state) load(snap snapshotOps) ([]pathtree.PeerID, error) {
 			if _, live := st.peers[e.Peer]; live {
 				continue
 			}
-			rec, _, err := st.join(e, o.Time, 0, nil)
+			mu.Lock()
+			tree, slot, _, err := st.join(e, o.Time, 0, nil)
+			if err == nil {
+				tree.Record(slot).Super = snap.supers[e.Peer]
+			}
+			mu.Unlock()
 			if err != nil {
 				return inserted, fmt.Errorf("server: snapshot peer %d: %w", e.Peer, err)
 			}
-			rec.Super = snap.supers[e.Peer]
 			inserted = append(inserted, e.Peer)
 		}
 	}
@@ -217,17 +222,15 @@ func (st *state) load(snap snapshotOps) ([]pathtree.PeerID, error) {
 // registered here is skipped — the live record is newer than the snapshot.
 // Absorb returns the IDs of the peers actually inserted, in ascending
 // order. A snapshot that does not read cleanly to its end changes nothing.
+// The writer mutex is held for the whole load, the state lock peer by peer.
 func (s *Server) Absorb(r io.Reader) ([]pathtree.PeerID, error) {
 	snap, err := readSnapshot(r)
 	if err != nil {
 		return nil, err
 	}
-	var inserted []pathtree.PeerID
-	s.mutate(func(st *state, first bool) {
-		if ins, e := st.load(snap); first {
-			inserted, err = ins, e
-		}
-	})
+	s.wmu.Lock()
+	inserted, err := s.st.load(snap, &s.mu)
+	s.wmu.Unlock()
 	slices.Sort(inserted)
 	return inserted, err
 }
@@ -236,48 +239,54 @@ func (s *Server) Absorb(r io.Reader) ([]pathtree.PeerID, error) {
 // snapshot's, keeping only the configured landmark set (union the
 // snapshot's). It is the follower's catch-up restore — merging a
 // whole-state snapshot in (Absorb) would resurrect peers the primary has
-// since removed. The new state is swapped in only if the whole snapshot,
-// end frame included, was good and every op applied; otherwise the
-// previous state stays.
+// since removed. The new state is built outside both locks and swapped in
+// only if the whole snapshot, end frame included, was good and every op
+// applied; otherwise the previous state stays.
 func (s *Server) ResetFromSnapshot(r io.Reader) error {
 	snap, err := readSnapshot(r)
 	if err != nil {
 		return err
 	}
-	s.mutate(func(st *state, first bool) {
-		fresh, _ := newState(&s.cfg) // the landmark set was checked at construction
-		_, e := fresh.load(snap)
-		if first {
-			err = e
-		}
-		if e == nil {
-			*st = fresh
-		}
-	})
-	return err
+	fresh, _ := newState(&s.cfg) // the landmark set was checked at construction
+	// No one else can reach fresh yet: the lock load takes is its own.
+	if _, err := fresh.load(snap, new(sync.Mutex)); err != nil {
+		return err
+	}
+	s.wmu.Lock()
+	s.mu.Lock()
+	s.st = fresh
+	s.mu.Unlock()
+	s.wmu.Unlock()
+	return nil
 }
 
 // DropLandmark removes a landmark's tree and deregisters every peer under
 // it, returning the removed peer IDs in ascending order. It is the source
-// side of a shard handoff; unlike Leave it does not count departures.
+// side of a shard handoff; unlike Leave it does not count departures. The
+// peers are listed under the writer mutex alone and unmapped one state-lock
+// hold each, the tree going last, so a lookup that still finds its peer
+// still finds its tree.
 func (s *Server) DropLandmark(lm topology.NodeID) []pathtree.PeerID {
-	var out []pathtree.PeerID
-	s.mutate(func(st *state, first bool) {
-		tree, ok := st.trees[lm]
-		if !ok {
-			return
-		}
-		removed := make([]pathtree.PeerID, 0, tree.Len())
-		for _, rec := range tree.Records() {
-			delete(st.peers, rec.ID)
-			removed = append(removed, rec.ID)
-		}
-		delete(st.trees, lm)
-		delete(st.epochs, lm)
-		if first {
-			out = removed
-		}
-	})
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	tree, ok := s.st.trees[lm]
+	if !ok {
+		return nil
+	}
+	s.walking()
+	out := make([]pathtree.PeerID, 0, tree.Len())
+	for _, rec := range tree.Records() {
+		out = append(out, rec.ID)
+	}
+	for _, p := range out {
+		s.mu.Lock()
+		delete(s.st.peers, p)
+		s.mu.Unlock()
+	}
+	s.mu.Lock()
+	delete(s.st.trees, lm)
+	delete(s.st.epochs, lm)
+	s.mu.Unlock()
 	slices.Sort(out)
 	return out
 }

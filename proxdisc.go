@@ -335,10 +335,8 @@
 //   - Replication, follower side: proxdisc_follow_applied_seq,
 //     proxdisc_follow_head_seq, proxdisc_follow_lag, and
 //     proxdisc_follow_reconnects_total.
-//   - Cluster: proxdisc_peers; proxdisc_shard_peers{shard=N},
-//     proxdisc_shard_apply_total{shard=N} and
-//     proxdisc_server_publications_total{shard=N} per shard (applies over
-//     publications is the flat-combining batch size);
+//   - Cluster: proxdisc_peers; proxdisc_shard_peers{shard=N} and
+//     proxdisc_shard_apply_total{shard=N} per shard;
 //     proxdisc_scatter_fanout_total, proxdisc_handoffs_total, and
 //     proxdisc_checkpoint_duration_seconds.
 //   - Write-ahead log: proxdisc_wal_appends_total,
@@ -370,17 +368,17 @@
 // chase. The allocs/op gate in CI fails if any of these paths ever
 // allocates again.
 //
-// Reads never wait on writers. Each server shard keeps two copies of its
-// state in a left-right arrangement: writers mutate the off-line copy,
-// publish it with one atomic pointer swap, then replay the mutation on
-// the retired copy. Lookups acquire the live copy with an atomic load —
-// no read lock on the query path — so a burst of joins cannot add
-// latency to concurrent lookups, and a long lookup cannot stall the write
-// plane. The cost is that every write applies twice; the write path is
-// batch-amortized to pay it back.
+// Reads wait for at most one join. Each server shard keeps one copy of
+// its state behind two locks: a writer mutex that serialises mutators and
+// that snapshots, checkpoints and every other whole-state walk hold, and a
+// state lock that lookups read-hold and a writer takes exclusively around
+// one single mutation — per entry of a batch, never per batch. A burst of
+// joins adds at most one join's length to a concurrent lookup, a snapshot
+// adds nothing, and every write applies once (package server has the
+// measurement against the two-copy arrangement this replaced).
 //
 // Writes are batch-amortized end to end. A batched join travels as one
-// wire frame, applies under one lock acquisition per touched shard,
+// wire frame, applies under one writer-mutex acquisition per touched shard,
 // commits as exactly ONE write-ahead-log record, and shares its fsync
 // with concurrent batches through the group-commit window — so the
 // per-join cost of durability shrinks with load instead of growing.
@@ -412,24 +410,20 @@
 //     index: 32-byte trie nodes, runs of {router, node} child pairs, and
 //     one 48-byte record per peer (ID, refresh time, address, super-peer
 //     flag) chained to the router its path ends at. A peer's path is not
-//     stored — it is that router's parent chain — and a state copy keeps
+//     stored — it is that router's parent chain — and the state keeps
 //     one map, peer ID to (landmark, slot). A management server holds
-//     about 266 B per resident peer, both left-right copies counted
+//     about 133 B per resident peer plus its address
 //     (package server has the table; TestResidentBytesPerPeer pins it),
 //     and only the records hold a pointer, so the collector has one object
 //     to mark per 256 peers. Freed slots are recycled through free lists
-//     (the lifetime rule: a slot is freed only by a writer that has the
-//     copy to itself, so no query ever observes a recycled slot), and
+//     (the lifetime rule: a slot is freed only by a writer holding the
+//     state lock exclusively, so no query ever observes a recycled slot), and
 //     steady-state churn retires NO tree memory to the garbage collector —
 //     BenchmarkPathTreeChurn is pinned at 0 allocs/op in the committed
 //     baseline, TestChurnRecyclesSlots pins the pools' high-water marks.
 //
-//   - Coalesced left-right writes. Server writers flat-combine: mutations
-//     queue, and the writer that wins the writer mutex applies the whole
-//     queue under ONE atomic publication and one pair of grace-period
-//     fences, so k contending writers pay one reader-drain instead of k.
-//     Hot telemetry counters and gauges are cache-line padded so adjacent
-//     metrics updated from different cores do not false-share
+//   - Padded telemetry. Hot counters and gauges are cache-line padded so
+//     adjacent metrics updated from different cores do not false-share
 //     (BenchmarkTelemetryHotPathParallel is the probe).
 //
 // BenchmarkMillionPeerNode is the macro proof: one durable node filled to
