@@ -768,28 +768,17 @@ func runLoadAddr(b *testing.B, addr string, cfg loadgen.Config) {
 	b.ReportMetric(float64(res.P99.Nanoseconds()), "p99-ns")
 }
 
-// BenchmarkPipelinedJoin compares join throughput over the SAME connection
-// count with the old lock-step protocol (one outstanding request) versus
-// the pipelined protocol at increasing in-flight depths — the headline
-// claim of the wire-protocol redesign (≥2x at depth 64).
+// BenchmarkPipelinedJoin measures join throughput over the SAME connection
+// count at increasing in-flight depths.
 //
 // The connections run through a loopback latency proxy adding 0.5ms each
 // way (1ms RTT — a close-by datacenter client). Without it, a
-// single-machine benchmark lets the lock-step client borrow the idle CPU
-// the server isn't using and hides exactly the stall pipelining removes;
-// real deployments serve remote peers, so RTT is part of the workload.
+// single-machine benchmark lets a shallow window borrow the idle CPU the
+// server isn't using and hides exactly the stall pipelining removes; real
+// deployments serve remote peers, so RTT is part of the workload.
 func BenchmarkPipelinedJoin(b *testing.B) {
-	modes := []struct {
-		name     string
-		inflight int
-		lockstep bool
-	}{
-		{"lockstep", 1, true},
-		{"inflight=16", 16, false},
-		{"inflight=64", 64, false},
-	}
-	for _, m := range modes {
-		b.Run(m.name, func(b *testing.B) {
+	for _, inflight := range []int{16, 64} {
+		b.Run(fmt.Sprintf("inflight=%d", inflight), func(b *testing.B) {
 			ns := benchNetCluster(b, nil)
 			proxy, err := loadgen.NewLatencyProxy(ns.Addr(), 500*time.Microsecond)
 			if err != nil {
@@ -798,9 +787,8 @@ func BenchmarkPipelinedJoin(b *testing.B) {
 			b.Cleanup(func() { proxy.Close() })
 			b.ResetTimer()
 			runLoadAddr(b, proxy.Addr(), loadgen.Config{
-				Clients:           4,
-				InFlight:          m.inflight,
-				DisablePipelining: m.lockstep,
+				Clients:  4,
+				InFlight: inflight,
 			})
 		})
 	}
@@ -1204,7 +1192,7 @@ func BenchmarkWALAppend(b *testing.B) {
 		{"nosync", true, false},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			log, err := wal.Open(b.TempDir(), wal.Options{NoSync: bc.nosync})
+			log, err := wal.OpenSharded(b.TempDir(), 1, wal.Options{NoSync: bc.nosync})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -1222,7 +1210,7 @@ func BenchmarkWALAppend(b *testing.B) {
 				b.SetParallelism(8)
 				b.RunParallel(func(pb *testing.PB) {
 					for pb.Next() {
-						if _, err := log.Append(rec); err != nil {
+						if _, err := log.Append(0, rec); err != nil {
 							b.Error(err)
 							return
 						}
@@ -1231,16 +1219,16 @@ func BenchmarkWALAppend(b *testing.B) {
 				return
 			}
 			for i := 0; i < b.N; i++ {
-				if _, err := log.Append(rec); err != nil {
+				if _, err := log.Append(0, rec); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
-	// The sharded log under the same parallel-committer load: appenders
-	// spread over four per-shard streams, so they contend only on the
+	// The same parallel-committer load spread over four per-shard streams
+	// (the three series above use one): appenders contend only on the
 	// global sequence counter and share fsyncs through the cross-stream
-	// group-commit coordinator instead of queueing on one append mutex.
+	// group-commit coordinator instead of queueing on one stream's mutex.
 	b.Run("sharded-parallel", func(b *testing.B) {
 		log, err := wal.OpenSharded(b.TempDir(), 4, wal.Options{})
 		if err != nil {

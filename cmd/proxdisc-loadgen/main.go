@@ -9,9 +9,9 @@
 //	    -clients 4 -inflight 16 -batch 8
 //
 // Peers report synthetic routing-tree paths ending at the given landmarks
-// (round-robin). -inflight 1 -lockstep reproduces the version-1 protocol's
-// one-outstanding-request pacing, so comparing runs quantifies the
-// pipelining speedup on real hardware.
+// (round-robin). -inflight 1 keeps one request outstanding per connection,
+// so comparing it with a deeper window quantifies the pipelining speedup on
+// real hardware.
 package main
 
 import (
@@ -37,7 +37,6 @@ func main() {
 		batch     = flag.Int("batch", 1, "joins per request frame")
 		peerBase  = flag.Int64("peer-base", 1, "first peer ID (space runs apart on a shared server)")
 		timeout   = flag.Duration("timeout", 10*time.Second, "per-request timeout")
-		lockstep  = flag.Bool("lockstep", false, "force the version-1 lock-step protocol")
 		jsonOut   = flag.Bool("json", false, "emit the result as JSON")
 	)
 	flag.Parse()
@@ -47,14 +46,13 @@ func main() {
 		log.Fatalf("proxdisc-loadgen: %v", err)
 	}
 	res, err := loadgen.Run(loadgen.Config{
-		Addr:              *addr,
-		Clients:           *clients,
-		InFlight:          *inflight,
-		Batch:             *batch,
-		Joins:             *joins,
-		PeerBase:          *peerBase,
-		Timeout:           *timeout,
-		DisablePipelining: *lockstep,
+		Addr:     *addr,
+		Clients:  *clients,
+		InFlight: *inflight,
+		Batch:    *batch,
+		Joins:    *joins,
+		PeerBase: *peerBase,
+		Timeout:  *timeout,
 		PathFor: func(peer int64) []int32 {
 			lm := lms[int(peer)%len(lms)]
 			return loadgen.TreePath(lm, int(peer))

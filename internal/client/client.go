@@ -1,14 +1,12 @@
 // Package client implements the proxdisc peer side: the TCP client for the
 // management server, the UDP landmark prober, and the two-round join agent.
 //
-// On dial the client negotiates the wire protocol version (see package
-// proto). Against a version-2 server every request is pipelined: frames
-// carry request IDs, a demux goroutine matches responses to waiting calls,
-// and up to MaxInFlight requests share one connection concurrently —
-// callers never serialize behind each other's round trips. Against a
-// version-1 server (or with Config.DisablePipelining) the client falls
-// back to the original lock-step exchange. Either way every method is safe
-// for concurrent use.
+// Every connection opens with the protocol's hello (see package proto); a
+// server that does not ack it at version 2 fails the dial. From then on
+// every request is pipelined: frames carry request IDs, a demux goroutine
+// matches responses to waiting calls, and up to MaxInFlight requests share
+// one connection concurrently — callers never serialize behind each other's
+// round trips. Every method is safe for concurrent use.
 //
 // A real deployment would obtain the router path with the system traceroute
 // tool; the PathProvider interface abstracts that, so tests and offline
@@ -23,6 +21,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"runtime"
@@ -75,16 +74,12 @@ type Config struct {
 	// deadline).
 	Timeout time.Duration
 	// MaxInFlight caps how many requests may be outstanding on the
-	// connection at once when pipelining is negotiated (default
-	// DefaultMaxInFlight, ceiling proto.MaxPipelineDepth — servers size
+	// connection at once (default DefaultMaxInFlight, ceiling proto.MaxPipelineDepth — servers size
 	// their per-connection response queues to that protocol constant and
 	// drop connections that exceed it). Callers beyond the cap block
 	// until a slot frees, bounding client-side memory and server-side
 	// queueing.
 	MaxInFlight int
-	// DisablePipelining skips hello negotiation and speaks the version-1
-	// lock-step protocol, for compatibility testing and baselines.
-	DisablePipelining bool
 	// FailoverRetries is how many extra attempts a request gets after a
 	// transport failure or a not-primary rejection (default 0: fail fast).
 	// The first transport retry redials the target immediately (the
@@ -103,10 +98,9 @@ type Config struct {
 }
 
 // Client is a connection to the management server. It is safe for
-// concurrent use: on a version-2 connection requests from any number of
-// goroutines are pipelined and demultiplexed by request ID; on a
-// version-1 connection they serialize behind a lock. Pipelined requests
-// are unordered with respect to each other: the server may answer — and
+// concurrent use: requests from any number of goroutines are pipelined and
+// demultiplexed by request ID. Pipelined requests are unordered with
+// respect to each other: the server may answer — and
 // apply — them in any order, so a caller that needs one request to see
 // another's effect waits for the first response before sending the second.
 //
@@ -115,8 +109,7 @@ type Config struct {
 // transparently, caching one connection per discovered node.
 type Client struct {
 	cfg  Config
-	addr string     // the dialled server address, for failover redials
-	mu   sync.Mutex // serializes version-1 lock-step exchanges
+	addr string // the dialled server address, for failover redials
 	conn net.Conn
 	// Timeout bounds each request/response exchange.
 	timeout time.Duration
@@ -131,17 +124,15 @@ type Client struct {
 	// maps (home, primary) are the single place that policy lives.
 	isAux bool
 
-	// version is the negotiated protocol version; maxBatch is the batch
-	// size the server accepts (0 when batching is unsupported). Both are
-	// set once at dial time.
-	version  uint16
+	// maxBatch is the batch size the server accepts (at least 1), set once
+	// at dial time.
 	maxBatch int
 
 	// br buffers all reads for the connection's whole life, so one read
 	// syscall can deliver many pipelined response frames.
 	br *bufio.Reader
 
-	// Pipelining state (version 2 only). A caller appends its request
+	// Pipelining state. A caller appends its request
 	// frame to bw under wmu, releases wmu, yields the processor once, and
 	// then flushes whatever is buffered — so callers that became runnable
 	// together (say, woken one after another by readLoop) all append during
@@ -201,8 +192,7 @@ func isTimeout(err error) bool {
 	return errors.As(err, &ne) && ne.Timeout()
 }
 
-// Dial connects to the management server with default configuration,
-// negotiating the pipelined protocol when the server supports it.
+// Dial connects to the management server with default configuration.
 func Dial(addr string, timeout time.Duration) (*Client, error) {
 	return DialConfig(addr, Config{Timeout: timeout})
 }
@@ -223,12 +213,15 @@ func DialConfig(addr string, cfg Config) (*Client, error) {
 		return nil, fmt.Errorf("client: dial %s: %w", addr, err)
 	}
 	c := &Client{
-		cfg:     cfg,
-		addr:    addr,
-		conn:    conn,
-		br:      bufio.NewReaderSize(conn, 16<<10),
-		timeout: cfg.Timeout,
-		version: proto.Version1,
+		cfg:      cfg,
+		addr:     addr,
+		conn:     conn,
+		br:       bufio.NewReaderSize(conn, 16<<10),
+		bw:       bufio.NewWriterSize(conn, 16<<10),
+		timeout:  cfg.Timeout,
+		slots:    make(chan struct{}, cfg.MaxInFlight),
+		pending:  make(map[uint64]chan frameResp),
+		readDone: make(chan struct{}),
 	}
 	if r := cfg.Telemetry; r != nil {
 		// Aux clients copy cfg, so they resolve the same registered series
@@ -240,67 +233,67 @@ func DialConfig(addr string, cfg Config) (*Client, error) {
 			failovers: r.Counter("proxdisc_client_failovers_total"),
 		}
 	}
-	if !cfg.DisablePipelining {
-		if err := c.negotiate(); err != nil {
-			conn.Close()
-			return nil, err
-		}
+	ack, err := hello(conn, c.br, cfg.Timeout)
+	if err == nil && ack.MaxBatch < 1 {
+		err = errors.New("client: server acked a batch limit of 0")
 	}
+	if err == nil {
+		// The demux goroutine reads without deadlines; individual calls
+		// enforce their own timeouts.
+		err = conn.SetDeadline(time.Time{})
+	}
+	if err != nil {
+		conn.Close()
+		return nil, err
+	}
+	c.maxBatch = int(ack.MaxBatch)
+	go c.readLoop()
 	return c, nil
 }
 
-// negotiate sends MsgHello and interprets the answer: MsgHelloAck upgrades
-// the connection, MsgError means a version-1 server (stay lock-step), and
-// anything else is a protocol violation.
-func (c *Client) negotiate() error {
-	deadline := time.Now().Add(c.timeout)
-	if err := c.conn.SetDeadline(deadline); err != nil {
-		return fmt.Errorf("client: set deadline: %w", err)
+// hello opens a session on a fresh connection, for all three dialers
+// (DialConfig, Follow, Subscribe): it sends MsgHello in the bare framing,
+// offering this build's version and batch limit, and reads the answer, all
+// within timeout. Only a MsgHelloAck at version 2 is a session; a MsgError
+// (a server that speaks no version 2 refuses the hello that way), an ack
+// at another version or any other frame is an error, never a fallback. On
+// success the connection's deadline is still armed; the caller finishes
+// its own opening exchange and clears it.
+func hello(conn net.Conn, br io.Reader, timeout time.Duration) (*proto.HelloAck, error) {
+	if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
+		return nil, fmt.Errorf("client: set deadline: %w", err)
 	}
-	hello := proto.EncodeHello(&proto.Hello{MaxVersion: proto.MaxVersion, MaxBatch: proto.MaxBatch})
-	if err := proto.WriteFrame(c.conn, proto.MsgHello, hello); err != nil {
-		return fmt.Errorf("client: send hello: %w", err)
+	req := proto.EncodeHello(&proto.Hello{MaxVersion: proto.MaxVersion, MaxBatch: proto.MaxBatch})
+	if err := proto.WriteFrame(conn, proto.MsgHello, req); err != nil {
+		return nil, fmt.Errorf("client: send hello: %w", err)
 	}
-	typ, payload, err := proto.ReadFrame(c.br)
+	typ, payload, err := proto.ReadFrame(br)
 	if err != nil {
-		return fmt.Errorf("client: read hello response: %w", err)
+		return nil, fmt.Errorf("client: read hello response: %w", err)
 	}
 	defer proto.PutBuf(payload)
 	switch typ {
 	case proto.MsgHelloAck:
 		ack, err := proto.DecodeHelloAck(payload)
 		if err != nil {
-			return fmt.Errorf("client: bad hello ack: %w", err)
+			return nil, fmt.Errorf("client: bad hello ack: %w", err)
 		}
-		if ack.Version >= proto.Version2 {
-			c.version = proto.Version2
-			c.maxBatch = int(ack.MaxBatch)
-			c.bw = bufio.NewWriterSize(c.conn, 16<<10)
-			c.slots = make(chan struct{}, c.cfg.MaxInFlight)
-			c.pending = make(map[uint64]chan frameResp)
-			c.readDone = make(chan struct{})
-			// The demux goroutine reads without deadlines; individual
-			// calls enforce their own timeouts.
-			if err := c.conn.SetDeadline(time.Time{}); err != nil {
-				return fmt.Errorf("client: clear deadline: %w", err)
-			}
-			go c.readLoop()
+		if ack.Version != proto.Version2 {
+			return nil, fmt.Errorf("client: server acked protocol version %d, want %d", ack.Version, proto.Version2)
 		}
-		return nil
+		return ack, nil
 	case proto.MsgError:
-		// A version-1 server rejects the unknown message type and keeps
-		// the connection usable: stay on lock-step framing.
-		return nil
+		werr, err := proto.DecodeError(payload)
+		if err != nil {
+			return nil, fmt.Errorf("client: undecodable hello rejection: %w", err)
+		}
+		return nil, fmt.Errorf("client: server refused the version-%d hello: %w", proto.Version2, werr)
 	default:
-		return fmt.Errorf("client: unexpected hello response type %d", typ)
+		return nil, fmt.Errorf("client: unexpected hello response type %d", typ)
 	}
 }
 
-// Version reports the negotiated protocol version.
-func (c *Client) Version() uint16 { return c.version }
-
-// ServerMaxBatch reports the batch-join size the server accepts (0 when
-// the server does not support batching).
+// ServerMaxBatch reports the batch-join size the server accepts.
 func (c *Client) ServerMaxBatch() int { return c.maxBatch }
 
 // readLoop demultiplexes response frames to waiting calls by request ID.
@@ -346,8 +339,6 @@ func (c *Client) Close() error {
 	for _, s := range subs {
 		s.Close()
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.conn.Close()
 }
 
@@ -507,7 +498,7 @@ func (c *Client) primaryTarget() (*Client, error) {
 
 // noteTransportFailure marks the failed path so the next attempt redials:
 // the main connection is flagged down and its dead socket closed (which
-// also retires the demux goroutine on a pipelined session), a cached aux
+// also retires the demux goroutine), a cached aux
 // connection is dropped. From then on primary-bound traffic flows through
 // a redialed cached connection to the dialled address.
 func (c *Client) noteTransportFailure(target *Client) {
@@ -571,16 +562,8 @@ func (c *Client) transportRetry(ctx context.Context, maxAttempts int, resolve fu
 			}
 			if isTimeout(err) {
 				// A late response, not a dead path: surface the timeout
-				// without re-sending (see isTimeout). A pipelined session
-				// stays usable — the request ID machinery discards the
-				// late frame — but a lock-step stream is now
-				// desynchronized (the late response would be read as the
-				// NEXT request's answer, silently serving wrong data), so
-				// that connection is retired unconditionally, failover
-				// opt-in or not.
-				if target.version < proto.Version2 {
-					c.noteTransportFailure(target)
-				}
+				// without re-sending (see isTimeout). The session stays
+				// usable — the demux discards the late frame by its ID.
 				return err
 			}
 			c.noteFailoverFailure(target)
@@ -665,40 +648,16 @@ func (c *Client) peerRoundTripAt(ctx context.Context, addr string, reqType proto
 	return resp, nil
 }
 
-// exchange sends one request frame and reads its response frame, decoding
-// wire errors into *proto.Error values and returning the response type.
-// On a pipelined connection any number of exchanges proceed concurrently;
-// on version 1 they serialize on the connection lock.
+// exchange sends one request frame and waits for its response frame,
+// decoding wire errors into *proto.Error values and returning the response
+// type; any number of exchanges proceed concurrently. It takes an in-flight
+// slot, registers a completion channel under a fresh request ID, writes
+// the frame, and waits for the demux goroutine (or a timeout, or
+// connection death).
 func (c *Client) exchange(ctx context.Context, reqType proto.MsgType, payload []byte) (proto.MsgType, []byte, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, nil, err
 	}
-	if c.version >= proto.Version2 {
-		return c.exchangePipelined(ctx, reqType, payload)
-	}
-	// The lock-step path maps the context's deadline onto the connection
-	// deadline; a mid-wait cancellation surfaces when that deadline fires.
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	deadline := time.Now().Add(c.callTimeout(ctx))
-	if err := c.conn.SetDeadline(deadline); err != nil {
-		return 0, nil, fmt.Errorf("client: set deadline: %w", err)
-	}
-	if err := proto.WriteFrame(c.conn, reqType, payload); err != nil {
-		return 0, nil, fmt.Errorf("client: send: %w", err)
-	}
-	typ, resp, err := proto.ReadFrame(c.br)
-	if err != nil {
-		return 0, nil, fmt.Errorf("client: receive: %w", err)
-	}
-	return decodeResp(typ, resp)
-}
-
-// exchangePipelined issues one request over the multiplexed connection:
-// take an in-flight slot, register a completion channel under a fresh
-// request ID, write the frame, and wait for the demux goroutine (or a
-// timeout, or connection death).
-func (c *Client) exchangePipelined(ctx context.Context, reqType proto.MsgType, payload []byte) (proto.MsgType, []byte, error) {
 	select {
 	case c.slots <- struct{}{}:
 	case <-c.readDone:
@@ -978,17 +937,10 @@ func (c *Client) ForwardJoin(peer int64, overlayAddr string, path []int32) ([]pr
 // ForwardJoinBatchContext relays a batch of joins to the cluster node that
 // owns their landmarks, on behalf of another node. The callee answers
 // locally and never relays further (each entry's landmark must be local
-// there, or it comes back CodeWrongShard). Against a version-1 node the
-// batch degrades to sequential singular forwards with the same semantics.
+// there, or it comes back CodeWrongShard).
 func (c *Client) ForwardJoinBatchContext(ctx context.Context, items []BatchItem) ([]BatchResult, error) {
 	out := make([]BatchResult, len(items))
 	if len(items) == 0 {
-		return out, nil
-	}
-	if c.version < proto.Version2 || c.maxBatch < 1 {
-		for i := range items {
-			out[i].Neighbors, out[i].Err = c.ForwardJoinContext(ctx, items[i].Peer, items[i].Addr, items[i].Path)
-		}
 		return out, nil
 	}
 	err := c.batchRoundTrips(ctx, items, proto.MsgForwardedBatchJoinRequest, func(i int, r *proto.BatchJoinResult) {
@@ -1067,12 +1019,11 @@ type BatchResult struct {
 }
 
 // JoinBatchContext registers many peers in as few round trips as possible —
-// the flash-crowd path for agents fronting several newcomers. Against a
-// version-2 server the items travel in MsgBatchJoinRequest frames of up
-// to the server's advertised batch size; entries the server answers with
-// CodeWrongShard (their landmark lives on another cluster node) are
-// retried individually through the redirect-following Join path. Against
-// a version-1 server every item degrades to a singular Join.
+// the flash-crowd path for agents fronting several newcomers. The items
+// travel in MsgBatchJoinRequest frames of up to the server's advertised
+// batch size; entries the server answers with CodeWrongShard (their
+// landmark lives on another cluster node) are retried individually through
+// the redirect-following Join path.
 //
 // The returned slice is positional: result i answers items[i]. The error
 // return is reserved for transport-level failures that void the whole
@@ -1080,12 +1031,6 @@ type BatchResult struct {
 func (c *Client) JoinBatchContext(ctx context.Context, items []BatchItem) ([]BatchResult, error) {
 	out := make([]BatchResult, len(items))
 	if len(items) == 0 {
-		return out, nil
-	}
-	if c.version < proto.Version2 || c.maxBatch < 1 {
-		for i := range items {
-			out[i].Neighbors, out[i].Err = c.JoinContext(ctx, items[i].Peer, items[i].Addr, items[i].Path)
-		}
 		return out, nil
 	}
 	err := c.batchRoundTrips(ctx, items, proto.MsgBatchJoinRequest, func(i int, r *proto.BatchJoinResult) {

@@ -1,8 +1,11 @@
 package client
 
 import (
+	"context"
 	"errors"
+	"io"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -10,11 +13,16 @@ import (
 	"proxdisc/internal/proto"
 )
 
-// fakeServer accepts one connection and answers each request with a
-// scripted frame.
+// fakeServer answers each connection's hello, then answers requests — on
+// whichever connection they arrive — with the next scripted frame, echoing
+// the request's ID. With the script used up it keeps reading and stays
+// silent.
 type fakeServer struct {
-	ln      net.Listener
+	ln net.Listener
+
+	mu      sync.Mutex
 	answers []scripted
+	conns   []net.Conn
 }
 
 type scripted struct {
@@ -29,22 +37,61 @@ func newFakeServer(t *testing.T, answers ...scripted) *fakeServer {
 		t.Fatal(err)
 	}
 	fs := &fakeServer{ln: ln, answers: answers}
-	go fs.serve()
-	t.Cleanup(func() { ln.Close() })
+	var serving sync.WaitGroup
+	serving.Add(1)
+	go func() {
+		defer serving.Done()
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			fs.mu.Lock()
+			fs.conns = append(fs.conns, conn)
+			fs.mu.Unlock()
+			serving.Add(1)
+			go func() {
+				defer serving.Done()
+				fs.serve(conn)
+			}()
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		fs.mu.Lock()
+		for _, conn := range fs.conns {
+			conn.Close()
+		}
+		fs.mu.Unlock()
+		serving.Wait()
+	})
 	return fs
 }
 
-func (fs *fakeServer) serve() {
-	conn, err := fs.ln.Accept()
-	if err != nil {
+func (fs *fakeServer) serve(conn net.Conn) {
+	defer conn.Close()
+	if typ, _, err := proto.ReadFrame(conn); err != nil || typ != proto.MsgHello {
 		return
 	}
-	defer conn.Close()
-	for _, a := range fs.answers {
-		if _, _, err := proto.ReadFrame(conn); err != nil {
+	ack := proto.EncodeHelloAck(&proto.HelloAck{Version: proto.Version2, MaxBatch: proto.MaxBatch})
+	if err := proto.WriteFrame(conn, proto.MsgHelloAck, ack); err != nil {
+		return
+	}
+	for {
+		_, id, _, err := proto.ReadFrameID(conn)
+		if err != nil {
 			return
 		}
-		if err := proto.WriteFrame(conn, a.typ, a.payload); err != nil {
+		fs.mu.Lock()
+		var a *scripted
+		if len(fs.answers) > 0 {
+			a, fs.answers = &fs.answers[0], fs.answers[1:]
+		}
+		fs.mu.Unlock()
+		if a == nil {
+			continue
+		}
+		if err := proto.WriteFrameID(conn, a.typ, id, a.payload); err != nil {
 			return
 		}
 	}
@@ -59,7 +106,7 @@ func TestDialFailure(t *testing.T) {
 
 func TestRoundTripUnexpectedType(t *testing.T) {
 	fs := newFakeServer(t, scripted{typ: proto.MsgAck})
-	c, err := DialConfig(fs.ln.Addr().String(), Config{Timeout: time.Second, DisablePipelining: true})
+	c, err := DialConfig(fs.ln.Addr().String(), Config{Timeout: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +120,7 @@ func TestRoundTripUnexpectedType(t *testing.T) {
 func TestRoundTripWireError(t *testing.T) {
 	payload := proto.EncodeError(&proto.Error{Code: proto.CodeUnknownPeer, Message: "nope"})
 	fs := newFakeServer(t, scripted{typ: proto.MsgError, payload: payload})
-	c, err := DialConfig(fs.ln.Addr().String(), Config{Timeout: time.Second, DisablePipelining: true})
+	c, err := DialConfig(fs.ln.Addr().String(), Config{Timeout: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,34 +133,16 @@ func TestRoundTripWireError(t *testing.T) {
 }
 
 func TestRoundTripTimeout(t *testing.T) {
-	// Server that accepts but never answers: it blocks reading until the
-	// test tears the listener down, with no real-clock sleep that could
-	// race a slow runner.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		buf := make([]byte, 1024)
-		for {
-			if _, err := conn.Read(buf); err != nil {
-				return
-			}
-		}
-	}()
-	c, err := DialConfig(ln.Addr().String(), Config{Timeout: 200 * time.Millisecond, DisablePipelining: true})
+	// A server that acks the hello and then never answers: the request
+	// times out on a healthy session.
+	fs := newFakeServer(t)
+	c, err := DialConfig(fs.ln.Addr().String(), Config{Timeout: 200 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Lookup(1); err == nil {
-		t.Fatal("no timeout")
+	if _, err := c.Lookup(1); !isTimeout(err) {
+		t.Fatalf("err=%v, want a request timeout", err)
 	}
 }
 
@@ -176,7 +205,7 @@ func TestClientHappyPaths(t *testing.T) {
 		scripted{typ: proto.MsgAck},
 		scripted{typ: proto.MsgAck},
 	)
-	c, err := DialConfig(fs.ln.Addr().String(), Config{Timeout: time.Second, DisablePipelining: true})
+	c, err := DialConfig(fs.ln.Addr().String(), Config{Timeout: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +242,7 @@ func TestClientHappyPaths(t *testing.T) {
 
 func TestClientJoinPathLimit(t *testing.T) {
 	fs := newFakeServer(t)
-	c, err := DialConfig(fs.ln.Addr().String(), Config{Timeout: time.Second, DisablePipelining: true})
+	c, err := DialConfig(fs.ln.Addr().String(), Config{Timeout: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +285,7 @@ func TestAgentFallbackToSecondLandmark(t *testing.T) {
 		scripted{typ: proto.MsgLandmarksResponse, payload: lmResp},
 		scripted{typ: proto.MsgJoinResponse, payload: joinResp},
 	)
-	c, err := DialConfig(fs.ln.Addr().String(), Config{Timeout: time.Second, DisablePipelining: true})
+	c, err := DialConfig(fs.ln.Addr().String(), Config{Timeout: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +317,7 @@ func TestAgentNoLandmarks(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs := newFakeServer(t, scripted{typ: proto.MsgLandmarksResponse, payload: lmResp})
-	c, err := DialConfig(fs.ln.Addr().String(), Config{Timeout: time.Second, DisablePipelining: true})
+	c, err := DialConfig(fs.ln.Addr().String(), Config{Timeout: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,48 +343,102 @@ func TestPathProviderFunc(t *testing.T) {
 	}
 }
 
-// TestNegotiationFallsBackToV1 dials a server that answers MsgHello the
-// way a pre-versioning binary does — MsgError, connection kept alive —
-// and checks the client degrades to lock-step and still works.
-func TestNegotiationFallsBackToV1(t *testing.T) {
-	lookupResp, err := proto.EncodeLookupResponse(&proto.LookupResponse{
-		Neighbors: []proto.Candidate{{Peer: 4, DTree: 2, Addr: "10.0.0.4:1"}},
-	})
+// helloAnswerer is a server that answers a connection's hello with the
+// given frame and then stays on the line, so a dialer that carried on
+// regardless would hang, not fail. done closes once its one connection is
+// over.
+func helloAnswerer(t *testing.T, typ proto.MsgType, payload []byte) (addr string, done chan struct{}) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := newFakeServer(t,
-		scripted{typ: proto.MsgError, payload: proto.EncodeError(&proto.Error{
-			Code: proto.CodeBadRequest, Message: "unknown message type 13"})},
-		scripted{typ: proto.MsgLookupResponse, payload: lookupResp},
-	)
-	c, err := Dial(fs.ln.Addr().String(), time.Second)
-	if err != nil {
-		t.Fatal(err)
+	t.Cleanup(func() { ln.Close() })
+	done = make(chan struct{})
+	go func() {
+		defer close(done)
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		if got, _, err := proto.ReadFrame(conn); err != nil || got != proto.MsgHello {
+			t.Errorf("first frame: type %d, err %v; want a hello", got, err)
+			return
+		}
+		if err := proto.WriteFrame(conn, typ, payload); err != nil {
+			t.Error(err)
+		}
+		io.Copy(io.Discard, conn) // until the dialer hangs up
+	}()
+	return ln.Addr().String(), done
+}
+
+// TestDialersRefuseNonV2Server: every dialer treats any answer to its hello
+// other than an ack at version 2 as a failed dial — there is no other
+// protocol to fall back to.
+func TestDialersRefuseNonV2Server(t *testing.T) {
+	answers := []struct {
+		name string
+		scripted
+	}{
+		{"MsgError", scripted{proto.MsgError, proto.EncodeError(&proto.Error{
+			Code: proto.CodeBadRequest, Message: "unknown message type 13"})}},
+		{"ack at version 1", scripted{proto.MsgHelloAck, proto.EncodeHelloAck(&proto.HelloAck{Version: 1})}},
+		{"unexpected type", scripted{proto.MsgLookupResponse, nil}},
 	}
-	defer c.Close()
-	if c.Version() != proto.Version1 {
-		t.Fatalf("version=%d want fallback to %d", c.Version(), proto.Version1)
+	dialers := []struct {
+		name string
+		dial func(t *testing.T, addr string) (io.Closer, error)
+	}{
+		{"Dial", func(t *testing.T, addr string) (io.Closer, error) { return Dial(addr, 2*time.Second) }},
+		{"Follow", func(t *testing.T, addr string) (io.Closer, error) {
+			return Follow(addr, FollowConfig{Timeout: 2 * time.Second})
+		}},
+		{"Subscribe", func(t *testing.T, addr string) (io.Closer, error) {
+			// Subscribe dials from an open client, which needs a server of
+			// its own that does speak the protocol; the server under test
+			// plays the primary that one pointed at.
+			c, err := Dial(newFakeServer(t).ln.Addr().String(), 2*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { c.Close() })
+			c.setPrimary(addr)
+			return c.Subscribe(context.Background(), KClosest(1))
+		}},
 	}
-	if c.ServerMaxBatch() != 0 {
-		t.Fatalf("max batch=%d want 0", c.ServerMaxBatch())
-	}
-	got, err := c.Lookup(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0].Peer != 4 {
-		t.Fatalf("lookup=%+v", got)
+	for _, d := range dialers {
+		for _, a := range answers {
+			t.Run(d.name+"/"+a.name, func(t *testing.T) {
+				addr, done := helloAnswerer(t, a.typ, a.payload)
+				s, err := d.dial(t, addr)
+				if err == nil {
+					s.Close()
+					t.Error("the dial succeeded")
+				}
+				<-done
+			})
+		}
 	}
 }
 
 // TestNegotiationRejectsGarbage closes the deal on a server that answers
-// hello with a non-hello, non-error frame: that is a protocol violation,
-// not a version mismatch.
+// hello with a non-hello, non-error frame, or with an ack or an error that
+// does not decode: that is a protocol violation, not a version mismatch.
 func TestNegotiationRejectsGarbage(t *testing.T) {
-	fs := newFakeServer(t, scripted{typ: proto.MsgAck})
-	if _, err := Dial(fs.ln.Addr().String(), time.Second); err == nil {
-		t.Fatal("garbage hello response accepted")
+	for _, a := range []scripted{
+		{typ: proto.MsgAck},
+		{typ: proto.MsgHelloAck, payload: []byte{0}},
+		{typ: proto.MsgError, payload: []byte{0}},
+		{typ: proto.MsgHelloAck, payload: proto.EncodeHelloAck(&proto.HelloAck{Version: proto.Version2})}, // batch limit 0
+	} {
+		addr, done := helloAnswerer(t, a.typ, a.payload)
+		if c, err := Dial(addr, time.Second); err == nil {
+			c.Close()
+			t.Fatalf("hello response type %d payload %x accepted", a.typ, a.payload)
+		}
+		<-done
 	}
 }
 
@@ -387,7 +470,7 @@ func TestFailoverHelpers(t *testing.T) {
 // main connection, a down main, and a discovered primary override.
 func TestPrimaryTargetRouting(t *testing.T) {
 	fs := newFakeServer(t)
-	c, err := DialConfig(fs.ln.Addr().String(), Config{Timeout: time.Second, DisablePipelining: true})
+	c, err := DialConfig(fs.ln.Addr().String(), Config{Timeout: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,10 +521,9 @@ func TestNotPrimaryFailbackToDialledAddress(t *testing.T) {
 		scripted{typ: proto.MsgLookupResponse, payload: lookupResp},
 	)
 	c, err := DialConfig(fs.ln.Addr().String(), Config{
-		Common:            conf.Common{Backoff: 10 * time.Millisecond},
-		Timeout:           time.Second,
-		DisablePipelining: true,
-		FailoverRetries:   2,
+		Common:          conf.Common{Backoff: 10 * time.Millisecond},
+		Timeout:         time.Second,
+		FailoverRetries: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -476,7 +558,7 @@ func TestPeerRequestRehomesOnNotPrimary(t *testing.T) {
 		Code: proto.CodeNotPrimary, Message: nodeB.ln.Addr().String()})})
 	// The main connection plays no part; the peer is homed at A.
 	main := newFakeServer(t)
-	c, err := DialConfig(main.ln.Addr().String(), Config{Timeout: time.Second, DisablePipelining: true})
+	c, err := DialConfig(main.ln.Addr().String(), Config{Timeout: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

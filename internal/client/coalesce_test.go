@@ -11,8 +11,8 @@ import (
 	"proxdisc/internal/proto"
 )
 
-// ackServer speaks just enough version 2 to acknowledge every request by
-// its ID.
+// ackServer speaks just enough of the protocol to acknowledge every
+// request by its ID.
 func ackServer(t *testing.T) net.Listener {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -72,9 +72,6 @@ func TestPipelinedCallersShareWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if c.Version() != proto.Version2 {
-		t.Fatalf("version=%d", c.Version())
-	}
 	// No request is in flight yet: swap the counting wrapper in under the
 	// buffered writer.
 	wc := &writeCounter{Conn: c.conn}

@@ -16,7 +16,7 @@ import (
 
 // This file is the follower half of cross-process replication: a
 // FollowSession subscribes to a primary's committed op stream
-// (MsgFollowRequest over the v2 framing) and feeds every record — and any
+// (MsgFollowRequest) and feeds every record — and any
 // catch-up snapshot the primary decides to ship — to a FollowHandler. The
 // session deduplicates by sequence, so the primary is free to hand it
 // overlapping ranges (the WAL tail re-read after a reconnect), and
@@ -68,8 +68,8 @@ type FollowSession struct {
 	closed    chan struct{}
 }
 
-// Follow dials the primary, negotiates the v2 framing, and subscribes to
-// its committed op stream after cfg.After. Run must be called to consume
+// Follow dials the primary, opens the session, and subscribes to its
+// committed op stream after cfg.After. Run must be called to consume
 // the stream.
 func Follow(addr string, cfg FollowConfig) (*FollowSession, error) {
 	if cfg.Timeout == 0 {
@@ -88,32 +88,11 @@ func Follow(addr string, cfg FollowConfig) (*FollowSession, error) {
 	return s, nil
 }
 
-// negotiate upgrades the connection to version 2 and sends the follow
-// subscription. A version-1 primary cannot ship the stream (its frames
-// carry no request IDs), so it is an error, not a fallback.
+// negotiate opens the session (see hello) and sends the follow
+// subscription.
 func (s *FollowSession) negotiate() error {
-	deadline := time.Now().Add(s.cfg.Timeout)
-	if err := s.conn.SetDeadline(deadline); err != nil {
-		return fmt.Errorf("client: set deadline: %w", err)
-	}
-	hello := proto.EncodeHello(&proto.Hello{MaxVersion: proto.MaxVersion})
-	if err := proto.WriteFrame(s.conn, proto.MsgHello, hello); err != nil {
-		return fmt.Errorf("client: follow hello: %w", err)
-	}
-	typ, payload, err := proto.ReadFrame(s.br)
-	if err != nil {
-		return fmt.Errorf("client: follow hello response: %w", err)
-	}
-	defer proto.PutBuf(payload)
-	if typ != proto.MsgHelloAck {
-		return fmt.Errorf("client: primary rejected hello (type %d): op-log following needs the v2 framing", typ)
-	}
-	ack, err := proto.DecodeHelloAck(payload)
-	if err != nil {
-		return fmt.Errorf("client: bad hello ack: %w", err)
-	}
-	if ack.Version < proto.Version2 {
-		return fmt.Errorf("client: primary speaks protocol version %d: op-log following needs version 2", ack.Version)
+	if _, err := hello(s.conn, s.br, s.cfg.Timeout); err != nil {
+		return fmt.Errorf("client: follow: %w", err)
 	}
 	req := proto.EncodeFollowRequest(&proto.FollowRequest{After: s.cfg.After})
 	if err := proto.WriteFrameID(s.conn, proto.MsgFollowRequest, followReqID, req); err != nil {

@@ -14,7 +14,7 @@ import (
 )
 
 // fakePrimary is a scripted op-stream server: it accepts one connection,
-// performs the v2 handshake, answers the follow subscription, then plays
+// performs the handshake, answers the follow subscription, then plays
 // a scripted frame sequence while recording the acks it receives.
 type fakePrimary struct {
 	ln net.Listener
@@ -46,7 +46,7 @@ func (p *fakePrimary) serve() {
 		return
 	}
 	defer conn.Close()
-	// Handshake: hello → ack v2, then the follow request.
+	// Handshake: hello → ack, then the follow request.
 	typ, payload, err := proto.ReadFrame(conn)
 	if err != nil || typ != proto.MsgHello {
 		p.t.Errorf("fake primary: expected hello, got %d (%v)", typ, err)
@@ -203,38 +203,6 @@ func TestFollowSessionStream(t *testing.T) {
 	}
 }
 
-// TestFollowRejectsVersion1Primary: a primary that cannot speak the v2
-// framing cannot ship the stream — Follow must fail, not fall back.
-func TestFollowRejectsVersion1Primary(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		typ, payload, err := proto.ReadFrame(conn)
-		if err != nil || typ != proto.MsgHello {
-			return
-		}
-		proto.PutBuf(payload)
-		// A v1 server rejects the unknown hello message.
-		_ = proto.WriteFrame(conn, proto.MsgError,
-			proto.EncodeError(&proto.Error{Code: proto.CodeBadRequest, Message: "unknown message"}))
-		_, _, _ = proto.ReadFrame(conn) // wait for the client to hang up
-	}()
-	if _, err := Follow(ln.Addr().String(), FollowConfig{Timeout: 3 * time.Second}); err == nil {
-		t.Fatal("following a version-1 primary succeeded")
-	}
-	<-done
-}
-
 // TestFollowSessionCloseAndBadFrames: Close unblocks Run with
 // net.ErrClosed, and an off-protocol frame type terminates the session
 // loudly.
@@ -293,37 +261,6 @@ func (h *closingHandler) ReplicateOp(seq uint64, o op.Op) error {
 	h.applied = true
 	h.s.Close()
 	return h.collector.ReplicateOp(seq, o)
-}
-
-// TestFollowRejectsVersion1Ack: a server that acks the hello but pins the
-// connection to version 1 cannot carry the stream either.
-func TestFollowRejectsVersion1Ack(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		typ, payload, err := proto.ReadFrame(conn)
-		if err != nil || typ != proto.MsgHello {
-			return
-		}
-		proto.PutBuf(payload)
-		_ = proto.WriteFrame(conn, proto.MsgHelloAck,
-			proto.EncodeHelloAck(&proto.HelloAck{Version: proto.Version1}))
-		_, _, _ = proto.ReadFrame(conn)
-	}()
-	if _, err := Follow(ln.Addr().String(), FollowConfig{Timeout: 3 * time.Second}); err == nil {
-		t.Fatal("following over a version-1 connection succeeded")
-	}
-	<-done
 }
 
 // TestFollowSessionRejectsGarbageRecord: a record that fails the

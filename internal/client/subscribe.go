@@ -15,7 +15,7 @@ import (
 )
 
 // This file is the client half of the push-based read plane: Subscribe
-// registers a live query over a dedicated version-2 connection and folds
+// registers a live query over a dedicated connection and folds
 // the server's pushed deltas into a local cache, so CachedLookup answers
 // k-closest queries without a round trip. The subscription owns its
 // reconnect policy: when the connection dies (or a replica answers
@@ -129,9 +129,8 @@ type Subscription struct {
 // at a new primary via CodeNotPrimary) is re-subscribed transparently
 // with bounded backoff, the fresh snapshot replacing the cache.
 //
-// The subscription uses a dedicated connection (events arrive unsolicited,
-// which the request/response demux cannot carry), so it works against
-// pipelining-disabled clients too — the server must still speak version 2.
+// The subscription uses a dedicated connection: events arrive unsolicited,
+// which the request/response demux cannot carry.
 func (c *Client) Subscribe(ctx context.Context, q Query) (*Subscription, error) {
 	if q.Kind < QueryLandmark || q.Kind > QueryKClosest {
 		return nil, fmt.Errorf("client: bad query kind %d", q.Kind)
@@ -167,7 +166,7 @@ func (c *Client) Subscribe(ctx context.Context, q Query) (*Subscription, error) 
 	return s, nil
 }
 
-// connect dials the current primary, negotiates the v2 framing, sends the
+// connect dials the current primary, opens the session, sends the
 // subscribe request, and reads its answer synchronously — a refused
 // subscription fails here, not mid-stream. A CodeNotPrimary answer is
 // followed (up to MaxRedirects), sharing the learned primary with the
@@ -218,33 +217,11 @@ func (s *Subscription) subscribeAt(ctx context.Context, addr string, req []byte)
 	return conn, br, ack, nil
 }
 
-// subscribeHandshake negotiates version 2 and registers the query,
-// returning the server's initial answer. A version-1 server cannot push
-// events (its frames carry no request IDs), so it is an error, not a
-// fallback.
+// subscribeHandshake opens the session (see hello) and registers the
+// query, returning the server's initial answer.
 func subscribeHandshake(conn net.Conn, br *bufio.Reader, req []byte, timeout time.Duration) (*proto.SubscribeAck, error) {
-	if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
-		return nil, fmt.Errorf("client: set deadline: %w", err)
-	}
-	hello := proto.EncodeHello(&proto.Hello{MaxVersion: proto.MaxVersion})
-	if err := proto.WriteFrame(conn, proto.MsgHello, hello); err != nil {
-		return nil, fmt.Errorf("client: subscribe hello: %w", err)
-	}
-	typ, payload, err := proto.ReadFrame(br)
-	if err != nil {
-		return nil, fmt.Errorf("client: subscribe hello response: %w", err)
-	}
-	if typ != proto.MsgHelloAck {
-		proto.PutBuf(payload)
-		return nil, fmt.Errorf("client: server rejected hello (type %d): subscriptions need the v2 framing", typ)
-	}
-	hack, err := proto.DecodeHelloAck(payload)
-	proto.PutBuf(payload)
-	if err != nil {
-		return nil, fmt.Errorf("client: bad hello ack: %w", err)
-	}
-	if hack.Version < proto.Version2 {
-		return nil, fmt.Errorf("client: server speaks protocol version %d: subscriptions need version 2", hack.Version)
+	if _, err := hello(conn, br, timeout); err != nil {
+		return nil, fmt.Errorf("client: subscribe: %w", err)
 	}
 	if err := proto.WriteFrameID(conn, proto.MsgSubscribeRequest, subReqID, req); err != nil {
 		return nil, fmt.Errorf("client: subscribe send: %w", err)

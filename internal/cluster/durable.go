@@ -98,8 +98,8 @@ func (c *Cluster) openDurable() error {
 	}
 	// One WAL stream per shard: commits to different shards append under
 	// different stream locks and share fsyncs through the cross-stream
-	// group commit. A data directory written by the old single-stream log
-	// is adopted transparently (its segments replay as one extra stream).
+	// group commit. A data directory still holding a segment of the old
+	// single-stream log is refused, untouched.
 	log, err := wal.OpenSharded(c.cfg.DataDir, len(c.shards), wal.Options{
 		NoSync:       c.cfg.NoSync,
 		MaxSyncDelay: c.cfg.MaxSyncDelay,

@@ -3,10 +3,10 @@
 // benchmarks, the benchmark-regression CI job, and cmd/proxdisc-loadgen.
 //
 // A run opens Clients connections, keeps InFlight requests outstanding on
-// each (1 reproduces the old lock-step protocol's behaviour), groups
-// Batch joins per request frame, and reports joins/sec plus per-request
-// latency percentiles. The same knobs therefore measure all four corners:
-// lock-step vs pipelined, singular vs batched.
+// each (1 is one round trip at a time), groups Batch joins per request
+// frame, and reports joins/sec plus per-request latency percentiles. The
+// same knobs therefore measure all four corners: serial vs pipelined,
+// singular vs batched.
 package loadgen
 
 import (
@@ -28,9 +28,8 @@ type Config struct {
 	// Clients is the number of TCP connections (default 1).
 	Clients int
 	// InFlight is the number of concurrently outstanding requests per
-	// connection (default 1 — lock-step pacing). Values above 1 require a
-	// pipelining server to help; against a version-1 server the client
-	// serializes them.
+	// connection (default 1: each worker waits for its answer before it
+	// sends again).
 	InFlight int
 	// Batch is the number of joins carried per request (default 1). Above
 	// 1 the run uses the batched join path.
@@ -47,9 +46,6 @@ type Config struct {
 	AddrFor func(peer int64) string
 	// Timeout bounds each request (default 10s).
 	Timeout time.Duration
-	// DisablePipelining forces the version-1 lock-step protocol,
-	// regardless of what the server offers.
-	DisablePipelining bool
 }
 
 // Result aggregates one load run.
@@ -70,15 +66,13 @@ type Result struct {
 	// counts beyond the convenience percentiles above. (Excluded from
 	// JSON: its state is atomic counters, not marshalable fields.)
 	Latency *telemetry.Histogram `json:"-"`
-	// Protocol is the negotiated wire version of the first connection.
-	Protocol uint16
 }
 
 // String formats the result for human consumption.
 func (r *Result) String() string {
-	return fmt.Sprintf("joins=%d errors=%d requests=%d elapsed=%v throughput=%.0f joins/s p50=%v p90=%v p99=%v proto=v%d",
+	return fmt.Sprintf("joins=%d errors=%d requests=%d elapsed=%v throughput=%.0f joins/s p50=%v p90=%v p99=%v",
 		r.Joins, r.Errors, r.Requests, r.Elapsed.Round(time.Millisecond), r.JoinsPerSec,
-		r.P50.Round(time.Microsecond), r.P90.Round(time.Microsecond), r.P99.Round(time.Microsecond), r.Protocol)
+		r.P50.Round(time.Microsecond), r.P90.Round(time.Microsecond), r.P99.Round(time.Microsecond))
 }
 
 // Run executes one load run and blocks until every join has been issued.
@@ -111,9 +105,8 @@ func Run(cfg Config) (*Result, error) {
 	conns := make([]*client.Client, cfg.Clients)
 	for i := range conns {
 		c, err := client.DialConfig(cfg.Addr, client.Config{
-			Timeout:           cfg.Timeout,
-			MaxInFlight:       cfg.InFlight,
-			DisablePipelining: cfg.DisablePipelining,
+			Timeout:     cfg.Timeout,
+			MaxInFlight: cfg.InFlight,
 		})
 		if err != nil {
 			for _, open := range conns[:i] {
@@ -194,7 +187,7 @@ func Run(cfg Config) (*Result, error) {
 	wg.Wait()
 	elapsed := time.Since(start)
 
-	out := &Result{Elapsed: elapsed, Protocol: conns[0].Version(), Latency: lat}
+	out := &Result{Elapsed: elapsed, Latency: lat}
 	for w := 0; w < workers; w++ {
 		out.Joins += joins[w]
 		out.Errors += errCounts[w]

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"proxdisc/internal/netserver"
-	"proxdisc/internal/proto"
 	"proxdisc/internal/server"
 	"proxdisc/internal/topology"
 )
@@ -38,11 +37,10 @@ func TestRunAllModes(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		cfg  Config
-		want uint16
 	}{
-		{"lockstep", Config{Clients: 2, InFlight: 1, Batch: 1, DisablePipelining: true}, proto.Version1},
-		{"pipelined", Config{Clients: 2, InFlight: 8, Batch: 1}, proto.Version2},
-		{"batched", Config{Clients: 1, InFlight: 2, Batch: 8}, proto.Version2},
+		{"serial", Config{Clients: 2, InFlight: 1, Batch: 1}},
+		{"pipelined", Config{Clients: 2, InFlight: 8, Batch: 1}},
+		{"batched", Config{Clients: 1, InFlight: 2, Batch: 8}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg
@@ -58,9 +56,6 @@ func TestRunAllModes(t *testing.T) {
 			}
 			if res.Joins != 200 || res.Errors != 0 {
 				t.Fatalf("joins=%d errors=%d: %v", res.Joins, res.Errors, res)
-			}
-			if res.Protocol != tc.want {
-				t.Fatalf("protocol=v%d want v%d", res.Protocol, tc.want)
 			}
 			if res.JoinsPerSec <= 0 || res.P50 <= 0 || res.P99 < res.P50 {
 				t.Fatalf("implausible stats: %v", res)

@@ -14,144 +14,6 @@ import (
 	"proxdisc/internal/topology"
 )
 
-// startVersioned spins up a management server whose wire protocol is capped
-// at the given version — maxVersion 1 is the stand-in for a deployed
-// pre-pipelining binary.
-func startVersioned(t *testing.T, maxVersion uint16) *NetServer {
-	t.Helper()
-	logic, err := server.New(server.Config{Landmarks: []topology.NodeID{0, 100}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ns, err := Listen(Config{Addr: "127.0.0.1:0", Server: logic, MaxProtoVersion: maxVersion})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ns.Close() })
-	return ns
-}
-
-// TestProtocolInteropMatrix covers every client/server version pairing —
-// including the batch-join fallback paths — in one table: each cell runs
-// the same workload (two singular joins, a 40-item batch join spanning
-// both landmarks, lookups, refresh, leave) and asserts the negotiated
-// session shape.
-func TestProtocolInteropMatrix(t *testing.T) {
-	cases := []struct {
-		name          string
-		serverVersion uint16 // cap on the server side
-		clientV1      bool   // client speaks lock-step only
-		wantVersion   uint16
-		wantBatch     bool // batch joins travel as batch frames
-	}{
-		{"v1client-v1server", proto.Version1, true, proto.Version1, false},
-		{"v1client-v2server", proto.MaxVersion, true, proto.Version1, false},
-		{"v2client-v1server", proto.Version1, false, proto.Version1, false},
-		{"v2client-v2server", proto.MaxVersion, false, proto.Version2, true},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			ns := startVersioned(t, tc.serverVersion)
-			c, err := client.DialConfig(ns.Addr(), client.Config{
-				Timeout:           5 * time.Second,
-				DisablePipelining: tc.clientV1,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
-			if c.Version() != tc.wantVersion {
-				t.Fatalf("negotiated v%d, want v%d", c.Version(), tc.wantVersion)
-			}
-			if tc.wantBatch != (c.ServerMaxBatch() > 0) {
-				t.Fatalf("server max batch=%d, want batching=%v", c.ServerMaxBatch(), tc.wantBatch)
-			}
-
-			// Singular joins and a cross-landmark follow-up.
-			if _, err := c.Join(1, "127.0.0.1:9001", []int32{10, 0}); err != nil {
-				t.Fatal(err)
-			}
-			got, err := c.Join(2, "127.0.0.1:9002", []int32{11, 10, 0})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != 1 || got[0].Peer != 1 || got[0].Addr != "127.0.0.1:9001" {
-				t.Fatalf("neighbours=%+v", got)
-			}
-
-			// Batch join: above the wire cap so a batching session chunks,
-			// and spanning both landmarks. On a version-1 session the same
-			// call must fall back to sequential singular joins.
-			items := make([]client.BatchItem, proto.MaxBatch+8)
-			for i := range items {
-				lm := int32(0)
-				if i%2 == 1 {
-					lm = 100
-				}
-				items[i] = client.BatchItem{
-					Peer: int64(100 + i),
-					Addr: "127.0.0.1:1",
-					Path: []int32{int32(1000 + i), lm},
-				}
-			}
-			res, err := c.JoinBatch(items)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, r := range res {
-				if r.Err != nil {
-					t.Fatalf("batch entry %d: %v", i, r.Err)
-				}
-			}
-
-			// Every registration behaves identically across versions.
-			for _, p := range []int64{1, 2, 100, int64(99 + len(items))} {
-				if _, err := c.Lookup(p); err != nil {
-					t.Fatalf("lookup %d: %v", p, err)
-				}
-			}
-			if err := c.Refresh(1); err != nil {
-				t.Fatal(err)
-			}
-			if err := c.Leave(2); err != nil {
-				t.Fatal(err)
-			}
-			var werr *proto.Error
-			if _, err := c.Lookup(2); !errors.As(err, &werr) || werr.Code != proto.CodeUnknownPeer {
-				t.Fatalf("departed peer lookup err=%v", err)
-			}
-		})
-	}
-}
-
-// TestV1SessionRejectsBatchFrames pins that the version-1 fallback is not
-// cosmetic: a hand-rolled batch frame on a never-negotiated connection is
-// answered with an error, not silently half-served.
-func TestV1SessionRejectsBatchFrames(t *testing.T) {
-	ns := startVersioned(t, proto.MaxVersion)
-	c, err := client.DialConfig(ns.Addr(), client.Config{Timeout: time.Second, DisablePipelining: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	// The client refuses to build batch frames on a v1 session, so drive
-	// the fallback and confirm it arrives as singular joins.
-	res, err := c.JoinBatch([]client.BatchItem{
-		{Peer: 1, Addr: "a", Path: []int32{10, 0}},
-		{Peer: 2, Addr: "b", Path: []int32{12, 99}}, // unknown landmark
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res[0].Err != nil {
-		t.Fatalf("entry 0: %v", res[0].Err)
-	}
-	var werr *proto.Error
-	if !errors.As(res[1].Err, &werr) || werr.Code != proto.CodeUnknownLandmark {
-		t.Fatalf("entry 1 err=%v", res[1].Err)
-	}
-}
-
 // startReplicaPair runs the deployment RoleReplica exists for: a durable
 // primary behind one front end, and a replica-role front end over a
 // follower's copy of it. The follower is returned so tests can wait for

@@ -3,12 +3,12 @@
 // architecture.
 //
 // One TCP connection serves any number of request/response frames (see
-// package proto). A connection starts on protocol version 1 (strict
-// lock-step, served serially in request order). When a client negotiates
-// version 2 via MsgHello, every subsequent frame carries a request ID and
-// responses are matched by ID, in whatever order they complete. A
-// pipelined request then takes one of two roads, chosen by what it can
-// wait on, never by configuration:
+// package proto). Its first frame must be a MsgHello offering protocol
+// version 2, which the server acks; anything else first is answered with
+// one error naming that version and the connection is closed. From then on
+// every frame carries a request ID and responses are matched by ID, in
+// whatever order they complete. A request takes one of two roads, chosen by
+// what it can wait on, never by configuration:
 //
 //   - Requests that can never wait on the disk or on another node — a
 //     lookup of a peer registered here, status, landmarks — are served
@@ -166,11 +166,6 @@ type Config struct {
 	// PrimaryAddr is the primary node's TCP address, advertised to clients
 	// by a RoleReplica node.
 	PrimaryAddr string
-	// MaxProtoVersion caps the wire protocol version this server
-	// negotiates (default proto.MaxVersion). Setting 1 yields a server
-	// that acks hellos but keeps every connection on the lock-step
-	// protocol — the interop-testing stand-in for an old deployment.
-	MaxProtoVersion uint16
 	// Replication, when this front end runs on a follower node, is the
 	// Follower feeding the backend; status responses then carry its
 	// applied/head position so the node's replication lag is observable
@@ -200,10 +195,9 @@ type Config struct {
 	// time exceeds it through SlowOp (or, when SlowOp is nil, Logger). The
 	// check is two loads and a compare on the hot path.
 	SlowOpThreshold time.Duration
-	// SlowOp receives slow-request reports: the request's pipeline ID
-	// (0 on lock-step connections), message type, service time, and
-	// whether it was served inline on the connection's reader goroutine
-	// rather than by the worker pool.
+	// SlowOp receives slow-request reports: the request's ID, message type,
+	// service time, and whether it was served inline on the connection's
+	// reader goroutine rather than by the worker pool.
 	SlowOp func(id uint64, typ proto.MsgType, d time.Duration, inline bool)
 }
 
@@ -297,8 +291,8 @@ func (s *NetServer) initMetrics() {
 
 // observeReq records one served request: its per-type counter and
 // latency histogram, the road that served it (inline on the connection's
-// reader, or the pool — lock-step requests count as pool), plus the
-// slow-op report when the service time crosses the configured threshold.
+// reader, or the pool), plus the slow-op report when the service time
+// crosses the configured threshold.
 func (s *NetServer) observeReq(typ proto.MsgType, id uint64, d time.Duration, inline bool) {
 	i := int(typ)
 	if i >= proto.NumMsgTypes {
@@ -330,7 +324,7 @@ func (s *NetServer) requestsServed() uint64 {
 	return n
 }
 
-// task is one decoded version-2 request queued for the worker pool.
+// task is one request queued for the worker pool.
 type task struct {
 	wc      *wireConn
 	typ     proto.MsgType
@@ -338,11 +332,10 @@ type task struct {
 	payload []byte
 }
 
-// wireConn wraps an accepted connection with its negotiated protocol
-// version. Version-1 responses are written directly by the connection's
-// reader goroutine (strict lock-step, so there is never concurrency).
-// After the version-2 upgrade two goroutines append whole frames to bw
-// under wmu. The reader appends the responses it served inline and flushes
+// wireConn wraps an accepted connection with its write side. The
+// handshake is written by the connection's reader goroutine alone; after
+// it two goroutines append whole frames to bw under wmu. The reader
+// appends the responses it served inline and flushes
 // right before it would block on the socket, so a run of pipelined reads
 // leaves in one syscall; a client that stops reading stalls only this
 // reader, until the write deadline kills the connection. Responses from
@@ -353,12 +346,11 @@ type task struct {
 // the connection is dropped instead.
 type wireConn struct {
 	net.Conn
-	version uint16     // read/written only by the connection's reader goroutine
-	wmu     sync.Mutex // guards bw and the write deadline once version 2 is on
-	bw      *bufio.Writer
-	out     chan outFrame // v2 response queue, created at upgrade
-	stop    chan struct{} // closed by the reader to retire the writer
-	dead    chan struct{} // closed by the writer when it exits
+	wmu  sync.Mutex // guards bw and the write deadline once the handshake is done
+	bw   *bufio.Writer
+	out  chan outFrame // queued responses; made, with writeLoop to drain it, once the handshake is done
+	stop chan struct{} // closed by the reader to retire the writer
+	dead chan struct{} // closed by the writer when it exits
 }
 
 // outFrame is one queued response. Enqueuing transfers ownership of
@@ -379,14 +371,6 @@ type outFrame struct {
 // not reading its responses, and gets dropped.
 const respQueueLen = proto.MaxPipelineDepth
 
-// writeV1 sends one lock-step response from the reader goroutine.
-func (w *wireConn) writeV1(t proto.MsgType, payload []byte) error {
-	if err := proto.WriteFrame(w.bw, t, payload); err != nil {
-		return err
-	}
-	return w.bw.Flush()
-}
-
 // Listen starts serving on cfg.Addr.
 func Listen(cfg Config) (*NetServer, error) {
 	if cfg.Server == nil {
@@ -404,9 +388,6 @@ func Listen(cfg Config) (*NetServer, error) {
 	}
 	if cfg.MaxBatch <= 0 || cfg.MaxBatch > proto.MaxBatch {
 		cfg.MaxBatch = proto.MaxBatch
-	}
-	if cfg.MaxProtoVersion == 0 || cfg.MaxProtoVersion > proto.MaxVersion {
-		cfg.MaxProtoVersion = proto.MaxVersion
 	}
 	if cfg.Role == RoleReplica && cfg.PrimaryAddr == "" {
 		// Without an address to point writes at, every redirect would name
@@ -495,7 +476,7 @@ func (s *NetServer) worker() {
 	}
 }
 
-// respond enqueues a version-2 response without ever blocking the worker:
+// respond enqueues a response without ever blocking the worker:
 // a connection whose queue is full is not consuming its responses (its
 // TCP window and the 256-frame queue are both exhausted) and is dropped
 // so it cannot stall the shared pool.
@@ -509,7 +490,7 @@ func (s *NetServer) respond(wc *wireConn, f outFrame) {
 	}
 }
 
-// writeFrame appends one version-2 response to the connection's write
+// writeFrame appends one response to the connection's write
 // buffer and recycles the payload; a queued frame (the writeLoop's) is
 // flushed when the queue behind it is empty, an inline one is left for the
 // reader to flush. Every frame re-arms the write deadline, so whichever
@@ -562,9 +543,10 @@ func (s *NetServer) logWriteErr(err error) {
 	}
 }
 
-// writeLoop is a connection's dedicated writer for queued responses
-// (version 2 only). It coalesces: frames are written back-to-back while
-// the queue is non-empty and flushed in one syscall when it drains.
+// writeLoop is a connection's dedicated writer for queued responses,
+// started once the handshake is done. It coalesces: frames are written
+// back-to-back while the queue is non-empty and flushed in one syscall
+// when it drains.
 func (s *NetServer) writeLoop(wc *wireConn) {
 	defer s.wg.Done()
 	defer close(wc.dead)
@@ -650,7 +632,28 @@ func (s *NetServer) acceptLoop() {
 
 func (s *NetServer) handle(nc net.Conn) {
 	defer s.wg.Done()
-	wc := &wireConn{Conn: nc, version: proto.Version1, bw: bufio.NewWriterSize(nc, 16<<10)}
+	defer func() {
+		nc.Close()
+		s.mu.Lock()
+		delete(s.conns, nc)
+		s.mu.Unlock()
+	}()
+	// One buffered reader for the connection's whole life: it carries any
+	// bytes that arrived behind the hello over into the ID framing, and lets
+	// one read syscall deliver many pipelined request frames.
+	br := bufio.NewReaderSize(nc, 16<<10)
+	wc := &wireConn{Conn: nc, bw: bufio.NewWriterSize(nc, 16<<10)}
+	if err := s.handshake(wc, br); err != nil {
+		if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
+			s.cfg.Logger("netserver: handshake: %v", err)
+		}
+		return
+	}
+	wc.out = make(chan outFrame, respQueueLen)
+	wc.stop = make(chan struct{})
+	wc.dead = make(chan struct{})
+	s.wg.Add(1)
+	go s.writeLoop(wc)
 	defer func() {
 		if s.hub != nil {
 			s.hub.drop(wc)
@@ -658,18 +661,8 @@ func (s *NetServer) handle(nc net.Conn) {
 		if s.plane != nil {
 			s.dropSubs(wc)
 		}
-		if wc.out != nil {
-			close(wc.stop) // retire the writer goroutine
-		}
-		nc.Close()
-		s.mu.Lock()
-		delete(s.conns, nc)
-		s.mu.Unlock()
+		close(wc.stop) // retire the writer goroutine
 	}()
-	// One buffered reader for the connection's whole life: it survives the
-	// version-1 → version-2 framing switch without losing buffered bytes,
-	// and lets one read syscall deliver many pipelined request frames.
-	br := bufio.NewReaderSize(nc, 16<<10)
 	unflushed := false // this goroutine appended inline responses since its last flush
 	for {
 		// Flush and re-arm the idle deadline only when the next read would
@@ -677,7 +670,7 @@ func (s *NetServer) handle(nc net.Conn) {
 		// inline responses pile up in the write buffer and leave together.
 		// A frame that arrived in part counts as not there — its sender has
 		// ReadTimeout from now to finish it.
-		if wc.version < proto.Version2 || !proto.FrameBuffered(br) {
+		if !proto.FrameBuffered(br) {
 			if unflushed && !s.flushInline(wc) {
 				return
 			}
@@ -686,100 +679,114 @@ func (s *NetServer) handle(nc net.Conn) {
 				return
 			}
 		}
-		if wc.version >= proto.Version2 {
-			typ, id, payload, err := proto.ReadFrameID(br)
-			if err != nil {
-				if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-					s.cfg.Logger("netserver: read: %v", err)
-				}
-				return
-			}
-			// Stream control frames bypass the worker pool: an ack is a
-			// cheap counter update, and a follow subscription hands the
-			// connection to a dedicated sender goroutine.
-			switch typ {
-			case proto.MsgOpAck:
-				if m, derr := proto.DecodeOpAck(payload); derr == nil && s.hub != nil {
-					s.hub.ack(wc, m.Seq)
-				}
-				proto.PutBuf(payload)
-				continue
-			case proto.MsgFollowRequest:
-				s.serveFollow(wc, id, payload)
-				proto.PutBuf(payload)
-				continue
-			case proto.MsgSubscribeRequest:
-				s.serveSubscribe(wc, id, payload)
-				proto.PutBuf(payload)
-				continue
-			case proto.MsgUnsubscribe:
-				s.serveUnsubscribe(wc, id, payload)
-				proto.PutBuf(payload)
-				continue
-			}
-			// Requests that cannot wait on the disk or another node are
-			// served right here, into the write buffer.
-			start := time.Now()
-			if respType, resp, ok := s.serveInline(typ, payload); ok {
-				s.observeReq(typ, id, time.Since(start), true)
-				proto.PutBuf(payload)
-				if err := s.writeFrame(wc, outFrame{typ: respType, id: id, payload: resp}, false); err != nil {
-					s.logWriteErr(err)
-					return
-				}
-				unflushed = true
-				continue
-			}
-			// Hand everything else to the pool; block when it is saturated
-			// so a flooding client feels backpressure instead of growing an
-			// unbounded queue. The non-blocking first try costs nothing
-			// when the pool keeps up and counts every time it does not.
-			select {
-			case s.tasks <- task{wc: wc, typ: typ, id: id, payload: payload}:
-			default:
-				s.met.queueSat.Inc()
-				// Answers already served must not wait out the pool.
-				if unflushed && !s.flushInline(wc) {
-					proto.PutBuf(payload)
-					return
-				}
-				unflushed = false
-				select {
-				case s.tasks <- task{wc: wc, typ: typ, id: id, payload: payload}:
-				case <-s.closed:
-					proto.PutBuf(payload)
-					return
-				}
-			}
-			continue
-		}
-		typ, payload, err := proto.ReadFrame(br)
+		typ, id, payload, err := proto.ReadFrameID(br)
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
 				s.cfg.Logger("netserver: read: %v", err)
 			}
 			return
 		}
-		if typ == proto.MsgHello {
-			err := s.negotiate(wc, payload)
-			proto.PutBuf(payload)
-			if err != nil {
-				s.cfg.Logger("netserver: write: %v", err)
-				return
+		// Stream control frames bypass the worker pool: an ack is a
+		// cheap counter update, and a follow subscription hands the
+		// connection to a dedicated sender goroutine.
+		switch typ {
+		case proto.MsgOpAck:
+			if m, derr := proto.DecodeOpAck(payload); derr == nil && s.hub != nil {
+				s.hub.ack(wc, m.Seq)
 			}
+			proto.PutBuf(payload)
+			continue
+		case proto.MsgFollowRequest:
+			s.serveFollow(wc, id, payload)
+			proto.PutBuf(payload)
+			continue
+		case proto.MsgSubscribeRequest:
+			s.serveSubscribe(wc, id, payload)
+			proto.PutBuf(payload)
+			continue
+		case proto.MsgUnsubscribe:
+			s.serveUnsubscribe(wc, id, payload)
+			proto.PutBuf(payload)
 			continue
 		}
-		// Version 1 stays strictly serial and in order: old clients send
-		// one request at a time and rely on lock-step responses.
+		// Requests that cannot wait on the disk or another node are
+		// served right here, into the write buffer.
 		start := time.Now()
-		respType, resp := s.handleReq(typ, payload)
-		s.observeReq(typ, 0, time.Since(start), false)
-		proto.PutBuf(payload)
-		if err := wc.writeV1(respType, resp); err != nil {
-			s.cfg.Logger("netserver: write: %v", err)
-			return
+		if respType, resp, ok := s.serveInline(typ, payload); ok {
+			s.observeReq(typ, id, time.Since(start), true)
+			proto.PutBuf(payload)
+			if err := s.writeFrame(wc, outFrame{typ: respType, id: id, payload: resp}, false); err != nil {
+				s.logWriteErr(err)
+				return
+			}
+			unflushed = true
+			continue
+		}
+		// Hand everything else to the pool; block when it is saturated
+		// so a flooding client feels backpressure instead of growing an
+		// unbounded queue. The non-blocking first try costs nothing
+		// when the pool keeps up and counts every time it does not.
+		select {
+		case s.tasks <- task{wc: wc, typ: typ, id: id, payload: payload}:
+		default:
+			s.met.queueSat.Inc()
+			// Answers already served must not wait out the pool.
+			if unflushed && !s.flushInline(wc) {
+				proto.PutBuf(payload)
+				return
+			}
+			unflushed = false
+			select {
+			case s.tasks <- task{wc: wc, typ: typ, id: id, payload: payload}:
+			case <-s.closed:
+				proto.PutBuf(payload)
+				return
+			}
 		}
 	}
+}
+
+// handshake serves a connection's first frame, the only one read and
+// answered in the bare framing. A MsgHello offering version 2 or later is
+// acked — at version 2, with the batch limit both sides accept — and the
+// connection is on ID framing from its next frame in both directions.
+// Anything else — a request with no hello before it, a hello capped below
+// version 2, a hello that does not decode — gets one MsgError naming the
+// version this server speaks and a non-nil return: the caller closes the
+// connection, and nothing reached the backend.
+func (s *NetServer) handshake(wc *wireConn, br *bufio.Reader) error {
+	if err := wc.SetDeadline(time.Now().Add(s.cfg.ReadTimeout)); err != nil {
+		return err
+	}
+	typ, payload, err := proto.ReadFrame(br)
+	if err != nil {
+		return err
+	}
+	var hello *proto.Hello
+	var refusal error
+	if typ != proto.MsgHello {
+		refusal = fmt.Errorf("first frame has message type %d", typ)
+	} else if hello, refusal = proto.DecodeHello(payload); refusal == nil && hello.MaxVersion < proto.Version2 {
+		refusal = fmt.Errorf("hello offers protocol version %d", hello.MaxVersion)
+	}
+	proto.PutBuf(payload)
+	respType, resp := proto.MsgHelloAck, []byte(nil)
+	if refusal != nil {
+		refusal = fmt.Errorf("%w: a connection opens with MsgHello offering protocol version %d", refusal, proto.Version2)
+		respType, resp = errResp(proto.CodeBadRequest, fmt.Errorf("netserver: %w", refusal))
+	} else {
+		resp = proto.EncodeHelloAck(&proto.HelloAck{
+			Version:  proto.Version2,
+			MaxBatch: min(uint16(s.cfg.MaxBatch), hello.MaxBatch),
+		})
+	}
+	if err := proto.WriteFrame(wc.bw, respType, resp); err != nil {
+		return err
+	}
+	if err := wc.bw.Flush(); err != nil {
+		return err
+	}
+	return refusal
 }
 
 // serveFollow answers a MsgFollowRequest: reject it when this node has no
@@ -808,44 +815,6 @@ func (s *NetServer) serveFollow(wc *wireConn, id uint64, payload []byte) {
 		t, resp := errResp(proto.CodeBadRequest, err)
 		s.respond(wc, outFrame{typ: t, id: id, payload: resp})
 	}
-}
-
-// negotiate answers a MsgHello and switches the connection to the agreed
-// version. The ack itself is always version-1 framed; the new framing
-// applies from the next frame in both directions.
-func (s *NetServer) negotiate(wc *wireConn, payload []byte) error {
-	hello, err := proto.DecodeHello(payload)
-	if err != nil {
-		respType, resp := errResp(proto.CodeBadRequest, err)
-		return wc.writeV1(respType, resp)
-	}
-	version := hello.MaxVersion
-	if version > s.cfg.MaxProtoVersion {
-		version = s.cfg.MaxProtoVersion
-	}
-	if version < proto.Version1 {
-		version = proto.Version1
-	}
-	maxBatch := uint16(s.cfg.MaxBatch)
-	if hello.MaxBatch < maxBatch {
-		maxBatch = hello.MaxBatch
-	}
-	if version < proto.Version2 {
-		maxBatch = 0 // batching rides on the version-2 framing
-	}
-	ack := proto.EncodeHelloAck(&proto.HelloAck{Version: version, MaxBatch: maxBatch})
-	if err := wc.writeV1(proto.MsgHelloAck, ack); err != nil {
-		return err
-	}
-	if version >= proto.Version2 && wc.out == nil {
-		wc.out = make(chan outFrame, respQueueLen)
-		wc.stop = make(chan struct{})
-		wc.dead = make(chan struct{})
-		s.wg.Add(1)
-		go s.writeLoop(wc)
-	}
-	wc.version = version
-	return nil
 }
 
 // errResp encodes an error response frame.

@@ -2,7 +2,6 @@ package netserver
 
 import (
 	"errors"
-	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -107,6 +106,10 @@ func TestJoinLookupLeaveOverTCP(t *testing.T) {
 	if len(look) != 0 {
 		t.Fatalf("departed peer still answered: %+v", look)
 	}
+	var werr *proto.Error
+	if _, err := c.Lookup(2); !errors.As(err, &werr) || werr.Code != proto.CodeUnknownPeer {
+		t.Fatalf("departed peer lookup err=%v", err)
+	}
 }
 
 func TestWireErrors(t *testing.T) {
@@ -136,20 +139,16 @@ func TestWireErrors(t *testing.T) {
 
 func TestUnknownMessageType(t *testing.T) {
 	ns, _ := startServer(t)
-	conn, err := net.Dial("tcp", ns.Addr())
+	conn := rawV2(t, ns.Addr())
+	if err := proto.WriteFrameID(conn, proto.MsgType(200), 9, nil); err != nil {
+		t.Fatal(err)
+	}
+	typ, id, payload, err := proto.ReadFrameID(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	if err := proto.WriteFrame(conn, proto.MsgType(200), nil); err != nil {
-		t.Fatal(err)
-	}
-	typ, payload, err := proto.ReadFrame(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if typ != proto.MsgError {
-		t.Fatalf("type=%d", typ)
+	if typ != proto.MsgError || id != 9 {
+		t.Fatalf("type=%d id=%d", typ, id)
 	}
 	werr, err := proto.DecodeError(payload)
 	if err != nil {
@@ -500,23 +499,16 @@ func TestListenRejectsNilServer(t *testing.T) {
 func TestHelloNegotiation(t *testing.T) {
 	ns, _ := startServer(t)
 	c := dial(t, ns)
-	if c.Version() != proto.Version2 {
-		t.Fatalf("version=%d want %d", c.Version(), proto.Version2)
-	}
 	if c.ServerMaxBatch() != proto.MaxBatch {
 		t.Fatalf("server max batch=%d want %d", c.ServerMaxBatch(), proto.MaxBatch)
 	}
 }
 
 // TestConcurrentPipelinedOneConnection drives 32 goroutines of mixed
-// Join/Lookup traffic through ONE client over ONE TCP connection: the
-// pipelining safety property the lock-step client could not offer.
+// Join/Lookup traffic through ONE client over ONE TCP connection.
 func TestConcurrentPipelinedOneConnection(t *testing.T) {
 	ns, _ := startServer(t)
 	c := dial(t, ns)
-	if c.Version() != proto.Version2 {
-		t.Fatalf("pipelining not negotiated (version %d)", c.Version())
-	}
 	const workers = 32
 	const opsPer = 30
 	var wg sync.WaitGroup
@@ -554,55 +546,6 @@ func TestConcurrentPipelinedOneConnection(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
-	}
-}
-
-// TestOldProtocolClientCompat checks both back-compat directions against a
-// new server: a client that never negotiates (DisablePipelining), and a
-// raw hand-rolled version-1 frame conversation.
-func TestOldProtocolClientCompat(t *testing.T) {
-	ns, _ := startServer(t)
-	c, err := client.DialConfig(ns.Addr(), client.Config{Timeout: 5 * time.Second, DisablePipelining: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if c.Version() != proto.Version1 {
-		t.Fatalf("version=%d want %d", c.Version(), proto.Version1)
-	}
-	if _, err := c.Join(1, "127.0.0.1:9001", []int32{10, 0}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Lookup(1); err != nil {
-		t.Fatal(err)
-	}
-
-	// Raw wire conversation, exactly as a pre-hello binary would speak.
-	conn, err := net.Dial("tcp", ns.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	payload, err := proto.EncodeJoinRequest(&proto.JoinRequest{Peer: 2, Addr: "127.0.0.1:9002", Path: []int32{11, 10, 0}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := proto.WriteFrame(conn, proto.MsgJoinRequest, payload); err != nil {
-		t.Fatal(err)
-	}
-	typ, resp, err := proto.ReadFrame(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if typ != proto.MsgJoinResponse {
-		t.Fatalf("raw v1 join answered with type %d", typ)
-	}
-	jr, err := proto.DecodeJoinResponse(resp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(jr.Neighbors) != 1 || jr.Neighbors[0].Peer != 1 {
-		t.Fatalf("raw v1 join neighbours=%+v", jr.Neighbors)
 	}
 }
 
@@ -647,9 +590,10 @@ func TestBatchJoinOverTCP(t *testing.T) {
 }
 
 // TestBatchJoinSpillsOverServerLimit sends more joins than one frame may
-// carry and checks the client chunks transparently.
+// carry, spanning both of the server's landmarks, and checks the client
+// chunks transparently.
 func TestBatchJoinSpillsOverServerLimit(t *testing.T) {
-	ns, _ := startServer(t)
+	ns, _ := startServer(t, 0, 100)
 	c := dial(t, ns)
 	n := proto.MaxBatch + 5
 	items := make([]client.BatchItem, n)
@@ -657,7 +601,7 @@ func TestBatchJoinSpillsOverServerLimit(t *testing.T) {
 		items[i] = client.BatchItem{
 			Peer: int64(i + 1),
 			Addr: "127.0.0.1:1",
-			Path: []int32{int32(100 + i), 5, 0},
+			Path: []int32{int32(1000 + i), 5, int32(100 * (i % 2))},
 		}
 	}
 	res, err := c.JoinBatch(items)
@@ -671,31 +615,6 @@ func TestBatchJoinSpillsOverServerLimit(t *testing.T) {
 	}
 	if _, err := c.Lookup(int64(n)); err != nil {
 		t.Fatalf("last batched peer not registered: %v", err)
-	}
-}
-
-// TestBatchJoinFallsBackOnV1 degrades JoinBatch to singular joins against
-// a server that never negotiated (simulated by a non-negotiating client,
-// which yields the same version-1 session).
-func TestBatchJoinFallsBackOnV1(t *testing.T) {
-	ns, _ := startServer(t)
-	c, err := client.DialConfig(ns.Addr(), client.Config{Timeout: 5 * time.Second, DisablePipelining: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	res, err := c.JoinBatch([]client.BatchItem{
-		{Peer: 1, Addr: "a", Path: []int32{10, 0}},
-		{Peer: 2, Addr: "b", Path: []int32{11, 0}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res[0].Err != nil || res[1].Err != nil {
-		t.Fatalf("fallback joins failed: %v %v", res[0].Err, res[1].Err)
-	}
-	if len(res[1].Neighbors) != 1 || res[1].Neighbors[0].Peer != 1 {
-		t.Fatalf("fallback neighbours=%+v", res[1].Neighbors)
 	}
 }
 

@@ -12,8 +12,8 @@ import (
 // (package op): servers decode write-class requests directly into ops and
 // dispatch those, so the message a client sent, the command followers
 // apply, and the record the write-ahead log persists are one value with
-// one meaning. The wire layouts themselves are unchanged — version-1
-// clients keep interoperating — only the decode target is unified.
+// one meaning. The wire layouts are those of the request structs; only the
+// decode target is unified.
 
 // DecodeJoinOp decodes a MsgJoinRequest (or MsgForwardedJoinRequest)
 // payload into a KindJoin op. The op is unstamped; the applying backend

@@ -10,19 +10,22 @@
 //
 // # Protocol versions
 //
-// Version 1 is strict lock-step: a connection carries one outstanding
-// request at a time and the peer answers in order. Version 2 inserts an
-// 8-byte request ID between the type byte and the payload of every frame
-// (WriteFrameID/ReadFrameID), letting a client pipeline many requests over
-// one connection and match responses by ID regardless of completion order.
+// A connection has one shape for its whole life: a handshake, then ID
+// framing. The client's first frame is MsgHello in the bare framing above
+// (WriteFrame/ReadFrame — the handshake's framing, used for nothing else),
+// offering the highest version it speaks; the server answers MsgHelloAck,
+// also bare, and from the next frame on both sides insert an 8-byte request
+// ID between the type byte and the payload of every frame
+// (WriteFrameID/ReadFrameID), so a client pipelines many requests over one
+// connection and matches responses by ID regardless of completion order.
 //
-// A connection starts in version 1. A client that wants version 2 sends
-// MsgHello as its first request; a server that understands it answers
-// MsgHelloAck and both sides switch to ID framing for every subsequent
-// frame. A version-1 server instead answers MsgError (unknown message
-// type), which the client takes as "stay on version 1" — so new clients
-// interoperate with old servers and old clients (which never send hello)
-// interoperate with new servers.
+// Version 2 is the only version there is. A server answers anything else
+// first — a request with no hello before it, a hello offering less than
+// version 2 — with one bare MsgError (CodeBadRequest, naming version 2)
+// and closes the connection; a client treats any answer to its hello other
+// than an ack at version 2 as a failed dial. The handshake's bytes are
+// pinned (netserver's TestHandshakeBytesUnchanged): any two builds that
+// speak version 2 interoperate, whichever is the client.
 package proto
 
 import (
@@ -33,14 +36,12 @@ import (
 	"io"
 )
 
-// Protocol versions negotiated via MsgHello.
+// Protocol versions offered and acknowledged in the MsgHello handshake.
 const (
-	// Version1 is the original lock-step protocol: unadorned frames, one
-	// outstanding request per connection, responses in request order.
-	Version1 uint16 = 1
-	// Version2 adds an 8-byte request ID to every frame after hello
-	// negotiation, enabling pipelining, out-of-order responses, and the
-	// batched join messages.
+	// Version2 is the protocol: a bare-framed hello and ack, then an 8-byte
+	// request ID in every frame — pipelining, out-of-order responses, the
+	// batched join messages and the pushed streams all ride on it. A peer
+	// offering less (version 1 had no hello and no IDs) is refused.
 	Version2 uint16 = 2
 	// MaxVersion is the highest version this build speaks.
 	MaxVersion = Version2
@@ -79,11 +80,12 @@ const (
 	// distinct type lets the receiving node answer locally and never relay
 	// again, preventing forwarding loops.
 	MsgForwardedJoinRequest
-	// MsgHello opens protocol-version negotiation: the client's highest
-	// supported version and batch limit. It is always sent version-1 framed.
+	// MsgHello opens every connection: the client's highest supported
+	// version and batch limit, in the bare framing (WriteFrame).
 	MsgHello
-	// MsgHelloAck accepts negotiation with the chosen version and the
-	// server's batch limit. Frames after it use the negotiated framing.
+	// MsgHelloAck accepts the hello with the chosen version and the
+	// server's batch limit, also bare; every frame after it carries a
+	// request ID.
 	MsgHelloAck
 	// MsgBatchJoinRequest carries up to MaxBatch joins in one frame (the
 	// flash-crowd path: many newcomers behind one NAT or agent).
@@ -102,8 +104,7 @@ const (
 	MsgStatusResponse
 	// MsgFollowRequest subscribes the connection to the node's committed
 	// op stream after a given sequence — the opening frame of a follower
-	// process. Version-2 framing only; every stream frame that follows
-	// carries this request's ID.
+	// process. Every stream frame that follows carries this request's ID.
 	MsgFollowRequest
 	// MsgFollowHead announces the primary's committed head sequence: the
 	// first answer to a follow request, and the idle stream's periodic
@@ -126,9 +127,8 @@ const (
 	// follower's share of the idle heartbeat.
 	MsgOpAck
 	// MsgSubscribeRequest registers a live query subscription — a landmark,
-	// a peer, or a k-closest neighborhood — on the connection. Version-2
-	// framing only; every event frame that follows carries this request's
-	// ID.
+	// a peer, or a k-closest neighborhood — on the connection. Every event
+	// frame that follows carries this request's ID.
 	MsgSubscribeRequest
 	// MsgSubscribeAck accepts a subscription, carrying the covering
 	// committed sequence and (for k-closest queries) the initial answer
@@ -208,11 +208,11 @@ const (
 	// response (a handful of candidates per entry) both fit MaxFrameSize;
 	// encoders still enforce the frame cap for adversarial inputs.
 	MaxBatch = 32
-	// MaxPipelineDepth bounds a version-2 connection's outstanding
-	// requests. Clients cap their in-flight window here; servers size
-	// their per-connection response queues to exactly this, so a
-	// compliant client can never overflow one (overflowing marks the
-	// connection a non-reading flooder, which servers drop).
+	// MaxPipelineDepth bounds a connection's outstanding requests.
+	// Clients cap their in-flight window here; servers size their
+	// per-connection response queues to exactly this, so a compliant
+	// client can never overflow one (overflowing marks the connection a
+	// non-reading flooder, which servers drop).
 	MaxPipelineDepth = 256
 )
 
@@ -354,12 +354,14 @@ const (
 	frameIDHeaderSize = 13 // length + type + request ID
 )
 
-// WriteFrame writes one version-1 frame (type + payload) to w.
+// WriteFrame writes one bare frame (type + payload, no request ID) to w:
+// the handshake's framing, for MsgHello, MsgHelloAck and the MsgError that
+// refuses a connection.
 func WriteFrame(w io.Writer, t MsgType, payload []byte) error {
 	return writeFrame(w, frameHeaderSize, t, 0, payload)
 }
 
-// WriteFrameID writes one version-2 frame (type + request ID + payload) to
+// WriteFrameID writes one ID frame (type + request ID + payload) to
 // w. The declared length covers the type byte, the 8-byte ID, and the
 // payload.
 func WriteFrameID(w io.Writer, t MsgType, id uint64, payload []byte) error {
@@ -405,15 +407,15 @@ func writeFrame(w io.Writer, hdrSize int, t MsgType, id uint64, payload []byte) 
 	return nil
 }
 
-// ReadFrame reads one version-1 frame from r. The returned payload comes
-// from the frame buffer pool and is owned by the caller, who may recycle
-// it with PutBuf once fully decoded.
+// ReadFrame reads one bare frame (the handshake's framing, see WriteFrame)
+// from r. The returned payload comes from the frame buffer pool and is
+// owned by the caller, who may recycle it with PutBuf once fully decoded.
 func ReadFrame(r io.Reader) (MsgType, []byte, error) {
 	t, _, payload, err := readFrame(r, frameHeaderSize)
 	return t, payload, err
 }
 
-// ReadFrameID reads one version-2 frame from r. The returned payload comes
+// ReadFrameID reads one ID frame from r. The returned payload comes
 // from the frame buffer pool and is owned by the caller, who may recycle
 // it with PutBuf once fully decoded.
 func ReadFrameID(r io.Reader) (MsgType, uint64, []byte, error) {
@@ -466,9 +468,9 @@ func readFrame(r io.Reader, hdrSize int) (t MsgType, id uint64, payload []byte, 
 	return t, id, payload, nil
 }
 
-// FrameBuffered reports whether br already holds one complete version-2
-// frame, i.e. whether the next ReadFrameID is served from memory without
-// touching (and possibly blocking on) the underlying reader.
+// FrameBuffered reports whether br already holds one complete ID frame,
+// i.e. whether the next ReadFrameID is served from memory without touching
+// (and possibly blocking on) the underlying reader.
 func FrameBuffered(br *bufio.Reader) bool {
 	n := br.Buffered()
 	if n < frameIDHeaderSize {
@@ -937,7 +939,7 @@ func EncodeForwardedJoinRequestFenced(m *JoinRequest, epoch uint64) ([]byte, err
 // DecodeForwardedJoinRequest decodes a forwarded join.
 func DecodeForwardedJoinRequest(b []byte) (*JoinRequest, error) { return DecodeJoinRequest(b) }
 
-// Hello opens version negotiation (always version-1 framed).
+// Hello opens a connection (always bare-framed).
 type Hello struct {
 	// MaxVersion is the highest protocol version the client speaks.
 	MaxVersion uint16

@@ -6,7 +6,7 @@ import "fmt"
 // MsgSubscribe family): a client registers a live query with
 // MsgSubscribeRequest and receives MsgSubEvent deltas as committed ops
 // change the answer, cancelling with MsgUnsubscribe. Like the op stream,
-// subscriptions ride the version-2 framing: every event frame carries the
+// subscriptions ride the ID framing: every event frame carries the
 // subscribe request's ID, so any number of subscriptions and ordinary
 // pipelined requests share one connection.
 

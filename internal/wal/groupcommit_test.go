@@ -11,7 +11,7 @@ import (
 // well below the append count (appenders landed in shared batches), and
 // the batch-size counters must account for every record.
 func TestMaxSyncDelayBatchesFsyncs(t *testing.T) {
-	log, err := Open(t.TempDir(), Options{MaxSyncDelay: 2 * time.Millisecond})
+	log, err := OpenSharded(t.TempDir(), 1, Options{MaxSyncDelay: 2 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestMaxSyncDelayBatchesFsyncs(t *testing.T) {
 			defer wg.Done()
 			<-start
 			for i := 0; i < each; i++ {
-				if _, err := log.Append(rec); err != nil {
+				if _, err := log.Append(0, rec); err != nil {
 					t.Error(err)
 					return
 				}
@@ -68,13 +68,13 @@ func TestMaxSyncDelayBatchesFsyncs(t *testing.T) {
 // TestMetricsNoSync: without fsync the counters must report zero syncs
 // while appends still count.
 func TestMetricsNoSync(t *testing.T) {
-	log, err := Open(t.TempDir(), Options{NoSync: true})
+	log, err := OpenSharded(t.TempDir(), 1, Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer log.Close()
 	for i := 0; i < 5; i++ {
-		if _, err := log.Append([]byte("x")); err != nil {
+		if _, err := log.Append(0, []byte("x")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -87,7 +87,7 @@ func TestMetricsNoSync(t *testing.T) {
 // TestFirstSeqTracksTruncation: the retention floor starts at 1, survives
 // rotation, and advances when TruncateBefore retires whole segments.
 func TestFirstSeqTracksTruncation(t *testing.T) {
-	log, err := Open(t.TempDir(), Options{NoSync: true, SegmentBytes: 64})
+	log, err := OpenSharded(t.TempDir(), 1, Options{NoSync: true, SegmentBytes: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestFirstSeqTracksTruncation(t *testing.T) {
 	}
 	rec := []byte("0123456789abcdef0123456789abcdef") // forces rotation every ~2 records
 	for i := 0; i < 20; i++ {
-		if _, err := log.Append(rec); err != nil {
+		if _, err := log.Append(0, rec); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -133,14 +133,14 @@ func TestFirstSeqTracksTruncation(t *testing.T) {
 // while appenders keep committing — every record it reports is intact and
 // in order, and it terminates.
 func TestReadAfterConcurrentWithAppends(t *testing.T) {
-	log, err := Open(t.TempDir(), Options{NoSync: true, SegmentBytes: 256})
+	log, err := OpenSharded(t.TempDir(), 1, Options{NoSync: true, SegmentBytes: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer log.Close()
 	rec := []byte("concurrent-read-record")
 	for i := 0; i < 50; i++ {
-		if _, err := log.Append(rec); err != nil {
+		if _, err := log.Append(0, rec); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -155,7 +155,7 @@ func TestReadAfterConcurrentWithAppends(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := log.Append(rec); err != nil {
+			if _, err := log.Append(0, rec); err != nil {
 				t.Error(err)
 				return
 			}

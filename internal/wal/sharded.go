@@ -27,24 +27,17 @@ import (
 // stream and advances a single global durable mark.
 //
 // Because sequences interleave across streams, any one stream's segment
-// carries gaps — the frame format and scanner already tolerate ascending
-// gaps, so segment files remain readable by the same code paths as the
-// single-stream Log. Recovery and catch-up reads merge the streams back
-// into one ordered record stream by global sequence.
+// carries gaps — the frame format and scanner tolerate ascending gaps.
+// Recovery and catch-up reads merge the streams back into one ordered
+// record stream by global sequence.
 //
-// A directory previously written by the single-stream Log is adopted
-// transparently: its wal-<seq>.seg segments are treated as one extra
-// read-only stream that participates in replay, catch-up reads, and
-// truncation; new appends go only to the sharded streams.
+// Append is safe for concurrent use; Replay must complete before the first
+// Append.
 type Sharded struct {
 	dir  string
 	opts Options
 
 	streams []*shardStream
-
-	// legacyLast is the last sequence held by adopted single-stream
-	// segments (0 when none exist). Their starts are re-listed on use.
-	legacyLast uint64
 
 	seqMu    sync.Mutex // assigns global sequences; orders the commit tap
 	seq      uint64
@@ -94,10 +87,12 @@ func shardSegPrefix(stream int) string {
 
 // OpenSharded opens (or creates) a sharded log with at least the given
 // number of streams in dir. Streams found on disk beyond the requested
-// count are kept (a log never forgets a stream it has written); legacy
-// single-stream segments are adopted read-only. Each stream's final
-// segment is scanned and any torn tail truncated, exactly as Open does
-// for the single-stream Log.
+// count are kept (a log never forgets a stream it has written). Each
+// stream's final segment is scanned: a torn or corrupt tail record is
+// truncated away and appending resumes after the last intact record. A
+// directory holding a wal-<seq>.seg segment of the old single-stream log,
+// which nothing reads any more, is refused before anything in it is
+// touched — opening beside it would silently drop the records it holds.
 func OpenSharded(dir string, streams int, opts Options) (*Sharded, error) {
 	if streams < 1 {
 		streams = 1
@@ -105,32 +100,17 @@ func OpenSharded(dir string, streams int, opts Options) (*Sharded, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = 8 << 20
 	}
+	if legacy, err := listSeqFiles(dir, segPrefix, segSuffix); err != nil {
+		return nil, err
+	} else if len(legacy) > 0 {
+		return nil, fmt.Errorf("wal: %s holds %s%020d%s, a segment of the single-stream log format this version cannot read",
+			dir, segPrefix, legacy[0], segSuffix)
+	}
 	if err := os.MkdirAll(dir, 0o777); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
 	s := &Sharded{dir: dir, opts: opts, onAppend: opts.OnAppend}
 	s.initMetrics()
-	// Adopt a single-stream Log's segments, if any: find their last intact
-	// sequence (truncating a torn tail left by the old version's crash).
-	legacySegs, err := listSeqFiles(dir, segPrefix, segSuffix)
-	if err != nil {
-		return nil, err
-	}
-	if n := len(legacySegs); n > 0 {
-		last := legacySegs[n-1]
-		end, lastSeq, err := scanSegment(filepath.Join(dir, segName(last)), last, true, nil)
-		if err != nil {
-			return nil, err
-		}
-		if err := truncateAt(filepath.Join(dir, segName(last)), end); err != nil {
-			return nil, err
-		}
-		if lastSeq == 0 {
-			lastSeq = last - 1
-		}
-		s.legacyLast = lastSeq
-		s.seq = lastSeq
-	}
 	// Keep every stream already on disk, even past the requested count: a
 	// shrunk configuration must still replay (and truncate) old streams.
 	n := streams
@@ -158,7 +138,7 @@ func OpenSharded(dir string, streams int, opts Options) (*Sharded, error) {
 		}
 		last := segs[len(segs)-1]
 		path := filepath.Join(dir, shardSegName(id, last))
-		end, lastSeq, err := scanSegment(path, last, true, nil)
+		end, lastSeq, err := scanSegment(path, last)
 		if err != nil {
 			return nil, err
 		}
@@ -280,8 +260,10 @@ func (s *Sharded) LastSeq() uint64 {
 	return s.seq
 }
 
-// EnsureSeq advances the global sequence counter to at least seq; see
-// Log.EnsureSeq.
+// EnsureSeq advances the global sequence counter to at least seq, so
+// records appended after a snapshot restore can never reuse a sequence
+// the snapshot already covers (possible only when the log files were
+// removed out from under their snapshot).
 func (s *Sharded) EnsureSeq(seq uint64) {
 	s.seqMu.Lock()
 	defer s.seqMu.Unlock()
@@ -313,7 +295,8 @@ func (s *Sharded) fail(err error) {
 // sequence of the last one, once every record is durable. Appends to
 // different streams serialize only on sequence assignment and share
 // fsyncs through the cross-stream group commit; appends to one stream
-// serialize on that stream's mutex, as before.
+// serialize on that stream's mutex. With Options.NoSync it returns after
+// the records reach the OS.
 func (s *Sharded) Append(stream int, recs ...[]byte) (uint64, error) {
 	if len(recs) == 0 {
 		return s.LastSeq(), nil
@@ -373,9 +356,9 @@ func (s *Sharded) Append(stream int, recs ...[]byte) (uint64, error) {
 }
 
 // rotateStream flushes and fsyncs st's active segment, then starts a new
-// one named for the next global sequence. Called with st.mu held. Unlike
-// the single-stream rotate it must NOT advance the global durable mark:
-// other streams may still hold unflushed records with earlier sequences.
+// one named for the next global sequence. Called with st.mu held. It must
+// NOT advance the global durable mark: other streams may still hold
+// unflushed records with earlier sequences.
 // It records the rotation in rotSynced instead, so a concurrent group
 // commit whose captured file handle this rotation retired can recognize
 // its records as already durable.
@@ -427,10 +410,12 @@ func (s *Sharded) advanceSynced(to uint64) {
 	}
 }
 
-// syncTo blocks until every record up to target is durable. One leader
-// per cycle flushes and fsyncs every dirty stream — the cross-stream
-// group commit: concurrent appenders to different shards share the same
-// disk syncs instead of issuing one each.
+// syncTo blocks until every record up to target is durable. The syncMu
+// critical section is the group-commit batch: one leader per cycle flushes
+// and fsyncs every dirty stream, so concurrent appenders — to one shard or
+// to several — share the same disk syncs instead of issuing one each, and
+// those queued behind the leader usually find their records already
+// covered and return immediately.
 func (s *Sharded) syncTo(target uint64) error {
 	if s.synced.Load() >= target {
 		return nil
@@ -442,8 +427,12 @@ func (s *Sharded) syncTo(target uint64) error {
 	if s.synced.Load() >= target {
 		return nil
 	}
-	// Commit window: held open only while other appenders are in flight,
-	// exactly as in Log.syncTo.
+	// Group-commit window: the leader holds the sync open for MaxSyncDelay
+	// only while other appenders are actually in flight, so their records —
+	// and any arriving during the window — land in this flush and they
+	// return without touching the disk. A lone appender skips the window:
+	// sleeping with nobody queued would add MaxSyncDelay to every write
+	// while holding syncMu, and serial appends would beat parallel ones.
 	if d := s.opts.MaxSyncDelay; d > 0 && !s.opts.NoSync && s.syncWaiters.Load() > 0 {
 		time.Sleep(d)
 	}
@@ -515,15 +504,9 @@ type streamSource struct {
 	name func(start uint64) string
 }
 
-// sources lists each stream's segments (and the legacy stream's, if any)
-// for a merge read.
+// sources lists each stream's segments for a merge read.
 func (s *Sharded) sources() ([]streamSource, error) {
 	var out []streamSource
-	if legacy, err := listSeqFiles(s.dir, segPrefix, segSuffix); err != nil {
-		return nil, err
-	} else if len(legacy) > 0 {
-		out = append(out, streamSource{segs: legacy, name: segName})
-	}
 	for _, st := range s.streams {
 		segs, err := listSeqFiles(s.dir, shardSegPrefix(st.id), segSuffix)
 		if err != nil {
@@ -752,28 +735,10 @@ func (s *Sharded) FirstSeq() (uint64, error) {
 }
 
 // TruncateBefore deletes, in every stream, segments every record of which
-// has sequence strictly below seq. Active segments are never deleted;
-// fully covered legacy segments are, which is how an adopted
-// single-stream log eventually disappears.
+// has sequence strictly below seq — the log-compaction step after a
+// snapshot covering seq-1 has landed. Active segments are never deleted.
 func (s *Sharded) TruncateBefore(seq uint64) error {
 	removed := false
-	if legacy, err := listSeqFiles(s.dir, segPrefix, segSuffix); err != nil {
-		return err
-	} else {
-		for i, start := range legacy {
-			end := s.legacyLast // last segment runs through the legacy stream's end
-			if i+1 < len(legacy) {
-				end = legacy[i+1] - 1
-			}
-			if end >= seq {
-				break
-			}
-			if err := os.Remove(filepath.Join(s.dir, segName(start))); err != nil {
-				return fmt.Errorf("wal: %w", err)
-			}
-			removed = true
-		}
-	}
 	for _, st := range s.streams {
 		st.mu.Lock()
 		active := st.segStart

@@ -2,10 +2,14 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -326,59 +330,83 @@ func TestShardedRotateTruncateFirstSeq(t *testing.T) {
 	}
 }
 
-// TestShardedAdoptsLegacyLog: a directory written by the single-stream
-// Log opens as a Sharded log with full history, continues the sequence,
-// and truncation eventually retires the legacy files.
-func TestShardedAdoptsLegacyLog(t *testing.T) {
-	dir := t.TempDir()
-	l, err := Open(dir, Options{SegmentBytes: 128})
+// dirBytes maps every file in dir to its contents.
+func dirBytes(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const old = 40
-	for i := 0; i < old; i++ {
-		if _, err := l.Append(record(i)); err != nil {
+	out := make(map[string]string, len(ents))
+	for _, e := range ents {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
 			t.Fatal(err)
 		}
+		out[e.Name()] = string(b)
 	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
+	return out
+}
 
-	s, err := OpenSharded(dir, 4, Options{})
+// TestShardedRefusesLegacySegments: a directory holding a wal-<seq>.seg
+// segment of the single-stream log, which no reader exists for any more,
+// fails the open — the error names the file — and every file in it is
+// byte-for-byte what it was: the legacy segment, and a sharded stream's
+// torn tail that a successful open would have truncated.
+func TestShardedRefusesLegacySegments(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenSharded(dir, 2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.LastSeq(); got != old {
-		t.Fatalf("LastSeq after adoption: %d, want %d", got, old)
-	}
-	for i := 0; i < 20; i++ {
-		if _, err := s.Append(i%4, record(old+i)); err != nil {
+	for i := 0; i < 6; i++ {
+		if _, err := s.Append(i%2, record(i)); err != nil {
 			t.Fatal(err)
 		}
-	}
-	recs := replayAllSharded(t, s, 0)
-	if len(recs) != old+20 {
-		t.Fatalf("replayed %d records, want %d", len(recs), old+20)
-	}
-	for i := 0; i < old+20; i++ {
-		if !bytes.Equal(recs[uint64(i+1)], record(i)) {
-			t.Fatalf("record %d corrupted after adoption: %q", i, recs[uint64(i+1)])
-		}
-	}
-	// A truncation past the legacy tail deletes the adopted files.
-	if err := s.TruncateBefore(old + 21); err != nil {
-		t.Fatal(err)
-	}
-	legacy, err := listSeqFiles(dir, segPrefix, segSuffix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(legacy) != 0 {
-		t.Fatalf("legacy segments survive truncation past their end: %v", legacy)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+	torn, err := os.OpenFile(filepath.Join(dir, shardSegName(1, 1)), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn.Write([]byte{0, 0, 0, 99, 0, 0, 0, 0, 0, 0, 0, 7, 0xde, 0xad})
+	torn.Close()
+	// The old log's segment, from raw bytes: two intact frames.
+	var seg []byte
+	for seq, rec := range [][]byte{record(100), record(101)} {
+		var hdr [frameHeader]byte
+		binary.BigEndian.PutUint32(hdr[:4], uint32(len(rec)))
+		binary.BigEndian.PutUint64(hdr[4:12], uint64(seq+1))
+		binary.BigEndian.PutUint32(hdr[12:16], crc32.Update(crc32.Checksum(hdr[4:12], crcTable), crcTable, rec))
+		seg = append(append(seg, hdr[:]...), rec...)
+	}
+	const legacy = "wal-00000000000000000001.seg"
+	if err := os.WriteFile(filepath.Join(dir, legacy), seg, 0o666); err != nil {
+		t.Fatal(err)
+	}
+
+	before := dirBytes(t, dir)
+	if _, err := OpenSharded(dir, 2, Options{}); err == nil {
+		t.Fatal("a directory holding a single-stream segment opened")
+	} else if !strings.Contains(err.Error(), legacy) {
+		t.Fatalf("refusal %q does not name %s", err, legacy)
+	}
+	if after := dirBytes(t, dir); !reflect.DeepEqual(before, after) {
+		t.Fatalf("the refusal changed the directory:\n before %q\n after  %q", before, after)
+	}
+	// With the stray segment gone the directory opens and loses nothing.
+	if err := os.Remove(filepath.Join(dir, legacy)); err != nil {
+		t.Fatal(err)
+	}
+	s, err = OpenSharded(dir, 2, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if got := len(replayAllSharded(t, s, 0)); got != 6 {
+		t.Fatalf("replayed %d records, want 6", got)
 	}
 }
 

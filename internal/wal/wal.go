@@ -18,9 +18,13 @@
 // split into segment files named by the sequence of their first record;
 // snapshots make whole segments obsolete and TruncateBefore deletes them,
 // so the log's disk footprint is bounded by the snapshot cadence. A crash
-// can tear the final record; Open detects the torn tail by CRC and
+// can tear the final record; OpenSharded detects the torn tail by CRC and
 // truncates it — a torn record was never acknowledged, so dropping it
 // loses nothing the caller promised.
+//
+// There is one log, Sharded: one segment stream per cluster shard under one
+// global sequence (see sharded.go). A user with a single stream of records
+// opens it with one stream.
 package wal
 
 import (
@@ -31,17 +35,20 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"proxdisc/internal/telemetry"
 )
 
 const (
+	// segPrefix and segSuffix frame every segment's file name. A sharded
+	// stream's segments are wal-<stream>-<seq>.seg; the bare wal-<seq>.seg
+	// form belonged to the single-stream log this package no longer reads,
+	// and a directory holding one is refused (see OpenSharded).
 	segPrefix = "wal-"
 	segSuffix = ".seg"
 	// frameHeader is length(4) + sequence(8) + crc(4).
@@ -57,7 +64,7 @@ var ErrClosed = errors.New("wal: log closed")
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// Options tunes a Log.
+// Options tunes a Sharded log.
 type Options struct {
 	// SegmentBytes is the size at which the active segment is rotated
 	// (default 8 MiB).
@@ -74,48 +81,19 @@ type Options struct {
 	// Zero preserves the fsync-immediately behaviour. Ignored with NoSync.
 	MaxSyncDelay time.Duration
 	// OnAppend, when set, observes every appended record — called under
-	// the append lock, in sequence order, before the record is durable
+	// the sequence lock, in sequence order, before the record is durable
 	// (the record matches the primary's in-memory state, which also
 	// mutates before the commit lands). It must not block and must not
 	// retain rec, which is owned by the caller. It is the feed of the
 	// replication stream: network followers subscribe here and fall back
 	// to reading the log's files when they lag. Use SetOnAppend to
-	// install it after Open.
+	// install it after OpenSharded.
 	OnAppend func(seq uint64, rec []byte)
 	// Telemetry, when set, exposes the log's counters and append-latency
 	// histogram (the proxdisc_wal_* series) through the registry. Without
 	// it the metrics are still collected — Metrics() reads them — just not
 	// exported.
 	Telemetry *telemetry.Registry
-}
-
-// Log is an append-only record log. Append is safe for concurrent use;
-// Replay must complete before the first Append.
-type Log struct {
-	dir  string
-	opts Options
-
-	mu       sync.Mutex // guards everything below, and frame writes
-	seg      *os.File   // active segment
-	prevSeg  *os.File   // most recently rotated-out segment; see rotate
-	bw       *fileWriter
-	segStart uint64 // sequence of the active segment's first record
-	segSize  int64
-	seq      uint64 // last assigned sequence
-	failed   error  // sticky I/O failure: the log refuses further appends
-	closed   bool
-
-	syncMu      sync.Mutex    // serializes flush+fsync cycles (group commit)
-	synced      atomic.Uint64 // last sequence known durable
-	syncWaiters atomic.Int32  // appenders queued on syncMu, gating the commit window
-
-	// Group-commit telemetry. The telemetry types are the source of truth
-	// (registered under the proxdisc_wal_* names when Options.Telemetry is
-	// set); Metrics() is a compatibility view over them.
-	appends       *telemetry.Counter   // records appended
-	fsyncs        *telemetry.Counter   // fsync syscalls issued
-	syncedRecords *telemetry.Counter   // records those fsyncs made durable
-	appendLatency *telemetry.Histogram // Append call latency, fsync wait included
 }
 
 // Metrics reports a log's group-commit counters. SyncedRecords/Fsyncs is
@@ -150,39 +128,6 @@ type DurabilityStats struct {
 	Log Metrics
 }
 
-// Metrics returns the log's group-commit counters: a compatibility view
-// over the telemetry registry's proxdisc_wal_* series, which are the
-// counters' home.
-func (l *Log) Metrics() Metrics {
-	return Metrics{
-		Appends:       l.appends.Value(),
-		Fsyncs:        l.fsyncs.Value(),
-		SyncedRecords: l.syncedRecords.Value(),
-	}
-}
-
-// initMetrics resolves the log's metric handles. With a registry the
-// series are registered for export (get-or-create, so a reopened log in
-// the same process keeps counting the same series); without one they are
-// private to this Log, which is what per-instance tests of exact counts
-// rely on.
-func (l *Log) initMetrics() {
-	r := l.opts.Telemetry
-	l.appends = r.Counter("proxdisc_wal_appends_total")
-	l.fsyncs = r.Counter("proxdisc_wal_fsyncs_total")
-	l.syncedRecords = r.Counter("proxdisc_wal_synced_records_total")
-	l.appendLatency = r.Histogram("proxdisc_wal_append_duration_seconds")
-}
-
-// SetOnAppend installs (or, with nil, removes) the append observer after
-// Open; see Options.OnAppend. It serializes with appends, so the observer
-// sees every record from the moment the call returns, and none before.
-func (l *Log) SetOnAppend(fn func(seq uint64, rec []byte)) {
-	l.mu.Lock()
-	l.opts.OnAppend = fn
-	l.mu.Unlock()
-}
-
 // fileWriter is a small buffered writer that tracks its unflushed byte
 // count, so rotation decisions see the true segment size.
 type fileWriter struct {
@@ -203,70 +148,6 @@ func (w *fileWriter) Flush() error {
 	}
 	w.buf = w.buf[:0]
 	return nil
-}
-
-// Open opens (or creates) the log in dir. An existing log is scanned from
-// its final segment: a torn or corrupt tail record is truncated away and
-// appending resumes after the last intact record.
-func Open(dir string, opts Options) (*Log, error) {
-	if opts.SegmentBytes <= 0 {
-		opts.SegmentBytes = 8 << 20
-	}
-	if err := os.MkdirAll(dir, 0o777); err != nil {
-		return nil, fmt.Errorf("wal: %w", err)
-	}
-	l := &Log{dir: dir, opts: opts}
-	l.initMetrics()
-	segs, err := l.segments()
-	if err != nil {
-		return nil, err
-	}
-	if len(segs) == 0 {
-		if err := l.openSegment(1); err != nil {
-			return nil, err
-		}
-		return l, nil
-	}
-	// Scan the final segment to find the end of the intact log and drop
-	// any torn tail. Earlier segments are validated by Replay, their only
-	// reader.
-	last := segs[len(segs)-1]
-	end, lastSeq, err := scanSegment(filepath.Join(dir, segName(last)), last, true, nil)
-	if err != nil {
-		return nil, err
-	}
-	f, err := os.OpenFile(filepath.Join(dir, segName(last)), os.O_RDWR, 0o666)
-	if err != nil {
-		return nil, fmt.Errorf("wal: %w", err)
-	}
-	if err := f.Truncate(end); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("wal: truncate torn tail: %w", err)
-	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("wal: %w", err)
-	}
-	if lastSeq == 0 {
-		lastSeq = last - 1 // empty final segment: named for its next record
-	}
-	l.seg = f
-	l.bw = &fileWriter{f: f}
-	l.segStart = last
-	l.segSize = end
-	l.seq = lastSeq
-	l.synced.Store(lastSeq)
-	return l, nil
-}
-
-// segName formats a segment file name from its first sequence.
-func segName(start uint64) string {
-	return fmt.Sprintf("%s%020d%s", segPrefix, start, segSuffix)
-}
-
-// segments lists existing segment start sequences in ascending order.
-func (l *Log) segments() ([]uint64, error) {
-	return listSeqFiles(l.dir, segPrefix, segSuffix)
 }
 
 // listSeqFiles lists, ascending, the sequence numbers encoded in dir's
@@ -297,11 +178,11 @@ func listSeqFiles(dir, prefix, suffix string) ([]uint64, error) {
 	return out, nil
 }
 
-// scanSegment reads one segment's records. With tolerateTail, a torn or
-// corrupt record ends the scan cleanly (returning the offset where the
-// intact prefix ends); otherwise it is an error. fn, when non-nil, is
-// called for every intact record.
-func scanSegment(path string, start uint64, tolerateTail bool, fn func(seq uint64, rec []byte) error) (validEnd int64, lastSeq uint64, err error) {
+// scanSegment finds where a stream's final segment stops being intact: the
+// offset at which the file, or a torn or corrupt record (the tail a crash
+// leaves), ends the run of good records, and the sequence of the last good
+// record before it (start-1 when there is none).
+func scanSegment(path string, start uint64) (validEnd int64, lastSeq uint64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, 0, fmt.Errorf("wal: %w", err)
@@ -309,15 +190,13 @@ func scanSegment(path string, start uint64, tolerateTail bool, fn func(seq uint6
 	defer f.Close()
 	var (
 		hdr  [frameHeader]byte
+		rec  []byte
 		off  int64
 		want = start
 	)
 	for {
 		if _, err := io.ReadFull(f, hdr[:]); err != nil {
-			if err == io.EOF {
-				return off, want - 1, nil
-			}
-			if tolerateTail && errors.Is(err, io.ErrUnexpectedEOF) {
+			if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) {
 				return off, want - 1, nil
 			}
 			return 0, 0, fmt.Errorf("wal: segment %s offset %d: %w", filepath.Base(path), off, err)
@@ -325,331 +204,22 @@ func scanSegment(path string, start uint64, tolerateTail bool, fn func(seq uint6
 		size := binary.BigEndian.Uint32(hdr[:4])
 		seq := binary.BigEndian.Uint64(hdr[4:12])
 		crc := binary.BigEndian.Uint32(hdr[12:16])
-		bad := size > MaxRecordSize || seq < want
-		var rec []byte
-		if !bad {
-			rec = make([]byte, size)
-			if _, err := io.ReadFull(f, rec); err != nil {
-				if tolerateTail && (err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF)) {
-					return off, want - 1, nil
-				}
-				return 0, 0, fmt.Errorf("wal: segment %s offset %d: %w", filepath.Base(path), off, err)
-			}
-			bad = crc32.Update(crc32.Checksum(hdr[4:12], crcTable), crcTable, rec) != crc
+		if size > MaxRecordSize || seq < want {
+			return off, want - 1, nil
 		}
-		if bad {
-			if tolerateTail {
+		rec = slices.Grow(rec[:0], int(size))[:size]
+		if _, err := io.ReadFull(f, rec); err != nil {
+			if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) {
 				return off, want - 1, nil
 			}
-			return 0, 0, fmt.Errorf("wal: segment %s offset %d: corrupt record", filepath.Base(path), off)
+			return 0, 0, fmt.Errorf("wal: segment %s offset %d: %w", filepath.Base(path), off, err)
 		}
-		if fn != nil {
-			if err := fn(seq, rec); err != nil {
-				return 0, 0, err
-			}
+		if crc32.Update(crc32.Checksum(hdr[4:12], crcTable), crcTable, rec) != crc {
+			return off, want - 1, nil
 		}
 		off += frameHeader + int64(size)
 		want = seq + 1
 	}
-}
-
-func (l *Log) openSegment(start uint64) error {
-	f, err := os.OpenFile(filepath.Join(l.dir, segName(start)), os.O_CREATE|os.O_RDWR|os.O_EXCL, 0o666)
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	if err := syncDir(l.dir); err != nil {
-		f.Close()
-		return err
-	}
-	if l.prevSeg != nil {
-		l.prevSeg.Close()
-	}
-	l.prevSeg = l.seg // kept open: a concurrent group commit may still fsync it
-	l.seg = f
-	l.bw = &fileWriter{f: f}
-	l.segStart = start
-	l.segSize = 0
-	return nil
-}
-
-// LastSeq reports the last assigned sequence number.
-func (l *Log) LastSeq() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.seq
-}
-
-// EnsureSeq advances the log's sequence counter to at least seq, so
-// records appended after a snapshot restore can never reuse a sequence
-// the snapshot already covers (possible only when the log files were
-// removed out from under their snapshot).
-func (l *Log) EnsureSeq(seq uint64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.seq < seq {
-		l.seq = seq
-		l.synced.Store(seq)
-	}
-}
-
-// Append writes the records to the log and returns the sequence of the
-// last one, once every record is durable (group commit: concurrent
-// appenders share fsyncs). With Options.NoSync it returns after the
-// records reach the OS.
-func (l *Log) Append(recs ...[]byte) (uint64, error) {
-	if len(recs) == 0 {
-		return l.LastSeq(), nil
-	}
-	start := time.Now()
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return 0, ErrClosed
-	}
-	if l.failed != nil {
-		err := l.failed
-		l.mu.Unlock()
-		return 0, err
-	}
-	var hdr [frameHeader]byte
-	for _, rec := range recs {
-		if len(rec) > MaxRecordSize {
-			l.mu.Unlock()
-			return 0, fmt.Errorf("wal: record of %d bytes exceeds MaxRecordSize", len(rec))
-		}
-		l.seq++
-		binary.BigEndian.PutUint32(hdr[:4], uint32(len(rec)))
-		binary.BigEndian.PutUint64(hdr[4:12], l.seq)
-		crc := crc32.Update(crc32.Checksum(hdr[4:12], crcTable), crcTable, rec)
-		binary.BigEndian.PutUint32(hdr[12:16], crc)
-		l.bw.Write(hdr[:])
-		l.bw.Write(rec)
-		l.segSize += frameHeader + int64(len(rec))
-		l.appends.Inc()
-		if l.opts.OnAppend != nil {
-			l.opts.OnAppend(l.seq, rec)
-		}
-	}
-	end := l.seq
-	if l.segSize >= l.opts.SegmentBytes {
-		if err := l.rotateLocked(); err != nil {
-			l.failed = err
-			l.mu.Unlock()
-			return 0, err
-		}
-	}
-	l.mu.Unlock()
-	if err := l.syncTo(end); err != nil {
-		return 0, err
-	}
-	l.appendLatency.Observe(time.Since(start))
-	return end, nil
-}
-
-// rotateLocked flushes and fsyncs the active segment, then starts a new
-// one named for the next record. Called with l.mu held.
-func (l *Log) rotateLocked() error {
-	if err := l.bw.Flush(); err != nil {
-		return err
-	}
-	if !l.opts.NoSync {
-		if err := l.seg.Sync(); err != nil {
-			return err
-		}
-		l.fsyncs.Inc()
-	}
-	// Everything assigned so far lives in the just-synced segment.
-	l.advanceSynced(l.seq)
-	return l.openSegment(l.seq + 1)
-}
-
-// advanceSynced raises the durable mark to `to` and accounts the records
-// the advance newly covers.
-func (l *Log) advanceSynced(to uint64) {
-	for {
-		cur := l.synced.Load()
-		if cur >= to {
-			return
-		}
-		if l.synced.CompareAndSwap(cur, to) {
-			l.syncedRecords.Add(to - cur)
-			return
-		}
-	}
-}
-
-// syncTo blocks until every record up to target is durable. The syncMu
-// critical section is the group-commit batch: the first appender in
-// flushes and fsyncs everything buffered so far; appenders queued behind
-// it usually find their records already covered and return immediately.
-func (l *Log) syncTo(target uint64) error {
-	if l.synced.Load() >= target {
-		return nil
-	}
-	l.syncWaiters.Add(1)
-	l.syncMu.Lock()
-	l.syncWaiters.Add(-1)
-	defer l.syncMu.Unlock()
-	if l.synced.Load() >= target {
-		return nil
-	}
-	// Group-commit window: the leader holds the sync open for MaxSyncDelay
-	// only while other appenders are actually in flight, so their records —
-	// and any arriving during the window — land in this flush and they
-	// return without touching the disk. A lone appender skips the window:
-	// sleeping with nobody queued would add MaxSyncDelay to every write
-	// while holding syncMu, which is exactly the serial-beats-parallel
-	// inversion the unconditional wait used to cause.
-	if d := l.opts.MaxSyncDelay; d > 0 && !l.opts.NoSync && l.syncWaiters.Load() > 0 {
-		time.Sleep(d)
-	}
-	l.mu.Lock()
-	if l.failed != nil {
-		err := l.failed
-		l.mu.Unlock()
-		return err
-	}
-	if err := l.bw.Flush(); err != nil {
-		l.failed = err
-		l.mu.Unlock()
-		return err
-	}
-	flushed := l.seq
-	f := l.seg
-	l.mu.Unlock()
-	if !l.opts.NoSync {
-		if err := f.Sync(); err != nil {
-			// A rotation may have retired f between the capture above and
-			// this Sync (it fsyncs the old segment before closing it, and
-			// advances the sync mark); if the mark already covers the
-			// records we flushed, they are durable and the error is moot.
-			if l.synced.Load() >= flushed {
-				return nil
-			}
-			l.mu.Lock()
-			l.failed = err
-			l.mu.Unlock()
-			return err
-		}
-		l.fsyncs.Inc()
-	}
-	l.advanceSynced(flushed)
-	return nil
-}
-
-// Sync forces everything appended so far to stable storage.
-func (l *Log) Sync() error { return l.syncTo(l.LastSeq()) }
-
-// Replay calls fn for every intact record with sequence strictly greater
-// than after, in order. It must complete before the first Append. A torn
-// tail in the final segment ends the replay cleanly; corruption anywhere
-// else is an error.
-func (l *Log) Replay(after uint64, fn func(seq uint64, rec []byte) error) error {
-	return l.scanFrom(after, false, fn)
-}
-
-// FirstSeq reports the sequence of the earliest record the log's files
-// can still serve — the floor of ReadAfter. Records below it have been
-// truncated away behind a snapshot. On an empty log it is one past the
-// last assigned sequence (nothing is readable, nothing is missing).
-func (l *Log) FirstSeq() (uint64, error) {
-	segs, err := l.segments()
-	if err != nil {
-		return 0, err
-	}
-	if len(segs) == 0 {
-		return l.LastSeq() + 1, nil
-	}
-	return segs[0], nil
-}
-
-// ReadAfter streams every intact on-disk record with sequence strictly
-// greater than after, in order — the catch-up read of the replication
-// stream. Unlike Replay it is safe to call while the log is being
-// appended to: the scan of the active segment stops cleanly at the
-// flushed frontier (records observed by Options.OnAppend may trail the
-// file by one unflushed batch), and a segment deleted underneath the scan
-// by a concurrent TruncateBefore surfaces as an error — the caller
-// restarts from the newer snapshot that justified the truncation.
-func (l *Log) ReadAfter(after uint64, fn func(seq uint64, rec []byte) error) error {
-	return l.scanFrom(after, true, fn)
-}
-
-// scanFrom is the shared body of Replay and ReadAfter; tolerant scans
-// treat an incomplete record in ANY segment as the end of that segment's
-// readable prefix (a concurrent appender's unflushed tail), while strict
-// scans accept one only in the final segment (the torn tail of a crash).
-func (l *Log) scanFrom(after uint64, tolerateAll bool, fn func(seq uint64, rec []byte) error) error {
-	segs, err := l.segments()
-	if err != nil {
-		return err
-	}
-	for i, start := range segs {
-		if i+1 < len(segs) && segs[i+1] <= after+1 {
-			continue // every record here is <= after
-		}
-		tolerate := tolerateAll || i == len(segs)-1
-		_, _, err := scanSegment(filepath.Join(l.dir, segName(start)), start, tolerate, func(seq uint64, rec []byte) error {
-			if seq <= after {
-				return nil
-			}
-			return fn(seq, rec)
-		})
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// TruncateBefore deletes segments every record of which has sequence
-// strictly below seq — the log-compaction step after a snapshot covering
-// seq-1 has landed. The active segment is never deleted.
-func (l *Log) TruncateBefore(seq uint64) error {
-	l.mu.Lock()
-	active := l.segStart
-	l.mu.Unlock()
-	segs, err := l.segments()
-	if err != nil {
-		return err
-	}
-	removed := false
-	for i, start := range segs {
-		if start == active || i+1 >= len(segs) {
-			break
-		}
-		if segs[i+1] > seq {
-			break // this segment still holds records >= seq
-		}
-		if err := os.Remove(filepath.Join(l.dir, segName(start))); err != nil {
-			return fmt.Errorf("wal: %w", err)
-		}
-		removed = true
-	}
-	if removed {
-		return syncDir(l.dir)
-	}
-	return nil
-}
-
-// Close flushes, fsyncs, and closes the log.
-func (l *Log) Close() error {
-	err := l.Sync()
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return nil
-	}
-	l.closed = true
-	if l.prevSeg != nil {
-		l.prevSeg.Close()
-		l.prevSeg = nil
-	}
-	if cerr := l.seg.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
 
 // syncDir fsyncs a directory so file creations, renames, and deletions in

@@ -12,28 +12,19 @@ import (
 
 func record(i int) []byte { return []byte(fmt.Sprintf("record-%06d", i)) }
 
-// replayAll collects every (seq, record) pair after the given sequence.
-func replayAll(t *testing.T, l *Log, after uint64) map[uint64][]byte {
-	t.Helper()
-	out := make(map[uint64][]byte)
-	if err := l.Replay(after, func(seq uint64, rec []byte) error {
-		out[seq] = append([]byte(nil), rec...)
-		return nil
-	}); err != nil {
-		t.Fatalf("Replay: %v", err)
-	}
-	return out
-}
+// These tests drive the log through its one-stream form — what a user with
+// a single stream of records (the front end's forwarded-peer map) opens;
+// sharded_test.go covers what several streams add.
 
 func TestAppendReplayRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{})
+	l, err := OpenSharded(dir, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	const n = 100
 	for i := 0; i < n; i++ {
-		seq, err := l.Append(record(i))
+		seq, err := l.Append(0, record(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,7 +36,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	l2, err := Open(dir, Options{})
+	l2, err := OpenSharded(dir, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +44,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	if got := l2.LastSeq(); got != n {
 		t.Fatalf("LastSeq after reopen: %d, want %d", got, n)
 	}
-	recs := replayAll(t, l2, 0)
+	recs := replayAllSharded(t, l2, 0)
 	if len(recs) != n {
 		t.Fatalf("replayed %d records, want %d", len(recs), n)
 	}
@@ -63,7 +54,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 		}
 	}
 	// Appends resume after the replayed tail.
-	seq, err := l2.Append([]byte("after-reopen"))
+	seq, err := l2.Append(0, []byte("after-reopen"))
 	if err != nil || seq != n+1 {
 		t.Fatalf("append after reopen: seq %d err %v", seq, err)
 	}
@@ -71,34 +62,34 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 
 func TestReopenWithoutCloseLosesNothing(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{})
+	l, err := OpenSharded(dir, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 37; i++ {
-		if _, err := l.Append(record(i)); err != nil {
+		if _, err := l.Append(0, record(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Crash: no Close, no final flush beyond what Append already did.
-	l2, err := Open(dir, Options{})
+	l2, err := OpenSharded(dir, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	if got := len(replayAll(t, l2, 0)); got != 37 {
+	if got := len(replayAllSharded(t, l2, 0)); got != 37 {
 		t.Fatalf("lost acknowledged records: replayed %d of 37", got)
 	}
 }
 
 func TestTornTailTruncated(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{})
+	l, err := OpenSharded(dir, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if _, err := l.Append(record(i)); err != nil {
+		if _, err := l.Append(0, record(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -116,7 +107,7 @@ func TestTornTailTruncated(t *testing.T) {
 	f.Write([]byte{0, 0, 0, 99, 0, 0, 0, 0, 0, 0, 0, 11, 0xde, 0xad})
 	f.Close()
 
-	l2, err := Open(dir, Options{})
+	l2, err := OpenSharded(dir, 1, Options{})
 	if err != nil {
 		t.Fatalf("Open with torn tail: %v", err)
 	}
@@ -124,26 +115,26 @@ func TestTornTailTruncated(t *testing.T) {
 	if got := l2.LastSeq(); got != 10 {
 		t.Fatalf("LastSeq after torn tail: %d, want 10", got)
 	}
-	if got := len(replayAll(t, l2, 0)); got != 10 {
+	if got := len(replayAllSharded(t, l2, 0)); got != 10 {
 		t.Fatalf("replayed %d records, want 10", got)
 	}
 	// The torn bytes are gone: appending continues a clean log.
-	if _, err := l2.Append([]byte("fresh")); err != nil {
+	if _, err := l2.Append(0, []byte("fresh")); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(replayAll(t, l2, 0)); got != 11 {
+	if got := len(replayAllSharded(t, l2, 0)); got != 11 {
 		t.Fatalf("replayed %d records after post-tear append, want 11", got)
 	}
 }
 
 func TestCorruptTailBitFlip(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{})
+	l, err := OpenSharded(dir, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if _, err := l.Append(record(i)); err != nil {
+		if _, err := l.Append(0, record(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -154,7 +145,7 @@ func TestCorruptTailBitFlip(t *testing.T) {
 	f.WriteAt([]byte{0xff}, info.Size()-1) // flip the last payload byte
 	f.Close()
 
-	l2, err := Open(dir, Options{})
+	l2, err := OpenSharded(dir, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,22 +157,22 @@ func TestCorruptTailBitFlip(t *testing.T) {
 
 func TestSegmentsRotateAndTruncate(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{SegmentBytes: 256})
+	l, err := OpenSharded(dir, 1, Options{SegmentBytes: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
 	const n = 64
 	for i := 0; i < n; i++ {
-		if _, err := l.Append(record(i)); err != nil {
+		if _, err := l.Append(0, record(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	segs, _ := l.segments()
+	segs, _ := listSeqFiles(dir, shardSegPrefix(0), segSuffix)
 	if len(segs) < 3 {
 		t.Fatalf("expected multiple segments, got %d", len(segs))
 	}
 	// Everything must replay across the segment boundaries.
-	if got := len(replayAll(t, l, 0)); got != n {
+	if got := len(replayAllSharded(t, l, 0)); got != n {
 		t.Fatalf("replayed %d records, want %d", got, n)
 	}
 	// Truncate below the midpoint: whole segments below go away, every
@@ -190,11 +181,11 @@ func TestSegmentsRotateAndTruncate(t *testing.T) {
 	if err := l.TruncateBefore(mid); err != nil {
 		t.Fatal(err)
 	}
-	after, _ := l.segments()
+	after, _ := listSeqFiles(dir, shardSegPrefix(0), segSuffix)
 	if len(after) >= len(segs) {
 		t.Fatalf("TruncateBefore removed no segments: %d -> %d", len(segs), len(after))
 	}
-	recs := replayAll(t, l, 0)
+	recs := replayAllSharded(t, l, 0)
 	for i := mid; i <= n; i++ {
 		if _, ok := recs[uint64(i)]; !ok {
 			t.Fatalf("record seq %d lost by truncation", i)
@@ -205,17 +196,17 @@ func TestSegmentsRotateAndTruncate(t *testing.T) {
 
 func TestReplayAfterSkipsCovered(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{SegmentBytes: 256})
+	l, err := OpenSharded(dir, 1, Options{SegmentBytes: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
 	for i := 0; i < 40; i++ {
-		if _, err := l.Append(record(i)); err != nil {
+		if _, err := l.Append(0, record(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	recs := replayAll(t, l, 25)
+	recs := replayAllSharded(t, l, 25)
 	if len(recs) != 15 {
 		t.Fatalf("Replay(after=25) returned %d records, want 15", len(recs))
 	}
@@ -228,7 +219,7 @@ func TestReplayAfterSkipsCovered(t *testing.T) {
 
 func TestConcurrentAppendGroupCommit(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{SegmentBytes: 4096})
+	l, err := OpenSharded(dir, 1, Options{SegmentBytes: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +233,7 @@ func TestConcurrentAppendGroupCommit(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				if _, err := l.Append([]byte(fmt.Sprintf("w%d-%d", w, i))); err != nil {
+				if _, err := l.Append(0, []byte(fmt.Sprintf("w%d-%d", w, i))); err != nil {
 					t.Errorf("append: %v", err)
 					return
 				}
@@ -253,25 +244,25 @@ func TestConcurrentAppendGroupCommit(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	l2, err := Open(dir, Options{})
+	l2, err := OpenSharded(dir, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	if got := len(replayAll(t, l2, 0)); got != writers*each {
+	if got := len(replayAllSharded(t, l2, 0)); got != writers*each {
 		t.Fatalf("replayed %d records, want %d", got, writers*each)
 	}
 }
 
 func TestEnsureSeq(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{})
+	l, err := OpenSharded(dir, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
 	l.EnsureSeq(100)
-	seq, err := l.Append([]byte("x"))
+	seq, err := l.Append(0, []byte("x"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,12 +320,12 @@ func TestWriteSnapshotCleansUpOnError(t *testing.T) {
 
 func TestNoSyncModeRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{NoSync: true, SegmentBytes: 512})
+	l, err := OpenSharded(dir, 1, Options{NoSync: true, SegmentBytes: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 30; i++ {
-		if _, err := l.Append(record(i)); err != nil {
+		if _, err := l.Append(0, record(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -344,32 +335,32 @@ func TestNoSyncModeRoundTrip(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	l2, err := Open(dir, Options{NoSync: true})
+	l2, err := OpenSharded(dir, 1, Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	if got := len(replayAll(t, l2, 0)); got != 30 {
+	if got := len(replayAllSharded(t, l2, 0)); got != 30 {
 		t.Fatalf("replayed %d records, want 30", got)
 	}
 }
 
 func TestAppendRejectsOversizeAndClosed(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{})
+	l, err := OpenSharded(dir, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Append(make([]byte, MaxRecordSize+1)); err == nil {
+	if _, err := l.Append(0, make([]byte, MaxRecordSize+1)); err == nil {
 		t.Fatal("oversize record accepted")
 	}
-	if seq, err := l.Append(); err != nil || seq != 0 {
+	if seq, err := l.Append(0); err != nil || seq != 0 {
 		t.Fatalf("empty append: seq=%d err=%v", seq, err)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Append([]byte("x")); err != ErrClosed {
+	if _, err := l.Append(0, []byte("x")); err != ErrClosed {
 		t.Fatalf("append after close: %v, want ErrClosed", err)
 	}
 	if err := l.Close(); err != nil { // idempotent
@@ -381,17 +372,17 @@ func TestOpenEmptyFinalSegment(t *testing.T) {
 	// Rotation can leave a brand-new empty segment as the newest file; a
 	// crash right there must reopen cleanly with the correct sequence.
 	dir := t.TempDir()
-	l, err := Open(dir, Options{SegmentBytes: 1}) // rotate after every record
+	l, err := OpenSharded(dir, 1, Options{SegmentBytes: 1}) // rotate after every record
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if _, err := l.Append(record(i)); err != nil {
+		if _, err := l.Append(0, record(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	l.Close()
-	l2, err := Open(dir, Options{})
+	l2, err := OpenSharded(dir, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +390,7 @@ func TestOpenEmptyFinalSegment(t *testing.T) {
 	if got := l2.LastSeq(); got != 5 {
 		t.Fatalf("LastSeq=%d, want 5", got)
 	}
-	if seq, err := l2.Append([]byte("next")); err != nil || seq != 6 {
+	if seq, err := l2.Append(0, []byte("next")); err != nil || seq != 6 {
 		t.Fatalf("append: seq=%d err=%v", seq, err)
 	}
 }

@@ -28,19 +28,20 @@
 //     (SimulationConfig.Shards) — used by the examples and the
 //     paper-reproduction harness.
 //
-// # Wire protocol versions and pipelining
+// # The wire protocol and pipelining
 //
-// The TCP wire protocol is versioned. Version 1 is strict lock-step: one
-// outstanding request per connection, responses in order. Version 2 —
-// negotiated automatically at Dial time via a hello/acknowledge exchange —
-// tags every frame with a request ID, so a single connection carries many
-// concurrent requests and responses are matched by ID as they complete.
-// Compatibility is two-way: a new client falls back to lock-step against
-// an old server (which rejects the hello as an unknown message and keeps
-// the connection usable), and an old client that never sends a hello gets
-// the serial version-1 treatment from a new server.
+// Every TCP connection opens with a hello/acknowledge exchange — done by
+// Dial — and from then on every frame carries a request ID, so a single
+// connection carries many concurrent requests and responses are matched by
+// ID as they complete. The protocol has one version, 2, and no fallback: a
+// server answers a connection that opens any other way with one error
+// naming that version and closes it (TestFirstFrameMustBeHello), and Dial,
+// Follow and Subscribe fail against a server that does not acknowledge the
+// hello at version 2 (TestDialersRefuseNonV2Server). The handshake's bytes
+// are pinned (TestHandshakeBytesUnchanged), so any two builds that speak
+// version 2 interoperate.
 //
-// A pipelined request is served on one of two roads, chosen by what it can
+// A request is served on one of two roads, chosen by what it can
 // wait on. Reads that can never wait on the disk or another node — a
 // lookup of a peer registered on this node, status, landmarks — run on
 // the connection's own reader goroutine and are appended to its write
@@ -65,16 +66,16 @@
 // proxdisc_response_frames_total over proxdisc_response_flushes_total is
 // the server's frames per write syscall.
 //
-// Version 2 also adds batched joins: Client.JoinBatch packs up to the
-// server's advertised limit (at most 32, the wire cap) of joins into one
-// frame, and the management plane applies each group under a single lock
-// acquisition — the fast path for a flash crowd of newcomers arriving
-// behind one NAT or agent. ClientConfig.MaxInFlight bounds a connection's
-// outstanding requests; SimulationConfig.BatchSize routes simulated
-// arrivals through the same batched path. For capacity measurements, the
-// cmd/proxdisc-loadgen tool drives all four traffic shapes (lock-step or
-// pipelined, singular or batched) against a live server and reports
-// joins/sec with latency percentiles.
+// Joins can be batched: Client.JoinBatch packs up to the server's
+// advertised limit (at most 32, the wire cap) of joins into one frame, and
+// the management plane applies each group under a single lock acquisition
+// — the fast path for a flash crowd of newcomers arriving behind one NAT or
+// agent. ClientConfig.MaxInFlight bounds a connection's outstanding
+// requests; SimulationConfig.BatchSize routes simulated arrivals through
+// the same batched path. For capacity measurements, the
+// cmd/proxdisc-loadgen tool drives all four traffic shapes (one request at
+// a time or pipelined, singular or batched) against a live server and
+// reports joins/sec with latency percentiles.
 //
 // # Replication and failover
 //
@@ -163,9 +164,8 @@
 // because every mutation is one canonically encoded op with one sequence
 // number, shipping the log IS shipping the state. A follower process
 // (StartFollower, or proxdisc-server -follow ADDR) subscribes to a
-// primary's committed op stream over the v2 wire framing and applies
-// every record to a local copy through the same single Apply door crash
-// recovery uses — one door, two consumers (follower replication through
+// primary's committed op stream over the wire and applies every record to
+// a local copy through the same single Apply door crash recovery uses — one door, two consumers (follower replication through
 // the op.Replicator interface, and WAL replay), zero drift.
 //
 // Roles. The primary serves the stream from its WAL: live records flow
@@ -402,8 +402,9 @@
 //     merge-replays the streams by global sequence (a k-way merge over
 //     per-stream cursors), so the op stream, follower catch-up, and
 //     subscription planes see exactly the order a single log would have
-//     produced; a directory written by the old single-stream log is
-//     adopted read-only and continues under sharded segments.
+//     produced; a directory still holding a segment of the old
+//     single-stream log is refused at open, untouched
+//     (TestShardedRefusesLegacySegments).
 //
 //   - One record per resident peer, in pointer-free slabs. Each tree
 //     carves three pools from fixed-size chunks and links them by int32
@@ -575,14 +576,13 @@ func ListenLandmark(addr string) (*LandmarkResponder, error) {
 }
 
 // Client is a TCP connection to a management server. It is safe for
-// concurrent use; on a pipelined (version-2) connection, concurrent
-// requests share the connection without serializing behind each other.
+// concurrent use: concurrent requests are pipelined over the connection
+// without serializing behind each other.
 type Client = client.Client
 
-// ClientConfig tunes a management-server connection: request timeout,
-// the in-flight pipelining cap, a switch to force the version-1 lock-step
-// protocol, and the failover retry budget (FailoverRetries,
-// CommonConfig.Backoff) for replicated deployments.
+// ClientConfig tunes a management-server connection: request timeout, the
+// in-flight pipelining cap, and the failover retry budget
+// (FailoverRetries, CommonConfig.Backoff) for replicated deployments.
 type ClientConfig = client.Config
 
 // CommonConfig holds the configuration knobs shared by the networked
