@@ -532,7 +532,8 @@ func BenchmarkClusterQuery(b *testing.B) {
 // while concurrent writers keep joining peers under the other landmarks.
 // The freeze is scoped to the source/destination shard pair, so the
 // bystander writers should stay mostly unimpeded; ns/op is the wall-clock
-// cost of snapshotting, absorbing, and committing the move.
+// cost of draining the two shards, handing the tree over, and committing
+// the move — none of it depends on the tree's population.
 func BenchmarkHandoff(b *testing.B) {
 	const treePeers = 10_000
 	c, err := cluster.New(cluster.Config{Landmarks: benchClusterLandmarks, Shards: 4})

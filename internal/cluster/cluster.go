@@ -8,43 +8,48 @@
 //
 //   - maps a join to the shard owning its path's landmark via a pluggable
 //     assignment table (see Assigner);
-//   - routes peer-keyed requests (Lookup, Leave, Refresh) through a striped
-//     peer→shard index;
+//   - routes peer-keyed requests (Lookup, Leave, Refresh) through the
+//     node's one peer index, which the shards' servers share and maintain
+//     (server.Index): an entry names the peer's landmark, the table that
+//     landmark's owner;
 //   - answers operations that span landmarks (Peers, aggregate Stats,
-//     Expire, finding a peer whose shard is unknown) with a
-//     bounded-concurrency, context-cancellable scatter-gather fan-out; and
-//   - rebalances at runtime by handing a landmark's tree between shards
-//     through the server snapshot machinery, buffering that landmark's
-//     joins during the transfer so none are dropped (see MoveLandmark).
+//     Expire) with a bounded-concurrency, context-cancellable
+//     scatter-gather fan-out; and
+//   - rebalances at runtime by handing a landmark's tree, whole, from one
+//     shard's server to another's, buffering that landmark's requests
+//     during the transfer so none are dropped (see MoveLandmark).
 //
 // Because shards never share tree state, a Cluster returns byte-identical
 // candidate sets to a single server.Server over the same peer population —
 // sharding changes capacity, not answers.
 //
 // A shard is one server.Server behind a handoff gate; the cluster keeps no
-// second copy of it. Copies live in other processes, fed by the committed
-// op stream (netserver.StartFollower).
+// second copy of it, and no per-peer state of its own. Copies live in other
+// processes, fed by the committed op stream (netserver.StartFollower).
 //
 // # Locks on the hot paths
 //
-// Cluster.Lookup takes, in order: the peer index stripe's RLock (released
+// Cluster.Lookup takes, in order: the peer index stripe's RLock, for the
+// peer's landmark; Cluster.mu.RLock, for the landmark's owner (both released
 // before the shard is touched); then, inside server.Server.Lookup, the
-// server's state lock, read-held — the trees below it take no lock of their
-// own. Nothing exclusive, nothing of the cluster's own beyond the index
-// stripe. An index miss adds a FindPeer scatter, which reads every shard the
-// same way.
+// server's state lock, read-held, and under it the stripe's RLock again —
+// the trees below take no lock of their own. Nothing exclusive, nothing of
+// the cluster's own beyond the table read. A shard that turns out not to
+// hold the peer — it re-joined elsewhere in between, or its landmark is
+// changing hands, which the lookup waits out — sends the lookup round again.
 //
 // Cluster.JoinOp takes: Cluster.mu.RLock (table, moving set, epoch fence)
 // just long enough to take the owning shard's gate, shard.opMu.RLock,
 // which is held across the apply; inside the server, the writer mutex for
 // the whole op and, under it, the state lock exclusively around each single
-// mutation (one per batch entry) — opMu → writer mutex → state lock; then
-// the peer index stripe's Lock for the index update. After the gate is
+// mutation (one per batch entry), the index stripe's lock innermost —
+// opMu → writer mutex → state lock → stripe. The server's join writes the
+// index entry; the cluster writes none of its own. After the gate is
 // released a durable cluster appends to the write-ahead log: the shard stream's
 // append mutex and wal.Sharded's seqMu, then the group-commit syncMu for
 // whoever leads the fsync. The cluster adds no write lock of its own: the
 // handoff gate is shared by writers and exclusive only for MoveLandmark's
-// copy phase (the two shards involved) and Expire's sweep (all shards,
+// handoff (the two shards involved) and Expire's sweep (all shards,
 // ascending order), both serialised by hoMu.
 package cluster
 
@@ -178,7 +183,10 @@ type Cluster struct {
 	rebWG   sync.WaitGroup
 	rebOnce sync.Once
 
-	idx *peerIndex
+	// idx is the node's one peer index, which every shard's server reads
+	// and writes; the cluster itself only reads it, to route a request that
+	// names a peer and no path to the owner of the landmark the entry names.
+	idx *server.Index
 
 	// log is the node's write-ahead log, sharded one stream per shard so
 	// commits to different shards never queue on one append lock; nil when
@@ -278,7 +286,7 @@ func New(cfg Config) (*Cluster, error) {
 		table:  make(map[topology.NodeID]int, len(table)),
 		epochs: make(map[topology.NodeID]uint64),
 		moving: make(map[topology.NodeID]*handoff),
-		idx:    newPeerIndex(),
+		idx:    server.NewIndex(),
 	}
 	for lm, shard := range table {
 		c.table[lm] = shard
@@ -286,7 +294,7 @@ func New(cfg Config) (*Cluster, error) {
 	for i, lms := range perShard {
 		// A shard assigned no landmarks is an elastic shard: it starts
 		// empty and fills through rebalancing handoffs.
-		g, err := newShard(lms, cfg)
+		g, err := newShard(lms, cfg, c.idx)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: shard %d: %w", i, err)
 		}
@@ -370,15 +378,13 @@ func (c *Cluster) JoinOp(o op.Op) ([]pathtree.Candidate, error) {
 	return cands, nil
 }
 
-// joinRoute routes a join op to the shard owning its path's landmark,
-// waiting out handoffs, and maintains the peer index. It is
-// the shared road of answering joins (quiet=false) and silent replay
-// (quiet=true, the WAL recovery path).
-func (c *Cluster) joinRoute(o op.Op, quiet bool) ([]pathtree.Candidate, error) {
-	if len(o.Join.Path) == 0 {
-		return nil, errors.New("server: empty path")
-	}
-	lm := o.Join.Path[len(o.Join.Path)-1]
+// enter resolves the shard that owns landmark lm, waiting out a handoff of
+// it. With gated set the shard's operation gate is read-held on return, for
+// the caller to release: it is taken before mu is let go, which pins the
+// owner — a handoff of lm starting now blocks in its drain until the caller
+// is through, so the tree it moves includes what the caller wrote. A
+// non-zero epoch is the caller's fence and must be lm's current one.
+func (c *Cluster) enter(lm topology.NodeID, epoch uint64, gated bool) (*shard, error) {
 	for {
 		c.mu.RLock()
 		shard, ok := c.table[lm]
@@ -388,57 +394,65 @@ func (c *Cluster) joinRoute(o op.Op, quiet bool) ([]pathtree.Candidate, error) {
 		}
 		if ho := c.moving[lm]; ho != nil {
 			c.mu.RUnlock()
-			<-ho.done // buffered during the transfer; replay below
+			<-ho.done // buffered during the transfer; resolved again below
 			continue
 		}
-		if o.Epoch != 0 && o.Epoch != c.epochs[lm] {
+		if epoch != 0 && epoch != c.epochs[lm] {
 			cur := c.epochs[lm]
 			c.mu.RUnlock()
 			return nil, fmt.Errorf("%w: landmark %d is at epoch %d, write fenced at %d",
-				server.ErrStaleEpoch, lm, cur, o.Epoch)
+				server.ErrStaleEpoch, lm, cur, epoch)
 		}
-		// Taking the shard's operation gate before releasing mu pins the
-		// resolved shard: a handoff of lm starting now blocks in its drain
-		// until this join lands, so the snapshot it takes will include us.
 		g := c.shards[shard]
-		g.opMu.RLock()
+		if gated {
+			g.opMu.RLock()
+		}
 		c.mu.RUnlock()
-		res, err := g.applyOp(o, quiet)
-		var stale int
-		retire := false
-		if err == nil {
-			if old, had := c.idx.swap(o.Join.Peer, shard); had && old != shard {
-				// Re-join under a landmark owned by a different shard:
-				// retire the stale record, mirroring the single-server
-				// behaviour of replacing rather than duplicating. The
-				// retirement happens after this shard's gate is released —
-				// taking a second shard's gate while holding one would
-				// deadlock against a handoff freezing that same pair.
-				stale, retire = old, true
-			}
-		}
-		g.opMu.RUnlock()
-		if retire {
-			c.retireStale(o.Join.Peer, stale)
-		}
-		return res.cands, err
+		return g, nil
 	}
 }
 
-// retireStale removes the record a re-joining peer left behind on its
-// former shard. The peer index is re-checked under the old shard's gate: a
-// concurrent join may have re-registered the peer back there, in which
-// case the record is live and must stay. Any race with a handoff moving
-// the stale record converges through the handoff's own reconcile pass
-// (reconcileMoved) and Absorb's skip-if-registered rule.
-func (c *Cluster) retireStale(p pathtree.PeerID, old int) {
-	g := c.shards[old]
-	g.opMu.RLock()
-	defer g.opMu.RUnlock()
-	if cur, ok := c.idx.get(p); ok && cur == old {
-		return // re-registered back on the old shard; that record is live
+// enterPeer is enter for a request that names a peer and no path: the index
+// entry names the landmark, the table its owner.
+func (c *Cluster) enterPeer(p pathtree.PeerID, gated bool) (*shard, error) {
+	lm, _, ok := c.idx.Place(p)
+	if !ok {
+		return nil, fmt.Errorf("%w: %d", server.ErrUnknownPeer, p)
 	}
-	g.leave(p)
+	return c.enter(lm, 0, gated)
+}
+
+// joinRoute routes a join op to the shard owning its path's landmark,
+// waiting out handoffs. It is the shared road of answering joins
+// (quiet=false) and silent replay (quiet=true, the WAL recovery path).
+func (c *Cluster) joinRoute(o op.Op, quiet bool) ([]pathtree.Candidate, error) {
+	if len(o.Join.Path) == 0 {
+		return nil, errors.New("server: empty path")
+	}
+	g, err := c.enter(o.Join.Path[len(o.Join.Path)-1], o.Epoch, true)
+	if err != nil {
+		return nil, err
+	}
+	res, err := g.applyOp(o, quiet)
+	g.opMu.RUnlock()
+	c.retireOrphans(g)
+	return res.cands, err
+}
+
+// retireOrphans retires the records that joins on g left behind in trees of
+// other shards: a re-join under a landmark owned elsewhere replaces the
+// peer's record, as on a single server, instead of duplicating it. Each goes
+// by (landmark, slot) to whichever shard owns the landmark now, and the
+// server's own rule decides whether it is still an orphan (server.Retire).
+// The caller holds no gate — taking a second shard's while holding one would
+// deadlock against a handoff freezing that same pair.
+func (c *Cluster) retireOrphans(g *shard) {
+	for _, o := range g.srv.TakeOrphans() {
+		if owner, err := c.enter(o.Landmark, 0, true); err == nil {
+			owner.srv.Retire(o)
+			owner.opMu.RUnlock()
+		}
+	}
 }
 
 // JoinBatch registers a batch of peers; see JoinBatchOp.
@@ -459,10 +473,40 @@ func (c *Cluster) JoinBatch(items []server.BatchJoin) []server.BatchResult {
 // committed to the write-ahead log before the answers are returned.
 func (c *Cluster) JoinBatchOp(o op.Op) []server.BatchResult {
 	o = c.stamp(o)
+	out, accepted, deferred := c.batchRoute(o, false)
+	if len(accepted) > 0 {
+		if err := c.commit(op.BatchJoin(accepted, o.Time)); err != nil {
+			// The entries applied but are not durable: withdraw the
+			// acknowledgement so no client treats them as committed.
+			for i := range out {
+				if out[i].Err == nil {
+					out[i] = server.BatchResult{Err: err}
+				}
+			}
+			return out
+		}
+	}
+	// Entries caught mid-handoff (which wait for the transfer) and
+	// duplicate-peer entries (which need batch order) take the singular
+	// path, in batch order; both are rare, so the flash-crowd case loses
+	// nothing.
+	for _, i := range deferred {
+		out[i].Neighbors, out[i].Err = c.JoinOp(op.Op{Kind: op.KindJoin, Time: o.Time, Join: o.Batch[i]})
+	}
+	return out
+}
+
+// batchRoute resolves every entry's shard and applies one batch per shard
+// group: the shared road of JoinBatchOp and of the replay of a recorded
+// batch (quiet, which computes no answers and so lists nothing as accepted).
+// out holds the answers and the entries refused; deferred lists the entries
+// left for the singular road, in batch order, which the caller takes once it
+// is done with the grouped ones.
+func (c *Cluster) batchRoute(o op.Op, quiet bool) (out []server.BatchResult, accepted []op.JoinEntry, deferred []int) {
 	items := o.Batch
-	out := make([]server.BatchResult, len(items))
+	out = make([]server.BatchResult, len(items))
 	if len(items) == 0 {
-		return out
+		return out, nil, nil
 	}
 	// A peer appearing more than once in the batch must end up registered
 	// by its LAST entry, exactly as sequential joins would leave it; the
@@ -482,7 +526,6 @@ func (c *Cluster) JoinBatchOp(o op.Op) []server.BatchResult {
 	// slice indexed by shard: the shard count is small and fixed, and
 	// indexing keeps the resolve loop free of map operations.
 	groups := make([]batchGroup, len(c.shards))
-	var deferred []int
 	c.mu.RLock()
 	for i := range items {
 		it := &items[i]
@@ -506,9 +549,9 @@ func (c *Cluster) JoinBatchOp(o op.Op) []server.BatchResult {
 	}
 	// Taking every involved shard's operation gate (in ascending shard
 	// order, the cluster-wide multi-lock order) before releasing mu pins
-	// the resolved shards, exactly as in Join: a handoff starting now
-	// drains behind this batch, so the snapshot it takes includes every
-	// entry applied here.
+	// the resolved shards, exactly as in enter: a handoff starting now
+	// drains behind this batch, so the tree it moves includes every entry
+	// applied here.
 	involved := make([]int, 0, len(groups))
 	for shard := range groups {
 		if len(groups[shard].idxs) > 0 {
@@ -519,15 +562,9 @@ func (c *Cluster) JoinBatchOp(o op.Op) []server.BatchResult {
 		c.shards[shard].opMu.RLock()
 	}
 	c.mu.RUnlock()
-	var accepted []op.JoinEntry
-	type retirement struct {
-		peer pathtree.PeerID
-		old  int
-	}
-	var retirements []retirement
 	for _, shard := range involved {
 		g := &groups[shard]
-		res, err := c.shards[shard].applyOp(op.BatchJoin(g.entries, o.Time), false)
+		res, err := c.shards[shard].applyOp(op.BatchJoin(g.entries, o.Time), quiet)
 		if err != nil {
 			for _, i := range g.idxs {
 				out[i].Err = err
@@ -539,40 +576,17 @@ func (c *Cluster) JoinBatchOp(o op.Op) []server.BatchResult {
 			out[i] = res.batch[k]
 			if res.batch[k].Err == nil {
 				accepted = append(accepted, items[i])
-				if old, had := c.idx.swap(items[i].Peer, shard); had && old != shard {
-					// Stale record on another shard; retired after the
-					// gates are released (see joinRoute).
-					retirements = append(retirements, retirement{items[i].Peer, old})
-				}
 			}
 		}
 	}
 	for i := len(involved) - 1; i >= 0; i-- {
 		c.shards[involved[i]].opMu.RUnlock()
 	}
-	for _, r := range retirements {
-		c.retireStale(r.peer, r.old)
+	// Orphans go once the gates are released (see retireOrphans).
+	for _, shard := range involved {
+		c.retireOrphans(c.shards[shard])
 	}
-	if len(accepted) > 0 {
-		if err := c.commit(op.BatchJoin(accepted, o.Time)); err != nil {
-			// The entries applied but are not durable: withdraw the
-			// acknowledgement so no client treats them as committed.
-			for i := range out {
-				if out[i].Err == nil {
-					out[i] = server.BatchResult{Err: err}
-				}
-			}
-			return out
-		}
-	}
-	// Entries caught mid-handoff (which wait for the transfer) and
-	// duplicate-peer entries (which need batch order) take the singular
-	// path, in batch order; both are rare, so the flash-crowd case loses
-	// nothing.
-	for _, i := range deferred {
-		out[i].Neighbors, out[i].Err = c.JoinOp(op.Op{Kind: op.KindJoin, Time: o.Time, Join: items[i]})
-	}
-	return out
+	return out, accepted, deferred
 }
 
 // batchGroup collects the batch entries bound for one shard and their
@@ -585,18 +599,25 @@ type batchGroup struct {
 // Lookup re-answers the closest-peers query for a registered peer,
 // delegating to the shard that holds it.
 func (c *Cluster) Lookup(p pathtree.PeerID) ([]pathtree.Candidate, error) {
-	if shard, ok := c.idx.get(p); ok {
-		cands, err := c.shards[shard].srv.Lookup(p)
+	return readPeer(c, p, (*server.Server).Lookup)
+}
+
+// readPeer runs a peer-keyed read on the server that holds the peer's
+// record. A server that no longer knows the peer — it left or re-joined
+// elsewhere since the index was read, or its landmark's tree is changing
+// hands — sends the read round again.
+func readPeer[T any](c *Cluster, p pathtree.PeerID, read func(*server.Server, pathtree.PeerID) (T, error)) (T, error) {
+	for {
+		g, err := c.enterPeer(p, false)
+		if err != nil {
+			var none T
+			return none, err
+		}
+		v, err := read(g.srv, p)
 		if err == nil || !errors.Is(err, server.ErrUnknownPeer) {
-			return cands, err
+			return v, err
 		}
 	}
-	// The index missed: the peer may have just moved with its landmark.
-	_, shard, err := c.FindPeer(context.Background(), p)
-	if err != nil {
-		return nil, err
-	}
-	return c.shards[shard].srv.Lookup(p)
 }
 
 // Refresh updates a peer's liveness timestamp.
@@ -631,25 +652,36 @@ func (c *Cluster) applyRouted(o op.Op, quiet bool) error {
 		_, err := c.joinRoute(o, quiet)
 		return err
 	case op.KindBatchJoin:
-		// Reaches here only on replay (the answering path is JoinBatchOp):
-		// recorded batches carry only accepted entries, so route each one
-		// silently through the singular path.
-		for i := range o.Batch {
+		// Reaches here only on replay (the answering path is JoinBatchOp),
+		// which applies the batch the way it was applied live: one group
+		// per shard, then the singular road for what the grouping left.
+		out, _, deferred := c.batchRoute(o, quiet)
+		for i := range out {
+			if out[i].Err != nil {
+				return out[i].Err
+			}
+		}
+		for _, i := range deferred {
 			if _, err := c.joinRoute(op.Op{Kind: op.KindJoin, Time: o.Time, Join: o.Batch[i]}, quiet); err != nil {
 				return err
 			}
 		}
 		return nil
-	case op.KindLeave:
-		if !c.leaveRouted(o.Peer) {
-			return fmt.Errorf("%w: %d", server.ErrUnknownPeer, o.Peer)
+	case op.KindLeave, op.KindRefresh, op.KindSetSuperPeer:
+		// The gate keeps the write out of a handoff's way: the tree cannot
+		// change hands between the routing and the apply. A shard that no
+		// longer knows the peer sends the op round again, as in readPeer.
+		for {
+			g, err := c.enterPeer(o.Peer, true)
+			if err != nil {
+				return err
+			}
+			_, err = g.applyOp(o, quiet)
+			g.opMu.RUnlock()
+			if err == nil || !errors.Is(err, server.ErrUnknownPeer) {
+				return err
+			}
 		}
-		return nil
-	case op.KindRefresh, op.KindSetSuperPeer:
-		return c.onPeerShard(o.Peer, func(g *shard) error {
-			_, err := g.applyOp(o, quiet)
-			return err
-		})
 	case op.KindExpire:
 		c.expireRouted(o)
 		return nil
@@ -665,41 +697,9 @@ func (c *Cluster) applyRouted(o op.Op, quiet bool) error {
 	}
 }
 
-// onPeerShard runs fn against the shard group holding peer p, retrying once
-// via a scatter search when the index entry turns out stale (possible while
-// the peer's landmark is mid-handoff). Holding the shard's operation gate
-// excludes the call from a handoff's copy phase, so the update cannot land
-// on a tree that has already been serialized for transfer and be lost.
-func (c *Cluster) onPeerShard(p pathtree.PeerID, fn func(g *shard) error) error {
-	if shard, ok := c.idx.get(p); ok {
-		g := c.shards[shard]
-		g.opMu.RLock()
-		err := fn(g)
-		g.opMu.RUnlock()
-		if err == nil || !errors.Is(err, server.ErrUnknownPeer) {
-			return err
-		}
-	}
-	_, shard, err := c.FindPeer(context.Background(), p)
-	if err != nil {
-		return err
-	}
-	g := c.shards[shard]
-	g.opMu.RLock()
-	defer g.opMu.RUnlock()
-	return fn(g)
-}
-
 // PeerInfo returns a copy of the record for peer p.
 func (c *Cluster) PeerInfo(p pathtree.PeerID) (server.PeerInfo, error) {
-	if shard, ok := c.idx.get(p); ok {
-		info, err := c.shards[shard].srv.PeerInfo(p)
-		if err == nil || !errors.Is(err, server.ErrUnknownPeer) {
-			return info, err
-		}
-	}
-	info, _, err := c.FindPeer(context.Background(), p)
-	return info, err
+	return readPeer(c, p, (*server.Server).PeerInfo)
 }
 
 // Leave removes peer p; it reports whether the peer was registered (and,
@@ -708,41 +708,8 @@ func (c *Cluster) Leave(p pathtree.PeerID) bool {
 	return c.Apply(op.Leave(p)) == nil
 }
 
-// leaveRouted removes peer p from the shard holding it, reporting whether
-// the peer was registered. Shared by Apply and WAL replay.
-func (c *Cluster) leaveRouted(p pathtree.PeerID) bool {
-	shard, ok := c.idx.get(p)
-	if !ok {
-		return false
-	}
-	g := c.shards[shard]
-	g.opMu.RLock()
-	removed := g.leave(p)
-	if removed {
-		c.idx.compareAndDelete(p, shard)
-	}
-	g.opMu.RUnlock()
-	if removed {
-		return true
-	}
-	// The index hit but the record was elsewhere: the peer's landmark is
-	// mid-handoff. Resolve the current holder; the index entry is deleted
-	// first so a concurrent handoff cannot re-point it at a record we are
-	// about to remove.
-	_, cur, err := c.FindPeer(context.Background(), p)
-	if err != nil {
-		return false
-	}
-	cg := c.shards[cur]
-	cg.opMu.RLock()
-	defer cg.opMu.RUnlock()
-	c.idx.compareAndDelete(p, shard)
-	c.idx.compareAndDelete(p, cur)
-	return cg.leave(p)
-}
-
 // NumPeers reports the number of registered peers across all shards.
-func (c *Cluster) NumPeers() int { return c.idx.len() }
+func (c *Cluster) NumPeers() int { return c.idx.Len() }
 
 // Peers scatter-gathers the registered peer IDs of every shard and returns
 // them merged in ascending order. It serializes with handoffs so a moving
@@ -791,8 +758,7 @@ func (c *Cluster) Expire() []pathtree.PeerID {
 // expireRouted fans an ExpireOp out to every shard. It serializes with
 // handoffs (hoMu) and freezes membership for the duration of the sweep
 // (every shard's operation gate in write mode, taken in ascending shard
-// order), so an expired peer cannot re-join between the shard sweep and
-// the index cleanup and have its fresh index entry deleted.
+// order), so the expired set is that of one instant on every shard.
 func (c *Cluster) expireRouted(o op.Op) []pathtree.PeerID {
 	c.hoMu.Lock()
 	defer c.hoMu.Unlock()
@@ -811,10 +777,7 @@ func (c *Cluster) expireRouted(o op.Op) []pathtree.PeerID {
 		return nil
 	})
 	var out []pathtree.PeerID
-	for i, ps := range per {
-		for _, p := range ps {
-			c.idx.compareAndDelete(p, i)
-		}
+	for _, ps := range per {
 		out = append(out, ps...)
 	}
 	if out == nil {

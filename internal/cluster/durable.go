@@ -244,8 +244,10 @@ func (c *Cluster) streamFor(o op.Op) int {
 			}
 		}
 	case op.KindLeave, op.KindRefresh, op.KindSetSuperPeer:
-		if shard, ok := c.idx.get(o.Peer); ok {
-			return shard
+		if lm, _, ok := c.idx.Place(o.Peer); ok {
+			if shard, ok := c.ShardFor(lm); ok {
+				return shard
+			}
 		}
 	}
 	return 0

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 
@@ -23,15 +22,9 @@ type handoff struct {
 type moveStage int
 
 const (
-	// moveStageSnapshot: the landmark's tree has been serialized from the
-	// source; nothing has changed yet.
-	moveStageSnapshot moveStage = iota
-	// moveStageAbsorb: the destination has absorbed the tree — both shards
-	// briefly hold it, with the source still the table owner.
-	moveStageAbsorb
-	// moveStageDrop: the source has dropped the tree; the table still
-	// points at the source.
-	moveStageDrop
+	// moveStageHandoff: the tree is on the destination server, both gates
+	// still held; the table still points at the source.
+	moveStageHandoff moveStage = iota
 	// moveStageFlip: the in-memory table and epoch have flipped to the
 	// destination; the move op is not yet in the write-ahead log.
 	moveStageFlip
@@ -50,25 +43,29 @@ func (c *Cluster) hook(s moveStage) {
 // MoveLandmark transfers ownership of landmark lm (and every peer
 // registered under it) to shard dst without dropping joins:
 //
-//  1. the landmark is flagged as moving, so new joins for it buffer;
+//  1. the landmark is flagged as moving, so requests for it — joins by
+//     their path, everything else by the landmark the peer's index entry
+//     names — wait;
 //  2. the source and destination shards' operation gates are taken in
 //     write mode (ascending shard order), draining in-flight mutations on
-//     those two shards and excluding membership changes for the duration
-//     of the copy — every OTHER shard keeps serving writes throughout;
-//  3. the landmark's tree is serialized with the server snapshot machinery,
-//     absorbed by the destination shard, and dropped from the source;
+//     those two shards — every OTHER shard keeps serving writes throughout;
+//  3. the tree changes hands: server.Handoff detaches the landmark's
+//     pathtree.Core from the source server and attaches it, with the new
+//     fencing epoch, to the destination, under both servers' locks. No
+//     record is copied and no index entry is touched — an entry names
+//     (landmark, slot), which is as true on the new owner as on the old —
+//     so the move costs the same whatever the landmark holds;
 //  4. the assignment table flips, the landmark's fencing epoch increments,
 //     and a KindMoveLandmark op is committed to the write-ahead log (and
 //     the replication/op stream), so a restarted node re-derives the new
 //     ownership instead of silently reverting to the configured table;
-//  5. the buffered joins replay against the new owner and the peer index
-//     follows the moved records.
+//  5. the flag is cleared and the waiting requests resolve the new owner.
 //
-// Because the copy excludes membership changes, no registered peer is lost
-// and no Leave, Refresh, or SetSuperPeer update can fall between the
-// snapshot and the drop. The narrow window between the copy and the index
-// update is reconciled: a record the destination absorbed is retired if
-// the peer meanwhile left or re-registered elsewhere.
+// Because the gates exclude membership changes while the tree is in
+// flight, no registered peer is lost and no Leave, Refresh, or
+// SetSuperPeer update can fall between the servers. A lookup, which takes
+// no gate, either answers from the source before step 3 or finds the tree
+// gone, waits out the flag and answers from the destination.
 //
 // The epoch increment fences the deposed owner: a shard-routed write
 // carrying the pre-move epoch is rejected with server.ErrStaleEpoch
@@ -98,8 +95,8 @@ func (c *Cluster) MoveLandmark(lm topology.NodeID, dst int) error {
 	c.moving[lm] = ho
 	c.mu.Unlock()
 
-	// From here the moving flag must always be cleared, or buffered joins
-	// would wait forever.
+	// From here the moving flag must always be cleared, or the requests
+	// waiting on it would wait forever.
 	finish := func() {
 		c.mu.Lock()
 		delete(c.moving, lm)
@@ -112,46 +109,22 @@ func (c *Cluster) MoveLandmark(lm topology.NodeID, dst int) error {
 	// both wait them out and keep new membership changes away from the
 	// source and destination while the tree is in flight. Gates are taken
 	// in ascending shard order (the cluster-wide multi-lock order) and
-	// released before touching c.mu (the table) — Join acquires mu then a
+	// released before touching c.mu (the table) — enter acquires mu then a
 	// gate, so holding a gate across a mu acquisition would invert that
 	// order.
-	lo, hi := src, dst
-	if lo > hi {
-		lo, hi = hi, lo
-	}
+	lo, hi := min(src, dst), max(src, dst)
 	c.shards[lo].opMu.Lock()
 	c.shards[hi].opMu.Lock()
-	unlock := func() {
-		c.shards[hi].opMu.Unlock()
-		c.shards[lo].opMu.Unlock()
+	err := server.Handoff(c.shards[src].srv, c.shards[dst].srv, lm, newEpoch)
+	if err == nil {
+		c.hook(moveStageHandoff)
 	}
-	var buf bytes.Buffer
-	if err := c.shards[src].srv.SnapshotLandmarks(&buf, lm); err != nil {
-		unlock()
-		finish()
-		return fmt.Errorf("cluster: handoff snapshot: %w", err)
-	}
-	c.hook(moveStageSnapshot)
-	moved, err := c.shards[dst].srv.Absorb(&buf)
+	c.shards[hi].opMu.Unlock()
+	c.shards[lo].opMu.Unlock()
 	if err != nil {
-		unlock()
 		finish()
-		return fmt.Errorf("cluster: handoff absorb: %w", err)
+		return fmt.Errorf("cluster: handoff: %w", err)
 	}
-	c.hook(moveStageAbsorb)
-	// Apply the move op to the destination shard: it raises the
-	// destination's landmark epoch, and (once committed below) rides the
-	// follower op stream, so every copy of the new owner fences at the
-	// post-move epoch.
-	mv := op.MoveLandmark(lm, src, dst, newEpoch)
-	if _, err := c.shards[dst].applyOp(mv, true); err != nil {
-		unlock()
-		finish()
-		return fmt.Errorf("cluster: handoff epoch apply: %w", err)
-	}
-	c.shards[src].srv.DropLandmark(lm)
-	c.hook(moveStageDrop)
-	unlock()
 
 	c.mu.Lock()
 	c.table[lm] = dst
@@ -163,31 +136,20 @@ func (c *Cluster) MoveLandmark(lm topology.NodeID, dst int) error {
 	// in-memory only, so a crash anywhere earlier recovers the pre-move
 	// ownership from the last checkpoint plus WAL; a crash after it
 	// recovers the post-move ownership by replaying this op.
-	if err := c.commit(mv); err != nil {
+	if err := c.commit(op.MoveLandmark(lm, src, dst, newEpoch)); err != nil {
 		finish()
 		return fmt.Errorf("cluster: handoff commit: %w", err)
 	}
 	c.hook(moveStageCommit)
-
 	c.met.handoffs.Inc()
-	for _, p := range moved {
-		if c.idx.compareAndSwap(p, src, dst) {
-			continue
-		}
-		// The peer left or re-registered elsewhere in the brief window
-		// after the copy; the absorbed record is stale unless the re-join
-		// itself landed on the destination (then the live record, under
-		// its new landmark, wins and must not be touched).
-		c.shards[dst].reconcileMoved(p, lm, c.idx, dst)
-	}
 	finish()
 	return nil
 }
 
 // Snapshot serializes the whole cluster's durable state as one standard
-// server snapshot (restorable by server.Restore or absorbable by any
-// shard), byte-identical to the one a single server holding the same state
-// would write. It is consistent with respect to handoffs.
+// server snapshot (restorable by server.Restore), byte-identical to the one
+// a single server holding the same state would write. It is consistent
+// with respect to handoffs.
 func (c *Cluster) Snapshot(w io.Writer) error {
 	c.hoMu.Lock()
 	defer c.hoMu.Unlock()
@@ -207,11 +169,11 @@ func (c *Cluster) snapshotLocked(w io.Writer, placed bool) error {
 
 // replayMove re-applies a recovered KindMoveLandmark op: the recovery-path
 // twin of MoveLandmark. Replay is single-threaded (the cluster is not yet
-// serving), so no gates or buffering are needed — the tree copy, table
-// flip, epoch raise, and index repoint happen back to back. A checkpoint's
-// Move records (Src = Dst = owner) arrive here too, ahead of any join: the
-// destination is all that is read, so they place each still-empty tree on
-// its recorded owner, or only raise its epoch when it is already there.
+// serving), so no gates or buffering are needed — the handoff, table flip
+// and epoch raise happen back to back. A checkpoint's Move records (Src =
+// Dst = owner) arrive here too, ahead of any join: the destination is all
+// that is read, so they place each still-empty tree on its recorded owner,
+// or only raise its epoch when it is already there.
 func (c *Cluster) replayMove(o op.Op) error {
 	lm, dst := o.Move.Landmark, o.Move.Dst
 	if dst < 0 || dst >= len(c.shards) {
@@ -223,31 +185,18 @@ func (c *Cluster) replayMove(o op.Op) error {
 	if !ok {
 		return fmt.Errorf("cluster: recovered move of unknown landmark %d", lm)
 	}
-	mv := op.MoveLandmark(lm, src, dst, o.Move.Epoch)
 	if src == dst {
 		// The landmark is already where the op puts it (a checkpoint
 		// record, or a logged move the checkpoint already reflected); only
 		// the epoch may lag.
-		if _, err := c.shards[dst].applyOp(mv, true); err != nil {
+		if _, err := c.shards[dst].applyOp(op.MoveLandmark(lm, src, dst, o.Move.Epoch), true); err != nil {
 			return fmt.Errorf("cluster: recovered move epoch apply: %w", err)
 		}
 	} else {
-		var buf bytes.Buffer
-		if err := c.shards[src].srv.SnapshotLandmarks(&buf, lm); err != nil {
-			return fmt.Errorf("cluster: recovered move snapshot: %w", err)
+		if err := server.Handoff(c.shards[src].srv, c.shards[dst].srv, lm, o.Move.Epoch); err != nil {
+			return fmt.Errorf("cluster: recovered move: %w", err)
 		}
-		moved, err := c.shards[dst].srv.Absorb(&buf)
-		if err != nil {
-			return fmt.Errorf("cluster: recovered move absorb: %w", err)
-		}
-		if _, err := c.shards[dst].applyOp(mv, true); err != nil {
-			return fmt.Errorf("cluster: recovered move epoch apply: %w", err)
-		}
-		c.shards[src].srv.DropLandmark(lm)
 		c.table[lm] = dst
-		for _, p := range moved {
-			c.idx.swap(p, dst)
-		}
 	}
 	if o.Move.Epoch > c.epochs[lm] {
 		c.epochs[lm] = o.Move.Epoch

@@ -12,7 +12,6 @@ import (
 
 	"proxdisc/internal/pathtree"
 	"proxdisc/internal/server"
-	"proxdisc/internal/topology"
 )
 
 func TestMoveLandmarkValidation(t *testing.T) {
@@ -221,47 +220,5 @@ func TestClusterSnapshotRestorable(t *testing.T) {
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("lookup %d differs after restore", p)
 		}
-	}
-}
-
-func TestSnapshotLandmarkSubset(t *testing.T) {
-	// Direct coverage of the server-side handoff primitives.
-	s, err := server.New(server.Config{Landmarks: []topology.NodeID{0, 100}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		lm := topology.NodeID(0)
-		if i%2 == 1 {
-			lm = 100
-		}
-		if _, err := s.Join(pathtree.PeerID(i+1), synthPath(lm, i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var buf bytes.Buffer
-	if err := s.SnapshotLandmarks(&buf, 100); err != nil {
-		t.Fatal(err)
-	}
-	dst, err := server.New(server.Config{Landmarks: []topology.NodeID{200}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	moved, err := dst.Absorb(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(moved) != 5 {
-		t.Fatalf("absorbed %d peers want 5: %v", len(moved), moved)
-	}
-	dropped := s.DropLandmark(100)
-	if !reflect.DeepEqual(dropped, moved) {
-		t.Fatalf("dropped %v absorbed %v", dropped, moved)
-	}
-	if s.NumPeers() != 5 || dst.NumPeers() != 5 {
-		t.Fatalf("src=%d dst=%d", s.NumPeers(), dst.NumPeers())
-	}
-	if err := s.SnapshotLandmarks(&buf, 100); err == nil {
-		t.Fatal("snapshotted a dropped landmark")
 	}
 }

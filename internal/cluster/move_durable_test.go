@@ -83,9 +83,7 @@ func TestMoveLandmarkCrashAtEveryStage(t *testing.T) {
 		stage   moveStage
 		wantDst bool
 	}{
-		{"post-snapshot", moveStageSnapshot, false},
-		{"post-absorb", moveStageAbsorb, false},
-		{"post-drop", moveStageDrop, false},
+		{"post-handoff", moveStageHandoff, false},
 		{"post-table-flip", moveStageFlip, false},
 		{"post-commit", moveStageCommit, true},
 	}
@@ -245,7 +243,7 @@ func TestStaleEpochFencing(t *testing.T) {
 
 // TestMoveFreezeIsScopedToShardPair pins the satellite fix for the old
 // cluster-wide freeze: while a handoff between two shards is held open
-// mid-copy, writes routed to an uninvolved shard must complete. Under the
+// with both gates held, writes routed to an uninvolved shard must complete. Under the
 // old global opMu this deadlocks (the join waits on the frozen lock, the
 // test waits on the join, the move waits on the test).
 func TestMoveFreezeIsScopedToShardPair(t *testing.T) {
@@ -263,14 +261,14 @@ func TestMoveFreezeIsScopedToShardPair(t *testing.T) {
 	holdPoint := make(chan struct{})
 	release := make(chan struct{})
 	c.moveHook = func(s moveStage) {
-		if s == moveStageAbsorb {
+		if s == moveStageHandoff {
 			close(holdPoint)
 			<-release
 		}
 	}
 	moveDone := make(chan error, 1)
 	go func() { moveDone <- c.MoveLandmark(lm, dst) }()
-	<-holdPoint // the move is now frozen mid-copy, gates held on src+dst
+	<-holdPoint // the move is now frozen, gates held on src+dst
 
 	joined := make(chan error, 1)
 	go func() {

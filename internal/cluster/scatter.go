@@ -56,9 +56,10 @@ launch:
 	return firstErr
 }
 
-// FindPeer scatter-searches every shard for peer p — the multi-landmark
-// lookup used when the router's index cannot place a peer. The first shard
-// that knows the peer wins and cancels the remaining fan-out.
+// FindPeer scatter-searches every shard for peer p and reports which one
+// holds its record — a diagnostic: requests route by the peer index, which
+// places a peer without asking any shard. The first shard that knows the
+// peer wins and cancels the remaining fan-out.
 func (c *Cluster) FindPeer(ctx context.Context, p pathtree.PeerID) (server.PeerInfo, int, error) {
 	scatterCtx, cancel := context.WithCancel(ctx)
 	defer cancel()

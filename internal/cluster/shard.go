@@ -28,13 +28,13 @@ type opResult struct {
 type shard struct {
 	// opMu is the shard's operation gate: held in read mode across every
 	// table-routed mutation of this shard, and in write mode by the
-	// operations that must observe (and freeze) a quiescent shard — the
-	// copy phase of a landmark handoff touching this shard, and a
-	// cluster-wide expiry sweep. Scoping the gate to the shard keeps a
-	// handoff's freeze away from every uninvolved shard's write path; any
-	// code path that takes several shards' gates at once acquires them in
-	// ascending shard order, which is what makes the pairwise and
-	// cluster-wide freezes deadlock-free against each other.
+	// operations that must observe (and freeze) a quiescent shard — a
+	// landmark handoff to or from this shard, while the tree changes
+	// servers, and a cluster-wide expiry sweep. Scoping the gate to the
+	// shard keeps a handoff's freeze away from every uninvolved shard's
+	// write path; any code path that takes several shards' gates at once
+	// acquires them in ascending shard order, which is what makes the
+	// pairwise and cluster-wide freezes deadlock-free against each other.
 	opMu sync.RWMutex
 
 	srv *server.Server
@@ -45,21 +45,17 @@ type shard struct {
 	applies *telemetry.Counter
 }
 
-// newShard builds a shard over the given landmarks. A shard over zero
-// landmarks is legal: it is an elastic shard, which acquires landmarks
-// through rebalancing handoffs rather than assignment.
-func newShard(lms []topology.NodeID, cfg Config) (*shard, error) {
-	scfg := server.Config{
+// newShard builds a shard over the given landmarks, its server reading and
+// writing the node's one peer index. A shard over zero landmarks is legal:
+// it is an elastic shard, which acquires landmarks through rebalancing
+// handoffs rather than assignment.
+func newShard(lms []topology.NodeID, cfg Config, idx *server.Index) (*shard, error) {
+	srv, err := server.NewSharing(server.Config{
 		Landmarks:     lms,
 		NeighborCount: cfg.NeighborCount,
 		PeerTTL:       cfg.PeerTTL,
 		Clock:         cfg.Clock,
-	}
-	build := server.New
-	if len(lms) == 0 {
-		build = server.NewEmpty
-	}
-	srv, err := build(scfg)
+	}, idx)
 	if err != nil {
 		return nil, err
 	}
@@ -90,25 +86,4 @@ func (g *shard) applyOp(o op.Op, quiet bool) (opResult, error) {
 		err = g.srv.Apply(o)
 	}
 	return res, err
-}
-
-// leave removes a peer from the shard, reporting whether it was
-// registered. It is the shard's internal cleanup helper (stale-record
-// retirement after re-joins and handoffs) as well as the Leave body.
-func (g *shard) leave(p pathtree.PeerID) bool {
-	_, err := g.applyOp(op.Leave(p), false)
-	return err == nil
-}
-
-// reconcileMoved retires a handed-off record that went stale in the window
-// between the copy and the index update (the peer left or re-registered
-// elsewhere).
-func (g *shard) reconcileMoved(p pathtree.PeerID, lm topology.NodeID, idx *peerIndex, self int) {
-	info, err := g.srv.PeerInfo(p)
-	if err != nil || info.Landmark != lm {
-		return
-	}
-	if cur, ok := idx.get(p); !ok || cur != self {
-		g.leave(p)
-	}
 }

@@ -5,56 +5,11 @@ import (
 	"errors"
 	"sync"
 	"testing"
-	"time"
 
 	"proxdisc/internal/op"
 	"proxdisc/internal/pathtree"
 	"proxdisc/internal/server"
-	"proxdisc/internal/topology"
 )
-
-// join is a typed wrapper over the shard's single applyOp write path,
-// pre-stamped the way the cluster layer stamps live ops.
-func (g *shard) join(p pathtree.PeerID, path []topology.NodeID) ([]pathtree.Candidate, error) {
-	res, err := g.applyOp(op.Join(p, path, "", time.Now().UnixNano()), false)
-	return res.cands, err
-}
-
-// TestReconcileMoved covers the handoff reconciliation arms directly: a
-// stale absorbed record is retired, a record re-pointed at this shard by
-// the index survives, and a record under a different landmark is ignored.
-func TestReconcileMoved(t *testing.T) {
-	cfg := Config{Landmarks: []topology.NodeID{0, 100}}
-	g, err := newShard(cfg.Landmarks, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx := newPeerIndex()
-	if _, err := g.join(1, synthPath(0, 5)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.join(2, synthPath(100, 5)); err != nil {
-		t.Fatal(err)
-	}
-	// Peer 1: index says it lives on shard 3, not here (shard 0) — the
-	// absorbed record is stale and must be retired.
-	idx.swap(1, 3)
-	g.reconcileMoved(1, 0, idx, 0)
-	if g.srv.NumPeers() != 1 {
-		t.Fatal("stale record not retired")
-	}
-	// Peer 2 under landmark 0? Registered under 100: ignored.
-	g.reconcileMoved(2, 0, idx, 0)
-	if g.srv.NumPeers() != 1 {
-		t.Fatal("record under another landmark was retired")
-	}
-	// Peer 2 with the index pointing here: the live record wins.
-	idx.swap(2, 0)
-	g.reconcileMoved(2, 100, idx, 0)
-	if g.srv.NumPeers() != 1 {
-		t.Fatal("live record was retired")
-	}
-}
 
 // TestSetSuperPeerPropagates flags a peer through the cluster API: the
 // flag lands on the shard holding the peer, and an unknown peer is refused.

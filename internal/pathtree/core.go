@@ -184,6 +184,16 @@ func (c *Core) Len() int { return int(c.nodes.at(root).subtreeCount) }
 // fields that are its own. The pointer is good until the slot is removed.
 func (c *Core) Record(slot int32) *Record { return c.recs.at(slot) }
 
+// Holds reports whether slot is the live record of peer p: the check for a
+// caller whose slot number may have outlived the record it named.
+func (c *Core) Holds(slot int32, p PeerID) bool {
+	if slot < 0 || slot >= c.recs.carved {
+		return false
+	}
+	rec := c.recs.at(slot)
+	return rec.node != none && rec.ID == p
+}
+
 // Records iterates over every resident peer's slot and record, in slot
 // order. The loop body may Remove the slot it was handed.
 func (c *Core) Records() iter.Seq2[int32, *Record] {

@@ -31,14 +31,13 @@ func fuzzSeedSnapshot(tb testing.TB, ops ...op.Op) []byte {
 	return buf.Bytes()
 }
 
-// FuzzAbsorb feeds arbitrary bytes to the snapshot reader behind Absorb —
-// op.ReadStream's framing plus op.DecodeInto, the surface a shard handoff,
-// a checkpoint load and a follower catch-up trust — and, whenever the
-// input reads as a valid snapshot, checks the absorb/re-snapshot round
-// trip: absorbing the server's own snapshot into a fresh server must
-// reproduce the identical peer set, paths included, and absorbing it twice
-// must change nothing (idempotence under the live-record-wins rule).
-func FuzzAbsorb(f *testing.F) {
+// FuzzResetFromSnapshot feeds arbitrary bytes to the snapshot reader —
+// op.ReadStream's framing plus op.DecodeInto, the surface a checkpoint load
+// and a follower catch-up trust — and, whenever the input reads as a valid
+// snapshot, checks the restore/re-snapshot round trip: restoring the
+// server's own snapshot into a fresh server must reproduce the identical
+// peer set, paths included, and write the identical bytes again.
+func FuzzResetFromSnapshot(f *testing.F) {
 	f.Add(fuzzSeedSnapshot(f,
 		op.Join(1, []topology.NodeID{10, 11, 0}, "", 1),
 		op.Join(2, []topology.NodeID{12, 11, 0}, "", 2),
@@ -57,38 +56,39 @@ func FuzzAbsorb(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		absorbed, err := dst.Absorb(bytes.NewReader(data))
-		if err != nil {
-			return // rejected input: must only never panic or corrupt
-		}
-		if len(absorbed) > dst.NumPeers() {
-			t.Fatalf("absorbed %d peers but server holds %d", len(absorbed), dst.NumPeers())
-		}
-		// Round trip: a re-snapshot of the merged server must absorb into a
-		// fresh server and reproduce the same records.
-		var buf bytes.Buffer
-		if err := dst.Snapshot(&buf); err != nil {
-			t.Fatalf("re-snapshot of absorbed state: %v", err)
-		}
-		clone, err := New(Config{Landmarks: []topology.NodeID{9999}})
-		if err != nil {
+		if _, err := dst.Join(77, []topology.NodeID{5, 9999}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := clone.Absorb(bytes.NewReader(buf.Bytes())); err != nil {
-			t.Fatalf("round-trip absorb: %v", err)
+		if err := dst.ResetFromSnapshot(bytes.NewReader(data)); err != nil {
+			// Rejected input: must never panic, and must change nothing.
+			if dst.NumPeers() != 1 {
+				t.Fatalf("a refused snapshot left %d peers, want the 1 there was", dst.NumPeers())
+			}
+			return
+		}
+		if err := dst.checkState(); err != nil {
+			t.Fatal(err)
+		}
+		// Round trip: a re-snapshot of the restored server must restore into
+		// a fresh server, reproduce the same records and write the same bytes.
+		var buf, again bytes.Buffer
+		if err := dst.Snapshot(&buf); err != nil {
+			t.Fatalf("re-snapshot of restored state: %v", err)
+		}
+		clone, err := Restore(bytes.NewReader(buf.Bytes()), Config{})
+		if err != nil {
+			t.Fatalf("round-trip restore: %v", err)
 		}
 		if !reflect.DeepEqual(peersWithPaths(t, dst), peersWithPaths(t, clone)) {
 			t.Fatal("round-trip changed the peer records")
 		}
-		for _, lm := range dst.Landmarks() {
+		for _, lm := range clone.Landmarks() {
 			if dst.Epoch(lm) != clone.Epoch(lm) {
 				t.Fatalf("round-trip changed landmark %d's epoch: %d vs %d", lm, dst.Epoch(lm), clone.Epoch(lm))
 			}
 		}
-		// Idempotence: absorbing the same snapshot again is a no-op.
-		again, err := dst.Absorb(bytes.NewReader(data))
-		if err == nil && len(again) != 0 {
-			t.Fatalf("re-absorb inserted %d duplicate peers", len(again))
+		if err := clone.Snapshot(&again); err != nil || !bytes.Equal(buf.Bytes(), again.Bytes()) {
+			t.Fatalf("round-trip changed the snapshot's bytes (err %v)", err)
 		}
 	})
 }

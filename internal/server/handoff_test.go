@@ -1,0 +1,151 @@
+package server
+
+import (
+	"errors"
+	"testing"
+
+	"proxdisc/internal/op"
+	"proxdisc/internal/pathtree"
+	"proxdisc/internal/topology"
+)
+
+// sharingPair builds two servers on one index, the first holding landmark 0
+// and the second landmark 100.
+func sharingPair(t *testing.T) (a, b *Server) {
+	t.Helper()
+	idx := NewIndex()
+	a, err := NewSharing(Config{Landmarks: []topology.NodeID{0}}, idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, err = NewSharing(Config{Landmarks: []topology.NodeID{100}}, idx); err != nil {
+		t.Fatal(err)
+	}
+	return a, b
+}
+
+// TestRetireRule walks the arms of the rule by which an orphan goes: remove
+// iff the slot is live, its ID is the peer, and the index no longer says
+// this place. A retirement that arrives late — after the slot was freed,
+// recycled for another peer, or recycled for the same peer re-registered
+// where it was — must leave the live record alone.
+func TestRetireRule(t *testing.T) {
+	a, b := sharingPair(t)
+	here, there := []topology.NodeID{7, 0}, []topology.NodeID{8, 100}
+	join := func(s *Server, p pathtree.PeerID, path []topology.NodeID) {
+		t.Helper()
+		if _, err := s.Join(p, path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	one := func(s *Server) Orphan {
+		t.Helper()
+		os := s.TakeOrphans()
+		if len(os) != 1 || os[0].Peer != 1 || s.TakeOrphans() != nil {
+			t.Fatalf("orphans %+v, want one of peer 1, handed out once", os)
+		}
+		return os[0]
+	}
+	join(a, 1, here)
+	if a.TakeOrphans() != nil {
+		t.Fatal("a first join orphaned something")
+	}
+	join(b, 1, there) // re-homes peer 1 and orphans its record on a
+	late := one(b)
+	if late.Landmark != 0 || a.NumPeers() != 1 || b.NumPeers() != 1 {
+		t.Fatalf("orphan %+v with %d and %d records", late, a.NumPeers(), b.NumPeers())
+	}
+	if _, err := a.Lookup(1); !errors.Is(err, ErrUnknownPeer) {
+		t.Fatalf("the old holder still answers for a re-homed peer: %v", err)
+	}
+	if b.Retire(late) {
+		t.Fatal("retired on a server that does not hold the orphan's landmark")
+	}
+	if !a.Retire(late) || a.NumPeers() != 0 {
+		t.Fatal("a live orphan was not retired")
+	}
+	if a.Retire(late) {
+		t.Fatal("retired a free slot")
+	}
+	join(a, 2, here) // recycles the slot for another peer
+	if a.Retire(late) || a.NumPeers() != 1 {
+		t.Fatal("retired another peer's record")
+	}
+	if !a.Leave(2) {
+		t.Fatal("peer 2 not registered")
+	}
+	join(a, 1, here) // and now for peer 1 itself, re-registered where it was
+	back := one(a)
+	if a.Retire(late) || a.NumPeers() != 1 {
+		t.Fatal("retired the live record of a peer re-registered in place")
+	}
+	if !b.Retire(back) || b.NumPeers() != 0 {
+		t.Fatal("the record the second re-homing left behind was not retired")
+	}
+	if err := a.checkState(b); err != nil {
+		t.Fatal(err)
+	}
+	if info, err := a.PeerInfo(1); err != nil || info.Landmark != 0 {
+		t.Fatalf("peer 1 after it all: %+v, %v", info, err)
+	}
+}
+
+// TestHandoff: a tree changes servers whole — records, epoch and all — with
+// no index entry rewritten, and only between two servers on one index, from
+// one that holds the landmark to one that does not.
+func TestHandoff(t *testing.T) {
+	a, b := sharingPair(t)
+	for i := 1; i <= 10; i++ {
+		if _, err := a.Join(pathtree.PeerID(i), []topology.NodeID{topology.NodeID(10 + i%3), 5, 0}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := a.Lookup(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lone, err := New(Config{Landmarks: []topology.NodeID{200}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, err := range map[string]error{
+		"to itself":              Handoff(a, a, 0, 1),
+		"across indexes":         Handoff(a, lone, 0, 1),
+		"of a landmark not held": Handoff(a, b, 100, 1),
+	} {
+		if err == nil {
+			t.Fatalf("handoff %s went through", name)
+		}
+	}
+	lm, slot, _ := a.st.idx.Place(3)
+	if err := Handoff(a, b, 0, 4); err != nil {
+		t.Fatal(err)
+	}
+	if a.NumPeers() != 0 || b.NumPeers() != 10 || a.Epoch(0) != 0 || b.Epoch(0) != 4 || len(a.Landmarks()) != 0 {
+		t.Fatalf("after the handoff: %d and %d peers, epochs %d and %d, source holds %v",
+			a.NumPeers(), b.NumPeers(), a.Epoch(0), b.Epoch(0), a.Landmarks())
+	}
+	if l, s, ok := b.st.idx.Place(3); !ok || l != lm || s != slot {
+		t.Fatalf("the handoff rewrote an index entry: %d/%d, was %d/%d", l, s, lm, slot)
+	}
+	if _, err := a.Lookup(3); !errors.Is(err, ErrUnknownPeer) {
+		t.Fatalf("the source still answers: %v", err)
+	}
+	if got, err := b.Lookup(3); err != nil || len(got) != len(want) || got[0] != want[0] {
+		t.Fatalf("the destination answers %v, %v; the source answered %v", got, err, want)
+	}
+	if err := a.checkState(b); err != nil {
+		t.Fatal(err)
+	}
+	if err := Handoff(a, b, 0, 5); err == nil {
+		t.Fatal("handed the same tree over twice")
+	}
+	// A move op applied to a server that does not hold the landmark leaves
+	// it an empty tree to record the fence on; nothing may be handed onto it.
+	if err := a.Apply(op.MoveLandmark(0, 1, 0, 5)); err != nil {
+		t.Fatal(err)
+	}
+	if err := Handoff(b, a, 0, 6); err == nil || b.NumPeers() != 10 {
+		t.Fatalf("handed a tree onto a server that holds one for the landmark: %v", err)
+	}
+}

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"cmp"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -17,26 +18,33 @@ import (
 	"proxdisc/internal/topology"
 )
 
-// checkState runs the trie invariant checker over every tree and checks the
-// peer map against the trees: every resident record is the one its peer's
-// ref names, and nothing else is mapped.
-func (s *Server) checkState() error {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
+// checkState checks s, and with it the servers that share its index: every
+// tree passes the trie invariant checker; every resident record is the one
+// its peer's index entry names, so no peer is in two trees; and the index
+// holds nothing else, so every entry names a live record of its peer in a
+// tree one of them holds.
+func (s *Server) checkState(sharing ...*Server) error {
 	resident := 0
-	for lm, tree := range s.st.trees {
-		if err := tree.CheckInvariants(); err != nil {
-			return fmt.Errorf("landmark %d: %w", lm, err)
+	for _, srv := range append(sharing, s) {
+		srv.wmu.Lock()
+		defer srv.wmu.Unlock()
+		if srv.st.idx != s.st.idx {
+			return fmt.Errorf("a server that does not share the index")
 		}
-		for slot, rec := range tree.Records() {
-			if r, ok := s.st.peers[rec.ID]; !ok || r != (ref{lm, slot}) {
-				return fmt.Errorf("peer %d resident at %d/%d but mapped to %v (%v)", rec.ID, lm, slot, r, ok)
+		for lm, tree := range srv.st.trees {
+			if err := tree.CheckInvariants(); err != nil {
+				return fmt.Errorf("landmark %d: %w", lm, err)
 			}
-			resident++
+			for slot, rec := range tree.Records() {
+				if r, ok := srv.st.idx.get(rec.ID); !ok || r != (ref{lm, slot}) {
+					return fmt.Errorf("peer %d resident at %d/%d but indexed at %v (%v)", rec.ID, lm, slot, r, ok)
+				}
+				resident++
+			}
 		}
 	}
-	if mapped := len(s.st.peers); resident != mapped {
-		return fmt.Errorf("%d records resident, %d peers mapped", resident, mapped)
+	if indexed := s.st.idx.Len(); resident != indexed {
+		return fmt.Errorf("%d records resident, %d peers indexed", resident, indexed)
 	}
 	return nil
 }
@@ -106,11 +114,13 @@ func modelPath(rng *rand.Rand, lm topology.NodeID) []topology.NodeID {
 
 // TestStateMachineMatchesModel drives a server through seeded random steps —
 // join, re-join under another path or another landmark, batch join with bad
-// entries, leave, refresh, super-peer flag, expiry, DropLandmark, Absorb,
-// ResetFromSnapshot — and after every step requires: every tree passes
-// CheckInvariants (counters, chains, the three pools' accounting) and agrees
-// with the peer map; every peer's PeerInfo, path included, is what was last
-// reported; and Lookup equals the brute-force answer.
+// entries, leave, refresh, super-peer flag, expiry, Handoff of a landmark to
+// a second server on the same index and back (with the orphans that re-joins
+// leave over there retired), ResetFromSnapshot — and after every step
+// requires: every tree passes CheckInvariants (counters, chains, the three
+// pools' accounting) and agrees with the index; every peer's PeerInfo, path
+// included, is what was last reported; and Lookup equals the brute-force
+// answer.
 func TestStateMachineMatchesModel(t *testing.T) {
 	lms := []topology.NodeID{0, 1, 2}
 	for seed := int64(1); seed <= 4; seed++ {
@@ -124,16 +134,47 @@ func TestStateMachineMatchesModel(t *testing.T) {
 			t.Fatal(err)
 		}
 		m := &model{peers: map[pathtree.PeerID]modelPeer{}, lms: map[topology.NodeID]bool{0: true, 1: true, 2: true}}
-		var saved []byte // a whole-state snapshot taken at some earlier step…
+		var saved []byte // a whole-state snapshot taken at some earlier step
 		var savedModel *model
-		var dropped []byte // …and the snapshot of a landmark since dropped
-		var droppedModel map[pathtree.PeerID]modelPeer
+		// away holds the landmarks handed to it, on s's index; awayModel is
+		// what the model knows of the peers that went with them. s no longer
+		// knows those peers, and nothing expires them over there.
+		var away *Server
+		var awayModel map[pathtree.PeerID]modelPeer
+		var epoch uint64
+		newAway := func() {
+			if away, err = NewSharing(Config{}, s.st.idx); err != nil {
+				t.Fatal(err)
+			}
+			awayModel = map[pathtree.PeerID]modelPeer{}
+		}
+		newAway()
 
 		join := func(p pathtree.PeerID) op.JoinEntry {
 			return op.JoinEntry{Peer: p, Path: modelPath(rng, lms[rng.Intn(len(lms))]), Addr: fmt.Sprintf("a%d.%d", p, rng.Intn(3))}
 		}
+		// registered records an accepted join; settle, after the op it came
+		// in, checks that the joins of peers that were away — and no others —
+		// orphaned their records there, and retires them the way a cluster
+		// would.
+		rehomed := map[pathtree.PeerID]bool{}
 		registered := func(e op.JoinEntry) {
 			m.peers[e.Peer] = modelPeer{path: e.Path, addr: e.Addr, refresh: now}
+			if _, wasAway := awayModel[e.Peer]; wasAway {
+				rehomed[e.Peer] = true
+				delete(awayModel, e.Peer)
+			}
+		}
+		settle := func() {
+			for _, o := range s.TakeOrphans() {
+				if !rehomed[o.Peer] || !away.Retire(o) || away.Retire(o) {
+					t.Fatalf("seed %d: orphan %+v: re-homed=%v, or not retired exactly once", seed, o, rehomed[o.Peer])
+				}
+				delete(rehomed, o.Peer)
+			}
+			if len(rehomed) != 0 {
+				t.Fatalf("seed %d: joins of %v left no orphan", seed, rehomed)
+			}
 		}
 		for step := 0; step < 400; step++ {
 			now += int64(1 + rng.Intn(3))
@@ -157,6 +198,7 @@ func TestStateMachineMatchesModel(t *testing.T) {
 						t.Fatalf("seed %d step %d %s:\ngot  %v\nwant %v", seed, step, desc, got, want)
 					}
 					registered(e)
+					settle()
 				}
 			case r < 50: // a batch: good entries, a repeated peer, and two bad ones
 				es := []op.JoinEntry{join(p), join(p + 1), {Peer: p + 2, Path: []topology.NodeID{7, 7, 0}}, join(p), {Peer: p + 3}}
@@ -170,6 +212,7 @@ func TestStateMachineMatchesModel(t *testing.T) {
 						registered(es[i])
 					}
 				}
+				settle()
 			case r < 62:
 				desc = fmt.Sprintf("leave %d", p)
 				_, known := m.peers[p]
@@ -211,53 +254,44 @@ func TestStateMachineMatchesModel(t *testing.T) {
 				if got := s.Expire(); !slices.Equal(got, want) {
 					t.Fatalf("seed %d step %d expire: got %v want %v", seed, step, got, want)
 				}
-			case r < 90: // hand a landmark away, keeping its snapshot
+			case r < 90: // hand a landmark away
 				lm := lms[rng.Intn(len(lms))]
-				desc = fmt.Sprintf("drop %d", lm)
+				desc = fmt.Sprintf("hand %d away", lm)
 				if !m.lms[lm] {
 					break
 				}
-				var buf bytes.Buffer
-				if err := s.SnapshotLandmarks(&buf, lm); err != nil {
+				epoch++
+				if err := Handoff(s, away, lm, epoch); err != nil {
 					t.Fatal(err)
 				}
-				dropped, droppedModel = buf.Bytes(), map[pathtree.PeerID]modelPeer{}
-				var want []pathtree.PeerID
 				for q, mq := range m.peers {
 					if landmarkOf(mq.path) == lm {
-						droppedModel[q] = mq
-						want = append(want, q)
+						awayModel[q] = mq
 						delete(m.peers, q)
 					}
 				}
-				slices.Sort(want)
 				delete(m.lms, lm)
-				if got := s.DropLandmark(lm); !slices.Equal(got, want) {
-					t.Fatalf("seed %d step %d %s: got %v want %v", seed, step, desc, got, want)
-				}
-			case r < 94: // take it back: a live record beats the snapshot's
-				desc = "absorb"
-				if dropped == nil {
+			case r < 94: // take one back, with every peer still under it
+				desc = "take back"
+				held := away.Landmarks()
+				if len(held) == 0 {
 					break
 				}
-				var want []pathtree.PeerID
-				for q, mq := range droppedModel {
-					m.lms[landmarkOf(mq.path)] = true
-					if _, live := m.peers[q]; !live {
+				lm := held[rng.Intn(len(held))]
+				epoch++
+				if err := Handoff(away, s, lm, epoch); err != nil {
+					t.Fatal(err)
+				}
+				if s.Epoch(lm) != epoch || away.Epoch(lm) != 0 {
+					t.Fatalf("seed %d step %d: epoch %d here, %d there, want %d and 0", seed, step, s.Epoch(lm), away.Epoch(lm), epoch)
+				}
+				for q, mq := range awayModel {
+					if landmarkOf(mq.path) == lm {
 						m.peers[q] = mq
-						want = append(want, q)
+						delete(awayModel, q)
 					}
 				}
-				slices.Sort(want)
-				got, err := s.Absorb(bytes.NewReader(dropped))
-				if err != nil || !slices.Equal(got, want) {
-					t.Fatalf("seed %d step %d absorb: got %v, %v want %v", seed, step, got, err, want)
-				}
-				// The snapshot names its landmark even when it held no peer.
-				for _, lm := range s.Landmarks() {
-					m.lms[lm] = true
-				}
-				dropped = nil
+				m.lms[lm] = true
 			case r < 97:
 				desc = "save"
 				var buf bytes.Buffer
@@ -277,13 +311,22 @@ func TestStateMachineMatchesModel(t *testing.T) {
 				for _, lm := range lms { // the configured set comes back with a reset
 					m.lms[lm] = true
 				}
+				newAway() // and the index is a new one: what was away is gone
 			}
 
-			if err := s.checkState(); err != nil {
+			if err := s.checkState(away); err != nil {
 				t.Fatalf("seed %d step %d %s: %v", seed, step, desc, err)
 			}
 			if s.NumPeers() != len(m.peers) {
 				t.Fatalf("seed %d step %d %s: %d peers, model holds %d", seed, step, desc, s.NumPeers(), len(m.peers))
+			}
+			if away.NumPeers() != len(awayModel) {
+				t.Fatalf("seed %d step %d %s: %d peers away, model holds %d", seed, step, desc, away.NumPeers(), len(awayModel))
+			}
+			for q := range awayModel { // a peer that is away is not known here
+				if _, err := s.Lookup(q); !errors.Is(err, ErrUnknownPeer) {
+					t.Fatalf("seed %d step %d %s: Lookup(%d) of a peer that is away: %v", seed, step, desc, q, err)
+				}
 			}
 			for q, mq := range m.peers {
 				want := PeerInfo{ID: q, Landmark: landmarkOf(mq.path), Path: mq.path, Addr: mq.addr,

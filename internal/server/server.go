@@ -18,41 +18,67 @@
 // ID, refresh time in nanoseconds, address, super-peer flag. The record is
 // all that is stored of a peer. Its path is not: it is the chain of routers
 // from the record's node up to the landmark, and PeerInfo and snapshots
-// rebuild it from there. Beside the trees the state holds one map, from
+// rebuild it from there. Beside the trees there is one map, the Index, from
 // peer ID to (landmark, slot), which is how every peer-keyed request finds
-// the record. Measured with 50 000 loadgen.TreePath peers carrying addresses
-// over four landmarks (TestResidentBytesPerPeer), a peer costs
+// the record. A lone server owns its index; the servers of a cluster share
+// one, so a node holds one entry per peer however many shards it runs — the
+// entry names a landmark, not a server, and the cluster routes by it too.
+// Measured with 50 000 loadgen.TreePath peers carrying addresses over four
+// landmarks (TestResidentBytesPerPeer here, TestNodeResidentBytesPerPeer
+// for a 4-shard cluster: the same number), a peer costs
 //
 //	peer records      48 B/peer   one 48-byte slot each
 //	trie nodes        44 B/peer   32-byte slots, 1.37 routers per peer
 //	child runs        11 B/peer   8-byte {router, node} pairs
-//	peers map         29 B/peer   int64 → {int32, int32}, no pointers
+//	peer index        29 B/peer   int64 → {int32, int32}, no pointers, 64 stripes
 //	chunk slack        1 B/peer   at most one chunk per pool per tree
 //	                 133 B/peer
 //
 // plus the address string's bytes. There is one copy of all of it. Of those
 // pools only the records hold a pointer (the address), so a collection marks
-// one object per 256 peers instead of several per peer.
+// one object per 256 peers instead of several per peer. (A Go map slot is
+// key and value padded to 16 bytes, so a thinner value — a shard number in a
+// byte — would cost the same 27 B an entry; the saving is in having one map.)
 //
-// # Concurrency: two locks
+// # Concurrency: two locks and a leaf
 //
 // The writer mutex (wmu) serialises mutators: every op is applied once, by
 // one goroutine at a time, in the order they won the mutex. Every whole-state
-// walk holds it too — collect (Snapshot, SnapshotLandmarks, WriteSnapshot),
-// Stats, Peers, and the scans by which an expiry sweep and DropLandmark find
-// their peers. A walk is a writer that does not write: holding wmu it reads
-// the state with no other lock, writers queue behind it, and lookups do not
-// notice it.
+// walk holds it too — collect (Snapshot, WriteSnapshot), Stats, Peers, and
+// the scan by which an expiry sweep finds its peers. A walk is a writer that
+// does not write: holding wmu it reads the state with no other lock, writers
+// queue behind it, and lookups do not notice it.
 //
 // The state lock (mu, an RWMutex) is what lookups take. Lookup, PeerInfo,
 // NumPeers, Epoch and Landmarks read-hold it. A writer, wmu already held,
 // takes it exclusively around one single mutation and nothing else: one
 // state.join per entry of a batch (the answer is copied out after the
-// release), one Remove per expired peer, one map delete per peer of a dropped
-// landmark, one insert per absorbed peer, one assignment for
+// release), one Remove per expired peer or retired orphan, one assignment for
 // ResetFromSnapshot, whose new state is built before either lock is taken.
 // So the order is wmu → mu, a reader waits for at most the one mutation in
-// progress, and a writer for the lookups in flight when it asks.
+// progress, and a writer for the lookups in flight when it asks. Handoff, the
+// one operation on two servers, takes both their wmu, then both their mu,
+// source first; callers run one handoff at a time.
+//
+// An index stripe's lock is a leaf: wmu → mu → stripe, nothing taken under
+// it. The rules that make one index safe for several servers:
+//
+//   - An entry that names a tree is written, and deleted, only by the server
+//     that holds the tree, under its exclusive mu hold — so under any hold of
+//     mu, an entry naming a tree held here names a live record of that peer.
+//   - The exception is a join on another server, which overwrites the entry
+//     to name its own tree, any time. The record the old entry named is now
+//     an orphan. The joining server reports it (TakeOrphans); whoever routes
+//     between the servers has its tree's holder retire it (Retire), by
+//     (landmark, slot), under the rule: remove iff the slot is live, its ID
+//     is the peer, and the index no longer says this place. Until then the
+//     orphan still shows in its old neighbours' answers, as a peer that left
+//     without saying so would.
+//   - A reader that finds an entry naming a tree it does not hold answers
+//     ErrUnknownPeer, and the router, which reads the same entry, asks the
+//     landmark's owner instead.
+//   - Handoff rewrites no entry: (landmark, slot) is as true on the new
+//     holder as on the old.
 //
 // The hold is per entry, not per batch, because that — not a second copy of
 // the state — is what keeps lookups off the writers' path. This package
@@ -100,6 +126,10 @@ var ErrUnknownLandmark = errors.New("server: path does not end at a registered l
 
 // ErrUnknownPeer is returned by lookups for absent peers.
 var ErrUnknownPeer = errors.New("server: unknown peer")
+
+// noRef is the ref of no record: no path holds an anonymous router, so no
+// tree is rooted at one.
+var noRef = ref{lm: topology.InvalidNode}
 
 // ErrStaleEpoch rejects a write fenced at an out-of-date landmark epoch:
 // the landmark moved between shards after the writer resolved its owner,
@@ -158,26 +188,19 @@ type Stats struct {
 	TreeStats map[topology.NodeID]pathtree.Stats
 }
 
-// state is the server's mutable state: the trees, the peer map and the
+// state is the server's mutable state: the trees, the peer index and the
 // epochs. A server holds one, and ResetFromSnapshot replaces it whole.
 type state struct {
 	trees map[topology.NodeID]*pathtree.Core
-	// peers says where each registered peer's record lives. It is the one
-	// per-peer map the server holds, and it holds no pointers, so the
-	// collector never scans it.
-	peers map[pathtree.PeerID]ref
+	// idx says where each registered peer's record lives: the server's own,
+	// or the one it shares with the other servers of its node, in which case
+	// it also holds entries that name trees held by them.
+	idx *Index
 	// epochs holds each landmark's fencing epoch. Only landmarks that have
 	// moved at least once have an entry; absence means epoch zero. The
 	// epoch is durable state: it rides in KindMoveLandmark ops, in the log
 	// and in snapshots alike, so every copy agrees on who owns a landmark.
 	epochs map[topology.NodeID]uint64
-}
-
-// ref locates a peer's record: the landmark whose tree holds it and the slot
-// within that tree.
-type ref struct {
-	lm   topology.NodeID
-	slot int32
 }
 
 // Server is the management server. It is safe for concurrent use.
@@ -202,7 +225,25 @@ type Server struct {
 	// wmu held and mu not. Tests park a walk in it; nothing else sets it.
 	walkHook func()
 
+	// orphans holds what joins here have orphaned and TakeOrphans has not yet
+	// handed out; orphaned says there are some, so that asking costs the
+	// usual join, which orphans nothing, one atomic load.
+	orphanMu sync.Mutex
+	orphans  []Orphan
+	orphaned atomic.Bool
+
 	joins, leaves, expiries, queries, delegations atomic.Int64
+}
+
+// Orphan names a record that a join on this server left without an index
+// entry, in a tree this server does not hold: the peer was registered under a
+// landmark held by another server that shares the index, and the join
+// re-pointed its entry here. Whoever routes between the servers retires the
+// record on the holder of Landmark (Retire).
+type Orphan struct {
+	Peer     pathtree.PeerID
+	Landmark topology.NodeID
+	slot     int32
 }
 
 // New builds a server for the given landmark set.
@@ -210,21 +251,29 @@ func New(cfg Config) (*Server, error) {
 	if len(cfg.Landmarks) == 0 {
 		return nil, errors.New("server: at least one landmark required")
 	}
-	return newServer(cfg)
+	return newServer(cfg, NewIndex())
 }
 
-// NewEmpty builds a server with no landmark trees: the seed state of a
-// freshly added cluster shard, which acquires landmarks through handoff
-// (Absorb + KindMoveLandmark) rather than configuration.
+// NewEmpty builds a server with no landmark trees: what Restore starts
+// from, since a snapshot supplies its own landmarks.
 func NewEmpty(cfg Config) (*Server, error) {
 	cfg.Landmarks = nil
-	return newServer(cfg)
+	return newServer(cfg, NewIndex())
 }
 
-func newState(cfg *Config) (state, error) {
+// NewSharing builds a server that reads and writes idx instead of an index
+// of its own: one shard of a cluster, which hands the same index to all of
+// them. cfg.Landmarks may be empty — an elastic shard acquires its landmarks
+// through Handoff. Such a server is never reset from a snapshot, which
+// would leave it with a private index again.
+func NewSharing(cfg Config, idx *Index) (*Server, error) {
+	return newServer(cfg, idx)
+}
+
+func newState(cfg *Config, idx *Index) (state, error) {
 	st := state{
 		trees:  make(map[topology.NodeID]*pathtree.Core, len(cfg.Landmarks)),
-		peers:  make(map[pathtree.PeerID]ref),
+		idx:    idx,
 		epochs: make(map[topology.NodeID]uint64),
 	}
 	for _, lm := range cfg.Landmarks {
@@ -236,7 +285,7 @@ func newState(cfg *Config) (state, error) {
 	return st, nil
 }
 
-func newServer(cfg Config) (*Server, error) {
+func newServer(cfg Config, idx *Index) (*Server, error) {
 	if cfg.NeighborCount == 0 {
 		cfg.NeighborCount = DefaultNeighborCount
 	}
@@ -248,7 +297,7 @@ func newServer(cfg Config) (*Server, error) {
 	}
 	s := &Server{cfg: cfg}
 	var err error
-	if s.st, err = newState(&s.cfg); err != nil {
+	if s.st, err = newState(&s.cfg, idx); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -264,8 +313,8 @@ func (s *Server) walking() {
 }
 
 // Landmarks returns the registered landmark routers in ascending order.
-// The tree set is mutable at runtime (Absorb, DropLandmark), so the read
-// needs the state lock.
+// The tree set is mutable at runtime (Handoff), so the read needs the state
+// lock.
 func (s *Server) Landmarks() []topology.NodeID {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -371,12 +420,14 @@ func validEntries(batch []op.JoinEntry) []op.JoinEntry {
 func (st *state) apply(o op.Op) error {
 	switch o.Kind {
 	case op.KindLeave:
-		r, ok := st.peers[o.Peer]
-		if !ok {
-			return fmt.Errorf("%w: %d", ErrUnknownPeer, o.Peer)
+		tree, r, err := st.find(o.Peer)
+		if err != nil {
+			return err
 		}
-		st.trees[r.lm].Remove(r.slot)
-		delete(st.peers, o.Peer)
+		tree.Remove(r.slot)
+		// The entry stays if another server's join has just re-pointed it:
+		// what was removed is then the record that join orphaned.
+		st.idx.deleteIf(o.Peer, r)
 		return nil
 	case op.KindRefresh:
 		rec, err := st.record(o.Peer)
@@ -393,13 +444,11 @@ func (st *state) apply(o op.Op) error {
 		rec.Super = o.Super
 		return nil
 	case op.KindMoveLandmark:
-		// A server applies the epoch half of a handoff: the peer transfer
-		// itself travels as a snapshot (Absorb on the destination,
-		// DropLandmark on the source). A follower's flat copy holds every
-		// landmark, so for it the move IS just the epoch bump; the
-		// destination shard sees the op after absorbing the tree. The tree
-		// is created if absent so a copy that never held the landmark still
-		// records its fence.
+		// A server applies the epoch half of a handoff; between the shards
+		// of a cluster the tree itself changes hands through Handoff. A
+		// follower's flat copy holds every landmark, so for it the move IS
+		// just the epoch bump. The tree is created if absent so a copy that
+		// never held the landmark still records its fence.
 		lm := o.Move.Landmark
 		if _, ok := st.trees[lm]; !ok {
 			st.trees[lm] = pathtree.NewCore(lm)
@@ -446,8 +495,14 @@ func (s *Server) JoinOp(o op.Op) ([]pathtree.Candidate, error) {
 // the join came in.
 func (s *Server) register(e *op.JoinEntry, timeNanos int64, k int) ([]pathtree.Candidate, error) {
 	s.mu.Lock()
-	tree, _, hits, err := s.st.join(e, timeNanos, k, &s.wsc)
+	tree, _, hits, orphan, err := s.st.join(e, timeNanos, k, &s.wsc)
 	s.mu.Unlock()
+	if orphan != noRef {
+		s.orphanMu.Lock()
+		s.orphans = append(s.orphans, Orphan{e.Peer, orphan.lm, orphan.slot})
+		s.orphaned.Store(true)
+		s.orphanMu.Unlock()
+	}
 	if err != nil || k == 0 {
 		return nil, err
 	}
@@ -455,13 +510,26 @@ func (s *Server) register(e *op.JoinEntry, timeNanos int64, k int) ([]pathtree.C
 	return cands, nil
 }
 
+// find returns the tree and place of peer p's record. A peer whose entry
+// names a tree not held here is unknown to this server: the record is on
+// another server that shares the index, and whoever routes between them
+// reads the entry's landmark and asks that one.
+func (st *state) find(p pathtree.PeerID) (*pathtree.Core, ref, error) {
+	if r, ok := st.idx.get(p); ok {
+		if tree := st.trees[r.lm]; tree != nil {
+			return tree, r, nil
+		}
+	}
+	return nil, noRef, fmt.Errorf("%w: %d", ErrUnknownPeer, p)
+}
+
 // record returns peer p's record.
 func (st *state) record(p pathtree.PeerID) (*pathtree.Record, error) {
-	r, ok := st.peers[p]
-	if !ok {
-		return nil, fmt.Errorf("%w: %d", ErrUnknownPeer, p)
+	tree, r, err := st.find(p)
+	if err != nil {
+		return nil, err
 	}
-	return st.trees[r.lm].Record(r.slot), nil
+	return tree.Record(r.slot), nil
 }
 
 // answer copies a query's hits out of the scratch into the neighbour list —
@@ -480,26 +548,105 @@ func answer(tree *pathtree.Core, hits []pathtree.Hit) (cands []pathtree.Candidat
 // join is the one registration road, shared by the answering and the silent
 // paths so their semantics can never drift apart: it resolves the entry's
 // landmark tree, retires the record of a peer that re-joins (under whichever
-// landmark it was), and attaches the peer at the end of its path with a
-// fresh record stamped at the op's time, which it returns as (tree, slot).
-// With k > 0 the newcomer's k closest peers are found on the way down the
-// path, before it is attached, so a peer never appears in its own answer;
+// landmark held here it was), and attaches the peer at the end of its path
+// with a fresh record stamped at the op's time, which it returns as (tree,
+// slot). With k > 0 the newcomer's k closest peers are found on the way down
+// the path, before it is attached, so a peer never appears in its own answer;
 // the hits alias sc, that query's scratch. The entry's path has passed
 // validateJoin.
-func (st *state) join(e *op.JoinEntry, timeNanos int64, k int, sc *pathtree.Scratch) (*pathtree.Core, int32, []pathtree.Hit, error) {
+//
+// orphan is noRef unless the entry the join replaced names a tree not held
+// here. Only the holder of a tree writes entries that name it, and the caller
+// holds this server's state lock, so an entry read before the descent and
+// naming a tree held here is still the entry replaced after it.
+func (st *state) join(e *op.JoinEntry, timeNanos int64, k int, sc *pathtree.Scratch) (tree *pathtree.Core, slot int32, hits []pathtree.Hit, orphan ref, err error) {
 	lm := e.Path[len(e.Path)-1]
 	tree, ok := st.trees[lm]
 	if !ok {
-		return nil, 0, nil, fmt.Errorf("%w (router %d)", ErrUnknownLandmark, lm)
+		return nil, 0, nil, noRef, fmt.Errorf("%w (router %d)", ErrUnknownLandmark, lm)
 	}
-	if old, exists := st.peers[e.Peer]; exists {
-		st.trees[old.lm].Remove(old.slot)
+	if old, had := st.idx.get(e.Peer); had {
+		if held := st.trees[old.lm]; held != nil {
+			held.Remove(old.slot)
+		}
 	}
-	slot, hits := tree.Join(e.Peer, e.Path, k, sc)
-	st.peers[e.Peer] = ref{lm, slot}
+	slot, hits = tree.Join(e.Peer, e.Path, k, sc)
+	orphan = noRef
+	if old, had := st.idx.swap(e.Peer, ref{lm, slot}); had && st.trees[old.lm] == nil {
+		orphan = old
+	}
 	rec := tree.Record(slot)
 	rec.RefreshNanos, rec.Addr = timeNanos, e.Addr
-	return tree, slot, hits, nil
+	return tree, slot, hits, orphan, nil
+}
+
+// TakeOrphans returns the records joins here have orphaned since the last
+// call. With a private index there never are any.
+func (s *Server) TakeOrphans() []Orphan {
+	if !s.orphaned.Load() {
+		return nil
+	}
+	s.orphanMu.Lock()
+	defer s.orphanMu.Unlock()
+	s.orphaned.Store(false)
+	out := s.orphans
+	s.orphans = nil
+	return out
+}
+
+// Retire removes an orphan from the tree it was left in, which this server
+// must hold by now, and reports whether there was anything to remove. The
+// record goes iff the slot is live, its ID is the peer, and the index no
+// longer says this place: a slot since recycled — even for the same peer,
+// re-registered where it was — is someone's live record and stays.
+func (s *Server) Retire(o Orphan) bool {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	tree := s.st.trees[o.Landmark]
+	if tree == nil || !tree.Holds(o.slot, o.Peer) {
+		return false
+	}
+	if cur, ok := s.st.idx.get(o.Peer); ok && cur == (ref{o.Landmark, o.slot}) {
+		return false
+	}
+	tree.Remove(o.slot)
+	return true
+}
+
+// Handoff moves landmark lm's tree, every record in it, from src to dst and
+// sets its fencing epoch there. The two must share their index: its entries
+// name landmarks, not servers, so not one of them changes and the move costs
+// the same whatever the tree holds. Both servers' locks are held across it,
+// so a lookup finds the tree on one or the other, never half-moved. Callers
+// serialise handoffs.
+func Handoff(src, dst *Server, lm topology.NodeID, epoch uint64) error {
+	if src == dst {
+		return errors.New("server: handoff from a server to itself")
+	}
+	for _, s := range []*Server{src, dst} {
+		s.wmu.Lock()
+		defer s.wmu.Unlock()
+	}
+	for _, s := range []*Server{src, dst} {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+	}
+	tree := src.st.trees[lm]
+	switch {
+	case src.st.idx != dst.st.idx:
+		return errors.New("server: handoff between servers that do not share an index")
+	case tree == nil:
+		return fmt.Errorf("server: handoff of landmark %d, which the source does not hold", lm)
+	case dst.st.trees[lm] != nil:
+		return fmt.Errorf("server: handoff of landmark %d, which the destination already holds", lm)
+	}
+	delete(src.st.trees, lm)
+	delete(src.st.epochs, lm)
+	dst.st.trees[lm] = tree
+	dst.st.epochs[lm] = epoch
+	return nil
 }
 
 // BatchJoin is one entry of a batched join.
@@ -569,11 +716,10 @@ func (s *Server) JoinBatchOp(o op.Op) []BatchResult {
 func (s *Server) Lookup(p pathtree.PeerID) ([]pathtree.Candidate, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	r, ok := s.st.peers[p]
-	if !ok {
-		return nil, fmt.Errorf("%w: %d", ErrUnknownPeer, p)
+	tree, r, err := s.st.find(p)
+	if err != nil {
+		return nil, err
 	}
-	tree := s.st.trees[r.lm]
 	sc := pathtree.GetScratch()
 	cands, superNear := answer(tree, tree.Closest(r.slot, s.cfg.NeighborCount, sc))
 	sc.Release()
@@ -603,17 +749,20 @@ func (s *Server) expire(cutoff int64) []pathtree.PeerID {
 	s.walking()
 	var out []pathtree.PeerID
 	var slots []int32
-	for _, tree := range s.st.trees {
+	for lm, tree := range s.st.trees {
 		slots = slots[:0]
 		for slot, rec := range tree.Records() {
 			if rec.RefreshNanos < cutoff {
 				slots = append(slots, slot)
-				out = append(out, rec.ID)
 			}
 		}
 		for _, slot := range slots {
 			s.mu.Lock()
-			delete(s.st.peers, tree.Record(slot).ID)
+			// An orphan past the deadline goes too, unreported: its peer is
+			// registered elsewhere.
+			if p := tree.Record(slot).ID; s.st.idx.deleteIf(p, ref{lm, slot}) {
+				out = append(out, p)
+			}
 			tree.Remove(slot)
 			s.mu.Unlock()
 		}
@@ -654,14 +803,13 @@ func (s *Server) SetSuperPeer(p pathtree.PeerID, super bool) error {
 func (s *Server) PeerInfo(p pathtree.PeerID) (PeerInfo, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	r, ok := s.st.peers[p]
-	if !ok {
-		return PeerInfo{}, fmt.Errorf("%w: %d", ErrUnknownPeer, p)
+	tree, r, err := s.st.find(p)
+	if err != nil {
+		return PeerInfo{}, err
 	}
-	tree := s.st.trees[r.lm]
 	rec := tree.Record(r.slot)
 	return PeerInfo{
-		ID:          p,
+		ID:          rec.ID,
 		Landmark:    r.lm,
 		Path:        tree.AppendPath(make([]topology.NodeID, 0, tree.Depth(r.slot)+1), r.slot),
 		Addr:        rec.Addr,
@@ -670,20 +818,33 @@ func (s *Server) PeerInfo(p pathtree.PeerID) (PeerInfo, error) {
 	}, nil
 }
 
-// NumPeers reports the number of registered peers.
+// resident counts the records in the trees held here. The caller holds wmu
+// or mu.
+func (st *state) resident() int {
+	n := 0
+	for _, tree := range st.trees {
+		n += tree.Len()
+	}
+	return n
+}
+
+// NumPeers reports the number of peers registered here: the records in the
+// trees this server holds, not the entries of an index it may share.
 func (s *Server) NumPeers() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.st.peers)
+	return s.st.resident()
 }
 
 // Peers returns all registered peer IDs in ascending order.
 func (s *Server) Peers() []pathtree.PeerID {
 	s.wmu.Lock()
 	s.walking()
-	out := make([]pathtree.PeerID, 0, len(s.st.peers))
-	for p := range s.st.peers {
-		out = append(out, p)
+	out := make([]pathtree.PeerID, 0, s.st.resident())
+	for _, tree := range s.st.trees {
+		for _, rec := range tree.Records() {
+			out = append(out, rec.ID)
+		}
 	}
 	s.wmu.Unlock()
 	slices.Sort(out)
@@ -704,7 +865,7 @@ func (s *Server) Stats() Stats {
 	defer s.wmu.Unlock()
 	s.walking()
 	st := Stats{
-		Peers:                len(s.st.peers),
+		Peers:                s.st.resident(),
 		Joins:                int(s.joins.Load()),
 		Leaves:               int(s.leaves.Load()),
 		Expiries:             int(s.expiries.Load()),

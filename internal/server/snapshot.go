@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sync"
 
 	"proxdisc/internal/op"
 	"proxdisc/internal/pathtree"
@@ -48,20 +47,16 @@ type image struct {
 	peers []snapPeer
 }
 
-// collect copies the landmarks in want (every held one when want is nil)
-// and the peers under them out of the state. It is a walk: the writer mutex
-// keeps mutators out while it copies, and the state lock is never taken, so
-// a snapshot costs lookups nothing. A peer's path is not stored, so each
-// tree is walked once, depth-first, and hands every peer the path the walk
-// stands on.
-func (s *Server) collect(img *image, owner int, want map[topology.NodeID]bool) {
+// collect copies the held landmarks and the peers under them out of the
+// state. It is a walk: the writer mutex keeps mutators out while it copies,
+// and the state lock is never taken, so a snapshot costs lookups nothing. A
+// peer's path is not stored, so each tree is walked once, depth-first, and
+// hands every peer the path the walk stands on.
+func (s *Server) collect(img *image, owner int) {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	s.walking()
 	for lm, tree := range s.st.trees {
-		if want != nil && !want[lm] {
-			continue
-		}
 		img.moves = append(img.moves, op.MoveEntry{Landmark: lm, Src: owner, Dst: owner, Epoch: s.st.epochs[lm]})
 		img.peers = slices.Grow(img.peers, tree.Len())
 		tree.Walk(func(rec *pathtree.Record, path []topology.NodeID) {
@@ -116,7 +111,7 @@ func WriteSnapshot(w io.Writer, placed bool, srvs ...*Server) error {
 		if placed {
 			owner = i
 		}
-		s.collect(&img, owner, nil)
+		s.collect(&img, owner)
 	}
 	return img.write(w)
 }
@@ -127,21 +122,6 @@ func WriteSnapshot(w io.Writer, placed bool, srvs ...*Server) error {
 // population to rejoin — the management server is a single point of
 // failure in the paper's architecture, and this is the standard mitigation.
 func (s *Server) Snapshot(w io.Writer) error { return WriteSnapshot(w, false, s) }
-
-// SnapshotLandmarks serializes the named landmark trees and every peer
-// registered under them, in the same format as Snapshot. The cluster layer
-// uses it to hand a landmark's tree from one shard to another.
-func (s *Server) SnapshotLandmarks(w io.Writer, lms ...topology.NodeID) error {
-	want := make(map[topology.NodeID]bool, len(lms))
-	for _, lm := range lms {
-		want[lm] = true
-	}
-	var img image
-	if s.collect(&img, 0, want); len(img.moves) != len(want) {
-		return fmt.Errorf("server: snapshot of a landmark not held here (asked for %v)", lms)
-	}
-	return img.write(w)
-}
 
 // snapshotOps is a decoded snapshot: its landmark and join ops in stream
 // order, and the set of peers it flags as super-peers.
@@ -181,75 +161,40 @@ func readSnapshot(r io.Reader) (snapshotOps, error) {
 	return snap, nil
 }
 
-// load applies a snapshot to st through the singular join road, stopping at
-// the first failure, and returns the IDs of the peers it inserted. A peer
-// already registered keeps its record, flag included: the live record is
-// newer than the snapshot. mu is taken around each landmark and each peer
-// put in: the state lock when st is the live state (the caller holds wmu), a
-// lock of the caller's own when st is still being built.
-func (st *state) load(snap snapshotOps, mu sync.Locker) ([]pathtree.PeerID, error) {
-	var inserted []pathtree.PeerID
+// load applies a snapshot to st, a state no one else can reach yet, through
+// the singular join road, stopping at the first failure.
+func (st *state) load(snap snapshotOps) error {
 	for i := range snap.ops {
 		o := &snap.ops[i]
 		if o.Kind == op.KindMoveLandmark {
-			mu.Lock()
 			st.apply(*o) // creates the tree if absent; never lowers an epoch; cannot fail
-			mu.Unlock()
 			continue
 		}
 		for j := range o.Batch {
 			e := &o.Batch[j]
-			if _, live := st.peers[e.Peer]; live {
-				continue
-			}
-			mu.Lock()
-			tree, slot, _, err := st.join(e, o.Time, 0, nil)
-			if err == nil {
-				tree.Record(slot).Super = snap.supers[e.Peer]
-			}
-			mu.Unlock()
+			tree, slot, _, _, err := st.join(e, o.Time, 0, nil)
 			if err != nil {
-				return inserted, fmt.Errorf("server: snapshot peer %d: %w", e.Peer, err)
+				return fmt.Errorf("server: snapshot peer %d: %w", e.Peer, err)
 			}
-			inserted = append(inserted, e.Peer)
+			tree.Record(slot).Super = snap.supers[e.Peer]
 		}
 	}
-	return inserted, nil
-}
-
-// Absorb merges a snapshot into a live server: the snapshot's landmark
-// trees are created if absent and its peers inserted. A peer already
-// registered here is skipped — the live record is newer than the snapshot.
-// Absorb returns the IDs of the peers actually inserted, in ascending
-// order. A snapshot that does not read cleanly to its end changes nothing.
-// The writer mutex is held for the whole load, the state lock peer by peer.
-func (s *Server) Absorb(r io.Reader) ([]pathtree.PeerID, error) {
-	snap, err := readSnapshot(r)
-	if err != nil {
-		return nil, err
-	}
-	s.wmu.Lock()
-	inserted, err := s.st.load(snap, &s.mu)
-	s.wmu.Unlock()
-	slices.Sort(inserted)
-	return inserted, err
+	return nil
 }
 
 // ResetFromSnapshot replaces the server's entire peer state with the
 // snapshot's, keeping only the configured landmark set (union the
-// snapshot's). It is the follower's catch-up restore — merging a
-// whole-state snapshot in (Absorb) would resurrect peers the primary has
-// since removed. The new state is built outside both locks and swapped in
-// only if the whole snapshot, end frame included, was good and every op
-// applied; otherwise the previous state stays.
+// snapshot's). It is the follower's catch-up restore. The new state, index
+// included, is built outside both locks and swapped in only if the whole
+// snapshot, end frame included, was good and every op applied; otherwise the
+// previous state stays.
 func (s *Server) ResetFromSnapshot(r io.Reader) error {
 	snap, err := readSnapshot(r)
 	if err != nil {
 		return err
 	}
-	fresh, _ := newState(&s.cfg) // the landmark set was checked at construction
-	// No one else can reach fresh yet: the lock load takes is its own.
-	if _, err := fresh.load(snap, new(sync.Mutex)); err != nil {
+	fresh, _ := newState(&s.cfg, NewIndex()) // the landmark set was checked at construction
+	if err := fresh.load(snap); err != nil {
 		return err
 	}
 	s.wmu.Lock()
@@ -258,37 +203,6 @@ func (s *Server) ResetFromSnapshot(r io.Reader) error {
 	s.mu.Unlock()
 	s.wmu.Unlock()
 	return nil
-}
-
-// DropLandmark removes a landmark's tree and deregisters every peer under
-// it, returning the removed peer IDs in ascending order. It is the source
-// side of a shard handoff; unlike Leave it does not count departures. The
-// peers are listed under the writer mutex alone and unmapped one state-lock
-// hold each, the tree going last, so a lookup that still finds its peer
-// still finds its tree.
-func (s *Server) DropLandmark(lm topology.NodeID) []pathtree.PeerID {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	tree, ok := s.st.trees[lm]
-	if !ok {
-		return nil
-	}
-	s.walking()
-	out := make([]pathtree.PeerID, 0, tree.Len())
-	for _, rec := range tree.Records() {
-		out = append(out, rec.ID)
-	}
-	for _, p := range out {
-		s.mu.Lock()
-		delete(s.st.peers, p)
-		s.mu.Unlock()
-	}
-	s.mu.Lock()
-	delete(s.st.trees, lm)
-	delete(s.st.epochs, lm)
-	s.mu.Unlock()
-	slices.Sort(out)
-	return out
 }
 
 // Restore builds a server from a snapshot. The snapshot supplies the

@@ -231,7 +231,7 @@ func TestResetFromSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Pre-existing state that the snapshot does NOT contain: it must be gone
-	// after the reset (replace semantics, not Absorb's merge).
+	// after the reset (replace semantics, not a merge).
 	if _, err := dst.Join(99, []topology.NodeID{11, 0}); err != nil {
 		t.Fatal(err)
 	}
@@ -268,10 +268,8 @@ func TestResetFromSnapshot(t *testing.T) {
 	for name, data := range bad {
 		_, oldFormat := oldFormatSnapshots[name]
 		_, restoreErr := Restore(bytes.NewReader(data), Config{})
-		_, absorbErr := dst.Absorb(bytes.NewReader(data))
 		for reader, err := range map[string]error{
 			"ResetFromSnapshot": dst.ResetFromSnapshot(bytes.NewReader(data)),
-			"Absorb":            absorbErr,
 			"Restore":           restoreErr,
 		} {
 			if err == nil {

@@ -209,15 +209,19 @@
 //
 // Landmark ownership is not fixed at construction. Cluster.MoveLandmark
 // transfers one landmark's path tree between shards while the cluster
-// keeps serving: only the source/destination shard pair freezes for the
-// copy — every other shard accepts writes throughout — and reads are
-// answered the whole time. A move is a first-class logged operation in
-// the same canonical op stream as joins and leaves: it is committed to
-// the write-ahead log, shipped to followers, and replayed by crash
-// recovery, so a restarted node reconstructs the exact post-move
-// ownership no matter where a crash landed — mid-copy, between the copy
-// and the table flip, or between the flip and the commit — with exactly
-// one shard owning the landmark and zero peers lost.
+// keeps serving: the tree changes servers whole — no peer is copied and no
+// index entry rewritten, so a move costs the same for a thousand peers as
+// for a hundred thousand (TestMoveLandmarkMovesNoPeers). Only the
+// source/destination shard pair freezes, for that instant — every other
+// shard accepts writes throughout — and requests for the moving landmark
+// wait until the move is logged, then go to the new owner. A move is a
+// first-class logged operation in the same canonical op stream as joins
+// and leaves: it is committed to the write-ahead log, shipped to
+// followers, and replayed by crash recovery, so a restarted node
+// reconstructs the exact post-move ownership no matter where a crash
+// landed — after the tree changed hands, between that and the table flip,
+// or between the flip and the commit — with exactly one shard owning the
+// landmark and zero peers lost (TestMoveLandmarkCrashAtEveryStage).
 //
 // Each move increments the landmark's fencing epoch, a monotonic counter
 // carried by the move op — in the log and, one per landmark, in every
@@ -411,12 +415,13 @@
 //     index: 32-byte trie nodes, runs of {router, node} child pairs, and
 //     one 48-byte record per peer (ID, refresh time, address, super-peer
 //     flag) chained to the router its path ends at. A peer's path is not
-//     stored — it is that router's parent chain — and the state keeps
-//     one map, peer ID to (landmark, slot). A management server holds
-//     about 133 B per resident peer plus its address
-//     (package server has the table; TestResidentBytesPerPeer pins it),
-//     and only the records hold a pointer, so the collector has one object
-//     to mark per 256 peers. Freed slots are recycled through free lists
+//     stored — it is that router's parent chain — and a node keeps one
+//     map, peer ID to (landmark, slot): a lone server's own, or the one
+//     index all the shards of a cluster share and route by. A management
+//     server, or a whole cluster, holds about 133 B per resident peer plus
+//     its address (package server has the table; TestResidentBytesPerPeer
+//     and TestNodeResidentBytesPerPeer pin it), and only the records hold a
+//     pointer, so the collector has one object to mark per 256 peers. Freed slots are recycled through free lists
 //     (the lifetime rule: a slot is freed only by a writer holding the
 //     state lock exclusively, so no query ever observes a recycled slot), and
 //     steady-state churn retires NO tree memory to the garbage collector —
