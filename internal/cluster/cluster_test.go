@@ -362,24 +362,6 @@ func TestScatterFirstError(t *testing.T) {
 	}
 }
 
-func TestFindPeer(t *testing.T) {
-	c := newTestCluster(t, 4)
-	byPeer := populate(t, c, 16)
-	info, shard, err := c.FindPeer(context.Background(), 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want, _ := c.ShardFor(byPeer[7]); shard != want {
-		t.Fatalf("shard=%d want %d", shard, want)
-	}
-	if info.ID != 7 {
-		t.Fatalf("info=%+v", info)
-	}
-	if _, _, err := c.FindPeer(context.Background(), 999); !errors.Is(err, server.ErrUnknownPeer) {
-		t.Fatalf("err=%v", err)
-	}
-}
-
 func TestConcurrentJoinsAcrossShards(t *testing.T) {
 	c := newTestCluster(t, 4)
 	const workers, each = 8, 200

@@ -113,9 +113,9 @@ func (c *Cluster) openDurable() error {
 	// when segment files were removed out from under it).
 	log.EnsureSeq(snapSeq)
 	replayStart := time.Now()
+	var o op.Op // one decode target for the whole tail, as op.ReadStream keeps one for the checkpoint
 	if err := log.Replay(snapSeq, func(seq uint64, rec []byte) error {
-		o, err := op.Decode(rec)
-		if err != nil {
+		if err := op.DecodeInto(&o, rec); err != nil {
 			return fmt.Errorf("cluster: wal record %d: %w", seq, err)
 		}
 		return c.applyRecovered(seq, o)

@@ -2,10 +2,8 @@ package cluster
 
 import (
 	"context"
-	"fmt"
 	"sync"
 
-	"proxdisc/internal/pathtree"
 	"proxdisc/internal/server"
 )
 
@@ -54,41 +52,4 @@ launch:
 	}
 	wg.Wait()
 	return firstErr
-}
-
-// FindPeer scatter-searches every shard for peer p and reports which one
-// holds its record — a diagnostic: requests route by the peer index, which
-// places a peer without asking any shard. The first shard that knows the
-// peer wins and cancels the remaining fan-out.
-func (c *Cluster) FindPeer(ctx context.Context, p pathtree.PeerID) (server.PeerInfo, int, error) {
-	scatterCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		mu    sync.Mutex
-		found = -1
-		info  server.PeerInfo
-	)
-	_ = c.ForEachShard(scatterCtx, func(i int, s *server.Server) error {
-		in, err := s.PeerInfo(p)
-		if err != nil {
-			return nil // not on this shard
-		}
-		mu.Lock()
-		if found < 0 {
-			found, info = i, in
-		}
-		mu.Unlock()
-		cancel() // early exit: no need to ask the remaining shards
-		return nil
-	})
-	mu.Lock()
-	defer mu.Unlock()
-	if found >= 0 {
-		return info, found, nil
-	}
-	if err := ctx.Err(); err != nil {
-		// The caller's context (not our early-exit cancel) ended the search.
-		return server.PeerInfo{}, -1, err
-	}
-	return server.PeerInfo{}, -1, fmt.Errorf("%w: %d", server.ErrUnknownPeer, p)
 }

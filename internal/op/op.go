@@ -16,16 +16,17 @@
 // including TTL bookkeeping.
 //
 // The binary codec is big-endian with 16-bit counts and hard field caps,
-// mirroring the wire protocol's bounded-decoder discipline: a corrupt or
-// adversarial log record fails to decode instead of causing unbounded
-// allocation.
+// read and appended through package codec like the wire protocol's
+// payloads: a corrupt or adversarial log record fails to decode instead of
+// causing unbounded allocation. Append and DecodeInto below are the whole
+// record layout; the join entry inside a Join or BatchJoin record is
+// codec.AppendJoin / codec.ReadJoin, the same bytes a wire join carries.
 package op
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
 
+	"proxdisc/internal/codec"
 	"proxdisc/internal/pathtree"
 	"proxdisc/internal/topology"
 )
@@ -60,14 +61,18 @@ const (
 	KindMoveLandmark
 )
 
-// Codec limits. They deliberately match the wire protocol's caps (see
-// package proto): an op that fits the wire fits the log and vice versa.
+// Codec limits. The per-entry caps are the wire protocol's (both are
+// package codec's): a join entry that fits the wire fits the log and vice
+// versa. The batch cap is not.
 const (
 	// MaxPathLen bounds a reported router path.
-	MaxPathLen = 256
+	MaxPathLen = codec.MaxPathLen
 	// MaxAddrLen bounds an overlay address string.
-	MaxAddrLen = 256
-	// MaxBatch bounds the entries of a KindBatchJoin op.
+	MaxAddrLen = codec.MaxAddrLen
+	// MaxBatch bounds the entries of a KindBatchJoin op. It is eight times
+	// proto.MaxBatch, which is sized to fit a frame: a snapshot packs its
+	// peers MaxBatch to a record, and the cluster's commit splits a wider
+	// in-process batch into records of at most this many.
 	MaxBatch = 256
 	// MaxShard bounds the shard indices a KindMoveLandmark op may carry;
 	// they are encoded as 16-bit values.
@@ -77,12 +82,12 @@ const (
 	MaxEncodedSize = 16 + MaxBatch*(8+2+MaxAddrLen+2+4*MaxPathLen)
 )
 
-// Codec errors.
+// Codec errors (package codec's, which the wire protocol shares).
 var (
 	// ErrTruncated reports a record shorter than its declared fields.
-	ErrTruncated = errors.New("op: truncated record")
+	ErrTruncated = codec.ErrTruncated
 	// ErrLimit reports a field exceeding its codec cap.
-	ErrLimit = errors.New("op: field exceeds limit")
+	ErrLimit = codec.ErrLimit
 )
 
 // JoinEntry is one peer registration inside a Join or BatchJoin op.
@@ -201,47 +206,39 @@ type Replicator interface {
 //	Expire:       —
 //	MoveLandmark: landmark(4) src(2) dst(2) epoch(8)
 //
-// where entry = peer(8) addrLen(2) addr pathLen(2) router(4)... . All
-// integers are big-endian.
+// where entry is the join entry of codec.AppendJoin. All integers are
+// big-endian.
 func Append(dst []byte, o Op) ([]byte, error) {
-	dst = append(dst, byte(o.Kind))
-	dst = binary.BigEndian.AppendUint64(dst, uint64(o.Time))
+	w := codec.Writer{Buf: dst}
+	w.U8(uint8(o.Kind))
+	w.I64(o.Time)
 	switch o.Kind {
 	case KindJoin:
-		return appendEntry(dst, &o.Join)
+		codec.AppendJoin(&w, o.Join.Peer, o.Join.Addr, o.Join.Path)
 	case KindBatchJoin:
-		if len(o.Batch) == 0 || len(o.Batch) > MaxBatch {
-			return nil, fmt.Errorf("%w: batch of %d joins", ErrLimit, len(o.Batch))
-		}
-		dst = binary.BigEndian.AppendUint16(dst, uint16(len(o.Batch)))
-		var err error
+		w.Count(len(o.Batch), 1, MaxBatch, "joins")
 		for i := range o.Batch {
-			if dst, err = appendEntry(dst, &o.Batch[i]); err != nil {
-				return nil, err
-			}
+			e := &o.Batch[i]
+			codec.AppendJoin(&w, e.Peer, e.Addr, e.Path)
 		}
-		return dst, nil
 	case KindLeave, KindRefresh:
-		return binary.BigEndian.AppendUint64(dst, uint64(o.Peer)), nil
+		w.I64(int64(o.Peer))
 	case KindSetSuperPeer:
-		dst = binary.BigEndian.AppendUint64(dst, uint64(o.Peer))
-		if o.Super {
-			return append(dst, 1), nil
-		}
-		return append(dst, 0), nil
+		w.I64(int64(o.Peer))
+		w.Bool(o.Super)
 	case KindExpire:
-		return dst, nil
 	case KindMoveLandmark:
 		if o.Move.Src < 0 || o.Move.Src > MaxShard || o.Move.Dst < 0 || o.Move.Dst > MaxShard {
-			return nil, fmt.Errorf("%w: shard move %d -> %d", ErrLimit, o.Move.Src, o.Move.Dst)
+			w.Fail(fmt.Errorf("%w: shard move %d -> %d", ErrLimit, o.Move.Src, o.Move.Dst))
 		}
-		dst = binary.BigEndian.AppendUint32(dst, uint32(o.Move.Landmark))
-		dst = binary.BigEndian.AppendUint16(dst, uint16(o.Move.Src))
-		dst = binary.BigEndian.AppendUint16(dst, uint16(o.Move.Dst))
-		return binary.BigEndian.AppendUint64(dst, o.Move.Epoch), nil
+		w.I32(int32(o.Move.Landmark))
+		w.U16(uint16(o.Move.Src))
+		w.U16(uint16(o.Move.Dst))
+		w.U64(o.Move.Epoch)
 	default:
-		return nil, fmt.Errorf("op: cannot encode unknown kind %d", o.Kind)
+		w.Fail(fmt.Errorf("op: cannot encode unknown kind %d", o.Kind))
 	}
+	return w.Done()
 }
 
 // Encode encodes o into a fresh buffer.
@@ -283,23 +280,6 @@ func PutBuf(b []byte) {
 	}
 }
 
-func appendEntry(dst []byte, e *JoinEntry) ([]byte, error) {
-	if len(e.Addr) > MaxAddrLen {
-		return nil, fmt.Errorf("%w: address length %d", ErrLimit, len(e.Addr))
-	}
-	if len(e.Path) > MaxPathLen {
-		return nil, fmt.Errorf("%w: path length %d", ErrLimit, len(e.Path))
-	}
-	dst = binary.BigEndian.AppendUint64(dst, uint64(e.Peer))
-	dst = binary.BigEndian.AppendUint16(dst, uint16(len(e.Addr)))
-	dst = append(dst, e.Addr...)
-	dst = binary.BigEndian.AppendUint16(dst, uint16(len(e.Path)))
-	for _, r := range e.Path {
-		dst = binary.BigEndian.AppendUint32(dst, uint32(r))
-	}
-	return dst, nil
-}
-
 // Decode decodes one op from b, which must contain exactly one encoded op
 // (trailing bytes are an error — log records and wire payloads are framed
 // by their carriers).
@@ -319,184 +299,42 @@ func Decode(b []byte) (Op, error) {
 // switches on Kind and reads only that kind's fields. On error o's
 // contents are unspecified.
 func DecodeInto(o *Op, b []byte) error {
-	d := opDecoder{buf: b}
-	if err := d.opInto(o); err != nil {
-		return err
-	}
-	if d.off != len(d.buf) {
-		return fmt.Errorf("op: %d trailing bytes", len(d.buf)-d.off)
-	}
-	return nil
-}
-
-type opDecoder struct {
-	buf []byte
-	off int
-}
-
-func (d *opDecoder) remaining() int { return len(d.buf) - d.off }
-
-func (d *opDecoder) u8() (byte, error) {
-	if d.remaining() < 1 {
-		return 0, ErrTruncated
-	}
-	v := d.buf[d.off]
-	d.off++
-	return v, nil
-}
-
-func (d *opDecoder) u16() (uint16, error) {
-	if d.remaining() < 2 {
-		return 0, ErrTruncated
-	}
-	v := binary.BigEndian.Uint16(d.buf[d.off:])
-	d.off += 2
-	return v, nil
-}
-
-func (d *opDecoder) u32() (uint32, error) {
-	if d.remaining() < 4 {
-		return 0, ErrTruncated
-	}
-	v := binary.BigEndian.Uint32(d.buf[d.off:])
-	d.off += 4
-	return v, nil
-}
-
-func (d *opDecoder) u64() (uint64, error) {
-	if d.remaining() < 8 {
-		return 0, ErrTruncated
-	}
-	v := binary.BigEndian.Uint64(d.buf[d.off:])
-	d.off += 8
-	return v, nil
-}
-
-func (d *opDecoder) entry(e *JoinEntry) error {
-	peer, err := d.u64()
-	if err != nil {
-		return err
-	}
-	e.Peer = pathtree.PeerID(peer)
-	alen, err := d.u16()
-	if err != nil {
-		return err
-	}
-	if int(alen) > MaxAddrLen {
-		return fmt.Errorf("%w: address length %d", ErrLimit, alen)
-	}
-	if d.remaining() < int(alen) {
-		return ErrTruncated
-	}
-	// Reuse the string when the bytes match what e already holds: a
-	// re-decoded entry (replay, refresh of the same peer into the same
-	// target struct) costs no allocation, and the == comparison against a
-	// converted byte slice does not allocate.
-	if addr := d.buf[d.off : d.off+int(alen)]; string(addr) != e.Addr {
-		e.Addr = string(addr)
-	}
-	d.off += int(alen)
-	plen, err := d.u16()
-	if err != nil {
-		return err
-	}
-	if int(plen) > MaxPathLen {
-		return fmt.Errorf("%w: path length %d", ErrLimit, plen)
-	}
-	if e.Path == nil || cap(e.Path) < int(plen) {
-		e.Path = make([]topology.NodeID, plen)
-	} else {
-		e.Path = e.Path[:plen]
-	}
-	for i := range e.Path {
-		r, err := d.u32()
-		if err != nil {
-			return err
-		}
-		e.Path[i] = topology.NodeID(r)
-	}
-	return nil
-}
-
-func (d *opDecoder) opInto(o *Op) error {
+	r := codec.NewReader(b)
 	// Reset the scalars a stale target could leak between kinds; Join,
 	// Batch, and Move are overwritten (or ignored) per the Kind contract
-	// documented on DecodeInto, and keeping their capacity is the point.
-	o.Peer = 0
-	o.Super = false
-	o.Epoch = 0
-	kind, err := d.u8()
-	if err != nil {
-		return err
-	}
-	o.Kind = Kind(kind)
-	t, err := d.u64()
-	if err != nil {
-		return err
-	}
-	o.Time = int64(t)
+	// above, and keeping their capacity is the point.
+	o.Peer, o.Super, o.Epoch = 0, false, 0
+	o.Kind = Kind(r.U8())
+	o.Time = r.I64()
 	switch o.Kind {
 	case KindJoin:
-		return d.entry(&o.Join)
+		codec.ReadJoin(&r, &o.Join.Peer, &o.Join.Addr, &o.Join.Path)
 	case KindBatchJoin:
-		n, err := d.u16()
-		if err != nil {
-			return err
-		}
-		if n == 0 || int(n) > MaxBatch {
-			return fmt.Errorf("%w: batch of %d joins", ErrLimit, n)
-		}
-		if o.Batch == nil || cap(o.Batch) < int(n) {
+		n := r.Count(1, MaxBatch, "joins")
+		if o.Batch == nil || cap(o.Batch) < n {
 			o.Batch = make([]JoinEntry, n)
 		} else {
 			o.Batch = o.Batch[:n]
 		}
 		for i := range o.Batch {
-			if err := d.entry(&o.Batch[i]); err != nil {
-				return err
-			}
+			e := &o.Batch[i]
+			codec.ReadJoin(&r, &e.Peer, &e.Addr, &e.Path)
 		}
-		return nil
 	case KindLeave, KindRefresh:
-		p, err := d.u64()
-		o.Peer = pathtree.PeerID(p)
-		return err
+		o.Peer = pathtree.PeerID(r.I64())
 	case KindSetSuperPeer:
-		p, err := d.u64()
-		if err != nil {
-			return err
-		}
-		o.Peer = pathtree.PeerID(p)
-		super, err := d.u8()
-		if err != nil {
-			return err
-		}
-		if super > 1 {
-			return fmt.Errorf("op: bad super flag %d", super)
-		}
-		o.Super = super == 1
-		return nil
+		o.Peer = pathtree.PeerID(r.I64())
+		o.Super = r.Bool()
 	case KindExpire:
-		return nil
 	case KindMoveLandmark:
-		lm, err := d.u32()
-		if err != nil {
-			return err
+		o.Move = MoveEntry{
+			Landmark: topology.NodeID(r.I32()),
+			Src:      int(r.U16()),
+			Dst:      int(r.U16()),
+			Epoch:    r.U64(),
 		}
-		o.Move.Landmark = topology.NodeID(lm)
-		src, err := d.u16()
-		if err != nil {
-			return err
-		}
-		o.Move.Src = int(src)
-		dst, err := d.u16()
-		if err != nil {
-			return err
-		}
-		o.Move.Dst = int(dst)
-		o.Move.Epoch, err = d.u64()
-		return err
 	default:
-		return fmt.Errorf("op: unknown kind %d", kind)
+		r.Fail(fmt.Errorf("op: unknown kind %d", o.Kind))
 	}
+	return r.Done()
 }

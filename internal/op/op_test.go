@@ -117,3 +117,26 @@ func TestMaxEncodedSize(t *testing.T) {
 		t.Errorf("maximal op encodes to %d bytes, above MaxEncodedSize %d", len(b), MaxEncodedSize)
 	}
 }
+
+// TestCodecAllocs: encoding into a pooled buffer and decoding into a
+// reused target allocate nothing — what the commit path and the replay and
+// follower loops rely on.
+func TestCodecAllocs(t *testing.T) {
+	var into Op
+	for _, o := range sampleOps() {
+		buf := GetBuf()
+		allocs := testing.AllocsPerRun(100, func() {
+			b, err := Append(buf[:0], o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := DecodeInto(&into, b); err != nil {
+				t.Fatal(err)
+			}
+		})
+		PutBuf(buf)
+		if allocs != 0 {
+			t.Errorf("Append+DecodeInto of %+v allocates %v times", o, allocs)
+		}
+	}
+}

@@ -62,7 +62,7 @@ func FuzzDecodeJoinRequest(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(binary.BigEndian.AppendUint16(nil, MaxPathLen+1))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := DecodeJoinRequest(data)
+		m, err := decodeJoinRequest(data)
 		if err != nil {
 			return
 		}

@@ -1,144 +1,72 @@
 package proto
 
 import (
-	"fmt"
-
+	"proxdisc/internal/codec"
 	"proxdisc/internal/op"
 	"proxdisc/internal/pathtree"
 	"proxdisc/internal/topology"
 )
 
 // This file bridges wire payloads and the canonical typed operation
-// (package op): servers decode write-class requests directly into ops and
+// (package op): servers decode write-class requests straight into ops and
 // dispatch those, so the message a client sent, the command followers
 // apply, and the record the write-ahead log persists are one value with
-// one meaning. The wire layouts are those of the request structs; only the
-// decode target is unified.
+// one meaning. The wire layouts are those of the request structs — the
+// join entry is the same bytes in both — and only the decode target
+// differs. The ops are unstamped; the applying backend stamps them from its
+// own clock.
 
-// DecodeJoinOp decodes a MsgJoinRequest (or MsgForwardedJoinRequest)
-// payload into a KindJoin op. The op is unstamped; the applying backend
-// stamps it from its own clock.
-func DecodeJoinOp(b []byte) (op.Op, error) {
-	m, err := DecodeJoinRequest(b)
-	if err != nil {
-		return op.Op{}, err
-	}
-	return op.Join(pathtree.PeerID(m.Peer), wireToPath(m.Path), m.Addr, 0), nil
-}
-
-// EncodeJoinOp encodes a KindJoin op as a MsgJoinRequest payload — the
-// inverse bridge, used when a node forwards a decoded join to the cluster
-// node owning its landmark.
-func EncodeJoinOp(o op.Op) ([]byte, error) {
-	if o.Kind != op.KindJoin {
-		return nil, fmt.Errorf("proto: cannot encode op kind %d as a join request", o.Kind)
-	}
-	return EncodeJoinRequest(&JoinRequest{
-		Peer: int64(o.Join.Peer),
-		Addr: o.Join.Addr,
-		Path: pathToWire(o.Join.Path),
-	})
-}
-
-// EncodeForwardedJoinOp encodes a KindJoin op as a MsgForwardedJoinRequest
-// payload: a JoinRequest plus the op's fencing epoch as an optional
-// trailing u64 (omitted when zero, so the bytes a pre-epoch node sees are
-// exactly a JoinRequest). The forwarding node stamps the epoch from the
-// Redirect (or its own table) that told it where to send the join; the
-// owner rejects with CodeStaleEpoch if the landmark has moved since.
-func EncodeForwardedJoinOp(o op.Op) ([]byte, error) {
-	b, err := EncodeJoinOp(o)
-	if err != nil {
-		return nil, err
-	}
-	if o.Epoch != 0 {
-		enc := encoder{buf: b}
-		enc.u64(o.Epoch)
-		b = enc.buf
-	}
-	return b, nil
-}
+// DecodeJoinOp decodes a MsgJoinRequest payload into a KindJoin op.
+func DecodeJoinOp(b []byte) (op.Op, error) { return decodeJoinOp(b, false) }
 
 // DecodeForwardedJoinOp decodes a MsgForwardedJoinRequest payload into a
-// KindJoin op, picking up the optional trailing fencing epoch (absent
-// means zero: unfenced, the pre-epoch wire form).
-func DecodeForwardedJoinOp(b []byte) (op.Op, error) {
-	d := decoder{buf: b}
-	m := &JoinRequest{}
-	if err := decodeJoinRequestPrefix(&d, m); err != nil {
-		return op.Op{}, err
+// KindJoin op, picking up the optional trailing fencing epoch of
+// EncodeForwardedJoinRequestFenced (absent means zero: unfenced). The
+// owner rejects with CodeStaleEpoch if the landmark has moved since the
+// forwarding node resolved it.
+func DecodeForwardedJoinOp(b []byte) (op.Op, error) { return decodeJoinOp(b, true) }
+
+func decodeJoinOp(b []byte, fenced bool) (op.Op, error) {
+	r := codec.NewReader(b)
+	o := op.Op{Kind: op.KindJoin}
+	codec.ReadJoin(&r, &o.Join.Peer, &o.Join.Addr, &o.Join.Path)
+	if fenced && r.Len() >= 8 {
+		o.Epoch = r.U64()
 	}
-	var epoch uint64
-	if d.remaining() >= 8 {
-		var err error
-		if epoch, err = d.u64(); err != nil {
-			return op.Op{}, err
-		}
-	}
-	if err := d.finish(); err != nil {
-		return op.Op{}, err
-	}
-	o := op.Join(pathtree.PeerID(m.Peer), wireToPath(m.Path), m.Addr, 0)
-	o.Epoch = epoch
-	return o, nil
+	return o, r.Done()
 }
 
 // DecodeBatchJoinOp decodes a MsgBatchJoinRequest (or its forwarded
 // variant) payload into a KindBatchJoin op.
 func DecodeBatchJoinOp(b []byte) (op.Op, error) {
-	m, err := DecodeBatchJoinRequest(b)
-	if err != nil {
-		return op.Op{}, err
+	r := codec.NewReader(b)
+	o := op.Op{Kind: op.KindBatchJoin, Batch: make([]op.JoinEntry, r.Count(1, MaxBatch, "joins"))}
+	for i := range o.Batch {
+		e := &o.Batch[i]
+		codec.ReadJoin(&r, &e.Peer, &e.Addr, &e.Path)
 	}
-	entries := make([]op.JoinEntry, len(m.Joins))
-	for i := range m.Joins {
-		j := &m.Joins[i]
-		entries[i] = op.JoinEntry{
-			Peer: pathtree.PeerID(j.Peer),
-			Addr: j.Addr,
-			Path: wireToPath(j.Path),
-		}
-	}
-	return op.BatchJoin(entries, 0), nil
+	return o, r.Done()
 }
 
 // DecodeLeaveOp decodes a MsgLeaveRequest payload into a KindLeave op.
 func DecodeLeaveOp(b []byte) (op.Op, error) {
-	m, err := DecodeLeaveRequest(b)
-	if err != nil {
-		return op.Op{}, err
-	}
-	return op.Leave(pathtree.PeerID(m.Peer)), nil
+	p, err := decodePeerID(b)
+	return op.Leave(pathtree.PeerID(p)), err
 }
 
 // DecodeRefreshOp decodes a MsgRefreshRequest payload into a KindRefresh
-// op (unstamped, like DecodeJoinOp).
+// op.
 func DecodeRefreshOp(b []byte) (op.Op, error) {
-	m, err := DecodeRefreshRequest(b)
-	if err != nil {
-		return op.Op{}, err
-	}
-	return op.Refresh(pathtree.PeerID(m.Peer), 0), nil
+	p, err := decodePeerID(b)
+	return op.Refresh(pathtree.PeerID(p), 0), err
 }
 
-// wireToPath converts a wire router path to the topology form.
-func wireToPath(path []int32) []topology.NodeID {
-	out := make([]topology.NodeID, len(path))
-	for i, r := range path {
-		out[i] = topology.NodeID(r)
-	}
-	return out
-}
-
-// pathToWire converts a topology router path to the wire form.
-func pathToWire(path []topology.NodeID) []int32 {
+// PathToWire converts a topology router path to its wire form. Front ends
+// use it when re-encoding a decoded op for node-to-node forwarding.
+func PathToWire(path []topology.NodeID) []int32 {
 	out := make([]int32, len(path))
 	for i, r := range path {
 		out[i] = int32(r)
 	}
 	return out
 }
-
-// PathToWire converts a topology router path to its wire form. Front ends
-// use it when re-encoding a decoded op for node-to-node forwarding.
-func PathToWire(path []topology.NodeID) []int32 { return pathToWire(path) }

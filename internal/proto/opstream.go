@@ -1,8 +1,10 @@
 package proto
 
 import (
+	"encoding/binary"
 	"fmt"
 
+	"proxdisc/internal/codec"
 	"proxdisc/internal/op"
 )
 
@@ -34,23 +36,24 @@ type FollowRequest struct {
 	After uint64
 }
 
-// EncodeFollowRequest encodes a FollowRequest payload.
-func EncodeFollowRequest(m *FollowRequest) []byte {
-	enc := encoder{buf: make([]byte, 0, 8)}
-	enc.u64(m.After)
-	return enc.buf
+// encodeU64 and decodeU64 are the single-sequence messages (the three
+// below and Unsubscribe). Trailing bytes are tolerated so future versions
+// can extend them.
+func encodeU64(v uint64) []byte { return binary.BigEndian.AppendUint64(make([]byte, 0, 8), v) }
+
+func decodeU64(b []byte) (uint64, error) {
+	r := codec.NewReader(b)
+	v := r.U64()
+	return v, r.Err()
 }
 
-// DecodeFollowRequest decodes a FollowRequest payload. Trailing bytes are
-// tolerated so future versions can extend the subscription.
+// EncodeFollowRequest encodes a FollowRequest payload.
+func EncodeFollowRequest(m *FollowRequest) []byte { return encodeU64(m.After) }
+
+// DecodeFollowRequest decodes a FollowRequest payload.
 func DecodeFollowRequest(b []byte) (*FollowRequest, error) {
-	d := decoder{buf: b}
-	m := &FollowRequest{}
-	var err error
-	if m.After, err = d.u64(); err != nil {
-		return nil, err
-	}
-	return m, nil
+	v, err := decodeU64(b)
+	return &FollowRequest{After: v}, err
 }
 
 // FollowHead announces the primary's committed head sequence.
@@ -60,22 +63,12 @@ type FollowHead struct {
 }
 
 // EncodeFollowHead encodes a FollowHead payload.
-func EncodeFollowHead(m *FollowHead) []byte {
-	enc := encoder{buf: make([]byte, 0, 8)}
-	enc.u64(m.Head)
-	return enc.buf
-}
+func EncodeFollowHead(m *FollowHead) []byte { return encodeU64(m.Head) }
 
-// DecodeFollowHead decodes a FollowHead payload, tolerating trailing
-// bytes like DecodeFollowRequest.
+// DecodeFollowHead decodes a FollowHead payload.
 func DecodeFollowHead(b []byte) (*FollowHead, error) {
-	d := decoder{buf: b}
-	m := &FollowHead{}
-	var err error
-	if m.Head, err = d.u64(); err != nil {
-		return nil, err
-	}
-	return m, nil
+	v, err := decodeU64(b)
+	return &FollowHead{Head: v}, err
 }
 
 // OpAck reports the follower's applied offset.
@@ -85,21 +78,12 @@ type OpAck struct {
 }
 
 // EncodeOpAck encodes an OpAck payload.
-func EncodeOpAck(m *OpAck) []byte {
-	enc := encoder{buf: make([]byte, 0, 8)}
-	enc.u64(m.Seq)
-	return enc.buf
-}
+func EncodeOpAck(m *OpAck) []byte { return encodeU64(m.Seq) }
 
-// DecodeOpAck decodes an OpAck payload, tolerating trailing bytes.
+// DecodeOpAck decodes an OpAck payload.
 func DecodeOpAck(b []byte) (*OpAck, error) {
-	d := decoder{buf: b}
-	m := &OpAck{}
-	var err error
-	if m.Seq, err = d.u64(); err != nil {
-		return nil, err
-	}
-	return m, nil
+	v, err := decodeU64(b)
+	return &OpAck{Seq: v}, err
 }
 
 // OpRecord is one committed operation on the stream: its sequence and its
@@ -128,62 +112,39 @@ func EncodeOpRecords(m *OpRecords) ([]byte, error) {
 	for i := range m.Records {
 		size += 12 + len(m.Records[i].Data)
 	}
-	if size+9 > MaxFrameSize {
+	if size+9 > MaxFrameSize { // so no record here is near op.MaxEncodedSize
 		return nil, ErrFrameTooLarge
 	}
 	// The payload comes from the frame pool: the op-stream sender hands it
 	// to the connection writer, which recycles it after the frame is
 	// copied out — assembling a MsgOpRecords frame allocates nothing in
 	// steady state.
-	enc := encoder{buf: GetBuf(size)[:0]}
-	enc.u16(uint16(len(m.Records)))
+	w := codec.Writer{Buf: GetBuf(size)[:0]}
+	w.U16(uint16(len(m.Records)))
 	for i := range m.Records {
-		r := &m.Records[i]
-		if len(r.Data) > op.MaxEncodedSize {
-			PutBuf(enc.buf)
-			return nil, fmt.Errorf("%w: stream record of %d bytes", ErrLimit, len(r.Data))
-		}
-		enc.u64(r.Seq)
-		enc.u32(uint32(len(r.Data)))
-		enc.buf = append(enc.buf, r.Data...)
+		rec := &m.Records[i]
+		w.U64(rec.Seq)
+		w.U32(uint32(len(rec.Data)))
+		w.Bytes(rec.Data)
 	}
-	return enc.buf, nil
+	return w.Buf, nil
 }
 
 // DecodeOpRecords decodes an OpRecords payload. Record data is copied out
 // of the frame buffer, so callers may recycle the payload immediately.
 func DecodeOpRecords(b []byte) (*OpRecords, error) {
-	d := decoder{buf: b}
-	n, err := d.u16()
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 || int(n) > MaxStreamRecords {
-		return nil, fmt.Errorf("%w: %d stream records", ErrLimit, n)
-	}
-	m := &OpRecords{Records: make([]OpRecord, n)}
+	r := codec.NewReader(b)
+	m := &OpRecords{Records: make([]OpRecord, r.Count(1, MaxStreamRecords, "stream records"))}
 	for i := range m.Records {
-		r := &m.Records[i]
-		if r.Seq, err = d.u64(); err != nil {
-			return nil, err
+		rec := &m.Records[i]
+		rec.Seq = r.U64()
+		size := int(r.U32())
+		if size > op.MaxEncodedSize {
+			r.Fail(fmt.Errorf("%w: stream record of %d bytes", ErrLimit, size))
 		}
-		size, err := d.u32()
-		if err != nil {
-			return nil, err
-		}
-		if int(size) > op.MaxEncodedSize {
-			return nil, fmt.Errorf("%w: stream record of %d bytes", ErrLimit, size)
-		}
-		if d.remaining() < int(size) {
-			return nil, ErrTruncated
-		}
-		r.Data = append([]byte(nil), d.buf[d.off:d.off+int(size)]...)
-		d.off += int(size)
+		rec.Data = append([]byte(nil), r.Bytes(size)...)
 	}
-	if err := d.finish(); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return m, r.Done()
 }
 
 // StreamChunk is one fragment of an oversized stream payload: an op too
@@ -199,42 +160,29 @@ type StreamChunk struct {
 	Data []byte
 }
 
+// chunkLimit reports a fragment over MaxChunkData.
+func chunkLimit(size int) error { return fmt.Errorf("%w: chunk of %d bytes", ErrLimit, size) }
+
 // EncodeStreamChunk encodes a StreamChunk payload: seq(8) final(1) data.
 func EncodeStreamChunk(m *StreamChunk) ([]byte, error) {
 	if len(m.Data) > MaxChunkData {
-		return nil, fmt.Errorf("%w: chunk of %d bytes", ErrLimit, len(m.Data))
+		return nil, chunkLimit(len(m.Data))
 	}
-	enc := encoder{buf: make([]byte, 0, 9+len(m.Data))}
-	enc.u64(m.Seq)
-	if m.Final {
-		enc.buf = append(enc.buf, 1)
-	} else {
-		enc.buf = append(enc.buf, 0)
-	}
-	enc.buf = append(enc.buf, m.Data...)
-	return enc.buf, nil
+	w := codec.Writer{Buf: make([]byte, 0, 9+len(m.Data))}
+	w.U64(m.Seq)
+	w.Bool(m.Final)
+	w.Bytes(m.Data)
+	return w.Buf, nil
 }
 
-// DecodeStreamChunk decodes a StreamChunk payload. Data is copied out of
-// the frame buffer.
+// DecodeStreamChunk decodes a StreamChunk payload. Data — the rest of the
+// frame — is copied out of the frame buffer.
 func DecodeStreamChunk(b []byte) (*StreamChunk, error) {
-	d := decoder{buf: b}
-	m := &StreamChunk{}
-	var err error
-	if m.Seq, err = d.u64(); err != nil {
-		return nil, err
+	r := codec.NewReader(b)
+	m := &StreamChunk{Seq: r.U64(), Final: r.Bool()}
+	if r.Len() > MaxChunkData {
+		r.Fail(chunkLimit(r.Len()))
 	}
-	flag, err := d.u8()
-	if err != nil {
-		return nil, err
-	}
-	if flag > 1 {
-		return nil, fmt.Errorf("proto: bad chunk final flag %d", flag)
-	}
-	m.Final = flag == 1
-	if d.remaining() > MaxChunkData {
-		return nil, fmt.Errorf("%w: chunk of %d bytes", ErrLimit, d.remaining())
-	}
-	m.Data = append([]byte(nil), d.buf[d.off:]...)
-	return m, nil
+	m.Data = append([]byte(nil), r.Bytes(r.Len())...)
+	return m, r.Err()
 }

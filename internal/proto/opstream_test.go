@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"proxdisc/internal/op"
+	"proxdisc/internal/topology"
 )
 
 func TestFollowRequestRoundTrip(t *testing.T) {
@@ -36,7 +37,7 @@ func TestFollowHeadAndAckRoundTrip(t *testing.T) {
 }
 
 func TestOpRecordsRoundTrip(t *testing.T) {
-	rec1, err := op.Encode(op.Join(1, wireToPath([]int32{5, 0}), "10.0.0.1:7000", 42))
+	rec1, err := op.Encode(op.Join(1, []topology.NodeID{5, 0}, "10.0.0.1:7000", 42))
 	if err != nil {
 		t.Fatal(err)
 	}

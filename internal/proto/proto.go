@@ -8,6 +8,15 @@
 // caps so a malicious peer cannot make the server allocate unbounded memory
 // (the DecodingLayerParser mindset: bounded, allocation-light decoding).
 //
+// Every payload is a list of field reads on a codec.Reader (appends on a
+// codec.Writer): the bounds and cap checks live there, once. Two layouts
+// recur across messages and each has one home. The join entry — peer(8)
+// addrLen(2) addr pathLen(2) router(4)... — is codec.AppendJoin and
+// codec.ReadJoin, which package op's records share, so a wire join decodes
+// straight into the op a server applies (op.go). The candidate list —
+// count(2) {peer(8) dtree(4) addrLen(2) addr}... — is appendCandidates and
+// readCandidates in this file.
+//
 // # Protocol versions
 //
 // A connection has one shape for its whole life: a handshake, then ID
@@ -34,6 +43,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+
+	"proxdisc/internal/codec"
 )
 
 // Protocol versions offered and acknowledged in the MsgHello handshake.
@@ -196,11 +207,11 @@ const (
 	// MaxFrameSize bounds any frame payload.
 	MaxFrameSize = 1 << 16
 	// MaxPathLen bounds reported router paths.
-	MaxPathLen = 256
+	MaxPathLen = codec.MaxPathLen
 	// MaxNeighbors bounds answer lists.
 	MaxNeighbors = 256
 	// MaxAddrLen bounds address strings.
-	MaxAddrLen = 256
+	MaxAddrLen = codec.MaxAddrLen
 	// MaxLandmarks bounds the landmark list.
 	MaxLandmarks = 1024
 	// MaxBatch bounds the joins carried by one MsgBatchJoinRequest. Chosen
@@ -216,11 +227,12 @@ const (
 	MaxPipelineDepth = 256
 )
 
-// Protocol errors.
+// Protocol errors. ErrTruncated and ErrLimit are package codec's, which the
+// op records share.
 var (
 	ErrFrameTooLarge = errors.New("proto: frame exceeds MaxFrameSize")
-	ErrTruncated     = errors.New("proto: truncated payload")
-	ErrLimit         = errors.New("proto: field exceeds protocol limit")
+	ErrTruncated     = codec.ErrTruncated
+	ErrLimit         = codec.ErrLimit
 )
 
 // Error is the wire error response.
@@ -480,143 +492,36 @@ func FrameBuffered(br *bufio.Reader) bool {
 	return uint64(n-4) >= uint64(binary.BigEndian.Uint32(hdr))
 }
 
-// --- encoding primitives ---
-
-type encoder struct{ buf []byte }
-
-func (e *encoder) u16(v uint16) { e.buf = binary.BigEndian.AppendUint16(e.buf, v) }
-func (e *encoder) u32(v uint32) { e.buf = binary.BigEndian.AppendUint32(e.buf, v) }
-func (e *encoder) u64(v uint64) { e.buf = binary.BigEndian.AppendUint64(e.buf, v) }
-func (e *encoder) i32(v int32)  { e.u32(uint32(v)) }
-func (e *encoder) i64(v int64)  { e.u64(uint64(v)) }
-func (e *encoder) str(s string) error {
-	if len(s) > MaxAddrLen {
-		return fmt.Errorf("%w: string length %d", ErrLimit, len(s))
-	}
-	e.u16(uint16(len(s)))
-	e.buf = append(e.buf, s...)
-	return nil
-}
-
-type decoder struct {
-	buf []byte
-	off int
-}
-
-func (d *decoder) remaining() int { return len(d.buf) - d.off }
-
-func (d *decoder) u8() (byte, error) {
-	if d.remaining() < 1 {
-		return 0, ErrTruncated
-	}
-	v := d.buf[d.off]
-	d.off++
-	return v, nil
-}
-
-func (d *decoder) u16() (uint16, error) {
-	if d.remaining() < 2 {
-		return 0, ErrTruncated
-	}
-	v := binary.BigEndian.Uint16(d.buf[d.off:])
-	d.off += 2
-	return v, nil
-}
-
-func (d *decoder) u32() (uint32, error) {
-	if d.remaining() < 4 {
-		return 0, ErrTruncated
-	}
-	v := binary.BigEndian.Uint32(d.buf[d.off:])
-	d.off += 4
-	return v, nil
-}
-
-func (d *decoder) u64() (uint64, error) {
-	if d.remaining() < 8 {
-		return 0, ErrTruncated
-	}
-	v := binary.BigEndian.Uint64(d.buf[d.off:])
-	d.off += 8
-	return v, nil
-}
-
-func (d *decoder) i32() (int32, error) { v, err := d.u32(); return int32(v), err }
-func (d *decoder) i64() (int64, error) { v, err := d.u64(); return int64(v), err }
-
-func (d *decoder) str() (string, error) {
-	n, err := d.u16()
-	if err != nil {
-		return "", err
-	}
-	if int(n) > MaxAddrLen {
-		return "", fmt.Errorf("%w: string length %d", ErrLimit, n)
-	}
-	if d.remaining() < int(n) {
-		return "", ErrTruncated
-	}
-	s := string(d.buf[d.off : d.off+int(n)])
-	d.off += int(n)
-	return s, nil
-}
-
-// strInto reads a string into *s, keeping the existing value when the
-// wire bytes are unchanged so a reused decode target allocates nothing in
-// steady state (the string(b) != *s comparison does not allocate).
-func (d *decoder) strInto(s *string) error {
-	n, err := d.u16()
-	if err != nil {
-		return err
-	}
-	if int(n) > MaxAddrLen {
-		return fmt.Errorf("%w: string length %d", ErrLimit, n)
-	}
-	if d.remaining() < int(n) {
-		return ErrTruncated
-	}
-	if b := d.buf[d.off : d.off+int(n)]; string(b) != *s {
-		*s = string(b)
-	}
-	d.off += int(n)
-	return nil
-}
-
-func (d *decoder) finish() error {
-	if d.remaining() != 0 {
-		return fmt.Errorf("proto: %d trailing bytes", d.remaining())
-	}
-	return nil
-}
-
 // --- message codecs ---
+
+// pooled finishes a payload built in a GetBuf buffer — the answers and
+// stream frames the connection writer recycles once the frame is copied
+// out — giving the buffer back when the encode failed.
+func pooled(w *codec.Writer) ([]byte, error) {
+	b, err := w.Done()
+	if err != nil {
+		PutBuf(w.Buf)
+	}
+	return b, err
+}
+
+// appendMessage appends an error message, cut to the cap rather than
+// refused.
+func appendMessage(w *codec.Writer, msg string) { w.Str(msg[:min(len(msg), MaxAddrLen)]) }
 
 // EncodeError encodes an Error payload.
 func EncodeError(e *Error) []byte {
-	enc := encoder{}
-	enc.u16(e.Code)
-	msg := e.Message
-	if len(msg) > MaxAddrLen {
-		msg = msg[:MaxAddrLen]
-	}
-	_ = enc.str(msg)
-	return enc.buf
+	var w codec.Writer
+	w.U16(e.Code)
+	appendMessage(&w, e.Message)
+	return w.Buf
 }
 
 // DecodeError decodes an Error payload.
 func DecodeError(b []byte) (*Error, error) {
-	d := decoder{buf: b}
-	code, err := d.u16()
-	if err != nil {
-		return nil, err
-	}
-	msg, err := d.str()
-	if err != nil {
-		return nil, err
-	}
-	if err := d.finish(); err != nil {
-		return nil, err
-	}
-	return &Error{Code: code, Message: msg}, nil
+	r := codec.NewReader(b)
+	m := &Error{Code: r.U16(), Message: r.Str()}
+	return m, r.Done()
 }
 
 // EncodeJoinRequest encodes a JoinRequest payload.
@@ -624,32 +529,13 @@ func EncodeJoinRequest(m *JoinRequest) ([]byte, error) {
 	return AppendJoinRequest(make([]byte, 0, 16+len(m.Addr)+4*len(m.Path)), m)
 }
 
-// AppendJoinRequest encodes m onto dst and returns the extended slice —
-// the allocation-free form of EncodeJoinRequest for callers holding a
-// pooled buffer (GetBuf/PutBuf).
+// AppendJoinRequest encodes m — one join entry — onto dst and returns the
+// extended slice: the allocation-free form of EncodeJoinRequest for
+// callers holding a pooled buffer (GetBuf/PutBuf).
 func AppendJoinRequest(dst []byte, m *JoinRequest) ([]byte, error) {
-	if len(m.Path) > MaxPathLen {
-		return nil, fmt.Errorf("%w: path length %d", ErrLimit, len(m.Path))
-	}
-	enc := encoder{buf: dst}
-	enc.i64(m.Peer)
-	if err := enc.str(m.Addr); err != nil {
-		return nil, err
-	}
-	enc.u16(uint16(len(m.Path)))
-	for _, r := range m.Path {
-		enc.i32(r)
-	}
-	return enc.buf, nil
-}
-
-// DecodeJoinRequest decodes a JoinRequest payload.
-func DecodeJoinRequest(b []byte) (*JoinRequest, error) {
-	m := &JoinRequest{}
-	if err := DecodeJoinRequestInto(m, b); err != nil {
-		return nil, err
-	}
-	return m, nil
+	w := codec.Writer{Buf: dst}
+	codec.AppendJoin(&w, m.Peer, m.Addr, m.Path)
+	return w.Done()
 }
 
 // DecodeJoinRequestInto decodes a JoinRequest payload into m, reusing
@@ -657,91 +543,56 @@ func DecodeJoinRequest(b []byte) (*JoinRequest, error) {
 // allocation-free decode for callers reusing a request struct across a
 // stream of joins.
 func DecodeJoinRequestInto(m *JoinRequest, b []byte) error {
-	d := decoder{buf: b}
-	if err := decodeJoinRequestPrefix(&d, m); err != nil {
-		return err
-	}
-	return d.finish()
+	r := codec.NewReader(b)
+	codec.ReadJoin(&r, &m.Peer, &m.Addr, &m.Path)
+	return r.Done()
 }
 
-// decodeJoinRequestPrefix reads the JoinRequest fields into m, leaving
-// the decoder positioned after them — shared by DecodeJoinRequestInto
-// (which then requires the payload be exhausted) and the forwarded-join
-// decoder (which reads the optional trailing fencing epoch first).
-func decodeJoinRequestPrefix(d *decoder, m *JoinRequest) error {
-	var err error
-	if m.Peer, err = d.i64(); err != nil {
-		return err
+// appendCandidates appends the candidate list, the answer to a join, a
+// lookup or a subscription:
+//
+//	count(2) {peer(8) dtree(4) addrLen(2) addr}...
+func appendCandidates(w *codec.Writer, cands []Candidate) {
+	w.Count(len(cands), 0, MaxNeighbors, "neighbours")
+	for i := range cands {
+		appendCandidate(w, &cands[i])
 	}
-	if err = d.strInto(&m.Addr); err != nil {
-		return err
-	}
-	n, err := d.u16()
-	if err != nil {
-		return err
-	}
-	if int(n) > MaxPathLen {
-		return fmt.Errorf("%w: path length %d", ErrLimit, n)
-	}
-	if m.Path == nil || cap(m.Path) < int(n) {
-		m.Path = make([]int32, n)
-	} else {
-		m.Path = m.Path[:n]
-	}
-	for i := range m.Path {
-		if m.Path[i], err = d.i32(); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
-// encodeCandidates is shared by join and lookup responses.
+func appendCandidate(w *codec.Writer, c *Candidate) {
+	w.I64(c.Peer)
+	w.I32(c.DTree)
+	w.Str(c.Addr)
+}
+
+// readCandidates reads a candidate list.
+func readCandidates(r *codec.Reader) []Candidate {
+	cands := make([]Candidate, r.Count(0, MaxNeighbors, "neighbours"))
+	for i := range cands {
+		readCandidate(r, &cands[i])
+	}
+	return cands
+}
+
+func readCandidate(r *codec.Reader, c *Candidate) {
+	c.Peer = r.I64()
+	c.DTree = r.I32()
+	c.Addr = r.Str()
+}
+
+// encodeCandidates is the join and lookup responses: a candidate list and
+// nothing else, in a pooled buffer (callers outside the connection
+// writer's path simply let it go to the GC).
 func encodeCandidates(cands []Candidate) ([]byte, error) {
-	if len(cands) > MaxNeighbors {
-		return nil, fmt.Errorf("%w: %d neighbours", ErrLimit, len(cands))
-	}
-	// Candidate answers are server hot-path payloads: they go to the
-	// connection writer, which recycles them after the frame is copied out
-	// (callers outside that path simply let the buffer go to the GC).
-	enc := encoder{buf: GetBuf(0)[:0]}
-	enc.u16(uint16(len(cands)))
-	for _, c := range cands {
-		enc.i64(c.Peer)
-		enc.i32(c.DTree)
-		if err := enc.str(c.Addr); err != nil {
-			PutBuf(enc.buf)
-			return nil, err
-		}
-	}
-	return enc.buf, nil
+	w := codec.Writer{Buf: GetBuf(0)}
+	appendCandidates(&w, cands)
+	return pooled(&w)
 }
 
 func decodeCandidates(b []byte) ([]Candidate, error) {
-	d := decoder{buf: b}
-	n, err := d.u16()
-	if err != nil {
-		return nil, err
-	}
-	if int(n) > MaxNeighbors {
-		return nil, fmt.Errorf("%w: %d neighbours", ErrLimit, n)
-	}
-	cands := make([]Candidate, n)
-	for i := range cands {
-		if cands[i].Peer, err = d.i64(); err != nil {
-			return nil, err
-		}
-		if cands[i].DTree, err = d.i32(); err != nil {
-			return nil, err
-		}
-		if cands[i].Addr, err = d.str(); err != nil {
-			return nil, err
-		}
-	}
-	if err := d.finish(); err != nil {
-		return nil, err
-	}
-	return cands, nil
+	r := codec.NewReader(b)
+	cands := readCandidates(&r)
+	return cands, r.Done()
 }
 
 // EncodeJoinResponse encodes a JoinResponse payload.
@@ -750,10 +601,7 @@ func EncodeJoinResponse(m *JoinResponse) ([]byte, error) { return encodeCandidat
 // DecodeJoinResponse decodes a JoinResponse payload.
 func DecodeJoinResponse(b []byte) (*JoinResponse, error) {
 	cands, err := decodeCandidates(b)
-	if err != nil {
-		return nil, err
-	}
-	return &JoinResponse{Neighbors: cands}, nil
+	return &JoinResponse{Neighbors: cands}, err
 }
 
 // EncodeLookupResponse encodes a LookupResponse payload.
@@ -762,112 +610,59 @@ func EncodeLookupResponse(m *LookupResponse) ([]byte, error) { return encodeCand
 // DecodeLookupResponse decodes a LookupResponse payload.
 func DecodeLookupResponse(b []byte) (*LookupResponse, error) {
 	cands, err := decodeCandidates(b)
-	if err != nil {
-		return nil, err
-	}
-	return &LookupResponse{Neighbors: cands}, nil
+	return &LookupResponse{Neighbors: cands}, err
 }
 
-// encodePeerID is shared by the single-field request messages.
-func encodePeerID(peer int64) []byte {
-	enc := encoder{buf: make([]byte, 0, 8)}
-	enc.i64(peer)
-	return enc.buf
-}
-
+// decodePeerID reads the single-field request messages (a lookup, a
+// leave, a refresh), which encodeU64 writes; unlike the stream's
+// single-sequence messages they refuse trailing bytes.
 func decodePeerID(b []byte) (int64, error) {
-	d := decoder{buf: b}
-	v, err := d.i64()
-	if err != nil {
-		return 0, err
-	}
-	if err := d.finish(); err != nil {
-		return 0, err
-	}
-	return v, nil
+	r := codec.NewReader(b)
+	v := r.I64()
+	return v, r.Done()
 }
 
 // EncodeLookupRequest encodes a LookupRequest payload.
-func EncodeLookupRequest(m *LookupRequest) []byte { return encodePeerID(m.Peer) }
+func EncodeLookupRequest(m *LookupRequest) []byte { return encodeU64(uint64(m.Peer)) }
 
 // DecodeLookupRequest decodes a LookupRequest payload.
 func DecodeLookupRequest(b []byte) (*LookupRequest, error) {
 	v, err := decodePeerID(b)
-	if err != nil {
-		return nil, err
-	}
-	return &LookupRequest{Peer: v}, nil
+	return &LookupRequest{Peer: v}, err
 }
 
-// EncodeLeaveRequest encodes a LeaveRequest payload.
-func EncodeLeaveRequest(m *LeaveRequest) []byte { return encodePeerID(m.Peer) }
+// EncodeLeaveRequest encodes a LeaveRequest payload; servers decode it
+// with DecodeLeaveOp.
+func EncodeLeaveRequest(m *LeaveRequest) []byte { return encodeU64(uint64(m.Peer)) }
 
-// DecodeLeaveRequest decodes a LeaveRequest payload.
-func DecodeLeaveRequest(b []byte) (*LeaveRequest, error) {
-	v, err := decodePeerID(b)
-	if err != nil {
-		return nil, err
-	}
-	return &LeaveRequest{Peer: v}, nil
-}
-
-// EncodeRefreshRequest encodes a RefreshRequest payload.
-func EncodeRefreshRequest(m *RefreshRequest) []byte { return encodePeerID(m.Peer) }
-
-// DecodeRefreshRequest decodes a RefreshRequest payload.
-func DecodeRefreshRequest(b []byte) (*RefreshRequest, error) {
-	v, err := decodePeerID(b)
-	if err != nil {
-		return nil, err
-	}
-	return &RefreshRequest{Peer: v}, nil
-}
+// EncodeRefreshRequest encodes a RefreshRequest payload; servers decode it
+// with DecodeRefreshOp.
+func EncodeRefreshRequest(m *RefreshRequest) []byte { return encodeU64(uint64(m.Peer)) }
 
 // EncodeLandmarksResponse encodes a LandmarksResponse payload.
 func EncodeLandmarksResponse(m *LandmarksResponse) ([]byte, error) {
 	if len(m.Routers) != len(m.Addrs) {
 		return nil, fmt.Errorf("proto: %d routers but %d addrs", len(m.Routers), len(m.Addrs))
 	}
-	if len(m.Routers) > MaxLandmarks {
-		return nil, fmt.Errorf("%w: %d landmarks", ErrLimit, len(m.Routers))
-	}
-	enc := encoder{}
-	enc.u16(uint16(len(m.Routers)))
+	var w codec.Writer
+	w.Count(len(m.Routers), 0, MaxLandmarks, "landmarks")
 	for i := range m.Routers {
-		enc.i32(m.Routers[i])
-		if err := enc.str(m.Addrs[i]); err != nil {
-			return nil, err
-		}
+		w.I32(m.Routers[i])
+		w.Str(m.Addrs[i])
 	}
-	return enc.buf, nil
+	return w.Done()
 }
 
 // DecodeLandmarksResponse decodes a LandmarksResponse payload.
 func DecodeLandmarksResponse(b []byte) (*LandmarksResponse, error) {
-	d := decoder{buf: b}
-	n, err := d.u16()
-	if err != nil {
-		return nil, err
+	r := codec.NewReader(b)
+	n := r.Count(0, MaxLandmarks, "landmarks")
+	m := &LandmarksResponse{Routers: make([]int32, n), Addrs: make([]string, n)}
+	for i := range m.Routers {
+		m.Routers[i] = r.I32()
+		m.Addrs[i] = r.Str()
 	}
-	if int(n) > MaxLandmarks {
-		return nil, fmt.Errorf("%w: %d landmarks", ErrLimit, n)
-	}
-	m := &LandmarksResponse{
-		Routers: make([]int32, n),
-		Addrs:   make([]string, n),
-	}
-	for i := 0; i < int(n); i++ {
-		if m.Routers[i], err = d.i32(); err != nil {
-			return nil, err
-		}
-		if m.Addrs[i], err = d.str(); err != nil {
-			return nil, err
-		}
-	}
-	if err := d.finish(); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return m, r.Done()
 }
 
 // Redirect points a client at the cluster node owning the landmark its
@@ -879,65 +674,43 @@ type Redirect struct {
 	// epoch; zero when the node does not track epochs. A client that
 	// forwards it with the retried write gets a loud CodeStaleEpoch
 	// (instead of a silent mis-placed write) if the landmark moves again
-	// in between. Encoded as an optional trailing field: absent on the
-	// wire means zero, so pre-epoch peers interoperate unchanged.
+	// in between. It is an optional trailing field: a zero epoch is not
+	// sent, and a payload that ends after Addr decodes to zero.
 	Epoch uint64
 }
 
 // EncodeRedirect encodes a Redirect payload.
 func EncodeRedirect(m *Redirect) ([]byte, error) {
-	enc := encoder{buf: make([]byte, 0, 10+len(m.Addr))}
-	if err := enc.str(m.Addr); err != nil {
-		return nil, err
-	}
+	w := codec.Writer{Buf: make([]byte, 0, 10+len(m.Addr))}
+	w.Str(m.Addr)
 	if m.Epoch != 0 {
-		enc.u64(m.Epoch)
+		w.U64(m.Epoch)
 	}
-	return enc.buf, nil
+	return w.Done()
 }
 
 // DecodeRedirect decodes a Redirect payload.
 func DecodeRedirect(b []byte) (*Redirect, error) {
-	d := decoder{buf: b}
-	m := &Redirect{}
-	var err error
-	if m.Addr, err = d.str(); err != nil {
-		return nil, err
+	r := codec.NewReader(b)
+	m := &Redirect{Addr: r.Str()}
+	if r.Len() >= 8 {
+		m.Epoch = r.U64()
 	}
-	if d.remaining() >= 8 {
-		if m.Epoch, err = d.u64(); err != nil {
-			return nil, err
-		}
-	}
-	if err := d.finish(); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return m, r.Done()
 }
 
-// EncodeForwardedJoinRequest encodes a node-to-node forwarded join. The
-// payload is a JoinRequest plus an optional trailing fencing epoch (zero
-// is omitted, so the bytes sent by and to pre-epoch nodes are unchanged);
-// only the frame type differs from a client join.
-func EncodeForwardedJoinRequest(m *JoinRequest) ([]byte, error) { return EncodeJoinRequest(m) }
-
-// EncodeForwardedJoinRequestFenced encodes a forwarded join stamped with
-// a landmark fencing epoch; zero degrades to the unfenced classic form.
+// EncodeForwardedJoinRequestFenced encodes a node-to-node forwarded join:
+// a JoinRequest plus the landmark fencing epoch the forwarding node
+// resolved the owner under, as an optional trailing u64 — a zero epoch is
+// not sent, so an unfenced forwarded join is byte for byte a JoinRequest
+// and only the frame type differs. DecodeForwardedJoinOp reads it.
 func EncodeForwardedJoinRequestFenced(m *JoinRequest, epoch uint64) ([]byte, error) {
 	b, err := EncodeJoinRequest(m)
-	if err != nil {
-		return nil, err
+	if err == nil && epoch != 0 {
+		b = binary.BigEndian.AppendUint64(b, epoch)
 	}
-	if epoch != 0 {
-		enc := encoder{buf: b}
-		enc.u64(epoch)
-		b = enc.buf
-	}
-	return b, nil
+	return b, err
 }
-
-// DecodeForwardedJoinRequest decodes a forwarded join.
-func DecodeForwardedJoinRequest(b []byte) (*JoinRequest, error) { return DecodeJoinRequest(b) }
 
 // Hello opens a connection (always bare-framed).
 type Hello struct {
@@ -947,10 +720,10 @@ type Hello struct {
 	MaxBatch uint16
 }
 
-// HelloAck accepts negotiation.
+// HelloAck accepts the hello.
 type HelloAck struct {
-	// Version is the version both sides use from the next frame on: the
-	// minimum of the two MaxVersions.
+	// Version is the version both sides use from the next frame on:
+	// Version2, the only one a server acknowledges.
 	Version uint16
 	// MaxBatch is the largest batch join the server accepts (0 = none).
 	MaxBatch uint16
@@ -958,48 +731,34 @@ type HelloAck struct {
 
 // EncodeHello encodes a Hello payload.
 func EncodeHello(m *Hello) []byte {
-	enc := encoder{buf: make([]byte, 0, 4)}
-	enc.u16(m.MaxVersion)
-	enc.u16(m.MaxBatch)
-	return enc.buf
+	w := codec.Writer{Buf: make([]byte, 0, 4)}
+	w.U16(m.MaxVersion)
+	w.U16(m.MaxBatch)
+	return w.Buf
 }
 
 // DecodeHello decodes a Hello payload. Trailing bytes are tolerated so
 // future versions can extend the handshake without breaking old servers.
 func DecodeHello(b []byte) (*Hello, error) {
-	d := decoder{buf: b}
-	m := &Hello{}
-	var err error
-	if m.MaxVersion, err = d.u16(); err != nil {
-		return nil, err
-	}
-	if m.MaxBatch, err = d.u16(); err != nil {
-		return nil, err
-	}
-	return m, nil
+	r := codec.NewReader(b)
+	m := &Hello{MaxVersion: r.U16(), MaxBatch: r.U16()}
+	return m, r.Err()
 }
 
 // EncodeHelloAck encodes a HelloAck payload.
 func EncodeHelloAck(m *HelloAck) []byte {
-	enc := encoder{buf: make([]byte, 0, 4)}
-	enc.u16(m.Version)
-	enc.u16(m.MaxBatch)
-	return enc.buf
+	w := codec.Writer{Buf: make([]byte, 0, 4)}
+	w.U16(m.Version)
+	w.U16(m.MaxBatch)
+	return w.Buf
 }
 
 // DecodeHelloAck decodes a HelloAck payload, tolerating trailing bytes
 // like DecodeHello.
 func DecodeHelloAck(b []byte) (*HelloAck, error) {
-	d := decoder{buf: b}
-	m := &HelloAck{}
-	var err error
-	if m.Version, err = d.u16(); err != nil {
-		return nil, err
-	}
-	if m.MaxBatch, err = d.u16(); err != nil {
-		return nil, err
-	}
-	return m, nil
+	r := codec.NewReader(b)
+	m := &HelloAck{Version: r.U16(), MaxBatch: r.U16()}
+	return m, r.Err()
 }
 
 // BatchJoinRequest carries up to MaxBatch joins in one frame.
@@ -1024,170 +783,59 @@ type BatchJoinResponse struct {
 	Results []BatchJoinResult
 }
 
-// EncodeBatchJoinRequest encodes a BatchJoinRequest payload.
+// EncodeBatchJoinRequest encodes a BatchJoinRequest payload — count(2)
+// then that many join entries — which MsgForwardedBatchJoinRequest carries
+// unchanged.
 func EncodeBatchJoinRequest(m *BatchJoinRequest) ([]byte, error) {
-	if len(m.Joins) == 0 || len(m.Joins) > MaxBatch {
-		return nil, fmt.Errorf("%w: batch of %d joins", ErrLimit, len(m.Joins))
-	}
-	enc := encoder{buf: make([]byte, 0, 64*len(m.Joins))}
-	enc.u16(uint16(len(m.Joins)))
+	w := codec.Writer{Buf: make([]byte, 0, 64*len(m.Joins))}
+	w.Count(len(m.Joins), 1, MaxBatch, "joins")
 	for i := range m.Joins {
 		j := &m.Joins[i]
-		if len(j.Path) > MaxPathLen {
-			return nil, fmt.Errorf("%w: path length %d", ErrLimit, len(j.Path))
-		}
-		enc.i64(j.Peer)
-		if err := enc.str(j.Addr); err != nil {
-			return nil, err
-		}
-		enc.u16(uint16(len(j.Path)))
-		for _, r := range j.Path {
-			enc.i32(r)
-		}
+		codec.AppendJoin(&w, j.Peer, j.Addr, j.Path)
 	}
-	if len(enc.buf)+9 > MaxFrameSize {
-		return nil, ErrFrameTooLarge
+	if len(w.Buf)+9 > MaxFrameSize {
+		w.Fail(ErrFrameTooLarge)
 	}
-	return enc.buf, nil
+	return w.Done()
 }
 
-// DecodeBatchJoinRequest decodes a BatchJoinRequest payload.
+// DecodeBatchJoinRequest decodes a BatchJoinRequest payload. Servers
+// decode it with DecodeBatchJoinOp.
 func DecodeBatchJoinRequest(b []byte) (*BatchJoinRequest, error) {
-	d := decoder{buf: b}
-	n, err := d.u16()
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 || int(n) > MaxBatch {
-		return nil, fmt.Errorf("%w: batch of %d joins", ErrLimit, n)
-	}
-	m := &BatchJoinRequest{Joins: make([]JoinRequest, n)}
+	r := codec.NewReader(b)
+	m := &BatchJoinRequest{Joins: make([]JoinRequest, r.Count(1, MaxBatch, "joins"))}
 	for i := range m.Joins {
 		j := &m.Joins[i]
-		if j.Peer, err = d.i64(); err != nil {
-			return nil, err
-		}
-		if j.Addr, err = d.str(); err != nil {
-			return nil, err
-		}
-		hops, err := d.u16()
-		if err != nil {
-			return nil, err
-		}
-		if int(hops) > MaxPathLen {
-			return nil, fmt.Errorf("%w: path length %d", ErrLimit, hops)
-		}
-		j.Path = make([]int32, hops)
-		for k := range j.Path {
-			if j.Path[k], err = d.i32(); err != nil {
-				return nil, err
-			}
-		}
+		codec.ReadJoin(&r, &j.Peer, &j.Addr, &j.Path)
 	}
-	if err := d.finish(); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return m, r.Done()
 }
 
-// EncodeForwardedBatchJoinRequest encodes a node-to-node forwarded batch
-// join. The payload is identical to a BatchJoinRequest; only the frame
-// type differs.
-func EncodeForwardedBatchJoinRequest(m *BatchJoinRequest) ([]byte, error) {
-	return EncodeBatchJoinRequest(m)
-}
-
-// DecodeForwardedBatchJoinRequest decodes a forwarded batch join.
-func DecodeForwardedBatchJoinRequest(b []byte) (*BatchJoinRequest, error) {
-	return DecodeBatchJoinRequest(b)
-}
-
-// EncodeBatchJoinResponse encodes a BatchJoinResponse payload.
+// EncodeBatchJoinResponse encodes a BatchJoinResponse payload into a
+// pooled buffer, like encodeCandidates.
 func EncodeBatchJoinResponse(m *BatchJoinResponse) ([]byte, error) {
-	if len(m.Results) == 0 || len(m.Results) > MaxBatch {
-		return nil, fmt.Errorf("%w: batch of %d results", ErrLimit, len(m.Results))
-	}
-	// Like encodeCandidates, batch answers are pooled: the connection
-	// writer recycles the payload once the frame is copied out.
-	enc := encoder{buf: GetBuf(0)[:0]}
-	enc.u16(uint16(len(m.Results)))
+	w := codec.Writer{Buf: GetBuf(0)}
+	w.Count(len(m.Results), 1, MaxBatch, "results")
 	for i := range m.Results {
-		r := &m.Results[i]
-		enc.u16(r.Code)
-		msg := r.Message
-		if len(msg) > MaxAddrLen {
-			msg = msg[:MaxAddrLen]
-		}
-		if err := enc.str(msg); err != nil {
-			PutBuf(enc.buf)
-			return nil, err
-		}
-		if len(r.Neighbors) > MaxNeighbors {
-			PutBuf(enc.buf)
-			return nil, fmt.Errorf("%w: %d neighbours", ErrLimit, len(r.Neighbors))
-		}
-		enc.u16(uint16(len(r.Neighbors)))
-		for _, c := range r.Neighbors {
-			enc.i64(c.Peer)
-			enc.i32(c.DTree)
-			if err := enc.str(c.Addr); err != nil {
-				PutBuf(enc.buf)
-				return nil, err
-			}
-		}
+		res := &m.Results[i]
+		w.U16(res.Code)
+		appendMessage(&w, res.Message)
+		appendCandidates(&w, res.Neighbors)
 	}
-	if len(enc.buf)+9 > MaxFrameSize {
-		PutBuf(enc.buf)
-		return nil, ErrFrameTooLarge
+	if len(w.Buf)+9 > MaxFrameSize {
+		w.Fail(ErrFrameTooLarge)
 	}
-	return enc.buf, nil
+	return pooled(&w)
 }
 
 // DecodeBatchJoinResponse decodes a BatchJoinResponse payload.
 func DecodeBatchJoinResponse(b []byte) (*BatchJoinResponse, error) {
-	d := decoder{buf: b}
-	n, err := d.u16()
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 || int(n) > MaxBatch {
-		return nil, fmt.Errorf("%w: batch of %d results", ErrLimit, n)
-	}
-	m := &BatchJoinResponse{Results: make([]BatchJoinResult, n)}
+	r := codec.NewReader(b)
+	m := &BatchJoinResponse{Results: make([]BatchJoinResult, r.Count(1, MaxBatch, "results"))}
 	for i := range m.Results {
-		r := &m.Results[i]
-		if r.Code, err = d.u16(); err != nil {
-			return nil, err
-		}
-		if r.Message, err = d.str(); err != nil {
-			return nil, err
-		}
-		cands, err := d.u16()
-		if err != nil {
-			return nil, err
-		}
-		if int(cands) > MaxNeighbors {
-			return nil, fmt.Errorf("%w: %d neighbours", ErrLimit, cands)
-		}
-		if cands > 0 {
-			r.Neighbors = make([]Candidate, cands)
-			for k := range r.Neighbors {
-				if r.Neighbors[k].Peer, err = d.i64(); err != nil {
-					return nil, err
-				}
-				if r.Neighbors[k].DTree, err = d.i32(); err != nil {
-					return nil, err
-				}
-				if r.Neighbors[k].Addr, err = d.str(); err != nil {
-					return nil, err
-				}
-			}
-		}
+		m.Results[i] = BatchJoinResult{Code: r.U16(), Message: r.Str(), Neighbors: readCandidates(&r)}
 	}
-	if err := d.finish(); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return m, r.Done()
 }
 
 // Node roles carried by Status.
@@ -1215,9 +863,8 @@ type Status struct {
 	// PrimaryAddr is the TCP address of the primary node, set on replicas.
 	PrimaryAddr string
 
-	// Durability and replication telemetry, appended by this build's
-	// servers and zero when talking to an older node (the decoder
-	// tolerates their absence).
+	// Durability and replication telemetry: the first optional block,
+	// zero when the payload ends before it.
 
 	// SnapshotSeq is the covering op sequence of the node's last on-disk
 	// snapshot; WalTail is the number of log records beyond it (the tail
@@ -1234,9 +881,8 @@ type Status struct {
 	Applied uint64
 	Head    uint64
 
-	// Operational gauges appended by telemetry-aware builds, zero when
-	// talking to an older node (the decoder tolerates their absence
-	// exactly as it tolerates the durability block's).
+	// Operational gauges: the second optional block, zero when the
+	// payload ends before it.
 
 	// Peers is the number of peers registered with the node's backend.
 	Peers uint64
@@ -1253,82 +899,51 @@ type Status struct {
 
 // EncodeStatus encodes a Status payload.
 func EncodeStatus(m *Status) ([]byte, error) {
-	enc := encoder{buf: make([]byte, 0, 45+len(m.PrimaryAddr))}
-	enc.buf = append(enc.buf, m.Role)
-	enc.u16(m.Shards)
-	enc.u16(m.Replicas)
-	enc.u16(m.Live)
-	if err := enc.str(m.PrimaryAddr); err != nil {
-		return nil, err
-	}
-	enc.u64(m.SnapshotSeq)
-	enc.u64(m.WalTail)
-	enc.u32(m.ReplayMillis)
-	enc.u64(m.Applied)
-	enc.u64(m.Head)
-	enc.u64(m.Peers)
-	enc.u32(m.QueueDepth)
-	enc.u64(m.RequestsTotal)
-	enc.u64(m.WalFsyncs)
-	return enc.buf, nil
+	w := codec.Writer{Buf: make([]byte, 0, 45+len(m.PrimaryAddr))}
+	w.U8(m.Role)
+	w.U16(m.Shards)
+	w.U16(m.Replicas)
+	w.U16(m.Live)
+	w.Str(m.PrimaryAddr)
+	w.U64(m.SnapshotSeq)
+	w.U64(m.WalTail)
+	w.U32(m.ReplayMillis)
+	w.U64(m.Applied)
+	w.U64(m.Head)
+	w.U64(m.Peers)
+	w.U32(m.QueueDepth)
+	w.U64(m.RequestsTotal)
+	w.U64(m.WalFsyncs)
+	return w.Done()
 }
 
-// DecodeStatus decodes a Status payload. Trailing bytes are tolerated so
-// future versions can extend the report without breaking old clients.
+// DecodeStatus decodes a Status payload. The report has grown twice and
+// may end where either block begins — the fields behind that point stay
+// zero — and trailing bytes are tolerated so the next block does not break
+// this build's clients.
 func DecodeStatus(b []byte) (*Status, error) {
-	d := decoder{buf: b}
-	if d.remaining() < 1 {
-		return nil, ErrTruncated
+	r := codec.NewReader(b)
+	m := &Status{
+		Role:        r.U8(),
+		Shards:      r.U16(),
+		Replicas:    r.U16(),
+		Live:        r.U16(),
+		PrimaryAddr: r.Str(),
 	}
-	m := &Status{Role: d.buf[0]}
-	d.off = 1
-	var err error
-	if m.Shards, err = d.u16(); err != nil {
-		return nil, err
+	if r.Len() != 0 { // the durability block
+		m.SnapshotSeq = r.U64()
+		m.WalTail = r.U64()
+		m.ReplayMillis = r.U32()
+		m.Applied = r.U64()
+		m.Head = r.U64()
 	}
-	if m.Replicas, err = d.u16(); err != nil {
-		return nil, err
+	if r.Len() != 0 { // the operational gauges
+		m.Peers = r.U64()
+		m.QueueDepth = r.U32()
+		m.RequestsTotal = r.U64()
+		m.WalFsyncs = r.U64()
 	}
-	if m.Live, err = d.u16(); err != nil {
-		return nil, err
-	}
-	if m.PrimaryAddr, err = d.str(); err != nil {
-		return nil, err
-	}
-	if d.remaining() == 0 {
-		return m, nil // a pre-telemetry node: the new fields stay zero
-	}
-	if m.SnapshotSeq, err = d.u64(); err != nil {
-		return nil, err
-	}
-	if m.WalTail, err = d.u64(); err != nil {
-		return nil, err
-	}
-	if m.ReplayMillis, err = d.u32(); err != nil {
-		return nil, err
-	}
-	if m.Applied, err = d.u64(); err != nil {
-		return nil, err
-	}
-	if m.Head, err = d.u64(); err != nil {
-		return nil, err
-	}
-	if d.remaining() == 0 {
-		return m, nil // a pre-gauge node: the operational gauges stay zero
-	}
-	if m.Peers, err = d.u64(); err != nil {
-		return nil, err
-	}
-	if m.QueueDepth, err = d.u32(); err != nil {
-		return nil, err
-	}
-	if m.RequestsTotal, err = d.u64(); err != nil {
-		return nil, err
-	}
-	if m.WalFsyncs, err = d.u64(); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return m, r.Err()
 }
 
 // ProbePacket is the 12-byte UDP landmark probe: a magic tag plus a nonce

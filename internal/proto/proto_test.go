@@ -68,13 +68,19 @@ func TestFrameTruncatedRead(t *testing.T) {
 	}
 }
 
+// decodeJoinRequest decodes into a fresh request.
+func decodeJoinRequest(b []byte) (*JoinRequest, error) {
+	m := &JoinRequest{}
+	return m, DecodeJoinRequestInto(m, b)
+}
+
 func TestJoinRequestRoundTrip(t *testing.T) {
 	m := &JoinRequest{Peer: 42, Addr: "127.0.0.1:9000", Path: []int32{5, 9, 13, 0}}
 	b, err := EncodeJoinRequest(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeJoinRequest(b)
+	got, err := decodeJoinRequest(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +107,7 @@ func TestJoinRequestLimits(t *testing.T) {
 		0, 0, // addr len 0
 		0xFF, 0xFF, // path count 65535
 	}
-	if _, err := DecodeJoinRequest(forged); !errors.Is(err, ErrLimit) {
+	if _, err := decodeJoinRequest(forged); !errors.Is(err, ErrLimit) {
 		t.Fatalf("err=%v", err)
 	}
 }
@@ -110,7 +116,7 @@ func TestJoinRequestTrailingBytes(t *testing.T) {
 	m := &JoinRequest{Peer: 1, Addr: "a", Path: []int32{0}}
 	b, _ := EncodeJoinRequest(m)
 	b = append(b, 0xAB)
-	if _, err := DecodeJoinRequest(b); err == nil {
+	if _, err := decodeJoinRequest(b); err == nil {
 		t.Fatal("accepted trailing bytes")
 	}
 }
@@ -155,11 +161,11 @@ func TestPeerIDMessages(t *testing.T) {
 	if err != nil || lr.Peer != -7 {
 		t.Fatalf("lookup=%+v err=%v", lr, err)
 	}
-	lv, err := DecodeLeaveRequest(EncodeLeaveRequest(&LeaveRequest{Peer: 9}))
+	lv, err := DecodeLeaveOp(EncodeLeaveRequest(&LeaveRequest{Peer: 9}))
 	if err != nil || lv.Peer != 9 {
 		t.Fatalf("leave=%+v err=%v", lv, err)
 	}
-	rf, err := DecodeRefreshRequest(EncodeRefreshRequest(&RefreshRequest{Peer: 11}))
+	rf, err := DecodeRefreshOp(EncodeRefreshRequest(&RefreshRequest{Peer: 11}))
 	if err != nil || rf.Peer != 11 {
 		t.Fatalf("refresh=%+v err=%v", rf, err)
 	}
@@ -246,7 +252,7 @@ func TestJoinRequestRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := DecodeJoinRequest(b)
+		got, err := decodeJoinRequest(b)
 		if err != nil {
 			return false
 		}
@@ -272,12 +278,12 @@ func TestDecodersRobustToGarbage(t *testing.T) {
 		b := make([]byte, rng.Intn(256))
 		rng.Read(b)
 		// All decoders must return (possibly error) without panicking.
-		_, _ = DecodeJoinRequest(b)
+		_, _ = decodeJoinRequest(b)
 		_, _ = DecodeJoinResponse(b)
 		_, _ = DecodeLookupRequest(b)
 		_, _ = DecodeLookupResponse(b)
-		_, _ = DecodeLeaveRequest(b)
-		_, _ = DecodeRefreshRequest(b)
+		_, _ = DecodeLeaveOp(b)
+		_, _ = DecodeRefreshOp(b)
 		_, _ = DecodeLandmarksResponse(b)
 		_, _ = DecodeError(b)
 		_, _ = DecodeProbe(b)
@@ -327,15 +333,15 @@ func TestRedirectLimits(t *testing.T) {
 
 func TestForwardedJoinRoundTrip(t *testing.T) {
 	m := &JoinRequest{Peer: 9, Addr: "203.0.113.5:7000", Path: []int32{4, 2, 100}}
-	b, err := EncodeForwardedJoinRequest(m)
+	b, err := EncodeForwardedJoinRequestFenced(m, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeForwardedJoinRequest(b)
+	o, err := DecodeForwardedJoinOp(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Peer != m.Peer || got.Addr != m.Addr || len(got.Path) != 3 || got.Path[2] != 100 {
+	if got := o.Join; int64(got.Peer) != m.Peer || got.Addr != m.Addr || len(got.Path) != 3 || got.Path[2] != 100 {
 		t.Fatalf("got=%+v", got)
 	}
 	// The forwarded-join payload is byte-identical to a JoinRequest; only
@@ -403,7 +409,7 @@ func TestForwardedJoinFencedRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	classic, err := EncodeForwardedJoinRequest(m)
+	classic, err := EncodeJoinRequest(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,7 +494,7 @@ func TestDecodeRedirectGarbage(t *testing.T) {
 		b := make([]byte, rng.Intn(256))
 		rng.Read(b)
 		_, _ = DecodeRedirect(b)
-		_, _ = DecodeForwardedJoinRequest(b)
+		_, _ = DecodeForwardedJoinOp(b)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -822,7 +828,7 @@ func TestBatchJoinResponseRoundTrip(t *testing.T) {
 	if got.Results[1].Code != CodeUnknownLandmark || got.Results[1].Message != "no such landmark" {
 		t.Fatalf("entry 1: %+v", got.Results[1])
 	}
-	if got.Results[2].Code != 0 || got.Results[2].Neighbors != nil {
+	if got.Results[2].Code != 0 || len(got.Results[2].Neighbors) != 0 {
 		t.Fatalf("entry 2: %+v", got.Results[2])
 	}
 }

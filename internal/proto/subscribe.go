@@ -1,6 +1,10 @@
 package proto
 
-import "fmt"
+import (
+	"fmt"
+
+	"proxdisc/internal/codec"
+)
 
 // This file is the wire form of the push-based read plane (the
 // MsgSubscribe family): a client registers a live query with
@@ -51,47 +55,39 @@ type SubscribeRequest struct {
 	K uint16
 }
 
-// EncodeSubscribeRequest encodes a SubscribeRequest payload.
-func EncodeSubscribeRequest(m *SubscribeRequest) ([]byte, error) {
+// check reports a query kind or answer size no server accepts.
+func (m *SubscribeRequest) check() error {
 	if m.Kind < QueryLandmark || m.Kind > QueryKClosest {
-		return nil, fmt.Errorf("proto: bad query kind %d", m.Kind)
+		return fmt.Errorf("proto: bad query kind %d", m.Kind)
 	}
 	if int(m.K) > MaxNeighbors {
-		return nil, fmt.Errorf("%w: k of %d", ErrLimit, m.K)
+		return fmt.Errorf("%w: k of %d", ErrLimit, m.K)
 	}
-	enc := encoder{buf: make([]byte, 0, 15)}
-	enc.buf = append(enc.buf, m.Kind)
-	enc.i64(m.Peer)
-	enc.i32(m.Landmark)
-	enc.u16(m.K)
-	return enc.buf, nil
+	return nil
+}
+
+// EncodeSubscribeRequest encodes a SubscribeRequest payload.
+func EncodeSubscribeRequest(m *SubscribeRequest) ([]byte, error) {
+	if err := m.check(); err != nil {
+		return nil, err
+	}
+	w := codec.Writer{Buf: make([]byte, 0, 15)}
+	w.U8(m.Kind)
+	w.I64(m.Peer)
+	w.I32(m.Landmark)
+	w.U16(m.K)
+	return w.Buf, nil
 }
 
 // DecodeSubscribeRequest decodes a SubscribeRequest payload. Trailing
 // bytes are tolerated so future versions can extend the query.
 func DecodeSubscribeRequest(b []byte) (*SubscribeRequest, error) {
-	d := decoder{buf: b}
-	m := &SubscribeRequest{}
-	var err error
-	if m.Kind, err = d.u8(); err != nil {
-		return nil, err
+	r := codec.NewReader(b)
+	m := &SubscribeRequest{Kind: r.U8(), Peer: r.I64(), Landmark: r.I32(), K: r.U16()}
+	if err := r.Err(); err != nil {
+		return m, err
 	}
-	if m.Kind < QueryLandmark || m.Kind > QueryKClosest {
-		return nil, fmt.Errorf("proto: bad query kind %d", m.Kind)
-	}
-	if m.Peer, err = d.i64(); err != nil {
-		return nil, err
-	}
-	if m.Landmark, err = d.i32(); err != nil {
-		return nil, err
-	}
-	if m.K, err = d.u16(); err != nil {
-		return nil, err
-	}
-	if int(m.K) > MaxNeighbors {
-		return nil, fmt.Errorf("%w: k of %d", ErrLimit, m.K)
-	}
-	return m, nil
+	return m, m.check()
 }
 
 // SubscribeAck accepts a subscription.
@@ -106,28 +102,19 @@ type SubscribeAck struct {
 
 // EncodeSubscribeAck encodes a SubscribeAck payload.
 func EncodeSubscribeAck(m *SubscribeAck) ([]byte, error) {
-	enc := encoder{buf: make([]byte, 0, 10+24*len(m.Neighbors))}
-	enc.u64(m.Seq)
-	if err := appendCandidates(&enc, m.Neighbors); err != nil {
-		return nil, err
-	}
-	return enc.buf, nil
+	w := codec.Writer{Buf: make([]byte, 0, 10+24*len(m.Neighbors))}
+	w.U64(m.Seq)
+	appendCandidates(&w, m.Neighbors)
+	return w.Done()
 }
 
 // DecodeSubscribeAck decodes a SubscribeAck payload. Trailing bytes are
 // tolerated — like DecodeStatus, the ack is the message newer servers
 // extend, and an older client must keep decoding the fields it knows.
 func DecodeSubscribeAck(b []byte) (*SubscribeAck, error) {
-	d := decoder{buf: b}
-	m := &SubscribeAck{}
-	var err error
-	if m.Seq, err = d.u64(); err != nil {
-		return nil, err
-	}
-	if m.Neighbors, err = readCandidates(&d); err != nil {
-		return nil, err
-	}
-	return m, nil
+	r := codec.NewReader(b)
+	m := &SubscribeAck{Seq: r.U64(), Neighbors: readCandidates(&r)}
+	return m, r.Err()
 }
 
 // SubEvent is one pushed subscription delta.
@@ -147,61 +134,35 @@ type SubEvent struct {
 // EncodeSubEvent encodes a SubEvent payload:
 //
 //	seq(8) kind(1) then candidate for enter/leave/update,
-//	or count(2) candidate... for resync.
+//	or the candidate list for resync.
 func EncodeSubEvent(m *SubEvent) ([]byte, error) {
-	enc := encoder{buf: make([]byte, 0, 32)}
-	enc.u64(m.Seq)
-	enc.buf = append(enc.buf, m.Kind)
+	w := codec.Writer{Buf: make([]byte, 0, 32)}
+	w.U64(m.Seq)
+	w.U8(m.Kind)
 	switch m.Kind {
 	case EventEnter, EventLeave, EventUpdate:
-		enc.i64(m.Cand.Peer)
-		enc.i32(m.Cand.DTree)
-		if err := enc.str(m.Cand.Addr); err != nil {
-			return nil, err
-		}
+		appendCandidate(&w, &m.Cand)
 	case EventResync:
-		if err := appendCandidates(&enc, m.Neighbors); err != nil {
-			return nil, err
-		}
+		appendCandidates(&w, m.Neighbors)
 	default:
-		return nil, fmt.Errorf("proto: bad event kind %d", m.Kind)
+		w.Fail(fmt.Errorf("proto: bad event kind %d", m.Kind))
 	}
-	return enc.buf, nil
+	return w.Done()
 }
 
 // DecodeSubEvent decodes a SubEvent payload.
 func DecodeSubEvent(b []byte) (*SubEvent, error) {
-	d := decoder{buf: b}
-	m := &SubEvent{}
-	var err error
-	if m.Seq, err = d.u64(); err != nil {
-		return nil, err
-	}
-	if m.Kind, err = d.u8(); err != nil {
-		return nil, err
-	}
+	r := codec.NewReader(b)
+	m := &SubEvent{Seq: r.U64(), Kind: r.U8()}
 	switch m.Kind {
 	case EventEnter, EventLeave, EventUpdate:
-		if m.Cand.Peer, err = d.i64(); err != nil {
-			return nil, err
-		}
-		if m.Cand.DTree, err = d.i32(); err != nil {
-			return nil, err
-		}
-		if m.Cand.Addr, err = d.str(); err != nil {
-			return nil, err
-		}
+		readCandidate(&r, &m.Cand)
 	case EventResync:
-		if m.Neighbors, err = readCandidates(&d); err != nil {
-			return nil, err
-		}
+		m.Neighbors = readCandidates(&r)
 	default:
-		return nil, fmt.Errorf("proto: bad event kind %d", m.Kind)
+		r.Fail(fmt.Errorf("proto: bad event kind %d", m.Kind))
 	}
-	if err := d.finish(); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return m, r.Done()
 }
 
 // Unsubscribe cancels a subscription.
@@ -211,63 +172,11 @@ type Unsubscribe struct {
 }
 
 // EncodeUnsubscribe encodes an Unsubscribe payload.
-func EncodeUnsubscribe(m *Unsubscribe) []byte {
-	enc := encoder{buf: make([]byte, 0, 8)}
-	enc.u64(m.SubID)
-	return enc.buf
-}
+func EncodeUnsubscribe(m *Unsubscribe) []byte { return encodeU64(m.SubID) }
 
 // DecodeUnsubscribe decodes an Unsubscribe payload, tolerating trailing
 // bytes.
 func DecodeUnsubscribe(b []byte) (*Unsubscribe, error) {
-	d := decoder{buf: b}
-	m := &Unsubscribe{}
-	var err error
-	if m.SubID, err = d.u64(); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// appendCandidates encodes a counted candidate list onto an encoder —
-// the in-message form of encodeCandidates, shared by the subscription
-// messages whose candidates follow other fields.
-func appendCandidates(enc *encoder, cands []Candidate) error {
-	if len(cands) > MaxNeighbors {
-		return fmt.Errorf("%w: %d neighbours", ErrLimit, len(cands))
-	}
-	enc.u16(uint16(len(cands)))
-	for _, c := range cands {
-		enc.i64(c.Peer)
-		enc.i32(c.DTree)
-		if err := enc.str(c.Addr); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// readCandidates decodes a counted candidate list from a decoder mid-
-// message.
-func readCandidates(d *decoder) ([]Candidate, error) {
-	n, err := d.u16()
-	if err != nil {
-		return nil, err
-	}
-	if int(n) > MaxNeighbors {
-		return nil, fmt.Errorf("%w: %d neighbours", ErrLimit, n)
-	}
-	cands := make([]Candidate, n)
-	for i := range cands {
-		if cands[i].Peer, err = d.i64(); err != nil {
-			return nil, err
-		}
-		if cands[i].DTree, err = d.i32(); err != nil {
-			return nil, err
-		}
-		if cands[i].Addr, err = d.str(); err != nil {
-			return nil, err
-		}
-	}
-	return cands, nil
+	v, err := decodeU64(b)
+	return &Unsubscribe{SubID: v}, err
 }
