@@ -80,9 +80,9 @@ func main() {
 		shards      = flag.Int("shards", 1, "run a landmark-sharded cluster of this many shards")
 		role        = flag.String("role", "primary", "this node's replication role: primary or replica (replica governs wire behaviour only; -follow is the replica whose state is kept in sync)")
 		primAddr    = flag.String("primary-addr", "", "the primary node's TCP address (required with -role replica)")
-		workers     = flag.Int("workers", 0, "worker pool size for pipelined writes, forwards and proxied lookups; local reads are served on their connection's goroutine (0 = 4×GOMAXPROCS)")
+		workers     = flag.Int("workers", 0, "worker pool size for pipelined writes; reads are served on their connection's goroutine (0 = 4×GOMAXPROCS)")
 		maxBatch    = flag.Int("max-batch", 0, "largest batch join accepted (0 = wire-format maximum)")
-		dataDir     = flag.String("data-dir", "", "directory for durable state (WAL + snapshots); restart recovers the acknowledged peer set")
+		dataDir     = flag.String("data-dir", "", "directory for durable state (WAL + snapshots, under DIR/cluster); restart recovers the acknowledged peer set. A DIR/front left by an older build is never opened and is left as it is")
 		follow      = flag.String("follow", "", "run as a follower of the durable primary at this TCP address: stream its op log, apply it to a local copy, serve reads (implies -role replica)")
 		syncDelay   = flag.Duration("max-sync-delay", 0, "hold each WAL group-commit fsync open this long so light load batches syncs (e.g. 500us; 0 = sync immediately)")
 		snapBytes   = flag.Int64("snapshot-bytes", 0, "checkpoint after this many WAL bytes accumulate (0 = 4 MiB default, negative = op-count trigger only)")
@@ -246,10 +246,6 @@ func main() {
 		}
 	}
 
-	frontDir := ""
-	if *dataDir != "" {
-		frontDir = filepath.Join(*dataDir, "front")
-	}
 	var repl netserver.ReplicationStatus
 	if follower != nil {
 		repl = follower
@@ -263,7 +259,6 @@ func main() {
 		PrimaryAddr:     *primAddr,
 		Workers:         *workers,
 		MaxBatch:        *maxBatch,
-		DataDir:         frontDir,
 		Replication:     repl,
 		SlowOpThreshold: *slowOp,
 		SlowOp: func(id uint64, typ proto.MsgType, d time.Duration, inline bool) {

@@ -396,9 +396,12 @@ func (c *Client) dropAux(addr string, dead *Client) {
 
 // setHome records the address of the node a peer's join landed on ("" for
 // the primary connection), so subsequent peer-keyed requests (Lookup,
-// Refresh, Leave) go to the node that actually holds the registration.
-func (c *Client) setHome(peer int64, addr string) {
+// Refresh, Leave) go to the node that actually holds the registration. It
+// returns the home it replaces.
+func (c *Client) setHome(peer int64, addr string) (old string) {
 	c.auxMu.Lock()
+	defer c.auxMu.Unlock()
+	old = c.home[peer]
 	if addr == "" {
 		delete(c.home, peer)
 	} else {
@@ -407,7 +410,48 @@ func (c *Client) setHome(peer int64, addr string) {
 		}
 		c.home[peer] = addr
 	}
-	c.auxMu.Unlock()
+	return old
+}
+
+// rehome records that a join of peer succeeded at addr ("" for the primary
+// connection). When the peer's recorded home was another node, that node
+// still holds the old registration and would offer the peer as a neighbour
+// until its TTL expired, so it gets one best-effort Leave. The Leave goes
+// straight to the old node and never follows a CodeNotPrimary answer: a
+// replica would point it at the primary, which may be the new home. An
+// unchanged home sends nothing.
+func (c *Client) rehome(ctx context.Context, peer int64, addr string) {
+	old := c.setHome(peer, addr)
+	if old == addr || c.nodeAddr(old) == c.nodeAddr(addr) {
+		return
+	}
+	var target *Client
+	var err error
+	if old == "" {
+		target, err = c.primaryTarget()
+	} else {
+		target, err = c.auxClient(old)
+	}
+	if err == nil {
+		// Best effort: the join already succeeded, and a retire that fails
+		// leaves a record the old node's TTL expiry removes.
+		_, _, _ = target.exchange(ctx, proto.MsgLeaveRequest, proto.EncodeLeaveRequest(&proto.LeaveRequest{Peer: peer}))
+	}
+}
+
+// nodeAddr resolves a home to the address of the node it reaches: "" is
+// the primary road, which leads to a learned primary when a replica named
+// one and to the dialled address otherwise.
+func (c *Client) nodeAddr(home string) string {
+	if home != "" {
+		return home
+	}
+	c.auxMu.Lock()
+	defer c.auxMu.Unlock()
+	if c.primary != "" {
+		return c.primary
+	}
+	return c.addr
 }
 
 // homeAddr returns the address of the node holding a peer's registration,
@@ -836,7 +880,8 @@ func (c *Client) Landmarks() (*proto.LandmarksResponse, error) {
 // JoinContext registers this peer with its path and overlay address,
 // returning the closest-peer list. If the server answers with a redirect to
 // the cluster node owning the path's landmark, the client follows it (up to
-// MaxRedirects hops).
+// MaxRedirects hops). A peer that this client registered at another node
+// before is retired there once the join lands (see rehome).
 func (c *Client) JoinContext(ctx context.Context, peer int64, overlayAddr string, path []int32) ([]proto.Candidate, error) {
 	payload, err := proto.EncodeJoinRequest(&proto.JoinRequest{Peer: peer, Addr: overlayAddr, Path: path})
 	if err != nil {
@@ -874,7 +919,7 @@ func (c *Client) JoinContext(ctx context.Context, peer int64, overlayAddr string
 			if err != nil {
 				return nil, err
 			}
-			c.setHome(peer, targetAddr)
+			c.rehome(ctx, peer, targetAddr)
 			return jr.Neighbors, nil
 		case proto.MsgRedirect:
 			rd, err := proto.DecodeRedirect(resp)
@@ -1037,7 +1082,7 @@ func (c *Client) JoinBatchContext(ctx context.Context, items []BatchItem) ([]Bat
 		switch r.Code {
 		case 0:
 			out[i].Neighbors = r.Neighbors
-			c.setHome(items[i].Peer, "")
+			c.rehome(ctx, items[i].Peer, "")
 		case proto.CodeWrongShard:
 			// The entry's landmark lives on another cluster node; the
 			// singular path follows the redirect there.

@@ -796,3 +796,25 @@ func TestShardedWALKillDashNineRecovery(t *testing.T) {
 
 	assertSameAnswers(t, captureAnswers(t, cleanRe), captureAnswers(t, killedRe), "kill-9 vs uninterrupted")
 }
+
+// TestLeaveOfUnknownPeerLogsNothing pins what makes the client's re-home
+// retire free on disk: a Leave of a peer this node does not hold fails
+// with server.ErrUnknownPeer before the WAL append, so the log head does
+// not move (the front end acks such a leave all the same).
+func TestLeaveOfUnknownPeerLogsNothing(t *testing.T) {
+	c, err := New(durableConfig(t.TempDir(), 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.JoinOp(op.Join(1, []topology.NodeID{10, testLandmarks[0]}, "10.0.0.1:1", time.Now().UnixNano())); err != nil {
+		t.Fatal(err)
+	}
+	head := c.DurabilityStats().Head
+	if err := c.Apply(op.Leave(404)); !errors.Is(err, server.ErrUnknownPeer) {
+		t.Fatalf("Leave of an unknown peer: %v, want ErrUnknownPeer", err)
+	}
+	if got := c.DurabilityStats().Head; got != head {
+		t.Fatalf("log head moved from %d to %d for a leave of an unknown peer", head, got)
+	}
+}

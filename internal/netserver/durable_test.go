@@ -94,61 +94,3 @@ func TestRestartServesAcknowledgedStateOverTCP(t *testing.T) {
 		}
 	}
 }
-
-// TestFrontStateRecoversForwardedPeers covers the front end's own durable
-// state: node1 proxies a join to node2 (the landmark's owner) and records
-// the ownership in its front WAL; after node1 crashes and restarts with
-// the same front data directory, peer-keyed follow-ups still reach node2
-// instead of failing against node1's local backend.
-func TestFrontStateRecoversForwardedPeers(t *testing.T) {
-	frontDir := t.TempDir()
-	node2, logic2 := startNode(t, []topology.NodeID{100}, nil, false)
-	logic1, err := cluster.New(cluster.Config{Landmarks: []topology.NodeID{0}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	remote := map[topology.NodeID]string{100: node2.Addr()}
-	node1, err := Listen(Config{
-		Addr:            "127.0.0.1:0",
-		Server:          logic1,
-		RemoteLandmarks: remote,
-		ForwardJoins:    true,
-		DataDir:         frontDir,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := dial(t, node1)
-	if _, err := c.Join(7, "127.0.0.1:9007", []int32{30, 100}); err != nil {
-		t.Fatal(err)
-	}
-	if logic2.NumPeers() != 1 {
-		t.Fatalf("owner node peers=%d", logic2.NumPeers())
-	}
-	node1.Close() // also snapshots the forwarded map; the WAL covers a crash path too
-
-	node1b, err := Listen(Config{
-		Addr:            "127.0.0.1:0",
-		Server:          logic1,
-		RemoteLandmarks: remote,
-		ForwardJoins:    true,
-		DataDir:         frontDir,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer node1b.Close()
-	if owner, ok := node1b.forwardedOwner(7); !ok || owner != node2.Addr() {
-		t.Fatalf("forwarded owner after restart: %q ok=%v, want %q", owner, ok, node2.Addr())
-	}
-	c2 := dial(t, node1b)
-	if err := c2.Refresh(7); err != nil {
-		t.Fatalf("refresh of forwarded peer after front restart: %v", err)
-	}
-	if err := c2.Leave(7); err != nil {
-		t.Fatalf("leave of forwarded peer after front restart: %v", err)
-	}
-	if logic2.NumPeers() != 0 {
-		t.Fatalf("owner still holds %d peers after forwarded leave", logic2.NumPeers())
-	}
-}

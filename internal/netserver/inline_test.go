@@ -328,52 +328,47 @@ func TestInlineSlowReaderIsolated(t *testing.T) {
 	}
 }
 
-// TestInlineNeverServesForwardedPeer pins the inline decision: a peer
-// whose join this node forwarded is looked up through the pool (where the
-// proxy round trip may block), never on the reader goroutine; writes are
-// never inline either.
-func TestInlineNeverServesForwardedPeer(t *testing.T) {
-	node2, _ := startNode(t, []topology.NodeID{100}, nil, false)
-	node1, _ := startNode(t, []topology.NodeID{0},
-		map[topology.NodeID]string{100: node2.Addr()}, true)
-	c := dial(t, node1)
-	if _, err := c.Join(1, "127.0.0.1:9001", []int32{10, 0}); err != nil { // local
-		t.Fatal(err)
-	}
-	if _, err := c.Join(7, "127.0.0.1:9007", []int32{30, 100}); err != nil { // forwarded to node2
-		t.Fatal(err)
-	}
-	if _, err := c.Join(8, "127.0.0.1:9008", []int32{31, 30, 100}); err != nil {
+// TestInlineServesEveryRead pins the inline decision as a table: every
+// read is served on the reader goroutine with its own answer type, error
+// answers included, and no write ever is.
+func TestInlineServesEveryRead(t *testing.T) {
+	ns := twoLandmarkNode(t, 0, t.Logf)
+	if _, err := dial(t, ns).Join(1, "127.0.0.1:9001", []int32{10, 0}); err != nil {
 		t.Fatal(err)
 	}
 	lookup := func(p int64) []byte { return proto.EncodeLookupRequest(&proto.LookupRequest{Peer: p}) }
-	if typ, resp, ok := node1.serveInline(proto.MsgLookupRequest, lookup(1)); !ok || typ != proto.MsgLookupResponse {
-		t.Fatalf("local lookup not served inline: typ=%v ok=%v", typ, ok)
-	} else {
+	for _, tc := range []struct {
+		name    string
+		typ     proto.MsgType
+		payload []byte
+		want    proto.MsgType
+		code    uint16 // the error code, when want is MsgError
+	}{
+		{"status", proto.MsgStatusRequest, nil, proto.MsgStatusResponse, 0},
+		{"landmarks", proto.MsgLandmarksRequest, nil, proto.MsgLandmarksResponse, 0},
+		{"known peer", proto.MsgLookupRequest, lookup(1), proto.MsgLookupResponse, 0},
+		{"unknown peer", proto.MsgLookupRequest, lookup(999), proto.MsgError, proto.CodeUnknownPeer},
+		{"malformed lookup", proto.MsgLookupRequest, []byte{1, 2, 3}, proto.MsgError, proto.CodeBadRequest},
+	} {
+		typ, resp, ok := ns.serveInline(tc.typ, tc.payload)
+		if !ok || typ != tc.want {
+			t.Fatalf("%s: typ=%v ok=%v, want %v served inline", tc.name, typ, ok, tc.want)
+		}
+		if tc.want == proto.MsgError {
+			werr, err := proto.DecodeError(resp)
+			if err != nil || werr.Code != tc.code {
+				t.Fatalf("%s: error %+v (%v), want code %d", tc.name, werr, err, tc.code)
+			}
+		}
 		proto.PutBuf(resp)
-	}
-	if _, _, ok := node1.serveInline(proto.MsgLookupRequest, lookup(7)); ok {
-		t.Fatal("lookup of a forwarded peer was served inline")
-	}
-	if typ, _, ok := node1.serveInline(proto.MsgLookupRequest, lookup(999)); !ok || typ != proto.MsgError {
-		t.Fatalf("unknown peer: typ=%v ok=%v, want an inline error", typ, ok)
 	}
 	for _, typ := range []proto.MsgType{
 		proto.MsgJoinRequest, proto.MsgForwardedJoinRequest, proto.MsgBatchJoinRequest,
 		proto.MsgForwardedBatchJoinRequest, proto.MsgLeaveRequest, proto.MsgRefreshRequest,
 	} {
-		if _, _, ok := node1.serveInline(typ, lookup(1)); ok {
+		if _, _, ok := ns.serveInline(typ, lookup(1)); ok {
 			t.Fatalf("%v served inline", typ)
 		}
-	}
-	// End to end the proxied lookup still works, and takes the pool road.
-	pooled := node1.met.road[0].Value()
-	got, err := c.Lookup(7)
-	if err != nil || len(got) != 1 || got[0].Peer != 8 {
-		t.Fatalf("lookup of forwarded peer: %+v %v", got, err)
-	}
-	if node1.met.road[0].Value() != pooled+1 {
-		t.Fatal("proxied lookup did not go through the pool")
 	}
 }
 

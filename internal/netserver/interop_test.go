@@ -11,6 +11,7 @@ import (
 	"proxdisc/internal/conf"
 	"proxdisc/internal/proto"
 	"proxdisc/internal/server"
+	"proxdisc/internal/telemetry"
 	"proxdisc/internal/topology"
 )
 
@@ -132,23 +133,30 @@ func TestReplicaRoleRedirectsWrites(t *testing.T) {
 	}
 }
 
-// TestForwardedJoinToReplicaFailsOver covers the node-to-node path hitting
-// a replica: a ForwardJoins-mode node whose (stale) shard map names a
-// replica front end must follow the CodeNotPrimary answer to the primary
-// instead of hard-failing, so the end client never notices.
-func TestForwardedJoinToReplicaFailsOver(t *testing.T) {
-	_, ownerReplica, owner, _ := startReplicaPair(t, 100)
-	// node1's map points landmark 100 at the REPLICA front end.
+// TestStaleMapNamesReplica covers a stale shard map on the redirect road:
+// node1's map points landmark 100 at a replica front end, which redirects
+// joins on to its primary. A Join follows node1 → replica → primary and
+// lands on the owner; a JoinBatch entry for landmark 100 comes back
+// CodeWrongShard from node1 and lands through the same singular detour.
+func TestStaleMapNamesReplica(t *testing.T) {
+	primary, ownerReplica, owner, _ := startReplicaPair(t, 100)
 	node1, _ := startNode(t, []topology.NodeID{0},
-		map[topology.NodeID]string{100: ownerReplica.Addr()}, true)
-	c := dial(t, node1)
+		map[topology.NodeID]string{100: ownerReplica.Addr()})
+	reg := telemetry.NewRegistry()
+	c, err := client.DialConfig(node1.Addr(), client.Config{Common: conf.Common{Telemetry: reg}, Timeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	redirects := reg.Counter("proxdisc_client_redirects_total")
+	singular := node1.met.reqs[proto.MsgJoinRequest]
+
 	if _, err := c.Join(1, "127.0.0.1:9001", []int32{20, 100}); err != nil {
-		t.Fatalf("forwarded join via replica owner: %v", err)
+		t.Fatalf("join via a map naming the replica: %v", err)
 	}
-	if owner.NumPeers() != 1 {
-		t.Fatalf("owner peers=%d", owner.NumPeers())
+	if owner.NumPeers() != 1 || redirects.Value() != 2 {
+		t.Fatalf("owner peers=%d redirects=%d, want 1 and 2", owner.NumPeers(), redirects.Value())
 	}
-	// The batch path takes the same detour.
 	res, err := c.JoinBatch([]client.BatchItem{
 		{Peer: 2, Addr: "127.0.0.1:9002", Path: []int32{21, 20, 100}},
 	})
@@ -156,10 +164,46 @@ func TestForwardedJoinToReplicaFailsOver(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res[0].Err != nil {
-		t.Fatalf("forwarded batch entry: %v", res[0].Err)
+		t.Fatalf("batch entry via a map naming the replica: %v", res[0].Err)
 	}
-	if owner.NumPeers() != 2 {
-		t.Fatalf("owner peers=%d after batch", owner.NumPeers())
+	// The entry was answered CodeWrongShard, so node1 saw it again as a
+	// singular join, which took the same two hops.
+	if owner.NumPeers() != 2 || singular.Value() != 2 || redirects.Value() != 4 {
+		t.Fatalf("owner peers=%d node1 singular joins=%d redirects=%d, want 2, 2 and 4",
+			owner.NumPeers(), singular.Value(), redirects.Value())
+	}
+	if primary.met.reqs[proto.MsgJoinRequest].Value() != 2 {
+		t.Fatalf("primary served %d singular joins, want 2", primary.met.reqs[proto.MsgJoinRequest].Value())
+	}
+}
+
+// TestRejoinThroughLearnedPrimaryKeepsPeer guards the re-home retire
+// against one node reached by two roads: a peer redirected to the primary
+// (home = its address) re-joins over the primary road after a replica
+// taught the client that same address. The home looks changed but the
+// node is not, so no Leave may reach it.
+func TestRejoinThroughLearnedPrimaryKeepsPeer(t *testing.T) {
+	primary, replica, logic, _ := startReplicaPair(t, 0)
+	c, err := client.DialConfig(replica.Addr(), client.Config{Timeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	if _, err := c.Join(1, "127.0.0.1:9001", []int32{10, 0}); err != nil { // redirected to the primary
+		t.Fatal(err)
+	}
+	// A write with no home learns the primary from the replica's answer.
+	var werr *proto.Error
+	if err := c.Refresh(99); !errors.As(err, &werr) || werr.Code != proto.CodeUnknownPeer {
+		t.Fatalf("refresh of an unknown peer: %v", err)
+	}
+	res, err := c.JoinBatch([]client.BatchItem{{Peer: 1, Addr: "127.0.0.1:9001", Path: []int32{11, 0}}})
+	if err != nil || res[0].Err != nil {
+		t.Fatalf("batch re-join: %v %v", err, res)
+	}
+	if logic.NumPeers() != 1 || primary.met.reqs[proto.MsgLeaveRequest].Value() != 0 {
+		t.Fatalf("primary peers=%d leaves=%d, want 1 and 0",
+			logic.NumPeers(), primary.met.reqs[proto.MsgLeaveRequest].Value())
 	}
 }
 

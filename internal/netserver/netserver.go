@@ -10,19 +10,17 @@
 // whatever order they complete. A request takes one of two roads, chosen by
 // what it can wait on, never by configuration:
 //
-//   - Requests that can never wait on the disk or on another node — a
-//     lookup of a peer registered here, status, landmarks — are served
-//     inline on the connection's reader goroutine and appended to the
-//     connection's write buffer. The reader flushes right before it would
-//     block on the socket, so N lookups that arrived in one segment leave
-//     in one write: one function call and a share of one syscall per
-//     direction.
-//   - Everything else — joins, batches, leave, refresh, lookups of a peer
-//     whose join this node forwarded — goes to a bounded worker pool shared
-//     by all connections, so a slow operation (an fsync, a forwarded join)
-//     does not head-of-line-block the connection; responses come back
-//     through a per-connection queue and writer goroutine, so a worker
-//     never touches a socket.
+//   - Requests that can never wait on the disk — lookups, status,
+//     landmarks — are served inline on the connection's reader goroutine
+//     and appended to the connection's write buffer. The reader flushes
+//     right before it would block on the socket, so N lookups that arrived
+//     in one segment leave in one write: one function call and a share of
+//     one syscall per direction.
+//   - Everything else — joins, batches, leave, refresh — goes to a bounded
+//     worker pool shared by all connections, so a slow operation (an
+//     fsync) does not head-of-line-block the connection; responses come
+//     back through a per-connection queue and writer goroutine, so a
+//     worker never touches a socket.
 //
 // Two contracts follow. Pipelined requests on one connection are
 // unordered with respect to each other: a lookup sent behind a join may be
@@ -30,13 +28,12 @@
 // served serially on its goroutine — per-connection read throughput is one
 // core; open more connections to scale.
 //
-// A local lookup takes exactly these locks. In the front end: fwdMu.RLock
-// (is the peer proxied?) and the connection's own write mutex. In a
-// server.Server backend: the state lock, read-held (a writer takes it
-// exclusively for one join at a time; snapshots and other whole-state walks
-// never take it) and nothing below it. A cluster.Cluster backend adds the
-// peer index stripe's RLock and nothing else (package cluster lists its
-// locks). Writers hold fwdMu exclusively for one map update at a time.
+// A lookup takes exactly these locks. In the front end: the connection's
+// own write mutex, and nothing else. In a server.Server backend: the state
+// lock, read-held (a writer takes it exclusively for one join at a time;
+// snapshots and other whole-state walks never take it) and nothing below
+// it. A cluster.Cluster backend adds the peer index stripe's RLock and
+// nothing else (package cluster lists its locks).
 //
 // Closest-peer answers carry dialable endpoints: every candidate comes back
 // from the backend with the overlay address its peer advertised, read from
@@ -45,13 +42,13 @@
 // A NetServer fronts either a standalone server.Server or one node of a
 // landmark-sharded cluster (see Backend). In cluster deployments each node
 // may additionally know which remote node owns each foreign landmark
-// (RemoteLandmarks): joins for those landmarks are then redirected to the
-// owner, or proxied node-to-node when ForwardJoins is set.
+// (RemoteLandmarks): joins for those landmarks are redirected to the owner,
+// and the client remembers where each of its peers lives, so the front end
+// keeps no per-peer state and no durable state of its own.
 package netserver
 
 import (
 	"bufio"
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -61,7 +58,6 @@ import (
 	"sync"
 	"time"
 
-	"proxdisc/internal/client"
 	"proxdisc/internal/conf"
 	"proxdisc/internal/op"
 	"proxdisc/internal/pathtree"
@@ -153,12 +149,10 @@ type Config struct {
 	LandmarkAddrs map[topology.NodeID]string
 	// RemoteLandmarks maps landmarks owned by other cluster nodes to those
 	// nodes' TCP addresses. A join whose path ends at a remote landmark is
-	// redirected there (default) or forwarded (ForwardJoins). Nil for
-	// standalone deployments.
+	// answered with a redirect there, and a batch entry for one comes back
+	// CodeWrongShard naming the owner; the client follows either and
+	// remembers the peer's home. Nil for standalone deployments.
 	RemoteLandmarks map[topology.NodeID]string
-	// ForwardJoins makes this node proxy remote joins to the owning node
-	// itself instead of redirecting the client.
-	ForwardJoins bool
 	// Role is this node's replication role (default RolePrimary). A
 	// RoleReplica node serves reads from its local copy and points writes
 	// at PrimaryAddr.
@@ -171,23 +165,14 @@ type Config struct {
 	// applied/head position so the node's replication lag is observable
 	// over the wire.
 	Replication ReplicationStatus
-	// Workers bounds how many pipelined requests that can wait — writes,
-	// forwards and proxied lookups; local reads never enter the pool — are
-	// served concurrently across all connections. When the pool is
+	// Workers bounds how many pipelined writes (reads never enter the pool)
+	// are served concurrently across all connections. When the pool is
 	// saturated, connection readers block — natural backpressure instead of
 	// unbounded goroutine growth. Default: 4×GOMAXPROCS, at least 8.
 	Workers int
 	// MaxBatch caps the batch joins this server accepts and advertises in
 	// its hello ack (default proto.MaxBatch; it is also the hard ceiling).
 	MaxBatch int
-	// DataDir, when set, persists the front end's own durable state — the
-	// forwarded-peer ownership map — through the same WAL-plus-snapshot
-	// machinery the backend uses (package wal), so a restarted node keeps
-	// proxying follow-up requests for peers whose joins it forwarded to
-	// other cluster nodes. Point it at a subdirectory distinct from the
-	// backend's ClusterConfig.DataDir. Backend state itself (peers, paths,
-	// overlay addresses) is the backend's to persist.
-	DataDir string
 	// ReadTimeout bounds how long a connection may sit idle between
 	// requests (default 30s).
 	ReadTimeout time.Duration
@@ -209,11 +194,6 @@ type NetServer struct {
 
 	mu    sync.Mutex
 	conns map[net.Conn]struct{}
-
-	fwdMu    sync.RWMutex               // read-locked by every peer-keyed request (forwardedOwner)
-	fwd      map[string]*client.Client  // node-to-node forwarding connections
-	fwdPeers map[pathtree.PeerID]string // peers whose joins this node proxied, by owner address
-	front    *frontState                // durable mirror of fwdPeers; no-op when Config.DataDir is empty
 
 	// hub serves the committed op stream to follower processes; nil when
 	// the backend has no durable log to ship. See follow.go.
@@ -407,24 +387,17 @@ func Listen(cfg Config) (*NetServer, error) {
 	if cfg.MaxBatch < 1 {
 		cfg.MaxBatch = 1
 	}
-	front, fwdPeers, err := openFrontState(cfg.DataDir)
-	if err != nil {
-		return nil, err
-	}
 	ln, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {
-		front.Close()
 		return nil, fmt.Errorf("netserver: listen: %w", err)
 	}
 	s := &NetServer{
-		cfg:      cfg,
-		ln:       ln,
-		local:    make(map[topology.NodeID]bool),
-		conns:    make(map[net.Conn]struct{}),
-		fwdPeers: fwdPeers,
-		front:    front,
-		tasks:    make(chan task, cfg.Workers),
-		closed:   make(chan struct{}),
+		cfg:    cfg,
+		ln:     ln,
+		local:  make(map[topology.NodeID]bool),
+		conns:  make(map[net.Conn]struct{}),
+		tasks:  make(chan task, cfg.Workers),
+		closed: make(chan struct{}),
 	}
 	for _, lm := range cfg.Server.Landmarks() {
 		s.local[lm] = true
@@ -589,22 +562,7 @@ func (s *NetServer) Close() error {
 			c.Close()
 		}
 		s.mu.Unlock()
-		s.fwdMu.Lock()
-		for _, fc := range s.fwd {
-			fc.Close()
-		}
-		s.fwd = nil
-		s.fwdMu.Unlock()
 		s.wg.Wait()
-		s.fwdMu.Lock()
-		final := make(map[pathtree.PeerID]string, len(s.fwdPeers))
-		for p, a := range s.fwdPeers {
-			final[p] = a
-		}
-		s.fwdMu.Unlock()
-		if cerr := s.front.CloseWith(final); err == nil {
-			err = cerr
-		}
 	})
 	return err
 }
@@ -709,8 +667,8 @@ func (s *NetServer) handle(nc net.Conn) {
 			proto.PutBuf(payload)
 			continue
 		}
-		// Requests that cannot wait on the disk or another node are
-		// served right here, into the write buffer.
+		// Requests that cannot wait on the disk are served right here,
+		// into the write buffer.
 		start := time.Now()
 		if respType, resp, ok := s.serveInline(typ, payload); ok {
 			s.observeReq(typ, id, time.Since(start), true)
@@ -823,46 +781,17 @@ func errResp(code uint16, err error) (proto.MsgType, []byte) {
 }
 
 // serveInline serves a pipelined request on the calling reader goroutine
-// when it can never wait on the disk or another node: status, landmarks,
-// and a well-formed lookup of a peer whose join this node did not forward.
-// ok=false sends the request to the pool untouched. The set is decided by
-// what the request can wait on, and a lookup that turns out to be proxied
-// is never started here, so a reader blocks only on its own socket.
+// when it can never wait on the disk: status, landmarks and every lookup,
+// malformed ones included. ok=false sends the request to the pool
+// untouched. The set is decided by the message type alone, so a reader
+// blocks only on its own socket.
 func (s *NetServer) serveInline(typ proto.MsgType, payload []byte) (respType proto.MsgType, resp []byte, ok bool) {
 	switch typ {
-	case proto.MsgStatusRequest, proto.MsgLandmarksRequest:
+	case proto.MsgStatusRequest, proto.MsgLandmarksRequest, proto.MsgLookupRequest:
 		respType, resp = s.handleReq(typ, payload)
-		return respType, resp, true
-	case proto.MsgLookupRequest:
-		req, err := proto.DecodeLookupRequest(payload)
-		if err != nil {
-			return 0, nil, false // handleReq words the rejection
-		}
-		p := pathtree.PeerID(req.Peer)
-		if _, forwarded := s.forwardedOwner(p); forwarded {
-			return 0, nil, false
-		}
-		respType, resp = s.lookupLocal(p)
 		return respType, resp, true
 	}
 	return 0, nil, false
-}
-
-// lookupLocal answers a lookup from the local backend.
-func (s *NetServer) lookupLocal(p pathtree.PeerID) (proto.MsgType, []byte) {
-	cands, err := s.cfg.Server.Lookup(p)
-	if err != nil {
-		code := proto.CodeInternal
-		if errors.Is(err, server.ErrUnknownPeer) {
-			code = proto.CodeUnknownPeer
-		}
-		return errResp(code, err)
-	}
-	b, err := proto.EncodeLookupResponse(&proto.LookupResponse{Neighbors: toWire(cands)})
-	if err != nil {
-		return errResp(proto.CodeInternal, err)
-	}
-	return proto.MsgLookupResponse, b
 }
 
 // handleReq serves one decoded request and returns exactly one response
@@ -933,17 +862,6 @@ func (s *NetServer) handleReq(typ proto.MsgType, payload []byte) (proto.MsgType,
 		}
 		if lm := o.Join.Path[len(o.Join.Path)-1]; !s.local[lm] {
 			if remote, ok := s.cfg.RemoteLandmarks[lm]; ok {
-				if s.cfg.ForwardJoins {
-					cands, err := s.forwardJoin(remote, o)
-					if err != nil {
-						return errResp(proto.CodeInternal, err)
-					}
-					b, err := proto.EncodeJoinResponse(&proto.JoinResponse{Neighbors: cands})
-					if err != nil {
-						return errResp(proto.CodeInternal, err)
-					}
-					return proto.MsgJoinResponse, b
-				}
 				b, err := proto.EncodeRedirect(&proto.Redirect{Addr: remote})
 				if err != nil {
 					return errResp(proto.CodeInternal, err)
@@ -956,7 +874,7 @@ func (s *NetServer) handleReq(typ proto.MsgType, payload []byte) (proto.MsgType,
 
 	case proto.MsgForwardedJoinRequest:
 		// Forwarded joins may carry a fencing epoch (stamped by the
-		// forwarding node from the redirect that named us); the backend
+		// sender from the redirect that named us); the backend
 		// rejects it with a stale-epoch error if the landmark has since
 		// moved on.
 		o, err := proto.DecodeForwardedJoinOp(payload)
@@ -992,37 +910,24 @@ func (s *NetServer) handleReq(typ proto.MsgType, payload []byte) (proto.MsgType,
 		if err != nil {
 			return errResp(proto.CodeBadRequest, err)
 		}
-		if owner, ok := s.forwardedOwner(pathtree.PeerID(req.Peer)); ok {
-			cands, err := s.proxyPeerOp(owner, func(fc *client.Client) ([]proto.Candidate, error) {
-				return fc.Lookup(req.Peer)
-			})
-			if err != nil {
-				s.forgetForwarded(pathtree.PeerID(req.Peer), err)
-				return errResp(errorCode(err), err)
+		cands, err := s.cfg.Server.Lookup(pathtree.PeerID(req.Peer))
+		if err != nil {
+			code := proto.CodeInternal
+			if errors.Is(err, server.ErrUnknownPeer) {
+				code = proto.CodeUnknownPeer
 			}
-			b, err := proto.EncodeLookupResponse(&proto.LookupResponse{Neighbors: cands})
-			if err != nil {
-				return errResp(proto.CodeInternal, err)
-			}
-			return proto.MsgLookupResponse, b
+			return errResp(code, err)
 		}
-		return s.lookupLocal(pathtree.PeerID(req.Peer))
+		b, err := proto.EncodeLookupResponse(&proto.LookupResponse{Neighbors: toWire(cands)})
+		if err != nil {
+			return errResp(proto.CodeInternal, err)
+		}
+		return proto.MsgLookupResponse, b
 
 	case proto.MsgLeaveRequest:
 		o, err := proto.DecodeLeaveOp(payload)
 		if err != nil {
 			return errResp(proto.CodeBadRequest, err)
-		}
-		if owner, ok := s.forwardedOwner(o.Peer); ok {
-			_, err := s.proxyPeerOp(owner, func(fc *client.Client) ([]proto.Candidate, error) {
-				return nil, fc.Leave(int64(o.Peer))
-			})
-			if err != nil {
-				s.forgetForwarded(o.Peer, err)
-				return errResp(errorCode(err), err)
-			}
-			s.dropForwarded(o.Peer)
-			return proto.MsgAck, nil
 		}
 		// A leave of an unknown peer stays an ack (idempotent departure),
 		// but any other failure — a durable backend whose WAL append
@@ -1037,16 +942,6 @@ func (s *NetServer) handleReq(typ proto.MsgType, payload []byte) (proto.MsgType,
 		o, err := proto.DecodeRefreshOp(payload)
 		if err != nil {
 			return errResp(proto.CodeBadRequest, err)
-		}
-		if owner, ok := s.forwardedOwner(o.Peer); ok {
-			_, err := s.proxyPeerOp(owner, func(fc *client.Client) ([]proto.Candidate, error) {
-				return nil, fc.Refresh(int64(o.Peer))
-			})
-			if err != nil {
-				s.forgetForwarded(o.Peer, err)
-				return errResp(errorCode(err), err)
-			}
-			return proto.MsgAck, nil
 		}
 		if err := s.cfg.Server.Apply(o); err != nil {
 			code := proto.CodeInternal
@@ -1112,7 +1007,6 @@ func (s *NetServer) serveJoin(o op.Op) (proto.MsgType, []byte) {
 		}
 		return errResp(code, err)
 	}
-	s.retireForwarded(o.Join.Peer)
 	b, err := proto.EncodeJoinResponse(&proto.JoinResponse{Neighbors: toWire(cands)})
 	if err != nil {
 		return errResp(proto.CodeInternal, err)
@@ -1122,17 +1016,14 @@ func (s *NetServer) serveJoin(o op.Op) (proto.MsgType, []byte) {
 
 // serveBatchJoin splits a batch into locally-owned entries — applied
 // against the backend as one single-lock-acquisition JoinBatch — and
-// remote-landmark entries, which are re-batched per owning node and
-// proxied there in one round trip each (ForwardJoins), or answered
-// CodeWrongShard so the client retries them singly through the
-// redirect-following path. A forwarded batch is never relayed again,
-// exactly like a forwarded singular join: entries for landmarks this
-// node does not own come back CodeWrongShard.
+// remote-landmark entries, answered CodeWrongShard so the client retries
+// them singly through the redirect-following path. A forwarded batch is
+// never relayed again, exactly like a forwarded singular join: entries for
+// landmarks this node does not own come back CodeWrongShard.
 func (s *NetServer) serveBatchJoin(o op.Op, forwarded bool) (proto.MsgType, []byte) {
 	results := make([]proto.BatchJoinResult, len(o.Batch))
 	entries := make([]op.JoinEntry, 0, len(o.Batch))
 	idxs := make([]int, 0, len(o.Batch))
-	var remote map[string]*remoteBatch // lazily built: all-local batches never need it
 	for i := range o.Batch {
 		e := &o.Batch[i]
 		if len(e.Path) == 0 {
@@ -1141,53 +1032,19 @@ func (s *NetServer) serveBatchJoin(o op.Op, forwarded bool) (proto.MsgType, []by
 		}
 		if lm := e.Path[len(e.Path)-1]; !s.local[lm] {
 			if owner, ok := s.cfg.RemoteLandmarks[lm]; ok {
-				switch {
-				case forwarded:
+				msg := owner // the owning node, for clients that want to follow directly
+				if forwarded {
 					// A stale shard map elsewhere must surface as an
 					// error, not bounce batches between nodes.
-					results[i] = proto.BatchJoinResult{
-						Code:    proto.CodeWrongShard,
-						Message: fmt.Sprintf("netserver: forwarded join for landmark %d not owned here", lm),
-					}
-				case s.cfg.ForwardJoins:
-					g := remote[owner]
-					if g == nil {
-						g = &remoteBatch{}
-						if remote == nil {
-							remote = make(map[string]*remoteBatch)
-						}
-						remote[owner] = g
-					}
-					g.idxs = append(g.idxs, i)
-					g.items = append(g.items, client.BatchItem{
-						Peer: int64(e.Peer), Addr: e.Addr, Path: proto.PathToWire(e.Path),
-					})
-				default:
-					results[i] = proto.BatchJoinResult{
-						Code:    proto.CodeWrongShard,
-						Message: owner, // the owning node, for clients that want to follow directly
-					}
+					msg = fmt.Sprintf("netserver: forwarded join for landmark %d not owned here", lm)
 				}
+				results[i] = proto.BatchJoinResult{Code: proto.CodeWrongShard, Message: msg}
 				continue
 			}
 			// Fall through: the backend reports the unknown landmark itself.
 		}
 		entries = append(entries, *e)
 		idxs = append(idxs, i)
-	}
-	// Per-owner forwards run concurrently (they fill disjoint results
-	// slots): a batch spanning several remote owners costs max(RTT), not
-	// sum(RTT), of worker time.
-	if len(remote) > 0 {
-		var fwg sync.WaitGroup
-		for owner, g := range remote {
-			fwg.Add(1)
-			go func(owner string, g *remoteBatch) {
-				defer fwg.Done()
-				s.forwardJoinBatch(owner, g, results)
-			}(owner, g)
-		}
-		fwg.Wait()
 	}
 	if len(entries) > 0 {
 		res := s.cfg.Server.JoinBatchOp(op.BatchJoin(entries, o.Time))
@@ -1201,7 +1058,6 @@ func (s *NetServer) serveBatchJoin(o op.Op, forwarded bool) (proto.MsgType, []by
 				results[i] = proto.BatchJoinResult{Code: code, Message: err.Error()}
 				continue
 			}
-			s.retireForwarded(entries[k].Peer)
 			results[i] = proto.BatchJoinResult{Neighbors: toWire(res[k].Neighbors)}
 		}
 	}
@@ -1210,223 +1066,6 @@ func (s *NetServer) serveBatchJoin(o op.Op, forwarded bool) (proto.MsgType, []by
 		return errResp(proto.CodeInternal, err)
 	}
 	return proto.MsgBatchJoinResponse, b
-}
-
-// retireForwarded retires any stale proxied registration a locally joined
-// peer has at another node: the peer lives here now, and the old owner must
-// not keep capturing its follow-ups.
-func (s *NetServer) retireForwarded(p pathtree.PeerID) {
-	// Almost every join is of a peer never proxied: find that out under the
-	// read lock, beside the lookups, and write-lock only to retire an entry.
-	if _, ok := s.forwardedOwner(p); !ok {
-		return
-	}
-	s.fwdMu.Lock()
-	stale, wasForwarded := s.fwdPeers[p]
-	delete(s.fwdPeers, p)
-	s.fwdMu.Unlock()
-	if wasForwarded {
-		_, _ = s.proxyPeerOp(stale, func(fc *client.Client) ([]proto.Candidate, error) {
-			return nil, fc.Leave(int64(p))
-		})
-	}
-}
-
-// forwardJoin proxies a join op to the cluster node owning its landmark
-// over a cached node-to-node connection, and remembers the owner so
-// follow-up peer-keyed requests (Lookup, Refresh, Leave) can be proxied
-// there too.
-func (s *NetServer) forwardJoin(addr string, o op.Op) ([]proto.Candidate, error) {
-	cands, err := s.proxyPeerOp(addr, func(fc *client.Client) ([]proto.Candidate, error) {
-		return fc.ForwardJoinFencedContext(context.Background(),
-			int64(o.Join.Peer), o.Join.Addr, proto.PathToWire(o.Join.Path), o.Epoch)
-	})
-	if err != nil {
-		return nil, err
-	}
-	s.recordForwarded(o.Join.Peer, addr)
-	return cands, nil
-}
-
-// remoteBatch collects the batch-join entries owned by one remote node
-// and their positions in the original request.
-type remoteBatch struct {
-	idxs  []int
-	items []client.BatchItem
-}
-
-// forwardJoinBatch proxies a same-owner group of batch entries to the
-// owning node in one round trip (sequential singular forwards would cost
-// one node-to-node RTT per entry and monopolize a pool worker), filling
-// the group's slots in results. A dead cached connection is dropped and
-// redialed once, mirroring proxyPeerOp.
-func (s *NetServer) forwardJoinBatch(addr string, g *remoteBatch, results []proto.BatchJoinResult) {
-	var res []client.BatchResult
-	for attempt := 0; ; attempt++ {
-		fc, err := s.forwardClient(addr)
-		if err == nil {
-			res, err = fc.ForwardJoinBatch(g.items)
-			if err == nil {
-				break
-			}
-			var werr *proto.Error
-			if !errors.As(err, &werr) && attempt == 0 {
-				s.dropForwardClient(addr, fc)
-				continue
-			}
-		}
-		for _, i := range g.idxs {
-			results[i] = proto.BatchJoinResult{Code: errorCode(err), Message: err.Error()}
-		}
-		return
-	}
-	for k := range res {
-		i := g.idxs[k]
-		if err := res[k].Err; err != nil {
-			results[i] = proto.BatchJoinResult{Code: errorCode(err), Message: err.Error()}
-			continue
-		}
-		results[i] = proto.BatchJoinResult{Neighbors: res[k].Neighbors}
-		s.recordForwarded(pathtree.PeerID(g.items[k].Peer), addr)
-	}
-}
-
-// recordForwarded remembers which node now holds a proxied peer's
-// registration and retires any local record the peer may have had from an
-// earlier join (mobility across landmarks), so it stops appearing in
-// answers.
-func (s *NetServer) recordForwarded(p pathtree.PeerID, addr string) {
-	s.fwdMu.Lock()
-	if s.fwdPeers == nil {
-		s.fwdPeers = make(map[pathtree.PeerID]string)
-	}
-	s.fwdPeers[p] = addr
-	s.fwdMu.Unlock()
-	s.front.setForwarded(p, addr, s.copyFwdPeers)
-	_ = s.cfg.Server.Apply(op.Leave(p)) // an unknown peer had no local record to retire
-}
-
-// dropForwarded forgets a proxied peer's ownership entry (and its durable
-// mirror) after the peer left through this node.
-func (s *NetServer) dropForwarded(p pathtree.PeerID) {
-	s.fwdMu.Lock()
-	delete(s.fwdPeers, p)
-	s.fwdMu.Unlock()
-	s.front.delForwarded(p, s.copyFwdPeers)
-}
-
-// copyFwdPeers snapshots the forwarded-peer map for front-state
-// compaction.
-func (s *NetServer) copyFwdPeers() map[pathtree.PeerID]string {
-	s.fwdMu.RLock()
-	defer s.fwdMu.RUnlock()
-	m := make(map[pathtree.PeerID]string, len(s.fwdPeers))
-	for p, a := range s.fwdPeers {
-		m[p] = a
-	}
-	return m
-}
-
-// forwardedOwner reports the node address a peer's join was proxied to, if
-// any.
-func (s *NetServer) forwardedOwner(p pathtree.PeerID) (string, bool) {
-	s.fwdMu.RLock()
-	defer s.fwdMu.RUnlock()
-	addr, ok := s.fwdPeers[p]
-	return addr, ok
-}
-
-// forgetForwarded drops a proxied peer's owner entry when the owner no
-// longer knows the peer (TTL expiry there), so the map cannot grow without
-// bound under churn.
-func (s *NetServer) forgetForwarded(p pathtree.PeerID, err error) {
-	var werr *proto.Error
-	if !errors.As(err, &werr) || werr.Code != proto.CodeUnknownPeer {
-		return
-	}
-	s.fwdMu.Lock()
-	delete(s.fwdPeers, p)
-	s.fwdMu.Unlock()
-	s.front.delForwarded(p, s.copyFwdPeers)
-}
-
-// proxyPeerOp runs one request against the named node over a cached
-// node-to-node connection. A dead connection is dropped and redialed once.
-func (s *NetServer) proxyPeerOp(addr string, op func(fc *client.Client) ([]proto.Candidate, error)) ([]proto.Candidate, error) {
-	for attempt := 0; ; attempt++ {
-		fc, err := s.forwardClient(addr)
-		if err != nil {
-			return nil, err
-		}
-		cands, err := op(fc)
-		if err == nil {
-			return cands, nil
-		}
-		var werr *proto.Error
-		if errors.As(err, &werr) || attempt > 0 {
-			return nil, err // protocol-level rejection, or retry exhausted
-		}
-		s.dropForwardClient(addr, fc)
-	}
-}
-
-// errorCode maps an error to its wire code, preserving the code of relayed
-// wire errors.
-func errorCode(err error) uint16 {
-	var werr *proto.Error
-	if errors.As(err, &werr) {
-		return werr.Code
-	}
-	return proto.CodeInternal
-}
-
-func (s *NetServer) forwardClient(addr string) (*client.Client, error) {
-	s.fwdMu.Lock()
-	select {
-	case <-s.closed:
-		// Close has already drained s.fwd; dialling now would leak the
-		// connection.
-		s.fwdMu.Unlock()
-		return nil, net.ErrClosed
-	default:
-	}
-	if fc, ok := s.fwd[addr]; ok {
-		s.fwdMu.Unlock()
-		return fc, nil
-	}
-	// Dial outside the lock: one unreachable node must not head-of-line
-	// block forwarded traffic to healthy nodes for the dial timeout.
-	s.fwdMu.Unlock()
-	fc, err := client.Dial(addr, s.cfg.ReadTimeout)
-	if err != nil {
-		return nil, fmt.Errorf("netserver: forward dial %s: %w", addr, err)
-	}
-	s.fwdMu.Lock()
-	defer s.fwdMu.Unlock()
-	select {
-	case <-s.closed:
-		fc.Close()
-		return nil, net.ErrClosed
-	default:
-	}
-	if existing, ok := s.fwd[addr]; ok {
-		fc.Close() // lost a concurrent dial race; use the cached one
-		return existing, nil
-	}
-	if s.fwd == nil {
-		s.fwd = make(map[string]*client.Client)
-	}
-	s.fwd[addr] = fc
-	return fc, nil
-}
-
-func (s *NetServer) dropForwardClient(addr string, fc *client.Client) {
-	s.fwdMu.Lock()
-	if s.fwd[addr] == fc {
-		delete(s.fwd, addr)
-	}
-	s.fwdMu.Unlock()
-	fc.Close()
 }
 
 // toWire converts a backend's answer to its wire form. Every candidate

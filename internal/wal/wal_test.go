@@ -12,9 +12,9 @@ import (
 
 func record(i int) []byte { return []byte(fmt.Sprintf("record-%06d", i)) }
 
-// These tests drive the log through its one-stream form — what a user with
-// a single stream of records (the front end's forwarded-peer map) opens;
-// sharded_test.go covers what several streams add.
+// These tests drive the log through its one-stream form — what a
+// one-shard cluster opens; sharded_test.go covers what several streams
+// add.
 
 func TestAppendReplayRoundTrip(t *testing.T) {
 	dir := t.TempDir()

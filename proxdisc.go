@@ -42,12 +42,11 @@
 // version 2 interoperate.
 //
 // A request is served on one of two roads, chosen by what it can
-// wait on. Reads that can never wait on the disk or another node — a
-// lookup of a peer registered on this node, status, landmarks — run on
-// the connection's own reader goroutine and are appended to its write
-// buffer, which is flushed right before the reader would block on the
-// socket: N lookups that arrived together leave in one write. Everything
-// else — joins, batches, leave, refresh, lookups proxied to another node —
+// wait on. Reads, which can never wait on the disk — lookups, status,
+// landmarks — run on the connection's own reader goroutine and are
+// appended to its write buffer, which is flushed right before the reader
+// would block on the socket: N lookups that arrived together leave in one
+// write. Everything else — joins, batches, leave, refresh —
 // goes to a bounded worker pool (NetServerConfig.Workers) and comes back
 // through a per-connection queue, so a worker never blocks on a socket and
 // a client that stops reading harms only its own connection, which is
@@ -57,10 +56,11 @@
 // to each other (wait for a response before sending a request that must
 // see its effect), and one connection's reads are served serially — a
 // connection's read throughput is one core; open more connections to
-// scale. A local lookup takes the front end's forwarded-peer read lock and
-// its connection's write mutex, plus the backend's read-side locks (package
-// netserver lists them exactly); nothing on that path is held exclusively
-// for longer than a map update. Answers carry each candidate's overlay
+// scale. In the front end a lookup takes only its connection's write
+// mutex; below it, the backend's read-side locks (package netserver lists
+// them exactly). A join for a landmark another cluster node owns is redirected
+// there, and the client remembers each peer's home node, so the front end
+// keeps no per-peer state. Answers carry each candidate's overlay
 // address straight from the peer's record in the backend; the front end
 // keeps no address table of its own.
 // proxdisc_response_frames_total over proxdisc_response_flushes_total is
@@ -141,13 +141,11 @@
 // logged as a single deadline-carrying op, not as per-peer leaves, so
 // logs stay compact and every copy re-derives the identical expiry set.
 //
-// The TCP front end participates too: NetServerConfig.DataDir persists
-// the forwarded-peer ownership map through the same machinery, so a
-// restarted node keeps proxying follow-up requests for peers whose joins
-// it forwarded to other cluster nodes. cmd/proxdisc-server wires both
-// with -data-dir and shuts down cleanly on SIGINT/SIGTERM: connections
-// drain, a final snapshot lands, and the WAL closes, leaving an empty
-// tail for the next start.
+// The TCP front end has no durable state of its own: -data-dir is the
+// cluster's. cmd/proxdisc-server keeps it under DIR/cluster (a DIR/front
+// left by an older build is never opened) and shuts down cleanly on
+// SIGINT/SIGTERM: connections drain, a final snapshot lands, and the WAL
+// closes, leaving an empty tail for the next start.
 //
 // Group commit can additionally be latency-shaped: ClusterConfig.
 // MaxSyncDelay holds each fsync open for a sub-millisecond window so that
