@@ -2,6 +2,8 @@ package server
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -180,6 +182,62 @@ func TestSnapshotPreservesRefreshTimes(t *testing.T) {
 	expired := restored.Expire()
 	if len(expired) != 1 || expired[0] != 1 {
 		t.Fatalf("expired=%v", expired)
+	}
+}
+
+// TestSnapshotBytesUnchanged pins a snapshot's bytes — its order and its
+// content, not only the single ops TestOpBytesUnchanged pins — for one fixed
+// state: 300 peers over four landmarks, addresses of every length around the
+// edges a storage layout might round at (0, 1, 7, 8, 9, 16, 17, 255 and 256
+// bytes), one super-peer, one leave and one re-join that changes its
+// address's length. Restore then Snapshot must give the same bytes back.
+func TestSnapshotBytesUnchanged(t *testing.T) {
+	const golden = "a507cdc7e95e7dd0ca79290e69ea18cee222e122fba7653ee1984068d8953b00"
+	s, err := New(Config{Landmarks: []topology.NodeID{0, 1, 2, 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lengths := []int{0, 1, 7, 8, 9, 16, 17, 255, 256}
+	addr := func(p, n int) string { return strings.Repeat(fmt.Sprintf("p%d.", p), n)[:n] }
+	path := func(p int) []topology.NodeID {
+		lm := topology.NodeID(p % 4)
+		upper := 10_000*(lm+1) + 100 + topology.NodeID(p%5)
+		if p%2 == 0 {
+			return []topology.NodeID{upper, lm}
+		}
+		return []topology.NodeID{10_000*(lm+1) + topology.NodeID(p%23), upper, lm}
+	}
+	ops := make([]op.Op, 0, 304)
+	for p := 1; p <= 300; p++ {
+		ops = append(ops, op.Join(pathtree.PeerID(p), path(p), addr(p, lengths[p%len(lengths)]), int64(1_000+p%7)))
+	}
+	ops = append(ops,
+		op.SetSuperPeer(42, true),
+		op.Leave(77),
+		op.Join(5, path(6), addr(5, 200), 2_000), // 16 bytes before, and under another landmark
+	)
+	for _, o := range ops {
+		if err := s.Apply(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := s.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if sum := sha256.Sum256(buf.Bytes()); hex.EncodeToString(sum[:]) != golden {
+		t.Errorf("snapshot of %d bytes hashes to %x, want %s", buf.Len(), sum, golden)
+	}
+	restored, err := Restore(bytes.NewReader(buf.Bytes()), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var again bytes.Buffer
+	if err := restored.Snapshot(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
+		t.Fatal("restore then snapshot is not the identity")
 	}
 }
 
