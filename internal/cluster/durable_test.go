@@ -818,3 +818,68 @@ func TestLeaveOfUnknownPeerLogsNothing(t *testing.T) {
 		t.Fatalf("log head moved from %d to %d for a leave of an unknown peer", head, got)
 	}
 }
+
+// TestOversizeJoinRefusedAtTheDoor: a join whose address or path is longer
+// than the op format carries is refused before anything applies it, alone
+// and as one entry of a batch among good ones. Were it applied first, the
+// log's encoder would refuse it afterwards, leaving a resident peer no
+// record covers and every later checkpoint failing on it. So the oversize
+// entry errors, only the good entries count and move the log head, a
+// checkpoint succeeds, and recovery rebuilds exactly what was answered.
+func TestOversizeJoinRefusedAtTheDoor(t *testing.T) {
+	longPath := make([]topology.NodeID, 0, op.MaxPathLen+1)
+	for r := 1; r <= op.MaxPathLen; r++ {
+		longPath = append(longPath, topology.NodeID(9_000_000+r))
+	}
+	oversize := map[string]op.JoinEntry{
+		"address": {Addr: strings.Repeat("a", op.MaxAddrLen+1), Path: synthPath(testLandmarks[1], 3)},
+		"path":    {Addr: "10.0.0.9:9", Path: append(longPath, testLandmarks[1])},
+	}
+	for name, bad := range oversize {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			c, err := New(durableConfig(dir, 4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			head := c.CommittedHead()
+			bad.Peer = 1
+			if _, err := c.JoinOp(op.Op{Kind: op.KindJoin, Join: bad}); err == nil {
+				t.Fatal("an oversize join was answered")
+			}
+			if n, h := c.NumPeers(), c.CommittedHead(); n != 0 || h != head {
+				t.Fatalf("after a refused join: %d peers resident, log head %d → %d", n, head, h)
+			}
+			bad.Peer = 3
+			batch := []op.JoinEntry{
+				{Peer: 2, Addr: "10.0.0.2:2", Path: synthPath(testLandmarks[2], 5)},
+				bad,
+				{Peer: 4, Addr: "10.0.0.4:4", Path: synthPath(testLandmarks[1], 7)},
+			}
+			for i, res := range c.JoinBatchOp(op.BatchJoin(batch, 0)) {
+				if (res.Err == nil) != (i != 1) {
+					t.Fatalf("batch entry %d: err %v", i, res.Err)
+				}
+			}
+			if n, h := c.NumPeers(), c.CommittedHead(); n != 2 || h != head+1 {
+				t.Fatalf("after a batch of two good entries: %d peers resident, log head %d → %d", n, head, h)
+			}
+			if err := c.Checkpoint(); err != nil {
+				t.Fatalf("checkpoint: %v", err)
+			}
+			if _, err := c.JoinOp(op.Join(5, synthPath(testLandmarks[1], 9), "10.0.0.5:5", 0)); err != nil {
+				t.Fatal(err)
+			}
+			want := captureAnswers(t, c)
+			c = nil // crash: the checkpoint plus one logged join
+			re, err := New(durableConfig(dir, 4))
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			assertSameAnswers(t, want, captureAnswers(t, re), "recovered")
+			if err := re.Close(); err != nil {
+				t.Fatalf("close: %v", err)
+			}
+		})
+	}
+}

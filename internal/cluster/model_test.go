@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -123,8 +124,11 @@ func TestClusterMatchesModel(t *testing.T) {
 			t.Fatal(err)
 		}
 		m := nodeModel{}
+		// Addresses are of a random length in 0..op.MaxAddrLen, so re-joins
+		// move between the address pools' size classes and within one.
 		entry := func(p pathtree.PeerID, lm topology.NodeID) op.JoinEntry {
-			return op.JoinEntry{Peer: p, Path: synthPath(lm, rng.Intn(40)), Addr: fmt.Sprintf("a%d.%d", p, rng.Intn(3))}
+			addr := strings.Repeat(fmt.Sprintf("a%d.%d.", p, rng.Intn(1000)), op.MaxAddrLen)[:rng.Intn(op.MaxAddrLen+1)]
+			return op.JoinEntry{Peer: p, Path: synthPath(lm, rng.Intn(40)), Addr: addr}
 		}
 		anyLandmark := func() topology.NodeID { return testLandmarks[rng.Intn(len(testLandmarks))] }
 		for step := 0; step < 300; step++ {

@@ -1,24 +1,33 @@
 package pathtree
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"iter"
 	"math/bits"
 	"slices"
 
+	"proxdisc/internal/codec"
 	"proxdisc/internal/topology"
 )
 
 // Slab geometry. Nodes and records are carved from chunks of slabSize
-// slots, child pairs from chunks of kidChunk pairs; a chunk is never
-// reallocated, so growing a tree copies nothing and its slack is at most one
-// chunk per pool.
+// slots, child pairs from chunks of kidChunk pairs, address bytes from
+// chunks of addrChunk bytes; a chunk is never reallocated, so growing a tree
+// copies nothing and its slack is at most one chunk per pool. Addresses take
+// runs in addrStep-byte size classes — the Go allocator's own small-size
+// step, so an address costs no more here than as a string of its own — up
+// to codec.MaxAddrLen.
 const (
-	slabShift = 8
-	slabSize  = 1 << slabShift
-	kidShift  = 10
-	kidChunk  = 1 << kidShift
+	slabShift   = 8
+	slabSize    = 1 << slabShift
+	kidShift    = 10
+	kidChunk    = 1 << kidShift
+	addrShift   = 13
+	addrChunk   = 1 << addrShift
+	addrStep    = 8
+	addrClasses = codec.MaxAddrLen / addrStep
 
 	none int32 = -1 // the nil index
 	root int32 = 0  // the landmark's node, carved first
@@ -56,20 +65,23 @@ type kid struct {
 // Record is the one record a tree holds per resident peer: everything the
 // management server keeps about the peer apart from its path, which is the
 // parent chain of the node the record hangs off. The trie reads ID and its
-// own two links; RefreshNanos, Addr and Super are the caller's, zero on a
-// fresh record.
+// own two links; RefreshNanos, Super and the address are the caller's, zero
+// on a fresh record. The address lives in the tree's address pool (SetAddr
+// writes it, Addr reads it), so a record is 32 bytes and holds no pointer.
 type Record struct {
 	// ID is the peer.
 	ID PeerID
 	// RefreshNanos is the time of the last join or refresh, in Unix
 	// nanoseconds.
 	RefreshNanos int64
-	// Addr is the peer's advertised overlay address.
-	Addr string
+	// addr is the offset in the address pool of the run holding the
+	// address, and addrLen its length; an empty address owns no run.
+	addr int32
 	// node is the trie node the peer is attached at (none while the record
 	// is free); next links the records attached at one node, and the free
 	// list.
 	node, next int32
+	addrLen    uint16
 	// Super marks a super-peer.
 	Super bool
 }
@@ -151,6 +163,51 @@ func (p *kidPool) release(off int32, class int) {
 	p.freeN += 1 << class
 }
 
+// addrPool hands out byte runs for addresses, one size class per addrStep
+// bytes. As in kidPool, freed runs wait on a free list per class and are
+// reused whole, and a run never straddles two chunks.
+type addrPool struct {
+	chunks []*[addrChunk]byte
+	carved int32              // bytes handed out so far, free ones included
+	free   [addrClasses]int32 // per size class, linked through a run's first 4 bytes
+	freeN  int32              // bytes on the free lists
+}
+
+// addrClass is the size class of an n-byte address, 0 < n ≤ codec.MaxAddrLen;
+// its runs are (class+1)·addrStep bytes.
+func addrClass(n int) int { return (n - 1) / addrStep }
+
+func (p *addrPool) run(off int32, n int) []byte {
+	return p.chunks[off>>addrShift][off&(addrChunk-1):][:n]
+}
+
+// alloc returns the offset of a run of the given class.
+func (p *addrPool) alloc(class int) int32 {
+	size := int32(class+1) * addrStep
+	if off := p.free[class]; off != none {
+		p.free[class] = int32(binary.LittleEndian.Uint32(p.run(off, 4)))
+		p.freeN -= size
+		return off
+	}
+	if end := int32(len(p.chunks)) << addrShift; end-p.carved < size {
+		// Park the rest of the current chunk as one run and open a chunk.
+		if left := end - p.carved; left > 0 {
+			p.release(p.carved, int(left/addrStep)-1)
+		}
+		p.chunks = append(p.chunks, new([addrChunk]byte))
+		p.carved = end
+	}
+	p.carved += size
+	return p.carved - size
+}
+
+// release parks a run on its class's free list.
+func (p *addrPool) release(off int32, class int) {
+	binary.LittleEndian.PutUint32(p.run(off, 4), uint32(p.free[class]))
+	p.free[class] = off
+	p.freeN += int32(class+1) * addrStep
+}
+
 // Core is the per-landmark path prefix tree, keyed by slot: Join returns
 // the slot of the peer's record, and every later call names the peer by it.
 // Core takes no lock and keeps no index from peer IDs to slots — both are
@@ -161,6 +218,7 @@ type Core struct {
 	nodes    slab[node]
 	recs     slab[Record]
 	kids     kidPool
+	addrs    addrPool
 }
 
 // NewCore returns an empty tree for the given landmark router.
@@ -169,6 +227,9 @@ func NewCore(landmark topology.NodeID) *Core {
 	c.nodes.free, c.recs.free = none, none
 	for i := range c.kids.free {
 		c.kids.free[i] = none
+	}
+	for i := range c.addrs.free {
+		c.addrs.free[i] = none
 	}
 	*c.nodes.at(c.nodes.carve()) = node{router: landmark, parent: none, firstPeer: none}
 	return c
@@ -183,6 +244,29 @@ func (c *Core) Len() int { return int(c.nodes.at(root).subtreeCount) }
 // Record returns the record in slot, for the caller to read or to set the
 // fields that are its own. The pointer is good until the slot is removed.
 func (c *Core) Record(slot int32) *Record { return c.recs.at(slot) }
+
+// SetAddr copies addr in as the address of rec, a live record of this tree,
+// and frees the run the old address held (which a new address of the same
+// size class takes straight back). addr is at most codec.MaxAddrLen bytes:
+// the caller checks that where the address enters.
+func (c *Core) SetAddr(rec *Record, addr string) {
+	if rec.addrLen > 0 {
+		c.addrs.release(rec.addr, addrClass(int(rec.addrLen)))
+	}
+	if rec.addrLen = uint16(len(addr)); len(addr) > 0 {
+		rec.addr = c.addrs.alloc(addrClass(len(addr)))
+		copy(c.addrs.run(rec.addr, len(addr)), addr)
+	}
+}
+
+// Addr returns rec's address. The bytes alias the tree's pool: they are good
+// under the lock rec was read under, until the next modifying call.
+func (c *Core) Addr(rec *Record) []byte {
+	if rec.addrLen == 0 {
+		return nil
+	}
+	return c.addrs.run(rec.addr, int(rec.addrLen))
+}
 
 // Holds reports whether slot is the live record of peer p: the check for a
 // caller whose slot number may have outlived the record it named.
@@ -350,8 +434,8 @@ func (c *Core) Insert(p PeerID, path []topology.NodeID) int32 {
 	return slot
 }
 
-// Remove detaches the peer in slot, recycles its record and prunes the trie
-// branches it leaves empty.
+// Remove detaches the peer in slot, recycles its record and its address's
+// run, and prunes the trie branches it leaves empty.
 func (c *Core) Remove(slot int32) {
 	rec := c.recs.at(slot)
 	at := rec.node
@@ -360,7 +444,7 @@ func (c *Core) Remove(slot int32) {
 		link = &c.recs.at(*link).next
 	}
 	*link = rec.next
-	// Clearing the record drops its hold on the address string.
+	c.SetAddr(rec, "")
 	*rec = Record{node: none, next: c.recs.free}
 	c.recs.free = slot
 	c.recs.freeN++
@@ -610,7 +694,7 @@ func (c *Core) Stats() Stats {
 	return s
 }
 
-// ArenaStats reports the occupancy of a tree's three pools. In each, what is
+// ArenaStats reports the occupancy of a tree's four pools. In each, what is
 // carved stays carved: removed peers and pruned routers park their slots on
 // a free list for the next join, so under steady churn the carved figures
 // stop moving.
@@ -624,6 +708,8 @@ type ArenaStats struct {
 	// Kids and FreeKids are the same for child pairs: pairs handed out in
 	// runs, and pairs in runs parked on the per-size free lists.
 	Kids, FreeKids int
+	// AddrBytes and FreeAddrBytes are the same for address bytes.
+	AddrBytes, FreeAddrBytes int
 }
 
 // ArenaStats returns current pool occupancy.
@@ -633,16 +719,35 @@ func (c *Core) ArenaStats() ArenaStats {
 		Allocated: allocated, Free: free, Live: allocated - free,
 		Records: int(c.recs.carved), FreeRecords: int(c.recs.freeN),
 		Kids: int(c.kids.carved), FreeKids: int(c.kids.freeN),
+		AddrBytes: int(c.addrs.carved), FreeAddrBytes: int(c.addrs.freeN),
 	}
 }
 
 // CheckInvariants deeply validates the tree's internal consistency: subtree
 // counters, depth bookkeeping, parent/child symmetry, sorted child runs, the
-// peer chains, and, for each of the three pools, that every slot carved is
-// either reachable from the root or parked on a free list. It is O(size) and
-// intended for tests and debugging; it returns the first violation found.
+// peer chains, and, for each of the four pools, that every slot or byte
+// carved is either reachable from the root or parked on a free list — for
+// addresses, that the live and free runs tile the carved bytes. It is
+// O(size) and intended for tests and debugging; it returns the first
+// violation found.
 func (c *Core) CheckInvariants() error {
 	var liveNodes, liveRecs, liveKids int32
+	// claim marks the addrStep-byte units of an address run, live or free,
+	// as used, and reports false for a run that is misplaced or overlaps one
+	// claimed before.
+	used := make([]bool, c.addrs.carved/addrStep)
+	claim := func(off, size int32) bool {
+		if off < 0 || off%addrStep != 0 || off+size > c.addrs.carved || off&(addrChunk-1)+size > addrChunk {
+			return false
+		}
+		for u := off / addrStep; u < (off+size)/addrStep; u++ {
+			if used[u] {
+				return false
+			}
+			used[u] = true
+		}
+		return true
+	}
 	var walk func(m int32) (int32, error)
 	walk = func(m int32) (int32, error) {
 		n := c.nodes.at(m)
@@ -656,8 +761,12 @@ func (c *Core) CheckInvariants() error {
 			if count++; count > c.recs.carved {
 				return 0, fmt.Errorf("pathtree: peer chain at node %d is cyclic", n.router)
 			}
-			if at := c.recs.at(s).node; at != m {
-				return 0, fmt.Errorf("pathtree: peer %d chained at node %d but records node index %d", c.recs.at(s).ID, n.router, at)
+			rec := c.recs.at(s)
+			if rec.node != m {
+				return 0, fmt.Errorf("pathtree: peer %d chained at node %d but records node index %d", rec.ID, n.router, rec.node)
+			}
+			if l := int(rec.addrLen); l > codec.MaxAddrLen || (l > 0 && !claim(rec.addr, int32(addrClass(l)+1)*addrStep)) {
+				return 0, fmt.Errorf("pathtree: peer %d's %d-byte address at %d is outside the pool or overlaps another", rec.ID, l, rec.addr)
 			}
 		}
 		liveRecs += count
@@ -703,7 +812,7 @@ func (c *Core) CheckInvariants() error {
 	}
 	freeRecs, err := chainLen(c.recs.free, c.recs.carved, func(i int32) (int32, bool) {
 		r := c.recs.at(i)
-		return r.next, r.node == none && r.Addr == ""
+		return r.next, r.node == none && r.addrLen == 0
 	})
 	if err != nil || freeRecs != c.recs.freeN || liveRecs+freeRecs != c.recs.carved {
 		return fmt.Errorf("pathtree: record pool: %d live + %d free (%d accounted, %v) != %d carved",
@@ -723,6 +832,24 @@ func (c *Core) CheckInvariants() error {
 		return fmt.Errorf("pathtree: kid pool: %d live + %d free (%d accounted) != %d carved",
 			liveKids, freeKids, c.kids.freeN, c.kids.carved)
 	}
+	var freeAddr int32
+	for class, head := range c.addrs.free {
+		size := int32(class+1) * addrStep
+		runs, err := chainLen(head, c.addrs.carved/addrStep, func(off int32) (int32, bool) {
+			if !claim(off, size) {
+				return 0, false
+			}
+			return int32(binary.LittleEndian.Uint32(c.addrs.run(off, 4))), true
+		})
+		if err != nil {
+			return fmt.Errorf("pathtree: address pool, size class %d: %v", class, err)
+		}
+		freeAddr += runs * size
+	}
+	if freeAddr != c.addrs.freeN || slices.Contains(used, false) {
+		return fmt.Errorf("pathtree: address pool: %d free bytes (%d accounted) of %d carved, or a byte in no run",
+			freeAddr, c.addrs.freeN, c.addrs.carved)
+	}
 	return nil
 }
 
@@ -736,7 +863,7 @@ func chainLen(head, limit int32, next func(int32) (int32, bool)) (int32, error) 
 		}
 		var ok bool
 		if i, ok = next(i); !ok {
-			return 0, errors.New("free list holds a live entry")
+			return 0, errors.New("free list holds a live or stray entry")
 		}
 	}
 	return n, nil

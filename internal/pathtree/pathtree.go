@@ -28,21 +28,23 @@
 //
 // # Layout
 //
-// A tree is three pools of fixed-size, index-linked slots, each carved from
-// chunks that are never reallocated and recycled through free lists:
+// A tree is four pools, each carved from chunks that are never reallocated
+// and recycled through free lists, linked by index:
 //
-//   - nodes: one 32-byte, pointer-free slot per router (router, parent,
-//     depth, subtree count, head of its peer chain, and where its children
-//     are);
+//   - nodes: one 32-byte slot per router (router, parent, depth, subtree
+//     count, head of its peer chain, and where its children are);
 //   - child runs: per node a power-of-two run of {router, node index} pairs
 //     sorted by router, so the per-hop search reads keys that sit together
 //     instead of dereferencing a child per probe;
-//   - records: one Record per resident peer — ID, refresh time, address,
-//     super-peer flag — chained to the node its path ends at. A peer's path
-//     is not stored: it is the parent chain of that node.
+//   - records: one 32-byte Record per resident peer — ID, refresh time,
+//     super-peer flag, where its address lies — chained to the node its path
+//     ends at. A peer's path is not stored: it is the parent chain of that
+//     node;
+//   - addresses: the peers' overlay addresses, as byte runs in 8-byte size
+//     classes.
 //
-// The node and child pools hold no pointers, so the collector never scans
-// them; a record holds one (the address string).
+// No pool holds a pointer, so the collector never scans them and no peer is
+// a heap object of its own.
 //
 // # Two types
 //

@@ -606,6 +606,25 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 		t.Fatal("leaked child pair not detected")
 	}
 	c.kids.carved--
+	// Two addresses in one run, and address bytes carved but accounted
+	// nowhere.
+	r1, r2 := c.recs.at(tr.byPeer[1]), c.recs.at(tr.byPeer[2])
+	c.SetAddr(r1, "10.0.0.1:9000")
+	c.SetAddr(r2, "10.0.0.2:9000")
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatalf("tree with addresses failed: %v", err)
+	}
+	was := r2.addr
+	r2.addr = r1.addr
+	if err := tr.CheckInvariants(); err == nil {
+		t.Fatal("overlapping address runs not detected")
+	}
+	r2.addr = was
+	c.addrs.carved += addrStep
+	if err := tr.CheckInvariants(); err == nil {
+		t.Fatal("leaked address bytes not detected")
+	}
+	c.addrs.carved -= addrStep
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatalf("restored tree failed: %v", err)
 	}

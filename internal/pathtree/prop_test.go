@@ -1,12 +1,15 @@
 package pathtree
 
 import (
+	"maps"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
 
+	"proxdisc/internal/codec"
 	"proxdisc/internal/topology"
 )
 
@@ -239,6 +242,67 @@ func TestQuickInsertRemoveInvariants(t *testing.T) {
 			if !alive[p] {
 				t.Logf("removed peer %d still present", p)
 				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestQuickAddressPool churns random populations through joins, address
+// changes, removals and re-joins, each address of a random length in
+// 0..codec.MaxAddrLen, and after every step requires the pools' bookkeeping
+// to hold and every live peer's address to read back as it was last set.
+func TestQuickAddressPool(t *testing.T) {
+	f := func(ps pathSet) bool {
+		rng := rand.New(rand.NewSource(ps.seed + 3))
+		randAddr := func() string {
+			b := make([]byte, rng.Intn(codec.MaxAddrLen+1))
+			for i := range b {
+				b[i] = byte('a' + rng.Intn(26))
+			}
+			return string(b)
+		}
+		type live struct {
+			slot int32
+			addr string
+		}
+		core := NewCore(propLandmark)
+		model := map[PeerID]live{}
+		join := func(p PeerID) {
+			slot := core.Insert(p, ps.paths[p])
+			model[p] = live{slot, randAddr()}
+			core.SetAddr(core.Record(slot), model[p].addr)
+		}
+		peers := slices.Sorted(maps.Keys(ps.paths))
+		for step := 0; step < 4*len(peers); step++ {
+			p := peers[rng.Intn(len(peers))]
+			l, resident := model[p]
+			switch r := rng.Intn(3); {
+			case !resident:
+				join(p)
+			case r == 0:
+				core.Remove(l.slot)
+				delete(model, p)
+			case r == 1:
+				l.addr = randAddr()
+				core.SetAddr(core.Record(l.slot), l.addr)
+				model[p] = l
+			default:
+				core.Remove(l.slot)
+				join(p)
+			}
+			if err := core.CheckInvariants(); err != nil {
+				t.Logf("step %d, peer %d: %v", step, p, err)
+				return false
+			}
+			for q, l := range model {
+				if got := string(core.Addr(core.Record(l.slot))); !core.Holds(l.slot, q) || got != l.addr {
+					t.Logf("step %d: peer %d reads address %q, want %q", step, q, got, l.addr)
+					return false
+				}
 			}
 		}
 		return true

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -112,6 +113,13 @@ func modelPath(rng *rand.Rand, lm topology.NodeID) []topology.NodeID {
 	return append(path, lm)
 }
 
+// modelAddr draws an address for p of a random length in 0..op.MaxAddrLen,
+// so that re-joins move between the address pool's size classes and within
+// one, and a stale byte shows.
+func modelAddr(rng *rand.Rand, p pathtree.PeerID) string {
+	return strings.Repeat(fmt.Sprintf("a%d.%d.", p, rng.Intn(1000)), op.MaxAddrLen)[:rng.Intn(op.MaxAddrLen+1)]
+}
+
 // TestStateMachineMatchesModel drives a server through seeded random steps —
 // join, re-join under another path or another landmark, batch join with bad
 // entries, leave, refresh, super-peer flag, expiry, Handoff of a landmark to
@@ -151,7 +159,7 @@ func TestStateMachineMatchesModel(t *testing.T) {
 		newAway()
 
 		join := func(p pathtree.PeerID) op.JoinEntry {
-			return op.JoinEntry{Peer: p, Path: modelPath(rng, lms[rng.Intn(len(lms))]), Addr: fmt.Sprintf("a%d.%d", p, rng.Intn(3))}
+			return op.JoinEntry{Peer: p, Path: modelPath(rng, lms[rng.Intn(len(lms))]), Addr: modelAddr(rng, p)}
 		}
 		// registered records an accepted join; settle, after the op it came
 		// in, checks that the joins of peers that were away — and no others —
@@ -346,7 +354,9 @@ func TestStateMachineMatchesModel(t *testing.T) {
 // peer leaves and re-joins, in a fresh random order each round, as the first
 // fill was — and requires each pool of each tree to stay within one chunk of
 // what the first fill carved: records, nodes and child pairs come back from
-// the free lists instead of being carved anew. (Child
+// the free lists instead of being carved anew. Each peer re-joins with an
+// address of the length it left with, so the address pool's high-water mark
+// does not move at all: every run comes back from its size class's list. (Child
 // runs are recycled by exact size, so what a fill carves depends on how many
 // nodes pass through each size at once: peers arriving in path order carve a
 // fifth less than peers arriving in random order, which is why the first
@@ -388,7 +398,8 @@ func TestChurnRecyclesSlots(t *testing.T) {
 		}
 		for where, now := range carved() {
 			was := first[where]
-			if now.Records > was.Records+256 || now.Allocated > was.Allocated+256 || now.Kids > was.Kids+1024 {
+			if now.Records > was.Records+256 || now.Allocated > was.Allocated+256 || now.Kids > was.Kids+1024 ||
+				now.AddrBytes != was.AddrBytes {
 				t.Fatalf("round %d, %s: carved %+v, first fill carved %+v", round, where, now, was)
 			}
 		}

@@ -15,30 +15,37 @@
 //
 // Per landmark, one pathtree.Core: the trie of routers and, chained to the
 // router each peer's path ends at, one fixed-size pathtree.Record per peer —
-// ID, refresh time in nanoseconds, address, super-peer flag. The record is
-// all that is stored of a peer. Its path is not: it is the chain of routers
-// from the record's node up to the landmark, and PeerInfo and snapshots
-// rebuild it from there. Beside the trees there is one map, the Index, from
-// peer ID to (landmark, slot), which is how every peer-keyed request finds
-// the record. A lone server owns its index; the servers of a cluster share
-// one, so a node holds one entry per peer however many shards it runs — the
-// entry names a landmark, not a server, and the cluster routes by it too.
-// Measured with 50 000 loadgen.TreePath peers carrying addresses over four
-// landmarks (TestResidentBytesPerPeer here, TestNodeResidentBytesPerPeer
-// for a 4-shard cluster: the same number), a peer costs
+// ID, refresh time in nanoseconds, super-peer flag, and where in the tree's
+// address pool its address lies. The record and the address are all that is
+// stored of a peer. Its path is not: it is the chain of routers from the
+// record's node up to the landmark, and PeerInfo and snapshots rebuild it
+// from there. Beside the trees there is one map, the Index, from peer ID to
+// (landmark, slot), which is how every peer-keyed request finds the record.
+// A lone server owns its index; the servers of a cluster share one, so a
+// node holds one entry per peer however many shards it runs — the entry
+// names a landmark, not a server, and the cluster routes by it too.
+// Measured with 50 000 loadgen.TreePath peers carrying 13- to 17-byte
+// addresses over four landmarks (TestResidentBytesPerPeer here,
+// TestNodeResidentBytesPerPeer for a 4-shard cluster: the same number), a
+// peer costs
 //
-//	peer records      48 B/peer   one 48-byte slot each
-//	trie nodes        44 B/peer   32-byte slots, 1.37 routers per peer
+//	peer records      32 B/peer   one 32-byte slot each
+//	addresses         18 B/peer   runs in 8-byte size classes
+//	trie nodes        44 B/peer   32-byte slots, 1.38 routers per peer
 //	child runs        11 B/peer   8-byte {router, node} pairs
-//	peer index        29 B/peer   int64 → {int32, int32}, no pointers, 64 stripes
-//	chunk slack        1 B/peer   at most one chunk per pool per tree
-//	                 133 B/peer
+//	peer index        24 B/peer   int64 → {int32, int32}, no pointers, 64 stripes
+//	chunk slack        2 B/peer   at most one chunk per pool per tree
+//	                 131 B/peer
 //
-// plus the address string's bytes. There is one copy of all of it. Of those
-// pools only the records hold a pointer (the address), so a collection marks
-// one object per 256 peers instead of several per peer. (A Go map slot is
-// key and value padded to 16 bytes, so a thinner value — a shard number in a
-// byte — would cost the same 27 B an entry; the saving is in having one map.)
+// There is one copy of all of it, and no pool holds a pointer, so no peer is
+// a heap object of its own: a collection marks one chunk per few hundred
+// peers and scans none. Pointer-free also saves bytes: an address held as a
+// string of its own would add a 16-byte header to the record, and a chunk
+// holding pointers pays the allocator an 8-byte header, which would push a
+// 12 KiB chunk of 48-byte records into the next size class (53 B a record;
+// 151 B a peer in all). (A Go map slot is key and value padded to 16 bytes,
+// so a thinner index value — a shard number in a byte — would cost the same;
+// the saving is in having one map.)
 //
 // # Concurrency: two locks and a leaf
 //
@@ -107,6 +114,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -393,10 +401,17 @@ func (s *Server) Apply(o op.Op) error {
 // door it enters by (Apply, JoinOp, JoinBatchOp, a snapshot being read),
 // before the op reaches the state: past it, state and trie trust their
 // input. That the path ends at a landmark held here is the one check left to
-// the state, which alone knows its trees.
+// the state, which alone knows its trees. The op format's caps are checked
+// here too, not when the op is encoded for the log after it has applied; the
+// trees' address pools rely on the address cap.
 func validateJoin(e *op.JoinEntry) error {
-	if len(e.Path) == 0 {
+	switch {
+	case len(e.Path) == 0:
 		return errors.New("server: empty path")
+	case len(e.Path) > op.MaxPathLen:
+		return fmt.Errorf("server: path of %d hops exceeds %d", len(e.Path), op.MaxPathLen)
+	case len(e.Addr) > op.MaxAddrLen:
+		return fmt.Errorf("server: address of %d bytes exceeds %d", len(e.Addr), op.MaxAddrLen)
 	}
 	return pathtree.ValidatePath(e.Path, e.Path[len(e.Path)-1])
 }
@@ -490,8 +505,8 @@ func (s *Server) JoinOp(o op.Op) ([]pathtree.Candidate, error) {
 // register is one join's visit to the state, for a caller holding wmu. The
 // state lock is held exclusively for st.join alone — the descent, the
 // newcomer's query on the way down, the attach — and released before the
-// answer is copied out of the scratch: reading the hits' records needs only
-// wmu. Lookups therefore wait for at most one join, however long the batch
+// answer is copied out of the scratch: reading the hits' records and
+// addresses needs only wmu. Lookups therefore wait for at most one join, however long the batch
 // the join came in.
 func (s *Server) register(e *op.JoinEntry, timeNanos int64, k int) ([]pathtree.Candidate, error) {
 	s.mu.Lock()
@@ -533,16 +548,32 @@ func (st *state) record(p pathtree.PeerID) (*pathtree.Record, error) {
 }
 
 // answer copies a query's hits out of the scratch into the neighbour list —
-// the address read from each candidate's record — and reports whether a
-// super-peer sits within delegation range (dtree ≤ 2).
+// the address copied out of each candidate's tree, all of them into one
+// string — and reports whether a super-peer sits within delegation range
+// (dtree ≤ 2).
 func answer(tree *pathtree.Core, hits []pathtree.Hit) (cands []pathtree.Candidate, superNear bool) {
+	size := 0
+	for _, h := range hits {
+		size += len(tree.Addr(tree.Record(h.Slot)))
+	}
+	var addrs strings.Builder
+	addrs.Grow(size)
 	cands = make([]pathtree.Candidate, len(hits))
 	for i, h := range hits {
 		rec := tree.Record(h.Slot)
-		cands[i] = pathtree.Candidate{Peer: h.Peer, DTree: int(h.DTree), Addr: rec.Addr}
+		cands[i] = pathtree.Candidate{Peer: h.Peer, DTree: int(h.DTree), Addr: appendAddr(&addrs, tree.Addr(rec))}
 		superNear = superNear || (rec.Super && h.DTree <= 2)
 	}
 	return cands, superNear
+}
+
+// appendAddr writes addr to b and returns it as a substring of what b holds.
+// A Builder never rewrites bytes it has handed out, so the substring stays
+// good as b grows; grown to size first, b makes one allocation for all.
+func appendAddr(b *strings.Builder, addr []byte) string {
+	start := b.Len()
+	b.Write(addr)
+	return b.String()[start:]
 }
 
 // join is the one registration road, shared by the answering and the silent
@@ -576,7 +607,8 @@ func (st *state) join(e *op.JoinEntry, timeNanos int64, k int, sc *pathtree.Scra
 		orphan = old
 	}
 	rec := tree.Record(slot)
-	rec.RefreshNanos, rec.Addr = timeNanos, e.Addr
+	rec.RefreshNanos = timeNanos
+	tree.SetAddr(rec, e.Addr)
 	return tree, slot, hits, orphan, nil
 }
 
@@ -812,7 +844,7 @@ func (s *Server) PeerInfo(p pathtree.PeerID) (PeerInfo, error) {
 		ID:          rec.ID,
 		Landmark:    r.lm,
 		Path:        tree.AppendPath(make([]topology.NodeID, 0, tree.Depth(r.slot)+1), r.slot),
-		Addr:        rec.Addr,
+		Addr:        string(tree.Addr(rec)),
 		SuperPeer:   rec.Super,
 		LastRefresh: time.Unix(0, rec.RefreshNanos),
 	}, nil

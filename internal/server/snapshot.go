@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"strings"
 
 	"proxdisc/internal/op"
 	"proxdisc/internal/pathtree"
@@ -51,7 +52,8 @@ type image struct {
 // state. It is a walk: the writer mutex keeps mutators out while it copies,
 // and the state lock is never taken, so a snapshot costs lookups nothing. A
 // peer's path is not stored, so each tree is walked once, depth-first, and
-// hands every peer the path the walk stands on.
+// hands every peer the path the walk stands on; its addresses are copied
+// into one block per tree.
 func (s *Server) collect(img *image, owner int) {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
@@ -59,9 +61,12 @@ func (s *Server) collect(img *image, owner int) {
 	for lm, tree := range s.st.trees {
 		img.moves = append(img.moves, op.MoveEntry{Landmark: lm, Src: owner, Dst: owner, Epoch: s.st.epochs[lm]})
 		img.peers = slices.Grow(img.peers, tree.Len())
+		var addrs strings.Builder
+		as := tree.ArenaStats()
+		addrs.Grow(as.AddrBytes - as.FreeAddrBytes) // the live runs: at least the live addresses
 		tree.Walk(func(rec *pathtree.Record, path []topology.NodeID) {
 			img.peers = append(img.peers, snapPeer{rec.RefreshNanos,
-				op.JoinEntry{Peer: rec.ID, Addr: rec.Addr, Path: path}, rec.Super})
+				op.JoinEntry{Peer: rec.ID, Addr: appendAddr(&addrs, tree.Addr(rec)), Path: path}, rec.Super})
 		})
 	}
 }

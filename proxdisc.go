@@ -409,17 +409,19 @@
 //     (TestShardedRefusesLegacySegments).
 //
 //   - One record per resident peer, in pointer-free slabs. Each tree
-//     carves three pools from fixed-size chunks and links them by int32
-//     index: 32-byte trie nodes, runs of {router, node} child pairs, and
-//     one 48-byte record per peer (ID, refresh time, address, super-peer
-//     flag) chained to the router its path ends at. A peer's path is not
-//     stored — it is that router's parent chain — and a node keeps one
-//     map, peer ID to (landmark, slot): a lone server's own, or the one
-//     index all the shards of a cluster share and route by. A management
-//     server, or a whole cluster, holds about 133 B per resident peer plus
-//     its address (package server has the table; TestResidentBytesPerPeer
-//     and TestNodeResidentBytesPerPeer pin it), and only the records hold a
-//     pointer, so the collector has one object to mark per 256 peers. Freed slots are recycled through free lists
+//     carves four pools from fixed-size chunks and links them by int32
+//     index: 32-byte trie nodes, runs of {router, node} child pairs, one
+//     32-byte record per peer (ID, refresh time, super-peer flag, where its
+//     address lies) chained to the router its path ends at, and the
+//     addresses' bytes. A peer's path is not stored — it is that router's
+//     parent chain — and a node keeps one map, peer ID to (landmark, slot):
+//     a lone server's own, or the one index all the shards of a cluster
+//     share and route by. A management server, or a whole cluster, holds
+//     about 131 B per resident peer, its address included (package server
+//     has the table; TestResidentBytesPerPeer and
+//     TestNodeResidentBytesPerPeer pin it). No pool holds a pointer, so no
+//     peer is a heap object of its own: the collector marks one chunk per
+//     few hundred peers and scans none. Freed slots are recycled through free lists
 //     (the lifetime rule: a slot is freed only by a writer holding the
 //     state lock exclusively, so no query ever observes a recycled slot), and
 //     steady-state churn retires NO tree memory to the garbage collector —
