@@ -139,9 +139,10 @@ type Config struct {
 
 	// Telemetry, when set, registers the cluster's metrics (per-shard
 	// apply counters and peer gauges, scatter fan-out, handoffs,
-	// checkpoint durations, and the write-ahead log's proxdisc_wal_*
-	// series) with the registry. The instrumentation runs either way; the
-	// registry only decides whether anyone can read it.
+	// checkpoint durations, the path trees' pool bytes, and the
+	// write-ahead log's proxdisc_wal_* series) with the registry. The
+	// instrumentation runs either way; the registry only decides whether
+	// anyone can read it.
 	Telemetry *telemetry.Registry
 
 	// NeighborCount, PeerTTL, and Clock are passed through to every shard;
@@ -230,6 +231,29 @@ func (c *Cluster) initMetrics() {
 		g.applies = r.Counter(`proxdisc_shard_apply_total{shard="` + shard + `"}`)
 		r.GaugeFunc(`proxdisc_shard_peers{shard="`+shard+`"}`, func() float64 {
 			return float64(g.srv.NumPeers())
+		})
+	}
+	// The trees' pools in bytes, live and free: one read of each shard's
+	// counters per scrape, nothing on the write path.
+	for _, series := range []struct {
+		pool, state string
+		bytes       func(pathtree.ArenaStats) int
+	}{
+		{"nodes", "live", func(a pathtree.ArenaStats) int { return a.Live * pathtree.NodeBytes }},
+		{"nodes", "free", func(a pathtree.ArenaStats) int { return a.Free * pathtree.NodeBytes }},
+		{"records", "live", func(a pathtree.ArenaStats) int { return (a.Records - a.FreeRecords) * pathtree.RecordBytes }},
+		{"records", "free", func(a pathtree.ArenaStats) int { return a.FreeRecords * pathtree.RecordBytes }},
+		{"kids", "live", func(a pathtree.ArenaStats) int { return (a.Kids - a.FreeKids) * pathtree.KidBytes }},
+		{"kids", "free", func(a pathtree.ArenaStats) int { return a.FreeKids * pathtree.KidBytes }},
+		{"addrs", "live", func(a pathtree.ArenaStats) int { return a.AddrBytes - a.FreeAddrBytes }},
+		{"addrs", "free", func(a pathtree.ArenaStats) int { return a.FreeAddrBytes }},
+	} {
+		r.GaugeFunc(`proxdisc_arena_bytes{pool="`+series.pool+`",state="`+series.state+`"}`, func() float64 {
+			n := 0
+			for _, g := range c.shards {
+				n += series.bytes(g.srv.ArenaStats())
+			}
+			return float64(n)
 		})
 	}
 }

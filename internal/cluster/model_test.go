@@ -24,8 +24,9 @@ import (
 // outside: every live record's ID has an entry, the entry names a landmark
 // held by the server the record is in — which is the landmark's owner by the
 // table — and resolves there to a record carrying that ID; no ID is resident
-// twice, on one shard or on two; and the index holds nothing else. Every
-// landmark has exactly one holder.
+// twice, on one shard or on two; and the index holds nothing else. Each
+// shard's NumPeers, the sum of its trees' Len(), counts exactly its live
+// records. Every landmark has exactly one holder.
 func checkIndex(c *Cluster) error {
 	holder := make(map[topology.NodeID]int)
 	for i := range c.shards {
@@ -44,7 +45,11 @@ func checkIndex(c *Cluster) error {
 	}
 	resident := make(map[pathtree.PeerID]int)
 	for i := range c.shards {
-		for _, p := range c.Shard(i).Peers() {
+		peers := c.Shard(i).Peers()
+		if n := c.Shard(i).NumPeers(); n != len(peers) {
+			return fmt.Errorf("shard %d: NumPeers %d, %d live records", i, n, len(peers))
+		}
+		for _, p := range peers {
 			if j, dup := resident[p]; dup {
 				return fmt.Errorf("peer %d resident on shard %d and again on shard %d", p, j, i)
 			}

@@ -27,13 +27,13 @@ func heapAlloc() uint64 {
 // the live heap a 4-shard cluster holds for 50 000 loadgen.TreePath peers
 // with addresses, divided by the peers. Each join is built inside the loop
 // and dropped, so what stays is what the node owns, its copy of the address
-// included. The budget is the measured 131 B — what
+// included. The budget is the measured 119.8 B — what
 // server.TestResidentBytesPerPeer measures for a lone server, because a node
 // holds one peer index, not one per shard and another above them — plus
-// 8 %. With a string per address it read 151 B; with the second map, 157 B
-// before counting addresses.
+// 4 %. With 32-byte trie nodes it read 131 B; with a string per address,
+// 151 B; with the second map, 157 B before counting addresses.
 func TestNodeResidentBytesPerPeer(t *testing.T) {
-	const peers, budget = 50_000, 142
+	const peers, budget = 50_000, 125
 	lms := []topology.NodeID{0, 1, 2, 3}
 	base := heapAlloc()
 	c, err := New(Config{Landmarks: lms, Shards: 4})

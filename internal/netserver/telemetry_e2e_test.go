@@ -12,6 +12,7 @@ import (
 	"proxdisc/internal/client"
 	"proxdisc/internal/cluster"
 	"proxdisc/internal/conf"
+	"proxdisc/internal/pathtree"
 	"proxdisc/internal/server"
 	"proxdisc/internal/telemetry"
 	"proxdisc/internal/topology"
@@ -68,8 +69,9 @@ func seriesWithPrefix(samples map[string]float64, prefix string) (string, bool) 
 // TestMetricsEndpointEndToEnd is the observability acceptance test: a
 // durable primary with a live follower serves /metrics over HTTP, and the
 // series a deployment actually alerts on — request counts and latency per
-// message type, WAL fsyncs, per-shard peer counts, follower replication
-// position — are present and move as traffic flows.
+// message type, WAL fsyncs, per-shard peer counts, the path trees' pool
+// bytes, follower replication position — are present and move as traffic
+// flows.
 func TestMetricsEndpointEndToEnd(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	telemetry.RegisterGoMetrics(reg)
@@ -185,6 +187,23 @@ func TestMetricsEndpointEndToEnd(t *testing.T) {
 	if got := samples["proxdisc_shard_apply_total{shard=\"0\"}"] + samples["proxdisc_shard_apply_total{shard=\"1\"}"]; got < joins {
 		t.Fatalf("shard applies sum to %v, want >= %d", got, joins)
 	}
+	// The trees' pools, in bytes: per landmark one router below the root,
+	// one child pair and one record per peer, and each 11-byte address in a
+	// 16-byte run. No peer has left, so nothing is free.
+	for series, want := range map[string]int{
+		"nodes":   2 * pathtree.NodeBytes,
+		"kids":    2 * pathtree.KidBytes,
+		"records": joins * pathtree.RecordBytes,
+		"addrs":   joins * 16,
+	} {
+		live, free := `proxdisc_arena_bytes{pool="`+series+`",state="live"}`, `proxdisc_arena_bytes{pool="`+series+`",state="free"}`
+		if got, ok := samples[live]; !ok || got != float64(want) {
+			t.Fatalf("%s = %v (exported: %v), want %d", live, got, ok, want)
+		}
+		if got, ok := samples[free]; !ok || got != 0 {
+			t.Fatalf("%s = %v (exported: %v), want 0", free, got, ok)
+		}
+	}
 
 	// Replication, primary side: the hub tracks the follower by address.
 	if got := samples["proxdisc_followers_connected"]; got != 1 {
@@ -235,6 +254,18 @@ func TestMetricsEndpointEndToEnd(t *testing.T) {
 			t.Fatalf("follower acked seq never advanced past %v", samples[ackedSeries])
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+
+	// A peer that leaves parks its record and its address's run as free.
+	if err := c.Leave(1); err != nil {
+		t.Fatal(err)
+	}
+	again := scrape(t, metricsURL)
+	if got := again[`proxdisc_arena_bytes{pool="records",state="free"}`]; got != float64(pathtree.RecordBytes) {
+		t.Fatalf("free record bytes after a leave = %v, want %d", got, pathtree.RecordBytes)
+	}
+	if got := again[`proxdisc_arena_bytes{pool="addrs",state="free"}`]; got != 16 {
+		t.Fatalf("free address bytes after a leave = %v, want 16", got)
 	}
 
 	// A departed follower's per-address series are unregistered, not left

@@ -7,6 +7,7 @@ import (
 	"iter"
 	"math/bits"
 	"slices"
+	"unsafe"
 
 	"proxdisc/internal/codec"
 	"proxdisc/internal/topology"
@@ -33,26 +34,32 @@ const (
 	root int32 = 0  // the landmark's node, carved first
 )
 
-// node is one router of the trie: 32 bytes, no pointers, every link an
-// index into one of the tree's pools.
+// node is one router of the trie: 24 bytes, no pointers, every link an
+// index into one of the tree's pools. A node with no peer attached and no
+// child is pruned, so every node but the root has a peer in its subtree.
 type node struct {
+	// router is the router this node stands for; topology.InvalidNode,
+	// which no validated path holds, marks a free node.
 	router topology.NodeID
 	// parent is the node one hop closer to the landmark (none at the root);
 	// while the node is parked on the free list it is the list link.
 	parent int32
-	// depth is the distance from the landmark in hops; none marks a free node.
-	depth int32
-	// subtreeCount is the number of peers attached in this node's subtree,
-	// itself included. Pruning fires when it reaches zero.
-	subtreeCount int32
 	// firstPeer heads the chain of records attached exactly here (their
 	// path ends at this router), linked through Record.next.
 	firstPeer int32
-	// kidsOff, kidsLen and kidsCap locate the node's children in the kid
-	// pool: a run of kidsCap pairs (zero or a power of two) of which the
-	// first kidsLen are in use, sorted ascending by router.
-	kidsOff, kidsLen, kidsCap int32
+	// kidsOff and kidsLen locate the node's children in the kid pool: the
+	// first kidsLen pairs of a run of kidsCap(), sorted ascending by router.
+	kidsOff, kidsLen int32
+	// depth is the distance from the landmark in hops: ValidatePath caps a
+	// path at codec.MaxPathLen routers, so it is at most 255.
+	depth uint8
+	// kidsLog is 0 when the node owns no child run, else 1 + the run's size
+	// class: the run holds 1<<(kidsLog-1) pairs.
+	kidsLog uint8
 }
+
+// kidsCap is the number of pairs in n's child run.
+func (n *node) kidsCap() int32 { return 1 << n.kidsLog >> 1 }
 
 // kid is one entry of a node's child run: the child's router beside its
 // node index, so a search compares keys that sit together in one cache line
@@ -239,7 +246,7 @@ func NewCore(landmark topology.NodeID) *Core {
 func (c *Core) Landmark() topology.NodeID { return c.landmark }
 
 // Len reports the number of peers currently in the tree.
-func (c *Core) Len() int { return int(c.nodes.at(root).subtreeCount) }
+func (c *Core) Len() int { return int(c.recs.carved - c.recs.freeN) }
 
 // Record returns the record in slot, for the caller to read or to set the
 // fields that are its own. The pointer is good until the slot is removed.
@@ -290,18 +297,18 @@ func (c *Core) Records() iter.Seq2[int32, *Record] {
 	}
 }
 
-// ValidatePath checks a reported peer→landmark router path: non-empty,
-// ending at the landmark, no anonymous and no repeated router. Core trusts
-// its caller to have made this check; it is made once, where a path enters.
+// ValidatePath checks a reported peer→landmark router path: 1 to
+// codec.MaxPathLen routers, ending at the landmark, none anonymous or repeated.
+// Core trusts its caller to have made this check, once, where a path enters.
 func ValidatePath(path []topology.NodeID, landmark topology.NodeID) error {
-	if len(path) == 0 {
-		return errors.New("pathtree: empty path")
+	if len(path) == 0 || len(path) > codec.MaxPathLen {
+		return fmt.Errorf("pathtree: path of %d hops, want 1 to %d", len(path), codec.MaxPathLen)
 	}
 	if path[len(path)-1] != landmark {
 		return fmt.Errorf("pathtree: path ends at router %d, not landmark %d",
 			path[len(path)-1], landmark)
 	}
-	// Paths are short (bounded by the wire limit), so a quadratic scan for
+	// Paths are short (bounded by the cap above), so a quadratic scan for
 	// repeats beats building a set: it allocates nothing on the hot path.
 	for i, r := range path {
 		if r == topology.InvalidNode {
@@ -374,17 +381,15 @@ func (c *Core) addChild(parent int32, at int, r topology.NodeID) int32 {
 	}
 	pn := c.nodes.at(parent)
 	*c.nodes.at(idx) = node{router: r, parent: parent, depth: pn.depth + 1, firstPeer: none}
-	if pn.kidsLen == pn.kidsCap {
-		class := 0
-		if pn.kidsCap > 0 {
-			class = bits.TrailingZeros32(uint32(pn.kidsCap)) + 1
-		}
-		off := c.kids.alloc(class)
-		if pn.kidsCap > 0 {
+	if pn.kidsLen == pn.kidsCap() {
+		// The new run's class is one above the old run's: kidsLog itself.
+		off := c.kids.alloc(int(pn.kidsLog))
+		if pn.kidsLog > 0 {
 			copy(c.kids.run(off, pn.kidsLen), c.kidsOf(pn))
-			c.kids.release(pn.kidsOff, class-1)
+			c.kids.release(pn.kidsOff, int(pn.kidsLog)-1)
 		}
-		pn.kidsOff, pn.kidsCap = off, 1<<class
+		pn.kidsOff = off
+		pn.kidsLog++
 	}
 	pn.kidsLen++
 	run := c.kidsOf(pn)
@@ -420,18 +425,7 @@ func (c *Core) Join(p PeerID, path []topology.NodeID, k int, sc *Scratch) (slot 
 	n := c.nodes.at(cur)
 	*c.recs.at(slot) = Record{ID: p, node: cur, next: n.firstPeer}
 	n.firstPeer = slot
-	for m := cur; m != none; {
-		n = c.nodes.at(m)
-		n.subtreeCount++
-		m = n.parent
-	}
 	return slot, hits
-}
-
-// Insert is Join without the query.
-func (c *Core) Insert(p PeerID, path []topology.NodeID) int32 {
-	slot, _ := c.Join(p, path, 0, nil)
-	return slot
 }
 
 // Remove detaches the peer in slot, recycles its record and its address's
@@ -448,32 +442,23 @@ func (c *Core) Remove(slot int32) {
 	*rec = Record{node: none, next: c.recs.free}
 	c.recs.free = slot
 	c.recs.freeN++
-	for m := at; m != none; {
-		n := c.nodes.at(m)
-		n.subtreeCount--
-		m = n.parent
-	}
 	// Prune empty leaves upward, recycling each node and its child run.
 	// Modifying calls have the tree to themselves, so no query can still
 	// hold an index into what is recycled here.
-	for m := at; m != root; {
-		n := c.nodes.at(m)
-		if n.subtreeCount != 0 {
-			break
-		}
+	for m, n := at, c.nodes.at(at); m != root && n.firstPeer == none && n.kidsLen == 0; {
 		parent := n.parent
 		pn := c.nodes.at(parent)
 		run := c.kidsOf(pn)
 		i, _ := search(run, n.router)
 		copy(run[i:], run[i+1:])
 		pn.kidsLen--
-		if n.kidsCap > 0 {
-			c.kids.release(n.kidsOff, bits.TrailingZeros32(uint32(n.kidsCap)))
+		if n.kidsLog > 0 {
+			c.kids.release(n.kidsOff, int(n.kidsLog)-1)
 		}
-		*n = node{parent: c.nodes.free, depth: none}
+		*n = node{router: topology.InvalidNode, parent: c.nodes.free}
 		c.nodes.free = m
 		c.nodes.freeN++
-		m = parent
+		m, n = parent, pn
 	}
 }
 
@@ -486,7 +471,7 @@ func (c *Core) Depth(slot int32) int { return int(c.nodes.at(c.recs.at(slot).nod
 // other.
 func (c *Core) DTree(a, b int32) int {
 	na, nb := c.nodes.at(c.recs.at(a).node), c.nodes.at(c.recs.at(b).node)
-	sum := na.depth + nb.depth
+	sum := int(na.depth) + int(nb.depth)
 	for na.depth > nb.depth {
 		na = c.nodes.at(na.parent)
 	}
@@ -496,7 +481,7 @@ func (c *Core) DTree(a, b int32) int {
 	for na != nb {
 		na, nb = c.nodes.at(na.parent), c.nodes.at(nb.parent)
 	}
-	return int(sum - 2*na.depth)
+	return sum - 2*int(na.depth)
 }
 
 // AppendPath appends the reported path of the peer in slot to dst, peer-side
@@ -683,7 +668,7 @@ func (c *Core) Stats() Stats {
 	s := Stats{Peers: c.Len()}
 	routers := make([]topology.NodeID, 0, c.nodes.carved-c.nodes.freeN)
 	for i := int32(0); i < c.nodes.carved; i++ {
-		if n := c.nodes.at(i); n.depth != none {
+		if n := c.nodes.at(i); n.router != topology.InvalidNode {
 			routers = append(routers, n.router)
 			s.MaxDepth = max(s.MaxDepth, int(n.depth))
 		}
@@ -712,6 +697,21 @@ type ArenaStats struct {
 	AddrBytes, FreeAddrBytes int
 }
 
+// NodeBytes, RecordBytes and KidBytes are the slot sizes of the node, record
+// and child-pair pools: what one count of ArenaStats weighs in each.
+const (
+	NodeBytes   = int(unsafe.Sizeof(node{}))
+	RecordBytes = int(unsafe.Sizeof(Record{}))
+	KidBytes    = int(unsafe.Sizeof(kid{}))
+)
+
+// Plus returns the occupancy of a's pools and b's together.
+func (a ArenaStats) Plus(b ArenaStats) ArenaStats {
+	return ArenaStats{a.Allocated + b.Allocated, a.Free + b.Free, a.Live + b.Live, a.Records + b.Records,
+		a.FreeRecords + b.FreeRecords, a.Kids + b.Kids, a.FreeKids + b.FreeKids,
+		a.AddrBytes + b.AddrBytes, a.FreeAddrBytes + b.FreeAddrBytes}
+}
+
 // ArenaStats returns current pool occupancy.
 func (c *Core) ArenaStats() ArenaStats {
 	allocated, free := int(c.nodes.carved)-1, int(c.nodes.freeN)
@@ -723,13 +723,13 @@ func (c *Core) ArenaStats() ArenaStats {
 	}
 }
 
-// CheckInvariants deeply validates the tree's internal consistency: subtree
-// counters, depth bookkeeping, parent/child symmetry, sorted child runs, the
-// peer chains, and, for each of the four pools, that every slot or byte
-// carved is either reachable from the root or parked on a free list — for
-// addresses, that the live and free runs tile the carved bytes. It is
-// O(size) and intended for tests and debugging; it returns the first
-// violation found.
+// CheckInvariants deeply validates the tree's internal consistency: depth
+// bookkeeping, parent/child symmetry, sorted child runs within their
+// capacity, the peer chains, no empty node left unpruned, and, for each of
+// the four pools, that every slot or byte carved is either reachable from
+// the root or parked on a free list — for addresses, that the live and free
+// runs tile the carved bytes. It is O(size) and intended for tests and
+// debugging; it returns the first violation found.
 func (c *Core) CheckInvariants() error {
 	var liveNodes, liveRecs, liveKids int32
 	// claim marks the addrStep-byte units of an address run, live or free,
@@ -748,63 +748,58 @@ func (c *Core) CheckInvariants() error {
 		}
 		return true
 	}
-	var walk func(m int32) (int32, error)
-	walk = func(m int32) (int32, error) {
+	var walk func(m int32) error
+	walk = func(m int32) error {
 		n := c.nodes.at(m)
 		liveNodes++
-		liveKids += n.kidsCap
-		if n.kidsLen > n.kidsCap || n.kidsCap&(n.kidsCap-1) != 0 {
-			return 0, fmt.Errorf("pathtree: node %d holds %d children in a run of %d", n.router, n.kidsLen, n.kidsCap)
+		liveKids += n.kidsCap()
+		if n.kidsLen > n.kidsCap() {
+			return fmt.Errorf("pathtree: node %d holds %d children in a run of %d", n.router, n.kidsLen, n.kidsCap())
+		}
+		if m != root && n.firstPeer == none && n.kidsLen == 0 {
+			return fmt.Errorf("pathtree: empty node %d not pruned", n.router)
 		}
 		var count int32
 		for s := n.firstPeer; s != none; s = c.recs.at(s).next {
 			if count++; count > c.recs.carved {
-				return 0, fmt.Errorf("pathtree: peer chain at node %d is cyclic", n.router)
+				return fmt.Errorf("pathtree: peer chain at node %d is cyclic", n.router)
 			}
 			rec := c.recs.at(s)
 			if rec.node != m {
-				return 0, fmt.Errorf("pathtree: peer %d chained at node %d but records node index %d", rec.ID, n.router, rec.node)
+				return fmt.Errorf("pathtree: peer %d chained at node %d but records node index %d", rec.ID, n.router, rec.node)
 			}
 			if l := int(rec.addrLen); l > codec.MaxAddrLen || (l > 0 && !claim(rec.addr, int32(addrClass(l)+1)*addrStep)) {
-				return 0, fmt.Errorf("pathtree: peer %d's %d-byte address at %d is outside the pool or overlaps another", rec.ID, l, rec.addr)
+				return fmt.Errorf("pathtree: peer %d's %d-byte address at %d is outside the pool or overlaps another", rec.ID, l, rec.addr)
 			}
 		}
 		liveRecs += count
 		run := c.kidsOf(n)
 		for i, kd := range run {
 			if i > 0 && run[i-1].router >= kd.router {
-				return 0, fmt.Errorf("pathtree: node %d child run not strictly ascending", n.router)
+				return fmt.Errorf("pathtree: node %d child run not strictly ascending", n.router)
 			}
 			ch := c.nodes.at(kd.idx)
 			if ch.router != kd.router {
-				return 0, fmt.Errorf("pathtree: node %d files child %d under router %d", n.router, ch.router, kd.router)
+				return fmt.Errorf("pathtree: node %d files child %d under router %d", n.router, ch.router, kd.router)
 			}
 			if ch.parent != m {
-				return 0, fmt.Errorf("pathtree: child %d of %d has wrong parent", ch.router, n.router)
+				return fmt.Errorf("pathtree: child %d of %d has wrong parent", ch.router, n.router)
 			}
-			if ch.depth != n.depth+1 {
-				return 0, fmt.Errorf("pathtree: child %d depth %d under depth %d", ch.router, ch.depth, n.depth)
+			if int(ch.depth) != int(n.depth)+1 {
+				return fmt.Errorf("pathtree: child %d depth %d under depth %d", ch.router, ch.depth, n.depth)
 			}
-			sub, err := walk(kd.idx)
-			if err != nil {
-				return 0, err
+			if err := walk(kd.idx); err != nil {
+				return err
 			}
-			count += sub
 		}
-		if count != n.subtreeCount {
-			return 0, fmt.Errorf("pathtree: node %d subtreeCount %d, actual %d", n.router, n.subtreeCount, count)
-		}
-		if m != root && count == 0 {
-			return 0, fmt.Errorf("pathtree: empty node %d not pruned", n.router)
-		}
-		return count, nil
+		return nil
 	}
-	if _, err := walk(root); err != nil {
+	if err := walk(root); err != nil {
 		return err
 	}
 	freeNodes, err := chainLen(c.nodes.free, c.nodes.carved, func(i int32) (int32, bool) {
 		n := c.nodes.at(i)
-		return n.parent, n.depth == none && n.kidsCap == 0
+		return n.parent, n.router == topology.InvalidNode && n.kidsLog == 0
 	})
 	if err != nil || freeNodes != c.nodes.freeN || liveNodes+freeNodes != c.nodes.carved {
 		return fmt.Errorf("pathtree: node pool: %d live + %d free (%d accounted, %v) != %d carved",

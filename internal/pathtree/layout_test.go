@@ -28,8 +28,10 @@ func pointers(t reflect.Type, name string) []string {
 
 // TestLayoutIsPointerFree pins the resident layout: not one of a tree's four
 // pools holds a pointer — the chunks of trie nodes, child pairs, peer
-// records and address bytes are never scanned by the collector — a node and
-// a record each fit 32 bytes, and a record keeps no time.Time and no path.
+// records and address bytes are never scanned by the collector — a node is
+// 24 bytes, so a chunk of them is 6 144 bytes, which is a Go size class of
+// its own and wastes nothing; a record fits 32 bytes and keeps no time.Time
+// and no path.
 func TestLayoutIsPointerFree(t *testing.T) {
 	var c Core
 	for _, chunk := range []reflect.Type{
@@ -42,8 +44,11 @@ func TestLayoutIsPointerFree(t *testing.T) {
 			t.Errorf("pool chunk %v holds pointer fields %v", chunk, ptrs)
 		}
 	}
-	if size := unsafe.Sizeof(node{}); size > 32 {
-		t.Errorf("node is %d bytes, want ≤ 32", size)
+	if size := unsafe.Sizeof(node{}); size != 24 {
+		t.Errorf("node is %d bytes, want 24", size)
+	}
+	if size := unsafe.Sizeof([slabSize]node{}); size != 6144 {
+		t.Errorf("a chunk of nodes is %d bytes, want 6 144", size)
 	}
 	if size := unsafe.Sizeof(kid{}); size != 8 {
 		t.Errorf("child pair is %d bytes, want 8", size)

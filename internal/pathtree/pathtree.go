@@ -14,14 +14,16 @@
 // the same edge routers before reaching the core (the heavy-tail/centrality
 // argument of §2), dtree tracks the true hop distance d(p,q) closely.
 //
-// Inserting a newcomer walks its L-hop path once: a binary search of each
-// router's sorted child run, then a counter update per hop — O(L·log f) for
-// fan-out f, no hashing. A closest-peer query ascends the newcomer's ancestor
-// chain and searches each ancestor's other subtrees breadth-first. Until k
-// candidates are held that search is unbounded; from then on it never
-// enqueues a trie node farther from the query point than the current kth-best
-// candidate, so the work follows the number of routers within that distance,
-// not the population n — and shrinks as the tree fills up.
+// Inserting a newcomer walks its L-hop path once, down from the landmark: a
+// binary search of each router's sorted child run — O(L·log f) for fan-out
+// f, no hashing — and nothing above the node it attaches at is written.
+// Removal writes upward only as far as it prunes. A closest-peer query
+// ascends the newcomer's ancestor chain and searches each ancestor's other
+// subtrees breadth-first. Until k candidates are held that search is
+// unbounded; from then on it never enqueues a trie node farther from the
+// query point than the current kth-best candidate, so the work follows the
+// number of routers within that distance, not the population n — and
+// shrinks as the tree fills up.
 // TestClosestVisitsBounded pins the count: a mean of at most 100 nodes per
 // query at 10 000 peers and 40 at 100 000 (fan-out 8, k=5), and one descent
 // of the path per answered join.
@@ -31,8 +33,11 @@
 // A tree is four pools, each carved from chunks that are never reallocated
 // and recycled through free lists, linked by index:
 //
-//   - nodes: one 32-byte slot per router (router, parent, depth, subtree
-//     count, head of its peer chain, and where its children are);
+//   - nodes: one 24-byte slot per router (router, parent, head of its peer
+//     chain, where its children are, and two bytes: depth and the child
+//     run's size class). A node keeps no count of the peers below it: one
+//     with no peer and no child is pruned at once, so only the root can be
+//     empty;
 //   - child runs: per node a power-of-two run of {router, node index} pairs
 //     sorted by router, so the per-hop search reads keys that sit together
 //     instead of dereferencing a child per probe;
@@ -149,7 +154,7 @@ func (t *Tree) Insert(p PeerID, path []topology.NodeID) error {
 	if slot, ok := t.byPeer[p]; ok {
 		t.core.Remove(slot)
 	}
-	t.byPeer[p] = t.core.Insert(p, path)
+	t.byPeer[p], _ = t.core.Join(p, path, 0, nil)
 	return nil
 }
 

@@ -3,11 +3,14 @@ package pathtree
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
 
+	"proxdisc/internal/codec"
 	"proxdisc/internal/topology"
 )
 
@@ -49,6 +52,41 @@ func TestInsertValidation(t *testing.T) {
 	}
 	if err := tr.Insert(1, P(5, topology.InvalidNode, 0)); err == nil {
 		t.Fatal("accepted anonymous router")
+	}
+}
+
+// TestPathCap: a path of codec.MaxPathLen routers is the longest a tree
+// takes — its peer sits at depth 255, the most a node's one-byte depth
+// holds — and one router more is refused. Two such peers on disjoint
+// branches are 510 hops apart, which no one-byte sum holds.
+func TestPathCap(t *testing.T) {
+	long := func(n int, base topology.NodeID) []topology.NodeID {
+		path := make([]topology.NodeID, n) // ends at landmark 0
+		for i := range path[:n-1] {
+			path[i] = base + topology.NodeID(i)
+		}
+		return path
+	}
+	tr := New(0, Options{})
+	for p, base := range map[PeerID]topology.NodeID{1: 1000, 2: 2000} {
+		if err := tr.Insert(p, long(codec.MaxPathLen, base)); err != nil {
+			t.Fatalf("refused a %d-hop path: %v", codec.MaxPathLen, err)
+		}
+	}
+	if err := tr.Insert(3, long(codec.MaxPathLen+1, 3000)); err == nil {
+		t.Fatalf("accepted a %d-hop path", codec.MaxPathLen+1)
+	}
+	if d, err := tr.Depth(1); err != nil || d != codec.MaxPathLen-1 {
+		t.Fatalf("depth %d, %v; want %d", d, err, codec.MaxPathLen-1)
+	}
+	if d, err := tr.DTree(1, 2); err != nil || d != 2*(codec.MaxPathLen-1) {
+		t.Fatalf("dtree %d, %v; want %d", d, err, 2*(codec.MaxPathLen-1))
+	}
+	if got, err := tr.PathOf(1); err != nil || !slices.Equal(got, long(codec.MaxPathLen, 1000)) {
+		t.Fatalf("path of %d hops read back as %d hops, %v", codec.MaxPathLen, len(got), err)
+	}
+	if err := tr.CheckInvariants(); err != nil || tr.Len() != 2 {
+		t.Fatalf("%d peers, %v", tr.Len(), err)
 	}
 }
 
@@ -573,60 +611,61 @@ func TestInvariantsUnderChurn(t *testing.T) {
 	}
 }
 
+// TestCheckInvariantsDetectsCorruption corrupts one thing at a time in a
+// fresh, healthy tree — peers 1 and 2 under router 11, addresses set, and a
+// pruned router parked on the free list — and requires the checker to name
+// each.
 func TestCheckInvariantsDetectsCorruption(t *testing.T) {
-	tr := New(0, Options{})
-	mustInsert(t, tr, 1, P(10, 11, 0))
-	mustInsert(t, tr, 2, P(12, 11, 0))
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatalf("healthy tree failed: %v", err)
-	}
-	// Corrupt a subtree counter directly.
-	c := tr.core
-	c.nodes.at(root).subtreeCount++
-	if err := tr.CheckInvariants(); err == nil {
-		t.Fatal("corrupted counter not detected")
-	}
-	c.nodes.at(root).subtreeCount--
-	// Corrupt the child order.
-	run := c.kidsOf(c.nodes.at(c.kidsOf(c.nodes.at(root))[0].idx))
-	run[0], run[1] = run[1], run[0]
-	if err := tr.CheckInvariants(); err == nil {
-		t.Fatal("corrupted order not detected")
-	}
-	run[0], run[1] = run[1], run[0]
-	// Break a peer chain: the record forgets which node it hangs off.
-	c.recs.at(tr.byPeer[1]).node = root
-	if err := tr.CheckInvariants(); err == nil {
-		t.Fatal("corrupted peer chain not detected")
-	}
-	c.recs.at(tr.byPeer[1]).node = run[0].idx
-	// Leak a child run: accounting no longer closes.
-	c.kids.carved++
-	if err := tr.CheckInvariants(); err == nil {
-		t.Fatal("leaked child pair not detected")
-	}
-	c.kids.carved--
-	// Two addresses in one run, and address bytes carved but accounted
-	// nowhere.
-	r1, r2 := c.recs.at(tr.byPeer[1]), c.recs.at(tr.byPeer[2])
-	c.SetAddr(r1, "10.0.0.1:9000")
-	c.SetAddr(r2, "10.0.0.2:9000")
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatalf("tree with addresses failed: %v", err)
-	}
-	was := r2.addr
-	r2.addr = r1.addr
-	if err := tr.CheckInvariants(); err == nil {
-		t.Fatal("overlapping address runs not detected")
-	}
-	r2.addr = was
-	c.addrs.carved += addrStep
-	if err := tr.CheckInvariants(); err == nil {
-		t.Fatal("leaked address bytes not detected")
-	}
-	c.addrs.carved -= addrStep
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatalf("restored tree failed: %v", err)
+	for _, tc := range []struct {
+		name, want string
+		corrupt    func(c *Core, r1, r2 *Record, mid *node)
+	}{
+		{"child order", "not strictly ascending", func(c *Core, _, _ *Record, mid *node) {
+			run := c.kidsOf(mid)
+			run[0], run[1] = run[1], run[0]
+		}},
+		{"children beyond the run's capacity", "children in a run of", func(_ *Core, _, _ *Record, mid *node) {
+			mid.kidsLen = mid.kidsCap() + 1
+		}},
+		{"child depth", "depth 5 under depth 1", func(c *Core, r1, _ *Record, _ *node) {
+			c.nodes.at(r1.node).depth = 5
+		}},
+		{"empty node left unpruned", "empty node 99 not pruned", func(c *Core, _, _ *Record, _ *node) {
+			at, _ := search(c.kidsOf(c.nodes.at(root)), 99)
+			c.addChild(root, at, 99)
+		}},
+		{"free node not marked free", "live or stray entry", func(c *Core, _, _ *Record, _ *node) {
+			c.nodes.at(c.nodes.free).router = 20
+		}},
+		{"peer chain", "chained at node", func(_ *Core, r1, _ *Record, _ *node) {
+			r1.node = root
+		}},
+		{"leaked child pair", "kid pool", func(c *Core, _, _ *Record, _ *node) {
+			c.kids.carved++
+		}},
+		{"overlapping address runs", "overlaps another", func(_ *Core, r1, r2 *Record, _ *node) {
+			r2.addr = r1.addr
+		}},
+		{"leaked address bytes", "address pool", func(c *Core, _, _ *Record, _ *node) {
+			c.addrs.carved += addrStep
+		}},
+	} {
+		tr := New(0, Options{})
+		mustInsert(t, tr, 1, P(10, 11, 0))
+		mustInsert(t, tr, 2, P(12, 11, 0))
+		mustInsert(t, tr, 3, P(20, 0))
+		tr.Remove(3)
+		c := tr.core
+		r1, r2 := c.recs.at(tr.byPeer[1]), c.recs.at(tr.byPeer[2])
+		c.SetAddr(r1, "10.0.0.1:9000")
+		c.SetAddr(r2, "10.0.0.2:9000")
+		if err := tr.CheckInvariants(); err != nil || c.nodes.free == none {
+			t.Fatalf("%s: healthy tree failed: %v (a node free: %v)", tc.name, err, c.nodes.free != none)
+		}
+		tc.corrupt(c, r1, r2, c.nodes.at(c.kidsOf(c.nodes.at(root))[0].idx))
+		if err := tr.CheckInvariants(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: CheckInvariants() = %v, want an error naming %q", tc.name, err, tc.want)
+		}
 	}
 }
 

@@ -199,7 +199,7 @@ func TestQuickArenaRecycling(t *testing.T) {
 
 // TestQuickInsertRemoveInvariants churns a random population through
 // inserts, path-replacing re-inserts, and removals, and requires the deep
-// structural invariants (subtree counters, child ordering, index maps) to
+// structural invariants (pruning, child ordering, index maps) to
 // hold at every step and the surviving peer set to match.
 func TestQuickInsertRemoveInvariants(t *testing.T) {
 	f := func(ps pathSet) bool {
@@ -254,7 +254,8 @@ func TestQuickInsertRemoveInvariants(t *testing.T) {
 // TestQuickAddressPool churns random populations through joins, address
 // changes, removals and re-joins, each address of a random length in
 // 0..codec.MaxAddrLen, and after every step requires the pools' bookkeeping
-// to hold and every live peer's address to read back as it was last set.
+// to hold, Len() to count the live peers, and every live peer's address to
+// read back as it was last set.
 func TestQuickAddressPool(t *testing.T) {
 	f := func(ps pathSet) bool {
 		rng := rand.New(rand.NewSource(ps.seed + 3))
@@ -272,7 +273,7 @@ func TestQuickAddressPool(t *testing.T) {
 		core := NewCore(propLandmark)
 		model := map[PeerID]live{}
 		join := func(p PeerID) {
-			slot := core.Insert(p, ps.paths[p])
+			slot, _ := core.Join(p, ps.paths[p], 0, nil)
 			model[p] = live{slot, randAddr()}
 			core.SetAddr(core.Record(slot), model[p].addr)
 		}
@@ -296,6 +297,10 @@ func TestQuickAddressPool(t *testing.T) {
 			}
 			if err := core.CheckInvariants(); err != nil {
 				t.Logf("step %d, peer %d: %v", step, p, err)
+				return false
+			}
+			if core.Len() != len(model) {
+				t.Logf("step %d: Len() = %d, %d peers live", step, core.Len(), len(model))
 				return false
 			}
 			for q, l := range model {
@@ -440,7 +445,7 @@ func TestClosestVisitsBounded(t *testing.T) {
 		paths := make([][]topology.NodeID, c.peers+1)
 		for p := 1; p <= c.peers; p++ {
 			paths[p] = heapPath(1 + rng.Intn(200_000))
-			slots[p] = core.Insert(PeerID(p), paths[p])
+			slots[p], _ = core.Join(PeerID(p), paths[p], 0, nil)
 		}
 		var resident, newcomer, joiner Scratch
 		joinHops := 0

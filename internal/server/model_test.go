@@ -20,7 +20,8 @@ import (
 )
 
 // checkState checks s, and with it the servers that share its index: every
-// tree passes the trie invariant checker; every resident record is the one
+// tree passes the trie invariant checker and its Len() counts its live
+// records; every resident record is the one
 // its peer's index entry names, so no peer is in two trees; and the index
 // holds nothing else, so every entry names a live record of its peer in a
 // tree one of them holds.
@@ -36,12 +37,17 @@ func (s *Server) checkState(sharing ...*Server) error {
 			if err := tree.CheckInvariants(); err != nil {
 				return fmt.Errorf("landmark %d: %w", lm, err)
 			}
+			records := 0
 			for slot, rec := range tree.Records() {
 				if r, ok := srv.st.idx.get(rec.ID); !ok || r != (ref{lm, slot}) {
 					return fmt.Errorf("peer %d resident at %d/%d but indexed at %v (%v)", rec.ID, lm, slot, r, ok)
 				}
-				resident++
+				records++
 			}
+			if tree.Len() != records {
+				return fmt.Errorf("landmark %d: Len() = %d, %d live records", lm, tree.Len(), records)
+			}
+			resident += records
 		}
 	}
 	if indexed := s.st.idx.Len(); resident != indexed {
@@ -125,8 +131,9 @@ func modelAddr(rng *rand.Rand, p pathtree.PeerID) string {
 // entries, leave, refresh, super-peer flag, expiry, Handoff of a landmark to
 // a second server on the same index and back (with the orphans that re-joins
 // leave over there retired), ResetFromSnapshot — and after every step
-// requires: every tree passes CheckInvariants (counters, chains, the three
-// pools' accounting) and agrees with the index; every peer's PeerInfo, path
+// requires: every tree passes CheckInvariants (pruning, chains, the four
+// pools' accounting), counts its live records in Len() and agrees with the
+// index; every peer's PeerInfo, path
 // included, is what was last reported; and Lookup equals the brute-force
 // answer.
 func TestStateMachineMatchesModel(t *testing.T) {

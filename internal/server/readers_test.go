@@ -193,8 +193,9 @@ func TestReadersDuringChurn(t *testing.T) {
 // TestLookupProceedsWhileWriterMutexHeld pins which lock a whole-state walk
 // holds. With the writer mutex held — first by the test itself, standing in
 // for a snapshot in progress, then by Snapshot, Stats, Peers and the scan of
-// an expiry sweep, each parked in walkHook — Lookup, PeerInfo and NumPeers
-// return, and a JoinOp does not until the mutex is released.
+// an expiry sweep, each parked in walkHook — Lookup, PeerInfo, NumPeers and
+// ArenaStats (what a metrics scrape reads) return, and a JoinOp does not
+// until the mutex is released.
 func TestLookupProceedsWhileWriterMutexHeld(t *testing.T) {
 	const landmark topology.NodeID = 9
 	s, err := New(Config{Landmarks: []topology.NodeID{landmark}})
@@ -219,6 +220,9 @@ func TestLookupProceedsWhileWriterMutexHeld(t *testing.T) {
 			}
 			if n := s.NumPeers(); err == nil && n < 18 {
 				err = fmt.Errorf("NumPeers %d", n)
+			}
+			if a := s.ArenaStats(); err == nil && a.Records-a.FreeRecords < 18 {
+				err = fmt.Errorf("ArenaStats %+v", a)
 			}
 			read <- err
 		}()

@@ -38,10 +38,11 @@ func heapAlloc() uint64 {
 // server holds for 50 000 peers with addresses, divided by the peers. Each
 // join is built inside the loop and dropped, so what stays is what the
 // server owns, its copy of the address included. The budget is the measured
-// 136 B plus 4 %; the package comment has the table. Before the address
-// pool, when a record held its address as a string of its own, it read 151.
+// 119.7 B plus 4 %; the package comment has the table. With 32-byte trie
+// nodes, each counting the peers below it, it read 130.9; before the address
+// pool, when a record held its address as a string of its own, 151.
 func TestResidentBytesPerPeer(t *testing.T) {
-	const peers, budget = 50_000, 142
+	const peers, budget = 50_000, 125
 	base := heapAlloc()
 	s, err := New(Config{Landmarks: residentLandmarks})
 	if err != nil {
@@ -58,6 +59,29 @@ func TestResidentBytesPerPeer(t *testing.T) {
 		t.Errorf("%.1f B per resident peer, want ≤ %d", perPeer, budget)
 	}
 	runtime.KeepAlive(s)
+}
+
+// TestIndexBytesPerEntry measures the live heap of the 64-stripe Index per
+// entry, filled with sequential peer IDs as the resident tests fill it, at
+// 50 000 entries and at 178 000, the benchmark's flash_crowd end state: the
+// figure a flat, open-addressed index would be sized against. A map grows by
+// doubling, so the figure depends on where a fill stops between growths; the
+// pin is loose.
+func TestIndexBytesPerEntry(t *testing.T) {
+	const budget = 30
+	for _, n := range []int{50_000, 178_000} {
+		base := heapAlloc()
+		x := NewIndex()
+		for p := 1; p <= n; p++ {
+			x.swap(pathtree.PeerID(p), ref{lm: topology.NodeID(p % 4), slot: int32(p / 4)})
+		}
+		perEntry := float64(heapAlloc()-base) / float64(n)
+		t.Logf("%d entries: %.1f B of live heap per entry", n, perEntry)
+		if perEntry > budget {
+			t.Errorf("%d entries: %.1f B per entry, want ≤ %d", n, perEntry, budget)
+		}
+		runtime.KeepAlive(x)
+	}
 }
 
 // TestAnsweredJoinAllocs pins what an answered join allocates once the

@@ -31,21 +31,21 @@
 //
 //	peer records      32 B/peer   one 32-byte slot each
 //	addresses         18 B/peer   runs in 8-byte size classes
-//	trie nodes        44 B/peer   32-byte slots, 1.38 routers per peer
+//	trie nodes        33 B/peer   24-byte slots, 1.38 routers per peer
 //	child runs        11 B/peer   8-byte {router, node} pairs
 //	peer index        24 B/peer   int64 → {int32, int32}, no pointers, 64 stripes
 //	chunk slack        2 B/peer   at most one chunk per pool per tree
-//	                 131 B/peer
+//	                 120 B/peer
 //
 // There is one copy of all of it, and no pool holds a pointer, so no peer is
 // a heap object of its own: a collection marks one chunk per few hundred
 // peers and scans none. Pointer-free also saves bytes: an address held as a
 // string of its own would add a 16-byte header to the record, and a chunk
 // holding pointers pays the allocator an 8-byte header, which would push a
-// 12 KiB chunk of 48-byte records into the next size class (53 B a record;
-// 151 B a peer in all). (A Go map slot is key and value padded to 16 bytes,
-// so a thinner index value — a shard number in a byte — would cost the same;
-// the saving is in having one map.)
+// 12 KiB chunk of 48-byte records into the next size class (53 B a record,
+// not 32). (A Go map slot is key and value padded to 16 bytes, so a thinner
+// index value — a shard number in a byte — would cost the same; the saving
+// is in having one map.)
 //
 // # Concurrency: two locks and a leaf
 //
@@ -57,11 +57,12 @@
 // queue behind it, and lookups do not notice it.
 //
 // The state lock (mu, an RWMutex) is what lookups take. Lookup, PeerInfo,
-// NumPeers, Epoch and Landmarks read-hold it. A writer, wmu already held,
-// takes it exclusively around one single mutation and nothing else: one
-// state.join per entry of a batch (the answer is copied out after the
-// release), one Remove per expired peer or retired orphan, one assignment for
-// ResetFromSnapshot, whose new state is built before either lock is taken.
+// NumPeers, ArenaStats, Epoch and Landmarks read-hold it. A writer, wmu
+// already held, takes it exclusively around one single mutation and nothing
+// else: one state.join per entry of a batch (the answer is copied out after
+// the release), one Remove per expired peer or retired orphan, one
+// assignment for ResetFromSnapshot, whose new state is built before either
+// lock is taken.
 // So the order is wmu → mu, a reader waits for at most the one mutation in
 // progress, and a writer for the lookups in flight when it asks. Handoff, the
 // one operation on two servers, takes both their wmu, then both their mu,
@@ -402,14 +403,13 @@ func (s *Server) Apply(o op.Op) error {
 // before the op reaches the state: past it, state and trie trust their
 // input. That the path ends at a landmark held here is the one check left to
 // the state, which alone knows its trees. The op format's caps are checked
-// here too, not when the op is encoded for the log after it has applied; the
-// trees' address pools rely on the address cap.
+// here too, not when the op is encoded for the log after it has applied: the
+// trees' address pools rely on the address cap, and their one-byte depths on
+// the path cap, which ValidatePath checks.
 func validateJoin(e *op.JoinEntry) error {
 	switch {
 	case len(e.Path) == 0:
 		return errors.New("server: empty path")
-	case len(e.Path) > op.MaxPathLen:
-		return fmt.Errorf("server: path of %d hops exceeds %d", len(e.Path), op.MaxPathLen)
 	case len(e.Addr) > op.MaxAddrLen:
 		return fmt.Errorf("server: address of %d bytes exceeds %d", len(e.Addr), op.MaxAddrLen)
 	}
@@ -866,6 +866,18 @@ func (s *Server) NumPeers() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.st.resident()
+}
+
+// ArenaStats sums the pool occupancy of the trees held here. It reads each
+// tree's counters and walks nothing.
+func (s *Server) ArenaStats() pathtree.ArenaStats {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	var sum pathtree.ArenaStats
+	for _, tree := range s.st.trees {
+		sum = sum.Plus(tree.ArenaStats())
+	}
+	return sum
 }
 
 // Peers returns all registered peer IDs in ascending order.

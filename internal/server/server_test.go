@@ -2,10 +2,12 @@ package server
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"proxdisc/internal/op"
 	"proxdisc/internal/pathtree"
 	"proxdisc/internal/topology"
 )
@@ -67,6 +69,46 @@ func TestJoinRejectsUnknownLandmark(t *testing.T) {
 	}
 	if _, err := s.Join(1, nil); err == nil {
 		t.Fatal("accepted empty path")
+	}
+}
+
+// TestPathCapAtTheDoor: a join whose path has op.MaxPathLen routers is
+// applied and one router more is refused, by JoinOp and by JoinBatchOp entry
+// by entry. The longest paths read back whole, and two peers at the end of
+// such paths on disjoint branches are 2·(op.MaxPathLen−1) hops apart.
+func TestPathCapAtTheDoor(t *testing.T) {
+	s := newTestServer(t)
+	path := func(n int, base topology.NodeID) []topology.NodeID {
+		p := make([]topology.NodeID, n) // ends at landmark 0
+		for i := range p[:n-1] {
+			p[i] = base + topology.NodeID(i)
+		}
+		return p
+	}
+	if _, err := s.JoinOp(op.Join(1, path(op.MaxPathLen, 1000), "", 0)); err != nil {
+		t.Fatalf("JoinOp refused a %d-hop path: %v", op.MaxPathLen, err)
+	}
+	if _, err := s.JoinOp(op.Join(2, path(op.MaxPathLen+1, 2000), "", 0)); err == nil {
+		t.Fatalf("JoinOp accepted a %d-hop path", op.MaxPathLen+1)
+	}
+	res := s.JoinBatchOp(op.BatchJoin([]op.JoinEntry{
+		{Peer: 3, Path: path(op.MaxPathLen+1, 3000)},
+		{Peer: 4, Path: path(op.MaxPathLen, 4000)},
+	}, 0))
+	if res[0].Err == nil || res[1].Err != nil {
+		t.Fatalf("JoinBatchOp: %d hops: %v; %d hops: %v", op.MaxPathLen+1, res[0].Err, op.MaxPathLen, res[1].Err)
+	}
+	if got := s.Peers(); !slices.Equal(got, []pathtree.PeerID{1, 4}) {
+		t.Fatalf("peers %v, want [1 4]", got)
+	}
+	if info, err := s.PeerInfo(4); err != nil || !slices.Equal(info.Path, path(op.MaxPathLen, 4000)) {
+		t.Fatalf("PeerInfo(4): a path of %d hops, %v", len(info.Path), err)
+	}
+	if got, err := s.Lookup(1); err != nil || len(got) != 1 || got[0].Peer != 4 || got[0].DTree != 2*(op.MaxPathLen-1) {
+		t.Fatalf("Lookup(1) = %v, %v; want peer 4 at %d", got, err, 2*(op.MaxPathLen-1))
+	}
+	if err := s.checkState(); err != nil {
+		t.Fatal(err)
 	}
 }
 
