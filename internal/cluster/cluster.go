@@ -256,6 +256,16 @@ func (c *Cluster) initMetrics() {
 			return float64(n)
 		})
 	}
+	// The peer index's tables, slots in use and empty: one read of each
+	// stripe's count per scrape.
+	r.GaugeFunc(`proxdisc_arena_bytes{pool="index",state="live"}`, func() float64 {
+		used, _ := c.idx.Slots()
+		return float64(used * server.IndexSlotBytes)
+	})
+	r.GaugeFunc(`proxdisc_arena_bytes{pool="index",state="free"}`, func() float64 {
+		used, total := c.idx.Slots()
+		return float64((total - used) * server.IndexSlotBytes)
+	})
 }
 
 // now reads the cluster clock.

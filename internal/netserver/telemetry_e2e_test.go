@@ -70,8 +70,8 @@ func seriesWithPrefix(samples map[string]float64, prefix string) (string, bool) 
 // durable primary with a live follower serves /metrics over HTTP, and the
 // series a deployment actually alerts on — request counts and latency per
 // message type, WAL fsyncs, per-shard peer counts, the path trees' pool
-// bytes, follower replication position — are present and move as traffic
-// flows.
+// bytes and the peer index's, follower replication position — are present
+// and move as traffic flows.
 func TestMetricsEndpointEndToEnd(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	telemetry.RegisterGoMetrics(reg)
@@ -204,6 +204,14 @@ func TestMetricsEndpointEndToEnd(t *testing.T) {
 			t.Fatalf("%s = %v (exported: %v), want 0", free, got, ok)
 		}
 	}
+	// The peer index: one slot in use per peer, and its tables' empty slots
+	// free, at a load of at most 0.9.
+	index := func(samples map[string]float64) (live, free int) {
+		return int(samples[`proxdisc_arena_bytes{pool="index",state="live"}`]), int(samples[`proxdisc_arena_bytes{pool="index",state="free"}`])
+	}
+	if live, free := index(samples); live != joins*server.IndexSlotBytes || free <= 0 || free%server.IndexSlotBytes != 0 || 10*live > 9*(live+free) {
+		t.Fatalf("index bytes live %d, free %d; want %d live, a load of at most 0.9", live, free, joins*server.IndexSlotBytes)
+	}
 
 	// Replication, primary side: the hub tracks the follower by address.
 	if got := samples["proxdisc_followers_connected"]; got != 1 {
@@ -256,11 +264,16 @@ func TestMetricsEndpointEndToEnd(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	// A peer that leaves parks its record and its address's run as free.
+	// A peer that leaves parks its record and its address's run as free, and
+	// empties its index slot; a table does not shrink.
+	liveBefore, freeBefore := index(scrape(t, metricsURL))
 	if err := c.Leave(1); err != nil {
 		t.Fatal(err)
 	}
 	again := scrape(t, metricsURL)
+	if live, free := index(again); live != liveBefore-server.IndexSlotBytes || live+free != liveBefore+freeBefore || live != (joins+9)*server.IndexSlotBytes {
+		t.Fatalf("index bytes after a leave: live %d, free %d; before it %d, %d", live, free, liveBefore, freeBefore)
+	}
 	if got := again[`proxdisc_arena_bytes{pool="records",state="free"}`]; got != float64(pathtree.RecordBytes) {
 		t.Fatalf("free record bytes after a leave = %v, want %d", got, pathtree.RecordBytes)
 	}

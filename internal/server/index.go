@@ -1,7 +1,9 @@
 package server
 
 import (
+	"math/bits"
 	"sync"
+	"unsafe"
 
 	"proxdisc/internal/pathtree"
 	"proxdisc/internal/topology"
@@ -13,6 +15,14 @@ import (
 // parallel.
 const indexStripes = 64
 
+// A stripe's table is rebuilt a quarter larger once an insert would push its
+// load past maxLoadTenths/10, so between rebuilds its load stays between 0.72
+// and 0.9. A table starts at minSlots on its first insert.
+const (
+	maxLoadTenths = 9
+	minSlots      = 8
+)
+
 // ref locates a peer's record: the landmark whose tree holds it and the slot
 // within that tree. It names no server, so it stays good when the tree is
 // handed from one server to another.
@@ -21,45 +31,137 @@ type ref struct {
 	slot int32
 }
 
+// entry is one slot of a stripe's table. An empty slot's lm is noRef's,
+// topology.InvalidNode, at which no held tree is rooted.
+type entry struct {
+	peer pathtree.PeerID
+	ref
+}
+
+// IndexSlotBytes is what one slot of an Index's tables weighs: the unit of
+// Slots.
+const IndexSlotBytes = int(unsafe.Sizeof(entry{}))
+
 // Index maps each registered peer to where its record sits — the one
-// per-peer map of a node. A lone server owns a private one; the servers of a
-// cluster share one (NewSharing), which is also how the cluster routes a
-// request that carries a peer and no path: to the owner of the landmark
-// Place names. The entries hold no pointers, so the collector never scans
-// them.
+// per-peer table of a node. A lone server owns a private one; the servers of
+// a cluster share one (NewSharing), which is also how the cluster routes a
+// request that carries a peer and no path: to the owner of the landmark Place
+// names.
+//
+// Each of its stripes is one open-addressed table of 16-byte {peer, landmark,
+// slot} slots with no pointer, so the collector never scans it. Probing is
+// linear, wrapping past the table's end, and Robin Hood ordered: no entry
+// sits further past its home slot than the entry before it sits past its own
+// plus one. So a lookup of p stops at the first slot that is empty or holds
+// an entry nearer its own home than that slot is to p's, and a delete shifts
+// the entries behind it back a slot rather than leave a tombstone. A slot
+// keeps its peer's ID:
+// a slot holding only (landmark, slot) would have to be checked against the
+// ID in the record it names, and in a cluster that record may sit in a tree
+// another server holds, which a prober — Place holds no server lock at all —
+// may not read.
 //
 // A stripe lock is a leaf: it is taken with a server's state lock held, or
-// with none, and nothing is taken under it. See the package comment for who
-// may write which entry.
+// with none, and nothing is taken under it. A table is rebuilt under its
+// stripe lock, so a rebuild stalls that stripe's readers, and a join holding
+// its server's state lock for the insert, that server's lookups. See the
+// package comment for who may write which entry.
 type Index struct {
 	stripes [indexStripes]indexStripe
 }
 
 type indexStripe struct {
-	mu sync.RWMutex
-	m  map[pathtree.PeerID]ref
+	mu    sync.RWMutex
+	used  int     // occupied slots
+	slots []entry // nil until the first insert
 }
 
 // NewIndex returns an empty index.
-func NewIndex() *Index {
-	x := &Index{}
-	for i := range x.stripes {
-		x.stripes[i].m = make(map[pathtree.PeerID]ref)
-	}
-	return x
-}
+func NewIndex() *Index { return &Index{} }
+
+// hash mixes p's bits, since peer IDs are often sequential: the top 6 bits
+// pick the stripe, the rest the home slot in its table.
+func hash(p pathtree.PeerID) uint64 { return uint64(p) * 0x9e3779b97f4a7c15 }
 
 func (x *Index) stripe(p pathtree.PeerID) *indexStripe {
-	// Peer IDs are often sequential; mix the bits so neighbours spread
-	// across stripes.
-	h := uint64(p) * 0x9e3779b97f4a7c15
-	return &x.stripes[h>>58] // top 6 bits index the 64 stripes
+	return &x.stripes[hash(p)>>58]
 }
 
-func (x *Index) get(p pathtree.PeerID) (ref, bool) {
+// home is p's home slot: the hash bits below the stripe's, scaled to the
+// table's size by a multiply-high.
+func (s *indexStripe) home(p pathtree.PeerID) int {
+	h, _ := bits.Mul64(hash(p)<<6, uint64(len(s.slots)))
+	return int(h)
+}
+
+// dist is how far slot i lies past p's home slot.
+func (s *indexStripe) dist(p pathtree.PeerID, i int) int {
+	d := i - s.home(p)
+	if d < 0 {
+		d += len(s.slots)
+	}
+	return d
+}
+
+// probe finds p's slot.
+func (s *indexStripe) probe(p pathtree.PeerID) (i int, found bool) {
+	if len(s.slots) == 0 {
+		return 0, false
+	}
+	for i, d := s.home(p), 0; ; d++ {
+		e := &s.slots[i]
+		switch {
+		case e.lm == noRef.lm:
+			return i, false
+		case e.peer == p:
+			return i, true
+		case s.dist(e.peer, i) < d:
+			return i, false
+		}
+		if i++; i == len(s.slots) {
+			i = 0
+		}
+	}
+}
+
+// insert adds e, whose peer the table does not hold. Walking on from e's
+// home, e takes the first slot that is empty or holds an entry nearer its own
+// home than the slot is to e's; the entry it displaces walks on the same way.
+func (s *indexStripe) insert(e entry) {
+	i := s.home(e.peer)
+	for d := 0; s.slots[i].lm != noRef.lm; d++ {
+		if cd := s.dist(s.slots[i].peer, i); cd < d {
+			s.slots[i], e, d = e, s.slots[i], cd
+		}
+		if i++; i == len(s.slots) {
+			i = 0
+		}
+	}
+	s.slots[i] = e
+	s.used++
+}
+
+// grow rebuilds the table a quarter larger and re-inserts every entry.
+func (s *indexStripe) grow() {
+	old := s.slots
+	s.slots = make([]entry, max(minSlots, len(old)+len(old)/4))
+	for i := range s.slots {
+		s.slots[i].lm = noRef.lm
+	}
+	s.used = 0
+	for _, e := range old {
+		if e.lm != noRef.lm {
+			s.insert(e)
+		}
+	}
+}
+
+func (x *Index) get(p pathtree.PeerID) (r ref, ok bool) {
 	s := x.stripe(p)
 	s.mu.RLock()
-	r, ok := s.m[p]
+	if i, found := s.probe(p); found {
+		r, ok = s.slots[i].ref, true
+	}
 	s.mu.RUnlock()
 	return r, ok
 }
@@ -68,10 +170,16 @@ func (x *Index) get(p pathtree.PeerID) (ref, bool) {
 func (x *Index) swap(p pathtree.PeerID, r ref) (old ref, had bool) {
 	s := x.stripe(p)
 	s.mu.Lock()
-	old, had = s.m[p]
-	s.m[p] = r
-	s.mu.Unlock()
-	return old, had
+	defer s.mu.Unlock()
+	if i, found := s.probe(p); found {
+		old, s.slots[i].ref = s.slots[i].ref, r
+		return old, true
+	}
+	if (s.used+1)*10 > len(s.slots)*maxLoadTenths {
+		s.grow()
+	}
+	s.insert(entry{p, r})
+	return old, false
 }
 
 // deleteIf removes p's entry only if it still says r, and reports whether it
@@ -81,10 +189,23 @@ func (x *Index) deleteIf(p pathtree.PeerID, r ref) bool {
 	s := x.stripe(p)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if cur, ok := s.m[p]; !ok || cur != r {
+	i, found := s.probe(p)
+	if !found || s.slots[i].ref != r {
 		return false
 	}
-	delete(s.m, p)
+	// Shift back the run behind i, up to an empty slot or an entry at home.
+	for {
+		j := i + 1
+		if j == len(s.slots) {
+			j = 0
+		}
+		if next := s.slots[j]; next.lm == noRef.lm || s.dist(next.peer, j) == 0 {
+			break
+		}
+		s.slots[i], i = s.slots[j], j
+	}
+	s.slots[i] = entry{ref: noRef}
+	s.used--
 	return true
 }
 
@@ -98,12 +219,19 @@ func (x *Index) Place(p pathtree.PeerID) (lm topology.NodeID, slot int32, ok boo
 
 // Len counts the registered peers.
 func (x *Index) Len() int {
-	n := 0
+	used, _ := x.Slots()
+	return used
+}
+
+// Slots reports the slots of the index's tables in use and in all, each
+// IndexSlotBytes. It reads each stripe's count and walks nothing.
+func (x *Index) Slots() (used, total int) {
 	for i := range x.stripes {
 		s := &x.stripes[i]
 		s.mu.RLock()
-		n += len(s.m)
+		used += s.used
+		total += len(s.slots)
 		s.mu.RUnlock()
 	}
-	return n
+	return used, total
 }

@@ -19,7 +19,7 @@
 // address pool its address lies. The record and the address are all that is
 // stored of a peer. Its path is not: it is the chain of routers from the
 // record's node up to the landmark, and PeerInfo and snapshots rebuild it
-// from there. Beside the trees there is one map, the Index, from peer ID to
+// from there. Beside the trees there is one table, the Index, from peer ID to
 // (landmark, slot), which is how every peer-keyed request finds the record.
 // A lone server owns its index; the servers of a cluster share one, so a
 // node holds one entry per peer however many shards it runs — the entry
@@ -33,9 +33,9 @@
 //	addresses         18 B/peer   runs in 8-byte size classes
 //	trie nodes        33 B/peer   24-byte slots, 1.38 routers per peer
 //	child runs        11 B/peer   8-byte {router, node} pairs
-//	peer index        24 B/peer   int64 → {int32, int32}, no pointers, 64 stripes
+//	peer index        18 B/peer   16-byte {peer, landmark, slot} slots, 64 tables
 //	chunk slack        2 B/peer   at most one chunk per pool per tree
-//	                 120 B/peer
+//	                 114 B/peer
 //
 // There is one copy of all of it, and no pool holds a pointer, so no peer is
 // a heap object of its own: a collection marks one chunk per few hundred
@@ -43,9 +43,11 @@
 // string of its own would add a 16-byte header to the record, and a chunk
 // holding pointers pays the allocator an 8-byte header, which would push a
 // 12 KiB chunk of 48-byte records into the next size class (53 B a record,
-// not 32). (A Go map slot is key and value padded to 16 bytes, so a thinner
-// index value — a shard number in a byte — would cost the same; the saving
-// is in having one map.)
+// not 32). The index's tables are rebuilt a quarter larger at a load of 0.9,
+// so where a fill stops decides what a slot costs: 18.4 B per entry at
+// 50 000 peers, 20.6 at 178 000, 21.1 on average over fills up to a million
+// (TestIndexBytesPerEntry). As a Go map, which doubles, it read 23.8, 26.6
+// and 29.5.
 //
 // # Concurrency: two locks and a leaf
 //
@@ -101,14 +103,24 @@
 //	no writer                1.3 µs    5.3 µs    634k        —
 //	left-right, two copies   1.6 µs   12.3 µs    459k       249k
 //	one copy, mu per batch  35.9 µs   76.5 µs     26k       817k
-//	one copy, mu per entry   3.0 µs   19.2 µs    230k       236k   (this package)
+//	one copy, mu per entry   3.0 µs   19.2 µs    230k       236k
+//	  the same, map index    3.0 µs    7.4 µs    305k       283k
+//	  the same, flat index   2.7 µs    7.3 µs    329k       301k   (this package)
 //
-// (medians of three alternated runs each). Held across a batch, the lock
-// makes every lookup wait out up to 32 joins and starves the reader 17-fold;
-// held per entry a lookup's median stays within a join's length of the
-// uncontended one. What is left of the gap to left-right is the price of
+// (medians of three alternated runs each; the last two rows against each
+// other, on a later day). Held across a batch, the lock makes every lookup
+// wait out up to 32 joins and starves the reader 17-fold; held per entry a
+// lookup's median stays within a join's length of the uncontended one. What is left of the gap to left-right is the price of
 // parking: a reader that meets a writer sleeps and is woken, where under
 // left-right it never met one.
+//
+// Some joins are longer: those whose insert rebuilds an index table, under
+// the stripe lock, with mu held. A table is rebuilt each time its entries
+// grow by an eighth, so with n peers resident about one new peer in n/512
+// does it, and its server's lookups wait it out. TestIndexBytesPerEntry logs
+// the latest rebuild of each stripe, on 2 CPUs: a median of 40 µs and a
+// longest near 0.1 ms at 178 000 peers, 0.2 and 0.3–0.5 ms at a million. A
+// re-join, every write of the benchmark above, rebuilds nothing.
 package server
 
 import (

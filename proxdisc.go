@@ -341,8 +341,9 @@
 //     proxdisc_shard_apply_total{shard=N} per shard;
 //     proxdisc_scatter_fanout_total, proxdisc_handoffs_total,
 //     proxdisc_checkpoint_duration_seconds, and
-//     proxdisc_arena_bytes{pool=nodes|records|kids|addrs,state=live|free},
-//     what the path trees' pools hold in use and parked on free lists.
+//     proxdisc_arena_bytes{pool=nodes|records|kids|addrs|index,state=live|free},
+//     what the path trees' pools hold in use and parked on free lists, and
+//     the peer index's slots in use and empty.
 //   - Write-ahead log: proxdisc_wal_appends_total,
 //     proxdisc_wal_fsyncs_total, proxdisc_wal_synced_records_total, and
 //     proxdisc_wal_append_duration_seconds.
@@ -416,11 +417,11 @@
 //     32-byte record per peer (ID, refresh time, super-peer flag, where its
 //     address lies) chained to the router its path ends at, and the
 //     addresses' bytes. A peer's path is not stored — it is that router's
-//     parent chain — and a node keeps one map, peer ID to (landmark, slot):
-//     a lone server's own, or the one index all the shards of a cluster
-//     share and route by. A management server, or a whole cluster, holds
-//     about 120 B per resident peer, its address included (package server
-//     has the table; TestResidentBytesPerPeer and
+//     parent chain — and a node keeps one table, peer ID to (landmark,
+//     slot): a lone server's own, or the one index all the shards of a
+//     cluster share and route by. A management server, or a whole cluster,
+//     holds about 114 B per resident peer, its address included (package
+//     server has the table; TestResidentBytesPerPeer and
 //     TestNodeResidentBytesPerPeer pin it). No pool holds a pointer, so no
 //     peer is a heap object of its own: the collector marks one chunk per
 //     few hundred peers and scans none. Freed slots are recycled through free lists
