@@ -27,12 +27,10 @@ func heapAlloc() uint64 {
 // the live heap a 4-shard cluster holds for 50 000 loadgen.TreePath peers
 // with addresses, divided by the peers. Each join is built inside the loop
 // and dropped, so what stays is what the node owns, its copy of the address
-// included. The budget is the measured 114.5 B — what
+// included. The budget is the measured 115.6 B — what
 // server.TestResidentBytesPerPeer measures for a lone server, because a node
 // holds one peer index, not one per shard and another above them — plus
-// 4 %. With the index a Go map it read 119.8 B; with 32-byte trie nodes,
-// 131 B; with a string per address, 151 B; with the second map, 157 B before
-// counting addresses.
+// 3 %.
 func TestNodeResidentBytesPerPeer(t *testing.T) {
 	const peers, budget = 50_000, 119
 	lms := []topology.NodeID{0, 1, 2, 3}

@@ -2,6 +2,8 @@ package server
 
 import (
 	"math/bits"
+	"math/rand/v2"
+	"slices"
 	"sync"
 	"unsafe"
 
@@ -34,7 +36,7 @@ type ref struct {
 // entry is one slot of a stripe's table. An empty slot's lm is noRef's,
 // topology.InvalidNode, at which no held tree is rooted.
 type entry struct {
-	peer pathtree.PeerID
+	key uint64 // the peer's ID, mixed by Index.key
 	ref
 }
 
@@ -48,18 +50,25 @@ const IndexSlotBytes = int(unsafe.Sizeof(entry{}))
 // request that carries a peer and no path: to the owner of the landmark Place
 // names.
 //
-// Each of its stripes is one open-addressed table of 16-byte {peer, landmark,
+// Each of its stripes is one open-addressed table of 16-byte {key, landmark,
 // slot} slots with no pointer, so the collector never scans it. Probing is
-// linear, wrapping past the table's end, and Robin Hood ordered: no entry
-// sits further past its home slot than the entry before it sits past its own
-// plus one. So a lookup of p stops at the first slot that is empty or holds
-// an entry nearer its own home than that slot is to p's, and a delete shifts
-// the entries behind it back a slot rather than leave a tombstone. A slot
-// keeps its peer's ID:
-// a slot holding only (landmark, slot) would have to be checked against the
-// ID in the record it names, and in a cluster that record may sit in a tree
+// linear, wrapping past the table's end, and Robin Hood ordered: a run of
+// entries is sorted by home slot, and entries of one home by key. So a lookup
+// of p stops at the first slot that is empty or holds an entry that sorts
+// after p, an insert moves the entries from there on one slot further, a
+// delete moves the entries behind it back a slot rather than leave a
+// tombstone, and a rebuild places the entries in the order it reads them.
+//
+// A slot keeps its peer's key, which names the peer as surely as its ID: a
+// slot holding only (landmark, slot) would have to be checked against the ID
+// in the record it names, and in a cluster that record may sit in a tree
 // another server holds, which a prober — Place holds no server lock at all —
 // may not read.
+//
+// Peer IDs come off the wire, so a client picks them. The key that places a
+// peer is therefore its ID mixed under a seed drawn at random per index:
+// under a fixed mix, IDs chosen to share a home slot would make one run of
+// the whole fill, for every probe, insert and rebuild to walk.
 //
 // A stripe lock is a leaf: it is taken with a server's state lock held, or
 // with none, and nothing is taken under it. A table is rebuilt under its
@@ -67,6 +76,7 @@ const IndexSlotBytes = int(unsafe.Sizeof(entry{}))
 // its server's state lock for the insert, that server's lookups. See the
 // package comment for who may write which entry.
 type Index struct {
+	seed    [2]uint64
 	stripes [indexStripes]indexStripe
 }
 
@@ -77,46 +87,51 @@ type indexStripe struct {
 }
 
 // NewIndex returns an empty index.
-func NewIndex() *Index { return &Index{} }
+func NewIndex() *Index { return &Index{seed: [2]uint64{rand.Uint64(), rand.Uint64()}} }
 
-// hash mixes p's bits, since peer IDs are often sequential: the top 6 bits
-// pick the stripe, the rest the home slot in its table.
-func hash(p pathtree.PeerID) uint64 { return uint64(p) * 0x9e3779b97f4a7c15 }
-
-func (x *Index) stripe(p pathtree.PeerID) *indexStripe {
-	return &x.stripes[hash(p)>>58]
+// key mixes p under the index's seed: SplitMix64's finalizer with a seed word
+// folded in before each multiply. Every step can be undone, so no two peers
+// share a key. Its top 6 bits pick the stripe, the rest the home slot.
+func (x *Index) key(p pathtree.PeerID) uint64 {
+	h := uint64(p) ^ x.seed[0]
+	h = (h ^ h>>30) * 0xbf58476d1ce4e5b9
+	h = (h ^ h>>27 ^ x.seed[1]) * 0x94d049bb133111eb
+	return h ^ h>>31
 }
 
-// home is p's home slot: the hash bits below the stripe's, scaled to the
+func (x *Index) stripe(k uint64) *indexStripe { return &x.stripes[k>>58] }
+
+// home is key k's home slot: the bits below the stripe's, scaled to the
 // table's size by a multiply-high.
-func (s *indexStripe) home(p pathtree.PeerID) int {
-	h, _ := bits.Mul64(hash(p)<<6, uint64(len(s.slots)))
+func (s *indexStripe) home(k uint64) int {
+	h, _ := bits.Mul64(k<<6, uint64(len(s.slots)))
 	return int(h)
 }
 
-// dist is how far slot i lies past p's home slot.
-func (s *indexStripe) dist(p pathtree.PeerID, i int) int {
-	d := i - s.home(p)
+// dist is how far slot i lies past key k's home slot.
+func (s *indexStripe) dist(k uint64, i int) int {
+	d := i - s.home(k)
 	if d < 0 {
 		d += len(s.slots)
 	}
 	return d
 }
 
-// probe finds p's slot.
-func (s *indexStripe) probe(p pathtree.PeerID) (i int, found bool) {
+// probe finds key k's slot.
+func (s *indexStripe) probe(k uint64) (i int, found bool) {
 	if len(s.slots) == 0 {
 		return 0, false
 	}
-	for i, d := s.home(p), 0; ; d++ {
+	for i, d := s.home(k), 0; ; d++ {
 		e := &s.slots[i]
-		switch {
-		case e.lm == noRef.lm:
+		if e.lm == noRef.lm {
 			return i, false
-		case e.peer == p:
+		}
+		if e.key == k {
 			return i, true
-		case s.dist(e.peer, i) < d:
-			return i, false
+		}
+		if rd := s.dist(e.key, i); rd < d || rd == d && e.key > k {
+			return i, false // e sorts after k
 		}
 		if i++; i == len(s.slots) {
 			i = 0
@@ -124,42 +139,64 @@ func (s *indexStripe) probe(p pathtree.PeerID) (i int, found bool) {
 	}
 }
 
-// insert adds e, whose peer the table does not hold. Walking on from e's
-// home, e takes the first slot that is empty or holds an entry nearer its own
-// home than the slot is to e's; the entry it displaces walks on the same way.
-func (s *indexStripe) insert(e entry) {
-	i := s.home(e.peer)
-	for d := 0; s.slots[i].lm != noRef.lm; d++ {
-		if cd := s.dist(s.slots[i].peer, i); cd < d {
-			s.slots[i], e, d = e, s.slots[i], cd
-		}
-		if i++; i == len(s.slots) {
-			i = 0
+// insert puts e in slot i, where probe stopped looking for its key, and moves
+// the entries from i up to the next empty slot one slot on.
+func (s *indexStripe) insert(i int, e entry) {
+	n, j := len(s.slots), i
+	for s.slots[j].lm != noRef.lm {
+		if j++; j == n {
+			j = 0
 		}
 	}
+	if j < i { // the run wraps past the table's end
+		copy(s.slots[1:j+1], s.slots[:j])
+		s.slots[0], j = s.slots[n-1], n-1
+	}
+	copy(s.slots[i+1:j+1], s.slots[i:j])
 	s.slots[i] = e
 	s.used++
 }
 
-// grow rebuilds the table a quarter larger and re-inserts every entry.
+// grow rebuilds the table a quarter larger. Read from just past an empty
+// slot, the old table yields its entries in the new table's order too, so
+// each goes to its new home or to the slot after the entry placed before it,
+// whichever is further on; positions count on past the table's end. As the
+// old table held the run from its first entry to its last without reaching
+// round to the first again, the larger table does too.
 func (s *indexStripe) grow() {
-	old := s.slots
-	s.slots = make([]entry, max(minSlots, len(old)+len(old)/4))
+	old, n := s.slots, max(minSlots, len(s.slots)+len(s.slots)/4)
+	s.slots = make([]entry, n)
 	for i := range s.slots {
 		s.slots[i].lm = noRef.lm
 	}
-	s.used = 0
-	for _, e := range old {
-		if e.lm != noRef.lm {
-			s.insert(e)
+	i := slices.IndexFunc(old, func(e entry) bool { return e.lm == noRef.lm })
+	last, prev, laps := -1, 0, 0
+	for range old {
+		if i++; i == len(old) {
+			i = 0
 		}
+		e := old[i]
+		if e.lm == noRef.lm {
+			continue
+		}
+		h := s.home(e.key)
+		if h < prev { // the homes have passed the table's end
+			laps++
+		}
+		prev, last = h, max(h+laps*n, last+1)
+		j := last
+		if j >= n {
+			j -= n
+		}
+		s.slots[j] = e
 	}
 }
 
 func (x *Index) get(p pathtree.PeerID) (r ref, ok bool) {
-	s := x.stripe(p)
+	k := x.key(p)
+	s := x.stripe(k)
 	s.mu.RLock()
-	if i, found := s.probe(p); found {
+	if i, found := s.probe(k); found {
 		r, ok = s.slots[i].ref, true
 	}
 	s.mu.RUnlock()
@@ -168,17 +205,20 @@ func (x *Index) get(p pathtree.PeerID) (r ref, ok bool) {
 
 // swap points p at r and returns what the entry said before.
 func (x *Index) swap(p pathtree.PeerID, r ref) (old ref, had bool) {
-	s := x.stripe(p)
+	k := x.key(p)
+	s := x.stripe(k)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if i, found := s.probe(p); found {
+	i, found := s.probe(k)
+	if found {
 		old, s.slots[i].ref = s.slots[i].ref, r
 		return old, true
 	}
 	if (s.used+1)*10 > len(s.slots)*maxLoadTenths {
 		s.grow()
+		i, _ = s.probe(k)
 	}
-	s.insert(entry{p, r})
+	s.insert(i, entry{k, r})
 	return old, false
 }
 
@@ -186,10 +226,11 @@ func (x *Index) swap(p pathtree.PeerID, r ref) (old ref, had bool) {
 // did: an entry another server's join has since overwritten is not this
 // caller's to delete.
 func (x *Index) deleteIf(p pathtree.PeerID, r ref) bool {
-	s := x.stripe(p)
+	k := x.key(p)
+	s := x.stripe(k)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	i, found := s.probe(p)
+	i, found := s.probe(k)
 	if !found || s.slots[i].ref != r {
 		return false
 	}
@@ -199,7 +240,7 @@ func (x *Index) deleteIf(p pathtree.PeerID, r ref) bool {
 		if j == len(s.slots) {
 			j = 0
 		}
-		if next := s.slots[j]; next.lm == noRef.lm || s.dist(next.peer, j) == 0 {
+		if next := s.slots[j]; next.lm == noRef.lm || s.dist(next.key, j) == 0 {
 			break
 		}
 		s.slots[i], i = s.slots[j], j

@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"io"
+	"maps"
 	"runtime"
 	"slices"
 	"testing"
@@ -43,10 +44,7 @@ func heapBytes() (alloc, inuse int64) {
 // server holds for 50 000 peers with addresses, divided by the peers. Each
 // join is built inside the loop and dropped, so what stays is what the
 // server owns, its copy of the address included. The budget is the measured
-// 114.4 B plus 4 %; the package comment has the table. With the peer index a
-// Go map it read 119.7; with 32-byte trie nodes, each counting the peers
-// below it, 130.9; before the address pool, when a record held its address as
-// a string of its own, 151.
+// 115.6 B plus 3 %; the package comment has the table.
 func TestResidentBytesPerPeer(t *testing.T) {
 	const peers, budget = 50_000, 119
 	base, _ := heapBytes()
@@ -73,13 +71,15 @@ func TestResidentBytesPerPeer(t *testing.T) {
 // bases: HeapAlloc and HeapInuse. Where a fill stops between two rebuilds
 // decides the load, so the pin is taken at 50 000 entries, at 178 000 (the
 // benchmark's flash_crowd end state), and over fills from 40 000 to 1 000 000
-// in 5 % steps, worst and mean. The Go map this table replaced read 23.8 and
-// 26.6 B of HeapAlloc at the two points, 40.1 worst and 29.5 mean over the
-// sweep; of HeapInuse, 23.9, 29.5, 46.4 and 32.7. On the way it logs how
-// long the latest rebuild of each stripe took, median and longest, which is
+// in 5 % steps, worst and mean. HeapInuse has looser budgets than HeapAlloc
+// at the two points and at the worst fill: the hashes are seeded, so how many
+// stripes have rebuilt their tables by a given fill, leaving spans of the old
+// tables' size class part-used, changes from run to run. On the way it logs
+// how long each stripe's latest rebuild took, median and longest, which is
 // how long a growth stalls that stripe's readers.
 func TestIndexBytesPerEntry(t *testing.T) {
-	const pinned, sweepWorst, sweepMean = 22, 28, 23
+	const sweepMean = 23
+	pinned, sweepWorst := [2]float64{22, 26}, [2]float64{28, 30} // HeapAlloc, HeapInuse
 	if IndexSlotBytes != 16 {
 		t.Fatalf("an index slot is %d bytes, want 16", IndexSlotBytes)
 	}
@@ -92,17 +92,16 @@ func TestIndexBytesPerEntry(t *testing.T) {
 	x := NewIndex()
 	var worst, sum [2]float64
 	swept := 0
-	var rebuilds []time.Duration // the latest, one per stripe
+	rebuilt := make(map[*indexStripe]time.Duration) // each stripe's latest rebuild
 	p := 0
 	for _, n := range stops {
 		for ; p < n; p++ {
 			id := pathtree.PeerID(p + 1)
-			s := x.stripe(id)
+			s := x.stripe(x.key(id))
 			size, start := len(s.slots), time.Now()
 			x.swap(id, ref{lm: topology.NodeID(p % 4), slot: int32(p / 4)})
 			if len(s.slots) != size {
-				rebuilds = append(rebuilds, time.Since(start))
-				rebuilds = rebuilds[max(0, len(rebuilds)-indexStripes):]
+				rebuilt[s] = time.Since(start)
 			}
 		}
 		alloc, inuse := heapBytes()
@@ -110,8 +109,8 @@ func TestIndexBytesPerEntry(t *testing.T) {
 		switch n {
 		case 50_000, 178_000:
 			t.Logf("%d entries: %.1f B of HeapAlloc, %.1f B of HeapInuse per entry", n, perEntry[0], perEntry[1])
-			if max(perEntry[0], perEntry[1]) > pinned {
-				t.Errorf("%d entries: %.1f / %.1f B per entry, want ≤ %d", n, perEntry[0], perEntry[1], pinned)
+			if perEntry[0] > pinned[0] || perEntry[1] > pinned[1] {
+				t.Errorf("%d entries: %.1f / %.1f B per entry, want ≤ %g / %g", n, perEntry[0], perEntry[1], pinned[0], pinned[1])
 			}
 		default:
 			swept++
@@ -120,15 +119,15 @@ func TestIndexBytesPerEntry(t *testing.T) {
 			}
 		}
 		if n == 178_000 || n == 1_000_000 {
-			wave := slices.Sorted(slices.Values(rebuilds))
-			t.Logf("the latest rebuild of each stripe up to %d entries: median %v, longest %v", n, wave[len(wave)/2], wave[len(wave)-1])
+			wave := slices.Sorted(maps.Values(rebuilt))
+			t.Logf("each stripe's latest rebuild up to %d entries: median %v, longest %v", n, wave[len(wave)/2], wave[len(wave)-1])
 		}
 	}
 	for i, basis := range []string{"HeapAlloc", "HeapInuse"} {
 		mean := sum[i] / float64(swept)
 		t.Logf("%d fills from 40 000 to 1 000 000: %s per entry worst %.1f B, mean %.1f B", swept, basis, worst[i], mean)
-		if worst[i] > sweepWorst || mean > sweepMean {
-			t.Errorf("%s per entry over the sweep: worst %.1f B, mean %.1f B, want ≤ %d and ≤ %d", basis, worst[i], mean, sweepWorst, sweepMean)
+		if worst[i] > sweepWorst[i] || mean > sweepMean {
+			t.Errorf("%s per entry over the sweep: worst %.1f B, mean %.1f B, want ≤ %g and ≤ %d", basis, worst[i], mean, sweepWorst[i], sweepMean)
 		}
 	}
 	runtime.KeepAlive(x)

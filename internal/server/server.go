@@ -33,9 +33,9 @@
 //	addresses         18 B/peer   runs in 8-byte size classes
 //	trie nodes        33 B/peer   24-byte slots, 1.38 routers per peer
 //	child runs        11 B/peer   8-byte {router, node} pairs
-//	peer index        18 B/peer   16-byte {peer, landmark, slot} slots, 64 tables
+//	peer index        20 B/peer   16-byte {peer key, landmark, slot} slots, 64 tables
 //	chunk slack        2 B/peer   at most one chunk per pool per tree
-//	                 114 B/peer
+//	                 116 B/peer
 //
 // There is one copy of all of it, and no pool holds a pointer, so no peer is
 // a heap object of its own: a collection marks one chunk per few hundred
@@ -44,10 +44,9 @@
 // holding pointers pays the allocator an 8-byte header, which would push a
 // 12 KiB chunk of 48-byte records into the next size class (53 B a record,
 // not 32). The index's tables are rebuilt a quarter larger at a load of 0.9,
-// so where a fill stops decides what a slot costs: 18.4 B per entry at
-// 50 000 peers, 20.6 at 178 000, 21.1 on average over fills up to a million
-// (TestIndexBytesPerEntry). As a Go map, which doubles, it read 23.8, 26.6
-// and 29.5.
+// so where a fill stops decides what a slot costs: 19.5–20.1 B per entry at
+// 50 000 peers, 20.7 at 178 000, 21.1 on average over fills up to a million
+// (TestIndexBytesPerEntry).
 //
 // # Concurrency: two locks and a leaf
 //
@@ -104,23 +103,35 @@
 //	left-right, two copies   1.6 µs   12.3 µs    459k       249k
 //	one copy, mu per batch  35.9 µs   76.5 µs     26k       817k
 //	one copy, mu per entry   3.0 µs   19.2 µs    230k       236k
-//	  the same, map index    3.0 µs    7.4 µs    305k       283k
-//	  the same, flat index   2.7 µs    7.3 µs    329k       301k   (this package)
+//	  the same, map index    3.5 µs   10.2 µs    238k       225k
+//	  the same, flat index   3.4 µs   10.1 µs    229k       222k   (this package)
 //
-// (medians of three alternated runs each; the last two rows against each
-// other, on a later day). Held across a batch, the lock makes every lookup
-// wait out up to 32 joins and starves the reader 17-fold; held per entry a
-// lookup's median stays within a join's length of the uncontended one. What is left of the gap to left-right is the price of
+// (medians of three alternated runs each, and of five for the last two rows,
+// run against each other on a later day). Held across a batch, the lock
+// makes every lookup wait out up to 32 joins and starves the reader 17-fold;
+// held per entry a lookup's median stays within a join's length of the
+// uncontended one. What is left of the gap to left-right is the price of
 // parking: a reader that meets a writer sleeps and is woken, where under
 // left-right it never met one.
 //
 // Some joins are longer: those whose insert rebuilds an index table, under
-// the stripe lock, with mu held. A table is rebuilt each time its entries
-// grow by an eighth, so with n peers resident about one new peer in n/512
-// does it, and its server's lookups wait it out. TestIndexBytesPerEntry logs
-// the latest rebuild of each stripe, on 2 CPUs: a median of 40 µs and a
-// longest near 0.1 ms at 178 000 peers, 0.2 and 0.3–0.5 ms at a million. A
-// re-join, every write of the benchmark above, rebuilds nothing.
+// the stripe lock, with mu held, and that server's lookups wait them out. A
+// table is rebuilt each time its entries grow by a quarter, so with n peers
+// resident about one new peer in n/256 does it. TestIndexBytesPerEntry logs
+// each stripe's latest rebuild, on 2 CPUs: a median of 35–50 µs and a
+// longest of 50–80 µs at 178 000 peers, 0.2–0.3 ms and 0.25–0.4 ms at a
+// million. A re-join, every write of the benchmark above, rebuilds nothing.
+// BenchmarkLookupBesideFill has the writer add peers instead, from 100 000 to
+// 400 000, so every table is rebuilt six or seven times under the reader;
+// medians of five runs alternated with the map index:
+//
+//	                          p50       p99    lookups/s   joins/s
+//	fill, map index          3.1 µs   19.0 µs    258k       208k
+//	fill, flat index         3.2 µs   19.5 µs    234k       191k   (this package)
+//
+// The two p99s differ by less than the spread of the map's own runs
+// (quartiles 18.3 and 20.1 µs). The writer is slower in every pair: a join
+// that adds a peer pays for the rebuilds and the seeded hash.
 package server
 
 import (

@@ -420,7 +420,7 @@
 //     parent chain — and a node keeps one table, peer ID to (landmark,
 //     slot): a lone server's own, or the one index all the shards of a
 //     cluster share and route by. A management server, or a whole cluster,
-//     holds about 114 B per resident peer, its address included (package
+//     holds about 116 B per resident peer, its address included (package
 //     server has the table; TestResidentBytesPerPeer and
 //     TestNodeResidentBytesPerPeer pin it). No pool holds a pointer, so no
 //     peer is a heap object of its own: the collector marks one chunk per
