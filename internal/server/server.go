@@ -103,10 +103,10 @@
 //	left-right, two copies   1.6 µs   12.3 µs    459k       249k
 //	one copy, mu per batch  35.9 µs   76.5 µs     26k       817k
 //	one copy, mu per entry   3.0 µs   19.2 µs    230k       236k
-//	  the same, map index    3.5 µs   10.2 µs    238k       225k
-//	  the same, flat index   3.4 µs   10.1 µs    229k       222k   (this package)
+//	  the same, map index    2.9 µs    7.7 µs    312k       281k
+//	  the same, flat index   3.0 µs    8.3 µs    285k       271k   (this package)
 //
-// (medians of three alternated runs each, and of five for the last two rows,
+// (medians of three alternated runs each, and of ten for the last two rows,
 // run against each other on a later day). Held across a batch, the lock
 // makes every lookup wait out up to 32 joins and starves the reader 17-fold;
 // held per entry a lookup's median stays within a join's length of the
@@ -123,15 +123,15 @@
 // million. A re-join, every write of the benchmark above, rebuilds nothing.
 // BenchmarkLookupBesideFill has the writer add peers instead, from 100 000 to
 // 400 000, so every table is rebuilt six or seven times under the reader;
-// medians of five runs alternated with the map index:
+// medians of ten runs alternated with the map index:
 //
 //	                          p50       p99    lookups/s   joins/s
-//	fill, map index          3.1 µs   19.0 µs    258k       208k
-//	fill, flat index         3.2 µs   19.5 µs    234k       191k   (this package)
+//	fill, map index          2.8 µs   16.8 µs    290k       237k
+//	fill, flat index         2.9 µs   18.0 µs    271k       223k   (this package)
 //
-// The two p99s differ by less than the spread of the map's own runs
-// (quartiles 18.3 and 20.1 µs). The writer is slower in every pair: a join
-// that adds a peer pays for the rebuilds and the seeded hash.
+// The two sides' runs overlap: the flat index's p99 is higher in 8 of those
+// 10 pairs and lower in 5 of 8 later ones. 256 stripes, whose rebuilds stall
+// a sixth as long, measured the same as 64.
 package server
 
 import (
