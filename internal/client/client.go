@@ -6,7 +6,9 @@
 // every request is pipelined: frames carry request IDs, a demux goroutine
 // matches responses to waiting calls, and up to MaxInFlight requests share
 // one connection concurrently — callers never serialize behind each other's
-// round trips. Every method is safe for concurrent use.
+// round trips. A waiting call holds a pooled slot, its response channel and
+// timer, so a round trip allocates nothing but the answer it decodes. Every
+// method is safe for concurrent use.
 //
 // A real deployment would obtain the router path with the system traceroute
 // tool; the PathProvider interface abstracts that, so tests and offline
@@ -140,12 +142,17 @@ type Client struct {
 	// syscall; the rest find the buffer empty and skip the flush. On an
 	// idle connection the yield returns at once and the request is flushed
 	// immediately.
+	//
+	// A caller waits on a call slot from callPool, registered in pending
+	// under its request ID; the demux removes it from pending before it
+	// delivers the response, and only a caller that received its response
+	// puts the slot back (see call).
 	wmu      sync.Mutex
 	bw       *bufio.Writer
 	nextID   atomic.Uint64
 	slots    chan struct{} // in-flight semaphore, cap MaxInFlight
 	pmu      sync.Mutex
-	pending  map[uint64]chan frameResp
+	pending  map[uint64]*call
 	readErr  error         // set by readLoop before readDone closes; guarded by pmu
 	readDone chan struct{} // closed when readLoop exits
 
@@ -220,7 +227,7 @@ func DialConfig(addr string, cfg Config) (*Client, error) {
 		bw:       bufio.NewWriterSize(conn, 16<<10),
 		timeout:  cfg.Timeout,
 		slots:    make(chan struct{}, cfg.MaxInFlight),
-		pending:  make(map[uint64]chan frameResp),
+		pending:  make(map[uint64]*call),
 		readDone: make(chan struct{}),
 	}
 	if r := cfg.Telemetry; r != nil {
@@ -310,11 +317,11 @@ func (c *Client) readLoop() {
 			return
 		}
 		c.pmu.Lock()
-		ch, ok := c.pending[id]
+		cl, ok := c.pending[id]
 		delete(c.pending, id)
 		c.pmu.Unlock()
 		if ok {
-			ch <- frameResp{typ: typ, payload: payload} // buffered, never blocks
+			cl.done <- frameResp{typ: typ, payload: payload} // buffered, never blocks
 		} else {
 			proto.PutBuf(payload) // response to a call that timed out
 		}
@@ -435,7 +442,9 @@ func (c *Client) rehome(ctx context.Context, peer int64, addr string) {
 	if err == nil {
 		// Best effort: the join already succeeded, and a retire that fails
 		// leaves a record the old node's TTL expiry removes.
-		_, _, _ = target.exchange(ctx, proto.MsgLeaveRequest, proto.EncodeLeaveRequest(&proto.LeaveRequest{Peer: peer}))
+		if _, resp, err := target.exchange(ctx, proto.MsgLeaveRequest, proto.EncodeLeaveRequest(&proto.LeaveRequest{Peer: peer})); err == nil {
+			proto.PutBuf(resp)
+		}
 	}
 }
 
@@ -695,9 +704,11 @@ func (c *Client) peerRoundTripAt(ctx context.Context, addr string, reqType proto
 // exchange sends one request frame and waits for its response frame,
 // decoding wire errors into *proto.Error values and returning the response
 // type; any number of exchanges proceed concurrently. It takes an in-flight
-// slot, registers a completion channel under a fresh request ID, writes
-// the frame, and waits for the demux goroutine (or a timeout, or
-// connection death).
+// slot and a pooled call, registers the call under a fresh request ID,
+// writes the frame, and waits for the demux goroutine (or a timeout, or
+// connection death). The response payload is the caller's, to recycle with
+// proto.PutBuf once decoded; payload stays the caller's too, since a retry
+// may send it again.
 func (c *Client) exchange(ctx context.Context, reqType proto.MsgType, payload []byte) (proto.MsgType, []byte, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, nil, err
@@ -716,13 +727,14 @@ func (c *Client) exchange(ctx context.Context, reqType proto.MsgType, payload []
 	}()
 
 	id := c.nextID.Add(1)
-	ch := make(chan frameResp, 1)
+	cl := callPool.Get().(*call)
 	c.pmu.Lock()
 	if c.readErr != nil {
 		c.pmu.Unlock()
+		callPool.Put(cl) // never registered, so nothing else can reach it
 		return 0, nil, c.readError()
 	}
-	c.pending[id] = ch
+	c.pending[id] = cl
 	c.pmu.Unlock()
 
 	timeout := c.callTimeout(ctx)
@@ -745,37 +757,55 @@ func (c *Client) exchange(ctx context.Context, reqType proto.MsgType, payload []
 		return 0, nil, fmt.Errorf("client: send: %w", err)
 	}
 
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
+	cl.timer.Reset(timeout)
 	select {
-	case r := <-ch:
-		return decodeResp(r.typ, r.payload)
-	case <-timer.C:
-		c.forget(id)
-		// The response may have been delivered while we were timing out.
-		select {
-		case r := <-ch:
-			return decodeResp(r.typ, r.payload)
-		default:
-		}
-		return 0, nil, fmt.Errorf("%w after %v", errRequestTimeout, timeout)
+	case r := <-cl.done:
+		return cl.received(r)
+	case <-cl.timer.C:
+		err = fmt.Errorf("%w after %v", errRequestTimeout, timeout)
 	case <-ctx.Done():
-		c.forget(id)
-		select {
-		case r := <-ch:
-			return decodeResp(r.typ, r.payload)
-		default:
-		}
-		return 0, nil, ctx.Err()
+		err = ctx.Err()
 	case <-c.readDone:
-		c.forget(id)
-		select {
-		case r := <-ch:
-			return decodeResp(r.typ, r.payload)
-		default:
-		}
-		return 0, nil, c.readError()
+		err = c.readError()
 	}
+	c.forget(id)
+	// The response may have been delivered while we were giving up.
+	select {
+	case r := <-cl.done:
+		return cl.received(r)
+	default:
+	}
+	// The demux may hold the call still, found in pending just before
+	// forget, and send to it later: it goes to the GC, never back to the
+	// pool.
+	cl.timer.Stop()
+	return 0, nil, err
+}
+
+// call is one outstanding request's slot: the channel its response frame
+// arrives on and the timer bounding the wait, both reused from call to
+// call. A call goes back to callPool only once its one response was
+// received — the demux removed it from pending and sent, and holds it no
+// longer — so no demux lookup, delete or send ever reaches a reused call.
+type call struct {
+	done  chan frameResp // capacity 1: the demux never blocks on it
+	timer *time.Timer
+}
+
+var callPool = sync.Pool{New: func() any {
+	// Stopped until exchange arms it; since Go 1.23 a stopped or reset
+	// timer delivers no stale tick, so a pooled one needs no drain.
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return &call{done: make(chan frameResp, 1), timer: t}
+}}
+
+// received finishes a call whose response arrived and returns it to the
+// pool.
+func (cl *call) received(r frameResp) (proto.MsgType, []byte, error) {
+	cl.timer.Stop()
+	callPool.Put(cl)
+	return decodeResp(r.typ, r.payload)
 }
 
 // forget deregisters a request whose caller stopped waiting.
@@ -795,10 +825,12 @@ func (c *Client) readError() error {
 	return net.ErrClosed
 }
 
-// decodeResp unwraps MsgError responses into *proto.Error values.
+// decodeResp unwraps MsgError responses into *proto.Error values,
+// recycling their payload.
 func decodeResp(typ proto.MsgType, payload []byte) (proto.MsgType, []byte, error) {
 	if typ == proto.MsgError {
 		werr, derr := proto.DecodeError(payload)
+		proto.PutBuf(payload)
 		if derr != nil {
 			return 0, nil, fmt.Errorf("client: undecodable error response: %w", derr)
 		}
@@ -808,11 +840,11 @@ func decodeResp(typ proto.MsgType, payload []byte) (proto.MsgType, []byte, error
 }
 
 // roundTrip is exchange plus a response-type check, for requests with
-// exactly one valid response type. It targets the primary path: a replica
-// answering CodeNotPrimary with its primary's address is followed (up to
-// MaxRedirects, without spending transport attempts), and with
-// Config.FailoverRetries set, transport failures redial the path with
-// bounded backoff before giving up.
+// exactly one valid response type; the caller recycles the response. It
+// targets the primary path: a replica answering CodeNotPrimary with its
+// primary's address is followed (up to MaxRedirects, without spending
+// transport attempts), and with Config.FailoverRetries set, transport
+// failures redial the path with bounded backoff before giving up.
 func (c *Client) roundTrip(ctx context.Context, reqType proto.MsgType, payload []byte, wantType proto.MsgType) ([]byte, error) {
 	for redirects := 0; ; {
 		var (
@@ -827,6 +859,7 @@ func (c *Client) roundTrip(ctx context.Context, reqType proto.MsgType, payload [
 			})
 		if err == nil {
 			if typ != wantType {
+				proto.PutBuf(resp)
 				return nil, fmt.Errorf("client: unexpected response type %d (want %d)", typ, wantType)
 			}
 			return resp, nil
@@ -852,6 +885,7 @@ func (c *Client) StatusContext(ctx context.Context) (*proto.Status, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer proto.PutBuf(resp)
 	return proto.DecodeStatus(resp)
 }
 
@@ -867,6 +901,7 @@ func (c *Client) LandmarksContext(ctx context.Context) (*proto.LandmarksResponse
 	if err != nil {
 		return nil, err
 	}
+	defer proto.PutBuf(resp)
 	return proto.DecodeLandmarksResponse(resp)
 }
 
@@ -883,10 +918,11 @@ func (c *Client) Landmarks() (*proto.LandmarksResponse, error) {
 // MaxRedirects hops). A peer that this client registered at another node
 // before is retired there once the join lands (see rehome).
 func (c *Client) JoinContext(ctx context.Context, peer int64, overlayAddr string, path []int32) ([]proto.Candidate, error) {
-	payload, err := proto.EncodeJoinRequest(&proto.JoinRequest{Peer: peer, Addr: overlayAddr, Path: path})
+	payload, err := proto.AppendJoinRequest(proto.GetBuf(0), &proto.JoinRequest{Peer: peer, Addr: overlayAddr, Path: path})
 	if err != nil {
 		return nil, err
 	}
+	defer proto.PutBuf(payload)
 	// targetAddr "" is the primary path; a redirect moves the join to the
 	// named node. Each hop runs under the shared transport-retry loop: a
 	// dead cached redirect connection is redialed once, as always, and
@@ -916,6 +952,7 @@ func (c *Client) JoinContext(ctx context.Context, peer int64, overlayAddr string
 		switch typ {
 		case proto.MsgJoinResponse:
 			jr, err := proto.DecodeJoinResponse(resp)
+			proto.PutBuf(resp)
 			if err != nil {
 				return nil, err
 			}
@@ -923,6 +960,7 @@ func (c *Client) JoinContext(ctx context.Context, peer int64, overlayAddr string
 			return jr.Neighbors, nil
 		case proto.MsgRedirect:
 			rd, err := proto.DecodeRedirect(resp)
+			proto.PutBuf(resp)
 			if err != nil {
 				return nil, err
 			}
@@ -933,6 +971,7 @@ func (c *Client) JoinContext(ctx context.Context, peer int64, overlayAddr string
 			c.met.redirects.Inc()
 			targetAddr = rd.Addr
 		default:
+			proto.PutBuf(resp)
 			return nil, fmt.Errorf("client: unexpected response type %d (want %d)", typ, proto.MsgJoinResponse)
 		}
 	}
@@ -967,6 +1006,7 @@ func (c *Client) ForwardJoinFencedContext(ctx context.Context, peer int64, overl
 		return nil, err
 	}
 	jr, err := proto.DecodeJoinResponse(resp)
+	proto.PutBuf(resp)
 	if err != nil {
 		return nil, err
 	}
@@ -1034,6 +1074,7 @@ func (c *Client) batchRoundTrips(ctx context.Context, items []BatchItem, reqType
 			return err
 		}
 		br, err := proto.DecodeBatchJoinResponse(resp)
+		proto.PutBuf(resp)
 		if err != nil {
 			return err
 		}
@@ -1112,12 +1153,14 @@ func (c *Client) LookupContext(ctx context.Context, q Query) ([]proto.Candidate,
 	if q.Kind != QueryKClosest {
 		return nil, fmt.Errorf("client: lookup supports only k-closest queries (kind %d)", q.Kind)
 	}
-	resp, err := c.peerRoundTrip(ctx, q.Peer, proto.MsgLookupRequest,
-		proto.EncodeLookupRequest(&proto.LookupRequest{Peer: q.Peer}), proto.MsgLookupResponse)
+	req := proto.AppendLookupRequest(proto.GetBuf(0), &proto.LookupRequest{Peer: q.Peer})
+	resp, err := c.peerRoundTrip(ctx, q.Peer, proto.MsgLookupRequest, req, proto.MsgLookupResponse)
+	proto.PutBuf(req)
 	if err != nil {
 		return nil, err
 	}
 	lr, err := proto.DecodeLookupResponse(resp)
+	proto.PutBuf(resp)
 	if err != nil {
 		return nil, err
 	}
@@ -1136,9 +1179,10 @@ func (c *Client) Lookup(peer int64) ([]proto.Candidate, error) {
 
 // LeaveContext deregisters a peer at the node holding its registration.
 func (c *Client) LeaveContext(ctx context.Context, peer int64) error {
-	_, err := c.peerRoundTrip(ctx, peer, proto.MsgLeaveRequest,
+	resp, err := c.peerRoundTrip(ctx, peer, proto.MsgLeaveRequest,
 		proto.EncodeLeaveRequest(&proto.LeaveRequest{Peer: peer}), proto.MsgAck)
 	if err == nil {
+		proto.PutBuf(resp)
 		c.setHome(peer, "")
 	}
 	return err
@@ -1152,8 +1196,11 @@ func (c *Client) Leave(peer int64) error {
 
 // RefreshContext heartbeats a peer at the node holding its registration.
 func (c *Client) RefreshContext(ctx context.Context, peer int64) error {
-	_, err := c.peerRoundTrip(ctx, peer, proto.MsgRefreshRequest,
+	resp, err := c.peerRoundTrip(ctx, peer, proto.MsgRefreshRequest,
 		proto.EncodeRefreshRequest(&proto.RefreshRequest{Peer: peer}), proto.MsgAck)
+	if err == nil {
+		proto.PutBuf(resp)
+	}
 	return err
 }
 

@@ -316,6 +316,11 @@ func TestAutoSnapshotTriggers(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+	// A crash takes the checkpointer down with the rest: stop it and wait,
+	// so no checkpoint it was nudged into is still writing when recovery
+	// opens the directory or the test removes it.
+	close(c.snapStop)
+	c.snapWG.Wait()
 	want := captureAnswers(t, c)
 	c = nil // crash
 

@@ -46,7 +46,8 @@ type Reader struct {
 }
 
 // NewReader returns a Reader over b. It does not retain b past the last
-// read: strings and paths are copied out.
+// read: strings and paths are copied out, and only Bytes and StrBytes
+// return views.
 func NewReader(b []byte) Reader { return Reader{buf: b} }
 
 // Fail records err as the decode's outcome unless a read already failed.
@@ -158,6 +159,10 @@ func (r *Reader) str() []byte {
 
 // Str reads a counted string of at most MaxAddrLen bytes.
 func (r *Reader) Str() string { return string(r.str()) }
+
+// StrBytes reads a counted string like Str, as a view into the payload: the
+// caller copies out what it keeps.
+func (r *Reader) StrBytes() []byte { return r.str() }
 
 // StrInto reads a counted string into *s, keeping the existing value when
 // the bytes are unchanged so a reused decode target allocates nothing in

@@ -37,7 +37,10 @@
 //
 // Closest-peer answers carry dialable endpoints: every candidate comes back
 // from the backend with the overlay address its peer advertised, read from
-// the peer's record (see toWire).
+// the peer's record, and is encoded from that answer straight into the
+// pooled response payload (proto.EncodeAnswer and its batch and
+// subscription siblings), so an address is copied once between the backend
+// and the connection's write buffer.
 //
 // A NetServer fronts either a standalone server.Server or one node of a
 // landmark-sharded cluster (see Backend). In cluster deployments each node
@@ -377,7 +380,7 @@ func Listen(cfg Config) (*NetServer, error) {
 	// Derate the batch limit so a full batch RESPONSE is guaranteed to fit
 	// one frame even when every entry returns NeighborCount candidates
 	// with maximum-length addresses; otherwise a large -neighbors setting
-	// would make EncodeBatchJoinResponse overflow MaxFrameSize and void
+	// would make EncodeBatchAnswer overflow MaxFrameSize and void
 	// whole batches with CodeInternal after the joins already applied.
 	perCand := 8 + 4 + 2 + proto.MaxAddrLen                     // peer + dtree + addr
 	perResult := 2 + 2 + 2 + cfg.Server.NeighborCount()*perCand // code + empty msg + count + candidates
@@ -918,7 +921,7 @@ func (s *NetServer) handleReq(typ proto.MsgType, payload []byte) (proto.MsgType,
 			}
 			return errResp(code, err)
 		}
-		b, err := proto.EncodeLookupResponse(&proto.LookupResponse{Neighbors: toWire(cands)})
+		b, err := proto.EncodeAnswer(cands)
 		if err != nil {
 			return errResp(proto.CodeInternal, err)
 		}
@@ -1007,7 +1010,7 @@ func (s *NetServer) serveJoin(o op.Op) (proto.MsgType, []byte) {
 		}
 		return errResp(code, err)
 	}
-	b, err := proto.EncodeJoinResponse(&proto.JoinResponse{Neighbors: toWire(cands)})
+	b, err := proto.EncodeAnswer(cands)
 	if err != nil {
 		return errResp(proto.CodeInternal, err)
 	}
@@ -1021,13 +1024,13 @@ func (s *NetServer) serveJoin(o op.Op) (proto.MsgType, []byte) {
 // never relayed again, exactly like a forwarded singular join: entries for
 // landmarks this node does not own come back CodeWrongShard.
 func (s *NetServer) serveBatchJoin(o op.Op, forwarded bool) (proto.MsgType, []byte) {
-	results := make([]proto.BatchJoinResult, len(o.Batch))
+	results := make([]proto.BatchAnswer, len(o.Batch))
 	entries := make([]op.JoinEntry, 0, len(o.Batch))
 	idxs := make([]int, 0, len(o.Batch))
 	for i := range o.Batch {
 		e := &o.Batch[i]
 		if len(e.Path) == 0 {
-			results[i] = proto.BatchJoinResult{Code: proto.CodeBadRequest, Message: "netserver: empty path"}
+			results[i] = proto.BatchAnswer{Code: proto.CodeBadRequest, Message: "netserver: empty path"}
 			continue
 		}
 		if lm := e.Path[len(e.Path)-1]; !s.local[lm] {
@@ -1038,7 +1041,7 @@ func (s *NetServer) serveBatchJoin(o op.Op, forwarded bool) (proto.MsgType, []by
 					// error, not bounce batches between nodes.
 					msg = fmt.Sprintf("netserver: forwarded join for landmark %d not owned here", lm)
 				}
-				results[i] = proto.BatchJoinResult{Code: proto.CodeWrongShard, Message: msg}
+				results[i] = proto.BatchAnswer{Code: proto.CodeWrongShard, Message: msg}
 				continue
 			}
 			// Fall through: the backend reports the unknown landmark itself.
@@ -1055,29 +1058,17 @@ func (s *NetServer) serveBatchJoin(o op.Op, forwarded bool) (proto.MsgType, []by
 				if errors.Is(err, server.ErrUnknownLandmark) {
 					code = proto.CodeUnknownLandmark
 				}
-				results[i] = proto.BatchJoinResult{Code: code, Message: err.Error()}
+				results[i] = proto.BatchAnswer{Code: code, Message: err.Error()}
 				continue
 			}
-			results[i] = proto.BatchJoinResult{Neighbors: toWire(res[k].Neighbors)}
+			results[i].Neighbors = res[k].Neighbors
 		}
 	}
-	b, err := proto.EncodeBatchJoinResponse(&proto.BatchJoinResponse{Results: results})
+	b, err := proto.EncodeBatchAnswer(results)
 	if err != nil {
 		return errResp(proto.CodeInternal, err)
 	}
 	return proto.MsgBatchJoinResponse, b
-}
-
-// toWire converts a backend's answer to its wire form. Every candidate
-// carries its peer's overlay address already: the backend reads it from the
-// peer's record as it builds the answer, and "" there means the peer
-// advertised none.
-func toWire(cands []pathtree.Candidate) []proto.Candidate {
-	out := make([]proto.Candidate, len(cands))
-	for i, c := range cands {
-		out[i] = proto.Candidate{Peer: int64(c.Peer), DTree: int32(c.DTree), Addr: c.Addr}
-	}
-	return out
 }
 
 // LandmarkResponder answers UDP probe datagrams, letting peers measure RTT

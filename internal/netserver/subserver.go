@@ -114,7 +114,7 @@ func (s *NetServer) serveSubscribe(wc *wireConn, id uint64, payload []byte) {
 		// winds down through its Done channel.
 		s.plane.Remove(old)
 	}
-	ack, err := proto.EncodeSubscribeAck(&proto.SubscribeAck{Seq: seq, Neighbors: toWire(snapshot)})
+	ack, err := proto.EncodeSubscribeAckAnswer(seq, snapshot)
 	if err != nil {
 		s.plane.Remove(sb)
 		t, resp := errResp(proto.CodeInternal, err)
@@ -221,6 +221,9 @@ func (s *NetServer) subSender(wc *wireConn, id uint64, sb *sub.Subscriber) {
 // a pushed candidate is byte-identical to the one a fresh lookup would
 // return.
 func (s *NetServer) encodeSubEvent(ev *sub.Event) ([]byte, error) {
+	if ev.Kind == proto.EventResync {
+		return proto.EncodeResyncAnswer(ev.Seq, ev.Neighbors)
+	}
 	m := proto.SubEvent{Seq: ev.Seq, Kind: ev.Kind}
 	switch ev.Kind {
 	case proto.EventEnter, proto.EventUpdate:
@@ -230,8 +233,6 @@ func (s *NetServer) encodeSubEvent(ev *sub.Event) ([]byte, error) {
 		}
 	case proto.EventLeave:
 		m.Cand = proto.Candidate{Peer: int64(ev.Peer)}
-	case proto.EventResync:
-		m.Neighbors = toWire(ev.Neighbors)
 	}
 	return proto.EncodeSubEvent(&m)
 }

@@ -1,0 +1,154 @@
+package proto
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"reflect"
+	"testing"
+
+	"proxdisc/internal/pathtree"
+)
+
+// answerOf builds the same k-candidate answer in the backend's form and in
+// the wire's, every address distinct and non-empty.
+func answerOf(k int) ([]pathtree.Candidate, []Candidate) {
+	backend := make([]pathtree.Candidate, k)
+	wire := make([]Candidate, k)
+	for i := range backend {
+		addr := fmt.Sprintf("10.%d.%d.%d:%d", i/65536, i/256%256, i%256, 7000+i)
+		backend[i] = pathtree.Candidate{Peer: pathtree.PeerID(i*7 - 3), DTree: i % 9, Addr: addr}
+		wire[i] = Candidate{Peer: int64(i*7 - 3), DTree: int32(i % 9), Addr: addr}
+	}
+	return backend, wire
+}
+
+// TestAnswerEncodersMatchWireForm pins that the server's encoders, which
+// write a backend's answer, produce the bytes of the wire-form encoders the
+// golden tables pin, and refuse what those refuse.
+func TestAnswerEncodersMatchWireForm(t *testing.T) {
+	for _, k := range []int{0, 1, 5, MaxNeighbors} {
+		backend, wire := answerOf(k)
+		check := func(name string, got []byte, gerr error, want []byte, werr error) {
+			t.Helper()
+			if gerr != nil || werr != nil {
+				t.Fatalf("k=%d %s: %v / %v", k, name, gerr, werr)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("k=%d %s: %x, want %x", k, name, got, want)
+			}
+		}
+		got, gerr := EncodeAnswer(backend)
+		want, werr := EncodeLookupResponse(&LookupResponse{Neighbors: wire})
+		check("EncodeAnswer", got, gerr, want, werr)
+		got, gerr = EncodeSubscribeAckAnswer(99, backend)
+		want, werr = EncodeSubscribeAck(&SubscribeAck{Seq: 99, Neighbors: wire})
+		check("EncodeSubscribeAckAnswer", got, gerr, want, werr)
+		got, gerr = EncodeResyncAnswer(7, backend)
+		want, werr = EncodeSubEvent(&SubEvent{Seq: 7, Kind: EventResync, Neighbors: wire})
+		check("EncodeResyncAnswer", got, gerr, want, werr)
+		if k <= 5 {
+			got, gerr = EncodeBatchAnswer([]BatchAnswer{{Neighbors: backend}, {Code: CodeWrongShard, Message: "10.0.0.9:7470"}, {Neighbors: backend}})
+			want, werr = EncodeBatchJoinResponse(&BatchJoinResponse{Results: []BatchJoinResult{{Neighbors: wire}, {Code: CodeWrongShard, Message: "10.0.0.9:7470"}, {Neighbors: wire}}})
+			check("EncodeBatchAnswer", got, gerr, want, werr)
+		}
+	}
+	over, _ := answerOf(MaxNeighbors + 1)
+	if _, err := EncodeAnswer(over); !errors.Is(err, ErrLimit) {
+		t.Errorf("EncodeAnswer of %d candidates: %v, want ErrLimit", len(over), err)
+	}
+	full, _ := answerOf(MaxNeighbors)
+	big := make([]BatchAnswer, MaxBatch)
+	for i := range big {
+		big[i].Neighbors = full
+	}
+	if _, err := EncodeBatchAnswer(big); !errors.Is(err, ErrFrameTooLarge) {
+		t.Errorf("EncodeBatchAnswer over a frame: %v, want ErrFrameTooLarge", err)
+	}
+}
+
+// TestDecodeCandidatesAllocs pins the client's decode of a candidate list:
+// two allocations whatever its length, the slice and the one string every
+// address is copied into.
+func TestDecodeCandidatesAllocs(t *testing.T) {
+	for _, k := range []int{1, 5, 32, MaxNeighbors} {
+		_, wire := answerOf(k)
+		payload, err := EncodeLookupResponse(&LookupResponse{Neighbors: wire})
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if cands, err := decodeCandidates(payload); err != nil || len(cands) != k {
+				t.Fatalf("decode: %d candidates, %v", len(cands), err)
+			}
+		})
+		if allocs != 2 {
+			t.Errorf("decoding %d candidates allocates %v times, want 2", k, allocs)
+		}
+	}
+	var batch BatchJoinResponse
+	for i := 0; i < MaxBatch; i++ {
+		_, wire := answerOf(5)
+		batch.Results = append(batch.Results, BatchJoinResult{Neighbors: wire})
+	}
+	payload, err := EncodeBatchJoinResponse(&batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := DecodeBatchJoinResponse(payload); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if want := float64(2 + 2*MaxBatch); allocs > want {
+		t.Errorf("decoding a %d-entry batch answer allocates %v times, want ≤ %v", MaxBatch, allocs, want)
+	}
+}
+
+// TestDecodedAnswersAliasNothing holds the decoders to PutBuf's contract: a
+// decoded message never aliases its payload, so a payload recycled and
+// overwritten after the decode leaves every decoded address as it was.
+func TestDecodedAnswersAliasNothing(t *testing.T) {
+	_, wire := answerOf(5)
+	results := []BatchJoinResult{{Neighbors: wire}, {Code: CodeWrongShard, Message: "10.0.0.9:7470"}, {Neighbors: wire[:2]}}
+	encode := map[string]func() ([]byte, error){
+		"lookup": func() ([]byte, error) { return EncodeLookupResponse(&LookupResponse{Neighbors: wire}) },
+		"join":   func() ([]byte, error) { return EncodeJoinResponse(&JoinResponse{Neighbors: wire}) },
+		"batch":  func() ([]byte, error) { return EncodeBatchJoinResponse(&BatchJoinResponse{Results: results}) },
+		"ack":    func() ([]byte, error) { return EncodeSubscribeAck(&SubscribeAck{Seq: 3, Neighbors: wire}) },
+		"resync": func() ([]byte, error) { return EncodeSubEvent(&SubEvent{Seq: 4, Kind: EventResync, Neighbors: wire}) },
+		"enter":  func() ([]byte, error) { return EncodeSubEvent(&SubEvent{Seq: 5, Kind: EventEnter, Cand: wire[1]}) },
+	}
+	decode := map[string]func([]byte) (any, error){
+		"lookup": func(b []byte) (any, error) { return DecodeLookupResponse(b) },
+		"join":   func(b []byte) (any, error) { return DecodeJoinResponse(b) },
+		"batch":  func(b []byte) (any, error) { return DecodeBatchJoinResponse(b) },
+		"ack":    func(b []byte) (any, error) { return DecodeSubscribeAck(b) },
+		"resync": func(b []byte) (any, error) { return DecodeSubEvent(b) },
+		"enter":  func(b []byte) (any, error) { return DecodeSubEvent(b) },
+	}
+	for name, enc := range encode {
+		b, err := enc()
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload := append(GetBuf(0), b...)
+		got, err := decode[name](payload)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want, err := decode[name](bytes.Clone(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Overwrite the payload as the next frame read into it would, and
+		// recycle it.
+		for j := range payload {
+			payload[j] = 0x5A
+		}
+		PutBuf(payload)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: decoded %+v changed to %+v once its payload was recycled", name, want, got)
+		}
+	}
+}

@@ -14,8 +14,11 @@
 // addrLen(2) addr pathLen(2) router(4)... — is codec.AppendJoin and
 // codec.ReadJoin, which package op's records share, so a wire join decodes
 // straight into the op a server applies (op.go). The candidate list —
-// count(2) {peer(8) dtree(4) addrLen(2) addr}... — is appendCandidates and
-// readCandidates in this file.
+// count(2) {peer(8) dtree(4) addrLen(2) addr}... — is appendCandidate and
+// readCandidates in this file. A server writes it from its backend's
+// []pathtree.Candidate (EncodeAnswer and its batch and subscription
+// siblings), a client reads it into []Candidate; each address is copied
+// once on each side.
 //
 // # Protocol versions
 //
@@ -43,8 +46,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strings"
+	"sync"
 
 	"proxdisc/internal/codec"
+	"proxdisc/internal/pathtree"
 )
 
 // Protocol versions offered and acknowledged in the MsgHello handshake.
@@ -317,48 +323,47 @@ type LandmarksResponse struct {
 	Addrs   []string
 }
 
-// bufFree recycles frame-assembly and payload buffers across the encode
-// and read hot paths. It is a bounded channel freelist rather than a
-// sync.Pool: a nonblocking send/receive of a slice header allocates
-// nothing, whereas sync.Pool.Put must box the header (&b escapes), which
-// would put one 24-byte allocation back on every recycled frame. Buffers
-// are bounded by MaxFrameSize plus the largest header, so the freelist
-// retains at most ~16 MiB in the worst case and typically far less.
-var bufFree = make(chan []byte, 256)
+// bufPool recycles frame-assembly and payload buffers across the encode and
+// read hot paths. A sync.Pool holds pointers, so a buffer travels in a
+// *[]byte box, and the empty boxes wait in boxPool: PutBuf fills a box from
+// there, GetBuf hands the box back once it has the buffer, and a round trip
+// allocates nothing. Being sync.Pools, both are emptied by the collector: a
+// flow of frames that recycles every buffer it takes keeps as many as it
+// has in flight, not a fixed freelist's worth, and an idle process keeps
+// none.
+var bufPool, boxPool sync.Pool
 
 // GetBuf returns a buffer of length n from the frame buffer pool.
 func GetBuf(n int) []byte {
-	select {
-	case b := <-bufFree:
-		if cap(b) < n {
-			// Too small for this frame; leave it for a smaller caller.
-			select {
-			case bufFree <- b:
-			default:
-			}
-			return make([]byte, n)
+	if p, ok := bufPool.Get().(*[]byte); ok {
+		if b := *p; cap(b) >= n {
+			*p = nil
+			boxPool.Put(p)
+			return b[:n]
 		}
-		return b[:n]
-	default:
-		if n < 512 {
-			return make([]byte, n, 512)
-		}
-		return make([]byte, n)
+		bufPool.Put(p) // too small for this frame; leave it for a smaller caller
 	}
+	if n < 512 {
+		return make([]byte, n, 512)
+	}
+	return make([]byte, n)
 }
 
 // PutBuf returns a buffer obtained from GetBuf, ReadFrame, or ReadFrameID
 // to the pool. Callers must not retain any reference into it afterwards;
 // the decoded messages never alias their payload, so recycling after
-// decode is safe. When the freelist is full the buffer falls to the GC.
+// decode is safe. Buffers over MaxFrameSize plus the largest header fall to
+// the GC.
 func PutBuf(b []byte) {
 	if cap(b) == 0 || cap(b) > MaxFrameSize+frameIDHeaderSize {
 		return
 	}
-	select {
-	case bufFree <- b[:0]:
-	default:
+	p, ok := boxPool.Get().(*[]byte)
+	if !ok {
+		p = new([]byte)
 	}
+	*p = b[:0]
+	bufPool.Put(p)
 }
 
 const (
@@ -555,25 +560,62 @@ func DecodeJoinRequestInto(m *JoinRequest, b []byte) error {
 func appendCandidates(w *codec.Writer, cands []Candidate) {
 	w.Count(len(cands), 0, MaxNeighbors, "neighbours")
 	for i := range cands {
-		appendCandidate(w, &cands[i])
+		c := &cands[i]
+		appendCandidate(w, c.Peer, c.DTree, c.Addr)
 	}
 }
 
-func appendCandidate(w *codec.Writer, c *Candidate) {
-	w.I64(c.Peer)
-	w.I32(c.DTree)
-	w.Str(c.Addr)
+// appendAnswer is appendCandidates from a backend's answer, so a server
+// encodes what its backend returned without building the wire form first.
+func appendAnswer(w *codec.Writer, cands []pathtree.Candidate) {
+	w.Count(len(cands), 0, MaxNeighbors, "neighbours")
+	for i := range cands {
+		c := &cands[i]
+		appendCandidate(w, int64(c.Peer), int32(c.DTree), c.Addr)
+	}
 }
 
-// readCandidates reads a candidate list.
+func appendCandidate(w *codec.Writer, peer int64, dtree int32, addr string) {
+	w.I64(peer)
+	w.I32(dtree)
+	w.Str(addr)
+}
+
+// candidateFixed is a candidate's bytes ahead of its address: peer and dtree.
+const candidateFixed = 8 + 4
+
+// readCandidates reads a candidate list in two passes over the payload. The
+// first reads the fields and measures the addresses, which it sees as views
+// into the payload; the second copies those views into one string. A list of
+// any length costs two allocations, the slice and that string, and aliases
+// nothing it was decoded from.
 func readCandidates(r *codec.Reader) []Candidate {
 	cands := make([]Candidate, r.Count(0, MaxNeighbors, "neighbours"))
+	addrs := *r // the second pass's reader, at the first candidate
+	size := 0
 	for i := range cands {
-		readCandidate(r, &cands[i])
+		c := &cands[i]
+		c.Peer = r.I64()
+		c.DTree = r.I32()
+		size += len(r.StrBytes())
+	}
+	if r.Err() != nil {
+		return cands
+	}
+	// A Builder never rewrites bytes it has handed out, so each substring
+	// stays good as b grows; grown to size first, b allocates once.
+	var b strings.Builder
+	b.Grow(size)
+	for i := range cands {
+		addrs.Bytes(candidateFixed)
+		start := b.Len()
+		b.Write(addrs.StrBytes())
+		cands[i].Addr = b.String()[start:]
 	}
 	return cands
 }
 
+// readCandidate reads the one candidate of a subscription delta.
 func readCandidate(r *codec.Reader, c *Candidate) {
 	c.Peer = r.I64()
 	c.DTree = r.I32()
@@ -586,6 +628,15 @@ func readCandidate(r *codec.Reader, c *Candidate) {
 func encodeCandidates(cands []Candidate) ([]byte, error) {
 	w := codec.Writer{Buf: GetBuf(0)}
 	appendCandidates(&w, cands)
+	return pooled(&w)
+}
+
+// EncodeAnswer encodes a backend's answer as a join or lookup response (the
+// two payloads are the same bytes) into a pooled buffer: the server's road,
+// byte for byte EncodeJoinResponse of the same candidates.
+func EncodeAnswer(cands []pathtree.Candidate) ([]byte, error) {
+	w := codec.Writer{Buf: GetBuf(0)}
+	appendAnswer(&w, cands)
 	return pooled(&w)
 }
 
@@ -624,6 +675,13 @@ func decodePeerID(b []byte) (int64, error) {
 
 // EncodeLookupRequest encodes a LookupRequest payload.
 func EncodeLookupRequest(m *LookupRequest) []byte { return encodeU64(uint64(m.Peer)) }
+
+// AppendLookupRequest encodes m onto dst and returns the extended slice:
+// the allocation-free form of EncodeLookupRequest for callers holding a
+// pooled buffer (GetBuf/PutBuf).
+func AppendLookupRequest(dst []byte, m *LookupRequest) []byte {
+	return binary.BigEndian.AppendUint64(dst, uint64(m.Peer))
+}
 
 // DecodeLookupRequest decodes a LookupRequest payload.
 func DecodeLookupRequest(b []byte) (*LookupRequest, error) {
@@ -822,10 +880,37 @@ func EncodeBatchJoinResponse(m *BatchJoinResponse) ([]byte, error) {
 		appendMessage(&w, res.Message)
 		appendCandidates(&w, res.Neighbors)
 	}
+	return pooledBatch(&w)
+}
+
+// BatchAnswer is one entry of a batch join's answer as a server holds it:
+// a wire error code and detail, or its backend's answer. It is the
+// BatchJoinResult of the same fields.
+type BatchAnswer struct {
+	Code      uint16
+	Message   string
+	Neighbors []pathtree.Candidate
+}
+
+// EncodeBatchAnswer encodes a server's batch answer into a pooled buffer:
+// byte for byte EncodeBatchJoinResponse of the same results.
+func EncodeBatchAnswer(res []BatchAnswer) ([]byte, error) {
+	w := codec.Writer{Buf: GetBuf(0)}
+	w.Count(len(res), 1, MaxBatch, "results")
+	for i := range res {
+		w.U16(res[i].Code)
+		appendMessage(&w, res[i].Message)
+		appendAnswer(&w, res[i].Neighbors)
+	}
+	return pooledBatch(&w)
+}
+
+// pooledBatch is pooled for a batch answer, which must also fit one frame.
+func pooledBatch(w *codec.Writer) ([]byte, error) {
 	if len(w.Buf)+9 > MaxFrameSize {
 		w.Fail(ErrFrameTooLarge)
 	}
-	return pooled(&w)
+	return pooled(w)
 }
 
 // DecodeBatchJoinResponse decodes a BatchJoinResponse payload.

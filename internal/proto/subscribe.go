@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"proxdisc/internal/codec"
+	"proxdisc/internal/pathtree"
 )
 
 // This file is the wire form of the push-based read plane (the
@@ -108,6 +109,16 @@ func EncodeSubscribeAck(m *SubscribeAck) ([]byte, error) {
 	return w.Done()
 }
 
+// EncodeSubscribeAckAnswer encodes a SubscribeAck whose answer is a
+// backend's into a pooled buffer: the server's road, byte for byte
+// EncodeSubscribeAck of the same candidates.
+func EncodeSubscribeAckAnswer(seq uint64, cands []pathtree.Candidate) ([]byte, error) {
+	w := codec.Writer{Buf: GetBuf(0)}
+	w.U64(seq)
+	appendAnswer(&w, cands)
+	return pooled(&w)
+}
+
 // DecodeSubscribeAck decodes a SubscribeAck payload. Trailing bytes are
 // tolerated — like DecodeStatus, the ack is the message newer servers
 // extend, and an older client must keep decoding the fields it knows.
@@ -141,13 +152,23 @@ func EncodeSubEvent(m *SubEvent) ([]byte, error) {
 	w.U8(m.Kind)
 	switch m.Kind {
 	case EventEnter, EventLeave, EventUpdate:
-		appendCandidate(&w, &m.Cand)
+		appendCandidate(&w, m.Cand.Peer, m.Cand.DTree, m.Cand.Addr)
 	case EventResync:
 		appendCandidates(&w, m.Neighbors)
 	default:
 		w.Fail(fmt.Errorf("proto: bad event kind %d", m.Kind))
 	}
 	return w.Done()
+}
+
+// EncodeResyncAnswer encodes an EventResync whose answer is a backend's into
+// a pooled buffer: byte for byte EncodeSubEvent of the same resync.
+func EncodeResyncAnswer(seq uint64, cands []pathtree.Candidate) ([]byte, error) {
+	w := codec.Writer{Buf: GetBuf(0)}
+	w.U64(seq)
+	w.U8(EventResync)
+	appendAnswer(&w, cands)
+	return pooled(&w)
 }
 
 // DecodeSubEvent decodes a SubEvent payload.

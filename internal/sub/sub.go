@@ -140,48 +140,61 @@ func (s *Subscriber) Take() (ev Event, ok bool) {
 	return ev, true
 }
 
-// push queues one event, applying the slow-consumer policy on a full
-// ring: first coalesce onto an older queued event for the same peer, else
-// drop the backlog and leave a want-resync marker for the dispatcher.
-// Returns true when the caller must synthesize a resync.
+// push queues one delta, applying the slow-consumer policy on a full ring:
+// first coalesce onto an older queued delta for the same peer, else drop the
+// backlog and leave a want-resync marker for the dispatcher. Returns true
+// when the caller must synthesize a resync.
 func (s *Subscriber) push(ev Event) (needResync bool) {
 	s.qmu.Lock()
 	if s.count == ringCap {
-		if ev.Kind != proto.EventResync {
-			for i := 0; i < s.count; i++ {
-				slot := (s.head + i) % ringCap
-				if s.ring[slot].Kind != proto.EventResync && s.ring[slot].Peer == ev.Peer {
-					s.ring[slot] = ev
-					s.qmu.Unlock()
-					s.signal()
-					s.plane.coalesced.Inc()
-					return false
-				}
+		for i := 0; i < s.count; i++ {
+			slot := (s.head + i) % ringCap
+			if s.ring[slot].Kind != proto.EventResync && s.ring[slot].Peer == ev.Peer {
+				s.ring[slot] = ev
+				s.qmu.Unlock()
+				s.signal()
+				s.plane.coalesced.Inc()
+				return false
 			}
 		}
 		// No same-peer slot to coalesce onto: the consumer is hopelessly
 		// behind. Drop everything; one resync replaces the backlog.
-		s.head, s.count = 0, 0
-		for i := range s.ring {
-			s.ring[i] = Event{}
-		}
-		s.plane.dropped.Inc()
-		if ev.Kind == proto.EventResync {
-			s.ring[0] = ev
-			s.count = 1
-			s.qmu.Unlock()
-			s.signal()
-			return false
-		}
+		s.dropBacklog()
 		s.qmu.Unlock()
 		return true
 	}
+	s.enqueue(ev)
+	return false
+}
+
+// supersede queues an event that states the whole answer — a resync, or the
+// leave of a k-closest subject that is gone — so on a full ring it replaces
+// the backlog rather than asking for a resync.
+func (s *Subscriber) supersede(ev Event) {
+	s.qmu.Lock()
+	if s.count == ringCap {
+		s.dropBacklog()
+	}
+	s.enqueue(ev)
+}
+
+// dropBacklog empties the ring. Caller holds qmu.
+func (s *Subscriber) dropBacklog() {
+	s.head, s.count = 0, 0
+	for i := range s.ring {
+		s.ring[i] = Event{}
+	}
+	s.plane.dropped.Inc()
+}
+
+// enqueue appends ev to a ring with room, releases qmu and signals the
+// sender.
+func (s *Subscriber) enqueue(ev Event) {
 	s.ring[(s.head+s.count)%ringCap] = ev
 	s.count++
 	s.qmu.Unlock()
 	s.signal()
 	s.plane.pushed.Inc()
-	return false
 }
 
 func (s *Subscriber) signal() {
@@ -635,8 +648,11 @@ func (p *Plane) evalLandmark(s *Subscriber, seq uint64, o *op.Op) {
 }
 
 // resyncOne rebuilds a subscriber whose queue collapsed: refresh the
-// filter state from the backend and queue the one resync event the
-// dropped backlog collapsed into. Caller holds p.mu.
+// filter state from the backend and queue the one event the dropped backlog
+// collapsed into. That is a resync, except for a k-closest query whose
+// subject is gone: its answer is the subject's leave, which a client folds
+// into an empty cache it knows not to serve, where an empty resync would
+// read as a registered subject with no neighbours. Caller holds p.mu.
 func (p *Plane) resyncOne(s *Subscriber, seq uint64) {
 	p.resyncs.Inc()
 	ev := Event{Seq: seq, Kind: proto.EventResync}
@@ -648,8 +664,11 @@ func (p *Plane) resyncOne(s *Subscriber, seq uint64) {
 				return
 			}
 			s.subjPath = nil
-			fresh = nil
-		} else if s.subjPath == nil {
+			s.setLast(nil)
+			s.supersede(Event{Seq: seq, Kind: proto.EventLeave, Peer: s.query.Peer})
+			return
+		}
+		if s.subjPath == nil {
 			// The subject came back while we were behind; re-seed its path so
 			// incremental triggers work again.
 			if info, ierr := p.be.PeerInfo(s.query.Peer); ierr == nil {
@@ -671,7 +690,7 @@ func (p *Plane) resyncOne(s *Subscriber, seq uint64) {
 		s.members = make(map[pathtree.PeerID]struct{})
 		s.lossy = true
 	}
-	s.push(ev)
+	s.supersede(ev)
 }
 
 // resyncAll handles feed overflow and snapshot restores: every filter's

@@ -322,6 +322,49 @@ func TestFeedOverflowResyncsAll(t *testing.T) {
 	w.checkCoherent(sub, cache)
 }
 
+// TestResyncOfGoneSubjectOrphans pins what a k-closest subscriber is told
+// when a resync finds its subject gone: the subject's leave, which voids
+// the client's cache and marks it orphaned, not an empty resync, which a
+// client reads as a registered subject with no neighbours. The feed that
+// forces the resync runs behind the backend, as a watermark-only record
+// racing a first subscriber does: the leave is applied before the plane
+// resyncs and fed after it.
+func TestResyncOfGoneSubjectOrphans(t *testing.T) {
+	w := newWorld(t, 3)
+	w.join(1, 10, 5, 0)
+	w.join(2, 11, 5, 0)
+	sub, snap, _, err := w.p.Add(Query{Kind: proto.QueryKClosest, Peer: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap) != 1 {
+		t.Fatalf("snapshot %v, want peer 2", snap)
+	}
+	leave := op.Op{Kind: op.KindLeave, Time: 1, Peer: 1}
+	if err := w.srv.Apply(leave); err != nil {
+		t.Fatal(err)
+	}
+	w.p.ResyncAll()
+	w.seq++
+	w.p.FeedOp(w.seq, leave)
+	// Which of the resync and the fed leave the dispatcher takes first is
+	// its choice; either way the subscriber hears the subject's leave, once
+	// or twice, and nothing else.
+	evs := drain(t, sub)
+	for _, ev := range evs {
+		if ev.Kind != proto.EventLeave || ev.Peer != 1 {
+			t.Fatalf("events %+v, want only the subject's leave", evs)
+		}
+	}
+	if len(evs) == 0 {
+		t.Fatal("the subject left and the subscriber heard nothing")
+	}
+
+	// Back again, the subject's answer rebuilds from deltas.
+	w.join(1, 10, 5, 0)
+	w.checkCoherent(sub, map[pathtree.PeerID]int{})
+}
+
 func TestPathDTree(t *testing.T) {
 	cases := []struct {
 		a, b []topology.NodeID
