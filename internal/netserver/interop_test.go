@@ -301,9 +301,32 @@ func TestExpiryOverTCPWithInjectedClock(t *testing.T) {
 	}
 }
 
+// TestIdleDroppedSessionRedials: the server drops a connection that stays
+// idle past its ReadTimeout. A default client's next calls must redial
+// the dropped session, not fail on it for good.
+func TestIdleDroppedSessionRedials(t *testing.T) {
+	const readTimeout = 100 * time.Millisecond
+	ns := twoLandmarkNode(t, readTimeout, t.Logf)
+	c := dial(t, ns)
+	if _, err := c.Join(1, "127.0.0.1:9001", []int32{10, 0}); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(3 * readTimeout)
+	if err := c.Refresh(1); err != nil {
+		t.Fatalf("refresh after an idle drop: %v", err)
+	}
+	if _, err := c.Lookup(1); err != nil {
+		t.Fatalf("lookup after an idle drop: %v", err)
+	}
+	res, err := c.JoinBatch([]client.BatchItem{{Peer: 2, Addr: "127.0.0.1:9002", Path: []int32{11, 0}}})
+	if err != nil || res[0].Err != nil {
+		t.Fatalf("batch join after an idle drop: %v %v", err, res)
+	}
+}
+
 // TestClientFailoverRedialsPrimary kills the dialled node and rebinds its
-// address, as a crashed-and-replaced management server: a client with
-// FailoverRetries must ride through on the next request.
+// address, as a crashed-and-replaced management server: a default client
+// must ride through on the next request.
 func TestClientFailoverRedialsPrimary(t *testing.T) {
 	logic, err := server.New(server.Config{Landmarks: []topology.NodeID{0}})
 	if err != nil {
@@ -314,9 +337,7 @@ func TestClientFailoverRedialsPrimary(t *testing.T) {
 		t.Fatal(err)
 	}
 	c, err := client.DialConfig(ns.Addr(), client.Config{
-		Timeout:         2 * time.Second,
-		Common:          conf.Common{Backoff: 10 * time.Millisecond},
-		FailoverRetries: 3,
+		Timeout: 2 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
