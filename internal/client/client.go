@@ -10,6 +10,21 @@
 // timer, so a round trip allocates nothing but the answer it decodes. Every
 // method is safe for concurrent use.
 //
+// A Client routes requests over sessions, one hello'd connection per node
+// address. The dialled address is one session like any other, and so is
+// each node a redirect names. A request resolves its session by address:
+// the home of the peer it is about, else the primary road, which is the
+// primary a replica named, else the dialled address. One redial rule holds
+// on every road. A transport failure drops that address's session, and a
+// node that failed is forgotten as the learned primary; the request is
+// then sent once more on a fresh dial. A request that timed out, or that
+// the server answered with a wire error, is never re-sent. A re-sent
+// request is at-least-once: a write whose connection died after the send
+// may be applied twice. Every request is idempotent at the server
+// (re-joins replace, leaves of absent peers ack), so the retry changes no
+// state — but a per-request timeout is never re-sent, since the original
+// may still be in flight.
+//
 // A real deployment would obtain the router path with the system traceroute
 // tool; the PathProvider interface abstracts that, so tests and offline
 // deployments plug in a simulated tracer while production plugs in the real
@@ -17,19 +32,15 @@
 package client
 
 import (
-	"bufio"
 	"context"
 	"crypto/rand"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"os"
-	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"proxdisc/internal/conf"
@@ -58,45 +69,30 @@ const MaxRedirects = 3
 // connection when Config.MaxInFlight is zero.
 const DefaultMaxInFlight = 64
 
-// Config tunes a Client connection.
+// Config tunes a Client.
 type Config struct {
 	// Common holds the knobs shared with the other networked components
 	// (conf.Common). Common.Telemetry, when set, receives the client's
-	// operational metrics: proxdisc_client_inflight (pipelined requests
-	// currently outstanding), proxdisc_client_retries_total,
-	// proxdisc_client_redirects_total, and proxdisc_client_failovers_total.
-	// Aux connections (redirect targets, failover redials) report into the
-	// same series. Common.Backoff is the initial pause before the second
-	// and later transport retries (default 50ms); not-primary redirects
-	// retry immediately. The client logs nothing, so Common.Logger is
-	// accepted and ignored.
+	// operational metrics, summed over its sessions:
+	// proxdisc_client_inflight (pipelined requests currently outstanding),
+	// proxdisc_client_retries_total (requests sent again on a fresh dial),
+	// proxdisc_client_redirects_total, and proxdisc_client_failovers_total
+	// (sessions written off after a transport failure). Common.Backoff is
+	// the initial pause before a subscription reconnects (default 50ms),
+	// doubling per attempt up to 2s. The client logs nothing, so
+	// Common.Logger is accepted and ignored.
 	conf.Common
-	// Timeout bounds each request/response exchange (default 10s). The
-	// context-first methods bound each call by min(Timeout, the context's
-	// deadline).
+	// Timeout bounds each request/response exchange and each dial
+	// (default 10s). The context-first methods bound each call by
+	// min(Timeout, the context's deadline).
 	Timeout time.Duration
-	// MaxInFlight caps how many requests may be outstanding on the
-	// connection at once (default DefaultMaxInFlight, ceiling proto.MaxPipelineDepth — servers size
+	// MaxInFlight caps how many requests may be outstanding on a
+	// session at once (default DefaultMaxInFlight, ceiling proto.MaxPipelineDepth — servers size
 	// their per-connection response queues to that protocol constant and
 	// drop connections that exceed it). Callers beyond the cap block
 	// until a slot frees, bounding client-side memory and server-side
 	// queueing.
 	MaxInFlight int
-	// FailoverRetries is how many extra attempts a request gets after a
-	// transport failure or a not-primary rejection (default 0: fail fast).
-	// The first transport retry redials the target immediately (the
-	// historic dead-connection redial); each later one waits
-	// Common.Backoff first, doubling per attempt up to 2s — the
-	// bounded-backoff failover path for clients of a replicated
-	// deployment, where a crashed node's address comes back (or a
-	// follower answers) within a promotion window.
-	//
-	// Retried requests are at-least-once: a write whose connection died
-	// after the send may be applied twice. Every request is idempotent at
-	// the server (re-joins replace, leaves of absent peers ack), so the
-	// retry changes no state — but per-request timeouts are never
-	// re-sent, since the original may still be in flight.
-	FailoverRetries int
 }
 
 // Client is a connection to the management server. It is safe for
@@ -108,62 +104,20 @@ type Config struct {
 //
 // When the server is a sharded cluster node it may answer a join with a
 // redirect to the node owning the join's landmark; the client follows
-// transparently, caching one connection per discovered node.
+// transparently, keeping one session per node it has reached.
 type Client struct {
 	cfg  Config
-	addr string // the dialled server address, for failover redials
-	conn net.Conn
-	// Timeout bounds each request/response exchange.
-	timeout time.Duration
-
-	// mainDown marks the primary connection dead after a transport
-	// failure; with FailoverRetries set, later requests flow through a
-	// redialed cached connection to the same address instead.
-	mainDown atomic.Bool
-	// isAux marks connections the owning client manages (redirect targets,
-	// failover redials). An aux client is a plain direct connection: it
-	// never follows CodeNotPrimary itself — the owning client's routing
-	// maps (home, primary) are the single place that policy lives.
-	isAux bool
-
-	// maxBatch is the batch size the server accepts (at least 1), set once
-	// at dial time.
+	addr string // the dialled server address
+	// maxBatch is the batch size the dialled server accepted at dial time.
 	maxBatch int
+	met      clientMetrics
 
-	// br buffers all reads for the connection's whole life, so one read
-	// syscall can deliver many pipelined response frames.
-	br *bufio.Reader
-
-	// Pipelining state. A caller appends its request
-	// frame to bw under wmu, releases wmu, yields the processor once, and
-	// then flushes whatever is buffered — so callers that became runnable
-	// together (say, woken one after another by readLoop) all append during
-	// the first one's yield and their frames reach the kernel in one
-	// syscall; the rest find the buffer empty and skip the flush. On an
-	// idle connection the yield returns at once and the request is flushed
-	// immediately.
-	//
-	// A caller waits on a call slot from callPool, registered in pending
-	// under its request ID; the demux removes it from pending before it
-	// delivers the response, and only a caller that received its response
-	// puts the slot back (see call).
-	wmu      sync.Mutex
-	bw       *bufio.Writer
-	nextID   atomic.Uint64
-	slots    chan struct{} // in-flight semaphore, cap MaxInFlight
-	pmu      sync.Mutex
-	pending  map[uint64]*call
-	readErr  error         // set by readLoop before readDone closes; guarded by pmu
-	readDone chan struct{} // closed when readLoop exits
-
-	auxMu   sync.Mutex
-	aux     map[string]*Client         // cluster nodes discovered through redirects
-	home    map[int64]string           // address of the node that served each peer's join
-	primary string                     // primary address learned from CodeNotPrimary ("" = the dialled one)
-	subs    map[*Subscription]struct{} // live subscriptions feeding CachedLookup
-	closed  bool                       // guards against dialling new aux connections after Close
-
-	met clientMetrics
+	mu       sync.Mutex
+	sessions map[string]*session        // one live session per node address
+	home     map[int64]string           // address of the node that served each peer's join
+	primary  string                     // primary address learned from CodeNotPrimary ("" = the dialled one)
+	subs     map[*Subscription]struct{} // live subscriptions feeding CachedLookup
+	closed   bool                       // no session is dialled after Close
 }
 
 // clientMetrics holds the client's pre-resolved metric handles. With no
@@ -171,15 +125,9 @@ type Client struct {
 // make each update a no-op.
 type clientMetrics struct {
 	inflight  *telemetry.Gauge   // pipelined requests currently outstanding
-	retries   *telemetry.Counter // transport-level retry attempts
+	retries   *telemetry.Counter // requests sent again on a fresh dial
 	redirects *telemetry.Counter // not-primary / MsgRedirect hops followed
-	failovers *telemetry.Counter // paths written off after a transport failure
-}
-
-// frameResp is one demultiplexed response frame.
-type frameResp struct {
-	typ     proto.MsgType
-	payload []byte
+	failovers *telemetry.Counter // sessions written off after a transport failure
 }
 
 // errRequestTimeout marks a per-request timeout on a healthy connection.
@@ -187,10 +135,10 @@ var errRequestTimeout = errors.New("client: request timed out")
 
 // isTimeout reports whether err is a per-request timeout rather than a
 // dead connection. The path may be healthy — the response is merely late —
-// so the failover machinery must neither write the connection off nor
-// re-send the request: a retried write that in fact applied would
-// double-apply (e.g. a Leave whose ack was slow would re-run and report
-// CodeUnknownPeer for a departure that succeeded).
+// so the redial rule must neither write the session off nor re-send the
+// request: a retried write that in fact applied would double-apply (e.g. a
+// Leave whose ack was slow would re-run and report CodeUnknownPeer for a
+// departure that succeeded).
 func isTimeout(err error) bool {
 	if errors.Is(err, errRequestTimeout) || errors.Is(err, os.ErrDeadlineExceeded) {
 		return true
@@ -204,7 +152,8 @@ func Dial(addr string, timeout time.Duration) (*Client, error) {
 	return DialConfig(addr, Config{Timeout: timeout})
 }
 
-// DialConfig connects to the management server.
+// DialConfig connects to the management server: it opens the session to
+// addr, the first of the client's sessions.
 func DialConfig(addr string, cfg Config) (*Client, error) {
 	if cfg.Timeout == 0 {
 		cfg.Timeout = 10 * time.Second
@@ -215,24 +164,8 @@ func DialConfig(addr string, cfg Config) (*Client, error) {
 	if cfg.MaxInFlight > proto.MaxPipelineDepth {
 		cfg.MaxInFlight = proto.MaxPipelineDepth
 	}
-	conn, err := net.DialTimeout("tcp", addr, cfg.Timeout)
-	if err != nil {
-		return nil, fmt.Errorf("client: dial %s: %w", addr, err)
-	}
-	c := &Client{
-		cfg:      cfg,
-		addr:     addr,
-		conn:     conn,
-		br:       bufio.NewReaderSize(conn, 16<<10),
-		bw:       bufio.NewWriterSize(conn, 16<<10),
-		timeout:  cfg.Timeout,
-		slots:    make(chan struct{}, cfg.MaxInFlight),
-		pending:  make(map[uint64]*call),
-		readDone: make(chan struct{}),
-	}
+	c := &Client{cfg: cfg, addr: addr, sessions: make(map[string]*session)}
 	if r := cfg.Telemetry; r != nil {
-		// Aux clients copy cfg, so they resolve the same registered series
-		// and all connections of one logical client share these handles.
 		c.met = clientMetrics{
 			inflight:  r.Gauge("proxdisc_client_inflight"),
 			retries:   r.Counter("proxdisc_client_retries_total"),
@@ -240,174 +173,190 @@ func DialConfig(addr string, cfg Config) (*Client, error) {
 			failovers: r.Counter("proxdisc_client_failovers_total"),
 		}
 	}
-	ack, err := hello(conn, c.br, cfg.Timeout)
-	if err == nil && ack.MaxBatch < 1 {
-		err = errors.New("client: server acked a batch limit of 0")
-	}
-	if err == nil {
-		// The demux goroutine reads without deadlines; individual calls
-		// enforce their own timeouts.
-		err = conn.SetDeadline(time.Time{})
-	}
+	_, s, err := c.resolve(road{node: addr})
 	if err != nil {
-		conn.Close()
 		return nil, err
 	}
-	c.maxBatch = int(ack.MaxBatch)
-	go c.readLoop()
+	c.maxBatch = s.maxBatch
 	return c, nil
 }
 
-// hello opens a session on a fresh connection, for all three dialers
-// (DialConfig, Follow, Subscribe): it sends MsgHello in the bare framing,
-// offering this build's version and batch limit, and reads the answer, all
-// within timeout. Only a MsgHelloAck at version 2 is a session; a MsgError
-// (a server that speaks no version 2 refuses the hello that way), an ack
-// at another version or any other frame is an error, never a fallback. On
-// success the connection's deadline is still armed; the caller finishes
-// its own opening exchange and clears it.
-func hello(conn net.Conn, br io.Reader, timeout time.Duration) (*proto.HelloAck, error) {
-	if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
-		return nil, fmt.Errorf("client: set deadline: %w", err)
-	}
-	req := proto.EncodeHello(&proto.Hello{MaxVersion: proto.MaxVersion, MaxBatch: proto.MaxBatch})
-	if err := proto.WriteFrame(conn, proto.MsgHello, req); err != nil {
-		return nil, fmt.Errorf("client: send hello: %w", err)
-	}
-	typ, payload, err := proto.ReadFrame(br)
-	if err != nil {
-		return nil, fmt.Errorf("client: read hello response: %w", err)
-	}
-	defer proto.PutBuf(payload)
-	switch typ {
-	case proto.MsgHelloAck:
-		ack, err := proto.DecodeHelloAck(payload)
-		if err != nil {
-			return nil, fmt.Errorf("client: bad hello ack: %w", err)
-		}
-		if ack.Version != proto.Version2 {
-			return nil, fmt.Errorf("client: server acked protocol version %d, want %d", ack.Version, proto.Version2)
-		}
-		return ack, nil
-	case proto.MsgError:
-		werr, err := proto.DecodeError(payload)
-		if err != nil {
-			return nil, fmt.Errorf("client: undecodable hello rejection: %w", err)
-		}
-		return nil, fmt.Errorf("client: server refused the version-%d hello: %w", proto.Version2, werr)
-	default:
-		return nil, fmt.Errorf("client: unexpected hello response type %d", typ)
-	}
-}
-
-// ServerMaxBatch reports the batch-join size the server accepts.
+// ServerMaxBatch reports the batch-join size the dialled server accepts.
 func (c *Client) ServerMaxBatch() int { return c.maxBatch }
 
-// readLoop demultiplexes response frames to waiting calls by request ID.
-// It exits on the first read error (including Close), after which every
-// outstanding and future call on this connection fails fast.
-func (c *Client) readLoop() {
-	for {
-		typ, id, payload, err := proto.ReadFrameID(c.br)
-		if err != nil {
-			c.pmu.Lock()
-			c.readErr = fmt.Errorf("client: receive: %w", err)
-			c.pmu.Unlock()
-			close(c.readDone)
-			return
-		}
-		c.pmu.Lock()
-		cl, ok := c.pending[id]
-		delete(c.pending, id)
-		c.pmu.Unlock()
-		if ok {
-			cl.done <- frameResp{typ: typ, payload: payload} // buffered, never blocks
-		} else {
-			proto.PutBuf(payload) // response to a call that timed out
-		}
-	}
-}
-
-// Close releases the connection, any connections opened while following
-// redirects, and any live subscriptions.
+// Close releases every session and any live subscriptions.
 func (c *Client) Close() error {
-	c.auxMu.Lock()
+	c.mu.Lock()
 	c.closed = true
-	for _, a := range c.aux {
-		a.Close()
-	}
+	sessions := c.sessions
+	c.sessions, c.home = nil, nil
 	subs := make([]*Subscription, 0, len(c.subs))
 	for s := range c.subs {
 		subs = append(subs, s)
 	}
-	c.aux = nil
-	c.home = nil
-	c.auxMu.Unlock()
+	c.mu.Unlock()
 	for _, s := range subs {
 		s.Close()
 	}
-	return c.conn.Close()
+	for _, s := range sessions {
+		s.conn.Close()
+	}
+	return nil
 }
 
-// auxClient returns (dialling and caching if needed) a connection to
-// another cluster node discovered through a redirect.
-func (c *Client) auxClient(addr string) (*Client, error) {
-	c.auxMu.Lock()
-	if c.closed {
-		c.auxMu.Unlock()
-		return nil, net.ErrClosed
+// A road names where a request goes. Its node is an address, or "" for the
+// primary road. A road of a peer reads its node from the peer's home at
+// every attempt.
+type road struct {
+	node   string
+	peer   int64
+	byPeer bool
+}
+
+// homeOf is the road to the node holding a peer's registration.
+func homeOf(peer int64) road { return road{peer: peer, byPeer: true} }
+
+// nodeAddr resolves a home to the address of the node it reaches: "" is
+// the primary road, which leads to a learned primary when a replica named
+// one and to the dialled address otherwise. c.mu must be held.
+func (c *Client) nodeAddr(home string) string {
+	if home != "" {
+		return home
 	}
-	if a, ok := c.aux[addr]; ok {
-		c.auxMu.Unlock()
-		return a, nil
+	if c.primary != "" {
+		return c.primary
+	}
+	return c.addr
+}
+
+// resolve returns the address a road reaches and its live session, which
+// it dials when there is none. A road whose session is live costs one hold
+// of c.mu.
+func (c *Client) resolve(r road) (string, *session, error) {
+	c.mu.Lock()
+	addr := r.node
+	if r.byPeer {
+		addr = c.home[r.peer]
+	}
+	addr = c.nodeAddr(addr)
+	s, closed := c.sessions[addr], c.closed
+	c.mu.Unlock()
+	if s != nil {
+		return addr, s, nil
+	}
+	if closed {
+		return addr, nil, net.ErrClosed
 	}
 	// Dial outside the lock: a slow or unreachable node must not block
-	// requests to other nodes (or Close) for the dial timeout. Aux
-	// connections never retry internally — the owning client's failover
-	// loop is the single place attempts are counted.
-	auxCfg := c.cfg
-	auxCfg.FailoverRetries = 0
-	c.auxMu.Unlock()
-	a, err := DialConfig(addr, auxCfg)
+	// requests to other nodes (or Close) for the dial timeout.
+	s, err := dialSession(addr, c.cfg, c.met.inflight)
 	if err != nil {
-		return nil, fmt.Errorf("client: follow redirect: %w", err)
+		return addr, nil, err
 	}
-	a.isAux = true
-	c.auxMu.Lock()
-	defer c.auxMu.Unlock()
-	if c.closed {
-		a.Close()
-		return nil, net.ErrClosed
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if live := c.sessions[addr]; c.closed || live != nil {
+		s.conn.Close() // closed meanwhile, or lost a concurrent dial race
+		if live == nil {
+			return addr, nil, net.ErrClosed
+		}
+		return addr, live, nil
 	}
-	if existing, ok := c.aux[addr]; ok {
-		a.Close() // lost a concurrent dial race; use the cached one
-		return existing, nil
-	}
-	if c.aux == nil {
-		c.aux = make(map[string]*Client)
-	}
-	c.aux[addr] = a
-	return a, nil
+	c.sessions[addr] = s
+	return addr, s, nil
 }
 
-// dropAux discards a cached redirect connection that turned out dead, so
-// the next request to that node redials instead of failing forever.
-func (c *Client) dropAux(addr string, dead *Client) {
-	c.auxMu.Lock()
-	if c.aux[addr] == dead {
-		delete(c.aux, addr)
+// drop writes off addr's session after a transport failure (dead is nil
+// when the dial failed): it leaves the map, unless a sibling request has
+// already replaced it, and its closed connection retires its demux
+// goroutine. A node that failed is no longer the learned primary, so the
+// primary road falls back to the dialled address, whose node may well have
+// been promoted; a stale primary can never wedge the client.
+func (c *Client) drop(addr string, dead *session) {
+	c.met.failovers.Inc()
+	c.mu.Lock()
+	if dead != nil && c.sessions[addr] == dead {
+		delete(c.sessions, addr)
 	}
-	c.auxMu.Unlock()
-	dead.Close()
+	if addr == c.primary {
+		c.primary = ""
+	}
+	c.mu.Unlock()
+	if dead != nil {
+		dead.conn.Close()
+	}
+}
+
+// send runs one request on a road under the redial rule (see the package
+// doc): a transport failure drops the road's session, and the request goes
+// once more on a fresh dial. A wire error, a per-request timeout (see
+// isTimeout) and the end of ctx return at once. The response payload is
+// the caller's, to recycle with proto.PutBuf; payload stays the caller's
+// too.
+func (c *Client) send(ctx context.Context, r road, reqType proto.MsgType, payload []byte) (proto.MsgType, []byte, error) {
+	for retried := false; ; retried = true {
+		addr, s, err := c.resolve(r)
+		if err == nil {
+			var (
+				typ  proto.MsgType
+				resp []byte
+			)
+			if typ, resp, err = s.exchange(ctx, reqType, payload); err == nil {
+				return typ, resp, nil
+			}
+			var werr *proto.Error
+			if errors.As(err, &werr) || ctx.Err() != nil || isTimeout(err) {
+				return 0, nil, err
+			}
+		}
+		c.drop(addr, s)
+		if retried || c.isClosed() {
+			return 0, nil, err
+		}
+		c.met.retries.Inc()
+	}
+}
+
+// roundTrip is send plus a response-type check, for requests with exactly
+// one valid response type; the caller recycles the response. A replica
+// answering CodeNotPrimary with its primary's address is followed, up to
+// MaxRedirects: a peer with a home is re-homed there, and any other road
+// learns it as the primary. A CodeUnknownPeer ends a peer's home, so the
+// home map cannot grow without bound.
+func (c *Client) roundTrip(ctx context.Context, r road, reqType proto.MsgType, payload []byte, wantType proto.MsgType) ([]byte, error) {
+	for redirects := 0; ; redirects++ {
+		typ, resp, err := c.send(ctx, r, reqType, payload)
+		if err == nil {
+			if typ != wantType {
+				proto.PutBuf(resp)
+				return nil, fmt.Errorf("client: unexpected response type %d (want %d)", typ, wantType)
+			}
+			return resp, nil
+		}
+		var werr *proto.Error
+		if errors.As(err, &werr) {
+			switch {
+			case werr.Code == proto.CodeUnknownPeer && r.byPeer:
+				c.setHome(r.peer, "")
+			case werr.Code == proto.CodeNotPrimary && werr.Message != "" && redirects < MaxRedirects:
+				c.met.redirects.Inc()
+				if !r.byPeer || !c.moveHome(r.peer, werr.Message) {
+					c.setPrimary(werr.Message)
+				}
+				continue
+			}
+		}
+		return nil, err
+	}
 }
 
 // setHome records the address of the node a peer's join landed on ("" for
-// the primary connection), so subsequent peer-keyed requests (Lookup,
-// Refresh, Leave) go to the node that actually holds the registration. It
-// returns the home it replaces.
+// the primary road), so subsequent peer-keyed requests (Lookup, Refresh,
+// Leave) go to the node that actually holds the registration. It returns
+// the home it replaces.
 func (c *Client) setHome(peer int64, addr string) (old string) {
-	c.auxMu.Lock()
-	defer c.auxMu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	old = c.home[peer]
 	if addr == "" {
 		delete(c.home, peer)
@@ -420,70 +369,58 @@ func (c *Client) setHome(peer int64, addr string) (old string) {
 	return old
 }
 
+// moveHome re-homes a peer that has a home at addr, reporting whether it
+// had one.
+func (c *Client) moveHome(peer int64, addr string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.home[peer] == "" {
+		return false
+	}
+	c.home[peer] = addr
+	return true
+}
+
+// setPrimary records the primary address a replica pointed us at.
+func (c *Client) setPrimary(addr string) {
+	c.mu.Lock()
+	if addr == c.addr {
+		addr = ""
+	}
+	c.primary = addr
+	c.mu.Unlock()
+}
+
+// isClosed reports whether Close has been called on this client.
+func (c *Client) isClosed() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.closed
+}
+
 // rehome records that a join of peer succeeded at addr ("" for the primary
-// connection). When the peer's recorded home was another node, that node
-// still holds the old registration and would offer the peer as a neighbour
-// until its TTL expired, so it gets one best-effort Leave. The Leave goes
+// road). When the peer's recorded home was another node, that node still
+// holds the old registration and would offer the peer as a neighbour until
+// its TTL expired, so it gets one best-effort Leave. The Leave goes
 // straight to the old node and never follows a CodeNotPrimary answer: a
 // replica would point it at the primary, which may be the new home. An
-// unchanged home sends nothing.
+// unchanged node sends nothing.
 func (c *Client) rehome(ctx context.Context, peer int64, addr string) {
 	old := c.setHome(peer, addr)
-	if old == addr || c.nodeAddr(old) == c.nodeAddr(addr) {
+	c.mu.Lock()
+	moved := c.nodeAddr(old) != c.nodeAddr(addr)
+	c.mu.Unlock()
+	if !moved {
 		return
 	}
-	var target *Client
-	var err error
-	if old == "" {
-		target, err = c.primaryTarget()
-	} else {
-		target, err = c.auxClient(old)
-	}
-	if err == nil {
-		// Best effort: the join already succeeded, and a retire that fails
-		// leaves a record the old node's TTL expiry removes.
-		if _, resp, err := target.exchange(ctx, proto.MsgLeaveRequest, proto.EncodeLeaveRequest(&proto.LeaveRequest{Peer: peer})); err == nil {
-			proto.PutBuf(resp)
-		}
+	// Best effort: the join already succeeded, and a retire that fails
+	// leaves a record the old node's TTL expiry removes.
+	if _, resp, err := c.send(ctx, road{node: old}, proto.MsgLeaveRequest, proto.EncodeLeaveRequest(&proto.LeaveRequest{Peer: peer})); err == nil {
+		proto.PutBuf(resp)
 	}
 }
 
-// nodeAddr resolves a home to the address of the node it reaches: "" is
-// the primary road, which leads to a learned primary when a replica named
-// one and to the dialled address otherwise.
-func (c *Client) nodeAddr(home string) string {
-	if home != "" {
-		return home
-	}
-	c.auxMu.Lock()
-	defer c.auxMu.Unlock()
-	if c.primary != "" {
-		return c.primary
-	}
-	return c.addr
-}
-
-// homeAddr returns the address of the node holding a peer's registration,
-// or "" for the primary connection.
-func (c *Client) homeAddr(peer int64) string {
-	c.auxMu.Lock()
-	defer c.auxMu.Unlock()
-	return c.home[peer]
-}
-
-// transportAttempts is how many tries a request gets against a node that
-// answers with transport errors: the first call plus at least one redial
-// (dead cached connections have always been redialed once), extended by
-// Config.FailoverRetries.
-func (c *Client) transportAttempts() int {
-	n := 2
-	if c.cfg.FailoverRetries+1 > n {
-		n = c.cfg.FailoverRetries + 1
-	}
-	return n
-}
-
-// backoffDelay is the bounded exponential pause before transport retry
+// backoffDelay is the bounded exponential pause before reconnect
 // `attempt` (1-based): Common.Backoff doubling per attempt, capped at 2s.
 func (c *Client) backoffDelay(attempt int) time.Duration {
 	d := c.cfg.ResolveBackoff(50 * time.Millisecond)
@@ -496,392 +433,10 @@ func (c *Client) backoffDelay(attempt int) time.Duration {
 	return d
 }
 
-// callTimeout bounds one exchange: Config.Timeout, tightened by the
-// context's deadline when that is sooner.
-func (c *Client) callTimeout(ctx context.Context) time.Duration {
-	d := c.timeout
-	if dl, ok := ctx.Deadline(); ok {
-		if until := time.Until(dl); until < d {
-			d = until
-		}
-	}
-	return d
-}
-
-// isClosed reports whether Close has been called on this client.
-func (c *Client) isClosed() bool {
-	c.auxMu.Lock()
-	defer c.auxMu.Unlock()
-	return c.closed
-}
-
-// setPrimary records the primary address a replica pointed us at.
-func (c *Client) setPrimary(addr string) {
-	c.auxMu.Lock()
-	if addr == c.addr {
-		addr = ""
-	}
-	c.primary = addr
-	c.auxMu.Unlock()
-}
-
-// primaryTarget returns the client to use for primary-bound requests: a
-// connection to the discovered primary when a replica redirected us, the
-// main connection while it is healthy, and otherwise a redialed cached
-// connection to the dialled address. An unreachable learned primary is
-// forgotten on the spot and the dialled address tried instead — its node
-// may well have been promoted — so a stale override can never wedge the
-// client.
-func (c *Client) primaryTarget() (*Client, error) {
-	c.auxMu.Lock()
-	override := c.primary
-	c.auxMu.Unlock()
-	if override != "" {
-		a, err := c.auxClient(override)
-		if err == nil {
-			return a, nil
-		}
-		c.setPrimary("")
-	}
-	if c.mainDown.Load() {
-		return c.auxClient(c.addr)
-	}
-	return c, nil
-}
-
-// noteTransportFailure marks the failed path so the next attempt redials:
-// the main connection is flagged down and its dead socket closed (which
-// also retires the demux goroutine), a cached aux
-// connection is dropped. From then on primary-bound traffic flows through
-// a redialed cached connection to the dialled address.
-func (c *Client) noteTransportFailure(target *Client) {
-	if target == c {
-		if c.mainDown.CompareAndSwap(false, true) {
-			c.conn.Close()
-		}
-		return
-	}
-	c.dropAux(target.addr, target)
-}
-
-// noteFailoverFailure is noteTransportFailure under the failover policy: a
-// dead cached connection is always dropped (the historic redial-once
-// behaviour), but the main connection is only written off when the caller
-// opted into failover — a default-configured client keeps its original
-// routing and error surface. A learned primary override that itself went
-// dark is cleared, so the next attempt falls back to the dialled address
-// (whose node may well have been promoted) instead of wedging on the dead
-// override forever.
-func (c *Client) noteFailoverFailure(target *Client) {
-	if target == c && c.cfg.FailoverRetries == 0 {
-		return
-	}
-	c.met.failovers.Inc()
-	if target != c {
-		c.auxMu.Lock()
-		if c.primary != "" && target.addr == c.primary {
-			c.primary = ""
-		}
-		c.auxMu.Unlock()
-	}
-	c.noteTransportFailure(target)
-}
-
-// transportRetry is the single transport-failure retry loop every
-// request path shares: resolve a target (dial failures are retried too),
-// run op against it, and on a transport-level error note the failure and
-// try again — up to maxAttempts, with the first retry immediate (the
-// historic dead-connection redial) and bounded exponential backoff before
-// the later ones. Wire errors (*proto.Error) return immediately: redirect
-// policies live in the callers and never consume transport attempts.
-func (c *Client) transportRetry(ctx context.Context, maxAttempts int, resolve func() (*Client, error), op func(target *Client) error) error {
-	for attempt := 1; ; attempt++ {
-		if attempt > 1 {
-			c.met.retries.Inc()
-		}
-		target, err := resolve()
-		if err == nil {
-			if err = op(target); err == nil {
-				return nil
-			}
-			var werr *proto.Error
-			if errors.As(err, &werr) {
-				return err
-			}
-			if ctx.Err() != nil {
-				// The caller's context ended; the path is not at fault, so
-				// neither write it off nor burn retries against it.
-				return err
-			}
-			if isTimeout(err) {
-				// A late response, not a dead path: surface the timeout
-				// without re-sending (see isTimeout). The session stays
-				// usable — the demux discards the late frame by its ID.
-				return err
-			}
-			c.noteFailoverFailure(target)
-		}
-		if c.isClosed() {
-			// The client itself was closed; further redials cannot succeed
-			// and post-Close backoff sleeps would just delay the caller.
-			// (A net.ErrClosed alone is not terminal: a sibling request
-			// that just wrote the main connection off produces the same
-			// error, and that caller should ride over to the redial path.)
-			return err
-		}
-		if attempt >= maxAttempts {
-			return err
-		}
-		if attempt > 1 {
-			t := time.NewTimer(c.backoffDelay(attempt - 1))
-			select {
-			case <-t.C:
-			case <-ctx.Done():
-				t.Stop()
-				return ctx.Err()
-			}
-		}
-	}
-}
-
-// peerRoundTrip performs a peer-keyed request against the node holding the
-// peer's registration. A CodeNotPrimary rejection re-homes the peer at the
-// advertised primary and retries there (the node failed over to a replica
-// set); a CodeUnknownPeer stops routing the peer's requests to a stale
-// owner; other protocol-level errors are returned as-is. Transport-level
-// failures follow the retry policy of the underlying path (see roundTrip
-// and peerRoundTripAt).
-func (c *Client) peerRoundTrip(ctx context.Context, peer int64, reqType proto.MsgType, payload []byte, wantType proto.MsgType) ([]byte, error) {
-	for redirects := 0; ; {
-		var (
-			resp []byte
-			err  error
-		)
-		if addr := c.homeAddr(peer); addr == "" {
-			resp, err = c.roundTrip(ctx, reqType, payload, wantType)
-		} else {
-			resp, err = c.peerRoundTripAt(ctx, addr, reqType, payload, wantType)
-		}
-		if err == nil {
-			return resp, nil
-		}
-		var werr *proto.Error
-		if errors.As(err, &werr) {
-			switch {
-			case werr.Code == proto.CodeUnknownPeer:
-				// The owner expired the peer; stop routing its requests
-				// there so the home map cannot grow without bound.
-				c.setHome(peer, "")
-			case werr.Code == proto.CodeNotPrimary && werr.Message != "" && redirects < MaxRedirects:
-				redirects++
-				c.met.redirects.Inc()
-				c.setHome(peer, werr.Message)
-				continue
-			}
-		}
-		return nil, err
-	}
-}
-
-// peerRoundTripAt runs one peer-keyed request against the node at addr. A
-// dead cached connection is dropped and redialed — once, as always, or up
-// to Config.FailoverRetries times with bounded backoff.
-func (c *Client) peerRoundTripAt(ctx context.Context, addr string, reqType proto.MsgType, payload []byte, wantType proto.MsgType) ([]byte, error) {
-	var resp []byte
-	err := c.transportRetry(ctx, c.transportAttempts(),
-		func() (*Client, error) { return c.auxClient(addr) },
-		func(target *Client) error {
-			var err error
-			resp, err = target.roundTrip(ctx, reqType, payload, wantType)
-			return err
-		})
-	if err != nil {
-		return nil, err
-	}
-	return resp, nil
-}
-
-// exchange sends one request frame and waits for its response frame,
-// decoding wire errors into *proto.Error values and returning the response
-// type; any number of exchanges proceed concurrently. It takes an in-flight
-// slot and a pooled call, registers the call under a fresh request ID,
-// writes the frame, and waits for the demux goroutine (or a timeout, or
-// connection death). The response payload is the caller's, to recycle with
-// proto.PutBuf once decoded; payload stays the caller's too, since a retry
-// may send it again.
-func (c *Client) exchange(ctx context.Context, reqType proto.MsgType, payload []byte) (proto.MsgType, []byte, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, nil, err
-	}
-	select {
-	case c.slots <- struct{}{}:
-	case <-c.readDone:
-		return 0, nil, c.readError()
-	case <-ctx.Done():
-		return 0, nil, ctx.Err()
-	}
-	c.met.inflight.Inc()
-	defer func() {
-		c.met.inflight.Dec()
-		<-c.slots
-	}()
-
-	id := c.nextID.Add(1)
-	cl := callPool.Get().(*call)
-	c.pmu.Lock()
-	if c.readErr != nil {
-		c.pmu.Unlock()
-		callPool.Put(cl) // never registered, so nothing else can reach it
-		return 0, nil, c.readError()
-	}
-	c.pending[id] = cl
-	c.pmu.Unlock()
-
-	timeout := c.callTimeout(ctx)
-	c.wmu.Lock()
-	err := c.conn.SetWriteDeadline(time.Now().Add(timeout))
-	if err == nil {
-		err = proto.WriteFrameID(c.bw, reqType, id, payload)
-	}
-	c.wmu.Unlock()
-	if err == nil {
-		// Let every other runnable caller append its frame first; whoever
-		// gets back here first flushes them all (see the wmu comment).
-		runtime.Gosched()
-		c.wmu.Lock()
-		err = c.bw.Flush() // no write when another caller already flushed our frame
-		c.wmu.Unlock()
-	}
-	if err != nil {
-		c.forget(id)
-		return 0, nil, fmt.Errorf("client: send: %w", err)
-	}
-
-	cl.timer.Reset(timeout)
-	select {
-	case r := <-cl.done:
-		return cl.received(r)
-	case <-cl.timer.C:
-		err = fmt.Errorf("%w after %v", errRequestTimeout, timeout)
-	case <-ctx.Done():
-		err = ctx.Err()
-	case <-c.readDone:
-		err = c.readError()
-	}
-	c.forget(id)
-	// The response may have been delivered while we were giving up.
-	select {
-	case r := <-cl.done:
-		return cl.received(r)
-	default:
-	}
-	// The demux may hold the call still, found in pending just before
-	// forget, and send to it later: it goes to the GC, never back to the
-	// pool.
-	cl.timer.Stop()
-	return 0, nil, err
-}
-
-// call is one outstanding request's slot: the channel its response frame
-// arrives on and the timer bounding the wait, both reused from call to
-// call. A call goes back to callPool only once its one response was
-// received — the demux removed it from pending and sent, and holds it no
-// longer — so no demux lookup, delete or send ever reaches a reused call.
-type call struct {
-	done  chan frameResp // capacity 1: the demux never blocks on it
-	timer *time.Timer
-}
-
-var callPool = sync.Pool{New: func() any {
-	// Stopped until exchange arms it; since Go 1.23 a stopped or reset
-	// timer delivers no stale tick, so a pooled one needs no drain.
-	t := time.NewTimer(time.Hour)
-	t.Stop()
-	return &call{done: make(chan frameResp, 1), timer: t}
-}}
-
-// received finishes a call whose response arrived and returns it to the
-// pool.
-func (cl *call) received(r frameResp) (proto.MsgType, []byte, error) {
-	cl.timer.Stop()
-	callPool.Put(cl)
-	return decodeResp(r.typ, r.payload)
-}
-
-// forget deregisters a request whose caller stopped waiting.
-func (c *Client) forget(id uint64) {
-	c.pmu.Lock()
-	delete(c.pending, id)
-	c.pmu.Unlock()
-}
-
-// readError reports why the demux goroutine exited.
-func (c *Client) readError() error {
-	c.pmu.Lock()
-	defer c.pmu.Unlock()
-	if c.readErr != nil {
-		return c.readErr
-	}
-	return net.ErrClosed
-}
-
-// decodeResp unwraps MsgError responses into *proto.Error values,
-// recycling their payload.
-func decodeResp(typ proto.MsgType, payload []byte) (proto.MsgType, []byte, error) {
-	if typ == proto.MsgError {
-		werr, derr := proto.DecodeError(payload)
-		proto.PutBuf(payload)
-		if derr != nil {
-			return 0, nil, fmt.Errorf("client: undecodable error response: %w", derr)
-		}
-		return 0, nil, werr
-	}
-	return typ, payload, nil
-}
-
-// roundTrip is exchange plus a response-type check, for requests with
-// exactly one valid response type; the caller recycles the response. It
-// targets the primary path: a replica answering CodeNotPrimary with its
-// primary's address is followed (up to MaxRedirects, without spending
-// transport attempts), and with Config.FailoverRetries set, transport
-// failures redial the path with bounded backoff before giving up.
-func (c *Client) roundTrip(ctx context.Context, reqType proto.MsgType, payload []byte, wantType proto.MsgType) ([]byte, error) {
-	for redirects := 0; ; {
-		var (
-			typ  proto.MsgType
-			resp []byte
-		)
-		err := c.transportRetry(ctx, 1+c.cfg.FailoverRetries, c.primaryTarget,
-			func(target *Client) error {
-				var err error
-				typ, resp, err = target.exchange(ctx, reqType, payload)
-				return err
-			})
-		if err == nil {
-			if typ != wantType {
-				proto.PutBuf(resp)
-				return nil, fmt.Errorf("client: unexpected response type %d (want %d)", typ, wantType)
-			}
-			return resp, nil
-		}
-		var werr *proto.Error
-		if errors.As(err, &werr) && werr.Code == proto.CodeNotPrimary && werr.Message != "" &&
-			!c.isAux && redirects < MaxRedirects {
-			redirects++
-			c.met.redirects.Inc()
-			c.setPrimary(werr.Message)
-			continue // retry immediately at the advertised primary
-		}
-		// Aux connections surface CodeNotPrimary to their owning client,
-		// whose routing maps decide where to go next.
-		return nil, err
-	}
-}
-
 // StatusContext reports the server node's replication role and shard
 // layout. A pre-status server answers with an unknown-message error.
 func (c *Client) StatusContext(ctx context.Context) (*proto.Status, error) {
-	resp, err := c.roundTrip(ctx, proto.MsgStatusRequest, nil, proto.MsgStatusResponse)
+	resp, err := c.roundTrip(ctx, road{}, proto.MsgStatusRequest, nil, proto.MsgStatusResponse)
 	if err != nil {
 		return nil, err
 	}
@@ -897,7 +452,7 @@ func (c *Client) Status() (*proto.Status, error) {
 
 // LandmarksContext fetches the landmark router IDs and probe addresses.
 func (c *Client) LandmarksContext(ctx context.Context) (*proto.LandmarksResponse, error) {
-	resp, err := c.roundTrip(ctx, proto.MsgLandmarksRequest, nil, proto.MsgLandmarksResponse)
+	resp, err := c.roundTrip(ctx, road{}, proto.MsgLandmarksRequest, nil, proto.MsgLandmarksResponse)
 	if err != nil {
 		return nil, err
 	}
@@ -923,29 +478,11 @@ func (c *Client) JoinContext(ctx context.Context, peer int64, overlayAddr string
 		return nil, err
 	}
 	defer proto.PutBuf(payload)
-	// targetAddr "" is the primary path; a redirect moves the join to the
-	// named node. Each hop runs under the shared transport-retry loop: a
-	// dead cached redirect connection is redialed once, as always, and
-	// with FailoverRetries the primary path too rides through a crash
-	// window (dial failures included) with bounded backoff.
-	targetAddr := ""
+	// node "" is the primary road; a redirect moves the join to the named
+	// node.
+	node := ""
 	for hops := 0; ; {
-		resolve := c.primaryTarget
-		maxAttempts := 1 + c.cfg.FailoverRetries
-		if targetAddr != "" {
-			addr := targetAddr
-			resolve = func() (*Client, error) { return c.auxClient(addr) }
-			maxAttempts = c.transportAttempts()
-		}
-		var (
-			typ  proto.MsgType
-			resp []byte
-		)
-		err := c.transportRetry(ctx, maxAttempts, resolve, func(target *Client) error {
-			var err error
-			typ, resp, err = target.exchange(ctx, proto.MsgJoinRequest, payload)
-			return err
-		})
+		typ, resp, err := c.send(ctx, road{node: node}, proto.MsgJoinRequest, payload)
 		if err != nil {
 			return nil, err
 		}
@@ -956,7 +493,7 @@ func (c *Client) JoinContext(ctx context.Context, peer int64, overlayAddr string
 			if err != nil {
 				return nil, err
 			}
-			c.rehome(ctx, peer, targetAddr)
+			c.rehome(ctx, peer, node)
 			return jr.Neighbors, nil
 		case proto.MsgRedirect:
 			rd, err := proto.DecodeRedirect(resp)
@@ -969,7 +506,7 @@ func (c *Client) JoinContext(ctx context.Context, peer int64, overlayAddr string
 			}
 			hops++
 			c.met.redirects.Inc()
-			targetAddr = rd.Addr
+			node = rd.Addr
 		default:
 			proto.PutBuf(resp)
 			return nil, fmt.Errorf("client: unexpected response type %d (want %d)", typ, proto.MsgJoinResponse)
@@ -981,111 +518,6 @@ func (c *Client) JoinContext(ctx context.Context, peer int64, overlayAddr string
 // exchange. Compatibility wrapper; new code should pass a context.
 func (c *Client) Join(peer int64, overlayAddr string, path []int32) ([]proto.Candidate, error) {
 	return c.JoinContext(context.Background(), peer, overlayAddr, path)
-}
-
-// ForwardJoinContext relays a join to the cluster node that owns its
-// landmark, on behalf of another node. The callee answers locally and never
-// relays further.
-func (c *Client) ForwardJoinContext(ctx context.Context, peer int64, overlayAddr string, path []int32) ([]proto.Candidate, error) {
-	return c.ForwardJoinFencedContext(ctx, peer, overlayAddr, path, 0)
-}
-
-// ForwardJoinFencedContext is ForwardJoinContext with a landmark fencing
-// epoch (typically copied from the Redirect that named the callee). A
-// non-zero epoch makes the write conditional: the callee rejects it with
-// CodeStaleEpoch if the landmark has been handed to another shard since,
-// instead of silently applying it on a deposed owner. Zero sends the
-// classic unfenced forward, byte-identical to pre-epoch versions.
-func (c *Client) ForwardJoinFencedContext(ctx context.Context, peer int64, overlayAddr string, path []int32, epoch uint64) ([]proto.Candidate, error) {
-	payload, err := proto.EncodeForwardedJoinRequestFenced(&proto.JoinRequest{Peer: peer, Addr: overlayAddr, Path: path}, epoch)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.roundTrip(ctx, proto.MsgForwardedJoinRequest, payload, proto.MsgJoinResponse)
-	if err != nil {
-		return nil, err
-	}
-	jr, err := proto.DecodeJoinResponse(resp)
-	proto.PutBuf(resp)
-	if err != nil {
-		return nil, err
-	}
-	return jr.Neighbors, nil
-}
-
-// ForwardJoin is ForwardJoinContext without cancellation. Compatibility
-// wrapper; new code should pass a context.
-func (c *Client) ForwardJoin(peer int64, overlayAddr string, path []int32) ([]proto.Candidate, error) {
-	return c.ForwardJoinContext(context.Background(), peer, overlayAddr, path)
-}
-
-// ForwardJoinBatchContext relays a batch of joins to the cluster node that
-// owns their landmarks, on behalf of another node. The callee answers
-// locally and never relays further (each entry's landmark must be local
-// there, or it comes back CodeWrongShard).
-func (c *Client) ForwardJoinBatchContext(ctx context.Context, items []BatchItem) ([]BatchResult, error) {
-	out := make([]BatchResult, len(items))
-	if len(items) == 0 {
-		return out, nil
-	}
-	err := c.batchRoundTrips(ctx, items, proto.MsgForwardedBatchJoinRequest, func(i int, r *proto.BatchJoinResult) {
-		if r.Code != 0 {
-			out[i].Err = &proto.Error{Code: r.Code, Message: r.Message}
-			return
-		}
-		out[i].Neighbors = r.Neighbors
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ForwardJoinBatch is ForwardJoinBatchContext without cancellation.
-// Compatibility wrapper; new code should pass a context.
-func (c *Client) ForwardJoinBatch(items []BatchItem) ([]BatchResult, error) {
-	return c.ForwardJoinBatchContext(context.Background(), items)
-}
-
-// batchRoundTrips chunks items into wire batches of the server's
-// advertised size, performs one reqType round trip per chunk, and hands
-// each result to apply with its position in items. Shared by JoinBatch
-// and ForwardJoinBatch, whose payloads are identical.
-func (c *Client) batchRoundTrips(ctx context.Context, items []BatchItem, reqType proto.MsgType, apply func(i int, r *proto.BatchJoinResult)) error {
-	chunk := c.maxBatch
-	if chunk > proto.MaxBatch {
-		chunk = proto.MaxBatch
-	}
-	for lo := 0; lo < len(items); lo += chunk {
-		hi := lo + chunk
-		if hi > len(items) {
-			hi = len(items)
-		}
-		req := &proto.BatchJoinRequest{Joins: make([]proto.JoinRequest, hi-lo)}
-		for i, it := range items[lo:hi] {
-			req.Joins[i] = proto.JoinRequest{Peer: it.Peer, Addr: it.Addr, Path: it.Path}
-		}
-		payload, err := proto.EncodeBatchJoinRequest(req)
-		if err != nil {
-			return err
-		}
-		resp, err := c.roundTrip(ctx, reqType, payload, proto.MsgBatchJoinResponse)
-		if err != nil {
-			return err
-		}
-		br, err := proto.DecodeBatchJoinResponse(resp)
-		proto.PutBuf(resp)
-		if err != nil {
-			return err
-		}
-		if len(br.Results) != hi-lo {
-			return fmt.Errorf("client: batch answered %d of %d entries", len(br.Results), hi-lo)
-		}
-		for k := range br.Results {
-			apply(lo+k, &br.Results[k])
-		}
-	}
-	return nil
 }
 
 // BatchItem is one entry of a batched join.
@@ -1116,24 +548,49 @@ type BatchResult struct {
 // call; per-entry failures live in the results.
 func (c *Client) JoinBatchContext(ctx context.Context, items []BatchItem) ([]BatchResult, error) {
 	out := make([]BatchResult, len(items))
-	if len(items) == 0 {
-		return out, nil
+	chunk := c.maxBatch
+	if chunk > proto.MaxBatch {
+		chunk = proto.MaxBatch
 	}
-	err := c.batchRoundTrips(ctx, items, proto.MsgBatchJoinRequest, func(i int, r *proto.BatchJoinResult) {
-		switch r.Code {
-		case 0:
-			out[i].Neighbors = r.Neighbors
-			c.rehome(ctx, items[i].Peer, "")
-		case proto.CodeWrongShard:
-			// The entry's landmark lives on another cluster node; the
-			// singular path follows the redirect there.
-			out[i].Neighbors, out[i].Err = c.JoinContext(ctx, items[i].Peer, items[i].Addr, items[i].Path)
-		default:
-			out[i].Err = &proto.Error{Code: r.Code, Message: r.Message}
+	for lo := 0; lo < len(items); lo += chunk {
+		hi := lo + chunk
+		if hi > len(items) {
+			hi = len(items)
 		}
-	})
-	if err != nil {
-		return nil, err
+		req := &proto.BatchJoinRequest{Joins: make([]proto.JoinRequest, hi-lo)}
+		for i, it := range items[lo:hi] {
+			req.Joins[i] = proto.JoinRequest{Peer: it.Peer, Addr: it.Addr, Path: it.Path}
+		}
+		payload, err := proto.EncodeBatchJoinRequest(req)
+		if err != nil {
+			return nil, err
+		}
+		resp, err := c.roundTrip(ctx, road{}, proto.MsgBatchJoinRequest, payload, proto.MsgBatchJoinResponse)
+		if err != nil {
+			return nil, err
+		}
+		br, err := proto.DecodeBatchJoinResponse(resp)
+		proto.PutBuf(resp)
+		if err != nil {
+			return nil, err
+		}
+		if len(br.Results) != hi-lo {
+			return nil, fmt.Errorf("client: batch answered %d of %d entries", len(br.Results), hi-lo)
+		}
+		for k := range br.Results {
+			i, r := lo+k, &br.Results[k]
+			switch r.Code {
+			case 0:
+				out[i].Neighbors = r.Neighbors
+				c.rehome(ctx, items[i].Peer, "")
+			case proto.CodeWrongShard:
+				// The entry's landmark lives on another cluster node; the
+				// singular path follows the redirect there.
+				out[i].Neighbors, out[i].Err = c.JoinContext(ctx, items[i].Peer, items[i].Addr, items[i].Path)
+			default:
+				out[i].Err = &proto.Error{Code: r.Code, Message: r.Message}
+			}
+		}
 	}
 	return out, nil
 }
@@ -1154,7 +611,7 @@ func (c *Client) LookupContext(ctx context.Context, q Query) ([]proto.Candidate,
 		return nil, fmt.Errorf("client: lookup supports only k-closest queries (kind %d)", q.Kind)
 	}
 	req := proto.AppendLookupRequest(proto.GetBuf(0), &proto.LookupRequest{Peer: q.Peer})
-	resp, err := c.peerRoundTrip(ctx, q.Peer, proto.MsgLookupRequest, req, proto.MsgLookupResponse)
+	resp, err := c.roundTrip(ctx, homeOf(q.Peer), proto.MsgLookupRequest, req, proto.MsgLookupResponse)
 	proto.PutBuf(req)
 	if err != nil {
 		return nil, err
@@ -1179,7 +636,7 @@ func (c *Client) Lookup(peer int64) ([]proto.Candidate, error) {
 
 // LeaveContext deregisters a peer at the node holding its registration.
 func (c *Client) LeaveContext(ctx context.Context, peer int64) error {
-	resp, err := c.peerRoundTrip(ctx, peer, proto.MsgLeaveRequest,
+	resp, err := c.roundTrip(ctx, homeOf(peer), proto.MsgLeaveRequest,
 		proto.EncodeLeaveRequest(&proto.LeaveRequest{Peer: peer}), proto.MsgAck)
 	if err == nil {
 		proto.PutBuf(resp)
@@ -1196,7 +653,7 @@ func (c *Client) Leave(peer int64) error {
 
 // RefreshContext heartbeats a peer at the node holding its registration.
 func (c *Client) RefreshContext(ctx context.Context, peer int64) error {
-	resp, err := c.peerRoundTrip(ctx, peer, proto.MsgRefreshRequest,
+	resp, err := c.roundTrip(ctx, homeOf(peer), proto.MsgRefreshRequest,
 		proto.EncodeRefreshRequest(&proto.RefreshRequest{Peer: peer}), proto.MsgAck)
 	if err == nil {
 		proto.PutBuf(resp)

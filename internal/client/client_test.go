@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"proxdisc/internal/conf"
 	"proxdisc/internal/proto"
 )
 
@@ -442,18 +441,17 @@ func TestNegotiationRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestFailoverHelpers pins the retry-policy arithmetic: the attempt budget
-// floors at the historic redial-once, and the backoff doubles from
-// Common.Backoff up to the 2s cap.
+// dialled returns c's session to its dialled address.
+func dialled(c *Client) *session {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.sessions[c.addr]
+}
+
+// TestFailoverHelpers pins the reconnect backoff a subscription waits: it
+// doubles from Common.Backoff up to the 2s cap.
 func TestFailoverHelpers(t *testing.T) {
 	c := &Client{cfg: Config{}}
-	if got := c.transportAttempts(); got != 2 {
-		t.Fatalf("default attempts=%d want 2", got)
-	}
-	c.cfg.FailoverRetries = 5
-	if got := c.transportAttempts(); got != 6 {
-		t.Fatalf("attempts=%d want 6", got)
-	}
 	if d := c.backoffDelay(1); d != 50*time.Millisecond {
 		t.Fatalf("backoff(1)=%v", d)
 	}
@@ -466,39 +464,107 @@ func TestFailoverHelpers(t *testing.T) {
 	}
 }
 
-// TestPrimaryTargetRouting pins the failover routing decision: healthy
-// main connection, a down main, and a discovered primary override.
-func TestPrimaryTargetRouting(t *testing.T) {
+// TestSessionRouting pins which session the primary road resolves to:
+// the healthy dialled session is reused, a dropped one is redialed, a
+// learned primary wins, a primary naming the dialled address is cleared,
+// and a primary whose session failed is forgotten.
+func TestSessionRouting(t *testing.T) {
 	fs := newFakeServer(t)
 	c, err := DialConfig(fs.ln.Addr().String(), Config{Timeout: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if target, err := c.primaryTarget(); err != nil || target != c {
-		t.Fatalf("healthy main: target=%p err=%v", target, err)
+	resolve := func() (string, *session) {
+		t.Helper()
+		addr, s, err := c.resolve(road{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return addr, s
 	}
-	// Marking the main down redials the same address as an aux connection.
-	c.noteTransportFailure(c)
-	target, err := c.primaryTarget()
+	first := dialled(c)
+	if addr, s := resolve(); addr != c.addr || s != first {
+		t.Fatalf("healthy: resolved %q %p, want the dialled session %p", addr, s, first)
+	}
+	// A dropped session is written off and the next request redials.
+	c.drop(c.addr, first)
+	addr, redialed := resolve()
+	if addr != c.addr || redialed == first {
+		t.Fatalf("dropped: resolved %q %p, want a fresh session to %q", addr, redialed, c.addr)
+	}
+	if _, _, err := first.exchange(context.Background(), proto.MsgStatusRequest, nil); err == nil {
+		t.Fatal("the dropped session still carries requests")
+	}
+	// A learned primary wins the primary road.
+	other := newFakeServer(t).ln.Addr().String()
+	c.setPrimary(other)
+	primaryAddr, primary := resolve()
+	if primaryAddr != other || primary == redialed {
+		t.Fatalf("learned primary: resolved %q, want %q", primaryAddr, other)
+	}
+	// A primary naming the dialled address is no override at all.
+	c.setPrimary(c.addr)
+	if addr, s := resolve(); addr != c.addr || s != redialed || c.primary != "" {
+		t.Fatalf("self-named primary: resolved %q %p, primary %q", addr, s, c.primary)
+	}
+	// A learned primary whose session failed is forgotten with it.
+	c.setPrimary(other)
+	if addr, _ := resolve(); addr != other {
+		t.Fatalf("resolved %q, want the learned primary %q", addr, other)
+	}
+	c.drop(other, primary)
+	c.mu.Lock()
+	_, cached := c.sessions[other]
+	forgotten := c.primary == ""
+	c.mu.Unlock()
+	if cached || !forgotten {
+		t.Fatalf("dead primary: session cached=%v, primary forgotten=%v", cached, forgotten)
+	}
+	if addr, s := resolve(); addr != c.addr || s != redialed {
+		t.Fatalf("after the dead primary: resolved %q %p, want the dialled session", addr, s)
+	}
+}
+
+// TestConcurrentRedialKeepsOneSession: callers that find a session dead
+// together all redial its address, every call succeeds, and one session
+// is kept; the dials that lost the race are closed.
+func TestConcurrentRedialKeepsOneSession(t *testing.T) {
+	const callers = 16
+	acks := make([]scripted, callers)
+	for i := range acks {
+		acks[i] = scripted{typ: proto.MsgAck}
+	}
+	fs := newFakeServer(t, acks...)
+	c, err := DialConfig(fs.ln.Addr().String(), Config{Timeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if target == c || target.addr != c.addr {
-		t.Fatalf("down main: target=%p addr=%q", target, target.addr)
+	defer c.Close()
+	dead := dialled(c)
+	dead.conn.Close()
+	<-dead.readDone
+	var wg sync.WaitGroup
+	errs := make(chan error, callers)
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(p int64) {
+			defer wg.Done()
+			errs <- c.Refresh(p)
+		}(int64(i))
 	}
-	// A discovered primary override wins; naming our own address clears it.
-	c.setPrimary(c.addr)
-	if got, _ := c.primaryTarget(); got != target {
-		t.Fatalf("self-override changed routing: %p vs %p", got, target)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
-	// A dead aux is dropped on transport failure so the next call redials.
-	c.noteTransportFailure(target)
-	c.auxMu.Lock()
-	_, cached := c.aux[c.addr]
-	c.auxMu.Unlock()
-	if cached {
-		t.Fatal("failed aux connection still cached")
+	c.mu.Lock()
+	n, live := len(c.sessions), c.sessions[c.addr]
+	c.mu.Unlock()
+	if n != 1 || live == nil || live == dead {
+		t.Fatalf("%d sessions kept, live %p, dead %p; want one fresh session", n, live, dead)
 	}
 }
 
@@ -521,9 +587,7 @@ func TestNotPrimaryFailbackToDialledAddress(t *testing.T) {
 		scripted{typ: proto.MsgLookupResponse, payload: lookupResp},
 	)
 	c, err := DialConfig(fs.ln.Addr().String(), Config{
-		Common:          conf.Common{Backoff: 10 * time.Millisecond},
-		Timeout:         time.Second,
-		FailoverRetries: 2,
+		Timeout: time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -537,26 +601,28 @@ func TestNotPrimaryFailbackToDialledAddress(t *testing.T) {
 		t.Fatalf("lookup=%+v", got)
 	}
 	// The dead override must be gone, not retried forever.
-	c.auxMu.Lock()
+	c.mu.Lock()
 	override := c.primary
-	c.auxMu.Unlock()
+	c.mu.Unlock()
 	if override != "" {
 		t.Fatalf("stale override %q survived", override)
 	}
 }
 
-// TestPeerRequestRehomesOnNotPrimary pins the owning client's re-homing:
-// when the node holding a peer's registration answers CodeNotPrimary, the
-// aux connection must surface the rejection (not follow it internally) so
-// the owning client re-homes the peer at the advertised primary and
-// routes every later request straight there.
+// TestPeerRequestRehomesOnNotPrimary pins the client's re-homing: when the
+// node holding a peer's registration answers CodeNotPrimary, the client
+// re-homes the peer at the advertised primary and routes every later
+// request straight there. A session holds no routing state of its own, so
+// there is no nested state a redirect could leak into and nothing to check
+// for it; what is checked is that the answer, being no transport failure,
+// leaves the old home's session in place.
 func TestPeerRequestRehomesOnNotPrimary(t *testing.T) {
 	// Node B: the new primary, acks the refresh.
 	nodeB := newFakeServer(t, scripted{typ: proto.MsgAck})
 	// Node A: demoted to replica, points at B.
 	nodeA := newFakeServer(t, scripted{typ: proto.MsgError, payload: proto.EncodeError(&proto.Error{
 		Code: proto.CodeNotPrimary, Message: nodeB.ln.Addr().String()})})
-	// The main connection plays no part; the peer is homed at A.
+	// The dialled node plays no part; the peer is homed at A.
 	main := newFakeServer(t)
 	c, err := DialConfig(main.ln.Addr().String(), Config{Timeout: time.Second})
 	if err != nil {
@@ -567,21 +633,15 @@ func TestPeerRequestRehomesOnNotPrimary(t *testing.T) {
 	if err := c.Refresh(7); err != nil {
 		t.Fatalf("refresh through demoted home: %v", err)
 	}
-	if got := c.homeAddr(7); got != nodeB.ln.Addr().String() {
-		t.Fatalf("peer homed at %q, want the advertised primary %q", got, nodeB.ln.Addr().String())
+	c.mu.Lock()
+	home, primary := c.home[7], c.primary
+	_, keptA := c.sessions[nodeA.ln.Addr().String()]
+	c.mu.Unlock()
+	if home != nodeB.ln.Addr().String() || primary != "" {
+		t.Fatalf("peer homed at %q with primary %q, want the advertised primary %q as its home only",
+			home, primary, nodeB.ln.Addr().String())
 	}
-	// The aux connection to A must NOT have absorbed the redirect into its
-	// own routing state.
-	c.auxMu.Lock()
-	auxA := c.aux[nodeA.ln.Addr().String()]
-	c.auxMu.Unlock()
-	if auxA == nil {
-		t.Fatal("no cached connection to the old home")
-	}
-	auxA.auxMu.Lock()
-	leaked := auxA.primary != "" || len(auxA.aux) != 0
-	auxA.auxMu.Unlock()
-	if leaked {
-		t.Fatal("aux connection followed the redirect itself (nested aux state)")
+	if !keptA {
+		t.Fatal("the old home's session was dropped on a wire answer")
 	}
 }

@@ -74,9 +74,10 @@ func TestPipelinedCallersShareWrites(t *testing.T) {
 	defer c.Close()
 	// No request is in flight yet: swap the counting wrapper in under the
 	// buffered writer.
-	wc := &writeCounter{Conn: c.conn}
-	c.conn = wc
-	c.bw = bufio.NewWriterSize(wc, 16<<10)
+	s := dialled(c)
+	wc := &writeCounter{Conn: s.conn}
+	s.conn = wc
+	s.bw = bufio.NewWriterSize(wc, 16<<10)
 
 	if err := c.Refresh(1); err != nil {
 		t.Fatal(err)

@@ -131,9 +131,10 @@ func TestLateResponseNeverReachesReusedSlot(t *testing.T) {
 	} else {
 		own(7, cands)
 	}
-	c.pmu.Lock()
-	left := len(c.pending)
-	c.pmu.Unlock()
+	s := dialled(c)
+	s.pmu.Lock()
+	left := len(s.pending)
+	s.pmu.Unlock()
 	if left != 0 {
 		t.Fatalf("%d calls still registered after every caller returned", left)
 	}

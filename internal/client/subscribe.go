@@ -185,7 +185,10 @@ func (s *Subscription) connect(ctx context.Context) (net.Conn, *bufio.Reader, *p
 		if err := ctx.Err(); err != nil {
 			return nil, nil, nil, err
 		}
-		conn, br, ack, err := s.subscribeAt(ctx, s.c.subscribeAddr(), req)
+		s.c.mu.Lock()
+		addr := s.c.nodeAddr("")
+		s.c.mu.Unlock()
+		conn, br, ack, err := s.subscribeAt(ctx, addr, req)
 		if err == nil {
 			return conn, br, ack, nil
 		}
@@ -203,7 +206,7 @@ func (s *Subscription) connect(ctx context.Context) (net.Conn, *bufio.Reader, *p
 
 // subscribeAt performs one dial-and-subscribe against addr.
 func (s *Subscription) subscribeAt(ctx context.Context, addr string, req []byte) (net.Conn, *bufio.Reader, *proto.SubscribeAck, error) {
-	timeout := s.c.callTimeout(ctx)
+	timeout := callTimeout(ctx, s.c.cfg.Timeout)
 	conn, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("client: subscribe dial %s: %w", addr, err)
@@ -268,8 +271,7 @@ func (s *Subscription) run(conn net.Conn, br *bufio.Reader) {
 			return
 		}
 		s.c.met.retries.Inc()
-		backoff := s.c.backoffDelay(1)
-		for {
+		for attempt := 1; ; attempt++ {
 			var ack *proto.SubscribeAck
 			conn, br, ack, err = s.connect(s.ctx)
 			if err == nil {
@@ -287,7 +289,7 @@ func (s *Subscription) run(conn net.Conn, br *bufio.Reader) {
 				close(s.events)
 				return
 			}
-			t := time.NewTimer(backoff)
+			t := time.NewTimer(s.c.backoffDelay(attempt))
 			select {
 			case <-t.C:
 			case <-s.ctx.Done():
@@ -295,9 +297,6 @@ func (s *Subscription) run(conn net.Conn, br *bufio.Reader) {
 				s.fail(s.ctx.Err())
 				close(s.events)
 				return
-			}
-			if backoff *= 2; backoff > 2*time.Second {
-				backoff = 2 * time.Second
 			}
 		}
 	}
@@ -375,7 +374,7 @@ func (s *Subscription) sendHeartbeat(conn net.Conn) error {
 	payload := proto.EncodeOpAck(&proto.OpAck{Seq: s.Seq()})
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
-	if err := conn.SetWriteDeadline(time.Now().Add(s.c.timeout)); err != nil {
+	if err := conn.SetWriteDeadline(time.Now().Add(s.c.cfg.Timeout)); err != nil {
 		return err
 	}
 	return proto.WriteFrameID(conn, proto.MsgOpAck, subReqID, payload)
@@ -555,33 +554,21 @@ func (s *Subscription) Close() error {
 	return nil
 }
 
-// subscribeAddr is where a new subscription connection should dial: the
-// learned primary when a replica redirected us, the dialled address
-// otherwise.
-func (c *Client) subscribeAddr() string {
-	c.auxMu.Lock()
-	defer c.auxMu.Unlock()
-	if c.primary != "" {
-		return c.primary
-	}
-	return c.addr
-}
-
 // registerSub adds a live subscription to the cached-lookup registry.
 func (c *Client) registerSub(s *Subscription) {
-	c.auxMu.Lock()
+	c.mu.Lock()
 	if c.subs == nil {
 		c.subs = make(map[*Subscription]struct{})
 	}
 	c.subs[s] = struct{}{}
-	c.auxMu.Unlock()
+	c.mu.Unlock()
 }
 
 // unregisterSub removes a finished subscription.
 func (c *Client) unregisterSub(s *Subscription) {
-	c.auxMu.Lock()
+	c.mu.Lock()
 	delete(c.subs, s)
-	c.auxMu.Unlock()
+	c.mu.Unlock()
 }
 
 // CachedLookup answers a k-closest lookup from a live subscription's
@@ -592,7 +579,7 @@ func (c *Client) unregisterSub(s *Subscription) {
 // reconnect, or after the subject deregistered, the wire path answers
 // instead so the caller never reads stale data.
 func (c *Client) CachedLookup(ctx context.Context, peer int64) ([]proto.Candidate, error) {
-	c.auxMu.Lock()
+	c.mu.Lock()
 	var match *Subscription
 	for s := range c.subs {
 		if s.q.Kind == QueryKClosest && s.q.Peer == peer && s.q.K == 0 {
@@ -600,7 +587,7 @@ func (c *Client) CachedLookup(ctx context.Context, peer int64) ([]proto.Candidat
 			break
 		}
 	}
-	c.auxMu.Unlock()
+	c.mu.Unlock()
 	if match != nil {
 		if cands, ok := match.covering(); ok {
 			return cands, nil

@@ -17,9 +17,9 @@ type Common struct {
 	Telemetry *telemetry.Registry
 	// Logger receives diagnostics; nil silences them.
 	Logger func(format string, args ...any)
-	// Backoff is the initial pause before a retry (reconnect, failover
-	// redial), doubling per attempt up to each component's cap. Zero means
-	// the component default.
+	// Backoff is the initial pause before a reconnect (a follower's
+	// stream, a client's subscription), doubling per attempt up to each
+	// component's cap. Zero means the component default.
 	Backoff time.Duration
 }
 

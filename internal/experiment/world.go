@@ -6,21 +6,15 @@
 package experiment
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"sort"
-	"time"
 
-	"proxdisc/internal/client"
 	"proxdisc/internal/cluster"
 	"proxdisc/internal/latency"
 	"proxdisc/internal/metrics"
-	"proxdisc/internal/netserver"
 	"proxdisc/internal/pathtree"
-	"proxdisc/internal/proto"
 	"proxdisc/internal/routing"
 	"proxdisc/internal/server"
 	"proxdisc/internal/topology"
@@ -79,20 +73,6 @@ type WorldConfig struct {
 	// cluster plane even when Shards is unset, so
 	// simulations exercise the persistent write path end to end.
 	DataDir string
-	// Followers, when at least 1, attaches that many multi-process-style
-	// follower nodes: the durable cluster plane is fronted by a real TCP
-	// NetServer and each follower dials it over loopback, consumes the
-	// committed op stream, and maintains its own server copy — the
-	// cross-process replication path, end to end, inside one simulation.
-	// Requires DataDir (the op log is the stream's retention buffer).
-	Followers int
-	// Subscribers, when at least 1, gives that many of the earliest
-	// arrivals a live k-closest subscription over the TCP front end: each
-	// holds a push-fed cache of its neighbourhood for the rest of the run,
-	// so simulations exercise the push read plane under the same workload
-	// that drives the pull plane. Requires DataDir (subscriptions are fed
-	// from the committed op stream).
-	Subscribers int
 	// Trace configures the peers' traceroute tool.
 	Trace traceroute.Config
 	// UseDelays, when true, assigns link delays and routes by latency;
@@ -138,19 +118,6 @@ type World struct {
 
 	// clu is set when the management plane is a cluster.
 	clu *cluster.Cluster
-
-	// front and followers are the multi-process-style replication
-	// topology (WorldConfig.Followers): a TCP front end over the cluster
-	// plane and the follower nodes streaming its op log.
-	front        *netserver.NetServer
-	followers    []*netserver.Follower
-	followerSrvs []*server.Server
-
-	// subClient and subs are the push read plane under simulation
-	// (WorldConfig.Subscribers): one wire client holding a live k-closest
-	// subscription per subscribed arrival.
-	subClient *client.Client
-	subs      []*client.Subscription
 }
 
 // BuildWorld generates the topology, places landmarks, and starts a
@@ -196,59 +163,6 @@ func BuildWorld(cfg WorldConfig) (*World, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiment: server: %w", err)
 	}
-	var (
-		front        *netserver.NetServer
-		followers    []*netserver.Follower
-		followerSrvs []*server.Server
-	)
-	if cfg.Followers > 0 || cfg.Subscribers > 0 {
-		if clu == nil || cfg.DataDir == "" {
-			return nil, errors.New("experiment: follower and subscriber topologies need a durable cluster plane (DataDir)")
-		}
-		front, err = netserver.Listen(netserver.Config{Addr: "127.0.0.1:0", Server: clu})
-		if err != nil {
-			clu.Close()
-			return nil, fmt.Errorf("experiment: wire front end: %w", err)
-		}
-	}
-	if cfg.Followers > 0 {
-		for i := 0; i < cfg.Followers; i++ {
-			fsrv, err := server.New(server.Config{
-				Landmarks:     landmarks,
-				NeighborCount: cfg.NeighborCount,
-			})
-			if err == nil {
-				var f *netserver.Follower
-				f, err = netserver.StartFollower(netserver.FollowerConfig{
-					PrimaryAddr: front.Addr(),
-					Backend:     fsrv,
-				})
-				if err == nil {
-					followers = append(followers, f)
-					followerSrvs = append(followerSrvs, fsrv)
-					continue
-				}
-			}
-			for _, f := range followers {
-				f.Close()
-			}
-			front.Close()
-			clu.Close()
-			return nil, fmt.Errorf("experiment: follower %d: %w", i, err)
-		}
-	}
-	var subClient *client.Client
-	if cfg.Subscribers > 0 {
-		subClient, err = client.Dial(front.Addr(), 5*time.Second)
-		if err != nil {
-			for _, f := range followers {
-				f.Close()
-			}
-			front.Close()
-			clu.Close()
-			return nil, fmt.Errorf("experiment: subscriber client: %w", err)
-		}
-	}
 	leaves := topology.LeafRouters(g)
 	// Exclude leaves that happen to be landmarks (possible in the "leaf"
 	// placement ablation).
@@ -263,20 +177,16 @@ func BuildWorld(cfg WorldConfig) (*World, error) {
 		}
 	}
 	return &World{
-		Cfg:          cfg,
-		Graph:        g,
-		Tracer:       traceroute.New(g, delays),
-		Landmarks:    landmarks,
-		Server:       srv,
-		Attachments:  make(metrics.Attachments),
-		LeafPool:     pool,
-		rng:          rng,
-		traceRNG:     rand.New(rand.NewSource(cfg.Seed + 3)),
-		clu:          clu,
-		front:        front,
-		followers:    followers,
-		followerSrvs: followerSrvs,
-		subClient:    subClient,
+		Cfg:         cfg,
+		Graph:       g,
+		Tracer:      traceroute.New(g, delays),
+		Landmarks:   landmarks,
+		Server:      srv,
+		Attachments: make(metrics.Attachments),
+		LeafPool:    pool,
+		rng:         rng,
+		traceRNG:    rand.New(rand.NewSource(cfg.Seed + 3)),
+		clu:         clu,
 	}, nil
 }
 
@@ -284,116 +194,12 @@ func BuildWorld(cfg WorldConfig) (*World, error) {
 // a single server.
 func (w *World) Cluster() *cluster.Cluster { return w.clu }
 
-// Followers returns the wire-level follower nodes of the world's
-// replication topology (empty without WorldConfig.Followers).
-func (w *World) Followers() []*netserver.Follower { return w.followers }
-
-// FollowerServer returns follower i's local state copy, for convergence
-// checks.
-func (w *World) FollowerServer(i int) *server.Server { return w.followerSrvs[i] }
-
-// WaitFollowers blocks until every follower has applied everything the
-// cluster has committed, or the timeout elapses.
-func (w *World) WaitFollowers(timeout time.Duration) error {
-	if len(w.followers) == 0 {
-		return nil
-	}
-	head := w.clu.CommittedHead()
-	deadline := time.Now().Add(timeout)
-	for _, f := range w.followers {
-		for f.Applied() < head {
-			if time.Now().After(deadline) {
-				return fmt.Errorf("experiment: follower stuck at seq %d of %d (last err %v)",
-					f.Applied(), head, f.Err())
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-	}
-	return nil
-}
-
-// Subscriptions returns the live subscriptions held by the earliest
-// arrivals (empty without WorldConfig.Subscribers).
-func (w *World) Subscriptions() []*client.Subscription { return w.subs }
-
-// WaitSubscriptions blocks until every live subscription's cache is
-// coherent and matches a fresh lookup of its subject — peer for peer,
-// distance for distance — or the timeout elapses. Subjects that have left
-// the system are skipped (their caches are deliberately orphaned).
-func (w *World) WaitSubscriptions(timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for _, sub := range w.subs {
-		subject := pathtree.PeerID(sub.Query().Peer)
-		if _, ok := w.Attachments[subject]; !ok {
-			continue
-		}
-		for {
-			cache, ok := sub.Cache()
-			fresh, err := w.Server.Lookup(subject)
-			if ok && err == nil && subCacheMatches(cache, fresh) {
-				break
-			}
-			if time.Now().After(deadline) {
-				return fmt.Errorf("experiment: subscription for peer %d stuck (coherent=%v, cache %d vs lookup %d, err %v)",
-					subject, ok, len(cache), len(fresh), err)
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-	}
-	return nil
-}
-
-// subCacheMatches compares a subscription's wire-level cache against a
-// management-plane answer. Addresses are not compared: simulation joins
-// register no overlay address, so both sides carry the empty string.
-func subCacheMatches(cache []proto.Candidate, fresh []pathtree.Candidate) bool {
-	if len(cache) != len(fresh) {
-		return false
-	}
-	for i := range cache {
-		if cache[i].Peer != int64(fresh[i].Peer) || cache[i].DTree != int32(fresh[i].DTree) {
-			return false
-		}
-	}
-	return true
-}
-
-// Close shuts the management plane down cleanly: subscriptions, follower
-// nodes and the TCP front end first, then — on a durable plane
-// (WorldConfig.DataDir) — a final snapshot flush and a clean WAL close.
+// Close shuts the management plane down cleanly: on a durable plane
+// (WorldConfig.DataDir), a final snapshot flush and a clean WAL close.
 // Worlds without a durable plane need no Close.
 func (w *World) Close() error {
-	for _, sub := range w.subs {
-		sub.Close()
-	}
-	if w.subClient != nil {
-		w.subClient.Close()
-	}
-	for _, f := range w.followers {
-		f.Close()
-	}
-	if w.front != nil {
-		w.front.Close()
-	}
 	if w.clu != nil {
 		return w.clu.Close()
-	}
-	return nil
-}
-
-// noteJoin gives the earliest arrivals their live subscriptions
-// (WorldConfig.Subscribers).
-func (w *World) noteJoin(p pathtree.PeerID) error {
-	if w.subClient != nil && len(w.subs) < w.Cfg.Subscribers {
-		sub, err := w.subClient.Subscribe(context.Background(), client.KClosest(int64(p)))
-		if err != nil {
-			return fmt.Errorf("experiment: subscribe to peer %d: %w", p, err)
-		}
-		w.subs = append(w.subs, sub)
-		go func() { // the cache is the surface; drain the event feed
-			for range sub.Events() {
-			}
-		}()
 	}
 	return nil
 }
@@ -450,9 +256,6 @@ func (w *World) JoinPeer(p pathtree.PeerID, att topology.NodeID) ([]pathtree.Can
 		return nil, err
 	}
 	w.Attachments[p] = att
-	if err := w.noteJoin(p); err != nil {
-		return nil, err
-	}
 	return cands, nil
 }
 
@@ -520,9 +323,6 @@ func (w *World) joinBatched(n, base int) error {
 				return fmt.Errorf("experiment: batched join of peer %d: %w", items[k].Peer, r.Err)
 			}
 			w.Attachments[items[k].Peer] = atts[k]
-			if err := w.noteJoin(items[k].Peer); err != nil {
-				return err
-			}
 		}
 	}
 	return nil

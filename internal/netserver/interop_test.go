@@ -64,7 +64,7 @@ func startReplicaPair(t *testing.T, landmarks ...topology.NodeID) (primary, repl
 func TestReplicaRoleRedirectsWrites(t *testing.T) {
 	primary, replica, logic, f := startReplicaPair(t, 0, 100)
 
-	c, err := client.DialConfig(replica.Addr(), client.Config{Timeout: 5 * time.Second, FailoverRetries: 2})
+	c, err := client.DialConfig(replica.Addr(), client.Config{Timeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestReplicaRoleRedirectsWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitApplied(t, f, logic)
-	c2, err := client.DialConfig(replica.Addr(), client.Config{Timeout: 5 * time.Second, FailoverRetries: 2})
+	c2, err := client.DialConfig(replica.Addr(), client.Config{Timeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,8 +353,8 @@ func TestClientFailoverRedialsPrimary(t *testing.T) {
 		t.Skipf("could not rebind %s: %v", addr, err)
 	}
 	t.Cleanup(func() { ns2.Close() })
-	// The join hits the dead connection first: its transport-failure
-	// branch must mark the primary down, back off, and redial.
+	// The join hits the dead session first: the transport failure drops
+	// it, and the join is sent again on a fresh dial.
 	if _, err := c.Join(2, "127.0.0.1:9002", []int32{11, 10, 0}); err != nil {
 		t.Fatalf("join after server restart: %v", err)
 	}

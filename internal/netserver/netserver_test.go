@@ -3,6 +3,7 @@ package netserver
 import (
 	"context"
 	"errors"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -363,16 +364,35 @@ func TestRedirectConnectionRedialAfterRestart(t *testing.T) {
 	}
 }
 
+// rawRoundTrip sends one ID-framed request on a raw session (see rawV2)
+// and reads its answer, which must echo the request's ID.
+func rawRoundTrip(t *testing.T, conn net.Conn, typ proto.MsgType, payload []byte) (proto.MsgType, []byte) {
+	t.Helper()
+	if err := proto.WriteFrameID(conn, typ, 1, payload); err != nil {
+		t.Fatal(err)
+	}
+	rtyp, id, resp, err := proto.ReadFrameID(conn)
+	if err != nil || id != 1 {
+		t.Fatalf("answer: typ=%v id=%d err=%v", rtyp, id, err)
+	}
+	return rtyp, resp
+}
+
 func TestForwardedJoinNeverRelays(t *testing.T) {
 	// node2 does not own landmark 100 either and knows a (bogus) owner; a
 	// forwarded join must be rejected with CodeWrongShard, not bounced on.
 	node2, _ := startNode(t, []topology.NodeID{0},
 		map[topology.NodeID]string{100: "127.0.0.1:1"})
-	c := dial(t, node2)
-	_, err := c.ForwardJoin(1, "x", []int32{20, 100})
-	var werr *proto.Error
-	if !errors.As(err, &werr) || werr.Code != proto.CodeWrongShard {
-		t.Fatalf("err=%v", err)
+	req, err := proto.EncodeForwardedJoinRequestFenced(&proto.JoinRequest{Peer: 1, Addr: "x", Path: []int32{20, 100}}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	typ, resp := rawRoundTrip(t, rawV2(t, node2.Addr()), proto.MsgForwardedJoinRequest, req)
+	if typ != proto.MsgError {
+		t.Fatalf("answered with type %v, want an error", typ)
+	}
+	if werr, err := proto.DecodeError(resp); err != nil || werr.Code != proto.CodeWrongShard {
+		t.Fatalf("err=%v (%v)", werr, err)
 	}
 }
 
@@ -753,20 +773,26 @@ func TestSlowConsumerDoesNotWedgePool(t *testing.T) {
 func TestForwardedBatchJoinNeverRelays(t *testing.T) {
 	node2, _ := startNode(t, []topology.NodeID{0},
 		map[topology.NodeID]string{100: "127.0.0.1:1"})
-	c := dial(t, node2)
-	res, err := c.ForwardJoinBatch([]client.BatchItem{
+	req, err := proto.EncodeBatchJoinRequest(&proto.BatchJoinRequest{Joins: []proto.JoinRequest{
 		{Peer: 1, Addr: "a", Path: []int32{10, 0}},   // local: served
 		{Peer: 2, Addr: "b", Path: []int32{20, 100}}, // stale-remote: rejected
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res[0].Err != nil {
-		t.Fatalf("local entry failed: %v", res[0].Err)
+	typ, resp := rawRoundTrip(t, rawV2(t, node2.Addr()), proto.MsgForwardedBatchJoinRequest, req)
+	if typ != proto.MsgBatchJoinResponse {
+		t.Fatalf("answered with type %v, want a batch join response", typ)
 	}
-	var werr *proto.Error
-	if !errors.As(res[1].Err, &werr) || werr.Code != proto.CodeWrongShard {
-		t.Fatalf("entry 1 err=%v", res[1].Err)
+	br, err := proto.DecodeBatchJoinResponse(resp)
+	if err != nil || len(br.Results) != 2 {
+		t.Fatalf("batch answer %+v (%v), want 2 results", br, err)
+	}
+	if r := br.Results[0]; r.Code != 0 {
+		t.Fatalf("local entry failed: code %d %q", r.Code, r.Message)
+	}
+	if r := br.Results[1]; r.Code != proto.CodeWrongShard {
+		t.Fatalf("entry 1: code %d %q, want CodeWrongShard", r.Code, r.Message)
 	}
 }
 

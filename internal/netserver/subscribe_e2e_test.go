@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,7 +12,6 @@ import (
 
 	"proxdisc/internal/client"
 	"proxdisc/internal/cluster"
-	"proxdisc/internal/conf"
 	"proxdisc/internal/proto"
 	"proxdisc/internal/server"
 	"proxdisc/internal/topology"
@@ -128,9 +128,7 @@ func TestSubscribeChurnCoherence(t *testing.T) {
 	}()
 
 	c, err := client.DialConfig(addr, client.Config{
-		Common:          conf.Common{Backoff: 25 * time.Millisecond},
-		Timeout:         5 * time.Second,
-		FailoverRetries: 20,
+		Timeout: 5 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -279,6 +277,17 @@ func TestSubscribeSubjectLeaveAndRejoin(t *testing.T) {
 	}
 	defer sub.Close()
 	waitCacheCoherent(t, sub, c, subject)
+	// A second subscriber, whose answer holds the subject.
+	const bystander = int64(2)
+	other, err := c.Subscribe(context.Background(), client.KClosest(bystander))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer other.Close()
+	waitCacheCoherent(t, other, c, bystander)
+	if cache, _ := other.Cache(); !slices.ContainsFunc(cache, func(cd proto.Candidate) bool { return cd.Peer == subject }) {
+		t.Fatalf("peer %d's answer %v does not hold the subject", bystander, cache)
+	}
 
 	if err := c.Leave(subject); err != nil {
 		t.Fatal(err)
@@ -299,6 +308,9 @@ func TestSubscribeSubjectLeaveAndRejoin(t *testing.T) {
 	if _, err := c.CachedLookup(context.Background(), subject); err == nil {
 		t.Fatal("CachedLookup answered for a departed subject")
 	}
+	// Only the subject's own cache is voided: the other one drops the
+	// subject from its answer and stays coherent.
+	waitCacheCoherent(t, other, c, bystander)
 
 	if _, err := c.Join(subject, "peer-1:7000", churnPath(1)); err != nil {
 		t.Fatal(err)

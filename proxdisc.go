@@ -97,12 +97,14 @@
 // The client-side half: a NetServer fronting a follower's copy runs in
 // RoleReplica — it serves reads locally and answers writes with a redirect
 // to the primary (joins) or its address (everything else), which Client
-// follows; ClientConfig.FailoverRetries adds bounded-backoff redials after
-// node crashes, so a client of a restarted primary (same address, same
-// data directory) resumes without caller involvement. Promotion is still
-// manual: nothing elects a follower when the primary is lost for good — an
-// operator restarts a node over the follower's state as the new primary
-// and repoints the others.
+// follows. A Client keeps one session per node address, and a request
+// whose session died is sent once more on a fresh dial, so a client of a
+// restarted primary (same address, same data directory), or of a server
+// that dropped an idle connection, resumes without caller involvement; a
+// learned primary that cannot be reached is forgotten for the dialled
+// address. Promotion is still manual: nothing elects a follower when the
+// primary is lost for good — an operator restarts a node over the
+// follower's state as the new primary and repoints the others.
 //
 // # Durability and recovery
 //
@@ -199,9 +201,8 @@
 // is the replication lag. Telemetry-aware nodes additionally report their
 // peer count, worker-queue depth, served-request total, and WAL fsync
 // count in the same response; the decoder tolerates older nodes that omit
-// them. SimulationConfig.Followers attaches wire-level followers to a
-// simulated deployment, and proxdisc-server logs lag and group-commit
-// batching on a live node.
+// them. proxdisc-server logs lag and group-commit batching on a live
+// node.
 //
 // # Elastic resharding
 //
@@ -282,12 +283,12 @@
 //
 // Every Client request method has a context-first form — JoinContext,
 // LookupContext, StatusContext, LandmarksContext, LeaveContext,
-// RefreshContext, JoinBatchContext, ForwardJoinContext,
-// ForwardJoinBatchContext, Subscribe — that accepts a context.Context as
-// the cancellation and deadline primitive: the effective bound of each
-// exchange is the tighter of ClientConfig.Timeout and the context's
-// deadline, retry backoffs abort when the context ends, and a
-// subscription's context scopes its whole lifetime. The original methods
+// RefreshContext, JoinBatchContext, Subscribe — that accepts a
+// context.Context as the cancellation and deadline primitive: the
+// effective bound of each exchange is the tighter of ClientConfig.Timeout
+// and the context's deadline, a request whose context ended is not sent
+// again, and a subscription's context scopes its whole lifetime, its
+// reconnect backoff included. The original methods
 // (Join, Lookup, Status, ...) remain as thin compatibility wrappers over
 // context.Background(). The configuration knobs the networked components
 // share (telemetry registry, logger, reconnect backoff) live in one
@@ -588,9 +589,9 @@ func ListenLandmark(addr string) (*LandmarkResponder, error) {
 // without serializing behind each other.
 type Client = client.Client
 
-// ClientConfig tunes a management-server connection: request timeout, the
-// in-flight pipelining cap, and the failover retry budget
-// (FailoverRetries, CommonConfig.Backoff) for replicated deployments.
+// ClientConfig tunes a management-server client: the request timeout, the
+// in-flight pipelining cap per session, and (CommonConfig.Backoff) the
+// pause before a subscription reconnects.
 type ClientConfig = client.Config
 
 // CommonConfig holds the configuration knobs shared by the networked
