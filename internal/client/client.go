@@ -17,13 +17,12 @@
 // primary a replica named, else the dialled address. One redial rule holds
 // on every road. A transport failure drops that address's session, and a
 // node that failed is forgotten as the learned primary; the request is
-// then sent once more on a fresh dial. A request that timed out, or that
-// the server answered with a wire error, is never re-sent. A re-sent
-// request is at-least-once: a write whose connection died after the send
-// may be applied twice. Every request is idempotent at the server
-// (re-joins replace, leaves of absent peers ack), so the retry changes no
-// state — but a per-request timeout is never re-sent, since the original
-// may still be in flight.
+// then sent once more on a fresh dial. A re-sent request is at-least-once:
+// a write whose connection died after the send may be applied twice.
+// Every request is idempotent at the server (re-joins replace, leaves of
+// absent peers ack), so the retry changes no state. A request that timed
+// out is never re-sent, since the original may still be in flight, and
+// neither is one the server answered with a wire error.
 //
 // A real deployment would obtain the router path with the system traceroute
 // tool; the PathProvider interface abstracts that, so tests and offline
@@ -95,16 +94,17 @@ type Config struct {
 	MaxInFlight int
 }
 
-// Client is a connection to the management server. It is safe for
-// concurrent use: requests from any number of goroutines are pipelined and
-// demultiplexed by request ID. Pipelined requests are unordered with
+// Client talks to the management server over one session per node it has
+// reached (see the package doc). It is safe for concurrent use: requests
+// from any number of goroutines are pipelined and demultiplexed by request
+// ID. Pipelined requests are unordered with
 // respect to each other: the server may answer — and
 // apply — them in any order, so a caller that needs one request to see
 // another's effect waits for the first response before sending the second.
 //
 // When the server is a sharded cluster node it may answer a join with a
 // redirect to the node owning the join's landmark; the client follows
-// transparently, keeping one session per node it has reached.
+// transparently.
 type Client struct {
 	cfg  Config
 	addr string // the dialled server address
@@ -369,8 +369,8 @@ func (c *Client) setHome(peer int64, addr string) (old string) {
 	return old
 }
 
-// moveHome re-homes a peer that has a home at addr, reporting whether it
-// had one.
+// moveHome moves a peer's home to addr when the peer has one, reporting
+// whether it had.
 func (c *Client) moveHome(peer int64, addr string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -584,9 +584,10 @@ func ListenLandmark(addr string) (*LandmarkResponder, error) {
 	return netserver.ListenLandmark(addr)
 }
 
-// Client is a TCP connection to a management server. It is safe for
-// concurrent use: concurrent requests are pipelined over the connection
-// without serializing behind each other.
+// Client talks to a management server over one TCP session per node it
+// has reached, redialing a session that died. It is safe for concurrent
+// use: concurrent requests are pipelined over a session without
+// serializing behind each other.
 type Client = client.Client
 
 // ClientConfig tunes a management-server client: the request timeout, the
