@@ -1,7 +1,9 @@
 package wal
 
 import (
+	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -62,6 +64,53 @@ func TestMaxSyncDelayBatchesFsyncs(t *testing.T) {
 	}
 	if m.Fsyncs >= m.Appends {
 		t.Fatalf("group commit never batched: %d fsyncs for %d appends", m.Fsyncs, m.Appends)
+	}
+}
+
+// TestCommitTapSeesOnlyDurableRecords: the commit tap feeds followers and
+// subscriptions, so every record it is handed must already be at or below
+// the durable mark. A record tapped before its fsync could reach a follower,
+// then vanish in a crash of the primary, whose next append would reissue its
+// sequence for a different op.
+func TestCommitTapSeesOnlyDurableRecords(t *testing.T) {
+	s, err := OpenSharded(t.TempDir(), 4, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const (
+		writers = 8
+		each    = 50
+	)
+	var tapped, early atomic.Uint64
+	var firstEarly atomic.Value
+	s.SetOnAppend(func(seq uint64, rec []byte) {
+		tapped.Add(1)
+		if mark := s.synced.Load(); seq > mark {
+			if early.Add(1) == 1 {
+				firstEarly.Store(fmt.Sprintf("seq %d tapped with the durable mark at %d", seq, mark))
+			}
+		}
+	})
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if _, err := s.Append(w%4, record(i)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if n := early.Load(); n > 0 {
+		t.Fatalf("%d of %d records reached the tap before they were durable; first: %s", n, tapped.Load(), firstEarly.Load())
+	}
+	if got := tapped.Load(); got != writers*each {
+		t.Fatalf("tap saw %d records, want %d", got, writers*each)
 	}
 }
 

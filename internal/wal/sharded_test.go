@@ -196,6 +196,82 @@ func TestShardedTornTailPerStreamTruncated(t *testing.T) {
 	}
 }
 
+// TestRecoveryStopsAtFirstGlobalHole: a crash between two streams' fsyncs
+// can keep a record whose predecessor, on another stream, was lost. No such
+// record was acknowledged — an append returns only once every record at or
+// below its own is durable — so recovery must end the history at the hole:
+// replaying the orphan would recover seq 20 without seq 19, and ops on
+// different shards do not commute. The orphan must also leave the disk, or
+// a later reopen would find it again beside a new seq 19.
+func TestRecoveryStopsAtFirstGlobalHole(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenSharded(dir, 2, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Stream 0 holds the odd sequences 1..19, stream 1 the even 2..20.
+	for i := 0; i < 20; i++ {
+		if _, err := s.Append(i%2, record(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Cut seq 19, stream 0's last record, whole; stream 1 keeps seq 20.
+	segs, err := listSeqFiles(dir, shardSegPrefix(0), segSuffix)
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("stream 0 segments: %v %v", segs, err)
+	}
+	path := filepath.Join(dir, shardSegName(0, segs[len(segs)-1]))
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, info.Size()-int64(frameHeader+len(record(18)))); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := OpenSharded(dir, 2, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := replayAllSharded(t, s2, 0)
+	if len(recs) != 18 {
+		t.Fatalf("replayed %d records after a hole at 19, want 18 (1..18)", len(recs))
+	}
+	for seq := uint64(1); seq <= 18; seq++ {
+		if !bytes.Equal(recs[seq], record(int(seq-1))) {
+			t.Fatalf("seq %d: got %q, want %q", seq, recs[seq], record(int(seq-1)))
+		}
+	}
+	if got := s2.LastSeq(); got != 18 {
+		t.Fatalf("LastSeq after replay: %d, want 18", got)
+	}
+	if seq, err := s2.Append(1, []byte("after-the-hole")); err != nil || seq != 19 {
+		t.Fatalf("append after replay: seq %d err %v, want 19", seq, err)
+	}
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s3, err := OpenSharded(dir, 2, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s3.Close()
+	recs = replayAllSharded(t, s3, 0)
+	if len(recs) != 19 || string(recs[19]) != "after-the-hole" {
+		t.Fatalf("second reopen replayed %d records, seq 19 %q; want 19 records ending in the new seq 19", len(recs), recs[19])
+	}
+	if old, ok := recs[20]; ok {
+		t.Fatalf("the cut seq 20 came back: %q", old)
+	}
+	if got := s3.LastSeq(); got != 19 {
+		t.Fatalf("LastSeq after the second reopen: %d, want 19", got)
+	}
+}
+
 func TestShardedReadAfterBoundedAndOrdered(t *testing.T) {
 	dir := t.TempDir()
 	s, err := OpenSharded(dir, 4, Options{NoSync: true})
