@@ -45,12 +45,15 @@
 // mutation (one per batch entry), the index stripe's lock innermost —
 // opMu → writer mutex → state lock → stripe. The server's join writes the
 // index entry; the cluster writes none of its own. After the gate is
-// released a durable cluster appends to the write-ahead log: the shard stream's
-// append mutex and wal.Sharded's seqMu, then the group-commit syncMu for
-// whoever leads the fsync. The cluster adds no write lock of its own: the
-// handoff gate is shared by writers and exclusive only for MoveLandmark's
-// handoff (the two shards involved) and Expire's sweep (all shards,
-// ascending order), both serialised by hoMu.
+// released a durable cluster appends to the write-ahead log: the shard
+// stream's append mutex, under which the record takes its sequence with one
+// atomic add, then the group commit — a brief hold of wal.Sharded's syncMu
+// to lead a sync cycle or wait for the running one; the cycle's leader takes
+// each stream's mutex in turn, and the tap lock while it feeds the commit
+// tap. The cluster adds no write lock of its own: the handoff gate is
+// shared by writers and exclusive only for MoveLandmark's handoff (the two
+// shards involved) and Expire's sweep (all shards, ascending order), both
+// serialised by hoMu.
 package cluster
 
 import (

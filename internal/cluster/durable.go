@@ -111,7 +111,10 @@ func (c *Cluster) openDurable() error {
 	}
 	// The log can never fall behind its snapshot's sequence (possible only
 	// when segment files were removed out from under it).
-	log.EnsureSeq(snapSeq)
+	if err := log.EnsureSeq(snapSeq); err != nil {
+		log.Close()
+		return err
+	}
 	replayStart := time.Now()
 	var o op.Op // one decode target for the whole tail, as op.ReadStream keeps one for the checkpoint
 	if err := log.Replay(snapSeq, func(seq uint64, rec []byte) error {
@@ -310,24 +313,28 @@ func (c *Cluster) Checkpoint() error {
 var errNotDurable = errors.New("cluster: not durable (no DataDir): no op log to serve followers from")
 
 // SetCommitTap installs tap as the observer of the committed op stream:
-// it is called for every WAL record under the append lock, in sequence
-// order, with the record's canonical op encoding (which the tap must not
-// retain). The returned head is the last sequence committed before the
-// tap became live — records at or below it are the tap's blind spot and
-// are served by ReadCommitted instead. ok is false on a non-durable
-// cluster, which has no committed stream. A nil tap uninstalls.
+// it is called for every WAL record once the record is durable — by the
+// group commit's sync leader, before the write that logged it returns —
+// in contiguous sequence order, with the record's canonical op encoding
+// (which the tap must not retain). So no follower or subscriber fed by it
+// can see an op a crash of this node would lose. The returned head is the
+// last sequence sent to the previous tap, read under the lock that sends
+// to it: every record above it reaches tap, and records at or below it are
+// the tap's blind spot, served by ReadCommitted instead. ok is false on a
+// non-durable cluster, which has no committed stream. A nil tap
+// uninstalls; once SetCommitTap returns, the old tap is not called again.
 func (c *Cluster) SetCommitTap(tap func(seq uint64, rec []byte)) (head uint64, ok bool) {
 	if c.log == nil {
 		return 0, false
 	}
-	c.log.SetOnAppend(tap)
-	return c.log.LastSeq(), true
+	return c.log.SetOnAppend(tap), true
 }
 
-// ReadCommitted streams committed records with sequence strictly greater
-// than after out of the write-ahead log — the follower catch-up read. It
-// is safe concurrently with writes; a concurrent checkpoint's truncation
-// surfaces as an error, and the caller restarts from CatchupSnapshot.
+// ReadCommitted streams durable records with sequence strictly greater
+// than after, up to the committed head as it stands when the call starts,
+// out of the write-ahead log — the follower catch-up read. It is safe
+// concurrently with writes; a concurrent checkpoint's truncation surfaces
+// as an error, and the caller restarts from CatchupSnapshot.
 func (c *Cluster) ReadCommitted(after uint64, fn func(seq uint64, rec []byte) error) error {
 	if c.log == nil {
 		return errNotDurable
@@ -344,7 +351,9 @@ func (c *Cluster) CommittedFloor() (uint64, error) {
 	return c.log.FirstSeq()
 }
 
-// CommittedHead reports the last committed sequence.
+// CommittedHead reports the last committed sequence: the WAL's durable
+// mark, at or below which every record is on stable storage. Every write
+// that has returned is at or below it.
 func (c *Cluster) CommittedHead() uint64 {
 	if c.log == nil {
 		return 0

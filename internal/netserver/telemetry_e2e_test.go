@@ -69,9 +69,9 @@ func seriesWithPrefix(samples map[string]float64, prefix string) (string, bool) 
 // TestMetricsEndpointEndToEnd is the observability acceptance test: a
 // durable primary with a live follower serves /metrics over HTTP, and the
 // series a deployment actually alerts on — request counts and latency per
-// message type, WAL fsyncs, per-shard peer counts, the path trees' pool
-// bytes and the peer index's, follower replication position — are present
-// and move as traffic flows.
+// message type, WAL fsyncs and their wait, per-shard peer counts, the path
+// trees' pool bytes and the peer index's, follower replication position —
+// are present and move as traffic flows.
 func TestMetricsEndpointEndToEnd(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	telemetry.RegisterGoMetrics(reg)
@@ -175,6 +175,11 @@ func TestMetricsEndpointEndToEnd(t *testing.T) {
 	}
 	if got := samples["proxdisc_wal_append_duration_seconds_count"]; got < joins {
 		t.Fatalf("wal append latency observations = %v, want >= %d", got, joins)
+	}
+	// One fsync-wait observation per sync cycle that fsynced: at least
+	// one, and no more than the fsyncs they timed.
+	if got := samples["proxdisc_wal_fsync_duration_seconds_count"]; got < 1 || got > samples["proxdisc_wal_fsyncs_total"] {
+		t.Fatalf("wal fsync-wait observations = %v, want 1..%v", got, samples["proxdisc_wal_fsyncs_total"])
 	}
 
 	// Cluster plane: both shards hold peers and the totals agree.

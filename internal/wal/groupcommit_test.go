@@ -38,19 +38,20 @@ func TestMaxSyncDelayBatchesFsyncs(t *testing.T) {
 			}
 		}()
 	}
-	// Guarantee the overlap the assertion is about: hold the commit lock
-	// until every writer has buffered its first record and queued behind
-	// it. On a loaded single-core runner the writers otherwise serialize
-	// perfectly — each append is a lone leader that (correctly) skips the
-	// window — and fsyncs == appends without any bug being present. With
-	// all eight queued, the first leader's cycle must cover at least the
-	// eight buffered records with one fsync.
-	log.syncMu.Lock()
+	// Guarantee the overlap the assertion is about: hold the first sync
+	// cycle open until every writer has buffered its first record and is
+	// waiting on it. On a loaded single-core runner the writers otherwise
+	// serialize perfectly — each append is a lone leader that (correctly)
+	// skips the window — and fsyncs == appends without any bug being
+	// present. With all eight waiting, the held cycle's one fsync carries
+	// the eight buffered records, and the next cycle claims them.
+	hold := make(chan struct{})
+	log.cycleHook = func() { <-hold }
 	close(start)
-	for log.syncWaiters.Load() < writers {
+	for log.pending.Load() < writers {
 		time.Sleep(100 * time.Microsecond)
 	}
-	log.syncMu.Unlock()
+	close(hold)
 	wg.Wait()
 	m := log.Metrics()
 	if m.Appends != writers*each {
@@ -230,4 +231,196 @@ func TestReadAfterConcurrentWithAppends(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// holdFirstCycle makes the log's first sync cycle wait, once its mark is
+// captured, until the returned release is called; held is closed when that
+// cycle is waiting. cycles counts every cycle run.
+func holdFirstCycle(s *Sharded) (held <-chan struct{}, release func(), cycles *atomic.Int32) {
+	h, r := make(chan struct{}), make(chan struct{})
+	cycles = new(atomic.Int32)
+	s.cycleHook = func() {
+		if cycles.Add(1) == 1 {
+			close(h)
+			<-r
+		}
+	}
+	return h, func() { close(r) }, cycles
+}
+
+// appendBehindHeldCycle starts one appender on stream 0, whose cycle the
+// hook holds open, then n more on streams i%4 once it is held, and waits
+// until all n+1 are waiting for their records. It returns each appender's
+// result.
+func appendBehindHeldCycle(t *testing.T, s *Sharded, held <-chan struct{}, n int) <-chan error {
+	t.Helper()
+	errs := make(chan error, n+1)
+	go func() {
+		_, err := s.Append(0, record(0))
+		errs <- err
+	}()
+	<-held
+	for i := 1; i <= n; i++ {
+		go func(i int) {
+			_, err := s.Append(i%4, record(i))
+			errs <- err
+		}(i)
+	}
+	for s.pending.Load() < int32(n+1) {
+		time.Sleep(100 * time.Microsecond)
+	}
+	return errs
+}
+
+// collectErrs reads n results, failing the test if any appender hangs.
+func collectErrs(t *testing.T, errs <-chan error, n int) []error {
+	t.Helper()
+	out := make([]error, 0, n)
+	for len(out) < n {
+		select {
+		case err := <-errs:
+			out = append(out, err)
+		case <-time.After(10 * time.Second):
+			t.Fatalf("only %d of %d appenders returned", len(out), n)
+		}
+	}
+	return out
+}
+
+// TestOneCycleReleasesEveryWaiter: appenders that arrive on four streams
+// while a sync cycle runs wait for it, are released together when it ends,
+// and the one cycle after it covers all of them — not a cycle each, and not
+// a hand-off from waiter to waiter.
+func TestOneCycleReleasesEveryWaiter(t *testing.T) {
+	s, err := OpenSharded(t.TempDir(), 4, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var mu sync.Mutex
+	var tapped []uint64
+	s.SetOnAppend(func(seq uint64, _ []byte) {
+		mu.Lock()
+		tapped = append(tapped, seq)
+		mu.Unlock()
+	})
+	held, release, cycles := holdFirstCycle(s)
+	const n = 12
+	errs := appendBehindHeldCycle(t, s, held, n)
+	release()
+	for _, err := range collectErrs(t, errs, n+1) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if c := cycles.Load(); c != 2 {
+		t.Fatalf("%d sync cycles, want 2: the held one, then one for its %d waiters", c, n)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for i, seq := range tapped {
+		if seq != uint64(i+1) {
+			t.Fatalf("tap order %v", tapped)
+		}
+	}
+	if len(tapped) != n+1 {
+		t.Fatalf("tap saw %d records, want %d", len(tapped), n+1)
+	}
+	if m := s.Metrics(); m.SyncedRecords != n+1 {
+		t.Fatalf("synced records %d, want %d", m.SyncedRecords, n+1)
+	}
+}
+
+// TestFailedSyncCycleFailsEveryWaiter: when a cycle cannot make its
+// records durable, every appender waiting on it gets the error — none
+// hangs, none is told its record is safe, none reaches the tap — and the
+// log refuses appends from then on.
+func TestFailedSyncCycleFailsEveryWaiter(t *testing.T) {
+	s, err := OpenSharded(t.TempDir(), 4, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var tapped atomic.Int32
+	s.SetOnAppend(func(uint64, []byte) { tapped.Add(1) })
+	held, release, _ := holdFirstCycle(s)
+	const n = 12
+	errs := appendBehindHeldCycle(t, s, held, n)
+	// Close stream 0's segment under the log: the held cycle cannot write
+	// the records it buffered.
+	st := s.streams[0]
+	st.mu.Lock()
+	st.seg.Close()
+	st.mu.Unlock()
+	release()
+	for i, err := range collectErrs(t, errs, n+1) {
+		if err == nil {
+			t.Fatalf("appender %d returned success from a failed cycle", i)
+		}
+	}
+	if _, err := s.Append(1, []byte("later")); err == nil {
+		t.Fatal("append after a failed cycle succeeded")
+	}
+	if got := tapped.Load(); got != 0 {
+		t.Fatalf("tap saw %d records of a failed cycle", got)
+	}
+}
+
+// TestTapSeesRecordsARotationSynced: a rotation fsyncs its stream and
+// clears its dirty mark, so the next cycle finds nothing of it to flush —
+// but its records are still waiting for the tap, which must get them in
+// order like any others.
+func TestTapSeesRecordsARotationSynced(t *testing.T) {
+	s, err := OpenSharded(t.TempDir(), 4, Options{SegmentBytes: 1}) // every append rotates
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var mu sync.Mutex
+	got := map[uint64]string{}
+	var last uint64
+	s.SetOnAppend(func(seq uint64, rec []byte) {
+		mu.Lock()
+		defer mu.Unlock()
+		if seq != last+1 {
+			t.Errorf("tap saw seq %d after %d", seq, last)
+		}
+		last = seq
+		got[seq] = string(rec)
+	})
+	const (
+		writers = 4
+		each    = 10
+	)
+	want := make([]map[uint64]string, writers)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		want[w] = map[uint64]string{}
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				rec := fmt.Sprintf("w%d-%d", w, i)
+				seq, err := s.Append(w, []byte(rec))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				want[w][seq] = rec
+			}
+		}(w)
+	}
+	wg.Wait()
+	mu.Lock()
+	defer mu.Unlock()
+	if last != writers*each {
+		t.Fatalf("tap saw records up to %d, want %d", last, writers*each)
+	}
+	for _, m := range want {
+		for seq, rec := range m {
+			if got[seq] != rec {
+				t.Fatalf("tap seq %d carried %q, want %q", seq, got[seq], rec)
+			}
+		}
+	}
 }

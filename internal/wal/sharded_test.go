@@ -186,11 +186,13 @@ func TestShardedTornTailPerStreamTruncated(t *testing.T) {
 	defer s2.Close()
 	recs := replayAllSharded(t, s2, 0)
 	// One record of stream 1 (its last, seq 20) was torn away; stream 0 is
-	// intact. Replay tolerates the per-stream gap.
+	// intact. Torn at the very end of the history, it leaves no hole: 1..19
+	// replay whole.
 	if len(recs) != 19 {
 		t.Fatalf("replayed %d records after torn tail, want 19", len(recs))
 	}
-	// The recovered sequence is the maximum surviving one across streams.
+	// The recovered sequence is the last record of that unbroken history
+	// (TestRecoveryStopsAtFirstGlobalHole tears one that is not last).
 	if got := s2.LastSeq(); got != 19 {
 		t.Fatalf("LastSeq after torn-tail recovery: %d, want 19", got)
 	}
@@ -511,20 +513,21 @@ func TestShardedConcurrentAppendGroupCommit(t *testing.T) {
 			}
 		}(w)
 	}
-	// Guarantee the overlap the assertion is about: hold the commit lock
-	// until every writer has buffered its first record (across all four
-	// streams) and queued behind it. On a loaded single-core runner the
-	// writers otherwise serialize perfectly — each append is a lone
-	// leader that (correctly) skips the window — and fsyncs == appends
-	// without any bug being present. With all eight queued, the first
-	// leader's cycle must flush all four dirty streams for one shared
-	// commit, covering at least those eight records.
-	s.syncMu.Lock()
+	// Guarantee the overlap the assertion is about: hold the first sync
+	// cycle open until every writer has buffered its first record (across
+	// all four streams) and is waiting on it. On a loaded single-core
+	// runner the writers otherwise serialize perfectly — each append is a
+	// lone leader that (correctly) skips the window — and fsyncs ==
+	// appends without any bug being present. With all eight waiting, the
+	// held cycle flushes all four dirty streams for one shared commit,
+	// carrying at least those eight records.
+	hold := make(chan struct{})
+	s.cycleHook = func() { <-hold }
 	close(start)
-	for s.syncWaiters.Load() < writers {
+	for s.pending.Load() < writers {
 		time.Sleep(100 * time.Microsecond)
 	}
-	s.syncMu.Unlock()
+	close(hold)
 	wg.Wait()
 	m := s.Metrics()
 	if m.Appends != writers*each {

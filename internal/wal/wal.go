@@ -4,11 +4,12 @@
 //
 // The log is the node's commit record. A write is acknowledged only after
 // its record is on stable storage; concurrent appenders share fsyncs
-// through group commit (the first caller to reach the disk syncs
-// everything flushed so far, and everyone behind it observes the advanced
-// sync mark and returns without touching the disk), so the per-write cost
-// of durability amortizes under load instead of serializing behind one
-// fsync per operation.
+// through group commit (one sync cycle at a time fsyncs everything
+// appended before it began, advances the durable mark, and releases all
+// the appenders it covered together), so the per-write cost of durability
+// amortizes under load instead of serializing behind one fsync per
+// operation. The commit tap — the feed of followers and subscriptions —
+// sees a record only once it is durable.
 //
 // Records are framed as
 //
@@ -80,15 +81,6 @@ type Options struct {
 	// fewer fsyncs; under heavy load the window simply widens the batch.
 	// Zero preserves the fsync-immediately behaviour. Ignored with NoSync.
 	MaxSyncDelay time.Duration
-	// OnAppend, when set, observes every appended record — called under
-	// the sequence lock, in sequence order, before the record is durable
-	// (the record matches the primary's in-memory state, which also
-	// mutates before the commit lands). It must not block and must not
-	// retain rec, which is owned by the caller. It is the feed of the
-	// replication stream: network followers subscribe here and fall back
-	// to reading the log's files when they lag. Use SetOnAppend to
-	// install it after OpenSharded.
-	OnAppend func(seq uint64, rec []byte)
 	// Telemetry, when set, exposes the log's counters and append-latency
 	// histogram (the proxdisc_wal_* series) through the registry. Without
 	// it the metrics are still collected — Metrics() reads them — just not
@@ -178,11 +170,15 @@ func listSeqFiles(dir, prefix, suffix string) ([]uint64, error) {
 	return out, nil
 }
 
+// noLimit is scanSegment's bound when every intact record is wanted.
+const noLimit = ^uint64(0)
+
 // scanSegment finds where a stream's final segment stops being intact: the
-// offset at which the file, or a torn or corrupt record (the tail a crash
-// leaves), ends the run of good records, and the sequence of the last good
-// record before it (start-1 when there is none).
-func scanSegment(path string, start uint64) (validEnd int64, lastSeq uint64, err error) {
+// offset at which the file, a torn or corrupt record (the tail a crash
+// leaves), or the first record with a sequence at or above below ends the
+// run of good records, and the sequence of the last good record before it
+// (start-1 when there is none).
+func scanSegment(path string, start, below uint64) (validEnd int64, lastSeq uint64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, 0, fmt.Errorf("wal: %w", err)
@@ -204,7 +200,7 @@ func scanSegment(path string, start uint64) (validEnd int64, lastSeq uint64, err
 		size := binary.BigEndian.Uint32(hdr[:4])
 		seq := binary.BigEndian.Uint64(hdr[4:12])
 		crc := binary.BigEndian.Uint32(hdr[12:16])
-		if size > MaxRecordSize || seq < want {
+		if size > MaxRecordSize || seq < want || seq >= below {
 			return off, want - 1, nil
 		}
 		rec = slices.Grow(rec[:0], int(size))[:size]

@@ -92,7 +92,10 @@
 // snapshot. Replication is asynchronous: the primary acknowledges a write
 // when its own write-ahead log has it, not when a follower does, so a
 // follower's reads may lag the primary's by its reported lag
-// (NodeStatus.Head − NodeStatus.Applied) and are not read-your-writes.
+// (NodeStatus.Head − NodeStatus.Applied) and are not read-your-writes. The
+// other way round never happens: a follower, like a subscription, is sent
+// an op only once it is durable on the primary, so none can apply an op a
+// crash of the primary would lose (TestCommitTapSeesOnlyDurableRecords).
 //
 // The client-side half: a NetServer fronting a follower's copy runs in
 // RoleReplica — it serves reads locally and answers writes with a redirect
@@ -121,27 +124,35 @@
 // Setting ClusterConfig.DataDir makes a node durable. Acknowledged writes
 // are appended to a segmented, CRC-framed write-ahead log before the call
 // returns; concurrent writers share fsyncs through group commit, so the
-// durability cost amortizes under load. The cluster's state is
-// periodically checkpointed to the same directory (every
-// ClusterConfig.SnapshotEvery ops, in the background, and again on
-// Cluster.Close), after which the log is truncated at the checkpoint
-// boundary — the disk footprint is bounded by the checkpoint cadence.
-// A checkpoint is a compacted op log, written in the same op codec as the
-// log it replaces: one move op per landmark (its owning shard and fencing
-// epoch), every peer as an entry of a batch-join op stamped with its last
-// refresh, one flag op per super-peer — each record length-bounded and
-// CRC-framed, the file closed by a counted end frame. NewCluster on a
-// populated directory recovers before returning: it replays the latest
-// checkpoint and then the log tail through the one normal apply path, so
-// a restarted node serves the exact peer set (and, for joins that arrived
-// over the wire, the exact overlay addresses) it acknowledged before the
-// crash. A log record torn by the crash itself was never acknowledged and
-// is dropped by CRC; a checkpoint, which is only ever renamed into place
-// whole, gets no such tolerance — one that is truncated, fails a CRC, or
-// is in the gob format that preceded op streams (no reader for it is
-// kept) fails NewCluster with the directory untouched. Expiry sweeps are
-// logged as a single deadline-carrying op, not as per-peer leaves, so
-// logs stay compact and every copy re-derives the identical expiry set.
+// durability cost amortizes under load. One sync cycle runs at a time: it
+// fsyncs everything appended before it began, advances the log's durable
+// mark, feeds the committed op stream up to that mark, and releases every
+// writer it covered at once. The cluster's state is periodically
+// checkpointed to the same directory (every ClusterConfig.SnapshotEvery
+// ops, in the background, and again on Cluster.Close), after which the log
+// is truncated at the checkpoint boundary — the disk footprint is bounded
+// by the checkpoint cadence. A checkpoint is a compacted op log, written in
+// the same op codec as the log it replaces: one move op per landmark (its
+// owning shard and fencing epoch), every peer as an entry of a batch-join
+// op stamped with its last refresh, one flag op per super-peer — each
+// record length-bounded and CRC-framed, the file closed by a counted end
+// frame. NewCluster on a populated directory recovers before returning: it
+// replays the latest checkpoint and then the log tail through the one
+// normal apply path, so a restarted node serves the exact peer set (and,
+// for joins that arrived over the wire, the exact overlay addresses) it
+// acknowledged before the crash. A log record torn by the crash itself was
+// never acknowledged and is dropped by CRC, and so is every record past the
+// first sequence that no shard's stream holds: a crash between two streams'
+// fsyncs can keep a record whose predecessor was lost, and a write is
+// acknowledged only once everything before it is durable, so recovery ends
+// the history at the hole and cuts the orphans off the disk
+// (TestRecoveryStopsAtFirstGlobalHole). Recovered state is therefore always
+// a prefix of the committed order. A checkpoint, which is only ever renamed
+// into place whole, gets no such tolerance — one that is truncated, fails a
+// CRC, or is in the gob format that preceded op streams (no reader for it
+// is kept) fails NewCluster with the directory untouched. Expiry sweeps are
+// logged as a single deadline-carrying op, not as per-peer leaves, so logs
+// stay compact and every copy re-derives the identical expiry set.
 //
 // The TCP front end has no durable state of its own: -data-dir is the
 // cluster's. cmd/proxdisc-server keeps it under DIR/cluster (a DIR/front
@@ -169,7 +180,9 @@
 // the op.Replicator interface, and WAL replay), zero drift.
 //
 // Roles. The primary serves the stream from its WAL: live records flow
-// from a commit tap into each follower's bounded buffer, a follower that
+// from the commit tap — which the WAL's sync leader feeds once they are
+// durable, before their writers return — into each follower's bounded
+// buffer, a follower that
 // lags is fed by reading the log's files (the WAL is the retention
 // buffer — a slow follower costs a file read, not memory), and a follower
 // behind the log's retention floor — it reconnected after the primary
@@ -346,8 +359,10 @@
 //     what the path trees' pools hold in use and parked on free lists, and
 //     the peer index's slots in use and empty.
 //   - Write-ahead log: proxdisc_wal_appends_total,
-//     proxdisc_wal_fsyncs_total, proxdisc_wal_synced_records_total, and
-//     proxdisc_wal_append_duration_seconds.
+//     proxdisc_wal_fsyncs_total, proxdisc_wal_synced_records_total,
+//     proxdisc_wal_append_duration_seconds, and
+//     proxdisc_wal_fsync_duration_seconds, the fsync wait: one observation
+//     per sync cycle, covering all of that cycle's fsync calls.
 //   - Client: proxdisc_client_inflight, proxdisc_client_retries_total,
 //     proxdisc_client_redirects_total, and
 //     proxdisc_client_failovers_total.
@@ -401,10 +416,11 @@
 //     per shard (files named wal-<shard>-<seq>.seg), each with its own
 //     append mutex, so commits to different shards never queue on a single
 //     log lock. Records still carry one global sequence, and a
-//     cross-stream group-commit coordinator shares fsyncs: the sync leader
-//     flushes every dirty stream's buffer, fsyncs them, and acknowledges
-//     all records up to the captured sequence at once — concurrent
-//     committers on different shards ride one disk sync. Recovery
+//     cross-stream group commit shares fsyncs: one sync cycle at a time,
+//     its leader flushes every dirty stream's buffer, fsyncs them, and
+//     releases all the cycle's waiters together once every record up to
+//     the captured sequence is durable — concurrent committers on
+//     different shards ride one disk sync. Recovery
 //     merge-replays the streams by global sequence (a k-way merge over
 //     per-stream cursors), so the op stream, follower catch-up, and
 //     subscription planes see exactly the order a single log would have
