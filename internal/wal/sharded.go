@@ -59,9 +59,9 @@ type Sharded struct {
 	failed atomic.Pointer[errBox] // sticky I/O failure: the log refuses further appends
 	closed atomic.Bool
 
-	syncMu  sync.Mutex   // guards cycle
-	cycle   *syncCycle   // the running sync cycle; nil between cycles
-	pending atomic.Int32 // appenders waiting for their records to be released, gating the commit window
+	syncMu  sync.Mutex    // guards cycle
+	cycle   chan struct{} // closed when the running sync cycle ends; nil between cycles
+	pending atomic.Int32  // appenders waiting for their records to be released, gating the commit window
 
 	tapMu    sync.Mutex // held while the commit tap is called or replaced
 	onAppend func(seq uint64, rec []byte)
@@ -77,26 +77,11 @@ type Sharded struct {
 	fsyncLatency  *telemetry.Histogram
 }
 
-// syncCycle is one flush+fsync cycle. Its waiters block on done, which the
-// leader closes once the cycle has ended, err included.
-type syncCycle struct {
-	done chan struct{}
-	err  error
-}
-
 // tapRec is a record queued for the commit tap. rec is the appender's own
 // slice, valid until its Append returns — which is after the tap call.
 type tapRec struct {
 	seq uint64
 	rec []byte
-}
-
-// dirtyStream is a stream a cycle flushed: the file it fsyncs and the last
-// sequence the flush carried.
-type dirtyStream struct {
-	st *shardStream
-	f  *os.File
-	fl uint64
 }
 
 // shardStream is one stream's append state. Its mutex covers only this
@@ -212,8 +197,8 @@ func (s *Sharded) openStreams(floor uint64) error {
 		st.bw = &fileWriter{f: f}
 		st.segStart = last
 		st.segSize = end
-		st.last = lastSeq // last-1 for an empty segment: it is named for its next record
-		st.rotSynced = lastSeq
+		st.last = lastSeq      // last-1 for an empty segment: it is named for its next record
+		st.rotSynced = lastSeq // everything recovered is on disk
 		head = max(head, lastSeq)
 	}
 	for _, st := range s.streams {
@@ -484,8 +469,9 @@ func (s *Sharded) openStreamSegment(st *shardStream, start uint64) error {
 // handed to the commit tap. An appender not yet covered leads a sync cycle
 // if none is running, or else waits for the running one to end. A cycle
 // releases all its waiters together; those it covered return, and the
-// first of the others to take syncMu leads the next cycle. Every waiter of
-// a failed cycle gets its error.
+// first of the others to take syncMu leads the next cycle. A failed cycle
+// leaves the log's sticky failure set, so each of its waiters gets that
+// error from the cycle it would lead next.
 func (s *Sharded) syncTo(target uint64) error {
 	if s.tapped.Load() >= target {
 		return nil
@@ -498,24 +484,21 @@ func (s *Sharded) syncTo(target uint64) error {
 			s.syncMu.Unlock()
 			return nil
 		}
-		if c := s.cycle; c != nil {
+		if running := s.cycle; running != nil {
 			s.syncMu.Unlock()
-			<-c.done
-			if c.err != nil {
-				return c.err
-			}
+			<-running
 			continue
 		}
-		c := &syncCycle{done: make(chan struct{})}
-		s.cycle = c
+		done := make(chan struct{})
+		s.cycle = done
 		s.syncMu.Unlock()
-		c.err = s.runCycle()
+		err := s.runCycle()
 		s.syncMu.Lock()
 		s.cycle = nil
 		s.syncMu.Unlock()
-		close(c.done)
-		if c.err != nil {
-			return c.err
+		close(done)
+		if err != nil {
+			return err
 		}
 	}
 }
@@ -524,6 +507,9 @@ func (s *Sharded) syncTo(target uint64) error {
 // dirty stream, advance the durable mark, and hand the records it covers
 // to the commit tap in sequence order.
 func (s *Sharded) runCycle() error {
+	if err := s.err(); err != nil {
+		return err
+	}
 	// Group-commit window: the leader holds the cycle open for MaxSyncDelay
 	// only while other appenders are actually waiting, so their records —
 	// and any arriving during the window — land in this flush. A lone
@@ -532,9 +518,6 @@ func (s *Sharded) runCycle() error {
 	// ones.
 	if d := s.opts.MaxSyncDelay; d > 0 && !s.opts.NoSync && s.pending.Load() > 1 {
 		time.Sleep(d)
-	}
-	if err := s.err(); err != nil {
-		return err
 	}
 	// The mark this cycle will claim is captured BEFORE any stream is
 	// locked: a record at or below it took its sequence — and was buffered
@@ -545,6 +528,11 @@ func (s *Sharded) runCycle() error {
 	mark := s.seq.Load()
 	if s.cycleHook != nil {
 		s.cycleHook()
+	}
+	type dirtyStream struct {
+		st *shardStream
+		f  *os.File
+		fl uint64
 	}
 	var taken []tapRec
 	var dirty []dirtyStream
