@@ -319,7 +319,7 @@ var errNotDurable = errors.New("cluster: not durable (no DataDir): no op log to 
 // (which the tap must not retain). So no follower or subscriber fed by it
 // can see an op a crash of this node would lose. The returned head is the
 // last sequence sent to the previous tap, read under the lock that sends
-// to it: every record above it reaches tap, and records at or below it are
+// to it: every record above it reaches the tap, and those at or below it are
 // the tap's blind spot, served by ReadCommitted instead. ok is false on a
 // non-durable cluster, which has no committed stream. A nil tap
 // uninstalls; once SetCommitTap returns, the old tap is not called again.

@@ -59,9 +59,11 @@ type Sharded struct {
 	failed atomic.Pointer[errBox] // sticky I/O failure: the log refuses further appends
 	closed atomic.Bool
 
-	syncMu  sync.Mutex    // guards cycle
-	cycle   chan struct{} // closed when the running sync cycle ends; nil between cycles
-	pending atomic.Int32  // appenders waiting for their records to be released, gating the commit window
+	syncMu   sync.Mutex   // guards syncing
+	syncing  bool         // a sync cycle is running
+	cycleEnd sync.Cond    // broadcast, under syncMu, when a sync cycle ends
+	pending  atomic.Int32 // appenders waiting for their records to be released, gating the commit window
+	taken    []tapRec     // the running cycle's records for the tap; its leader's scratch
 
 	tapMu    sync.Mutex // held while the commit tap is called or replaced
 	onAppend func(seq uint64, rec []byte)
@@ -139,6 +141,7 @@ func OpenSharded(dir string, streams int, opts Options) (*Sharded, error) {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
 	s := &Sharded{dir: dir, opts: opts}
+	s.cycleEnd.L = &s.syncMu
 	s.initMetrics()
 	// Keep every stream already on disk, even past the requested count: a
 	// shrunk configuration must still replay (and truncate) old streams.
@@ -478,29 +481,24 @@ func (s *Sharded) syncTo(target uint64) error {
 	}
 	s.pending.Add(1)
 	defer s.pending.Add(-1)
-	for {
-		s.syncMu.Lock()
-		if s.tapped.Load() >= target {
-			s.syncMu.Unlock()
-			return nil
-		}
-		if running := s.cycle; running != nil {
-			s.syncMu.Unlock()
-			<-running
+	s.syncMu.Lock()
+	defer s.syncMu.Unlock()
+	for s.tapped.Load() < target {
+		if s.syncing {
+			s.cycleEnd.Wait()
 			continue
 		}
-		done := make(chan struct{})
-		s.cycle = done
+		s.syncing = true
 		s.syncMu.Unlock()
 		err := s.runCycle()
 		s.syncMu.Lock()
-		s.cycle = nil
-		s.syncMu.Unlock()
-		close(done)
+		s.syncing = false
+		s.cycleEnd.Broadcast()
 		if err != nil {
 			return err
 		}
 	}
+	return nil
 }
 
 // runCycle is one sync cycle, run by its leader: flush and fsync every
@@ -534,7 +532,7 @@ func (s *Sharded) runCycle() error {
 		f  *os.File
 		fl uint64
 	}
-	var taken []tapRec
+	taken := s.taken[:0]
 	var dirty []dirtyStream
 	for _, st := range s.streams {
 		st.mu.Lock()
@@ -604,6 +602,8 @@ func (s *Sharded) runCycle() error {
 	}
 	s.tapped.Store(mark)
 	s.tapMu.Unlock()
+	clear(taken)
+	s.taken = taken[:0]
 	return nil
 }
 
