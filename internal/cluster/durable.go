@@ -164,11 +164,11 @@ func (c *Cluster) commit(o op.Op) error {
 		return nil
 	}
 	// Encode into pooled buffers: the WAL copies each record into its own
-	// write buffer before Append returns and commit taps must not retain
-	// records, so every buffer recycles as soon as Append comes back — the
-	// encode side of a committed op is allocation-free in steady state.
-	// The one-record common case keeps the record slice itself on the
-	// stack too.
+	// write buffer and hands it to the commit tap, which must not retain
+	// it, before Append returns, so every buffer recycles as soon as
+	// Append comes back — the encode side of a committed op is
+	// allocation-free in steady state. The one-record common case keeps
+	// the record slice itself on the stack too.
 	var recsArr [1][]byte
 	recs := recsArr[:0]
 	if o.Kind == op.KindBatchJoin && len(o.Batch) > op.MaxBatch {
