@@ -24,6 +24,11 @@
 // out is never re-sent, since the original may still be in flight, and
 // neither is one the server answered with a wire error.
 //
+// A session carries calls and subscriptions alike. A subscription is a
+// subscribe request on the primary road whose ID goes on naming the events
+// the server pushes, so a client that talks to one node holds one
+// connection however many subscriptions it runs.
+//
 // A real deployment would obtain the router path with the system traceroute
 // tool; the PathProvider interface abstracts that, so tests and offline
 // deployments plug in a simulated tracer while production plugs in the real
@@ -74,10 +79,11 @@ type Config struct {
 	// (conf.Common). Common.Telemetry, when set, receives the client's
 	// operational metrics, summed over its sessions:
 	// proxdisc_client_inflight (pipelined requests currently outstanding),
-	// proxdisc_client_retries_total (requests sent again on a fresh dial),
+	// proxdisc_client_retries_total (requests sent again on a fresh dial,
+	// and subscriptions opened again after their stream ended),
 	// proxdisc_client_redirects_total, and proxdisc_client_failovers_total
 	// (sessions written off after a transport failure). Common.Backoff is
-	// the initial pause before a subscription reconnects (default 50ms),
+	// the initial pause before a subscription resubscribes (default 50ms),
 	// doubling per attempt up to 2s. The client logs nothing, so
 	// Common.Logger is accepted and ignored.
 	conf.Common
@@ -125,7 +131,7 @@ type Client struct {
 // make each update a no-op.
 type clientMetrics struct {
 	inflight  *telemetry.Gauge   // pipelined requests currently outstanding
-	retries   *telemetry.Counter // requests sent again on a fresh dial
+	retries   *telemetry.Counter // requests sent again on a fresh dial, and resubscribes
 	redirects *telemetry.Counter // not-primary / MsgRedirect hops followed
 	failovers *telemetry.Counter // sessions written off after a transport failure
 }
@@ -184,7 +190,7 @@ func DialConfig(addr string, cfg Config) (*Client, error) {
 // ServerMaxBatch reports the batch-join size the dialled server accepts.
 func (c *Client) ServerMaxBatch() int { return c.maxBatch }
 
-// Close releases every session and any live subscriptions.
+// Close ends any live subscriptions, then releases every session.
 func (c *Client) Close() error {
 	c.mu.Lock()
 	c.closed = true
@@ -292,8 +298,9 @@ func (c *Client) drop(addr string, dead *session) {
 // once more on a fresh dial. A wire error, a per-request timeout (see
 // isTimeout) and the end of ctx return at once. The response payload is
 // the caller's, to recycle with proto.PutBuf; payload stays the caller's
-// too.
-func (c *Client) send(ctx context.Context, r road, reqType proto.MsgType, payload []byte) (proto.MsgType, []byte, error) {
+// too. A subscribe passes its stream, which each attempt registers on the
+// session it reaches (see exchange); any other request passes nil.
+func (c *Client) send(ctx context.Context, r road, reqType proto.MsgType, payload []byte, st *stream) (proto.MsgType, []byte, error) {
 	for retried := false; ; retried = true {
 		addr, s, err := c.resolve(r)
 		if err == nil {
@@ -301,7 +308,7 @@ func (c *Client) send(ctx context.Context, r road, reqType proto.MsgType, payloa
 				typ  proto.MsgType
 				resp []byte
 			)
-			if typ, resp, err = s.exchange(ctx, reqType, payload); err == nil {
+			if typ, resp, err = s.exchange(ctx, reqType, payload, st); err == nil {
 				return typ, resp, nil
 			}
 			var werr *proto.Error
@@ -323,9 +330,9 @@ func (c *Client) send(ctx context.Context, r road, reqType proto.MsgType, payloa
 // MaxRedirects: a peer with a home is re-homed there, and any other road
 // learns it as the primary. A CodeUnknownPeer ends a peer's home, so the
 // home map cannot grow without bound.
-func (c *Client) roundTrip(ctx context.Context, r road, reqType proto.MsgType, payload []byte, wantType proto.MsgType) ([]byte, error) {
+func (c *Client) roundTrip(ctx context.Context, r road, reqType proto.MsgType, payload []byte, wantType proto.MsgType, st *stream) ([]byte, error) {
 	for redirects := 0; ; redirects++ {
-		typ, resp, err := c.send(ctx, r, reqType, payload)
+		typ, resp, err := c.send(ctx, r, reqType, payload, st)
 		if err == nil {
 			if typ != wantType {
 				proto.PutBuf(resp)
@@ -415,12 +422,12 @@ func (c *Client) rehome(ctx context.Context, peer int64, addr string) {
 	}
 	// Best effort: the join already succeeded, and a retire that fails
 	// leaves a record the old node's TTL expiry removes.
-	if _, resp, err := c.send(ctx, road{node: old}, proto.MsgLeaveRequest, proto.EncodeLeaveRequest(&proto.LeaveRequest{Peer: peer})); err == nil {
+	if _, resp, err := c.send(ctx, road{node: old}, proto.MsgLeaveRequest, proto.EncodeLeaveRequest(&proto.LeaveRequest{Peer: peer}), nil); err == nil {
 		proto.PutBuf(resp)
 	}
 }
 
-// backoffDelay is the bounded exponential pause before reconnect
+// backoffDelay is the bounded exponential pause before resubscribe
 // `attempt` (1-based): Common.Backoff doubling per attempt, capped at 2s.
 func (c *Client) backoffDelay(attempt int) time.Duration {
 	d := c.cfg.ResolveBackoff(50 * time.Millisecond)
@@ -436,7 +443,7 @@ func (c *Client) backoffDelay(attempt int) time.Duration {
 // StatusContext reports the server node's replication role and shard
 // layout. A pre-status server answers with an unknown-message error.
 func (c *Client) StatusContext(ctx context.Context) (*proto.Status, error) {
-	resp, err := c.roundTrip(ctx, road{}, proto.MsgStatusRequest, nil, proto.MsgStatusResponse)
+	resp, err := c.roundTrip(ctx, road{}, proto.MsgStatusRequest, nil, proto.MsgStatusResponse, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -452,7 +459,7 @@ func (c *Client) Status() (*proto.Status, error) {
 
 // LandmarksContext fetches the landmark router IDs and probe addresses.
 func (c *Client) LandmarksContext(ctx context.Context) (*proto.LandmarksResponse, error) {
-	resp, err := c.roundTrip(ctx, road{}, proto.MsgLandmarksRequest, nil, proto.MsgLandmarksResponse)
+	resp, err := c.roundTrip(ctx, road{}, proto.MsgLandmarksRequest, nil, proto.MsgLandmarksResponse, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -482,7 +489,7 @@ func (c *Client) JoinContext(ctx context.Context, peer int64, overlayAddr string
 	// node.
 	node := ""
 	for hops := 0; ; {
-		typ, resp, err := c.send(ctx, road{node: node}, proto.MsgJoinRequest, payload)
+		typ, resp, err := c.send(ctx, road{node: node}, proto.MsgJoinRequest, payload, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -565,7 +572,7 @@ func (c *Client) JoinBatchContext(ctx context.Context, items []BatchItem) ([]Bat
 		if err != nil {
 			return nil, err
 		}
-		resp, err := c.roundTrip(ctx, road{}, proto.MsgBatchJoinRequest, payload, proto.MsgBatchJoinResponse)
+		resp, err := c.roundTrip(ctx, road{}, proto.MsgBatchJoinRequest, payload, proto.MsgBatchJoinResponse, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -611,7 +618,7 @@ func (c *Client) LookupContext(ctx context.Context, q Query) ([]proto.Candidate,
 		return nil, fmt.Errorf("client: lookup supports only k-closest queries (kind %d)", q.Kind)
 	}
 	req := proto.AppendLookupRequest(proto.GetBuf(0), &proto.LookupRequest{Peer: q.Peer})
-	resp, err := c.roundTrip(ctx, homeOf(q.Peer), proto.MsgLookupRequest, req, proto.MsgLookupResponse)
+	resp, err := c.roundTrip(ctx, homeOf(q.Peer), proto.MsgLookupRequest, req, proto.MsgLookupResponse, nil)
 	proto.PutBuf(req)
 	if err != nil {
 		return nil, err
@@ -637,7 +644,7 @@ func (c *Client) Lookup(peer int64) ([]proto.Candidate, error) {
 // LeaveContext deregisters a peer at the node holding its registration.
 func (c *Client) LeaveContext(ctx context.Context, peer int64) error {
 	resp, err := c.roundTrip(ctx, homeOf(peer), proto.MsgLeaveRequest,
-		proto.EncodeLeaveRequest(&proto.LeaveRequest{Peer: peer}), proto.MsgAck)
+		proto.EncodeLeaveRequest(&proto.LeaveRequest{Peer: peer}), proto.MsgAck, nil)
 	if err == nil {
 		proto.PutBuf(resp)
 		c.setHome(peer, "")
@@ -654,7 +661,7 @@ func (c *Client) Leave(peer int64) error {
 // RefreshContext heartbeats a peer at the node holding its registration.
 func (c *Client) RefreshContext(ctx context.Context, peer int64) error {
 	resp, err := c.roundTrip(ctx, homeOf(peer), proto.MsgRefreshRequest,
-		proto.EncodeRefreshRequest(&proto.RefreshRequest{Peer: peer}), proto.MsgAck)
+		proto.EncodeRefreshRequest(&proto.RefreshRequest{Peer: peer}), proto.MsgAck, nil)
 	if err == nil {
 		proto.PutBuf(resp)
 	}

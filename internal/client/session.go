@@ -18,7 +18,7 @@ import (
 
 // session is one hello'd connection to one node. It knows nothing of
 // routing: the Client picks a session by address, and writes it off when
-// its connection dies.
+// its connection dies. It carries calls and subscription streams alike.
 type session struct {
 	conn net.Conn
 	// timeout bounds each request/response exchange (Config.Timeout).
@@ -45,12 +45,17 @@ type session struct {
 	// under its request ID; the demux removes it from pending before it
 	// delivers the response, and only a caller that received its response
 	// puts the slot back (see call).
+	//
+	// A subscription's stream is registered in streams under the ID of
+	// the request that opened it: the demux hands that request's answer to
+	// its call, and every later frame with the ID to the stream.
 	wmu      sync.Mutex
 	bw       *bufio.Writer
 	nextID   atomic.Uint64
 	slots    chan struct{} // in-flight semaphore, cap MaxInFlight
 	pmu      sync.Mutex
 	pending  map[uint64]*call
+	streams  map[uint64]*stream
 	readErr  error         // set by readLoop before readDone closes; guarded by pmu
 	readDone chan struct{} // closed when readLoop exits
 }
@@ -59,6 +64,22 @@ type session struct {
 type frameResp struct {
 	typ     proto.MsgType
 	payload []byte
+}
+
+// streamFrames is how many frames a stream holds for its reader. The
+// demux never waits on a full stream: it drops the frame and closes the
+// stream, and the subscription resubscribes. It is the size of the
+// server's queue per subscription, past which the server resyncs a
+// subscriber too.
+const streamFrames = 256
+
+// stream is a subscription's registration on a session: the frames the
+// server pushed under id, in arrival order. exchange sets sess and id when
+// it registers the stream.
+type stream struct {
+	sess   *session
+	id     uint64
+	frames chan frameResp
 }
 
 // dialSession connects to the node at addr, opens the session (see hello)
@@ -76,6 +97,7 @@ func dialSession(addr string, cfg Config, inflight *telemetry.Gauge) (*session, 
 		bw:       bufio.NewWriterSize(conn, 16<<10),
 		slots:    make(chan struct{}, cfg.MaxInFlight),
 		pending:  make(map[uint64]*call),
+		streams:  make(map[uint64]*stream),
 		readDone: make(chan struct{}),
 	}
 	ack, err := hello(conn, s.br, cfg.Timeout)
@@ -96,8 +118,8 @@ func dialSession(addr string, cfg Config, inflight *telemetry.Gauge) (*session, 
 	return s, nil
 }
 
-// hello opens a session on a fresh connection, for all three dialers
-// (dialSession, Follow, Subscribe): it sends MsgHello in the bare framing,
+// hello opens a session on a fresh connection, for both dialers
+// (dialSession and Follow): it sends MsgHello in the bare framing,
 // offering this build's version and batch limit, and reads the answer, all
 // within timeout. Only a MsgHelloAck at version 2 is a session; a MsgError
 // (a server that speaks no version 2 refuses the hello that way), an ack
@@ -138,9 +160,12 @@ func hello(conn net.Conn, br io.Reader, timeout time.Duration) (*proto.HelloAck,
 	}
 }
 
-// readLoop demultiplexes response frames to waiting calls by request ID.
-// It exits on the first read error (including a closed connection), after
-// which every outstanding and future call on this session fails fast.
+// readLoop demultiplexes frames by request ID: to a waiting call, else to
+// a registered stream. It never blocks on either: a call's channel has
+// room for its one response, and a stream too full to take a frame loses
+// the frame and is closed. It exits on the first read error (including a
+// closed connection), after which every outstanding and future call on
+// this session fails fast.
 func (s *session) readLoop() {
 	for {
 		typ, id, payload, err := proto.ReadFrameID(s.br)
@@ -151,14 +176,24 @@ func (s *session) readLoop() {
 			close(s.readDone)
 			return
 		}
+		f := frameResp{typ: typ, payload: payload}
 		s.pmu.Lock()
 		cl, ok := s.pending[id]
 		delete(s.pending, id)
+		if st := s.streams[id]; !ok && st != nil {
+			select {
+			case st.frames <- f:
+				f.payload = nil // the stream's now
+			default:
+				delete(s.streams, id)
+				close(st.frames)
+			}
+		}
 		s.pmu.Unlock()
 		if ok {
-			cl.done <- frameResp{typ: typ, payload: payload} // buffered, never blocks
-		} else {
-			proto.PutBuf(payload) // response to a call that timed out
+			cl.done <- f // buffered, never blocks
+		} else if f.payload != nil {
+			proto.PutBuf(f.payload) // for a call that timed out, or a stream that is gone or full
 		}
 	}
 }
@@ -182,7 +217,13 @@ func callTimeout(ctx context.Context, d time.Duration) time.Duration {
 // connection death). The response payload is the caller's, to recycle with
 // proto.PutBuf once decoded; payload stays the caller's too, since a retry
 // may send it again.
-func (s *session) exchange(ctx context.Context, reqType proto.MsgType, payload []byte) (proto.MsgType, []byte, error) {
+//
+// A subscribe request passes the stream its events will feed (nil for any
+// other request). exchange registers it with the call, before the request
+// is sent, so no event can arrive for an ID the demux does not know. An
+// exchange that fails deregisters it, and one that gave up waiting also
+// tells the server, which may have registered the subscription already.
+func (s *session) exchange(ctx context.Context, reqType proto.MsgType, payload []byte, st *stream) (proto.MsgType, []byte, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, nil, err
 	}
@@ -208,6 +249,10 @@ func (s *session) exchange(ctx context.Context, reqType proto.MsgType, payload [
 		return 0, nil, s.readError()
 	}
 	s.pending[id] = cl
+	if st != nil {
+		st.sess, st.id = s, id
+		s.streams[id] = st
+	}
 	s.pmu.Unlock()
 
 	timeout := callTimeout(ctx, s.timeout)
@@ -233,7 +278,11 @@ func (s *session) exchange(ctx context.Context, reqType proto.MsgType, payload [
 	cl.timer.Reset(timeout)
 	select {
 	case r := <-cl.done:
-		return cl.received(r)
+		typ, resp, err := cl.received(r)
+		if err != nil && st != nil {
+			s.forget(id) // refused: no event follows
+		}
+		return typ, resp, err
 	case <-cl.timer.C:
 		err = fmt.Errorf("%w after %v", errRequestTimeout, timeout)
 	case <-ctx.Done():
@@ -242,17 +291,49 @@ func (s *session) exchange(ctx context.Context, reqType proto.MsgType, payload [
 		err = s.readError()
 	}
 	s.forget(id)
-	// The response may have been delivered while we were giving up.
-	select {
-	case r := <-cl.done:
-		return cl.received(r)
-	default:
+	if st != nil {
+		// Best effort, unanswered: the ack comes back under an ID no call
+		// waits on.
+		s.post(proto.MsgUnsubscribe, s.nextID.Add(1), proto.EncodeUnsubscribe(&proto.Unsubscribe{SubID: id}))
+	} else {
+		// The response may have been delivered while we were giving up.
+		select {
+		case r := <-cl.done:
+			return cl.received(r)
+		default:
+		}
 	}
 	// The demux may hold the call still, found in pending just before
 	// forget, and send to it later: it goes to the GC, never back to the
 	// pool.
 	cl.timer.Stop()
 	return 0, nil, err
+}
+
+// unsubscribe ends st's registration: the demux forgets it, and the server
+// frees the subscription before it acks, within the session's timeout. A
+// session that died took its subscriptions with it, and fails at once.
+func (st *stream) unsubscribe() {
+	req := proto.EncodeUnsubscribe(&proto.Unsubscribe{SubID: st.id})
+	st.sess.forget(st.id)
+	if _, resp, err := st.sess.exchange(context.Background(), proto.MsgUnsubscribe, req, nil); err == nil {
+		proto.PutBuf(resp)
+	}
+}
+
+// post sends one frame that has no response: a subscription's heartbeat,
+// or an unsubscribe nobody waits on.
+func (s *session) post(typ proto.MsgType, id uint64, payload []byte) error {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	err := s.conn.SetWriteDeadline(time.Now().Add(s.timeout))
+	if err == nil {
+		err = proto.WriteFrameID(s.bw, typ, id, payload)
+	}
+	if err == nil {
+		err = s.bw.Flush()
+	}
+	return err
 }
 
 // call is one outstanding request's slot: the channel its response frame
@@ -281,10 +362,12 @@ func (cl *call) received(r frameResp) (proto.MsgType, []byte, error) {
 	return decodeResp(r.typ, r.payload)
 }
 
-// forget deregisters a request whose caller stopped waiting.
+// forget deregisters a request whose caller stopped waiting, and the
+// stream it opened if any: later frames with its ID are dropped.
 func (s *session) forget(id uint64) {
 	s.pmu.Lock()
 	delete(s.pending, id)
+	delete(s.streams, id)
 	s.pmu.Unlock()
 }
 

@@ -1,7 +1,6 @@
 package client
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -15,13 +14,15 @@ import (
 )
 
 // This file is the client half of the push-based read plane: Subscribe
-// registers a live query over a dedicated connection and folds
-// the server's pushed deltas into a local cache, so CachedLookup answers
-// k-closest queries without a round trip. The subscription owns its
-// reconnect policy: when the connection dies (or a replica answers
-// CodeNotPrimary after a failover) it re-subscribes with bounded backoff
-// and the fresh ack replaces the cache — the same resync contract a
-// slow-consumer drop uses, so consumers handle exactly one degraded mode.
+// registers a live query on the session of the client's primary road, and
+// the subscription folds the deltas the server pushes on that session into
+// a local cache, so CachedLookup answers k-closest queries without a round
+// trip. The session's demux hands the subscription its frames and never
+// waits on it. When the session dies, or the subscription falls so far
+// behind that the demux drops a frame, it re-subscribes with bounded
+// backoff and the fresh ack replaces the cache — the same resync contract
+// a server-side slow-consumer drop uses, so consumers handle exactly one
+// degraded mode.
 
 // QueryKind selects what a Query watches.
 type QueryKind uint8
@@ -84,13 +85,9 @@ type Event struct {
 	Neighbors []proto.Candidate
 }
 
-// subReqID is the request ID a subscription registers under on its
-// dedicated connection; every event frame carries it.
-const subReqID = 1
-
-// subHeartbeat is how often an idle subscription pings the server so the
-// server's per-connection read deadline stays fed (the server only
-// writes; nothing else travels client→server after the subscribe).
+// subHeartbeat is how often a subscription pings the server on its
+// session, so the server's idle deadline (ReadTimeout) stays fed while
+// nothing else travels client→server.
 const subHeartbeat = 2 * time.Second
 
 // Subscription is one live query against the server, holding a coherent
@@ -103,6 +100,7 @@ const subHeartbeat = 2 * time.Second
 type Subscription struct {
 	c      *Client
 	q      Query
+	req    []byte // the encoded subscribe request, sent again on a resubscribe
 	ctx    context.Context
 	cancel context.CancelFunc
 
@@ -110,27 +108,26 @@ type Subscription struct {
 	dropped atomic.Uint64
 
 	mu       sync.Mutex
-	conn     net.Conn // live connection, for Close to unblock the reader
 	cache    []proto.Candidate
 	seq      uint64
-	coherent bool // cache mirrors the server's answer (connected and acked)
+	coherent bool // cache mirrors the server's answer (subscribed and acked)
 	orphaned bool // the k-closest subject deregistered; cache intentionally empty
 	err      error
 
-	wmu       sync.Mutex // serializes heartbeat and unsubscribe writes
-	closed    chan struct{}
-	closeOnce sync.Once
-	done      chan struct{}
+	done chan struct{}
 }
 
 // Subscribe registers a live query and returns once the server accepted
 // it, with the initial answer already cached. The subscription runs until
-// ctx ends or Close is called; a dead connection (or a failover pointing
-// at a new primary via CodeNotPrimary) is re-subscribed transparently
-// with bounded backoff, the fresh snapshot replacing the cache.
+// ctx ends or Close is called.
 //
-// The subscription uses a dedicated connection: events arrive unsolicited,
-// which the request/response demux cannot carry.
+// A subscription is a request on the client's primary road, so it takes
+// the session every other request to the primary takes, and the same
+// CodeNotPrimary redirect and redial rule. The ID of its subscribe request
+// names the events the server pushes on that session. When the session
+// dies, or the subscription falls too far behind its events, it
+// resubscribes with bounded backoff, and the fresh snapshot replaces the
+// cache.
 func (c *Client) Subscribe(ctx context.Context, q Query) (*Subscription, error) {
 	if q.Kind < QueryLandmark || q.Kind > QueryKClosest {
 		return nil, fmt.Errorf("client: bad query kind %d", q.Kind)
@@ -138,246 +135,143 @@ func (c *Client) Subscribe(ctx context.Context, q Query) (*Subscription, error) 
 	if q.K < 0 || q.K > proto.MaxNeighbors {
 		return nil, fmt.Errorf("client: query k %d out of range", q.K)
 	}
+	req, err := proto.EncodeSubscribeRequest(&proto.SubscribeRequest{
+		Kind:     uint8(q.Kind),
+		Peer:     q.Peer,
+		Landmark: q.Landmark,
+		K:        uint16(q.K),
+	})
+	if err != nil {
+		return nil, err
+	}
 	sctx, cancel := context.WithCancel(ctx)
 	s := &Subscription{
 		c:      c,
 		q:      q,
+		req:    req,
 		ctx:    sctx,
 		cancel: cancel,
 		events: make(chan Event, 64),
-		closed: make(chan struct{}),
 		done:   make(chan struct{}),
 	}
-	conn, br, ack, err := s.connect(ctx)
+	st, _, err := s.subscribe()
 	if err != nil {
 		cancel()
 		return nil, err
 	}
-	s.applySnapshot(ack)
 	c.registerSub(s)
-	go s.run(conn, br)
-	go func() {
-		select {
-		case <-sctx.Done():
-			s.Close()
-		case <-s.done:
-		}
-	}()
+	go s.run(st)
 	return s, nil
 }
 
-// connect dials the current primary, opens the session, sends the
-// subscribe request, and reads its answer synchronously — a refused
-// subscription fails here, not mid-stream. A CodeNotPrimary answer is
-// followed (up to MaxRedirects), sharing the learned primary with the
-// owning client's routing.
-func (s *Subscription) connect(ctx context.Context) (net.Conn, *bufio.Reader, *proto.SubscribeAck, error) {
-	req, err := proto.EncodeSubscribeRequest(&proto.SubscribeRequest{
-		Kind:     uint8(s.q.Kind),
-		Peer:     s.q.Peer,
-		Landmark: s.q.Landmark,
-		K:        uint16(s.q.K),
-	})
+// subscribe sends the subscribe request on the primary road and installs
+// the ack's answer as the cache. A refused subscription fails here, not
+// mid-stream.
+func (s *Subscription) subscribe() (*stream, *proto.SubscribeAck, error) {
+	st := &stream{frames: make(chan frameResp, streamFrames)}
+	resp, err := s.c.roundTrip(s.ctx, road{}, proto.MsgSubscribeRequest, s.req, proto.MsgSubscribeAck, st)
 	if err != nil {
-		return nil, nil, nil, err
+		if st.sess != nil {
+			st.sess.forget(st.id) // an answer of another type left it registered
+		}
+		return nil, nil, err
 	}
-	for redirects := 0; ; {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, nil, err
-		}
-		s.c.mu.Lock()
-		addr := s.c.nodeAddr("")
-		s.c.mu.Unlock()
-		conn, br, ack, err := s.subscribeAt(ctx, addr, req)
-		if err == nil {
-			return conn, br, ack, nil
-		}
-		var werr *proto.Error
-		if errors.As(err, &werr) && werr.Code == proto.CodeNotPrimary && werr.Message != "" &&
-			redirects < MaxRedirects {
-			redirects++
-			s.c.met.redirects.Inc()
-			s.c.setPrimary(werr.Message)
-			continue
-		}
-		return nil, nil, nil, err
+	ack, err := proto.DecodeSubscribeAck(resp)
+	proto.PutBuf(resp)
+	if err != nil {
+		st.unsubscribe()
+		return nil, nil, err
 	}
+	s.applySnapshot(ack)
+	return st, ack, nil
 }
 
-// subscribeAt performs one dial-and-subscribe against addr.
-func (s *Subscription) subscribeAt(ctx context.Context, addr string, req []byte) (net.Conn, *bufio.Reader, *proto.SubscribeAck, error) {
-	timeout := callTimeout(ctx, s.c.cfg.Timeout)
-	conn, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("client: subscribe dial %s: %w", addr, err)
-	}
-	br := bufio.NewReaderSize(conn, 16<<10)
-	ack, err := subscribeHandshake(conn, br, req, timeout)
-	if err != nil {
-		conn.Close()
-		return nil, nil, nil, err
-	}
-	return conn, br, ack, nil
-}
-
-// subscribeHandshake opens the session (see hello) and registers the
-// query, returning the server's initial answer.
-func subscribeHandshake(conn net.Conn, br *bufio.Reader, req []byte, timeout time.Duration) (*proto.SubscribeAck, error) {
-	if _, err := hello(conn, br, timeout); err != nil {
-		return nil, fmt.Errorf("client: subscribe: %w", err)
-	}
-	if err := proto.WriteFrameID(conn, proto.MsgSubscribeRequest, subReqID, req); err != nil {
-		return nil, fmt.Errorf("client: subscribe send: %w", err)
-	}
-	rtyp, _, rpayload, err := proto.ReadFrameID(br)
-	if err != nil {
-		return nil, fmt.Errorf("client: subscribe response: %w", err)
-	}
-	defer proto.PutBuf(rpayload)
-	switch rtyp {
-	case proto.MsgSubscribeAck:
-		ack, err := proto.DecodeSubscribeAck(rpayload)
-		if err != nil {
-			return nil, err
-		}
-		return ack, conn.SetDeadline(time.Time{})
-	case proto.MsgError:
-		werr, derr := proto.DecodeError(rpayload)
-		if derr != nil {
-			return nil, fmt.Errorf("client: undecodable error response: %w", derr)
-		}
-		return nil, werr
-	default:
-		return nil, fmt.Errorf("client: unexpected subscribe response type %d", rtyp)
-	}
-}
-
-// run owns the subscription's lifetime: consume the stream, and when it
-// dies re-subscribe with bounded backoff until ctx ends or Close.
-func (s *Subscription) run(conn net.Conn, br *bufio.Reader) {
+// run is the subscription's one goroutine. It folds the stream's frames
+// into the cache and heartbeats on the stream's session. The stream ends
+// when its session dies, when the demux found it full, or on a frame that
+// makes no sense; run then resubscribes. When ctx ends it unsubscribes.
+func (s *Subscription) run(st *stream) {
 	defer close(s.done)
+	defer close(s.events)
 	defer s.c.unregisterSub(s)
-	s.setConn(conn)
+	hb := time.NewTicker(subHeartbeat)
+	defer hb.Stop()
 	for {
-		err := s.consume(conn, br)
-		conn.Close()
-		s.setConn(nil)
-		s.mu.Lock()
-		s.coherent = false
-		s.mu.Unlock()
-		if s.finished() {
+		select {
+		case f, ok := <-st.frames:
+			if ok && s.fold(f) == nil {
+				continue
+			}
+		case <-hb.C:
+			if st.sess.post(proto.MsgOpAck, st.id, proto.EncodeOpAck(&proto.OpAck{Seq: s.Seq()})) == nil {
+				continue
+			}
+		case <-st.sess.readDone:
+		case <-s.ctx.Done():
+			st.unsubscribe()
 			s.fail(net.ErrClosed)
-			close(s.events)
 			return
 		}
-		s.c.met.retries.Inc()
-		for attempt := 1; ; attempt++ {
-			var ack *proto.SubscribeAck
-			conn, br, ack, err = s.connect(s.ctx)
-			if err == nil {
-				s.applySnapshot(ack)
-				s.setConn(conn)
-				// The fresh snapshot reaches consumers as the resync it is.
-				s.deliver(Event{Seq: ack.Seq, Kind: proto.EventResync, Neighbors: ack.Neighbors})
-				break
-			}
-			var werr *proto.Error
-			if errors.As(err, &werr) || s.finished() {
-				// The server understood us and said no (the subject expired,
-				// the landmark moved): re-dialling cannot change the answer.
-				s.fail(err)
-				close(s.events)
-				return
-			}
-			t := time.NewTimer(s.c.backoffDelay(attempt))
-			select {
-			case <-t.C:
-			case <-s.ctx.Done():
-				t.Stop()
-				s.fail(s.ctx.Err())
-				close(s.events)
-				return
-			}
+		if st = s.resubscribe(st); st == nil {
+			return
 		}
 	}
 }
 
-// finished reports whether the subscription should stop reconnecting.
-func (s *Subscription) finished() bool {
-	select {
-	case <-s.closed:
-		return true
-	default:
-	}
-	return s.ctx.Err() != nil || s.c.isClosed()
-}
-
-// consume reads one connection's event stream until it dies, folding
-// every event into the cache. A heartbeat goroutine keeps the server's
-// read deadline fed — after the subscribe the client has nothing else to
-// say.
-func (s *Subscription) consume(conn net.Conn, br *bufio.Reader) error {
-	hbStop := make(chan struct{})
-	var hbWG sync.WaitGroup
-	hbWG.Add(1)
-	go func() {
-		defer hbWG.Done()
-		t := time.NewTicker(subHeartbeat)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				if err := s.sendHeartbeat(conn); err != nil {
-					return
-				}
-			case <-hbStop:
-				return
-			case <-s.closed:
-				return
-			}
+// resubscribe replaces a stream that ended with a fresh one, retrying
+// with the client's backoff, and delivers its ack as the resync it is. It
+// returns nil once the subscription is over: ended, or refused by the
+// server.
+func (s *Subscription) resubscribe(old *stream) *stream {
+	s.mu.Lock()
+	s.coherent = false
+	s.mu.Unlock()
+	// Unless the session died, the server still pushes under the old ID.
+	old.unsubscribe()
+	s.c.met.retries.Inc()
+	for attempt := 1; ; attempt++ {
+		if s.ctx.Err() != nil || s.c.isClosed() {
+			s.fail(net.ErrClosed)
+			return nil
 		}
-	}()
-	defer func() {
-		close(hbStop)
-		hbWG.Wait()
-	}()
-	for {
-		typ, _, payload, err := proto.ReadFrameID(br)
-		if err != nil {
-			return fmt.Errorf("client: subscription receive: %w", err)
+		st, ack, err := s.subscribe()
+		if err == nil {
+			s.deliver(Event{Seq: ack.Seq, Kind: proto.EventResync, Neighbors: ack.Neighbors})
+			return st
 		}
-		switch typ {
-		case proto.MsgSubEvent:
-			ev, derr := proto.DecodeSubEvent(payload)
-			proto.PutBuf(payload)
-			if derr != nil {
-				return derr
-			}
-			s.apply(ev)
-		case proto.MsgError:
-			werr, derr := proto.DecodeError(payload)
-			proto.PutBuf(payload)
-			if derr != nil {
-				return fmt.Errorf("client: undecodable error response: %w", derr)
-			}
-			return werr
-		default:
-			proto.PutBuf(payload)
-			return fmt.Errorf("client: unexpected subscription frame type %d", typ)
+		var werr *proto.Error
+		if errors.As(err, &werr) {
+			// The server understood us and said no (the subject expired,
+			// the landmark moved): asking again cannot change the answer.
+			s.fail(err)
+			return nil
+		}
+		t := time.NewTimer(s.c.backoffDelay(attempt))
+		select {
+		case <-t.C:
+		case <-s.ctx.Done():
+			t.Stop()
 		}
 	}
 }
 
-// sendHeartbeat acks the last folded sequence — cheap, ignored by the
-// server beyond resetting its idle-connection deadline.
-func (s *Subscription) sendHeartbeat(conn net.Conn) error {
-	payload := proto.EncodeOpAck(&proto.OpAck{Seq: s.Seq()})
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	if err := conn.SetWriteDeadline(time.Now().Add(s.c.cfg.Timeout)); err != nil {
+// fold applies one frame of the stream to the cache.
+func (s *Subscription) fold(f frameResp) error {
+	typ, payload, err := decodeResp(f.typ, f.payload)
+	if err != nil {
 		return err
 	}
-	return proto.WriteFrameID(conn, proto.MsgOpAck, subReqID, payload)
+	var ev *proto.SubEvent
+	if typ == proto.MsgSubEvent {
+		ev, err = proto.DecodeSubEvent(payload)
+	} else {
+		err = fmt.Errorf("client: unexpected subscription frame type %d", typ)
+	}
+	proto.PutBuf(payload)
+	if err == nil {
+		s.apply(ev)
+	}
+	return err
 }
 
 // apply folds one pushed event into the cache, then offers it to the
@@ -467,13 +361,6 @@ func (s *Subscription) deliver(ev Event) {
 	}
 }
 
-// setConn publishes the live connection so Close can unblock the reader.
-func (s *Subscription) setConn(conn net.Conn) {
-	s.mu.Lock()
-	s.conn = conn
-	s.mu.Unlock()
-}
-
 // fail records the terminal error.
 func (s *Subscription) fail(err error) {
 	s.mu.Lock()
@@ -503,8 +390,8 @@ func (s *Subscription) Seq() uint64 {
 func (s *Subscription) Dropped() uint64 { return s.dropped.Load() }
 
 // Cache returns a copy of the current answer and whether it is coherent —
-// connected and covering everything the server pushed. During a reconnect
-// window it reports false.
+// subscribed and covering everything the server pushed. While the
+// subscription resubscribes it reports false.
 func (s *Subscription) Cache() ([]proto.Candidate, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -524,33 +411,21 @@ func (s *Subscription) covering() ([]proto.Candidate, bool) {
 // Done closes when the subscription has fully stopped.
 func (s *Subscription) Done() <-chan struct{} { return s.done }
 
-// Err reports why the subscription ended (net.ErrClosed after a plain
-// Close); nil while it runs.
+// Err reports why the subscription ended: net.ErrClosed once Close was
+// called or its context ended, the server's error when it refused a
+// resubscribe; nil while it runs.
 func (s *Subscription) Err() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.err
 }
 
-// Close ends the subscription: a best-effort unsubscribe, then the
-// connection comes down and the Events channel closes.
+// Close ends the subscription: it unsubscribes on the session, which
+// stays up for the client's other requests, and returns once the Events
+// channel is closed.
 func (s *Subscription) Close() error {
-	s.closeOnce.Do(func() {
-		close(s.closed)
-		s.cancel()
-		s.mu.Lock()
-		conn := s.conn
-		s.mu.Unlock()
-		if conn != nil {
-			payload := proto.EncodeUnsubscribe(&proto.Unsubscribe{SubID: subReqID})
-			s.wmu.Lock()
-			if err := conn.SetWriteDeadline(time.Now().Add(time.Second)); err == nil {
-				proto.WriteFrameID(conn, proto.MsgUnsubscribe, subReqID+1, payload)
-			}
-			s.wmu.Unlock()
-			conn.Close()
-		}
-	})
+	s.cancel()
+	<-s.done
 	return nil
 }
 
@@ -576,7 +451,7 @@ func (c *Client) unregisterSub(s *Subscription) {
 // and falls back to a wire LookupContext otherwise. A subscription covers
 // a lookup when it watches the same peer's k-closest set at the server's
 // answer size (KClosest(peer), K zero) and its cache is coherent: mid-
-// reconnect, or after the subject deregistered, the wire path answers
+// resubscribe, or after the subject deregistered, the wire path answers
 // instead so the caller never reads stale data.
 func (c *Client) CachedLookup(ctx context.Context, peer int64) ([]proto.Candidate, error) {
 	c.mu.Lock()

@@ -18,7 +18,7 @@ type Common struct {
 	// Logger receives diagnostics; nil silences them.
 	Logger func(format string, args ...any)
 	// Backoff is the initial pause before a reconnect (a follower's
-	// stream, a client's subscription), doubling per attempt up to each
+	// stream, a client's subscription resubscribing), doubling per attempt up to each
 	// component's cap. Zero means the component default.
 	Backoff time.Duration
 }

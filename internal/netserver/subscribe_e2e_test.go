@@ -387,9 +387,6 @@ func TestSubscribeReplicaRoads(t *testing.T) {
 		t.Fatalf("subscribe at follower-backed replica: %v", err)
 	}
 	defer fsub.Close()
-	if got := fc.Status; got == nil {
-		t.Fatal("unreachable") // keep fc used even if assertions below change
-	}
 	// New joins land at the primary, replicate to the follower, and must
 	// reach the follower-served subscription as pushed deltas.
 	for i := 30; i < 36; i++ {

@@ -35,9 +35,9 @@
 // connection carries many concurrent requests and responses are matched by
 // ID as they complete. The protocol has one version, 2, and no fallback: a
 // server answers a connection that opens any other way with one error
-// naming that version and closes it (TestFirstFrameMustBeHello), and Dial,
-// Follow and Subscribe fail against a server that does not acknowledge the
-// hello at version 2 (TestDialersRefuseNonV2Server). The handshake's bytes
+// naming that version and closes it (TestFirstFrameMustBeHello), and Dial
+// and Follow fail against a server that does not acknowledge the hello at
+// version 2 (TestDialersRefuseNonV2Server). The handshake's bytes
 // are pinned (TestHandshakeBytesUnchanged), so any two builds that speak
 // version 2 interoperate.
 //
@@ -72,10 +72,11 @@
 // — the fast path for a flash crowd of newcomers arriving behind one NAT or
 // agent. ClientConfig.MaxInFlight bounds a connection's outstanding
 // requests; SimulationConfig.BatchSize routes simulated arrivals through
-// the same batched path. For capacity measurements, the
-// cmd/proxdisc-loadgen tool drives all four traffic shapes (one request at
-// a time or pipelined, singular or batched) against a live server and
-// reports joins/sec with latency percentiles.
+// the same batched path. Capacity numbers come from the repository
+// benchmark, bench/ (its README defines the workloads and how two builds
+// are compared); cmd/proxdisc-loadgen drives the four traffic shapes (one
+// request at a time or pipelined, singular or batched) against a live
+// server for a quick look.
 //
 // # Replication and failover
 //
@@ -281,16 +282,27 @@
 // side queue; a consumer that falls behind first has same-peer events
 // coalesced, then has its backlog dropped and replaced by one EventResync
 // carrying the full refreshed answer — the commit path never blocks on a
-// slow subscriber. A resync is also how a freshly reconnected subscription
-// rebuilds: after a connection death or a primary failover the client re-
-// subscribes (following CodeNotPrimary with bounded backoff, sharing the
-// learned primary with the owning client's request routing) and installs
-// the new snapshot. Consumers therefore handle exactly one degraded mode:
-// replace state on resync, apply deltas otherwise. Follower nodes serve
-// subscriptions from their applied stream, scaling the push read plane out
-// with the replication tree. The plane's series are proxdisc_sub_active,
-// proxdisc_sub_events_total, proxdisc_sub_coalesced_total,
-// proxdisc_sub_dropped_total, and proxdisc_sub_resyncs_total.
+// slow subscriber.
+//
+// A subscription rides the client's session to the primary, beside its
+// requests, with no connection, hello or heartbeat goroutine of its own:
+// a client holds one connection however many subscriptions it runs
+// (TestSubscriptionsShareTheSession), and Close frees the server's side
+// while the session stays up (TestSubscriptionCloseUnsubscribes). The
+// subscription's heartbeat keeps an idle session inside the server's read
+// timeout (TestIdleSubscriptionKeepsItsSession). The session's reader
+// never waits on a subscription: one that falls so far behind that a
+// frame is dropped re-subscribes (TestFullSubscriptionDoesNotStallCalls).
+// A resync is also how a re-subscribed subscription rebuilds: after its
+// session dies or a primary failover the client re-subscribes on the road
+// every request takes (following CodeNotPrimary, with bounded backoff)
+// and installs the new snapshot. Consumers therefore handle exactly one
+// degraded mode: replace state on resync, apply deltas otherwise. Follower
+// nodes serve subscriptions from their applied stream, scaling the push
+// read plane out with the replication tree. The plane's series are
+// proxdisc_sub_active, proxdisc_sub_events_total,
+// proxdisc_sub_coalesced_total, proxdisc_sub_dropped_total, and
+// proxdisc_sub_resyncs_total.
 //
 // # Context-first API
 //
@@ -301,7 +313,7 @@
 // effective bound of each exchange is the tighter of ClientConfig.Timeout
 // and the context's deadline, a request whose context ended is not sent
 // again, and a subscription's context scopes its whole lifetime, its
-// reconnect backoff included. The original methods
+// resubscribe backoff included. The original methods
 // (Join, Lookup, Status, ...) remain as thin compatibility wrappers over
 // context.Background(). The configuration knobs the networked components
 // share (telemetry registry, logger, reconnect backoff) live in one
@@ -608,7 +620,7 @@ type Client = client.Client
 
 // ClientConfig tunes a management-server client: the request timeout, the
 // in-flight pipelining cap per session, and (CommonConfig.Backoff) the
-// pause before a subscription reconnects.
+// pause before a subscription resubscribes.
 type ClientConfig = client.Config
 
 // CommonConfig holds the configuration knobs shared by the networked
@@ -682,8 +694,9 @@ func Subscribe(ctx context.Context, c *Client, q Query) (*Subscription, error) {
 	return c.Subscribe(ctx, q)
 }
 
-// Dial connects to a management server with default configuration,
-// negotiating the pipelined wire protocol when the server supports it.
+// Dial connects to a management server with default configuration: it
+// opens the client's first session, whose hello must be acked at protocol
+// version 2.
 func Dial(addr string, timeout time.Duration) (*Client, error) {
 	return client.Dial(addr, timeout)
 }
