@@ -13,12 +13,15 @@
 // Each landmark is a router identifier; peers report traceroute paths that
 // terminate at one of them. With -host-landmarks the process also answers
 // UDP probes for each landmark and advertises those addresses to clients.
-// With -shards N the management plane runs as a landmark-sharded cluster of
-// N shards behind one TCP front end. With -follow ADDR the process is a
-// follower: it streams the durable primary's committed op log over TCP,
-// applies it to a local copy (catching up from a shipped snapshot when it
-// is behind the log's retention), serves reads from that copy, redirects
-// writes to the primary, and logs its replication lag.
+// The management plane is a landmark-sharded cluster behind one TCP front
+// end, of one shard unless -shards says more. With -follow ADDR the process
+// is a follower: it asks the durable primary for its shard count, runs a
+// cluster of as many shards, streams the primary's committed op log over
+// TCP and applies it to that copy (catching up from a shipped checkpoint
+// when it is behind the log's retention), so every landmark sits on the
+// primary's shard at the primary's epoch; it serves reads from the copy,
+// redirects writes to the primary, and logs its replication lag. A follower
+// keeps its copy in memory only, so -follow refuses -data-dir and -shards.
 //
 // With -metrics-addr the process serves its operational surface over HTTP:
 // Prometheus metrics at /metrics, expvar at /debug/vars, and the pprof
@@ -29,6 +32,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -42,25 +46,16 @@ import (
 	"syscall"
 	"time"
 
+	"proxdisc/internal/client"
 	"proxdisc/internal/cluster"
 	"proxdisc/internal/conf"
 	"proxdisc/internal/netserver"
-	"proxdisc/internal/pathtree"
 	"proxdisc/internal/proto"
 	"proxdisc/internal/server"
 	"proxdisc/internal/telemetry"
 	"proxdisc/internal/topology"
 	"proxdisc/internal/wal"
 )
-
-// management is what main drives beyond the wire interface: expiry sweeps
-// and the final stats print. Both server.Server and cluster.Cluster
-// implement it.
-type management interface {
-	netserver.Backend
-	Expire() []pathtree.PeerID
-	Stats() server.Stats
-}
 
 // die logs at error level and exits; the fatal path of a slog binary.
 func die(msg string, args ...any) {
@@ -77,7 +72,7 @@ func main() {
 		neighbors   = flag.Int("neighbors", server.DefaultNeighborCount, "closest peers returned per query")
 		ttl         = flag.Duration("peer-ttl", 0, "expire peers silent for this long (0 = never)")
 		sweep       = flag.Duration("sweep-interval", 30*time.Second, "expiry sweep period when -peer-ttl is set")
-		shards      = flag.Int("shards", 1, "run a landmark-sharded cluster of this many shards")
+		shards      = flag.Int("shards", 1, "run a landmark-sharded cluster of this many shards (a follower runs its primary's)")
 		role        = flag.String("role", "primary", "this node's replication role: primary or replica (replica governs wire behaviour only; -follow is the replica whose state is kept in sync)")
 		primAddr    = flag.String("primary-addr", "", "the primary node's TCP address (required with -role replica)")
 		workers     = flag.Int("workers", 0, "worker pool size for pipelined writes; reads are served on their connection's goroutine (0 = 4×GOMAXPROCS)")
@@ -132,8 +127,11 @@ func main() {
 		if *primAddr == "" {
 			*primAddr = *follow
 		}
-		if *shards > 1 {
-			die("-follow runs a single local copy; drop -shards")
+		if err := followConflict(*shards, *dataDir); err != nil {
+			die(err.Error())
+		}
+		if *shards, err = primaryShards(*follow, 15*time.Second); err != nil {
+			die("shard count probe failed", "primary", *follow, "err", err)
 		}
 	}
 	nodeRole := netserver.RolePrimary
@@ -150,48 +148,33 @@ func main() {
 	if *follow != "" {
 		nodeRole = netserver.RoleReplica
 	}
-	var logic management
-	var clu *cluster.Cluster
-	if *follow == "" && (*shards > 1 || *dataDir != "") {
-		// A durable deployment always runs the cluster plane (a 1-shard
-		// cluster answers identically to a standalone server):
-		// the cluster owns the WAL and the snapshot cadence.
-		clusterDir := ""
-		if *dataDir != "" {
-			clusterDir = filepath.Join(*dataDir, "cluster")
-		}
-		clu, err = cluster.New(cluster.Config{
-			Landmarks:     lmIDs,
-			Shards:        *shards,
-			NeighborCount: *neighbors,
-			PeerTTL:       *ttl,
-			DataDir:       clusterDir,
-			MaxSyncDelay:  *syncDelay,
-			SnapshotBytes: *snapBytes,
-			Telemetry:     reg,
-		})
-		logic = clu
-	} else {
-		// A follower's copy must expire peers only through the primary's
-		// replicated ExpireOps — a locally clocked TTL sweep would race
-		// in-flight refreshes and permanently diverge the copy (the leave
-		// is local, the refresh arrives for a peer already gone).
-		localTTL := *ttl
-		if *follow != "" {
-			localTTL = 0
-		}
-		var srvLogic *server.Server
-		srvLogic, err = server.New(server.Config{
-			Landmarks:     lmIDs,
-			NeighborCount: *neighbors,
-			PeerTTL:       localTTL,
-		})
-		logic = srvLogic
+	// A follower's copy must expire peers only through the primary's
+	// replicated ExpireOps — a locally clocked TTL sweep would race
+	// in-flight refreshes and permanently diverge the copy (the leave is
+	// local, the refresh arrives for a peer already gone).
+	localTTL := *ttl
+	if *follow != "" {
+		localTTL = 0
 	}
+	// The cluster owns the WAL and the snapshot cadence.
+	clusterDir := ""
+	if *dataDir != "" {
+		clusterDir = filepath.Join(*dataDir, "cluster")
+	}
+	clu, err := cluster.New(cluster.Config{
+		Landmarks:     lmIDs,
+		Shards:        *shards,
+		NeighborCount: *neighbors,
+		PeerTTL:       localTTL,
+		DataDir:       clusterDir,
+		MaxSyncDelay:  *syncDelay,
+		SnapshotBytes: *snapBytes,
+		Telemetry:     reg,
+	})
 	if err != nil {
 		die("backend start failed", "err", err)
 	}
-	if clu != nil && clu.NumPeers() > 0 {
+	if clu.NumPeers() > 0 {
 		slog.Info("recovered durable state", "peers", clu.NumPeers(), "dir", *dataDir)
 		ds := clu.DurabilityStats()
 		slog.Info("durable state",
@@ -202,14 +185,10 @@ func main() {
 	// log the replication position periodically.
 	var follower *netserver.Follower
 	if *follow != "" {
-		fb, ok := logic.(netserver.FollowerBackend)
-		if !ok {
-			die("follower backend cannot restore snapshots")
-		}
 		follower, err = netserver.StartFollower(netserver.FollowerConfig{
 			Common:      conf.Common{Telemetry: reg, Logger: logf},
 			PrimaryAddr: *follow,
-			Backend:     fb,
+			Backend:     clu,
 		})
 		if err != nil {
 			die("follow failed", "primary", *follow, "err", err)
@@ -246,20 +225,16 @@ func main() {
 		}
 	}
 
-	var repl netserver.ReplicationStatus
-	if follower != nil {
-		repl = follower
-	}
 	ns, err := netserver.Listen(netserver.Config{
 		Common:          conf.Common{Telemetry: reg, Logger: logf},
 		Addr:            *addr,
-		Server:          logic,
+		Server:          clu,
 		LandmarkAddrs:   lmAddrs,
 		Role:            nodeRole,
 		PrimaryAddr:     *primAddr,
 		Workers:         *workers,
 		MaxBatch:        *maxBatch,
-		Replication:     repl,
+		Replication:     follower,
 		SlowOpThreshold: *slowOp,
 		SlowOp: func(id uint64, typ proto.MsgType, d time.Duration, inline bool) {
 			slog.Warn("slow request", "id", id, "type", typ.String(), "inline", inline, "took", d)
@@ -283,7 +258,7 @@ func main() {
 		defer ticker.Stop()
 		go func() {
 			for range ticker.C {
-				if expired := logic.Expire(); len(expired) > 0 {
+				if expired := clu.Expire(); len(expired) > 0 {
 					slog.Info("expired silent peers", "count", len(expired))
 				}
 			}
@@ -302,7 +277,7 @@ func main() {
 			"applied", follower.Applied(), "head", follower.Head(), "lag", follower.Lag())
 		follower.Close()
 	}
-	if clu != nil && clu.Durable() {
+	if clu.Durable() {
 		ds := clu.DurabilityStats()
 		slog.Info("durable state",
 			"snapshot_seq", ds.SnapshotSeq, "wal_tail", ds.TailRecords,
@@ -312,9 +287,37 @@ func main() {
 			slog.Warn("durable close", "err", err)
 		}
 	}
-	st := logic.Stats()
+	st := clu.Stats()
 	fmt.Printf("final stats: peers=%d joins=%d leaves=%d expiries=%d queries=%d\n",
 		st.Peers, st.Joins, st.Leaves, st.Expiries, st.Queries)
+}
+
+// followConflict reports why flags given with -follow cannot stand: a
+// follower runs its primary's shard count and keeps its copy in memory.
+func followConflict(shards int, dataDir string) error {
+	switch {
+	case shards > 1:
+		return errors.New("-follow takes its shard count from the primary; drop -shards")
+	case dataDir != "":
+		return errors.New("-follow keeps its copy in memory only (a durable follower is not supported); drop -data-dir")
+	}
+	return nil
+}
+
+// primaryShards asks the primary at addr how many shards it runs. A
+// follower runs as many, so the primary's move ops and checkpoints place
+// every landmark on the same shard of both.
+func primaryShards(addr string, timeout time.Duration) (int, error) {
+	c, err := client.Dial(addr, timeout)
+	if err != nil {
+		return 0, err
+	}
+	defer c.Close()
+	st, err := c.Status()
+	if err != nil {
+		return 0, err
+	}
+	return int(st.Shards), nil
 }
 
 // avgBatch is the average group-commit batch: records per fsync.

@@ -33,9 +33,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Replace the simulation's server with one that has a 30 s TTL and the
-	// virtual clock.
-	srv, err := proxdisc.NewServer(proxdisc.ServerConfig{
+	// Replace the simulation's management plane with one that has a 30 s
+	// TTL and the virtual clock.
+	srv, err := proxdisc.NewCluster(proxdisc.ClusterConfig{
 		Landmarks:     sim.Landmarks,
 		NeighborCount: 5,
 		PeerTTL:       30 * time.Second,

@@ -32,7 +32,7 @@ func main() {
 	}
 
 	// Management-server logic with the simulation's landmark routers.
-	logic, err := proxdisc.NewServer(proxdisc.ServerConfig{
+	logic, err := proxdisc.NewCluster(proxdisc.ClusterConfig{
 		Landmarks:     sim.Landmarks,
 		NeighborCount: 4,
 	})

@@ -7,7 +7,6 @@ import (
 
 	"proxdisc/internal/op"
 	"proxdisc/internal/pathtree"
-	"proxdisc/internal/server"
 	"proxdisc/internal/topology"
 	"proxdisc/internal/wal"
 )
@@ -154,8 +153,8 @@ func TestCatchupSnapshotCreatesFirstCheckpoint(t *testing.T) {
 	if seq != 10 {
 		t.Fatalf("first catch-up snapshot covers %d, want 10", seq)
 	}
-	re, err := server.Restore(r, server.Config{})
-	if err != nil {
+	re := newTestCluster(t, 1)
+	if err := re.ResetFromSnapshot(r); err != nil {
 		t.Fatal(err)
 	}
 	if re.NumPeers() != 10 {

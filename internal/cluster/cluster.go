@@ -25,7 +25,10 @@
 //
 // A shard is one server.Server behind a handoff gate; the cluster keeps no
 // second copy of it, and no per-peer state of its own. Copies live in other
-// processes, fed by the committed op stream (netserver.StartFollower).
+// processes, fed by the committed op stream (netserver.StartFollower): each
+// is a Cluster of the primary's shard count, which applies the stream's move
+// ops (Apply) and catch-up checkpoints (ResetFromSnapshot) as recovery does,
+// so it places every landmark on the primary's shard at the primary's epoch.
 //
 // # Locks on the hot paths
 //
@@ -166,7 +169,7 @@ type Cluster struct {
 	mu    sync.RWMutex
 	table map[topology.NodeID]int
 	// epochs is the authoritative copy of each landmark's fencing epoch
-	// (zero, and absent, for a landmark that never moved). Every completed
+	// (zero for a landmark that never moved). Every completed
 	// MoveLandmark increments the moved landmark's epoch; a shard-routed
 	// write carrying a non-zero op.Epoch is rejected with
 	// server.ErrStaleEpoch unless it matches — the fence that silences a
@@ -190,7 +193,8 @@ type Cluster struct {
 	// idx is the node's one peer index, which every shard's server reads
 	// and writes; the cluster itself only reads it, to route a request that
 	// names a peer and no path to the owner of the landmark the entry names.
-	idx *server.Index
+	// ResetFromSnapshot replaces it together with the shards' states.
+	idx atomic.Pointer[server.Index]
 
 	// log is the node's write-ahead log, sharded one stream per shard so
 	// commits to different shards never queue on one append lock; nil when
@@ -262,11 +266,11 @@ func (c *Cluster) initMetrics() {
 	// The peer index's tables, slots in use and empty: one read of each
 	// stripe's count per scrape.
 	r.GaugeFunc(`proxdisc_arena_bytes{pool="index",state="live"}`, func() float64 {
-		used, _ := c.idx.Slots()
+		used, _ := c.idx.Load().Slots()
 		return float64(used * server.IndexSlotBytes)
 	})
 	r.GaugeFunc(`proxdisc_arena_bytes{pool="index",state="free"}`, func() float64 {
-		used, total := c.idx.Slots()
+		used, total := c.idx.Load().Slots()
 		return float64((total - used) * server.IndexSlotBytes)
 	})
 }
@@ -323,15 +327,15 @@ func New(cfg Config) (*Cluster, error) {
 		table:  make(map[topology.NodeID]int, len(table)),
 		epochs: make(map[topology.NodeID]uint64),
 		moving: make(map[topology.NodeID]*handoff),
-		idx:    server.NewIndex(),
 	}
+	c.idx.Store(server.NewIndex())
 	for lm, shard := range table {
 		c.table[lm] = shard
 	}
 	for i, lms := range perShard {
 		// A shard assigned no landmarks is an elastic shard: it starts
 		// empty and fills through rebalancing handoffs.
-		g, err := newShard(lms, cfg, c.idx)
+		g, err := newShard(lms, cfg, c.idx.Load())
 		if err != nil {
 			return nil, fmt.Errorf("cluster: shard %d: %w", i, err)
 		}
@@ -452,7 +456,7 @@ func (c *Cluster) enter(lm topology.NodeID, epoch uint64, gated bool) (*shard, e
 // enterPeer is enter for a request that names a peer and no path: the index
 // entry names the landmark, the table its owner.
 func (c *Cluster) enterPeer(p pathtree.PeerID, gated bool) (*shard, error) {
-	lm, _, ok := c.idx.Place(p)
+	lm, _, ok := c.idx.Load().Place(p)
 	if !ok {
 		return nil, fmt.Errorf("%w: %d", server.ErrUnknownPeer, p)
 	}
@@ -461,7 +465,7 @@ func (c *Cluster) enterPeer(p pathtree.PeerID, gated bool) (*shard, error) {
 
 // joinRoute routes a join op to the shard owning its path's landmark,
 // waiting out handoffs. It is the shared road of answering joins
-// (quiet=false) and silent replay (quiet=true, the WAL recovery path).
+// (quiet=false) and silent ones (quiet=true: Apply and WAL recovery).
 func (c *Cluster) joinRoute(o op.Op, quiet bool) ([]pathtree.Candidate, error) {
 	if len(o.Join.Path) == 0 {
 		return nil, errors.New("server: empty path")
@@ -534,8 +538,9 @@ func (c *Cluster) JoinBatchOp(o op.Op) []server.BatchResult {
 }
 
 // batchRoute resolves every entry's shard and applies one batch per shard
-// group: the shared road of JoinBatchOp and of the replay of a recorded
-// batch (quiet, which computes no answers and so lists nothing as accepted).
+// group: the shared road of JoinBatchOp and of a recorded batch, replayed or
+// replicated (quiet, which computes no answers and so lists nothing as
+// accepted).
 // out holds the answers and the entries refused; deferred lists the entries
 // left for the singular road, in batch order, which the caller takes once it
 // is done with the grouped ones.
@@ -667,30 +672,32 @@ func (c *Cluster) SetSuperPeer(p pathtree.PeerID, super bool) error {
 	return c.Apply(op.SetSuperPeer(p, super))
 }
 
-// Apply routes one answerless typed op — a leave, refresh, super-peer
-// flag, expiry sweep, or (on the recovery path) a silent join — through
-// the same shard machinery the answering entry points use, and commits it
-// to the write-ahead log on durable nodes. It is the Backend write
-// surface for front ends that have already decoded a wire request into an
-// op. Leave of an unknown peer returns server.ErrUnknownPeer.
+// Apply routes one typed op — a leave, refresh, super-peer flag, expiry
+// sweep, recorded landmark move, or a join or batch applied silently,
+// without computing an answer — through the same shard machinery the
+// answering entry points use, and commits it to the write-ahead log on
+// durable nodes. It is the write door of front ends that have already
+// decoded a wire request into an op, and of a follower applying its
+// primary's committed stream. Leave of an unknown peer returns
+// server.ErrUnknownPeer.
 func (c *Cluster) Apply(o op.Op) error {
 	o = c.stamp(o)
-	if err := c.applyRouted(o, false); err != nil {
+	if err := c.applyRouted(o); err != nil {
 		return err
 	}
 	return c.commit(o)
 }
 
-// applyRouted dispatches an op to the shard(s) it concerns without
-// logging it: the shared body of Apply and WAL replay.
-func (c *Cluster) applyRouted(o op.Op, quiet bool) error {
+// applyRouted dispatches an op to the shard(s) it concerns, silently and
+// without logging it: the shared body of Apply and WAL replay.
+func (c *Cluster) applyRouted(o op.Op) error {
+	const quiet = true
 	switch o.Kind {
 	case op.KindJoin:
 		_, err := c.joinRoute(o, quiet)
 		return err
 	case op.KindBatchJoin:
-		// Reaches here only on replay (the answering path is JoinBatchOp),
-		// which applies the batch the way it was applied live: one group
+		// A batch applies the way the answering road applied it: one group
 		// per shard, then the singular road for what the grouping left.
 		out, _, deferred := c.batchRoute(o, quiet)
 		for i := range out {
@@ -723,12 +730,7 @@ func (c *Cluster) applyRouted(o op.Op, quiet bool) error {
 		c.expireRouted(o)
 		return nil
 	case op.KindMoveLandmark:
-		// Reaches here only on recovery replay: live handoffs go through
-		// MoveLandmark, which logs the op itself after the transfer.
-		if !quiet {
-			return errors.New("cluster: KindMoveLandmark must go through MoveLandmark")
-		}
-		return c.replayMove(o)
+		return c.move(o.Move, false)
 	default:
 		return fmt.Errorf("cluster: cannot apply op kind %d", o.Kind)
 	}
@@ -746,7 +748,7 @@ func (c *Cluster) Leave(p pathtree.PeerID) bool {
 }
 
 // NumPeers reports the number of registered peers across all shards.
-func (c *Cluster) NumPeers() int { return c.idx.Len() }
+func (c *Cluster) NumPeers() int { return c.idx.Load().Len() }
 
 // Peers scatter-gathers the registered peer IDs of every shard and returns
 // them merged in ascending order. It serializes with handoffs so a moving

@@ -73,22 +73,16 @@ func (c *Cluster) Durable() bool { return c.log != nil }
 // latest checkpoint plus the write-ahead log tail, and arms the background
 // checkpointer. Called by New before the cluster is visible to anyone.
 //
-// A checkpoint is a compacted op log, so loading it is replaying it: its
-// records go down the same applyRecovered road as the tail. Its Move
-// records come first and carry each landmark's owner and epoch — replayMove
-// moves the still-empty tree to the recorded owner and flips the table —
-// so a restart recovers the exact post-handoff placement, NOT the
-// configured assignment, and the tail replays against the right owners.
-// The checkpoint is read before the log is opened and must be good to its
-// end frame: a truncated or corrupt file, one in the gob format that
-// preceded op streams, or one that names a landmark or shard this
-// configuration lacks fails the open with nothing on disk touched.
+// The checkpoint is read (loadCheckpoint) before the log is opened and must
+// be good to its end frame: a truncated or corrupt file, one in the gob
+// format that preceded op streams, or one that names a landmark or shard
+// this configuration lacks fails the open with nothing on disk touched.
 func (c *Cluster) openDurable() error {
 	var snapSeq uint64
 	if r, seq, ok, err := wal.OpenLatestSnapshot(c.cfg.DataDir); err != nil {
 		return err
 	} else if ok {
-		err := op.ReadStream(r, func(o *op.Op) error { return c.applyRecovered(seq, *o) })
+		err := c.loadCheckpoint(r)
 		r.Close()
 		if err != nil {
 			return fmt.Errorf("cluster: checkpoint %d: %w", seq, err)
@@ -121,7 +115,10 @@ func (c *Cluster) openDurable() error {
 		if err := op.DecodeInto(&o, rec); err != nil {
 			return fmt.Errorf("cluster: wal record %d: %w", seq, err)
 		}
-		return c.applyRecovered(seq, o)
+		if err := c.applyRecovered(o); err != nil {
+			return fmt.Errorf("cluster: replay record %d: %w", seq, err)
+		}
+		return nil
 	}); err != nil {
 		log.Close()
 		return err
@@ -141,16 +138,67 @@ func (c *Cluster) openDurable() error {
 	return nil
 }
 
+// loadCheckpoint applies a checkpoint, good to its end frame, through the
+// road the log's tail takes: a checkpoint is a compacted op log, so loading
+// it is replaying it. Its Move records come first and carry each landmark's
+// owner and epoch — move hands the still-empty tree to the recorded owner
+// and flips the table — so the load recovers the exact post-handoff
+// placement, NOT the configured assignment, and the tail replays against
+// the right owners.
+func (c *Cluster) loadCheckpoint(r io.Reader) error {
+	return op.ReadStream(r, func(o *op.Op) error { return c.applyRecovered(*o) })
+}
+
 // applyRecovered replays one recovered op — a checkpoint record or a
 // logged one — through the normal routing, silently (no answers, no
 // re-logging). A leave, refresh, or super-flag whose peer is gone is
 // tolerated: commit order can differ from apply order for operations
 // racing on the same peer, and either serialization is a valid history.
-func (c *Cluster) applyRecovered(seq uint64, o op.Op) error {
-	err := c.applyRouted(o, true)
-	if err != nil && !errors.Is(err, server.ErrUnknownPeer) {
-		return fmt.Errorf("cluster: replay record %d: %w", seq, err)
+func (c *Cluster) applyRecovered(o op.Op) error {
+	if err := c.applyRouted(o); err != nil && !errors.Is(err, server.ErrUnknownPeer) {
+		return err
 	}
+	return nil
+}
+
+// ResetFromSnapshot replaces the cluster's whole state — trees, peer index,
+// landmark table and epochs — with a checkpoint's: a follower's catch-up
+// restore. The checkpoint is loaded by loadCheckpoint into a cluster built
+// off to the side, and published only once all of it, end frame included,
+// has applied; a bad one leaves the previous state. The publication is one
+// critical section under every lock a write or a lookup takes, writers
+// drained first, so each sees the old state or the new, never a mix. The
+// shard count must cover the checkpoint's owners, as a follower's, which is
+// its primary's, does. A durable cluster refuses: its log would no longer
+// describe it.
+func (c *Cluster) ResetFromSnapshot(r io.Reader) error {
+	if c.log != nil {
+		return errors.New("cluster: ResetFromSnapshot on a durable cluster")
+	}
+	// The cluster off to the side registers no series over this one's and
+	// runs no rebalancer; only its shards' states are kept.
+	cfg := c.cfg
+	cfg.Telemetry, cfg.RebalanceInterval = nil, 0
+	fresh, err := New(cfg)
+	if err != nil {
+		return err
+	}
+	if err := fresh.loadCheckpoint(r); err != nil {
+		return fmt.Errorf("cluster: snapshot: %w", err)
+	}
+	c.hoMu.Lock()
+	defer c.hoMu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	dst, src := make([]*server.Server, len(c.shards)), make([]*server.Server, len(c.shards))
+	for i, g := range c.shards {
+		g.opMu.Lock()
+		defer g.opMu.Unlock()
+		dst[i], src[i] = g.srv, fresh.shards[i].srv
+	}
+	server.Adopt(dst, src)
+	c.idx.Store(fresh.idx.Load())
+	c.table, c.epochs = fresh.table, fresh.epochs
 	return nil
 }
 
@@ -247,7 +295,7 @@ func (c *Cluster) streamFor(o op.Op) int {
 			}
 		}
 	case op.KindLeave, op.KindRefresh, op.KindSetSuperPeer:
-		if lm, _, ok := c.idx.Place(o.Peer); ok {
+		if lm, _, ok := c.idx.Load().Place(o.Peer); ok {
 			if shard, ok := c.ShardFor(lm); ok {
 				return shard
 			}
@@ -364,8 +412,8 @@ func (c *Cluster) CommittedHead() uint64 {
 // CatchupSnapshot opens the latest on-disk checkpoint and the sequence it
 // covers, writing a fresh one first if none exists yet — the bulk half of
 // follower catch-up when the WAL no longer retains the follower's tail.
-// The file ships as it is: a follower's flat copy applies the Move records
-// for their epochs and ignores the owners they name.
+// The file ships as it is: a follower's cluster, which runs this one's
+// shard count, places each landmark on the owner its Move record names.
 func (c *Cluster) CatchupSnapshot() (io.ReadCloser, uint64, error) {
 	if c.log == nil {
 		return nil, 0, errNotDurable

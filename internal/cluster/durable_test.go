@@ -132,7 +132,7 @@ func runWorkload(t *testing.T, c *Cluster) {
 // that crashed without any shutdown flush (the WAL is simply abandoned
 // mid-workload, kill -9 style) reopens from its data directory and serves
 // the exact peer set and the exact answers it acknowledged — across
-// standalone and sharded planes.
+// one-shard and sharded planes.
 func TestCrashRecoveryExactState(t *testing.T) {
 	for _, shards := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {

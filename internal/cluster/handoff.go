@@ -74,6 +74,21 @@ func (c *Cluster) hook(s moveStage) {
 // Handoffs are serialized; moving a landmark to its current owner is a
 // no-op.
 func (c *Cluster) MoveLandmark(lm topology.NodeID, dst int) error {
+	return c.move(op.MoveEntry{Landmark: lm, Dst: dst}, true)
+}
+
+// move is the one road by which a landmark changes shards: MoveLandmark's,
+// and that of a recorded move op, which a follower applies from its
+// primary's stream and recovery replays from a checkpoint or the log. A live
+// move takes the landmark's next epoch and is logged before the requests
+// waiting on the landmark resolve its new owner; a recorded one carries its
+// epoch, and its caller logs it or not. A recorded move that puts the
+// landmark where it already is — a checkpoint's Move record (Src = Dst =
+// owner), or a logged move the checkpoint already reflected — only raises
+// the epoch, if it lags. Either way the shard's epoch and the table's stay
+// one number.
+func (c *Cluster) move(m op.MoveEntry, live bool) error {
+	lm, dst := m.Landmark, m.Dst
 	if dst < 0 || dst >= len(c.shards) {
 		return fmt.Errorf("cluster: shard %d out of range [0,%d)", dst, len(c.shards))
 	}
@@ -86,11 +101,21 @@ func (c *Cluster) MoveLandmark(lm topology.NodeID, dst int) error {
 		c.mu.Unlock()
 		return fmt.Errorf("cluster: unknown landmark %d", lm)
 	}
-	if src == dst {
+	epoch := max(m.Epoch, c.epochs[lm]) // a recorded move never lowers the epoch
+	switch {
+	case src == dst && live:
 		c.mu.Unlock()
 		return nil
+	case src == dst:
+		defer c.mu.Unlock()
+		if _, err := c.shards[dst].applyOp(op.Op{Kind: op.KindMoveLandmark, Move: m}, true); err != nil {
+			return fmt.Errorf("cluster: move epoch apply: %w", err)
+		}
+		c.epochs[lm] = epoch
+		return nil
+	case live:
+		epoch = c.epochs[lm] + 1
 	}
-	newEpoch := c.epochs[lm] + 1
 	ho := &handoff{done: make(chan struct{})}
 	c.moving[lm] = ho
 	c.mu.Unlock()
@@ -115,7 +140,7 @@ func (c *Cluster) MoveLandmark(lm topology.NodeID, dst int) error {
 	lo, hi := min(src, dst), max(src, dst)
 	c.shards[lo].opMu.Lock()
 	c.shards[hi].opMu.Lock()
-	err := server.Handoff(c.shards[src].srv, c.shards[dst].srv, lm, newEpoch)
+	err := server.Handoff(c.shards[src].srv, c.shards[dst].srv, lm, epoch)
 	if err == nil {
 		c.hook(moveStageHandoff)
 	}
@@ -128,26 +153,28 @@ func (c *Cluster) MoveLandmark(lm topology.NodeID, dst int) error {
 
 	c.mu.Lock()
 	c.table[lm] = dst
-	c.epochs[lm] = newEpoch
+	c.epochs[lm] = epoch
 	c.mu.Unlock()
 	c.hook(moveStageFlip)
 
-	// Durably log the completed move. Everything before this line is
-	// in-memory only, so a crash anywhere earlier recovers the pre-move
-	// ownership from the last checkpoint plus WAL; a crash after it
-	// recovers the post-move ownership by replaying this op.
-	if err := c.commit(op.MoveLandmark(lm, src, dst, newEpoch)); err != nil {
-		finish()
-		return fmt.Errorf("cluster: handoff commit: %w", err)
+	// Durably log a live move. Everything before this line is in-memory
+	// only, so a crash anywhere earlier recovers the pre-move ownership from
+	// the last checkpoint plus WAL; a crash after it recovers the post-move
+	// ownership by replaying this op.
+	if live {
+		if err := c.commit(op.MoveLandmark(lm, src, dst, epoch)); err != nil {
+			finish()
+			return fmt.Errorf("cluster: handoff commit: %w", err)
+		}
+		c.hook(moveStageCommit)
 	}
-	c.hook(moveStageCommit)
 	c.met.handoffs.Inc()
 	finish()
 	return nil
 }
 
 // Snapshot serializes the whole cluster's durable state as one standard
-// server snapshot (restorable by server.Restore), byte-identical to the one
+// server snapshot (restorable by ResetFromSnapshot), byte-identical to the one
 // a single server holding the same state would write. It is consistent
 // with respect to handoffs.
 func (c *Cluster) Snapshot(w io.Writer) error {
@@ -165,41 +192,4 @@ func (c *Cluster) snapshotLocked(w io.Writer, placed bool) error {
 		srvs[i] = g.srv
 	}
 	return server.WriteSnapshot(w, placed, srvs...)
-}
-
-// replayMove re-applies a recovered KindMoveLandmark op: the recovery-path
-// twin of MoveLandmark. Replay is single-threaded (the cluster is not yet
-// serving), so no gates or buffering are needed — the handoff, table flip
-// and epoch raise happen back to back. A checkpoint's Move records (Src =
-// Dst = owner) arrive here too, ahead of any join: the destination is all
-// that is read, so they place each still-empty tree on its recorded owner,
-// or only raise its epoch when it is already there.
-func (c *Cluster) replayMove(o op.Op) error {
-	lm, dst := o.Move.Landmark, o.Move.Dst
-	if dst < 0 || dst >= len(c.shards) {
-		return fmt.Errorf("cluster: recovered move of landmark %d to shard %d of %d", lm, dst, len(c.shards))
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	src, ok := c.table[lm]
-	if !ok {
-		return fmt.Errorf("cluster: recovered move of unknown landmark %d", lm)
-	}
-	if src == dst {
-		// The landmark is already where the op puts it (a checkpoint
-		// record, or a logged move the checkpoint already reflected); only
-		// the epoch may lag.
-		if _, err := c.shards[dst].applyOp(op.MoveLandmark(lm, src, dst, o.Move.Epoch), true); err != nil {
-			return fmt.Errorf("cluster: recovered move epoch apply: %w", err)
-		}
-	} else {
-		if err := server.Handoff(c.shards[src].srv, c.shards[dst].srv, lm, o.Move.Epoch); err != nil {
-			return fmt.Errorf("cluster: recovered move: %w", err)
-		}
-		c.table[lm] = dst
-	}
-	if o.Move.Epoch > c.epochs[lm] {
-		c.epochs[lm] = o.Move.Epoch
-	}
-	return nil
 }

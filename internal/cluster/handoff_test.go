@@ -198,8 +198,8 @@ func TestClusterSnapshotRestorable(t *testing.T) {
 	if err := c.Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := server.Restore(&buf, server.Config{})
-	if err != nil {
+	restored := newTestCluster(t, 4)
+	if err := restored.ResetFromSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if restored.NumPeers() != c.NumPeers() {

@@ -54,7 +54,7 @@ func checkIndex(c *Cluster) error {
 				return fmt.Errorf("peer %d resident on shard %d and again on shard %d", p, j, i)
 			}
 			resident[p] = i
-			lm, _, ok := c.idx.Place(p)
+			lm, _, ok := c.idx.Load().Place(p)
 			if !ok || holder[lm] != i {
 				return fmt.Errorf("peer %d resident on shard %d, indexed under landmark %d (%v) of shard %d", p, i, lm, ok, holder[lm])
 			}
@@ -64,7 +64,7 @@ func checkIndex(c *Cluster) error {
 			}
 		}
 	}
-	if n := c.idx.Len(); n != len(resident) || c.NumPeers() != n {
+	if n := c.idx.Load().Len(); n != len(resident) || c.NumPeers() != n {
 		return fmt.Errorf("%d entries, %d records resident, NumPeers %d", n, len(resident), c.NumPeers())
 	}
 	return nil

@@ -82,7 +82,7 @@ func TestMoveLandmarkMovesNoPeers(t *testing.T) {
 	}
 	before := make(map[pathtree.PeerID]place, p)
 	for q := pathtree.PeerID(1); q <= p; q++ {
-		lm, slot, ok := c.idx.Place(q)
+		lm, slot, ok := c.idx.Load().Place(q)
 		if !ok {
 			t.Fatalf("peer %d not indexed", q)
 		}
@@ -143,7 +143,7 @@ func TestMoveLandmarkMovesNoPeers(t *testing.T) {
 		t.Errorf("moving 100 000 peers allocates %.0f times, 1 000 peers %.0f", aLarge, aSmall)
 	}
 	for q, was := range before {
-		if lm, slot, ok := c.idx.Place(q); !ok || (place{lm, slot}) != was {
+		if lm, slot, ok := c.idx.Load().Place(q); !ok || (place{lm, slot}) != was {
 			t.Fatalf("peer %d's index entry is %d/%d (%v) after the moves, was %d/%d", q, lm, slot, ok, was.lm, was.slot)
 		}
 	}

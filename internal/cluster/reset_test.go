@@ -1,0 +1,306 @@
+package cluster
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"reflect"
+	"strconv"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"proxdisc/internal/op"
+	"proxdisc/internal/pathtree"
+	"proxdisc/internal/server"
+	"proxdisc/internal/telemetry"
+	"proxdisc/internal/topology"
+)
+
+// checkpointOf writes c's checkpoint: the placed snapshot a primary ships
+// to a follower that is behind its log.
+func checkpointOf(t testing.TB, c *Cluster) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := c.writeCheckpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// logicalSnapshot writes c's snapshot in the form copies are compared by.
+func logicalSnapshot(t testing.TB, c *Cluster) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := c.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// assertSamePlacement fails unless got places every landmark on want's shard
+// at want's epoch, and each shard holds what want's holds.
+func assertSamePlacement(t *testing.T, want, got *Cluster) {
+	t.Helper()
+	for _, lm := range want.Landmarks() {
+		ws, _ := want.ShardFor(lm)
+		gs, ok := got.ShardFor(lm)
+		if !ok || gs != ws || got.Epoch(lm) != want.Epoch(lm) {
+			t.Fatalf("landmark %d on shard %d at epoch %d, want shard %d at epoch %d",
+				lm, gs, got.Epoch(lm), ws, want.Epoch(lm))
+		}
+	}
+	for i := 0; i < want.NumShards(); i++ {
+		if w, g := want.Shard(i).NumPeers(), got.Shard(i).NumPeers(); w != g {
+			t.Fatalf("shard %d holds %d peers, want %d", i, g, w)
+		}
+	}
+}
+
+// TestClusterResetFromSnapshot is the cluster's twin of the server's
+// TestResetFromSnapshot. It pins three things: a checkpoint replaces the
+// state instead of merging into it; a bad one leaves the previous state;
+// and lookups running during a restore answer only from the old state or
+// the new one.
+func TestClusterResetFromSnapshot(t *testing.T) {
+	t.Run("replaces", testResetReplaces)
+	t.Run("refused input changes nothing", testResetRefusals)
+	t.Run("lookups see one state", testResetUnderLookups)
+}
+
+// resetSource is a 2-shard cluster with a moved landmark and a super-peer,
+// and its checkpoint.
+func resetSource(t *testing.T) (*Cluster, []byte) {
+	t.Helper()
+	src := newTestCluster(t, 2)
+	populate(t, src, 64)
+	lm := testLandmarks[0]
+	from, _ := src.ShardFor(lm)
+	if err := src.MoveLandmark(lm, 1-from); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.SetSuperPeer(3, true); err != nil {
+		t.Fatal(err)
+	}
+	return src, checkpointOf(t, src)
+}
+
+// testResetReplaces: peers absent from the checkpoint disappear, every
+// landmark lands on the shard and at the epoch it names, the per-shard
+// gauges read the new state, and the copy keeps taking writes and moves.
+func testResetReplaces(t *testing.T) {
+	src, ckpt := resetSource(t)
+	lm := testLandmarks[0]
+	cur, _ := src.ShardFor(lm)
+	reg := telemetry.NewRegistry()
+	dst, err := New(Config{Landmarks: testLandmarks, Shards: 2, Telemetry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// State the checkpoint does not hold: gone after the reset.
+	for p := pathtree.PeerID(1000); p < 1010; p++ {
+		if _, err := dst.Join(p, synthPath(testLandmarks[1], int(p))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := dst.ResetFromSnapshot(bytes.NewReader(ckpt)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dst.Lookup(1000); !errors.Is(err, server.ErrUnknownPeer) {
+		t.Fatalf("a peer the checkpoint does not hold survived the reset: %v", err)
+	}
+	want := logicalSnapshot(t, src)
+	if !bytes.Equal(want, logicalSnapshot(t, dst)) {
+		t.Fatalf("reset copy holds %d peers, not the source's %d", dst.NumPeers(), src.NumPeers())
+	}
+	assertSamePlacement(t, src, dst)
+	assertSameAnswers(t, captureAnswers(t, src), captureAnswers(t, dst), "after reset")
+	for i := 0; i < 2; i++ {
+		g := reg.Get(`proxdisc_shard_peers{shard="` + strconv.Itoa(i) + `"}`).(*telemetry.GaugeFunc)
+		if int(g.Value()) != src.Shard(i).NumPeers() {
+			t.Fatalf("shard %d gauge reads %v, want %d", i, g.Value(), src.Shard(i).NumPeers())
+		}
+	}
+	if g := reg.Get("proxdisc_peers").(*telemetry.GaugeFunc); int(g.Value()) != src.NumPeers() {
+		t.Fatalf("peer gauge reads %v, want %d", g.Value(), src.NumPeers())
+	}
+
+	// The copy keeps working on the adopted state: it takes writes, and a
+	// replicated move of the landmark the checkpoint placed.
+	if _, err := dst.Join(2000, synthPath(lm, 7)); err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.Apply(op.MoveLandmark(lm, cur, 1-cur, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if s, _ := dst.ShardFor(lm); s != 1-cur || dst.Epoch(lm) != 2 {
+		t.Fatalf("replicated move left landmark %d on shard %d at epoch %d", lm, s, dst.Epoch(lm))
+	}
+}
+
+// testResetRefusals: garbage, every truncation of a checkpoint, one naming
+// a shard the cluster lacks, and any checkpoint into a durable cluster are
+// refused, and the state stays what it was.
+func testResetRefusals(t *testing.T) {
+	src, ckpt := resetSource(t)
+	dst := newTestCluster(t, 2)
+	if err := dst.ResetFromSnapshot(bytes.NewReader(ckpt)); err != nil {
+		t.Fatal(err)
+	}
+	want := logicalSnapshot(t, dst)
+	bad := map[string][]byte{"garbage": []byte("not a snapshot")}
+	for n := 0; n < len(ckpt); n += 97 {
+		bad[fmt.Sprintf("truncated to %d bytes", n)] = ckpt[:n]
+	}
+	// A checkpoint naming a shard this cluster lacks: a follower with fewer
+	// shards than its primary.
+	wide, err := New(Config{Landmarks: testLandmarks, Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wide.MoveLandmark(testLandmarks[1], 2); err != nil {
+		t.Fatal(err)
+	}
+	bad["owner out of range"] = checkpointOf(t, wide)
+	for name, data := range bad {
+		if err := dst.ResetFromSnapshot(bytes.NewReader(data)); err == nil {
+			t.Fatalf("accepted a %s snapshot", name)
+		}
+		if !bytes.Equal(want, logicalSnapshot(t, dst)) {
+			t.Fatalf("a refused %s snapshot changed the state", name)
+		}
+	}
+	assertSamePlacement(t, src, dst)
+
+	// A durable cluster's log would no longer describe it.
+	durable, err := New(Config{Landmarks: testLandmarks, DataDir: t.TempDir(), NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer durable.Close()
+	if err := durable.ResetFromSnapshot(bytes.NewReader(ckpt)); err == nil {
+		t.Fatal("a durable cluster reset from a snapshot")
+	}
+}
+
+// testResetUnderLookups runs lookups beside a cluster flipped between two
+// states by ResetFromSnapshot, over and over. The two hold the same peers
+// on other paths and, for one landmark, on another shard, so each peer's
+// answer differs between them: every answer must be one of the two, never
+// one mixed from both. Under -race it also checks that the publication is
+// synchronised with the readers.
+func testResetUnderLookups(t *testing.T) {
+	const peers = 200
+	states := make([]*Cluster, 2)
+	for s := range states {
+		states[s] = newTestCluster(t, 2)
+		for i := 0; i < peers; i++ {
+			lm := testLandmarks[i%4]
+			if _, err := states[s].Join(pathtree.PeerID(i+1), synthPath(lm, i*(s+3)%97)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	from, _ := states[1].ShardFor(testLandmarks[0])
+	if err := states[1].MoveLandmark(testLandmarks[0], 1-from); err != nil {
+		t.Fatal(err)
+	}
+	ckpts := [][]byte{checkpointOf(t, states[0]), checkpointOf(t, states[1])}
+	answers := []clusterAnswers{captureAnswers(t, states[0]), captureAnswers(t, states[1])}
+
+	c := newTestCluster(t, 2)
+	if err := c.ResetFromSnapshot(bytes.NewReader(ckpts[0])); err != nil {
+		t.Fatal(err)
+	}
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := 0; !stop.Load(); i++ {
+				p := pathtree.PeerID((i*7+r)%peers + 1)
+				got, err := c.Lookup(p)
+				if err != nil {
+					errs <- fmt.Errorf("lookup %d: %w", p, err)
+					return
+				}
+				if !reflect.DeepEqual(got, answers[0].cands[p]) && !reflect.DeepEqual(got, answers[1].cands[p]) {
+					errs <- fmt.Errorf("lookup %d answered %v: neither state's answer", p, got)
+					return
+				}
+			}
+		}(r)
+	}
+	for i := 0; i < 40; i++ {
+		if err := c.ResetFromSnapshot(bytes.NewReader(ckpts[(i+1)%2])); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	assertSamePlacement(t, states[0], c)
+}
+
+// FuzzResetFromSnapshot is the cluster's restore as a fuzz target, beside
+// the server's: arbitrary bytes are fed to a 2-shard cluster holding one
+// peer. Input it refuses must leave that peer and nothing else; input it
+// takes must leave a cluster that re-checkpoints to bytes a second cluster
+// takes, with the same placement and peers.
+func FuzzResetFromSnapshot(f *testing.F) {
+	seed, err := New(Config{Landmarks: []topology.NodeID{0, 50}, Shards: 2})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, o := range []op.Op{
+		op.Join(1, []topology.NodeID{10, 11, 0}, "10.0.0.1:41", 7),
+		op.Join(2, []topology.NodeID{20, 50}, "", 7),
+		op.Join(3, []topology.NodeID{12, 11, 0}, "", 9),
+		op.SetSuperPeer(3, true),
+	} {
+		if err := seed.Apply(o); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Add(checkpointOf(f, seed))
+	if err := seed.MoveLandmark(0, 1); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(checkpointOf(f, seed))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dst, err := New(Config{Landmarks: []topology.NodeID{0, 50}, Shards: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := dst.Join(77, []topology.NodeID{5, 50}); err != nil {
+			t.Fatal(err)
+		}
+		if err := dst.ResetFromSnapshot(bytes.NewReader(data)); err != nil {
+			if got := dst.Peers(); len(got) != 1 || got[0] != 77 {
+				t.Fatalf("a refused snapshot left peers %v, want [77]", got)
+			}
+			return
+		}
+		if dst.NumPeers() != len(dst.Peers()) {
+			t.Fatalf("index holds %d peers, trees %d", dst.NumPeers(), len(dst.Peers()))
+		}
+		again, err := New(Config{Landmarks: []topology.NodeID{0, 50}, Shards: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := again.ResetFromSnapshot(bytes.NewReader(checkpointOf(t, dst))); err != nil {
+			t.Fatalf("round-trip restore: %v", err)
+		}
+		assertSamePlacement(t, dst, again)
+		if !bytes.Equal(logicalSnapshot(t, dst), logicalSnapshot(t, again)) {
+			t.Fatal("round-trip changed the snapshot's bytes")
+		}
+	})
+}

@@ -64,10 +64,11 @@ func newShard(lms []topology.NodeID, cfg Config, idx *server.Index) (*shard, err
 
 // applyOp is the one write path of a shard: it applies a typed op to the
 // shard's server and returns its answer — with the answering entry point
-// for its kind, or silently (server.Apply) when quiet, the replay/recovery
-// mode that skips answer computation. What reaches the write-ahead log is
-// decided by the caller from the answer: only accepted batch entries, and
-// no sweep that expired nobody (see Cluster.JoinBatchOp, Cluster.Expire).
+// for its kind, or silently (server.Apply) when quiet, the mode of replayed
+// and replicated ops, which skips answer computation. What reaches the
+// write-ahead log is decided by the caller from the answer: only accepted
+// batch entries, and no sweep that expired nobody (see Cluster.JoinBatchOp,
+// Cluster.Expire).
 func (g *shard) applyOp(o op.Op, quiet bool) (opResult, error) {
 	g.applies.Inc()
 	var res opResult

@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"proxdisc/internal/cluster"
 	"proxdisc/internal/pathtree"
 	"proxdisc/internal/topology"
 )
@@ -37,8 +36,8 @@ func TestShardedWorldMatchesSingleServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := w4.Server.(*cluster.Cluster); !ok {
-		t.Fatalf("sharded world runs a %T", w4.Server)
+	if w1.Server.NumShards() != 1 || w4.Server.NumShards() != 4 {
+		t.Fatalf("worlds run %d and %d shards, want 1 and 4", w1.Server.NumShards(), w4.Server.NumShards())
 	}
 	// Identical seeds give identical attachment sequences; join peers in
 	// lockstep and compare every answer.
@@ -103,7 +102,7 @@ func TestWorldLandmarkHandoff(t *testing.T) {
 	if err := w.JoinN(150); err != nil {
 		t.Fatal(err)
 	}
-	c := w.Server.(*cluster.Cluster)
+	c := w.Server
 	lm := w.Landmarks[0]
 	src, ok := c.ShardFor(lm)
 	if !ok {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"proxdisc/internal/cluster"
 	"proxdisc/internal/pathtree"
 	"proxdisc/internal/routing"
 	"proxdisc/internal/server"
@@ -160,8 +161,11 @@ func TestServerSnapshotMidExperiment(t *testing.T) {
 	if err := w.Server.Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := server.Restore(&buf, server.Config{})
+	restored, err := cluster.New(cluster.Config{Landmarks: w.Landmarks, NeighborCount: w.Cfg.NeighborCount})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.ResetFromSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range w.Server.Peers() {

@@ -7,7 +7,6 @@ package experiment
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 	"sort"
 
@@ -20,27 +19,6 @@ import (
 	"proxdisc/internal/topology"
 	"proxdisc/internal/traceroute"
 )
-
-// Directory is the management plane a world drives: the single-process
-// server.Server, or the landmark-sharded cluster.Cluster, which expose the
-// same API. Every experiment runs unchanged over either, so simulations
-// and benchmarks exercise the sharded path end-to-end.
-type Directory interface {
-	Join(p pathtree.PeerID, path []topology.NodeID) ([]pathtree.Candidate, error)
-	JoinBatch(items []server.BatchJoin) []server.BatchResult
-	Lookup(p pathtree.PeerID) ([]pathtree.Candidate, error)
-	Refresh(p pathtree.PeerID) error
-	Leave(p pathtree.PeerID) bool
-	Expire() []pathtree.PeerID
-	SetSuperPeer(p pathtree.PeerID, super bool) error
-	PeerInfo(p pathtree.PeerID) (server.PeerInfo, error)
-	Peers() []pathtree.PeerID
-	NumPeers() int
-	Landmarks() []topology.NodeID
-	NeighborCount() int
-	Stats() server.Stats
-	Snapshot(w io.Writer) error
-}
 
 // WorldConfig describes one simulated deployment: a topology, a landmark
 // placement policy, and the traceroute behaviour of peers.
@@ -58,20 +36,19 @@ type WorldConfig struct {
 	LandmarkPolicy topology.PlacementPolicy
 	// NeighborCount is the k of the closest-peer answers (default 5).
 	NeighborCount int
-	// Shards, when at least 2, runs the management plane as a
-	// landmark-sharded cluster of that many shards instead of a single
-	// server. It must not exceed NumLandmarks.
+	// Shards is the management plane's shard count (default 1): a
+	// landmark-sharded cluster answers the same as one shard, so every
+	// experiment runs unchanged over any count.
 	Shards int
 	// BatchSize, when at least 2, registers newcomers through the
-	// management plane's batched join path (Directory.JoinBatch) in groups
+	// management plane's batched join path (Cluster.JoinBatch) in groups
 	// of this size — the wire protocol's flash-crowd fast path — instead
 	// of one join per call. Capped at proto.MaxBatch by the wire format;
 	// simulations accept any positive value.
 	BatchSize int
 	// DataDir, when set, runs the management plane durably (WAL plus
-	// on-disk snapshots, see cluster.Config.DataDir) and forces the
-	// cluster plane even when Shards is unset, so
-	// simulations exercise the persistent write path end to end.
+	// on-disk snapshots, see cluster.Config.DataDir), so simulations
+	// exercise the persistent write path end to end.
 	DataDir string
 	// Trace configures the peers' traceroute tool.
 	Trace traceroute.Config
@@ -104,7 +81,7 @@ type World struct {
 	Graph     *topology.Graph
 	Tracer    *traceroute.Tracer
 	Landmarks []topology.NodeID
-	Server    Directory
+	Server    *cluster.Cluster
 	// Attachments records where each joined peer is attached.
 	Attachments metrics.Attachments
 	// LeafPool is the set of degree-1 routers still available for peers.
@@ -115,9 +92,6 @@ type World struct {
 	// ProbeCount accumulates the number of traceroute hops measured across
 	// all joins — the "measurement cost" axis of the quickness experiment.
 	ProbeCount int
-
-	// clu is set when the management plane is a cluster.
-	clu *cluster.Cluster
 }
 
 // BuildWorld generates the topology, places landmarks, and starts a
@@ -142,24 +116,12 @@ func BuildWorld(cfg WorldConfig) (*World, error) {
 			return nil, fmt.Errorf("experiment: delays: %w", err)
 		}
 	}
-	var (
-		srv Directory
-		clu *cluster.Cluster
-	)
-	if cfg.Shards > 1 || cfg.DataDir != "" {
-		clu, err = cluster.New(cluster.Config{
-			Landmarks:     landmarks,
-			Shards:        cfg.Shards,
-			NeighborCount: cfg.NeighborCount,
-			DataDir:       cfg.DataDir,
-		})
-		srv = clu
-	} else {
-		srv, err = server.New(server.Config{
-			Landmarks:     landmarks,
-			NeighborCount: cfg.NeighborCount,
-		})
-	}
+	srv, err := cluster.New(cluster.Config{
+		Landmarks:     landmarks,
+		Shards:        cfg.Shards,
+		NeighborCount: cfg.NeighborCount,
+		DataDir:       cfg.DataDir,
+	})
 	if err != nil {
 		return nil, fmt.Errorf("experiment: server: %w", err)
 	}
@@ -186,23 +148,13 @@ func BuildWorld(cfg WorldConfig) (*World, error) {
 		LeafPool:    pool,
 		rng:         rng,
 		traceRNG:    rand.New(rand.NewSource(cfg.Seed + 3)),
-		clu:         clu,
 	}, nil
 }
-
-// Cluster returns the sharded management plane, or nil when the world runs
-// a single server.
-func (w *World) Cluster() *cluster.Cluster { return w.clu }
 
 // Close shuts the management plane down cleanly: on a durable plane
 // (WorldConfig.DataDir), a final snapshot flush and a clean WAL close.
 // Worlds without a durable plane need no Close.
-func (w *World) Close() error {
-	if w.clu != nil {
-		return w.clu.Close()
-	}
-	return nil
-}
+func (w *World) Close() error { return w.Server.Close() }
 
 // ClosestLandmark returns the landmark with the lowest RTT from the given
 // attachment router (ties to the smaller landmark ID), which is the peer's

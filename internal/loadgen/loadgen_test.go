@@ -4,14 +4,14 @@ import (
 	"testing"
 	"time"
 
+	"proxdisc/internal/cluster"
 	"proxdisc/internal/netserver"
-	"proxdisc/internal/server"
 	"proxdisc/internal/topology"
 )
 
 func startServer(t *testing.T) *netserver.NetServer {
 	t.Helper()
-	logic, err := server.New(server.Config{Landmarks: []topology.NodeID{0, 100}})
+	logic, err := cluster.New(cluster.Config{Landmarks: []topology.NodeID{0, 100}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"proxdisc/internal/proto"
-	"proxdisc/internal/wal"
 )
 
 // This file is the primary half of cross-process replication: the follow
@@ -22,8 +21,8 @@ import (
 // buffer, and a follower that falls arbitrarily far behind costs the
 // primary a file read, not memory.
 
-// FollowSource is the committed op stream a durable backend exposes to
-// the hub. *cluster.Cluster implements it when configured with a DataDir.
+// FollowSource is the committed op stream the hub serves from: a durable
+// *cluster.Cluster's, or a test's scripted one.
 type FollowSource interface {
 	// SetCommitTap installs (or, with nil, removes) the ordered observer
 	// of newly committed records and reports the last sequence committed
@@ -41,13 +40,6 @@ type FollowSource interface {
 	// CatchupSnapshot opens the latest on-disk snapshot (writing one
 	// first if none exists) and the sequence it covers.
 	CatchupSnapshot() (io.ReadCloser, uint64, error)
-}
-
-// DurabilityReporter is implemented by durable backends; a NetServer
-// fronting one carries checkpoint/recovery/replication telemetry in its
-// status responses.
-type DurabilityReporter interface {
-	DurabilityStats() wal.DurabilityStats
 }
 
 const (

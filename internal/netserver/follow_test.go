@@ -63,16 +63,12 @@ func newFollowedPlane(t *testing.T, dir string) (*cluster.Cluster, *NetServer) {
 	return clu, ns
 }
 
-// newFollowerNode builds a follower: a standalone server as the local
-// copy, fed from the primary's op stream.
-func newFollowerNode(t *testing.T, primaryAddr string, after uint64, backend *server.Server) *Follower {
+// newFollowerNode builds a follower fed from the primary's op stream, its
+// local copy a cluster with the primary's two shards unless one is given.
+func newFollowerNode(t *testing.T, primaryAddr string, after uint64, backend *cluster.Cluster) *Follower {
 	t.Helper()
 	if backend == nil {
-		var err error
-		backend, err = server.New(server.Config{Landmarks: []topology.NodeID{0, 100}})
-		if err != nil {
-			t.Fatal(err)
-		}
+		backend = newCluster(t, cluster.Config{Landmarks: []topology.NodeID{0, 100}, Shards: 2})
 	}
 	f, err := StartFollower(FollowerConfig{
 		Common:      conf.Common{Logger: t.Logf},
@@ -105,8 +101,17 @@ func waitApplied(t *testing.T, f *Follower, clu *cluster.Cluster) {
 // assertSameState asserts the follower's local copy is byte-identical to
 // the primary cluster's state: both serialize through the same canonical
 // snapshot format (sorted landmarks, sorted peers), so equality is exact.
-func assertSameState(t *testing.T, clu *cluster.Cluster, follower *server.Server) {
+// The copy must also place every landmark where the primary does, at the
+// primary's epoch.
+func assertSameState(t *testing.T, clu, follower *cluster.Cluster) {
 	t.Helper()
+	for _, lm := range clu.Landmarks() {
+		want, _ := clu.ShardFor(lm)
+		if got, ok := follower.ShardFor(lm); !ok || got != want || follower.Epoch(lm) != clu.Epoch(lm) {
+			t.Fatalf("follower has landmark %d on shard %d at epoch %d, primary on shard %d at epoch %d",
+				lm, got, follower.Epoch(lm), want, clu.Epoch(lm))
+		}
+	}
 	var want, got bytes.Buffer
 	if err := clu.Snapshot(&want); err != nil {
 		t.Fatal(err)
@@ -124,16 +129,14 @@ func assertSameState(t *testing.T, clu *cluster.Cluster, follower *server.Server
 // of cross-process replication: a follower process connected over TCP
 // converges to the primary's exact peer set while a concurrent write
 // workload (pipelined joins, leaves, refreshes from several goroutines)
-// is still hammering the primary.
+// is still hammering the primary. Both are 2-shard clusters, compared by
+// their snapshots' bytes and their placement.
 func TestFollowerConvergesUnderConcurrentWrites(t *testing.T) {
 	clu, ns := newFollowedPlane(t, t.TempDir())
 	defer clu.Close()
 	defer ns.Close()
 
-	fsrv, err := server.New(server.Config{Landmarks: []topology.NodeID{0, 100}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fsrv := newCluster(t, cluster.Config{Landmarks: []topology.NodeID{0, 100}, Shards: 2})
 	f := newFollowerNode(t, ns.Addr(), 0, fsrv)
 	defer f.Close()
 
@@ -196,11 +199,12 @@ func TestFollowerConvergesUnderConcurrentWrites(t *testing.T) {
 // handoff (MoveLandmark), a super-peer flag and a TTL expiry sweep on the
 // primary while concurrent writers are still streaming joins, and asserts
 // the follower converges to a byte-identical copy. Every one of them rides
-// the committed op stream like any other record: the move lands on the
-// follower's flat copy as the landmark's epoch bump, and the sweep — which
-// spans both shards — as ONE deadline-carrying expire op, never as
-// per-peer leaves, so the canonical snapshots (epochs, flags and refresh
-// times included) must match exactly.
+// the committed op stream like any other record: the move hands the
+// landmark's tree to the same shard of the follower's 2-shard cluster at
+// the same epoch, and the sweep — which spans both shards — lands as ONE
+// deadline-carrying expire op, never as per-peer leaves, so the canonical
+// snapshots (epochs, flags and refresh times included) and every
+// landmark's shard and epoch must match exactly.
 func TestFollowerByteIdenticalAcrossMidStreamMove(t *testing.T) {
 	var clockMu sync.Mutex
 	now := time.Unix(9000, 0)
@@ -225,10 +229,7 @@ func TestFollowerByteIdenticalAcrossMidStreamMove(t *testing.T) {
 
 	// The copy has no TTL of its own: it expires peers only through the
 	// primary's expire ops.
-	fsrv, err := server.New(server.Config{Landmarks: []topology.NodeID{0, 100}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fsrv := newCluster(t, cluster.Config{Landmarks: []topology.NodeID{0, 100}, Shards: 2})
 	f := newFollowerNode(t, ns.Addr(), 0, fsrv)
 	defer f.Close()
 	var kindMu sync.Mutex
@@ -297,8 +298,8 @@ func TestFollowerByteIdenticalAcrossMidStreamMove(t *testing.T) {
 
 	waitApplied(t, f, clu)
 	assertSameState(t, clu, fsrv)
-	if got := fsrv.Epoch(0); got != 1 {
-		t.Fatalf("follower epoch for moved landmark = %d, want 1", got)
+	if got, _ := fsrv.ShardFor(0); got != 1-src || fsrv.Epoch(0) != 1 {
+		t.Fatalf("follower has the moved landmark on shard %d at epoch %d, want shard %d at epoch 1", got, fsrv.Epoch(0), 1-src)
 	}
 	if info, err := fsrv.PeerInfo(9001); err != nil || !info.SuperPeer {
 		t.Fatalf("follower lost the super-peer flag: info=%+v err=%v", info, err)
@@ -317,11 +318,12 @@ func TestFollowerByteIdenticalAcrossMidStreamMove(t *testing.T) {
 	}
 }
 
-// TestFollowerCatchupAfterKill kills a follower mid-stream, keeps writing,
-// compacts the primary's WAL (checkpoint + truncation), and restarts the
-// follower from its last applied sequence: the resume is below the log's
-// retention floor, so catch-up must run snapshot + tail — and still
-// converge byte-identical to the primary.
+// TestFollowerCatchupAfterKill kills a follower mid-stream, keeps writing
+// and moves a landmark, compacts the primary's WAL (checkpoint +
+// truncation), and restarts the follower from its last applied sequence:
+// the resume is below the log's retention floor, so catch-up must run
+// snapshot + tail — and still converge byte-identical to the primary, with
+// the moved landmark on the primary's shard at its epoch.
 func TestFollowerCatchupAfterKill(t *testing.T) {
 	clu, ns := newFollowedPlane(t, t.TempDir())
 	defer clu.Close()
@@ -338,10 +340,7 @@ func TestFollowerCatchupAfterKill(t *testing.T) {
 		join(p, 0)
 	}
 
-	fsrv, err := server.New(server.Config{Landmarks: []topology.NodeID{0, 100}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fsrv := newCluster(t, cluster.Config{Landmarks: []topology.NodeID{0, 100}, Shards: 2})
 	f := newFollowerNode(t, ns.Addr(), 0, fsrv)
 	waitApplied(t, f, clu)
 	resumeAt := f.Applied()
@@ -356,6 +355,9 @@ func TestFollowerCatchupAfterKill(t *testing.T) {
 		if !clu.Leave(pathtree.PeerID(p)) {
 			t.Fatalf("leave %d rejected", p)
 		}
+	}
+	if src, _ := clu.ShardFor(100); clu.MoveLandmark(100, 1-src) != nil {
+		t.Fatal("move of landmark 100 failed")
 	}
 	if err := clu.Checkpoint(); err != nil {
 		t.Fatal(err)
@@ -401,10 +403,7 @@ func TestFollowerLiveStreamAndStatus(t *testing.T) {
 		}
 	}
 
-	fsrv, err := server.New(server.Config{Landmarks: []topology.NodeID{0, 100}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fsrv := newCluster(t, cluster.Config{Landmarks: []topology.NodeID{0, 100}, Shards: 2})
 	f := newFollowerNode(t, ns.Addr(), 0, fsrv)
 	defer f.Close()
 	waitApplied(t, f, clu)
@@ -467,19 +466,13 @@ func TestFollowerLiveStreamAndStatus(t *testing.T) {
 // committed stream to serve; the subscription must fail loudly instead of
 // silently never delivering.
 func TestFollowRejectedWithoutDurableLog(t *testing.T) {
-	srv, err := server.New(server.Config{Landmarks: []topology.NodeID{0}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := newCluster(t, cluster.Config{Landmarks: []topology.NodeID{0}})
 	ns, err := Listen(Config{Addr: "127.0.0.1:0", Server: srv})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ns.Close()
-	backend, err := server.New(server.Config{Landmarks: []topology.NodeID{0}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	backend := newCluster(t, cluster.Config{Landmarks: []topology.NodeID{0}})
 	if _, err := StartFollower(FollowerConfig{
 		PrimaryAddr: ns.Addr(),
 		Backend:     backend,
@@ -500,10 +493,7 @@ func TestFollowerShipsOversizedOps(t *testing.T) {
 	defer ns.Close()
 
 	// Live-path follower, subscribed before the big commit.
-	liveSrv, err := server.New(server.Config{Landmarks: []topology.NodeID{0, 100}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	liveSrv := newCluster(t, cluster.Config{Landmarks: []topology.NodeID{0, 100}, Shards: 2})
 	live := newFollowerNode(t, ns.Addr(), 0, liveSrv)
 	defer live.Close()
 
@@ -535,10 +525,7 @@ func TestFollowerShipsOversizedOps(t *testing.T) {
 
 	// Catch-up follower, subscribed after: the same record comes off the
 	// WAL instead of the live buffer, chunked the same way.
-	lateSrv, err := server.New(server.Config{Landmarks: []topology.NodeID{0, 100}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	lateSrv := newCluster(t, cluster.Config{Landmarks: []topology.NodeID{0, 100}, Shards: 2})
 	late := newFollowerNode(t, ns.Addr(), 0, lateSrv)
 	defer late.Close()
 	waitApplied(t, late, clu)
@@ -553,10 +540,7 @@ func TestFollowerShipsOversizedOps(t *testing.T) {
 	if floor, err := clu.CommittedFloor(); err != nil || floor <= 1 {
 		t.Fatalf("WAL floor %d (err %v): checkpoint did not force the snapshot road", floor, err)
 	}
-	snapSrv, err := server.New(server.Config{Landmarks: []topology.NodeID{0, 100}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	snapSrv := newCluster(t, cluster.Config{Landmarks: []topology.NodeID{0, 100}, Shards: 2})
 	snapF := newFollowerNode(t, ns.Addr(), 0, snapSrv)
 	defer snapF.Close()
 	waitApplied(t, snapF, clu)
@@ -579,10 +563,7 @@ func TestFollowRejectedOnReplicaRole(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer replica.Close()
-	backend, err := server.New(server.Config{Landmarks: []topology.NodeID{0, 100}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	backend := newCluster(t, cluster.Config{Landmarks: []topology.NodeID{0, 100}, Shards: 2})
 	_, err = StartFollower(FollowerConfig{
 		PrimaryAddr: replica.Addr(),
 		Backend:     backend,
@@ -606,10 +587,7 @@ func TestFollowerReconnectsAfterPrimaryRestart(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	fsrv, err := server.New(server.Config{Landmarks: []topology.NodeID{0, 100}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fsrv := newCluster(t, cluster.Config{Landmarks: []topology.NodeID{0, 100}, Shards: 2})
 	f := newFollowerNode(t, ns.Addr(), 0, fsrv)
 	defer f.Close()
 	waitApplied(t, f, clu)
@@ -624,6 +602,7 @@ func TestFollowerReconnectsAfterPrimaryRestart(t *testing.T) {
 		}
 	}
 	var ns2 *NetServer
+	var err error
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		ns2, err = Listen(Config{Addr: addr, Server: clu})
@@ -688,10 +667,7 @@ func TestStalledFollowerIsBounded(t *testing.T) {
 	}
 
 	// A healthy follower rides the same hub.
-	fsrv, err := server.New(server.Config{Landmarks: []topology.NodeID{0, 100}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fsrv := newCluster(t, cluster.Config{Landmarks: []topology.NodeID{0, 100}, Shards: 2})
 	f := newFollowerNode(t, ns.Addr(), 0, fsrv)
 	defer f.Close()
 
@@ -719,10 +695,7 @@ func TestStalledFollowerIsBounded(t *testing.T) {
 
 // TestStartFollowerValidation: config errors fail at start, loudly.
 func TestStartFollowerValidation(t *testing.T) {
-	backend, err := server.New(server.Config{Landmarks: []topology.NodeID{0}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	backend := newCluster(t, cluster.Config{Landmarks: []topology.NodeID{0}})
 	if _, err := StartFollower(FollowerConfig{PrimaryAddr: "127.0.0.1:1"}); err == nil {
 		t.Fatal("nil backend accepted")
 	}
@@ -1057,10 +1030,7 @@ func TestIdleStreamHeartbeats(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ns.Close()
-	fsrv, err := server.New(server.Config{Landmarks: []topology.NodeID{0, 100}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fsrv := newCluster(t, cluster.Config{Landmarks: []topology.NodeID{0, 100}})
 	f := newFollowerNode(t, ns.Addr(), 0, fsrv)
 	defer f.Close()
 	if _, err := clu.JoinOp(joinOp(1, "", []int32{7, 0})); err != nil {

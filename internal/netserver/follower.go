@@ -17,19 +17,21 @@ import (
 
 // This file is the follower role: a process that keeps a local copy of a
 // primary's management state by consuming its committed op stream over
-// TCP, applying every record through the backend's single Apply door —
-// the same door WAL recovery uses — and restoring from a shipped snapshot
-// when it reconnects too far behind. A NetServer configured with Role
-// RoleReplica in front of the same backend then serves reads from the
-// copy and points writes at the primary: together they are the replica
-// deployment, and the one way a shard's state is replicated.
+// TCP, applying every record through the copy's single Apply door — the
+// same door WAL recovery uses — and restoring from a shipped checkpoint
+// when it reconnects too far behind. The copy is a cluster.Cluster of the
+// primary's shard count, so the stream's move ops and the checkpoint's
+// Move records put every landmark on the primary's shard. A NetServer
+// configured with Role RoleReplica in front of the same cluster then serves
+// reads from the copy and points writes at the primary: together they are
+// the replica deployment, and the one way a shard's state is replicated.
 
-// FollowerBackend is the state a Follower maintains: the read/write
-// surface a NetServer fronts, plus whole-state restore for snapshot
-// catch-up. Both *server.Server and a local *cluster.Cluster satisfy the
-// Backend half; *server.Server adds ResetFromSnapshot.
+// FollowerBackend is what a Follower calls on the copy it maintains: the
+// op door and whole-state restore for snapshot catch-up. *cluster.Cluster
+// implements it, and so does *server.Server.
 type FollowerBackend interface {
-	Backend
+	// Apply applies one committed op.
+	Apply(o op.Op) error
 	// ResetFromSnapshot replaces the entire local state with the
 	// snapshot's.
 	ResetFromSnapshot(r io.Reader) error
@@ -76,8 +78,8 @@ type Follower struct {
 	sessMu sync.Mutex
 	sess   *client.FollowSession
 
-	// tapMu guards the optional observation hooks (ApplySource): a replica
-	// node's subscription plane feeds from them.
+	// tapMu guards the optional observation hooks: a replica node's
+	// subscription plane feeds from them.
 	tapMu      sync.Mutex
 	applyTap   func(seq uint64, o op.Op)
 	restoreTap func()
@@ -228,16 +230,17 @@ func (f *Follower) RestoreSnapshot(seq uint64, r io.Reader) error {
 	return nil
 }
 
-// SetApplyTap installs a callback observing each applied op in sequence
-// order (ApplySource). Nil detaches.
+// SetApplyTap installs a callback invoked after each replicated op is
+// applied to the local copy, in sequence order. Nil detaches.
 func (f *Follower) SetApplyTap(tap func(seq uint64, o op.Op)) {
 	f.tapMu.Lock()
 	f.applyTap = tap
 	f.tapMu.Unlock()
 }
 
-// SetRestoreTap installs a callback observing full snapshot restores
-// (ApplySource). Nil detaches.
+// SetRestoreTap installs a callback invoked after a full snapshot restore
+// replaced the local copy (incremental deltas no longer describe it). Nil
+// detaches.
 func (f *Follower) SetRestoreTap(fn func()) {
 	f.tapMu.Lock()
 	f.restoreTap = fn

@@ -14,9 +14,9 @@ import (
 	"time"
 
 	"proxdisc/internal/client"
+	"proxdisc/internal/cluster"
 	"proxdisc/internal/op"
 	"proxdisc/internal/proto"
-	"proxdisc/internal/server"
 	"proxdisc/internal/topology"
 )
 
@@ -33,10 +33,7 @@ func writeLoops() int {
 // long before the idle timeout, with nothing applied and no writer
 // goroutine started for it.
 func TestFirstFrameMustBeHello(t *testing.T) {
-	logic, err := server.New(server.Config{Landmarks: []topology.NodeID{0}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	logic := newCluster(t, cluster.Config{Landmarks: []topology.NodeID{0}})
 	const readTimeout = 30 * time.Second
 	ns, err := Listen(Config{Addr: "127.0.0.1:0", Server: logic, ReadTimeout: readTimeout})
 	if err != nil {
@@ -142,10 +139,7 @@ func TestHandshakeBytesUnchanged(t *testing.T) {
 		helloAck = "000000050e00020020"
 		joinResp = "000000260600000000000000010001000000000000000700000002000d31302e302e302e373a39303037"
 	)
-	logic, err := server.New(server.Config{Landmarks: []topology.NodeID{0}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	logic := newCluster(t, cluster.Config{Landmarks: []topology.NodeID{0}})
 	if _, err := logic.JoinOp(op.Join(7, []topology.NodeID{12, 11, 0}, "10.0.0.7:9007", 0)); err != nil {
 		t.Fatal(err)
 	}

@@ -12,9 +12,9 @@ import (
 	"time"
 
 	"proxdisc/internal/client"
+	"proxdisc/internal/cluster"
 	"proxdisc/internal/conf"
 	"proxdisc/internal/proto"
-	"proxdisc/internal/server"
 	"proxdisc/internal/topology"
 )
 
@@ -70,10 +70,7 @@ func (l *logSink) has(sub string) bool {
 // twoLandmarkNode serves landmarks 0 and 100 with the given read timeout.
 func twoLandmarkNode(t *testing.T, readTimeout time.Duration, logf func(string, ...any)) *NetServer {
 	t.Helper()
-	logic, err := server.New(server.Config{Landmarks: []topology.NodeID{0, 100}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	logic := newCluster(t, cluster.Config{Landmarks: []topology.NodeID{0, 100}})
 	ns, err := Listen(Config{Common: conf.Common{Logger: logf}, Addr: "127.0.0.1:0", Server: logic, ReadTimeout: readTimeout})
 	if err != nil {
 		t.Fatal(err)

@@ -10,7 +10,6 @@ import (
 	"proxdisc/internal/cluster"
 	"proxdisc/internal/conf"
 	"proxdisc/internal/proto"
-	"proxdisc/internal/server"
 	"proxdisc/internal/telemetry"
 	"proxdisc/internal/topology"
 )
@@ -37,10 +36,7 @@ func startReplicaPair(t *testing.T, landmarks ...topology.NodeID) (primary, repl
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { primary.Close() })
-	copySrv, err := server.New(server.Config{Landmarks: landmarks})
-	if err != nil {
-		t.Fatal(err)
-	}
+	copySrv := newCluster(t, cluster.Config{Landmarks: landmarks, Shards: len(landmarks)})
 	f = newFollowerNode(t, primary.Addr(), 0, copySrv)
 	t.Cleanup(func() { f.Close() })
 	replica, err = Listen(Config{
@@ -210,17 +206,14 @@ func TestRejoinThroughLearnedPrimaryKeepsPeer(t *testing.T) {
 // TestListenRejectsReplicaWithoutPrimary pins the config invariant at the
 // library layer, not just the CLI flag check.
 func TestListenRejectsReplicaWithoutPrimary(t *testing.T) {
-	logic, err := server.New(server.Config{Landmarks: []topology.NodeID{0}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	logic := newCluster(t, cluster.Config{Landmarks: []topology.NodeID{0}})
 	if _, err := Listen(Config{Addr: "127.0.0.1:0", Server: logic, Role: RoleReplica}); err == nil {
 		t.Fatal("accepted a replica with no primary address")
 	}
 }
 
-// TestPrimaryStatus pins the status answer of a primary node: one shard
-// for a plain server, NumShards for a cluster, each shard one live copy.
+// TestPrimaryStatus pins the status answer of a primary node: NumShards,
+// each shard one live copy.
 func TestPrimaryStatus(t *testing.T) {
 	ns, _ := startServer(t)
 	c := dial(t, ns)
@@ -232,10 +225,7 @@ func TestPrimaryStatus(t *testing.T) {
 		t.Fatalf("status=%+v", st)
 	}
 
-	clu, err := cluster.New(cluster.Config{Landmarks: []topology.NodeID{0, 100}, Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	clu := newCluster(t, cluster.Config{Landmarks: []topology.NodeID{0, 100}, Shards: 2})
 	cns, err := Listen(Config{Addr: "127.0.0.1:0", Server: clu})
 	if err != nil {
 		t.Fatal(err)
@@ -260,14 +250,11 @@ func TestExpiryOverTCPWithInjectedClock(t *testing.T) {
 		now = time.Unix(1000, 0)
 	)
 	clock := func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
-	logic, err := server.New(server.Config{
+	logic := newCluster(t, cluster.Config{
 		Landmarks: []topology.NodeID{0},
 		PeerTTL:   time.Minute,
 		Clock:     clock,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	ns, err := Listen(Config{Addr: "127.0.0.1:0", Server: logic})
 	if err != nil {
 		t.Fatal(err)
@@ -328,10 +315,7 @@ func TestIdleDroppedSessionRedials(t *testing.T) {
 // address, as a crashed-and-replaced management server: a default client
 // must ride through on the next request.
 func TestClientFailoverRedialsPrimary(t *testing.T) {
-	logic, err := server.New(server.Config{Landmarks: []topology.NodeID{0}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	logic := newCluster(t, cluster.Config{Landmarks: []topology.NodeID{0}})
 	ns, err := Listen(Config{Addr: "127.0.0.1:0", Server: logic})
 	if err != nil {
 		t.Fatal(err)

@@ -29,11 +29,10 @@
 // core; open more connections to scale.
 //
 // A lookup takes exactly these locks. In the front end: the connection's
-// own write mutex, and nothing else. In a server.Server backend: the state
-// lock, read-held (a writer takes it exclusively for one join at a time;
-// snapshots and other whole-state walks never take it) and nothing below
-// it. A cluster.Cluster backend adds the peer index stripe's RLock and
-// nothing else (package cluster lists its locks).
+// own write mutex, and nothing else. In the backend: the peer index stripe's
+// RLock, the cluster's table RLock, and the shard server's state lock,
+// read-held (a writer takes it exclusively for one join at a time; snapshots
+// and other whole-state walks never take it) — package cluster lists them.
 //
 // Closest-peer answers carry dialable endpoints: every candidate comes back
 // from the backend with the overlay address its peer advertised, read from
@@ -42,12 +41,12 @@
 // subscription siblings), so an address is copied once between the backend
 // and the connection's write buffer.
 //
-// A NetServer fronts either a standalone server.Server or one node of a
-// landmark-sharded cluster (see Backend). In cluster deployments each node
-// may additionally know which remote node owns each foreign landmark
-// (RemoteLandmarks): joins for those landmarks are redirected to the owner,
-// and the client remembers where each of its peers lives, so the front end
-// keeps no per-peer state and no durable state of its own.
+// A NetServer fronts one node's cluster.Cluster, one shard or many, a
+// primary's or a follower's copy. Each node may additionally know which
+// remote node owns each foreign landmark (RemoteLandmarks): joins for those
+// landmarks are redirected to the owner, and the client remembers where
+// each of its peers lives, so the front end keeps no per-peer state and no
+// durable state of its own.
 package netserver
 
 import (
@@ -61,6 +60,7 @@ import (
 	"sync"
 	"time"
 
+	"proxdisc/internal/cluster"
 	"proxdisc/internal/conf"
 	"proxdisc/internal/op"
 	"proxdisc/internal/pathtree"
@@ -70,50 +70,6 @@ import (
 	"proxdisc/internal/telemetry"
 	"proxdisc/internal/topology"
 )
-
-// Backend is the management logic a NetServer exposes: the in-process
-// server.Server, or a cluster.Cluster routing across shards. Writes reach
-// it as typed ops (package op) decoded straight from the wire: the
-// answering join entry points carry the overlay address inside the op, and
-// every answerless write goes through the one Apply door — the same door
-// follower replication and WAL replay use.
-type Backend interface {
-	Landmarks() []topology.NodeID
-	NeighborCount() int
-	JoinOp(o op.Op) ([]pathtree.Candidate, error)
-	JoinBatchOp(o op.Op) []server.BatchResult
-	Apply(o op.Op) error
-	Lookup(p pathtree.PeerID) ([]pathtree.Candidate, error)
-	PeerInfo(p pathtree.PeerID) (server.PeerInfo, error)
-}
-
-// EpochReporter is implemented by backends that fence landmark ownership
-// (server.Server and cluster.Cluster): Epoch reports a landmark's current
-// fencing epoch, zero for a landmark that never moved. A NetServer
-// fronting one stamps the epoch into the redirects it emits, so the
-// redirected writer can carry it and get a loud CodeStaleEpoch — instead
-// of a silently mis-placed write — if the landmark moves again meanwhile.
-type EpochReporter interface {
-	Epoch(lm topology.NodeID) uint64
-}
-
-// backendEpoch reads the backend's fencing epoch for lm, zero when the
-// backend predates epochs.
-func (s *NetServer) backendEpoch(lm topology.NodeID) uint64 {
-	if er, ok := s.cfg.Server.(EpochReporter); ok {
-		return er.Epoch(lm)
-	}
-	return 0
-}
-
-// ReplicationStatus is the position a follower node reports in its status
-// responses; *Follower implements it.
-type ReplicationStatus interface {
-	// Applied is the last op sequence applied to the local copy.
-	Applied() uint64
-	// Head is the primary's last announced committed head.
-	Head() uint64
-}
 
 // Role selects how a NetServer answers writes.
 type Role int
@@ -127,9 +83,10 @@ const (
 	// mutating a stale copy.
 	//
 	// The role governs wire behaviour only. The deployment it exists for
-	// puts the front end on a Follower's backend (StartFollower), which
+	// puts the front end on a Follower's cluster (StartFollower), which
 	// keeps that copy in sync from the primary's committed op stream;
-	// Config.Replication then reports the copy's applied/head position.
+	// Config.Replication then reports the copy's applied/head position and
+	// feeds the node's subscriptions.
 	RoleReplica
 )
 
@@ -144,9 +101,12 @@ type Config struct {
 	conf.Common
 	// Addr is the TCP listen address (e.g. "127.0.0.1:0").
 	Addr string
-	// Server is the management logic to expose: a *server.Server or a
-	// *cluster.Cluster.
-	Server Backend
+	// Server is the management logic to expose. Writes reach it as typed
+	// ops (package op) decoded straight from the wire: the answering join
+	// entry points carry the overlay address inside the op, and every
+	// answerless write goes through its one Apply door — the same door
+	// follower replication and WAL replay use.
+	Server *cluster.Cluster
 	// LandmarkAddrs maps each landmark router ID to the UDP address of its
 	// probe responder, advertised to clients.
 	LandmarkAddrs map[topology.NodeID]string
@@ -154,7 +114,7 @@ type Config struct {
 	// nodes' TCP addresses. A join whose path ends at a remote landmark is
 	// answered with a redirect there, and a batch entry for one comes back
 	// CodeWrongShard naming the owner; the client follows either and
-	// remembers the peer's home. Nil for standalone deployments.
+	// remembers the peer's home. Nil for a deployment of one node.
 	RemoteLandmarks map[topology.NodeID]string
 	// Role is this node's replication role (default RolePrimary). A
 	// RoleReplica node serves reads from its local copy and points writes
@@ -164,10 +124,11 @@ type Config struct {
 	// by a RoleReplica node.
 	PrimaryAddr string
 	// Replication, when this front end runs on a follower node, is the
-	// Follower feeding the backend; status responses then carry its
-	// applied/head position so the node's replication lag is observable
-	// over the wire.
-	Replication ReplicationStatus
+	// Follower feeding Server; status responses then carry its applied/head
+	// position so the node's replication lag is observable over the wire,
+	// and a RoleReplica node's subscriptions are fed from its applied
+	// stream.
+	Replication *Follower
 	// Workers bounds how many pipelined writes (reads never enter the pool)
 	// are served concurrently across all connections. When the pool is
 	// saturated, connection readers block — natural backpressure instead of
@@ -199,14 +160,12 @@ type NetServer struct {
 	conns map[net.Conn]struct{}
 
 	// hub serves the committed op stream to follower processes; nil when
-	// the backend has no durable log to ship. See follow.go.
+	// the backend has no durable log to ship. The commit tap behind it is
+	// this server's, which fans it out to hub and plane (see commitTap).
 	hub *followHub
-	// src is the durable backend whose commit tap this server owns (it
-	// fans out to hub and plane — see commitTap); nil when non-durable.
-	src FollowSource
 	// plane evaluates live query subscriptions; nil when this node has no
-	// op stream to feed it (non-durable primary, or replica without an
-	// ApplySource). See subserver.go.
+	// op stream to feed it (non-durable primary, or replica without a
+	// Replication feed). See subserver.go.
 	plane *sub.Plane
 
 	subMu      sync.Mutex
@@ -411,20 +370,19 @@ func Listen(cfg Config) (*NetServer, error) {
 	// serve follows (a follower of a follower would replicate a copy, not
 	// the source of truth). The server owns the single commit tap and fans
 	// it out to both consumers.
-	if src, ok := cfg.Server.(FollowSource); ok && cfg.Role == RolePrimary {
-		if _, ok := src.SetCommitTap(s.commitTap); ok {
-			s.src = src
-			s.hub = newFollowHub(s, src)
+	if cfg.Role == RolePrimary {
+		if _, ok := cfg.Server.SetCommitTap(s.commitTap); ok {
+			s.hub = newFollowHub(s, cfg.Server)
 			s.plane = sub.New(cfg.Server, cfg.Telemetry)
 		}
 	}
 	// A follower node serves subscriptions from its applied stream: the
 	// same filters, evaluated against the local copy, scaling the push
 	// read plane out with the replication tree.
-	if as, ok := cfg.Replication.(ApplySource); ok && cfg.Role == RoleReplica {
+	if f := cfg.Replication; f != nil && cfg.Role == RoleReplica {
 		s.plane = sub.New(cfg.Server, cfg.Telemetry)
-		as.SetApplyTap(func(seq uint64, o op.Op) { s.plane.FeedOp(seq, o) })
-		as.SetRestoreTap(s.plane.ResyncAll)
+		f.SetApplyTap(func(seq uint64, o op.Op) { s.plane.FeedOp(seq, o) })
+		f.SetRestoreTap(s.plane.ResyncAll)
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
@@ -549,12 +507,12 @@ func (s *NetServer) Close() error {
 	var err error
 	s.closeOnce.Do(func() {
 		close(s.closed)
-		if s.src != nil {
-			s.src.SetCommitTap(nil) // detach the commit tap before the backend outlives us
+		if s.hub != nil {
+			s.cfg.Server.SetCommitTap(nil) // detach the commit tap before the backend outlives us
 		}
-		if as, ok := s.cfg.Replication.(ApplySource); ok && s.cfg.Role == RoleReplica {
-			as.SetApplyTap(nil)
-			as.SetRestoreTap(nil)
+		if f := s.cfg.Replication; f != nil && s.cfg.Role == RoleReplica {
+			f.SetApplyTap(nil)
+			f.SetRestoreTap(nil)
 		}
 		if s.plane != nil {
 			s.plane.Close() // terminates subscribers, so their senders wind down
@@ -809,31 +767,29 @@ func (s *NetServer) handleReq(typ proto.MsgType, payload []byte) (proto.MsgType,
 	}
 	switch typ {
 	case proto.MsgStatusRequest:
-		st := &proto.Status{Role: proto.RolePrimary, Shards: 1, Replicas: 1, Live: 1}
+		// Every shard is one live copy; further copies are follower
+		// processes, which report their own status.
+		shards := uint16(s.cfg.Server.NumShards())
+		ds := s.cfg.Server.DurabilityStats() // zero on a node without a log
+		st := &proto.Status{
+			Role:         proto.RolePrimary,
+			Shards:       shards,
+			Replicas:     1,
+			Live:         shards,
+			SnapshotSeq:  ds.SnapshotSeq,
+			WalTail:      ds.TailRecords,
+			ReplayMillis: uint32(ds.ReplayTime.Milliseconds()),
+			Applied:      ds.Head,
+			Head:         ds.Head,
+			WalFsyncs:    ds.Log.Fsyncs,
+			Peers:        uint64(s.cfg.Server.NumPeers()),
+		}
 		if s.cfg.Role == RoleReplica {
 			st.Role = proto.RoleReplica
 			st.PrimaryAddr = s.cfg.PrimaryAddr
 		}
-		if ns, ok := s.cfg.Server.(interface{ NumShards() int }); ok {
-			// Every shard is one live copy; further copies are follower
-			// processes, which report their own status.
-			st.Shards = uint16(ns.NumShards())
-			st.Live = st.Shards
-		}
-		if dr, ok := s.cfg.Server.(DurabilityReporter); ok {
-			ds := dr.DurabilityStats()
-			st.SnapshotSeq = ds.SnapshotSeq
-			st.WalTail = ds.TailRecords
-			st.ReplayMillis = uint32(ds.ReplayTime.Milliseconds())
-			st.Applied, st.Head = ds.Head, ds.Head
-			st.WalFsyncs = ds.Log.Fsyncs
-		}
-		if s.cfg.Replication != nil {
-			st.Applied = s.cfg.Replication.Applied()
-			st.Head = s.cfg.Replication.Head()
-		}
-		if np, ok := s.cfg.Server.(interface{ NumPeers() int }); ok {
-			st.Peers = uint64(np.NumPeers())
+		if f := s.cfg.Replication; f != nil {
+			st.Applied, st.Head = f.Applied(), f.Head()
 		}
 		st.QueueDepth = uint32(len(s.tasks))
 		st.RequestsTotal = s.requestsServed()
@@ -977,7 +933,7 @@ func (s *NetServer) rejectWriteOnReplica(typ proto.MsgType, payload []byte) (pro
 		// the client can forward a fenced write to the primary.
 		var epoch uint64
 		if o, err := proto.DecodeJoinOp(payload); err == nil && len(o.Join.Path) > 0 {
-			epoch = s.backendEpoch(o.Join.Path[len(o.Join.Path)-1])
+			epoch = s.cfg.Server.Epoch(o.Join.Path[len(o.Join.Path)-1])
 		}
 		b, err := proto.EncodeRedirect(&proto.Redirect{Addr: s.cfg.PrimaryAddr, Epoch: epoch})
 		if err != nil {

@@ -12,9 +12,20 @@ import (
 	"proxdisc/internal/client"
 	"proxdisc/internal/cluster"
 	"proxdisc/internal/proto"
-	"proxdisc/internal/server"
 	"proxdisc/internal/topology"
 )
+
+// newCluster builds the cluster a test fronts or follows into — 1 shard
+// unless cfg says otherwise — and closes it when the test ends.
+func newCluster(t testing.TB, cfg cluster.Config) *cluster.Cluster {
+	t.Helper()
+	c, err := cluster.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c
+}
 
 // startServer spins up a management server with landmark router 0 (and
 // optionally more) on loopback.
@@ -23,10 +34,7 @@ func startServer(t *testing.T, landmarks ...topology.NodeID) (*NetServer, map[to
 	if len(landmarks) == 0 {
 		landmarks = []topology.NodeID{0}
 	}
-	logic, err := server.New(server.Config{Landmarks: landmarks})
-	if err != nil {
-		t.Fatal(err)
-	}
+	logic := newCluster(t, cluster.Config{Landmarks: landmarks})
 	lmAddrs := make(map[topology.NodeID]string)
 	for _, lm := range landmarks {
 		resp, err := ListenLandmark("127.0.0.1:0")
@@ -271,12 +279,9 @@ func TestConcurrentClients(t *testing.T) {
 
 // startNode spins up one cluster node: a management server owning the given
 // landmarks, plus a shard map naming the owners of remote landmarks.
-func startNode(t *testing.T, landmarks []topology.NodeID, remote map[topology.NodeID]string) (*NetServer, *server.Server) {
+func startNode(t *testing.T, landmarks []topology.NodeID, remote map[topology.NodeID]string) (*NetServer, *cluster.Cluster) {
 	t.Helper()
-	logic, err := server.New(server.Config{Landmarks: landmarks})
-	if err != nil {
-		t.Fatal(err)
-	}
+	logic := newCluster(t, cluster.Config{Landmarks: landmarks})
 	ns, err := Listen(Config{
 		Addr:            "127.0.0.1:0",
 		Server:          logic,
@@ -694,7 +699,7 @@ func TestRejoinElsewhereRetiresOldHome(t *testing.T) {
 				for _, n := range []struct {
 					name  string
 					ns    *NetServer
-					logic *server.Server
+					logic *cluster.Cluster
 					home  bool
 				}{
 					{"node1", node1, logic1, !onNode2(tc.second)},
@@ -801,10 +806,7 @@ func TestForwardedBatchJoinNeverRelays(t *testing.T) {
 // small enough that a full batch response always fits one frame — and
 // client batches above it must chunk transparently and succeed.
 func TestBatchLimitDeratedByNeighborCount(t *testing.T) {
-	logic, err := server.New(server.Config{Landmarks: []topology.NodeID{0}, NeighborCount: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
+	logic := newCluster(t, cluster.Config{Landmarks: []topology.NodeID{0}, NeighborCount: 64})
 	ns, err := Listen(Config{Addr: "127.0.0.1:0", Server: logic})
 	if err != nil {
 		t.Fatal(err)

@@ -13,7 +13,6 @@ import (
 	"proxdisc/internal/client"
 	"proxdisc/internal/cluster"
 	"proxdisc/internal/proto"
-	"proxdisc/internal/server"
 	"proxdisc/internal/topology"
 )
 
@@ -340,10 +339,7 @@ func TestSubscribeReplicaRoads(t *testing.T) {
 	}
 
 	// Road 1: a replica with no feed redirects the subscriber.
-	bare, err := server.New(server.Config{Landmarks: []topology.NodeID{0, 100}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	bare := newCluster(t, cluster.Config{Landmarks: []topology.NodeID{0, 100}})
 	rep, err := Listen(Config{Addr: "127.0.0.1:0", Server: bare, Role: RoleReplica, PrimaryAddr: ns.Addr()})
 	if err != nil {
 		t.Fatal(err)
@@ -362,10 +358,7 @@ func TestSubscribeReplicaRoads(t *testing.T) {
 	sub.Close()
 
 	// Road 2: a follower-backed replica serves subscriptions locally.
-	backend, err := server.New(server.Config{Landmarks: []topology.NodeID{0, 100}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	backend := newCluster(t, cluster.Config{Landmarks: []topology.NodeID{0, 100}, Shards: 2})
 	fol := newFollowerNode(t, ns.Addr(), 0, backend)
 	defer fol.Close()
 	waitApplied(t, fol, clu)
@@ -417,10 +410,7 @@ func TestSubscribeReplicaRoads(t *testing.T) {
 // without a DataDir has nothing to evaluate filters against and must
 // refuse crisply rather than accept and never push.
 func TestSubscribeNonDurablePrimary(t *testing.T) {
-	srv, err := server.New(server.Config{Landmarks: []topology.NodeID{0}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := newCluster(t, cluster.Config{Landmarks: []topology.NodeID{0}})
 	ns, err := Listen(Config{Addr: "127.0.0.1:0", Server: srv})
 	if err != nil {
 		t.Fatal(err)

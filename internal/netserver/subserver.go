@@ -3,7 +3,6 @@ package netserver
 import (
 	"errors"
 
-	"proxdisc/internal/op"
 	"proxdisc/internal/pathtree"
 	"proxdisc/internal/proto"
 	"proxdisc/internal/server"
@@ -19,23 +18,11 @@ import (
 //
 // The plane's feed depends on the node's role. A durable primary feeds it
 // from the commit tap (shared with the follow hub — see commitTap). A
-// follower node feeds it from its applied stream via ApplySource, so
-// subscriptions scale out with the replication tree. A replica without an
-// apply feed answers CodeNotPrimary so the client's failover road leads
-// it somewhere that can serve; a non-durable primary has no op stream at
-// all and answers CodeBadRequest.
-
-// ApplySource is implemented by *Follower: the hooks a replica node's
-// subscription plane feeds from.
-type ApplySource interface {
-	// SetApplyTap installs a callback invoked after each replicated op is
-	// applied to the local copy, in sequence order. Nil detaches.
-	SetApplyTap(tap func(seq uint64, o op.Op))
-	// SetRestoreTap installs a callback invoked after a full snapshot
-	// restore replaced the local copy (incremental deltas no longer
-	// describe it). Nil detaches.
-	SetRestoreTap(fn func())
-}
+// follower node feeds it from its Follower's applied stream
+// (Config.Replication), so subscriptions scale out with the replication
+// tree. A replica without a Follower answers CodeNotPrimary so the client's
+// failover road leads it somewhere that can serve; a non-durable primary
+// has no op stream at all and answers CodeBadRequest.
 
 // commitTap is the single consumer of the backend's commit stream,
 // fanning each committed record out to the follow hub and the

@@ -96,13 +96,10 @@ func TestMetricsEndpointEndToEnd(t *testing.T) {
 	defer ops.Close()
 	metricsURL := ops.URL + "/metrics"
 
-	// A follower process (in-test: a standalone server copy) both makes
+	// A follower process (in-test: a 2-shard cluster copy) both makes
 	// the primary register per-follower series and reports its own
 	// position into the same registry.
-	fsrv, err := server.New(server.Config{Landmarks: []topology.NodeID{0, 100}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fsrv := newCluster(t, cluster.Config{Landmarks: []topology.NodeID{0, 100}, Shards: 2})
 	fol, err := StartFollower(FollowerConfig{
 		Common:      conf.Common{Telemetry: reg, Logger: t.Logf},
 		PrimaryAddr: ns.Addr(),

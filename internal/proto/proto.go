@@ -925,8 +925,7 @@ func DecodeBatchJoinResponse(b []byte) (*BatchJoinResponse, error) {
 
 // Node roles carried by Status.
 const (
-	// RolePrimary marks a node that accepts writes (also the role of every
-	// standalone server).
+	// RolePrimary marks a node that accepts writes.
 	RolePrimary uint8 = 1
 	// RoleReplica marks a read-only replica that redirects writes to its
 	// primary.
@@ -937,11 +936,11 @@ const (
 type Status struct {
 	// Role is RolePrimary or RoleReplica.
 	Role uint8
-	// Shards is the shard count of the management plane behind this node
-	// (1 for a standalone server). Replicas and Live keep their wire
-	// slots from the builds that kept several copies of a shard in one
-	// process: a node now reports Replicas = 1 and Live = Shards, and
-	// further copies are follower nodes reporting their own status.
+	// Shards is the shard count of the management plane behind this node,
+	// which a follower takes from its primary's. Replicas and Live keep
+	// their wire slots from the builds that kept several copies of a shard
+	// in one process: a node now reports Replicas = 1 and Live = Shards,
+	// and further copies are follower nodes reporting their own status.
 	Shards   uint16
 	Replicas uint16
 	Live     uint16

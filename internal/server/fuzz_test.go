@@ -75,7 +75,7 @@ func FuzzResetFromSnapshot(f *testing.F) {
 		if err := dst.Snapshot(&buf); err != nil {
 			t.Fatalf("re-snapshot of restored state: %v", err)
 		}
-		clone, err := Restore(bytes.NewReader(buf.Bytes()), Config{})
+		clone, err := restore(bytes.NewReader(buf.Bytes()), Config{})
 		if err != nil {
 			t.Fatalf("round-trip restore: %v", err)
 		}

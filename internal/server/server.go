@@ -286,17 +286,11 @@ func New(cfg Config) (*Server, error) {
 	return newServer(cfg, NewIndex())
 }
 
-// NewEmpty builds a server with no landmark trees: what Restore starts
-// from, since a snapshot supplies its own landmarks.
-func NewEmpty(cfg Config) (*Server, error) {
-	cfg.Landmarks = nil
-	return newServer(cfg, NewIndex())
-}
-
 // NewSharing builds a server that reads and writes idx instead of an index
 // of its own: one shard of a cluster, which hands the same index to all of
 // them. cfg.Landmarks may be empty — an elastic shard acquires its landmarks
-// through Handoff. Such a server is never reset from a snapshot, which
+// through Handoff. Such a server is reset from a snapshot only together with
+// the others sharing its index, by Adopt, never by ResetFromSnapshot, which
 // would leave it with a private index again.
 func NewSharing(cfg Config, idx *Index) (*Server, error) {
 	return newServer(cfg, idx)
@@ -483,10 +477,12 @@ func (st *state) apply(o op.Op) error {
 		return nil
 	case op.KindMoveLandmark:
 		// A server applies the epoch half of a handoff; between the shards
-		// of a cluster the tree itself changes hands through Handoff. A
-		// follower's flat copy holds every landmark, so for it the move IS
-		// just the epoch bump. The tree is created if absent so a copy that
-		// never held the landmark still records its fence.
+		// of a cluster the tree itself changes hands through Handoff, and
+		// a cluster sends the op here only to the shard holding the tree. A
+		// lone server holds every landmark it knows, so for it the move IS
+		// just the epoch bump. The tree is created if absent, which is how
+		// a snapshot's Move records bring their landmarks into a state
+		// being loaded.
 		lm := o.Move.Landmark
 		if _, ok := st.trees[lm]; !ok {
 			st.trees[lm] = pathtree.NewCore(lm)

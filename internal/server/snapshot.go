@@ -210,18 +210,23 @@ func (s *Server) ResetFromSnapshot(r io.Reader) error {
 	return nil
 }
 
-// Restore builds a server from a snapshot. The snapshot supplies the
-// landmarks, epochs and peers; cfg supplies what is configuration
-// (neighbour count, TTL, clock).
-func Restore(r io.Reader, cfg Config) (*Server, error) {
-	// NewEmpty rather than New: a freshly added elastic shard legitimately
-	// snapshots (and so restores) with zero landmarks.
-	s, err := NewEmpty(cfg)
-	if err == nil {
-		err = s.ResetFromSnapshot(r)
+// Adopt gives each server of dst the state of the server at the same
+// position in src, all of them in one step: every server of dst has its
+// writer mutex and then its state lock taken, in order, before the first
+// state changes hands, so a reader or writer of any of them sees the old
+// states or the new ones, never a mix. The servers of src share one index,
+// which dst's states then share; src must not be used afterwards. It is how
+// a cluster publishes a state it loaded off to the side.
+func Adopt(dst, src []*Server) {
+	for _, s := range dst {
+		s.wmu.Lock()
+		defer s.wmu.Unlock()
 	}
-	if err != nil {
-		return nil, err
+	for _, s := range dst {
+		s.mu.Lock()
+		defer s.mu.Unlock()
 	}
-	return s, nil
+	for i, s := range dst {
+		s.st = src[i].st
+	}
 }

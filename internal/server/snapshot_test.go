@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
@@ -23,6 +24,21 @@ var oldFormatSnapshots = map[string][]byte{
 	"bare gob":         []byte("\x4f\xff\x81\x03\x01\x01\x08snapshot\x01\xff\x82\x00\x01\x05"),
 }
 
+// restore builds a server from a snapshot: the snapshot supplies the
+// landmarks, epochs and peers, cfg what is configuration (neighbour count,
+// TTL, clock).
+func restore(r io.Reader, cfg Config) (*Server, error) {
+	cfg.Landmarks = nil
+	s, err := newServer(cfg, NewIndex())
+	if err == nil {
+		err = s.ResetFromSnapshot(r)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
 func TestSnapshotRoundTrip(t *testing.T) {
 	s := newTestServer(t, 0, 100)
 	mustJoin(t, s, 1, 10, 11)
@@ -38,7 +54,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err := s.Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := Restore(&buf, Config{})
+	restored, err := restore(&buf, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +182,7 @@ func TestSnapshotPreservesRefreshTimes(t *testing.T) {
 		t.Fatalf("t1 run of %d peers cut into records of %v entries", crowd+2, runs)
 	}
 
-	restored, err := Restore(bytes.NewReader(buf.Bytes()), Config{PeerTTL: 30 * time.Second, Clock: clock})
+	restored, err := restore(bytes.NewReader(buf.Bytes()), Config{PeerTTL: 30 * time.Second, Clock: clock})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +244,7 @@ func TestSnapshotBytesUnchanged(t *testing.T) {
 	if sum := sha256.Sum256(buf.Bytes()); hex.EncodeToString(sum[:]) != golden {
 		t.Errorf("snapshot of %d bytes hashes to %x, want %s", buf.Len(), sum, golden)
 	}
-	restored, err := Restore(bytes.NewReader(buf.Bytes()), Config{})
+	restored, err := restore(bytes.NewReader(buf.Bytes()), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,10 +258,10 @@ func TestSnapshotBytesUnchanged(t *testing.T) {
 }
 
 func TestRestoreRejectsGarbage(t *testing.T) {
-	if _, err := Restore(strings.NewReader("not an op stream"), Config{}); err == nil {
+	if _, err := restore(strings.NewReader("not an op stream"), Config{}); err == nil {
 		t.Fatal("accepted garbage")
 	}
-	if _, err := Restore(bytes.NewReader(nil), Config{}); err == nil {
+	if _, err := restore(bytes.NewReader(nil), Config{}); err == nil {
 		t.Fatal("accepted empty stream")
 	}
 }
@@ -256,7 +272,7 @@ func TestSnapshotEmptyServer(t *testing.T) {
 	if err := s.Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := Restore(&buf, Config{})
+	restored, err := restore(&buf, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +341,7 @@ func TestResetFromSnapshot(t *testing.T) {
 	}
 	for name, data := range bad {
 		_, oldFormat := oldFormatSnapshots[name]
-		_, restoreErr := Restore(bytes.NewReader(data), Config{})
+		_, restoreErr := restore(bytes.NewReader(data), Config{})
 		for reader, err := range map[string]error{
 			"ResetFromSnapshot": dst.ResetFromSnapshot(bytes.NewReader(data)),
 			"Restore":           restoreErr,

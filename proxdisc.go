@@ -16,16 +16,17 @@
 // The package offers four levels of entry:
 //
 //   - the core data structure (NewPathTree) for embedding in other systems;
-//   - the management-server logic (NewServer) plus a deployable TCP/UDP
-//     front end (ListenAndServe, Dial, Agent);
+//   - the management-server logic (NewServer), one shard's worth;
 //   - a landmark-sharded management cluster (NewCluster) that runs N
 //     server shards behind one router, with scatter-gather fan-out for
 //     cross-landmark operations and live landmark handoff between shards —
-//     the same answers as a single server at a multiple of the capacity;
+//     the same answers as a single server at a multiple of the capacity —
+//     and the deployable TCP/UDP front end that serves one (ListenAndServe,
+//     Dial, Agent); every node runs a cluster, of one shard or more;
 //   - a full simulation environment (NewSimulation) that generates an
 //     Internet-like router topology and runs the complete two-round
-//     protocol — over a single server or a sharded cluster
-//     (SimulationConfig.Shards) — used by the examples and the
+//     protocol — over a cluster of one shard or of SimulationConfig.Shards
+//     — used by the examples and the
 //     paper-reproduction harness.
 //
 // # The wire protocol and pipelining
@@ -83,7 +84,12 @@
 // A shard is one server: a cluster keeps exactly one copy of every shard's
 // state in its process, and further copies live in other processes as
 // followers (StartFollower, or proxdisc-server -follow ADDR; see
-// "Cross-process replication" below). There is one replication road.
+// "Cross-process replication" below). There is one replication road, and
+// one kind of copy: a follower's is a Cluster of its primary's shard count
+// (proxdisc-server reads it from the primary's status answer), so the
+// stream's move ops and a catch-up checkpoint's records put every landmark
+// on the primary's shard at the primary's epoch
+// (TestFollowerByteIdenticalAcrossMidStreamMove, TestFollowerCatchupAfterKill).
 //
 // What a follower guarantees: it applies the primary's committed op
 // stream — joins, batch joins, leaves, refreshes, super-peer flags, TTL
@@ -564,7 +570,7 @@ type NetServerConfig = netserver.Config
 // NetServer is a running TCP management-server front end.
 type NetServer = netserver.NetServer
 
-// ListenAndServe exposes a management server over TCP. Close the returned
+// ListenAndServe exposes a management cluster over TCP. Close the returned
 // NetServer to stop.
 func ListenAndServe(cfg NetServerConfig) (*NetServer, error) { return netserver.Listen(cfg) }
 
@@ -575,11 +581,11 @@ func ListenAndServe(cfg NetServerConfig) (*NetServer, error) { return netserver.
 type Follower = netserver.Follower
 
 // FollowerConfig configures a Follower: the primary's address, the local
-// backend receiving the stream, and the resume point.
+// cluster receiving the stream, and the resume point.
 type FollowerConfig = netserver.FollowerConfig
 
 // StartFollower dials a durable primary and starts replicating its op
-// stream into the configured local backend.
+// stream into the configured local cluster.
 func StartFollower(cfg FollowerConfig) (*Follower, error) { return netserver.StartFollower(cfg) }
 
 // NodeStatus is a node's wire-reported status: replication role, shard

@@ -73,7 +73,7 @@ func TestPublicSimulation(t *testing.T) {
 // TestPublicNetworkStack runs server + landmark + agent end to end on
 // loopback through the public API only.
 func TestPublicNetworkStack(t *testing.T) {
-	logic, err := NewServer(ServerConfig{Landmarks: []RouterID{0}})
+	logic, err := NewCluster(ClusterConfig{Landmarks: []RouterID{0}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestPublicReplicatedCluster(t *testing.T) {
 		t.Fatal("leave failed")
 	}
 
-	copySrv, err := NewServer(ServerConfig{Landmarks: landmarks})
+	copySrv, err := NewCluster(ClusterConfig{Landmarks: landmarks, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
