@@ -14,6 +14,65 @@ import (
 	"proxdisc/internal/server"
 )
 
+// BenchmarkHandoff measures one fenced landmark handoff of a 10k-peer tree
+// while concurrent writers keep joining peers under the other landmarks.
+// The freeze is scoped to the source/destination shard pair, so the
+// bystander writers should stay mostly unimpeded; ns/op is the wall-clock
+// cost of draining the two shards, handing the tree over, and committing
+// the move — none of it depends on the tree's population.
+func BenchmarkHandoff(b *testing.B) {
+	const treePeers = 10_000
+	c, err := New(Config{Landmarks: testLandmarks, Shards: 4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	lm := testLandmarks[0]
+	rng := rand.New(rand.NewSource(42))
+	for i := 0; i < treePeers; i++ {
+		if _, err := c.Join(pathtree.PeerID(i+1), synthPath(lm, rng.Intn(200_000))); err != nil {
+			b.Fatal(err)
+		}
+	}
+	stop := make(chan struct{})
+	var writers sync.WaitGroup
+	var next atomic.Int64
+	next.Store(1_000_000)
+	for w := 0; w < 4; w++ {
+		writers.Add(1)
+		go func(seed int64) {
+			defer writers.Done()
+			wrng := rand.New(rand.NewSource(seed))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				other := testLandmarks[1+wrng.Intn(len(testLandmarks)-1)]
+				if _, err := c.Join(pathtree.PeerID(next.Add(1)), synthPath(other, wrng.Intn(200_000))); err != nil {
+					return
+				}
+			}
+		}(int64(w))
+	}
+	src, ok := c.ShardFor(lm)
+	if !ok {
+		b.Fatalf("landmark %d has no shard", lm)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst := (src + 1) % 4
+		if err := c.MoveLandmark(lm, dst); err != nil {
+			b.Fatal(err)
+		}
+		src = dst
+	}
+	b.StopTimer()
+	close(stop)
+	writers.Wait()
+	b.ReportMetric(treePeers, "peers/handoff")
+}
+
 func TestMoveLandmarkValidation(t *testing.T) {
 	c := newTestCluster(t, 4)
 	if err := c.MoveLandmark(999, 0); err == nil {

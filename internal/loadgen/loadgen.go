@@ -1,6 +1,7 @@
 // Package loadgen drives join throughput against a running management
-// server over real TCP — the measurement harness behind the pipelining
-// benchmarks, the benchmark-regression CI job, and cmd/proxdisc-loadgen.
+// server over real TCP — the harness behind cmd/proxdisc-loadgen. Its
+// TreePath is the synthetic path shape the repository benchmark (bench/)
+// and the resident-memory tests join with.
 //
 // A run opens Clients connections, keeps InFlight requests outstanding on
 // each (1 is one round trip at a time), groups Batch joins per request
@@ -12,7 +13,6 @@ package loadgen
 import (
 	"errors"
 	"fmt"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,9 +41,6 @@ type Config struct {
 	PeerBase int64
 	// PathFor supplies the reported router path for a peer (required).
 	PathFor func(peer int64) []int32
-	// AddrFor supplies the advertised overlay address for a peer; nil
-	// synthesizes a placeholder.
-	AddrFor func(peer int64) string
 	// Timeout bounds each request (default 10s).
 	Timeout time.Duration
 }
@@ -59,13 +56,9 @@ type Result struct {
 	// JoinsPerSec is Joins divided by Elapsed.
 	JoinsPerSec float64
 	// P50, P90, P95, and P99 are per-request latency percentiles, read
-	// from Latency — bucketed estimates, not exact order statistics.
+	// from the histogram every worker observed into — bucketed estimates,
+	// not exact order statistics.
 	P50, P90, P95, P99 time.Duration
-	// Latency is the full request-latency histogram every worker observed
-	// into during the run, for callers that want quantiles or bucket
-	// counts beyond the convenience percentiles above. (Excluded from
-	// JSON: its state is atomic counters, not marshalable fields.)
-	Latency *telemetry.Histogram `json:"-"`
 }
 
 // String formats the result for human consumption.
@@ -97,9 +90,6 @@ func Run(cfg Config) (*Result, error) {
 	}
 	if cfg.PeerBase == 0 {
 		cfg.PeerBase = 1
-	}
-	if cfg.AddrFor == nil {
-		cfg.AddrFor = func(peer int64) string { return fmt.Sprintf("198.51.100.1:%d", 1024+peer%60000) }
 	}
 
 	conns := make([]*client.Client, cfg.Clients)
@@ -152,7 +142,7 @@ func Run(cfg Config) (*Result, error) {
 				}
 				if cfg.Batch == 1 {
 					t0 := time.Now()
-					_, err := c.Join(lo, cfg.AddrFor(lo), cfg.PathFor(lo))
+					_, err := c.Join(lo, overlayAddr(lo), cfg.PathFor(lo))
 					lat.Observe(time.Since(t0))
 					requests.Add(1)
 					if err != nil {
@@ -164,7 +154,7 @@ func Run(cfg Config) (*Result, error) {
 				}
 				items := make([]client.BatchItem, 0, hi-lo)
 				for p := lo; p < hi; p++ {
-					items = append(items, client.BatchItem{Peer: p, Addr: cfg.AddrFor(p), Path: cfg.PathFor(p)})
+					items = append(items, client.BatchItem{Peer: p, Addr: overlayAddr(p), Path: cfg.PathFor(p)})
 				}
 				t0 := time.Now()
 				res, err := c.JoinBatch(items)
@@ -187,7 +177,7 @@ func Run(cfg Config) (*Result, error) {
 	wg.Wait()
 	elapsed := time.Since(start)
 
-	out := &Result{Elapsed: elapsed, Latency: lat}
+	out := &Result{Elapsed: elapsed}
 	for w := 0; w < workers; w++ {
 		out.Joins += joins[w]
 		out.Errors += errCounts[w]
@@ -203,105 +193,9 @@ func Run(cfg Config) (*Result, error) {
 	return out, nil
 }
 
-// LatencyProxy is a loopback TCP forwarder that delays every byte by a
-// fixed one-way latency in each direction — a stand-in for WAN RTT, so
-// benchmarks on one machine can measure what the wire protocol costs real
-// remote peers. Lock-step clients pay the full RTT per request through
-// it; pipelined clients keep the link full.
-type LatencyProxy struct {
-	ln     net.Listener
-	target string
-	delay  time.Duration
-	wg     sync.WaitGroup
-	closed chan struct{}
-}
-
-// NewLatencyProxy listens on a loopback port and forwards connections to
-// target with the given one-way delay per direction.
-func NewLatencyProxy(target string, delay time.Duration) (*LatencyProxy, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, fmt.Errorf("loadgen: proxy listen: %w", err)
-	}
-	p := &LatencyProxy{ln: ln, target: target, delay: delay, closed: make(chan struct{})}
-	p.wg.Add(1)
-	go p.acceptLoop()
-	return p, nil
-}
-
-// Addr returns the proxy's listen address.
-func (p *LatencyProxy) Addr() string { return p.ln.Addr().String() }
-
-// Close stops the proxy and its forwarding goroutines.
-func (p *LatencyProxy) Close() error {
-	close(p.closed)
-	err := p.ln.Close()
-	p.wg.Wait()
-	return err
-}
-
-func (p *LatencyProxy) acceptLoop() {
-	defer p.wg.Done()
-	for {
-		conn, err := p.ln.Accept()
-		if err != nil {
-			return
-		}
-		up, err := net.Dial("tcp", p.target)
-		if err != nil {
-			conn.Close()
-			continue
-		}
-		p.wg.Add(2)
-		go p.pump(up, conn)
-		go p.pump(conn, up)
-	}
-}
-
-// pump forwards src→dst, delivering each chunk p.delay after it was read.
-// Reading and delayed writing run concurrently, so the link has latency
-// but no added serialization: many frames can be in flight inside the
-// delay window, exactly like a long pipe.
-func (p *LatencyProxy) pump(dst, src net.Conn) {
-	defer p.wg.Done()
-	type chunk struct {
-		due time.Time
-		b   []byte
-	}
-	ch := make(chan chunk, 4096)
-	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
-		defer dst.Close()
-		for c := range ch {
-			if d := time.Until(c.due); d > 0 {
-				time.Sleep(d)
-			}
-			if _, err := dst.Write(c.b); err != nil {
-				// Drain so the reader never blocks on a dead peer.
-				for range ch {
-				}
-				return
-			}
-		}
-	}()
-	defer close(ch)
-	for {
-		buf := make([]byte, 32<<10)
-		n, err := src.Read(buf)
-		if n > 0 {
-			select {
-			case ch <- chunk{due: time.Now().Add(p.delay), b: buf[:n]}:
-			case <-p.closed:
-				src.Close()
-				return
-			}
-		}
-		if err != nil {
-			src.Close()
-			return
-		}
-	}
+// overlayAddr is the placeholder overlay address a peer advertises.
+func overlayAddr(peer int64) string {
+	return fmt.Sprintf("198.51.100.1:%d", 1024+peer%60000)
 }
 
 // TreePath builds a synthetic routing-tree path from a leaf index up to a

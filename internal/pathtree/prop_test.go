@@ -432,13 +432,14 @@ func TestClosestMatchesOracleWhereBoundBites(t *testing.T) {
 // benchmark drives (8-ary router heap, 200 000 positions, k=5), must stay
 // small and must fall as the population grows. An unbounded per-level search
 // (the previous kernel) enqueues about 800 nodes per query at 10 000 peers
-// and 72 at 100 000; the bounded one 52 and 14. An answered join is held to
+// and 72 at 100 000; the bounded one 52 and 14, and 170 in a sparse tree of
+// 1 000, which must search wider. An answered join is held to
 // the same bound and to one descent: joining under a path the trie already
 // holds searches exactly one child run per hop — a query followed by a
 // separate insert would search two.
 func TestClosestVisitsBounded(t *testing.T) {
 	const k, queries = 5, 2000
-	for _, c := range []struct{ peers, maxMean int }{{10_000, 100}, {100_000, 40}} {
+	for _, c := range []struct{ peers, maxMean int }{{1_000, 300}, {10_000, 100}, {100_000, 40}} {
 		rng := rand.New(rand.NewSource(7))
 		core := NewCore(propLandmark)
 		slots := make([]int32, c.peers+1)
@@ -468,5 +469,51 @@ func TestClosestVisitsBounded(t *testing.T) {
 				t.Errorf("peers=%d %s: %.1f nodes enqueued per query, want ≤ %d", c.peers, name, mean, c.maxMean)
 			}
 		}
+	}
+}
+
+// TestChurnAllocs pins the steady state a long-lived landmark tree reaches
+// once its population stops growing: on a prefilled tree a peer joins
+// (answered, as a server joins it), takes an address and leaves, over and
+// over. After one pass over the churn paths every trie node, child run,
+// record and address run comes back from a free list, so a pass allocates
+// nothing; a node, record or run taken from the heap per join shows here.
+func TestChurnAllocs(t *testing.T) {
+	const resident, k = 10_000, 5
+	rng := rand.New(rand.NewSource(1))
+	core := NewCore(propLandmark)
+	for p := 1; p <= resident; p++ {
+		core.Join(PeerID(p), heapPath(1+rng.Intn(200_000)), 0, nil)
+	}
+	churn := make([][]topology.NodeID, 256)
+	for i := range churn {
+		churn[i] = heapPath(1 + rng.Intn(200_000))
+	}
+	var sc Scratch
+	pass := func() {
+		for _, path := range churn {
+			slot, _ := core.Join(resident+1, path, k, &sc)
+			core.SetAddr(core.Record(slot), "203.0.113.9:7000")
+			core.Remove(slot)
+		}
+	}
+	pass() // sets the pools' high-water marks
+	if allocs := testing.AllocsPerRun(20, pass); allocs != 0 {
+		t.Errorf("%v allocations per pass of %d join-and-leave cycles, want 0", allocs, len(churn))
+	}
+}
+
+// BenchmarkDTree measures the pairwise distance primitive on a tree of
+// 10 000 peers.
+func BenchmarkDTree(b *testing.B) {
+	rng := rand.New(rand.NewSource(4))
+	core := NewCore(propLandmark)
+	slots := make([]int32, 10_000)
+	for i := range slots {
+		slots[i], _ = core.Join(PeerID(i+1), heapPath(1+rng.Intn(200_000)), 0, nil)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		core.DTree(slots[i%len(slots)], slots[i*7%len(slots)])
 	}
 }

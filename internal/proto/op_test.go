@@ -84,8 +84,9 @@ func TestPeerOpBridges(t *testing.T) {
 // TestJoinDecodeAllocs pins what decoding a join costs on the roads a
 // server takes: a wire join lands in its op with nothing allocated but what
 // the op keeps — the batch slice, and an address and a path per entry —
-// and a reused request struct costs nothing. (Through an intermediate
-// request struct a 32-entry batch cost 99.)
+// and a reused request struct costs nothing; nor does the client's road,
+// encoding a join into a pooled buffer. (Through an intermediate request
+// struct a 32-entry batch cost 99.)
 func TestJoinDecodeAllocs(t *testing.T) {
 	batch := &BatchJoinRequest{Joins: make([]JoinRequest, MaxBatch)}
 	for i := range batch.Joins {
@@ -109,6 +110,11 @@ func TestJoinDecodeAllocs(t *testing.T) {
 		{"DecodeJoinOp", 2, func() error { _, err := DecodeJoinOp(joinPayload); return err }},
 		{"DecodeForwardedJoinOp", 2, func() error { _, err := DecodeForwardedJoinOp(joinPayload); return err }},
 		{"DecodeJoinRequestInto, reused", 0, func() error { return DecodeJoinRequestInto(&reused, joinPayload) }},
+		{"AppendJoinRequest into a pooled buffer", 0, func() error {
+			buf, err := AppendJoinRequest(GetBuf(0), &batch.Joins[0])
+			PutBuf(buf)
+			return err
+		}},
 	} {
 		allocs := testing.AllocsPerRun(100, func() {
 			if err := c.run(); err != nil {

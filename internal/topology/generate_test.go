@@ -4,6 +4,17 @@ import (
 	"testing"
 )
 
+// BenchmarkTopologyGenerate measures paper-scale map generation.
+func BenchmarkTopologyGenerate(b *testing.B) {
+	cfg := DefaultConfig()
+	for i := 0; i < b.N; i++ {
+		cfg.Seed = int64(i + 1)
+		if _, err := Generate(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func TestGenerateBarabasiAlbert(t *testing.T) {
 	g, err := Generate(Config{Model: ModelBarabasiAlbert, CoreRouters: 500, LeafRouters: 500, EdgesPerNode: 2, Seed: 7})
 	if err != nil {

@@ -18,6 +18,26 @@ func testGraph(t *testing.T) *topology.Graph {
 	return g
 }
 
+// BenchmarkTraceroute measures one simulated trace on the paper-scale map
+// with a warm routing-tree cache: the steady-state cost of a join's trace.
+func BenchmarkTraceroute(b *testing.B) {
+	g, err := topology.Generate(topology.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	tr := New(g, nil)
+	leaves := topology.LeafRouters(g)
+	if _, err := tr.Trace(leaves[0], 0, Config{}, nil); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := tr.Trace(leaves[i%len(leaves)], 0, Config{}, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func TestTraceLossless(t *testing.T) {
 	g := testGraph(t)
 	tr := New(g, nil)

@@ -68,6 +68,40 @@ func TestMaxSyncDelayBatchesFsyncs(t *testing.T) {
 	}
 }
 
+// TestLoneAppenderSkipsTheWindow: the group-commit window is held open only
+// while another appender waits, so a lone appender's records come back at
+// the pace of their fsyncs however long MaxSyncDelay is. A window that slept
+// with nobody to batch would hold each of these appends for a minute.
+func TestLoneAppenderSkipsTheWindow(t *testing.T) {
+	log, err := OpenSharded(t.TempDir(), 1, Options{MaxSyncDelay: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	const appends = 5
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < appends; i++ {
+			if _, err := log.Append(0, record(i)); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a lone appender waited out the group-commit window")
+	}
+	if m := log.Metrics(); m.Fsyncs != appends {
+		t.Fatalf("%d fsyncs for %d lone appends, want one each", m.Fsyncs, appends)
+	}
+}
+
 // TestCommitTapSeesOnlyDurableRecords: the commit tap feeds followers and
 // subscriptions, so every record it is handed must already be at or below
 // the durable mark. A record tapped before its fsync could reach a follower,

@@ -463,23 +463,21 @@
 //     (the lifetime rule: a slot is freed only by a writer holding the
 //     state lock exclusively, so no query ever observes a recycled slot), and
 //     steady-state churn retires NO tree memory to the garbage collector —
-//     BenchmarkPathTreeChurn is pinned at 0 allocs/op in the committed
-//     baseline, TestChurnRecyclesSlots pins the pools' high-water marks.
+//     pathtree's TestChurnAllocs pins a join-and-leave cycle at 0
+//     allocations, TestChurnRecyclesSlots pins the pools' high-water marks.
 //
 //   - Padded telemetry. Hot counters and gauges are cache-line padded so
 //     adjacent metrics updated from different cores do not false-share
-//     (BenchmarkTelemetryHotPathParallel is the probe).
+//     (telemetry's BenchmarkTelemetryHotPathParallel is the probe), and
+//     one request's metrics allocate nothing (TestHotPathAllocs).
 //
-// BenchmarkMillionPeerNode is the macro proof: one durable node filled to
-// a million resident peers over TCP, then measured in steady state. On
-// the single-vCPU 2.1 GHz reference box the committed baseline records
-// ~52k joins/s at batch=32 (wire to fsync) with lookup p99 under 100µs
-// against the million-peer tree. The benchmark scales its offered load
-// with GOMAXPROCS (one pipelined connection per processor); no multi-core
-// series is recorded or gated until a runner with at least four cores
-// exists to record one. A joins/s floor gate (cmd/proxdisc-benchcmp
-// -metric, at -cpu 1) fails any PR that walks the throughput back, even
-// where raw ns/op is too noisy to see it.
+// Throughput has one ruler, the repository benchmark in bench/ (see its
+// README): flash_crowd's ops_per_s counts batched joins per second, wire to
+// fsync, on a durable 4-shard node, and BENCHMARK.json bounds how far a
+// change may walk it back; what the instrumentation adds to a join is its
+// telemetry.join_overhead_ns. netserver's BenchmarkMillionPeerNode fills
+// one durable node to a million resident peers over TCP and measures
+// batched joins and lookup p99 there; nothing gates it.
 package proxdisc
 
 import (
