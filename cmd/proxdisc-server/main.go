@@ -73,12 +73,10 @@ func main() {
 		ttl         = flag.Duration("peer-ttl", 0, "expire peers silent for this long (0 = never)")
 		sweep       = flag.Duration("sweep-interval", 30*time.Second, "expiry sweep period when -peer-ttl is set")
 		shards      = flag.Int("shards", 1, "run a landmark-sharded cluster of this many shards (a follower runs its primary's)")
-		role        = flag.String("role", "primary", "this node's replication role: primary or replica (replica governs wire behaviour only; -follow is the replica whose state is kept in sync)")
-		primAddr    = flag.String("primary-addr", "", "the primary node's TCP address (required with -role replica)")
 		workers     = flag.Int("workers", 0, "worker pool size for pipelined writes; reads are served on their connection's goroutine (0 = 4×GOMAXPROCS)")
 		maxBatch    = flag.Int("max-batch", 0, "largest batch join accepted (0 = wire-format maximum)")
 		dataDir     = flag.String("data-dir", "", "directory for durable state (WAL + snapshots, under DIR/cluster); restart recovers the acknowledged peer set. A DIR/front left by an older build is never opened and is left as it is")
-		follow      = flag.String("follow", "", "run as a follower of the durable primary at this TCP address: stream its op log, apply it to a local copy, serve reads (implies -role replica)")
+		follow      = flag.String("follow", "", "run as a replica of the durable primary at this TCP address: stream its op log, apply it to a local copy, serve reads and point writes at this address")
 		syncDelay   = flag.Duration("max-sync-delay", 0, "hold each WAL group-commit fsync open this long so light load batches syncs (e.g. 500us; 0 = sync immediately)")
 		snapBytes   = flag.Int64("snapshot-bytes", 0, "checkpoint after this many WAL bytes accumulate (0 = 4 MiB default, negative = op-count trigger only)")
 		metricsAddr = flag.String("metrics-addr", "", "HTTP listen address for the ops endpoint (/metrics, /debug/vars, /debug/pprof/); empty = disabled")
@@ -120,33 +118,15 @@ func main() {
 	if *shards < 1 {
 		die("-shards must be at least 1", "shards", *shards)
 	}
-	// Follower mode: a wire role of replica whose copy is fed by the
-	// primary's op stream. It supplies the primary address, so it must
-	// resolve before the role validation below.
+	// Follower mode: a replica whose copy is fed by the primary's op
+	// stream, running the primary's shard count.
 	if *follow != "" {
-		if *primAddr == "" {
-			*primAddr = *follow
-		}
 		if err := followConflict(*shards, *dataDir); err != nil {
 			die(err.Error())
 		}
 		if *shards, err = primaryShards(*follow, 15*time.Second); err != nil {
 			die("shard count probe failed", "primary", *follow, "err", err)
 		}
-	}
-	nodeRole := netserver.RolePrimary
-	switch *role {
-	case "primary":
-	case "replica":
-		nodeRole = netserver.RoleReplica
-		if *primAddr == "" {
-			die("-role replica requires -primary-addr")
-		}
-	default:
-		die("unknown -role", "role", *role)
-	}
-	if *follow != "" {
-		nodeRole = netserver.RoleReplica
 	}
 	// A follower's copy must expire peers only through the primary's
 	// replicated ExpireOps — a locally clocked TTL sweep would race
@@ -230,8 +210,6 @@ func main() {
 		Addr:            *addr,
 		Server:          clu,
 		LandmarkAddrs:   lmAddrs,
-		Role:            nodeRole,
-		PrimaryAddr:     *primAddr,
 		Workers:         *workers,
 		MaxBatch:        *maxBatch,
 		Replication:     follower,
@@ -243,7 +221,7 @@ func main() {
 	if err != nil {
 		die("listen failed", "addr", *addr, "err", err)
 	}
-	roleName := *role
+	roleName := "primary"
 	if *follow != "" {
 		roleName = fmt.Sprintf("follower of %s", *follow)
 	}

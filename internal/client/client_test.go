@@ -397,7 +397,9 @@ func helloAnswerer(t *testing.T, typ proto.MsgType, payload []byte) (addr string
 
 // TestDialersRefuseNonV2Server: every dialer treats any answer to its hello
 // other than an ack at version 2 as a failed dial — there is no other
-// protocol to fall back to.
+// protocol to fall back to. The follower's dial opens its session through
+// the same Hello; its rows are netserver's
+// TestStartFollowerRefusesNonV2Server.
 func TestDialersRefuseNonV2Server(t *testing.T) {
 	answers := []struct {
 		name string
@@ -413,9 +415,6 @@ func TestDialersRefuseNonV2Server(t *testing.T) {
 		dial func(t *testing.T, addr string) (io.Closer, error)
 	}{
 		{"Dial", func(t *testing.T, addr string) (io.Closer, error) { return Dial(addr, 2*time.Second) }},
-		{"Follow", func(t *testing.T, addr string) (io.Closer, error) {
-			return Follow(addr, FollowConfig{Timeout: 2 * time.Second})
-		}},
 	}
 	for _, d := range dialers {
 		for _, a := range answers {

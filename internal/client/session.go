@@ -82,7 +82,7 @@ type stream struct {
 	frames chan frameResp
 }
 
-// dialSession connects to the node at addr, opens the session (see hello)
+// dialSession connects to the node at addr, opens the session (see Hello)
 // and starts its demux goroutine.
 func dialSession(addr string, cfg Config, inflight *telemetry.Gauge) (*session, error) {
 	conn, err := net.DialTimeout("tcp", addr, cfg.Timeout)
@@ -100,7 +100,7 @@ func dialSession(addr string, cfg Config, inflight *telemetry.Gauge) (*session, 
 		streams:  make(map[uint64]*stream),
 		readDone: make(chan struct{}),
 	}
-	ack, err := hello(conn, s.br, cfg.Timeout)
+	ack, err := Hello(conn, s.br, cfg.Timeout)
 	if err == nil && ack.MaxBatch < 1 {
 		err = errors.New("client: server acked a batch limit of 0")
 	}
@@ -118,15 +118,15 @@ func dialSession(addr string, cfg Config, inflight *telemetry.Gauge) (*session, 
 	return s, nil
 }
 
-// hello opens a session on a fresh connection, for both dialers
-// (dialSession and Follow): it sends MsgHello in the bare framing,
+// Hello opens a session on a fresh connection, for both dialers
+// (dialSession and netserver's Follower): it sends MsgHello in the bare framing,
 // offering this build's version and batch limit, and reads the answer, all
 // within timeout. Only a MsgHelloAck at version 2 is a session; a MsgError
 // (a server that speaks no version 2 refuses the hello that way), an ack
 // at another version or any other frame is an error, never a fallback. On
 // success the connection's deadline is still armed; the caller finishes
 // its own opening exchange and clears it.
-func hello(conn net.Conn, br io.Reader, timeout time.Duration) (*proto.HelloAck, error) {
+func Hello(conn net.Conn, br io.Reader, timeout time.Duration) (*proto.HelloAck, error) {
 	if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
 		return nil, fmt.Errorf("client: set deadline: %w", err)
 	}

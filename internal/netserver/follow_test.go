@@ -1,6 +1,7 @@
 package netserver
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
@@ -19,16 +20,6 @@ import (
 	"proxdisc/internal/server"
 	"proxdisc/internal/topology"
 )
-
-// discardFollowHandler drains a follow stream without applying it — for
-// sessions opened purely to observe the primary's head heartbeats.
-type discardFollowHandler struct{}
-
-func (discardFollowHandler) ReplicateOp(seq uint64, o op.Op) error { return nil }
-func (discardFollowHandler) RestoreSnapshot(seq uint64, r io.Reader) error {
-	_, err := io.Copy(io.Discard, r)
-	return err
-}
 
 // joinOp builds a wire-style join op for direct backend application.
 func joinOp(peer int64, addr string, path []int32) op.Op {
@@ -381,7 +372,7 @@ func TestFollowerCatchupAfterKill(t *testing.T) {
 }
 
 // TestFollowerLiveStreamAndStatus checks the operational surface: a
-// replica-role front end over the follower copy reports its replication
+// replica front end over the follower copy reports its replication
 // position (applied/head) through MsgStatusResponse, and the durable
 // primary reports snapshot seq, WAL tail, and replay time.
 func TestFollowerLiveStreamAndStatus(t *testing.T) {
@@ -411,8 +402,6 @@ func TestFollowerLiveStreamAndStatus(t *testing.T) {
 	fns, err := Listen(Config{
 		Addr:        "127.0.0.1:0",
 		Server:      fsrv,
-		Role:        RoleReplica,
-		PrimaryAddr: ns.Addr(),
 		Replication: f,
 	})
 	if err != nil {
@@ -430,8 +419,8 @@ func TestFollowerLiveStreamAndStatus(t *testing.T) {
 		t.Fatal(err)
 	}
 	head := clu.CommittedHead()
-	if st.Role != proto.RoleReplica {
-		t.Fatalf("follower role %d, want replica", st.Role)
+	if st.Role != proto.RoleReplica || st.PrimaryAddr != ns.Addr() {
+		t.Fatalf("follower role %d naming primary %q, want replica naming %s", st.Role, st.PrimaryAddr, ns.Addr())
 	}
 	if st.Applied != head || st.Head != head {
 		t.Fatalf("follower status applied=%d head=%d, want both %d", st.Applied, st.Head, head)
@@ -547,24 +536,12 @@ func TestFollowerShipsOversizedOps(t *testing.T) {
 	assertSameState(t, clu, snapSrv)
 }
 
-// TestFollowRejectedOnReplicaRole: a replica-role node's copy is not the
-// source of truth; a follow subscription must bounce to the primary.
+// TestFollowRejectedOnReplicaRole: a replica's copy is not the source of
+// truth; a follow subscription must bounce to the primary.
 func TestFollowRejectedOnReplicaRole(t *testing.T) {
-	clu, ns := newFollowedPlane(t, t.TempDir())
-	defer clu.Close()
-	defer ns.Close()
-	replica, err := Listen(Config{
-		Addr:        "127.0.0.1:0",
-		Server:      clu,
-		Role:        RoleReplica,
-		PrimaryAddr: ns.Addr(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer replica.Close()
+	_, replica, _, _ := startReplicaPair(t, 0, 100)
 	backend := newCluster(t, cluster.Config{Landmarks: []topology.NodeID{0, 100}, Shards: 2})
-	_, err = StartFollower(FollowerConfig{
+	_, err := StartFollower(FollowerConfig{
 		PrimaryAddr: replica.Addr(),
 		Backend:     backend,
 		Timeout:     2 * time.Second,
@@ -841,7 +818,7 @@ func TestFollowConnTakeRespectsFrameBudget(t *testing.T) {
 
 // TestFollowerAccessors pins the small observability surface.
 func TestFollowerAccessors(t *testing.T) {
-	f := &Follower{closed: make(chan struct{})}
+	f := &Follower{}
 	if f.Err() != nil {
 		t.Fatal("fresh follower reports an error")
 	}
@@ -1039,26 +1016,45 @@ func TestIdleStreamHeartbeats(t *testing.T) {
 	waitApplied(t, f, clu)
 
 	// Idle across several primary heartbeat rounds, condition-waited, not
-	// slept: a second raw follow session on the same primary counts head
-	// announcements — one per heartbeat interval while the stream idles —
-	// so the test proceeds the moment enough rounds have demonstrably
-	// fired instead of trusting a wall-clock estimate.
+	// slept: a second, raw follow connection to the same primary counts
+	// head announcements — one per heartbeat interval while the stream
+	// idles, each answered with an ack as a follower does — so the test
+	// proceeds the moment enough rounds have demonstrably fired instead of
+	// trusting a wall-clock estimate.
 	heads := make(chan struct{}, 16)
-	obs, err := client.Follow(ns.Addr(), client.FollowConfig{
-		After:   clu.CommittedHead(),
-		Timeout: 5 * time.Second,
-		OnHead: func(uint64) {
-			select {
-			case heads <- struct{}{}:
-			default:
-			}
-		},
-	})
+	obs, err := net.Dial("tcp", ns.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer obs.Close()
-	go obs.Run(discardFollowHandler{})
+	br := bufio.NewReader(obs)
+	if _, err := client.Hello(obs, br, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	obs.SetDeadline(time.Time{})
+	after := clu.CommittedHead()
+	if err := proto.WriteFrameID(obs, proto.MsgFollowRequest, 1, proto.EncodeFollowRequest(&proto.FollowRequest{After: after})); err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		for {
+			typ, _, payload, err := proto.ReadFrameID(br)
+			if err != nil {
+				return
+			}
+			proto.PutBuf(payload)
+			if typ != proto.MsgFollowHead {
+				continue
+			}
+			if proto.WriteFrameID(obs, proto.MsgOpAck, 1, proto.EncodeOpAck(&proto.OpAck{Seq: after})) != nil {
+				return
+			}
+			select {
+			case heads <- struct{}{}:
+			default:
+			}
+		}
+	}()
 	for round := 0; round < 4; round++ {
 		select {
 		case <-heads:

@@ -1,9 +1,13 @@
 package netserver
 
 import (
+	"bufio"
+	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,18 +15,23 @@ import (
 	"proxdisc/internal/client"
 	"proxdisc/internal/conf"
 	"proxdisc/internal/op"
+	"proxdisc/internal/proto"
 	"proxdisc/internal/server"
 	"proxdisc/internal/telemetry"
 )
 
 // This file is the follower role: a process that keeps a local copy of a
 // primary's management state by consuming its committed op stream over
-// TCP, applying every record through the copy's single Apply door — the
-// same door WAL recovery uses — and restoring from a shipped checkpoint
-// when it reconnects too far behind. The copy is a cluster.Cluster of the
-// primary's shard count, so the stream's move ops and the checkpoint's
-// Move records put every landmark on the primary's shard. A NetServer
-// configured with Role RoleReplica in front of the same cluster then serves
+// TCP (MsgFollowRequest), applying every record through the copy's single
+// Apply door — the same door WAL recovery uses — and restoring from a
+// shipped checkpoint when it reconnects too far behind. The stream is
+// deduplicated by sequence, so the primary is free to hand it overlapping
+// ranges (the WAL tail re-read after a reconnect), and the follower acks
+// its applied offset back both as flow control for the primary's send
+// window and as its half of the idle-stream heartbeat. The copy is a
+// cluster.Cluster of the primary's shard count, so the stream's move ops
+// and the checkpoint's Move records put every landmark on the primary's
+// shard. A NetServer whose Config.Replication is the Follower then serves
 // reads from the copy and points writes at the primary: together they are
 // the replica deployment, and the one way a shard's state is replicated.
 
@@ -51,21 +60,35 @@ type FollowerConfig struct {
 	// primary's WAL tail — or its latest snapshot when the tail has been
 	// compacted away.
 	conf.Common
-	// PrimaryAddr is the primary node's TCP address.
+	// PrimaryAddr is the primary node's TCP address: the follower dials
+	// it, and a NetServer replicating through this follower points writes
+	// at it.
 	PrimaryAddr string
 	// Backend is the local copy the stream is applied to.
 	Backend FollowerBackend
 	// After resumes the stream after an already-applied sequence (0 =
 	// from scratch; the primary then typically ships snapshot + tail).
 	After uint64
-	// Timeout bounds the dial and each frame read (default 15s).
+	// Timeout bounds the dial, the session's opening exchange and each
+	// frame read (default 15s). The primary heartbeats idle streams well
+	// inside it.
 	Timeout time.Duration
 }
 
+// followReqID is the request ID of the follow subscription; every stream
+// frame in both directions carries it.
+const followReqID = 1
+
+// followHeartbeat is the longest the follower goes without an ack while
+// frames that ask for none (snapshot fragments) keep arriving, so the
+// primary's read deadline stays fed.
+const followHeartbeat = 2 * time.Second
+
 // Follower maintains a local copy of a primary's state from its op
 // stream, reconnecting (and catching up) across stream failures until
-// closed. It implements op.Replicator and the replication-status surface
-// a NetServer reports in MsgStatusResponse.
+// closed. One goroutine owns the stream: it dials, opens the session,
+// subscribes, applies and acks. Applied, Head and Err are the
+// replication-status surface a NetServer reports in MsgStatusResponse.
 type Follower struct {
 	cfg FollowerConfig
 
@@ -75,8 +98,10 @@ type Follower struct {
 	errMu   sync.Mutex
 	lastErr error
 
-	sessMu sync.Mutex
-	sess   *client.FollowSession
+	// connMu guards conn, the connection that is live or being opened,
+	// and orders Close against publishing it.
+	connMu sync.Mutex
+	conn   net.Conn
 
 	// tapMu guards the optional observation hooks: a replica node's
 	// subscription plane feeds from them.
@@ -86,14 +111,17 @@ type Follower struct {
 
 	reconnects *telemetry.Counter
 
-	closed    chan struct{}
-	closeOnce sync.Once
-	wg        sync.WaitGroup
+	// ctx is cancelled by Close: it aborts a dial in progress and stops
+	// the stream goroutine.
+	ctx    context.Context
+	cancel context.CancelFunc
+	wg     sync.WaitGroup
 }
 
 // StartFollower dials the primary and starts consuming its op stream in
-// the background. The first dial is synchronous, so a bad address or a
-// primary without a durable log fails here rather than silently retrying.
+// the background. The first session is opened synchronously, so a bad
+// address or a primary without a durable log fails here rather than
+// silently retrying.
 func StartFollower(cfg FollowerConfig) (*Follower, error) {
 	if cfg.Backend == nil {
 		return nil, errors.New("netserver: follower needs a backend")
@@ -106,61 +134,50 @@ func StartFollower(cfg FollowerConfig) (*Follower, error) {
 	}
 	cfg.Logger = cfg.ResolveLogger()
 	cfg.Backoff = cfg.ResolveBackoff(50 * time.Millisecond)
-	f := &Follower{cfg: cfg, closed: make(chan struct{})}
+	f := &Follower{cfg: cfg}
+	f.ctx, f.cancel = context.WithCancel(context.Background())
 	f.applied.Store(cfg.After)
 	f.reconnects = cfg.Telemetry.Counter("proxdisc_follow_reconnects_total")
 	cfg.Telemetry.GaugeFunc("proxdisc_follow_applied_seq", func() float64 { return float64(f.Applied()) })
 	cfg.Telemetry.GaugeFunc("proxdisc_follow_head_seq", func() float64 { return float64(f.Head()) })
 	cfg.Telemetry.GaugeFunc("proxdisc_follow_lag", func() float64 { return float64(f.Lag()) })
-	sess, err := client.Follow(cfg.PrimaryAddr, f.sessionConfig())
+	conn, br, err := f.open()
 	if err != nil {
+		f.cancel()
 		return nil, err
 	}
 	f.wg.Add(1)
-	go f.run(sess)
+	go f.run(conn, br)
 	return f, nil
 }
 
-// sessionConfig builds the stream subscription resuming after everything
-// already applied.
-func (f *Follower) sessionConfig() client.FollowConfig {
-	return client.FollowConfig{
-		After:   f.applied.Load(),
-		Timeout: f.cfg.Timeout,
-		OnHead:  f.noteHead,
-	}
-}
-
 // run consumes sessions until Close, redialling with bounded backoff.
-func (f *Follower) run(sess *client.FollowSession) {
+func (f *Follower) run(conn net.Conn, br *bufio.Reader) {
 	defer f.wg.Done()
 	backoff := f.cfg.Backoff
 	for {
-		if sess != nil {
-			f.setSess(sess)
-			err := sess.Run(f)
-			sess.Close()
-			f.setSess(nil)
-			select {
-			case <-f.closed:
+		if conn != nil {
+			err := f.stream(conn, br)
+			f.dropConn()
+			if f.ctx.Err() != nil {
 				return
-			default:
 			}
 			f.noteErr(err)
 			f.cfg.Logger("netserver: follower stream to %s ended: %v (resuming after seq %d)",
 				f.cfg.PrimaryAddr, err, f.applied.Load())
 			backoff = f.cfg.Backoff // the session ran; start backoff afresh
-			sess = nil
 		}
 		select {
-		case <-f.closed:
+		case <-f.ctx.Done():
 			return
 		case <-time.After(backoff):
 		}
-		var err error
 		f.reconnects.Inc()
-		sess, err = client.Follow(f.cfg.PrimaryAddr, f.sessionConfig())
-		if err != nil {
+		var err error
+		if conn, br, err = f.open(); err != nil {
+			if f.ctx.Err() != nil {
+				return
+			}
 			f.noteErr(err)
 			f.cfg.Logger("netserver: follower redial %s: %v", f.cfg.PrimaryAddr, err)
 			if backoff *= 2; backoff > 2*time.Second {
@@ -170,11 +187,237 @@ func (f *Follower) run(sess *client.FollowSession) {
 	}
 }
 
-// setSess publishes the live session so Close can tear it down.
-func (f *Follower) setSess(s *client.FollowSession) {
-	f.sessMu.Lock()
-	f.sess = s
-	f.sessMu.Unlock()
+// open dials the primary and subscribes to its op stream after everything
+// already applied: the session's hello, the follow request, and the
+// primary's first answer — its committed head, or a refusal (no durable
+// log, a replica node), which fails the open instead of the stream. The
+// connection is published before its first byte is written, so a Close
+// racing the open tears it down instead of waiting it out. A head answer
+// clears the last stream failure: the follower is healthy again.
+func (f *Follower) open() (net.Conn, *bufio.Reader, error) {
+	d := net.Dialer{Timeout: f.cfg.Timeout}
+	conn, err := d.DialContext(f.ctx, "tcp", f.cfg.PrimaryAddr)
+	if err != nil {
+		return nil, nil, fmt.Errorf("netserver: follow dial %s: %w", f.cfg.PrimaryAddr, err)
+	}
+	f.connMu.Lock()
+	if f.ctx.Err() != nil {
+		f.connMu.Unlock()
+		conn.Close()
+		return nil, nil, net.ErrClosed
+	}
+	f.conn = conn
+	f.connMu.Unlock()
+	br := bufio.NewReaderSize(conn, 16<<10)
+	head, err := f.subscribe(conn, br)
+	if err != nil {
+		f.dropConn()
+		return nil, nil, err
+	}
+	f.noteErr(nil)
+	f.noteHead(head)
+	return conn, br, nil
+}
+
+// subscribe runs the session's opening exchange on a fresh connection
+// and returns the primary's committed head.
+func (f *Follower) subscribe(conn net.Conn, br *bufio.Reader) (uint64, error) {
+	if _, err := client.Hello(conn, br, f.cfg.Timeout); err != nil {
+		return 0, fmt.Errorf("netserver: follow: %w", err)
+	}
+	req := proto.EncodeFollowRequest(&proto.FollowRequest{After: f.applied.Load()})
+	if err := proto.WriteFrameID(conn, proto.MsgFollowRequest, followReqID, req); err != nil {
+		return 0, fmt.Errorf("netserver: follow subscribe: %w", err)
+	}
+	typ, _, payload, err := proto.ReadFrameID(br)
+	if err != nil {
+		return 0, fmt.Errorf("netserver: follow subscribe response: %w", err)
+	}
+	defer proto.PutBuf(payload)
+	switch typ {
+	case proto.MsgFollowHead:
+		m, err := proto.DecodeFollowHead(payload)
+		if err != nil {
+			return 0, err
+		}
+		return m.Head, conn.SetDeadline(time.Time{})
+	case proto.MsgError:
+		return 0, wireError(payload)
+	default:
+		return 0, fmt.Errorf("netserver: unexpected follow response type %d", typ)
+	}
+}
+
+// wireError is the error a MsgError payload carries.
+func wireError(payload []byte) error {
+	werr, err := proto.DecodeError(payload)
+	if err != nil {
+		return fmt.Errorf("netserver: undecodable error response: %w", err)
+	}
+	return werr
+}
+
+// dropConn closes the published connection and unpublishes it.
+func (f *Follower) dropConn() {
+	f.connMu.Lock()
+	f.conn.Close()
+	f.conn = nil
+	f.connMu.Unlock()
+}
+
+// assembly holds one session's partly received fragments.
+type assembly struct {
+	op    []byte // oversized op, keyed by opSeq
+	opSeq uint64
+	snap  bytes.Buffer
+}
+
+// stream consumes one session until the connection dies, the primary
+// ends it, or Close. Every frame that applied something or announced a
+// head is acked at once; the rest at least every followHeartbeat.
+func (f *Follower) stream(conn net.Conn, br *bufio.Reader) error {
+	var a assembly
+	lastAck := time.Now()
+	for {
+		if err := conn.SetReadDeadline(time.Now().Add(f.cfg.Timeout)); err != nil {
+			return err
+		}
+		typ, _, payload, err := proto.ReadFrameID(br)
+		if err != nil {
+			return fmt.Errorf("netserver: follow receive: %w", err)
+		}
+		ack, err := f.handle(typ, payload, &a)
+		if err != nil {
+			return err
+		}
+		if ack || time.Since(lastAck) >= followHeartbeat {
+			if err := conn.SetWriteDeadline(time.Now().Add(f.cfg.Timeout)); err != nil {
+				return err
+			}
+			payload := proto.EncodeOpAck(&proto.OpAck{Seq: f.applied.Load()})
+			if err := proto.WriteFrameID(conn, proto.MsgOpAck, followReqID, payload); err != nil {
+				return err
+			}
+			lastAck = time.Now()
+		}
+	}
+}
+
+// handle serves one stream frame and reports whether it asks for an ack.
+func (f *Follower) handle(typ proto.MsgType, payload []byte, a *assembly) (ack bool, err error) {
+	defer proto.PutBuf(payload)
+	switch typ {
+	case proto.MsgFollowHead:
+		// Heartbeat ping-pong: answering every head announcement with an
+		// ack keeps the follower's send cadence inside whatever read
+		// deadline the primary runs, without either side having to know
+		// the other's configuration.
+		m, err := proto.DecodeFollowHead(payload)
+		if err != nil {
+			return false, err
+		}
+		f.noteHead(m.Head)
+		return true, nil
+
+	case proto.MsgOpRecords:
+		m, err := proto.DecodeOpRecords(payload)
+		if err != nil {
+			return false, err
+		}
+		for i := range m.Records {
+			if err := f.apply(m.Records[i].Seq, m.Records[i].Data); err != nil {
+				return false, err
+			}
+		}
+		return true, nil
+
+	case proto.MsgOpChunk:
+		m, err := proto.DecodeStreamChunk(payload)
+		if err != nil {
+			return false, err
+		}
+		if m.Seq != a.opSeq {
+			a.op, a.opSeq = nil, m.Seq
+		}
+		if len(a.op)+len(m.Data) > op.MaxEncodedSize {
+			return false, fmt.Errorf("netserver: fragmented op %d exceeds %d bytes", m.Seq, op.MaxEncodedSize)
+		}
+		a.op = append(a.op, m.Data...)
+		if !m.Final {
+			return false, nil
+		}
+		data := a.op
+		a.op, a.opSeq = nil, 0
+		return true, f.apply(m.Seq, data)
+
+	case proto.MsgSnapshotChunk:
+		m, err := proto.DecodeStreamChunk(payload)
+		if err != nil {
+			return false, err
+		}
+		a.snap.Write(m.Data)
+		if !m.Final {
+			return false, nil
+		}
+		err = f.restore(m.Seq, &a.snap)
+		// ResetFromSnapshot keeps no reference to its reader: the
+		// assembled snapshot is held once, and only until here.
+		a.snap = bytes.Buffer{}
+		return true, err
+
+	case proto.MsgError:
+		return false, wireError(payload)
+
+	default:
+		return false, fmt.Errorf("netserver: unexpected stream frame type %d", typ)
+	}
+}
+
+// apply decodes one committed record and applies it through the backend's
+// single mutation door, skipping sequences already applied (the overlap a
+// catch-up re-read produces). An unknown-peer error is tolerated — commit
+// order can differ from apply order for operations racing on the same
+// peer, exactly as in WAL recovery — every other failure ends the session
+// loudly (the copy would silently diverge otherwise).
+func (f *Follower) apply(seq uint64, data []byte) error {
+	if seq <= f.applied.Load() {
+		return nil
+	}
+	o, err := op.Decode(data)
+	if err != nil {
+		return fmt.Errorf("netserver: stream record %d: %w", seq, err)
+	}
+	if err := f.cfg.Backend.Apply(o); err != nil && !errors.Is(err, server.ErrUnknownPeer) {
+		return fmt.Errorf("netserver: follower apply seq %d: %w", seq, err)
+	}
+	f.applied.Store(seq)
+	f.noteHead(seq)
+	f.tapMu.Lock()
+	tap := f.applyTap
+	f.tapMu.Unlock()
+	if tap != nil {
+		tap(seq, o)
+	}
+	return nil
+}
+
+// restore replaces the local copy with the shipped snapshot covering seq,
+// unless the stream is already past it.
+func (f *Follower) restore(seq uint64, r io.Reader) error {
+	if seq > f.applied.Load() {
+		if err := f.cfg.Backend.ResetFromSnapshot(r); err != nil {
+			return fmt.Errorf("netserver: follow snapshot restore: %w", err)
+		}
+		f.applied.Store(seq)
+		f.tapMu.Lock()
+		tap := f.restoreTap
+		f.tapMu.Unlock()
+		if tap != nil {
+			tap()
+		}
+	}
+	f.noteHead(seq)
+	return nil
 }
 
 func (f *Follower) noteErr(err error) {
@@ -191,43 +434,6 @@ func (f *Follower) noteHead(head uint64) {
 			return
 		}
 	}
-}
-
-// ReplicateOp implements op.Replicator: one committed op applied through
-// the backend's single mutation door. An unknown-peer error is tolerated
-// — commit order can differ from apply order for operations racing on the
-// same peer, exactly as in WAL recovery — every other failure aborts the
-// session loudly (the stream would silently diverge otherwise).
-func (f *Follower) ReplicateOp(seq uint64, o op.Op) error {
-	if err := f.cfg.Backend.Apply(o); err != nil && !errors.Is(err, server.ErrUnknownPeer) {
-		return fmt.Errorf("netserver: follower apply seq %d: %w", seq, err)
-	}
-	f.applied.Store(seq)
-	f.noteHead(seq)
-	f.tapMu.Lock()
-	tap := f.applyTap
-	f.tapMu.Unlock()
-	if tap != nil {
-		tap(seq, o)
-	}
-	return nil
-}
-
-// RestoreSnapshot implements client.FollowHandler: replace the local copy
-// with the shipped snapshot covering seq.
-func (f *Follower) RestoreSnapshot(seq uint64, r io.Reader) error {
-	if err := f.cfg.Backend.ResetFromSnapshot(r); err != nil {
-		return err
-	}
-	f.applied.Store(seq)
-	f.noteHead(seq)
-	f.tapMu.Lock()
-	tap := f.restoreTap
-	f.tapMu.Unlock()
-	if tap != nil {
-		tap()
-	}
-	return nil
 }
 
 // SetApplyTap installs a callback invoked after each replicated op is
@@ -263,23 +469,25 @@ func (f *Follower) Lag() uint64 {
 	return head - applied
 }
 
-// Err reports the last stream failure (nil while everything is healthy) —
-// the operational signal for a follower that keeps reconnecting.
+// Err reports the last stream failure, until the primary answers a fresh
+// session (nil while everything is healthy) — the operational signal for
+// a follower that keeps reconnecting.
 func (f *Follower) Err() error {
 	f.errMu.Lock()
 	defer f.errMu.Unlock()
 	return f.lastErr
 }
 
-// Close stops following. The local backend keeps serving whatever state
-// it reached.
+// Close stops following: it cancels a dial in progress and closes the
+// connection that is live or being opened, then waits for the stream
+// goroutine. The local backend keeps serving whatever state it reached.
 func (f *Follower) Close() error {
-	f.closeOnce.Do(func() { close(f.closed) })
-	f.sessMu.Lock()
-	if f.sess != nil {
-		f.sess.Close()
+	f.connMu.Lock()
+	f.cancel()
+	if f.conn != nil {
+		f.conn.Close()
 	}
-	f.sessMu.Unlock()
+	f.connMu.Unlock()
 	f.wg.Wait()
 	return nil
 }

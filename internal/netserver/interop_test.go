@@ -14,9 +14,8 @@ import (
 	"proxdisc/internal/topology"
 )
 
-// startReplicaPair runs the deployment RoleReplica exists for: a durable
-// primary behind one front end, and a replica-role front end over a
-// follower's copy of it. The follower is returned so tests can wait for
+// startReplicaPair runs the replica deployment: a durable primary behind
+// one front end, and a replica front end over a follower's copy of it. The follower is returned so tests can wait for
 // the copy to catch up before reading from it (replication is
 // asynchronous).
 func startReplicaPair(t *testing.T, landmarks ...topology.NodeID) (primary, replica *NetServer, logic *cluster.Cluster, f *Follower) {
@@ -42,8 +41,6 @@ func startReplicaPair(t *testing.T, landmarks ...topology.NodeID) (primary, repl
 	replica, err = Listen(Config{
 		Addr:        "127.0.0.1:0",
 		Server:      copySrv,
-		Role:        RoleReplica,
-		PrimaryAddr: primary.Addr(),
 		Replication: f,
 	})
 	if err != nil {
@@ -200,15 +197,6 @@ func TestRejoinThroughLearnedPrimaryKeepsPeer(t *testing.T) {
 	if logic.NumPeers() != 1 || primary.met.reqs[proto.MsgLeaveRequest].Value() != 0 {
 		t.Fatalf("primary peers=%d leaves=%d, want 1 and 0",
 			logic.NumPeers(), primary.met.reqs[proto.MsgLeaveRequest].Value())
-	}
-}
-
-// TestListenRejectsReplicaWithoutPrimary pins the config invariant at the
-// library layer, not just the CLI flag check.
-func TestListenRejectsReplicaWithoutPrimary(t *testing.T) {
-	logic := newCluster(t, cluster.Config{Landmarks: []topology.NodeID{0}})
-	if _, err := Listen(Config{Addr: "127.0.0.1:0", Server: logic, Role: RoleReplica}); err == nil {
-		t.Fatal("accepted a replica with no primary address")
 	}
 }
 

@@ -71,25 +71,6 @@ import (
 	"proxdisc/internal/topology"
 )
 
-// Role selects how a NetServer answers writes.
-type Role int
-
-const (
-	// RolePrimary (the default) serves reads and writes.
-	RolePrimary Role = iota
-	// RoleReplica serves reads locally but answers writes with a redirect
-	// to the primary node (joins) or a CodeNotPrimary error carrying the
-	// primary's address (leave, refresh), so clients fail over instead of
-	// mutating a stale copy.
-	//
-	// The role governs wire behaviour only. The deployment it exists for
-	// puts the front end on a Follower's cluster (StartFollower), which
-	// keeps that copy in sync from the primary's committed op stream;
-	// Config.Replication then reports the copy's applied/head position and
-	// feeds the node's subscriptions.
-	RoleReplica
-)
-
 // Config configures a NetServer.
 type Config struct {
 	// Common holds the knobs shared with the other networked components
@@ -116,18 +97,16 @@ type Config struct {
 	// CodeWrongShard naming the owner; the client follows either and
 	// remembers the peer's home. Nil for a deployment of one node.
 	RemoteLandmarks map[topology.NodeID]string
-	// Role is this node's replication role (default RolePrimary). A
-	// RoleReplica node serves reads from its local copy and points writes
-	// at PrimaryAddr.
-	Role Role
-	// PrimaryAddr is the primary node's TCP address, advertised to clients
-	// by a RoleReplica node.
-	PrimaryAddr string
-	// Replication, when this front end runs on a follower node, is the
-	// Follower feeding Server; status responses then carry its applied/head
-	// position so the node's replication lag is observable over the wire,
-	// and a RoleReplica node's subscriptions are fed from its applied
-	// stream.
+	// Replication, when set, makes this node a replica: the Follower
+	// feeding Server from a primary's committed op stream. A replica
+	// serves reads from its copy and answers writes with a redirect to the
+	// primary (joins) or a CodeNotPrimary error carrying the primary's
+	// address (everything else) — the address the Follower dials — so
+	// clients fail over instead of mutating a stale copy. It serves no
+	// follow streams, its subscriptions are fed from the Follower's
+	// applied stream, and its status responses carry the Follower's
+	// applied/head position, so its replication lag is observable over the
+	// wire. Nil (the default) is a primary.
 	Replication *Follower
 	// Workers bounds how many pipelined writes (reads never enter the pool)
 	// are served concurrently across all connections. When the pool is
@@ -164,8 +143,7 @@ type NetServer struct {
 	// this server's, which fans it out to hub and plane (see commitTap).
 	hub *followHub
 	// plane evaluates live query subscriptions; nil when this node has no
-	// op stream to feed it (non-durable primary, or replica without a
-	// Replication feed). See subserver.go.
+	// op stream to feed it (a non-durable primary). See subserver.go.
 	plane *sub.Plane
 
 	subMu      sync.Mutex
@@ -331,11 +309,6 @@ func Listen(cfg Config) (*NetServer, error) {
 	if cfg.MaxBatch <= 0 || cfg.MaxBatch > proto.MaxBatch {
 		cfg.MaxBatch = proto.MaxBatch
 	}
-	if cfg.Role == RoleReplica && cfg.PrimaryAddr == "" {
-		// Without an address to point writes at, every redirect would name
-		// "" and every CodeNotPrimary would be unfollowable.
-		return nil, errors.New("netserver: RoleReplica requires PrimaryAddr")
-	}
 	// Derate the batch limit so a full batch RESPONSE is guaranteed to fit
 	// one frame even when every entry returns NeighborCount candidates
 	// with maximum-length addresses; otherwise a large -neighbors setting
@@ -365,24 +338,21 @@ func Listen(cfg Config) (*NetServer, error) {
 		s.local[lm] = true
 	}
 	s.initMetrics()
-	// A durable backend's committed op stream is served to follower
-	// processes and to live query subscriptions; replica-role nodes never
-	// serve follows (a follower of a follower would replicate a copy, not
-	// the source of truth). The server owns the single commit tap and fans
-	// it out to both consumers.
-	if cfg.Role == RolePrimary {
-		if _, ok := cfg.Server.SetCommitTap(s.commitTap); ok {
-			s.hub = newFollowHub(s, cfg.Server)
-			s.plane = sub.New(cfg.Server, cfg.Telemetry)
-		}
-	}
-	// A follower node serves subscriptions from its applied stream: the
-	// same filters, evaluated against the local copy, scaling the push
-	// read plane out with the replication tree.
-	if f := cfg.Replication; f != nil && cfg.Role == RoleReplica {
+	if f := cfg.Replication; f != nil {
+		// A replica serves subscriptions from its applied stream: the same
+		// filters, evaluated against the local copy, scaling the push read
+		// plane out with the replication tree. It never serves follows (a
+		// follower of a follower would replicate a copy, not the source of
+		// truth).
 		s.plane = sub.New(cfg.Server, cfg.Telemetry)
 		f.SetApplyTap(func(seq uint64, o op.Op) { s.plane.FeedOp(seq, o) })
 		f.SetRestoreTap(s.plane.ResyncAll)
+	} else if _, ok := cfg.Server.SetCommitTap(s.commitTap); ok {
+		// A durable primary's committed op stream is served to follower
+		// processes and to live query subscriptions. The server owns the
+		// single commit tap and fans it out to both consumers.
+		s.hub = newFollowHub(s, cfg.Server)
+		s.plane = sub.New(cfg.Server, cfg.Telemetry)
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
@@ -510,7 +480,7 @@ func (s *NetServer) Close() error {
 		if s.hub != nil {
 			s.cfg.Server.SetCommitTap(nil) // detach the commit tap before the backend outlives us
 		}
-		if f := s.cfg.Replication; f != nil && s.cfg.Role == RoleReplica {
+		if f := s.cfg.Replication; f != nil {
 			f.SetApplyTap(nil)
 			f.SetRestoreTap(nil)
 		}
@@ -719,8 +689,8 @@ func (s *NetServer) serveFollow(wc *wireConn, id uint64, payload []byte) {
 		s.respond(wc, outFrame{typ: t, id: id, payload: resp})
 		return
 	}
-	if s.cfg.Role == RoleReplica {
-		t, resp := errResp(proto.CodeNotPrimary, errors.New(s.cfg.PrimaryAddr))
+	if s.cfg.Replication != nil {
+		t, resp := errResp(proto.CodeNotPrimary, errors.New(s.primaryAddr()))
 		s.respond(wc, outFrame{typ: t, id: id, payload: resp})
 		return
 	}
@@ -760,7 +730,7 @@ func (s *NetServer) serveInline(typ proto.MsgType, payload []byte) (respType pro
 // caller may recycle it afterwards. It is called concurrently by pool
 // workers and, for the kinds serveInline picks, by connection readers.
 func (s *NetServer) handleReq(typ proto.MsgType, payload []byte) (proto.MsgType, []byte) {
-	if s.cfg.Role == RoleReplica {
+	if s.cfg.Replication != nil {
 		if t, resp, handled := s.rejectWriteOnReplica(typ, payload); handled {
 			return t, resp
 		}
@@ -784,11 +754,9 @@ func (s *NetServer) handleReq(typ proto.MsgType, payload []byte) (proto.MsgType,
 			WalFsyncs:    ds.Log.Fsyncs,
 			Peers:        uint64(s.cfg.Server.NumPeers()),
 		}
-		if s.cfg.Role == RoleReplica {
-			st.Role = proto.RoleReplica
-			st.PrimaryAddr = s.cfg.PrimaryAddr
-		}
 		if f := s.cfg.Replication; f != nil {
+			st.Role = proto.RoleReplica
+			st.PrimaryAddr = s.primaryAddr()
 			st.Applied, st.Head = f.Applied(), f.Head()
 		}
 		st.QueueDepth = uint32(len(s.tasks))
@@ -935,7 +903,7 @@ func (s *NetServer) rejectWriteOnReplica(typ proto.MsgType, payload []byte) (pro
 		if o, err := proto.DecodeJoinOp(payload); err == nil && len(o.Join.Path) > 0 {
 			epoch = s.cfg.Server.Epoch(o.Join.Path[len(o.Join.Path)-1])
 		}
-		b, err := proto.EncodeRedirect(&proto.Redirect{Addr: s.cfg.PrimaryAddr, Epoch: epoch})
+		b, err := proto.EncodeRedirect(&proto.Redirect{Addr: s.primaryAddr(), Epoch: epoch})
 		if err != nil {
 			t, resp := errResp(proto.CodeInternal, err)
 			return t, resp, true
@@ -944,11 +912,15 @@ func (s *NetServer) rejectWriteOnReplica(typ proto.MsgType, payload []byte) (pro
 	case proto.MsgForwardedJoinRequest,
 		proto.MsgBatchJoinRequest, proto.MsgForwardedBatchJoinRequest,
 		proto.MsgLeaveRequest, proto.MsgRefreshRequest:
-		t, resp := errResp(proto.CodeNotPrimary, errors.New(s.cfg.PrimaryAddr))
+		t, resp := errResp(proto.CodeNotPrimary, errors.New(s.primaryAddr()))
 		return t, resp, true
 	}
 	return 0, nil, false
 }
+
+// primaryAddr is where a replica points writes: the address its Follower
+// dials.
+func (s *NetServer) primaryAddr() string { return s.cfg.Replication.cfg.PrimaryAddr }
 
 // serveJoin applies a (possibly forwarded) join op against the local
 // backend and returns the response frame. The op carries the overlay

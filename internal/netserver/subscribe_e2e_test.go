@@ -317,10 +317,8 @@ func TestSubscribeSubjectLeaveAndRejoin(t *testing.T) {
 	waitCacheCoherent(t, sub, c, subject)
 }
 
-// TestSubscribeReplicaRoads pins where each node kind sends a subscriber:
-// a replica without an applied stream answers CodeNotPrimary (and the
-// client follows it to the primary), while a follower-backed replica
-// serves the subscription itself from its applied stream.
+// TestSubscribeReplicaRoads pins where a replica sends a subscriber: it
+// serves the subscription itself from its Follower's applied stream.
 func TestSubscribeReplicaRoads(t *testing.T) {
 	clu, ns := newFollowedPlane(t, t.TempDir())
 	defer clu.Close()
@@ -338,33 +336,12 @@ func TestSubscribeReplicaRoads(t *testing.T) {
 		}
 	}
 
-	// Road 1: a replica with no feed redirects the subscriber.
-	bare := newCluster(t, cluster.Config{Landmarks: []topology.NodeID{0, 100}})
-	rep, err := Listen(Config{Addr: "127.0.0.1:0", Server: bare, Role: RoleReplica, PrimaryAddr: ns.Addr()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rep.Close()
-	rc, err := client.Dial(rep.Addr(), 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rc.Close()
-	sub, err := rc.Subscribe(context.Background(), client.KClosest(subject))
-	if err != nil {
-		t.Fatalf("subscribe via feedless replica did not follow CodeNotPrimary: %v", err)
-	}
-	waitCacheCoherent(t, sub, rc, subject)
-	sub.Close()
-
-	// Road 2: a follower-backed replica serves subscriptions locally.
 	backend := newCluster(t, cluster.Config{Landmarks: []topology.NodeID{0, 100}, Shards: 2})
 	fol := newFollowerNode(t, ns.Addr(), 0, backend)
 	defer fol.Close()
 	waitApplied(t, fol, clu)
 	frep, err := Listen(Config{
-		Addr: "127.0.0.1:0", Server: backend,
-		Role: RoleReplica, PrimaryAddr: ns.Addr(), Replication: fol,
+		Addr: "127.0.0.1:0", Server: backend, Replication: fol,
 	})
 	if err != nil {
 		t.Fatal(err)

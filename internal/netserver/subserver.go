@@ -18,11 +18,10 @@ import (
 //
 // The plane's feed depends on the node's role. A durable primary feeds it
 // from the commit tap (shared with the follow hub — see commitTap). A
-// follower node feeds it from its Follower's applied stream
+// replica feeds it from its Follower's applied stream
 // (Config.Replication), so subscriptions scale out with the replication
-// tree. A replica without a Follower answers CodeNotPrimary so the client's
-// failover road leads it somewhere that can serve; a non-durable primary
-// has no op stream at all and answers CodeBadRequest.
+// tree. A non-durable primary has no op stream at all and answers
+// CodeBadRequest.
 
 // commitTap is the single consumer of the backend's commit stream,
 // fanning each committed record out to the follow hub and the
@@ -59,14 +58,6 @@ func (s *NetServer) serveSubscribe(wc *wireConn, id uint64, payload []byte) {
 		return
 	}
 	if s.plane == nil {
-		if s.cfg.Role == RoleReplica {
-			// This replica has no applied stream to evaluate filters
-			// against; the client follows the same road as a misdirected
-			// write.
-			t, resp := errResp(proto.CodeNotPrimary, errors.New(s.cfg.PrimaryAddr))
-			s.respond(wc, outFrame{typ: t, id: id, payload: resp})
-			return
-		}
 		t, resp := errResp(proto.CodeBadRequest,
 			errors.New("this node has no op stream to serve subscriptions from (no DataDir)"))
 		s.respond(wc, outFrame{typ: t, id: id, payload: resp})

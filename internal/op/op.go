@@ -180,18 +180,6 @@ func MoveLandmark(lm topology.NodeID, src, dst int, epoch uint64) Op {
 	return Op{Kind: KindMoveLandmark, Move: MoveEntry{Landmark: lm, Src: src, Dst: dst, Epoch: epoch}}
 }
 
-// Replicator is one consumer of a committed op stream: a network follower
-// applying ops streamed to it from another process (netserver.Follower).
-// Implementations receive every op exactly once per stream position, in
-// ascending sequence order; because ops are deterministic overwrites, a
-// consumer that deduplicates by sequence may safely be handed overlapping
-// ranges (a reconnecting follower re-reads the tail it already applied).
-type Replicator interface {
-	// ReplicateOp applies one committed op stamped with its position in
-	// the stream's total order.
-	ReplicateOp(seq uint64, o Op) error
-}
-
 // Append encodes o onto dst and returns the extended slice. The layout is
 //
 //	kind(1) time(8) body

@@ -37,8 +37,9 @@
 // ID as they complete. The protocol has one version, 2, and no fallback: a
 // server answers a connection that opens any other way with one error
 // naming that version and closes it (TestFirstFrameMustBeHello), and Dial
-// and Follow fail against a server that does not acknowledge the hello at
-// version 2 (TestDialersRefuseNonV2Server). The handshake's bytes
+// and StartFollower fail against a server that does not acknowledge the
+// hello at version 2 (TestDialersRefuseNonV2Server,
+// TestStartFollowerRefusesNonV2Server). The handshake's bytes
 // are pinned (TestHandshakeBytesUnchanged), so any two builds that speak
 // version 2 interoperate.
 //
@@ -104,9 +105,10 @@
 // an op only once it is durable on the primary, so none can apply an op a
 // crash of the primary would lose (TestCommitTapSeesOnlyDurableRecords).
 //
-// The client-side half: a NetServer fronting a follower's copy runs in
-// RoleReplica — it serves reads locally and answers writes with a redirect
-// to the primary (joins) or its address (everything else), which Client
+// The client-side half: a NetServer fronting a follower's copy
+// (NetServerConfig.Replication) is a replica — it serves reads locally and
+// answers writes with a redirect to the primary (joins) or its address
+// (everything else), the address the Follower dials, which Client
 // follows. A Client keeps one session per node address, and a request
 // whose session died is sent once more on a fresh dial, so a client of a
 // restarted primary (same address, same data directory), or of a server
@@ -183,8 +185,8 @@
 // number, shipping the log IS shipping the state. A follower process
 // (StartFollower, or proxdisc-server -follow ADDR) subscribes to a
 // primary's committed op stream over the wire and applies every record to
-// a local copy through the same single Apply door crash recovery uses — one door, two consumers (follower replication through
-// the op.Replicator interface, and WAL replay), zero drift.
+// a local copy through the same single Apply door crash recovery uses —
+// one door, two consumers (the Follower and WAL replay), zero drift.
 //
 // Roles. The primary serves the stream from its WAL: live records flow
 // from the commit tap — which the WAL's sync leader feeds once they are
@@ -194,15 +196,16 @@
 // buffer — a slow follower costs a file read, not memory), and a follower
 // behind the log's retention floor — it reconnected after the primary
 // compacted — receives the latest on-disk checkpoint, shipped as the op
-// stream it is, plus the tail after it. The follower node fronts its copy with a replica-role NetServer:
-// reads are served locally, writes redirect to the primary.
+// stream it is, plus the tail after it. The follower node fronts its copy
+// with a NetServer whose Replication is the Follower: reads are served
+// locally, writes redirect to the primary.
 //
 // Acknowledged offsets and flow control. Followers acknowledge their
 // applied sequence; the primary sends at most a bounded window beyond the
 // last ack, so a stalled follower exerts backpressure on its own stream
 // instead of ballooning the primary. Acks double as the idle stream's
-// heartbeat (the primary answers with head announcements), which is also
-// how a follower knows its lag.
+// heartbeat: an idle primary announces its head, which is also how a
+// follower knows its lag, and the follower acks every announcement.
 //
 // Catch-up. A follower that disconnects — crash, partition, restart —
 // redials with its applied sequence and resumes exactly there: from the
@@ -578,7 +581,8 @@ func ListenAndServe(cfg NetServerConfig) (*NetServer, error) { return netserver.
 // replication" above.
 type Follower = netserver.Follower
 
-// FollowerConfig configures a Follower: the primary's address, the local
+// FollowerConfig configures a Follower: the primary's address (which a
+// NetServer replicating through the Follower points writes at), the local
 // cluster receiving the stream, and the resume point.
 type FollowerConfig = netserver.FollowerConfig
 
