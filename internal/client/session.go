@@ -119,9 +119,9 @@ func dialSession(addr string, cfg Config, inflight *telemetry.Gauge) (*session, 
 }
 
 // Hello opens a session on a fresh connection, for both dialers
-// (dialSession and netserver's Follower): it sends MsgHello in the bare framing,
-// offering this build's version and batch limit, and reads the answer, all
-// within timeout. Only a MsgHelloAck at version 2 is a session; a MsgError
+// (dialSession and netserver's Follower): it sends MsgHello in the bare
+// framing, offering this build's version and batch limit, and reads the
+// answer, all within timeout. Only a MsgHelloAck at version 2 is a session; a MsgError
 // (a server that speaks no version 2 refuses the hello that way), an ack
 // at another version or any other frame is an error, never a fallback. On
 // success the connection's deadline is still armed; the caller finishes

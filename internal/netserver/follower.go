@@ -87,8 +87,8 @@ const followHeartbeat = 2 * time.Second
 // Follower maintains a local copy of a primary's state from its op
 // stream, reconnecting (and catching up) across stream failures until
 // closed. One goroutine owns the stream: it dials, opens the session,
-// subscribes, applies and acks. Applied, Head and Err are the
-// replication-status surface a NetServer reports in MsgStatusResponse.
+// subscribes, applies and acks. A replica NetServer reports Applied and
+// Head in MsgStatusResponse.
 type Follower struct {
 	cfg FollowerConfig
 

@@ -28,7 +28,7 @@ type scriptedPrimary struct {
 	ln     net.Listener
 	t      *testing.T
 	script func(p *scriptedPrimary, conn net.Conn)
-	held   chan struct{} // one value per redial held
+	held   chan struct{} // signalled, without blocking, when a redial is held
 	played chan struct{} // closed once the first connection is over
 
 	mu    sync.Mutex
@@ -44,7 +44,7 @@ func startScriptedPrimary(t *testing.T, script func(p *scriptedPrimary, conn net
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := &scriptedPrimary{ln: ln, t: t, script: script, held: make(chan struct{}, 16), played: make(chan struct{}), done: make(chan struct{})}
+	p := &scriptedPrimary{ln: ln, t: t, script: script, held: make(chan struct{}, 1), played: make(chan struct{}), done: make(chan struct{})}
 	go p.serve()
 	t.Cleanup(func() {
 		ln.Close()

@@ -15,9 +15,9 @@ import (
 )
 
 // startReplicaPair runs the replica deployment: a durable primary behind
-// one front end, and a replica front end over a follower's copy of it. The follower is returned so tests can wait for
-// the copy to catch up before reading from it (replication is
-// asynchronous).
+// one front end, and a replica front end over a follower's copy of it. The
+// follower is returned so tests can wait for the copy to catch up before
+// reading from it (replication is asynchronous).
 func startReplicaPair(t *testing.T, landmarks ...topology.NodeID) (primary, replica *NetServer, logic *cluster.Cluster, f *Follower) {
 	t.Helper()
 	logic, err := cluster.New(cluster.Config{
