@@ -63,6 +63,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -156,6 +157,11 @@ type Config struct {
 	NeighborCount int
 	PeerTTL       time.Duration
 	Clock         func() time.Time
+
+	// serialLoad makes a durable open load its checkpoint through the
+	// serial road alone (loadCheckpoint): the reference the shard-parallel
+	// load is compared against in tests.
+	serialLoad bool
 }
 
 // Cluster is a landmark-sharded management service. It exposes the same
@@ -203,6 +209,7 @@ type Cluster struct {
 	opsSinceSnap   atomic.Int64
 	bytesSinceSnap atomic.Int64
 	lastSnapSeq    atomic.Uint64 // covering seq of the latest on-disk snapshot
+	loadTime       time.Duration // checkpoint load time of the last open
 	replayTime     time.Duration // tail replay time of the last open
 	snapMu         sync.Mutex    // one checkpoint at a time
 	snapCh         chan struct{}
@@ -555,8 +562,18 @@ func (c *Cluster) batchRoute(o op.Op, quiet bool) (out []server.BatchResult, acc
 	// per-shard groups below run in shard order, not batch order, so
 	// duplicate-peer entries go through the in-order singular path.
 	// Wire batches are short, so a quadratic scan beats building a count
-	// map — it allocates nothing on the hot path.
+	// map — it allocates nothing on the hot path; a wider batch (an
+	// in-process JoinBatchOp, a recorded batch of up to op.MaxBatch entries)
+	// looks its peers up among the few it repeats.
+	var reps []pathtree.PeerID
+	if len(items) > dupScanMax {
+		reps = repeatedPeers(items)
+	}
 	dup := func(p pathtree.PeerID, self int) bool {
+		if len(items) > dupScanMax {
+			_, found := slices.BinarySearch(reps, p)
+			return found
+		}
 		for i := range items {
 			if i != self && items[i].Peer == p {
 				return true
@@ -629,6 +646,27 @@ func (c *Cluster) batchRoute(o op.Op, quiet bool) (out []server.BatchResult, acc
 		c.retireOrphans(c.shards[shard])
 	}
 	return out, accepted, deferred
+}
+
+// dupScanMax is the widest batch batchRoute scans pairwise for repeated
+// peers: the wire's cap, the width of almost every batch on the hot path.
+const dupScanMax = 32
+
+// repeatedPeers returns the peers that appear more than once in items,
+// ascending, read off a sorted copy of the IDs.
+func repeatedPeers(items []op.JoinEntry) []pathtree.PeerID {
+	ids := make([]pathtree.PeerID, len(items))
+	for i := range items {
+		ids[i] = items[i].Peer
+	}
+	slices.Sort(ids)
+	var reps []pathtree.PeerID
+	for i := 1; i < len(ids); i++ {
+		if ids[i] == ids[i-1] && (len(reps) == 0 || reps[len(reps)-1] != ids[i]) {
+			reps = append(reps, ids[i])
+		}
+	}
+	return reps
 }
 
 // batchGroup collects the batch entries bound for one shard and their

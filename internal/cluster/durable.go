@@ -73,20 +73,25 @@ func (c *Cluster) Durable() bool { return c.log != nil }
 // latest checkpoint plus the write-ahead log tail, and arms the background
 // checkpointer. Called by New before the cluster is visible to anyone.
 //
-// The checkpoint is read (loadCheckpoint) before the log is opened and must
-// be good to its end frame: a truncated or corrupt file, one in the gob
+// The checkpoint is read (recoverCheckpoint) before the log is opened and
+// must be good to its end frame: a truncated or corrupt file, one in the gob
 // format that preceded op streams, or one that names a landmark or shard
-// this configuration lacks fails the open with nothing on disk touched.
+// this configuration lacks fails the open with nothing on disk touched. The
+// tail then replays on this goroutine, one record at a time: its re-homing
+// joins, its leaves routed by the index, its moves and expiry sweeps do not
+// commute across shards as a checkpoint's joins do.
 func (c *Cluster) openDurable() error {
 	var snapSeq uint64
-	if r, seq, ok, err := wal.OpenLatestSnapshot(c.cfg.DataDir); err != nil {
+	if f, seq, ok, err := wal.OpenLatestSnapshot(c.cfg.DataDir); err != nil {
 		return err
 	} else if ok {
-		err := c.loadCheckpoint(r)
-		r.Close()
+		loadStart := time.Now()
+		err := c.recoverCheckpoint(f)
+		f.Close()
 		if err != nil {
 			return fmt.Errorf("cluster: checkpoint %d: %w", seq, err)
 		}
+		c.loadTime = time.Since(loadStart)
 		snapSeq = seq
 		c.lastSnapSeq.Store(snapSeq)
 	}
@@ -138,13 +143,42 @@ func (c *Cluster) openDurable() error {
 	return nil
 }
 
+// recoverCheckpoint loads the checkpoint a durable cluster opens with,
+// shard-parallel (loadCheckpointParallel). When that pass cannot vouch for
+// its result — the file names a peer twice — the state it built is
+// discarded (the shards' counters keep what it counted) and the file, read
+// again from its start, goes through the serial road, which is the
+// reference the parallel one must equal.
+func (c *Cluster) recoverCheckpoint(f io.ReadSeeker) error {
+	if c.cfg.serialLoad {
+		return c.loadCheckpoint(f)
+	}
+	if exact, err := c.loadCheckpointParallel(f); err != nil || exact {
+		return err
+	}
+	empty, err := New(c.sideConfig())
+	if err != nil {
+		return err
+	}
+	c.adopt(empty)
+	for _, g := range c.shards {
+		g.srv.TakeOrphans() // records of the discarded state
+	}
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		return err
+	}
+	return c.loadCheckpoint(f)
+}
+
 // loadCheckpoint applies a checkpoint, good to its end frame, through the
-// road the log's tail takes: a checkpoint is a compacted op log, so loading
-// it is replaying it. Its Move records come first and carry each landmark's
-// owner and epoch — move hands the still-empty tree to the recorded owner
-// and flips the table — so the load recovers the exact post-handoff
-// placement, NOT the configured assignment, and the tail replays against
-// the right owners.
+// road the log's tail takes, one record after another: a checkpoint is a
+// compacted op log, so loading it is replaying it. Its Move records come
+// first and carry each landmark's owner and epoch — move hands the
+// still-empty tree to the recorded owner and flips the table — so the load
+// recovers the exact post-handoff placement, NOT the configured assignment,
+// and the tail replays against the right owners. It is the serial road:
+// the reference loadCheckpointParallel is held to, its fallback, and
+// ResetFromSnapshot's loader, whose reader cannot be read twice.
 func (c *Cluster) loadCheckpoint(r io.Reader) error {
 	return op.ReadStream(r, func(o *op.Op) error { return c.applyRecovered(*o) })
 }
@@ -164,10 +198,8 @@ func (c *Cluster) applyRecovered(o op.Op) error {
 // ResetFromSnapshot replaces the cluster's whole state — trees, peer index,
 // landmark table and epochs — with a checkpoint's: a follower's catch-up
 // restore. The checkpoint is loaded by loadCheckpoint into a cluster built
-// off to the side, and published only once all of it, end frame included,
-// has applied; a bad one leaves the previous state. The publication is one
-// critical section under every lock a write or a lookup takes, writers
-// drained first, so each sees the old state or the new, never a mix. The
+// off to the side, and published (adopt) only once all of it, end frame
+// included, has applied; a bad one leaves the previous state. The
 // shard count must cover the checkpoint's owners, as a follower's, which is
 // its primary's, does. A durable cluster refuses: its log would no longer
 // describe it.
@@ -175,17 +207,31 @@ func (c *Cluster) ResetFromSnapshot(r io.Reader) error {
 	if c.log != nil {
 		return errors.New("cluster: ResetFromSnapshot on a durable cluster")
 	}
-	// The cluster off to the side registers no series over this one's and
-	// runs no rebalancer; only its shards' states are kept.
-	cfg := c.cfg
-	cfg.Telemetry, cfg.RebalanceInterval = nil, 0
-	fresh, err := New(cfg)
+	fresh, err := New(c.sideConfig())
 	if err != nil {
 		return err
 	}
 	if err := fresh.loadCheckpoint(r); err != nil {
 		return fmt.Errorf("cluster: snapshot: %w", err)
 	}
+	c.adopt(fresh)
+	return nil
+}
+
+// sideConfig configures a cluster built off to the side of c, for c to
+// adopt: it registers no series over c's, runs no rebalancer and keeps no
+// log; only its shards' states are kept.
+func (c *Cluster) sideConfig() Config {
+	cfg := c.cfg
+	cfg.Telemetry, cfg.RebalanceInterval, cfg.DataDir = nil, 0, ""
+	return cfg
+}
+
+// adopt publishes fresh's state — trees, peer index, landmark table and
+// epochs — as c's, in one critical section under every lock a write or a
+// lookup takes, writers drained first, so each sees the old state or the
+// new, never a mix. fresh must not be used afterwards.
+func (c *Cluster) adopt(fresh *Cluster) {
 	c.hoMu.Lock()
 	defer c.hoMu.Unlock()
 	c.mu.Lock()
@@ -199,7 +245,6 @@ func (c *Cluster) ResetFromSnapshot(r io.Reader) error {
 	server.Adopt(dst, src)
 	c.idx.Store(fresh.idx.Load())
 	c.table, c.epochs = fresh.table, fresh.epochs
-	return nil
 }
 
 // commit makes one applied op durable: it is encoded with the canonical
@@ -436,8 +481,8 @@ func (c *Cluster) CatchupSnapshot() (io.ReadCloser, uint64, error) {
 }
 
 // DurabilityStats reports the durable node's operational surface: last
-// snapshot sequence, WAL tail length, recovery replay time, and the
-// group-commit counters. Zero on a non-durable cluster.
+// snapshot sequence, WAL tail length, recovery load and replay times, and
+// the group-commit counters. Zero on a non-durable cluster.
 func (c *Cluster) DurabilityStats() wal.DurabilityStats {
 	if c.log == nil {
 		return wal.DurabilityStats{}
@@ -448,6 +493,7 @@ func (c *Cluster) DurabilityStats() wal.DurabilityStats {
 		SnapshotSeq: snap,
 		TailRecords: head - snap,
 		Head:        head,
+		LoadTime:    c.loadTime,
 		ReplayTime:  c.replayTime,
 		Log:         c.log.Metrics(),
 	}

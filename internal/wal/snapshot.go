@@ -60,15 +60,14 @@ func Snapshots(dir string) ([]uint64, error) {
 
 // OpenLatestSnapshot opens the highest-sequence snapshot in dir,
 // reporting the sequence it covers. ok is false when dir holds no
-// snapshot.
-func OpenLatestSnapshot(dir string) (r io.ReadCloser, seq uint64, ok bool, err error) {
+// snapshot. The file can be read more than once by seeking it back to 0.
+func OpenLatestSnapshot(dir string) (f *os.File, seq uint64, ok bool, err error) {
 	seqs, err := Snapshots(dir)
 	if err != nil || len(seqs) == 0 {
 		return nil, 0, false, err
 	}
 	seq = seqs[len(seqs)-1]
-	f, err := os.Open(filepath.Join(dir, snapName(seq)))
-	if err != nil {
+	if f, err = os.Open(filepath.Join(dir, snapName(seq))); err != nil {
 		return nil, 0, false, fmt.Errorf("wal: %w", err)
 	}
 	return f, seq, true, nil

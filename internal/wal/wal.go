@@ -114,6 +114,9 @@ type DurabilityStats struct {
 	TailRecords uint64
 	// Head is the last committed sequence.
 	Head uint64
+	// LoadTime is how long the last open spent loading the checkpoint (0
+	// when there was none to load).
+	LoadTime time.Duration
 	// ReplayTime is how long the last open spent replaying the tail.
 	ReplayTime time.Duration
 	// Log carries the group-commit counters.

@@ -146,10 +146,15 @@
 // op stamped with its last refresh, one flag op per super-peer — each
 // record length-bounded and CRC-framed, the file closed by a counted end
 // frame. NewCluster on a populated directory recovers before returning: it
-// replays the latest checkpoint and then the log tail through the one
-// normal apply path, so a restarted node serves the exact peer set (and,
-// for joins that arrived over the wire, the exact overlay addresses) it
-// acknowledged before the crash. A log record torn by the crash itself was
+// loads the latest checkpoint with one applier per shard, each taking its
+// shard's entries in file order through the normal apply path (the landmark
+// moves and super-peer flags apply serially around them), and then replays
+// the log tail through the same path one record at a time, so a restarted
+// node serves the exact peer set (and, for joins that arrived over the
+// wire, the exact overlay addresses) it acknowledged before the crash. The
+// appliers' order decides nothing unless a checkpoint names a peer twice (a
+// file of an older build can); such a file is loaded again serially, where
+// the later entry wins. A log record torn by the crash itself was
 // never acknowledged and is dropped by CRC, and so is every record past the
 // first sequence that no shard's stream holds: a crash between two streams'
 // fsyncs can keep a record whose predecessor was lost, and a write is
