@@ -23,9 +23,9 @@
 // candidate sets to a single server.Server over the same peer population —
 // sharding changes capacity, not answers.
 //
-// A shard is one server.Server behind a handoff gate; the cluster keeps no
-// second copy of it, and no per-peer state of its own. Copies live in other
-// processes, fed by the committed op stream (netserver.StartFollower): each
+// A shard is one server.Server; the cluster keeps no second copy of it, and
+// no per-peer state of its own. Copies live in other processes, fed by the
+// committed op stream (netserver.StartFollower): each
 // is a Cluster of the primary's shard count, which applies the stream's move
 // ops (Apply) and catch-up checkpoints (ResetFromSnapshot) as recovery does,
 // so it places every landmark on the primary's shard at the primary's epoch.
@@ -41,22 +41,35 @@
 // hold the peer — it re-joined elsewhere in between, or its landmark is
 // changing hands, which the lookup waits out — sends the lookup round again.
 //
-// Cluster.JoinOp takes: Cluster.mu.RLock (table, moving set, epoch fence)
-// just long enough to take the owning shard's gate, shard.opMu.RLock,
-// which is held across the apply; inside the server, the writer mutex for
-// the whole op and, under it, the state lock exclusively around each single
-// mutation (one per batch entry), the index stripe's lock innermost —
-// opMu → writer mutex → state lock → stripe. The server's join writes the
-// index entry; the cluster writes none of its own. After the gate is
-// released a durable cluster appends to the write-ahead log: the shard
+// Every write takes: Cluster.mu.RLock (table, moving set, epoch fence) just
+// long enough to resolve the owning shard, released before the shard is
+// touched; then, inside the server, the writer mutex for the whole op and,
+// under it, the state lock exclusively around each single mutation (one per
+// batch entry), the index stripe's lock innermost — table RLock → writer
+// mutex → state lock → stripe, one order for every write. The server's join
+// writes the index entry; the cluster writes none of its own. Nothing pins
+// the owner between the table read and the writer mutex: a landmark can
+// change hands in that gap, and the server that no longer holds its tree
+// answers so — ErrUnknownLandmark for a join, ErrUnknownPeer for a leave,
+// refresh or flag — and the write resolves the owner again, waiting out the
+// move and re-checking its epoch fence, as a lookup does. A write applies
+// exactly once: on the server holding the tree when it takes the writer
+// mutex, whose tree then carries it wherever it moves.
+//
+// After the apply a durable cluster appends to the write-ahead log: the shard
 // stream's append mutex, under which the record takes its sequence with one
 // atomic add, then the group commit — a brief hold of wal.Sharded's syncMu
 // to lead a sync cycle or wait for the running one; the cycle's leader takes
 // each stream's mutex in turn, and the tap lock while it feeds the commit
-// tap. The cluster adds no write lock of its own: the handoff gate is
-// shared by writers and exclusive only for MoveLandmark's handoff (the two
-// shards involved) and Expire's sweep (all shards, ascending order), both
-// serialised by hoMu.
+// tap.
+//
+// Whoever holds more than one server's writer mutex holds hoMu: a landmark
+// handoff (server.Handoff, the source's and the destination's), adopting a
+// loaded state (server.Adopt, every server's). hoMu serialises them, so they
+// cannot deadlock against each other; a write or a whole-state walk holds
+// one writer mutex at a time. The expiry sweep and the checkpoint walk take
+// one server's writer mutex at a time, under hoMu, so no tree changes shards
+// between two of their shards.
 package cluster
 
 import (
@@ -190,6 +203,10 @@ type Cluster struct {
 	// handoff from inside MoveLandmark — the instrument for crash-point
 	// injection. See moveStage.
 	moveHook func(stage moveStage)
+	// routeHook, when set (tests only), runs when a request has resolved
+	// landmark lm's owner and let go of the table, before it applies there:
+	// a test parks a write in it across a handoff.
+	routeHook func(lm topology.NodeID)
 
 	// rebalance loop plumbing; armed by New when RebalanceInterval > 0.
 	rebStop chan struct{}
@@ -427,12 +444,10 @@ func (c *Cluster) JoinOp(o op.Op) ([]pathtree.Candidate, error) {
 }
 
 // enter resolves the shard that owns landmark lm, waiting out a handoff of
-// it. With gated set the shard's operation gate is read-held on return, for
-// the caller to release: it is taken before mu is let go, which pins the
-// owner — a handoff of lm starting now blocks in its drain until the caller
-// is through, so the tree it moves includes what the caller wrote. A
-// non-zero epoch is the caller's fence and must be lm's current one.
-func (c *Cluster) enter(lm topology.NodeID, epoch uint64, gated bool) (*shard, error) {
+// it. A non-zero epoch is the caller's fence and must be lm's current one.
+// Nothing holds the owner once enter returns: a caller whose apply finds the
+// tree gone comes back here, which waits out the move and fences again.
+func (c *Cluster) enter(lm topology.NodeID, epoch uint64) (*shard, error) {
 	for {
 		c.mu.RLock()
 		shard, ok := c.table[lm]
@@ -451,54 +466,61 @@ func (c *Cluster) enter(lm topology.NodeID, epoch uint64, gated bool) (*shard, e
 			return nil, fmt.Errorf("%w: landmark %d is at epoch %d, write fenced at %d",
 				server.ErrStaleEpoch, lm, cur, epoch)
 		}
-		g := c.shards[shard]
-		if gated {
-			g.opMu.RLock()
-		}
 		c.mu.RUnlock()
-		return g, nil
+		if c.routeHook != nil {
+			c.routeHook(lm)
+		}
+		return c.shards[shard], nil
 	}
 }
 
 // enterPeer is enter for a request that names a peer and no path: the index
 // entry names the landmark, the table its owner.
-func (c *Cluster) enterPeer(p pathtree.PeerID, gated bool) (*shard, error) {
+func (c *Cluster) enterPeer(p pathtree.PeerID) (*shard, error) {
 	lm, _, ok := c.idx.Load().Place(p)
 	if !ok {
 		return nil, fmt.Errorf("%w: %d", server.ErrUnknownPeer, p)
 	}
-	return c.enter(lm, 0, gated)
+	return c.enter(lm, 0)
 }
 
 // joinRoute routes a join op to the shard owning its path's landmark,
-// waiting out handoffs. It is the shared road of answering joins
+// waiting out handoffs, and routes it again if the tree left that shard
+// before the join reached it. It is the shared road of answering joins
 // (quiet=false) and silent ones (quiet=true: Apply and WAL recovery).
 func (c *Cluster) joinRoute(o op.Op, quiet bool) ([]pathtree.Candidate, error) {
 	if len(o.Join.Path) == 0 {
 		return nil, errors.New("server: empty path")
 	}
-	g, err := c.enter(o.Join.Path[len(o.Join.Path)-1], o.Epoch, true)
-	if err != nil {
-		return nil, err
+	for {
+		g, err := c.enter(o.Join.Path[len(o.Join.Path)-1], o.Epoch)
+		if err != nil {
+			return nil, err
+		}
+		res, err := g.applyOp(o, quiet)
+		c.retireOrphans(g)
+		if !errors.Is(err, server.ErrUnknownLandmark) {
+			return res.cands, err
+		}
 	}
-	res, err := g.applyOp(o, quiet)
-	g.opMu.RUnlock()
-	c.retireOrphans(g)
-	return res.cands, err
 }
 
 // retireOrphans retires the records that joins on g left behind in trees of
 // other shards: a re-join under a landmark owned elsewhere replaces the
 // peer's record, as on a single server, instead of duplicating it. Each goes
-// by (landmark, slot) to whichever shard owns the landmark now, and the
-// server's own rule decides whether it is still an orphan (server.Retire).
-// The caller holds no gate — taking a second shard's while holding one would
-// deadlock against a handoff freezing that same pair.
+// by (landmark, slot) to whichever shard owns the landmark now, and again to
+// the next owner if the tree moves on before it arrives; the server's own
+// rule decides whether it is still an orphan (server.Retire).
 func (c *Cluster) retireOrphans(g *shard) {
 	for _, o := range g.srv.TakeOrphans() {
-		if owner, err := c.enter(o.Landmark, 0, true); err == nil {
-			owner.srv.Retire(o)
-			owner.opMu.RUnlock()
+		for {
+			owner, err := c.enter(o.Landmark, 0)
+			if err != nil {
+				break
+			}
+			if _, err := owner.srv.Retire(o); !errors.Is(err, server.ErrUnknownLandmark) {
+				break
+			}
 		}
 	}
 }
@@ -534,10 +556,10 @@ func (c *Cluster) JoinBatchOp(o op.Op) []server.BatchResult {
 			return out
 		}
 	}
-	// Entries caught mid-handoff (which wait for the transfer) and
-	// duplicate-peer entries (which need batch order) take the singular
-	// path, in batch order; both are rare, so the flash-crowd case loses
-	// nothing.
+	// Entries caught by a handoff (which wait for the transfer and go to
+	// the new owner) and duplicate-peer entries (which need batch order)
+	// take the singular path, in the order batchRoute lists them; both are
+	// rare, so the flash-crowd case loses nothing.
 	for _, i := range deferred {
 		out[i].Neighbors, out[i].Err = c.JoinOp(op.Op{Kind: op.KindJoin, Time: o.Time, Join: o.Batch[i]})
 	}
@@ -549,8 +571,11 @@ func (c *Cluster) JoinBatchOp(o op.Op) []server.BatchResult {
 // replicated (quiet, which computes no answers and so lists nothing as
 // accepted).
 // out holds the answers and the entries refused; deferred lists the entries
-// left for the singular road, in batch order, which the caller takes once it
-// is done with the grouped ones.
+// left for the singular road, which the caller takes, in that order, once it
+// is done with the grouped ones: those whose landmark was moving and those
+// whose peer the batch repeats, in batch order, then those whose tree left
+// its shard before their group reached it — each a peer the batch names
+// once, so where it goes in the order changes no record.
 func (c *Cluster) batchRoute(o op.Op, quiet bool) (out []server.BatchResult, accepted []op.JoinEntry, deferred []int) {
 	items := o.Batch
 	out = make([]server.BatchResult, len(items))
@@ -606,43 +631,35 @@ func (c *Cluster) batchRoute(o op.Op, quiet bool) (out []server.BatchResult, acc
 		g.idxs = append(g.idxs, i)
 		g.entries = append(g.entries, *it)
 	}
-	// Taking every involved shard's operation gate (in ascending shard
-	// order, the cluster-wide multi-lock order) before releasing mu pins
-	// the resolved shards, exactly as in enter: a handoff starting now
-	// drains behind this batch, so the tree it moves includes every entry
-	// applied here.
-	involved := make([]int, 0, len(groups))
-	for shard := range groups {
-		if len(groups[shard].idxs) > 0 {
-			involved = append(involved, shard)
+	c.mu.RUnlock()
+	if c.routeHook != nil {
+		for _, g := range groups {
+			for _, e := range g.entries {
+				c.routeHook(e.Path[len(e.Path)-1])
+			}
 		}
 	}
-	for _, shard := range involved {
-		c.shards[shard].opMu.RLock()
-	}
-	c.mu.RUnlock()
-	for _, shard := range involved {
-		g := &groups[shard]
-		res, err := c.shards[shard].applyOp(op.BatchJoin(g.entries, o.Time), quiet)
-		if err != nil {
-			for _, i := range g.idxs {
-				out[i].Err = err
-			}
+	for shard, g := range groups {
+		if len(g.idxs) == 0 {
 			continue
 		}
-		for k := range res.batch {
+		res, _ := c.shards[shard].applyOp(op.BatchJoin(g.entries, o.Time), quiet)
+		// An entry whose tree left the shard between the table read and the
+		// apply goes to the singular road, which routes it again.
+		for _, k := range res.moved {
+			deferred = append(deferred, g.idxs[k])
+		}
+		for k, r := range res.batch {
 			i := g.idxs[k]
-			out[i] = res.batch[k]
-			if res.batch[k].Err == nil {
+			if errors.Is(r.Err, server.ErrUnknownLandmark) {
+				deferred = append(deferred, i)
+				continue
+			}
+			out[i] = r
+			if r.Err == nil {
 				accepted = append(accepted, items[i])
 			}
 		}
-	}
-	for i := len(involved) - 1; i >= 0; i-- {
-		c.shards[involved[i]].opMu.RUnlock()
-	}
-	// Orphans go once the gates are released (see retireOrphans).
-	for _, shard := range involved {
 		c.retireOrphans(c.shards[shard])
 	}
 	return out, accepted, deferred
@@ -679,22 +696,21 @@ type batchGroup struct {
 // Lookup re-answers the closest-peers query for a registered peer,
 // delegating to the shard that holds it.
 func (c *Cluster) Lookup(p pathtree.PeerID) ([]pathtree.Candidate, error) {
-	return readPeer(c, p, (*server.Server).Lookup)
+	return atPeer(c, p, func(g *shard, p pathtree.PeerID) ([]pathtree.Candidate, error) { return g.srv.Lookup(p) })
 }
 
-// readPeer runs a peer-keyed read on the server that holds the peer's
-// record. A server that no longer knows the peer — it left or re-joined
-// elsewhere since the index was read, or its landmark's tree is changing
-// hands — sends the read round again.
-func readPeer[T any](c *Cluster, p pathtree.PeerID, read func(*server.Server, pathtree.PeerID) (T, error)) (T, error) {
+// atPeer runs a peer-keyed read or write on the shard that holds the peer's
+// record. A shard that no longer knows the peer — it left or re-joined
+// elsewhere since the index was read, or its landmark's tree changed hands
+// after the routing — sends the request round again.
+func atPeer[T any](c *Cluster, p pathtree.PeerID, f func(*shard, pathtree.PeerID) (T, error)) (T, error) {
 	for {
-		g, err := c.enterPeer(p, false)
+		g, err := c.enterPeer(p)
 		if err != nil {
 			var none T
 			return none, err
 		}
-		v, err := read(g.srv, p)
-		if err == nil || !errors.Is(err, server.ErrUnknownPeer) {
+		if v, err := f(g, p); !errors.Is(err, server.ErrUnknownPeer) {
 			return v, err
 		}
 	}
@@ -750,20 +766,8 @@ func (c *Cluster) applyRouted(o op.Op) error {
 		}
 		return nil
 	case op.KindLeave, op.KindRefresh, op.KindSetSuperPeer:
-		// The gate keeps the write out of a handoff's way: the tree cannot
-		// change hands between the routing and the apply. A shard that no
-		// longer knows the peer sends the op round again, as in readPeer.
-		for {
-			g, err := c.enterPeer(o.Peer, true)
-			if err != nil {
-				return err
-			}
-			_, err = g.applyOp(o, quiet)
-			g.opMu.RUnlock()
-			if err == nil || !errors.Is(err, server.ErrUnknownPeer) {
-				return err
-			}
-		}
+		_, err := atPeer(c, o.Peer, func(g *shard, _ pathtree.PeerID) (opResult, error) { return g.applyOp(o, quiet) })
+		return err
 	case op.KindExpire:
 		c.expireRouted(o)
 		return nil
@@ -776,7 +780,7 @@ func (c *Cluster) applyRouted(o op.Op) error {
 
 // PeerInfo returns a copy of the record for peer p.
 func (c *Cluster) PeerInfo(p pathtree.PeerID) (server.PeerInfo, error) {
-	return readPeer(c, p, (*server.Server).PeerInfo)
+	return atPeer(c, p, func(g *shard, p pathtree.PeerID) (server.PeerInfo, error) { return g.srv.PeerInfo(p) })
 }
 
 // Leave removes peer p; it reports whether the peer was registered (and,
@@ -832,21 +836,15 @@ func (c *Cluster) Expire() []pathtree.PeerID {
 	return out
 }
 
-// expireRouted fans an ExpireOp out to every shard. It serializes with
-// handoffs (hoMu) and freezes membership for the duration of the sweep
-// (every shard's operation gate in write mode, taken in ascending shard
-// order), so the expired set is that of one instant on every shard.
+// expireRouted fans an ExpireOp out to every shard, each swept under its
+// own writer mutex while the others take writes. It serializes with
+// handoffs (hoMu), so no tree slips between two shards' sweeps — swept on
+// neither, or twice. The expired set is not one instant's: each peer goes
+// or stays by its refresh time against the op's deadline when its shard is
+// swept, which is what a replay of the op re-derives.
 func (c *Cluster) expireRouted(o op.Op) []pathtree.PeerID {
 	c.hoMu.Lock()
 	defer c.hoMu.Unlock()
-	for _, g := range c.shards {
-		g.opMu.Lock()
-	}
-	defer func() {
-		for i := len(c.shards) - 1; i >= 0; i-- {
-			c.shards[i].opMu.Unlock()
-		}
-	}()
 	per := make([][]pathtree.PeerID, len(c.shards))
 	_ = c.ForEachShard(context.Background(), func(i int, _ *server.Server) error {
 		res, _ := c.shards[i].applyOp(o, false)

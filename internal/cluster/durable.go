@@ -229,8 +229,10 @@ func (c *Cluster) sideConfig() Config {
 
 // adopt publishes fresh's state — trees, peer index, landmark table and
 // epochs — as c's, in one critical section under every lock a write or a
-// lookup takes, writers drained first, so each sees the old state or the
-// new, never a mix. fresh must not be used afterwards.
+// lookup takes (server.Adopt takes every server's), so each sees the old
+// state or the new, never a mix. A write routed by the old table applies to
+// the new state, or finds its tree elsewhere in it and routes again. fresh
+// must not be used afterwards.
 func (c *Cluster) adopt(fresh *Cluster) {
 	c.hoMu.Lock()
 	defer c.hoMu.Unlock()
@@ -238,8 +240,6 @@ func (c *Cluster) adopt(fresh *Cluster) {
 	defer c.mu.Unlock()
 	dst, src := make([]*server.Server, len(c.shards)), make([]*server.Server, len(c.shards))
 	for i, g := range c.shards {
-		g.opMu.Lock()
-		defer g.opMu.Unlock()
 		dst[i], src[i] = g.srv, fresh.shards[i].srv
 	}
 	server.Adopt(dst, src)

@@ -22,8 +22,8 @@ type handoff struct {
 type moveStage int
 
 const (
-	// moveStageHandoff: the tree is on the destination server, both gates
-	// still held; the table still points at the source.
+	// moveStageHandoff: the tree is on the destination server; the table
+	// still points at the source, and requests for the landmark wait.
 	moveStageHandoff moveStage = iota
 	// moveStageFlip: the in-memory table and epoch have flipped to the
 	// destination; the move op is not yet in the write-ahead log.
@@ -46,26 +46,28 @@ func (c *Cluster) hook(s moveStage) {
 //  1. the landmark is flagged as moving, so requests for it — joins by
 //     their path, everything else by the landmark the peer's index entry
 //     names — wait;
-//  2. the source and destination shards' operation gates are taken in
-//     write mode (ascending shard order), draining in-flight mutations on
-//     those two shards — every OTHER shard keeps serving writes throughout;
-//  3. the tree changes hands: server.Handoff detaches the landmark's
-//     pathtree.Core from the source server and attaches it, with the new
-//     fencing epoch, to the destination, under both servers' locks. No
-//     record is copied and no index entry is touched — an entry names
-//     (landmark, slot), which is as true on the new owner as on the old —
-//     so the move costs the same whatever the landmark holds;
-//  4. the assignment table flips, the landmark's fencing epoch increments,
+//  2. the tree changes hands: server.Handoff takes the source's and the
+//     destination's writer mutexes, so the writes in flight on either
+//     finish first, detaches the landmark's pathtree.Core from the source
+//     server and attaches it, with the new fencing epoch, to the
+//     destination. No record is copied and no index entry is touched — an
+//     entry names (landmark, slot), which is as true on the new owner as
+//     on the old — so the move costs the same whatever the landmark holds;
+//     the two servers' writes to their other landmarks wait for that
+//     instant only, and every other shard's not at all;
+//  3. the assignment table flips, the landmark's fencing epoch increments,
 //     and a KindMoveLandmark op is committed to the write-ahead log (and
 //     the replication/op stream), so a restarted node re-derives the new
 //     ownership instead of silently reverting to the configured table;
-//  5. the flag is cleared and the waiting requests resolve the new owner.
+//  4. the flag is cleared and the waiting requests resolve the new owner.
 //
-// Because the gates exclude membership changes while the tree is in
-// flight, no registered peer is lost and no Leave, Refresh, or
-// SetSuperPeer update can fall between the servers. A lookup, which takes
-// no gate, either answers from the source before step 3 or finds the tree
-// gone, waits out the flag and answers from the destination.
+// Nothing pins a landmark's owner between a request's routing and its
+// apply. A write that routed to the source before step 1 either applies
+// there before step 2, and its record moves with the tree, or finds the
+// tree gone — the server answers ErrUnknownLandmark or ErrUnknownPeer —
+// and routes again, waiting out the flag: it applies once, on the
+// destination, so no registered peer is lost and no Leave, Refresh, or
+// SetSuperPeer update falls between the servers. A lookup does the same.
 //
 // The epoch increment fences the deposed owner: a shard-routed write
 // carrying the pre-move epoch is rejected with server.ErrStaleEpoch
@@ -129,27 +131,15 @@ func (c *Cluster) move(m op.MoveEntry, live bool) error {
 		close(ho.done)
 	}
 
-	// Drain and freeze the two shards the move touches: in-flight
-	// mutations hold the shard's gate in read mode, so the write locks
-	// both wait them out and keep new membership changes away from the
-	// source and destination while the tree is in flight. Gates are taken
-	// in ascending shard order (the cluster-wide multi-lock order) and
-	// released before touching c.mu (the table) — enter acquires mu then a
-	// gate, so holding a gate across a mu acquisition would invert that
-	// order.
-	lo, hi := min(src, dst), max(src, dst)
-	c.shards[lo].opMu.Lock()
-	c.shards[hi].opMu.Lock()
-	err := server.Handoff(c.shards[src].srv, c.shards[dst].srv, lm, epoch)
-	if err == nil {
-		c.hook(moveStageHandoff)
-	}
-	c.shards[hi].opMu.Unlock()
-	c.shards[lo].opMu.Unlock()
-	if err != nil {
+	// The handoff holds both servers' writer mutexes, which hoMu makes
+	// safe (see the package comment), and no cluster lock: a write that
+	// routed to the source before the flag went up applies before it, or
+	// finds the tree gone and routes again.
+	if err := server.Handoff(c.shards[src].srv, c.shards[dst].srv, lm, epoch); err != nil {
 		finish()
 		return fmt.Errorf("cluster: handoff: %w", err)
 	}
+	c.hook(moveStageHandoff)
 
 	c.mu.Lock()
 	c.table[lm] = dst

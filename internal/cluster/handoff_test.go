@@ -16,10 +16,11 @@ import (
 
 // BenchmarkHandoff measures one fenced landmark handoff of a 10k-peer tree
 // while concurrent writers keep joining peers under the other landmarks.
-// The freeze is scoped to the source/destination shard pair, so the
-// bystander writers should stay mostly unimpeded; ns/op is the wall-clock
-// cost of draining the two shards, handing the tree over, and committing
-// the move — none of it depends on the tree's population.
+// The handoff pauses only the source's and destination's writers, for the
+// instant the tree changes hands, so the bystander writers should stay
+// mostly unimpeded; ns/op is the wall-clock cost of waiting out the two
+// servers' writes in flight, handing the tree over, and committing the move
+// — none of it depends on the tree's population.
 func BenchmarkHandoff(b *testing.B) {
 	const treePeers = 10_000
 	c, err := New(Config{Landmarks: testLandmarks, Shards: 4})

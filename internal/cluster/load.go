@@ -76,12 +76,10 @@ func (l *shardLoader) apply(g *shard, q <-chan []op.Op) {
 	defer l.running.Done()
 	for run := range q {
 		for _, o := range run {
-			g.opMu.RLock()
-			// A batch's apply returns no error. It skips an entry it cannot
-			// register, as the serial road's does; the peers then number
-			// fewer than the entries read, and the file goes that road.
+			// An entry the shard cannot register is skipped, as on the
+			// serial road; the peers then number fewer than the entries
+			// read, and the file goes that road.
 			_, _ = g.applyOp(o, true)
-			g.opMu.RUnlock()
 		}
 		l.pending.Done()
 	}

@@ -241,10 +241,10 @@ func TestStaleEpochFencing(t *testing.T) {
 	}
 }
 
-// TestMoveFreezeIsScopedToShardPair pins the satellite fix for the old
-// cluster-wide freeze: while a handoff between two shards is held open
-// with both gates held, writes routed to an uninvolved shard must complete. Under the
-// old global opMu this deadlocks (the join waits on the frozen lock, the
+// TestMoveFreezeIsScopedToShardPair: while a handoff between two shards is
+// held open — the tree handed over, the table not yet flipped — writes
+// routed to an uninvolved shard must complete. A freeze that spanned the
+// whole cluster would deadlock here (the join waits on the frozen node, the
 // test waits on the join, the move waits on the test).
 func TestMoveFreezeIsScopedToShardPair(t *testing.T) {
 	c := newTestCluster(t, 4)

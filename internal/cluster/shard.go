@@ -1,7 +1,7 @@
 package cluster
 
 import (
-	"sync"
+	"errors"
 
 	"proxdisc/internal/op"
 	"proxdisc/internal/pathtree"
@@ -18,25 +18,18 @@ type opResult struct {
 	batch []server.BatchResult
 	// expired lists the peers a KindExpire removed.
 	expired []pathtree.PeerID
+	// moved lists the entries of a quiet KindBatchJoin that found their
+	// tree gone from the shard, by position.
+	moved []int
 }
 
-// shard is one shard of the cluster: a server.Server behind the handoff
-// gate. The server serialises its own writers (its writer mutex), so the
-// shard adds no write lock of its own;
-// copies of a shard live in other processes, fed by the committed op
-// stream (see netserver.StartFollower).
+// shard is one shard of the cluster: a server.Server and its apply counter.
+// The server serialises its own writers (its writer mutex), so the shard
+// adds no lock of its own; a write that finds the server no longer holds its
+// landmark's tree routes again (see Cluster.enter). Copies of a shard live
+// in other processes, fed by the committed op stream (see
+// netserver.StartFollower).
 type shard struct {
-	// opMu is the shard's operation gate: held in read mode across every
-	// table-routed mutation of this shard, and in write mode by the
-	// operations that must observe (and freeze) a quiescent shard — a
-	// landmark handoff to or from this shard, while the tree changes
-	// servers, and a cluster-wide expiry sweep. Scoping the gate to the
-	// shard keeps a handoff's freeze away from every uninvolved shard's
-	// write path; any code path that takes several shards' gates at once
-	// acquires them in ascending shard order, which is what makes the
-	// pairwise and cluster-wide freezes deadlock-free against each other.
-	opMu sync.RWMutex
-
 	srv *server.Server
 
 	// applies counts ops through applyOp, the shard's one write door.
@@ -69,19 +62,31 @@ func newShard(lms []topology.NodeID, cfg Config, idx *server.Index) (*shard, err
 // write-ahead log is decided by the caller from the answer: only accepted
 // batch entries, and no sweep that expired nobody (see Cluster.JoinBatchOp,
 // Cluster.Expire).
+//
+// A quiet batch applies entry by entry, each a join of its own, so that an
+// entry whose tree has left the server says so (res.moved) where the
+// server's batch Apply would skip it. Any other entry the server refuses is
+// skipped, as that Apply skips it.
 func (g *shard) applyOp(o op.Op, quiet bool) (opResult, error) {
 	g.applies.Inc()
 	var res opResult
-	if quiet {
-		return res, g.srv.Apply(o)
-	}
 	var err error
-	switch o.Kind {
-	case op.KindJoin:
+	switch {
+	case quiet && o.Kind == op.KindBatchJoin:
+		one := op.Op{Kind: op.KindJoin, Time: o.Time}
+		for i := range o.Batch {
+			one.Join = o.Batch[i]
+			if err := g.srv.Apply(one); errors.Is(err, server.ErrUnknownLandmark) {
+				res.moved = append(res.moved, i)
+			}
+		}
+	case quiet:
+		err = g.srv.Apply(o)
+	case o.Kind == op.KindJoin:
 		res.cands, err = g.srv.JoinOp(o)
-	case op.KindBatchJoin:
+	case o.Kind == op.KindBatchJoin:
 		res.batch = g.srv.JoinBatchOp(o)
-	case op.KindExpire:
+	case o.Kind == op.KindExpire:
 		res.expired = g.srv.ExpireOp(o)
 	default:
 		err = g.srv.Apply(o)

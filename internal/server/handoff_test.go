@@ -58,17 +58,25 @@ func TestRetireRule(t *testing.T) {
 	if _, err := a.Lookup(1); !errors.Is(err, ErrUnknownPeer) {
 		t.Fatalf("the old holder still answers for a re-homed peer: %v", err)
 	}
-	if b.Retire(late) {
-		t.Fatal("retired on a server that does not hold the orphan's landmark")
+	if ok, err := b.Retire(late); ok || !errors.Is(err, ErrUnknownLandmark) {
+		t.Fatalf("retire on a server that does not hold the orphan's landmark: %v, %v", ok, err)
 	}
-	if !a.Retire(late) || a.NumPeers() != 0 {
+	retired := func(s *Server, o Orphan) bool {
+		t.Helper()
+		ok, err := s.Retire(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ok
+	}
+	if !retired(a, late) || a.NumPeers() != 0 {
 		t.Fatal("a live orphan was not retired")
 	}
-	if a.Retire(late) {
+	if retired(a, late) {
 		t.Fatal("retired a free slot")
 	}
 	join(a, 2, here) // recycles the slot for another peer
-	if a.Retire(late) || a.NumPeers() != 1 {
+	if retired(a, late) || a.NumPeers() != 1 {
 		t.Fatal("retired another peer's record")
 	}
 	if !a.Leave(2) {
@@ -76,10 +84,10 @@ func TestRetireRule(t *testing.T) {
 	}
 	join(a, 1, here) // and now for peer 1 itself, re-registered where it was
 	back := one(a)
-	if a.Retire(late) || a.NumPeers() != 1 {
+	if retired(a, late) || a.NumPeers() != 1 {
 		t.Fatal("retired the live record of a peer re-registered in place")
 	}
-	if !b.Retire(back) || b.NumPeers() != 0 {
+	if !retired(b, back) || b.NumPeers() != 0 {
 		t.Fatal("the record the second re-homing left behind was not retired")
 	}
 	if err := a.checkState(b); err != nil {

@@ -182,7 +182,9 @@ func TestStateMachineMatchesModel(t *testing.T) {
 		}
 		settle := func() {
 			for _, o := range s.TakeOrphans() {
-				if !rehomed[o.Peer] || !away.Retire(o) || away.Retire(o) {
+				first, err1 := away.Retire(o)
+				again, err2 := away.Retire(o)
+				if !rehomed[o.Peer] || !first || again || err1 != nil || err2 != nil {
 					t.Fatalf("seed %d: orphan %+v: re-homed=%v, or not retired exactly once", seed, o, rehomed[o.Peer])
 				}
 				delete(rehomed, o.Peer)

@@ -645,25 +645,30 @@ func (s *Server) TakeOrphans() []Orphan {
 	return out
 }
 
-// Retire removes an orphan from the tree it was left in, which this server
-// must hold by now, and reports whether there was anything to remove. The
-// record goes iff the slot is live, its ID is the peer, and the index no
-// longer says this place: a slot since recycled — even for the same peer,
-// re-registered where it was — is someone's live record and stays.
-func (s *Server) Retire(o Orphan) bool {
+// Retire removes an orphan from the tree it was left in and reports whether
+// there was anything to remove. The record goes iff the slot is live, its ID
+// is the peer, and the index no longer says this place: a slot since
+// recycled — even for the same peer, re-registered where it was — is
+// someone's live record and stays. A server that does not hold the orphan's
+// landmark answers ErrUnknownLandmark: the tree is elsewhere by now, and
+// whoever routes between the servers asks its holder.
+func (s *Server) Retire(o Orphan) (bool, error) {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	tree := s.st.trees[o.Landmark]
-	if tree == nil || !tree.Holds(o.slot, o.Peer) {
-		return false
+	if tree == nil {
+		return false, fmt.Errorf("%w (router %d)", ErrUnknownLandmark, o.Landmark)
+	}
+	if !tree.Holds(o.slot, o.Peer) {
+		return false, nil
 	}
 	if cur, ok := s.st.idx.get(o.Peer); ok && cur == (ref{o.Landmark, o.slot}) {
-		return false
+		return false, nil
 	}
 	tree.Remove(o.slot)
-	return true
+	return true, nil
 }
 
 // Handoff moves landmark lm's tree, every record in it, from src to dst and

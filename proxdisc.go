@@ -152,12 +152,17 @@
 // the log tail through the same path one record at a time, so a restarted
 // node serves the exact peer set (and, for joins that arrived over the
 // wire, the exact overlay addresses) it acknowledged before the crash. The
-// appliers' order decides nothing unless a checkpoint names a peer twice (a
-// file of an older build can); such a file is loaded again serially, where
-// the later entry wins. A log record torn by the crash itself was
-// never acknowledged and is dropped by CRC, and so is every record past the
-// first sequence that no shard's stream holds: a crash between two streams'
-// fsyncs can keep a record whose predecessor was lost, and a write is
+// appliers' order decides nothing unless a checkpoint names a peer twice,
+// which a file of this build can: the checkpoint walks one shard at a time
+// while the others take writes, so a peer re-homed between two shards'
+// walks is written under both. Such a file is loaded again serially, where
+// the later entry wins and the log tail settles the rest
+// (TestCheckpointUnderWriters crashes a node checkpointing beside writers,
+// moves and expiry sweeps, and logs how many of its recoveries fell back).
+// A log record torn by the crash itself was never acknowledged and is
+// dropped by CRC, and so is every record past the first sequence that no
+// shard's stream holds: a crash between two streams' fsyncs can keep a
+// record whose predecessor was lost, and a write is
 // acknowledged only once everything before it is durable, so recovery ends
 // the history at the hole and cuts the orphans off the disk
 // (TestRecoveryStopsAtFirstGlobalHole). Recovered state is therefore always
@@ -238,10 +243,13 @@
 // transfers one landmark's path tree between shards while the cluster
 // keeps serving: the tree changes servers whole — no peer is copied and no
 // index entry rewritten, so a move costs the same for a thousand peers as
-// for a hundred thousand (TestMoveLandmarkMovesNoPeers). Only the
-// source/destination shard pair freezes, for that instant — every other
-// shard accepts writes throughout — and requests for the moving landmark
-// wait until the move is logged, then go to the new owner. A move is a
+// for a hundred thousand (TestMoveLandmarkMovesNoPeers). Only requests for
+// the moving landmark wait: they wait until the move is logged, then go to
+// the new owner, and a write that was already on its way to the old owner
+// finds the tree gone and goes there too (TestWriteParkedAcrossHandoff).
+// The two servers' writes to their other landmarks pause for the instant
+// the tree changes hands, and every other shard's not at all
+// (TestMoveFreezeIsScopedToShardPair). A move is a
 // first-class logged operation in the same canonical op stream as joins
 // and leaves: it is committed to the write-ahead log, shipped to
 // followers, and replayed by crash recovery, so a restarted node
@@ -403,40 +411,39 @@
 //
 // # Performance
 //
-// The serving hot path is engineered around four properties, each pinned
-// by a benchmark gate in CI.
+// The serving hot path rests on four properties. Each sentence below names
+// the tier-1 test that pins it; what no test pins is left out.
 //
-// Zero-allocation codecs. Encoding an op for the WAL or the replication
-// stream, framing op records for followers, and the full client-side join
-// request/response round trip (AppendJoinRequest/DecodeJoinRequestInto
-// and friends in the wire layer) run at 0 allocs/op: buffers come from
-// internal freelists and return to them when the connection writer is
-// done, so a node at steady state produces no codec garbage for the GC to
-// chase. The allocs/op gate in CI fails if any of these paths ever
-// allocates again.
+// Codecs that allocate nothing. Encoding an op into a pooled buffer and
+// decoding it into a reused one (TestCodecAllocs), reading an op stream
+// into one reused op (TestStreamReadReusesOp), writing and reading a frame
+// through buffered streams (TestFrameRoundTripAllocs), and the client's
+// encoding of a join into a pooled buffer (TestJoinDecodeAllocs) allocate
+// nothing. A wire join decoded on the server allocates only what its op
+// keeps, and the client's decode of an answer two allocations whatever its
+// length (TestJoinDecodeAllocs, TestDecodeCandidatesAllocs).
 //
-// Reads wait for at most one join. Each server shard keeps one copy of
-// its state behind two locks: a writer mutex that serialises mutators and
-// that snapshots, checkpoints and every other whole-state walk hold, and a
-// state lock that lookups read-hold and a writer takes exclusively around
-// one single mutation — per entry of a batch, never per batch. A burst of
-// joins adds at most one join's length to a concurrent lookup, a snapshot
-// adds nothing, and every write applies once (package server has the
-// measurement against the two-copy arrangement this replaced).
+// Reads wait for no walk. Each server shard keeps one copy of its state
+// behind two locks: a writer mutex that serialises mutators and that
+// snapshots, checkpoints and every other whole-state walk hold, and a state
+// lock that lookups read-hold and a writer takes exclusively around one
+// single mutation — per entry of a batch, never per batch. A lookup, and a
+// metrics scrape, return while a walk holds the writer mutex
+// (TestLookupProceedsWhileWriterMutexHeld), and a lookup beside churning
+// writers never sees a torn or recycled record (TestReadersDuringChurn,
+// TestConcurrentChurnQueryNeverSeesRecycled). Package server has the
+// measurement against the two-copy arrangement this replaced.
 //
-// Writes are batch-amortized end to end. A batched join travels as one
-// wire frame, applies under one writer-mutex acquisition per touched shard,
-// commits as exactly ONE write-ahead-log record, and shares its fsync
-// with concurrent batches through the group-commit window — so the
-// per-join cost of durability shrinks with load instead of growing.
-// Checkpoints are shaped the same way: the op stream is encoded to memory
-// under the cluster's handoff lock (fast), then streams to disk lock-free;
-// ClusterConfig.CheckpointBytesPerSec caps that background write rate so
-// a multi-gigabyte snapshot cannot monopolize the disk the WAL's fsyncs
-// are latency-bound on.
+// Writes are batch-amortized end to end. A batched join commits as exactly
+// one write-ahead-log record, which fits one frame of the follower stream
+// (TestBatchJoinOneRecordOneFrame), and concurrent commits share fsyncs
+// through the group commit, across the log's per-shard streams
+// (TestMaxSyncDelayBatchesFsyncs, TestShardedConcurrentAppendGroupCommit).
+// A checkpoint's write to disk is paced to
+// ClusterConfig.CheckpointBytesPerSec (TestPacedCopyRate) and recovers
+// whole (TestCheckpointPacedRecovers).
 //
-// The write plane scales with cores. Three structures remove the
-// serial bottlenecks a many-core run exposes:
+// The write plane is built of four structures:
 //
 //   - Sharded write-ahead log. A durable cluster keeps one segment stream
 //     per shard (files named wal-<shard>-<seq>.seg), each with its own
@@ -445,13 +452,11 @@
 //     cross-stream group commit shares fsyncs: one sync cycle at a time,
 //     its leader flushes every dirty stream's buffer, fsyncs them, and
 //     releases all the cycle's waiters together once every record up to
-//     the captured sequence is durable — concurrent committers on
-//     different shards ride one disk sync. Recovery
-//     merge-replays the streams by global sequence (a k-way merge over
-//     per-stream cursors), so the op stream, follower catch-up, and
-//     subscription planes see exactly the order a single log would have
-//     produced; a directory still holding a segment of the old
-//     single-stream log is refused at open, untouched
+//     the captured sequence is durable. Recovery merge-replays the streams
+//     by global sequence, so a node killed with writers on every shard
+//     recovers what an uninterrupted run holds
+//     (TestShardedWALKillDashNineRecovery); a directory still holding a
+//     segment of the old single-stream log is refused at open, untouched
 //     (TestShardedRefusesLegacySegments).
 //
 //   - One record per resident peer, in pointer-free slabs. Each tree
@@ -465,19 +470,20 @@
 //     cluster share and route by. A management server, or a whole cluster,
 //     holds about 116 B per resident peer, its address included (package
 //     server has the table; TestResidentBytesPerPeer and
-//     TestNodeResidentBytesPerPeer pin it). No pool holds a pointer, so no
-//     peer is a heap object of its own: the collector marks one chunk per
-//     few hundred peers and scans none. Freed slots are recycled through free lists
-//     (the lifetime rule: a slot is freed only by a writer holding the
-//     state lock exclusively, so no query ever observes a recycled slot), and
-//     steady-state churn retires NO tree memory to the garbage collector —
-//     pathtree's TestChurnAllocs pins a join-and-leave cycle at 0
-//     allocations, TestChurnRecyclesSlots pins the pools' high-water marks.
+//     TestNodeResidentBytesPerPeer pin it). Freed slots are recycled
+//     through free lists, and steady-state churn retires no tree memory to
+//     the garbage collector: a join-and-leave cycle allocates nothing
+//     (TestChurnAllocs) and churn holds the pools' high-water marks
+//     (TestChurnRecyclesSlots).
 //
-//   - Padded telemetry. Hot counters and gauges are cache-line padded so
-//     adjacent metrics updated from different cores do not false-share
-//     (telemetry's BenchmarkTelemetryHotPathParallel is the probe), and
-//     one request's metrics allocate nothing (TestHotPathAllocs).
+//   - One lock order for every write. A cluster write reads the landmark
+//     table, lets go of it and applies under the owning server's writer
+//     mutex; nothing above the server serialises a shard's writers
+//     (TestConcurrentJoinsMatchSerial), and a write that finds its
+//     landmark's tree moved away routes again (TestWriteParkedAcrossHandoff).
+//
+//   - Telemetry off the allocator. One request's metrics — a counter, a
+//     gauge and a latency observation — allocate nothing (TestHotPathAllocs).
 //
 // Throughput has one ruler, the repository benchmark in bench/ (see its
 // README): flash_crowd's ops_per_s counts batched joins per second, wire to
