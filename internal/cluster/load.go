@@ -15,9 +15,8 @@ import (
 // whose trees are independent. The calling goroutine decodes the records in
 // order and splits each batch join by owning shard under the table read
 // lock. Each group joins its shard's run, which goes to the shard's FIFO
-// once it holds runEntries entries, and the applier sends every group
-// through the shard's one write door, so each shard sees its entries in
-// stream order. Every other op — the Move records that open a checkpoint,
+// once it holds runEntries entries, and the applier applies every group to
+// the shard's server whole, so each shard sees its entries in stream order. Every other op — the Move records that open a checkpoint,
 // the super-peer flags that close it — waits for the appliers to drain and
 // then applies on the calling goroutine through applyRecovered, as on the
 // serial road. On return no applier is left running, error or not.
@@ -25,9 +24,10 @@ import (
 // Two entries naming the same peer are the one thing shard order can get
 // wrong: on different shards, which of them wins depends on the appliers'
 // timing, where the serial road keeps the later one. A checkpoint written
-// from one instant holds each peer once, but one can name a peer twice — an
-// orphan caught between a batch's apply and retireOrphans, or a file written
-// by an older build. So exact reports whether the peers the state holds
+// from one instant holds each peer once, but one can name a peer twice: the
+// checkpoint walks the shards one at a time while writes go on, so a peer
+// re-homed between two shards' walks, or an orphan caught between a join's
+// apply and retireOrphans, is written under both landmarks. So exact reports whether the peers the state holds
 // number the join entries read; when they do not, the state may differ from
 // the serial road's, and the caller discards it and loads the file again
 // through loadCheckpoint.
@@ -76,10 +76,14 @@ func (l *shardLoader) apply(g *shard, q <-chan []op.Op) {
 	defer l.running.Done()
 	for run := range q {
 		for _, o := range run {
-			// An entry the shard cannot register is skipped, as on the
-			// serial road; the peers then number fewer than the entries
-			// read, and the file goes that road.
-			_, _ = g.applyOp(o, true)
+			// The cluster is not visible yet and every move waits for the
+			// appliers to drain, so no tree leaves the shard under them and
+			// the group goes to the server whole. The server skips an entry
+			// it cannot register, as on the serial road; the peers then
+			// number fewer than the entries read, and the file goes that
+			// road.
+			g.applies.Inc()
+			_ = g.srv.Apply(o)
 		}
 		l.pending.Done()
 	}

@@ -65,9 +65,10 @@
 // assignment for ResetFromSnapshot, whose new state is built before either
 // lock is taken.
 // So the order is wmu → mu, a reader waits for at most the one mutation in
-// progress, and a writer for the lookups in flight when it asks. Handoff, the
-// one operation on two servers, takes both their wmu, then both their mu,
-// source first; callers run one handoff at a time.
+// progress, and a writer for the lookups in flight when it asks. Handoff and
+// Adopt, the operations on several servers, take every one's wmu, then every
+// one's mu, in the order given; callers run one of them at a time, which is
+// what keeps two of them from deadlocking.
 //
 // An index stripe's lock is a leaf: wmu → mu → stripe, nothing taken under
 // it. The rules that make one index safe for several servers:
@@ -675,8 +676,10 @@ func (s *Server) Retire(o Orphan) (bool, error) {
 // sets its fencing epoch there. The two must share their index: its entries
 // name landmarks, not servers, so not one of them changes and the move costs
 // the same whatever the tree holds. Both servers' locks are held across it,
-// so a lookup finds the tree on one or the other, never half-moved. Callers
-// serialise handoffs.
+// so a lookup finds the tree on one or the other, never half-moved, and a
+// write for lm that reaches src afterwards finds it gone (ErrUnknownLandmark,
+// ErrUnknownPeer), for whoever routes between the servers to send to dst.
+// Callers serialise handoffs.
 func Handoff(src, dst *Server, lm topology.NodeID, epoch uint64) error {
 	if src == dst {
 		return errors.New("server: handoff from a server to itself")
