@@ -16,10 +16,11 @@ import (
 // order and splits each batch join by owning shard under the table read
 // lock. Each group joins its shard's run, which goes to the shard's FIFO
 // once it holds runEntries entries, and the applier applies every group to
-// the shard's server whole, so each shard sees its entries in stream order. Every other op — the Move records that open a checkpoint,
-// the super-peer flags that close it — waits for the appliers to drain and
-// then applies on the calling goroutine through applyRecovered, as on the
-// serial road. On return no applier is left running, error or not.
+// the shard's server whole, so each shard sees its entries in stream order.
+// Every other op — the Move records that open a checkpoint, the super-peer
+// flags that close it — waits for the appliers to drain and then applies on
+// the calling goroutine through applyRecovered, as on the serial road. On
+// return no applier is left running, error or not.
 //
 // Two entries naming the same peer are the one thing shard order can get
 // wrong: on different shards, which of them wins depends on the appliers'
@@ -27,10 +28,10 @@ import (
 // from one instant holds each peer once, but one can name a peer twice: the
 // checkpoint walks the shards one at a time while writes go on, so a peer
 // re-homed between two shards' walks, or an orphan caught between a join's
-// apply and retireOrphans, is written under both landmarks. So exact reports whether the peers the state holds
-// number the join entries read; when they do not, the state may differ from
-// the serial road's, and the caller discards it and loads the file again
-// through loadCheckpoint.
+// apply and retireOrphans, is written under both landmarks. So exact reports
+// whether the peers the state holds number the join entries read; when they
+// do not, the state may differ from the serial road's, and the caller
+// discards it and loads the file again through loadCheckpoint.
 func (c *Cluster) loadCheckpointParallel(r io.Reader) (exact bool, err error) {
 	n := len(c.shards)
 	l := &shardLoader{c: c, queues: make([]chan []op.Op, n), runs: make([][]op.Op, n),

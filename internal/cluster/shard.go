@@ -32,7 +32,8 @@ type opResult struct {
 type shard struct {
 	srv *server.Server
 
-	// applies counts ops through applyOp, the shard's one write door.
+	// applies counts ops through applyOp, the shard's write door, and the
+	// groups the checkpoint loader hands the server whole.
 	// newShard seeds a private counter; Cluster.initMetrics swaps in the
 	// registered per-shard series before the shard takes traffic.
 	applies *telemetry.Counter
