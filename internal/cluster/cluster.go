@@ -56,12 +56,12 @@
 // exactly once: on the server holding the tree when it takes the writer
 // mutex, whose tree then carries it wherever it moves.
 //
-// After the apply a durable cluster appends to the write-ahead log: the shard
-// stream's append mutex, under which the record takes its sequence with one
-// atomic add, then the group commit — a brief hold of wal.Sharded's syncMu
-// to lead a sync cycle or wait for the running one; the cycle's leader takes
-// each stream's mutex in turn, and the tap lock while it feeds the commit
-// tap.
+// After the apply a durable cluster appends to the write-ahead log: the log's
+// one mutex, under which the record takes its sequence and is copied into
+// the active buffer, then the group commit — a brief hold of wal.Sharded's
+// syncMu to lead a sync cycle or wait for the running one; the cycle's
+// leader takes the log's mutex once, to swap the buffers, writes and fsyncs
+// with no lock held, and takes the tap lock while it feeds the commit tap.
 //
 // Whoever holds more than one server's writer mutex holds hoMu: a landmark
 // handoff (server.Handoff, the source's and the destination's), adopting a
@@ -219,9 +219,8 @@ type Cluster struct {
 	// ResetFromSnapshot replaces it together with the shards' states.
 	idx atomic.Pointer[server.Index]
 
-	// log is the node's write-ahead log, sharded one stream per shard so
-	// commits to different shards never queue on one append lock; nil when
-	// the cluster is not durable. See durable.go.
+	// log is the node's write-ahead log, one stream for every shard; nil
+	// when the cluster is not durable. See durable.go.
 	log            *wal.Sharded
 	opsSinceSnap   atomic.Int64
 	bytesSinceSnap atomic.Int64

@@ -95,11 +95,11 @@ func (c *Cluster) openDurable() error {
 		snapSeq = seq
 		c.lastSnapSeq.Store(snapSeq)
 	}
-	// One WAL stream per shard: commits to different shards append under
-	// different stream locks and share fsyncs through the cross-stream
-	// group commit. A data directory still holding a segment of the old
-	// single-stream log is refused, untouched.
-	log, err := wal.OpenSharded(c.cfg.DataDir, len(c.shards), wal.Options{
+	// One WAL stream for every shard: commits share fsyncs through its group
+	// commit. A data directory still holding a segment of an older log
+	// format — one stream per shard, or the bare single-stream segments
+	// before that — is refused, untouched.
+	log, err := wal.OpenSharded(c.cfg.DataDir, 1, wal.Options{
 		NoSync:       c.cfg.NoSync,
 		MaxSyncDelay: c.cfg.MaxSyncDelay,
 		SegmentBytes: c.cfg.SegmentBytes,
@@ -287,7 +287,7 @@ func (c *Cluster) commit(o op.Op) error {
 	for _, rec := range recs {
 		nbytes += int64(len(rec))
 	}
-	_, err := c.log.Append(c.streamFor(o), recs...)
+	_, err := c.log.Append(0, recs...)
 	for _, rec := range recs {
 		op.PutBuf(rec)
 	}
@@ -314,39 +314,6 @@ func (c *Cluster) commit(o op.Op) error {
 		}
 	}
 	return nil
-}
-
-// streamFor picks the WAL stream an op's record lands in: the shard that
-// owns the op, so commits against different shards append under different
-// stream locks. The choice is pure write affinity — global sequence
-// order, replay, and the op stream are stream-agnostic — so a stale
-// answer (a landmark handed off between apply and commit, a batch
-// spanning shards) is harmless, and cluster-wide ops (expire, landmark
-// moves) just ride stream 0.
-func (c *Cluster) streamFor(o op.Op) int {
-	switch o.Kind {
-	case op.KindJoin:
-		if n := len(o.Join.Path); n > 0 {
-			if shard, ok := c.ShardFor(o.Join.Path[n-1]); ok {
-				return shard
-			}
-		}
-	case op.KindBatchJoin:
-		if len(o.Batch) > 0 {
-			if n := len(o.Batch[0].Path); n > 0 {
-				if shard, ok := c.ShardFor(o.Batch[0].Path[n-1]); ok {
-					return shard
-				}
-			}
-		}
-	case op.KindLeave, op.KindRefresh, op.KindSetSuperPeer:
-		if lm, _, ok := c.idx.Load().Place(o.Peer); ok {
-			if shard, ok := c.ShardFor(lm); ok {
-				return shard
-			}
-		}
-	}
-	return 0
 }
 
 // noteDurableErr records a durability failure that could not be returned

@@ -268,7 +268,7 @@ func TestMoveFreezeIsScopedToShardPair(t *testing.T) {
 	}
 	moveDone := make(chan error, 1)
 	go func() { moveDone <- c.MoveLandmark(lm, dst) }()
-	<-holdPoint // the move is now frozen, gates held on src+dst
+	<-holdPoint // the move is held after its handoff returned, holding no lock
 
 	joined := make(chan error, 1)
 	go func() {

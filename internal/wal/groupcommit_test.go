@@ -2,6 +2,8 @@ package wal
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -365,6 +367,74 @@ func TestOneCycleReleasesEveryWaiter(t *testing.T) {
 	}
 }
 
+// TestAppendBuffersWhileLeaderWrites: an appender only buffers. While a
+// sync cycle's leader is held after it took the buffer, 8 appenders each
+// take a sequence and queue their record without touching the file: the
+// assigned sequence advances by 8, while the durable mark and the segment
+// on disk stay where they were. Released, every appender returns and the
+// tap sees 1..9 in order.
+func TestAppendBuffersWhileLeaderWrites(t *testing.T) {
+	s, err := OpenSharded(t.TempDir(), 1, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var mu sync.Mutex
+	var tapped []uint64
+	s.SetOnAppend(func(seq uint64, _ []byte) {
+		mu.Lock()
+		tapped = append(tapped, seq)
+		mu.Unlock()
+	})
+	held, release, _ := holdFirstCycle(s)
+	const n = 8
+	errs := make(chan error, n+1)
+	go func() {
+		_, err := s.Append(0, record(0))
+		errs <- err
+	}()
+	<-held
+	seq := s.seq.Load()
+	for i := 1; i <= n; i++ {
+		go func(i int) {
+			_, err := s.Append(0, record(i))
+			errs <- err
+		}(i)
+	}
+	for s.pending.Load() < n+1 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	if got := s.seq.Load(); got != seq+n {
+		t.Fatalf("assigned sequence %d while the leader was held, want %d", got, seq+n)
+	}
+	if got := s.LastSeq(); got != 0 {
+		t.Fatalf("LastSeq %d while the first cycle was held, want 0", got)
+	}
+	info, err := os.Stat(filepath.Join(s.dir, shardSegName(0, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Size() != 0 {
+		t.Fatalf("the segment holds %d bytes while the only leader is held: an appender wrote", info.Size())
+	}
+	release()
+	for _, err := range collectErrs(t, errs, n+1) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(tapped) != n+1 {
+		t.Fatalf("tap saw %v, want 1..%d", tapped, n+1)
+	}
+	for i, seq := range tapped {
+		if seq != uint64(i+1) {
+			t.Fatalf("tap order %v", tapped)
+		}
+	}
+}
+
 // TestFailedSyncCycleFailsEveryWaiter: when a cycle cannot make its
 // records durable, every appender waiting on it gets the error — none
 // hangs, none is told its record is safe, none reaches the tap — and the
@@ -380,12 +450,9 @@ func TestFailedSyncCycleFailsEveryWaiter(t *testing.T) {
 	held, release, _ := holdFirstCycle(s)
 	const n = 12
 	errs := appendBehindHeldCycle(t, s, held, n)
-	// Close stream 0's segment under the log: the held cycle cannot write
-	// the records it buffered.
-	st := s.streams[0]
-	st.mu.Lock()
-	st.seg.Close()
-	st.mu.Unlock()
+	// Close the segment under the log: the held cycle cannot write the
+	// records it took.
+	s.seg.Close()
 	release()
 	for i, err := range collectErrs(t, errs, n+1) {
 		if err == nil {

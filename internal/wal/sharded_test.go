@@ -151,126 +151,82 @@ func TestShardedKillRecoveryMatchesCleanRun(t *testing.T) {
 	}
 }
 
-func TestShardedTornTailPerStreamTruncated(t *testing.T) {
-	dir := t.TempDir()
-	s, err := OpenSharded(dir, 2, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 20; i++ {
-		if _, err := s.Append(i%2, record(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Tear the tail of stream 1's only segment: chop 5 bytes.
-	segs, err := listSeqFiles(dir, shardSegPrefix(1), segSuffix)
-	if err != nil || len(segs) == 0 {
-		t.Fatalf("stream 1 segments: %v %v", segs, err)
-	}
-	path := filepath.Join(dir, shardSegName(1, segs[len(segs)-1]))
-	info, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(path, info.Size()-5); err != nil {
-		t.Fatal(err)
-	}
-
-	s2, err := OpenSharded(dir, 2, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	recs := replayAllSharded(t, s2, 0)
-	// One record of stream 1 (its last, seq 20) was torn away; stream 0 is
-	// intact. Torn at the very end of the history, it leaves no hole: 1..19
-	// replay whole.
-	if len(recs) != 19 {
-		t.Fatalf("replayed %d records after torn tail, want 19", len(recs))
-	}
-	// The recovered sequence is the last record of that unbroken history
-	// (TestRecoveryStopsAtFirstGlobalHole tears one that is not last).
-	if got := s2.LastSeq(); got != 19 {
-		t.Fatalf("LastSeq after torn-tail recovery: %d, want 19", got)
-	}
-}
-
-// TestRecoveryStopsAtFirstGlobalHole: a crash between two streams' fsyncs
-// can keep a record whose predecessor, on another stream, was lost. No such
-// record was acknowledged — an append returns only once every record at or
-// below its own is durable — so recovery must end the history at the hole:
-// replaying the orphan would recover seq 20 without seq 19, and ops on
-// different shards do not commute. The orphan must also leave the disk, or
-// a later reopen would find it again beside a new seq 19.
+// TestRecoveryStopsAtFirstGlobalHole: a record the final segment cannot
+// vouch for — here a byte flipped in record 10 of 20 — ends the history.
+// Replaying 11..20 without 10 would recover a state that never existed, so
+// the open cuts the segment at record 10 and recovery holds 1..9. The next
+// append reissues 10, and the old 11..20 must never come back beside it.
 func TestRecoveryStopsAtFirstGlobalHole(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenSharded(dir, 2, Options{})
+	s, err := OpenSharded(dir, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Stream 0 holds the odd sequences 1..19, stream 1 the even 2..20.
 	for i := 0; i < 20; i++ {
-		if _, err := s.Append(i%2, record(i)); err != nil {
+		if _, err := s.Append(0, record(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Cut seq 19, stream 0's last record, whole; stream 1 keeps seq 20.
 	segs, err := listSeqFiles(dir, shardSegPrefix(0), segSuffix)
 	if err != nil || len(segs) == 0 {
-		t.Fatalf("stream 0 segments: %v %v", segs, err)
+		t.Fatalf("segments: %v %v", segs, err)
 	}
 	path := filepath.Join(dir, shardSegName(0, segs[len(segs)-1]))
-	info, err := os.Stat(path)
+	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Truncate(path, info.Size()-int64(frameHeader+len(record(18)))); err != nil {
+	off := 0
+	for i := 0; i < 9; i++ {
+		off += frameHeader + len(record(i))
+	}
+	b[off+frameHeader] ^= 0xff // the first payload byte of record 10
+	if err := os.WriteFile(path, b, 0o666); err != nil {
 		t.Fatal(err)
 	}
 
-	s2, err := OpenSharded(dir, 2, Options{})
+	s2, err := OpenSharded(dir, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	recs := replayAllSharded(t, s2, 0)
-	if len(recs) != 18 {
-		t.Fatalf("replayed %d records after a hole at 19, want 18 (1..18)", len(recs))
+	if len(recs) != 9 {
+		t.Fatalf("replayed %d records after a damaged record 10, want 9 (1..9)", len(recs))
 	}
-	for seq := uint64(1); seq <= 18; seq++ {
+	for seq := uint64(1); seq <= 9; seq++ {
 		if !bytes.Equal(recs[seq], record(int(seq-1))) {
 			t.Fatalf("seq %d: got %q, want %q", seq, recs[seq], record(int(seq-1)))
 		}
 	}
-	if got := s2.LastSeq(); got != 18 {
-		t.Fatalf("LastSeq after replay: %d, want 18", got)
+	if got := s2.LastSeq(); got != 9 {
+		t.Fatalf("LastSeq after replay: %d, want 9", got)
 	}
-	if seq, err := s2.Append(1, []byte("after-the-hole")); err != nil || seq != 19 {
-		t.Fatalf("append after replay: seq %d err %v, want 19", seq, err)
+	if seq, err := s2.Append(0, []byte("after-the-hole")); err != nil || seq != 10 {
+		t.Fatalf("append after replay: seq %d err %v, want 10", seq, err)
 	}
 	if err := s2.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	s3, err := OpenSharded(dir, 2, Options{})
+	s3, err := OpenSharded(dir, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s3.Close()
 	recs = replayAllSharded(t, s3, 0)
-	if len(recs) != 19 || string(recs[19]) != "after-the-hole" {
-		t.Fatalf("second reopen replayed %d records, seq 19 %q; want 19 records ending in the new seq 19", len(recs), recs[19])
+	if len(recs) != 10 || string(recs[10]) != "after-the-hole" {
+		t.Fatalf("second reopen replayed %d records, seq 10 %q; want 10 records ending in the new seq 10", len(recs), recs[10])
 	}
-	if old, ok := recs[20]; ok {
-		t.Fatalf("the cut seq 20 came back: %q", old)
+	for seq := uint64(11); seq <= 20; seq++ {
+		if old, ok := recs[seq]; ok {
+			t.Fatalf("the cut seq %d came back: %q", seq, old)
+		}
 	}
-	if got := s3.LastSeq(); got != 19 {
-		t.Fatalf("LastSeq after the second reopen: %d, want 19", got)
+	if got := s3.LastSeq(); got != 10 {
+		t.Fatalf("LastSeq after the second reopen: %d, want 10", got)
 	}
 }
 
@@ -426,11 +382,12 @@ func dirBytes(t *testing.T, dir string) map[string]string {
 	return out
 }
 
-// TestShardedRefusesLegacySegments: a directory holding a wal-<seq>.seg
-// segment of the single-stream log, which no reader exists for any more,
-// fails the open — the error names the file — and every file in it is
-// byte-for-byte what it was: the legacy segment, and a sharded stream's
-// torn tail that a successful open would have truncated.
+// TestShardedRefusesLegacySegments: a directory holding a segment of a
+// format no reader exists for any more — a wal-<seq>.seg of the
+// single-stream log, or a wal-1-<seq>.seg of the log that kept one stream
+// per shard — fails the open, the error names the file, and every file in it
+// is byte-for-byte what it was: the foreign segment, and a torn tail that a
+// successful open would have truncated.
 func TestShardedRefusesLegacySegments(t *testing.T) {
 	dir := t.TempDir()
 	s, err := OpenSharded(dir, 2, Options{})
@@ -445,13 +402,13 @@ func TestShardedRefusesLegacySegments(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	torn, err := os.OpenFile(filepath.Join(dir, shardSegName(1, 1)), os.O_WRONLY|os.O_APPEND, 0)
+	torn, err := os.OpenFile(filepath.Join(dir, shardSegName(0, 1)), os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	torn.Write([]byte{0, 0, 0, 99, 0, 0, 0, 0, 0, 0, 0, 7, 0xde, 0xad})
 	torn.Close()
-	// The old log's segment, from raw bytes: two intact frames.
+	// The foreign segment, from raw bytes: two intact frames.
 	var seg []byte
 	for seq, rec := range [][]byte{record(100), record(101)} {
 		var hdr [frameHeader]byte
@@ -460,24 +417,24 @@ func TestShardedRefusesLegacySegments(t *testing.T) {
 		binary.BigEndian.PutUint32(hdr[12:16], crc32.Update(crc32.Checksum(hdr[4:12], crcTable), crcTable, rec))
 		seg = append(append(seg, hdr[:]...), rec...)
 	}
-	const legacy = "wal-00000000000000000001.seg"
-	if err := os.WriteFile(filepath.Join(dir, legacy), seg, 0o666); err != nil {
-		t.Fatal(err)
+	for _, foreign := range []string{"wal-00000000000000000001.seg", shardSegName(1, 1)} {
+		if err := os.WriteFile(filepath.Join(dir, foreign), seg, 0o666); err != nil {
+			t.Fatal(err)
+		}
+		before := dirBytes(t, dir)
+		if _, err := OpenSharded(dir, 2, Options{}); err == nil {
+			t.Fatalf("a directory holding %s opened", foreign)
+		} else if !strings.Contains(err.Error(), foreign) {
+			t.Fatalf("refusal %q does not name %s", err, foreign)
+		}
+		if after := dirBytes(t, dir); !reflect.DeepEqual(before, after) {
+			t.Fatalf("the refusal of %s changed the directory:\n before %q\n after  %q", foreign, before, after)
+		}
+		if err := os.Remove(filepath.Join(dir, foreign)); err != nil {
+			t.Fatal(err)
+		}
 	}
-
-	before := dirBytes(t, dir)
-	if _, err := OpenSharded(dir, 2, Options{}); err == nil {
-		t.Fatal("a directory holding a single-stream segment opened")
-	} else if !strings.Contains(err.Error(), legacy) {
-		t.Fatalf("refusal %q does not name %s", err, legacy)
-	}
-	if after := dirBytes(t, dir); !reflect.DeepEqual(before, after) {
-		t.Fatalf("the refusal changed the directory:\n before %q\n after  %q", before, after)
-	}
-	// With the stray segment gone the directory opens and loses nothing.
-	if err := os.Remove(filepath.Join(dir, legacy)); err != nil {
-		t.Fatal(err)
-	}
+	// With the foreign segments gone the directory opens and loses nothing.
 	s, err = OpenSharded(dir, 2, Options{})
 	if err != nil {
 		t.Fatal(err)

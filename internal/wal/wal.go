@@ -15,20 +15,23 @@
 //
 //	length(4) sequence(8) crc32c(4) payload
 //
-// with the CRC (Castagnoli) covering sequence and payload. The log is
-// split into segment files named by the sequence of their first record;
+// with the CRC (Castagnoli) covering sequence and payload. The log is one
+// stream of segment files named by the sequence of their first record;
 // snapshots make whole segments obsolete and TruncateBefore deletes them,
-// so the log's disk footprint is bounded by the snapshot cadence. A crash
-// can tear the final record; OpenSharded detects the torn tail by CRC and
-// truncates it — a torn record was never acknowledged, so dropping it
-// loses nothing the caller promised.
+// so the log's disk footprint is bounded by the snapshot cadence. Records
+// are written in sequence order, one sync cycle at a time, so a crash can
+// only tear the tail of the final segment; OpenSharded detects the torn
+// tail by CRC and truncates it and everything after it — a torn record was
+// never acknowledged, and neither was any record after it, so dropping them
+// loses nothing the caller promised (TestTornTailTruncated,
+// TestRecoveryStopsAtFirstGlobalHole).
 //
-// There is one log, Sharded: one segment stream per cluster shard under one
-// global sequence (see sharded.go). A user with a single stream of records
-// opens it with one stream.
+// There is one log, Sharded, whose sync cycle's leader is the only writer
+// of its file (see sharded.go).
 package wal
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -46,10 +49,12 @@ import (
 )
 
 const (
-	// segPrefix and segSuffix frame every segment's file name. A sharded
-	// stream's segments are wal-<stream>-<seq>.seg; the bare wal-<seq>.seg
-	// form belonged to the single-stream log this package no longer reads,
-	// and a directory holding one is refused (see OpenSharded).
+	// segPrefix and segSuffix frame every segment's file name. The log's
+	// segments are wal-0-<seq>.seg; any other file so framed — a
+	// wal-<k>-<seq>.seg of the format that kept one stream per shard, or a
+	// bare wal-<seq>.seg of the single-stream log before it — belongs to a
+	// format this package no longer reads, and a directory holding one is
+	// refused (see OpenSharded).
 	segPrefix = "wal-"
 	segSuffix = ".seg"
 	// frameHeader is length(4) + sequence(8) + crc(4).
@@ -123,28 +128,6 @@ type DurabilityStats struct {
 	Log Metrics
 }
 
-// fileWriter is a small buffered writer that tracks its unflushed byte
-// count, so rotation decisions see the true segment size.
-type fileWriter struct {
-	f   *os.File
-	buf []byte
-}
-
-func (w *fileWriter) Write(p []byte) {
-	w.buf = append(w.buf, p...)
-}
-
-func (w *fileWriter) Flush() error {
-	if len(w.buf) == 0 {
-		return nil
-	}
-	if _, err := w.f.Write(w.buf); err != nil {
-		return err
-	}
-	w.buf = w.buf[:0]
-	return nil
-}
-
 // listSeqFiles lists, ascending, the sequence numbers encoded in dir's
 // file names carrying the given prefix and suffix — the shared naming
 // scheme of log segments and snapshot files. A missing directory is an
@@ -173,20 +156,25 @@ func listSeqFiles(dir, prefix, suffix string) ([]uint64, error) {
 	return out, nil
 }
 
-// noLimit is scanSegment's bound when every intact record is wanted.
+// noLimit is read's bound when every intact record is wanted.
 const noLimit = ^uint64(0)
 
-// scanSegment finds where a stream's final segment stops being intact: the
-// offset at which the file, a torn or corrupt record (the tail a crash
-// leaves), or the first record with a sequence at or above below ends the
-// run of good records, and the sequence of the last good record before it
-// (start-1 when there is none).
-func scanSegment(path string, start, below uint64) (validEnd int64, lastSeq uint64, err error) {
+// errTorn reports a torn or corrupt record: bytes follow a segment's intact
+// records that are not one.
+var errTorn = errors.New("torn or corrupt record")
+
+// scanSegment reads a segment's records in order, calling fn, when not nil,
+// for each intact one, and stops at the end of the file, at an error from
+// fn, or at the first torn or corrupt record, where it returns errTorn. It
+// reports the offset at which the intact records end and the sequence of
+// the last one (start-1 when there is none). rec is reused between calls.
+func scanSegment(path string, start uint64, fn func(seq uint64, rec []byte) error) (validEnd int64, lastSeq uint64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, 0, fmt.Errorf("wal: %w", err)
 	}
 	defer f.Close()
+	r := bufio.NewReaderSize(f, 64<<10)
 	var (
 		hdr  [frameHeader]byte
 		rec  []byte
@@ -194,27 +182,35 @@ func scanSegment(path string, start, below uint64) (validEnd int64, lastSeq uint
 		want = start
 	)
 	for {
-		if _, err := io.ReadFull(f, hdr[:]); err != nil {
-			if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) {
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+			if err == io.EOF {
 				return off, want - 1, nil
+			}
+			if errors.Is(err, io.ErrUnexpectedEOF) {
+				return off, want - 1, errTorn
 			}
 			return 0, 0, fmt.Errorf("wal: segment %s offset %d: %w", filepath.Base(path), off, err)
 		}
 		size := binary.BigEndian.Uint32(hdr[:4])
 		seq := binary.BigEndian.Uint64(hdr[4:12])
 		crc := binary.BigEndian.Uint32(hdr[12:16])
-		if size > MaxRecordSize || seq < want || seq >= below {
-			return off, want - 1, nil
+		if size > MaxRecordSize || seq < want {
+			return off, want - 1, errTorn
 		}
 		rec = slices.Grow(rec[:0], int(size))[:size]
-		if _, err := io.ReadFull(f, rec); err != nil {
+		if _, err := io.ReadFull(r, rec); err != nil {
 			if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) {
-				return off, want - 1, nil
+				return off, want - 1, errTorn
 			}
 			return 0, 0, fmt.Errorf("wal: segment %s offset %d: %w", filepath.Base(path), off, err)
 		}
 		if crc32.Update(crc32.Checksum(hdr[4:12], crcTable), crcTable, rec) != crc {
-			return off, want - 1, nil
+			return off, want - 1, errTorn
+		}
+		if fn != nil {
+			if err := fn(seq, rec); err != nil {
+				return off, want - 1, err
+			}
 		}
 		off += frameHeader + int64(size)
 		want = seq + 1

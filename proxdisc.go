@@ -159,13 +159,12 @@
 // the later entry wins and the log tail settles the rest
 // (TestCheckpointUnderWriters crashes a node checkpointing beside writers,
 // moves and expiry sweeps, and logs how many of its recoveries fell back).
-// A log record torn by the crash itself was never acknowledged and is
-// dropped by CRC, and so is every record past the first sequence that no
-// shard's stream holds: a crash between two streams' fsyncs can keep a
-// record whose predecessor was lost, and a write is
-// acknowledged only once everything before it is durable, so recovery ends
-// the history at the hole and cuts the orphans off the disk
-// (TestRecoveryStopsAtFirstGlobalHole). Recovered state is therefore always
+// The log is one stream written in sequence order, so a crash can only
+// tear its tail: a record torn by the crash was never acknowledged and is
+// cut off by CRC at open, and so is every record after it, none of which
+// was acknowledged either, since a write is acknowledged only once
+// everything before it is durable (TestTornTailTruncated,
+// TestRecoveryStopsAtFirstGlobalHole). Recovered state is therefore always
 // a prefix of the committed order. A checkpoint, which is only ever renamed
 // into place whole, gets no such tolerance — one that is truncated, fails a
 // CRC, or is in the gob format that preceded op streams (no reader for it
@@ -437,26 +436,29 @@
 // Writes are batch-amortized end to end. A batched join commits as exactly
 // one write-ahead-log record, which fits one frame of the follower stream
 // (TestBatchJoinOneRecordOneFrame), and concurrent commits share fsyncs
-// through the group commit, across the log's per-shard streams
-// (TestMaxSyncDelayBatchesFsyncs, TestShardedConcurrentAppendGroupCommit).
+// through the group commit, whose leader writes and fsyncs each cycle's
+// records once while appenders keep buffering the next
+// (TestMaxSyncDelayBatchesFsyncs, TestShardedConcurrentAppendGroupCommit,
+// TestAppendBuffersWhileLeaderWrites).
 // A checkpoint's write to disk is paced to
 // ClusterConfig.CheckpointBytesPerSec (TestPacedCopyRate) and recovers
 // whole (TestCheckpointPacedRecovers).
 //
 // The write plane is built of four structures:
 //
-//   - Sharded write-ahead log. A durable cluster keeps one segment stream
-//     per shard (files named wal-<shard>-<seq>.seg), each with its own
-//     append mutex, so commits to different shards never queue on a single
-//     log lock. Records still carry one global sequence, and a
-//     cross-stream group commit shares fsyncs: one sync cycle at a time,
-//     its leader flushes every dirty stream's buffer, fsyncs them, and
-//     releases all the cycle's waiters together once every record up to
-//     the captured sequence is durable. Recovery merge-replays the streams
-//     by global sequence, so a node killed with writers on every shard
-//     recovers what an uninterrupted run holds
-//     (TestShardedWALKillDashNineRecovery); a directory still holding a
-//     segment of the old single-stream log is refused at open, untouched
+//   - One write-ahead log for every shard. A durable cluster keeps one
+//     stream of segment files (wal-0-<seq>.seg) under one sequence. An
+//     appender only takes its sequences and copies its records into a
+//     buffer under the log's mutex; one sync cycle at a time, its leader
+//     swaps that buffer for a spare, writes it and fsyncs it with no lock
+//     held, and releases all the cycle's waiters together once every record
+//     up to the sequence it took is durable
+//     (TestAppendBuffersWhileLeaderWrites, TestOneCycleReleasesEveryWaiter).
+//     Recovery reads the one stream in order, so a node killed with
+//     writers on every shard recovers what an uninterrupted run holds
+//     (TestShardedWALKillDashNineRecovery); a directory holding a segment of
+//     an older log format — one stream per shard, or the single-stream log
+//     before it — is refused at open, untouched
 //     (TestShardedRefusesLegacySegments).
 //
 //   - One record per resident peer, in pointer-free slabs. Each tree
