@@ -404,24 +404,27 @@ func TestAppendBuffersWhileLeaderWrites(t *testing.T) {
 	for s.pending.Load() < n+1 {
 		time.Sleep(100 * time.Microsecond)
 	}
-	if got := s.seq.Load(); got != seq+n {
-		t.Fatalf("assigned sequence %d while the leader was held, want %d", got, seq+n)
-	}
-	if got := s.LastSeq(); got != 0 {
-		t.Fatalf("LastSeq %d while the first cycle was held, want 0", got)
-	}
-	info, err := os.Stat(filepath.Join(s.dir, shardSegName(0, 1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Size() != 0 {
-		t.Fatalf("the segment holds %d bytes while the only leader is held: an appender wrote", info.Size())
-	}
+	// Look while the cycle is held, judge once it is released: a failure
+	// must not leave the leader, and Close behind it, waiting for ever.
+	assigned, durable := s.seq.Load(), s.LastSeq()
+	info, statErr := os.Stat(filepath.Join(s.dir, shardSegName(0, 1)))
 	release()
 	for _, err := range collectErrs(t, errs, n+1) {
 		if err != nil {
 			t.Fatal(err)
 		}
+	}
+	if assigned != seq+n {
+		t.Fatalf("assigned sequence %d while the leader was held, want %d", assigned, seq+n)
+	}
+	if durable != 0 {
+		t.Fatalf("LastSeq %d while the first cycle was held, want 0", durable)
+	}
+	if statErr != nil {
+		t.Fatal(statErr)
+	}
+	if info.Size() != 0 {
+		t.Fatalf("the segment held %d bytes while the only leader was held: an appender wrote", info.Size())
 	}
 	mu.Lock()
 	defer mu.Unlock()
