@@ -22,6 +22,7 @@
 // primary's shard at the primary's epoch; it serves reads from the copy,
 // redirects writes to the primary, and logs its replication lag. A follower
 // keeps its copy in memory only, so -follow refuses -data-dir and -shards.
+// A primary refuses more -shards than -landmarks.
 //
 // With -metrics-addr the process serves its operational surface over HTTP:
 // Prometheus metrics at /metrics, expvar at /debug/vars, and the pprof
@@ -48,7 +49,6 @@ import (
 
 	"proxdisc/internal/client"
 	"proxdisc/internal/cluster"
-	"proxdisc/internal/conf"
 	"proxdisc/internal/netserver"
 	"proxdisc/internal/proto"
 	"proxdisc/internal/server"
@@ -127,6 +127,8 @@ func main() {
 		if *shards, err = primaryShards(*follow, 15*time.Second); err != nil {
 			die("shard count probe failed", "primary", *follow, "err", err)
 		}
+	} else if err := shardsBeyondLandmarks(*shards, len(lmIDs)); err != nil {
+		die(err.Error())
 	}
 	// A follower's copy must expire peers only through the primary's
 	// replicated ExpireOps — a locally clocked TTL sweep would race
@@ -166,7 +168,8 @@ func main() {
 	var follower *netserver.Follower
 	if *follow != "" {
 		follower, err = netserver.StartFollower(netserver.FollowerConfig{
-			Common:      conf.Common{Telemetry: reg, Logger: logf},
+			Telemetry:   reg,
+			Logger:      logf,
 			PrimaryAddr: *follow,
 			Backend:     clu,
 		})
@@ -206,7 +209,8 @@ func main() {
 	}
 
 	ns, err := netserver.Listen(netserver.Config{
-		Common:          conf.Common{Telemetry: reg, Logger: logf},
+		Telemetry:       reg,
+		Logger:          logf,
 		Addr:            *addr,
 		Server:          clu,
 		LandmarkAddrs:   lmAddrs,
@@ -278,6 +282,16 @@ func followConflict(shards int, dataDir string) error {
 		return errors.New("-follow takes its shard count from the primary; drop -shards")
 	case dataDir != "":
 		return errors.New("-follow keeps its copy in memory only (a durable follower is not supported); drop -data-dir")
+	}
+	return nil
+}
+
+// shardsBeyondLandmarks refuses more shards than landmarks. The landmark is
+// the unit of sharding, and nothing in this process moves one, so a shard
+// beyond the landmark count would stay empty for good.
+func shardsBeyondLandmarks(shards, landmarks int) error {
+	if shards > landmarks {
+		return fmt.Errorf("-shards %d exceeds the %d landmarks of -landmarks: a shard holds whole landmarks, so at most %d can hold any", shards, landmarks, landmarks)
 	}
 	return nil
 }

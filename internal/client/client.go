@@ -47,7 +47,6 @@ import (
 	"sync"
 	"time"
 
-	"proxdisc/internal/conf"
 	"proxdisc/internal/proto"
 	"proxdisc/internal/telemetry"
 )
@@ -75,18 +74,14 @@ const DefaultMaxInFlight = 64
 
 // Config tunes a Client.
 type Config struct {
-	// Common holds the knobs shared with the other networked components
-	// (conf.Common). Common.Telemetry, when set, receives the client's
-	// operational metrics, summed over its sessions:
-	// proxdisc_client_inflight (pipelined requests currently outstanding),
-	// proxdisc_client_retries_total (requests sent again on a fresh dial,
-	// and subscriptions opened again after their stream ended),
-	// proxdisc_client_redirects_total, and proxdisc_client_failovers_total
-	// (sessions written off after a transport failure). Common.Backoff is
-	// the initial pause before a subscription resubscribes (default 50ms),
-	// doubling per attempt up to 2s. The client logs nothing, so
-	// Common.Logger is accepted and ignored.
-	conf.Common
+	// Telemetry, when set, receives the client's operational metrics,
+	// summed over its sessions: proxdisc_client_inflight (pipelined
+	// requests currently outstanding), proxdisc_client_retries_total
+	// (requests sent again on a fresh dial, and subscriptions opened again
+	// after their stream ended), proxdisc_client_redirects_total, and
+	// proxdisc_client_failovers_total (sessions written off after a
+	// transport failure).
+	Telemetry *telemetry.Registry
 	// Timeout bounds each request/response exchange and each dial
 	// (default 10s). The context-first methods bound each call by
 	// min(Timeout, the context's deadline).
@@ -428,16 +423,13 @@ func (c *Client) rehome(ctx context.Context, peer int64, addr string) {
 }
 
 // backoffDelay is the bounded exponential pause before resubscribe
-// `attempt` (1-based): Common.Backoff doubling per attempt, capped at 2s.
-func (c *Client) backoffDelay(attempt int) time.Duration {
-	d := c.cfg.ResolveBackoff(50 * time.Millisecond)
+// `attempt` (1-based): 50ms doubling per attempt, capped at 2s.
+func backoffDelay(attempt int) time.Duration {
+	d := 50 * time.Millisecond
 	for i := 1; i < attempt && d < 2*time.Second; i++ {
 		d *= 2
 	}
-	if d > 2*time.Second {
-		d = 2 * time.Second
-	}
-	return d
+	return min(d, 2*time.Second)
 }
 
 // StatusContext reports the server node's replication role and shard

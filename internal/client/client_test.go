@@ -458,17 +458,15 @@ func dialled(c *Client) *session {
 }
 
 // TestFailoverHelpers pins the backoff a resubscribing subscription waits: it
-// doubles from Common.Backoff up to the 2s cap.
+// doubles from 50ms up to the 2s cap.
 func TestFailoverHelpers(t *testing.T) {
-	c := &Client{cfg: Config{}}
-	if d := c.backoffDelay(1); d != 50*time.Millisecond {
+	if d := backoffDelay(1); d != 50*time.Millisecond {
 		t.Fatalf("backoff(1)=%v", d)
 	}
-	c.cfg.Backoff = 300 * time.Millisecond
-	if d := c.backoffDelay(2); d != 600*time.Millisecond {
+	if d := backoffDelay(2); d != 100*time.Millisecond {
 		t.Fatalf("backoff(2)=%v", d)
 	}
-	if d := c.backoffDelay(10); d != 2*time.Second {
+	if d := backoffDelay(10); d != 2*time.Second {
 		t.Fatalf("backoff(10)=%v, want the 2s cap", d)
 	}
 }

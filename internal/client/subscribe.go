@@ -246,7 +246,7 @@ func (s *Subscription) resubscribe(old *stream) *stream {
 			s.fail(err)
 			return nil
 		}
-		t := time.NewTimer(s.c.backoffDelay(attempt))
+		t := time.NewTimer(backoffDelay(attempt))
 		select {
 		case <-t.C:
 		case <-s.ctx.Done():

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"proxdisc/internal/op"
 	"proxdisc/internal/pathtree"
@@ -157,61 +156,4 @@ func TestBatchJoinOneRecordOneFrame(t *testing.T) {
 	}
 
 	assertSameAnswers(t, want, captureAnswers(t, re), "after kill-9 replay of batch records")
-}
-
-// TestPacedCopyRate exercises the checkpoint pacer directly: the copy
-// must deliver every byte intact and take at least the time the
-// configured rate implies for the bytes beyond the first chunk.
-func TestPacedCopyRate(t *testing.T) {
-	payload := make([]byte, 640<<10) // 2.5 chunks of 256 KiB
-	for i := range payload {
-		payload[i] = byte(i)
-	}
-	var out bytes.Buffer
-	start := time.Now()
-	// 8 MiB/s over 2 inter-chunk gaps of 256 KiB each ≈ 62 ms of sleep.
-	if err := pacedCopy(&out, payload, 8<<20); err != nil {
-		t.Fatal(err)
-	}
-	elapsed := time.Since(start)
-	if !bytes.Equal(out.Bytes(), payload) {
-		t.Fatal("paced copy corrupted the payload")
-	}
-	if want := 50 * time.Millisecond; elapsed < want {
-		t.Fatalf("paced copy of %d bytes at 8 MiB/s took %v, want at least %v", len(payload), elapsed, want)
-	}
-
-	// Unpaced (0) must not sleep and must still deliver every byte.
-	out.Reset()
-	if err := pacedCopy(&out, payload, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(out.Bytes(), payload) {
-		t.Fatal("unpaced copy corrupted the payload")
-	}
-}
-
-// TestCheckpointPacedRecovers proves pacing is transparent to the
-// durability contract: a paced checkpoint restores to the same answers.
-func TestCheckpointPacedRecovers(t *testing.T) {
-	dir := t.TempDir()
-	cfg := durableConfig(dir, 4)
-	cfg.CheckpointBytesPerSec = 1 << 20
-	c, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runWorkload(t, c)
-	if err := c.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	want := captureAnswers(t, c)
-	c = nil // crash after the paced checkpoint
-
-	re, err := New(cfg)
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	defer re.Close()
-	assertSameAnswers(t, want, captureAnswers(t, re), "after paced checkpoint")
 }

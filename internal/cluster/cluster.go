@@ -6,15 +6,14 @@
 // cleanly: a Cluster runs N server.Server shards, each owning a subset of
 // the landmarks, behind a Router that
 //
-//   - maps a join to the shard owning its path's landmark via a pluggable
-//     assignment table (see Assigner);
+//   - maps a join to the shard owning its path's landmark via an
+//     assignment table, dealt round-robin at start;
 //   - routes peer-keyed requests (Lookup, Leave, Refresh) through the
 //     node's one peer index, which the shards' servers share and maintain
 //     (server.Index): an entry names the peer's landmark, the table that
 //     landmark's owner;
 //   - answers operations that span landmarks (Peers, aggregate Stats,
-//     Expire) with a bounded-concurrency, context-cancellable
-//     scatter-gather fan-out; and
+//     Expire) with a scatter-gather fan-out, one goroutine per shard; and
 //   - rebalances at runtime by handing a landmark's tree, whole, from one
 //     shard's server to another's, buffering that landmark's requests
 //     during the transfer so none are dropped (see MoveLandmark).
@@ -73,7 +72,6 @@
 package cluster
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"slices"
@@ -95,35 +93,23 @@ import (
 type Config struct {
 	// Landmarks lists every landmark router served by the cluster.
 	Landmarks []topology.NodeID
-	// Shards is the number of management-server shards (default 1). The
-	// landmark is the unit of sharding, so at most len(Landmarks) shards
-	// can hold state at once; extra shards are elastic capacity — they
-	// start empty and fill when the rebalancer (or MoveLandmark) hands
-	// landmarks onto them.
+	// Shards is the number of management-server shards (default 1). New
+	// deals the landmarks, in ascending ID order, one per shard in turn, so
+	// shard loads differ by at most one landmark. The landmark is the unit
+	// of sharding, so at most len(Landmarks) shards can hold state at once;
+	// extra shards start empty and fill only when Rebalance (or
+	// MoveLandmark) hands landmarks onto them.
 	Shards int
-	// Assign chooses the initial landmark→shard assignment (default
-	// RoundRobin()).
-	Assign Assigner
-	// MaxFanout bounds the concurrency of scatter-gather operations
-	// (default: one in-flight call per shard).
-	MaxFanout int
-	// RebalanceInterval, when positive, runs the load-driven rebalancer in
-	// the background: every interval the planner compares per-shard peer
-	// counts and issues fenced MoveLandmark handoffs until no single move
-	// can narrow the spread further (see Rebalance). Zero disables the
-	// loop; Rebalance can still be called directly.
-	RebalanceInterval time.Duration
-	// RebalanceMinGap is the peer-count spread between the fullest and
-	// emptiest shard below which the rebalancer leaves the table alone,
-	// damping move churn around an already-even split. Default 2.
-	RebalanceMinGap int
 
 	// DataDir, when set, makes the node durable: every acknowledged write
 	// is appended as a typed op to a write-ahead log under the directory
 	// (group-commit fsync) before the call returns, and the cluster's
 	// state is periodically snapshotted there. New opens the directory
-	// first and rebuilds the shards from snapshot plus log tail, so a
-	// restarted node serves exactly the peer set it acknowledged.
+	// first and rebuilds the shards from snapshot plus log tail. When each
+	// peer has one writer at a time, a restarted node serves exactly the
+	// peer set it acknowledged; two writers racing on one peer can log in
+	// the opposite order to the one they applied in, and recovery holds the
+	// logged order.
 	DataDir string
 	// SnapshotEvery is the number of logged ops between automatic
 	// background snapshots (and the WAL truncation that follows them).
@@ -149,13 +135,6 @@ type Config struct {
 	// durability for speed (process crashes lose nothing); benchmarks and
 	// tests that model process kills use it.
 	NoSync bool
-	// CheckpointBytesPerSec rate-limits the disk-write phase of background
-	// checkpoints so a large snapshot does not saturate the device the
-	// write-ahead log shares and stall foreground commits. The state is
-	// serialized to memory first — the serialization locks are held only
-	// for that fast phase — and the paced copy happens with no cluster
-	// lock held. Zero writes at full speed.
-	CheckpointBytesPerSec int64
 
 	// Telemetry, when set, registers the cluster's metrics (per-shard
 	// apply counters and peer gauges, scatter fan-out, handoffs,
@@ -207,11 +186,6 @@ type Cluster struct {
 	// landmark lm's owner and let go of the table, before it applies there:
 	// a test parks a write in it across a handoff.
 	routeHook func(lm topology.NodeID)
-
-	// rebalance loop plumbing; armed by New when RebalanceInterval > 0.
-	rebStop chan struct{}
-	rebWG   sync.WaitGroup
-	rebOnce sync.Once
 
 	// idx is the node's one peer index, which every shard's server reads
 	// and writes; the cluster itself only reads it, to route a request that
@@ -329,35 +303,25 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Shards < 0 {
 		return nil, fmt.Errorf("cluster: negative shard count %d", cfg.Shards)
 	}
-	if cfg.Assign == nil {
-		cfg.Assign = RoundRobin()
+	table := make(map[topology.NodeID]int, len(cfg.Landmarks))
+	for i, lm := range slices.Sorted(slices.Values(cfg.Landmarks)) {
+		table[lm] = i % cfg.Shards
 	}
-	table := cfg.Assign.Assign(cfg.Landmarks, cfg.Shards)
 	perShard := make([][]topology.NodeID, cfg.Shards)
 	for _, lm := range cfg.Landmarks {
-		shard, ok := table[lm]
-		if !ok {
-			return nil, fmt.Errorf("cluster: assigner left landmark %d unassigned", lm)
-		}
-		if shard < 0 || shard >= cfg.Shards {
-			return nil, fmt.Errorf("cluster: assigner put landmark %d on shard %d of %d", lm, shard, cfg.Shards)
-		}
-		perShard[shard] = append(perShard[shard], lm)
+		perShard[table[lm]] = append(perShard[table[lm]], lm)
 	}
 	c := &Cluster{
 		cfg:    cfg,
 		shards: make([]*shard, cfg.Shards),
-		table:  make(map[topology.NodeID]int, len(table)),
+		table:  table,
 		epochs: make(map[topology.NodeID]uint64),
 		moving: make(map[topology.NodeID]*handoff),
 	}
 	c.idx.Store(server.NewIndex())
-	for lm, shard := range table {
-		c.table[lm] = shard
-	}
 	for i, lms := range perShard {
-		// A shard assigned no landmarks is an elastic shard: it starts
-		// empty and fills through rebalancing handoffs.
+		// A shard dealt no landmarks starts empty and fills through
+		// handoffs.
 		g, err := newShard(lms, cfg, c.idx.Load())
 		if err != nil {
 			return nil, fmt.Errorf("cluster: shard %d: %w", i, err)
@@ -369,11 +333,6 @@ func New(cfg Config) (*Cluster, error) {
 		if err := c.openDurable(); err != nil {
 			return nil, err
 		}
-	}
-	if cfg.RebalanceInterval > 0 {
-		c.rebStop = make(chan struct{})
-		c.rebWG.Add(1)
-		go c.rebalanceLoop()
 	}
 	return c, nil
 }
@@ -798,10 +757,7 @@ func (c *Cluster) Peers() []pathtree.PeerID {
 	c.hoMu.Lock()
 	defer c.hoMu.Unlock()
 	per := make([][]pathtree.PeerID, len(c.shards))
-	_ = c.ForEachShard(context.Background(), func(i int, s *server.Server) error {
-		per[i] = s.Peers()
-		return nil
-	})
+	c.scatter(func(i int, s *server.Server) { per[i] = s.Peers() })
 	var out []pathtree.PeerID
 	for _, ps := range per {
 		out = append(out, ps...)
@@ -845,10 +801,9 @@ func (c *Cluster) expireRouted(o op.Op) []pathtree.PeerID {
 	c.hoMu.Lock()
 	defer c.hoMu.Unlock()
 	per := make([][]pathtree.PeerID, len(c.shards))
-	_ = c.ForEachShard(context.Background(), func(i int, _ *server.Server) error {
+	c.scatter(func(i int, _ *server.Server) {
 		res, _ := c.shards[i].applyOp(o, false)
 		per[i] = res.expired
-		return nil
 	})
 	var out []pathtree.PeerID
 	for _, ps := range per {
@@ -868,10 +823,7 @@ func (c *Cluster) Stats() server.Stats {
 	c.hoMu.Lock()
 	defer c.hoMu.Unlock()
 	per := make([]server.Stats, len(c.shards))
-	_ = c.ForEachShard(context.Background(), func(i int, s *server.Server) error {
-		per[i] = s.Stats()
-		return nil
-	})
+	c.scatter(func(i int, s *server.Server) { per[i] = s.Stats() })
 	merged := server.Stats{TreeStats: make(map[topology.NodeID]pathtree.Stats)}
 	for _, st := range per {
 		merged.Peers += st.Peers

@@ -1,14 +1,10 @@
 package cluster
 
 import (
-	"context"
 	"errors"
-	"fmt"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -74,50 +70,23 @@ func TestNewValidation(t *testing.T) {
 	} else if got := c.NumShards(); got != 3 {
 		t.Fatalf("elastic cluster has %d shards, want 3", got)
 	}
-	// An assigner that leaves a landmark out must be rejected.
-	bad := AssignerFunc(func(lms []topology.NodeID, shards int) map[topology.NodeID]int {
-		return map[topology.NodeID]int{lms[0]: 0}
-	})
-	if _, err := New(Config{Landmarks: testLandmarks, Shards: 2, Assign: bad}); err == nil {
-		t.Fatal("accepted partial assignment")
-	}
-	// An assigner that starves a shard is legal too — the starved shard
-	// is simply elastic from the start.
-	starve := AssignerFunc(func(lms []topology.NodeID, shards int) map[topology.NodeID]int {
-		out := make(map[topology.NodeID]int, len(lms))
-		for _, lm := range lms {
-			out[lm] = 0
-		}
-		return out
-	})
-	if _, err := New(Config{Landmarks: testLandmarks, Shards: 2, Assign: starve}); err != nil {
-		t.Fatalf("rejected starved (elastic) shard: %v", err)
-	}
 }
 
+// TestAssigners pins the landmark table New deals: round-robin, so every
+// shard of four owns two of the eight landmarks.
 func TestAssigners(t *testing.T) {
-	rr := RoundRobin().Assign(testLandmarks, 4)
+	c := newTestCluster(t, 4)
 	counts := make(map[int]int)
-	for _, shard := range rr {
+	for _, lm := range testLandmarks {
+		shard, ok := c.ShardFor(lm)
+		if !ok {
+			t.Fatalf("landmark %d unassigned", lm)
+		}
 		counts[shard]++
 	}
 	for shard := 0; shard < 4; shard++ {
 		if counts[shard] != 2 {
-			t.Fatalf("round-robin shard %d owns %d landmarks: %v", shard, counts[shard], rr)
-		}
-	}
-	hm := HashMod().Assign(testLandmarks, 4)
-	for lm, shard := range hm {
-		if shard < 0 || shard >= 4 {
-			t.Fatalf("hashmod landmark %d on out-of-range shard %d", lm, shard)
-		}
-	}
-	// Membership independence: a landmark's shard must not change when the
-	// set around it does.
-	sub := HashMod().Assign(testLandmarks[:3], 4)
-	for lm, shard := range sub {
-		if hm[lm] != shard {
-			t.Fatalf("hashmod landmark %d moved from %d to %d when the set shrank", lm, hm[lm], shard)
+			t.Fatalf("round-robin shard %d owns %d landmarks: %v", shard, counts[shard], counts)
 		}
 	}
 }
@@ -305,60 +274,6 @@ func TestStatsAggregation(t *testing.T) {
 	}
 	if len(st.TreeStats) != len(testLandmarks) {
 		t.Fatalf("TreeStats landmarks=%d want %d", len(st.TreeStats), len(testLandmarks))
-	}
-}
-
-func TestScatterBoundedFanout(t *testing.T) {
-	c, err := New(Config{Landmarks: testLandmarks, Shards: 8, MaxFanout: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var inFlight, maxSeen int32
-	err = c.ForEachShard(context.Background(), func(i int, s *server.Server) error {
-		cur := atomic.AddInt32(&inFlight, 1)
-		for {
-			prev := atomic.LoadInt32(&maxSeen)
-			if cur <= prev || atomic.CompareAndSwapInt32(&maxSeen, prev, cur) {
-				break
-			}
-		}
-		// Hold the slot across scheduler turns — no real-clock sleep — so
-		// concurrent launches overlap and the bound is observable.
-		for spin := 0; spin < 200 && atomic.LoadInt32(&inFlight) < 2; spin++ {
-			runtime.Gosched()
-		}
-		atomic.AddInt32(&inFlight, -1)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := atomic.LoadInt32(&maxSeen); got > 2 {
-		t.Fatalf("observed %d concurrent calls with MaxFanout=2", got)
-	}
-}
-
-func TestScatterCancellation(t *testing.T) {
-	c := newTestCluster(t, 8)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	err := c.ForEachShard(ctx, func(i int, s *server.Server) error { return nil })
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err=%v", err)
-	}
-}
-
-func TestScatterFirstError(t *testing.T) {
-	c := newTestCluster(t, 4)
-	boom := fmt.Errorf("shard exploded")
-	err := c.ForEachShard(context.Background(), func(i int, s *server.Server) error {
-		if i == 2 {
-			return boom
-		}
-		return nil
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err=%v", err)
 	}
 }
 

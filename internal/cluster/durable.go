@@ -21,9 +21,8 @@ import (
 // phase builds the whole stream in memory under one hoMu hold, so the
 // table and the trees describe the same instant even against concurrent
 // handoffs — and the lock is released the moment the bytes exist. The
-// write phase then copies them to disk with no cluster lock held, paced to
-// Config.CheckpointBytesPerSec so a large snapshot cannot monopolize the
-// device under the write-ahead log and stall foreground commits.
+// write phase then writes them with no cluster lock held, so writes go on
+// while the file reaches the disk.
 func (c *Cluster) writeCheckpoint(w io.Writer) error {
 	var buf bytes.Buffer
 	c.hoMu.Lock()
@@ -32,30 +31,8 @@ func (c *Cluster) writeCheckpoint(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	return pacedCopy(w, buf.Bytes(), c.cfg.CheckpointBytesPerSec)
-}
-
-// pacedCopy writes b to w in chunks, sleeping between chunks to hold the
-// average rate at bytesPerSec (≤ 0 writes at full speed). The chunk size
-// balances pacing granularity against syscall count; the sleep follows
-// each chunk, so a checkpoint smaller than one chunk is never delayed.
-func pacedCopy(w io.Writer, b []byte, bytesPerSec int64) error {
-	if bytesPerSec <= 0 {
-		_, err := w.Write(b)
-		return err
-	}
-	const chunk = 256 << 10
-	for len(b) > 0 {
-		n := min(len(b), chunk)
-		if _, err := w.Write(b[:n]); err != nil {
-			return err
-		}
-		b = b[n:]
-		if len(b) > 0 {
-			time.Sleep(time.Duration(int64(n) * int64(time.Second) / bytesPerSec))
-		}
-	}
-	return nil
+	_, err = w.Write(buf.Bytes())
+	return err
 }
 
 // defaultSnapshotEvery is the op-count fallback between automatic
@@ -219,11 +196,11 @@ func (c *Cluster) ResetFromSnapshot(r io.Reader) error {
 }
 
 // sideConfig configures a cluster built off to the side of c, for c to
-// adopt: it registers no series over c's, runs no rebalancer and keeps no
-// log; only its shards' states are kept.
+// adopt: it registers no series over c's and keeps no log; only its shards'
+// states are kept.
 func (c *Cluster) sideConfig() Config {
 	cfg := c.cfg
-	cfg.Telemetry, cfg.RebalanceInterval, cfg.DataDir = nil, 0, ""
+	cfg.Telemetry, cfg.DataDir = nil, ""
 	return cfg
 }
 
@@ -467,12 +444,11 @@ func (c *Cluster) DurabilityStats() wal.DurabilityStats {
 }
 
 // Close makes the node's shutdown clean: it stops the background
-// rebalancer and checkpointer, flushes a final snapshot (so the next Open
-// replays an empty tail), and closes the write-ahead log. Writes after
-// Close fail. On a non-durable cluster only the rebalancer stop applies.
-// It also surfaces the last background checkpoint failure, if any.
+// checkpointer, flushes a final snapshot (so the next Open replays an empty
+// tail), and closes the write-ahead log. Writes after Close fail. On a
+// non-durable cluster it does nothing. It also surfaces the last background
+// checkpoint failure, if any.
 func (c *Cluster) Close() error {
-	c.stopRebalancer()
 	if c.log == nil {
 		return nil
 	}

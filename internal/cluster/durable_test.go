@@ -763,8 +763,7 @@ func TestShardedWALKillDashNineRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	killed := run(killDir)
-	killed.stopRebalancer() // kill -9: the WAL files stay exactly as appends left them
-	_ = killed
+	_ = killed // kill -9: the WAL files stay exactly as appends left them
 
 	// The killed directory holds the one-stream log: only wal-0- segments,
 	// whatever shard a record's op belonged to.

@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"proxdisc/internal/op"
 	"proxdisc/internal/pathtree"
@@ -295,16 +294,13 @@ func TestMoveFreezeIsScopedToShardPair(t *testing.T) {
 // beside it) rebalances automatically — the empty shard absorbs load
 // through fenced handoffs — with zero lost peers and identical lookups.
 func TestRebalanceFillsEmptyShard(t *testing.T) {
-	starve := AssignerFunc(func(lms []topology.NodeID, shards int) map[topology.NodeID]int {
-		out := make(map[topology.NodeID]int, len(lms))
-		for _, lm := range lms {
-			out[lm] = 0
+	c := newTestCluster(t, 2)
+	for _, lm := range testLandmarks {
+		if shard, _ := c.ShardFor(lm); shard != 0 {
+			if err := c.MoveLandmark(lm, 0); err != nil {
+				t.Fatal(err)
+			}
 		}
-		return out
-	})
-	c, err := New(Config{Landmarks: testLandmarks, Shards: 2, Assign: starve})
-	if err != nil {
-		t.Fatal(err)
 	}
 	populate(t, c, 96)
 	want := captureAnswers(t, c)
@@ -344,27 +340,5 @@ func TestRebalanceFillsEmptyShard(t *testing.T) {
 	}
 	if again != 0 {
 		t.Fatalf("rebalance of a balanced cluster made %d moves", again)
-	}
-}
-
-// TestRebalanceLoopLifecycle arms the background loop and checks Close
-// tears it down promptly, durable or not.
-func TestRebalanceLoopLifecycle(t *testing.T) {
-	c, err := New(Config{Landmarks: testLandmarks, Shards: 2, RebalanceInterval: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan struct{})
-	go func() {
-		_ = c.Close()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("Close did not stop the rebalance loop")
-	}
-	if err := c.Close(); err != nil { // idempotent
-		t.Fatal(err)
 	}
 }

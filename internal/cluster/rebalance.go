@@ -2,18 +2,18 @@ package cluster
 
 import (
 	"sort"
-	"time"
 
 	"proxdisc/internal/topology"
 )
 
-// defaultRebalanceMinGap is the peer-count spread tolerated before the
-// rebalancer moves a landmark; see Config.RebalanceMinGap.
-const defaultRebalanceMinGap = 2
+// rebalanceMinGap is the peer-count spread between the fullest and
+// emptiest shard below which Rebalance leaves the table alone, damping move
+// churn around an already-even split.
+const rebalanceMinGap = 2
 
 // Rebalance runs one pass of the load-driven rebalancer: it measures every
 // shard's registered-peer count, and while the spread between the fullest
-// and emptiest shard exceeds Config.RebalanceMinGap it hands one landmark
+// and emptiest shard exceeds rebalanceMinGap it hands one landmark
 // at a time from the fullest shard to the emptiest via MoveLandmark — the
 // fenced, durably-logged handoff, so a crash mid-rebalance recovers
 // cleanly and no peer is lost. It returns the number of landmarks moved.
@@ -25,16 +25,11 @@ const defaultRebalanceMinGap = 2
 // it pulls level with its neighbours, and an already-even cluster is left
 // untouched.
 //
-// Rebalance is safe to call concurrently with reads and writes; it is
-// also the body of the background loop armed by Config.RebalanceInterval.
+// Rebalance is safe to call concurrently with reads and writes.
 func (c *Cluster) Rebalance() (int, error) {
-	minGap := c.cfg.RebalanceMinGap
-	if minGap <= 0 {
-		minGap = defaultRebalanceMinGap
-	}
 	moves := 0
 	for {
-		lm, dst, ok := c.planMove(minGap)
+		lm, dst, ok := c.planMove()
 		if !ok {
 			return moves, nil
 		}
@@ -48,9 +43,9 @@ func (c *Cluster) Rebalance() (int, error) {
 // planMove picks the next rebalancing handoff: a landmark on the
 // fullest shard whose move to the emptiest shard strictly narrows the
 // peer-count spread. ok is false when the cluster is balanced (spread
-// within minGap) or no single move can help (e.g. the fullest shard holds
+// within rebalanceMinGap) or no single move can help (e.g. the fullest shard holds
 // one giant landmark).
-func (c *Cluster) planMove(minGap int) (lm topology.NodeID, dst int, ok bool) {
+func (c *Cluster) planMove() (lm topology.NodeID, dst int, ok bool) {
 	type lmLoad struct {
 		lm    topology.NodeID
 		peers int
@@ -79,7 +74,7 @@ func (c *Cluster) planMove(minGap int) (lm topology.NodeID, dst int, ok bool) {
 		}
 	}
 	gap := load[fullest] - load[emptiest]
-	if fullest == emptiest || gap <= minGap {
+	if fullest == emptiest || gap <= rebalanceMinGap {
 		return 0, 0, false
 	}
 	// Largest landmark that still fits: moving n peers changes the spread
@@ -99,33 +94,4 @@ func (c *Cluster) planMove(minGap int) (lm topology.NodeID, dst int, ok bool) {
 		}
 	}
 	return 0, 0, false
-}
-
-// rebalanceLoop is the background rebalancer, armed by New when
-// Config.RebalanceInterval is positive and stopped by Close.
-func (c *Cluster) rebalanceLoop() {
-	defer c.rebWG.Done()
-	t := time.NewTicker(c.cfg.RebalanceInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-c.rebStop:
-			return
-		case <-t.C:
-			// A failed move (e.g. the WAL went read-only) is retried on
-			// the next tick; the WAL's sticky error keeps the failure
-			// loud on the write path meanwhile.
-			_, _ = c.Rebalance()
-		}
-	}
-}
-
-// stopRebalancer halts the background rebalance loop, if one is running.
-// Idempotent; called by Close.
-func (c *Cluster) stopRebalancer() {
-	if c.rebStop == nil {
-		return
-	}
-	c.rebOnce.Do(func() { close(c.rebStop) })
-	c.rebWG.Wait()
 }

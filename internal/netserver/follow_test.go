@@ -13,7 +13,6 @@ import (
 
 	"proxdisc/internal/client"
 	"proxdisc/internal/cluster"
-	"proxdisc/internal/conf"
 	"proxdisc/internal/op"
 	"proxdisc/internal/pathtree"
 	"proxdisc/internal/proto"
@@ -62,7 +61,7 @@ func newFollowerNode(t *testing.T, primaryAddr string, after uint64, backend *cl
 		backend = newCluster(t, cluster.Config{Landmarks: []topology.NodeID{0, 100}, Shards: 2})
 	}
 	f, err := StartFollower(FollowerConfig{
-		Common:      conf.Common{Logger: t.Logf},
+		Logger:      t.Logf,
 		PrimaryAddr: primaryAddr,
 		Backend:     backend,
 		After:       after,
@@ -692,7 +691,7 @@ func TestStartFollowerValidation(t *testing.T) {
 // for unit tests of the sender's buffer and window state machine.
 func newTestFollowConn(t *testing.T) (*followConn, *NetServer) {
 	t.Helper()
-	s := &NetServer{closed: make(chan struct{}), cfg: Config{Common: conf.Common{Logger: t.Logf}}}
+	s := &NetServer{closed: make(chan struct{}), cfg: Config{Logger: t.Logf}}
 	t.Cleanup(func() { close(s.closed) })
 	c1, c2 := net.Pipe()
 	t.Cleanup(func() { c1.Close(); c2.Close() })

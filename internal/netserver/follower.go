@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"proxdisc/internal/client"
-	"proxdisc/internal/conf"
 	"proxdisc/internal/op"
 	"proxdisc/internal/proto"
 	"proxdisc/internal/server"
@@ -48,18 +47,13 @@ type FollowerBackend interface {
 
 // FollowerConfig configures a Follower.
 type FollowerConfig struct {
-	// Common holds the knobs shared with the other networked components
-	// (conf.Common). Common.Telemetry, when set, receives the follower's
-	// applied/head/lag gauges (proxdisc_follow_applied_seq,
-	// proxdisc_follow_head_seq, proxdisc_follow_lag) and a reconnect
-	// counter (proxdisc_follow_reconnects_total). Common.Logger receives
-	// diagnostics; nil silences them. Common.Backoff is the initial pause
-	// before redialling a dead stream (default 50ms, doubling per failure
-	// up to 2s). The resumed session picks up exactly where the last one
-	// stopped: catch-up runs from the acknowledged offset, via the
-	// primary's WAL tail — or its latest snapshot when the tail has been
-	// compacted away.
-	conf.Common
+	// Telemetry, when set, receives the follower's applied/head/lag gauges
+	// (proxdisc_follow_applied_seq, proxdisc_follow_head_seq,
+	// proxdisc_follow_lag) and a reconnect counter
+	// (proxdisc_follow_reconnects_total).
+	Telemetry *telemetry.Registry
+	// Logger receives diagnostics; nil silences them.
+	Logger func(format string, args ...any)
 	// PrimaryAddr is the primary node's TCP address: the follower dials
 	// it, and a NetServer replicating through this follower points writes
 	// at it.
@@ -78,6 +72,16 @@ type FollowerConfig struct {
 // followReqID is the request ID of the follow subscription; every stream
 // frame in both directions carries it.
 const followReqID = 1
+
+// The follower waits redialBackoff before redialling a dead stream,
+// doubling per failed dial up to maxRedialBackoff. The resumed session picks
+// up exactly where the last one stopped: catch-up runs from the
+// acknowledged offset, via the primary's WAL tail — or its latest snapshot
+// when the tail has been compacted away.
+const (
+	redialBackoff    = 50 * time.Millisecond
+	maxRedialBackoff = 2 * time.Second
+)
 
 // followHeartbeat is the longest the follower goes without an ack while
 // frames that ask for none (snapshot fragments) keep arriving, so the
@@ -132,8 +136,9 @@ func StartFollower(cfg FollowerConfig) (*Follower, error) {
 	if cfg.Timeout == 0 {
 		cfg.Timeout = 15 * time.Second
 	}
-	cfg.Logger = cfg.ResolveLogger()
-	cfg.Backoff = cfg.ResolveBackoff(50 * time.Millisecond)
+	if cfg.Logger == nil {
+		cfg.Logger = func(string, ...any) {}
+	}
 	f := &Follower{cfg: cfg}
 	f.ctx, f.cancel = context.WithCancel(context.Background())
 	f.applied.Store(cfg.After)
@@ -154,7 +159,7 @@ func StartFollower(cfg FollowerConfig) (*Follower, error) {
 // run consumes sessions until Close, redialling with bounded backoff.
 func (f *Follower) run(conn net.Conn, br *bufio.Reader) {
 	defer f.wg.Done()
-	backoff := f.cfg.Backoff
+	backoff := redialBackoff
 	for {
 		if conn != nil {
 			err := f.stream(conn, br)
@@ -165,7 +170,7 @@ func (f *Follower) run(conn net.Conn, br *bufio.Reader) {
 			f.noteErr(err)
 			f.cfg.Logger("netserver: follower stream to %s ended: %v (resuming after seq %d)",
 				f.cfg.PrimaryAddr, err, f.applied.Load())
-			backoff = f.cfg.Backoff // the session ran; start backoff afresh
+			backoff = redialBackoff // the session ran; start backoff afresh
 		}
 		select {
 		case <-f.ctx.Done():
@@ -180,9 +185,7 @@ func (f *Follower) run(conn net.Conn, br *bufio.Reader) {
 			}
 			f.noteErr(err)
 			f.cfg.Logger("netserver: follower redial %s: %v", f.cfg.PrimaryAddr, err)
-			if backoff *= 2; backoff > 2*time.Second {
-				backoff = 2 * time.Second
-			}
+			backoff = min(2*backoff, maxRedialBackoff)
 		}
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"proxdisc/internal/cluster"
-	"proxdisc/internal/conf"
 	"proxdisc/internal/op"
 	"proxdisc/internal/pathtree"
 	"proxdisc/internal/proto"
@@ -140,7 +139,7 @@ func (p *scriptedPrimary) sendHead(conn net.Conn, head uint64) {
 func startScriptedFollower(t *testing.T, p *scriptedPrimary, after uint64, backend FollowerBackend) *Follower {
 	t.Helper()
 	f, err := StartFollower(FollowerConfig{
-		Common:      conf.Common{Logger: t.Logf},
+		Logger:      t.Logf,
 		PrimaryAddr: p.addr(),
 		Backend:     backend,
 		After:       after,

@@ -13,7 +13,6 @@ import (
 
 	"proxdisc/internal/client"
 	"proxdisc/internal/cluster"
-	"proxdisc/internal/conf"
 	"proxdisc/internal/proto"
 	"proxdisc/internal/topology"
 )
@@ -71,7 +70,7 @@ func (l *logSink) has(sub string) bool {
 func twoLandmarkNode(t *testing.T, readTimeout time.Duration, logf func(string, ...any)) *NetServer {
 	t.Helper()
 	logic := newCluster(t, cluster.Config{Landmarks: []topology.NodeID{0, 100}})
-	ns, err := Listen(Config{Common: conf.Common{Logger: logf}, Addr: "127.0.0.1:0", Server: logic, ReadTimeout: readTimeout})
+	ns, err := Listen(Config{Logger: logf, Addr: "127.0.0.1:0", Server: logic, ReadTimeout: readTimeout})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,5 +431,85 @@ func TestInlineLookupsShareOneFlush(t *testing.T) {
 	}
 	if n := ns.met.respFlushes.Value() - flushes0; n < 1 || n > 2 {
 		t.Fatalf("32 lookups in one segment cost %d flushes, want at most 2", n)
+	}
+}
+
+// slowReport is one call of Config.SlowOp.
+type slowReport struct {
+	id     uint64
+	typ    proto.MsgType
+	inline bool
+}
+
+// TestSlowOpReports pins the slow-request report on both roads. With a
+// threshold of 1ns every request is over it: a pooled join and an inline
+// lookup each reach SlowOp once, with their request ID, request type and
+// road. With SlowOp nil the same reports go to Logger. A zero threshold
+// reports nothing.
+func TestSlowOpReports(t *testing.T) {
+	join, err := proto.EncodeJoinRequest(&proto.JoinRequest{Peer: 1, Addr: "10.0.0.1:7000", Path: []int32{10, 11, 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lookup := proto.EncodeLookupRequest(&proto.LookupRequest{Peer: 1})
+	// serve sends the join as request 1 and the lookup as request 2, each
+	// after the answer before it. A node reports before it answers, so the
+	// reports are in once both answers are.
+	serve := func(cfg Config) {
+		t.Helper()
+		cfg.Addr = "127.0.0.1:0"
+		cfg.Server = newCluster(t, cluster.Config{Landmarks: []topology.NodeID{0}})
+		ns, err := Listen(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ns.Close()
+		conn := rawV2(t, ns.Addr())
+		for i, r := range []mixedReq{
+			{proto.MsgJoinRequest, proto.MsgJoinResponse, join},
+			{proto.MsgLookupRequest, proto.MsgLookupResponse, lookup},
+		} {
+			id := uint64(i + 1)
+			if err := proto.WriteFrameID(conn, r.typ, id, r.payload); err != nil {
+				t.Fatal(err)
+			}
+			typ, got, payload, err := proto.ReadFrameID(conn)
+			if err != nil || typ != r.want || got != id {
+				t.Fatalf("request %d (%v): typ=%v id=%d err=%v", id, r.typ, typ, got, err)
+			}
+			proto.PutBuf(payload)
+		}
+	}
+	want := []slowReport{{1, proto.MsgJoinRequest, false}, {2, proto.MsgLookupRequest, true}}
+
+	var mu sync.Mutex
+	var reports []slowReport
+	record := func(id uint64, typ proto.MsgType, _ time.Duration, inline bool) {
+		mu.Lock()
+		reports = append(reports, slowReport{id, typ, inline})
+		mu.Unlock()
+	}
+	serve(Config{SlowOpThreshold: time.Nanosecond, SlowOp: record})
+	mu.Lock()
+	if !reflect.DeepEqual(reports, want) {
+		t.Fatalf("SlowOp saw %+v, want %+v", reports, want)
+	}
+	reports = nil
+	mu.Unlock()
+
+	var logs logSink
+	serve(Config{SlowOpThreshold: time.Nanosecond, Logger: logs.logf})
+	for _, r := range want {
+		line := fmt.Sprintf("netserver: slow request: id=%d type=%s inline=%t took", r.id, r.typ, r.inline)
+		if !logs.has(line) {
+			t.Fatalf("no %q logged with SlowOp nil; log: %q", line, logs.lines)
+		}
+	}
+
+	serve(Config{SlowOp: record})
+	mu.Lock()
+	defer mu.Unlock()
+	if len(reports) != 0 {
+		t.Fatalf("zero threshold reported %+v", reports)
 	}
 }

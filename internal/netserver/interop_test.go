@@ -8,7 +8,6 @@ import (
 
 	"proxdisc/internal/client"
 	"proxdisc/internal/cluster"
-	"proxdisc/internal/conf"
 	"proxdisc/internal/proto"
 	"proxdisc/internal/telemetry"
 	"proxdisc/internal/topology"
@@ -136,7 +135,7 @@ func TestStaleMapNamesReplica(t *testing.T) {
 	node1, _ := startNode(t, []topology.NodeID{0},
 		map[topology.NodeID]string{100: ownerReplica.Addr()})
 	reg := telemetry.NewRegistry()
-	c, err := client.DialConfig(node1.Addr(), client.Config{Common: conf.Common{Telemetry: reg}, Timeout: 5 * time.Second})
+	c, err := client.DialConfig(node1.Addr(), client.Config{Telemetry: reg, Timeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

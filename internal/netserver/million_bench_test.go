@@ -78,12 +78,9 @@ func millionPeerAddr(b *testing.B) string {
 			MaxSyncDelay: 200 * time.Microsecond,
 			SegmentBytes: 64 << 20,
 			// No automatic checkpoints: a snapshot of a million-peer tree
-			// mid-measurement would be its own (paced) benchmark. The
-			// pacing knob is still set so a manual Checkpoint behaves as
-			// production would.
-			SnapshotEvery:         1 << 30,
-			SnapshotBytes:         -1,
-			CheckpointBytesPerSec: 64 << 20,
+			// mid-measurement would be its own benchmark.
+			SnapshotEvery: 1 << 30,
+			SnapshotBytes: -1,
 		})
 		if err != nil {
 			m.err = err

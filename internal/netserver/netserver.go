@@ -61,7 +61,6 @@ import (
 	"time"
 
 	"proxdisc/internal/cluster"
-	"proxdisc/internal/conf"
 	"proxdisc/internal/op"
 	"proxdisc/internal/pathtree"
 	"proxdisc/internal/proto"
@@ -73,13 +72,12 @@ import (
 
 // Config configures a NetServer.
 type Config struct {
-	// Common holds the knobs shared with the other networked components
-	// (conf.Common). Common.Telemetry, when set, registers the front end's
-	// metrics — per-type request counters and latency histograms, worker
-	// queue depth and saturation, and the replication-stream series.
-	// Common.Logger receives diagnostics; nil silences them. The front end
-	// has no backoff of its own, so Common.Backoff is accepted and ignored.
-	conf.Common
+	// Telemetry, when set, registers the front end's metrics — per-type
+	// request counters and latency histograms, worker queue depth and
+	// saturation, and the replication-stream series.
+	Telemetry *telemetry.Registry
+	// Logger receives diagnostics; nil silences them.
+	Logger func(format string, args ...any)
 	// Addr is the TCP listen address (e.g. "127.0.0.1:0").
 	Addr string
 	// Server is the management logic to expose. Writes reach it as typed
@@ -296,7 +294,9 @@ func Listen(cfg Config) (*NetServer, error) {
 	if cfg.Server == nil {
 		return nil, errors.New("netserver: nil management server")
 	}
-	cfg.Logger = cfg.ResolveLogger()
+	if cfg.Logger == nil {
+		cfg.Logger = func(string, ...any) {}
+	}
 	if cfg.ReadTimeout == 0 {
 		cfg.ReadTimeout = 30 * time.Second
 	}

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"proxdisc/internal/client"
-	"proxdisc/internal/conf"
 	"proxdisc/internal/telemetry"
 )
 
@@ -37,7 +36,7 @@ func trackThroughChurn(t *testing.T, subscribe bool) (wireBytes, ops uint64) {
 	t.Helper()
 	const clients, ticks = 100, 60
 	reg := telemetry.NewRegistry()
-	ns := durableNode(t, Config{Common: conf.Common{Telemetry: reg}})
+	ns := durableNode(t, Config{Telemetry: reg})
 	direct := dial(t, ns)
 	leaf := func(i int) []int32 { return []int32{int32(2000 + i), int32(10 + i%10), 0} }
 	for i := 1; i <= clients; i++ {

@@ -11,7 +11,6 @@ import (
 
 	"proxdisc/internal/client"
 	"proxdisc/internal/cluster"
-	"proxdisc/internal/conf"
 	"proxdisc/internal/telemetry"
 	"proxdisc/internal/topology"
 )
@@ -169,7 +168,7 @@ func TestSubscriptionCloseUnsubscribes(t *testing.T) {
 func TestIdleSubscriptionKeepsItsSession(t *testing.T) {
 	ns := durableNode(t, Config{ReadTimeout: subHeartbeat * 3 / 2})
 	reg := telemetry.NewRegistry()
-	c, err := client.DialConfig(ns.Addr(), client.Config{Common: conf.Common{Telemetry: reg}, Timeout: 5 * time.Second})
+	c, err := client.DialConfig(ns.Addr(), client.Config{Telemetry: reg, Timeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,6 @@ import (
 
 	"proxdisc/internal/client"
 	"proxdisc/internal/cluster"
-	"proxdisc/internal/conf"
 	"proxdisc/internal/pathtree"
 	"proxdisc/internal/server"
 	"proxdisc/internal/telemetry"
@@ -86,7 +85,7 @@ func TestMetricsEndpointEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer clu.Close()
-	ns, err := Listen(Config{Common: conf.Common{Telemetry: reg}, Addr: "127.0.0.1:0", Server: clu})
+	ns, err := Listen(Config{Telemetry: reg, Addr: "127.0.0.1:0", Server: clu})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +100,8 @@ func TestMetricsEndpointEndToEnd(t *testing.T) {
 	// position into the same registry.
 	fsrv := newCluster(t, cluster.Config{Landmarks: []topology.NodeID{0, 100}, Shards: 2})
 	fol, err := StartFollower(FollowerConfig{
-		Common:      conf.Common{Telemetry: reg, Logger: t.Logf},
+		Telemetry:   reg,
+		Logger:      t.Logf,
 		PrimaryAddr: ns.Addr(),
 		Backend:     fsrv,
 		Timeout:     5 * time.Second,

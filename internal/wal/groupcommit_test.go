@@ -284,10 +284,10 @@ func holdFirstCycle(s *Sharded) (held <-chan struct{}, release func(), cycles *a
 	return h, func() { close(r) }, cycles
 }
 
-// appendBehindHeldCycle starts one appender on stream 0, whose cycle the
-// hook holds open, then n more on streams i%4 once it is held, and waits
-// until all n+1 are waiting for their records. It returns each appender's
-// result.
+// appendBehindHeldCycle starts one appender, whose cycle the hook holds
+// open, then n more once it is held (their stream arguments, i%4, are
+// ignored: the log has one stream), and waits until all n+1 are waiting for
+// their records. It returns each appender's result.
 func appendBehindHeldCycle(t *testing.T, s *Sharded, held <-chan struct{}, n int) <-chan error {
 	t.Helper()
 	errs := make(chan error, n+1)
@@ -323,8 +323,8 @@ func collectErrs(t *testing.T, errs <-chan error, n int) []error {
 	return out
 }
 
-// TestOneCycleReleasesEveryWaiter: appenders that arrive on four streams
-// while a sync cycle runs wait for it, are released together when it ends,
+// TestOneCycleReleasesEveryWaiter: appenders that arrive while a sync cycle
+// runs wait for it, are released together when it ends,
 // and the one cycle after it covers all of them — not a cycle each, and not
 // a hand-off from waiter to waiter.
 func TestOneCycleReleasesEveryWaiter(t *testing.T) {

@@ -135,8 +135,8 @@ func TestShardedKillRecoveryMatchesCleanRun(t *testing.T) {
 		t.Fatalf("replayed %d clean / %d killed records, want 200 each", len(cleanRecs), len(killedRecs))
 	}
 	// Sequences differ between the runs (interleaving is timing-dependent)
-	// but the multiset of payloads must be identical; per-stream payload
-	// order is asserted by the per-run order check in replayAllSharded.
+	// but the multiset of payloads must be identical; replayAllSharded
+	// checks that each run replays in sequence order.
 	count := map[string]int{}
 	for _, rec := range cleanRecs {
 		count[string(rec)]++
@@ -471,13 +471,12 @@ func TestShardedConcurrentAppendGroupCommit(t *testing.T) {
 		}(w)
 	}
 	// Guarantee the overlap the assertion is about: hold the first sync
-	// cycle open until every writer has buffered its first record (across
-	// all four streams) and is waiting on it. On a loaded single-core
-	// runner the writers otherwise serialize perfectly — each append is a
-	// lone leader that (correctly) skips the window — and fsyncs ==
-	// appends without any bug being present. With all eight waiting, the
-	// held cycle flushes all four dirty streams for one shared commit,
-	// carrying at least those eight records.
+	// cycle open until every writer has buffered its first record and is
+	// waiting on it. On a loaded single-core runner the writers otherwise
+	// serialize perfectly — each append is a lone leader that (correctly)
+	// skips the window — and fsyncs == appends without any bug being
+	// present. With all eight waiting, the cycle after the held one writes
+	// their records with one fsync.
 	hold := make(chan struct{})
 	s.cycleHook = func() { <-hold }
 	close(start)
@@ -493,18 +492,19 @@ func TestShardedConcurrentAppendGroupCommit(t *testing.T) {
 	if m.SyncedRecords != writers*each {
 		t.Fatalf("synced records %d, want %d", m.SyncedRecords, writers*each)
 	}
-	// Group commit across streams: strictly fewer fsyncs than one per
+	// Group commit across writers: strictly fewer fsyncs than one per
 	// record is the whole point. (Equality would mean zero sharing.)
 	if m.Fsyncs >= m.Appends {
-		t.Fatalf("fsyncs %d >= appends %d: no cross-stream commit sharing", m.Fsyncs, m.Appends)
+		t.Fatalf("fsyncs %d >= appends %d: no commit sharing across writers", m.Fsyncs, m.Appends)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestShardedIdleStreamsSkipFsync: a workload confined to one stream must
-// not pay an fsync per sync cycle for each of the other (clean) streams.
+// TestShardedIdleStreamsSkipFsync: a log opened with a stream count of 8
+// still holds one stream, so serial appends pay at most one fsync each,
+// never one per stream counted.
 func TestShardedIdleStreamsSkipFsync(t *testing.T) {
 	dir := t.TempDir()
 	s, err := OpenSharded(dir, 8, Options{})
@@ -519,9 +519,9 @@ func TestShardedIdleStreamsSkipFsync(t *testing.T) {
 	}
 	m := s.Metrics()
 	// Serial appends: at most one fsync per append (exactly one cycle
-	// each), never one per stream per cycle.
+	// each).
 	if m.Fsyncs > n {
-		t.Fatalf("fsyncs %d > %d appends: clean streams are being synced", m.Fsyncs, n)
+		t.Fatalf("fsyncs %d > %d appends: more than one fsync per sync cycle", m.Fsyncs, n)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -544,7 +544,8 @@ func TestShardedEnsureSeqAndEmptyStreams(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Reopen: only stream 2 has records; streams 0/1 have empty segments.
+	// Reopen: the one stream holds the one record, appended with a stream
+	// argument of 2, which the log ignores.
 	s2, err := OpenSharded(dir, 3, Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -12,9 +12,9 @@ import (
 
 func record(i int) []byte { return []byte(fmt.Sprintf("record-%06d", i)) }
 
-// These tests drive the log through its one-stream form — what a
-// one-shard cluster opens; sharded_test.go covers what several streams
-// add.
+// These tests drive the log opened with a stream count of 1, as the cluster
+// opens it; sharded_test.go passes other counts and stream arguments, which
+// the log ignores: every record goes to its one stream.
 
 func TestAppendReplayRoundTrip(t *testing.T) {
 	dir := t.TempDir()

@@ -149,9 +149,13 @@
 // loads the latest checkpoint with one applier per shard, each taking its
 // shard's entries in file order through the normal apply path (the landmark
 // moves and super-peer flags apply serially around them), and then replays
-// the log tail through the same path one record at a time, so a restarted
-// node serves the exact peer set (and, for joins that arrived over the
-// wire, the exact overlay addresses) it acknowledged before the crash. The
+// the log tail through the same path one record at a time. When each peer
+// has one writer at a time, a restarted node serves the exact peer set
+// (and, for joins that arrived over the wire, the exact overlay addresses)
+// it acknowledged before the crash (TestCrashRecoveryExactState,
+// TestCheckpointUnderWriters). Two writers racing on one peer can log in
+// the opposite order to the one they applied in, and recovery then holds
+// the logged order. The
 // appliers' order decides nothing unless a checkpoint names a peer twice,
 // which a file of this build can: the checkpoint walks one shard at a time
 // while the others take writes, so a peer re-homed between two shards'
@@ -270,14 +274,11 @@
 //
 // ClusterConfig.Shards may exceed the landmark count: surplus shards
 // start empty and become useful the moment a landmark moves onto them.
-// Setting ClusterConfig.RebalanceInterval starts a load-driven
-// rebalancer that periodically compares per-shard peer populations and
-// issues fenced moves — largest movable landmark first, fullest shard to
-// emptiest — until shard loads are within RebalanceMinGap of each other;
-// Cluster.Rebalance runs one such pass on demand. Scaling out is
-// therefore: restart (or build) the cluster with more shards and let the
-// rebalancer fill them, or aim MoveLandmark by hand. The handoff counter
-// is proxdisc_handoffs_total.
+// Cluster.Rebalance compares per-shard peer populations and issues fenced
+// moves — largest movable landmark first, fullest shard to emptiest —
+// until shard loads are within two peers of each other. Scaling out is
+// therefore: build the cluster with more shards and call Rebalance, or aim
+// MoveLandmark by hand. The handoff counter is proxdisc_handoffs_total.
 //
 // # Live subscriptions
 //
@@ -336,10 +337,7 @@
 // again, and a subscription's context scopes its whole lifetime, its
 // resubscribe backoff included. The original methods
 // (Join, Lookup, Status, ...) remain as thin compatibility wrappers over
-// context.Background(). The configuration knobs the networked components
-// share (telemetry registry, logger, reconnect backoff) live in one
-// embedded CommonConfig on ClientConfig, NetServerConfig, and
-// FollowerConfig.
+// context.Background().
 //
 // # Observability
 //
@@ -347,8 +345,8 @@
 // dependency-free metric store whose hot path is a couple of atomic
 // operations on pre-resolved handles (zero allocations, no locks, no
 // lookups per request). Components accept a *TelemetryRegistry in their
-// configs (ClusterConfig.Telemetry, and CommonConfig.Telemetry embedded in
-// NetServerConfig, FollowerConfig and ClientConfig); pass the process
+// configs (the Telemetry field of ClusterConfig, NetServerConfig,
+// FollowerConfig and ClientConfig); pass the process
 // default from Telemetry() to aggregate one process's layers into one
 // scrape, or a fresh registry to keep planes separate. A nil registry
 // costs nothing and records nothing.
@@ -440,9 +438,6 @@
 // records once while appenders keep buffering the next
 // (TestMaxSyncDelayBatchesFsyncs, TestShardedConcurrentAppendGroupCommit,
 // TestAppendBuffersWhileLeaderWrites).
-// A checkpoint's write to disk is paced to
-// ClusterConfig.CheckpointBytesPerSec (TestPacedCopyRate) and recovers
-// whole (TestCheckpointPacedRecovers).
 //
 // The write plane is built of four structures:
 //
@@ -503,7 +498,6 @@ import (
 
 	"proxdisc/internal/client"
 	"proxdisc/internal/cluster"
-	"proxdisc/internal/conf"
 	"proxdisc/internal/experiment"
 	"proxdisc/internal/netserver"
 	"proxdisc/internal/overlay"
@@ -570,10 +564,6 @@ type ClusterConfig = cluster.Config
 // concurrent use.
 type Cluster = cluster.Cluster
 
-// ClusterAssigner chooses the initial landmark→shard assignment of a
-// cluster; see cluster.RoundRobin and cluster.HashMod.
-type ClusterAssigner = cluster.Assigner
-
 // NewCluster builds a sharded management cluster for a set of landmark
 // routers.
 func NewCluster(cfg ClusterConfig) (*Cluster, error) { return cluster.New(cfg) }
@@ -616,8 +606,7 @@ type TelemetryRegistry = telemetry.Registry
 
 // Telemetry returns the process-default metric registry — the one
 // cmd/proxdisc-server exports and the natural choice for
-// ClusterConfig.Telemetry and the networked components'
-// CommonConfig.Telemetry when one process hosts one node.
+// the Telemetry field of every config when one process hosts one node.
 func Telemetry() *TelemetryRegistry { return telemetry.Default() }
 
 // MetricsHandler serves a registry's metrics in the Prometheus text
@@ -639,16 +628,9 @@ func ListenLandmark(addr string) (*LandmarkResponder, error) {
 // serializing behind each other.
 type Client = client.Client
 
-// ClientConfig tunes a management-server client: the request timeout, the
-// in-flight pipelining cap per session, and (CommonConfig.Backoff) the
-// pause before a subscription resubscribes.
+// ClientConfig tunes a management-server client: its telemetry registry,
+// the request timeout and the in-flight pipelining cap per session.
 type ClientConfig = client.Config
-
-// CommonConfig holds the configuration knobs shared by the networked
-// components — a telemetry registry, a diagnostic logger, a reconnect/
-// retry backoff. It is embedded in ClientConfig, NetServerConfig, and
-// FollowerConfig.
-type CommonConfig = conf.Common
 
 // BatchJoinItem is one entry of a Client.JoinBatch call.
 type BatchJoinItem = client.BatchItem
