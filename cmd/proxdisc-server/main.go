@@ -160,7 +160,8 @@ func main() {
 		slog.Info("recovered durable state", "peers", clu.NumPeers(), "dir", *dataDir)
 		ds := clu.DurabilityStats()
 		slog.Info("durable state",
-			"snapshot_seq", ds.SnapshotSeq, "wal_tail", ds.TailRecords, "load", ds.LoadTime, "replay", ds.ReplayTime)
+			"snapshot_seq", ds.SnapshotSeq, "wal_tail", ds.TailRecords, "load", ds.LoadTime, "replay", ds.ReplayTime,
+			"serial_records", ds.SerialRecords)
 	}
 
 	// Follower mode: feed the local copy from the primary's op stream and

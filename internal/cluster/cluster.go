@@ -150,9 +150,10 @@ type Config struct {
 	PeerTTL       time.Duration
 	Clock         func() time.Time
 
-	// serialLoad makes a durable open load its checkpoint through the
-	// serial road alone (loadCheckpoint): the reference the shard-parallel
-	// load is compared against in tests.
+	// serialLoad makes a durable open load its checkpoint and replay its
+	// log tail through the serial road alone (loadCheckpoint, then the tail
+	// record by record): the reference the shard-parallel pass is compared
+	// against in tests.
 	serialLoad bool
 }
 
@@ -199,15 +200,17 @@ type Cluster struct {
 	opsSinceSnap   atomic.Int64
 	bytesSinceSnap atomic.Int64
 	lastSnapSeq    atomic.Uint64 // covering seq of the latest on-disk snapshot
-	loadTime       time.Duration // checkpoint load time of the last open
-	replayTime     time.Duration // tail replay time of the last open
-	snapMu         sync.Mutex    // one checkpoint at a time
-	snapCh         chan struct{}
-	snapStop       chan struct{}
-	snapWG         sync.WaitGroup
-	snapErrMu      sync.Mutex
-	snapErr        error // last background checkpoint failure
-	closeOnce      sync.Once
+	// The last open's recovery split, which a scrape may read while the
+	// open runs: checkpoint load and tail replay in nanoseconds, and the
+	// tail records applied serially (DurabilityStats.SerialRecords).
+	loadNanos, replayNanos, serialRecords atomic.Int64
+	snapMu                                sync.Mutex // one checkpoint at a time
+	snapCh                                chan struct{}
+	snapStop                              chan struct{}
+	snapWG                                sync.WaitGroup
+	snapErrMu                             sync.Mutex
+	snapErr                               error // last background checkpoint failure
+	closeOnce                             sync.Once
 
 	met clusterMetrics
 }
@@ -230,6 +233,11 @@ func (c *Cluster) initMetrics() {
 	c.met.handoffs = r.Counter("proxdisc_handoffs_total")
 	c.met.checkpoints = r.Histogram("proxdisc_checkpoint_duration_seconds")
 	r.GaugeFunc("proxdisc_peers", func() float64 { return float64(c.NumPeers()) })
+	if c.cfg.DataDir != "" {
+		r.GaugeFunc("proxdisc_recovery_load_seconds", func() float64 { return time.Duration(c.loadNanos.Load()).Seconds() })
+		r.GaugeFunc("proxdisc_recovery_replay_seconds", func() float64 { return time.Duration(c.replayNanos.Load()).Seconds() })
+		r.GaugeFunc("proxdisc_recovery_serial_records", func() float64 { return float64(c.serialRecords.Load()) })
+	}
 	for i, g := range c.shards {
 		shard := strconv.Itoa(i)
 		g.applies = r.Counter(`proxdisc_shard_apply_total{shard="` + shard + `"}`)

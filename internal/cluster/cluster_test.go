@@ -72,9 +72,9 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-// TestAssigners pins the landmark table New deals: round-robin, so every
-// shard of four owns two of the eight landmarks.
-func TestAssigners(t *testing.T) {
+// TestRoundRobinLandmarkTable pins the landmark table New deals:
+// round-robin, so every shard of four owns two of the eight landmarks.
+func TestRoundRobinLandmarkTable(t *testing.T) {
 	c := newTestCluster(t, 4)
 	counts := make(map[int]int)
 	for _, lm := range testLandmarks {

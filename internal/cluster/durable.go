@@ -50,26 +50,43 @@ func (c *Cluster) Durable() bool { return c.log != nil }
 // latest checkpoint plus the write-ahead log tail, and arms the background
 // checkpointer. Called by New before the cluster is visible to anyone.
 //
-// The checkpoint is read (recoverCheckpoint) before the log is opened and
-// must be good to its end frame: a truncated or corrupt file, one in the gob
-// format that preceded op streams, or one that names a landmark or shard
-// this configuration lacks fails the open with nothing on disk touched. The
-// tail then replays on this goroutine, one record at a time: its re-homing
-// joins, its leaves routed by the index, its moves and expiry sweeps do not
-// commute across shards as a checkpoint's joins do.
+// The checkpoint is read before the log is opened and must be good to its
+// end frame: a truncated or corrupt file, one in the gob format that
+// preceded op streams, or one that names a landmark or shard this
+// configuration lacks fails the open with nothing on disk touched. One
+// shardLoader reads the checkpoint and then the tail: batch joins of peers
+// the index does not hold apply shard-parallel, every other record serially
+// between them. When the loader cannot vouch for its state — a peer named
+// twice among the appliers' entries — the state is discarded (the shards'
+// counters keep what it counted) and the whole open goes through the serial
+// road, which is the reference the parallel one must equal: loadCheckpoint,
+// then the tail record by record. The log reads its records from the files,
+// so the tail can be replayed twice.
 func (c *Cluster) openDurable() error {
-	var snapSeq uint64
-	if f, seq, ok, err := wal.OpenLatestSnapshot(c.cfg.DataDir); err != nil {
+	snap, snapSeq, hasSnap, err := wal.OpenLatestSnapshot(c.cfg.DataDir)
+	if err != nil {
 		return err
-	} else if ok {
+	}
+	var ckpt io.ReadSeeker // nil when there is no checkpoint
+	if hasSnap {
+		defer snap.Close()
+		ckpt = snap
+	}
+	l := &shardLoader{c: c}
+	defer l.stop()
+	exact := !c.cfg.serialLoad // the parallel pass vouches for the state so far
+	if ckpt != nil {
 		loadStart := time.Now()
-		err := c.recoverCheckpoint(f)
-		f.Close()
-		if err != nil {
-			return fmt.Errorf("cluster: checkpoint %d: %w", seq, err)
+		if exact {
+			exact, err = l.load(ckpt)
 		}
-		c.loadTime = time.Since(loadStart)
-		snapSeq = seq
+		if err == nil && !exact {
+			err = c.reload(ckpt)
+		}
+		if err != nil {
+			return fmt.Errorf("cluster: checkpoint %d: %w", snapSeq, err)
+		}
+		c.loadNanos.Store(int64(time.Since(loadStart)))
 		c.lastSnapSeq.Store(snapSeq)
 	}
 	// One WAL stream for every shard: commits share fsyncs through its group
@@ -91,21 +108,25 @@ func (c *Cluster) openDurable() error {
 		log.Close()
 		return err
 	}
+	// On a fallback from the tail, the replay time covers the checkpoint's
+	// serial reload too.
 	replayStart := time.Now()
-	var o op.Op // one decode target for the whole tail, as op.ReadStream keeps one for the checkpoint
-	if err := log.Replay(snapSeq, func(seq uint64, rec []byte) error {
-		if err := op.DecodeInto(&o, rec); err != nil {
-			return fmt.Errorf("cluster: wal record %d: %w", seq, err)
+	if exact {
+		if exact, err = l.replay(log, snapSeq); err == nil && !exact {
+			err = c.reload(ckpt)
 		}
-		if err := c.applyRecovered(o); err != nil {
-			return fmt.Errorf("cluster: replay record %d: %w", seq, err)
-		}
-		return nil
-	}); err != nil {
+	}
+	if err == nil && !exact {
+		err = replayTail(log, snapSeq, func(o *op.Op) error {
+			c.serialRecords.Add(1)
+			return c.applyRecovered(*o)
+		})
+	}
+	if err != nil {
 		log.Close()
 		return err
 	}
-	c.replayTime = time.Since(replayStart)
+	c.replayNanos.Store(int64(time.Since(replayStart)))
 	c.log = log
 	if c.cfg.SnapshotEvery <= 0 {
 		c.cfg.SnapshotEvery = defaultSnapshotEvery
@@ -120,19 +141,26 @@ func (c *Cluster) openDurable() error {
 	return nil
 }
 
-// recoverCheckpoint loads the checkpoint a durable cluster opens with,
-// shard-parallel (loadCheckpointParallel). When that pass cannot vouch for
-// its result — the file names a peer twice — the state it built is
-// discarded (the shards' counters keep what it counted) and the file, read
-// again from its start, goes through the serial road, which is the
-// reference the parallel one must equal.
-func (c *Cluster) recoverCheckpoint(f io.ReadSeeker) error {
-	if c.cfg.serialLoad {
-		return c.loadCheckpoint(f)
-	}
-	if exact, err := c.loadCheckpointParallel(f); err != nil || exact {
-		return err
-	}
+// replayTail decodes the log's records past after, in order, and hands each
+// to apply. The op is reused between calls, as op.ReadStream reuses it for
+// a checkpoint: apply must copy what it keeps, or take the slices outright.
+func replayTail(log *wal.Sharded, after uint64, apply func(o *op.Op) error) error {
+	var o op.Op
+	return log.Replay(after, func(seq uint64, rec []byte) error {
+		if err := op.DecodeInto(&o, rec); err != nil {
+			return fmt.Errorf("cluster: wal record %d: %w", seq, err)
+		}
+		if err := apply(&o); err != nil {
+			return fmt.Errorf("cluster: replay record %d: %w", seq, err)
+		}
+		return nil
+	})
+}
+
+// reload discards the state a parallel pass built — the shards' counters
+// keep what it counted — and loads the checkpoint, if there is one, again
+// from its start through the serial road.
+func (c *Cluster) reload(ckpt io.ReadSeeker) error {
 	empty, err := New(c.sideConfig())
 	if err != nil {
 		return err
@@ -141,10 +169,13 @@ func (c *Cluster) recoverCheckpoint(f io.ReadSeeker) error {
 	for _, g := range c.shards {
 		g.srv.TakeOrphans() // records of the discarded state
 	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
+	if ckpt == nil {
+		return nil
+	}
+	if _, err := ckpt.Seek(0, io.SeekStart); err != nil {
 		return err
 	}
-	return c.loadCheckpoint(f)
+	return c.loadCheckpoint(ckpt)
 }
 
 // loadCheckpoint applies a checkpoint, good to its end frame, through the
@@ -154,8 +185,8 @@ func (c *Cluster) recoverCheckpoint(f io.ReadSeeker) error {
 // still-empty tree to the recorded owner and flips the table — so the load
 // recovers the exact post-handoff placement, NOT the configured assignment,
 // and the tail replays against the right owners. It is the serial road:
-// the reference loadCheckpointParallel is held to, its fallback, and
-// ResetFromSnapshot's loader, whose reader cannot be read twice.
+// the reference the shard-parallel pass is held to, its fallback, and
+// ResetFromSnapshot's loader.
 func (c *Cluster) loadCheckpoint(r io.Reader) error {
 	return op.ReadStream(r, func(o *op.Op) error { return c.applyRecovered(*o) })
 }
@@ -163,8 +194,13 @@ func (c *Cluster) loadCheckpoint(r io.Reader) error {
 // applyRecovered replays one recovered op — a checkpoint record or a
 // logged one — through the normal routing, silently (no answers, no
 // re-logging). A leave, refresh, or super-flag whose peer is gone is
-// tolerated: commit order can differ from apply order for operations
-// racing on the same peer, and either serialization is a valid history.
+// tolerated: a write takes its log sequence after it applies, so two writes
+// racing on one peer can log in the opposite order to the one they applied
+// in, and recovery then holds the logged order, not the one the live node
+// answered from. That is outside what recovery guarantees, which is the
+// exact state only while each peer has one writer at a time (ROADMAP item
+// 16); under that, a record naming a gone peer is one whose peer a
+// checkpoint walked past its mark had already dropped.
 func (c *Cluster) applyRecovered(o op.Op) error {
 	if err := c.applyRouted(o); err != nil && !errors.Is(err, server.ErrUnknownPeer) {
 		return err
@@ -434,12 +470,13 @@ func (c *Cluster) DurabilityStats() wal.DurabilityStats {
 	head := c.log.LastSeq()
 	snap := c.lastSnapSeq.Load()
 	return wal.DurabilityStats{
-		SnapshotSeq: snap,
-		TailRecords: head - snap,
-		Head:        head,
-		LoadTime:    c.loadTime,
-		ReplayTime:  c.replayTime,
-		Log:         c.log.Metrics(),
+		SnapshotSeq:   snap,
+		TailRecords:   head - snap,
+		Head:          head,
+		LoadTime:      time.Duration(c.loadNanos.Load()),
+		ReplayTime:    time.Duration(c.replayNanos.Load()),
+		SerialRecords: uint64(c.serialRecords.Load()),
+		Log:           c.log.Metrics(),
 	}
 }
 

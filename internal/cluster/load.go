@@ -7,36 +7,193 @@ import (
 	"sync"
 
 	"proxdisc/internal/op"
+	"proxdisc/internal/pathtree"
 	"proxdisc/internal/server"
+	"proxdisc/internal/wal"
 )
 
-// loadCheckpointParallel applies a checkpoint with one applier goroutine per
-// shard, the serial road's work (loadCheckpoint) spread over the shards,
-// whose trees are independent. The calling goroutine decodes the records in
-// order and splits each batch join by owning shard under the table read
-// lock. Each group joins its shard's run, which goes to the shard's FIFO
-// once it holds runEntries entries, and the applier applies every group to
-// the shard's server whole, so each shard sees its entries in stream order.
-// Every other op — the Move records that open a checkpoint, the super-peer
-// flags that close it — waits for the appliers to drain and then applies on
-// the calling goroutine through applyRecovered, as on the serial road. On
-// return no applier is left running, error or not.
+// shardLoader is the one recovery pass of a durable open: it reads the
+// checkpoint and then the log's tail, in that order, and spreads the serial
+// road's work (applyRecovered on every record) over one applier goroutine
+// per shard, whose trees are independent. The calling goroutine decodes the
+// records in order, and one rule decides where each applies:
 //
-// Two entries naming the same peer are the one thing shard order can get
-// wrong: on different shards, which of them wins depends on the appliers'
-// timing, where the serial road keeps the later one. A checkpoint written
-// from one instant holds each peer once, but one can name a peer twice: the
-// checkpoint walks the shards one at a time while writes go on, so a peer
-// re-homed between two shards' walks, or an orphan caught between a join's
-// apply and retireOrphans, is written under both landmarks. So exact reports
-// whether the peers the state holds number the join entries read; when they
-// do not, the state may differ from the serial road's, and the caller
-// discards it and loads the file again through loadCheckpoint.
+//   - A batch join none of whose entries names a peer the index holds as
+//     the record is read is split by owning shard under the table read
+//     lock. Each group joins its shard's run, which goes to the shard's FIFO
+//     once it holds runEntries entries, and the applier applies every group
+//     to the shard's server whole, so each shard sees its entries in stream
+//     order. A checkpoint is almost all such records, and so is the tail of
+//     a crowd of new peers.
+//   - Every other record — a single join, a batch naming a resident peer, a
+//     leave, refresh or flag, an expiry sweep, a move — is a barrier: it
+//     waits for the appliers to drain and then applies on the calling
+//     goroutine through applyRecovered, as on the serial road. A re-homing
+//     join must retire the record it orphans, a leave is routed by the index
+//     as it stands, and moves and sweeps see every shard, so none of them
+//     commutes with the appliers' work.
+//
+// Two entries naming the same peer between two barriers are the one thing
+// shard order can get wrong: on different shards, which of them wins
+// depends on the appliers' timing, where the serial road keeps the later
+// one. Such entries can only be in flight together when the second is read
+// before the first is applied, and then the index counts them once. So at
+// every barrier and at the end the loader checks that the peers number
+// those held when the stretch began plus the entries handed out since
+// (drain); when they do not, the pass cannot vouch for its state, and the
+// caller discards it and takes the serial road for the whole open.
+//
+// The appliers start with the first split record, so an open with nothing
+// to split starts none; stop ends them, error or not.
+type shardLoader struct {
+	c        *Cluster
+	queues   []chan []op.Op // one FIFO of runs per shard, fed in stream order; nil until start
+	runs     [][]op.Op      // each shard's groups not yet handed over
+	sizes    []int          // the entries in each shard's run
+	pending  sync.WaitGroup // runs handed over and not yet applied
+	running  sync.WaitGroup // the appliers
+	base     int            // the peers the index held when the current stretch began
+	handed   int            // join entries split among the appliers since then
+	barriers int            // records applied on the calling goroutine
+	named    peerSet        // every peer the join records read so far name
+	owner    []int          // the owning shard of each entry of the batch being split
+	count    []int          // entries per shard in that batch
+	next     []int          // each shard's next place in the batch sorted by shard
+}
+
+// errInexact ends a pass whose appliers took two entries naming one peer:
+// its state may differ from the serial road's.
+var errInexact = errors.New("cluster: a peer named twice between two barriers")
+
+// loadCheckpointParallel applies a checkpoint through a shardLoader of its
+// own and reports whether the pass vouches for the state it built (see
+// shardLoader); when it does not, the state may differ from loadCheckpoint's.
+// On return no applier is left running, error or not.
 func (c *Cluster) loadCheckpointParallel(r io.Reader) (exact bool, err error) {
-	n := len(c.shards)
-	l := &shardLoader{c: c, queues: make([]chan []op.Op, n), runs: make([][]op.Op, n),
-		sizes: make([]int, n), count: make([]int, n), next: make([]int, n)}
-	for i, g := range c.shards {
+	l := &shardLoader{c: c}
+	defer l.stop()
+	return l.load(r)
+}
+
+// load reads a checkpoint, good to its end frame, through the loader.
+func (l *shardLoader) load(r io.Reader) (exact bool, err error) {
+	if err = op.ReadStream(r, l.read); err == nil {
+		err = l.drain()
+	}
+	return vouch(err)
+}
+
+// replay reads the log's records past after through the loader. It counts
+// its barriers into the cluster's serial records.
+func (l *shardLoader) replay(log *wal.Sharded, after uint64) (exact bool, err error) {
+	before := l.barriers
+	if err = replayTail(log, after, l.read); err == nil {
+		err = l.drain()
+	}
+	l.c.serialRecords.Add(int64(l.barriers - before))
+	return vouch(err)
+}
+
+// vouch turns a pass's end into its answer: errInexact is no failure, only
+// a state the pass cannot vouch for.
+func vouch(err error) (exact bool, _ error) {
+	if errors.Is(err, errInexact) {
+		return false, nil
+	}
+	return err == nil, err
+}
+
+// read takes one record off the stream and applies it by the loader's rule.
+func (l *shardLoader) read(o *op.Op) error {
+	switch o.Kind {
+	case op.KindJoin:
+		l.named.add(o.Join.Peer)
+	case op.KindBatchJoin:
+		if l.fresh(o.Batch) {
+			return l.take(o)
+		}
+	}
+	if err := l.drain(); err != nil {
+		return err
+	}
+	l.barriers++
+	return l.c.applyRecovered(*o)
+}
+
+// take splits a batch of new peers among the appliers.
+func (l *shardLoader) take(o *op.Op) error {
+	if l.handed == 0 {
+		l.base = l.c.NumPeers() // the appliers are idle: drain waited for them
+	}
+	// The appliers hold the entries past this call, so the record's
+	// slices are taken and the stream decodes the next one into fresh
+	// ones.
+	rec := *o
+	*o = op.Op{}
+	l.handed += len(rec.Batch)
+	return l.split(rec)
+}
+
+// fresh adds a batch's peers to the named set and reports whether none of
+// them is a peer the index holds. The index holds only peers some record
+// read before named, so it is asked only about a peer the set already held:
+// a crowd of new peers goes through without touching the stripes the
+// appliers are writing.
+func (l *shardLoader) fresh(batch []op.JoinEntry) bool {
+	idx := l.c.idx.Load()
+	fresh := true
+	for i := range batch {
+		if l.named.add(batch[i].Peer) && fresh {
+			_, _, held := idx.Place(batch[i].Peer)
+			fresh = !held
+		}
+	}
+	return fresh
+}
+
+// peerSet is a set of peers that may hold a peer never added, never lose
+// one that was: one bit per hashed ID, 2^22 bits. Past a million peers
+// about one bit in five is set, and a false hit costs one index lookup.
+type peerSet []uint64
+
+const peerSetLog2 = 22
+
+// add adds p and reports whether the set held it already.
+func (s *peerSet) add(p pathtree.PeerID) bool {
+	if *s == nil {
+		*s = make(peerSet, 1<<peerSetLog2/64)
+	}
+	// Fibonacci hashing: the product's top bits mix all of the ID's.
+	h := uint64(p) * 0x9e3779b97f4a7c15 >> (64 - peerSetLog2)
+	w, bit := &(*s)[h/64], uint64(1)<<(h%64)
+	held := *w&bit != 0
+	*w |= bit
+	return held
+}
+
+// drain hands every run over, waits until the appliers have applied them,
+// and checks the stretch they end: errInexact if the peers number fewer
+// than those held at its start plus the entries handed out since.
+func (l *shardLoader) drain() error {
+	if l.handed == 0 {
+		return nil
+	}
+	l.handAll()
+	l.pending.Wait()
+	want := l.base + l.handed
+	l.handed = 0
+	if l.c.NumPeers() != want {
+		return errInexact
+	}
+	return nil
+}
+
+// start allocates the per-shard state and starts one applier per shard.
+func (l *shardLoader) start() {
+	n := len(l.c.shards)
+	l.queues, l.runs = make([]chan []op.Op, n), make([][]op.Op, n)
+	l.sizes, l.count, l.next = make([]int, n), make([]int, n), make([]int, n)
+	for i, g := range l.c.shards {
 		// The decoder may run up to 16 runs (4 096 entries) ahead of an
 		// applier: enough that it rarely waits on one, little enough that
 		// a slow shard bounds what is decoded and not yet applied.
@@ -44,31 +201,16 @@ func (c *Cluster) loadCheckpointParallel(r io.Reader) (exact bool, err error) {
 		l.running.Add(1)
 		go l.apply(g, l.queues[i])
 	}
-	if err = op.ReadStream(r, l.read); err == nil {
-		l.handAll()
-	}
+}
+
+// stop closes the queues and waits for the appliers to apply what they were
+// handed and return. Runs not handed over are dropped.
+func (l *shardLoader) stop() {
 	for _, q := range l.queues {
 		close(q)
 	}
 	l.running.Wait()
-	if err != nil {
-		return false, err
-	}
-	return c.NumPeers() == l.joins, nil
-}
-
-// shardLoader is the state of one loadCheckpointParallel.
-type shardLoader struct {
-	c       *Cluster
-	queues  []chan []op.Op // one FIFO of runs per shard, fed in stream order
-	runs    [][]op.Op      // each shard's groups not yet handed over
-	sizes   []int          // the entries in each shard's run
-	pending sync.WaitGroup // runs handed over and not yet applied
-	running sync.WaitGroup // the appliers
-	joins   int            // join entries read
-	owner   []int          // the owning shard of each entry of the batch being split
-	count   []int          // entries per shard in that batch
-	next    []int          // each shard's next place in the batch sorted by shard
+	l.queues = nil
 }
 
 // apply is shard g's applier: it applies the groups handed to g in order
@@ -81,8 +223,8 @@ func (l *shardLoader) apply(g *shard, q <-chan []op.Op) {
 			// appliers to drain, so no tree leaves the shard under them and
 			// the group goes to the server whole. The server skips an entry
 			// it cannot register, as on the serial road; the peers then
-			// number fewer than the entries read, and the file goes that
-			// road.
+			// number fewer than the entries handed out, and the open goes
+			// that road.
 			g.applies.Inc()
 			_ = g.srv.Apply(o)
 		}
@@ -90,32 +232,16 @@ func (l *shardLoader) apply(g *shard, q <-chan []op.Op) {
 	}
 }
 
-// read takes one record off the stream: a batch join is split among the
-// appliers, anything else applies here once they are idle.
-func (l *shardLoader) read(o *op.Op) error {
-	if o.Kind != op.KindBatchJoin {
-		l.handAll()
-		l.pending.Wait()
-		if o.Kind == op.KindJoin {
-			l.joins++
-		}
-		return l.c.applyRecovered(*o)
-	}
-	// The appliers hold the entries past this call, so the record's slices
-	// are taken and the stream decodes the next one into fresh ones.
-	rec := *o
-	*o = op.Op{}
-	l.joins += len(rec.Batch)
-	return l.split(rec)
-}
-
 // split resolves the owning shard of each entry of a batch and adds one
 // group per shard to the shard's run, entries in batch order. An entry with
-// no path or an unknown landmark fails the load, as it fails the serial
+// no path or an unknown landmark fails the pass, as it fails the serial
 // road.
 func (l *shardLoader) split(o op.Op) error {
 	if len(o.Batch) == 0 {
 		return nil
+	}
+	if l.queues == nil {
+		l.start()
 	}
 	l.owner = l.owner[:0]
 	clear(l.count)
@@ -162,9 +288,9 @@ func (l *shardLoader) split(o op.Op) error {
 }
 
 // runEntries is how many entries a shard's run gathers before it is handed
-// to the applier: a checkpoint record holds at most op.MaxBatch entries,
-// and one cut among the shards holds fewer, so handing each group over on
-// its own would cost a wake-up for every few entries applied.
+// to the applier: a record holds at most op.MaxBatch entries, and one cut
+// among the shards holds fewer, so handing each group over on its own would
+// cost a wake-up for every few entries applied.
 const runEntries = op.MaxBatch
 
 // queue adds a group to its shard's run, handing the run over once it

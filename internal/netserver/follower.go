@@ -378,10 +378,14 @@ func (f *Follower) handle(typ proto.MsgType, payload []byte, a *assembly) (ack b
 
 // apply decodes one committed record and applies it through the backend's
 // single mutation door, skipping sequences already applied (the overlap a
-// catch-up re-read produces). An unknown-peer error is tolerated — commit
-// order can differ from apply order for operations racing on the same
-// peer, exactly as in WAL recovery — every other failure ends the session
-// loudly (the copy would silently diverge otherwise).
+// catch-up re-read produces). An unknown-peer error is tolerated, as in WAL
+// recovery: a record can name a peer a catch-up snapshot taken past its
+// sequence already dropped. The copy is exact only while each peer has one
+// writer at a time (ROADMAP item 16): two writes racing on one peer can log
+// in the opposite order to the one the primary applied them in, and the copy
+// then holds the logged order, not the one the primary answered from. Every
+// other failure ends the session loudly (the copy would silently diverge
+// otherwise).
 func (f *Follower) apply(seq uint64, data []byte) error {
 	if seq <= f.applied.Load() {
 		return nil

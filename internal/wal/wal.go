@@ -124,6 +124,10 @@ type DurabilityStats struct {
 	LoadTime time.Duration
 	// ReplayTime is how long the last open spent replaying the tail.
 	ReplayTime time.Duration
+	// SerialRecords counts the tail records the last open applied one at
+	// a time: the barriers between its shard-parallel stretches, plus the
+	// whole tail again if it fell back to the serial road.
+	SerialRecords uint64
 	// Log carries the group-commit counters.
 	Log Metrics
 }

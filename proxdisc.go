@@ -145,24 +145,28 @@
 // owning shard and fencing epoch), every peer as an entry of a batch-join
 // op stamped with its last refresh, one flag op per super-peer — each
 // record length-bounded and CRC-framed, the file closed by a counted end
-// frame. NewCluster on a populated directory recovers before returning: it
-// loads the latest checkpoint with one applier per shard, each taking its
-// shard's entries in file order through the normal apply path (the landmark
-// moves and super-peer flags apply serially around them), and then replays
-// the log tail through the same path one record at a time. When each peer
-// has one writer at a time, a restarted node serves the exact peer set
-// (and, for joins that arrived over the wire, the exact overlay addresses)
-// it acknowledged before the crash (TestCrashRecoveryExactState,
-// TestCheckpointUnderWriters). Two writers racing on one peer can log in
-// the opposite order to the one they applied in, and recovery then holds
-// the logged order. The
-// appliers' order decides nothing unless a checkpoint names a peer twice,
-// which a file of this build can: the checkpoint walks one shard at a time
-// while the others take writes, so a peer re-homed between two shards'
-// walks is written under both. Such a file is loaded again serially, where
-// the later entry wins and the log tail settles the rest
-// (TestCheckpointUnderWriters crashes a node checkpointing beside writers,
-// moves and expiry sweeps, and logs how many of its recoveries fell back).
+// frame. NewCluster on a populated directory recovers before returning: one
+// pass reads the latest checkpoint and then the log tail with one applier
+// per shard, each taking its shard's entries of batch joins of new peers in
+// file order through the normal apply path; every other record — a landmark
+// move, a flag, a leave or refresh, a single or re-homing join, an expiry
+// sweep — waits for the appliers to drain and applies serially between
+// them. When each peer has one writer at a time, a restarted node serves
+// the exact peer set (and, for joins that arrived over the wire, the exact
+// overlay addresses) it acknowledged before the crash
+// (TestCrashRecoveryExactState, TestCheckpointUnderWriters,
+// TestParallelTailMatchesSerialTail). Two writers racing on one peer can
+// log in the opposite order to the one they applied in, and recovery then
+// holds the logged order. The appliers' order decides nothing unless two
+// batches between the same two serial records name one peer, which a
+// checkpoint of this build can: it walks one shard at a time while the
+// others take writes, so a peer re-homed between two shards' walks is
+// written under both. The pass counts the peers at every serial record and
+// at the end, and a count short of the entries handed out sends the whole
+// open again through the serial road, where the later entry wins and the
+// log tail settles the rest (TestCheckpointUnderWriters crashes a node
+// checkpointing beside writers, moves and expiry sweeps, and logs how many
+// of its recoveries fell back).
 // The log is one stream written in sequence order, so a crash can only
 // tear its tail: a record torn by the crash was never acknowledged and is
 // cut off by CRC at open, and so is every record after it, none of which
