@@ -65,16 +65,6 @@ type shardLoader struct {
 // its state may differ from the serial road's.
 var errInexact = errors.New("cluster: a peer named twice between two barriers")
 
-// loadCheckpointParallel applies a checkpoint through a shardLoader of its
-// own and reports whether the pass vouches for the state it built (see
-// shardLoader); when it does not, the state may differ from loadCheckpoint's.
-// On return no applier is left running, error or not.
-func (c *Cluster) loadCheckpointParallel(r io.Reader) (exact bool, err error) {
-	l := &shardLoader{c: c}
-	defer l.stop()
-	return l.load(r)
-}
-
 // load reads a checkpoint, good to its end frame, through the loader.
 func (l *shardLoader) load(r io.Reader) (exact bool, err error) {
 	if err = op.ReadStream(r, l.read); err == nil {

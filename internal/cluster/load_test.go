@@ -52,6 +52,16 @@ func writeCheckpointFile(t *testing.T, dir string, ops ...op.Op) {
 	}
 }
 
+// loadCheckpointParallel applies a checkpoint through a shardLoader of its
+// own and reports whether the pass vouches for the state it built (see
+// shardLoader); when it does not, the state may differ from loadCheckpoint's.
+// On return no applier is left running, error or not.
+func (c *Cluster) loadCheckpointParallel(r io.Reader) (exact bool, err error) {
+	l := &shardLoader{c: c}
+	defer l.stop()
+	return l.load(r)
+}
+
 // assertSameState fails unless got holds want's state: the same fresh
 // checkpoint bytes, peer count, records, placement, and the answers of a
 // sample of lookups.
