@@ -200,17 +200,18 @@ type Cluster struct {
 	opsSinceSnap   atomic.Int64
 	bytesSinceSnap atomic.Int64
 	lastSnapSeq    atomic.Uint64 // covering seq of the latest on-disk snapshot
+	snapMu         sync.Mutex    // one checkpoint at a time
+	snapCh         chan struct{}
+	snapStop       chan struct{}
+	snapWG         sync.WaitGroup
+	snapErrMu      sync.Mutex
+	snapErr        error // last background checkpoint failure
+	closeOnce      sync.Once
+
 	// The last open's recovery split, which a scrape may read while the
 	// open runs: checkpoint load and tail replay in nanoseconds, and the
 	// tail records applied serially (DurabilityStats.SerialRecords).
 	loadNanos, replayNanos, serialRecords atomic.Int64
-	snapMu                                sync.Mutex // one checkpoint at a time
-	snapCh                                chan struct{}
-	snapStop                              chan struct{}
-	snapWG                                sync.WaitGroup
-	snapErrMu                             sync.Mutex
-	snapErr                               error // last background checkpoint failure
-	closeOnce                             sync.Once
 
 	met clusterMetrics
 }
