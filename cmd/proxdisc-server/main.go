@@ -18,10 +18,11 @@
 // is a follower: it asks the durable primary for its shard count, runs a
 // cluster of as many shards, streams the primary's committed op log over
 // TCP and applies it to that copy (catching up from a shipped checkpoint
-// when it is behind the log's retention), so every landmark sits on the
-// primary's shard at the primary's epoch; it serves reads from the copy,
-// redirects writes to the primary, and logs its replication lag. A follower
-// keeps its copy in memory only, so -follow refuses -data-dir and -shards.
+// when it is behind the log's retention); given the primary's -landmarks,
+// it deals every landmark to the primary's shard. It serves reads from the
+// copy, redirects writes to the primary, and logs its replication lag. A
+// follower keeps its copy in memory only, so -follow refuses -data-dir and
+// -shards.
 // A primary refuses more -shards than -landmarks.
 //
 // With -metrics-addr the process serves its operational surface over HTTP:

@@ -7,16 +7,13 @@
 // the landmarks, behind a Router that
 //
 //   - maps a join to the shard owning its path's landmark via an
-//     assignment table, dealt round-robin at start;
+//     assignment table, dealt round-robin by New and never changed after;
 //   - routes peer-keyed requests (Lookup, Leave, Refresh) through the
 //     node's one peer index, which the shards' servers share and maintain
 //     (server.Index): an entry names the peer's landmark, the table that
-//     landmark's owner;
+//     landmark's owner; and
 //   - answers operations that span landmarks (Peers, aggregate Stats,
-//     Expire) with a scatter-gather fan-out, one goroutine per shard; and
-//   - rebalances at runtime by handing a landmark's tree, whole, from one
-//     shard's server to another's, buffering that landmark's requests
-//     during the transfer so none are dropped (see MoveLandmark).
+//     Expire) with a scatter-gather fan-out, one goroutine per shard.
 //
 // Because shards never share tree state, a Cluster returns byte-identical
 // candidate sets to a single server.Server over the same peer population —
@@ -24,36 +21,27 @@
 //
 // A shard is one server.Server; the cluster keeps no second copy of it, and
 // no per-peer state of its own. Copies live in other processes, fed by the
-// committed op stream (netserver.StartFollower): each
-// is a Cluster of the primary's shard count, which applies the stream's move
-// ops (Apply) and catch-up checkpoints (ResetFromSnapshot) as recovery does,
-// so it places every landmark on the primary's shard at the primary's epoch.
+// committed op stream (netserver.StartFollower): each is a Cluster of the
+// primary's shard count over the primary's landmarks, so its table is the
+// primary's, and it applies the stream (Apply) and catch-up checkpoints
+// (ResetFromSnapshot) as recovery does.
 //
 // # Locks on the hot paths
 //
 // Cluster.Lookup takes, in order: the peer index stripe's RLock, for the
-// peer's landmark; Cluster.mu.RLock, for the landmark's owner (both released
-// before the shard is touched); then, inside server.Server.Lookup, the
-// server's state lock, read-held, and under it the stripe's RLock again —
-// the trees below take no lock of their own. Nothing exclusive, nothing of
-// the cluster's own beyond the table read. A shard that turns out not to
-// hold the peer — it re-joined elsewhere in between, or its landmark is
-// changing hands, which the lookup waits out — sends the lookup round again.
+// peer's landmark, released before the shard is touched; then, inside
+// server.Server.Lookup, the server's state lock, read-held, and under it the
+// stripe's RLock again — the trees below take no lock of their own. The
+// table is read-only after New, so reading the landmark's owner takes no
+// lock at all. A shard that turns out not to hold the peer — it re-joined
+// under a landmark of another shard in between — sends the lookup round
+// again.
 //
-// Every write takes: Cluster.mu.RLock (table, moving set, epoch fence) just
-// long enough to resolve the owning shard, released before the shard is
-// touched; then, inside the server, the writer mutex for the whole op and,
-// under it, the state lock exclusively around each single mutation (one per
-// batch entry), the index stripe's lock innermost — table RLock → writer
-// mutex → state lock → stripe, one order for every write. The server's join
-// writes the index entry; the cluster writes none of its own. Nothing pins
-// the owner between the table read and the writer mutex: a landmark can
-// change hands in that gap, and the server that no longer holds its tree
-// answers so — ErrUnknownLandmark for a join, ErrUnknownPeer for a leave,
-// refresh or flag — and the write resolves the owner again, waiting out the
-// move and re-checking its epoch fence, as a lookup does. A write applies
-// exactly once: on the server holding the tree when it takes the writer
-// mutex, whose tree then carries it wherever it moves.
+// Every write takes, inside the owning server, the writer mutex for the whole
+// op and, under it, the state lock exclusively around each single mutation
+// (one per batch entry), the index stripe's lock innermost — writer mutex →
+// state lock → stripe, one order for every write. The server's join writes
+// the index entry; the cluster writes none of its own.
 //
 // After the apply a durable cluster appends to the write-ahead log: the log's
 // one mutex, under which the record takes its sequence and is copied into
@@ -62,18 +50,18 @@
 // leader takes the log's mutex once, to swap the buffers, writes and fsyncs
 // with no lock held, and takes the tap lock while it feeds the commit tap.
 //
-// Whoever holds more than one server's writer mutex holds hoMu: a landmark
-// handoff (server.Handoff, the source's and the destination's), adopting a
-// loaded state (server.Adopt, every server's). hoMu serialises them, so they
-// cannot deadlock against each other; a write or a whole-state walk holds
-// one writer mutex at a time. The expiry sweep and the checkpoint walk take
-// one server's writer mutex at a time, under hoMu, so no tree changes shards
-// between two of their shards.
+// Restoring a state (adopt) takes every server's writer mutex and then every
+// state lock (server.Adopt); a write or a whole-state walk holds one writer
+// mutex at a time, so neither can deadlock against it. A walk over every
+// shard — a snapshot, Peers, Stats, an expiry sweep — takes one server's
+// writer mutex after another, and adoptMu keeps it and adopt apart, so the
+// walk never reads some shards before a restore and the rest after it.
 package cluster
 
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"strconv"
@@ -95,10 +83,9 @@ type Config struct {
 	Landmarks []topology.NodeID
 	// Shards is the number of management-server shards (default 1). New
 	// deals the landmarks, in ascending ID order, one per shard in turn, so
-	// shard loads differ by at most one landmark. The landmark is the unit
-	// of sharding, so at most len(Landmarks) shards can hold state at once;
-	// extra shards start empty and fill only when Rebalance (or
-	// MoveLandmark) hands landmarks onto them.
+	// shard loads differ by at most one landmark, and the table never
+	// changes after. The landmark is the unit of sharding, so New refuses
+	// more shards than landmarks: a shard dealt none would stay empty.
 	Shards int
 
 	// DataDir, when set, makes the node durable: every acknowledged write
@@ -137,8 +124,8 @@ type Config struct {
 	NoSync bool
 
 	// Telemetry, when set, registers the cluster's metrics (per-shard
-	// apply counters and peer gauges, scatter fan-out, handoffs,
-	// checkpoint durations, the path trees' pool bytes, and the
+	// apply counters and peer gauges, scatter fan-out, checkpoint
+	// durations, the path trees' pool bytes, and the
 	// write-ahead log's proxdisc_wal_* series) with the registry. The
 	// instrumentation runs either way; the registry only decides whether
 	// anyone can read it.
@@ -163,30 +150,13 @@ type Cluster struct {
 	cfg    Config
 	shards []*shard
 
-	// mu guards the assignment table, the landmark epochs, and the
-	// in-progress handoff set.
-	mu    sync.RWMutex
+	// table maps each landmark to the shard that owns it. New deals it and
+	// nothing writes it after, so it is read with no lock.
 	table map[topology.NodeID]int
-	// epochs is the authoritative copy of each landmark's fencing epoch
-	// (zero for a landmark that never moved). Every completed
-	// MoveLandmark increments the moved landmark's epoch; a shard-routed
-	// write carrying a non-zero op.Epoch is rejected with
-	// server.ErrStaleEpoch unless it matches — the fence that silences a
-	// deposed owner.
-	epochs map[topology.NodeID]uint64
-	moving map[topology.NodeID]*handoff
 
-	// hoMu serializes handoffs and cluster-wide snapshots.
-	hoMu sync.Mutex
-
-	// moveHook, when set (tests only), observes each stage of a landmark
-	// handoff from inside MoveLandmark — the instrument for crash-point
-	// injection. See moveStage.
-	moveHook func(stage moveStage)
-	// routeHook, when set (tests only), runs when a request has resolved
-	// landmark lm's owner and let go of the table, before it applies there:
-	// a test parks a write in it across a handoff.
-	routeHook func(lm topology.NodeID)
+	// adoptMu keeps adopt and the walks over every shard apart (see the
+	// package comment); nothing else needs it.
+	adoptMu sync.Mutex
 
 	// idx is the node's one peer index, which every shard's server reads
 	// and writes; the cluster itself only reads it, to route a request that
@@ -220,7 +190,6 @@ type Cluster struct {
 // initMetrics.
 type clusterMetrics struct {
 	scatter     *telemetry.Counter   // scatter-gather shard calls launched
-	handoffs    *telemetry.Counter   // completed landmark handoffs
 	checkpoints *telemetry.Histogram // checkpoint (snapshot+truncate) duration
 }
 
@@ -231,7 +200,6 @@ type clusterMetrics struct {
 func (c *Cluster) initMetrics() {
 	r := c.cfg.Telemetry
 	c.met.scatter = r.Counter("proxdisc_scatter_fanout_total")
-	c.met.handoffs = r.Counter("proxdisc_handoffs_total")
 	c.met.checkpoints = r.Histogram("proxdisc_checkpoint_duration_seconds")
 	r.GaugeFunc("proxdisc_peers", func() float64 { return float64(c.NumPeers()) })
 	if c.cfg.DataDir != "" {
@@ -312,6 +280,10 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Shards < 0 {
 		return nil, fmt.Errorf("cluster: negative shard count %d", cfg.Shards)
 	}
+	if cfg.Shards > len(cfg.Landmarks) {
+		return nil, fmt.Errorf("cluster: %d shards for %d landmarks: a shard holds whole landmarks, so at most %d can hold any",
+			cfg.Shards, len(cfg.Landmarks), len(cfg.Landmarks))
+	}
 	table := make(map[topology.NodeID]int, len(cfg.Landmarks))
 	for i, lm := range slices.Sorted(slices.Values(cfg.Landmarks)) {
 		table[lm] = i % cfg.Shards
@@ -324,13 +296,9 @@ func New(cfg Config) (*Cluster, error) {
 		cfg:    cfg,
 		shards: make([]*shard, cfg.Shards),
 		table:  table,
-		epochs: make(map[topology.NodeID]uint64),
-		moving: make(map[topology.NodeID]*handoff),
 	}
 	c.idx.Store(server.NewIndex())
 	for i, lms := range perShard {
-		// A shard dealt no landmarks starts empty and fills through
-		// handoffs.
 		g, err := newShard(lms, cfg, c.idx.Load())
 		if err != nil {
 			return nil, fmt.Errorf("cluster: shard %d: %w", i, err)
@@ -352,44 +320,23 @@ func (c *Cluster) NumShards() int { return len(c.shards) }
 // Shard exposes one shard's server, for tests and diagnostics.
 func (c *Cluster) Shard(i int) *server.Server { return c.shards[i].srv }
 
-// ShardFor reports which shard currently owns a landmark.
+// ShardFor reports which shard owns a landmark.
 func (c *Cluster) ShardFor(lm topology.NodeID) (int, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	shard, ok := c.table[lm]
 	return shard, ok
-}
-
-// Epoch reports landmark lm's current fencing epoch: zero until the
-// landmark first moves between shards, incremented by every completed
-// MoveLandmark. A write stamped with a non-zero epoch (op.Op.Epoch) is
-// rejected with server.ErrStaleEpoch unless it matches.
-func (c *Cluster) Epoch(lm topology.NodeID) uint64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.epochs[lm]
 }
 
 // Landmarks returns every landmark served by the cluster in ascending
 // order.
 func (c *Cluster) Landmarks() []topology.NodeID {
-	c.mu.RLock()
-	out := make([]topology.NodeID, 0, len(c.table))
-	for lm := range c.table {
-		out = append(out, lm)
-	}
-	c.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return slices.Sorted(maps.Keys(c.table))
 }
 
 // NeighborCount reports the configured answer size.
 func (c *Cluster) NeighborCount() int { return c.shards[0].srv.NeighborCount() }
 
 // Join routes the peer's join to the shard owning its path's landmark and
-// returns the closest-peer answer, exactly as server.Server.Join would. If
-// that landmark is mid-handoff the join is buffered until the transfer
-// completes and then replayed against the new owner.
+// returns the closest-peer answer, exactly as server.Server.Join would.
 func (c *Cluster) Join(p pathtree.PeerID, path []topology.NodeID) ([]pathtree.Candidate, error) {
 	return c.JoinOp(op.Join(p, path, "", 0))
 }
@@ -410,35 +357,13 @@ func (c *Cluster) JoinOp(o op.Op) ([]pathtree.Candidate, error) {
 	return cands, nil
 }
 
-// enter resolves the shard that owns landmark lm, waiting out a handoff of
-// it. A non-zero epoch is the caller's fence and must be lm's current one.
-// Nothing holds the owner once enter returns: a caller whose apply finds the
-// tree gone comes back here, which waits out the move and fences again.
-func (c *Cluster) enter(lm topology.NodeID, epoch uint64) (*shard, error) {
-	for {
-		c.mu.RLock()
-		shard, ok := c.table[lm]
-		if !ok {
-			c.mu.RUnlock()
-			return nil, fmt.Errorf("%w (router %d)", server.ErrUnknownLandmark, lm)
-		}
-		if ho := c.moving[lm]; ho != nil {
-			c.mu.RUnlock()
-			<-ho.done // buffered during the transfer; resolved again below
-			continue
-		}
-		if epoch != 0 && epoch != c.epochs[lm] {
-			cur := c.epochs[lm]
-			c.mu.RUnlock()
-			return nil, fmt.Errorf("%w: landmark %d is at epoch %d, write fenced at %d",
-				server.ErrStaleEpoch, lm, cur, epoch)
-		}
-		c.mu.RUnlock()
-		if c.routeHook != nil {
-			c.routeHook(lm)
-		}
-		return c.shards[shard], nil
+// enter resolves the shard that owns landmark lm.
+func (c *Cluster) enter(lm topology.NodeID) (*shard, error) {
+	shard, ok := c.table[lm]
+	if !ok {
+		return nil, fmt.Errorf("%w (router %d)", server.ErrUnknownLandmark, lm)
 	}
+	return c.shards[shard], nil
 }
 
 // enterPeer is enter for a request that names a peer and no path: the index
@@ -448,46 +373,36 @@ func (c *Cluster) enterPeer(p pathtree.PeerID) (*shard, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %d", server.ErrUnknownPeer, p)
 	}
-	return c.enter(lm, 0)
+	return c.enter(lm)
 }
 
-// joinRoute routes a join op to the shard owning its path's landmark,
-// waiting out handoffs, and routes it again if the tree left that shard
-// before the join reached it. It is the shared road of answering joins
-// (quiet=false) and silent ones (quiet=true: Apply and WAL recovery).
+// joinRoute routes a join op to the shard owning its path's landmark. It is
+// the shared road of answering joins (quiet=false) and silent ones
+// (quiet=true: Apply and WAL recovery).
 func (c *Cluster) joinRoute(o op.Op, quiet bool) ([]pathtree.Candidate, error) {
 	if len(o.Join.Path) == 0 {
 		return nil, errors.New("server: empty path")
 	}
-	for {
-		g, err := c.enter(o.Join.Path[len(o.Join.Path)-1], o.Epoch)
-		if err != nil {
-			return nil, err
-		}
-		res, err := g.applyOp(o, quiet)
-		c.retireOrphans(g)
-		if !errors.Is(err, server.ErrUnknownLandmark) {
-			return res.cands, err
-		}
+	g, err := c.enter(o.Join.Path[len(o.Join.Path)-1])
+	if err != nil {
+		return nil, err
 	}
+	res, err := g.applyOp(o, quiet)
+	c.retireOrphans(g)
+	return res.cands, err
 }
 
 // retireOrphans retires the records that joins on g left behind in trees of
 // other shards: a re-join under a landmark owned elsewhere replaces the
 // peer's record, as on a single server, instead of duplicating it. Each goes
-// by (landmark, slot) to whichever shard owns the landmark now, and again to
-// the next owner if the tree moves on before it arrives; the server's own
-// rule decides whether it is still an orphan (server.Retire).
+// by (landmark, slot) to the shard that owns the landmark, whose server's
+// own rule decides whether it is still an orphan (server.Retire).
 func (c *Cluster) retireOrphans(g *shard) {
 	for _, o := range g.srv.TakeOrphans() {
-		for {
-			owner, err := c.enter(o.Landmark, 0)
-			if err != nil {
-				break
-			}
-			if _, err := owner.srv.Retire(o); !errors.Is(err, server.ErrUnknownLandmark) {
-				break
-			}
+		// The owner holds the orphan's tree, so Retire refuses nothing, and
+		// whether it found the record still there changes nothing here.
+		if owner, err := c.enter(o.Landmark); err == nil {
+			_, _ = owner.srv.Retire(o)
 		}
 	}
 }
@@ -503,11 +418,10 @@ func (c *Cluster) JoinBatch(items []server.BatchJoin) []server.BatchResult {
 
 // JoinBatchOp registers a batch of peers, grouping entries by the shard
 // owning each path's landmark so every shard is hit with one
-// single-lock-acquisition batch apply instead of per-join locking.
-// Entries whose landmark is mid-handoff fall back to the waiting Join path
-// after the grouped entries complete. Results are positional: out[i]
-// answers o.Batch[i]. On a durable node the accepted entries are
-// committed to the write-ahead log before the answers are returned.
+// single-lock-acquisition batch apply instead of per-join locking. Results
+// are positional: out[i] answers o.Batch[i]. On a durable node the accepted
+// entries are committed to the write-ahead log before the answers are
+// returned.
 func (c *Cluster) JoinBatchOp(o op.Op) []server.BatchResult {
 	o = c.stamp(o)
 	out, accepted, deferred := c.batchRoute(o, false)
@@ -523,10 +437,9 @@ func (c *Cluster) JoinBatchOp(o op.Op) []server.BatchResult {
 			return out
 		}
 	}
-	// Entries caught by a handoff (which wait for the transfer and go to
-	// the new owner) and duplicate-peer entries (which need batch order)
-	// take the singular path, in the order batchRoute lists them; both are
-	// rare, so the flash-crowd case loses nothing.
+	// Duplicate-peer entries, which need batch order, take the singular
+	// path, in batch order; they are rare, so the flash-crowd case loses
+	// nothing.
 	for _, i := range deferred {
 		out[i].Neighbors, out[i].Err = c.JoinOp(op.Op{Kind: op.KindJoin, Time: o.Time, Join: o.Batch[i]})
 	}
@@ -537,12 +450,9 @@ func (c *Cluster) JoinBatchOp(o op.Op) []server.BatchResult {
 // group: the shared road of JoinBatchOp and of a recorded batch, replayed or
 // replicated (quiet, which computes no answers and so lists nothing as
 // accepted).
-// out holds the answers and the entries refused; deferred lists the entries
-// left for the singular road, which the caller takes, in that order, once it
-// is done with the grouped ones: those whose landmark was moving and those
-// whose peer the batch repeats, in batch order, then those whose tree left
-// its shard before their group reached it — each a peer the batch names
-// once, so where it goes in the order changes no record.
+// out holds the answers and the entries refused; deferred lists, in batch
+// order, the entries whose peer the batch repeats, which the caller takes
+// through the singular road once it is done with the grouped ones.
 func (c *Cluster) batchRoute(o op.Op, quiet bool) (out []server.BatchResult, accepted []op.JoinEntry, deferred []int) {
 	items := o.Batch
 	out = make([]server.BatchResult, len(items))
@@ -573,11 +483,9 @@ func (c *Cluster) batchRoute(o op.Op, quiet bool) (out []server.BatchResult, acc
 		}
 		return false
 	}
-	// Resolve every entry's shard under one table read-lock. Groups are a
-	// slice indexed by shard: the shard count is small and fixed, and
-	// indexing keeps the resolve loop free of map operations.
+	// Resolve every entry's shard. Groups are a slice indexed by shard,
+	// whose count is small and fixed.
 	groups := make([]batchGroup, len(c.shards))
-	c.mu.RLock()
 	for i := range items {
 		it := &items[i]
 		if len(it.Path) == 0 {
@@ -590,7 +498,7 @@ func (c *Cluster) batchRoute(o op.Op, quiet bool) (out []server.BatchResult, acc
 			out[i].Err = fmt.Errorf("%w (router %d)", server.ErrUnknownLandmark, lm)
 			continue
 		}
-		if c.moving[lm] != nil || dup(it.Peer, i) {
+		if dup(it.Peer, i) {
 			deferred = append(deferred, i)
 			continue
 		}
@@ -598,30 +506,13 @@ func (c *Cluster) batchRoute(o op.Op, quiet bool) (out []server.BatchResult, acc
 		g.idxs = append(g.idxs, i)
 		g.entries = append(g.entries, *it)
 	}
-	c.mu.RUnlock()
-	if c.routeHook != nil {
-		for _, g := range groups {
-			for _, e := range g.entries {
-				c.routeHook(e.Path[len(e.Path)-1])
-			}
-		}
-	}
 	for shard, g := range groups {
 		if len(g.idxs) == 0 {
 			continue
 		}
 		res, _ := c.shards[shard].applyOp(op.BatchJoin(g.entries, o.Time), quiet)
-		// An entry whose tree left the shard between the table read and the
-		// apply goes to the singular road, which routes it again.
-		for _, k := range res.moved {
-			deferred = append(deferred, g.idxs[k])
-		}
 		for k, r := range res.batch {
 			i := g.idxs[k]
-			if errors.Is(r.Err, server.ErrUnknownLandmark) {
-				deferred = append(deferred, i)
-				continue
-			}
 			out[i] = r
 			if r.Err == nil {
 				accepted = append(accepted, items[i])
@@ -667,9 +558,9 @@ func (c *Cluster) Lookup(p pathtree.PeerID) ([]pathtree.Candidate, error) {
 }
 
 // atPeer runs a peer-keyed read or write on the shard that holds the peer's
-// record. A shard that no longer knows the peer — it left or re-joined
-// elsewhere since the index was read, or its landmark's tree changed hands
-// after the routing — sends the request round again.
+// record. A shard that no longer knows the peer — it left, or re-joined
+// under a landmark of another shard, since the index was read — sends the
+// request round again.
 func atPeer[T any](c *Cluster, p pathtree.PeerID, f func(*shard, pathtree.PeerID) (T, error)) (T, error) {
 	for {
 		g, err := c.enterPeer(p)
@@ -739,7 +630,14 @@ func (c *Cluster) applyRouted(o op.Op) error {
 		c.expireRouted(o)
 		return nil
 	case op.KindMoveLandmark:
-		return c.move(o.Move, false)
+		// Builds that moved landmarks between shards logged each move and
+		// named every landmark's owner in their checkpoints. The table is
+		// New's whatever such a record says, so a landmark it serves is all
+		// that is checked.
+		if _, ok := c.table[o.Move.Landmark]; !ok {
+			return fmt.Errorf("cluster: move of unknown landmark %d", o.Move.Landmark)
+		}
+		return nil
 	default:
 		return fmt.Errorf("cluster: cannot apply op kind %d", o.Kind)
 	}
@@ -760,11 +658,10 @@ func (c *Cluster) Leave(p pathtree.PeerID) bool {
 func (c *Cluster) NumPeers() int { return c.idx.Load().Len() }
 
 // Peers scatter-gathers the registered peer IDs of every shard and returns
-// them merged in ascending order. It serializes with handoffs so a moving
-// landmark's peers are never reported from both shards at once.
+// them merged in ascending order, all from one state (adoptMu).
 func (c *Cluster) Peers() []pathtree.PeerID {
-	c.hoMu.Lock()
-	defer c.hoMu.Unlock()
+	c.adoptMu.Lock()
+	defer c.adoptMu.Unlock()
 	per := make([][]pathtree.PeerID, len(c.shards))
 	c.scatter(func(i int, s *server.Server) { per[i] = s.Peers() })
 	var out []pathtree.PeerID
@@ -801,14 +698,13 @@ func (c *Cluster) Expire() []pathtree.PeerID {
 }
 
 // expireRouted fans an ExpireOp out to every shard, each swept under its
-// own writer mutex while the others take writes. It serializes with
-// handoffs (hoMu), so no tree slips between two shards' sweeps — swept on
-// neither, or twice. The expired set is not one instant's: each peer goes
-// or stays by its refresh time against the op's deadline when its shard is
-// swept, which is what a replay of the op re-derives.
+// own writer mutex while the others take writes, all of them in one state
+// (adoptMu). The expired set is not one instant's: each peer goes or stays by
+// its refresh time against the op's deadline when its shard is swept, which
+// is what a replay of the op re-derives.
 func (c *Cluster) expireRouted(o op.Op) []pathtree.PeerID {
-	c.hoMu.Lock()
-	defer c.hoMu.Unlock()
+	c.adoptMu.Lock()
+	defer c.adoptMu.Unlock()
 	per := make([][]pathtree.PeerID, len(c.shards))
 	c.scatter(func(i int, _ *server.Server) {
 		res, _ := c.shards[i].applyOp(o, false)
@@ -826,11 +722,11 @@ func (c *Cluster) expireRouted(o op.Op) []pathtree.PeerID {
 }
 
 // Stats scatter-gathers every shard's counters and merges them: counts sum,
-// per-landmark tree statistics union (landmark sets are disjoint across
-// shards outside a handoff, which Stats serializes with).
+// per-landmark tree statistics union (the shards' landmark sets are
+// disjoint).
 func (c *Cluster) Stats() server.Stats {
-	c.hoMu.Lock()
-	defer c.hoMu.Unlock()
+	c.adoptMu.Lock()
+	defer c.adoptMu.Unlock()
 	per := make([]server.Stats, len(c.shards))
 	c.scatter(func(i int, s *server.Server) { per[i] = s.Stats() })
 	merged := server.Stats{TreeStats: make(map[topology.NodeID]pathtree.Stats)}

@@ -63,12 +63,19 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{Landmarks: testLandmarks, Shards: -1}); err == nil {
 		t.Fatal("accepted negative shard count")
 	}
-	// More shards than landmarks is legal: the extras are elastic
-	// capacity, empty until a handoff or the rebalancer fills them.
-	if c, err := New(Config{Landmarks: []topology.NodeID{1, 2}, Shards: 3}); err != nil {
-		t.Fatalf("rejected elastic shards: %v", err)
-	} else if got := c.NumShards(); got != 3 {
-		t.Fatalf("elastic cluster has %d shards, want 3", got)
+}
+
+// TestNewRefusesShardsBeyondLandmarks pins that New refuses more shards than
+// landmarks: the landmark is the unit of sharding and the table New deals
+// never changes, so a shard dealt no landmark would stay empty for good.
+func TestNewRefusesShardsBeyondLandmarks(t *testing.T) {
+	if _, err := New(Config{Landmarks: []topology.NodeID{1, 2}, Shards: 3}); err == nil {
+		t.Fatal("accepted 3 shards for 2 landmarks")
+	}
+	if c, err := New(Config{Landmarks: []topology.NodeID{1, 2}, Shards: 2}); err != nil {
+		t.Fatalf("refused a shard per landmark: %v", err)
+	} else if got := c.NumShards(); got != 2 {
+		t.Fatalf("cluster has %d shards, want 2", got)
 	}
 }
 
@@ -383,46 +390,6 @@ func TestJoinBatchRejoinMovesShards(t *testing.T) {
 	}
 	if got := c.Shard(oldShard).NumPeers(); got != 0 {
 		t.Fatalf("old shard still holds %d peers", got)
-	}
-}
-
-func TestJoinBatchDuringHandoff(t *testing.T) {
-	c := newTestCluster(t, 2)
-	populate(t, c, 40)
-	from, _ := c.ShardFor(0)
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if err := c.MoveLandmark(0, (from+i+1)%2); err != nil {
-				t.Errorf("move: %v", err)
-				return
-			}
-		}
-	}()
-	for i := 0; i < 50; i++ {
-		items := []server.BatchJoin{
-			{Peer: pathtree.PeerID(1000 + i*2), Path: synthPath(0, 60_000+i)},
-			{Peer: pathtree.PeerID(1001 + i*2), Path: synthPath(100, 60_000+i)},
-		}
-		res := c.JoinBatch(items)
-		for k, r := range res {
-			if r.Err != nil {
-				t.Fatalf("batch %d entry %d: %v", i, k, r.Err)
-			}
-		}
-	}
-	close(stop)
-	wg.Wait()
-	if got := c.NumPeers(); got != 140 {
-		t.Fatalf("peers=%d want 140", got)
 	}
 }
 

@@ -12,22 +12,24 @@ import (
 	"proxdisc/internal/wal"
 )
 
-// writeCheckpoint writes the checkpoint file: the cluster's snapshot in
-// its placed form (server.WriteSnapshot), an op stream whose
-// KindMoveLandmark records name each landmark's owning shard and epoch, so
-// the file carries the landmark→shard table as well as the trees — state
-// that lives above the shards and would otherwise silently reset to its
-// configured value on restart. It runs in two phases. The serialization
-// phase builds the whole stream in memory under one hoMu hold, so the
-// table and the trees describe the same instant even against concurrent
-// handoffs — and the lock is released the moment the bytes exist. The
-// write phase then writes them with no cluster lock held, so writes go on
-// while the file reaches the disk.
-func (c *Cluster) writeCheckpoint(w io.Writer) error {
+// Snapshot serializes the whole cluster's durable state as one standard
+// server snapshot (restorable by ResetFromSnapshot), byte-identical to the
+// one a single server holding the same state would write: it is the
+// checkpoint file, the catch-up image a primary ships, and the form copies
+// are compared by. It names no owner — the table is New's — and runs in two
+// phases. The state is serialized into memory under one adoptMu hold, so
+// every shard is read from one state, and the lock is released the moment
+// the bytes exist; they are then written with no cluster lock held, so
+// writes go on while a checkpoint reaches the disk.
+func (c *Cluster) Snapshot(w io.Writer) error {
+	srvs := make([]*server.Server, len(c.shards))
+	for i, g := range c.shards {
+		srvs[i] = g.srv
+	}
 	var buf bytes.Buffer
-	c.hoMu.Lock()
-	err := c.snapshotLocked(&buf, true)
-	c.hoMu.Unlock()
+	c.adoptMu.Lock()
+	err := server.WriteSnapshot(&buf, srvs...)
+	c.adoptMu.Unlock()
 	if err != nil {
 		return err
 	}
@@ -52,8 +54,8 @@ func (c *Cluster) Durable() bool { return c.log != nil }
 //
 // The checkpoint is read before the log is opened and must be good to its
 // end frame: a truncated or corrupt file, one in the gob format that
-// preceded op streams, or one that names a landmark or shard this
-// configuration lacks fails the open with nothing on disk touched. One
+// preceded op streams, or one that names a landmark this configuration
+// lacks fails the open with nothing on disk touched. One
 // shardLoader reads the checkpoint and then the tail: batch joins of peers
 // the index does not hold apply shard-parallel, every other record serially
 // between them. When the loader cannot vouch for its state — a peer named
@@ -181,11 +183,11 @@ func (c *Cluster) reload(ckpt io.ReadSeeker) error {
 // loadCheckpoint applies a checkpoint, good to its end frame, through the
 // road the log's tail takes, one record after another: a checkpoint is a
 // compacted op log, so loading it is replaying it. Its Move records come
-// first and carry each landmark's owner and epoch — move hands the
-// still-empty tree to the recorded owner and flips the table — so the load
-// recovers the exact post-handoff placement, NOT the configured assignment,
-// and the tail replays against the right owners. It is the serial road:
-// the reference the shard-parallel pass is held to, its fallback, and
+// first; each must name a landmark the cluster serves, and whatever owner
+// and epoch one names — files written by builds that moved landmarks name
+// both — its landmark stays on the shard New dealt it
+// (TestCheckpointNamingOtherOwnersLoads). It is the serial road: the
+// reference the shard-parallel pass is held to, its fallback, and
 // ResetFromSnapshot's loader.
 func (c *Cluster) loadCheckpoint(r io.Reader) error {
 	return op.ReadStream(r, func(o *op.Op) error { return c.applyRecovered(*o) })
@@ -208,14 +210,12 @@ func (c *Cluster) applyRecovered(o op.Op) error {
 	return nil
 }
 
-// ResetFromSnapshot replaces the cluster's whole state — trees, peer index,
-// landmark table and epochs — with a checkpoint's: a follower's catch-up
-// restore. The checkpoint is loaded by loadCheckpoint into a cluster built
-// off to the side, and published (adopt) only once all of it, end frame
-// included, has applied; a bad one leaves the previous state. The
-// shard count must cover the checkpoint's owners, as a follower's, which is
-// its primary's, does. A durable cluster refuses: its log would no longer
-// describe it.
+// ResetFromSnapshot replaces the cluster's whole state — trees and peer
+// index — with a checkpoint's: a follower's catch-up restore. The checkpoint
+// is loaded by loadCheckpoint into a cluster built off to the side, and
+// published (adopt) only once all of it, end frame included, has applied; a
+// bad one leaves the previous state. A durable cluster refuses: its log
+// would no longer describe it.
 func (c *Cluster) ResetFromSnapshot(r io.Reader) error {
 	if c.log != nil {
 		return errors.New("cluster: ResetFromSnapshot on a durable cluster")
@@ -240,24 +240,20 @@ func (c *Cluster) sideConfig() Config {
 	return cfg
 }
 
-// adopt publishes fresh's state — trees, peer index, landmark table and
-// epochs — as c's, in one critical section under every lock a write or a
-// lookup takes (server.Adopt takes every server's), so each sees the old
-// state or the new, never a mix. A write routed by the old table applies to
-// the new state, or finds its tree elsewhere in it and routes again. fresh
-// must not be used afterwards.
+// adopt publishes fresh's state — trees and peer index — as c's, in one
+// critical section under every lock a write or a lookup takes
+// (server.Adopt takes every server's), so each sees the old state or the
+// new, never a mix. fresh was built from c's config, so its table is c's.
+// fresh must not be used afterwards.
 func (c *Cluster) adopt(fresh *Cluster) {
-	c.hoMu.Lock()
-	defer c.hoMu.Unlock()
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.adoptMu.Lock()
+	defer c.adoptMu.Unlock()
 	dst, src := make([]*server.Server, len(c.shards)), make([]*server.Server, len(c.shards))
 	for i, g := range c.shards {
 		dst[i], src[i] = g.srv, fresh.shards[i].srv
 	}
 	server.Adopt(dst, src)
 	c.idx.Store(fresh.idx.Load())
-	c.table, c.epochs = fresh.table, fresh.epochs
 }
 
 // commit makes one applied op durable: it is encoded with the canonical
@@ -369,7 +365,7 @@ func (c *Cluster) Checkpoint() error {
 	start := time.Now()
 	defer func() { c.met.checkpoints.Observe(time.Since(start)) }()
 	seq := c.log.LastSeq()
-	if err := wal.WriteSnapshot(c.cfg.DataDir, seq, c.writeCheckpoint); err != nil {
+	if err := wal.WriteSnapshot(c.cfg.DataDir, seq, c.Snapshot); err != nil {
 		return fmt.Errorf("cluster: checkpoint: %w", err)
 	}
 	c.lastSnapSeq.Store(seq)
@@ -438,7 +434,7 @@ func (c *Cluster) CommittedHead() uint64 {
 // covers, writing a fresh one first if none exists yet — the bulk half of
 // follower catch-up when the WAL no longer retains the follower's tail.
 // The file ships as it is: a follower's cluster, which runs this one's
-// shard count, places each landmark on the owner its Move record names.
+// shard count over its landmarks, deals the same table.
 func (c *Cluster) CatchupSnapshot() (io.ReadCloser, uint64, error) {
 	if c.log == nil {
 		return nil, 0, errNotDurable

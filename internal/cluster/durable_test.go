@@ -470,27 +470,6 @@ func TestDurableRejectsForeignSnapshot(t *testing.T) {
 	}
 }
 
-// TestDurableRejectsShrunkenShardCount is the sibling contract for the
-// shard count: a checkpoint records each landmark's owning shard, and a
-// configuration with fewer shards than an owner it names must fail the
-// open instead of dealing the landmark somewhere else.
-func TestDurableRejectsShrunkenShardCount(t *testing.T) {
-	dir := t.TempDir()
-	c, err := New(durableConfig(dir, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Join(1, synthPath(testLandmarks[3], 1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := New(durableConfig(dir, 2)); err == nil || !strings.Contains(err.Error(), "shard") {
-		t.Fatalf("open with 2 of the 4 shards the checkpoint places landmarks on: %v", err)
-	}
-}
-
 // dirListing maps every file in dir to its size.
 func dirListing(t *testing.T, dir string) map[string]int64 {
 	t.Helper()
@@ -526,9 +505,6 @@ func TestDurableRefusesDamagedCheckpoint(t *testing.T) {
 		}
 	}
 	if err := c.SetSuperPeer(7, true); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.MoveLandmark(testLandmarks[0], 1); err != nil {
 		t.Fatal(err)
 	}
 	want := captureAnswers(t, c)

@@ -19,18 +19,17 @@ import (
 // records in order, and one rule decides where each applies:
 //
 //   - A batch join none of whose entries names a peer the index holds as
-//     the record is read is split by owning shard under the table read
-//     lock. Each group joins its shard's run, which goes to the shard's FIFO
-//     once it holds runEntries entries, and the applier applies every group
-//     to the shard's server whole, so each shard sees its entries in stream
-//     order. A checkpoint is almost all such records, and so is the tail of
-//     a crowd of new peers.
+//     the record is read is split by owning shard. Each group joins its
+//     shard's run, which goes to the shard's FIFO once it holds runEntries
+//     entries, and the applier applies every group to the shard's server
+//     whole, so each shard sees its entries in stream order. A checkpoint is
+//     almost all such records, and so is the tail of a crowd of new peers.
 //   - Every other record — a single join, a batch naming a resident peer, a
-//     leave, refresh or flag, an expiry sweep, a move — is a barrier: it
-//     waits for the appliers to drain and then applies on the calling
-//     goroutine through applyRecovered, as on the serial road. A re-homing
-//     join must retire the record it orphans, a leave is routed by the index
-//     as it stands, and moves and sweeps see every shard, so none of them
+//     leave, refresh or flag, an expiry sweep, a move record — is a
+//     barrier: it waits for the appliers to drain and then applies on the
+//     calling goroutine through applyRecovered, as on the serial road. A
+//     re-homing join must retire the record it orphans, a leave is routed by
+//     the index as it stands, and sweeps see every shard, so none of them
 //     commutes with the appliers' work.
 //
 // Two entries naming the same peer between two barriers are the one thing
@@ -209,9 +208,7 @@ func (l *shardLoader) apply(g *shard, q <-chan []op.Op) {
 	defer l.running.Done()
 	for run := range q {
 		for _, o := range run {
-			// The cluster is not visible yet and every move waits for the
-			// appliers to drain, so no tree leaves the shard under them and
-			// the group goes to the server whole. The server skips an entry
+			// The group goes to the server whole. The server skips an entry
 			// it cannot register, as on the serial road; the peers then
 			// number fewer than the entries handed out, and the open goes
 			// that road.
@@ -235,24 +232,19 @@ func (l *shardLoader) split(o op.Op) error {
 	}
 	l.owner = l.owner[:0]
 	clear(l.count)
-	c := l.c
-	c.mu.RLock()
 	for i := range o.Batch {
 		path := o.Batch[i].Path
 		if len(path) == 0 {
-			c.mu.RUnlock()
 			return errors.New("server: empty path")
 		}
 		lm := path[len(path)-1]
-		shard, ok := c.table[lm]
+		shard, ok := l.c.table[lm]
 		if !ok {
-			c.mu.RUnlock()
 			return fmt.Errorf("%w (router %d)", server.ErrUnknownLandmark, lm)
 		}
 		l.owner = append(l.owner, shard)
 		l.count[shard]++
 	}
-	c.mu.RUnlock()
 	if first := l.owner[0]; l.count[first] == len(o.Batch) {
 		l.queue(first, o)
 		return nil

@@ -36,6 +36,42 @@ func checkpointFile(t *testing.T, dir string) []byte {
 	return b
 }
 
+// copyDataDir copies a durable node's data directory file by file: the disk
+// image a kill -9 would leave behind.
+func copyDataDir(t *testing.T, src, dst string) {
+	t.Helper()
+	err := filepath.Walk(src, func(path string, info os.FileInfo, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(src, path)
+		if err != nil {
+			return err
+		}
+		target := filepath.Join(dst, rel)
+		if info.IsDir() {
+			return os.MkdirAll(target, 0o755)
+		}
+		in, err := os.Open(path)
+		if err != nil {
+			return err
+		}
+		defer in.Close()
+		out, err := os.Create(target)
+		if err != nil {
+			return err
+		}
+		if _, err := io.Copy(out, in); err != nil {
+			out.Close()
+			return err
+		}
+		return out.Close()
+	})
+	if err != nil {
+		t.Fatalf("copy data dir: %v", err)
+	}
+}
+
 // writeCheckpointFile writes ops as the checkpoint of an empty data
 // directory, as a file written by hand or by another build would be.
 func writeCheckpointFile(t *testing.T, dir string, ops ...op.Op) {
@@ -63,12 +99,12 @@ func (c *Cluster) loadCheckpointParallel(r io.Reader) (exact bool, err error) {
 }
 
 // assertSameState fails unless got holds want's state: the same fresh
-// checkpoint bytes, peer count, records, placement, and the answers of a
+// snapshot bytes, peer count, records, placement, and the answers of a
 // sample of lookups.
 func assertSameState(t *testing.T, want, got *Cluster, label string) {
 	t.Helper()
-	if w, g := checkpointOf(t, want), checkpointOf(t, got); !bytes.Equal(w, g) {
-		t.Fatalf("%s: checkpoints differ (%d and %d bytes)", label, len(w), len(g))
+	if w, g := snapshotOf(t, want), snapshotOf(t, got); !bytes.Equal(w, g) {
+		t.Fatalf("%s: snapshots differ (%d and %d bytes)", label, len(w), len(g))
 	}
 	if w, g := want.NumPeers(), got.NumPeers(); w != g {
 		t.Fatalf("%s: %d peers, want %d", label, g, w)
@@ -76,9 +112,8 @@ func assertSameState(t *testing.T, want, got *Cluster, label string) {
 	for _, lm := range want.Landmarks() {
 		ws, _ := want.ShardFor(lm)
 		gs, ok := got.ShardFor(lm)
-		if !ok || gs != ws || got.Epoch(lm) != want.Epoch(lm) {
-			t.Fatalf("%s: landmark %d on shard %d at epoch %d, want shard %d at epoch %d",
-				label, lm, gs, got.Epoch(lm), ws, want.Epoch(lm))
+		if !ok || gs != ws {
+			t.Fatalf("%s: landmark %d on shard %d, want shard %d", label, lm, gs, ws)
 		}
 	}
 	for i, p := range want.Peers() {
@@ -101,9 +136,8 @@ func assertSameState(t *testing.T, want, got *Cluster, label string) {
 // buildLoadFixture fills a durable cluster of the given shard count in dir
 // with n peers — runs of a shared refresh time longer than a wire batch, so
 // the checkpoint holds records of up to op.MaxBatch entries; wire addresses;
-// re-joins under another landmark; super-peers; leaves; and two landmarks
-// moved off their configured shards — then checkpoints and closes it. It
-// returns the checkpoint written before the close.
+// re-joins under another landmark; super-peers; and leaves — then
+// checkpoints and closes it. It returns the snapshot taken before the close.
 func buildLoadFixture(t *testing.T, dir string, shards, n int) []byte {
 	t.Helper()
 	cfg := durableConfig(dir, shards)
@@ -131,12 +165,6 @@ func buildLoadFixture(t *testing.T, dir string, shards, n int) []byte {
 			}
 		}
 	}
-	for _, lm := range []topology.NodeID{testLandmarks[1], testLandmarks[6]} {
-		cur, _ := c.ShardFor(lm)
-		if err := c.MoveLandmark(lm, (cur+1)%shards); err != nil {
-			t.Fatal(err)
-		}
-	}
 	for k := 0; k < n/50; k++ {
 		p := pathtree.PeerID(1 + rng.Intn(n))
 		switch k % 4 {
@@ -159,7 +187,7 @@ func buildLoadFixture(t *testing.T, dir string, shards, n int) []byte {
 	if err := c.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	want := checkpointOf(t, c)
+	want := snapshotOf(t, c)
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -208,18 +236,13 @@ func TestParallelLoadMatchesSerialLoad(t *testing.T) {
 
 			serial := reopen(t, src, shards, true)
 			parallel := reopen(t, src, shards, false)
-			if !bytes.Equal(checkpointOf(t, serial), before) {
+			if !bytes.Equal(snapshotOf(t, serial), before) {
 				t.Fatal("the serial road did not recover the checkpointed state")
 			}
 			if parallel.DurabilityStats().LoadTime <= 0 {
 				t.Fatal("no load time on a recovered node")
 			}
 			assertSameState(t, serial, parallel, "parallel load")
-			for _, lm := range []topology.NodeID{testLandmarks[1], testLandmarks[6]} {
-				if parallel.Epoch(lm) == 0 {
-					t.Fatalf("moved landmark %d at epoch 0", lm)
-				}
-			}
 
 			// The parallel pass alone, with no fallback behind it.
 			fresh, err := New(Config{Landmarks: testLandmarks, Shards: shards})

@@ -17,19 +17,9 @@ import (
 	"proxdisc/internal/topology"
 )
 
-// checkpointOf writes c's checkpoint: the placed snapshot a primary ships
-// to a follower that is behind its log.
-func checkpointOf(t testing.TB, c *Cluster) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := c.writeCheckpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// logicalSnapshot writes c's snapshot in the form copies are compared by.
-func logicalSnapshot(t testing.TB, c *Cluster) []byte {
+// snapshotOf writes c's snapshot: the checkpoint a durable node writes and
+// ships to a follower behind its log, and the form copies are compared by.
+func snapshotOf(t testing.TB, c *Cluster) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := c.Snapshot(&buf); err != nil {
@@ -38,16 +28,15 @@ func logicalSnapshot(t testing.TB, c *Cluster) []byte {
 	return buf.Bytes()
 }
 
-// assertSamePlacement fails unless got places every landmark on want's shard
-// at want's epoch, and each shard holds what want's holds.
+// assertSamePlacement fails unless got places every landmark on want's
+// shard, and each shard holds what want's holds.
 func assertSamePlacement(t *testing.T, want, got *Cluster) {
 	t.Helper()
 	for _, lm := range want.Landmarks() {
 		ws, _ := want.ShardFor(lm)
 		gs, ok := got.ShardFor(lm)
-		if !ok || gs != ws || got.Epoch(lm) != want.Epoch(lm) {
-			t.Fatalf("landmark %d on shard %d at epoch %d, want shard %d at epoch %d",
-				lm, gs, got.Epoch(lm), ws, want.Epoch(lm))
+		if !ok || gs != ws {
+			t.Fatalf("landmark %d on shard %d, want shard %d", lm, gs, ws)
 		}
 	}
 	for i := 0; i < want.NumShards(); i++ {
@@ -68,26 +57,21 @@ func TestClusterResetFromSnapshot(t *testing.T) {
 	t.Run("lookups see one state", testResetUnderLookups)
 }
 
-// resetSource is a 2-shard cluster with a moved landmark and a super-peer,
-// and its checkpoint.
+// resetSource is a 2-shard cluster with a super-peer, and its checkpoint.
 func resetSource(t *testing.T) (*Cluster, []byte) {
 	t.Helper()
 	src := newTestCluster(t, 2)
 	populate(t, src, 64)
-	lm := testLandmarks[0]
-	from, _ := src.ShardFor(lm)
-	if err := src.MoveLandmark(lm, 1-from); err != nil {
-		t.Fatal(err)
-	}
 	if err := src.SetSuperPeer(3, true); err != nil {
 		t.Fatal(err)
 	}
-	return src, checkpointOf(t, src)
+	return src, snapshotOf(t, src)
 }
 
 // testResetReplaces: peers absent from the checkpoint disappear, every
-// landmark lands on the shard and at the epoch it names, the per-shard
-// gauges read the new state, and the copy keeps taking writes and moves.
+// landmark stays on the shard New dealt it, the per-shard gauges read the
+// new state, and the copy keeps taking writes and an older build's
+// replicated move, which leaves the table as it was.
 func testResetReplaces(t *testing.T) {
 	src, ckpt := resetSource(t)
 	lm := testLandmarks[0]
@@ -109,8 +93,8 @@ func testResetReplaces(t *testing.T) {
 	if _, err := dst.Lookup(1000); !errors.Is(err, server.ErrUnknownPeer) {
 		t.Fatalf("a peer the checkpoint does not hold survived the reset: %v", err)
 	}
-	want := logicalSnapshot(t, src)
-	if !bytes.Equal(want, logicalSnapshot(t, dst)) {
+	want := snapshotOf(t, src)
+	if !bytes.Equal(want, snapshotOf(t, dst)) {
 		t.Fatalf("reset copy holds %d peers, not the source's %d", dst.NumPeers(), src.NumPeers())
 	}
 	assertSamePlacement(t, src, dst)
@@ -126,47 +110,40 @@ func testResetReplaces(t *testing.T) {
 	}
 
 	// The copy keeps working on the adopted state: it takes writes, and a
-	// replicated move of the landmark the checkpoint placed.
+	// move an older primary replicated, which names another shard.
 	if _, err := dst.Join(2000, synthPath(lm, 7)); err != nil {
 		t.Fatal(err)
 	}
 	if err := dst.Apply(op.MoveLandmark(lm, cur, 1-cur, 2)); err != nil {
 		t.Fatal(err)
 	}
-	if s, _ := dst.ShardFor(lm); s != 1-cur || dst.Epoch(lm) != 2 {
-		t.Fatalf("replicated move left landmark %d on shard %d at epoch %d", lm, s, dst.Epoch(lm))
+	if s, _ := dst.ShardFor(lm); s != cur {
+		t.Fatalf("replicated move left landmark %d on shard %d, want %d", lm, s, cur)
+	}
+	if _, err := dst.Lookup(2000); err != nil {
+		t.Fatalf("lookup after the replicated move: %v", err)
 	}
 }
 
-// testResetRefusals: garbage, every truncation of a checkpoint, one naming
-// a shard the cluster lacks, and any checkpoint into a durable cluster are
-// refused, and the state stays what it was.
+// testResetRefusals: garbage, every truncation of a checkpoint, and any
+// checkpoint into a durable cluster are refused, and the state stays what
+// it was.
 func testResetRefusals(t *testing.T) {
 	src, ckpt := resetSource(t)
 	dst := newTestCluster(t, 2)
 	if err := dst.ResetFromSnapshot(bytes.NewReader(ckpt)); err != nil {
 		t.Fatal(err)
 	}
-	want := logicalSnapshot(t, dst)
+	want := snapshotOf(t, dst)
 	bad := map[string][]byte{"garbage": []byte("not a snapshot")}
 	for n := 0; n < len(ckpt); n += 97 {
 		bad[fmt.Sprintf("truncated to %d bytes", n)] = ckpt[:n]
 	}
-	// A checkpoint naming a shard this cluster lacks: a follower with fewer
-	// shards than its primary.
-	wide, err := New(Config{Landmarks: testLandmarks, Shards: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := wide.MoveLandmark(testLandmarks[1], 2); err != nil {
-		t.Fatal(err)
-	}
-	bad["owner out of range"] = checkpointOf(t, wide)
 	for name, data := range bad {
 		if err := dst.ResetFromSnapshot(bytes.NewReader(data)); err == nil {
 			t.Fatalf("accepted a %s snapshot", name)
 		}
-		if !bytes.Equal(want, logicalSnapshot(t, dst)) {
+		if !bytes.Equal(want, snapshotOf(t, dst)) {
 			t.Fatalf("a refused %s snapshot changed the state", name)
 		}
 	}
@@ -185,9 +162,8 @@ func testResetRefusals(t *testing.T) {
 
 // testResetUnderLookups runs lookups beside a cluster flipped between two
 // states by ResetFromSnapshot, over and over. The two hold the same peers
-// on other paths and, for one landmark, on another shard, so each peer's
-// answer differs between them: every answer must be one of the two, never
-// one mixed from both. Under -race it also checks that the publication is
+// on other paths, so each peer's answer differs between them: every answer
+// must be one of the two, never one mixed from both. Under -race it also checks that the publication is
 // synchronised with the readers.
 func testResetUnderLookups(t *testing.T) {
 	const peers = 200
@@ -201,11 +177,7 @@ func testResetUnderLookups(t *testing.T) {
 			}
 		}
 	}
-	from, _ := states[1].ShardFor(testLandmarks[0])
-	if err := states[1].MoveLandmark(testLandmarks[0], 1-from); err != nil {
-		t.Fatal(err)
-	}
-	ckpts := [][]byte{checkpointOf(t, states[0]), checkpointOf(t, states[1])}
+	ckpts := [][]byte{snapshotOf(t, states[0]), snapshotOf(t, states[1])}
 	answers := []clusterAnswers{captureAnswers(t, states[0]), captureAnswers(t, states[1])}
 
 	c := newTestCluster(t, 2)
@@ -268,11 +240,27 @@ func FuzzResetFromSnapshot(f *testing.F) {
 			f.Fatal(err)
 		}
 	}
-	f.Add(checkpointOf(f, seed))
-	if err := seed.MoveLandmark(0, 1); err != nil {
+	f.Add(snapshotOf(f, seed))
+	// The same state as a build that had moved landmark 0 onto shard 1
+	// wrote it: every Move record naming shard 1, landmark 0's at epoch 1.
+	var moved bytes.Buffer
+	sw := op.NewStreamWriter(&moved)
+	if err := op.ReadStream(bytes.NewReader(snapshotOf(f, seed)), func(o *op.Op) error {
+		if o.Kind == op.KindMoveLandmark {
+			o.Move.Src, o.Move.Dst = 1, 1
+			if o.Move.Landmark == 0 {
+				o.Move.Epoch = 1
+			}
+		}
+		sw.Write(*o)
+		return nil
+	}); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(checkpointOf(f, seed))
+	if err := sw.Close(); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(moved.Bytes())
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dst, err := New(Config{Landmarks: []topology.NodeID{0, 50}, Shards: 2})
@@ -295,12 +283,137 @@ func FuzzResetFromSnapshot(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := again.ResetFromSnapshot(bytes.NewReader(checkpointOf(t, dst))); err != nil {
+		if err := again.ResetFromSnapshot(bytes.NewReader(snapshotOf(t, dst))); err != nil {
 			t.Fatalf("round-trip restore: %v", err)
 		}
 		assertSamePlacement(t, dst, again)
-		if !bytes.Equal(logicalSnapshot(t, dst), logicalSnapshot(t, again)) {
+		if !bytes.Equal(snapshotOf(t, dst), snapshotOf(t, again)) {
 			t.Fatal("round-trip changed the snapshot's bytes")
 		}
 	})
+}
+
+func TestClusterSnapshotRestorable(t *testing.T) {
+	c := newTestCluster(t, 4)
+	populate(t, c, 48)
+	var buf bytes.Buffer
+	if err := c.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	restored := newTestCluster(t, 4)
+	if err := restored.ResetFromSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if restored.NumPeers() != c.NumPeers() {
+		t.Fatalf("restored peers=%d want %d", restored.NumPeers(), c.NumPeers())
+	}
+	if !reflect.DeepEqual(restored.Landmarks(), c.Landmarks()) {
+		t.Fatalf("restored landmarks=%v want %v", restored.Landmarks(), c.Landmarks())
+	}
+	for _, p := range c.Peers() {
+		a, err := c.Lookup(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := restored.Lookup(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("lookup %d differs after restore", p)
+		}
+	}
+}
+
+// TestCheckpointNamingOtherOwnersLoads pins that the landmark table is the one
+// New deals, whatever a checkpoint's Move records say. Builds that moved
+// landmarks between shards wrote each landmark's owning shard and fencing
+// epoch into those records: a file naming owners other than the round-robin
+// ones, at non-zero epochs, loads through a durable open and through
+// ResetFromSnapshot onto the table's owners, with every peer it holds, into
+// the state a fresh cluster fed the same joins holds. A Move naming a
+// landmark the cluster does not serve is still refused, and the state stays
+// what it was.
+func TestCheckpointNamingOtherOwnersLoads(t *testing.T) {
+	const shards, peers = 2, 240
+	var joins []op.Op
+	for first := 1; first <= peers; first += 40 {
+		entries := make([]op.JoinEntry, 40)
+		for i := range entries {
+			p := first + i
+			lm := testLandmarks[p%len(testLandmarks)]
+			entries[i] = op.JoinEntry{Peer: pathtree.PeerID(p), Addr: fmt.Sprintf("10.0.%d.%d:7", p/256, p%256), Path: synthPath(lm, p*37%5000)}
+		}
+		joins = append(joins, op.BatchJoin(entries, int64(1_000+first)))
+	}
+	fresh := newTestCluster(t, shards)
+	var elsewhere []op.Op
+	for i, lm := range testLandmarks {
+		owner, _ := fresh.ShardFor(lm)
+		other := (owner + 1) % shards
+		elsewhere = append(elsewhere, op.MoveLandmark(lm, other, other, uint64(3+i)))
+	}
+	for _, o := range joins {
+		if err := fresh.Apply(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, answers := snapshotOf(t, fresh), captureAnswers(t, fresh)
+	check := func(label string, c *Cluster) {
+		t.Helper()
+		for _, lm := range testLandmarks {
+			w, _ := fresh.ShardFor(lm)
+			if got, ok := c.ShardFor(lm); !ok || got != w {
+				t.Fatalf("%s: landmark %d on shard %d, want the table's %d", label, lm, got, w)
+			}
+		}
+		if c.NumPeers() != peers {
+			t.Fatalf("%s: %d peers, want %d", label, c.NumPeers(), peers)
+		}
+		assertSameAnswers(t, answers, captureAnswers(t, c), label)
+		if !bytes.Equal(want, snapshotOf(t, c)) {
+			t.Fatalf("%s: snapshot differs from a fresh cluster's fed the same joins", label)
+		}
+	}
+	stream := func(ops ...op.Op) []byte {
+		var buf bytes.Buffer
+		sw := op.NewStreamWriter(&buf)
+		for _, o := range ops {
+			sw.Write(o)
+		}
+		if err := sw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	file := append(elsewhere, joins...)
+
+	dir := t.TempDir()
+	writeCheckpointFile(t, dir, file...)
+	cfg := durableConfig(dir, shards)
+	cfg.NoSync = true
+	durable, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer durable.Close()
+	check("durable open", durable)
+
+	reset := newTestCluster(t, shards)
+	if err := reset.ResetFromSnapshot(bytes.NewReader(stream(file...))); err != nil {
+		t.Fatal(err)
+	}
+	check("reset", reset)
+
+	unknown := append([]op.Op{op.MoveLandmark(999, 0, 0, 0)}, file...)
+	if err := reset.ResetFromSnapshot(bytes.NewReader(stream(unknown...))); err == nil {
+		t.Fatal("a reset took a Move naming an unknown landmark")
+	}
+	check("after a refused reset", reset)
+	bad := t.TempDir()
+	writeCheckpointFile(t, bad, unknown...)
+	if c, err := New(durableConfig(bad, shards)); err == nil {
+		c.Close()
+		t.Fatal("a durable open took a Move naming an unknown landmark")
+	}
 }

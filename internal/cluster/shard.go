@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"errors"
-
 	"proxdisc/internal/op"
 	"proxdisc/internal/pathtree"
 	"proxdisc/internal/server"
@@ -18,17 +16,12 @@ type opResult struct {
 	batch []server.BatchResult
 	// expired lists the peers a KindExpire removed.
 	expired []pathtree.PeerID
-	// moved lists the entries of a quiet KindBatchJoin that found their
-	// tree gone from the shard, by position.
-	moved []int
 }
 
 // shard is one shard of the cluster: a server.Server and its apply counter.
 // The server serialises its own writers (its writer mutex), so the shard
-// adds no lock of its own; a write that finds the server no longer holds its
-// landmark's tree routes again (see Cluster.enter). Copies of a shard live
-// in other processes, fed by the committed op stream (see
-// netserver.StartFollower).
+// adds no lock of its own. Copies of a shard live in other processes, fed by
+// the committed op stream (see netserver.StartFollower).
 type shard struct {
 	srv *server.Server
 
@@ -39,10 +32,8 @@ type shard struct {
 	applies *telemetry.Counter
 }
 
-// newShard builds a shard over the given landmarks, its server reading and
-// writing the node's one peer index. A shard over zero landmarks is legal:
-// it is an elastic shard, which acquires landmarks through rebalancing
-// handoffs rather than assignment.
+// newShard builds a shard over its share of the node's landmarks, its server
+// reading and writing the node's one peer index.
 func newShard(lms []topology.NodeID, cfg Config, idx *server.Index) (*shard, error) {
 	srv, err := server.NewSharing(server.Config{
 		Landmarks:     lms,
@@ -63,24 +54,11 @@ func newShard(lms []topology.NodeID, cfg Config, idx *server.Index) (*shard, err
 // write-ahead log is decided by the caller from the answer: only accepted
 // batch entries, and no sweep that expired nobody (see Cluster.JoinBatchOp,
 // Cluster.Expire).
-//
-// A quiet batch applies entry by entry, each a join of its own, so that an
-// entry whose tree has left the server says so (res.moved) where the
-// server's batch Apply would skip it. Any other entry the server refuses is
-// skipped, as that Apply skips it.
 func (g *shard) applyOp(o op.Op, quiet bool) (opResult, error) {
 	g.applies.Inc()
 	var res opResult
 	var err error
 	switch {
-	case quiet && o.Kind == op.KindBatchJoin:
-		one := op.Op{Kind: op.KindJoin, Time: o.Time}
-		for i := range o.Batch {
-			one.Join = o.Batch[i]
-			if err := g.srv.Apply(one); errors.Is(err, server.ErrUnknownLandmark) {
-				res.moved = append(res.moved, i)
-			}
-		}
 	case quiet:
 		err = g.srv.Apply(o)
 	case o.Kind == op.KindJoin:

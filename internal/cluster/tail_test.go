@@ -99,10 +99,9 @@ func newTailNode(t *testing.T, dir string, n int, clock func() time.Time) *tailW
 // applies serially, each between stretches of new peers' batches: a
 // re-homing join, a batch naming a resident peer, a leave (and a batch
 // bringing the peer back, which is split like new peers' batches), a
-// refresh, a flag, an expiry sweep of a stale batch, and a landmark move.
-// With dup set,
-// two batches right after the move name one new peer under landmarks of two
-// shards, in one stretch.
+// refresh, a flag, an expiry sweep of a stale batch, and a move record as
+// older builds logged one. With dup set, two batches right after the move
+// record name one new peer under landmarks of two shards, in one stretch.
 func writeEveryBarrier(w *tailWriter, now time.Time, dup bool) {
 	c := w.c
 	w.fresh(20)
@@ -130,9 +129,9 @@ func writeEveryBarrier(w *tailWriter, now time.Time, dup bool) {
 		return nil
 	})
 	w.fresh(3)
-	w.barrier(func() error {
+	w.barrier(func() error { // applied, it names another shard and changes nothing
 		cur, _ := c.ShardFor(testLandmarks[2])
-		return c.MoveLandmark(testLandmarks[2], (cur+1)%c.NumShards())
+		return c.Apply(op.MoveLandmark(testLandmarks[2], cur, (cur+1)%c.NumShards(), 1))
 	})
 	if dup {
 		x := w.newPeers(1)[0]

@@ -18,8 +18,8 @@ import (
 
 // TestCheckpointUnderWriters checkpoints a durable 4-shard node, fsync on,
 // while everything that writes runs beside it: four writers join, re-home,
-// leave, refresh, flag super-peers and batch-join, a mover bounces the
-// landmarks between shards, and a sweeper expires peers. The node then
+// leave, refresh, flag super-peers and batch-join, and a sweeper expires
+// peers. The node then
 // crashes at rest (its data directory is copied) and the copy must recover
 // the live state exactly, 20 times over. A checkpoint is walked one shard at
 // a time while the others take writes, so it can hold ops past its mark and
@@ -41,7 +41,7 @@ func TestCheckpointUnderWriters(t *testing.T) {
 	)
 	base := time.Unix(1_700_000_000, 0)
 	now := base.Add(1000 * time.Second)
-	var writes, moves, swept, checkpoints atomic.Int64
+	var writes, swept, checkpoints atomic.Int64
 	fallbacks := 0
 	for it := 0; it < iterations; it++ {
 		dir := t.TempDir()
@@ -100,16 +100,7 @@ func TestCheckpointUnderWriters(t *testing.T) {
 				}
 			}(w)
 		}
-		side.Add(3)
-		go func() { // the mover
-			defer side.Done()
-			for i := 0; !stop.Load(); i++ {
-				if err := c.MoveLandmark(testLandmarks[i%len(testLandmarks)], (i/len(testLandmarks)+i)%c.NumShards()); err != nil {
-					fail("move: %v", err)
-				}
-				moves.Add(1)
-			}
-		}()
+		side.Add(2)
 		go func() { // the sweeper: each round one peer joins stale and goes
 			defer side.Done()
 			rng := rand.New(rand.NewSource(int64(-it)))
@@ -172,9 +163,9 @@ func TestCheckpointUnderWriters(t *testing.T) {
 		re.Close()
 		c.Close()
 	}
-	t.Logf("%d writes, %d moves, %d peers swept, %d checkpoints; %d of %d recoveries took the serial fallback",
-		writes.Load(), moves.Load(), swept.Load(), checkpoints.Load(), fallbacks, iterations)
-	if moves.Load() == 0 || swept.Load() == 0 || checkpoints.Load() == 0 {
+	t.Logf("%d writes, %d peers swept, %d checkpoints; %d of %d recoveries took the serial fallback",
+		writes.Load(), swept.Load(), checkpoints.Load(), fallbacks, iterations)
+	if swept.Load() == 0 || checkpoints.Load() == 0 {
 		t.Fatal("a side loop never ran")
 	}
 }

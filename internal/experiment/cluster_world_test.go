@@ -90,58 +90,3 @@ func TestShardedWorldMatchesSingleServer(t *testing.T) {
 		t.Fatalf("quality diverged: single=%+v sharded=%+v", q1, q4)
 	}
 }
-
-// TestWorldLandmarkHandoff moves a live landmark between shards mid-world
-// and requires that no registered peer is lost and every answer is
-// unchanged.
-func TestWorldLandmarkHandoff(t *testing.T) {
-	w, err := BuildWorld(clusterWorldConfig(7, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.JoinN(150); err != nil {
-		t.Fatal(err)
-	}
-	c := w.Server
-	lm := w.Landmarks[0]
-	src, ok := c.ShardFor(lm)
-	if !ok {
-		t.Fatalf("no shard for landmark %d", lm)
-	}
-	dst := (src + 1) % c.NumShards()
-
-	numBefore := c.NumPeers()
-	before := make(map[pathtree.PeerID][]pathtree.Candidate)
-	for _, p := range c.Peers() {
-		ans, err := c.Lookup(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		before[p] = ans
-	}
-
-	if err := c.MoveLandmark(lm, dst); err != nil {
-		t.Fatal(err)
-	}
-
-	if got := c.NumPeers(); got != numBefore {
-		t.Fatalf("NumPeers=%d want %d after handoff", got, numBefore)
-	}
-	for p, want := range before {
-		ans, err := c.Lookup(p)
-		if err != nil {
-			t.Fatalf("lookup %d after handoff: %v", p, err)
-		}
-		if !reflect.DeepEqual(ans, want) {
-			t.Fatalf("lookup %d changed across handoff", p)
-		}
-	}
-	// The world keeps working after the move: new peers still join the
-	// moved landmark's tree through the normal two-round protocol.
-	if err := w.JoinN(20); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.NumPeers(); got != numBefore+20 {
-		t.Fatalf("NumPeers=%d want %d", got, numBefore+20)
-	}
-}

@@ -91,15 +91,13 @@ func waitApplied(t *testing.T, f *Follower, clu *cluster.Cluster) {
 // assertSameState asserts the follower's local copy is byte-identical to
 // the primary cluster's state: both serialize through the same canonical
 // snapshot format (sorted landmarks, sorted peers), so equality is exact.
-// The copy must also place every landmark where the primary does, at the
-// primary's epoch.
+// The copy must also place every landmark where the primary does.
 func assertSameState(t *testing.T, clu, follower *cluster.Cluster) {
 	t.Helper()
 	for _, lm := range clu.Landmarks() {
 		want, _ := clu.ShardFor(lm)
-		if got, ok := follower.ShardFor(lm); !ok || got != want || follower.Epoch(lm) != clu.Epoch(lm) {
-			t.Fatalf("follower has landmark %d on shard %d at epoch %d, primary on shard %d at epoch %d",
-				lm, got, follower.Epoch(lm), want, clu.Epoch(lm))
+		if got, ok := follower.ShardFor(lm); !ok || got != want {
+			t.Fatalf("follower has landmark %d on shard %d, primary on shard %d", lm, got, want)
 		}
 	}
 	var want, got bytes.Buffer
@@ -185,16 +183,15 @@ func TestFollowerConvergesUnderConcurrentWrites(t *testing.T) {
 	}
 }
 
-// TestFollowerByteIdenticalAcrossMidStreamMove commits a fenced landmark
-// handoff (MoveLandmark), a super-peer flag and a TTL expiry sweep on the
+// TestFollowerByteIdenticalAcrossMidStreamMove commits a move record as
+// older builds logged one, a super-peer flag and a TTL expiry sweep on the
 // primary while concurrent writers are still streaming joins, and asserts
 // the follower converges to a byte-identical copy. Every one of them rides
-// the committed op stream like any other record: the move hands the
-// landmark's tree to the same shard of the follower's 2-shard cluster at
-// the same epoch, and the sweep — which spans both shards — lands as ONE
-// deadline-carrying expire op, never as per-peer leaves, so the canonical
-// snapshots (epochs, flags and refresh times included) and every
-// landmark's shard and epoch must match exactly.
+// the committed op stream like any other record: the move names another
+// shard and leaves the landmark on the one both tables deal it, and the
+// sweep — which spans both shards — lands as ONE deadline-carrying expire
+// op, never as per-peer leaves, so the canonical snapshots (flags and
+// refresh times included) and every landmark's shard must match exactly.
 func TestFollowerByteIdenticalAcrossMidStreamMove(t *testing.T) {
 	var clockMu sync.Mutex
 	now := time.Unix(9000, 0)
@@ -268,10 +265,10 @@ func TestFollowerByteIdenticalAcrossMidStreamMove(t *testing.T) {
 		}(w)
 	}
 	close(start)
-	// The handoff, the flag and the sweep land mid-stream, racing the
+	// The move record, the flag and the sweep land mid-stream, racing the
 	// writers above.
 	src, _ := clu.ShardFor(0)
-	if err := clu.MoveLandmark(0, 1-src); err != nil {
+	if err := clu.Apply(op.MoveLandmark(0, src, 1-src, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := clu.SetSuperPeer(9001, true); err != nil {
@@ -288,8 +285,8 @@ func TestFollowerByteIdenticalAcrossMidStreamMove(t *testing.T) {
 
 	waitApplied(t, f, clu)
 	assertSameState(t, clu, fsrv)
-	if got, _ := fsrv.ShardFor(0); got != 1-src || fsrv.Epoch(0) != 1 {
-		t.Fatalf("follower has the moved landmark on shard %d at epoch %d, want shard %d at epoch 1", got, fsrv.Epoch(0), 1-src)
+	if got, _ := fsrv.ShardFor(0); got != src {
+		t.Fatalf("follower has landmark 0 on shard %d, want the table's %d", got, src)
 	}
 	if info, err := fsrv.PeerInfo(9001); err != nil || !info.SuperPeer {
 		t.Fatalf("follower lost the super-peer flag: info=%+v err=%v", info, err)
@@ -308,12 +305,12 @@ func TestFollowerByteIdenticalAcrossMidStreamMove(t *testing.T) {
 	}
 }
 
-// TestFollowerCatchupAfterKill kills a follower mid-stream, keeps writing
-// and moves a landmark, compacts the primary's WAL (checkpoint +
-// truncation), and restarts the follower from its last applied sequence:
-// the resume is below the log's retention floor, so catch-up must run
-// snapshot + tail — and still converge byte-identical to the primary, with
-// the moved landmark on the primary's shard at its epoch.
+// TestFollowerCatchupAfterKill kills a follower mid-stream, keeps writing,
+// compacts the primary's WAL (checkpoint + truncation), and restarts the
+// follower from its last applied sequence: the resume is below the log's
+// retention floor, so catch-up must run snapshot + tail — and still
+// converge byte-identical to the primary, every landmark on the primary's
+// shard.
 func TestFollowerCatchupAfterKill(t *testing.T) {
 	clu, ns := newFollowedPlane(t, t.TempDir())
 	defer clu.Close()
@@ -345,9 +342,6 @@ func TestFollowerCatchupAfterKill(t *testing.T) {
 		if !clu.Leave(pathtree.PeerID(p)) {
 			t.Fatalf("leave %d rejected", p)
 		}
-	}
-	if src, _ := clu.ShardFor(100); clu.MoveLandmark(100, 1-src) != nil {
-		t.Fatal("move of landmark 100 failed")
 	}
 	if err := clu.Checkpoint(); err != nil {
 		t.Fatal(err)

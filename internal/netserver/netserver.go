@@ -731,7 +731,7 @@ func (s *NetServer) serveInline(typ proto.MsgType, payload []byte) (respType pro
 // workers and, for the kinds serveInline picks, by connection readers.
 func (s *NetServer) handleReq(typ proto.MsgType, payload []byte) (proto.MsgType, []byte) {
 	if s.cfg.Replication != nil {
-		if t, resp, handled := s.rejectWriteOnReplica(typ, payload); handled {
+		if t, resp, handled := s.rejectWriteOnReplica(typ); handled {
 			return t, resp
 		}
 	}
@@ -799,29 +799,7 @@ func (s *NetServer) handleReq(typ proto.MsgType, payload []byte) (proto.MsgType,
 		}
 		return s.serveJoin(o)
 
-	case proto.MsgForwardedJoinRequest:
-		// Forwarded joins may carry a fencing epoch (stamped by the
-		// sender from the redirect that named us); the backend
-		// rejects it with a stale-epoch error if the landmark has since
-		// moved on.
-		o, err := proto.DecodeForwardedJoinOp(payload)
-		if err != nil {
-			return errResp(proto.CodeBadRequest, err)
-		}
-		if len(o.Join.Path) == 0 {
-			return errResp(proto.CodeBadRequest, errors.New("netserver: empty path"))
-		}
-		// Never relay a forwarded join again: a stale shard map elsewhere
-		// must surface as an error, not bounce between nodes.
-		if lm := o.Join.Path[len(o.Join.Path)-1]; !s.local[lm] {
-			if _, ok := s.cfg.RemoteLandmarks[lm]; ok {
-				return errResp(proto.CodeWrongShard,
-					fmt.Errorf("netserver: forwarded join for landmark %d not owned here", lm))
-			}
-		}
-		return s.serveJoin(o)
-
-	case proto.MsgBatchJoinRequest, proto.MsgForwardedBatchJoinRequest:
+	case proto.MsgBatchJoinRequest:
 		o, err := proto.DecodeBatchJoinOp(payload)
 		if err != nil {
 			return errResp(proto.CodeBadRequest, err)
@@ -830,7 +808,7 @@ func (s *NetServer) handleReq(typ proto.MsgType, payload []byte) (proto.MsgType,
 			return errResp(proto.CodeBadRequest,
 				fmt.Errorf("netserver: batch of %d joins exceeds limit %d", len(o.Batch), s.cfg.MaxBatch))
 		}
-		return s.serveBatchJoin(o, typ == proto.MsgForwardedBatchJoinRequest)
+		return s.serveBatchJoin(o)
 
 	case proto.MsgLookupRequest:
 		req, err := proto.DecodeLookupRequest(payload)
@@ -887,31 +865,20 @@ func (s *NetServer) handleReq(typ proto.MsgType, payload []byte) (proto.MsgType,
 
 // rejectWriteOnReplica answers the write-class requests a replica node must
 // not apply locally: client joins get a redirect to the primary (which the
-// client follows exactly like a cluster shard redirect), everything else —
-// including node-to-node forwarded joins, whose senders follow
-// CodeNotPrimary but would choke on a bare redirect frame — a
+// client follows exactly like a cluster shard redirect), everything else a
 // CodeNotPrimary error whose message carries the primary's address. Reads
 // (lookup, landmarks, status) fall through and are served from the local
 // copy.
-func (s *NetServer) rejectWriteOnReplica(typ proto.MsgType, payload []byte) (proto.MsgType, []byte, bool) {
+func (s *NetServer) rejectWriteOnReplica(typ proto.MsgType) (proto.MsgType, []byte, bool) {
 	switch typ {
 	case proto.MsgJoinRequest:
-		// Stamp the landmark's fencing epoch (the replica's copy tracks
-		// it: move ops ride the replication stream) into the redirect, so
-		// the client can forward a fenced write to the primary.
-		var epoch uint64
-		if o, err := proto.DecodeJoinOp(payload); err == nil && len(o.Join.Path) > 0 {
-			epoch = s.cfg.Server.Epoch(o.Join.Path[len(o.Join.Path)-1])
-		}
-		b, err := proto.EncodeRedirect(&proto.Redirect{Addr: s.primaryAddr(), Epoch: epoch})
+		b, err := proto.EncodeRedirect(&proto.Redirect{Addr: s.primaryAddr()})
 		if err != nil {
 			t, resp := errResp(proto.CodeInternal, err)
 			return t, resp, true
 		}
 		return proto.MsgRedirect, b, true
-	case proto.MsgForwardedJoinRequest,
-		proto.MsgBatchJoinRequest, proto.MsgForwardedBatchJoinRequest,
-		proto.MsgLeaveRequest, proto.MsgRefreshRequest:
+	case proto.MsgBatchJoinRequest, proto.MsgLeaveRequest, proto.MsgRefreshRequest:
 		t, resp := errResp(proto.CodeNotPrimary, errors.New(s.primaryAddr()))
 		return t, resp, true
 	}
@@ -922,19 +889,15 @@ func (s *NetServer) rejectWriteOnReplica(typ proto.MsgType, payload []byte) (pro
 // dials.
 func (s *NetServer) primaryAddr() string { return s.cfg.Replication.cfg.PrimaryAddr }
 
-// serveJoin applies a (possibly forwarded) join op against the local
-// backend and returns the response frame. The op carries the overlay
-// address, so the backend's durable record and the front end's address
-// cache are fed by one value.
+// serveJoin applies a join op against the local backend and returns the
+// response frame. The op carries the overlay address, so the backend's
+// durable record and the front end's address cache are fed by one value.
 func (s *NetServer) serveJoin(o op.Op) (proto.MsgType, []byte) {
 	cands, err := s.cfg.Server.JoinOp(o)
 	if err != nil {
 		code := proto.CodeInternal
-		switch {
-		case errors.Is(err, server.ErrUnknownLandmark):
+		if errors.Is(err, server.ErrUnknownLandmark) {
 			code = proto.CodeUnknownLandmark
-		case errors.Is(err, server.ErrStaleEpoch):
-			code = proto.CodeStaleEpoch
 		}
 		return errResp(code, err)
 	}
@@ -947,11 +910,9 @@ func (s *NetServer) serveJoin(o op.Op) (proto.MsgType, []byte) {
 
 // serveBatchJoin splits a batch into locally-owned entries — applied
 // against the backend as one single-lock-acquisition JoinBatch — and
-// remote-landmark entries, answered CodeWrongShard so the client retries
-// them singly through the redirect-following path. A forwarded batch is
-// never relayed again, exactly like a forwarded singular join: entries for
-// landmarks this node does not own come back CodeWrongShard.
-func (s *NetServer) serveBatchJoin(o op.Op, forwarded bool) (proto.MsgType, []byte) {
+// remote-landmark entries, answered CodeWrongShard naming the owner so the
+// client retries them singly through the redirect-following path.
+func (s *NetServer) serveBatchJoin(o op.Op) (proto.MsgType, []byte) {
 	results := make([]proto.BatchAnswer, len(o.Batch))
 	entries := make([]op.JoinEntry, 0, len(o.Batch))
 	idxs := make([]int, 0, len(o.Batch))
@@ -963,13 +924,7 @@ func (s *NetServer) serveBatchJoin(o op.Op, forwarded bool) (proto.MsgType, []by
 		}
 		if lm := e.Path[len(e.Path)-1]; !s.local[lm] {
 			if owner, ok := s.cfg.RemoteLandmarks[lm]; ok {
-				msg := owner // the owning node, for clients that want to follow directly
-				if forwarded {
-					// A stale shard map elsewhere must surface as an
-					// error, not bounce batches between nodes.
-					msg = fmt.Sprintf("netserver: forwarded join for landmark %d not owned here", lm)
-				}
-				results[i] = proto.BatchAnswer{Code: proto.CodeWrongShard, Message: msg}
+				results[i] = proto.BatchAnswer{Code: proto.CodeWrongShard, Message: owner}
 				continue
 			}
 			// Fall through: the backend reports the unknown landmark itself.

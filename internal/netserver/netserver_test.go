@@ -383,21 +383,41 @@ func rawRoundTrip(t *testing.T, conn net.Conn, typ proto.MsgType, payload []byte
 	return rtyp, resp
 }
 
-func TestForwardedJoinNeverRelays(t *testing.T) {
-	// node2 does not own landmark 100 either and knows a (bogus) owner; a
-	// forwarded join must be rejected with CodeWrongShard, not bounced on.
-	node2, _ := startNode(t, []topology.NodeID{0},
-		map[topology.NodeID]string{100: "127.0.0.1:1"})
-	req, err := proto.EncodeForwardedJoinRequestFenced(&proto.JoinRequest{Peer: 1, Addr: "x", Path: []int32{20, 100}}, 0)
+// TestRetiredForwardedTypesRefused pins what a node does with the two
+// node-to-node forwarded join types, whose receivers are gone and whose
+// numbers stay reserved: on a version-2 session a frame of either is answered
+// CodeBadRequest and applies nothing, and the session goes on serving.
+func TestRetiredForwardedTypesRefused(t *testing.T) {
+	node, logic := startNode(t, []topology.NodeID{0}, nil)
+	conn := rawV2(t, node.Addr())
+	join, err := proto.EncodeJoinRequest(&proto.JoinRequest{Peer: 1, Addr: "a", Path: []int32{10, 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	typ, resp := rawRoundTrip(t, rawV2(t, node2.Addr()), proto.MsgForwardedJoinRequest, req)
-	if typ != proto.MsgError {
-		t.Fatalf("answered with type %v, want an error", typ)
+	batch, err := proto.EncodeBatchJoinRequest(&proto.BatchJoinRequest{Joins: []proto.JoinRequest{{Peer: 2, Addr: "b", Path: []int32{20, 0}}}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if werr, err := proto.DecodeError(resp); err != nil || werr.Code != proto.CodeWrongShard {
-		t.Fatalf("err=%v (%v)", werr, err)
+	for _, tc := range []struct {
+		typ     proto.MsgType
+		payload []byte
+	}{{proto.MsgForwardedJoinRequest, join}, {proto.MsgForwardedBatchJoinRequest, batch}} {
+		typ, resp := rawRoundTrip(t, conn, tc.typ, tc.payload)
+		if typ != proto.MsgError {
+			t.Fatalf("type %d answered with type %v, want an error", tc.typ, typ)
+		}
+		if werr, err := proto.DecodeError(resp); err != nil || werr.Code != proto.CodeBadRequest {
+			t.Fatalf("type %d: err=%v (%v), want CodeBadRequest", tc.typ, werr, err)
+		}
+		if n := logic.NumPeers(); n != 0 {
+			t.Fatalf("type %d applied: %d peers", tc.typ, n)
+		}
+		if typ, _ := rawRoundTrip(t, conn, proto.MsgStatusRequest, nil); typ != proto.MsgStatusResponse {
+			t.Fatalf("after type %d the session answered a status request with type %v", tc.typ, typ)
+		}
+	}
+	if typ, _ := rawRoundTrip(t, conn, proto.MsgJoinRequest, join); typ != proto.MsgJoinResponse {
+		t.Fatalf("a join after the refused frames answered with type %v", typ)
 	}
 }
 
@@ -768,36 +788,6 @@ func TestSlowConsumerDoesNotWedgePool(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("healthy client blocked: pool wedged by slow consumer")
-	}
-}
-
-// TestForwardedBatchJoinNeverRelays is the batch counterpart of
-// TestForwardedJoinNeverRelays: a forwarded batch entry whose landmark is
-// not owned here must come back CodeWrongShard even when this node's
-// (stale) map names another owner — never be relayed onward.
-func TestForwardedBatchJoinNeverRelays(t *testing.T) {
-	node2, _ := startNode(t, []topology.NodeID{0},
-		map[topology.NodeID]string{100: "127.0.0.1:1"})
-	req, err := proto.EncodeBatchJoinRequest(&proto.BatchJoinRequest{Joins: []proto.JoinRequest{
-		{Peer: 1, Addr: "a", Path: []int32{10, 0}},   // local: served
-		{Peer: 2, Addr: "b", Path: []int32{20, 100}}, // stale-remote: rejected
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	typ, resp := rawRoundTrip(t, rawV2(t, node2.Addr()), proto.MsgForwardedBatchJoinRequest, req)
-	if typ != proto.MsgBatchJoinResponse {
-		t.Fatalf("answered with type %v, want a batch join response", typ)
-	}
-	br, err := proto.DecodeBatchJoinResponse(resp)
-	if err != nil || len(br.Results) != 2 {
-		t.Fatalf("batch answer %+v (%v), want 2 results", br, err)
-	}
-	if r := br.Results[0]; r.Code != 0 {
-		t.Fatalf("local entry failed: code %d %q", r.Code, r.Message)
-	}
-	if r := br.Results[1]; r.Code != proto.CodeWrongShard {
-		t.Fatalf("entry 1: code %d %q, want CodeWrongShard", r.Code, r.Message)
 	}
 }
 

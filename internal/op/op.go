@@ -51,13 +51,12 @@ const (
 	// command rather than as per-peer leaves, so logs stay compact and
 	// byte-comparable across copies.
 	KindExpire
-	// KindMoveLandmark reassigns one landmark tree from a source shard to
-	// a destination shard and bumps the landmark's fencing epoch. Logged
-	// and streamed like every other mutation, it is what makes a handoff
-	// survive a crash: recovery replays the move, so the assignment table
-	// and the per-shard trees come back owned by exactly the shard that
-	// acknowledged the transfer, and any write still fenced to the old
-	// epoch is rejected instead of double-applied.
+	// KindMoveLandmark names one landmark. A snapshot opens with one per
+	// landmark it holds, which brings the landmark's tree into the state
+	// being loaded. Builds that moved landmarks between shards also logged
+	// one per move and wrote owners and fencing epochs into it (MoveEntry);
+	// every reader still accepts such a record, checks that its landmark
+	// is served, and ignores the rest.
 	KindMoveLandmark
 )
 
@@ -102,18 +101,16 @@ type JoinEntry struct {
 	Path []topology.NodeID
 }
 
-// MoveEntry is the payload of a KindMoveLandmark op: which landmark
-// moves, between which shards, and the fencing epoch the move installs.
+// MoveEntry is the payload of a KindMoveLandmark op: the landmark, and
+// the fields builds that moved landmarks between shards filled — the shard
+// giving it up, the shard taking it and its fencing epoch. This build
+// writes them zero and reads past them.
 type MoveEntry struct {
-	// Landmark is the landmark whose tree moves.
+	// Landmark is the landmark the record names.
 	Landmark topology.NodeID
-	// Src is the shard index giving the landmark up.
-	Src int
-	// Dst is the shard index taking ownership.
-	Dst int
-	// Epoch is the landmark's new monotonic fencing epoch. Every completed
-	// move increments it; a write routed under an older epoch is a message
-	// from a deposed owner and is rejected.
+	// Src and Dst are the shard indices of an older build's move.
+	Src, Dst int
+	// Epoch is an older build's fencing epoch.
 	Epoch uint64
 }
 
@@ -137,13 +134,6 @@ type Op struct {
 	Super bool
 	// Move is the payload of a KindMoveLandmark op.
 	Move MoveEntry
-	// Epoch is an in-memory routing fence on shard-routed writes: when
-	// non-zero, the cluster rejects the op unless it matches the subject
-	// landmark's current epoch. It is NOT part of the codec for any kind
-	// but KindMoveLandmark (whose epoch lives in Move.Epoch): the fence
-	// guards the routing decision at apply time, and a replayed or
-	// replicated op has already been routed.
-	Epoch uint64
 }
 
 // Join builds a single-peer registration op. A zero time means "stamp me
@@ -174,8 +164,8 @@ func SetSuperPeer(p pathtree.PeerID, super bool) Op {
 // strictly before deadlineNanos.
 func Expire(deadlineNanos int64) Op { return Op{Kind: KindExpire, Time: deadlineNanos} }
 
-// MoveLandmark builds a landmark-handoff op installing epoch as the
-// landmark's new fence.
+// MoveLandmark builds a KindMoveLandmark op with every field set, as an
+// older build's move or checkpoint record carried it.
 func MoveLandmark(lm topology.NodeID, src, dst int, epoch uint64) Op {
 	return Op{Kind: KindMoveLandmark, Move: MoveEntry{Landmark: lm, Src: src, Dst: dst, Epoch: epoch}}
 }
@@ -291,7 +281,7 @@ func DecodeInto(o *Op, b []byte) error {
 	// Reset the scalars a stale target could leak between kinds; Join,
 	// Batch, and Move are overwritten (or ignored) per the Kind contract
 	// above, and keeping their capacity is the point.
-	o.Peer, o.Super, o.Epoch = 0, false, 0
+	o.Peer, o.Super = 0, false
 	o.Kind = Kind(r.U8())
 	o.Time = r.I64()
 	switch o.Kind {

@@ -70,14 +70,12 @@ const (
 		"000000000000004d00000005000000000001e240000000000000037a"
 )
 
-func joinOp(m JoinRequest, epoch uint64) op.Op {
+func joinOp(m JoinRequest) op.Op {
 	path := make([]topology.NodeID, len(m.Path))
 	for i, r := range m.Path {
 		path[i] = topology.NodeID(r)
 	}
-	o := op.Join(pathtree.PeerID(m.Peer), path, m.Addr, 0)
-	o.Epoch = epoch
-	return o
+	return op.Join(pathtree.PeerID(m.Peer), path, m.Addr, 0)
 }
 
 func wireVectors() []wireVector {
@@ -123,7 +121,7 @@ func wireVectors() []wireVector {
 		{
 			name: "join request → op", hex: goldenJoinHex,
 			decode: func(b []byte) (any, error) { return DecodeJoinOp(b) },
-			want:   joinOp(goldenJoin, 0),
+			want:   joinOp(goldenJoin),
 		},
 		{
 			name: "join response", hex: goldenCandsHex,
@@ -168,24 +166,12 @@ func wireVectors() []wireVector {
 			want:   &Redirect{Addr: "10.0.0.7:7470"},
 		},
 		{
+			// Older builds' replicas appended the landmark's fencing epoch,
+			// which is read and ignored.
 			name: "redirect with epoch", hex: "000d31302e302e302e373a37343730000000000000002a",
-			encode:   func() ([]byte, error) { return EncodeRedirect(&Redirect{Addr: "10.0.0.7:7470", Epoch: 42}) },
 			decode:   func(b []byte) (any, error) { return DecodeRedirect(b) },
-			want:     &Redirect{Addr: "10.0.0.7:7470", Epoch: 42},
+			want:     &Redirect{Addr: "10.0.0.7:7470"},
 			prefixOK: lengths(15),
-		},
-		{
-			name: "forwarded join → op", hex: goldenJoinHex,
-			encode: func() ([]byte, error) { return EncodeForwardedJoinRequestFenced(&goldenJoin, 0) },
-			decode: func(b []byte) (any, error) { return DecodeForwardedJoinOp(b) },
-			want:   joinOp(goldenJoin, 0),
-		},
-		{
-			name: "forwarded join with epoch → op", hex: goldenJoinHex + "0000000000000007",
-			encode:   func() ([]byte, error) { return EncodeForwardedJoinRequestFenced(&goldenJoin, 7) },
-			decode:   func(b []byte) (any, error) { return DecodeForwardedJoinOp(b) },
-			want:     joinOp(goldenJoin, 7),
-			prefixOK: lengths(len(goldenJoinHex) / 2),
 		},
 		{
 			name: "hello", hex: "00020020",
@@ -432,7 +418,6 @@ func TestWireCapsReadAsLimit(t *testing.T) {
 	dec := map[string]func(b []byte) error{
 		"join":       joinInto,
 		"join op":    func(b []byte) error { _, err := DecodeJoinOp(b); return err },
-		"fwd op":     func(b []byte) error { _, err := DecodeForwardedJoinOp(b); return err },
 		"batch":      func(b []byte) error { _, err := DecodeBatchJoinRequest(b); return err },
 		"batch op":   func(b []byte) error { _, err := DecodeBatchJoinOp(b); return err },
 		"batch resp": func(b []byte) error { _, err := DecodeBatchJoinResponse(b); return err },
@@ -455,10 +440,10 @@ func TestWireCapsReadAsLimit(t *testing.T) {
 		hex      string
 		want     error
 	}{
-		{[]string{"join", "join op", "fwd op"}, "path count 257", peer + "0000" + "0101", ErrLimit},
-		{[]string{"join", "join op", "fwd op"}, "path count 256, no hops", peer + "0000" + "0100", ErrTruncated},
-		{[]string{"join", "join op", "fwd op"}, "address length 257", peer + "0101", ErrLimit},
-		{[]string{"join", "join op", "fwd op"}, "address length 256, no bytes", peer + "0100", ErrTruncated},
+		{[]string{"join", "join op"}, "path count 257", peer + "0000" + "0101", ErrLimit},
+		{[]string{"join", "join op"}, "path count 256, no hops", peer + "0000" + "0100", ErrTruncated},
+		{[]string{"join", "join op"}, "address length 257", peer + "0101", ErrLimit},
+		{[]string{"join", "join op"}, "address length 256, no bytes", peer + "0100", ErrTruncated},
 		{[]string{"batch", "batch op"}, "33 joins", "0021", ErrLimit},
 		{[]string{"batch", "batch op"}, "no joins", "0000", ErrLimit},
 		{[]string{"batch", "batch op"}, "32 joins, none there", "0020", ErrTruncated},

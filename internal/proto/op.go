@@ -4,7 +4,6 @@ import (
 	"proxdisc/internal/codec"
 	"proxdisc/internal/op"
 	"proxdisc/internal/pathtree"
-	"proxdisc/internal/topology"
 )
 
 // This file bridges wire payloads and the canonical typed operation
@@ -17,27 +16,15 @@ import (
 // own clock.
 
 // DecodeJoinOp decodes a MsgJoinRequest payload into a KindJoin op.
-func DecodeJoinOp(b []byte) (op.Op, error) { return decodeJoinOp(b, false) }
-
-// DecodeForwardedJoinOp decodes a MsgForwardedJoinRequest payload into a
-// KindJoin op, picking up the optional trailing fencing epoch of
-// EncodeForwardedJoinRequestFenced (absent means zero: unfenced). The
-// owner rejects with CodeStaleEpoch if the landmark has moved since the
-// forwarding node resolved it.
-func DecodeForwardedJoinOp(b []byte) (op.Op, error) { return decodeJoinOp(b, true) }
-
-func decodeJoinOp(b []byte, fenced bool) (op.Op, error) {
+func DecodeJoinOp(b []byte) (op.Op, error) {
 	r := codec.NewReader(b)
 	o := op.Op{Kind: op.KindJoin}
 	codec.ReadJoin(&r, &o.Join.Peer, &o.Join.Addr, &o.Join.Path)
-	if fenced && r.Len() >= 8 {
-		o.Epoch = r.U64()
-	}
 	return o, r.Done()
 }
 
-// DecodeBatchJoinOp decodes a MsgBatchJoinRequest (or its forwarded
-// variant) payload into a KindBatchJoin op.
+// DecodeBatchJoinOp decodes a MsgBatchJoinRequest payload into a
+// KindBatchJoin op.
 func DecodeBatchJoinOp(b []byte) (op.Op, error) {
 	r := codec.NewReader(b)
 	o := op.Op{Kind: op.KindBatchJoin, Batch: make([]op.JoinEntry, r.Count(1, MaxBatch, "joins"))}
@@ -59,14 +46,4 @@ func DecodeLeaveOp(b []byte) (op.Op, error) {
 func DecodeRefreshOp(b []byte) (op.Op, error) {
 	p, err := decodePeerID(b)
 	return op.Refresh(pathtree.PeerID(p), 0), err
-}
-
-// PathToWire converts a topology router path to its wire form. Front ends
-// use it when re-encoding a decoded op for node-to-node forwarding.
-func PathToWire(path []topology.NodeID) []int32 {
-	out := make([]int32, len(path))
-	for i, r := range path {
-		out[i] = int32(r)
-	}
-	return out
 }

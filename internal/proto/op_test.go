@@ -27,8 +27,12 @@ func TestJoinOpBridge(t *testing.T) {
 	if !reflect.DeepEqual(o.Join, want) {
 		t.Fatalf("entry %+v, want %+v", o.Join, want)
 	}
-	// The way back, as a node forwarding the decoded join takes it.
-	re, err := EncodeJoinRequest(&JoinRequest{Peer: int64(o.Join.Peer), Addr: o.Join.Addr, Path: PathToWire(o.Join.Path)})
+	// The way back: the op re-encodes to the payload it came from.
+	path := make([]int32, len(o.Join.Path))
+	for i, r := range o.Join.Path {
+		path[i] = int32(r)
+	}
+	re, err := EncodeJoinRequest(&JoinRequest{Peer: int64(o.Join.Peer), Addr: o.Join.Addr, Path: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +112,6 @@ func TestJoinDecodeAllocs(t *testing.T) {
 	}{
 		{"DecodeBatchJoinOp, 32 entries", 2*MaxBatch + 2, func() error { _, err := DecodeBatchJoinOp(batchPayload); return err }},
 		{"DecodeJoinOp", 2, func() error { _, err := DecodeJoinOp(joinPayload); return err }},
-		{"DecodeForwardedJoinOp", 2, func() error { _, err := DecodeForwardedJoinOp(joinPayload); return err }},
 		{"DecodeJoinRequestInto, reused", 0, func() error { return DecodeJoinRequestInto(&reused, joinPayload) }},
 		{"AppendJoinRequest into a pooled buffer", 0, func() error {
 			buf, err := AppendJoinRequest(GetBuf(0), &batch.Joins[0])

@@ -92,10 +92,9 @@ const (
 	// MsgRedirect tells a client that the landmark its request targets is
 	// owned by a different cluster node, whose address it carries.
 	MsgRedirect
-	// MsgForwardedJoinRequest is a join relayed between cluster nodes on a
-	// client's behalf. It has the same payload as MsgJoinRequest; the
-	// distinct type lets the receiving node answer locally and never relay
-	// again, preventing forwarding loops.
+	// MsgForwardedJoinRequest is reserved: the number of a join that older
+	// builds relayed between nodes. Nothing sends it, and a node answers it
+	// CodeBadRequest.
 	MsgForwardedJoinRequest
 	// MsgHello opens every connection: the client's highest supported
 	// version and batch limit, in the bare framing (WriteFrame).
@@ -109,10 +108,8 @@ const (
 	MsgBatchJoinRequest
 	// MsgBatchJoinResponse answers a batch join entry-by-entry, in order.
 	MsgBatchJoinResponse
-	// MsgForwardedBatchJoinRequest is a batch join relayed between cluster
-	// nodes. Same payload as MsgBatchJoinRequest; like its singular
-	// counterpart, the receiving node answers locally and never relays
-	// again, so stale shard maps cannot bounce batches between nodes.
+	// MsgForwardedBatchJoinRequest is reserved, as MsgForwardedJoinRequest
+	// is, for the batch join older builds relayed between nodes.
 	MsgForwardedBatchJoinRequest
 	// MsgStatusRequest asks a node for its replication role and shard
 	// layout, so clients and operators can tell a primary from a replica.
@@ -255,17 +252,15 @@ const (
 	CodeUnknownLandmark uint16 = 2
 	CodeUnknownPeer     uint16 = 3
 	CodeBadRequest      uint16 = 4
-	// CodeWrongShard rejects a forwarded join whose landmark this node does
-	// not own — the sender's shard map is stale.
+	// CodeWrongShard answers a batch entry whose landmark another node
+	// owns; the message carries that node's address.
 	CodeWrongShard uint16 = 5
 	// CodeNotPrimary rejects a write sent to a replica node. The error
 	// message carries the primary's TCP address when the replica knows it,
 	// so the client can retry there (replica-aware failover).
 	CodeNotPrimary uint16 = 6
-	// CodeStaleEpoch rejects a write fenced at an out-of-date landmark
-	// epoch: the landmark was handed between shards after the sender
-	// resolved its owner. The sender recovers by re-resolving the owner
-	// (its redirect cache is stale) and retrying at the current epoch.
+	// CodeStaleEpoch is reserved: older builds refused a write fenced at a
+	// landmark epoch that a move had passed. Nothing sends it now.
 	CodeStaleEpoch uint16 = 7
 )
 
@@ -728,46 +723,25 @@ func DecodeLandmarksResponse(b []byte) (*LandmarksResponse, error) {
 type Redirect struct {
 	// Addr is the TCP address of the owning cluster node.
 	Addr string
-	// Epoch is the redirecting node's view of the landmark's fencing
-	// epoch; zero when the node does not track epochs. A client that
-	// forwards it with the retried write gets a loud CodeStaleEpoch
-	// (instead of a silent mis-placed write) if the landmark moves again
-	// in between. It is an optional trailing field: a zero epoch is not
-	// sent, and a payload that ends after Addr decodes to zero.
-	Epoch uint64
 }
 
-// EncodeRedirect encodes a Redirect payload.
+// EncodeRedirect encodes a Redirect payload: the address alone.
 func EncodeRedirect(m *Redirect) ([]byte, error) {
-	w := codec.Writer{Buf: make([]byte, 0, 10+len(m.Addr))}
+	w := codec.Writer{Buf: make([]byte, 0, 2+len(m.Addr))}
 	w.Str(m.Addr)
-	if m.Epoch != 0 {
-		w.U64(m.Epoch)
-	}
 	return w.Done()
 }
 
-// DecodeRedirect decodes a Redirect payload.
+// DecodeRedirect decodes a Redirect payload. The u64 older builds could
+// append after the address, a landmark fencing epoch, is reserved: read and
+// ignored.
 func DecodeRedirect(b []byte) (*Redirect, error) {
 	r := codec.NewReader(b)
 	m := &Redirect{Addr: r.Str()}
 	if r.Len() >= 8 {
-		m.Epoch = r.U64()
+		r.U64()
 	}
 	return m, r.Done()
-}
-
-// EncodeForwardedJoinRequestFenced encodes a node-to-node forwarded join:
-// a JoinRequest plus the landmark fencing epoch the forwarding node
-// resolved the owner under, as an optional trailing u64 — a zero epoch is
-// not sent, so an unfenced forwarded join is byte for byte a JoinRequest
-// and only the frame type differs. DecodeForwardedJoinOp reads it.
-func EncodeForwardedJoinRequestFenced(m *JoinRequest, epoch uint64) ([]byte, error) {
-	b, err := EncodeJoinRequest(m)
-	if err == nil && epoch != 0 {
-		b = binary.BigEndian.AppendUint64(b, epoch)
-	}
-	return b, err
 }
 
 // Hello opens a connection (always bare-framed).
@@ -842,8 +816,7 @@ type BatchJoinResponse struct {
 }
 
 // EncodeBatchJoinRequest encodes a BatchJoinRequest payload — count(2)
-// then that many join entries — which MsgForwardedBatchJoinRequest carries
-// unchanged.
+// then that many join entries.
 func EncodeBatchJoinRequest(m *BatchJoinRequest) ([]byte, error) {
 	w := codec.Writer{Buf: make([]byte, 0, 64*len(m.Joins))}
 	w.Count(len(m.Joins), 1, MaxBatch, "joins")

@@ -3,6 +3,7 @@ package proto
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math/rand"
@@ -331,103 +332,28 @@ func TestRedirectLimits(t *testing.T) {
 	}
 }
 
-func TestForwardedJoinRoundTrip(t *testing.T) {
-	m := &JoinRequest{Peer: 9, Addr: "203.0.113.5:7000", Path: []int32{4, 2, 100}}
-	b, err := EncodeForwardedJoinRequestFenced(m, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o, err := DecodeForwardedJoinOp(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := o.Join; int64(got.Peer) != m.Peer || got.Addr != m.Addr || len(got.Path) != 3 || got.Path[2] != 100 {
-		t.Fatalf("got=%+v", got)
-	}
-	// The forwarded-join payload is byte-identical to a JoinRequest; only
-	// the frame type distinguishes them.
-	plain, err := EncodeJoinRequest(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(b, plain) {
-		t.Fatal("forwarded-join payload diverged from JoinRequest")
-	}
-}
-
-// TestRedirectEpochRoundTrip covers the optional fencing epoch: a zero
-// epoch encodes to the classic addr-only payload (pre-epoch peers see
-// unchanged bytes), a non-zero epoch rides as the trailing u64, and a
-// classic payload decodes to epoch zero.
+// TestRedirectEpochRoundTrip covers the redirect's reserved tail: a payload
+// carrying an older build's trailing fencing epoch decodes to its address,
+// and re-encodes to the address-only payload every build reads.
 func TestRedirectEpochRoundTrip(t *testing.T) {
-	fenced := &Redirect{Addr: "10.0.0.7:7470", Epoch: 42}
-	b, err := EncodeRedirect(fenced)
+	plain, err := EncodeRedirect(&Redirect{Addr: "10.0.0.7:7470"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeRedirect(b)
+	fenced := binary.BigEndian.AppendUint64(bytes.Clone(plain), 42)
+	got, err := DecodeRedirect(fenced)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Addr != fenced.Addr || got.Epoch != 42 {
+	if got.Addr != "10.0.0.7:7470" {
 		t.Fatalf("got=%+v", got)
 	}
-	plain, err := EncodeRedirect(&Redirect{Addr: fenced.Addr})
+	re, err := EncodeRedirect(got)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plain) != len(b)-8 {
-		t.Fatalf("zero epoch not omitted: %d vs %d bytes", len(plain), len(b))
-	}
-	got, err = DecodeRedirect(plain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Epoch != 0 {
-		t.Fatalf("classic payload decoded epoch %d", got.Epoch)
-	}
-}
-
-// TestForwardedJoinFencedRoundTrip covers the fenced forwarded join: the
-// epoch rides as an optional trailing u64 picked up by
-// DecodeForwardedJoinOp, zero degrades to the classic byte-identical
-// payload, and a classic payload decodes unfenced.
-func TestForwardedJoinFencedRoundTrip(t *testing.T) {
-	m := &JoinRequest{Peer: 9, Addr: "203.0.113.5:7000", Path: []int32{4, 2, 100}}
-	b, err := EncodeForwardedJoinRequestFenced(m, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o, err := DecodeForwardedJoinOp(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int64(o.Join.Peer) != m.Peer || o.Join.Addr != m.Addr || o.Epoch != 7 {
-		t.Fatalf("got op %+v epoch %d", o.Join, o.Epoch)
-	}
-	plain, err := EncodeForwardedJoinRequestFenced(m, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	classic, err := EncodeJoinRequest(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(plain, classic) {
-		t.Fatal("zero-epoch fenced payload diverged from the classic form")
-	}
-	o, err = DecodeForwardedJoinOp(classic)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o.Epoch != 0 {
-		t.Fatalf("classic payload decoded epoch %d", o.Epoch)
-	}
-	// Truncations must error, never panic or mis-frame.
-	for n := 0; n < len(b); n++ {
-		if _, err := DecodeForwardedJoinOp(b[:n]); err == nil && n != len(classic) {
-			t.Fatalf("accepted truncation to %d bytes", n)
-		}
+	if !bytes.Equal(re, plain) {
+		t.Fatalf("re-encoded %x, want the address-only %x", re, plain)
 	}
 }
 
@@ -494,7 +420,6 @@ func TestDecodeRedirectGarbage(t *testing.T) {
 		b := make([]byte, rng.Intn(256))
 		rng.Read(b)
 		_, _ = DecodeRedirect(b)
-		_, _ = DecodeForwardedJoinOp(b)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

@@ -128,16 +128,17 @@ func modelAddr(rng *rand.Rand, p pathtree.PeerID) string {
 
 // TestStateMachineMatchesModel drives a server through seeded random steps —
 // join, re-join under another path or another landmark, batch join with bad
-// entries, leave, refresh, super-peer flag, expiry, Handoff of a landmark to
-// a second server on the same index and back (with the orphans that re-joins
-// leave over there retired), ResetFromSnapshot — and after every step
-// requires: every tree passes CheckInvariants (pruning, chains, the four
-// pools' accounting), counts its live records in Len() and agrees with the
-// index; every peer's PeerInfo, path
-// included, is what was last reported; and Lookup equals the brute-force
-// answer.
+// entries, leave, refresh, super-peer flag, expiry, a join on a second server
+// over the same index under a landmark of its own, and re-joins back (each
+// orphaning a record the other server retires), ResetFromSnapshot — and
+// after every step requires: every tree passes CheckInvariants (pruning,
+// chains, the four pools' accounting), counts its live records in Len() and
+// agrees with the index; every peer's PeerInfo, path included, is what was
+// last reported; and Lookup equals the brute-force answer.
 func TestStateMachineMatchesModel(t *testing.T) {
 	lms := []topology.NodeID{0, 1, 2}
+	const awayLm = topology.NodeID(3) // the second server's landmark, which s refuses
+	drawn := append(slices.Clone(lms), awayLm)
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		now := int64(1_000_000)
@@ -151,14 +152,13 @@ func TestStateMachineMatchesModel(t *testing.T) {
 		m := &model{peers: map[pathtree.PeerID]modelPeer{}, lms: map[topology.NodeID]bool{0: true, 1: true, 2: true}}
 		var saved []byte // a whole-state snapshot taken at some earlier step
 		var savedModel *model
-		// away holds the landmarks handed to it, on s's index; awayModel is
-		// what the model knows of the peers that went with them. s no longer
-		// knows those peers, and nothing expires them over there.
+		// away is a second server on s's index, holding awayLm; awayModel is
+		// what the model knows of the peers that joined there. s does not
+		// know those peers, and nothing expires them over there.
 		var away *Server
 		var awayModel map[pathtree.PeerID]modelPeer
-		var epoch uint64
 		newAway := func() {
-			if away, err = NewSharing(Config{}, s.st.idx); err != nil {
+			if away, err = NewSharing(Config{Landmarks: []topology.NodeID{awayLm}}, s.st.idx); err != nil {
 				t.Fatal(err)
 			}
 			awayModel = map[pathtree.PeerID]modelPeer{}
@@ -166,7 +166,7 @@ func TestStateMachineMatchesModel(t *testing.T) {
 		newAway()
 
 		join := func(p pathtree.PeerID) op.JoinEntry {
-			return op.JoinEntry{Peer: p, Path: modelPath(rng, lms[rng.Intn(len(lms))]), Addr: modelAddr(rng, p)}
+			return op.JoinEntry{Peer: p, Path: modelPath(rng, drawn[rng.Intn(len(drawn))]), Addr: modelAddr(rng, p)}
 		}
 		// registered records an accepted join; settle, after the op it came
 		// in, checks that the joins of peers that were away — and no others —
@@ -271,44 +271,26 @@ func TestStateMachineMatchesModel(t *testing.T) {
 				if got := s.Expire(); !slices.Equal(got, want) {
 					t.Fatalf("seed %d step %d expire: got %v want %v", seed, step, got, want)
 				}
-			case r < 90: // hand a landmark away
-				lm := lms[rng.Intn(len(lms))]
-				desc = fmt.Sprintf("hand %d away", lm)
-				if !m.lms[lm] {
-					break
+			case r < 94: // a join on the server beside, orphaning p's record here
+				e := op.JoinEntry{Peer: p, Path: modelPath(rng, awayLm), Addr: modelAddr(rng, p)}
+				desc = fmt.Sprintf("join %d beside %v", p, e.Path)
+				if _, err := away.JoinOp(op.Op{Kind: op.KindJoin, Join: e}); err != nil {
+					t.Fatalf("seed %d step %d %s: %v", seed, step, desc, err)
 				}
-				epoch++
-				if err := Handoff(s, away, lm, epoch); err != nil {
-					t.Fatal(err)
-				}
-				for q, mq := range m.peers {
-					if landmarkOf(mq.path) == lm {
-						awayModel[q] = mq
-						delete(m.peers, q)
+				_, here := m.peers[p]
+				for _, o := range away.TakeOrphans() {
+					first, err1 := s.Retire(o)
+					again, err2 := s.Retire(o)
+					if !here || o.Peer != p || !first || again || err1 != nil || err2 != nil {
+						t.Fatalf("seed %d step %d %s: orphan %+v: was here=%v, or not retired exactly once", seed, step, desc, o, here)
 					}
+					here = false
 				}
-				delete(m.lms, lm)
-			case r < 94: // take one back, with every peer still under it
-				desc = "take back"
-				held := away.Landmarks()
-				if len(held) == 0 {
-					break
+				if here {
+					t.Fatalf("seed %d step %d %s: the join left no orphan here", seed, step, desc)
 				}
-				lm := held[rng.Intn(len(held))]
-				epoch++
-				if err := Handoff(away, s, lm, epoch); err != nil {
-					t.Fatal(err)
-				}
-				if s.Epoch(lm) != epoch || away.Epoch(lm) != 0 {
-					t.Fatalf("seed %d step %d: epoch %d here, %d there, want %d and 0", seed, step, s.Epoch(lm), away.Epoch(lm), epoch)
-				}
-				for q, mq := range awayModel {
-					if landmarkOf(mq.path) == lm {
-						m.peers[q] = mq
-						delete(awayModel, q)
-					}
-				}
-				m.lms[lm] = true
+				delete(m.peers, p)
+				awayModel[p] = modelPeer{path: e.Path, addr: e.Addr, refresh: now}
 			case r < 97:
 				desc = "save"
 				var buf bytes.Buffer

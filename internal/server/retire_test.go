@@ -4,7 +4,6 @@ import (
 	"errors"
 	"testing"
 
-	"proxdisc/internal/op"
 	"proxdisc/internal/pathtree"
 	"proxdisc/internal/topology"
 )
@@ -95,65 +94,5 @@ func TestRetireRule(t *testing.T) {
 	}
 	if info, err := a.PeerInfo(1); err != nil || info.Landmark != 0 {
 		t.Fatalf("peer 1 after it all: %+v, %v", info, err)
-	}
-}
-
-// TestHandoff: a tree changes servers whole — records, epoch and all — with
-// no index entry rewritten, and only between two servers on one index, from
-// one that holds the landmark to one that does not.
-func TestHandoff(t *testing.T) {
-	a, b := sharingPair(t)
-	for i := 1; i <= 10; i++ {
-		if _, err := a.Join(pathtree.PeerID(i), []topology.NodeID{topology.NodeID(10 + i%3), 5, 0}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := a.Lookup(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lone, err := New(Config{Landmarks: []topology.NodeID{200}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, err := range map[string]error{
-		"to itself":              Handoff(a, a, 0, 1),
-		"across indexes":         Handoff(a, lone, 0, 1),
-		"of a landmark not held": Handoff(a, b, 100, 1),
-	} {
-		if err == nil {
-			t.Fatalf("handoff %s went through", name)
-		}
-	}
-	lm, slot, _ := a.st.idx.Place(3)
-	if err := Handoff(a, b, 0, 4); err != nil {
-		t.Fatal(err)
-	}
-	if a.NumPeers() != 0 || b.NumPeers() != 10 || a.Epoch(0) != 0 || b.Epoch(0) != 4 || len(a.Landmarks()) != 0 {
-		t.Fatalf("after the handoff: %d and %d peers, epochs %d and %d, source holds %v",
-			a.NumPeers(), b.NumPeers(), a.Epoch(0), b.Epoch(0), a.Landmarks())
-	}
-	if l, s, ok := b.st.idx.Place(3); !ok || l != lm || s != slot {
-		t.Fatalf("the handoff rewrote an index entry: %d/%d, was %d/%d", l, s, lm, slot)
-	}
-	if _, err := a.Lookup(3); !errors.Is(err, ErrUnknownPeer) {
-		t.Fatalf("the source still answers: %v", err)
-	}
-	if got, err := b.Lookup(3); err != nil || len(got) != len(want) || got[0] != want[0] {
-		t.Fatalf("the destination answers %v, %v; the source answered %v", got, err, want)
-	}
-	if err := a.checkState(b); err != nil {
-		t.Fatal(err)
-	}
-	if err := Handoff(a, b, 0, 5); err == nil {
-		t.Fatal("handed the same tree over twice")
-	}
-	// A move op applied to a server that does not hold the landmark leaves
-	// it an empty tree to record the fence on; nothing may be handed onto it.
-	if err := a.Apply(op.MoveLandmark(0, 1, 0, 5)); err != nil {
-		t.Fatal(err)
-	}
-	if err := Handoff(b, a, 0, 6); err == nil || b.NumPeers() != 10 {
-		t.Fatalf("handed a tree onto a server that holds one for the landmark: %v", err)
 	}
 }

@@ -58,17 +58,16 @@
 // queue behind it, and lookups do not notice it.
 //
 // The state lock (mu, an RWMutex) is what lookups take. Lookup, PeerInfo,
-// NumPeers, ArenaStats, Epoch and Landmarks read-hold it. A writer, wmu
+// NumPeers, ArenaStats and Landmarks read-hold it. A writer, wmu
 // already held, takes it exclusively around one single mutation and nothing
 // else: one state.join per entry of a batch (the answer is copied out after
 // the release), one Remove per expired peer or retired orphan, one
 // assignment for ResetFromSnapshot, whose new state is built before either
 // lock is taken.
 // So the order is wmu → mu, a reader waits for at most the one mutation in
-// progress, and a writer for the lookups in flight when it asks. Handoff and
-// Adopt, the operations on several servers, take every one's wmu, then every
-// one's mu, in the order given; callers run one of them at a time, which is
-// what keeps two of them from deadlocking.
+// progress, and a writer for the lookups in flight when it asks. Adopt, the
+// operation on several servers, takes every one's wmu, then every one's mu,
+// in the order given; callers run one at a time.
 //
 // An index stripe's lock is a leaf: wmu → mu → stripe, nothing taken under
 // it. The rules that make one index safe for several servers:
@@ -87,8 +86,6 @@
 //   - A reader that finds an entry naming a tree it does not hold answers
 //     ErrUnknownPeer, and the router, which reads the same entry, asks the
 //     landmark's owner instead.
-//   - Handoff rewrites no entry: (landmark, slot) is as true on the new
-//     holder as on the old.
 //
 // The hold is per entry, not per batch, because that — not a second copy of
 // the state — is what keeps lookups off the writers' path. This package
@@ -164,13 +161,6 @@ var ErrUnknownPeer = errors.New("server: unknown peer")
 // tree is rooted at one.
 var noRef = ref{lm: topology.InvalidNode}
 
-// ErrStaleEpoch rejects a write fenced at an out-of-date landmark epoch:
-// the landmark moved between shards after the writer resolved its owner,
-// and the deposed owner must not silently accept mutations for a tree it
-// no longer serves. Writers recover by re-resolving the owner and
-// retrying at the current epoch.
-var ErrStaleEpoch = errors.New("server: stale landmark epoch")
-
 // Config parameterizes the management server.
 type Config struct {
 	// Landmarks lists the landmark routers. At least one is required.
@@ -221,19 +211,14 @@ type Stats struct {
 	TreeStats map[topology.NodeID]pathtree.Stats
 }
 
-// state is the server's mutable state: the trees, the peer index and the
-// epochs. A server holds one, and ResetFromSnapshot replaces it whole.
+// state is the server's mutable state: the trees and the peer index. A
+// server holds one, and ResetFromSnapshot replaces it whole.
 type state struct {
 	trees map[topology.NodeID]*pathtree.Core
 	// idx says where each registered peer's record lives: the server's own,
 	// or the one it shares with the other servers of its node, in which case
 	// it also holds entries that name trees held by them.
 	idx *Index
-	// epochs holds each landmark's fencing epoch. Only landmarks that have
-	// moved at least once have an entry; absence means epoch zero. The
-	// epoch is durable state: it rides in KindMoveLandmark ops, in the log
-	// and in snapshots alike, so every copy agrees on who owns a landmark.
-	epochs map[topology.NodeID]uint64
 }
 
 // Server is the management server. It is safe for concurrent use.
@@ -288,20 +273,19 @@ func New(cfg Config) (*Server, error) {
 }
 
 // NewSharing builds a server that reads and writes idx instead of an index
-// of its own: one shard of a cluster, which hands the same index to all of
-// them. cfg.Landmarks may be empty — an elastic shard acquires its landmarks
-// through Handoff. Such a server is reset from a snapshot only together with
-// the others sharing its index, by Adopt, never by ResetFromSnapshot, which
-// would leave it with a private index again.
+// of its own: one shard of a cluster, over its share of the node's
+// landmarks, which hands the same index to all of them. Such a server is
+// reset from a snapshot only together with the others sharing its index, by
+// Adopt, never by ResetFromSnapshot, which would leave it with a private
+// index again.
 func NewSharing(cfg Config, idx *Index) (*Server, error) {
 	return newServer(cfg, idx)
 }
 
 func newState(cfg *Config, idx *Index) (state, error) {
 	st := state{
-		trees:  make(map[topology.NodeID]*pathtree.Core, len(cfg.Landmarks)),
-		idx:    idx,
-		epochs: make(map[topology.NodeID]uint64),
+		trees: make(map[topology.NodeID]*pathtree.Core, len(cfg.Landmarks)),
+		idx:   idx,
 	}
 	for _, lm := range cfg.Landmarks {
 		if _, dup := st.trees[lm]; dup {
@@ -340,8 +324,8 @@ func (s *Server) walking() {
 }
 
 // Landmarks returns the registered landmark routers in ascending order.
-// The tree set is mutable at runtime (Handoff), so the read needs the state
-// lock.
+// A restore or a Move record can change the tree set, so the read needs the
+// state lock.
 func (s *Server) Landmarks() []topology.NodeID {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -477,19 +461,13 @@ func (st *state) apply(o op.Op) error {
 		rec.Super = o.Super
 		return nil
 	case op.KindMoveLandmark:
-		// A server applies the epoch half of a handoff; between the shards
-		// of a cluster the tree itself changes hands through Handoff, and
-		// a cluster sends the op here only to the shard holding the tree. A
-		// lone server holds every landmark it knows, so for it the move IS
-		// just the epoch bump. The tree is created if absent, which is how
-		// a snapshot's Move records bring their landmarks into a state
-		// being loaded.
+		// A snapshot's Move records bring their landmarks into a state being
+		// loaded: the tree is created if absent. The shards and epoch a
+		// record names, which builds that moved landmarks between shards
+		// wrote, mean nothing to a server.
 		lm := o.Move.Landmark
 		if _, ok := st.trees[lm]; !ok {
 			st.trees[lm] = pathtree.NewCore(lm)
-		}
-		if o.Move.Epoch > st.epochs[lm] {
-			st.epochs[lm] = o.Move.Epoch
 		}
 		return nil
 	default:
@@ -651,8 +629,8 @@ func (s *Server) TakeOrphans() []Orphan {
 // is the peer, and the index no longer says this place: a slot since
 // recycled — even for the same peer, re-registered where it was — is
 // someone's live record and stays. A server that does not hold the orphan's
-// landmark answers ErrUnknownLandmark: the tree is elsewhere by now, and
-// whoever routes between the servers asks its holder.
+// landmark answers ErrUnknownLandmark: whoever routes between the servers
+// asks its holder.
 func (s *Server) Retire(o Orphan) (bool, error) {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
@@ -670,42 +648,6 @@ func (s *Server) Retire(o Orphan) (bool, error) {
 	}
 	tree.Remove(o.slot)
 	return true, nil
-}
-
-// Handoff moves landmark lm's tree, every record in it, from src to dst and
-// sets its fencing epoch there. The two must share their index: its entries
-// name landmarks, not servers, so not one of them changes and the move costs
-// the same whatever the tree holds. Both servers' locks are held across it,
-// so a lookup finds the tree on one or the other, never half-moved, and a
-// write for lm that reaches src afterwards finds it gone (ErrUnknownLandmark,
-// ErrUnknownPeer), for whoever routes between the servers to send to dst.
-// Callers serialise handoffs.
-func Handoff(src, dst *Server, lm topology.NodeID, epoch uint64) error {
-	if src == dst {
-		return errors.New("server: handoff from a server to itself")
-	}
-	for _, s := range []*Server{src, dst} {
-		s.wmu.Lock()
-		defer s.wmu.Unlock()
-	}
-	for _, s := range []*Server{src, dst} {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-	}
-	tree := src.st.trees[lm]
-	switch {
-	case src.st.idx != dst.st.idx:
-		return errors.New("server: handoff between servers that do not share an index")
-	case tree == nil:
-		return fmt.Errorf("server: handoff of landmark %d, which the source does not hold", lm)
-	case dst.st.trees[lm] != nil:
-		return fmt.Errorf("server: handoff of landmark %d, which the destination already holds", lm)
-	}
-	delete(src.st.trees, lm)
-	delete(src.st.epochs, lm)
-	dst.st.trees[lm] = tree
-	dst.st.epochs[lm] = epoch
-	return nil
 }
 
 // BatchJoin is one entry of a batched join.
@@ -920,14 +862,6 @@ func (s *Server) Peers() []pathtree.PeerID {
 	s.wmu.Unlock()
 	slices.Sort(out)
 	return out
-}
-
-// Epoch reports a landmark's current fencing epoch (zero for a landmark
-// that never moved or is not held here).
-func (s *Server) Epoch(lm topology.NodeID) uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.st.epochs[lm]
 }
 
 // Stats snapshots server counters and tree shapes.

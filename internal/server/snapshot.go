@@ -19,10 +19,9 @@ import (
 // follower stream ships is also what a snapshot, a checkpoint file and a
 // shipped catch-up image are made of. In order, a snapshot holds
 //
-//  1. one KindMoveLandmark per held landmark, ascending, carrying its
-//     fencing epoch, with Src = Dst = the landmark's owner: the shard index
-//     in a cluster checkpoint, 0 everywhere else (a server ignores both;
-//     cluster recovery reads ownership from them);
+//  1. one KindMoveLandmark per held landmark, ascending, with Src, Dst and
+//     Epoch zero (files from builds that moved landmarks between shards
+//     name owners and epochs there, which every reader ignores);
 //  2. every peer as one entry of a KindBatchJoin whose Time is the peer's
 //     LastRefresh: peers in (LastRefresh, ID) order, each run of equal
 //     LastRefresh cut into records of at most op.MaxBatch entries;
@@ -54,12 +53,12 @@ type image struct {
 // peer's path is not stored, so each tree is walked once, depth-first, and
 // hands every peer the path the walk stands on; its addresses are copied
 // into one block per tree.
-func (s *Server) collect(img *image, owner int) {
+func (s *Server) collect(img *image) {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	s.walking()
 	for lm, tree := range s.st.trees {
-		img.moves = append(img.moves, op.MoveEntry{Landmark: lm, Src: owner, Dst: owner, Epoch: s.st.epochs[lm]})
+		img.moves = append(img.moves, op.MoveEntry{Landmark: lm})
 		img.peers = slices.Grow(img.peers, tree.Len())
 		var addrs strings.Builder
 		as := tree.ArenaStats()
@@ -106,27 +105,22 @@ func (img *image) write(w io.Writer) error {
 
 // WriteSnapshot serializes servers holding disjoint landmark sets — the
 // shards of one cluster — as a single snapshot, ordered exactly as one
-// server holding all of it would write it. With placed set each landmark's
-// owner is its holder's position in srvs (the cluster checkpoint form);
-// otherwise 0 (the logical form, byte-comparable with a follower's copy).
-func WriteSnapshot(w io.Writer, placed bool, srvs ...*Server) error {
+// server holding all of it would write it, so byte-comparable with any copy
+// holding the same state.
+func WriteSnapshot(w io.Writer, srvs ...*Server) error {
 	var img image
-	for i, s := range srvs {
-		owner := 0
-		if placed {
-			owner = i
-		}
-		s.collect(&img, owner)
+	for _, s := range srvs {
+		s.collect(&img)
 	}
 	return img.write(w)
 }
 
-// Snapshot serializes the server's durable state (landmarks, epochs, and
-// every peer's path, address, flag and refresh time) so a restarted
+// Snapshot serializes the server's durable state (landmarks, and every
+// peer's path, address, flag and refresh time) so a restarted
 // management server can resume serving without waiting for the whole
 // population to rejoin — the management server is a single point of
 // failure in the paper's architecture, and this is the standard mitigation.
-func (s *Server) Snapshot(w io.Writer) error { return WriteSnapshot(w, false, s) }
+func (s *Server) Snapshot(w io.Writer) error { return WriteSnapshot(w, s) }
 
 // snapshotOps is a decoded snapshot: its landmark and join ops in stream
 // order, and the set of peers it flags as super-peers.
@@ -172,7 +166,7 @@ func (st *state) load(snap snapshotOps) error {
 	for i := range snap.ops {
 		o := &snap.ops[i]
 		if o.Kind == op.KindMoveLandmark {
-			st.apply(*o) // creates the tree if absent; never lowers an epoch; cannot fail
+			st.apply(*o) // creates the tree if absent; cannot fail
 			continue
 		}
 		for j := range o.Batch {

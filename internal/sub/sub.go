@@ -500,9 +500,9 @@ func (p *Plane) evalKClosest(s *Subscriber, seq uint64, o *op.Op) {
 	case op.KindRefresh, op.KindSetSuperPeer, op.KindMoveLandmark:
 		// None of these changes a k-closest answer: refresh only bumps
 		// liveness, super-peer delegation never alters the candidate set,
-		// and a landmark handoff moves a whole tree between shards without
-		// touching any peer's registration (the same holds in evalPeer and
-		// evalLandmark, where moves fall through their switches).
+		// and a move record, which an older build's stream may carry,
+		// touches no peer's registration (the same holds in evalPeer and
+		// evalLandmark, where move records fall through their switches).
 	}
 }
 

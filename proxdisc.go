@@ -18,9 +18,9 @@
 //   - the core data structure (NewPathTree) for embedding in other systems;
 //   - the management-server logic (NewServer), one shard's worth;
 //   - a landmark-sharded management cluster (NewCluster) that runs N
-//     server shards behind one router, with scatter-gather fan-out for
-//     cross-landmark operations and live landmark handoff between shards —
-//     the same answers as a single server at a multiple of the capacity —
+//     server shards behind one router, each owning a fixed share of the
+//     landmarks, with scatter-gather fan-out for cross-landmark operations
+//     — the same answers as a single server at a multiple of the capacity —
 //     and the deployable TCP/UDP front end that serves one (ListenAndServe,
 //     Dial, Agent); every node runs a cluster, of one shard or more;
 //   - a full simulation environment (NewSimulation) that generates an
@@ -87,14 +87,15 @@
 // followers (StartFollower, or proxdisc-server -follow ADDR; see
 // "Cross-process replication" below). There is one replication road, and
 // one kind of copy: a follower's is a Cluster of its primary's shard count
-// (proxdisc-server reads it from the primary's status answer), so the
-// stream's move ops and a catch-up checkpoint's records put every landmark
-// on the primary's shard at the primary's epoch
-// (TestFollowerByteIdenticalAcrossMidStreamMove, TestFollowerCatchupAfterKill).
+// (proxdisc-server reads it from the primary's status answer) over the
+// primary's landmarks, so it deals the primary's landmark table, and the
+// stream and a catch-up checkpoint leave every landmark where the primary
+// has it (TestFollowerByteIdenticalAcrossMidStreamMove,
+// TestFollowerCatchupAfterKill).
 //
 // What a follower guarantees: it applies the primary's committed op
 // stream — joins, batch joins, leaves, refreshes, super-peer flags, TTL
-// expiry sweeps (one op per sweep), landmark moves — in commit order
+// expiry sweeps (one op per sweep) — in commit order
 // through the same Apply door crash recovery uses, so once it has applied
 // up to the primary's head its state serializes to a byte-identical
 // snapshot. Replication is asynchronous: the primary acknowledges a write
@@ -141,15 +142,15 @@
 // ops, in the background, and again on Cluster.Close), after which the log
 // is truncated at the checkpoint boundary — the disk footprint is bounded
 // by the checkpoint cadence. A checkpoint is a compacted op log, written in
-// the same op codec as the log it replaces: one move op per landmark (its
-// owning shard and fencing epoch), every peer as an entry of a batch-join
-// op stamped with its last refresh, one flag op per super-peer — each
+// the same op codec as the log it replaces: one move op per landmark,
+// naming it, every peer as an entry of a batch-join op stamped with its
+// last refresh, one flag op per super-peer — each
 // record length-bounded and CRC-framed, the file closed by a counted end
 // frame. NewCluster on a populated directory recovers before returning: one
 // pass reads the latest checkpoint and then the log tail with one applier
 // per shard, each taking its shard's entries of batch joins of new peers in
-// file order through the normal apply path; every other record — a landmark
-// move, a flag, a leave or refresh, a single or re-homing join, an expiry
+// file order through the normal apply path; every other record — a move
+// record, a flag, a leave or refresh, a single or re-homing join, an expiry
 // sweep — waits for the appliers to drain and applies serially between
 // them. When each peer has one writer at a time, a restarted node serves
 // the exact peer set (and, for joins that arrived over the wire, the exact
@@ -165,8 +166,8 @@
 // at the end, and a count short of the entries handed out sends the whole
 // open again through the serial road, where the later entry wins and the
 // log tail settles the rest (TestCheckpointUnderWriters crashes a node
-// checkpointing beside writers, moves and expiry sweeps, and logs how many
-// of its recoveries fell back).
+// checkpointing beside writers and expiry sweeps, and logs how many of its
+// recoveries fell back).
 // The log is one stream written in sequence order, so a crash can only
 // tear its tail: a record torn by the crash was never acknowledged and is
 // cut off by CRC at open, and so is every record after it, none of which
@@ -244,45 +245,17 @@
 // them. proxdisc-server logs lag and group-commit batching on a live
 // node.
 //
-// # Elastic resharding
+// # A static landmark table
 //
-// Landmark ownership is not fixed at construction. Cluster.MoveLandmark
-// transfers one landmark's path tree between shards while the cluster
-// keeps serving: the tree changes servers whole — no peer is copied and no
-// index entry rewritten, so a move costs the same for a thousand peers as
-// for a hundred thousand (TestMoveLandmarkMovesNoPeers). Only requests for
-// the moving landmark wait: they wait until the move is logged, then go to
-// the new owner, and a write that was already on its way to the old owner
-// finds the tree gone and goes there too (TestWriteParkedAcrossHandoff).
-// The two servers' writes to their other landmarks pause for the instant
-// the tree changes hands, and every other shard's not at all
-// (TestMoveFreezeIsScopedToShardPair). A move is a
-// first-class logged operation in the same canonical op stream as joins
-// and leaves: it is committed to the write-ahead log, shipped to
-// followers, and replayed by crash recovery, so a restarted node
-// reconstructs the exact post-move ownership no matter where a crash
-// landed — after the tree changed hands, between that and the table flip,
-// or between the flip and the commit — with exactly one shard owning the
-// landmark and zero peers lost (TestMoveLandmarkCrashAtEveryStage).
-//
-// Each move increments the landmark's fencing epoch, a monotonic counter
-// carried by the move op — in the log and, one per landmark, in every
-// snapshot. Writers that route
-// by a cached ownership table can stamp their ops with the epoch they
-// observed (redirects carry the current epoch for this purpose); a
-// mutation carrying a stale epoch is rejected loudly with a
-// stale-epoch error instead of being applied to the wrong shard — the
-// classic lost-update window between "looked up the owner" and "applied
-// the write" closes. Unstamped ops remain valid: fencing is opt-in per
-// write, not a wire break.
-//
-// ClusterConfig.Shards may exceed the landmark count: surplus shards
-// start empty and become useful the moment a landmark moves onto them.
-// Cluster.Rebalance compares per-shard peer populations and issues fenced
-// moves — largest movable landmark first, fullest shard to emptiest —
-// until shard loads are within two peers of each other. Scaling out is
-// therefore: build the cluster with more shards and call Rebalance, or aim
-// MoveLandmark by hand. The handoff counter is proxdisc_handoffs_total.
+// NewCluster deals the landmarks, in ascending ID order, round-robin over
+// the shards, and the table never changes after: every operation touches one
+// landmark's tree, so a fixed deal is all that sharding needs, and routing a
+// request is a read of the table with no lock. NewCluster refuses more shards
+// than landmarks, since a shard dealt none would stay empty. Builds that
+// moved landmarks between shards logged each move and wrote every landmark's
+// owning shard and fencing epoch into their checkpoints; such a log or
+// checkpoint still loads, and every landmark lands on the shard this table
+// deals it, with every peer it holds (TestCheckpointNamingOtherOwnersLoads).
 //
 // # Live subscriptions
 //
@@ -388,7 +361,7 @@
 //     proxdisc_follow_reconnects_total.
 //   - Cluster: proxdisc_peers; proxdisc_shard_peers{shard=N} and
 //     proxdisc_shard_apply_total{shard=N} per shard;
-//     proxdisc_scatter_fanout_total, proxdisc_handoffs_total,
+//     proxdisc_scatter_fanout_total,
 //     proxdisc_checkpoint_duration_seconds, and
 //     proxdisc_arena_bytes{pool=nodes|records|kids|addrs|index,state=live|free},
 //     what the path trees' pools hold in use and parked on free lists, and
@@ -478,10 +451,9 @@
 //     (TestChurnRecyclesSlots).
 //
 //   - One lock order for every write. A cluster write reads the landmark
-//     table, lets go of it and applies under the owning server's writer
-//     mutex; nothing above the server serialises a shard's writers
-//     (TestConcurrentJoinsMatchSerial), and a write that finds its
-//     landmark's tree moved away routes again (TestWriteParkedAcrossHandoff).
+//     table, which takes no lock, and applies under the owning server's
+//     writer mutex; nothing above the server serialises a shard's writers
+//     (TestConcurrentJoinsMatchSerial).
 //
 //   - Telemetry off the allocator. One request's metrics — a counter, a
 //     gauge and a latency observation — allocate nothing (TestHotPathAllocs).
@@ -557,9 +529,9 @@ func NewServer(cfg ServerConfig) (*Server, error) { return server.New(cfg) }
 type ClusterConfig = cluster.Config
 
 // Cluster is a landmark-sharded management service: N server shards behind
-// a router that assigns each landmark to a shard, scatter-gathers
-// cross-landmark operations, and supports live landmark handoff between
-// shards (MoveLandmark). Each shard is one Server; copies live in other
+// a router that deals each landmark to a shard once, at NewCluster, and
+// scatter-gathers cross-landmark operations. Each shard is one Server;
+// copies live in other
 // processes as followers (see "Replication and failover" above). With
 // ClusterConfig.DataDir it is durable: writes commit to a write-ahead
 // log, snapshots land on disk (Checkpoint), restarts recover exactly (see

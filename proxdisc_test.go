@@ -129,8 +129,7 @@ func TestDefaultTopology(t *testing.T) {
 }
 
 // TestPublicCluster exercises the sharded management cluster through the
-// public API: same answers as a single Server, live landmark handoff, and
-// a sharded simulation.
+// public API: same answers as a single Server, and every peer answerable.
 func TestPublicCluster(t *testing.T) {
 	landmarks := []RouterID{0, 100, 200, 300}
 	c, err := NewCluster(ClusterConfig{Landmarks: landmarks, Shards: 4})
@@ -163,20 +162,9 @@ func TestPublicCluster(t *testing.T) {
 	if c.NumPeers() != s.NumPeers() {
 		t.Fatalf("cluster peers=%d server peers=%d", c.NumPeers(), s.NumPeers())
 	}
-	// Live handoff through the public surface.
-	src, ok := c.ShardFor(100)
-	if !ok {
-		t.Fatal("no shard for landmark 100")
-	}
-	if err := c.MoveLandmark(100, (src+1)%c.NumShards()); err != nil {
-		t.Fatal(err)
-	}
-	if c.NumPeers() != s.NumPeers() {
-		t.Fatalf("handoff lost peers: %d vs %d", c.NumPeers(), s.NumPeers())
-	}
 	for i := range paths {
 		if _, err := c.Lookup(PeerID(i + 1)); err != nil {
-			t.Fatalf("lookup %d after handoff: %v", i+1, err)
+			t.Fatalf("lookup %d: %v", i+1, err)
 		}
 	}
 }
