@@ -339,6 +339,14 @@ func TestResetFromSnapshot(t *testing.T) {
 	for n := 0; n < snap.Len(); n += 7 {
 		bad[fmt.Sprintf("truncated to %d bytes", n)] = snap.Bytes()[:n]
 	}
+	// Streams good to their end frame whose content has no place in a
+	// snapshot: a record kind no snapshot holds, a path the join door
+	// refuses, and a peer under a landmark held neither by a Move record nor
+	// by the configuration.
+	move := op.MoveLandmark(0, 0, 0, 0)
+	bad["leave record"] = opStream(t, move, joinBatch(1, []topology.NodeID{10, 0}), op.Leave(1))
+	bad["path repeats a router"] = opStream(t, move, joinBatch(1, []topology.NodeID{10, 11, 10, 0}))
+	bad["unheld landmark"] = opStream(t, move, joinBatch(1, []topology.NodeID{10, 0}), joinBatch(2, []topology.NodeID{10, 77}))
 	for name, data := range bad {
 		_, oldFormat := oldFormatSnapshots[name]
 		_, restoreErr := restore(bytes.NewReader(data), Config{})
@@ -361,4 +369,34 @@ func TestResetFromSnapshot(t *testing.T) {
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("refused snapshots changed the state")
 	}
+
+	// A flag naming a peer the snapshot does not hold is ignored, as
+	// recovery ignores a record naming a gone peer: the restore takes the
+	// rest.
+	stray := opStream(t, move, joinBatch(1, []topology.NodeID{10, 0}), op.SetSuperPeer(5, true))
+	if err := dst.ResetFromSnapshot(bytes.NewReader(stray)); err != nil {
+		t.Fatalf("a flag naming an absent peer refused the snapshot: %v", err)
+	}
+	if info, err := dst.PeerInfo(1); err != nil || info.SuperPeer || dst.NumPeers() != 1 {
+		t.Fatalf("after a stray flag: %d peers, peer 1 %+v, %v", dst.NumPeers(), info, err)
+	}
+}
+
+// opStream frames ops as an op stream, good to its end frame.
+func opStream(t *testing.T, ops ...op.Op) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	sw := op.NewStreamWriter(&buf)
+	for _, o := range ops {
+		sw.Write(o)
+	}
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// joinBatch is a one-entry batch join of peer p at time 1.
+func joinBatch(p pathtree.PeerID, path []topology.NodeID) op.Op {
+	return op.BatchJoin([]op.JoinEntry{{Peer: p, Path: path}}, 1)
 }
