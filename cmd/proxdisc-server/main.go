@@ -14,16 +14,16 @@
 // terminate at one of them. With -host-landmarks the process also answers
 // UDP probes for each landmark and advertises those addresses to clients.
 // The management plane is a landmark-sharded cluster behind one TCP front
-// end, of one shard unless -shards says more. With -follow ADDR the process
-// is a follower: it asks the durable primary for its shard count, runs a
-// cluster of as many shards, streams the primary's committed op log over
-// TCP and applies it to that copy (catching up from a shipped checkpoint
-// when it is behind the log's retention); given the primary's -landmarks,
-// it deals every landmark to the primary's shard. It serves reads from the
-// copy, redirects writes to the primary, and logs its replication lag. A
-// follower keeps its copy in memory only, so -follow refuses -data-dir and
-// -shards.
-// A primary refuses more -shards than -landmarks.
+// end, of one shard unless -shards says more; any node refuses more -shards
+// than -landmarks. With -follow ADDR the process is a follower: it checks
+// that its -landmarks are the durable primary's, streams the primary's
+// committed op log over TCP and applies it to a copy of its own shard count
+// (catching up from a shipped checkpoint when it is behind the log's
+// retention). No record and no checkpoint names a shard, so the follower
+// deals the landmarks over its own -shards as a primary does. It serves
+// reads from the copy, redirects writes to the primary, and logs its
+// replication lag. A follower keeps its copy in memory only, so -follow
+// refuses -data-dir.
 //
 // With -metrics-addr the process serves its operational surface over HTTP:
 // Prometheus metrics at /metrics, expvar at /debug/vars, and the pprof
@@ -43,6 +43,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -73,7 +74,7 @@ func main() {
 		neighbors   = flag.Int("neighbors", server.DefaultNeighborCount, "closest peers returned per query")
 		ttl         = flag.Duration("peer-ttl", 0, "expire peers silent for this long (0 = never)")
 		sweep       = flag.Duration("sweep-interval", 30*time.Second, "expiry sweep period when -peer-ttl is set")
-		shards      = flag.Int("shards", 1, "run a landmark-sharded cluster of this many shards (a follower runs its primary's)")
+		shards      = flag.Int("shards", 1, "run a landmark-sharded cluster of this many shards")
 		workers     = flag.Int("workers", 0, "worker pool size for pipelined writes; reads are served on their connection's goroutine (0 = 4×GOMAXPROCS)")
 		maxBatch    = flag.Int("max-batch", 0, "largest batch join accepted (0 = wire-format maximum)")
 		dataDir     = flag.String("data-dir", "", "directory for durable state (WAL + snapshots, under DIR/cluster); restart recovers the acknowledged peer set. A DIR/front left by an older build is never opened and is left as it is")
@@ -119,17 +120,18 @@ func main() {
 	if *shards < 1 {
 		die("-shards must be at least 1", "shards", *shards)
 	}
+	if err := shardsBeyondLandmarks(*shards, len(lmIDs)); err != nil {
+		die(err.Error())
+	}
 	// Follower mode: a replica whose copy is fed by the primary's op
-	// stream, running the primary's shard count.
+	// stream, over the primary's landmarks.
 	if *follow != "" {
-		if err := followConflict(*shards, *dataDir); err != nil {
+		if err := followConflict(*dataDir); err != nil {
 			die(err.Error())
 		}
-		if *shards, err = primaryShards(*follow, 15*time.Second); err != nil {
-			die("shard count probe failed", "primary", *follow, "err", err)
+		if err := primaryLandmarks(*follow, lmIDs, 15*time.Second); err != nil {
+			die("landmark check failed", "primary", *follow, "err", err)
 		}
-	} else if err := shardsBeyondLandmarks(*shards, len(lmIDs)); err != nil {
-		die(err.Error())
 	}
 	// A follower's copy must expire peers only through the primary's
 	// replicated ExpireOps — a locally clocked TTL sweep would race
@@ -277,12 +279,9 @@ func main() {
 }
 
 // followConflict reports why flags given with -follow cannot stand: a
-// follower runs its primary's shard count and keeps its copy in memory.
-func followConflict(shards int, dataDir string) error {
-	switch {
-	case shards > 1:
-		return errors.New("-follow takes its shard count from the primary; drop -shards")
-	case dataDir != "":
+// follower keeps its copy in memory.
+func followConflict(dataDir string) error {
+	if dataDir != "" {
 		return errors.New("-follow keeps its copy in memory only (a durable follower is not supported); drop -data-dir")
 	}
 	return nil
@@ -298,20 +297,28 @@ func shardsBeyondLandmarks(shards, landmarks int) error {
 	return nil
 }
 
-// primaryShards asks the primary at addr how many shards it runs. A
-// follower runs as many, so the primary's move ops and checkpoints place
-// every landmark on the same shard of both.
-func primaryShards(addr string, timeout time.Duration) (int, error) {
+// primaryLandmarks asks the primary at addr for its landmarks and refuses a
+// follower's that differ, naming both sets: every record the primary ships
+// names one of its landmarks, and one the copy lacks fails the record.
+func primaryLandmarks(addr string, lms []topology.NodeID, timeout time.Duration) error {
 	c, err := client.Dial(addr, timeout)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	defer c.Close()
-	st, err := c.Status()
+	resp, err := c.Landmarks()
 	if err != nil {
-		return 0, err
+		return err
 	}
-	return int(st.Shards), nil
+	primary := make([]topology.NodeID, len(resp.Routers))
+	for i, r := range resp.Routers {
+		primary[i] = topology.NodeID(r)
+	}
+	slices.Sort(primary)
+	if own := slices.Sorted(slices.Values(lms)); !slices.Equal(own, primary) {
+		return fmt.Errorf("-landmarks %v differ from the primary's %v", own, primary)
+	}
+	return nil
 }
 
 // avgBatch is the average group-commit batch: records per fsync.

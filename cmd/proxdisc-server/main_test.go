@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -10,31 +11,15 @@ import (
 	"proxdisc/internal/topology"
 )
 
-// TestFollowConflict pins what -follow refuses beside it: more than one
-// shard, which the primary supplies, and a data directory, which would
-// otherwise be dropped without a word for a follower that keeps its copy in
-// memory.
+// TestFollowConflict pins what -follow refuses beside it: a data directory,
+// which would otherwise be dropped without a word for a follower that keeps
+// its copy in memory.
 func TestFollowConflict(t *testing.T) {
-	for _, tc := range []struct {
-		shards  int
-		dataDir string
-		want    string
-	}{
-		{1, "", ""},
-		{4, "", "shard count from the primary"},
-		{1, "/var/lib/proxdisc", "drop -data-dir"},
-		{2, "/var/lib/proxdisc", "drop -shards"},
-	} {
-		err := followConflict(tc.shards, tc.dataDir)
-		if tc.want == "" {
-			if err != nil {
-				t.Fatalf("-shards %d -data-dir %q refused: %v", tc.shards, tc.dataDir, err)
-			}
-			continue
-		}
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Fatalf("-shards %d -data-dir %q: %v, want an error saying %q", tc.shards, tc.dataDir, err, tc.want)
-		}
+	if err := followConflict(""); err != nil {
+		t.Fatalf("-follow without -data-dir refused: %v", err)
+	}
+	if err := followConflict("/var/lib/proxdisc"); err == nil || !strings.Contains(err.Error(), "drop -data-dir") {
+		t.Fatalf("-follow beside -data-dir: %v, want an error saying \"drop -data-dir\"", err)
 	}
 }
 
@@ -52,25 +37,29 @@ func TestShardsBeyondLandmarks(t *testing.T) {
 	}
 }
 
-// TestPrimaryShards: a follower learns its shard count from the primary's
-// status answer, and a primary it cannot reach fails the probe.
-func TestPrimaryShards(t *testing.T) {
-	for _, shards := range []int{1, 3} {
-		clu, err := cluster.New(cluster.Config{Landmarks: []topology.NodeID{0, 100, 200}, Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ns, err := netserver.Listen(netserver.Config{Addr: "127.0.0.1:0", Server: clu})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := primaryShards(ns.Addr(), 5*time.Second)
-		ns.Close()
-		if err != nil || got != shards {
-			t.Fatalf("probe of a %d-shard primary: %d, %v", shards, got, err)
+// TestPrimaryLandmarks: a follower starts only with its primary's
+// landmarks, in any order and over any shard count, and otherwise fails
+// naming both sets; a primary it cannot reach fails the check.
+func TestPrimaryLandmarks(t *testing.T) {
+	clu, err := cluster.New(cluster.Config{Landmarks: []topology.NodeID{0, 100, 200}, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ns, err := netserver.Listen(netserver.Config{Addr: "127.0.0.1:0", Server: clu})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ns.Close()
+	if err := primaryLandmarks(ns.Addr(), []topology.NodeID{200, 0, 100}, 5*time.Second); err != nil {
+		t.Fatalf("the primary's landmarks in another order refused: %v", err)
+	}
+	for _, lms := range [][]topology.NodeID{{0, 100}, {0, 100, 300}, {0, 100, 200, 300}} {
+		err := primaryLandmarks(ns.Addr(), lms, 5*time.Second)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprint(lms)) || !strings.Contains(err.Error(), "[0 100 200]") {
+			t.Fatalf("-landmarks %v beside a primary of [0 100 200]: %v, want an error naming both", lms, err)
 		}
 	}
-	if _, err := primaryShards("127.0.0.1:1", time.Second); err == nil {
-		t.Fatal("probe of an address nothing listens on succeeded")
+	if err := primaryLandmarks("127.0.0.1:1", []topology.NodeID{0}, time.Second); err == nil {
+		t.Fatal("a check against an address nothing listens on passed")
 	}
 }

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"bytes"
+	"io"
 	"sync"
 	"testing"
 	"time"
@@ -153,8 +155,12 @@ func TestCatchupSnapshotCreatesFirstCheckpoint(t *testing.T) {
 	if seq != 10 {
 		t.Fatalf("first catch-up snapshot covers %d, want 10", seq)
 	}
+	data, err := io.ReadAll(r) // the bytes a follower assembles
+	if err != nil {
+		t.Fatal(err)
+	}
 	re := newTestCluster(t, 1)
-	if err := re.ResetFromSnapshot(r); err != nil {
+	if err := re.ResetFromSnapshot(bytes.NewReader(data)); err != nil {
 		t.Fatal(err)
 	}
 	if re.NumPeers() != 10 {

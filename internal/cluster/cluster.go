@@ -21,10 +21,10 @@
 //
 // A shard is one server.Server; the cluster keeps no second copy of it, and
 // no per-peer state of its own. Copies live in other processes, fed by the
-// committed op stream (netserver.StartFollower): each is a Cluster of the
-// primary's shard count over the primary's landmarks, so its table is the
-// primary's, and it applies the stream (Apply) and catch-up checkpoints
-// (ResetFromSnapshot) as recovery does.
+// committed op stream (netserver.StartFollower): each is a Cluster over the
+// primary's landmarks, of any shard count, since no record names a shard,
+// and it applies the stream (Apply) as recovery replays a log and catch-up
+// checkpoints (ResetFromSnapshot) as a durable open loads its own.
 //
 // # Locks on the hot paths
 //

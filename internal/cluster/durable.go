@@ -56,14 +56,15 @@ func (c *Cluster) Durable() bool { return c.log != nil }
 // end frame: a truncated or corrupt file, one in the gob format that
 // preceded op streams, or one that names a landmark this configuration
 // lacks fails the open with nothing on disk touched. One
-// shardLoader reads the checkpoint and then the tail: batch joins of peers
-// the index does not hold apply shard-parallel, every other record serially
-// between them. When the loader cannot vouch for its state — a peer named
-// twice among the appliers' entries — the state is discarded (the shards'
-// counters keep what it counted) and the whole open goes through the serial
-// road, which is the reference the parallel one must equal: loadCheckpoint,
-// then the tail record by record. The log reads its records from the files,
-// so the tail can be replayed twice.
+// shardLoader reads the checkpoint (restore, the step ResetFromSnapshot
+// takes too) and then the tail: batch joins of peers the index does not
+// hold apply shard-parallel, every other record serially between them. When
+// the loader cannot vouch for its state — a peer named twice among the
+// appliers' entries — the state is discarded (the shards' counters keep what
+// it counted) and the whole open goes through the serial road, which is the
+// reference the parallel one must equal: loadCheckpoint, then the tail
+// record by record. The log reads its records from the files, so the tail
+// can be replayed twice.
 func (c *Cluster) openDurable() error {
 	snap, snapSeq, hasSnap, err := wal.OpenLatestSnapshot(c.cfg.DataDir)
 	if err != nil {
@@ -79,13 +80,7 @@ func (c *Cluster) openDurable() error {
 	exact := !c.cfg.serialLoad // the parallel pass vouches for the state so far
 	if ckpt != nil {
 		loadStart := time.Now()
-		if exact {
-			exact, err = l.load(ckpt)
-		}
-		if err == nil && !exact {
-			err = c.reload(ckpt)
-		}
-		if err != nil {
+		if exact, err = c.restore(l, ckpt); err != nil {
 			return fmt.Errorf("cluster: checkpoint %d: %w", snapSeq, err)
 		}
 		c.loadNanos.Store(int64(time.Since(loadStart)))
@@ -159,6 +154,23 @@ func replayTail(log *wal.Sharded, after uint64, apply func(o *op.Op) error) erro
 	})
 }
 
+// restore loads a checkpoint, good to its end frame, into c, which holds no
+// state yet: the first step of a durable open and ResetFromSnapshot's
+// loader. The shard-parallel pass reads it through l; when the pass cannot
+// vouch for its state, or Config.serialLoad asks for the reference road,
+// reload reads it again from its start through the serial road. exact
+// reports whether the parallel pass vouched for the state, which a log
+// tail read through l may then extend.
+func (c *Cluster) restore(l *shardLoader, ckpt io.ReadSeeker) (exact bool, err error) {
+	if exact = !c.cfg.serialLoad; exact {
+		exact, err = l.load(ckpt)
+	}
+	if err == nil && !exact {
+		err = c.reload(ckpt)
+	}
+	return exact, err
+}
+
 // reload discards the state a parallel pass built — the shards' counters
 // keep what it counted — and loads the checkpoint, if there is one, again
 // from its start through the serial road.
@@ -187,8 +199,7 @@ func (c *Cluster) reload(ckpt io.ReadSeeker) error {
 // and epoch one names — files written by builds that moved landmarks name
 // both — its landmark stays on the shard New dealt it
 // (TestCheckpointNamingOtherOwnersLoads). It is the serial road: the
-// reference the shard-parallel pass is held to, its fallback, and
-// ResetFromSnapshot's loader.
+// reference the shard-parallel pass is held to, and its fallback.
 func (c *Cluster) loadCheckpoint(r io.Reader) error {
 	return op.ReadStream(r, func(o *op.Op) error { return c.applyRecovered(*o) })
 }
@@ -212,11 +223,13 @@ func (c *Cluster) applyRecovered(o op.Op) error {
 
 // ResetFromSnapshot replaces the cluster's whole state — trees and peer
 // index — with a checkpoint's: a follower's catch-up restore. The checkpoint
-// is loaded by loadCheckpoint into a cluster built off to the side, and
-// published (adopt) only once all of it, end frame included, has applied; a
-// bad one leaves the previous state. A durable cluster refuses: its log
-// would no longer describe it.
-func (c *Cluster) ResetFromSnapshot(r io.Reader) error {
+// is loaded into a cluster built off to the side by the durable open's own
+// step (restore: the shard-parallel pass, and the serial road when the pass
+// cannot vouch for its state, which reads r a second time), and published
+// (adopt) only once all of it, end frame included, has applied; a bad one
+// leaves the previous state. A durable cluster refuses: its log would no
+// longer describe it.
+func (c *Cluster) ResetFromSnapshot(r io.ReadSeeker) error {
 	if c.log != nil {
 		return errors.New("cluster: ResetFromSnapshot on a durable cluster")
 	}
@@ -224,7 +237,10 @@ func (c *Cluster) ResetFromSnapshot(r io.Reader) error {
 	if err != nil {
 		return err
 	}
-	if err := fresh.loadCheckpoint(r); err != nil {
+	l := &shardLoader{c: fresh}
+	_, err = fresh.restore(l, r)
+	l.stop()
+	if err != nil {
 		return fmt.Errorf("cluster: snapshot: %w", err)
 	}
 	c.adopt(fresh)
@@ -433,8 +449,8 @@ func (c *Cluster) CommittedHead() uint64 {
 // CatchupSnapshot opens the latest on-disk checkpoint and the sequence it
 // covers, writing a fresh one first if none exists yet — the bulk half of
 // follower catch-up when the WAL no longer retains the follower's tail.
-// The file ships as it is: a follower's cluster, which runs this one's
-// shard count over its landmarks, deals the same table.
+// The file ships as it is: it names no shard, so a follower over the same
+// landmarks loads it whatever its shard count.
 func (c *Cluster) CatchupSnapshot() (io.ReadCloser, uint64, error) {
 	if c.log == nil {
 		return nil, 0, errNotDurable

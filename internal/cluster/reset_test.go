@@ -301,7 +301,7 @@ func TestClusterSnapshotRestorable(t *testing.T) {
 		t.Fatal(err)
 	}
 	restored := newTestCluster(t, 4)
-	if err := restored.ResetFromSnapshot(&buf); err != nil {
+	if err := restored.ResetFromSnapshot(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
 	if restored.NumPeers() != c.NumPeers() {
@@ -415,5 +415,73 @@ func TestCheckpointNamingOtherOwnersLoads(t *testing.T) {
 	if c, err := New(durableConfig(bad, shards)); err == nil {
 		c.Close()
 		t.Fatal("a durable open took a Move naming an unknown landmark")
+	}
+}
+
+// TestResetFromDuplicateNamingSnapshot: a follower's catch-up restore takes
+// the durable open's checkpoint step. A snapshot naming peers in two
+// batches, under landmarks of different shards — what a checkpoint taken
+// beside re-homing writers holds (TestCheckpointUnderWriters logs how
+// often) — restores onto four shards into the serial road's state, the
+// later entry winning, and re-snapshots to the serial road's bytes, however
+// the appliers' timing sends the pass. A clean snapshot restores the same
+// way, to its own bytes.
+func TestResetFromDuplicateNamingSnapshot(t *testing.T) {
+	const shards, runs, width = 4, 8, 64
+	var ops []op.Op
+	for r := 0; r < runs; r++ {
+		entries := make([]op.JoinEntry, width)
+		for i := range entries {
+			p := r*width + i + 1
+			entries[i] = op.JoinEntry{Peer: pathtree.PeerID(p), Path: synthPath(testLandmarks[p%len(testLandmarks)], p)}
+		}
+		ops = append(ops, op.BatchJoin(entries, int64(10+r)))
+	}
+	// Every seventh peer again, under the next landmark, which New deals to
+	// the next shard, with an address of its own.
+	var rehomed []op.JoinEntry
+	for p := 1; p <= runs*width; p += 7 {
+		lm := testLandmarks[(p+1)%len(testLandmarks)]
+		rehomed = append(rehomed, op.JoinEntry{Peer: pathtree.PeerID(p), Addr: fmt.Sprintf("10.9.%d.%d:41", p/256, p%256), Path: synthPath(lm, p+3)})
+	}
+	ops = append(ops, op.BatchJoin(rehomed, 100), op.SetSuperPeer(8, true))
+	var buf bytes.Buffer
+	sw := op.NewStreamWriter(&buf)
+	for _, o := range ops {
+		sw.Write(o)
+	}
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	file := buf.Bytes()
+
+	restored := func(data []byte, serial bool) *Cluster {
+		t.Helper()
+		c, err := New(Config{Landmarks: testLandmarks, Shards: shards, serialLoad: serial})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.ResetFromSnapshot(bytes.NewReader(data)); err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	want := restored(file, true)
+	if want.NumPeers() != runs*width {
+		t.Fatalf("serial road: %d peers, want %d", want.NumPeers(), runs*width)
+	}
+	info, err := want.PeerInfo(1)
+	if err != nil || info.Landmark != testLandmarks[2] || info.LastRefresh.UnixNano() != 100 {
+		t.Fatalf("serial road: peer 1 is %+v (%v), want the later entry's", info, err)
+	}
+	for i := 0; i < 10; i++ {
+		assertSameState(t, want, restored(file, false), fmt.Sprintf("duplicate-naming restore %d", i))
+	}
+
+	clean := snapshotOf(t, want)
+	got := restored(clean, false)
+	assertSameState(t, restored(clean, true), got, "clean restore")
+	if !bytes.Equal(clean, snapshotOf(t, got)) {
+		t.Fatal("a clean snapshot restored to other bytes")
 	}
 }

@@ -165,7 +165,7 @@ func TestServerSnapshotMidExperiment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := restored.ResetFromSnapshot(&buf); err != nil {
+	if err := restored.ResetFromSnapshot(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range w.Server.Peers() {

@@ -100,6 +100,13 @@ func assertSameState(t *testing.T, clu, follower *cluster.Cluster) {
 			t.Fatalf("follower has landmark %d on shard %d, primary on shard %d", lm, got, want)
 		}
 	}
+	assertSameSnapshot(t, clu, follower)
+}
+
+// assertSameSnapshot asserts the follower's copy writes the primary's
+// snapshot bytes, whatever shard count each runs.
+func assertSameSnapshot(t *testing.T, clu, follower *cluster.Cluster) {
+	t.Helper()
 	var want, got bytes.Buffer
 	if err := clu.Snapshot(&want); err != nil {
 		t.Fatal(err)
@@ -362,6 +369,73 @@ func TestFollowerCatchupAfterKill(t *testing.T) {
 	f3 := newFollowerNode(t, ns.Addr(), 0, nil)
 	defer f3.Close()
 	waitApplied(t, f3, clu)
+}
+
+// TestOneShardFollowerOfTwoShardPrimary: no record and no checkpoint names
+// an owning shard, so a follower runs a table of its own. A 1-shard copy of
+// a 2-shard primary, fed while writers join, re-home between the
+// landmarks' shards and leave, ends with the primary's snapshot bytes; so
+// does it after a kill, more writes and a checkpoint that retires its tail,
+// when it catches up from the checkpoint.
+func TestOneShardFollowerOfTwoShardPrimary(t *testing.T) {
+	clu, ns := newFollowedPlane(t, t.TempDir())
+	defer clu.Close()
+	defer ns.Close()
+	fsrv := newCluster(t, cluster.Config{Landmarks: []topology.NodeID{0, 100}, Shards: 1})
+
+	write := func(base int64) {
+		t.Helper()
+		const writers = 4
+		var wg sync.WaitGroup
+		errs := make(chan error, writers)
+		for w := int64(0); w < writers; w++ {
+			wg.Add(1)
+			go func(w int64) {
+				defer wg.Done()
+				for i := int64(0); i < 30; i++ {
+					peer := base + w*100 + i
+					lm := int32(peer % 2 * 100)
+					if _, err := clu.JoinOp(joinOp(peer, fmt.Sprintf("10.3.%d.%d:7000", w, i), []int32{int32(peer + 5000), lm})); err != nil {
+						errs <- fmt.Errorf("join %d: %w", peer, err)
+						return
+					}
+					switch i % 3 {
+					case 1: // re-home under the other landmark, on the primary's other shard
+						if _, err := clu.JoinOp(joinOp(peer, "", []int32{int32(peer + 6000), 100 - lm})); err != nil {
+							errs <- fmt.Errorf("re-join %d: %w", peer, err)
+							return
+						}
+					case 2:
+						clu.Leave(pathtree.PeerID(peer))
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
+	}
+
+	f := newFollowerNode(t, ns.Addr(), 0, fsrv)
+	write(1)
+	waitApplied(t, f, clu)
+	assertSameSnapshot(t, clu, fsrv)
+	resumeAt := f.Applied()
+	f.Close()
+
+	write(10_000)
+	if err := clu.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if floor, err := clu.CommittedFloor(); err != nil || floor <= resumeAt {
+		t.Fatalf("WAL floor %d (err %v) does not force snapshot catch-up past resume %d", floor, err, resumeAt)
+	}
+	f2 := newFollowerNode(t, ns.Addr(), resumeAt, fsrv)
+	defer f2.Close()
+	waitApplied(t, f2, clu)
+	assertSameSnapshot(t, clu, fsrv)
 }
 
 // TestFollowerLiveStreamAndStatus checks the operational surface: a

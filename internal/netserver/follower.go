@@ -28,11 +28,11 @@ import (
 // ranges (the WAL tail re-read after a reconnect), and the follower acks
 // its applied offset back both as flow control for the primary's send
 // window and as its half of the idle-stream heartbeat. The copy is a
-// cluster.Cluster of the primary's shard count, so the stream's move ops
-// and the checkpoint's Move records put every landmark on the primary's
-// shard. A NetServer whose Config.Replication is the Follower then serves
-// reads from the copy and points writes at the primary: together they are
-// the replica deployment, and the one way a shard's state is replicated.
+// cluster.Cluster over the primary's landmarks, of any shard count: no
+// record and no checkpoint names a shard. A NetServer whose
+// Config.Replication is the Follower then serves reads from the copy and
+// points writes at the primary: together they are the replica deployment,
+// and the one way a shard's state is replicated.
 
 // FollowerBackend is what a Follower calls on the copy it maintains: the
 // op door and whole-state restore for snapshot catch-up. *cluster.Cluster
@@ -41,8 +41,9 @@ type FollowerBackend interface {
 	// Apply applies one committed op.
 	Apply(o op.Op) error
 	// ResetFromSnapshot replaces the entire local state with the
-	// snapshot's.
-	ResetFromSnapshot(r io.Reader) error
+	// snapshot's. A cluster's restore may read the snapshot twice (its
+	// serial fallback starts again from the top), so the reader seeks.
+	ResetFromSnapshot(r io.ReadSeeker) error
 }
 
 // FollowerConfig configures a Follower.
@@ -362,7 +363,7 @@ func (f *Follower) handle(typ proto.MsgType, payload []byte, a *assembly) (ack b
 		if !m.Final {
 			return false, nil
 		}
-		err = f.restore(m.Seq, &a.snap)
+		err = f.restore(m.Seq, bytes.NewReader(a.snap.Bytes()))
 		// ResetFromSnapshot keeps no reference to its reader: the
 		// assembled snapshot is held once, and only until here.
 		a.snap = bytes.Buffer{}
@@ -410,7 +411,7 @@ func (f *Follower) apply(seq uint64, data []byte) error {
 
 // restore replaces the local copy with the shipped snapshot covering seq,
 // unless the stream is already past it.
-func (f *Follower) restore(seq uint64, r io.Reader) error {
+func (f *Follower) restore(seq uint64, r io.ReadSeeker) error {
 	if seq > f.applied.Load() {
 		if err := f.cfg.Backend.ResetFromSnapshot(r); err != nil {
 			return fmt.Errorf("netserver: follow snapshot restore: %w", err)

@@ -246,7 +246,7 @@ func (b *recordingBackend) Apply(o op.Op) error {
 	return nil
 }
 
-func (b *recordingBackend) ResetFromSnapshot(r io.Reader) error {
+func (b *recordingBackend) ResetFromSnapshot(r io.ReadSeeker) error {
 	if b.restoreErr != nil {
 		return b.restoreErr
 	}

@@ -30,9 +30,10 @@
 //
 // A lookup takes exactly these locks. In the front end: the connection's
 // own write mutex, and nothing else. In the backend: the peer index stripe's
-// RLock, the cluster's table RLock, and the shard server's state lock,
-// read-held (a writer takes it exclusively for one join at a time; snapshots
-// and other whole-state walks never take it) — package cluster lists them.
+// RLock and the shard server's state lock, read-held (a writer takes it
+// exclusively for one join at a time; snapshots and other whole-state walks
+// never take it) — package cluster lists them. The landmark table is
+// read-only, so finding the shard takes no lock.
 //
 // Closest-peer answers carry dialable endpoints: every candidate comes back
 // from the backend with the overlay address its peer advertised, read from

@@ -162,7 +162,7 @@ func TestReadersDuringChurn(t *testing.T) {
 	if err := s.Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	ref, err := restore(&buf, Config{NeighborCount: 8})
+	ref, err := restore(bytes.NewReader(buf.Bytes()), Config{NeighborCount: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

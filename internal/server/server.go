@@ -61,13 +61,13 @@
 // NumPeers, ArenaStats and Landmarks read-hold it. A writer, wmu
 // already held, takes it exclusively around one single mutation and nothing
 // else: one state.join per entry of a batch (the answer is copied out after
-// the release), one Remove per expired peer or retired orphan, one
-// assignment for ResetFromSnapshot, whose new state is built before either
-// lock is taken.
+// the release), one Remove per expired peer or retired orphan.
 // So the order is wmu → mu, a reader waits for at most the one mutation in
 // progress, and a writer for the lookups in flight when it asks. Adopt, the
-// operation on several servers, takes every one's wmu, then every one's mu,
-// in the order given; callers run one at a time.
+// one assignment of a whole state, takes every one's wmu, then every one's
+// mu, in the order given, for servers whose new states were built off to the
+// side before either lock was taken (ResetFromSnapshot, a cluster's restore);
+// callers run one at a time.
 //
 // An index stripe's lock is a leaf: wmu → mu → stripe, nothing taken under
 // it. The rules that make one index safe for several servers:
@@ -212,7 +212,7 @@ type Stats struct {
 }
 
 // state is the server's mutable state: the trees and the peer index. A
-// server holds one, and ResetFromSnapshot replaces it whole.
+// server holds one, and only Adopt replaces it whole.
 type state struct {
 	trees map[topology.NodeID]*pathtree.Core
 	// idx says where each registered peer's record lives: the server's own,
@@ -282,20 +282,6 @@ func NewSharing(cfg Config, idx *Index) (*Server, error) {
 	return newServer(cfg, idx)
 }
 
-func newState(cfg *Config, idx *Index) (state, error) {
-	st := state{
-		trees: make(map[topology.NodeID]*pathtree.Core, len(cfg.Landmarks)),
-		idx:   idx,
-	}
-	for _, lm := range cfg.Landmarks {
-		if _, dup := st.trees[lm]; dup {
-			return state{}, fmt.Errorf("server: duplicate landmark %d", lm)
-		}
-		st.trees[lm] = pathtree.NewCore(lm)
-	}
-	return st, nil
-}
-
 func newServer(cfg Config, idx *Index) (*Server, error) {
 	if cfg.NeighborCount == 0 {
 		cfg.NeighborCount = DefaultNeighborCount
@@ -307,9 +293,12 @@ func newServer(cfg Config, idx *Index) (*Server, error) {
 		cfg.Clock = time.Now
 	}
 	s := &Server{cfg: cfg}
-	var err error
-	if s.st, err = newState(&s.cfg, idx); err != nil {
-		return nil, err
+	s.st = state{trees: make(map[topology.NodeID]*pathtree.Core, len(cfg.Landmarks)), idx: idx}
+	for _, lm := range cfg.Landmarks {
+		if _, dup := s.st.trees[lm]; dup {
+			return nil, fmt.Errorf("server: duplicate landmark %d", lm)
+		}
+		s.st.trees[lm] = pathtree.NewCore(lm)
 	}
 	return s, nil
 }
@@ -401,7 +390,7 @@ func (s *Server) Apply(o op.Op) error {
 }
 
 // validateJoin is the check every reported path passes exactly once, at the
-// door it enters by (Apply, JoinOp, JoinBatchOp, a snapshot being read),
+// door it enters by (Apply, JoinOp, JoinBatchOp),
 // before the op reaches the state: past it, state and trie trust their
 // input. That the path ends at a landmark held here is the one check left to
 // the state, which alone knows its trees. The op format's caps are checked

@@ -2,6 +2,7 @@ package server
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"io"
 	"slices"
@@ -122,85 +123,40 @@ func WriteSnapshot(w io.Writer, srvs ...*Server) error {
 // failure in the paper's architecture, and this is the standard mitigation.
 func (s *Server) Snapshot(w io.Writer) error { return WriteSnapshot(w, s) }
 
-// snapshotOps is a decoded snapshot: its landmark and join ops in stream
-// order, and the set of peers it flags as super-peers.
-type snapshotOps struct {
-	ops    []op.Op
-	supers map[pathtree.PeerID]bool
-}
-
-// readSnapshot decodes a whole snapshot. Nothing is returned unless the
-// stream was good to its end frame, held only the three kinds above and
-// every path in it passed validateJoin, so no caller ever acts on a prefix
-// and the state never sees an unchecked path.
-func readSnapshot(r io.Reader) (snapshotOps, error) {
-	snap := snapshotOps{supers: make(map[pathtree.PeerID]bool)}
+// ResetFromSnapshot replaces the server's entire peer state with the
+// snapshot's, keeping the configured landmark set (union the snapshot's). It
+// is the follower's catch-up restore. The snapshot is read once, and its
+// records go through Apply into a server built off to the side: Move and
+// flag records as they are, each batch entry as one join, so an entry Apply
+// refuses refuses the whole snapshot. A flag naming a peer the snapshot does
+// not hold is ignored, as recovery ignores one (cluster.applyRecovered).
+// Adopt publishes the side server's state only once the whole snapshot, end
+// frame included, was good and every record applied; otherwise the previous
+// state stays. The reader is seekable because a cluster's restore, the other
+// follower backend, may read its snapshot twice.
+func (s *Server) ResetFromSnapshot(r io.ReadSeeker) error {
+	side, _ := newServer(s.cfg, NewIndex()) // the configuration was checked at construction
 	err := op.ReadStream(r, func(o *op.Op) error {
 		switch o.Kind {
-		case op.KindSetSuperPeer:
-			snap.supers[o.Peer] = o.Super
+		case op.KindMoveLandmark, op.KindSetSuperPeer:
+			if err := side.Apply(*o); !errors.Is(err, ErrUnknownPeer) {
+				return err
+			}
+			return nil
 		case op.KindBatchJoin:
-			for i := range o.Batch {
-				if err := validateJoin(&o.Batch[i]); err != nil {
-					return fmt.Errorf("peer %d: %w", o.Batch[i].Peer, err)
+			for _, e := range o.Batch {
+				if err := side.Apply(op.Op{Kind: op.KindJoin, Time: o.Time, Join: e}); err != nil {
+					return fmt.Errorf("peer %d: %w", e.Peer, err)
 				}
 			}
-			fallthrough
-		case op.KindMoveLandmark:
-			snap.ops = append(snap.ops, *o)
-			*o = op.Op{} // the slices now belong to snap
-		default:
-			return fmt.Errorf("op kind %d has no place in a snapshot", o.Kind)
+			return nil
 		}
-		return nil
+		return fmt.Errorf("op kind %d has no place in a snapshot", o.Kind)
 	})
 	if err != nil {
-		return snapshotOps{}, fmt.Errorf("server: snapshot: %w", err)
+		return fmt.Errorf("server: snapshot: %w", err)
 	}
-	return snap, nil
-}
-
-// load applies a snapshot to st, a state no one else can reach yet, through
-// the singular join road, stopping at the first failure.
-func (st *state) load(snap snapshotOps) error {
-	for i := range snap.ops {
-		o := &snap.ops[i]
-		if o.Kind == op.KindMoveLandmark {
-			st.apply(*o) // creates the tree if absent; cannot fail
-			continue
-		}
-		for j := range o.Batch {
-			e := &o.Batch[j]
-			tree, slot, _, _, err := st.join(e, o.Time, 0, nil)
-			if err != nil {
-				return fmt.Errorf("server: snapshot peer %d: %w", e.Peer, err)
-			}
-			tree.Record(slot).Super = snap.supers[e.Peer]
-		}
-	}
-	return nil
-}
-
-// ResetFromSnapshot replaces the server's entire peer state with the
-// snapshot's, keeping only the configured landmark set (union the
-// snapshot's). It is the follower's catch-up restore. The new state, index
-// included, is built outside both locks and swapped in only if the whole
-// snapshot, end frame included, was good and every op applied; otherwise the
-// previous state stays.
-func (s *Server) ResetFromSnapshot(r io.Reader) error {
-	snap, err := readSnapshot(r)
-	if err != nil {
-		return err
-	}
-	fresh, _ := newState(&s.cfg, NewIndex()) // the landmark set was checked at construction
-	if err := fresh.load(snap); err != nil {
-		return err
-	}
-	s.wmu.Lock()
-	s.mu.Lock()
-	s.st = fresh
-	s.mu.Unlock()
-	s.wmu.Unlock()
+	Adopt([]*Server{s}, []*Server{side})
 	return nil
 }
 
@@ -210,7 +166,8 @@ func (s *Server) ResetFromSnapshot(r io.Reader) error {
 // state changes hands, so a reader or writer of any of them sees the old
 // states or the new ones, never a mix. The servers of src share one index,
 // which dst's states then share; src must not be used afterwards. It is how
-// a cluster publishes a state it loaded off to the side.
+// a restore publishes a state it loaded off to the side, and the one place a
+// constructed server's state is replaced.
 func Adopt(dst, src []*Server) {
 	for _, s := range dst {
 		s.wmu.Lock()

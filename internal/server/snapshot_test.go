@@ -25,9 +25,9 @@ var oldFormatSnapshots = map[string][]byte{
 }
 
 // restore builds a server from a snapshot: the snapshot supplies the
-// landmarks, epochs and peers, cfg what is configuration (neighbour count,
-// TTL, clock).
-func restore(r io.Reader, cfg Config) (*Server, error) {
+// landmarks and peers, cfg what is configuration (neighbour count, TTL,
+// clock).
+func restore(r io.ReadSeeker, cfg Config) (*Server, error) {
 	cfg.Landmarks = nil
 	s, err := newServer(cfg, NewIndex())
 	if err == nil {
@@ -54,7 +54,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err := s.Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := restore(&buf, Config{})
+	restored, err := restore(bytes.NewReader(buf.Bytes()), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestSnapshotEmptyServer(t *testing.T) {
 	if err := s.Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := restore(&buf, Config{})
+	restored, err := restore(bytes.NewReader(buf.Bytes()), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

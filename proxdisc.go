@@ -86,12 +86,14 @@
 // state in its process, and further copies live in other processes as
 // followers (StartFollower, or proxdisc-server -follow ADDR; see
 // "Cross-process replication" below). There is one replication road, and
-// one kind of copy: a follower's is a Cluster of its primary's shard count
-// (proxdisc-server reads it from the primary's status answer) over the
-// primary's landmarks, so it deals the primary's landmark table, and the
-// stream and a catch-up checkpoint leave every landmark where the primary
-// has it (TestFollowerByteIdenticalAcrossMidStreamMove,
-// TestFollowerCatchupAfterKill).
+// one kind of copy: a follower's is a Cluster over the primary's landmarks
+// (proxdisc-server refuses to start with other -landmarks). No record and
+// no checkpoint names a shard, so the copy deals the landmarks over its own
+// shard count, and a 1-shard follower of a 2-shard primary writes the
+// primary's snapshot bytes (TestOneShardFollowerOfTwoShardPrimary,
+// TestFollowerCatchupAfterKill). A catch-up checkpoint is restored by the
+// road a durable open loads its own: the shard-parallel pass, the serial
+// one when the pass cannot vouch for its state, then one publication.
 //
 // What a follower guarantees: it applies the primary's committed op
 // stream — joins, batch joins, leaves, refreshes, super-peer flags, TTL
