@@ -125,6 +125,63 @@ func TestReplicaRoleRedirectsWrites(t *testing.T) {
 	}
 }
 
+// TestReplicaJoinLearnsPrimary pins what a client dialled at a replica
+// learns from its first join. The replica serves that one join and no
+// leave, the client's next batch and refresh go straight to the primary,
+// and a second client that only reads keeps its lookups on the replica.
+func TestReplicaJoinLearnsPrimary(t *testing.T) {
+	primary, replica, logic, f := startReplicaPair(t, 0)
+	dialReplica := func() *client.Client {
+		t.Helper()
+		c, err := client.DialConfig(replica.Addr(), client.Config{Timeout: 5 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return c
+	}
+	served := func(ns *NetServer, typ proto.MsgType) uint64 { return ns.met.reqs[typ].Value() }
+
+	c := dialReplica()
+	if _, err := c.Join(1, "127.0.0.1:9001", []int32{10, 0}); err != nil {
+		t.Fatalf("join via replica: %v", err)
+	}
+	if j, l := served(replica, proto.MsgJoinRequest), served(replica, proto.MsgLeaveRequest); j != 1 || l != 0 {
+		t.Fatalf("replica served %d joins and %d leaves, want 1 and 0", j, l)
+	}
+	res, err := c.JoinBatch([]client.BatchItem{{Peer: 2, Addr: "127.0.0.1:9002", Path: []int32{11, 10, 0}}})
+	if err != nil || res[0].Err != nil {
+		t.Fatalf("batch join after the redirect: %v %v", err, res)
+	}
+	if err := c.Refresh(1); err != nil {
+		t.Fatalf("refresh after the redirect: %v", err)
+	}
+	if b, r := served(replica, proto.MsgBatchJoinRequest), served(replica, proto.MsgRefreshRequest); b != 0 || r != 0 {
+		t.Fatalf("replica served %d batches and %d refreshes, want none", b, r)
+	}
+	if b, r := served(primary, proto.MsgBatchJoinRequest), served(primary, proto.MsgRefreshRequest); b != 1 || r != 1 {
+		t.Fatalf("primary served %d batches and %d refreshes, want 1 and 1", b, r)
+	}
+	if logic.NumPeers() != 2 {
+		t.Fatalf("primary peers=%d, want 2", logic.NumPeers())
+	}
+
+	waitApplied(t, f, logic)
+	reader := dialReplica()
+	for i := 0; i < 3; i++ {
+		before := served(replica, proto.MsgLookupRequest)
+		if _, err := reader.Lookup(int64(1 + i%2)); err != nil {
+			t.Fatalf("lookup %d via replica: %v", i, err)
+		}
+		if got := served(replica, proto.MsgLookupRequest) - before; got != 1 {
+			t.Fatalf("lookup %d: replica served %d lookups, want 1", i, got)
+		}
+	}
+	if n := served(primary, proto.MsgLookupRequest); n != 0 {
+		t.Fatalf("primary served %d lookups of the reading client, want 0", n)
+	}
+}
+
 // TestStaleMapNamesReplica covers a stale shard map on the redirect road:
 // node1's map points landmark 100 at a replica front end, which redirects
 // joins on to its primary. A Join follows node1 → replica → primary and
