@@ -11,18 +11,19 @@
 // method is safe for concurrent use.
 //
 // A Client routes requests over sessions, one hello'd connection per node
-// address. The dialled address is one session like any other, and so is
-// each node a redirect names. A request resolves its session by address:
-// the home of the peer it is about, else the primary road, which is the
-// primary a replica named, else the dialled address. One redial rule holds
-// on every road. A transport failure drops that address's session, and a
-// node that failed is forgotten as the learned primary; the request is
-// then sent once more on a fresh dial. A re-sent request is at-least-once:
-// a write whose connection died after the send may be applied twice.
-// Every request is idempotent at the server (re-joins replace, leaves of
-// absent peers ack), so the retry changes no state. A request that timed
-// out is never re-sent, since the original may still be in flight, and
-// neither is one the server answered with a wire error.
+// address. Every request goes on the primary road: the primary a replica
+// named, else the dialled address. A replica names its primary when it
+// refuses a write, by a MsgRedirect for a join and a CodeNotPrimary error
+// for any other. The client learns that primary and sends the request
+// again there, at most MaxRedirects times. One redial rule holds on the
+// road. A transport failure drops that address's session, and a node that
+// failed is forgotten as the learned primary; the request is then sent
+// once more on a fresh dial. A re-sent request is at-least-once: a write
+// whose connection died after the send may be applied twice. Every request
+// is idempotent at the server (re-joins replace, leaves of absent peers
+// ack), so the retry changes no state. A request that timed out is never
+// re-sent, since the original may still be in flight, and neither is one
+// the server answered with any other wire error.
 //
 // A session carries calls and subscriptions alike. A subscription is a
 // subscribe request on the primary road whose ID goes on naming the events
@@ -64,8 +65,9 @@ type PathProviderFunc func(landmark int32) ([]int32, error)
 // PathTo implements PathProvider.
 func (f PathProviderFunc) PathTo(landmark int32) ([]int32, error) { return f(landmark) }
 
-// MaxRedirects bounds how many MsgRedirect hops Join follows before giving
-// up, catching cluster nodes whose shard maps point at each other.
+// MaxRedirects bounds how many times one request follows a node naming
+// another as the primary (a MsgRedirect or a CodeNotPrimary answer) before
+// giving up, catching replicas that name each other.
 const MaxRedirects = 3
 
 // DefaultMaxInFlight caps concurrently outstanding pipelined requests per
@@ -103,9 +105,8 @@ type Config struct {
 // apply — them in any order, so a caller that needs one request to see
 // another's effect waits for the first response before sending the second.
 //
-// When the server is a sharded cluster node it may answer a join with a
-// redirect to the node owning the join's landmark; the client follows
-// transparently.
+// When the dialled node is a replica, the client follows its answers to
+// the primary transparently and sends every later request there.
 type Client struct {
 	cfg  Config
 	addr string // the dialled server address
@@ -115,8 +116,7 @@ type Client struct {
 
 	mu       sync.Mutex
 	sessions map[string]*session        // one live session per node address
-	home     map[int64]string           // address of the node that served each peer's join
-	primary  string                     // primary address learned from CodeNotPrimary ("" = the dialled one)
+	primary  string                     // primary address a replica named ("" = the dialled one)
 	subs     map[*Subscription]struct{} // live subscriptions feeding CachedLookup
 	closed   bool                       // no session is dialled after Close
 }
@@ -127,7 +127,7 @@ type Client struct {
 type clientMetrics struct {
 	inflight  *telemetry.Gauge   // pipelined requests currently outstanding
 	retries   *telemetry.Counter // requests sent again on a fresh dial, and resubscribes
-	redirects *telemetry.Counter // not-primary / MsgRedirect hops followed
+	redirects *telemetry.Counter // MsgRedirect / CodeNotPrimary answers followed
 	failovers *telemetry.Counter // sessions written off after a transport failure
 }
 
@@ -174,7 +174,7 @@ func DialConfig(addr string, cfg Config) (*Client, error) {
 			failovers: r.Counter("proxdisc_client_failovers_total"),
 		}
 	}
-	_, s, err := c.resolve(road{node: addr})
+	_, s, err := c.resolve()
 	if err != nil {
 		return nil, err
 	}
@@ -190,7 +190,7 @@ func (c *Client) Close() error {
 	c.mu.Lock()
 	c.closed = true
 	sessions := c.sessions
-	c.sessions, c.home = nil, nil
+	c.sessions = nil
 	subs := make([]*Subscription, 0, len(c.subs))
 	for s := range c.subs {
 		subs = append(subs, s)
@@ -205,41 +205,15 @@ func (c *Client) Close() error {
 	return nil
 }
 
-// A road names where a request goes. Its node is an address, or "" for the
-// primary road. A road of a peer reads its node from the peer's home at
-// every attempt.
-type road struct {
-	node   string
-	peer   int64
-	byPeer bool
-}
-
-// homeOf is the road to the node holding a peer's registration.
-func homeOf(peer int64) road { return road{peer: peer, byPeer: true} }
-
-// nodeAddr resolves a home to the address of the node it reaches: "" is
-// the primary road, which leads to a learned primary when a replica named
-// one and to the dialled address otherwise. c.mu must be held.
-func (c *Client) nodeAddr(home string) string {
-	if home != "" {
-		return home
-	}
-	if c.primary != "" {
-		return c.primary
-	}
-	return c.addr
-}
-
-// resolve returns the address a road reaches and its live session, which
-// it dials when there is none. A road whose session is live costs one hold
-// of c.mu.
-func (c *Client) resolve(r road) (string, *session, error) {
+// resolve returns the address the primary road reaches (the learned
+// primary, else the dialled address) and its live session, which it dials
+// when there is none. A live session costs one hold of c.mu.
+func (c *Client) resolve() (string, *session, error) {
 	c.mu.Lock()
-	addr := r.node
-	if r.byPeer {
-		addr = c.home[r.peer]
+	addr := c.addr
+	if c.primary != "" {
+		addr = c.primary
 	}
-	addr = c.nodeAddr(addr)
 	s, closed := c.sessions[addr], c.closed
 	c.mu.Unlock()
 	if s != nil {
@@ -288,16 +262,16 @@ func (c *Client) drop(addr string, dead *session) {
 	}
 }
 
-// send runs one request on a road under the redial rule (see the package
-// doc): a transport failure drops the road's session, and the request goes
+// send runs one request on the primary road under the redial rule (see the
+// package doc): a transport failure drops the session, and the request goes
 // once more on a fresh dial. A wire error, a per-request timeout (see
 // isTimeout) and the end of ctx return at once. The response payload is
 // the caller's, to recycle with proto.PutBuf; payload stays the caller's
 // too. A subscribe passes its stream, which each attempt registers on the
 // session it reaches (see exchange); any other request passes nil.
-func (c *Client) send(ctx context.Context, r road, reqType proto.MsgType, payload []byte, st *stream) (proto.MsgType, []byte, error) {
+func (c *Client) send(ctx context.Context, reqType proto.MsgType, payload []byte, st *stream) (proto.MsgType, []byte, error) {
 	for retried := false; ; retried = true {
-		addr, s, err := c.resolve(r)
+		addr, s, err := c.resolve()
 		if err == nil {
 			var (
 				typ  proto.MsgType
@@ -321,66 +295,39 @@ func (c *Client) send(ctx context.Context, r road, reqType proto.MsgType, payloa
 
 // roundTrip is send plus a response-type check, for requests with exactly
 // one valid response type; the caller recycles the response. A replica
-// answering CodeNotPrimary with its primary's address is followed, up to
-// MaxRedirects: a peer with a home is re-homed there, and any other road
-// learns it as the primary. A CodeUnknownPeer ends a peer's home, so the
-// home map cannot grow without bound.
-func (c *Client) roundTrip(ctx context.Context, r road, reqType proto.MsgType, payload []byte, wantType proto.MsgType, st *stream) ([]byte, error) {
+// naming its primary, by a MsgRedirect or by a CodeNotPrimary error, is
+// followed up to MaxRedirects times: the client learns the primary and
+// sends the request again on the primary road.
+func (c *Client) roundTrip(ctx context.Context, reqType proto.MsgType, payload []byte, wantType proto.MsgType, st *stream) ([]byte, error) {
 	for redirects := 0; ; redirects++ {
-		typ, resp, err := c.send(ctx, r, reqType, payload, st)
-		if err == nil {
-			if typ != wantType {
-				proto.PutBuf(resp)
-				return nil, fmt.Errorf("client: unexpected response type %d (want %d)", typ, wantType)
-			}
+		typ, resp, err := c.send(ctx, reqType, payload, st)
+		var primary string
+		switch {
+		case err == nil && typ == wantType:
 			return resp, nil
-		}
-		var werr *proto.Error
-		if errors.As(err, &werr) {
-			switch {
-			case werr.Code == proto.CodeUnknownPeer && r.byPeer:
-				c.setHome(r.peer, "")
-			case werr.Code == proto.CodeNotPrimary && werr.Message != "" && redirects < MaxRedirects:
-				c.met.redirects.Inc()
-				if !r.byPeer || !c.moveHome(r.peer, werr.Message) {
-					c.setPrimary(werr.Message)
-				}
-				continue
+		case err == nil && typ == proto.MsgRedirect:
+			rd, err := proto.DecodeRedirect(resp)
+			proto.PutBuf(resp)
+			if err != nil {
+				return nil, err
 			}
+			primary = rd.Addr
+		case err == nil:
+			proto.PutBuf(resp)
+			return nil, fmt.Errorf("client: unexpected response type %d (want %d)", typ, wantType)
+		default:
+			var werr *proto.Error
+			if !errors.As(err, &werr) || werr.Code != proto.CodeNotPrimary || werr.Message == "" {
+				return nil, err
+			}
+			primary = werr.Message
 		}
-		return nil, err
-	}
-}
-
-// setHome records the address of the node a peer's join landed on ("" for
-// the primary road), so subsequent peer-keyed requests (Lookup, Refresh,
-// Leave) go to the node that actually holds the registration. It returns
-// the home it replaces.
-func (c *Client) setHome(peer int64, addr string) (old string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	old = c.home[peer]
-	if addr == "" {
-		delete(c.home, peer)
-	} else {
-		if c.home == nil {
-			c.home = make(map[int64]string)
+		if redirects == MaxRedirects {
+			return nil, fmt.Errorf("client: gave up after %d redirects (last to %s)", redirects, primary)
 		}
-		c.home[peer] = addr
+		c.met.redirects.Inc()
+		c.setPrimary(primary)
 	}
-	return old
-}
-
-// moveHome moves a peer's home to addr when the peer has one, reporting
-// whether it had.
-func (c *Client) moveHome(peer int64, addr string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.home[peer] == "" {
-		return false
-	}
-	c.home[peer] = addr
-	return true
 }
 
 // setPrimary records the primary address a replica pointed us at.
@@ -400,28 +347,6 @@ func (c *Client) isClosed() bool {
 	return c.closed
 }
 
-// rehome records that a join of peer succeeded at addr ("" for the primary
-// road). When the peer's recorded home was another node, that node still
-// holds the old registration and would offer the peer as a neighbour until
-// its TTL expired, so it gets one best-effort Leave. The Leave goes
-// straight to the old node and never follows a CodeNotPrimary answer: a
-// replica would point it at the primary, which may be the new home. An
-// unchanged node sends nothing.
-func (c *Client) rehome(ctx context.Context, peer int64, addr string) {
-	old := c.setHome(peer, addr)
-	c.mu.Lock()
-	moved := c.nodeAddr(old) != c.nodeAddr(addr)
-	c.mu.Unlock()
-	if !moved {
-		return
-	}
-	// Best effort: the join already succeeded, and a retire that fails
-	// leaves a record the old node's TTL expiry removes.
-	if _, resp, err := c.send(ctx, road{node: old}, proto.MsgLeaveRequest, proto.EncodeLeaveRequest(&proto.LeaveRequest{Peer: peer}), nil); err == nil {
-		proto.PutBuf(resp)
-	}
-}
-
 // backoffDelay is the bounded exponential pause before resubscribe
 // `attempt` (1-based): 50ms doubling per attempt, capped at 2s.
 func backoffDelay(attempt int) time.Duration {
@@ -435,7 +360,7 @@ func backoffDelay(attempt int) time.Duration {
 // StatusContext reports the server node's replication role and shard
 // layout. A pre-status server answers with an unknown-message error.
 func (c *Client) StatusContext(ctx context.Context) (*proto.Status, error) {
-	resp, err := c.roundTrip(ctx, road{}, proto.MsgStatusRequest, nil, proto.MsgStatusResponse, nil)
+	resp, err := c.roundTrip(ctx, proto.MsgStatusRequest, nil, proto.MsgStatusResponse, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -451,7 +376,7 @@ func (c *Client) Status() (*proto.Status, error) {
 
 // LandmarksContext fetches the landmark router IDs and probe addresses.
 func (c *Client) LandmarksContext(ctx context.Context) (*proto.LandmarksResponse, error) {
-	resp, err := c.roundTrip(ctx, road{}, proto.MsgLandmarksRequest, nil, proto.MsgLandmarksResponse, nil)
+	resp, err := c.roundTrip(ctx, proto.MsgLandmarksRequest, nil, proto.MsgLandmarksResponse, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -467,50 +392,23 @@ func (c *Client) Landmarks() (*proto.LandmarksResponse, error) {
 }
 
 // JoinContext registers this peer with its path and overlay address,
-// returning the closest-peer list. If the server answers with a redirect to
-// the cluster node owning the path's landmark, the client follows it (up to
-// MaxRedirects hops). A peer that this client registered at another node
-// before is retired there once the join lands (see rehome).
+// returning the closest-peer list.
 func (c *Client) JoinContext(ctx context.Context, peer int64, overlayAddr string, path []int32) ([]proto.Candidate, error) {
 	payload, err := proto.AppendJoinRequest(proto.GetBuf(0), &proto.JoinRequest{Peer: peer, Addr: overlayAddr, Path: path})
 	if err != nil {
 		return nil, err
 	}
-	defer proto.PutBuf(payload)
-	// node "" is the primary road; a redirect moves the join to the named
-	// node.
-	node := ""
-	for hops := 0; ; {
-		typ, resp, err := c.send(ctx, road{node: node}, proto.MsgJoinRequest, payload, nil)
-		if err != nil {
-			return nil, err
-		}
-		switch typ {
-		case proto.MsgJoinResponse:
-			jr, err := proto.DecodeJoinResponse(resp)
-			proto.PutBuf(resp)
-			if err != nil {
-				return nil, err
-			}
-			c.rehome(ctx, peer, node)
-			return jr.Neighbors, nil
-		case proto.MsgRedirect:
-			rd, err := proto.DecodeRedirect(resp)
-			proto.PutBuf(resp)
-			if err != nil {
-				return nil, err
-			}
-			if hops >= MaxRedirects {
-				return nil, fmt.Errorf("client: join gave up after %d redirects (last to %s)", hops, rd.Addr)
-			}
-			hops++
-			c.met.redirects.Inc()
-			node = rd.Addr
-		default:
-			proto.PutBuf(resp)
-			return nil, fmt.Errorf("client: unexpected response type %d (want %d)", typ, proto.MsgJoinResponse)
-		}
+	resp, err := c.roundTrip(ctx, proto.MsgJoinRequest, payload, proto.MsgJoinResponse, nil)
+	proto.PutBuf(payload)
+	if err != nil {
+		return nil, err
 	}
+	jr, err := proto.DecodeJoinResponse(resp)
+	proto.PutBuf(resp)
+	if err != nil {
+		return nil, err
+	}
+	return jr.Neighbors, nil
 }
 
 // Join is JoinContext without cancellation, bounded by Config.Timeout per
@@ -538,9 +436,7 @@ type BatchResult struct {
 // JoinBatchContext registers many peers in as few round trips as possible —
 // the flash-crowd path for agents fronting several newcomers. The items
 // travel in MsgBatchJoinRequest frames of up to the server's advertised
-// batch size; entries the server answers with CodeWrongShard (their
-// landmark lives on another cluster node) are retried individually through
-// the redirect-following Join path.
+// batch size.
 //
 // The returned slice is positional: result i answers items[i]. The error
 // return is reserved for transport-level failures that void the whole
@@ -564,7 +460,7 @@ func (c *Client) JoinBatchContext(ctx context.Context, items []BatchItem) ([]Bat
 		if err != nil {
 			return nil, err
 		}
-		resp, err := c.roundTrip(ctx, road{}, proto.MsgBatchJoinRequest, payload, proto.MsgBatchJoinResponse, nil)
+		resp, err := c.roundTrip(ctx, proto.MsgBatchJoinRequest, payload, proto.MsgBatchJoinResponse, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -578,17 +474,11 @@ func (c *Client) JoinBatchContext(ctx context.Context, items []BatchItem) ([]Bat
 		}
 		for k := range br.Results {
 			i, r := lo+k, &br.Results[k]
-			switch r.Code {
-			case 0:
-				out[i].Neighbors = r.Neighbors
-				c.rehome(ctx, items[i].Peer, "")
-			case proto.CodeWrongShard:
-				// The entry's landmark lives on another cluster node; the
-				// singular path follows the redirect there.
-				out[i].Neighbors, out[i].Err = c.JoinContext(ctx, items[i].Peer, items[i].Addr, items[i].Path)
-			default:
+			if r.Code != 0 {
 				out[i].Err = &proto.Error{Code: r.Code, Message: r.Message}
+				continue
 			}
+			out[i].Neighbors = r.Neighbors
 		}
 	}
 	return out, nil
@@ -600,17 +490,17 @@ func (c *Client) JoinBatch(items []BatchItem) ([]BatchResult, error) {
 	return c.JoinBatchContext(context.Background(), items)
 }
 
-// LookupContext answers a read query with one round trip to the node
-// holding the subject peer's registration. Only k-closest queries have a
-// pull form — LandmarkQuery and PeerQuery filters exist for Subscribe.
-// When the query caps K below the server's neighbor count the answer is
-// trimmed client-side, so pull and push report identical sets.
+// LookupContext answers a read query with one round trip on the primary
+// road. Only k-closest queries have a pull form — LandmarkQuery and
+// PeerQuery filters exist for Subscribe. When the query caps K below the
+// server's neighbor count the answer is trimmed client-side, so pull and
+// push report identical sets.
 func (c *Client) LookupContext(ctx context.Context, q Query) ([]proto.Candidate, error) {
 	if q.Kind != QueryKClosest {
 		return nil, fmt.Errorf("client: lookup supports only k-closest queries (kind %d)", q.Kind)
 	}
 	req := proto.AppendLookupRequest(proto.GetBuf(0), &proto.LookupRequest{Peer: q.Peer})
-	resp, err := c.roundTrip(ctx, homeOf(q.Peer), proto.MsgLookupRequest, req, proto.MsgLookupResponse, nil)
+	resp, err := c.roundTrip(ctx, proto.MsgLookupRequest, req, proto.MsgLookupResponse, nil)
 	proto.PutBuf(req)
 	if err != nil {
 		return nil, err
@@ -626,20 +516,19 @@ func (c *Client) LookupContext(ctx context.Context, q Query) ([]proto.Candidate,
 	return lr.Neighbors, nil
 }
 
-// Lookup re-queries the closest peers of a registered peer, at the node
-// holding its registration. Compatibility wrapper for
-// LookupContext(ctx, KClosest(peer)); new code should pass a context.
+// Lookup re-queries the closest peers of a registered peer. Compatibility
+// wrapper for LookupContext(ctx, KClosest(peer)); new code should pass a
+// context.
 func (c *Client) Lookup(peer int64) ([]proto.Candidate, error) {
 	return c.LookupContext(context.Background(), KClosest(peer))
 }
 
-// LeaveContext deregisters a peer at the node holding its registration.
+// LeaveContext deregisters a peer.
 func (c *Client) LeaveContext(ctx context.Context, peer int64) error {
-	resp, err := c.roundTrip(ctx, homeOf(peer), proto.MsgLeaveRequest,
+	resp, err := c.roundTrip(ctx, proto.MsgLeaveRequest,
 		proto.EncodeLeaveRequest(&proto.LeaveRequest{Peer: peer}), proto.MsgAck, nil)
 	if err == nil {
 		proto.PutBuf(resp)
-		c.setHome(peer, "")
 	}
 	return err
 }
@@ -650,9 +539,9 @@ func (c *Client) Leave(peer int64) error {
 	return c.LeaveContext(context.Background(), peer)
 }
 
-// RefreshContext heartbeats a peer at the node holding its registration.
+// RefreshContext heartbeats a peer.
 func (c *Client) RefreshContext(ctx context.Context, peer int64) error {
-	resp, err := c.roundTrip(ctx, homeOf(peer), proto.MsgRefreshRequest,
+	resp, err := c.roundTrip(ctx, proto.MsgRefreshRequest,
 		proto.EncodeRefreshRequest(&proto.RefreshRequest{Peer: peer}), proto.MsgAck, nil)
 	if err == nil {
 		proto.PutBuf(resp)

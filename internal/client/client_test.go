@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -484,7 +485,7 @@ func TestSessionRouting(t *testing.T) {
 	defer c.Close()
 	resolve := func() (string, *session) {
 		t.Helper()
-		addr, s, err := c.resolve(road{})
+		addr, s, err := c.resolve()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -616,39 +617,64 @@ func TestNotPrimaryFailbackToDialledAddress(t *testing.T) {
 	}
 }
 
-// TestPeerRequestRehomesOnNotPrimary pins the client's re-homing: when the
-// node holding a peer's registration answers CodeNotPrimary, the client
-// re-homes the peer at the advertised primary and routes every later
-// request straight there. A session holds no routing state of its own, so
-// there is no nested state a redirect could leak into and nothing to check
-// for it; what is checked is that the answer, being no transport failure,
-// leaves the old home's session in place.
-func TestPeerRequestRehomesOnNotPrimary(t *testing.T) {
-	// Node B: the new primary, acks the refresh.
-	nodeB := newFakeServer(t, scripted{typ: proto.MsgAck})
-	// Node A: demoted to replica, points at B.
-	nodeA := newFakeServer(t, scripted{typ: proto.MsgError, payload: proto.EncodeError(&proto.Error{
-		Code: proto.CodeNotPrimary, Message: nodeB.ln.Addr().String()})})
-	// The dialled node plays no part; the peer is homed at A.
-	main := newFakeServer(t)
-	c, err := DialConfig(main.ln.Addr().String(), Config{Timeout: time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	c.setHome(7, nodeA.ln.Addr().String())
-	if err := c.Refresh(7); err != nil {
-		t.Fatalf("refresh through demoted home: %v", err)
-	}
-	c.mu.Lock()
-	home, primary := c.home[7], c.primary
-	_, keptA := c.sessions[nodeA.ln.Addr().String()]
-	c.mu.Unlock()
-	if home != nodeB.ln.Addr().String() || primary != "" {
-		t.Fatalf("peer homed at %q with primary %q, want the advertised primary %q as its home only",
-			home, primary, nodeB.ln.Addr().String())
-	}
-	if !keptA {
-		t.Fatal("the old home's session was dropped on a wire answer")
+// TestReplicaRedirectsBounded pins MaxRedirects: nodes that each name the
+// next as the primary, the last naming the first, are followed
+// MaxRedirects times and no further. A join answered MsgRedirect and a
+// refresh answered CodeNotPrimary fail alike, with an error naming the
+// redirects, no node sees the request twice, and no session is dropped.
+func TestReplicaRedirectsBounded(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		answer func(next string) scripted
+		call   func(c *Client) error
+	}{
+		{"join", func(next string) scripted {
+			b, err := proto.EncodeRedirect(&proto.Redirect{Addr: next})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return scripted{typ: proto.MsgRedirect, payload: b}
+		}, func(c *Client) error {
+			_, err := c.Join(1, "127.0.0.1:9001", []int32{10, 0})
+			return err
+		}},
+		{"refresh", func(next string) scripted {
+			return scripted{typ: proto.MsgError, payload: proto.EncodeError(&proto.Error{Code: proto.CodeNotPrimary, Message: next})}
+		}, func(c *Client) error { return c.Refresh(1) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ring := make([]*fakeServer, MaxRedirects+1)
+			for i := range ring {
+				ring[i] = newFakeServer(t)
+			}
+			for i, fs := range ring {
+				next := ring[(i+1)%len(ring)].ln.Addr().String()
+				fs.mu.Lock()
+				fs.answers = []scripted{tc.answer(next), tc.answer(next)}
+				fs.mu.Unlock()
+			}
+			c, err := DialConfig(ring[0].ln.Addr().String(), Config{Timeout: time.Second})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			err = tc.call(c)
+			if err == nil || !strings.Contains(err.Error(), "redirect") {
+				t.Fatalf("err=%v, want one naming the redirects", err)
+			}
+			for i, fs := range ring {
+				if n := len(fs.requests()); n != 1 {
+					t.Errorf("node %d saw %d requests, want 1", i, n)
+				}
+			}
+			// A wire answer is no transport failure: every node's session
+			// stays.
+			c.mu.Lock()
+			n := len(c.sessions)
+			c.mu.Unlock()
+			if n != len(ring) {
+				t.Errorf("%d sessions kept, want %d", n, len(ring))
+			}
+		})
 	}
 }

@@ -122,8 +122,8 @@ type Subscription struct {
 // ctx ends or Close is called.
 //
 // A subscription is a request on the client's primary road, so it takes
-// the session every other request to the primary takes, and the same
-// CodeNotPrimary redirect and redial rule. The ID of its subscribe request
+// the session every other request takes, and the same redirect and
+// redial rule. The ID of its subscribe request
 // names the events the server pushes on that session. When the session
 // dies, or the subscription falls too far behind its events, it
 // resubscribes with bounded backoff, and the fresh snapshot replaces the
@@ -169,7 +169,7 @@ func (c *Client) Subscribe(ctx context.Context, q Query) (*Subscription, error) 
 // mid-stream.
 func (s *Subscription) subscribe() (*stream, *proto.SubscribeAck, error) {
 	st := &stream{frames: make(chan frameResp, streamFrames)}
-	resp, err := s.c.roundTrip(s.ctx, road{}, proto.MsgSubscribeRequest, s.req, proto.MsgSubscribeAck, st)
+	resp, err := s.c.roundTrip(s.ctx, proto.MsgSubscribeRequest, s.req, proto.MsgSubscribeAck, st)
 	if err != nil {
 		if st.sess != nil {
 			st.sess.forget(st.id) // an answer of another type left it registered

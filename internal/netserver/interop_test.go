@@ -9,7 +9,6 @@ import (
 	"proxdisc/internal/client"
 	"proxdisc/internal/cluster"
 	"proxdisc/internal/proto"
-	"proxdisc/internal/telemetry"
 	"proxdisc/internal/topology"
 )
 
@@ -50,11 +49,13 @@ func startReplicaPair(t *testing.T, landmarks ...topology.NodeID) (primary, repl
 }
 
 // TestReplicaRoleRedirectsWrites dials the REPLICA node: joins must be
-// redirected to the primary transparently, peer-keyed writes must fail
-// over to the primary via CodeNotPrimary, and reads must be served by the
-// replica from its follower-fed copy.
+// redirected to the primary transparently, and peer-keyed writes must fail
+// over to the primary via CodeNotPrimary. A client's reads stay on the
+// replica, served from its follower-fed copy, until some write taught the
+// client the primary; from then on the primary serves them too.
 func TestReplicaRoleRedirectsWrites(t *testing.T) {
 	primary, replica, logic, f := startReplicaPair(t, 0, 100)
+	lookups := func(ns *NetServer) uint64 { return ns.met.reqs[proto.MsgLookupRequest].Value() }
 
 	c, err := client.DialConfig(replica.Addr(), client.Config{Timeout: 5 * time.Second})
 	if err != nil {
@@ -78,10 +79,14 @@ func TestReplicaRoleRedirectsWrites(t *testing.T) {
 	if logic.NumPeers() != 1 {
 		t.Fatalf("peers=%d", logic.NumPeers())
 	}
-	// Reads are served locally by the replica, once its copy caught up.
+	// The join's redirect taught the client the primary, which serves its
+	// reads from here on.
 	waitApplied(t, f, logic)
 	if _, err := c.Lookup(1); err != nil {
 		t.Fatalf("lookup via replica: %v", err)
+	}
+	if r, p := lookups(replica), lookups(primary); r != 0 || p != 1 {
+		t.Fatalf("lookups served: replica %d, primary %d; want 0 and 1", r, p)
 	}
 	// Peer-keyed writes fail over to the primary.
 	if err := c.Refresh(1); err != nil {
@@ -94,8 +99,8 @@ func TestReplicaRoleRedirectsWrites(t *testing.T) {
 		t.Fatalf("peers=%d after leave", logic.NumPeers())
 	}
 
-	// A second client that never joined through this connection: its
-	// peer-keyed writes start at the replica (no home mapping) and must
+	// A second client that never joined through this connection: its reads
+	// and peer-keyed writes start at the replica, and the writes must
 	// follow the CodeNotPrimary answer to the primary.
 	if _, err := c.Join(7, "127.0.0.1:9007", []int32{20, 0}); err != nil {
 		t.Fatal(err)
@@ -109,6 +114,9 @@ func TestReplicaRoleRedirectsWrites(t *testing.T) {
 	if _, err := c2.Lookup(7); err != nil {
 		t.Fatalf("cold lookup via replica: %v", err)
 	}
+	if r, p := lookups(replica), lookups(primary); r != 1 || p != 1 {
+		t.Fatalf("cold lookup served: replica %d, primary %d lookups in all; want 1 and 1", r, p)
+	}
 	if err := c2.Refresh(7); err != nil {
 		t.Fatalf("cold refresh via replica (not-primary failover): %v", err)
 	}
@@ -118,10 +126,14 @@ func TestReplicaRoleRedirectsWrites(t *testing.T) {
 	if logic.NumPeers() != 0 {
 		t.Fatalf("peers=%d after cold leave", logic.NumPeers())
 	}
-	// The departures reach the replica's copy through the stream.
+	// The departures reach the replica's copy through the stream. The
+	// refresh taught c2 the primary, which answers this lookup.
 	waitApplied(t, f, logic)
 	if _, err := c2.Lookup(7); err == nil {
 		t.Fatal("replica still answers for a peer that left")
+	}
+	if r, p := lookups(replica), lookups(primary); r != 1 || p != 2 {
+		t.Fatalf("lookup after the leave: replica %d, primary %d lookups in all; want 1 and 2", r, p)
 	}
 }
 
@@ -182,55 +194,10 @@ func TestReplicaJoinLearnsPrimary(t *testing.T) {
 	}
 }
 
-// TestStaleMapNamesReplica covers a stale shard map on the redirect road:
-// node1's map points landmark 100 at a replica front end, which redirects
-// joins on to its primary. A Join follows node1 → replica → primary and
-// lands on the owner; a JoinBatch entry for landmark 100 comes back
-// CodeWrongShard from node1 and lands through the same singular detour.
-func TestStaleMapNamesReplica(t *testing.T) {
-	primary, ownerReplica, owner, _ := startReplicaPair(t, 100)
-	node1, _ := startNode(t, []topology.NodeID{0},
-		map[topology.NodeID]string{100: ownerReplica.Addr()})
-	reg := telemetry.NewRegistry()
-	c, err := client.DialConfig(node1.Addr(), client.Config{Telemetry: reg, Timeout: 5 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
-	redirects := reg.Counter("proxdisc_client_redirects_total")
-	singular := node1.met.reqs[proto.MsgJoinRequest]
-
-	if _, err := c.Join(1, "127.0.0.1:9001", []int32{20, 100}); err != nil {
-		t.Fatalf("join via a map naming the replica: %v", err)
-	}
-	if owner.NumPeers() != 1 || redirects.Value() != 2 {
-		t.Fatalf("owner peers=%d redirects=%d, want 1 and 2", owner.NumPeers(), redirects.Value())
-	}
-	res, err := c.JoinBatch([]client.BatchItem{
-		{Peer: 2, Addr: "127.0.0.1:9002", Path: []int32{21, 20, 100}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res[0].Err != nil {
-		t.Fatalf("batch entry via a map naming the replica: %v", res[0].Err)
-	}
-	// The entry was answered CodeWrongShard, so node1 saw it again as a
-	// singular join, which took the same two hops.
-	if owner.NumPeers() != 2 || singular.Value() != 2 || redirects.Value() != 4 {
-		t.Fatalf("owner peers=%d node1 singular joins=%d redirects=%d, want 2, 2 and 4",
-			owner.NumPeers(), singular.Value(), redirects.Value())
-	}
-	if primary.met.reqs[proto.MsgJoinRequest].Value() != 2 {
-		t.Fatalf("primary served %d singular joins, want 2", primary.met.reqs[proto.MsgJoinRequest].Value())
-	}
-}
-
-// TestRejoinThroughLearnedPrimaryKeepsPeer guards the re-home retire
-// against one node reached by two roads: a peer redirected to the primary
-// (home = its address) re-joins over the primary road after a replica
-// taught the client that same address. The home looks changed but the
-// node is not, so no Leave may reach it.
+// TestRejoinThroughLearnedPrimaryKeepsPeer: a client dialled at a replica
+// joins a peer, which the replica redirects to the primary, and then
+// re-joins it by batch on the primary road it learned. The primary keeps
+// the peer, and no Leave reaches it.
 func TestRejoinThroughLearnedPrimaryKeepsPeer(t *testing.T) {
 	primary, replica, logic, _ := startReplicaPair(t, 0)
 	c, err := client.DialConfig(replica.Addr(), client.Config{Timeout: 5 * time.Second})
@@ -241,7 +208,7 @@ func TestRejoinThroughLearnedPrimaryKeepsPeer(t *testing.T) {
 	if _, err := c.Join(1, "127.0.0.1:9001", []int32{10, 0}); err != nil { // redirected to the primary
 		t.Fatal(err)
 	}
-	// A write with no home learns the primary from the replica's answer.
+	// A write of a peer the primary does not hold is answered there.
 	var werr *proto.Error
 	if err := c.Refresh(99); !errors.As(err, &werr) || werr.Code != proto.CodeUnknownPeer {
 		t.Fatalf("refresh of an unknown peer: %v", err)

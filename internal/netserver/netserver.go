@@ -43,11 +43,8 @@
 // and the connection's write buffer.
 //
 // A NetServer fronts one node's cluster.Cluster, one shard or many, a
-// primary's or a follower's copy. Each node may additionally know which
-// remote node owns each foreign landmark (RemoteLandmarks): joins for those
-// landmarks are redirected to the owner, and the client remembers where
-// each of its peers lives, so the front end keeps no per-peer state and no
-// durable state of its own.
+// primary's or a follower's copy, and serves every landmark that cluster
+// holds. It keeps no per-peer state and no durable state of its own.
 package netserver
 
 import (
@@ -90,12 +87,6 @@ type Config struct {
 	// LandmarkAddrs maps each landmark router ID to the UDP address of its
 	// probe responder, advertised to clients.
 	LandmarkAddrs map[topology.NodeID]string
-	// RemoteLandmarks maps landmarks owned by other cluster nodes to those
-	// nodes' TCP addresses. A join whose path ends at a remote landmark is
-	// answered with a redirect there, and a batch entry for one comes back
-	// CodeWrongShard naming the owner; the client follows either and
-	// remembers the peer's home. Nil for a deployment of one node.
-	RemoteLandmarks map[topology.NodeID]string
 	// Replication, when set, makes this node a replica: the Follower
 	// feeding Server from a primary's committed op stream. A replica
 	// serves reads from its copy and answers writes with a redirect to the
@@ -130,9 +121,8 @@ type Config struct {
 
 // NetServer is a running TCP front end. Close it to release the listener.
 type NetServer struct {
-	cfg   Config
-	ln    net.Listener
-	local map[topology.NodeID]bool // landmarks served by cfg.Server at start
+	cfg Config
+	ln  net.Listener
 
 	mu    sync.Mutex
 	conns map[net.Conn]struct{}
@@ -330,13 +320,9 @@ func Listen(cfg Config) (*NetServer, error) {
 	s := &NetServer{
 		cfg:    cfg,
 		ln:     ln,
-		local:  make(map[topology.NodeID]bool),
 		conns:  make(map[net.Conn]struct{}),
 		tasks:  make(chan task, cfg.Workers),
 		closed: make(chan struct{}),
-	}
-	for _, lm := range cfg.Server.Landmarks() {
-		s.local[lm] = true
 	}
 	s.initMetrics()
 	if f := cfg.Replication; f != nil {
@@ -788,16 +774,6 @@ func (s *NetServer) handleReq(typ proto.MsgType, payload []byte) (proto.MsgType,
 		if len(o.Join.Path) == 0 {
 			return errResp(proto.CodeBadRequest, errors.New("netserver: empty path"))
 		}
-		if lm := o.Join.Path[len(o.Join.Path)-1]; !s.local[lm] {
-			if remote, ok := s.cfg.RemoteLandmarks[lm]; ok {
-				b, err := proto.EncodeRedirect(&proto.Redirect{Addr: remote})
-				if err != nil {
-					return errResp(proto.CodeInternal, err)
-				}
-				return proto.MsgRedirect, b
-			}
-			// Fall through: the backend reports the unknown landmark itself.
-		}
 		return s.serveJoin(o)
 
 	case proto.MsgBatchJoinRequest:
@@ -865,11 +841,12 @@ func (s *NetServer) handleReq(typ proto.MsgType, payload []byte) (proto.MsgType,
 }
 
 // rejectWriteOnReplica answers the write-class requests a replica node must
-// not apply locally: client joins get a redirect to the primary (which the
-// client follows exactly like a cluster shard redirect), everything else a
-// CodeNotPrimary error whose message carries the primary's address. Reads
-// (lookup, landmarks, status) fall through and are served from the local
-// copy.
+// not apply locally, naming the primary: a join gets a MsgRedirect to it,
+// and every other write a CodeNotPrimary error whose message carries its
+// address. The client treats both alike (it learns the primary and sends
+// the request again there). This is the only place a node sends a
+// MsgRedirect. Reads (lookup, landmarks, status) fall through and are
+// served from the local copy.
 func (s *NetServer) rejectWriteOnReplica(typ proto.MsgType) (proto.MsgType, []byte, bool) {
 	switch typ {
 	case proto.MsgJoinRequest:
@@ -909,28 +886,20 @@ func (s *NetServer) serveJoin(o op.Op) (proto.MsgType, []byte) {
 	return proto.MsgJoinResponse, b
 }
 
-// serveBatchJoin splits a batch into locally-owned entries — applied
-// against the backend as one single-lock-acquisition JoinBatch — and
-// remote-landmark entries, answered CodeWrongShard naming the owner so the
-// client retries them singly through the redirect-following path.
+// serveBatchJoin applies a batch's entries against the backend as one
+// JoinBatch and answers each entry on its own: an entry with no path is
+// refused CodeBadRequest without reaching the backend, and one under a
+// landmark the backend does not hold comes back CodeUnknownLandmark.
 func (s *NetServer) serveBatchJoin(o op.Op) (proto.MsgType, []byte) {
 	results := make([]proto.BatchAnswer, len(o.Batch))
 	entries := make([]op.JoinEntry, 0, len(o.Batch))
 	idxs := make([]int, 0, len(o.Batch))
 	for i := range o.Batch {
-		e := &o.Batch[i]
-		if len(e.Path) == 0 {
+		if len(o.Batch[i].Path) == 0 {
 			results[i] = proto.BatchAnswer{Code: proto.CodeBadRequest, Message: "netserver: empty path"}
 			continue
 		}
-		if lm := e.Path[len(e.Path)-1]; !s.local[lm] {
-			if owner, ok := s.cfg.RemoteLandmarks[lm]; ok {
-				results[i] = proto.BatchAnswer{Code: proto.CodeWrongShard, Message: owner}
-				continue
-			}
-			// Fall through: the backend reports the unknown landmark itself.
-		}
-		entries = append(entries, *e)
+		entries = append(entries, o.Batch[i])
 		idxs = append(idxs, i)
 	}
 	if len(entries) > 0 {

@@ -1,7 +1,6 @@
 package netserver
 
 import (
-	"context"
 	"errors"
 	"net"
 	"strings"
@@ -277,96 +276,17 @@ func TestConcurrentClients(t *testing.T) {
 	}
 }
 
-// startNode spins up one cluster node: a management server owning the given
-// landmarks, plus a shard map naming the owners of remote landmarks.
-func startNode(t *testing.T, landmarks []topology.NodeID, remote map[topology.NodeID]string) (*NetServer, *cluster.Cluster) {
+// startNode spins up one node: a management server holding the given
+// landmarks.
+func startNode(t *testing.T, landmarks []topology.NodeID) (*NetServer, *cluster.Cluster) {
 	t.Helper()
 	logic := newCluster(t, cluster.Config{Landmarks: landmarks})
-	ns, err := Listen(Config{
-		Addr:            "127.0.0.1:0",
-		Server:          logic,
-		RemoteLandmarks: remote,
-	})
+	ns, err := Listen(Config{Addr: "127.0.0.1:0", Server: logic})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ns.Close() })
 	return ns, logic
-}
-
-func TestJoinRedirectAcrossNodes(t *testing.T) {
-	node2, logic2 := startNode(t, []topology.NodeID{100}, nil)
-	node1, logic1 := startNode(t, []topology.NodeID{0},
-		map[topology.NodeID]string{100: node2.Addr()})
-
-	c := dial(t, node1)
-	// A join for node1's own landmark stays local.
-	if _, err := c.Join(1, "127.0.0.1:9001", []int32{10, 0}); err != nil {
-		t.Fatal(err)
-	}
-	// A join for landmark 100 must follow the redirect to node2.
-	if _, err := c.Join(2, "127.0.0.1:9002", []int32{20, 100}); err != nil {
-		t.Fatal(err)
-	}
-	if logic1.NumPeers() != 1 || logic2.NumPeers() != 1 {
-		t.Fatalf("node1 peers=%d node2 peers=%d", logic1.NumPeers(), logic2.NumPeers())
-	}
-	// A second join through the redirect sees the first as neighbour, with
-	// the overlay address recorded by the owning node.
-	got, err := c.Join(3, "127.0.0.1:9003", []int32{21, 20, 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0].Peer != 2 || got[0].Addr != "127.0.0.1:9002" {
-		t.Fatalf("redirected join answer=%+v", got)
-	}
-	// Peer-keyed follow-ups go to the node holding the registration, not
-	// the node originally dialled.
-	look, err := c.Lookup(2)
-	if err != nil {
-		t.Fatalf("lookup of redirected peer: %v", err)
-	}
-	if len(look) != 1 || look[0].Peer != 3 {
-		t.Fatalf("lookup=%+v", look)
-	}
-	if err := c.Refresh(2); err != nil {
-		t.Fatalf("refresh of redirected peer: %v", err)
-	}
-	if err := c.Leave(2); err != nil {
-		t.Fatalf("leave of redirected peer: %v", err)
-	}
-	if logic2.NumPeers() != 1 {
-		t.Fatalf("owner still holds %d peers after leave", logic2.NumPeers())
-	}
-}
-
-func TestRedirectConnectionRedialAfterRestart(t *testing.T) {
-	node2, logic2 := startNode(t, []topology.NodeID{100}, nil)
-	node1, _ := startNode(t, []topology.NodeID{0},
-		map[topology.NodeID]string{100: node2.Addr()})
-	c := dial(t, node1)
-	if _, err := c.Join(1, "a:1", []int32{20, 100}); err != nil {
-		t.Fatal(err)
-	}
-	// Restart the owning node on the same address: the client's cached
-	// redirect connection is now dead and must be redialed transparently.
-	addr := node2.Addr()
-	node2.Close()
-	ns2b, err := Listen(Config{Addr: addr, Server: logic2})
-	if err != nil {
-		t.Skipf("could not rebind %s: %v", addr, err)
-	}
-	t.Cleanup(func() { ns2b.Close() })
-	if err := c.Refresh(1); err != nil {
-		t.Fatalf("refresh after owner restart: %v", err)
-	}
-	if _, err := c.Join(2, "a:2", []int32{21, 20, 100}); err != nil {
-		t.Fatalf("join after owner restart: %v", err)
-	}
-	look, err := c.Lookup(2)
-	if err != nil || len(look) != 1 || look[0].Peer != 1 {
-		t.Fatalf("lookup=%+v err=%v", look, err)
-	}
 }
 
 // rawRoundTrip sends one ID-framed request on a raw session (see rawV2)
@@ -388,7 +308,7 @@ func rawRoundTrip(t *testing.T, conn net.Conn, typ proto.MsgType, payload []byte
 // numbers stay reserved: on a version-2 session a frame of either is answered
 // CodeBadRequest and applies nothing, and the session goes on serving.
 func TestRetiredForwardedTypesRefused(t *testing.T) {
-	node, logic := startNode(t, []topology.NodeID{0}, nil)
+	node, logic := startNode(t, []topology.NodeID{0})
 	conn := rawV2(t, node.Addr())
 	join, err := proto.EncodeJoinRequest(&proto.JoinRequest{Peer: 1, Addr: "a", Path: []int32{10, 0}})
 	if err != nil {
@@ -418,28 +338,6 @@ func TestRetiredForwardedTypesRefused(t *testing.T) {
 	}
 	if typ, _ := rawRoundTrip(t, conn, proto.MsgJoinRequest, join); typ != proto.MsgJoinResponse {
 		t.Fatalf("a join after the refused frames answered with type %v", typ)
-	}
-}
-
-func TestRedirectChainBounded(t *testing.T) {
-	// A chain of nodes with stale shard maps, each redirecting landmark 100
-	// one hop further: the client must give up after client.MaxRedirects
-	// rather than follow indefinitely.
-	terminal, _ := startNode(t, []topology.NodeID{0}, nil)
-	next := terminal.Addr()
-	var head *NetServer
-	for i := 0; i <= client.MaxRedirects; i++ {
-		head, _ = startNode(t, []topology.NodeID{0},
-			map[topology.NodeID]string{100: next})
-		next = head.Addr()
-	}
-	c := dial(t, head)
-	_, err := c.Join(1, "x", []int32{5, 100})
-	if err == nil {
-		t.Fatal("join through a redirect chain succeeded")
-	}
-	if !strings.Contains(err.Error(), "redirect") {
-		t.Fatalf("err=%v", err)
 	}
 }
 
@@ -621,127 +519,6 @@ func TestBatchJoinSpillsOverServerLimit(t *testing.T) {
 	}
 	if _, err := c.Lookup(int64(n)); err != nil {
 		t.Fatalf("last batched peer not registered: %v", err)
-	}
-}
-
-// TestBatchJoinAcrossNodes: entries for a remote landmark come back
-// CodeWrongShard and are retried individually through the redirect.
-func TestBatchJoinAcrossNodes(t *testing.T) {
-	t.Run("redirect", func(t *testing.T) {
-		node2, logic2 := startNode(t, []topology.NodeID{100}, nil)
-		node1, logic1 := startNode(t, []topology.NodeID{0},
-			map[topology.NodeID]string{100: node2.Addr()})
-		c := dial(t, node1)
-		res, err := c.JoinBatch([]client.BatchItem{
-			{Peer: 1, Addr: "127.0.0.1:9001", Path: []int32{10, 0}},
-			{Peer: 2, Addr: "127.0.0.1:9002", Path: []int32{20, 100}},
-			{Peer: 3, Addr: "127.0.0.1:9003", Path: []int32{21, 20, 100}},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, r := range res {
-			if r.Err != nil {
-				t.Fatalf("entry %d: %v", i, r.Err)
-			}
-		}
-		if logic1.NumPeers() != 1 || logic2.NumPeers() != 2 {
-			t.Fatalf("node1 peers=%d node2 peers=%d", logic1.NumPeers(), logic2.NumPeers())
-		}
-		// Peer 3 joined after peer 2 under landmark 100 and must see it.
-		found := false
-		for _, cand := range res[2].Neighbors {
-			if cand.Peer == 2 && cand.Addr == "127.0.0.1:9002" {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("entry 3 neighbours=%+v", res[2].Neighbors)
-		}
-		// Follow-ups for the remote peer route to its holder.
-		if _, err := c.Lookup(2); err != nil {
-			t.Fatalf("lookup of remote batched peer: %v", err)
-		}
-	})
-}
-
-// TestRejoinElsewhereRetiresOldHome re-joins one peer on the redirect road:
-// node1 owns landmark 0, node2 owns 100 and 200, and the client dials node1.
-// After the re-join exactly one node holds the peer, the new home, whether
-// the join went through JoinContext or JoinBatchContext. During the re-join
-// the old home gets exactly one Leave when the home changed, and no node
-// gets one when it did not.
-func TestRejoinElsewhereRetiresOldHome(t *testing.T) {
-	local, local2 := []int32{10, 0}, []int32{11, 0}
-	aux, aux2 := []int32{20, 100}, []int32{30, 200}
-	cases := []struct {
-		name          string
-		first, second []int32
-	}{
-		{"aux_to_local", aux, local},
-		{"local_to_aux", local, aux},
-		{"aux_to_aux", aux, aux2},
-		{"local_to_local", local, local2},
-	}
-	joins := []struct {
-		name string
-		join func(c *client.Client, peer int64, path []int32) error
-	}{
-		{"join", func(c *client.Client, peer int64, path []int32) error {
-			_, err := c.JoinContext(context.Background(), peer, "127.0.0.1:9007", path)
-			return err
-		}},
-		{"batch", func(c *client.Client, peer int64, path []int32) error {
-			res, err := c.JoinBatchContext(context.Background(),
-				[]client.BatchItem{{Peer: peer, Addr: "127.0.0.1:9007", Path: path}})
-			if err != nil {
-				return err
-			}
-			return res[0].Err
-		}},
-	}
-	for _, tc := range cases {
-		for _, j := range joins {
-			t.Run(tc.name+"/"+j.name, func(t *testing.T) {
-				node2, logic2 := startNode(t, []topology.NodeID{100, 200}, nil)
-				node1, logic1 := startNode(t, []topology.NodeID{0},
-					map[topology.NodeID]string{100: node2.Addr(), 200: node2.Addr()})
-				c := dial(t, node1)
-				if err := j.join(c, 7, tc.first); err != nil {
-					t.Fatalf("first join: %v", err)
-				}
-				leaves := func(ns *NetServer) uint64 { return ns.met.reqs[proto.MsgLeaveRequest].Value() }
-				before := map[*NetServer]uint64{node1: leaves(node1), node2: leaves(node2)}
-				if err := j.join(c, 7, tc.second); err != nil {
-					t.Fatalf("re-join: %v", err)
-				}
-				onNode2 := func(path []int32) bool { return path[len(path)-1] != 0 }
-				for _, n := range []struct {
-					name  string
-					ns    *NetServer
-					logic *cluster.Cluster
-					home  bool
-				}{
-					{"node1", node1, logic1, !onNode2(tc.second)},
-					{"node2", node2, logic2, onNode2(tc.second)},
-				} {
-					if _, err := n.logic.Lookup(7); (err == nil) != n.home {
-						t.Errorf("%s holds peer 7: %v, want %v", n.name, err == nil, n.home)
-					}
-					wantLeaves := uint64(0)
-					if !n.home && onNode2(tc.first) != onNode2(tc.second) {
-						wantLeaves = 1
-					}
-					if got := leaves(n.ns) - before[n.ns]; got != wantLeaves {
-						t.Errorf("%s served %d leaves during the re-join, want %d", n.name, got, wantLeaves)
-					}
-				}
-				// Follow-ups reach the new home.
-				if _, err := c.Lookup(7); err != nil {
-					t.Fatalf("lookup after re-join: %v", err)
-				}
-			})
-		}
 	}
 }
 

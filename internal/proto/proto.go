@@ -89,8 +89,8 @@ const (
 	MsgLeaveRequest
 	// MsgRefreshRequest is a liveness heartbeat.
 	MsgRefreshRequest
-	// MsgRedirect tells a client that the landmark its request targets is
-	// owned by a different cluster node, whose address it carries.
+	// MsgRedirect answers a join sent to a replica node: it carries the
+	// address of the primary, where the client sends the join again.
 	MsgRedirect
 	// MsgForwardedJoinRequest is reserved: the number of a join that older
 	// builds relayed between nodes. Nothing sends it, and a node answers it
@@ -252,8 +252,9 @@ const (
 	CodeUnknownLandmark uint16 = 2
 	CodeUnknownPeer     uint16 = 3
 	CodeBadRequest      uint16 = 4
-	// CodeWrongShard answers a batch entry whose landmark another node
-	// owns; the message carries that node's address.
+	// CodeWrongShard is reserved: older builds answered a batch entry
+	// whose landmark another node owned with it. Nothing sends it now, and
+	// a client reports it as that entry's error.
 	CodeWrongShard uint16 = 5
 	// CodeNotPrimary rejects a write sent to a replica node. The error
 	// message carries the primary's TCP address when the replica knows it,
@@ -718,10 +719,9 @@ func DecodeLandmarksResponse(b []byte) (*LandmarksResponse, error) {
 	return m, r.Done()
 }
 
-// Redirect points a client at the cluster node owning the landmark its
-// request targeted.
+// Redirect points a client that sent a join to a replica at the primary.
 type Redirect struct {
-	// Addr is the TCP address of the owning cluster node.
+	// Addr is the TCP address of the primary.
 	Addr string
 }
 

@@ -60,9 +60,8 @@
 // connection's read throughput is one core; open more connections to
 // scale. In the front end a lookup takes only its connection's write
 // mutex; below it, the backend's read-side locks (package netserver lists
-// them exactly). A join for a landmark another cluster node owns is redirected
-// there, and the client remembers each peer's home node, so the front end
-// keeps no per-peer state. Answers carry each candidate's overlay
+// them exactly). A node serves every landmark its cluster holds, and the
+// front end keeps no per-peer state. Answers carry each candidate's overlay
 // address straight from the peer's record in the backend; the front end
 // keeps no address table of its own.
 // proxdisc_response_frames_total over proxdisc_response_flushes_total is
@@ -109,15 +108,17 @@
 // crash of the primary would lose (TestCommitTapSeesOnlyDurableRecords).
 //
 // The client-side half: a NetServer fronting a follower's copy
-// (NetServerConfig.Replication) is a replica — it serves reads locally and
-// answers writes with a redirect to the primary (joins) or its address
-// (everything else), the address the Follower dials, which Client
-// follows. A Client keeps one session per node address, and a request
-// whose session died is sent once more on a fresh dial, so a client of a
-// restarted primary (same address, same data directory), or of a server
-// that dropped an idle connection, resumes without caller involvement; a
-// learned primary that cannot be reached is forgotten for the dialled
-// address. Promotion is still manual: nothing elects a follower when the
+// (NetServerConfig.Replication) is a replica. It serves reads locally and
+// names the primary, the address the Follower dials, in its answer to
+// every write: a redirect for a join, a not-primary error carrying the
+// address for anything else. Client treats the two alike. It learns the
+// primary and sends that request, and every later one, there; a client
+// that only reads stays on the replica. A Client keeps one session per
+// node address, and a request whose session died is sent once more on a
+// fresh dial, so a client of a restarted primary (same address, same data
+// directory), or of a server that dropped an idle connection, resumes
+// without caller involvement; a learned primary that cannot be reached is
+// forgotten for the dialled address. Promotion is still manual: nothing elects a follower when the
 // primary is lost for good — an operator restarts a node over the
 // follower's state as the new primary and repoints the others.
 //
