@@ -18,6 +18,13 @@ import (
 // reading from it (replication is asynchronous).
 func startReplicaPair(t *testing.T, landmarks ...topology.NodeID) (primary, replica *NetServer, logic *cluster.Cluster, f *Follower) {
 	t.Helper()
+	return startReplicaPairWith(t, Config{}, landmarks...)
+}
+
+// startReplicaPairWith is startReplicaPair with the primary's front end
+// configured by pcfg (its Addr and Server are set here).
+func startReplicaPairWith(t *testing.T, pcfg Config, landmarks ...topology.NodeID) (primary, replica *NetServer, logic *cluster.Cluster, f *Follower) {
+	t.Helper()
 	logic, err := cluster.New(cluster.Config{
 		Landmarks: landmarks,
 		Shards:    len(landmarks),
@@ -28,7 +35,8 @@ func startReplicaPair(t *testing.T, landmarks ...topology.NodeID) (primary, repl
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { logic.Close() })
-	primary, err = Listen(Config{Addr: "127.0.0.1:0", Server: logic})
+	pcfg.Addr, pcfg.Server = "127.0.0.1:0", logic
+	primary, err = Listen(pcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,6 +199,59 @@ func TestReplicaJoinLearnsPrimary(t *testing.T) {
 	}
 	if n := served(primary, proto.MsgLookupRequest); n != 0 {
 		t.Fatalf("primary served %d lookups of the reading client, want 0", n)
+	}
+}
+
+// TestBatchFollowsThePrimaryLimit: a client dialled at a replica whose
+// primary accepts smaller batches than the replica advertised. Its batch
+// is chunked by the limit of the node each chunk goes to: all 10 entries
+// join, the primary serves every chunk, and once the client knows the
+// primary its next batch goes there in chunks of the primary's size.
+func TestBatchFollowsThePrimaryLimit(t *testing.T) {
+	primary, replica, logic, _ := startReplicaPairWith(t, Config{MaxBatch: 4}, 0)
+	c, err := client.DialConfig(replica.Addr(), client.Config{Timeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	batches := func(ns *NetServer) uint64 { return ns.met.reqs[proto.MsgBatchJoinRequest].Value() }
+	items := func(base int64) []client.BatchItem {
+		out := make([]client.BatchItem, 10)
+		for i := range out {
+			out[i] = client.BatchItem{Peer: base + int64(i), Addr: "127.0.0.1:9001", Path: []int32{int32(10 + i), 0}}
+		}
+		return out
+	}
+	join := func(base int64) {
+		t.Helper()
+		res, err := c.JoinBatch(items(base))
+		if err != nil {
+			t.Fatalf("batch of 10 via the replica: %v", err)
+		}
+		for i, r := range res {
+			if r.Err != nil {
+				t.Fatalf("entry %d: %v", i, r.Err)
+			}
+		}
+	}
+
+	join(1)
+	if n := logic.NumPeers(); n != 10 {
+		t.Fatalf("primary peers=%d, want 10", n)
+	}
+	if r, p := batches(replica), batches(primary); r > 1 || p < 3 {
+		t.Fatalf("replica served %d batches and the primary %d; want at most 1 and at least 3", r, p)
+	}
+	if got := c.ServerMaxBatch(); got != 4 {
+		t.Fatalf("ServerMaxBatch=%d after learning the primary, want its 4", got)
+	}
+	before, replicaBefore := batches(primary), batches(replica)
+	join(101)
+	if n := logic.NumPeers(); n != 20 {
+		t.Fatalf("primary peers=%d, want 20", n)
+	}
+	if got := batches(primary) - before; got != 3 || batches(replica) != replicaBefore {
+		t.Fatalf("second batch: primary served %d chunks, replica %d; want 3 and 0", got, batches(replica)-replicaBefore)
 	}
 }
 
