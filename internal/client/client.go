@@ -110,9 +110,7 @@ type Config struct {
 type Client struct {
 	cfg  Config
 	addr string // the dialled server address
-	// maxBatch is the batch size the dialled server accepted at dial time.
-	maxBatch int
-	met      clientMetrics
+	met  clientMetrics
 
 	mu       sync.Mutex
 	sessions map[string]*session        // one live session per node address
@@ -174,16 +172,21 @@ func DialConfig(addr string, cfg Config) (*Client, error) {
 			failovers: r.Counter("proxdisc_client_failovers_total"),
 		}
 	}
-	_, s, err := c.resolve()
-	if err != nil {
+	if _, _, err := c.resolve(); err != nil {
 		return nil, err
 	}
-	c.maxBatch = s.maxBatch
 	return c, nil
 }
 
-// ServerMaxBatch reports the batch-join size the dialled server accepts.
-func (c *Client) ServerMaxBatch() int { return c.maxBatch }
+// ServerMaxBatch reports the batch-join size accepted by the node the next
+// batch goes to: the learned primary, else the dialled server. It dials
+// that node when no session to it is live, and reports 0 when it cannot.
+func (c *Client) ServerMaxBatch() int {
+	if _, s, err := c.resolve(); err == nil {
+		return s.maxBatch
+	}
+	return 0
+}
 
 // Close ends any live subscriptions, then releases every session.
 func (c *Client) Close() error {
@@ -435,23 +438,24 @@ type BatchResult struct {
 
 // JoinBatchContext registers many peers in as few round trips as possible —
 // the flash-crowd path for agents fronting several newcomers. The items
-// travel in MsgBatchJoinRequest frames of up to the server's advertised
-// batch size.
+// travel in MsgBatchJoinRequest frames of up to the batch size advertised
+// by the node each frame goes to (ServerMaxBatch). A frame refused by a
+// node that accepts less — a primary learned on the way — is split to that
+// node's size and sent again: the size check runs before anything
+// applies, and each retry is strictly smaller than the frame it replaces.
 //
 // The returned slice is positional: result i answers items[i]. The error
 // return is reserved for transport-level failures that void the whole
 // call; per-entry failures live in the results.
 func (c *Client) JoinBatchContext(ctx context.Context, items []BatchItem) ([]BatchResult, error) {
 	out := make([]BatchResult, len(items))
-	chunk := c.maxBatch
-	if chunk > proto.MaxBatch {
-		chunk = proto.MaxBatch
-	}
-	for lo := 0; lo < len(items); lo += chunk {
-		hi := lo + chunk
-		if hi > len(items) {
-			hi = len(items)
+	// limit only falls, and only below the size of a refused chunk.
+	for lo, limit := 0, proto.MaxBatch; lo < len(items); {
+		n := limit
+		if m := c.ServerMaxBatch(); m > 0 && m < n {
+			n = m
 		}
+		hi := min(lo+n, len(items))
 		req := &proto.BatchJoinRequest{Joins: make([]proto.JoinRequest, hi-lo)}
 		for i, it := range items[lo:hi] {
 			req.Joins[i] = proto.JoinRequest{Peer: it.Peer, Addr: it.Addr, Path: it.Path}
@@ -462,6 +466,13 @@ func (c *Client) JoinBatchContext(ctx context.Context, items []BatchItem) ([]Bat
 		}
 		resp, err := c.roundTrip(ctx, proto.MsgBatchJoinRequest, payload, proto.MsgBatchJoinResponse, nil)
 		if err != nil {
+			var werr *proto.Error
+			if errors.As(err, &werr) && werr.Code == proto.CodeBadRequest {
+				if m := c.ServerMaxBatch(); m > 0 && m < hi-lo {
+					limit = m
+					continue
+				}
+			}
 			return nil, err
 		}
 		br, err := proto.DecodeBatchJoinResponse(resp)
@@ -480,6 +491,7 @@ func (c *Client) JoinBatchContext(ctx context.Context, items []BatchItem) ([]Bat
 			}
 			out[i].Neighbors = r.Neighbors
 		}
+		lo = hi
 	}
 	return out, nil
 }
