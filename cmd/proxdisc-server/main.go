@@ -30,7 +30,62 @@
 // profiling handlers under /debug/pprof/. Logging is structured (log/slog,
 // text to stderr); -log-level picks the floor and -slow-op reports every
 // request served slower than the given threshold at warning level with its
-// request ID and message type.
+// request ID, message type and whether it was served inline on its
+// connection's goroutine or by the worker pool (netserver.Config's
+// SlowOpThreshold and SlowOp are the library-level hooks).
+//
+// # Durable state
+//
+// The TCP front end has no durable state of its own: -data-dir is the
+// cluster's. The server keeps it under DIR/cluster (a DIR/front left by an
+// older build is never opened) and shuts down cleanly on SIGINT/SIGTERM:
+// connections drain, a final snapshot lands, and the WAL closes, leaving an
+// empty tail for the next start.
+//
+// # Metrics
+//
+// Every proxdisc series the module registers, by layer. /metrics carries
+// all of them but the client's, which a process exports when it dials with
+// client.Config.Telemetry set.
+//
+//   - Front end: proxdisc_requests_total{type=...} and
+//     proxdisc_request_duration_seconds{type=...} per message type;
+//     proxdisc_requests_by_road_total{road="inline"|"pool"} for which
+//     road served them; proxdisc_response_frames_total and
+//     proxdisc_response_flushes_total for pipelined responses and the
+//     write syscalls that carried them; proxdisc_worker_queue_depth,
+//     proxdisc_worker_pool_size, and
+//     proxdisc_worker_queue_saturation_total for the worker pool.
+//   - Replication, primary side: proxdisc_followers_connected;
+//     proxdisc_follower_acked_seq{follower=ADDR} and
+//     proxdisc_follower_lag{follower=ADDR} per connected follower
+//     (unregistered when it departs);
+//     proxdisc_follower_send_window_stalls_total and
+//     proxdisc_follower_snapshot_catchups_total.
+//   - Replication, follower side: proxdisc_follow_applied_seq,
+//     proxdisc_follow_head_seq, proxdisc_follow_lag, and
+//     proxdisc_follow_reconnects_total.
+//   - Cluster: proxdisc_peers; proxdisc_shard_peers{shard=N} and
+//     proxdisc_shard_apply_total{shard=N} per shard;
+//     proxdisc_scatter_fanout_total,
+//     proxdisc_checkpoint_duration_seconds, and
+//     proxdisc_arena_bytes{pool=nodes|records|kids|addrs|index,state=live|free},
+//     what the path trees' pools hold in use and parked on free lists, and
+//     the peer index's slots in use and empty.
+//   - Write-ahead log: proxdisc_wal_appends_total,
+//     proxdisc_wal_fsyncs_total, proxdisc_wal_synced_records_total,
+//     proxdisc_wal_append_duration_seconds, and
+//     proxdisc_wal_fsync_duration_seconds, the fsync wait: one observation
+//     per sync cycle, covering all of that cycle's fsync calls.
+//   - Subscriptions: proxdisc_sub_active, proxdisc_sub_events_total,
+//     proxdisc_sub_coalesced_total, proxdisc_sub_dropped_total, and
+//     proxdisc_sub_resyncs_total.
+//   - Client: proxdisc_client_inflight, proxdisc_client_retries_total,
+//     proxdisc_client_redirects_total, and
+//     proxdisc_client_failovers_total.
+//   - Go runtime (telemetry.RegisterGoMetrics): go_goroutines,
+//     go_memstats_* heap and GC gauges, and go_gc_* cycle and pause
+//     counters.
 package main
 
 import (

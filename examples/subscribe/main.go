@@ -74,7 +74,7 @@ func main() {
 	// full current answer, so the cache is useful immediately.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	sub, err := proxdisc.Subscribe(ctx, c, proxdisc.KClosestQuery(proxdisc.PeerID(subject)))
+	sub, err := c.Subscribe(ctx, proxdisc.KClosestQuery(proxdisc.PeerID(subject)))
 	if err != nil {
 		log.Fatal(err)
 	}

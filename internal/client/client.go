@@ -2,33 +2,55 @@
 // management server, the UDP landmark prober, and the two-round join agent.
 //
 // Every connection opens with the protocol's hello (see package proto); a
-// server that does not ack it at version 2 fails the dial. From then on
-// every request is pipelined: frames carry request IDs, a demux goroutine
-// matches responses to waiting calls, and up to MaxInFlight requests share
-// one connection concurrently — callers never serialize behind each other's
-// round trips. A waiting call holds a pooled slot, its response channel and
-// timer, so a round trip allocates nothing but the answer it decodes. Every
-// method is safe for concurrent use.
+// server that does not ack it at version 2 fails the dial
+// (TestDialersRefuseNonV2Server). From then on every request is pipelined:
+// frames carry request IDs, a demux goroutine matches responses to waiting
+// calls, and up to MaxInFlight requests share one connection concurrently —
+// callers never serialize behind each other's round trips, and callers that
+// become runnable together share one write. A waiting call holds a pooled
+// slot, its response channel and timer, so a round trip allocates nothing
+// but the answer it decodes. Every method is safe for concurrent use.
+//
+// Joins can be batched: JoinBatch packs up to the batch size the receiving
+// node advertised (at most proto.MaxBatch, 32, the wire cap) into one
+// frame — the fast path for a flash crowd of newcomers arriving behind one
+// NAT or agent.
 //
 // A Client routes requests over sessions, one hello'd connection per node
 // address. Every request goes on the primary road: the primary a replica
 // named, else the dialled address. A replica names its primary when it
 // refuses a write, by a MsgRedirect for a join and a CodeNotPrimary error
 // for any other. The client learns that primary and sends the request
-// again there, at most MaxRedirects times. One redial rule holds on the
-// road. A transport failure drops that address's session, and a node that
-// failed is forgotten as the learned primary; the request is then sent
-// once more on a fresh dial. A re-sent request is at-least-once: a write
-// whose connection died after the send may be applied twice. Every request
-// is idempotent at the server (re-joins replace, leaves of absent peers
-// ack), so the retry changes no state. A request that timed out is never
-// re-sent, since the original may still be in flight, and neither is one
-// the server answered with any other wire error.
+// again there, at most MaxRedirects times, and every later request goes
+// there too; a client that only reads is never told of a primary and stays
+// on the replica. One redial rule holds on the road. A transport failure
+// drops that address's session, and a node that failed is forgotten as the
+// learned primary; the request is then sent once more on a fresh dial. So
+// a client of a restarted primary (same address, same data directory), or
+// of a server that dropped an idle connection, resumes without caller
+// involvement. A re-sent request is at-least-once: a write whose
+// connection died after the send may be applied twice. Every request is
+// idempotent at the server (re-joins replace, leaves of absent peers ack),
+// so the retry changes no state. A request that timed out is never re-sent,
+// since the original may still be in flight, and neither is one the server
+// answered with any other wire error.
 //
 // A session carries calls and subscriptions alike. A subscription is a
 // subscribe request on the primary road whose ID goes on naming the events
 // the server pushes, so a client that talks to one node holds one
 // connection however many subscriptions it runs.
+//
+// # Context-first API
+//
+// Every request method has a context-first form — JoinContext,
+// LookupContext, StatusContext, LandmarksContext, LeaveContext,
+// RefreshContext, JoinBatchContext, Subscribe — that accepts a
+// context.Context as the cancellation and deadline primitive: the
+// effective bound of each exchange is the tighter of Config.Timeout and the
+// context's deadline, a request whose context ended is not sent again, and
+// a subscription's context scopes its whole lifetime, its resubscribe
+// backoff included. The original methods (Join, Lookup, Status, ...) remain
+// as thin compatibility wrappers over context.Background().
 //
 // A real deployment would obtain the router path with the system traceroute
 // tool; the PathProvider interface abstracts that, so tests and offline

@@ -13,16 +13,37 @@ import (
 	"proxdisc/internal/proto"
 )
 
-// This file is the client half of the push-based read plane: Subscribe
-// registers a live query on the session of the client's primary road, and
-// the subscription folds the deltas the server pushes on that session into
-// a local cache, so CachedLookup answers k-closest queries without a round
-// trip. The session's demux hands the subscription its frames and never
-// waits on it. When the session dies, or the subscription falls so far
-// behind that the demux drops a frame, it re-subscribes with bounded
-// backoff and the fresh ack replaces the cache — the same resync contract
-// a server-side slow-consumer drop uses, so consumers handle exactly one
-// degraded mode.
+// This file is the client half of the push-based read plane. Instead of
+// polling Lookup, a peer registers a live Query with Subscribe: the server
+// evaluates every committed op against the subscription's filter and
+// pushes only the deltas — a peer entering the answer set (EventEnter),
+// leaving it (EventLeave), or changing inside it (EventUpdate). Three
+// filters exist, built with KClosest, PeerQuery and LandmarkQuery: a
+// registered peer's k-closest answer set (the push form of Lookup,
+// re-evaluated incrementally through the same path trees), one peer's
+// registration, and a whole landmark tree's membership.
+//
+// The subscription folds the deltas into a coherent local cache of the
+// current answer, so CachedLookup answers a k-closest query without a round
+// trip when a covering subscription is live. Pushed candidates carry the
+// address the peer's record holds, as pull answers do, so at any quiescent
+// point the cache is byte-identical to what a fresh Lookup would return.
+//
+// A subscription rides the session of the client's primary road, beside
+// its requests, with no connection, hello or heartbeat goroutine of its
+// own: a client holds one connection however many subscriptions it runs
+// (TestSubscriptionsShareTheSession), and Close frees the server's side
+// while the session stays up (TestSubscriptionCloseUnsubscribes). The
+// subscription's heartbeat keeps an idle session inside the server's read
+// timeout (TestIdleSubscriptionKeepsItsSession). The session's demux hands
+// the subscription its frames and never waits on it: one that falls so far
+// behind that a frame is dropped re-subscribes
+// (TestFullSubscriptionDoesNotStallCalls). So does one whose session died,
+// or whose primary failed over: it re-subscribes on the road every request
+// takes (following CodeNotPrimary), with bounded backoff, and the fresh ack
+// replaces the cache — the same resync contract a server-side slow-consumer
+// drop uses, so consumers handle exactly one degraded mode: replace state on
+// resync, apply deltas otherwise.
 
 // QueryKind selects what a Query watches.
 type QueryKind uint8

@@ -4,15 +4,15 @@
 // operation ever relates two trees — every join and every closest-peers
 // query touches exactly one landmark's tree. The state therefore partitions
 // cleanly: a Cluster runs N server.Server shards, each owning a subset of
-// the landmarks, behind a Router that
+// the landmarks, and routes every request itself:
 //
-//   - maps a join to the shard owning its path's landmark via an
+//   - it maps a join to the shard owning its path's landmark via an
 //     assignment table, dealt round-robin by New and never changed after;
-//   - routes peer-keyed requests (Lookup, Leave, Refresh) through the
+//   - it routes peer-keyed requests (Lookup, Leave, Refresh) through the
 //     node's one peer index, which the shards' servers share and maintain
 //     (server.Index): an entry names the peer's landmark, the table that
 //     landmark's owner; and
-//   - answers operations that span landmarks (Peers, aggregate Stats,
+//   - it answers operations that span landmarks (Peers, aggregate Stats,
 //     Expire) with a scatter-gather fan-out, one goroutine per shard.
 //
 // Because shards never share tree state, a Cluster returns byte-identical
@@ -25,6 +25,62 @@
 // primary's landmarks, of any shard count, since no record names a shard,
 // and it applies the stream (Apply) as recovery replays a log and catch-up
 // checkpoints (ResetFromSnapshot) as a durable open loads its own.
+//
+// # A static landmark table
+//
+// New deals the landmarks, in ascending ID order, round-robin over the
+// shards, and the table never changes after: every operation touches one
+// landmark's tree, so a fixed deal is all that sharding needs, and routing
+// a request is a read of the table with no lock. Builds that moved
+// landmarks between shards logged each move and wrote every landmark's
+// owning shard and fencing epoch into their checkpoints; such a log or
+// checkpoint still loads, and every landmark lands on the shard this table
+// deals it, with every peer it holds (TestCheckpointNamingOtherOwnersLoads).
+//
+// # Durability and recovery
+//
+// Config.DataDir makes a node durable: every write is one op (package op),
+// applied to the owning shard and appended to the node's one write-ahead
+// log (package wal) before the call returns. A batched join commits as
+// exactly one log record, which fits one frame of the follower stream
+// (TestBatchJoinOneRecordOneFrame). The state is checkpointed to the same
+// directory in the background (Config.SnapshotBytes, with SnapshotEvery as
+// the op-count fallback) and again on Close, after which the log is
+// truncated at the checkpoint boundary, so the disk footprint is bounded by
+// the checkpoint cadence; a checkpoint is a snapshot (package server,
+// snapshot.go). Config.MaxSyncDelay shapes the group commit, and
+// DurabilityStats has its counters. Expiry sweeps are logged as a single
+// deadline-carrying op, not as per-peer leaves, so logs stay compact and
+// every copy re-derives the identical expiry set.
+//
+// New on a populated directory recovers before returning: one pass reads
+// the latest checkpoint and then the log tail with one applier per shard,
+// each taking its shard's entries of batch joins of new peers in file order
+// through the normal apply path; every other record — a move record, a
+// flag, a leave or refresh, a single or re-homing join, an expiry sweep —
+// waits for the appliers to drain and applies serially between them. When
+// each peer has one writer at a time, a restarted node serves the exact
+// peer set (and, for joins that arrived over the wire, the exact overlay
+// addresses) it acknowledged before the crash (TestCrashRecoveryExactState,
+// TestCheckpointUnderWriters, TestParallelTailMatchesSerialTail), and a
+// node killed with writers on every shard recovers what an uninterrupted
+// run holds (TestShardedWALKillDashNineRecovery). Two writers racing on one
+// peer can log in the opposite order to the one they applied in, and
+// recovery then holds the logged order. The appliers' order decides nothing
+// unless two batches between the same two serial records name one peer,
+// which a checkpoint of this build can: it walks one shard at a time while
+// the others take writes, so a peer re-homed between two shards' walks is
+// written under both. The pass counts the peers at every serial record and
+// at the end, and a count short of the entries handed out sends the whole
+// open again through the serial road, where the later entry wins and the
+// log tail settles the rest (TestCheckpointUnderWriters crashes a node
+// checkpointing beside writers and expiry sweeps, and logs how many of its
+// recoveries fell back). The log's tail can only be torn, and recovered
+// state is a prefix of the committed order (package wal); a checkpoint,
+// which is only ever renamed into place whole, gets no such tolerance — one
+// that is truncated, fails a CRC, or is in the gob format that preceded op
+// streams (no reader for it is kept) fails New with the directory
+// untouched.
 //
 // # Locks on the hot paths
 //
@@ -40,8 +96,9 @@
 // Every write takes, inside the owning server, the writer mutex for the whole
 // op and, under it, the state lock exclusively around each single mutation
 // (one per batch entry), the index stripe's lock innermost — writer mutex →
-// state lock → stripe, one order for every write. The server's join writes
-// the index entry; the cluster writes none of its own.
+// state lock → stripe, one order for every write, and nothing above the
+// server serialises a shard's writers (TestConcurrentJoinsMatchSerial). The
+// server's join writes the index entry; the cluster writes none of its own.
 //
 // After the apply a durable cluster appends to the write-ahead log: the log's
 // one mutex, under which the record takes its sequence and is copied into

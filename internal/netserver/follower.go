@@ -19,20 +19,74 @@ import (
 	"proxdisc/internal/telemetry"
 )
 
-// This file is the follower role: a process that keeps a local copy of a
-// primary's management state by consuming its committed op stream over
-// TCP (MsgFollowRequest), applying every record through the copy's single
-// Apply door — the same door WAL recovery uses — and restoring from a
-// shipped checkpoint when it reconnects too far behind. The stream is
-// deduplicated by sequence, so the primary is free to hand it overlapping
-// ranges (the WAL tail re-read after a reconnect), and the follower acks
-// its applied offset back both as flow control for the primary's send
-// window and as its half of the idle-stream heartbeat. The copy is a
-// cluster.Cluster over the primary's landmarks, of any shard count: no
-// record and no checkpoint names a shard. A NetServer whose
-// Config.Replication is the Follower then serves reads from the copy and
-// points writes at the primary: together they are the replica deployment,
-// and the one way a shard's state is replicated.
+// This file is the follower role, the one way a shard's state is
+// replicated. A cluster keeps exactly one copy of every shard in its
+// process; further copies live in other processes as followers
+// (StartFollower, or proxdisc-server -follow ADDR). A durable primary's
+// write-ahead log doubles as the replication stream: every mutation is one
+// canonically encoded op with one sequence number, so shipping the log is
+// shipping the state. A follower consumes the primary's committed op stream
+// over TCP (MsgFollowRequest) and applies every record through the copy's
+// single Apply door — the door WAL recovery uses: one door, two consumers,
+// zero drift. StartFollower fails against a server that does not
+// acknowledge the hello at version 2 (TestStartFollowerRefusesNonV2Server).
+//
+// There is one kind of copy: a cluster.Cluster over the primary's landmarks
+// (proxdisc-server refuses to start a follower with other -landmarks), of
+// any shard count. No record and no checkpoint names a shard, so the copy
+// deals the landmarks over its own shards, and a 1-shard follower of a
+// 2-shard primary writes the primary's snapshot bytes
+// (TestOneShardFollowerOfTwoShardPrimary, TestFollowerCatchupAfterKill).
+//
+// What a follower guarantees: it applies the primary's committed op stream
+// — joins, batch joins, leaves, refreshes, super-peer flags, TTL expiry
+// sweeps (one op per sweep) — in commit order, so once it has applied up to
+// the primary's head its state serializes to a byte-identical snapshot (a
+// snapshot is a function of the state alone). Replication is asynchronous:
+// the primary acknowledges a write when its own write-ahead log has it, not
+// when a follower does, so a follower's reads may lag the primary's by its
+// reported lag (proto.Status: Head − Applied) and are not read-your-writes.
+// The other way round never happens: a follower, like a subscription, is
+// sent an op only once it is durable on the primary, so none can apply an
+// op a crash of the primary would lose (TestCommitTapSeesOnlyDurableRecords).
+//
+// The primary serves the stream from its WAL (follow.go): live records
+// reach each follower's bounded buffer from the commit tap, a follower that
+// lags is fed by reading the log's files, and one behind the log's
+// retention floor — it reconnected after the primary compacted — receives
+// the latest on-disk checkpoint, shipped as the op stream it is, plus the
+// tail after it. The primary sends at most a bounded window beyond the
+// follower's last acknowledged sequence, so a stalled follower exerts
+// backpressure on its own stream instead of ballooning the primary. Acks
+// double as the idle stream's heartbeat: an idle primary announces its
+// head, which is also how a follower knows its lag, and the follower acks
+// every announcement.
+//
+// Catch-up. A follower that disconnects — crash, partition, restart —
+// redials with its applied sequence and resumes exactly there: from the
+// WAL tail when the primary still retains it, from snapshot + tail when it
+// does not. The stream is deduplicated by sequence, so the primary is free
+// to hand it overlapping ranges (the WAL tail re-read after a reconnect).
+// A shipped checkpoint is restored by the road a durable open loads its
+// own (cluster.Cluster.ResetFromSnapshot): the shard-parallel pass, the
+// serial one when the pass cannot vouch for its state, then one
+// publication. The restore replaces the copy rather than merging, so peers
+// that departed during the outage disappear from the follower too — and
+// only once the whole shipped stream, end frame included, has read
+// cleanly; until then the follower keeps what it had.
+//
+// The replica. A NetServer whose Config.Replication is the Follower serves
+// reads from the copy and names the primary — the address the Follower
+// dials — in its answer to every write: a redirect for a join, a
+// not-primary error carrying the address for anything else, both of which
+// package client follows. Promotion is manual: nothing elects a follower
+// when the primary is lost for good — an operator restarts a node over the
+// follower's state as the new primary and repoints the others.
+//
+// Monitoring. A node's status (Client.Status, proto.Status) carries its
+// last snapshot sequence, WAL tail length and recovery replay time, and on
+// a follower the applied/head pair whose difference is the replication
+// lag; proxdisc-server logs lag and group-commit batching on a live node.
 
 // FollowerBackend is what a Follower calls on the copy it maintains: the
 // op door and whole-state restore for snapshot catch-up. *cluster.Cluster

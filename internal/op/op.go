@@ -21,6 +21,9 @@
 // causing unbounded allocation. Append and DecodeInto below are the whole
 // record layout; the join entry inside a Join or BatchJoin record is
 // codec.AppendJoin / codec.ReadJoin, the same bytes a wire join carries.
+// Encoding an op into a pooled buffer and decoding it into a reused one
+// (TestCodecAllocs), and reading an op stream into one reused op
+// (TestStreamReadReusesOp), allocate nothing.
 package op
 
 import (

@@ -49,7 +49,10 @@
 //     classes.
 //
 // No pool holds a pointer, so the collector never scans them and no peer is
-// a heap object of its own.
+// a heap object of its own. Steady-state churn retires no tree memory to
+// the collector: a join-and-leave cycle allocates nothing (TestChurnAllocs)
+// and churn holds the pools' high-water marks (package server's
+// TestChurnRecyclesSlots).
 //
 // # Two types
 //

@@ -20,6 +20,13 @@
 // siblings), a client reads it into []Candidate; each address is copied
 // once on each side.
 //
+// Writing and reading a frame through buffered streams
+// (TestFrameRoundTripAllocs) and the client's encoding of a join into a
+// pooled buffer (TestJoinDecodeAllocs) allocate nothing. A wire join
+// decoded on the server allocates only what its op keeps, and the client's
+// decode of an answer two allocations whatever its length
+// (TestJoinDecodeAllocs, TestDecodeCandidatesAllocs).
+//
 // # Protocol versions
 //
 // A connection has one shape for its whole life: a handshake, then ID

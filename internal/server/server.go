@@ -55,7 +55,11 @@
 // walk holds it too — collect (Snapshot, WriteSnapshot), Stats, Peers, and
 // the scan by which an expiry sweep finds its peers. A walk is a writer that
 // does not write: holding wmu it reads the state with no other lock, writers
-// queue behind it, and lookups do not notice it.
+// queue behind it, and lookups do not notice it: a lookup, and a metrics
+// scrape, return while a walk holds wmu
+// (TestLookupProceedsWhileWriterMutexHeld), and a lookup beside churning
+// writers never sees a torn or recycled record (TestReadersDuringChurn, and
+// package pathtree's TestConcurrentChurnQueryNeverSeesRecycled).
 //
 // The state lock (mu, an RWMutex) is what lookups take. Lookup, PeerInfo,
 // NumPeers, ArenaStats and Landmarks read-hold it. A writer, wmu

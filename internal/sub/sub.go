@@ -1,6 +1,8 @@
 // Package sub is the server-side subscription plane: it turns the
 // committed op stream (the commit tap on a primary, the applied stream on
-// a follower) into filtered push events for live queries.
+// a follower) into filtered push events for live queries. Follower nodes
+// serve subscriptions too, so the push read plane scales out with the
+// replication tree.
 //
 // A Plane owns one dispatcher goroutine. Ops are fed in commit order
 // through a bounded channel (Feed* never block the commit path); the

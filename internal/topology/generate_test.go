@@ -162,3 +162,12 @@ func TestParseModelRoundTrip(t *testing.T) {
 		t.Fatal("accepted unknown model name")
 	}
 }
+
+// TestDefaultConfig pins the paper-scale map: 2 000 core and 2 000 leaf
+// routers.
+func TestDefaultConfig(t *testing.T) {
+	cfg := DefaultConfig()
+	if cfg.CoreRouters != 2000 || cfg.LeafRouters != 2000 {
+		t.Fatalf("default topology %+v", cfg)
+	}
+}

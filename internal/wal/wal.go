@@ -8,8 +8,14 @@
 // appended before it began, advances the durable mark, and releases all
 // the appenders it covered together), so the per-write cost of durability
 // amortizes under load instead of serializing behind one fsync per
-// operation. The commit tap — the feed of followers and subscriptions —
-// sees a record only once it is durable.
+// operation. An appender only takes its sequences and copies its records
+// into a buffer; one sync cycle at a time, its leader writes and fsyncs
+// the cycle's records once, with no lock held, while appenders keep
+// buffering the next, and releases all the cycle's waiters together
+// (TestAppendBuffersWhileLeaderWrites, TestOneCycleReleasesEveryWaiter,
+// TestShardedConcurrentAppendGroupCommit, TestMaxSyncDelayBatchesFsyncs).
+// The commit tap — the feed of followers and subscriptions — sees a record
+// only once it is durable.
 //
 // Records are framed as
 //
@@ -24,10 +30,15 @@
 // tail by CRC and truncates it and everything after it — a torn record was
 // never acknowledged, and neither was any record after it, so dropping them
 // loses nothing the caller promised (TestTornTailTruncated,
-// TestRecoveryStopsAtFirstGlobalHole).
+// TestRecoveryStopsAtFirstGlobalHole). Recovered state is therefore always
+// a prefix of the committed order.
 //
 // There is one log, Sharded, whose sync cycle's leader is the only writer
-// of its file (see sharded.go).
+// of its file (see sharded.go): one stream of segment files
+// (wal-0-<seq>.seg) under one sequence, whatever the node's shard count. A
+// directory holding a segment of an older log format — one stream per
+// shard, or the single-stream log before it — is refused at open,
+// untouched (TestShardedRefusesLegacySegments).
 package wal
 
 import (

@@ -1,50 +1,9 @@
 package proxdisc
 
 import (
-	"bytes"
 	"testing"
 	"time"
 )
-
-// TestPublicPathTree exercises the core data structure through the public
-// API exactly as a downstream user would.
-func TestPublicPathTree(t *testing.T) {
-	tree := NewPathTree(0)
-	if err := tree.Insert(1, []RouterID{10, 12, 0}); err != nil {
-		t.Fatal(err)
-	}
-	if err := tree.Insert(2, []RouterID{11, 12, 0}); err != nil {
-		t.Fatal(err)
-	}
-	if err := tree.Insert(3, []RouterID{13, 0}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := tree.Closest(1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0].Peer != 2 || got[0].DTree != 2 {
-		t.Fatalf("closest=%v", got)
-	}
-}
-
-// TestPublicServer exercises the management-server logic.
-func TestPublicServer(t *testing.T) {
-	srv, err := NewServer(ServerConfig{Landmarks: []RouterID{0}, NeighborCount: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := srv.Join(1, []RouterID{10, 0}); err != nil {
-		t.Fatal(err)
-	}
-	cands, err := srv.Join(2, []RouterID{11, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cands) != 1 || cands[0].Peer != 1 {
-		t.Fatalf("cands=%v", cands)
-	}
-}
 
 // TestPublicSimulation runs the full simulated protocol.
 func TestPublicSimulation(t *testing.T) {
@@ -121,22 +80,16 @@ func TestPublicNetworkStack(t *testing.T) {
 	}
 }
 
-func TestDefaultTopology(t *testing.T) {
-	cfg := DefaultTopology()
-	if cfg.CoreRouters != 2000 || cfg.LeafRouters != 2000 {
-		t.Fatalf("default topology %+v", cfg)
-	}
-}
-
 // TestPublicCluster exercises the sharded management cluster through the
-// public API: same answers as a single Server, and every peer answerable.
+// public API: the same answers from four shards as from one, and every peer
+// answerable.
 func TestPublicCluster(t *testing.T) {
 	landmarks := []RouterID{0, 100, 200, 300}
 	c, err := NewCluster(ClusterConfig{Landmarks: landmarks, Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewServer(ServerConfig{Landmarks: landmarks})
+	s, err := NewCluster(ClusterConfig{Landmarks: landmarks})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +113,7 @@ func TestPublicCluster(t *testing.T) {
 		}
 	}
 	if c.NumPeers() != s.NumPeers() {
-		t.Fatalf("cluster peers=%d server peers=%d", c.NumPeers(), s.NumPeers())
+		t.Fatalf("4-shard peers=%d 1-shard peers=%d", c.NumPeers(), s.NumPeers())
 	}
 	for i := range paths {
 		if _, err := c.Lookup(PeerID(i + 1)); err != nil {
@@ -186,61 +139,5 @@ func TestPublicShardedSimulation(t *testing.T) {
 	}
 	if got := sim.Server.NumPeers(); got != 40 {
 		t.Fatalf("peers=%d", got)
-	}
-}
-
-// TestPublicReplicatedCluster drives the replication surface end to end
-// through the public API: a durable sharded primary behind a TCP front
-// end, and a follower streaming its op log into a local copy until the two
-// serialize identically.
-func TestPublicReplicatedCluster(t *testing.T) {
-	landmarks := []RouterID{0, 100, 200, 300}
-	c, err := NewCluster(ClusterConfig{Landmarks: landmarks, Shards: 2, DataDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	ns, err := ListenAndServe(NetServerConfig{Addr: "127.0.0.1:0", Server: c})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ns.Close()
-	paths := [][]RouterID{
-		{10, 11, 0}, {12, 11, 0}, {20, 21, 100}, {22, 21, 100}, {30, 200}, {40, 300},
-	}
-	for i, path := range paths {
-		if _, err := c.Join(PeerID(i+1), path); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !c.Leave(2) {
-		t.Fatal("leave failed")
-	}
-
-	copySrv, err := NewCluster(ClusterConfig{Landmarks: landmarks, Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := StartFollower(FollowerConfig{PrimaryAddr: ns.Addr(), Backend: copySrv})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	head := c.CommittedHead()
-	for deadline := time.Now().Add(10 * time.Second); f.Applied() < head; {
-		if time.Now().After(deadline) {
-			t.Fatalf("follower stuck at seq %d of %d (last err %v)", f.Applied(), head, f.Err())
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	var want, got bytes.Buffer
-	if err := c.Snapshot(&want); err != nil {
-		t.Fatal(err)
-	}
-	if err := copySrv.Snapshot(&got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(want.Bytes(), got.Bytes()) {
-		t.Fatalf("follower copy differs from the primary: %d vs %d peers", copySrv.NumPeers(), c.NumPeers())
 	}
 }
