@@ -2,6 +2,14 @@ package main
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"regexp"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -61,5 +69,69 @@ func TestPrimaryLandmarks(t *testing.T) {
 	}
 	if err := primaryLandmarks("127.0.0.1:1", []topology.NodeID{0}, time.Second); err == nil {
 		t.Fatal("a check against an address nothing listens on passed")
+	}
+}
+
+// seriesName matches the base name of a proxdisc metric series: what
+// precedes its label set, if it has one.
+var seriesName = regexp.MustCompile(`proxdisc_[a-z0-9_]+`)
+
+// TestDocListsEverySeries holds the series list in this command's doc to
+// the code: the proxdisc_* base names it names must be exactly those of the
+// string literals in the non-test Go files under internal/ and cmd/.
+func TestDocListsEverySeries(t *testing.T) {
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "main.go", nil, parser.ParseComments|parser.PackageClauseOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	documented := map[string]bool{}
+	for _, name := range seriesName.FindAllString(f.Doc.Text(), -1) {
+		documented[name] = true
+	}
+
+	registered := map[string]bool{}
+	for _, root := range []string{"../../internal", "../../cmd"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			file, err := parser.ParseFile(fset, path, nil, 0)
+			if err != nil {
+				return err
+			}
+			ast.Inspect(file, func(n ast.Node) bool {
+				if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					if v, err := strconv.Unquote(lit.Value); err == nil && strings.HasPrefix(v, "proxdisc_") {
+						registered[seriesName.FindString(v)] = true
+					}
+				}
+				return true
+			})
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(registered) == 0 {
+		t.Fatal("found no proxdisc_* literal under internal/ and cmd/")
+	}
+
+	var undocumented, unregistered []string
+	for name := range registered {
+		if !documented[name] {
+			undocumented = append(undocumented, name)
+		}
+	}
+	for name := range documented {
+		if !registered[name] {
+			unregistered = append(unregistered, name)
+		}
+	}
+	slices.Sort(undocumented)
+	slices.Sort(unregistered)
+	if len(undocumented) > 0 || len(unregistered) > 0 {
+		t.Fatalf("series the code registers but the doc does not list: %v; listed but registered nowhere: %v", undocumented, unregistered)
 	}
 }
