@@ -71,7 +71,11 @@
 //     proxdisc_checkpoint_duration_seconds, and
 //     proxdisc_arena_bytes{pool=nodes|records|kids|addrs|index,state=live|free},
 //     what the path trees' pools hold in use and parked on free lists, and
-//     the peer index's slots in use and empty.
+//     the peer index's slots in use and empty; for the last durable open,
+//     proxdisc_recovery_load_seconds (the checkpoint load),
+//     proxdisc_recovery_replay_seconds (the log tail's replay), and
+//     proxdisc_recovery_serial_records (the tail's records applied
+//     serially).
 //   - Write-ahead log: proxdisc_wal_appends_total,
 //     proxdisc_wal_fsyncs_total, proxdisc_wal_synced_records_total,
 //     proxdisc_wal_append_duration_seconds, and
