@@ -39,6 +39,23 @@ func TestBuildWorld(t *testing.T) {
 	}
 }
 
+// TestLeafBandPlacesLeafLandmarks pins E3's band=leaf row to what it
+// names: asked for the leaf band, the world places every landmark on a
+// degree-1 router, not in the medium band a default would pick.
+func TestLeafBandPlacesLeafLandmarks(t *testing.T) {
+	cfg := smallWorld(3)
+	cfg.LandmarkBand = topology.BandLeaf
+	w, err := BuildWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, lm := range w.Landmarks {
+		if d := w.Graph.Degree(lm); d != 1 {
+			t.Errorf("landmark %d has degree %d, want 1", lm, d)
+		}
+	}
+}
+
 func TestBuildWorldDefaults(t *testing.T) {
 	w, err := BuildWorld(WorldConfig{Seed: 2})
 	if err != nil {
