@@ -27,8 +27,8 @@ type WorldConfig struct {
 	Topology topology.Config
 	// NumLandmarks is the number of landmarks (default 8).
 	NumLandmarks int
-	// LandmarkBand is the degree band landmarks are placed in. The paper
-	// uses medium-degree routers; the placement ablation varies this.
+	// LandmarkBand is the degree band landmarks are placed in. The zero
+	// value is the paper's medium band; the placement ablation varies it.
 	LandmarkBand topology.DegreeBand
 	// LandmarkPolicy selects the placement algorithm (default PlaceBand,
 	// the paper's method; PlaceKCenter and PlaceDegreeWeighted implement
@@ -69,9 +69,6 @@ func (c *WorldConfig) applyDefaults() {
 	}
 	if c.NeighborCount == 0 {
 		c.NeighborCount = server.DefaultNeighborCount
-	}
-	if c.LandmarkBand == 0 {
-		c.LandmarkBand = topology.BandMedium
 	}
 }
 

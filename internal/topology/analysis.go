@@ -55,12 +55,13 @@ func LeafRouters(g *Graph) []NodeID { return NodesWithDegree(g, 1) }
 type DegreeBand int
 
 const (
-	// BandLeaf selects degree-1 routers.
-	BandLeaf DegreeBand = iota
 	// BandMedium selects routers between the 50th and 90th degree
 	// percentiles (excluding degree-1) — the paper places landmarks on
-	// "routers with medium-size degree".
-	BandMedium
+	// "routers with medium-size degree". It is the zero value, so a
+	// config that names no band gets the paper's.
+	BandMedium DegreeBand = iota
+	// BandLeaf selects degree-1 routers.
+	BandLeaf
 	// BandCore selects the top decile by degree.
 	BandCore
 	// BandAny selects every router.
@@ -70,10 +71,10 @@ const (
 // String returns the band's canonical name.
 func (b DegreeBand) String() string {
 	switch b {
-	case BandLeaf:
-		return "leaf"
 	case BandMedium:
 		return "medium"
+	case BandLeaf:
+		return "leaf"
 	case BandCore:
 		return "core"
 	case BandAny:

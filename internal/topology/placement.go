@@ -51,8 +51,8 @@ func ParsePlacementPolicy(s string) (PlacementPolicy, error) {
 }
 
 // PlaceLandmarks selects k landmark routers under the given policy. For
-// PlaceBand the band parameter applies; the other policies ignore it.
-// Degree-1 routers are never chosen (they host peers).
+// PlaceBand the band parameter applies; the other policies ignore it and
+// never choose a degree-1 router (those host peers). Only BandLeaf does.
 func PlaceLandmarks(g *Graph, policy PlacementPolicy, k int, band DegreeBand, rng *rand.Rand) ([]NodeID, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("topology: need a positive landmark count, got %d", k)
