@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -53,6 +54,30 @@ func TestLeafBandPlacesLeafLandmarks(t *testing.T) {
 		if d := w.Graph.Degree(lm); d != 1 {
 			t.Errorf("landmark %d has degree %d, want 1", lm, d)
 		}
+	}
+}
+
+// TestWorldKeepsTopologyFields pins that defaults fill only what the
+// caller left zero: a Waxman map with 300 leaves and its own seed, and no
+// core size, is that map at the default core size, not the default
+// Barabási–Albert map.
+func TestWorldKeepsTopologyFields(t *testing.T) {
+	w, err := BuildWorld(WorldConfig{
+		Topology: topology.Config{Model: topology.ModelWaxman, LeafRouters: 300, Seed: 7},
+		Seed:     9,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := topology.Generate(topology.Config{
+		Model: topology.ModelWaxman, CoreRouters: 2000, LeafRouters: 300, Seed: 7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.Graph.NumNodes() != want.NumNodes() || !slices.Equal(w.Graph.Edges(), want.Edges()) {
+		t.Fatalf("world map has %d routers and %d links, want the requested Waxman map's %d and %d",
+			w.Graph.NumNodes(), w.Graph.NumEdges(), want.NumNodes(), want.NumEdges())
 	}
 }
 
