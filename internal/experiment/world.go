@@ -23,7 +23,8 @@ import (
 // WorldConfig describes one simulated deployment: a topology, a landmark
 // placement policy, and the traceroute behaviour of peers.
 type WorldConfig struct {
-	// Topology configures the router map.
+	// Topology configures the router map. Its zero fields take
+	// topology.Generate's defaults, and a zero Seed the world's Seed.
 	Topology topology.Config
 	// NumLandmarks is the number of landmarks (default 8).
 	NumLandmarks int
@@ -60,8 +61,7 @@ type WorldConfig struct {
 }
 
 func (c *WorldConfig) applyDefaults() {
-	if c.Topology.CoreRouters == 0 {
-		c.Topology = topology.DefaultConfig()
+	if c.Topology.Seed == 0 {
 		c.Topology.Seed = c.Seed
 	}
 	if c.NumLandmarks == 0 {
