@@ -11,7 +11,6 @@ import (
 	"sort"
 
 	"proxdisc/internal/cluster"
-	"proxdisc/internal/latency"
 	"proxdisc/internal/metrics"
 	"proxdisc/internal/pathtree"
 	"proxdisc/internal/routing"
@@ -53,9 +52,6 @@ type WorldConfig struct {
 	DataDir string
 	// Trace configures the peers' traceroute tool.
 	Trace traceroute.Config
-	// UseDelays, when true, assigns link delays and routes by latency;
-	// otherwise routing and landmark choice use hop counts.
-	UseDelays bool
 	// Seed drives all randomness in the world.
 	Seed int64
 }
@@ -104,15 +100,6 @@ func BuildWorld(cfg WorldConfig) (*World, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiment: landmark placement: %w", err)
 	}
-	var delays *latency.Delays
-	if cfg.UseDelays {
-		delays, err = latency.AssignDelays(g, latency.DelayConfig{
-			Model: latency.DelayDegreeScaled, Seed: cfg.Seed + 2,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("experiment: delays: %w", err)
-		}
-	}
 	srv, err := cluster.New(cluster.Config{
 		Landmarks:     landmarks,
 		Shards:        cfg.Shards,
@@ -138,7 +125,7 @@ func BuildWorld(cfg WorldConfig) (*World, error) {
 	return &World{
 		Cfg:         cfg,
 		Graph:       g,
-		Tracer:      traceroute.New(g, delays),
+		Tracer:      traceroute.New(g),
 		Landmarks:   landmarks,
 		Server:      srv,
 		Attachments: make(metrics.Attachments),

@@ -1,148 +1,17 @@
-// Package latency models link delays and end-to-end RTTs.
-//
-// Two complementary models are provided:
-//
-//   - Delays assigns a propagation delay to every link of a router graph so
-//     that RTTs can be derived from latency-weighted shortest paths; this is
-//     how the simulator turns the IR map into a latency space.
-//   - Matrix is a dense host-to-host RTT matrix. SyntheticKing generates one
-//     with the statistical features of the public King data set (log-normal
-//     marginals, controlled triangle-inequality violations). The paper's
-//     baselines (Vivaldi, GNP) are evaluated on such matrices, replacing the
-//     measured data we cannot ship.
+// Package latency holds Matrix, a dense host-to-host RTT matrix: the
+// ground truth the coordinate baselines (Vivaldi, GNP) are fitted to.
+// E4 (experiment.RunQuickness) fills one from the simulated map's hop
+// distances, 2 ms per hop. SyntheticKing generates one with the
+// statistical features of the public King data set (log-normal marginals,
+// controlled triangle-inequality violations); the vivaldi, gnp and
+// latency tests run on it.
 package latency
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
-
-	"proxdisc/internal/topology"
 )
-
-// DelayModel selects how link delays are drawn.
-type DelayModel int
-
-const (
-	// DelayUniform draws uniformly in [Min,Max) milliseconds.
-	DelayUniform DelayModel = iota
-	// DelayLogNormal draws log-normal delays with median Min ms, giving a
-	// long tail of slow links reminiscent of intercontinental hops.
-	DelayLogNormal
-	// DelayDegreeScaled draws uniform delays but scales them down on
-	// core-to-core links (high-degree endpoints), reflecting that backbone
-	// links are fast relative to access links.
-	DelayDegreeScaled
-)
-
-// String returns the model's canonical name.
-func (m DelayModel) String() string {
-	switch m {
-	case DelayUniform:
-		return "uniform"
-	case DelayLogNormal:
-		return "lognormal"
-	case DelayDegreeScaled:
-		return "degree-scaled"
-	default:
-		return fmt.Sprintf("delaymodel(%d)", int(m))
-	}
-}
-
-// DelayConfig parameterizes AssignDelays.
-type DelayConfig struct {
-	Model DelayModel
-	// Min and Max bound (or parameterize) the per-link delay in
-	// milliseconds. Zero values default to [2,40) ms.
-	Min, Max float64
-	// Seed seeds the deterministic RNG.
-	Seed int64
-}
-
-func (c *DelayConfig) applyDefaults() {
-	if c.Min == 0 && c.Max == 0 {
-		c.Min, c.Max = 2, 40
-	}
-	if c.Max <= c.Min {
-		c.Max = c.Min + 1
-	}
-}
-
-type edgeKey struct{ a, b topology.NodeID }
-
-func canon(u, v topology.NodeID) edgeKey {
-	if u > v {
-		u, v = v, u
-	}
-	return edgeKey{u, v}
-}
-
-// Delays holds a one-way propagation delay in milliseconds for every link of
-// a graph.
-type Delays struct {
-	m map[edgeKey]float64
-}
-
-// AssignDelays draws a delay for every edge of g.
-func AssignDelays(g *topology.Graph, cfg DelayConfig) (*Delays, error) {
-	cfg.applyDefaults()
-	if cfg.Min < 0 {
-		return nil, fmt.Errorf("latency: negative Min delay %g", cfg.Min)
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	d := &Delays{m: make(map[edgeKey]float64, g.NumEdges())}
-	// Precompute degrees once for DelayDegreeScaled.
-	maxDeg := 1
-	if cfg.Model == DelayDegreeScaled {
-		maxDeg = topology.MaxDegree(g)
-	}
-	for _, e := range g.Edges() {
-		var ms float64
-		switch cfg.Model {
-		case DelayUniform:
-			ms = cfg.Min + rng.Float64()*(cfg.Max-cfg.Min)
-		case DelayLogNormal:
-			// Median cfg.Min, sigma tuned to put the 95th percentile
-			// near cfg.Max.
-			sigma := math.Log(cfg.Max/cfg.Min) / 1.645
-			if sigma <= 0 {
-				sigma = 0.5
-			}
-			ms = cfg.Min * math.Exp(rng.NormFloat64()*sigma)
-		case DelayDegreeScaled:
-			base := cfg.Min + rng.Float64()*(cfg.Max-cfg.Min)
-			du := float64(g.Degree(e[0]))
-			dv := float64(g.Degree(e[1]))
-			// Backbone factor in (0,1]: the busier both endpoints, the
-			// faster the link.
-			f := 1 - 0.8*math.Sqrt(du*dv)/float64(maxDeg)
-			if f < 0.2 {
-				f = 0.2
-			}
-			ms = base * f
-		default:
-			return nil, fmt.Errorf("latency: unknown delay model %v", cfg.Model)
-		}
-		if ms <= 0 {
-			ms = 0.01
-		}
-		d.m[canon(e[0], e[1])] = ms
-	}
-	return d, nil
-}
-
-// Weight reports the one-way delay of link (u,v); it panics on unknown links
-// only in debug builds — for robustness it returns +Inf so routing treats
-// missing links as unusable.
-func (d *Delays) Weight(u, v topology.NodeID) float64 {
-	if ms, ok := d.m[canon(u, v)]; ok {
-		return ms
-	}
-	return math.Inf(1)
-}
-
-// NumLinks reports the number of links with assigned delays.
-func (d *Delays) NumLinks() int { return len(d.m) }
 
 // Matrix is a dense symmetric RTT matrix in milliseconds with zero diagonal.
 type Matrix struct {

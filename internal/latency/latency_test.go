@@ -1,99 +1,10 @@
 package latency
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"proxdisc/internal/routing"
-	"proxdisc/internal/topology"
 )
-
-func testGraph(t *testing.T) *topology.Graph {
-	t.Helper()
-	g, err := topology.Generate(topology.Config{Model: topology.ModelBarabasiAlbert, CoreRouters: 150, LeafRouters: 100, EdgesPerNode: 2, Seed: 21})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return g
-}
-
-func TestAssignDelaysCoversAllLinks(t *testing.T) {
-	g := testGraph(t)
-	for _, model := range []DelayModel{DelayUniform, DelayLogNormal, DelayDegreeScaled} {
-		d, err := AssignDelays(g, DelayConfig{Model: model, Seed: 3})
-		if err != nil {
-			t.Fatalf("%v: %v", model, err)
-		}
-		if d.NumLinks() != g.NumEdges() {
-			t.Fatalf("%v: %d delays for %d edges", model, d.NumLinks(), g.NumEdges())
-		}
-		for _, e := range g.Edges() {
-			w := d.Weight(e[0], e[1])
-			if w <= 0 || math.IsInf(w, 1) {
-				t.Fatalf("%v: edge %v weight %v", model, e, w)
-			}
-			if d.Weight(e[1], e[0]) != w {
-				t.Fatalf("%v: asymmetric weight on %v", model, e)
-			}
-		}
-	}
-}
-
-func TestAssignDelaysUniformRange(t *testing.T) {
-	g := testGraph(t)
-	d, err := AssignDelays(g, DelayConfig{Model: DelayUniform, Min: 5, Max: 10, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range g.Edges() {
-		w := d.Weight(e[0], e[1])
-		if w < 5 || w >= 10 {
-			t.Fatalf("uniform delay %v outside [5,10)", w)
-		}
-	}
-}
-
-func TestAssignDelaysDeterminism(t *testing.T) {
-	g := testGraph(t)
-	d1, _ := AssignDelays(g, DelayConfig{Model: DelayUniform, Seed: 7})
-	d2, _ := AssignDelays(g, DelayConfig{Model: DelayUniform, Seed: 7})
-	for _, e := range g.Edges() {
-		if d1.Weight(e[0], e[1]) != d2.Weight(e[0], e[1]) {
-			t.Fatal("same seed produced different delays")
-		}
-	}
-}
-
-func TestAssignDelaysRejectsNegativeMin(t *testing.T) {
-	g := testGraph(t)
-	if _, err := AssignDelays(g, DelayConfig{Model: DelayUniform, Min: -4, Max: 2}); err == nil {
-		t.Fatal("accepted negative Min")
-	}
-}
-
-func TestUnknownLinkIsInfinite(t *testing.T) {
-	g := testGraph(t)
-	d, _ := AssignDelays(g, DelayConfig{Model: DelayUniform, Seed: 1})
-	if !math.IsInf(d.Weight(0, 0), 1) {
-		t.Fatal("self link should be +Inf")
-	}
-}
-
-func TestDelaysDriveDijkstra(t *testing.T) {
-	g := testGraph(t)
-	d, _ := AssignDelays(g, DelayConfig{Model: DelayDegreeScaled, Seed: 2})
-	tr, err := routing.DijkstraTree(g, 0, d.Weight)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for u := 0; u < g.NumNodes(); u++ {
-		if math.IsInf(tr.Cost[u], 1) {
-			t.Fatalf("node %d unreachable on connected graph", u)
-		}
-	}
-}
 
 func TestMatrixBasics(t *testing.T) {
 	m := NewMatrix(3)

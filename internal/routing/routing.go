@@ -1,13 +1,12 @@
 // Package routing computes shortest paths over router-level topologies.
 //
-// The proxdisc simulator needs three things from its routing substrate:
+// The proxdisc simulator needs two things from its routing substrate:
 //
 //   - hop-count distances between arbitrary router pairs (the paper's D,
 //     Dclosest and Drandom metrics are sums of hop distances);
 //   - a deterministic routing tree toward each landmark, so that a simulated
 //     traceroute from a peer to a landmark always reports the same router
-//     path the "network" would use;
-//   - latency-weighted paths for RTT modelling.
+//     path the "network" would use.
 //
 // Determinism matters: real networks have a single installed route at any
 // moment, and the reproducibility of every experiment depends on stable
@@ -16,14 +15,12 @@
 package routing
 
 import (
-	"container/heap"
 	"fmt"
-	"math"
 
 	"proxdisc/internal/topology"
 )
 
-// Unreachable marks nodes with no path to the BFS/Dijkstra source.
+// Unreachable marks nodes with no path to the BFS source.
 const Unreachable = int32(-1)
 
 // Tree is a shortest-path tree rooted at Root. Parent[u] is the next hop
@@ -103,111 +100,4 @@ func BFSDistances(g *topology.Graph, src topology.NodeID) ([]int32, error) {
 		return nil, err
 	}
 	return t.Depth, nil
-}
-
-// WeightFunc reports the latency (or any non-negative cost) of traversing
-// the edge (u,v). It is only called for edges present in the graph.
-type WeightFunc func(u, v topology.NodeID) float64
-
-// WeightedTree is a latency-weighted shortest-path tree.
-type WeightedTree struct {
-	Root   topology.NodeID
-	Parent []topology.NodeID
-	Cost   []float64 // +Inf when unreachable
-	Hops   []int32
-}
-
-// DijkstraTree builds the minimum-latency tree rooted at root, breaking cost
-// ties first by hop count and then by smaller parent ID.
-func DijkstraTree(g *topology.Graph, root topology.NodeID, w WeightFunc) (*WeightedTree, error) {
-	n := g.NumNodes()
-	if int(root) < 0 || int(root) >= n {
-		return nil, fmt.Errorf("routing: root %d out of range [0,%d)", root, n)
-	}
-	t := &WeightedTree{
-		Root:   root,
-		Parent: make([]topology.NodeID, n),
-		Cost:   make([]float64, n),
-		Hops:   make([]int32, n),
-	}
-	for i := range t.Parent {
-		t.Parent[i] = topology.InvalidNode
-		t.Cost[i] = math.Inf(1)
-		t.Hops[i] = Unreachable
-	}
-	t.Cost[root] = 0
-	t.Hops[root] = 0
-	pq := &nodeHeap{items: []heapItem{{node: root, cost: 0}}}
-	done := make([]bool, n)
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(heapItem)
-		u := it.node
-		if done[u] {
-			continue
-		}
-		done[u] = true
-		for _, v := range g.Neighbors(u) {
-			cw := w(u, v)
-			if cw < 0 {
-				return nil, fmt.Errorf("routing: negative weight %g on edge (%d,%d)", cw, u, v)
-			}
-			nc := t.Cost[u] + cw
-			nh := t.Hops[u] + 1
-			better := nc < t.Cost[v] ||
-				(nc == t.Cost[v] && nh < t.Hops[v]) ||
-				(nc == t.Cost[v] && nh == t.Hops[v] && t.Parent[v] != topology.InvalidNode && u < t.Parent[v])
-			if better {
-				t.Cost[v] = nc
-				t.Hops[v] = nh
-				t.Parent[v] = u
-				heap.Push(pq, heapItem{node: v, cost: nc})
-			}
-		}
-	}
-	return t, nil
-}
-
-// PathFrom returns the router path u → … → root on the weighted tree.
-func (t *WeightedTree) PathFrom(u topology.NodeID) []topology.NodeID {
-	if int(u) < 0 || int(u) >= len(t.Cost) || math.IsInf(t.Cost[u], 1) {
-		return nil
-	}
-	path := make([]topology.NodeID, 0, t.Hops[u]+1)
-	for v := u; v != topology.InvalidNode; v = t.Parent[v] {
-		path = append(path, v)
-	}
-	return path
-}
-
-// Latency returns the accumulated cost from u to the root (+Inf when
-// unreachable).
-func (t *WeightedTree) Latency(u topology.NodeID) float64 {
-	if int(u) < 0 || int(u) >= len(t.Cost) {
-		return math.Inf(1)
-	}
-	return t.Cost[u]
-}
-
-type heapItem struct {
-	node topology.NodeID
-	cost float64
-}
-
-type nodeHeap struct{ items []heapItem }
-
-func (h *nodeHeap) Len() int { return len(h.items) }
-func (h *nodeHeap) Less(i, j int) bool {
-	if h.items[i].cost != h.items[j].cost {
-		return h.items[i].cost < h.items[j].cost
-	}
-	return h.items[i].node < h.items[j].node
-}
-func (h *nodeHeap) Swap(i, j int) { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *nodeHeap) Push(x any)    { h.items = append(h.items, x.(heapItem)) }
-func (h *nodeHeap) Pop() any {
-	old := h.items
-	n := len(old)
-	it := old[n-1]
-	h.items = old[:n-1]
-	return it
 }

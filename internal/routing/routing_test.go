@@ -1,7 +1,6 @@
 package routing
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -139,87 +138,6 @@ func TestHopTriangleInequality(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestDijkstraMatchesBFSOnUnitWeights(t *testing.T) {
-	g, err := topology.Generate(topology.Config{Model: topology.ModelBarabasiAlbert, CoreRouters: 150, LeafRouters: 100, EdgesPerNode: 2, Seed: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	unit := func(u, v topology.NodeID) float64 { return 1 }
-	bfs, _ := BFSTree(g, 0)
-	dij, err := DijkstraTree(g, 0, unit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for u := 0; u < g.NumNodes(); u++ {
-		if int32(dij.Cost[u]) != bfs.Depth[u] {
-			t.Fatalf("node %d: dijkstra cost %v != bfs depth %d", u, dij.Cost[u], bfs.Depth[u])
-		}
-	}
-}
-
-func TestDijkstraWeightedPath(t *testing.T) {
-	// Triangle with a heavy direct edge: 0-1 (10), 0-2 (1), 2-1 (1).
-	// Shortest 0→1 goes through 2.
-	g := topology.NewGraph(3)
-	for _, e := range [][2]topology.NodeID{{0, 1}, {0, 2}, {2, 1}} {
-		if err := g.AddEdge(e[0], e[1]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	w := func(u, v topology.NodeID) float64 {
-		if (u == 0 && v == 1) || (u == 1 && v == 0) {
-			return 10
-		}
-		return 1
-	}
-	tr, err := DijkstraTree(g, 0, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Cost[1] != 2 {
-		t.Fatalf("cost to 1 = %v want 2", tr.Cost[1])
-	}
-	p := tr.PathFrom(1)
-	want := []topology.NodeID{1, 2, 0}
-	if len(p) != 3 || p[0] != want[0] || p[1] != want[1] || p[2] != want[2] {
-		t.Fatalf("path=%v want %v", p, want)
-	}
-}
-
-func TestDijkstraRejectsNegativeWeight(t *testing.T) {
-	g := lineGraph(2)
-	if _, err := DijkstraTree(g, 0, func(u, v topology.NodeID) float64 { return -1 }); err == nil {
-		t.Fatal("accepted negative weight")
-	}
-}
-
-func TestDijkstraUnreachable(t *testing.T) {
-	g := topology.NewGraph(3)
-	if err := g.AddEdge(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	tr, err := DijkstraTree(g, 0, func(u, v topology.NodeID) float64 { return 1 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !math.IsInf(tr.Cost[2], 1) {
-		t.Fatalf("unreachable cost=%v", tr.Cost[2])
-	}
-	if tr.PathFrom(2) != nil {
-		t.Fatal("path to unreachable should be nil")
-	}
-	if !math.IsInf(tr.Latency(99), 1) {
-		t.Fatal("invalid node latency should be +Inf")
-	}
-}
-
-func TestDijkstraBadRoot(t *testing.T) {
-	g := lineGraph(2)
-	if _, err := DijkstraTree(g, 5, func(u, v topology.NodeID) float64 { return 1 }); err == nil {
-		t.Fatal("accepted out-of-range root")
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 	"math/rand"
 	"sync"
 
-	"proxdisc/internal/latency"
 	"proxdisc/internal/routing"
 	"proxdisc/internal/topology"
 )
@@ -102,68 +101,37 @@ func (c *Config) applyDefaults() {
 }
 
 // Tracer runs simulated traceroutes over a topology. Routes follow the
-// deterministic shortest-path tree toward each destination (latency-weighted
-// when delays are supplied, hop-count otherwise), mimicking a converged
-// routing plane. Tracer caches one tree per destination and is safe for
+// deterministic hop-count shortest-path tree toward each destination,
+// mimicking a converged routing plane, and every hop adds 1 ms of one-way
+// latency. Tracer caches one tree per destination and is safe for
 // concurrent use.
 type Tracer struct {
-	g      *topology.Graph
-	delays *latency.Delays
+	g *topology.Graph
 
-	mu       sync.Mutex
-	hopTrees map[topology.NodeID]*routing.Tree
-	latTrees map[topology.NodeID]*routing.WeightedTree
+	mu    sync.Mutex
+	trees map[topology.NodeID]*routing.Tree
 }
 
-// New returns a Tracer over g. delays may be nil, in which case routes
-// minimize hop count and RTTs are synthesized as 1 ms per hop.
-func New(g *topology.Graph, delays *latency.Delays) *Tracer {
-	return &Tracer{
-		g:        g,
-		delays:   delays,
-		hopTrees: make(map[topology.NodeID]*routing.Tree),
-		latTrees: make(map[topology.NodeID]*routing.WeightedTree),
-	}
+// New returns a Tracer over g: routes minimize hop count, and RTTs are
+// 2 ms per hop.
+func New(g *topology.Graph) *Tracer {
+	return &Tracer{g: g, trees: make(map[topology.NodeID]*routing.Tree)}
 }
 
 // routeTo returns the forward router path src → … → dst and per-hop one-way
 // cumulative latencies.
 func (t *Tracer) routeTo(src, dst topology.NodeID) ([]topology.NodeID, []float64, error) {
-	if t.delays == nil {
-		t.mu.Lock()
-		tree, ok := t.hopTrees[dst]
-		t.mu.Unlock()
-		if !ok {
-			var err error
-			tree, err = routing.BFSTree(t.g, dst)
-			if err != nil {
-				return nil, nil, err
-			}
-			t.mu.Lock()
-			t.hopTrees[dst] = tree
-			t.mu.Unlock()
-		}
-		path := tree.PathFrom(src)
-		if path == nil {
-			return nil, nil, fmt.Errorf("traceroute: no route from %d to %d", src, dst)
-		}
-		lat := make([]float64, len(path))
-		for i := range path {
-			lat[i] = float64(i) // 1 ms per hop
-		}
-		return path, lat, nil
-	}
 	t.mu.Lock()
-	tree, ok := t.latTrees[dst]
+	tree, ok := t.trees[dst]
 	t.mu.Unlock()
 	if !ok {
 		var err error
-		tree, err = routing.DijkstraTree(t.g, dst, t.delays.Weight)
+		tree, err = routing.BFSTree(t.g, dst)
 		if err != nil {
 			return nil, nil, err
 		}
 		t.mu.Lock()
-		t.latTrees[dst] = tree
+		t.trees[dst] = tree
 		t.mu.Unlock()
 	}
 	path := tree.PathFrom(src)
@@ -171,10 +139,8 @@ func (t *Tracer) routeTo(src, dst topology.NodeID) ([]topology.NodeID, []float64
 		return nil, nil, fmt.Errorf("traceroute: no route from %d to %d", src, dst)
 	}
 	lat := make([]float64, len(path))
-	total := 0.0
-	for i := 1; i < len(path); i++ {
-		total += t.delays.Weight(path[i-1], path[i])
-		lat[i] = total
+	for i := range path {
+		lat[i] = float64(i) // 1 ms per hop
 	}
 	return path, lat, nil
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"proxdisc/internal/latency"
 	"proxdisc/internal/topology"
 )
 
@@ -25,7 +24,7 @@ func BenchmarkTraceroute(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tr := New(g, nil)
+	tr := New(g)
 	leaves := topology.LeafRouters(g)
 	if _, err := tr.Trace(leaves[0], 0, Config{}, nil); err != nil {
 		b.Fatal(err)
@@ -40,7 +39,7 @@ func BenchmarkTraceroute(b *testing.B) {
 
 func TestTraceLossless(t *testing.T) {
 	g := testGraph(t)
-	tr := New(g, nil)
+	tr := New(g)
 	res, err := tr.Trace(5, 0, Config{}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +63,7 @@ func TestTraceLossless(t *testing.T) {
 
 func TestTraceSelf(t *testing.T) {
 	g := testGraph(t)
-	tr := New(g, nil)
+	tr := New(g)
 	res, err := tr.Trace(3, 3, Config{}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +75,7 @@ func TestTraceSelf(t *testing.T) {
 
 func TestTraceDeterministicWithoutRNG(t *testing.T) {
 	g := testGraph(t)
-	tr := New(g, nil)
+	tr := New(g)
 	a, _ := tr.Trace(40, 0, Config{}, nil)
 	b, _ := tr.Trace(40, 0, Config{}, nil)
 	if len(a.Hops) != len(b.Hops) {
@@ -91,7 +90,7 @@ func TestTraceDeterministicWithoutRNG(t *testing.T) {
 
 func TestTraceWithLossProducesAnonymousHops(t *testing.T) {
 	g := testGraph(t)
-	tr := New(g, nil)
+	tr := New(g)
 	rng := rand.New(rand.NewSource(2))
 	sawAnon := false
 	for k := 0; k < 50 && !sawAnon; k++ {
@@ -119,7 +118,7 @@ func TestTraceWithLossProducesAnonymousHops(t *testing.T) {
 
 func TestTraceRejectsBadLoss(t *testing.T) {
 	g := testGraph(t)
-	tr := New(g, nil)
+	tr := New(g)
 	if _, err := tr.Trace(1, 0, Config{LossRate: 1.0}, nil); err == nil {
 		t.Fatal("accepted loss rate 1.0")
 	}
@@ -130,7 +129,7 @@ func TestTraceRejectsBadLoss(t *testing.T) {
 
 func TestTraceMaxTTLTruncates(t *testing.T) {
 	g := testGraph(t)
-	tr := New(g, nil)
+	tr := New(g)
 	full, _ := tr.Trace(77, 0, Config{}, nil)
 	if len(full.Hops) < 3 {
 		t.Skip("path too short to exercise TTL")
@@ -146,7 +145,7 @@ func TestTraceMaxTTLTruncates(t *testing.T) {
 
 func TestTraceKeepEvery(t *testing.T) {
 	g := testGraph(t)
-	tr := New(g, nil)
+	tr := New(g)
 	full, _ := tr.Trace(88, 0, Config{}, nil)
 	if len(full.Hops) < 4 {
 		t.Skip("path too short")
@@ -162,7 +161,7 @@ func TestTraceKeepEvery(t *testing.T) {
 
 func TestTracePrefixHops(t *testing.T) {
 	g := testGraph(t)
-	tr := New(g, nil)
+	tr := New(g)
 	full, _ := tr.Trace(99, 0, Config{}, nil)
 	if len(full.Hops) < 4 {
 		t.Skip("path too short")
@@ -182,30 +181,26 @@ func TestTracePrefixHops(t *testing.T) {
 	}
 }
 
-func TestTraceRTTsMonotoneWithDelays(t *testing.T) {
+// TestTraceRTTsTwoMsPerHop pins the tracer's one latency model: the i-th
+// hop answers 2·i ms after the probe left, and RTTEstimate reads the
+// landmark's line.
+func TestTraceRTTsTwoMsPerHop(t *testing.T) {
 	g := testGraph(t)
-	d, err := latency.AssignDelays(g, latency.DelayConfig{Model: latency.DelayUniform, Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := New(g, d)
+	tr := New(g)
 	res, err := tr.Trace(120, 0, Config{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prev := 0.0
 	for i, h := range res.Hops {
-		if h.RTT <= prev {
-			t.Fatalf("hop %d RTT %v not increasing (prev %v)", i, h.RTT, prev)
+		if want := 2 * float64(i+1); h.RTT != want {
+			t.Fatalf("hop %d RTT %v, want %v", i+1, h.RTT, want)
 		}
-		prev = h.RTT
 	}
 }
 
 func TestRTTEstimateMatchesTraceEnd(t *testing.T) {
 	g := testGraph(t)
-	d, _ := latency.AssignDelays(g, latency.DelayConfig{Model: latency.DelayUniform, Seed: 4})
-	tr := New(g, d)
+	tr := New(g)
 	res, _ := tr.Trace(60, 0, Config{}, nil)
 	est, err := tr.RTTEstimate(60, 0)
 	if err != nil {
@@ -225,7 +220,7 @@ func TestTraceNoRoute(t *testing.T) {
 	if err := g.AddEdge(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	tr := New(g, nil)
+	tr := New(g)
 	if _, err := tr.Trace(2, 0, Config{}, nil); err == nil {
 		t.Fatal("trace across disconnected components succeeded")
 	}
@@ -235,7 +230,7 @@ func TestTraceNoRoute(t *testing.T) {
 // at src, ends at dst, and contains no duplicate routers.
 func TestTracePathProperties(t *testing.T) {
 	g := testGraph(t)
-	tr := New(g, nil)
+	tr := New(g)
 	n := g.NumNodes()
 	f := func(a, b uint16) bool {
 		src := topology.NodeID(int(a) % n)
@@ -267,7 +262,7 @@ func TestTracePathProperties(t *testing.T) {
 
 func TestConcurrentTraces(t *testing.T) {
 	g := testGraph(t)
-	tr := New(g, nil)
+	tr := New(g)
 	done := make(chan error, 16)
 	for w := 0; w < 16; w++ {
 		go func(w int) {
