@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"proxdisc/internal/metrics"
-	"proxdisc/internal/topology"
 )
 
 // Fig1Config parameterizes the reproduction of the paper's single figure:
@@ -137,20 +136,4 @@ func (r *Fig1Result) Table() *metrics.Table {
 		t.AddRow(p.Peers, p.DOverDclosest, p.DrandomOverDclosest, p.Quality.Peers)
 	}
 	return t
-}
-
-// DefaultFig1Config is the paper-scale configuration: a ~4000-router
-// heavy-tailed IR map, 8 medium-degree landmarks, 5 neighbours.
-func DefaultFig1Config(seed int64) Fig1Config {
-	topo := topology.DefaultConfig()
-	topo.Seed = seed
-	return Fig1Config{
-		World: WorldConfig{
-			Topology:     topo,
-			NumLandmarks: 8,
-			LandmarkBand: topology.BandMedium,
-			Seed:         seed,
-		},
-		SamplePeers: 200,
-	}
 }

@@ -195,12 +195,6 @@ func (w *World) JoinPeer(p pathtree.PeerID, att topology.NodeID) ([]pathtree.Can
 	return cands, nil
 }
 
-// LeavePeer removes a peer from the system.
-func (w *World) LeavePeer(p pathtree.PeerID) {
-	w.Server.Leave(p)
-	delete(w.Attachments, p)
-}
-
 // JoinN attaches n peers to distinct degree-1 routers (chosen at random from
 // the remaining pool) and joins them in arrival order with IDs 1..n offset
 // by the number already joined. With WorldConfig.BatchSize ≥ 2 the joins

@@ -220,23 +220,6 @@ func TestEvaluateQuality(t *testing.T) {
 	}
 }
 
-func TestLeavePeerRemovesState(t *testing.T) {
-	w, err := BuildWorld(smallWorld(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.JoinN(10); err != nil {
-		t.Fatal(err)
-	}
-	w.LeavePeer(3)
-	if w.Server.NumPeers() != 9 {
-		t.Fatalf("peers=%d", w.Server.NumPeers())
-	}
-	if _, ok := w.Attachments[3]; ok {
-		t.Fatal("attachment not removed")
-	}
-}
-
 func TestRunFig1Small(t *testing.T) {
 	cfg := Fig1Config{
 		PeerCounts:  []int{60, 120},
@@ -316,17 +299,6 @@ func TestMeanSD(t *testing.T) {
 	}
 	if m, sd := meanSD([]float64{3}); m != 3 || sd != 0 {
 		t.Fatalf("single meanSD=%v,%v", m, sd)
-	}
-}
-
-func TestDefaultFig1Config(t *testing.T) {
-	cfg := DefaultFig1Config(42)
-	cfg.applyDefaults()
-	if len(cfg.PeerCounts) != 5 || cfg.PeerCounts[0] != 600 || cfg.PeerCounts[4] != 1400 {
-		t.Fatalf("peer counts=%v", cfg.PeerCounts)
-	}
-	if cfg.World.NumLandmarks != 8 {
-		t.Fatalf("landmarks=%d", cfg.World.NumLandmarks)
 	}
 }
 

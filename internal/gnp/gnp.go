@@ -112,9 +112,6 @@ func NewSystem(m *latency.Matrix, landmarkHosts []int, cfg Config, seed int64) (
 	return s, nil
 }
 
-// Landmarks returns the landmark host indices.
-func (s *System) Landmarks() []int { return append([]int(nil), s.landmarks...) }
-
 // ProbesUsed reports the cumulative RTT measurements consumed, including the
 // landmark phase and every host solve.
 func (s *System) ProbesUsed() int { return s.probes }
@@ -170,34 +167,6 @@ func (s *System) EmbedAll() ([][]float64, error) {
 		out[h] = c
 	}
 	return out, nil
-}
-
-// MedianRelativeError evaluates embedding quality over sampled host pairs
-// given a full coordinate table.
-func (s *System) MedianRelativeError(coords [][]float64, pairs int, rng *rand.Rand) float64 {
-	n := s.m.Size()
-	errs := make([]float64, 0, pairs)
-	for k := 0; k < pairs; k++ {
-		i, j := rng.Intn(n), rng.Intn(n)
-		if i == j {
-			continue
-		}
-		actual := s.m.RTT(i, j)
-		if actual <= 0 {
-			continue
-		}
-		pred := euclid(coords[i], coords[j])
-		errs = append(errs, math.Abs(pred-actual)/actual)
-	}
-	if len(errs) == 0 {
-		return 0
-	}
-	for i := 1; i < len(errs); i++ {
-		for j := i; j > 0 && errs[j] < errs[j-1]; j-- {
-			errs[j], errs[j-1] = errs[j-1], errs[j]
-		}
-	}
-	return errs[len(errs)/2]
 }
 
 // patternSearch minimizes obj with a compass search: try ± step along each

@@ -116,25 +116,6 @@ func SyntheticKing(n int, cfg KingConfig) (*Matrix, error) {
 	return m, nil
 }
 
-// TriangleViolationRate samples `samples` random host triples (i,j,k) and
-// reports the fraction where RTT(i,j) > RTT(i,k)+RTT(k,j).
-func (m *Matrix) TriangleViolationRate(samples int, rng *rand.Rand) float64 {
-	if m.n < 3 || samples <= 0 {
-		return 0
-	}
-	bad := 0
-	for s := 0; s < samples; s++ {
-		i, j, k := rng.Intn(m.n), rng.Intn(m.n), rng.Intn(m.n)
-		if i == j || j == k || i == k {
-			continue
-		}
-		if m.RTT(i, j) > m.RTT(i, k)+m.RTT(k, j) {
-			bad++
-		}
-	}
-	return float64(bad) / float64(samples)
-}
-
 // Median returns the median off-diagonal RTT.
 func (m *Matrix) Median() float64 {
 	if m.n < 2 {

@@ -20,6 +20,22 @@ func TestMatrixBasics(t *testing.T) {
 	}
 }
 
+// triangleViolationRate samples host triples (i,j,k) and reports the
+// fraction where RTT(i,j) > RTT(i,k)+RTT(k,j).
+func triangleViolationRate(m *Matrix, samples int, rng *rand.Rand) float64 {
+	bad := 0
+	for s := 0; s < samples; s++ {
+		i, j, k := rng.Intn(m.n), rng.Intn(m.n), rng.Intn(m.n)
+		if i == j || j == k || i == k {
+			continue
+		}
+		if m.RTT(i, j) > m.RTT(i, k)+m.RTT(k, j) {
+			bad++
+		}
+	}
+	return float64(bad) / float64(samples)
+}
+
 func TestSyntheticKingProperties(t *testing.T) {
 	m, err := SyntheticKing(300, KingConfig{Seed: 11})
 	if err != nil {
@@ -30,7 +46,7 @@ func TestSyntheticKingProperties(t *testing.T) {
 		t.Fatalf("median RTT %v outside plausible range", med)
 	}
 	rng := rand.New(rand.NewSource(5))
-	viol := m.TriangleViolationRate(20000, rng)
+	viol := triangleViolationRate(m, 20000, rng)
 	if viol < 0.01 || viol > 0.30 {
 		t.Fatalf("triangle violation rate %v outside King-like range", viol)
 	}

@@ -10,7 +10,6 @@ package metrics
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -97,47 +96,6 @@ func RandomK(dist []int32, att Attachments, self pathtree.PeerID, k int, rng *ra
 		total += int(d)
 	}
 	return total, nil
-}
-
-// Summary holds order statistics of a sample.
-type Summary struct {
-	N                  int
-	Mean, Min, Max     float64
-	P50, P90, P95, P99 float64
-}
-
-// Summarize computes order statistics; it returns a zero Summary for empty
-// input.
-func Summarize(vals []float64) Summary {
-	if len(vals) == 0 {
-		return Summary{}
-	}
-	v := append([]float64(nil), vals...)
-	sort.Float64s(v)
-	var sum float64
-	for _, x := range v {
-		sum += x
-	}
-	pct := func(p float64) float64 {
-		idx := int(math.Ceil(p*float64(len(v)))) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(v) {
-			idx = len(v) - 1
-		}
-		return v[idx]
-	}
-	return Summary{
-		N:    len(v),
-		Mean: sum / float64(len(v)),
-		Min:  v[0],
-		Max:  v[len(v)-1],
-		P50:  pct(0.50),
-		P90:  pct(0.90),
-		P95:  pct(0.95),
-		P99:  pct(0.99),
-	}
 }
 
 // Table is a simple experiment-result table renderable as aligned text or

@@ -106,28 +106,6 @@ func TestRandomKDeterministicWithSeed(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{3, 1, 2, 5, 4})
-	if s.N != 5 || s.Min != 1 || s.Max != 5 || s.Mean != 3 || s.P50 != 3 {
-		t.Fatalf("summary=%+v", s)
-	}
-	empty := Summarize(nil)
-	if empty.N != 0 || empty.Mean != 0 {
-		t.Fatalf("empty summary=%+v", empty)
-	}
-}
-
-func TestSummarizePercentiles(t *testing.T) {
-	vals := make([]float64, 100)
-	for i := range vals {
-		vals[i] = float64(i + 1)
-	}
-	s := Summarize(vals)
-	if s.P50 != 50 || s.P90 != 90 || s.P95 != 95 || s.P99 != 99 {
-		t.Fatalf("percentiles=%+v", s)
-	}
-}
-
 func TestTableFormat(t *testing.T) {
 	tb := Table{Title: "demo", Columns: []string{"n", "ratio"}}
 	tb.AddRow(600, 1.2345)

@@ -3,9 +3,8 @@
 //
 // The paper's motivating application is mesh-based live streaming: a
 // newcomer asks the server for its closest peers and connects to them. This
-// package keeps the resulting undirected neighbour graph, enforces degree
-// caps, and supports the churn-repair loop (when a neighbour departs, the
-// peer asks for replacements).
+// package keeps the resulting undirected neighbour graph and enforces
+// degree caps.
 package overlay
 
 import (
@@ -56,26 +55,6 @@ func (o *Overlay) AddPeer(p Peer) error {
 	return nil
 }
 
-// RemovePeer deletes a peer and all its links, returning its former
-// neighbours (so callers can trigger repair). Unknown IDs return nil.
-func (o *Overlay) RemovePeer(id pathtree.PeerID) []pathtree.PeerID {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	nbrs, ok := o.links[id]
-	if !ok {
-		return nil
-	}
-	out := make([]pathtree.PeerID, 0, len(nbrs))
-	for q := range nbrs {
-		delete(o.links[q], id)
-		out = append(out, q)
-	}
-	delete(o.links, id)
-	delete(o.peers, id)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // Connect links two distinct registered peers. Connecting an existing link
 // is a no-op. Degree caps are enforced on both ends.
 func (o *Overlay) Connect(a, b pathtree.PeerID) error {
@@ -104,18 +83,6 @@ func (o *Overlay) Connect(a, b pathtree.PeerID) error {
 	o.links[a][b] = true
 	o.links[b][a] = true
 	return nil
-}
-
-// Disconnect removes the link (a,b) if present.
-func (o *Overlay) Disconnect(a, b pathtree.PeerID) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if m, ok := o.links[a]; ok {
-		delete(m, b)
-	}
-	if m, ok := o.links[b]; ok {
-		delete(m, a)
-	}
 }
 
 // Neighbors returns a peer's neighbour IDs in ascending order.
@@ -149,17 +116,6 @@ func (o *Overlay) Contains(id pathtree.PeerID) bool {
 	return ok
 }
 
-// PeerInfo returns a copy of the peer's record.
-func (o *Overlay) PeerInfo(id pathtree.PeerID) (Peer, bool) {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	p, ok := o.peers[id]
-	if !ok {
-		return Peer{}, false
-	}
-	return *p, true
-}
-
 // Peers returns all registered peer IDs in ascending order.
 func (o *Overlay) Peers() []pathtree.PeerID {
 	o.mu.RLock()
@@ -170,24 +126,6 @@ func (o *Overlay) Peers() []pathtree.PeerID {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// NumPeers reports the number of registered peers.
-func (o *Overlay) NumPeers() int {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	return len(o.peers)
-}
-
-// NumLinks reports the number of undirected links.
-func (o *Overlay) NumLinks() int {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	total := 0
-	for _, m := range o.links {
-		total += len(m)
-	}
-	return total / 2
 }
 
 // ConnectedComponentOf returns all peers reachable from start, including

@@ -83,14 +83,6 @@ func (t *Tree) PathFrom(u topology.NodeID) []topology.NodeID {
 	return path
 }
 
-// HopDistance returns the hop count from u to the root, or Unreachable.
-func (t *Tree) HopDistance(u topology.NodeID) int32 {
-	if int(u) < 0 || int(u) >= len(t.Depth) {
-		return Unreachable
-	}
-	return t.Depth[u]
-}
-
 // BFSDistances returns hop distances from src to every node (Unreachable for
 // disconnected nodes). This is the workhorse of the brute-force Dclosest
 // baseline: one call yields a newcomer's distance to every candidate peer.

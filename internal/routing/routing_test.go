@@ -49,8 +49,8 @@ func TestBFSTreeRootPath(t *testing.T) {
 	if len(p) != 1 || p[0] != 1 {
 		t.Fatalf("root path=%v", p)
 	}
-	if tr.HopDistance(1) != 0 {
-		t.Fatalf("root distance=%d", tr.HopDistance(1))
+	if tr.Depth[1] != 0 {
+		t.Fatalf("root distance=%d", tr.Depth[1])
 	}
 }
 
@@ -65,9 +65,6 @@ func TestBFSTreeUnreachable(t *testing.T) {
 	}
 	if tr.PathFrom(2) != nil {
 		t.Fatal("path to unreachable node should be nil")
-	}
-	if tr.HopDistance(99) != Unreachable {
-		t.Fatal("invalid node should be Unreachable")
 	}
 }
 

@@ -28,12 +28,6 @@ func NewEngine() *Engine { return &Engine{} }
 // Now returns the current virtual time in milliseconds.
 func (e *Engine) Now() int64 { return e.now }
 
-// EventsRun reports how many events have executed.
-func (e *Engine) EventsRun() int64 { return e.ran }
-
-// Pending reports the number of scheduled-but-unrun events.
-func (e *Engine) Pending() int { return len(e.pq) }
-
 // Schedule runs fn after delay milliseconds of virtual time. Negative delays
 // are an error (the past is immutable).
 func (e *Engine) Schedule(delay int64, fn func()) error {

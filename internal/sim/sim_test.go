@@ -70,12 +70,12 @@ func TestRunUntil(t *testing.T) {
 	if e.Now() != 12 {
 		t.Fatalf("now=%d want 12 after Run(12)", e.Now())
 	}
-	if e.Pending() != 2 {
-		t.Fatalf("pending=%d", e.Pending())
+	if len(e.pq) != 2 {
+		t.Fatalf("pending=%d", len(e.pq))
 	}
 	e.RunAll()
-	if len(ran) != 4 || e.EventsRun() != 4 {
-		t.Fatalf("ran=%v total=%d", ran, e.EventsRun())
+	if len(ran) != 4 || e.ran != 4 {
+		t.Fatalf("ran=%v total=%d", ran, e.ran)
 	}
 }
 

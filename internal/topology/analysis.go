@@ -84,21 +84,6 @@ func (b DegreeBand) String() string {
 	}
 }
 
-// ParseDegreeBand converts a band name to a DegreeBand.
-func ParseDegreeBand(s string) (DegreeBand, error) {
-	switch s {
-	case "leaf":
-		return BandLeaf, nil
-	case "medium":
-		return BandMedium, nil
-	case "core":
-		return BandCore, nil
-	case "any":
-		return BandAny, nil
-	}
-	return 0, fmt.Errorf("topology: unknown degree band %q", s)
-}
-
 // NodesInBand returns the routers falling in the requested degree band,
 // sorted ascending by ID for determinism.
 func NodesInBand(g *Graph, band DegreeBand) []NodeID {

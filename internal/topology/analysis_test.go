@@ -89,18 +89,6 @@ func TestNodesInBand(t *testing.T) {
 	}
 }
 
-func TestParseDegreeBandRoundTrip(t *testing.T) {
-	for _, b := range []DegreeBand{BandLeaf, BandMedium, BandCore, BandAny} {
-		got, err := ParseDegreeBand(b.String())
-		if err != nil || got != b {
-			t.Fatalf("round trip %v -> %v err=%v", b, got, err)
-		}
-	}
-	if _, err := ParseDegreeBand("x"); err == nil {
-		t.Fatal("accepted unknown band")
-	}
-}
-
 func TestPickNodes(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	cands := []NodeID{1, 2, 3, 4, 5}

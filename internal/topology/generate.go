@@ -87,19 +87,6 @@ type Config struct {
 	Seed int64
 }
 
-// DefaultConfig returns the configuration used by the paper-scale
-// experiments: a ~4000-router heavy-tailed map of which roughly half are
-// degree-1 edge routers.
-func DefaultConfig() Config {
-	return Config{
-		Model:        ModelBarabasiAlbert,
-		CoreRouters:  2000,
-		LeafRouters:  2000,
-		EdgesPerNode: 2,
-		Seed:         1,
-	}
-}
-
 func (c *Config) applyDefaults() {
 	if c.CoreRouters == 0 {
 		c.CoreRouters = 2000

@@ -1,12 +1,13 @@
 package topology
 
 import (
+	"slices"
 	"testing"
 )
 
 // BenchmarkTopologyGenerate measures paper-scale map generation.
 func BenchmarkTopologyGenerate(b *testing.B) {
-	cfg := DefaultConfig()
+	var cfg Config
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = int64(i + 1)
 		if _, err := Generate(cfg); err != nil {
@@ -163,11 +164,20 @@ func TestParseModelRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDefaultConfig pins the paper-scale map: 2 000 core and 2 000 leaf
-// routers.
+// TestDefaultConfig pins the paper-scale map a zero Config generates:
+// 2 000 core routers under Barabási–Albert with 2 edges per newcomer, and
+// 2 000 degree-1 leaf routers.
 func TestDefaultConfig(t *testing.T) {
-	cfg := DefaultConfig()
-	if cfg.CoreRouters != 2000 || cfg.LeafRouters != 2000 {
-		t.Fatalf("default topology %+v", cfg)
+	g, err := Generate(Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Generate(Config{Model: ModelBarabasiAlbert, CoreRouters: 2000, LeafRouters: 2000, EdgesPerNode: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.NumNodes() != 4000 || !slices.Equal(g.Edges(), want.Edges()) {
+		t.Fatalf("zero config: %d routers and %d links, want the 4000-router map's %d links",
+			g.NumNodes(), g.NumEdges(), want.NumEdges())
 	}
 }

@@ -126,15 +126,6 @@ func (g *Graph) Nodes() []NodeID {
 	return ids
 }
 
-// Clone returns a deep copy of the graph.
-func (g *Graph) Clone() *Graph {
-	c := &Graph{adj: make([][]NodeID, len(g.adj)), edgeCount: g.edgeCount}
-	for i, nbrs := range g.adj {
-		c.adj[i] = append([]NodeID(nil), nbrs...)
-	}
-	return c
-}
-
 // Edges returns every undirected edge exactly once as (u,v) pairs with u < v,
 // sorted lexicographically. Intended for serialization and tests.
 func (g *Graph) Edges() [][2]NodeID {

@@ -82,19 +82,6 @@ func TestDegreeAndNeighbors(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	g := NewGraph(3)
-	mustEdge(t, g, 0, 1)
-	c := g.Clone()
-	mustEdge(t, c, 1, 2)
-	if g.HasEdge(1, 2) {
-		t.Fatal("mutating clone affected original")
-	}
-	if c.NumEdges() != 2 || g.NumEdges() != 1 {
-		t.Fatalf("edge counts diverged wrong: clone=%d orig=%d", c.NumEdges(), g.NumEdges())
-	}
-}
-
 func TestEdgesEnumeration(t *testing.T) {
 	g := NewGraph(4)
 	mustEdge(t, g, 2, 1)

@@ -37,19 +37,6 @@ func (p PlacementPolicy) String() string {
 	}
 }
 
-// ParsePlacementPolicy converts a policy name to a PlacementPolicy.
-func ParsePlacementPolicy(s string) (PlacementPolicy, error) {
-	switch s {
-	case "band":
-		return PlaceBand, nil
-	case "kcenter":
-		return PlaceKCenter, nil
-	case "degree-weighted":
-		return PlaceDegreeWeighted, nil
-	}
-	return 0, fmt.Errorf("topology: unknown placement policy %q", s)
-}
-
 // PlaceLandmarks selects k landmark routers under the given policy. For
 // PlaceBand the band parameter applies; the other policies ignore it and
 // never choose a degree-1 router (those host peers). Only BandLeaf does.
@@ -173,31 +160,4 @@ func placeDegreeWeighted(g *Graph, k int, rng *rand.Rand) ([]NodeID, error) {
 		return nil, fmt.Errorf("topology: degree-weighted sampling found only %d of %d landmarks", len(chosen), k)
 	}
 	return chosen, nil
-}
-
-// CoverageRadius reports the maximum over all routers of the hop distance
-// to the nearest landmark — the k-center objective, useful for comparing
-// placements.
-func CoverageRadius(g *Graph, landmarks []NodeID) (int, error) {
-	if len(landmarks) == 0 {
-		return 0, fmt.Errorf("topology: no landmarks")
-	}
-	minDist := bfsFrom(g, landmarks[0])
-	for _, lm := range landmarks[1:] {
-		for u, d := range bfsFrom(g, lm) {
-			if d >= 0 && (minDist[u] < 0 || d < minDist[u]) {
-				minDist[u] = d
-			}
-		}
-	}
-	radius := int32(0)
-	for _, d := range minDist {
-		if d < 0 {
-			return 0, fmt.Errorf("topology: router unreachable from every landmark")
-		}
-		if d > radius {
-			radius = d
-		}
-	}
-	return int(radius), nil
 }

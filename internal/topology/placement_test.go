@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -79,11 +80,11 @@ func TestKCenterImprovesCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rBand, err := CoverageRadius(g, band)
+	rBand, err := coverageRadius(g, band)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rKC, err := CoverageRadius(g, kc)
+	rKC, err := coverageRadius(g, kc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,28 +140,43 @@ func TestCoverageRadius(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if r, err := CoverageRadius(g, []NodeID{2}); err != nil || r != 2 {
+	if r, err := coverageRadius(g, []NodeID{2}); err != nil || r != 2 {
 		t.Fatalf("radius=%d err=%v", r, err)
 	}
-	if r, err := CoverageRadius(g, []NodeID{0}); err != nil || r != 4 {
+	if r, err := coverageRadius(g, []NodeID{0}); err != nil || r != 4 {
 		t.Fatalf("radius=%d err=%v", r, err)
 	}
-	if r, err := CoverageRadius(g, []NodeID{0, 4}); err != nil || r != 2 {
+	if r, err := coverageRadius(g, []NodeID{0, 4}); err != nil || r != 2 {
 		t.Fatalf("radius=%d err=%v", r, err)
 	}
-	if _, err := CoverageRadius(g, nil); err == nil {
+	if _, err := coverageRadius(g, nil); err == nil {
 		t.Fatal("accepted empty landmark set")
 	}
 }
 
-func TestParsePlacementPolicyRoundTrip(t *testing.T) {
-	for _, p := range []PlacementPolicy{PlaceBand, PlaceKCenter, PlaceDegreeWeighted} {
-		got, err := ParsePlacementPolicy(p.String())
-		if err != nil || got != p {
-			t.Fatalf("round trip %v -> %v err=%v", p, got, err)
+// coverageRadius reports the maximum over all routers of the hop distance
+// to the nearest landmark — the k-center objective, useful for comparing
+// placements.
+func coverageRadius(g *Graph, landmarks []NodeID) (int, error) {
+	if len(landmarks) == 0 {
+		return 0, fmt.Errorf("topology: no landmarks")
+	}
+	minDist := bfsFrom(g, landmarks[0])
+	for _, lm := range landmarks[1:] {
+		for u, d := range bfsFrom(g, lm) {
+			if d >= 0 && (minDist[u] < 0 || d < minDist[u]) {
+				minDist[u] = d
+			}
 		}
 	}
-	if _, err := ParsePlacementPolicy("x"); err == nil {
-		t.Fatal("accepted unknown policy name")
+	radius := int32(0)
+	for _, d := range minDist {
+		if d < 0 {
+			return 0, fmt.Errorf("topology: router unreachable from every landmark")
+		}
+		if d > radius {
+			radius = d
+		}
 	}
+	return int(radius), nil
 }

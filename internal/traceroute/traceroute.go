@@ -45,17 +45,6 @@ type Result struct {
 	Complete bool
 }
 
-// RouterPath returns the full router path including the source, with
-// anonymous hops preserved as AnonymousRouter entries.
-func (r *Result) RouterPath() []topology.NodeID {
-	path := make([]topology.NodeID, 0, len(r.Hops)+1)
-	path = append(path, r.Source)
-	for _, h := range r.Hops {
-		path = append(path, h.Router)
-	}
-	return path
-}
-
 // KnownRouterPath returns the router path with anonymous hops removed.
 // This is the list a peer reports to the management server.
 func (r *Result) KnownRouterPath() []topology.NodeID {

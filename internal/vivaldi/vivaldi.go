@@ -28,11 +28,6 @@ type Coord struct {
 	Height float64
 }
 
-// Clone returns an independent copy.
-func (c Coord) Clone() Coord {
-	return Coord{Vec: append([]float64(nil), c.Vec...), Height: c.Height}
-}
-
 // Distance predicts the RTT between two coordinates: the Euclidean distance
 // of the vectors plus both heights.
 func Distance(a, b Coord) float64 {
@@ -90,12 +85,6 @@ func NewNode(cfg Config) *Node {
 		err:   cfg.InitError,
 	}
 }
-
-// Coord returns a copy of the node's current coordinate.
-func (n *Node) Coord() Coord { return n.coord.Clone() }
-
-// ErrorEstimate returns the node's current relative error estimate.
-func (n *Node) ErrorEstimate() float64 { return n.err }
 
 // Update applies one RTT sample against a remote node's coordinate and error
 // estimate, following the adaptive-timestep Vivaldi rule. rng supplies the
@@ -207,41 +196,6 @@ func (s *System) Round(neighbors int) int {
 
 // SamplesUsed reports the cumulative number of RTT measurements consumed.
 func (s *System) SamplesUsed() int { return s.samples }
-
-// Node returns the i-th participant.
-func (s *System) Node(i int) *Node { return s.nodes[i] }
-
-// MedianRelativeError estimates embedding quality: the median over sampled
-// host pairs of |predicted − actual| / actual.
-func (s *System) MedianRelativeError(pairs int, rng *rand.Rand) float64 {
-	n := len(s.nodes)
-	if n < 2 || pairs <= 0 {
-		return 0
-	}
-	errs := make([]float64, 0, pairs)
-	for k := 0; k < pairs; k++ {
-		i, j := rng.Intn(n), rng.Intn(n)
-		if i == j {
-			continue
-		}
-		actual := s.m.RTT(i, j)
-		if actual <= 0 {
-			continue
-		}
-		pred := Distance(s.nodes[i].coord, s.nodes[j].coord)
-		errs = append(errs, math.Abs(pred-actual)/actual)
-	}
-	if len(errs) == 0 {
-		return 0
-	}
-	// Median via sort of the small sample.
-	for i := 1; i < len(errs); i++ {
-		for j := i; j > 0 && errs[j] < errs[j-1]; j-- {
-			errs[j], errs[j-1] = errs[j-1], errs[j]
-		}
-	}
-	return errs[len(errs)/2]
-}
 
 // KClosest returns the k hosts whose coordinates are nearest to host i —
 // Vivaldi's answer to the paper's closest-peer question.

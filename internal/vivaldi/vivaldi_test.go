@@ -3,6 +3,7 @@ package vivaldi
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"proxdisc/internal/latency"
@@ -25,7 +26,7 @@ func TestDistanceSymmetricAndPositive(t *testing.T) {
 func TestNodeUpdateValidation(t *testing.T) {
 	n := NewNode(Config{})
 	rng := rand.New(rand.NewSource(1))
-	if err := n.Update(0, n.Coord(), 1, rng); err == nil {
+	if err := n.Update(0, n.coord, 1, rng); err == nil {
 		t.Fatal("accepted zero RTT")
 	}
 	bad := Coord{Vec: []float64{1, 2, 3}}
@@ -45,7 +46,7 @@ func TestNodeUpdateMovesTowardTarget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	pred := Distance(n.Coord(), remote)
+	pred := Distance(n.coord, remote)
 	if math.Abs(pred-5) > 1.5 {
 		t.Fatalf("after training, predicted %v want ~5", pred)
 	}
@@ -60,7 +61,7 @@ func TestHeightNeverNegative(t *testing.T) {
 		if err := n.Update(rtt, remote, 0.5, rng); err != nil {
 			t.Fatal(err)
 		}
-		if n.Coord().Height < 0 {
+		if n.coord.Height < 0 {
 			t.Fatal("height went negative")
 		}
 	}
@@ -70,13 +71,37 @@ func TestErrorEstimateDecreasesOnConsistentSamples(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	n := NewNode(Config{})
 	remote := Coord{Vec: []float64{20, 0}}
-	initial := n.ErrorEstimate()
+	initial := n.err
 	for i := 0; i < 300; i++ {
 		_ = n.Update(20, remote, 0.3, rng)
 	}
-	if n.ErrorEstimate() >= initial {
-		t.Fatalf("error estimate did not improve: %v -> %v", initial, n.ErrorEstimate())
+	if n.err >= initial {
+		t.Fatalf("error estimate did not improve: %v -> %v", initial, n.err)
 	}
+}
+
+// medianRelativeError estimates embedding quality: the median over sampled
+// host pairs of |predicted − actual| / actual.
+func medianRelativeError(s *System, pairs int, rng *rand.Rand) float64 {
+	n := len(s.nodes)
+	errs := make([]float64, 0, pairs)
+	for k := 0; k < pairs; k++ {
+		i, j := rng.Intn(n), rng.Intn(n)
+		if i == j {
+			continue
+		}
+		actual := s.m.RTT(i, j)
+		if actual <= 0 {
+			continue
+		}
+		pred := Distance(s.nodes[i].coord, s.nodes[j].coord)
+		errs = append(errs, math.Abs(pred-actual)/actual)
+	}
+	if len(errs) == 0 {
+		return 0
+	}
+	slices.Sort(errs)
+	return errs[len(errs)/2]
 }
 
 func TestSystemConvergesOnKingMatrix(t *testing.T) {
@@ -86,12 +111,12 @@ func TestSystemConvergesOnKingMatrix(t *testing.T) {
 	}
 	sys := NewSystem(m, Config{}, 6)
 	evalRNG := rand.New(rand.NewSource(7))
-	before := sys.MedianRelativeError(2000, evalRNG)
+	before := medianRelativeError(sys, 2000, evalRNG)
 	for r := 0; r < 60; r++ {
 		sys.Round(4)
 	}
 	evalRNG = rand.New(rand.NewSource(7))
-	after := sys.MedianRelativeError(2000, evalRNG)
+	after := medianRelativeError(sys, 2000, evalRNG)
 	if after >= before {
 		t.Fatalf("no convergence: before=%v after=%v", before, after)
 	}
@@ -123,7 +148,7 @@ func TestKClosestRanksByCoordinate(t *testing.T) {
 	// Verify ordering by predicted distance.
 	prev := -1.0
 	for _, j := range got {
-		d := Distance(sys.Node(0).Coord(), sys.Node(j).Coord())
+		d := Distance(sys.nodes[0].coord, sys.nodes[j].coord)
 		if d < prev {
 			t.Fatalf("KClosest not sorted: %v", got)
 		}
@@ -136,14 +161,5 @@ func TestKClosestClampsK(t *testing.T) {
 	sys := NewSystem(m, Config{}, 2)
 	if got := sys.KClosest(0, 50); len(got) != 4 {
 		t.Fatalf("k clamp failed: %d", len(got))
-	}
-}
-
-func TestCoordCloneIndependent(t *testing.T) {
-	n := NewNode(Config{})
-	c := n.Coord()
-	c.Vec[0] = 99
-	if n.Coord().Vec[0] == 99 {
-		t.Fatal("Coord leaked internal state")
 	}
 }
