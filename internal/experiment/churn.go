@@ -19,12 +19,13 @@ type ChurnConfig struct {
 	// MeanInterarrivalMS and MeanLifetimeMS drive the Poisson churn process
 	// (defaults 100 ms and 60_000 ms: roughly 500 concurrent peers).
 	MeanInterarrivalMS, MeanLifetimeMS float64
-	// StaleFraction is the fraction of departures that are "faulty": the
-	// peer vanishes without telling the server (default 0.5).
-	StaleFraction float64
 	// SamplePeers bounds evaluation cost.
 	SamplePeers int
 }
+
+// staleFraction is the share of departures that are "faulty": the peer
+// vanishes without telling the server.
+const staleFraction = 0.5
 
 func (c *ChurnConfig) applyDefaults() {
 	if c.Arrivals == 0 {
@@ -35,9 +36,6 @@ func (c *ChurnConfig) applyDefaults() {
 	}
 	if c.MeanLifetimeMS == 0 {
 		c.MeanLifetimeMS = 60_000
-	}
-	if c.StaleFraction == 0 {
-		c.StaleFraction = 0.5
 	}
 	if c.SamplePeers == 0 {
 		c.SamplePeers = 150
@@ -126,7 +124,7 @@ func runChurnVariant(cfg ChurnConfig, cleanup bool) (ChurnPoint, error) {
 		delete(alive, p)
 		// Faulty departure: peer vanishes without a Leave. The attachment
 		// record is kept so stale answers can be detected.
-		if float64(int(id)%100)/100 < cfg.StaleFraction {
+		if float64(int(id)%100)/100 < staleFraction {
 			stale++
 			if cleanup {
 				// Expiry model: the server notices missed heartbeats and

@@ -24,11 +24,12 @@ type QuicknessConfig struct {
 	World WorldConfig
 	// VivaldiRounds lists the gossip-round checkpoints to report.
 	VivaldiRounds []int
-	// VivaldiNeighbors is the per-node samples per round (default 4).
-	VivaldiNeighbors int
 	// SamplePeers bounds evaluation cost per checkpoint.
 	SamplePeers int
 }
+
+// vivaldiNeighbors is the RTT samples each Vivaldi node takes per round.
+const vivaldiNeighbors = 4
 
 func (c *QuicknessConfig) applyDefaults() {
 	if c.Peers == 0 {
@@ -36,9 +37,6 @@ func (c *QuicknessConfig) applyDefaults() {
 	}
 	if len(c.VivaldiRounds) == 0 {
 		c.VivaldiRounds = []int{1, 2, 5, 10, 20, 50}
-	}
-	if c.VivaldiNeighbors == 0 {
-		c.VivaldiNeighbors = 4
 	}
 	if c.SamplePeers == 0 {
 		c.SamplePeers = 150
@@ -147,11 +145,11 @@ func RunQuickness(cfg QuicknessConfig) (*QuicknessResult, error) {
 	evalSample := samplePeerIndices(n, cfg.SamplePeers, cfg.World.Seed+5)
 
 	// --- Vivaldi checkpoints ---
-	vs := vivaldi.NewSystem(m, vivaldi.Config{}, cfg.World.Seed+6)
+	vs := vivaldi.NewSystem(m, cfg.World.Seed+6)
 	prevRounds := 0
 	for _, rounds := range cfg.VivaldiRounds {
 		for r := prevRounds; r < rounds; r++ {
-			vs.Round(cfg.VivaldiNeighbors)
+			vs.Round(vivaldiNeighbors)
 		}
 		prevRounds = rounds
 		ratio, err := coordinateQuality(hop, att, evalSample, w.Cfg.NeighborCount, func(i, k int) []int {
@@ -169,7 +167,7 @@ func RunQuickness(cfg QuicknessConfig) (*QuicknessResult, error) {
 
 	// --- GNP ---
 	gnpLandmarks := samplePeerIndices(n, len(w.Landmarks), cfg.World.Seed+7)
-	gs, err := gnp.NewSystem(m, gnpLandmarks, gnp.Config{}, cfg.World.Seed+8)
+	gs, err := gnp.NewSystem(m, gnpLandmarks, cfg.World.Seed+8)
 	if err != nil {
 		return nil, err
 	}

@@ -9,7 +9,6 @@ import (
 	"proxdisc/internal/pathtree"
 	"proxdisc/internal/routing"
 	"proxdisc/internal/streaming"
-	"proxdisc/internal/topology"
 )
 
 // StreamingConfig parameterizes E9, the motivation experiment: live
@@ -19,8 +18,6 @@ type StreamingConfig struct {
 	World WorldConfig
 	// Peers is the mesh size (default 300).
 	Peers int
-	// Stream tunes the chunk exchange.
-	Stream streaming.Config
 }
 
 func (c *StreamingConfig) applyDefaults() {
@@ -171,7 +168,7 @@ func RunStreaming(cfg StreamingConfig) (*StreamingResult, error) {
 		// broadcast reaches everyone, mirroring the tracker fallback real
 		// systems use.
 		bridgeComponents(mesh, peers)
-		sess, err := streaming.NewSession(mesh, peers[0], hops, cfg.Stream)
+		sess, err := streaming.NewSession(mesh, peers[0], hops, streaming.Config{})
 		if err != nil {
 			return nil, err
 		}
@@ -231,5 +228,3 @@ func bridgeComponents(mesh *overlay.Overlay, peers []pathtree.PeerID) {
 		}
 	}
 }
-
-var _ = topology.InvalidNode

@@ -23,41 +23,26 @@ import (
 	"proxdisc/internal/latency"
 )
 
-// Config tunes the GNP embedding.
-type Config struct {
-	// Dim is the embedding dimension (default 4, within the range the GNP
-	// paper found effective).
-	Dim int
-	// Iterations bounds the pattern-search steps per solve (default 200).
-	Iterations int
-	// InitialStep is the pattern search's starting step size in
-	// milliseconds (default: a quarter of the median landmark RTT).
-	InitialStep float64
-}
-
-func (c *Config) applyDefaults() {
-	if c.Dim == 0 {
-		c.Dim = 4
-	}
-	if c.Iterations == 0 {
-		c.Iterations = 200
-	}
-}
+// The embedding's constants: 4 dimensions (within the range the GNP paper
+// found effective) and at most 200 pattern-search steps per solve.
+const (
+	dim        = 4
+	iterations = 200
+)
 
 // System is a solved GNP embedding: fixed landmark coordinates plus
 // per-host coordinates computed on demand.
 type System struct {
-	cfg       Config
 	landmarks []int       // host indices acting as landmarks
 	lcoords   [][]float64 // landmark coordinates
 	m         *latency.Matrix
-	probes    int // RTT measurements consumed
+	probes    int     // RTT measurements consumed
+	step      float64 // pattern search's starting step, in ms
 }
 
 // NewSystem solves the landmark embedding for the given landmark host
 // indices over the ground-truth matrix.
-func NewSystem(m *latency.Matrix, landmarkHosts []int, cfg Config, seed int64) (*System, error) {
-	cfg.applyDefaults()
+func NewSystem(m *latency.Matrix, landmarkHosts []int, seed int64) (*System, error) {
 	if len(landmarkHosts) < 2 {
 		return nil, fmt.Errorf("gnp: need at least 2 landmarks, got %d", len(landmarkHosts))
 	}
@@ -66,13 +51,10 @@ func NewSystem(m *latency.Matrix, landmarkHosts []int, cfg Config, seed int64) (
 			return nil, fmt.Errorf("gnp: landmark host %d out of range", h)
 		}
 	}
-	s := &System{cfg: cfg, landmarks: append([]int(nil), landmarkHosts...), m: m}
-	if cfg.InitialStep == 0 {
-		cfg.InitialStep = m.Median() / 4
-		if cfg.InitialStep <= 0 {
-			cfg.InitialStep = 10
-		}
-		s.cfg.InitialStep = cfg.InitialStep
+	// The starting step is a quarter of the median RTT.
+	s := &System{landmarks: append([]int(nil), landmarkHosts...), m: m, step: m.Median() / 4}
+	if s.step <= 0 {
+		s.step = 10
 	}
 	L := len(landmarkHosts)
 	s.probes += L * (L - 1) / 2 // landmark inter-measurements
@@ -84,7 +66,7 @@ func NewSystem(m *latency.Matrix, landmarkHosts []int, cfg Config, seed int64) (
 	}
 	coords := make([][]float64, L)
 	for i := range coords {
-		coords[i] = make([]float64, cfg.Dim)
+		coords[i] = make([]float64, dim)
 		for d := range coords[i] {
 			coords[i][d] = (rng.Float64() - 0.5) * scale
 		}
@@ -92,7 +74,7 @@ func NewSystem(m *latency.Matrix, landmarkHosts []int, cfg Config, seed int64) (
 	// Objective: sum over landmark pairs of squared relative error.
 	flat := flatten(coords)
 	obj := func(x []float64) float64 {
-		cs := unflatten(x, L, cfg.Dim)
+		cs := unflatten(x, L, dim)
 		var sum float64
 		for i := 0; i < L; i++ {
 			for j := i + 1; j < L; j++ {
@@ -107,8 +89,8 @@ func NewSystem(m *latency.Matrix, landmarkHosts []int, cfg Config, seed int64) (
 		}
 		return sum
 	}
-	best := patternSearch(flat, obj, cfg.InitialStep, cfg.Iterations*L)
-	s.lcoords = unflatten(best, L, cfg.Dim)
+	best := patternSearch(flat, obj, s.step, iterations*L)
+	s.lcoords = unflatten(best, L, dim)
 	return s, nil
 }
 
@@ -144,13 +126,13 @@ func (s *System) SolveHost(h int) ([]float64, error) {
 		return sum
 	}
 	// Start from the centroid of the landmarks.
-	x := make([]float64, s.cfg.Dim)
+	x := make([]float64, dim)
 	for _, lc := range s.lcoords {
 		for d := range x {
 			x[d] += lc[d] / float64(len(s.lcoords))
 		}
 	}
-	return patternSearch(x, obj, s.cfg.InitialStep, s.cfg.Iterations), nil
+	return patternSearch(x, obj, s.step, iterations), nil
 }
 
 // Distance predicts RTT between two solved coordinates.

@@ -10,19 +10,19 @@ import (
 )
 
 func TestNewSystemValidation(t *testing.T) {
-	m, _ := latency.SyntheticKing(10, latency.KingConfig{Seed: 1})
-	if _, err := NewSystem(m, []int{0}, Config{}, 1); err == nil {
+	m, _ := latency.SyntheticKing(10, 1)
+	if _, err := NewSystem(m, []int{0}, 1); err == nil {
 		t.Fatal("accepted single landmark")
 	}
-	if _, err := NewSystem(m, []int{0, 99}, Config{}, 1); err == nil {
+	if _, err := NewSystem(m, []int{0, 99}, 1); err == nil {
 		t.Fatal("accepted out-of-range landmark")
 	}
 }
 
 func TestLandmarkEmbeddingReducesError(t *testing.T) {
-	m, _ := latency.SyntheticKing(80, latency.KingConfig{Seed: 2})
+	m, _ := latency.SyntheticKing(80, 2)
 	lms := []int{0, 10, 20, 30, 40, 50}
-	sys, err := NewSystem(m, lms, Config{}, 3)
+	sys, err := NewSystem(m, lms, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,9 +46,9 @@ func TestLandmarkEmbeddingReducesError(t *testing.T) {
 }
 
 func TestSolveHost(t *testing.T) {
-	m, _ := latency.SyntheticKing(60, latency.KingConfig{Seed: 4})
+	m, _ := latency.SyntheticKing(60, 4)
 	lms := []int{0, 5, 10, 15, 20, 25}
-	sys, err := NewSystem(m, lms, Config{}, 5)
+	sys, err := NewSystem(m, lms, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,9 +93,9 @@ func medianRelativeError(m *latency.Matrix, coords [][]float64, pairs int, rng *
 }
 
 func TestEmbedAllQuality(t *testing.T) {
-	m, _ := latency.SyntheticKing(80, latency.KingConfig{Seed: 6})
+	m, _ := latency.SyntheticKing(80, 6)
 	lms := []int{0, 10, 20, 30, 40, 50, 60, 70}
-	sys, err := NewSystem(m, lms, Config{}, 7)
+	sys, err := NewSystem(m, lms, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,10 +129,10 @@ func TestPatternSearchFindsQuadraticMin(t *testing.T) {
 }
 
 func TestDeterministicSolve(t *testing.T) {
-	m, _ := latency.SyntheticKing(40, latency.KingConfig{Seed: 11})
+	m, _ := latency.SyntheticKing(40, 11)
 	lms := []int{0, 10, 20, 30}
-	s1, _ := NewSystem(m, lms, Config{}, 12)
-	s2, _ := NewSystem(m, lms, Config{}, 12)
+	s1, _ := NewSystem(m, lms, 12)
+	s2, _ := NewSystem(m, lms, 12)
 	c1, _ := s1.SolveHost(5)
 	c2, _ := s2.SolveHost(5)
 	for d := range c1 {

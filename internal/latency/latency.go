@@ -36,43 +36,27 @@ func (m *Matrix) SetRTT(i, j int, ms float64) {
 	m.rtt[j*m.n+i] = ms
 }
 
-// KingConfig parameterizes SyntheticKing.
-type KingConfig struct {
-	// MedianRTT is the target median RTT in ms (default 80, matching the
-	// published King distribution's bulk).
-	MedianRTT float64
-	// Sigma is the log-normal shape (default 0.6).
-	Sigma float64
-	// ViolationFraction is the fraction of host triples that should violate
-	// the triangle inequality after injection (default 0.08; King exhibits
-	// roughly 5–10% violating triples).
-	ViolationFraction float64
-	// Seed seeds the RNG.
-	Seed int64
-}
-
-func (c *KingConfig) applyDefaults() {
-	if c.MedianRTT == 0 {
-		c.MedianRTT = 80
-	}
-	if c.Sigma == 0 {
-		c.Sigma = 0.6
-	}
-	if c.ViolationFraction == 0 {
-		c.ViolationFraction = 0.08
-	}
-}
+// The King-like shape: a median RTT of 80 ms (the published distribution's
+// bulk), a log-normal sigma of 0.6, and as many sharp shrinks as 8 % of
+// the host pairs, which break the triangle inequality on some triples
+// (King shows roughly 5–10 % violating triples).
+const (
+	kingMedianRTT         = 80
+	kingSigma             = 0.6
+	kingViolationFraction = 0.08
+)
 
 // SyntheticKing builds an RTT matrix that mimics the King measurement data:
 // hosts are embedded in a 5-D Euclidean space plus a per-host "access
 // penalty" (height), marginals are shaped log-normally, and a controlled
 // fraction of entries is perturbed to create triangle-inequality violations.
-func SyntheticKing(n int, cfg KingConfig) (*Matrix, error) {
+// It is the fixture of the vivaldi, gnp and latency tests; no series of the
+// simulator runs on it.
+func SyntheticKing(n int, seed int64) (*Matrix, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("latency: need at least 2 hosts, got %d", n)
 	}
-	cfg.applyDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(rand.NewSource(seed))
 	const dim = 5
 	coords := make([][dim]float64, n)
 	height := make([]float64, n)
@@ -97,14 +81,14 @@ func SyntheticKing(n int, cfg KingConfig) (*Matrix, error) {
 			base := math.Sqrt(s)/math.Sqrt(2*dim) + height[i] + height[j]
 			// Map base (≈0..2+) to a log-normal-looking RTT with the
 			// requested median.
-			ms := cfg.MedianRTT * math.Exp(cfg.Sigma*(base-0.9))
+			ms := kingMedianRTT * math.Exp(kingSigma*(base-0.9))
 			m.SetRTT(i, j, ms)
 		}
 	}
 	// Violation injection: shrink a random subset of entries sharply, which
 	// creates detour routes cheaper than the direct edge.
 	pairs := n * (n - 1) / 2
-	inject := int(cfg.ViolationFraction * float64(pairs))
+	inject := int(kingViolationFraction * float64(pairs))
 	for k := 0; k < inject; k++ {
 		i := rng.Intn(n)
 		j := rng.Intn(n)

@@ -37,7 +37,7 @@ func triangleViolationRate(m *Matrix, samples int, rng *rand.Rand) float64 {
 }
 
 func TestSyntheticKingProperties(t *testing.T) {
-	m, err := SyntheticKing(300, KingConfig{Seed: 11})
+	m, err := SyntheticKing(300, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,8 +70,8 @@ func TestSyntheticKingProperties(t *testing.T) {
 }
 
 func TestSyntheticKingDeterminism(t *testing.T) {
-	a, _ := SyntheticKing(50, KingConfig{Seed: 9})
-	b, _ := SyntheticKing(50, KingConfig{Seed: 9})
+	a, _ := SyntheticKing(50, 9)
+	b, _ := SyntheticKing(50, 9)
 	for i := 0; i < 50; i++ {
 		for j := 0; j < 50; j++ {
 			if a.RTT(i, j) != b.RTT(i, j) {
@@ -82,7 +82,7 @@ func TestSyntheticKingDeterminism(t *testing.T) {
 }
 
 func TestSyntheticKingRejectsTiny(t *testing.T) {
-	if _, err := SyntheticKing(1, KingConfig{}); err == nil {
+	if _, err := SyntheticKing(1, 0); err == nil {
 		t.Fatal("accepted n=1")
 	}
 }

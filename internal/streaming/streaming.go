@@ -20,46 +20,35 @@ import (
 	"proxdisc/internal/sim"
 )
 
+// The session's timing: the source emits a chunk every chunkIntervalMS, an
+// upload serializes for serializeMS, a transfer costs hopLatencyMS per
+// router hop, and playback starts once a peer holds the first
+// bufferChunks chunks (setup delay is measured against that).
+const (
+	chunkIntervalMS = 500
+	serializeMS     = 5
+	hopLatencyMS    = 2
+	bufferChunks    = 3
+)
+
 // Config tunes a streaming session.
 type Config struct {
-	// ChunkIntervalMS is the source's chunk production period (default 500).
-	ChunkIntervalMS int64
 	// Chunks is the number of chunks streamed (default 40).
 	Chunks int
 	// UploadSlots is each peer's concurrent-upload capacity: pushing the
-	// i-th simultaneous copy of a chunk adds i*SerializeMS of queueing
+	// i-th simultaneous copy of a chunk adds i*serializeMS of queueing
 	// (default 4).
 	UploadSlots int
-	// SerializeMS is the per-upload serialization delay (default 5).
-	SerializeMS int64
-	// HopLatencyMS converts router hop distance into per-transfer latency
-	// (default 2).
-	HopLatencyMS float64
-	// BufferChunks is the contiguous prefix a peer must hold before
-	// playback starts; setup delay is measured against it (default 3).
-	BufferChunks int
 	// Seed breaks push-order ties deterministically.
 	Seed int64
 }
 
 func (c *Config) applyDefaults() {
-	if c.ChunkIntervalMS == 0 {
-		c.ChunkIntervalMS = 500
-	}
 	if c.Chunks == 0 {
 		c.Chunks = 40
 	}
 	if c.UploadSlots == 0 {
 		c.UploadSlots = 4
-	}
-	if c.SerializeMS == 0 {
-		c.SerializeMS = 5
-	}
-	if c.HopLatencyMS == 0 {
-		c.HopLatencyMS = 2
-	}
-	if c.BufferChunks == 0 {
-		c.BufferChunks = 3
 	}
 }
 
@@ -78,7 +67,7 @@ type Result struct {
 	// (delivery time − creation time) over all (peer, chunk) pairs.
 	MeanDeliveryMS, P95DeliveryMS float64
 	// MeanSetupMS and P95SetupMS summarize per-peer setup delay: the
-	// virtual time at which the peer first held the initial BufferChunks
+	// virtual time at which the peer first held the initial bufferChunks
 	// chunks.
 	MeanSetupMS, P95SetupMS float64
 }
@@ -132,7 +121,7 @@ func NewSession(mesh *overlay.Overlay, source pathtree.PeerID, hops HopFunc, cfg
 func (s *Session) Run() (*Result, error) {
 	for c := 0; c < s.cfg.Chunks; c++ {
 		chunk := c
-		if err := s.engine.At(int64(c)*s.cfg.ChunkIntervalMS, func() {
+		if err := s.engine.At(int64(c)*chunkIntervalMS, func() {
 			s.receive(s.source, chunk)
 		}); err != nil {
 			return nil, err
@@ -172,8 +161,8 @@ func (s *Session) receive(p pathtree.PeerID, chunk int) {
 	sort.SliceStable(targets, func(i, j int) bool { return targets[i].hop < targets[j].hop })
 	slot := 0
 	for _, t := range targets {
-		queue := int64(slot/s.cfg.UploadSlots) * s.cfg.SerializeMS
-		lat := int64(s.cfg.HopLatencyMS*float64(t.hop)) + s.cfg.SerializeMS + queue
+		queue := int64(slot/s.cfg.UploadSlots) * serializeMS
+		lat := int64(hopLatencyMS*t.hop) + serializeMS + queue
 		if lat < 1 {
 			lat = 1
 		}
@@ -198,15 +187,15 @@ func (s *Session) collect() *Result {
 		for c, t := range times {
 			if t < 0 {
 				res.MissingChunks++
-				if c < s.cfg.BufferChunks {
+				if c < bufferChunks {
 					okPrefix = false
 				}
 				continue
 			}
 			res.DeliveredChunks++
-			created := int64(c) * s.cfg.ChunkIntervalMS
+			created := int64(c) * chunkIntervalMS
 			delays = append(delays, float64(t-created))
-			if c < s.cfg.BufferChunks && t > setupAt {
+			if c < bufferChunks && t > setupAt {
 				setupAt = t
 			}
 		}

@@ -76,13 +76,6 @@ type Config struct {
 	// heavier tail. Only used by ModelGLP. Zero means the GLP default 0.6469
 	// from Bu & Towsley's Internet fit.
 	GLPBeta float64
-	// WaxmanAlpha and WaxmanBeta are the classical Waxman parameters.
-	// Zero values default to 0.15 and 0.25.
-	WaxmanAlpha, WaxmanBeta float64
-	// TransitDomains, TransitSize, StubsPerTransit, StubSize shape the
-	// transit-stub hierarchy. Zero values pick proportions matching
-	// CoreRouters.
-	TransitDomains, TransitSize, StubsPerTransit, StubSize int
 	// Seed seeds the deterministic generator RNG.
 	Seed int64
 }
@@ -100,13 +93,18 @@ func (c *Config) applyDefaults() {
 	if c.GLPBeta == 0 {
 		c.GLPBeta = 0.6469
 	}
-	if c.WaxmanAlpha == 0 {
-		c.WaxmanAlpha = 0.15
-	}
-	if c.WaxmanBeta == 0 {
-		c.WaxmanBeta = 0.25
-	}
 }
+
+// The shapes of the sensitivity models: Waxman's classical alpha and beta,
+// and a transit-stub core of 4 transit domains of 8 routers, each router
+// sponsoring 3 stub domains sized so the stubs hold about CoreRouters.
+const (
+	waxmanAlpha     = 0.15
+	waxmanBeta      = 0.25
+	transitDomains  = 4
+	transitSize     = 8
+	stubsPerTransit = 3
+)
 
 // Generate builds a router graph per the configuration. The result is always
 // connected, and — except for degenerate configurations — contains at least
@@ -125,7 +123,7 @@ func Generate(cfg Config) (*Graph, error) {
 	case ModelGLP:
 		g, err = glp(cfg.CoreRouters, cfg.EdgesPerNode, cfg.GLPBeta, rng)
 	case ModelWaxman:
-		g, err = waxman(cfg.CoreRouters, cfg.WaxmanAlpha, cfg.WaxmanBeta, rng)
+		g, err = waxman(cfg.CoreRouters, waxmanAlpha, waxmanBeta, rng)
 	case ModelTransitStub:
 		g, err = transitStub(cfg, rng)
 	default:
@@ -272,24 +270,13 @@ func waxman(n int, alpha, beta float64, rng *rand.Rand) (*Graph, error) {
 	return g, nil
 }
 
-// transitStub builds a two-level hierarchy: TransitDomains clique-ish transit
-// domains whose routers are richly connected, each transit router sponsoring
-// StubsPerTransit stub domains of StubSize routers arranged as sparse meshes
-// with degree-1 hosts on the rim.
+// transitStub builds a two-level hierarchy: transitDomains clique-ish
+// transit domains whose routers are richly connected, each transit router
+// sponsoring stubsPerTransit stub domains arranged as sparse meshes with
+// degree-1 hosts on the rim.
 func transitStub(cfg Config, rng *rand.Rand) (*Graph, error) {
-	td, ts, spt, ss := cfg.TransitDomains, cfg.TransitSize, cfg.StubsPerTransit, cfg.StubSize
-	if td == 0 {
-		td = 4
-	}
-	if ts == 0 {
-		ts = 8
-	}
-	if spt == 0 {
-		spt = 3
-	}
-	if ss == 0 {
-		ss = max(4, cfg.CoreRouters/(td*ts*spt))
-	}
+	td, ts, spt := transitDomains, transitSize, stubsPerTransit
+	ss := max(4, cfg.CoreRouters/(td*ts*spt))
 	g := NewGraph(0)
 	transit := make([][]NodeID, td)
 	for d := 0; d < td; d++ {
@@ -325,10 +312,6 @@ func transitStub(cfg Config, rng *rand.Rand) (*Graph, error) {
 	}
 	// Stub domains: a chain with a random chord, homed onto one transit
 	// router, with LeafRouters/stubs degree-1 hosts spread across stubs.
-	totalStubs := td * ts * spt / max(1, ts/spt)
-	if totalStubs == 0 {
-		totalStubs = td * spt
-	}
 	var stubRouters []NodeID
 	for d := 0; d < td; d++ {
 		for i := 0; i < ts; i++ {

@@ -75,9 +75,6 @@ type Config struct {
 	// hops (the landmark hop is still appended if reached). This models a
 	// tool that probes only the edge portion of the path.
 	PrefixHops int
-	// JitterFraction perturbs each measured RTT by ±fraction (default 0,
-	// deterministic RTTs).
-	JitterFraction float64
 }
 
 func (c *Config) applyDefaults() {
@@ -134,8 +131,8 @@ func (t *Tracer) routeTo(src, dst topology.NodeID) ([]topology.NodeID, []float64
 	return path, lat, nil
 }
 
-// Trace probes the path from src to dst. rng drives probe loss and jitter;
-// passing the same seeded rng reproduces the trace exactly.
+// Trace probes the path from src to dst. rng drives probe loss; passing
+// the same seeded rng reproduces the trace exactly.
 func (t *Tracer) Trace(src, dst topology.NodeID, cfg Config, rng *rand.Rand) (*Result, error) {
 	cfg.applyDefaults()
 	if cfg.LossRate < 0 || cfg.LossRate >= 1 {
@@ -165,14 +162,7 @@ func (t *Tracer) Trace(src, dst topology.NodeID, cfg Config, rng *rand.Rand) (*R
 			res.Hops = append(res.Hops, Hop{Router: AnonymousRouter})
 			continue
 		}
-		rtt := 2 * lat[i]
-		if cfg.JitterFraction > 0 && rng != nil {
-			rtt *= 1 + cfg.JitterFraction*(2*rng.Float64()-1)
-		}
-		if rtt <= 0 {
-			rtt = 0.01
-		}
-		res.Hops = append(res.Hops, Hop{Router: path[i], RTT: rtt})
+		res.Hops = append(res.Hops, Hop{Router: path[i], RTT: 2 * lat[i]})
 	}
 	res.Complete = true
 	return t.reduce(res, cfg), nil

@@ -39,51 +39,27 @@ func Distance(a, b Coord) float64 {
 	return math.Sqrt(s) + a.Height + b.Height
 }
 
-// Config tunes the Vivaldi update rule.
-type Config struct {
-	// Dim is the Euclidean dimension (default 2; the original paper found
-	// 2-D plus height sufficient).
-	Dim int
-	// CE is the adaptive error gain (default 0.25).
-	CE float64
-	// CC is the adaptive timestep gain (default 0.25).
-	CC float64
-	// InitError is a new node's initial relative error estimate (default 1).
-	InitError float64
-}
-
-func (c *Config) applyDefaults() {
-	if c.Dim == 0 {
-		c.Dim = 2
-	}
-	if c.CE == 0 {
-		c.CE = 0.25
-	}
-	if c.CC == 0 {
-		c.CC = 0.25
-	}
-	if c.InitError == 0 {
-		c.InitError = 1
-	}
-}
+// The update rule's constants: a 2-D space plus height (the original
+// paper found that sufficient), adaptive error and timestep gains of 0.25,
+// and a new node's relative error estimate of 1.
+const (
+	dim       = 2
+	ce        = 0.25
+	cc        = 0.25
+	initError = 1.0
+)
 
 // Node is one Vivaldi participant.
 type Node struct {
-	cfg   Config
 	coord Coord
 	err   float64
 }
 
-// NewNode creates a node at the origin with the configured initial error.
+// NewNode creates a node at the origin with the initial error estimate.
 // Vivaldi starts all nodes at the origin; the update rule's random unit
 // vector breaks the symmetry.
-func NewNode(cfg Config) *Node {
-	cfg.applyDefaults()
-	return &Node{
-		cfg:   cfg,
-		coord: Coord{Vec: make([]float64, cfg.Dim)},
-		err:   cfg.InitError,
-	}
+func NewNode() *Node {
+	return &Node{coord: Coord{Vec: make([]float64, dim)}, err: initError}
 }
 
 // Update applies one RTT sample against a remote node's coordinate and error
@@ -99,8 +75,8 @@ func (n *Node) Update(rtt float64, remote Coord, remoteErr float64, rng *rand.Ra
 	w := n.err / (n.err + remoteErr)
 	dist := Distance(n.coord, remote)
 	es := math.Abs(dist-rtt) / rtt
-	n.err = es*n.cfg.CE*w + n.err*(1-n.cfg.CE*w)
-	delta := n.cfg.CC * w
+	n.err = es*ce*w + n.err*(1-ce*w)
+	delta := cc * w
 	force := rtt - dist
 	dir, height := unitVectorTowards(n.coord, remote, rng)
 	for i := range n.coord.Vec {
@@ -153,7 +129,6 @@ func unitVectorTowards(local, remote Coord, rng *rand.Rand) ([]float64, float64)
 // truth RTT matrix. It records the number of RTT samples consumed so the
 // experiment harness can chart accuracy versus measurement cost.
 type System struct {
-	cfg     Config
 	m       *latency.Matrix
 	nodes   []*Node
 	rng     *rand.Rand
@@ -161,12 +136,11 @@ type System struct {
 }
 
 // NewSystem builds a system with one node per matrix host.
-func NewSystem(m *latency.Matrix, cfg Config, seed int64) *System {
-	cfg.applyDefaults()
-	s := &System{cfg: cfg, m: m, rng: rand.New(rand.NewSource(seed))}
+func NewSystem(m *latency.Matrix, seed int64) *System {
+	s := &System{m: m, rng: rand.New(rand.NewSource(seed))}
 	s.nodes = make([]*Node, m.Size())
 	for i := range s.nodes {
-		s.nodes[i] = NewNode(cfg)
+		s.nodes[i] = NewNode()
 	}
 	return s
 }

@@ -24,7 +24,7 @@ func TestDistanceSymmetricAndPositive(t *testing.T) {
 }
 
 func TestNodeUpdateValidation(t *testing.T) {
-	n := NewNode(Config{})
+	n := NewNode()
 	rng := rand.New(rand.NewSource(1))
 	if err := n.Update(0, n.coord, 1, rng); err == nil {
 		t.Fatal("accepted zero RTT")
@@ -37,7 +37,7 @@ func TestNodeUpdateValidation(t *testing.T) {
 
 func TestNodeUpdateMovesTowardTarget(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	n := NewNode(Config{})
+	n := NewNode()
 	remote := Coord{Vec: []float64{10, 0}}
 	// The true RTT says we are 5 away but we currently predict ~10 (after
 	// initial placement). Updates should pull prediction toward 5.
@@ -54,7 +54,7 @@ func TestNodeUpdateMovesTowardTarget(t *testing.T) {
 
 func TestHeightNeverNegative(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	n := NewNode(Config{})
+	n := NewNode()
 	remote := Coord{Vec: []float64{1, 1}, Height: 5}
 	for i := 0; i < 500; i++ {
 		rtt := 0.5 + rng.Float64()*10
@@ -69,7 +69,7 @@ func TestHeightNeverNegative(t *testing.T) {
 
 func TestErrorEstimateDecreasesOnConsistentSamples(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	n := NewNode(Config{})
+	n := NewNode()
 	remote := Coord{Vec: []float64{20, 0}}
 	initial := n.err
 	for i := 0; i < 300; i++ {
@@ -105,11 +105,11 @@ func medianRelativeError(s *System, pairs int, rng *rand.Rand) float64 {
 }
 
 func TestSystemConvergesOnKingMatrix(t *testing.T) {
-	m, err := latency.SyntheticKing(120, latency.KingConfig{Seed: 5})
+	m, err := latency.SyntheticKing(120, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys := NewSystem(m, Config{}, 6)
+	sys := NewSystem(m, 6)
 	evalRNG := rand.New(rand.NewSource(7))
 	before := medianRelativeError(sys, 2000, evalRNG)
 	for r := 0; r < 60; r++ {
@@ -129,8 +129,8 @@ func TestSystemConvergesOnKingMatrix(t *testing.T) {
 }
 
 func TestKClosestRanksByCoordinate(t *testing.T) {
-	m, _ := latency.SyntheticKing(60, latency.KingConfig{Seed: 8})
-	sys := NewSystem(m, Config{}, 9)
+	m, _ := latency.SyntheticKing(60, 8)
+	sys := NewSystem(m, 9)
 	for r := 0; r < 40; r++ {
 		sys.Round(4)
 	}
@@ -157,8 +157,8 @@ func TestKClosestRanksByCoordinate(t *testing.T) {
 }
 
 func TestKClosestClampsK(t *testing.T) {
-	m, _ := latency.SyntheticKing(5, latency.KingConfig{Seed: 1})
-	sys := NewSystem(m, Config{}, 2)
+	m, _ := latency.SyntheticKing(5, 1)
+	sys := NewSystem(m, 2)
 	if got := sys.KClosest(0, 50); len(got) != 4 {
 		t.Fatalf("k clamp failed: %d", len(got))
 	}
