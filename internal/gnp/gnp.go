@@ -37,7 +37,7 @@ type System struct {
 	lcoords   [][]float64 // landmark coordinates
 	m         *latency.Matrix
 	probes    int     // RTT measurements consumed
-	step      float64 // pattern search's starting step, in ms
+	step      float64 // pattern search's starting step: a quarter of the median RTT
 }
 
 // NewSystem solves the landmark embedding for the given landmark host
@@ -51,7 +51,6 @@ func NewSystem(m *latency.Matrix, landmarkHosts []int, seed int64) (*System, err
 			return nil, fmt.Errorf("gnp: landmark host %d out of range", h)
 		}
 	}
-	// The starting step is a quarter of the median RTT.
 	s := &System{landmarks: append([]int(nil), landmarkHosts...), m: m, step: m.Median() / 4}
 	if s.step <= 0 {
 		s.step = 10

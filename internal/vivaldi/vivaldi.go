@@ -93,8 +93,7 @@ func (n *Node) Update(rtt float64, remote Coord, remoteErr float64, rng *rand.Ra
 // the augmented (vector, height) space; when the two coincide a random
 // direction is drawn.
 func unitVectorTowards(local, remote Coord, rng *rand.Rand) ([]float64, float64) {
-	dim := len(local.Vec)
-	dir := make([]float64, dim)
+	dir := make([]float64, len(local.Vec))
 	var norm float64
 	for i := range dir {
 		dir[i] = local.Vec[i] - remote.Vec[i]
