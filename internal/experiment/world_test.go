@@ -302,6 +302,16 @@ func TestMeanSD(t *testing.T) {
 	}
 }
 
+// TestDefaultFig1Config pins the paper's x-axis, which a Fig1Config that
+// names no peer counts plots: 600 to 1 400 peers in steps of 200, once.
+func TestDefaultFig1Config(t *testing.T) {
+	var cfg Fig1Config
+	cfg.applyDefaults()
+	if !slices.Equal(cfg.PeerCounts, []int{600, 800, 1000, 1200, 1400}) || cfg.Repeats != 1 {
+		t.Fatalf("defaults: peer counts %v, repeats %d", cfg.PeerCounts, cfg.Repeats)
+	}
+}
+
 func TestQualityZeroDivision(t *testing.T) {
 	var q Quality
 	if q.DOverDclosest() != 0 || q.DrandomOverDclosest() != 0 {
