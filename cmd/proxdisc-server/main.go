@@ -69,9 +69,10 @@
 //     proxdisc_shard_apply_total{shard=N} per shard;
 //     proxdisc_scatter_fanout_total,
 //     proxdisc_checkpoint_duration_seconds, and
-//     proxdisc_arena_bytes{pool=nodes|records|kids|addrs|index,state=live|free},
-//     what the path trees' pools hold in use and parked on free lists, and
-//     the peer index's slots in use and empty; for the last durable open,
+//     proxdisc_arena_bytes{pool=nodes|records|addrs|index,state=live|free},
+//     what the path trees' pools hold in use and free (parked on free
+//     lists, and for nodes the slack of child runs), and the peer index's
+//     slots in use and empty; for the last durable open,
 //     proxdisc_recovery_load_seconds (the checkpoint load),
 //     proxdisc_recovery_replay_seconds (the log tail's replay), and
 //     proxdisc_recovery_serial_records (the tail's records applied

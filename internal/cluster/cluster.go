@@ -281,8 +281,6 @@ func (c *Cluster) initMetrics() {
 		{"nodes", "free", func(a pathtree.ArenaStats) int { return a.Free * pathtree.NodeBytes }},
 		{"records", "live", func(a pathtree.ArenaStats) int { return (a.Records - a.FreeRecords) * pathtree.RecordBytes }},
 		{"records", "free", func(a pathtree.ArenaStats) int { return a.FreeRecords * pathtree.RecordBytes }},
-		{"kids", "live", func(a pathtree.ArenaStats) int { return (a.Kids - a.FreeKids) * pathtree.KidBytes }},
-		{"kids", "free", func(a pathtree.ArenaStats) int { return a.FreeKids * pathtree.KidBytes }},
 		{"addrs", "live", func(a pathtree.ArenaStats) int { return a.AddrBytes - a.FreeAddrBytes }},
 		{"addrs", "free", func(a pathtree.ArenaStats) int { return a.FreeAddrBytes }},
 	} {

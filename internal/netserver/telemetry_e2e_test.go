@@ -190,11 +190,11 @@ func TestMetricsEndpointEndToEnd(t *testing.T) {
 		t.Fatalf("shard applies sum to %v, want >= %d", got, joins)
 	}
 	// The trees' pools, in bytes: per landmark one router below the root,
-	// one child pair and one record per peer, and each 11-byte address in a
-	// 16-byte run. No peer has left, so nothing is free.
+	// alone in a one-node child run, one record per peer, and each 11-byte
+	// address in a 16-byte run. No peer has left and no run has slack, so
+	// nothing is free.
 	for series, want := range map[string]int{
 		"nodes":   2 * pathtree.NodeBytes,
-		"kids":    2 * pathtree.KidBytes,
 		"records": joins * pathtree.RecordBytes,
 		"addrs":   joins * 16,
 	} {

@@ -13,61 +13,91 @@ import (
 	"proxdisc/internal/topology"
 )
 
-// Slab geometry. Nodes and records are carved from chunks of slabSize
-// slots, child pairs from chunks of kidChunk pairs, address bytes from
-// chunks of addrChunk bytes; a chunk is never reallocated, so growing a tree
-// copies nothing and its slack is at most one chunk per pool. Addresses take
-// runs in addrStep-byte size classes — the Go allocator's own small-size
-// step, so an address costs no more here than as a string of its own — up
-// to codec.MaxAddrLen.
+// Pool geometry. Records are carved from chunks of slabSize slots, trie
+// nodes from chunks of nodeChunk slots, address bytes from chunks of
+// addrChunk bytes; a chunk is never reallocated, so growing a tree copies
+// nothing and its slack is at most one chunk per pool. Nodes take runs of
+// power-of-two sizes (a node's children are one run) and addresses runs in
+// addrStep-byte size classes — the Go allocator's own small-size step, so an
+// address costs no more here than as a string of its own — up to
+// codec.MaxAddrLen.
 const (
 	slabShift   = 8
 	slabSize    = 1 << slabShift
-	kidShift    = 10
-	kidChunk    = 1 << kidShift
+	nodeShift   = 8
+	nodeChunk   = 1 << nodeShift
 	addrShift   = 13
 	addrChunk   = 1 << addrShift
 	addrStep    = 8
 	addrClasses = codec.MaxAddrLen / addrStep
 
+	// keyClass is the smallest size class of child run that keeps its
+	// children's routers densely at its head: an eighth of the run, ahead
+	// of the first child. A descent then scans 4 bytes per child of a
+	// router with many children, not the 32 of a node.
+	keyClass = 6
+
 	none int32 = -1 // the nil index
-	root int32 = 0  // the landmark's node, carved first
+	root int32 = 0  // the landmark's node, carved first, in a run of its own
 )
 
-// node is one router of the trie: 24 bytes, no pointers, every link an
+// node is one router of the trie: 32 bytes, no pointers, every link an
 // index into one of the tree's pools. A node with no peer attached and no
 // child is pruned, so every node but the root has a peer in its subtree.
 type node struct {
+	// peer is the ID of the record firstPeer names, so a query reads no
+	// record at a node holding one peer; more says the chain holds others.
+	peer PeerID
 	// router is the router this node stands for; topology.InvalidNode,
-	// which no validated path holds, marks a free node.
+	// which no validated path holds, marks a slot holding no node.
 	router topology.NodeID
 	// parent is the node one hop closer to the landmark (none at the root);
-	// while the node is parked on the free list it is the list link.
+	// in the first slot of a parked run it is the free list's link.
 	parent int32
 	// firstPeer heads the chain of records attached exactly here (their
 	// path ends at this router), linked through Record.next.
 	firstPeer int32
-	// kidsOff and kidsLen locate the node's children in the kid pool: the
-	// first kidsLen pairs of a run of kidsCap(), sorted ascending by router.
+	// kidsOff and kidsLen locate the node's children: the first kidsLen of
+	// kidsCap() slots starting at kidsOff, in no order. They are the tail
+	// of the node's child run; its first keySlots() slots hold the routers.
 	kidsOff, kidsLen int32
 	// depth is the distance from the landmark in hops: ValidatePath caps a
 	// path at codec.MaxPathLen routers, so it is at most 255.
 	depth uint8
 	// kidsLog is 0 when the node owns no child run, else 1 + the run's size
-	// class: the run holds 1<<(kidsLog-1) pairs.
+	// class: the run is 1<<(kidsLog-1) slots.
 	kidsLog uint8
+	more    bool
 }
 
-// kidsCap is the number of pairs in n's child run.
-func (n *node) kidsCap() int32 { return 1 << n.kidsLog >> 1 }
+// runCap is the number of children a child run of the given size class
+// holds: all its slots but those holding router keys.
+func runCap(class int) int32 { return 1<<class - runKeys(class) }
 
-// kid is one entry of a node's child run: the child's router beside its
-// node index, so a search compares keys that sit together in one cache line
-// instead of dereferencing a child per probe.
-type kid struct {
-	router topology.NodeID
-	idx    int32
+// runKeys is the number of slots a child run of the given size class
+// spends on its children's routers: an eighth from keyClass on.
+func runKeys(class int) int32 {
+	if class < keyClass {
+		return 0
+	}
+	return 1 << class >> 3
 }
+
+// kidsCap is the number of children n's child run holds.
+func (n *node) kidsCap() int32 {
+	if n.kidsLog == 0 {
+		return 0
+	}
+	return runCap(int(n.kidsLog) - 1)
+}
+
+// keySlots is the number of slots ahead of n's first child that hold its
+// children's routers.
+func (n *node) keySlots() int32 { return runKeys(int(n.kidsLog) - 1) }
+
+// vacant is what a slot holding no node reads: slack at the end of a child
+// run, or part of a parked run.
+var vacant = node{router: topology.InvalidNode, parent: none, firstPeer: none}
 
 // Record is the one record a tree holds per resident peer: everything the
 // management server keeps about the peer apart from its path, which is the
@@ -76,7 +106,8 @@ type kid struct {
 // on a fresh record. The address lives in the tree's address pool (SetAddr
 // writes it, Addr reads it), so a record is 32 bytes and holds no pointer.
 type Record struct {
-	// ID is the peer.
+	// ID is the peer. Join sets it and the node the record hangs off keeps a
+	// copy, so the caller must not change it.
 	ID PeerID
 	// RefreshNanos is the time of the last join or refresh, in Unix
 	// nanoseconds.
@@ -113,66 +144,66 @@ func (s *slab[T]) carve() int32 {
 	return s.carved - 1
 }
 
-// kidPool hands out runs of child pairs in power-of-two sizes. Freed runs
-// wait on a free list per size and are reused whole; nothing is split or
-// merged, so a run's size class never changes.
-type kidPool struct {
-	// chunks[i] starts at pool offset i<<kidShift. A run longer than one
+// nodePool hands out runs of node slots in power-of-two sizes, so that a
+// node's children sit side by side. Freed runs wait on a free list per size
+// and are reused whole; nothing is split or merged, so a run's size class
+// never changes. A slot carved holds a node or router keys, or reads vacant.
+type nodePool struct {
+	// chunks[i] starts at pool offset i<<nodeShift. A run longer than one
 	// chunk owns consecutive entries, each a suffix of one allocation, so
 	// slicing from its first entry reaches the whole run.
-	chunks [][]kid
-	// next and end bound the part of the newest chunk not yet handed out.
-	next, end int32
-	free      [31]int32 // per size class, linked through the first pair's idx
-	carved    int32     // pairs handed out so far, free ones included
-	freeN     int32     // pairs on the free lists
+	chunks [][]node
+	carved int32     // slots handed out so far, parked ones included
+	free   [31]int32 // per size class, linked through the first slot's parent
+	freeN  int32     // slots in parked runs
 }
 
-func (p *kidPool) run(off, n int32) []kid {
-	return p.chunks[off>>kidShift][off&(kidChunk-1):][:n]
+func (p *nodePool) at(i int32) *node { return &p.chunks[i>>nodeShift][i&(nodeChunk-1)] }
+
+func (p *nodePool) run(off, n int32) []node {
+	return p.chunks[off>>nodeShift][off&(nodeChunk-1):][:n]
 }
 
-// alloc returns the offset of a run of 1<<class pairs.
-func (p *kidPool) alloc(class int) int32 {
+// alloc returns the offset of a run of 1<<class vacant slots.
+func (p *nodePool) alloc(class int) int32 {
 	size := int32(1) << class
 	if off := p.free[class]; off != none {
-		p.free[class] = p.run(off, 1)[0].idx
+		head := p.at(off)
+		p.free[class], head.parent = head.parent, none
 		p.freeN -= size
 		return off
 	}
-	if p.end-p.next < size {
+	if end := int32(len(p.chunks)) << nodeShift; end-p.carved < size {
 		// Park what is left of the current chunk on the free lists, largest
 		// piece first, and open a chunk (or, for a run that outgrows one, a
 		// region of whole chunks).
-		for left := p.end - p.next; left > 0; left = p.end - p.next {
+		for left := end - p.carved; left > 0; left = end - p.carved {
 			piece := bits.Len32(uint32(left)) - 1
+			p.release(p.carved, piece)
 			p.carved += 1 << piece
-			p.release(p.next, piece)
-			p.next += 1 << piece
 		}
-		region := make([]kid, max(size, kidChunk))
-		p.next = int32(len(p.chunks)) << kidShift
-		p.end = p.next + int32(len(region))
-		for o := 0; o < len(region); o += kidChunk {
+		region := make([]node, max(size, nodeChunk))
+		for i := range region {
+			region[i] = vacant
+		}
+		for o := 0; o < len(region); o += nodeChunk {
 			p.chunks = append(p.chunks, region[o:])
 		}
 	}
-	off := p.next
-	p.next += size
 	p.carved += size
-	return off
+	return p.carved - size
 }
 
-// release parks a run on its size class's free list.
-func (p *kidPool) release(off int32, class int) {
-	p.run(off, 1)[0].idx = p.free[class]
+// release parks a run of vacant slots on its size class's free list.
+func (p *nodePool) release(off int32, class int) {
+	p.at(off).parent = p.free[class]
 	p.free[class] = off
 	p.freeN += 1 << class
 }
 
 // addrPool hands out byte runs for addresses, one size class per addrStep
-// bytes. As in kidPool, freed runs wait on a free list per class and are
-// reused whole, and a run never straddles two chunks.
+// bytes. As in nodePool, freed runs wait on a free list per class and are
+// reused whole; an address run never straddles two chunks.
 type addrPool struct {
 	chunks []*[addrChunk]byte
 	carved int32              // bytes handed out so far, free ones included
@@ -222,23 +253,23 @@ func (p *addrPool) release(off int32, class int) {
 // may run concurrently with each other. Tree is the locked, ID-keyed form.
 type Core struct {
 	landmark topology.NodeID
-	nodes    slab[node]
+	nodes    nodePool
+	live     int32 // trie nodes below the root
 	recs     slab[Record]
-	kids     kidPool
 	addrs    addrPool
 }
 
 // NewCore returns an empty tree for the given landmark router.
 func NewCore(landmark topology.NodeID) *Core {
 	c := &Core{landmark: landmark}
-	c.nodes.free, c.recs.free = none, none
-	for i := range c.kids.free {
-		c.kids.free[i] = none
+	c.recs.free = none
+	for i := range c.nodes.free {
+		c.nodes.free[i] = none
 	}
 	for i := range c.addrs.free {
 		c.addrs.free[i] = none
 	}
-	*c.nodes.at(c.nodes.carve()) = node{router: landmark, parent: none, firstPeer: none}
+	*c.nodes.at(c.nodes.alloc(0)) = node{router: landmark, parent: none, firstPeer: none}
 	return c
 }
 
@@ -323,79 +354,133 @@ func ValidatePath(path []topology.NodeID, landmark topology.NodeID) error {
 	return nil
 }
 
-// search returns the position of router r in a sorted child run, or, when it
-// is absent, the position it would be inserted at. It runs once per path hop
-// of every join and query; open-coded, it was a third faster on a
-// join-and-leave churn loop than slices.BinarySearchFunc, which calls its
-// comparison through a func value.
-func search(run []kid, r topology.NodeID) (int, bool) {
-	lo, hi := 0, len(run)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if run[mid].router < r {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+// kidsOf returns n's children, in no order.
+func (c *Core) kidsOf(n *node) []node {
+	if n.kidsLen == 0 {
+		return nil // a leaf may own no run
 	}
-	return lo, lo < len(run) && run[lo].router == r
+	return c.nodes.run(n.kidsOff, n.kidsLen)
 }
 
-// kidsOf returns n's children, sorted by router.
-func (c *Core) kidsOf(n *node) []kid {
-	if n.kidsLen == 0 {
-		return nil // a leaf owns no run
+// keys returns the router keys of n's child run, one per child slot: n
+// must have keySlots. The keys are the bytes of the run's first slots.
+func (c *Core) keys(n *node) []topology.NodeID {
+	head := c.nodes.at(n.kidsOff - n.keySlots())
+	return unsafe.Slice((*topology.NodeID)(unsafe.Pointer(head)), n.kidsCap())
+}
+
+// releaseKids parks n's child run, once its children are gone or moved.
+func (c *Core) releaseKids(n *node) {
+	ks := n.keySlots()
+	head := c.nodes.run(n.kidsOff-ks, ks)
+	for j := range head {
+		head[j] = vacant
 	}
-	return c.kids.run(n.kidsOff, n.kidsLen)
+	c.nodes.release(n.kidsOff-ks, int(n.kidsLog)-1)
 }
 
 // descend walks down from the landmark as far as the trie matches the
-// reported (peer-side first) path. It returns the node reached, the index
-// in path of the first hop the trie lacks (-1 when the whole path matched)
-// and the position that hop would take among the reached node's children.
-func (c *Core) descend(path []topology.NodeID, sc *Scratch) (cur int32, i, at int) {
+// reported (peer-side first) path. It returns the node reached and the
+// index in path of the first hop the trie lacks (-1 when the whole path
+// matched). Each hop scans the reached node's child run: children are
+// unsorted, so that an insert appends and a prune fills its hole with the
+// run's last node instead of shifting siblings.
+func (c *Core) descend(path []topology.NodeID, sc *Scratch) (cur int32, i int) {
 	cur = root
+hops:
 	for i = len(path) - 2; i >= 0; i-- {
-		run := c.kidsOf(c.nodes.at(cur))
-		var ok bool
-		if at, ok = search(run, path[i]); !ok {
+		n, r := c.nodes.at(cur), path[i]
+		if n.keySlots() > 0 {
+			if j := find(c.keys(n)[:n.kidsLen], r); j >= 0 {
+				cur = n.kidsOff + int32(j)
+				continue
+			}
 			break
 		}
-		cur = run[at].idx
+		kids := c.kidsOf(n)
+		for j := range kids {
+			if kids[j].router == r {
+				cur = n.kidsOff + int32(j)
+				continue hops
+			}
+		}
+		break
 	}
 	if sc != nil {
 		sc.hops += len(path) - 2 - i
 	}
-	return cur, i, at
+	return cur, i
 }
 
-// addChild links a new node for router r under parent at position at of its
-// child run, moving the run to one of twice the size when it is full.
-func (c *Core) addChild(parent int32, at int, r topology.NodeID) int32 {
-	idx := c.nodes.free
-	if idx != none {
-		c.nodes.free = c.nodes.at(idx).parent
-		c.nodes.freeN--
-	} else {
-		idx = c.nodes.carve()
+// find returns the index of r in keys, or -1. It tests eight keys a step,
+// two to a 64-bit word, with one branch: a word holds r where its xor with
+// r has a zero half.
+func find(keys []topology.NodeID, r topology.NodeID) int {
+	const lo, hi = 0x0000000100000001, 0x8000000080000000
+	j, rr := 0, uint64(uint32(r))*lo
+	for ; j+8 <= len(keys); j += 8 {
+		w := (*[4]uint64)(unsafe.Pointer(&keys[j]))
+		a, b, c, d := w[0]^rr, w[1]^rr, w[2]^rr, w[3]^rr
+		if ((a-lo)&^a|(b-lo)&^b|(c-lo)&^c|(d-lo)&^d)&hi != 0 {
+			break
+		}
 	}
+	for ; j < len(keys); j++ {
+		if keys[j] == r {
+			return j
+		}
+	}
+	return -1
+}
+
+// addChild links a new node for router r at the end of parent's child run,
+// moving the run to one of twice the size when it is full.
+func (c *Core) addChild(parent int32, r topology.NodeID) int32 {
 	pn := c.nodes.at(parent)
-	*c.nodes.at(idx) = node{router: r, parent: parent, depth: pn.depth + 1, firstPeer: none}
 	if pn.kidsLen == pn.kidsCap() {
 		// The new run's class is one above the old run's: kidsLog itself.
-		off := c.kids.alloc(int(pn.kidsLog))
+		class := int(pn.kidsLog)
+		off := c.nodes.alloc(class) + runKeys(class)
 		if pn.kidsLog > 0 {
-			copy(c.kids.run(off, pn.kidsLen), c.kidsOf(pn))
-			c.kids.release(pn.kidsOff, int(pn.kidsLog)-1)
+			old := c.kidsOf(pn)
+			copy(c.nodes.run(off, pn.kidsLen), old)
+			for j := range old {
+				old[j] = vacant
+				c.moved(off + int32(j))
+			}
+			c.releaseKids(pn)
 		}
-		pn.kidsOff = off
-		pn.kidsLog++
+		pn.kidsOff, pn.kidsLog = off, uint8(class+1)
+		if pn.keySlots() > 0 {
+			keys := c.keys(pn)
+			for j, kid := range c.kidsOf(pn) {
+				keys[j] = kid.router
+			}
+		}
+	}
+	idx := pn.kidsOff + pn.kidsLen
+	if pn.keySlots() > 0 {
+		c.keys(pn)[pn.kidsLen] = r
 	}
 	pn.kidsLen++
-	run := c.kidsOf(pn)
-	copy(run[at+1:], run[at:])
-	run[at] = kid{router: r, idx: idx}
+	c.live++
+	*c.nodes.at(idx) = node{router: r, parent: parent, depth: pn.depth + 1, firstPeer: none}
 	return idx
+}
+
+// moved repoints what links to the node now in slot m — its children's
+// parent and its records' node — after the node was copied there.
+func (c *Core) moved(m int32) {
+	n := c.nodes.at(m)
+	for s := n.firstPeer; s != none; {
+		rec := c.recs.at(s)
+		rec.node = m
+		s = rec.next
+	}
+	kids := c.kidsOf(n)
+	for j := range kids {
+		kids[j].parent = m
+	}
 }
 
 // Join attaches peer p at the end of its reported path (peer-side first,
@@ -407,13 +492,12 @@ func (c *Core) addChild(parent int32, at int, r topology.NodeID) int32 {
 // again. The path must have passed ValidatePath, and p must not be resident:
 // a peer that re-joins is removed first.
 func (c *Core) Join(p PeerID, path []topology.NodeID, k int, sc *Scratch) (slot int32, hits []Hit) {
-	cur, i, at := c.descend(path, sc)
+	cur, i := c.descend(path, sc)
 	if k > 0 {
 		hits = c.closestFrom(cur, len(path)-1, k, none, nil, sc)
 	}
 	for ; i >= 0; i-- {
-		cur = c.addChild(cur, at, path[i])
-		at = 0 // a node just made has no children to sort among
+		cur = c.addChild(cur, path[i])
 	}
 	slot = c.recs.free
 	if slot != none {
@@ -424,7 +508,7 @@ func (c *Core) Join(p PeerID, path []topology.NodeID, k int, sc *Scratch) (slot 
 	}
 	n := c.nodes.at(cur)
 	*c.recs.at(slot) = Record{ID: p, node: cur, next: n.firstPeer}
-	n.firstPeer = slot
+	n.peer, n.more, n.firstPeer = p, n.firstPeer != none, slot
 	return slot, hits
 }
 
@@ -433,31 +517,44 @@ func (c *Core) Join(p PeerID, path []topology.NodeID, k int, sc *Scratch) (slot 
 func (c *Core) Remove(slot int32) {
 	rec := c.recs.at(slot)
 	at := rec.node
-	link := &c.nodes.at(at).firstPeer
+	n := c.nodes.at(at)
+	link := &n.firstPeer
 	for *link != slot {
 		link = &c.recs.at(*link).next
 	}
 	*link = rec.next
+	if n.firstPeer != none {
+		head := c.recs.at(n.firstPeer)
+		n.peer, n.more = head.ID, head.next != none
+	} else {
+		n.peer, n.more = 0, false
+	}
 	c.SetAddr(rec, "")
 	*rec = Record{node: none, next: c.recs.free}
 	c.recs.free = slot
 	c.recs.freeN++
-	// Prune empty leaves upward, recycling each node and its child run.
-	// Modifying calls have the tree to themselves, so no query can still
-	// hold an index into what is recycled here.
-	for m, n := at, c.nodes.at(at); m != root && n.firstPeer == none && n.kidsLen == 0; {
+	// Prune empty leaves upward, recycling each node's slot and child run:
+	// the run's last node moves into the hole. Modifying calls have the tree
+	// to themselves, so no query can still hold an index into what moves or
+	// is recycled here.
+	for m := at; m != root && n.firstPeer == none && n.kidsLen == 0; {
 		parent := n.parent
 		pn := c.nodes.at(parent)
-		run := c.kidsOf(pn)
-		i, _ := search(run, n.router)
-		copy(run[i:], run[i+1:])
-		pn.kidsLen--
 		if n.kidsLog > 0 {
-			c.kids.release(n.kidsOff, int(n.kidsLog)-1)
+			c.releaseKids(n)
 		}
-		*n = node{router: topology.InvalidNode, parent: c.nodes.free}
-		c.nodes.free = m
-		c.nodes.freeN++
+		pn.kidsLen--
+		last := pn.kidsOff + pn.kidsLen
+		if m != last {
+			*n = *c.nodes.at(last)
+			c.moved(m)
+			if pn.keySlots() > 0 {
+				keys := c.keys(pn)
+				keys[m-pn.kidsOff] = keys[pn.kidsLen]
+			}
+		}
+		*c.nodes.at(last) = vacant
+		c.live--
 		m, n = parent, pn
 	}
 }
@@ -520,13 +617,16 @@ func (c *Core) Walk(fn func(rec *Record, path []topology.NodeID)) {
 				fn(rec, path)
 			}
 		}
-		for _, kd := range c.kidsOf(n) {
-			visit(kd.idx)
+		for j := range n.kidsLen {
+			visit(n.kidsOff + j)
 		}
 		stack = stack[:len(stack)-1]
 	}
 	visit(root)
 }
+
+// span is a run of siblings the breadth-first search holds in its queue.
+type span struct{ off, n int32 }
 
 // Hit is one entry of a query's answer as the trie produces it: the
 // candidate's slot beside its ID, so the caller reads whatever else the
@@ -541,7 +641,7 @@ type Hit struct {
 // the top-k buffer the returned hits alias. One Scratch serves one query at
 // a time; GetScratch hands them out of a pool.
 type Scratch struct {
-	queue []int32
+	queue []span
 	top   []Hit
 	// visits counts the trie nodes queries enqueued and hops the child-run
 	// searches descents made; TestClosestVisitsBounded reads both.
@@ -561,7 +661,7 @@ func (c *Core) Closest(slot int32, k int, sc *Scratch) []Hit {
 func (c *Core) ClosestToPath(path []topology.NodeID, k int, skip int32, exclude map[PeerID]bool, sc *Scratch) []Hit {
 	// The newcomer's would-be depth is len(path)-1, wherever the trie stops
 	// matching its path.
-	cur, _, _ := c.descend(path, sc)
+	cur, _ := c.descend(path, sc)
 	return c.closestFrom(cur, len(path)-1, k, skip, exclude, sc)
 }
 
@@ -595,30 +695,46 @@ func (c *Core) closestFrom(start int32, queryDepth, k int, skip int32, exclude m
 			break
 		}
 		base := queryDepth - 2*da // base + depth = dtree of a peer found under a
-		queue = append(queue[:0], a)
+		queue = append(queue[:0], span{a, 1})
+		visits := 1
 		for i := 0; i < len(queue); i++ {
-			n := c.nodes.at(queue[i])
-			d := base + int(n.depth)
+			sp := queue[i]
+			run := c.nodes.run(sp.off, sp.n)
+			d := base + int(run[0].depth) // siblings share a depth
 			if len(out) == k && d > int(out[k-1].DTree) {
-				break // BFS order: every later node is at least as deep
+				break // BFS order: every later run is at least as deep
 			}
-			for s := n.firstPeer; s != none; {
-				rec := c.recs.at(s)
-				if s != skip && (exclude == nil || !exclude[rec.ID]) {
-					out = pushHit(out, Hit{Peer: rec.ID, DTree: int32(d), Slot: s})
+			for j := range run {
+				n := &run[j]
+				if sp.off+int32(j) == covered {
+					continue
 				}
-				s = rec.next
-			}
-			if len(out) == k && d+1 > int(out[k-1].DTree) {
-				continue
-			}
-			for _, kd := range c.kidsOf(n) {
-				if kd.idx != covered {
-					queue = append(queue, kd.idx)
+				if s := n.firstPeer; !n.more {
+					// One peer or none: its ID is in the node.
+					if s != none && s != skip && (exclude == nil || !exclude[n.peer]) {
+						out = pushHit(out, Hit{Peer: n.peer, DTree: int32(d), Slot: s})
+					}
+				} else {
+					for s != none {
+						rec := c.recs.at(s)
+						if s != skip && (exclude == nil || !exclude[rec.ID]) {
+							out = pushHit(out, Hit{Peer: rec.ID, DTree: int32(d), Slot: s})
+						}
+						s = rec.next
+					}
 				}
+				if n.kidsLen == 0 || (len(out) == k && d+1 > int(out[k-1].DTree)) {
+					continue
+				}
+				// The children sit side by side: enqueueing them reads nothing.
+				queue = append(queue, span{n.kidsOff, n.kidsLen})
+				visits += int(n.kidsLen)
 			}
 		}
-		sc.visits += len(queue)
+		if covered != none && len(queue) > 1 {
+			visits-- // a's children were enqueued, the one covered among them
+		}
+		sc.visits += visits
 		covered = a
 		a = an.parent
 	}
@@ -663,98 +779,116 @@ type Stats struct {
 	RouterConflicts int
 }
 
-// Stats computes current tree statistics in one pass over the node slab.
+// Stats computes current tree statistics in one walk of the trie.
 func (c *Core) Stats() Stats {
 	s := Stats{Peers: c.Len()}
-	routers := make([]topology.NodeID, 0, c.nodes.carved-c.nodes.freeN)
-	for i := int32(0); i < c.nodes.carved; i++ {
-		if n := c.nodes.at(i); n.router != topology.InvalidNode {
-			routers = append(routers, n.router)
-			s.MaxDepth = max(s.MaxDepth, int(n.depth))
+	routers := make([]topology.NodeID, 0, c.live+1)
+	var visit func(n *node)
+	visit = func(n *node) {
+		routers = append(routers, n.router)
+		s.MaxDepth = max(s.MaxDepth, int(n.depth))
+		kids := c.kidsOf(n)
+		for j := range kids {
+			visit(&kids[j])
 		}
 	}
+	visit(c.nodes.at(root))
 	s.Nodes = len(routers)
 	slices.Sort(routers)
 	s.RouterConflicts = s.Nodes - len(slices.Compact(routers))
 	return s
 }
 
-// ArenaStats reports the occupancy of a tree's four pools. In each, what is
-// carved stays carved: removed peers and pruned routers park their slots on
-// a free list for the next join, so under steady churn the carved figures
-// stop moving.
+// ArenaStats reports the occupancy of a tree's three pools. In each, what
+// is carved stays carved: removed peers and pruned routers leave their
+// slots to the next join, so under steady churn the carved figures stop
+// moving.
 type ArenaStats struct {
-	// Allocated is the number of nodes ever carved — the node pool's
-	// high-water mark, not counting the root. Free of them are parked on the
-	// free list; Live = Allocated − Free are in the trie.
+	// Allocated is the number of node slots ever carved — the node pool's
+	// high-water mark, not counting the root's. Live of them hold a router
+	// of the trie; Free = Allocated − Live hold none: slack at the end of a
+	// node's child run, or parked in a run on a free list.
 	Allocated, Free, Live int
-	// Records and FreeRecords are the same two figures for peer records.
+	// Records and FreeRecords are the records carved and those parked on
+	// the free list.
 	Records, FreeRecords int
-	// Kids and FreeKids are the same for child pairs: pairs handed out in
-	// runs, and pairs in runs parked on the per-size free lists.
-	Kids, FreeKids int
 	// AddrBytes and FreeAddrBytes are the same for address bytes.
 	AddrBytes, FreeAddrBytes int
 }
 
-// NodeBytes, RecordBytes and KidBytes are the slot sizes of the node, record
-// and child-pair pools: what one count of ArenaStats weighs in each.
+// NodeBytes and RecordBytes are the slot sizes of the node and record
+// pools: what one count of ArenaStats weighs in each.
 const (
 	NodeBytes   = int(unsafe.Sizeof(node{}))
 	RecordBytes = int(unsafe.Sizeof(Record{}))
-	KidBytes    = int(unsafe.Sizeof(kid{}))
 )
 
 // Plus returns the occupancy of a's pools and b's together.
 func (a ArenaStats) Plus(b ArenaStats) ArenaStats {
-	return ArenaStats{a.Allocated + b.Allocated, a.Free + b.Free, a.Live + b.Live, a.Records + b.Records,
-		a.FreeRecords + b.FreeRecords, a.Kids + b.Kids, a.FreeKids + b.FreeKids,
+	return ArenaStats{a.Allocated + b.Allocated, a.Free + b.Free, a.Live + b.Live,
+		a.Records + b.Records, a.FreeRecords + b.FreeRecords,
 		a.AddrBytes + b.AddrBytes, a.FreeAddrBytes + b.FreeAddrBytes}
 }
 
 // ArenaStats returns current pool occupancy.
 func (c *Core) ArenaStats() ArenaStats {
-	allocated, free := int(c.nodes.carved)-1, int(c.nodes.freeN)
+	allocated, live := int(c.nodes.carved)-1, int(c.live)
 	return ArenaStats{
-		Allocated: allocated, Free: free, Live: allocated - free,
+		Allocated: allocated, Free: allocated - live, Live: live,
 		Records: int(c.recs.carved), FreeRecords: int(c.recs.freeN),
-		Kids: int(c.kids.carved), FreeKids: int(c.kids.freeN),
 		AddrBytes: int(c.addrs.carved), FreeAddrBytes: int(c.addrs.freeN),
 	}
 }
 
 // CheckInvariants deeply validates the tree's internal consistency: depth
-// bookkeeping, parent/child symmetry, sorted child runs within their
-// capacity, the peer chains, no empty node left unpruned, and, for each of
-// the four pools, that every slot or byte carved is either reachable from
-// the root or parked on a free list — for addresses, that the live and free
-// runs tile the carved bytes. It is O(size) and intended for tests and
+// bookkeeping, parent back-links, distinct routers among siblings, child
+// runs within their capacity, the peer chains, each node's copy of its
+// first peer's ID, no empty node left unpruned, and, for each of the three
+// pools, that everything carved is accounted for. A node slot holds a
+// router of the trie, is slack at the end of a live child run, or lies in
+// a parked run — each exactly once, and only live slots hold a router; a
+// record is chained at its node or parked; the live and free address runs
+// tile the carved bytes. It is O(size) and intended for tests and
 // debugging; it returns the first violation found.
 func (c *Core) CheckInvariants() error {
-	var liveNodes, liveRecs, liveKids int32
-	// claim marks the addrStep-byte units of an address run, live or free,
-	// as used, and reports false for a run that is misplaced or overlaps one
-	// claimed before.
-	used := make([]bool, c.addrs.carved/addrStep)
-	claim := func(off, size int32) bool {
-		if off < 0 || off%addrStep != 0 || off+size > c.addrs.carved || off&(addrChunk-1)+size > addrChunk {
-			return false
-		}
-		for u := off / addrStep; u < (off+size)/addrStep; u++ {
-			if used[u] {
+	var liveNodes, liveRecs int32
+	// claimer returns a claim function over a pool of n units: claim marks
+	// the units of a run as used, and reports false for a run that is
+	// misplaced or overlaps one claimed before.
+	claimer := func(n, chunk int32) (used []bool, claim func(off, size int32) bool) {
+		used = make([]bool, n)
+		return used, func(off, size int32) bool {
+			if off < 0 || off+size > n || off&(chunk-1)+size > max(chunk, size) {
 				return false
 			}
-			used[u] = true
+			for u := off; u < off+size; u++ {
+				if used[u] {
+					return false
+				}
+				used[u] = true
+			}
+			return true
 		}
-		return true
 	}
+	nodeUsed, claimNodes := claimer(c.nodes.carved, nodeChunk)
+	addrUsed, claimUnits := claimer(c.addrs.carved/addrStep, addrChunk/addrStep)
+	claimAddr := func(off, size int32) bool {
+		return off%addrStep == 0 && claimUnits(off/addrStep, size/addrStep)
+	}
+	isVacant := func(n *node) bool {
+		return n.router == topology.InvalidNode && n.firstPeer == none && n.kidsLog == 0 && n.kidsLen == 0
+	}
+	claimNodes(root, 1)
+	var routers []topology.NodeID
 	var walk func(m int32) error
 	walk = func(m int32) error {
 		n := c.nodes.at(m)
 		liveNodes++
-		liveKids += n.kidsCap()
 		if n.kidsLen > n.kidsCap() {
 			return fmt.Errorf("pathtree: node %d holds %d children in a run of %d", n.router, n.kidsLen, n.kidsCap())
+		}
+		if n.kidsLog > 0 && !claimNodes(n.kidsOff-n.keySlots(), n.kidsCap()+n.keySlots()) {
+			return fmt.Errorf("pathtree: node %d's child run at %d is outside the node pool or overlaps another run", n.router, n.kidsOff)
 		}
 		if m != root && n.firstPeer == none && n.kidsLen == 0 {
 			return fmt.Errorf("pathtree: empty node %d not pruned", n.router)
@@ -768,27 +902,46 @@ func (c *Core) CheckInvariants() error {
 			if rec.node != m {
 				return fmt.Errorf("pathtree: peer %d chained at node %d but records node index %d", rec.ID, n.router, rec.node)
 			}
-			if l := int(rec.addrLen); l > codec.MaxAddrLen || (l > 0 && !claim(rec.addr, int32(addrClass(l)+1)*addrStep)) {
+			if l := int(rec.addrLen); l > codec.MaxAddrLen || (l > 0 && !claimAddr(rec.addr, int32(addrClass(l)+1)*addrStep)) {
 				return fmt.Errorf("pathtree: peer %d's %d-byte address at %d is outside the pool or overlaps another", rec.ID, l, rec.addr)
 			}
 		}
 		liveRecs += count
-		run := c.kidsOf(n)
-		for i, kd := range run {
-			if i > 0 && run[i-1].router >= kd.router {
-				return fmt.Errorf("pathtree: node %d child run not strictly ascending", n.router)
+		if head := n.firstPeer; (head == none && n.more) || (head != none && (n.peer != c.recs.at(head).ID || n.more != (c.recs.at(head).next != none))) {
+			return fmt.Errorf("pathtree: node %d's inline peer %d (more: %v) disagrees with its peer chain", n.router, n.peer, n.more)
+		}
+		if n.kidsLog > 0 {
+			for j, slack := range c.nodes.run(n.kidsOff, n.kidsCap())[n.kidsLen:] {
+				if !isVacant(&slack) {
+					return fmt.Errorf("pathtree: slot %d of node %d's child run is slack but not vacant", n.kidsLen+int32(j), n.router)
+				}
 			}
-			ch := c.nodes.at(kd.idx)
-			if ch.router != kd.router {
-				return fmt.Errorf("pathtree: node %d files child %d under router %d", n.router, ch.router, kd.router)
+		}
+		kids := c.kidsOf(n)
+		routers = routers[:0]
+		for j, kid := range kids {
+			if n.keySlots() > 0 && c.keys(n)[j] != kid.router {
+				return fmt.Errorf("pathtree: node %d's router key %d disagrees with its child %d", n.router, j, kid.router)
 			}
-			if ch.parent != m {
-				return fmt.Errorf("pathtree: child %d of %d has wrong parent", ch.router, n.router)
+			routers = append(routers, kid.router)
+		}
+		slices.Sort(routers)
+		for i := 1; i < len(routers); i++ {
+			if routers[i] == routers[i-1] {
+				return fmt.Errorf("pathtree: router %d repeats among node %d's children", routers[i], n.router)
 			}
-			if int(ch.depth) != int(n.depth)+1 {
-				return fmt.Errorf("pathtree: child %d depth %d under depth %d", ch.router, ch.depth, n.depth)
+		}
+		for j, kid := range kids {
+			if kid.router == topology.InvalidNode {
+				return fmt.Errorf("pathtree: child %d of node %d is vacant", j, n.router)
 			}
-			if err := walk(kd.idx); err != nil {
+			if kid.parent != m {
+				return fmt.Errorf("pathtree: child %d of %d has wrong parent", kid.router, n.router)
+			}
+			if int(kid.depth) != int(n.depth)+1 {
+				return fmt.Errorf("pathtree: child %d depth %d under depth %d", kid.router, kid.depth, n.depth)
+			}
+			if err := walk(n.kidsOff + int32(j)); err != nil {
 				return err
 			}
 		}
@@ -797,13 +950,28 @@ func (c *Core) CheckInvariants() error {
 	if err := walk(root); err != nil {
 		return err
 	}
-	freeNodes, err := chainLen(c.nodes.free, c.nodes.carved, func(i int32) (int32, bool) {
-		n := c.nodes.at(i)
-		return n.parent, n.router == topology.InvalidNode && n.kidsLog == 0
-	})
-	if err != nil || freeNodes != c.nodes.freeN || liveNodes+freeNodes != c.nodes.carved {
-		return fmt.Errorf("pathtree: node pool: %d live + %d free (%d accounted, %v) != %d carved",
-			liveNodes, freeNodes, c.nodes.freeN, err, c.nodes.carved)
+	var parked int32
+	for class, head := range c.nodes.free {
+		size := int32(1) << class
+		runs, err := chainLen(head, c.nodes.carved, func(off int32) (int32, bool) {
+			if !claimNodes(off, size) || !isVacant(c.nodes.at(off)) {
+				return 0, false
+			}
+			for _, slot := range c.nodes.run(off, size)[1:] {
+				if !isVacant(&slot) || slot.parent != none {
+					return 0, false
+				}
+			}
+			return c.nodes.at(off).parent, true
+		})
+		if err != nil {
+			return fmt.Errorf("pathtree: node pool, size class %d: %v", class, err)
+		}
+		parked += runs * size
+	}
+	if liveNodes != c.live+1 || parked != c.nodes.freeN || slices.Contains(nodeUsed, false) {
+		return fmt.Errorf("pathtree: node pool: %d live nodes (%d accounted), %d parked slots (%d accounted), or a carved slot in no run",
+			liveNodes-1, c.live, parked, c.nodes.freeN)
 	}
 	freeRecs, err := chainLen(c.recs.free, c.recs.carved, func(i int32) (int32, bool) {
 		r := c.recs.at(i)
@@ -813,25 +981,11 @@ func (c *Core) CheckInvariants() error {
 		return fmt.Errorf("pathtree: record pool: %d live + %d free (%d accounted, %v) != %d carved",
 			liveRecs, freeRecs, c.recs.freeN, err, c.recs.carved)
 	}
-	var freeKids int32
-	for class, head := range c.kids.free {
-		runs, err := chainLen(head, c.kids.carved, func(off int32) (int32, bool) {
-			return c.kids.run(off, 1)[0].idx, true
-		})
-		if err != nil {
-			return fmt.Errorf("pathtree: kid pool, size class %d: %v", class, err)
-		}
-		freeKids += runs << class
-	}
-	if freeKids != c.kids.freeN || liveKids+freeKids != c.kids.carved {
-		return fmt.Errorf("pathtree: kid pool: %d live + %d free (%d accounted) != %d carved",
-			liveKids, freeKids, c.kids.freeN, c.kids.carved)
-	}
 	var freeAddr int32
 	for class, head := range c.addrs.free {
 		size := int32(class+1) * addrStep
 		runs, err := chainLen(head, c.addrs.carved/addrStep, func(off int32) (int32, bool) {
-			if !claim(off, size) {
+			if !claimAddr(off, size) {
 				return 0, false
 			}
 			return int32(binary.LittleEndian.Uint32(c.addrs.run(off, 4))), true
@@ -841,7 +995,7 @@ func (c *Core) CheckInvariants() error {
 		}
 		freeAddr += runs * size
 	}
-	if freeAddr != c.addrs.freeN || slices.Contains(used, false) {
+	if freeAddr != c.addrs.freeN || slices.Contains(addrUsed, false) {
 		return fmt.Errorf("pathtree: address pool: %d free bytes (%d accounted) of %d carved, or a byte in no run",
 			freeAddr, c.addrs.freeN, c.addrs.carved)
 	}

@@ -26,17 +26,16 @@ func pointers(t reflect.Type, name string) []string {
 	return nil
 }
 
-// TestLayoutIsPointerFree pins the resident layout: not one of a tree's four
-// pools holds a pointer — the chunks of trie nodes, child pairs, peer
-// records and address bytes are never scanned by the collector — a node is
-// 24 bytes, so a chunk of them is 6 144 bytes, which is a Go size class of
-// its own and wastes nothing; a record fits 32 bytes and keeps no time.Time
-// and no path.
+// TestLayoutIsPointerFree pins the resident layout: not one of a tree's
+// three pools holds a pointer — the chunks of trie nodes, peer records and
+// address bytes are never scanned by the collector — a node is 32 bytes, so
+// two share a 64-byte cache line and a chunk of them is 8 KiB, which is a Go
+// size class of its own and wastes nothing; a record fits 32 bytes and keeps
+// no time.Time and no path.
 func TestLayoutIsPointerFree(t *testing.T) {
 	var c Core
 	for _, chunk := range []reflect.Type{
 		reflect.TypeOf(c.nodes.chunks).Elem().Elem(),
-		reflect.TypeOf(c.kids.chunks).Elem().Elem(),
 		reflect.TypeOf(c.recs.chunks).Elem().Elem(),
 		reflect.TypeOf(c.addrs.chunks).Elem().Elem(),
 	} {
@@ -44,14 +43,11 @@ func TestLayoutIsPointerFree(t *testing.T) {
 			t.Errorf("pool chunk %v holds pointer fields %v", chunk, ptrs)
 		}
 	}
-	if size := unsafe.Sizeof(node{}); size != 24 {
-		t.Errorf("node is %d bytes, want 24", size)
+	if size := unsafe.Sizeof(node{}); size != 32 {
+		t.Errorf("node is %d bytes, want 32", size)
 	}
-	if size := unsafe.Sizeof([slabSize]node{}); size != 6144 {
-		t.Errorf("a chunk of nodes is %d bytes, want 6 144", size)
-	}
-	if size := unsafe.Sizeof(kid{}); size != 8 {
-		t.Errorf("child pair is %d bytes, want 8", size)
+	if size := unsafe.Sizeof([nodeChunk]node{}); size != 8192 {
+		t.Errorf("a chunk of nodes is %d bytes, want 8 192", size)
 	}
 	if size := unsafe.Sizeof(Record{}); size > 32 {
 		t.Errorf("Record is %d bytes, want ≤ 32", size)

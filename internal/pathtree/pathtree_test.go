@@ -497,9 +497,8 @@ func TestInsertRemoveChurn(t *testing.T) {
 			}
 		}
 		// Node reuse under churn: drain and refill the same population
-		// repeatedly. After the first fill the arena's high-water mark must
-		// not move — every pruned node comes back from the free list instead
-		// of being carved fresh.
+		// repeatedly. A drained tree holds every carved node slot free, and
+		// a refill carves no more than refillBound proves it can.
 		paths := map[PeerID][]topology.NodeID{}
 		for _, p := range tr.Peers() {
 			path, err := tr.PathOf(p)
@@ -508,12 +507,12 @@ func TestInsertRemoveChurn(t *testing.T) {
 			}
 			paths[p] = path
 		}
-		hw := tr.ArenaStats().Allocated
 		for cycle := 0; cycle < 4; cycle++ {
+			hw, bound := tr.ArenaStats().Allocated, refillBound(tr.core)
 			for p := range paths {
 				tr.Remove(p)
 			}
-			if st := tr.ArenaStats(); st.Live != 0 || st.Free != st.Allocated {
+			if st := tr.ArenaStats(); st.Live != 0 || st.Free != st.Allocated || st.Allocated != hw {
 				t.Logf("drained tree leaked arena nodes: %+v", st)
 				return false
 			}
@@ -522,8 +521,8 @@ func TestInsertRemoveChurn(t *testing.T) {
 					return false
 				}
 			}
-			if st := tr.ArenaStats(); st.Allocated != hw {
-				t.Logf("slab high-water grew under churn: %+v, want allocated %d", st, hw)
+			if st := tr.ArenaStats(); st.Allocated > bound {
+				t.Logf("slab high-water grew under churn past the bound: %+v, want allocated ≤ %d", st, bound)
 				return false
 			}
 		}
@@ -612,39 +611,65 @@ func TestInvariantsUnderChurn(t *testing.T) {
 }
 
 // TestCheckInvariantsDetectsCorruption corrupts one thing at a time in a
-// fresh, healthy tree — peers 1 and 2 under router 11, addresses set, and a
-// pruned router parked on the free list — and requires the checker to name
-// each.
+// fresh, healthy tree — peers 1 and 2 under router 11, addresses set, a
+// pruned router's slot left as slack in the landmark's child run, and the
+// one-node runs both child runs outgrew parked on the free list — and
+// requires the checker to name each.
 func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	for _, tc := range []struct {
 		name, want string
 		corrupt    func(c *Core, r1, r2 *Record, mid *node)
 	}{
-		{"child order", "not strictly ascending", func(c *Core, _, _ *Record, mid *node) {
-			run := c.kidsOf(mid)
-			run[0], run[1] = run[1], run[0]
+		{"sibling routers repeat", "repeats among node 11's children", func(c *Core, _, _ *Record, mid *node) {
+			kids := c.kidsOf(mid)
+			kids[1].router = kids[0].router
 		}},
 		{"children beyond the run's capacity", "children in a run of", func(_ *Core, _, _ *Record, mid *node) {
 			mid.kidsLen = mid.kidsCap() + 1
 		}},
+		{"child runs overlap", "overlaps another run", func(c *Core, _, _ *Record, mid *node) {
+			mid.kidsOff = c.nodes.at(root).kidsOff
+		}},
 		{"child depth", "depth 5 under depth 1", func(c *Core, r1, _ *Record, _ *node) {
 			c.nodes.at(r1.node).depth = 5
 		}},
-		{"empty node left unpruned", "empty node 99 not pruned", func(c *Core, _, _ *Record, _ *node) {
-			at, _ := search(c.kidsOf(c.nodes.at(root)), 99)
-			c.addChild(root, at, 99)
+		{"parent back-link", "has wrong parent", func(c *Core, r1, _ *Record, _ *node) {
+			c.nodes.at(r1.node).parent = root
 		}},
-		{"free node not marked free", "live or stray entry", func(c *Core, _, _ *Record, _ *node) {
-			c.nodes.at(c.nodes.free).router = 20
+		{"empty node left unpruned", "empty node 99 not pruned", func(c *Core, _, _ *Record, _ *node) {
+			c.addChild(root, 99)
+		}},
+		{"slack slot holds a node", "slack but not vacant", func(c *Core, _, _ *Record, _ *node) {
+			rn := c.nodes.at(root)
+			c.nodes.at(rn.kidsOff + rn.kidsLen).router = 20
+		}},
+		{"parked run holds a node", "live or stray entry", func(c *Core, _, _ *Record, _ *node) {
+			c.nodes.at(c.nodes.free[0]).router = 20
+		}},
+		{"leaked node slot", "node pool", func(c *Core, _, _ *Record, _ *node) {
+			c.nodes.carved++
+		}},
+		{"live node count", "node pool", func(c *Core, _, _ *Record, _ *node) {
+			c.live++
 		}},
 		{"peer chain", "chained at node", func(_ *Core, r1, _ *Record, _ *node) {
 			r1.node = root
 		}},
-		{"leaked child pair", "kid pool", func(c *Core, _, _ *Record, _ *node) {
-			c.kids.carved++
+		{"inline peer ID", "inline peer", func(c *Core, r1, _ *Record, _ *node) {
+			c.nodes.at(r1.node).peer = 99
+		}},
+		{"inline more-peers flag", "inline peer", func(c *Core, r1, _ *Record, _ *node) {
+			c.nodes.at(r1.node).more = true
 		}},
 		{"overlapping address runs", "overlaps another", func(_ *Core, r1, r2 *Record, _ *node) {
 			r2.addr = r1.addr
+		}},
+		{"router keys of a large run", "router key", func(c *Core, _, _ *Record, _ *node) {
+			for r := topology.NodeID(100); r < 200; r++ {
+				c.Join(PeerID(r), P(r, 0), 0, nil)
+			}
+			rn := c.nodes.at(root)
+			c.keys(rn)[rn.kidsLen/2]++
 		}},
 		{"leaked address bytes", "address pool", func(c *Core, _, _ *Record, _ *node) {
 			c.addrs.carved += addrStep
@@ -659,10 +684,12 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 		r1, r2 := c.recs.at(tr.byPeer[1]), c.recs.at(tr.byPeer[2])
 		c.SetAddr(r1, "10.0.0.1:9000")
 		c.SetAddr(r2, "10.0.0.2:9000")
-		if err := tr.CheckInvariants(); err != nil || c.nodes.free == none {
-			t.Fatalf("%s: healthy tree failed: %v (a node free: %v)", tc.name, err, c.nodes.free != none)
+		rn := c.nodes.at(root)
+		if err := tr.CheckInvariants(); err != nil || c.nodes.free[0] == none || rn.kidsLen == rn.kidsCap() {
+			t.Fatalf("%s: healthy tree failed: %v (a run parked: %v, slack in the root's run: %v)",
+				tc.name, err, c.nodes.free[0] != none, rn.kidsLen < rn.kidsCap())
 		}
-		tc.corrupt(c, r1, r2, c.nodes.at(c.kidsOf(c.nodes.at(root))[0].idx))
+		tc.corrupt(c, r1, r2, c.nodes.at(rn.kidsOff))
 		if err := tr.CheckInvariants(); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: CheckInvariants() = %v, want an error naming %q", tc.name, err, tc.want)
 		}

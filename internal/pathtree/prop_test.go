@@ -155,19 +155,79 @@ func TestQuickClosestIsExact(t *testing.T) {
 	}
 }
 
-// TestQuickArenaRecycling drains and refills random populations and
-// requires exact node reuse: a fully drained tree parks every carved node
-// on the free list, and refilling the same paths re-carves nothing — the
-// arena high-water mark is set by the first fill and never moves.
+// refillBound is the most node slots (counted as ArenaStats.Allocated
+// counts them) the pool can hold carved after the tree is drained and
+// refilled with the population it holds now, in any order. A drain loses
+// nothing — every run it frees parks whole on its class's free list — so a
+// refill carves only where a class's list runs dry, and it carves no more
+// than this:
+//
+//   - A refill only inserts, so a node's child count only grows. A node
+//     below the landmark is made afresh and takes a run of class c (2^c
+//     slots, runCap(c) children) only once its count passes runCap(c−1)
+//     (reaches 1, for c = 0); the landmark's node keeps the run it has,
+//     which holds its whole count.
+//   - So at most need[c] class-c runs are ever held at once: one for each
+//     node whose count at the end — the count it has now — passes
+//     runCap(c−1), and the landmark's run if it is of class c.
+//   - A class is carved afresh only when its free list is empty: every run
+//     of the class is held, and so is the new one. Runs never split or
+//     merge, so a class that has have[c] runs now gets at most
+//     max(0, need[c] − have[c]) fresh ones.
+//   - A fresh carve of 2^c slots may first park the rest of the chunk it
+//     cannot fit in: fewer than 2^c slots, on smaller classes' lists.
+//
+// Exact reuse, which a pool of one-slot nodes gives, does not hold: which
+// runs are held at once depends on the order the peers arrive in, and a
+// refill in another order than the fill's may need more runs of a class at
+// once than the fill left behind.
+func refillBound(c *Core) int {
+	var have, need [len(c.nodes.free)]int
+	for class, head := range c.nodes.free {
+		for off := head; off != none; off = c.nodes.at(off).parent {
+			have[class]++
+		}
+	}
+	var visit func(m int32)
+	visit = func(m int32) {
+		n := c.nodes.at(m)
+		if n.kidsLog > 0 {
+			have[n.kidsLog-1]++
+		}
+		switch {
+		case m == root && n.kidsLog > 0:
+			need[n.kidsLog-1]++
+		case m != root && n.kidsLen > 0:
+			for class := 0; class == 0 || n.kidsLen > runCap(class-1); class++ {
+				need[class]++
+			}
+		}
+		for j := range n.kidsLen {
+			visit(n.kidsOff + j)
+		}
+	}
+	visit(root)
+	bound := int(c.nodes.carved) - 1
+	for class := range need {
+		bound += (2<<class - 1) * max(0, need[class]-have[class])
+	}
+	return bound
+}
+
+// TestQuickArenaRecycling drains and refills random populations, in a new
+// order each time. A fully drained tree holds every carved node slot free
+// and no node below the landmark; a refill rebuilds the same trie and
+// carves no more node slots than refillBound proves it can.
 func TestQuickArenaRecycling(t *testing.T) {
 	f := func(ps pathSet) bool {
 		tree := ps.build(t)
-		hw := tree.ArenaStats().Allocated
-		if hw == 0 {
+		live := tree.ArenaStats().Live
+		if live == 0 {
 			t.Log("population built no arena nodes")
 			return false
 		}
 		for cycle := 0; cycle < 3; cycle++ {
+			hw, bound := tree.ArenaStats().Allocated, refillBound(tree.core)
 			for p := range ps.paths {
 				tree.Remove(p)
 			}
@@ -181,8 +241,8 @@ func TestQuickArenaRecycling(t *testing.T) {
 					return false
 				}
 			}
-			if st := tree.ArenaStats(); st.Allocated != hw {
-				t.Logf("refill carved fresh nodes: %+v, want allocated %d", st, hw)
+			if st := tree.ArenaStats(); st.Allocated > bound || st.Live != live {
+				t.Logf("refill: %+v, want allocated ≤ %d (%d before) and %d live", st, bound, hw, live)
 				return false
 			}
 			if err := tree.CheckInvariants(); err != nil {
@@ -424,6 +484,61 @@ func TestClosestMatchesOracleWhereBoundBites(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestWideRunsUnderChurn churns peers below two routers with hundreds of
+// children — the landmark and a hub under it — so that child runs grow
+// past keyClass and shrink through prunes that move a run's last node into
+// the hole, and requires the invariants after every step and the oracle's
+// answer, for a resident peer and for a newcomer, every few steps.
+func TestWideRunsUnderChurn(t *testing.T) {
+	const hub topology.NodeID = 1
+	rng := rand.New(rand.NewSource(11))
+	tree := New(propLandmark, Options{})
+	paths := map[PeerID][]topology.NodeID{}
+	randPath := func() []topology.NodeID {
+		leaf := topology.NodeID(10 + rng.Intn(400))
+		switch rng.Intn(3) {
+		case 0:
+			return []topology.NodeID{leaf, propLandmark}
+		case 1:
+			return []topology.NodeID{leaf, hub, propLandmark}
+		}
+		return []topology.NodeID{1000 + topology.NodeID(rng.Intn(50)), leaf, hub, propLandmark}
+	}
+	for step := 0; step < 3000; step++ {
+		p := PeerID(1 + rng.Intn(600))
+		if _, ok := paths[p]; ok && rng.Intn(5) < 2 {
+			tree.Remove(p)
+			delete(paths, p)
+		} else {
+			paths[p] = randPath()
+			if err := tree.Insert(p, paths[p]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tree.CheckInvariants(); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		if step%50 != 0 || len(paths) < 2 {
+			continue
+		}
+		k := 1 + rng.Intn(8)
+		got, err := tree.Closest(p, k)
+		if _, ok := paths[p]; ok {
+			if want := bruteClosest(paths, paths[p], k, p); err != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("step %d: Closest(%d,%d)\ngot  %v, %v\nwant %v", step, p, k, got, err, want)
+			}
+		}
+		query := randPath()
+		query[0] = 5000 // a router no peer reports
+		if got, err := tree.ClosestToPathExcluding(query, k, p); err != nil || !reflect.DeepEqual(got, bruteClosest(paths, query, k, p)) {
+			t.Fatalf("step %d: ClosestToPathExcluding(%v,%d,%d) = %v, %v\nwant %v", step, query, k, p, got, err, bruteClosest(paths, query, k, p))
+		}
+	}
+	if wide := tree.core.nodes.at(root).keySlots(); wide == 0 {
+		t.Fatal("the landmark's child run never reached keyClass")
 	}
 }
 

@@ -344,14 +344,14 @@ func TestStateMachineMatchesModel(t *testing.T) {
 // TestChurnRecyclesSlots churns a fixed population ten times over — every
 // peer leaves and re-joins, in a fresh random order each round, as the first
 // fill was — and requires each pool of each tree to stay within one chunk of
-// what the first fill carved: records, nodes and child pairs come back from
-// the free lists instead of being carved anew. Each peer re-joins with an
+// what the first fill carved: records and the runs of trie nodes come back
+// from the free lists instead of being carved anew. Each peer re-joins with an
 // address of the length it left with, so the address pool's high-water mark
-// does not move at all: every run comes back from its size class's list. (Child
-// runs are recycled by exact size, so what a fill carves depends on how many
-// nodes pass through each size at once: peers arriving in path order carve a
-// fifth less than peers arriving in random order, which is why the first
-// fill is shuffled too.)
+// does not move at all: every run comes back from its size class's list. (A
+// node's children are one run, recycled by exact size, so what a fill carves
+// depends on how many nodes pass through each size at once: peers arriving in
+// path order carve less than peers arriving in random order, which is why the
+// first fill is shuffled too.)
 func TestChurnRecyclesSlots(t *testing.T) {
 	const peers = 12_000
 	s, err := New(Config{Landmarks: residentLandmarks})
@@ -389,7 +389,7 @@ func TestChurnRecyclesSlots(t *testing.T) {
 		}
 		for where, now := range carved() {
 			was := first[where]
-			if now.Records > was.Records+256 || now.Allocated > was.Allocated+256 || now.Kids > was.Kids+1024 ||
+			if now.Records > was.Records+256 || now.Allocated > was.Allocated+256 ||
 				now.AddrBytes != was.AddrBytes {
 				t.Fatalf("round %d, %s: carved %+v, first fill carved %+v", round, where, now, was)
 			}

@@ -31,8 +31,8 @@
 //
 //	peer records      32 B/peer   one 32-byte slot each
 //	addresses         18 B/peer   runs in 8-byte size classes
-//	trie nodes        33 B/peer   24-byte slots, 1.38 routers per peer
-//	child runs        11 B/peer   8-byte {router, node} pairs
+//	trie nodes        44 B/peer   32-byte slots in sibling runs, 1.38 per peer:
+//	                              1.37 routers and the runs' slack
 //	peer index        20 B/peer   16-byte {peer key, landmark, slot} slots, 64 tables
 //	chunk slack        2 B/peer   at most one chunk per pool per tree
 //	                 116 B/peer
