@@ -8,8 +8,11 @@
 // calls, and up to MaxInFlight requests share one connection concurrently —
 // callers never serialize behind each other's round trips, and callers that
 // become runnable together share one write. A waiting call holds a pooled
-// slot, its response channel and timer, so a round trip allocates nothing
-// but the answer it decodes. Every method is safe for concurrent use.
+// slot and waits on its one channel, so a round trip allocates nothing but
+// the answer it decodes and arms no timer of its own: one sweep per session
+// fails the calls past Config.Timeout, and a session whose connection dies
+// fails every call pending on it at once, with its receive error. Every
+// method is safe for concurrent use.
 //
 // Joins can be batched: JoinBatch packs up to the batch size the receiving
 // node advertised (at most proto.MaxBatch, 32, the wire cap) into one
@@ -46,8 +49,8 @@
 // LookupContext, StatusContext, LandmarksContext, LeaveContext,
 // RefreshContext, JoinBatchContext, Subscribe — that accepts a
 // context.Context as the cancellation and deadline primitive: the
-// effective bound of each exchange is the tighter of Config.Timeout and the
-// context's deadline, a request whose context ended is not sent again, and
+// effective bound of each exchange is the tighter of Config.Timeout (with
+// its sweep's slack) and the context's deadline, a request whose context ended is not sent again, and
 // a subscription's context scopes its whole lifetime, its resubscribe
 // backoff included. The original methods (Join, Lookup, Status, ...) remain
 // as thin compatibility wrappers over context.Background().
@@ -107,8 +110,13 @@ type Config struct {
 	// transport failure).
 	Telemetry *telemetry.Registry
 	// Timeout bounds each request/response exchange and each dial
-	// (default 10s). The context-first methods bound each call by
-	// min(Timeout, the context's deadline).
+	// (default 10s). A call with no answer fails with a timeout no
+	// earlier than Timeout and no later than Timeout plus one sweep period
+	// (Timeout/8, at least a millisecond) after it was sent: one sweep
+	// per session fails the overdue calls. A context deadline sooner than
+	// that ends the call at the deadline exactly. A call whose session
+	// dies meanwhile fails at once with the session's receive error. Every
+	// write that reaches the socket is bounded by Timeout too.
 	Timeout time.Duration
 	// MaxInFlight caps how many requests may be outstanding on a
 	// session at once (default DefaultMaxInFlight, ceiling proto.MaxPipelineDepth — servers size

@@ -21,7 +21,8 @@ import (
 // its connection dies. It carries calls and subscription streams alike.
 type session struct {
 	conn net.Conn
-	// timeout bounds each request/response exchange (Config.Timeout).
+	// timeout is Config.Timeout: it bounds each call's wait for its
+	// answer (see sweep) and each write that reaches the socket.
 	timeout time.Duration
 	// maxBatch is the batch size the node accepts (at least 1), set once
 	// at dial time.
@@ -32,19 +33,24 @@ type session struct {
 	// syscall can deliver many pipelined response frames.
 	br *bufio.Reader
 
-	// Pipelining state. A caller appends its request
-	// frame to bw under wmu, releases wmu, yields the processor once, and
-	// then flushes whatever is buffered — so callers that became runnable
-	// together (say, woken one after another by readLoop) all append during
-	// the first one's yield and their frames reach the kernel in one
-	// syscall; the rest find the buffer empty and skip the flush. On an
-	// idle connection the yield returns at once and the request is flushed
-	// immediately.
+	// Pipelining state. A caller appends its request frame to bw under
+	// wmu, releases wmu, yields the processor once, and then flushes
+	// whatever is buffered — so callers that became runnable together
+	// (say, woken one after another by readLoop) all append during the
+	// first one's yield and their frames reach the kernel in one syscall;
+	// the rest find the buffer empty and skip the flush. On an idle
+	// connection the yield returns at once and the request is flushed
+	// immediately. The write deadline is armed only before a write that
+	// reaches the socket — a flush that finds bytes buffered, or a frame
+	// too big for what is left of the buffer — and always to Timeout from
+	// then: it bounds the session's syscall, not any one caller's wait.
 	//
 	// A caller waits on a call slot from callPool, registered in pending
-	// under its request ID; the demux removes it from pending before it
-	// delivers the response, and only a caller that received its response
-	// puts the slot back (see call).
+	// under its request ID. Whoever removes a call from pending delivers
+	// to it exactly once: the demux its response, the sweep its timeout,
+	// a dying readLoop the session's receive error. Only the caller that
+	// received that delivery, or that removed its own call before anyone
+	// else did, puts the slot back (see call).
 	//
 	// A subscription's stream is registered in streams under the ID of
 	// the request that opened it: the demux hands that request's answer to
@@ -58,12 +64,19 @@ type session struct {
 	streams  map[uint64]*stream
 	readErr  error         // set by readLoop before readDone closes; guarded by pmu
 	readDone chan struct{} // closed when readLoop exits
+	// sweeper runs sweep every sweepEvery while the session lives; it
+	// fails overdue calls with timedOut. Guarded by pmu.
+	sweeper    *time.Timer
+	sweepEvery time.Duration
+	timedOut   error
 }
 
-// frameResp is one demultiplexed response frame.
+// frameResp is one demultiplexed response frame, or, delivered to a call
+// instead of one, err: the call timed out or its session died.
 type frameResp struct {
 	typ     proto.MsgType
 	payload []byte
+	err     error
 }
 
 // streamFrames is how many frames a stream holds for its reader. The
@@ -90,15 +103,17 @@ func dialSession(addr string, cfg Config, inflight *telemetry.Gauge) (*session, 
 		return nil, fmt.Errorf("client: dial %s: %w", addr, err)
 	}
 	s := &session{
-		conn:     conn,
-		timeout:  cfg.Timeout,
-		inflight: inflight,
-		br:       bufio.NewReaderSize(conn, 16<<10),
-		bw:       bufio.NewWriterSize(conn, 16<<10),
-		slots:    make(chan struct{}, cfg.MaxInFlight),
-		pending:  make(map[uint64]*call),
-		streams:  make(map[uint64]*stream),
-		readDone: make(chan struct{}),
+		conn:       conn,
+		timeout:    cfg.Timeout,
+		inflight:   inflight,
+		br:         bufio.NewReaderSize(conn, 16<<10),
+		bw:         bufio.NewWriterSize(conn, 16<<10),
+		slots:      make(chan struct{}, cfg.MaxInFlight),
+		pending:    make(map[uint64]*call),
+		streams:    make(map[uint64]*stream),
+		readDone:   make(chan struct{}),
+		sweepEvery: max(cfg.Timeout/sweepsPerTimeout, time.Millisecond),
+		timedOut:   fmt.Errorf("%w after %v", errRequestTimeout, cfg.Timeout),
 	}
 	ack, err := Hello(conn, s.br, cfg.Timeout)
 	if err == nil && ack.MaxBatch < 1 {
@@ -114,6 +129,9 @@ func dialSession(addr string, cfg Config, inflight *telemetry.Gauge) (*session, 
 		return nil, err
 	}
 	s.maxBatch = int(ack.MaxBatch)
+	s.pmu.Lock()
+	s.sweeper = time.AfterFunc(s.sweepEvery, s.sweep)
+	s.pmu.Unlock()
 	go s.readLoop()
 	return s, nil
 }
@@ -164,14 +182,19 @@ func Hello(conn net.Conn, br io.Reader, timeout time.Duration) (*proto.HelloAck,
 // a registered stream. It never blocks on either: a call's channel has
 // room for its one response, and a stream too full to take a frame loses
 // the frame and is closed. It exits on the first read error (including a
-// closed connection), after which every outstanding and future call on
-// this session fails fast.
+// closed connection): it fails every pending call with that error, and
+// every later call on this session fails fast with it.
 func (s *session) readLoop() {
 	for {
 		typ, id, payload, err := proto.ReadFrameID(s.br)
 		if err != nil {
 			s.pmu.Lock()
 			s.readErr = fmt.Errorf("client: receive: %w", err)
+			s.sweeper.Stop()
+			for id, cl := range s.pending {
+				delete(s.pending, id)
+				cl.done <- frameResp{err: s.readErr}
+			}
 			s.pmu.Unlock()
 			close(s.readDone)
 			return
@@ -198,25 +221,43 @@ func (s *session) readLoop() {
 	}
 }
 
-// callTimeout bounds one exchange: d (Config.Timeout), tightened by the
-// context's deadline when that is sooner.
-func callTimeout(ctx context.Context, d time.Duration) time.Duration {
-	if dl, ok := ctx.Deadline(); ok {
-		if until := time.Until(dl); until < d {
-			d = until
+// sweepsPerTimeout is how many sweeps a session runs per Config.Timeout,
+// so a call with no answer fails at most Timeout/sweepsPerTimeout late.
+// The period is at least a millisecond, so that an idle session with a
+// tiny Timeout does not spin.
+const sweepsPerTimeout = 8
+
+// sweep fails every pending call whose deadline has passed with the
+// session's timeout error, then re-arms itself; it stops once the session
+// is dead (readLoop failed what was left). A call failed here has had its
+// one delivery, so its caller may pool it.
+func (s *session) sweep() {
+	now := time.Now()
+	s.pmu.Lock()
+	defer s.pmu.Unlock()
+	if s.readErr != nil {
+		return
+	}
+	for id, cl := range s.pending {
+		if !now.Before(cl.deadline) {
+			delete(s.pending, id)
+			cl.done <- frameResp{err: s.timedOut}
 		}
 	}
-	return d
+	s.sweeper.Reset(s.sweepEvery)
 }
 
 // exchange sends one request frame and waits for its response frame,
 // decoding wire errors into *proto.Error values and returning the response
 // type; any number of exchanges proceed concurrently. It takes an in-flight
-// slot and a pooled call, registers the call under a fresh request ID,
-// writes the frame, and waits for the demux goroutine (or a timeout, or
-// connection death). The response payload is the caller's, to recycle with
-// proto.PutBuf once decoded; payload stays the caller's too, since a retry
-// may send it again.
+// slot and a pooled call, registers the call under a fresh request ID with
+// its deadline, writes the frame, and waits for the call's one delivery:
+// its response from the demux, its timeout from the sweep, or the
+// session's receive error from a dying readLoop. A context that can end
+// is watched too; one that cannot (context.Background) leaves the wait a
+// plain channel receive. The response payload is the caller's, to recycle
+// with proto.PutBuf once decoded; payload stays the caller's too, since a
+// retry may send it again.
 //
 // A subscribe request passes the stream its events will feed (nil for any
 // other request). exchange registers it with the call, before the request
@@ -229,10 +270,16 @@ func (s *session) exchange(ctx context.Context, reqType proto.MsgType, payload [
 	}
 	select {
 	case s.slots <- struct{}{}:
-	case <-s.readDone:
-		return 0, nil, s.readError()
-	case <-ctx.Done():
-		return 0, nil, ctx.Err()
+	default:
+		// The session is at MaxInFlight: wait for a slot, or for the
+		// session's end or the context's.
+		select {
+		case s.slots <- struct{}{}:
+		case <-s.readDone:
+			return 0, nil, s.readError()
+		case <-ctx.Done():
+			return 0, nil, ctx.Err()
+		}
 	}
 	s.inflight.Inc()
 	defer func() {
@@ -242,6 +289,7 @@ func (s *session) exchange(ctx context.Context, reqType proto.MsgType, payload [
 
 	id := s.nextID.Add(1)
 	cl := callPool.Get().(*call)
+	cl.deadline = time.Now().Add(s.timeout)
 	s.pmu.Lock()
 	if s.readErr != nil {
 		s.pmu.Unlock()
@@ -255,59 +303,83 @@ func (s *session) exchange(ctx context.Context, reqType proto.MsgType, payload [
 	}
 	s.pmu.Unlock()
 
-	timeout := callTimeout(ctx, s.timeout)
 	s.wmu.Lock()
-	err := s.conn.SetWriteDeadline(time.Now().Add(timeout))
-	if err == nil {
-		err = proto.WriteFrameID(s.bw, reqType, id, payload)
-	}
+	err := s.writeLocked(reqType, id, payload)
 	s.wmu.Unlock()
 	if err == nil {
 		// Let every other runnable caller append its frame first; whoever
 		// gets back here first flushes them all (see the wmu comment).
 		runtime.Gosched()
 		s.wmu.Lock()
-		err = s.bw.Flush() // no write when another caller already flushed our frame
+		err = s.flushLocked() // no write when another caller already flushed our frame
 		s.wmu.Unlock()
 	}
+	var r frameResp
 	if err != nil {
-		s.forget(id)
-		return 0, nil, fmt.Errorf("client: send: %w", err)
+		err = fmt.Errorf("client: send: %w", err)
+	} else if done := ctx.Done(); done == nil {
+		r = <-cl.done
+	} else {
+		select {
+		case r = <-cl.done:
+		case <-done:
+			err = ctx.Err()
+		}
 	}
-
-	cl.timer.Reset(timeout)
-	select {
-	case r := <-cl.done:
-		typ, resp, err := cl.received(r)
+	if err != nil {
+		// The caller gives up. A call that is no longer pending was taken
+		// by someone who delivers to it at once: receive that delivery,
+		// so that the call is the pool's again.
+		if !s.forget(id) {
+			if late := <-cl.done; late.err == nil && st == nil {
+				r, err = late, nil // the response beat the give-up
+			} else if late.payload != nil {
+				proto.PutBuf(late.payload)
+			}
+		}
+		if err != nil {
+			r = frameResp{err: err}
+		}
+	}
+	callPool.Put(cl) // its one delivery is received, or none will come
+	if r.err == nil {
+		typ, resp, err := decodeResp(r.typ, r.payload)
 		if err != nil && st != nil {
 			s.forget(id) // refused: no event follows
 		}
 		return typ, resp, err
-	case <-cl.timer.C:
-		err = fmt.Errorf("%w after %v", errRequestTimeout, timeout)
-	case <-ctx.Done():
-		err = ctx.Err()
-	case <-s.readDone:
-		err = s.readError()
 	}
-	s.forget(id)
 	if st != nil {
+		s.forget(id)
 		// Best effort, unanswered: the ack comes back under an ID no call
 		// waits on.
 		s.post(proto.MsgUnsubscribe, s.nextID.Add(1), proto.EncodeUnsubscribe(&proto.Unsubscribe{SubID: id}))
-	} else {
-		// The response may have been delivered while we were giving up.
-		select {
-		case r := <-cl.done:
-			return cl.received(r)
-		default:
+	}
+	return 0, nil, r.err
+}
+
+// writeLocked appends one frame to the write buffer, arming the write
+// deadline first when the frame will not fit in what is left of it.
+// Callers hold wmu.
+func (s *session) writeLocked(typ proto.MsgType, id uint64, payload []byte) error {
+	if !proto.FrameIDFits(s.bw, len(payload)) {
+		if err := s.conn.SetWriteDeadline(time.Now().Add(s.timeout)); err != nil {
+			return err
 		}
 	}
-	// The demux may hold the call still, found in pending just before
-	// forget, and send to it later: it goes to the GC, never back to the
-	// pool.
-	cl.timer.Stop()
-	return 0, nil, err
+	return proto.WriteFrameID(s.bw, typ, id, payload)
+}
+
+// flushLocked pushes the buffered frames to the socket under a fresh write
+// deadline; with nothing buffered it touches neither. Callers hold wmu.
+func (s *session) flushLocked() error {
+	if s.bw.Buffered() == 0 {
+		return nil
+	}
+	if err := s.conn.SetWriteDeadline(time.Now().Add(s.timeout)); err != nil {
+		return err
+	}
+	return s.bw.Flush()
 }
 
 // unsubscribe ends st's registration: the demux forgets it, and the server
@@ -326,49 +398,39 @@ func (st *stream) unsubscribe() {
 func (s *session) post(typ proto.MsgType, id uint64, payload []byte) error {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
-	err := s.conn.SetWriteDeadline(time.Now().Add(s.timeout))
+	err := s.writeLocked(typ, id, payload)
 	if err == nil {
-		err = proto.WriteFrameID(s.bw, typ, id, payload)
-	}
-	if err == nil {
-		err = s.bw.Flush()
+		err = s.flushLocked()
 	}
 	return err
 }
 
-// call is one outstanding request's slot: the channel its response frame
-// arrives on and the timer bounding the wait, both reused from call to
-// call. A call goes back to callPool only once its one response was
-// received — the demux removed it from pending and sent, and holds it no
-// longer — so no demux lookup, delete or send ever reaches a reused call.
+// call is one outstanding request's slot: the channel its one delivery
+// arrives on, reused from call to call, and the deadline the sweep fails it
+// at. A call goes back to callPool only once nothing can reach it any
+// more: its delivery was received, or its caller removed it from pending
+// before anyone took it — so no demux, sweep or readLoop lookup, delete or
+// send ever reaches a reused call.
 type call struct {
-	done  chan frameResp // capacity 1: the demux never blocks on it
-	timer *time.Timer
+	done     chan frameResp // capacity 1: whoever takes the call from pending never blocks on it
+	deadline time.Time      // Timeout after registration; read by the sweep under pmu
 }
 
 var callPool = sync.Pool{New: func() any {
-	// Stopped until exchange arms it; since Go 1.23 a stopped or reset
-	// timer delivers no stale tick, so a pooled one needs no drain.
-	t := time.NewTimer(time.Hour)
-	t.Stop()
-	return &call{done: make(chan frameResp, 1), timer: t}
+	return &call{done: make(chan frameResp, 1)}
 }}
 
-// received finishes a call whose response arrived and returns it to the
-// pool.
-func (cl *call) received(r frameResp) (proto.MsgType, []byte, error) {
-	cl.timer.Stop()
-	callPool.Put(cl)
-	return decodeResp(r.typ, r.payload)
-}
-
 // forget deregisters a request whose caller stopped waiting, and the
-// stream it opened if any: later frames with its ID are dropped.
-func (s *session) forget(id uint64) {
+// stream it opened if any: later frames with its ID are dropped. It
+// reports whether the request's call was still pending, so that no
+// delivery will reach it.
+func (s *session) forget(id uint64) bool {
 	s.pmu.Lock()
+	_, pending := s.pending[id]
 	delete(s.pending, id)
 	delete(s.streams, id)
 	s.pmu.Unlock()
+	return pending
 }
 
 // readError reports why the demux goroutine exited.

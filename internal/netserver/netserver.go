@@ -393,13 +393,17 @@ func (s *NetServer) respond(wc *wireConn, f outFrame) {
 // writeFrame appends one response to the connection's write
 // buffer and recycles the payload; a queued frame (the writeLoop's) is
 // flushed when the queue behind it is empty, an inline one is left for the
-// reader to flush. Every frame re-arms the write deadline, so whichever
-// write ends up touching the socket — this one when the buffer fills, or a
-// later flush — runs under one: a stalled peer costs at most ReadTimeout
-// before the connection dies, and only its own connection.
+// reader to flush. The write deadline is armed only before a write that
+// reaches the socket: here when the frame will not fit in what is left of
+// the buffer, and in flushLocked. So every syscall runs under a deadline
+// armed just before it: a stalled peer costs at most ReadTimeout before
+// the connection dies, and only its own connection.
 func (s *NetServer) writeFrame(wc *wireConn, f outFrame, queued bool) error {
 	wc.wmu.Lock()
-	err := wc.SetWriteDeadline(time.Now().Add(s.cfg.ReadTimeout))
+	var err error
+	if !proto.FrameIDFits(wc.bw, len(f.payload)) {
+		err = wc.SetWriteDeadline(time.Now().Add(s.cfg.ReadTimeout))
+	}
 	if err == nil {
 		err = proto.WriteFrameID(wc.bw, f.typ, f.id, f.payload)
 	}
@@ -415,13 +419,16 @@ func (s *NetServer) writeFrame(wc *wireConn, f outFrame, queued bool) error {
 	return err
 }
 
-// flushLocked pushes the write buffer to the socket unless the other
-// writer already did. Callers hold wc.wmu.
+// flushLocked pushes the write buffer to the socket, under a fresh write
+// deadline, unless the other writer already did. Callers hold wc.wmu.
 func (s *NetServer) flushLocked(wc *wireConn) error {
 	if wc.bw.Buffered() == 0 {
 		return nil
 	}
 	s.met.respFlushes.Inc()
+	if err := wc.SetWriteDeadline(time.Now().Add(s.cfg.ReadTimeout)); err != nil {
+		return err
+	}
 	return wc.bw.Flush()
 }
 

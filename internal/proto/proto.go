@@ -388,6 +388,13 @@ func WriteFrameID(w io.Writer, t MsgType, id uint64, payload []byte) error {
 	return writeFrame(w, frameIDHeaderSize, t, id, payload)
 }
 
+// FrameIDFits reports whether WriteFrameID of a payload of n bytes into bw
+// stays in its buffer: when it does, no byte of the frame reaches the
+// writer underneath, so a connection needs no write deadline for it.
+func FrameIDFits(bw *bufio.Writer, n int) bool {
+	return frameIDHeaderSize+n <= bw.Available()
+}
+
 // writeFrame is both frame writers. Into a *bufio.Writer — every hot
 // path — the header is built in the writer's own spare buffer space and
 // the payload appended behind it: no second buffer, no extra copy. Any
