@@ -1,9 +1,13 @@
 package client
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"io"
+	"net"
+	"os"
+	"sync"
 	"testing"
 	"time"
 
@@ -112,5 +116,99 @@ func TestTimeoutWithinSweepBound(t *testing.T) {
 	}
 	if took < ctxDeadline || took > ctxDeadline+slack {
 		t.Fatalf("context deadline of %v ended the call after %v", ctxDeadline, took)
+	}
+}
+
+// TestSendTimeoutRedials: a socket write that times out breaks the
+// session's buffered writer for good, so the session must be written off.
+// Against a server that stops reading, large requests fill the socket
+// until one send times out; that call returns its timeout. Once the server
+// reads again, the next request redials and succeeds instead of failing
+// with the same write error.
+func TestSendTimeoutRedials(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reading := make(chan struct{}) // closed when the server reads again
+	var serving sync.WaitGroup
+	var mu sync.Mutex
+	var conns []net.Conn
+	t.Cleanup(func() {
+		ln.Close()
+		mu.Lock()
+		for _, conn := range conns {
+			conn.Close()
+		}
+		mu.Unlock()
+		serving.Wait()
+	})
+	serving.Add(1)
+	go func() {
+		defer serving.Done()
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			conns = append(conns, conn)
+			mu.Unlock()
+			serving.Add(1)
+			go func() {
+				defer serving.Done()
+				br := bufio.NewReader(conn)
+				if _, hello, err := proto.ReadFrame(br); err != nil {
+					return
+				} else {
+					proto.PutBuf(hello)
+				}
+				ack := proto.EncodeHelloAck(&proto.HelloAck{Version: proto.Version2, MaxBatch: proto.MaxBatch})
+				if proto.WriteFrame(conn, proto.MsgHelloAck, ack) != nil {
+					return
+				}
+				<-reading
+				for {
+					_, id, payload, err := proto.ReadFrameID(br)
+					if err != nil {
+						return
+					}
+					proto.PutBuf(payload)
+					if proto.WriteFrameID(conn, proto.MsgAck, id, nil) != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+
+	c, err := DialConfig(ln.Addr().String(), Config{Timeout: 300 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	big := make([]byte, 60<<10)
+	for sends := 1; ; sends++ {
+		if sends > 1000 {
+			t.Fatal("1000 large requests went out to a server that reads nothing")
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+		_, resp, err := c.send(ctx, proto.MsgRefreshRequest, big, nil)
+		cancel()
+		proto.PutBuf(resp)
+		if err != nil && errors.Is(err, os.ErrDeadlineExceeded) {
+			if !isTimeout(err) {
+				t.Fatalf("send %d failed with %v, not a timeout", sends, err)
+			}
+			break
+		}
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("send %d: err=%v, want the context's deadline", sends, err)
+		}
+	}
+
+	close(reading)
+	if err := c.Refresh(1); err != nil {
+		t.Fatalf("the request after a send timed out failed: %v", err)
 	}
 }
