@@ -28,7 +28,10 @@
 // there too; a client that only reads is never told of a primary and stays
 // on the replica. One redial rule holds on the road. A transport failure
 // drops that address's session, and a node that failed is forgotten as the
-// learned primary; the request is then sent once more on a fresh dial. So
+// learned primary; the request is then sent once more on a fresh dial. A
+// socket write that fails, one that timed out included, closes its
+// session, so the request after it dials afresh
+// (TestSendTimeoutRedials). So
 // a client of a restarted primary (same address, same data directory), or
 // of a server that dropped an idle connection, resumes without caller
 // involvement. A re-sent request is at-least-once: a write whose

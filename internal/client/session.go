@@ -316,6 +316,7 @@ func (s *session) exchange(ctx context.Context, reqType proto.MsgType, payload [
 	}
 	var r frameResp
 	if err != nil {
+		s.writeOff()
 		err = fmt.Errorf("client: send: %w", err)
 	} else if done := ctx.Done(); done == nil {
 		r = <-cl.done
@@ -382,6 +383,16 @@ func (s *session) flushLocked() error {
 	return s.bw.Flush()
 }
 
+// writeOff ends the session after a failed socket write, which the
+// buffered writer keeps: nothing can be sent on it again. It closes the
+// connection and waits for readLoop to fail the pending calls, so the next
+// request finds the session dead and the redial rule dials afresh; the
+// call whose write failed still returns its own error.
+func (s *session) writeOff() {
+	s.conn.Close()
+	<-s.readDone
+}
+
 // unsubscribe ends st's registration: the demux forgets it, and the server
 // frees the subscription before it acks, within the session's timeout. A
 // session that died took its subscriptions with it, and fails at once.
@@ -401,6 +412,9 @@ func (s *session) post(typ proto.MsgType, id uint64, payload []byte) error {
 	err := s.writeLocked(typ, id, payload)
 	if err == nil {
 		err = s.flushLocked()
+	}
+	if err != nil {
+		s.writeOff()
 	}
 	return err
 }
