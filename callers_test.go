@@ -16,27 +16,46 @@ import (
 	"testing"
 )
 
-// simulatorPackages are the packages of the paper's simulator, which
-// cmd/proxdisc-sim, cmd/proxdisc-topo and the root package drive. The
-// service's packages take only topology.NodeID and InvalidNode from them.
-var simulatorPackages = []string{
-	"experiment", "topology", "latency", "routing", "traceroute", "vivaldi",
-	"gnp", "overlay", "sim", "streaming", "metrics",
-}
-
-// keptWithoutCaller lists the exported funcs and methods of the simulator
-// packages that stay although no non-test file refers to them, each with
-// its reason.
+// keptWithoutCaller lists the names under internal/ that stay although no
+// non-test file of the module or of bench/ calls, reads or (for a setting)
+// writes them, each with its reason.
 var keptWithoutCaller = map[string]string{
-	"latency.SyntheticKing": "the King-like RTT matrix the vivaldi, gnp and latency tests run on",
+	"latency.SyntheticKing":            "the King-like RTT matrix the vivaldi, gnp and latency tests run on",
+	"proto.CodeStaleEpoch":             "a reserved wire code: builds that moved landmarks sent it",
+	"proto.CodeWrongShard":             "a reserved wire code: builds that forwarded joins sent it",
+	"pathtree.Tree.CheckInvariants":    "the wrapper bench/ladder.go drives; its methods go when the ladder drives Core",
+	"pathtree.Tree.ClosestToPath":      "the wrapper bench/ladder.go drives; its methods go when the ladder drives Core",
+	"pathtree.Tree.Contains":           "the wrapper bench/ladder.go drives; its methods go when the ladder drives Core",
+	"pathtree.Tree.DTree":              "the wrapper bench/ladder.go drives; its methods go when the ladder drives Core",
+	"pathtree.Tree.Depth":              "the wrapper bench/ladder.go drives; its methods go when the ladder drives Core",
+	"pathtree.Tree.Landmark":           "the wrapper bench/ladder.go drives; its methods go when the ladder drives Core",
+	"pathtree.Tree.Len":                "the wrapper bench/ladder.go drives; its methods go when the ladder drives Core",
+	"pathtree.Tree.PathOf":             "the wrapper bench/ladder.go drives; its methods go when the ladder drives Core",
+	"pathtree.Tree.Peers":              "the wrapper bench/ladder.go drives; its methods go when the ladder drives Core",
+	"pathtree.Tree.Stats":              "the wrapper bench/ladder.go drives; its methods go when the ladder drives Core",
+	"client.Client.Status":             "the pull form of the status request, which no command reads yet",
+	"client.Subscription.Err":          "the only report of why Events() closed",
+	"experiment.WorldConfig.Shards":    "a test sets it to run a world over a sharded cluster",
+	"experiment.WorldConfig.BatchSize": "a test sets it to join a world through the batched road",
+	"experiment.WorldConfig.DataDir":   "a test sets it to run a world over a durable cluster",
+	"netserver.FollowerConfig.After":   "a test sets it to start a follower past the head of the stream",
+	"cluster.Config.SegmentBytes":      "the netserver tests set it, so checkpoints retire log files and followers take the snapshot road",
 }
 
-// TestSimulatorNamesHaveCallers fails on an exported func or method of a
-// simulator package that no non-test file of the module or of bench/
-// refers to: a name only its own tests call is dead surface. A method that
-// implements a method of an interface the program or its imports declare
-// (String, the heap.Interface methods) counts as called.
-func TestSimulatorNamesHaveCallers(t *testing.T) {
+// TestNamesHaveCallers type-checks the module and bench/ from their
+// non-test files and fails on a name of a package under internal/ that
+// nothing refers to: a func or method no one calls, a type, const or
+// package-level var no one names, or a struct field no one reads. A
+// name only its own tests use is dead surface. Uses of an instance of a
+// generic type or func count for its origin. A blank name, init, and a
+// method that implements a method of an interface the program or its
+// imports declare (String, the heap.Interface methods) are exempt.
+//
+// A field of an exported struct that is itself exported is a setting,
+// and it fails too if no non-test file writes it: a keyed or positional
+// composite literal, an assignment, x.f++ or x.f--, or &x.f. A knob
+// that only tests turn is dead surface as well.
+func TestNamesHaveCallers(t *testing.T) {
 	l := newSourceLoader()
 	for _, root := range []struct{ dir, path string }{{".", "proxdisc"}, {"bench", "proxdisc/bench"}} {
 		if err := l.walk(root.dir, root.path); err != nil {
@@ -48,48 +67,61 @@ func TestSimulatorNamesHaveCallers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-
-	used := map[types.Object]bool{}
-	for _, info := range l.infos {
-		for _, obj := range info.Uses {
-			used[obj] = true
-		}
-	}
+	u := l.usage()
 	ifaces := l.interfaces()
 
 	var dead []string
 	kept := map[string]bool{}
-	for _, name := range simulatorPackages {
-		pkg := l.pkgs["proxdisc/internal/"+name]
-		if pkg == nil {
-			t.Fatalf("package %s not loaded", name)
+	report := func(label, why string) {
+		if _, ok := keptWithoutCaller[label]; ok {
+			kept[label] = true
+			return
 		}
-		check := func(fn *types.Func, label string) {
-			if !fn.Exported() || used[fn] {
-				return
-			}
-			if _, ok := keptWithoutCaller[label]; ok {
-				kept[label] = true
-				return
-			}
-			dead = append(dead, label)
+		dead = append(dead, label+" ("+why+")")
+	}
+	for _, p := range slices.Sorted(maps.Keys(l.dirs)) {
+		name, ok := strings.CutPrefix(p, "proxdisc/internal/")
+		if !ok {
+			continue
 		}
-		scope := pkg.Scope()
+		scope := l.pkgs[p].Scope()
 		for _, n := range scope.Names() {
-			switch obj := scope.Lookup(n).(type) {
-			case *types.Func:
-				check(obj, name+"."+n)
-			case *types.TypeName:
-				named, ok := obj.Type().(*types.Named)
-				if !ok || types.IsInterface(named) {
+			obj := scope.Lookup(n)
+			label := name + "." + n
+			if n == "_" || n == "init" {
+				continue
+			}
+			if !u.used[obj] {
+				report(label, "no user")
+			}
+			tn, ok := obj.(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			named := tn.Type().(*types.Named)
+			if types.IsInterface(named) {
+				continue
+			}
+			for i := 0; i < named.NumMethods(); i++ {
+				m := named.Method(i)
+				if !u.used[m] && !implementsSome(named, m.Name(), ifaces) {
+					report(label+"."+m.Name(), "no caller")
+				}
+			}
+			st, ok := named.Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				f := st.Field(i)
+				if f.Name() == "_" {
 					continue
 				}
-				for i := 0; i < named.NumMethods(); i++ {
-					m := named.Method(i)
-					if implementsSome(named, m.Name(), ifaces) {
-						continue
-					}
-					check(m, name+"."+n+"."+m.Name())
+				switch {
+				case !u.used[f]:
+					report(label+"."+f.Name(), "no user")
+				case tn.Exported() && f.Exported() && !u.set[f]:
+					report(label+"."+f.Name(), "never set")
 				}
 			}
 		}
@@ -101,10 +133,89 @@ func TestSimulatorNamesHaveCallers(t *testing.T) {
 	}
 	if len(dead) > 0 {
 		slices.Sort(dead)
-		t.Fatalf("exported names of the simulator packages that no non-test file refers to:\n  %s\n"+
+		t.Fatalf("names under internal/ that no non-test file uses:\n  %s\n"+
 			"delete each (with the tests that check only it), or list it in keptWithoutCaller with its reason",
 			strings.Join(dead, "\n  "))
 	}
+}
+
+// usage records, over every non-test file of the module and of bench/,
+// which objects something refers to and which fields something writes,
+// each by its origin.
+type usage struct {
+	used, set map[types.Object]bool
+}
+
+// usage walks the loaded packages' syntax. A selector that reaches a
+// field or method through embedded fields uses each of them. A field is
+// written by a composite literal, keyed or positional, by the left side of
+// an assignment, by x.f++ or x.f--, and by &x.f.
+func (l *sourceLoader) usage() usage {
+	u := usage{used: map[types.Object]bool{}, set: map[types.Object]bool{}}
+	for p, files := range l.files {
+		info := l.infos[p]
+		for _, obj := range info.Uses {
+			u.used[origin(obj)] = true
+		}
+		for _, sel := range info.Selections {
+			typ, idx := sel.Recv(), sel.Index()
+			for _, i := range idx[:len(idx)-1] {
+				if ptr, ok := typ.Underlying().(*types.Pointer); ok {
+					typ = ptr.Elem()
+				}
+				f := typ.Underlying().(*types.Struct).Field(i)
+				u.used[f.Origin()] = true
+				typ = f.Type()
+			}
+		}
+		write := func(e ast.Expr) {
+			if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+				u.set[origin(info.Uses[sel.Sel])] = true
+			}
+		}
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						write(lhs)
+					}
+				case *ast.IncDecStmt:
+					write(n.X)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						write(n.X)
+					}
+				case *ast.CompositeLit:
+					st, ok := info.Types[n].Type.Underlying().(*types.Struct)
+					if !ok {
+						break
+					}
+					for i, elt := range n.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							u.set[origin(info.Uses[kv.Key.(*ast.Ident)])] = true
+						} else {
+							u.set[st.Field(i).Origin()] = true
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	return u
+}
+
+// origin maps a use of an instance of a generic func, method or field to
+// the object its declaration made.
+func origin(obj types.Object) types.Object {
+	switch o := obj.(type) {
+	case *types.Func:
+		return o.Origin()
+	case *types.Var:
+		return o.Origin()
+	}
+	return obj
 }
 
 // implementsSome reports whether T or *T implements an interface that
@@ -133,6 +244,7 @@ type sourceLoader struct {
 	dirs  map[string]string // import path → directory, module and bench
 	pkgs  map[string]*types.Package
 	infos map[string]*types.Info // module and bench packages only
+	files map[string][]*ast.File // module and bench packages only
 }
 
 func newSourceLoader() *sourceLoader {
@@ -144,6 +256,7 @@ func newSourceLoader() *sourceLoader {
 		dirs:  map[string]string{},
 		pkgs:  map[string]*types.Package{},
 		infos: map[string]*types.Info{},
+		files: map[string][]*ast.File{},
 	}
 }
 
@@ -213,8 +326,13 @@ func (l *sourceLoader) ImportFrom(p, dir string, _ types.ImportMode) (*types.Pac
 	}
 	var info *types.Info
 	if own {
-		info = &types.Info{Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}}
+		info = &types.Info{
+			Uses:       map[*ast.Ident]types.Object{},
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+		}
 		l.infos[p] = info
+		l.files[p] = files
 	}
 	conf := types.Config{Importer: l, IgnoreFuncBodies: !own}
 	pkg, err := conf.Check(p, l.fset, files, info)

@@ -45,8 +45,7 @@
 // # Metrics
 //
 // Every proxdisc series the module registers, by layer. /metrics carries
-// all of them but the client's, which a process exports when it dials with
-// client.Config.Telemetry set.
+// those of the layers the process runs.
 //
 //   - Front end: proxdisc_requests_total{type=...} and
 //     proxdisc_request_duration_seconds{type=...} per message type;
@@ -85,9 +84,6 @@
 //   - Subscriptions: proxdisc_sub_active, proxdisc_sub_events_total,
 //     proxdisc_sub_coalesced_total, proxdisc_sub_dropped_total, and
 //     proxdisc_sub_resyncs_total.
-//   - Client: proxdisc_client_inflight, proxdisc_client_retries_total,
-//     proxdisc_client_redirects_total, and
-//     proxdisc_client_failovers_total.
 //   - Go runtime (telemetry.RegisterGoMetrics): go_goroutines,
 //     go_memstats_* heap and GC gauges, and go_gc_* cycle and pause
 //     counters.

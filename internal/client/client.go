@@ -77,7 +77,6 @@ import (
 	"time"
 
 	"proxdisc/internal/proto"
-	"proxdisc/internal/telemetry"
 )
 
 // PathProvider supplies the router path from this host to a landmark router
@@ -104,14 +103,6 @@ const DefaultMaxInFlight = 64
 
 // Config tunes a Client.
 type Config struct {
-	// Telemetry, when set, receives the client's operational metrics,
-	// summed over its sessions: proxdisc_client_inflight (pipelined
-	// requests currently outstanding), proxdisc_client_retries_total
-	// (requests sent again on a fresh dial, and subscriptions opened again
-	// after their stream ended), proxdisc_client_redirects_total, and
-	// proxdisc_client_failovers_total (sessions written off after a
-	// transport failure).
-	Telemetry *telemetry.Registry
 	// Timeout bounds each request/response exchange and each dial
 	// (default 10s). A call with no answer fails with a timeout no
 	// earlier than Timeout and no later than Timeout plus one sweep period
@@ -143,23 +134,12 @@ type Config struct {
 type Client struct {
 	cfg  Config
 	addr string // the dialled server address
-	met  clientMetrics
 
 	mu       sync.Mutex
 	sessions map[string]*session        // one live session per node address
 	primary  string                     // primary address a replica named ("" = the dialled one)
 	subs     map[*Subscription]struct{} // live subscriptions feeding CachedLookup
 	closed   bool                       // no session is dialled after Close
-}
-
-// clientMetrics holds the client's pre-resolved metric handles. With no
-// Config.Telemetry every field stays nil and the nil-safe metric methods
-// make each update a no-op.
-type clientMetrics struct {
-	inflight  *telemetry.Gauge   // pipelined requests currently outstanding
-	retries   *telemetry.Counter // requests sent again on a fresh dial, and resubscribes
-	redirects *telemetry.Counter // MsgRedirect / CodeNotPrimary answers followed
-	failovers *telemetry.Counter // sessions written off after a transport failure
 }
 
 // errRequestTimeout marks a per-request timeout on a healthy connection.
@@ -197,14 +177,6 @@ func DialConfig(addr string, cfg Config) (*Client, error) {
 		cfg.MaxInFlight = proto.MaxPipelineDepth
 	}
 	c := &Client{cfg: cfg, addr: addr, sessions: make(map[string]*session)}
-	if r := cfg.Telemetry; r != nil {
-		c.met = clientMetrics{
-			inflight:  r.Gauge("proxdisc_client_inflight"),
-			retries:   r.Counter("proxdisc_client_retries_total"),
-			redirects: r.Counter("proxdisc_client_redirects_total"),
-			failovers: r.Counter("proxdisc_client_failovers_total"),
-		}
-	}
 	if _, _, err := c.resolve(); err != nil {
 		return nil, err
 	}
@@ -260,7 +232,7 @@ func (c *Client) resolve() (string, *session, error) {
 	}
 	// Dial outside the lock: a slow or unreachable node must not block
 	// requests to other nodes (or Close) for the dial timeout.
-	s, err := dialSession(addr, c.cfg, c.met.inflight)
+	s, err := dialSession(addr, c.cfg)
 	if err != nil {
 		return addr, nil, err
 	}
@@ -284,7 +256,6 @@ func (c *Client) resolve() (string, *session, error) {
 // primary road falls back to the dialled address, whose node may well have
 // been promoted; a stale primary can never wedge the client.
 func (c *Client) drop(addr string, dead *session) {
-	c.met.failovers.Inc()
 	c.mu.Lock()
 	if dead != nil && c.sessions[addr] == dead {
 		delete(c.sessions, addr)
@@ -325,7 +296,6 @@ func (c *Client) send(ctx context.Context, reqType proto.MsgType, payload []byte
 		if retried || c.isClosed() {
 			return 0, nil, err
 		}
-		c.met.retries.Inc()
 	}
 }
 
@@ -361,7 +331,6 @@ func (c *Client) roundTrip(ctx context.Context, reqType proto.MsgType, payload [
 		if redirects == MaxRedirects {
 			return nil, fmt.Errorf("client: gave up after %d redirects (last to %s)", redirects, primary)
 		}
-		c.met.redirects.Inc()
 		c.setPrimary(primary)
 	}
 }
@@ -536,10 +505,8 @@ func (c *Client) JoinBatch(items []BatchItem) ([]BatchResult, error) {
 }
 
 // LookupContext answers a read query with one round trip on the primary
-// road. Only k-closest queries have a pull form — LandmarkQuery and
-// PeerQuery filters exist for Subscribe. When the query caps K below the
-// server's neighbor count the answer is trimmed client-side, so pull and
-// push report identical sets.
+// road. Only k-closest queries have a pull form; LandmarkQuery filters
+// exist for Subscribe.
 func (c *Client) LookupContext(ctx context.Context, q Query) ([]proto.Candidate, error) {
 	if q.Kind != QueryKClosest {
 		return nil, fmt.Errorf("client: lookup supports only k-closest queries (kind %d)", q.Kind)
@@ -554,9 +521,6 @@ func (c *Client) LookupContext(ctx context.Context, q Query) ([]proto.Candidate,
 	proto.PutBuf(resp)
 	if err != nil {
 		return nil, err
-	}
-	if q.K > 0 && len(lr.Neighbors) > q.K {
-		lr.Neighbors = lr.Neighbors[:q.K]
 	}
 	return lr.Neighbors, nil
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"proxdisc/internal/codec"
 	"proxdisc/internal/proto"
 )
 
@@ -269,7 +270,7 @@ func TestClientJoinPathLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Join(1, "a", make([]int32, proto.MaxPathLen+1)); err == nil {
+	if _, err := c.Join(1, "a", make([]int32, codec.MaxPathLen+1)); err == nil {
 		t.Fatal("oversized path accepted client-side")
 	}
 }

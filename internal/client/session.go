@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"proxdisc/internal/proto"
-	"proxdisc/internal/telemetry"
 )
 
 // session is one hello'd connection to one node. It knows nothing of
@@ -27,7 +26,6 @@ type session struct {
 	// maxBatch is the batch size the node accepts (at least 1), set once
 	// at dial time.
 	maxBatch int
-	inflight *telemetry.Gauge // the Client's proxdisc_client_inflight
 
 	// br buffers all reads for the connection's whole life, so one read
 	// syscall can deliver many pipelined response frames.
@@ -97,7 +95,7 @@ type stream struct {
 
 // dialSession connects to the node at addr, opens the session (see Hello)
 // and starts its demux goroutine.
-func dialSession(addr string, cfg Config, inflight *telemetry.Gauge) (*session, error) {
+func dialSession(addr string, cfg Config) (*session, error) {
 	conn, err := net.DialTimeout("tcp", addr, cfg.Timeout)
 	if err != nil {
 		return nil, fmt.Errorf("client: dial %s: %w", addr, err)
@@ -105,7 +103,6 @@ func dialSession(addr string, cfg Config, inflight *telemetry.Gauge) (*session, 
 	s := &session{
 		conn:       conn,
 		timeout:    cfg.Timeout,
-		inflight:   inflight,
 		br:         bufio.NewReaderSize(conn, 16<<10),
 		bw:         bufio.NewWriterSize(conn, 16<<10),
 		slots:      make(chan struct{}, cfg.MaxInFlight),
@@ -281,11 +278,7 @@ func (s *session) exchange(ctx context.Context, reqType proto.MsgType, payload [
 			return 0, nil, ctx.Err()
 		}
 	}
-	s.inflight.Inc()
-	defer func() {
-		s.inflight.Dec()
-		<-s.slots
-	}()
+	defer func() { <-s.slots }()
 
 	id := s.nextID.Add(1)
 	cl := callPool.Get().(*call)

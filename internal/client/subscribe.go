@@ -7,7 +7,6 @@ import (
 	"net"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"proxdisc/internal/proto"
@@ -17,11 +16,11 @@ import (
 // polling Lookup, a peer registers a live Query with Subscribe: the server
 // evaluates every committed op against the subscription's filter and
 // pushes only the deltas — a peer entering the answer set (EventEnter),
-// leaving it (EventLeave), or changing inside it (EventUpdate). Three
-// filters exist, built with KClosest, PeerQuery and LandmarkQuery: a
-// registered peer's k-closest answer set (the push form of Lookup,
-// re-evaluated incrementally through the same path trees), one peer's
-// registration, and a whole landmark tree's membership.
+// leaving it (EventLeave), or changing inside it (EventUpdate). Two
+// filters are built here, with KClosest and LandmarkQuery: a registered
+// peer's k-closest answer set (the push form of Lookup, re-evaluated
+// incrementally through the same path trees), and a whole landmark tree's
+// membership.
 //
 // The subscription folds the deltas into a coherent local cache of the
 // current answer, so CachedLookup answers a k-closest query without a round
@@ -53,8 +52,6 @@ type QueryKind uint8
 const (
 	// QueryLandmark watches every peer registered under one landmark tree.
 	QueryLandmark QueryKind = QueryKind(proto.QueryLandmark)
-	// QueryPeer watches one peer's registration.
-	QueryPeer QueryKind = QueryKind(proto.QueryPeer)
 	// QueryKClosest watches a registered peer's k-closest answer set.
 	QueryKClosest QueryKind = QueryKind(proto.QueryKClosest)
 )
@@ -72,29 +69,23 @@ const (
 type Query struct {
 	// Kind selects the filter.
 	Kind QueryKind
-	// Peer is the subject of QueryPeer and QueryKClosest.
+	// Peer is the subject of QueryKClosest.
 	Peer int64
 	// Landmark is the subject of QueryLandmark.
 	Landmark int32
-	// K caps the QueryKClosest answer size; 0 means the server's
-	// configured neighbor count — the only size a cached lookup can cover.
-	K int
 }
 
 // KClosest is the query LookupContext and Subscribe share: the k-closest
 // answer set of a registered peer, at the server's configured size.
 func KClosest(peer int64) Query { return Query{Kind: QueryKClosest, Peer: peer} }
 
-// PeerQuery watches one peer's registration (Subscribe only).
-func PeerQuery(peer int64) Query { return Query{Kind: QueryPeer, Peer: peer} }
-
 // LandmarkQuery watches every peer under one landmark tree (Subscribe
 // only).
 func LandmarkQuery(landmark int32) Query { return Query{Kind: QueryLandmark, Landmark: landmark} }
 
 // Event is one pushed subscription delta, delivered on
-// Subscription.Events. The cache behind Cache/CachedLookup has already
-// absorbed it.
+// Subscription.Events. The cache behind CachedLookup has already absorbed
+// it.
 type Event struct {
 	// Seq is the committed sequence of the op the event derives from.
 	Seq uint64
@@ -116,8 +107,8 @@ const subHeartbeat = 2 * time.Second
 //
 // Events delivers every delta to consumers that want them, but it is
 // lossy under sustained backpressure (a slow consumer drops events, never
-// blocks the fold). The cache is the coherent surface: Cache and
-// CachedLookup always reflect everything received.
+// blocks the fold). The cache is the coherent surface: CachedLookup
+// always reflects everything received.
 type Subscription struct {
 	c      *Client
 	q      Query
@@ -125,8 +116,7 @@ type Subscription struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	events  chan Event
-	dropped atomic.Uint64
+	events chan Event
 
 	mu       sync.Mutex
 	cache    []proto.Candidate
@@ -153,14 +143,10 @@ func (c *Client) Subscribe(ctx context.Context, q Query) (*Subscription, error) 
 	if q.Kind < QueryLandmark || q.Kind > QueryKClosest {
 		return nil, fmt.Errorf("client: bad query kind %d", q.Kind)
 	}
-	if q.K < 0 || q.K > proto.MaxNeighbors {
-		return nil, fmt.Errorf("client: query k %d out of range", q.K)
-	}
 	req, err := proto.EncodeSubscribeRequest(&proto.SubscribeRequest{
 		Kind:     uint8(q.Kind),
 		Peer:     q.Peer,
 		Landmark: q.Landmark,
-		K:        uint16(q.K),
 	})
 	if err != nil {
 		return nil, err
@@ -249,7 +235,6 @@ func (s *Subscription) resubscribe(old *stream) *stream {
 	s.mu.Unlock()
 	// Unless the session died, the server still pushes under the old ID.
 	old.unsubscribe()
-	s.c.met.retries.Inc()
 	for attempt := 1; ; attempt++ {
 		if s.ctx.Err() != nil || s.c.isClosed() {
 			s.fail(net.ErrClosed)
@@ -372,13 +357,11 @@ func (s *Subscription) sortCache() {
 }
 
 // deliver offers an event to the consumer channel without ever blocking
-// the fold: a full channel drops the event (counted), the cache stays
-// right.
+// the fold: a full channel drops the event, the cache stays right.
 func (s *Subscription) deliver(ev Event) {
 	select {
 	case s.events <- ev:
 	default:
-		s.dropped.Add(1)
 	}
 }
 
@@ -392,31 +375,15 @@ func (s *Subscription) fail(err error) {
 }
 
 // Events delivers pushed deltas. The channel is lossy under sustained
-// backpressure (see Dropped); it closes when the subscription ends. The
-// cache has always already absorbed a delivered event.
+// backpressure; it closes when the subscription ends. The cache has always
+// already absorbed a delivered event.
 func (s *Subscription) Events() <-chan Event { return s.events }
-
-// Query reports what this subscription watches.
-func (s *Subscription) Query() Query { return s.q }
 
 // Seq reports the committed sequence the cache covers.
 func (s *Subscription) Seq() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.seq
-}
-
-// Dropped reports how many events the Events channel shed; the cache
-// absorbed them all regardless.
-func (s *Subscription) Dropped() uint64 { return s.dropped.Load() }
-
-// Cache returns a copy of the current answer and whether it is coherent —
-// subscribed and covering everything the server pushed. While the
-// subscription resubscribes it reports false.
-func (s *Subscription) Cache() ([]proto.Candidate, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]proto.Candidate(nil), s.cache...), s.coherent && !s.orphaned
 }
 
 // covering reports the cache when it can stand in for a fresh lookup.
@@ -428,9 +395,6 @@ func (s *Subscription) covering() ([]proto.Candidate, bool) {
 	}
 	return append([]proto.Candidate(nil), s.cache...), true
 }
-
-// Done closes when the subscription has fully stopped.
-func (s *Subscription) Done() <-chan struct{} { return s.done }
 
 // Err reports why the subscription ended: net.ErrClosed once Close was
 // called or its context ended, the server's error when it refused a
@@ -470,15 +434,15 @@ func (c *Client) unregisterSub(s *Subscription) {
 // CachedLookup answers a k-closest lookup from a live subscription's
 // cache when a covering one exists — zero round trips, zero server work —
 // and falls back to a wire LookupContext otherwise. A subscription covers
-// a lookup when it watches the same peer's k-closest set at the server's
-// answer size (KClosest(peer), K zero) and its cache is coherent: mid-
+// a lookup when it watches the same peer's k-closest set (KClosest(peer))
+// and its cache is coherent: mid-
 // resubscribe, or after the subject deregistered, the wire path answers
 // instead so the caller never reads stale data.
 func (c *Client) CachedLookup(ctx context.Context, peer int64) ([]proto.Candidate, error) {
 	c.mu.Lock()
 	var match *Subscription
 	for s := range c.subs {
-		if s.q.Kind == QueryKClosest && s.q.Peer == peer && s.q.K == 0 {
+		if s.q.Kind == QueryKClosest && s.q.Peer == peer {
 			match = s
 			break
 		}

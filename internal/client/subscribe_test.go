@@ -15,7 +15,7 @@ import (
 // the fold runs again the subscription resubscribes: the server reads an
 // unsubscribe for the old ID, then a fresh subscribe request.
 func TestFullSubscriptionDoesNotStallCalls(t *testing.T) {
-	ack, err := proto.EncodeSubscribeAck(&proto.SubscribeAck{Seq: 1})
+	ack, err := proto.EncodeSubscribeAckAnswer(1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestFullSubscriptionDoesNotStallCalls(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	for {
-		if _, ok := sub.Cache(); ok {
+		if _, ok := sub.covering(); ok {
 			break
 		}
 		if time.Now().After(deadline) {

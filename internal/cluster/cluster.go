@@ -372,15 +372,6 @@ func New(cfg Config) (*Cluster, error) {
 // NumShards reports the number of shards.
 func (c *Cluster) NumShards() int { return len(c.shards) }
 
-// Shard exposes one shard's server, for tests and diagnostics.
-func (c *Cluster) Shard(i int) *server.Server { return c.shards[i].srv }
-
-// ShardFor reports which shard owns a landmark.
-func (c *Cluster) ShardFor(lm topology.NodeID) (int, bool) {
-	shard, ok := c.table[lm]
-	return shard, ok
-}
-
 // Landmarks returns every landmark served by the cluster in ascending
 // order.
 func (c *Cluster) Landmarks() []topology.NodeID {
@@ -460,15 +451,6 @@ func (c *Cluster) retireOrphans(g *shard) {
 			_, _ = owner.srv.Retire(o)
 		}
 	}
-}
-
-// JoinBatch registers a batch of peers; see JoinBatchOp.
-func (c *Cluster) JoinBatch(items []server.BatchJoin) []server.BatchResult {
-	entries := make([]op.JoinEntry, len(items))
-	for i, it := range items {
-		entries[i] = op.JoinEntry{Peer: it.Peer, Addr: it.Addr, Path: it.Path}
-	}
-	return c.JoinBatchOp(op.BatchJoin(entries, 0))
 }
 
 // JoinBatchOp registers a batch of peers, grouping entries by the shard

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"proxdisc/internal/op"
 	"proxdisc/internal/pathtree"
 	"proxdisc/internal/server"
 	"proxdisc/internal/topology"
@@ -85,7 +86,7 @@ func TestRoundRobinLandmarkTable(t *testing.T) {
 	c := newTestCluster(t, 4)
 	counts := make(map[int]int)
 	for _, lm := range testLandmarks {
-		shard, ok := c.ShardFor(lm)
+		shard, ok := c.table[lm]
 		if !ok {
 			t.Fatalf("landmark %d unassigned", lm)
 		}
@@ -105,11 +106,11 @@ func TestJoinRoutesByLandmark(t *testing.T) {
 		t.Fatalf("NumPeers=%d", got)
 	}
 	for p, lm := range byPeer {
-		shard, ok := c.ShardFor(lm)
+		shard, ok := c.table[lm]
 		if !ok {
 			t.Fatalf("no shard for landmark %d", lm)
 		}
-		info, err := c.Shard(shard).PeerInfo(p)
+		info, err := c.shards[shard].srv.PeerInfo(p)
 		if err != nil {
 			t.Fatalf("peer %d not on owning shard %d: %v", p, shard, err)
 		}
@@ -120,7 +121,7 @@ func TestJoinRoutesByLandmark(t *testing.T) {
 	// Sharded peers total must equal sum of per-shard populations.
 	sum := 0
 	for i := 0; i < c.NumShards(); i++ {
-		sum += c.Shard(i).NumPeers()
+		sum += c.shards[i].srv.NumPeers()
 	}
 	if sum != 64 {
 		t.Fatalf("per-shard sum=%d", sum)
@@ -165,7 +166,7 @@ func TestClusterMatchesSingleServer(t *testing.T) {
 		p := pathtree.PeerID(i + 1)
 		lm := testLandmarks[rng.Intn(len(testLandmarks))]
 		path := synthPath(lm, rng.Intn(20_000))
-		a, errA := single.Join(p, path)
+		a, errA := single.JoinOp(op.Join(p, path, "", 0))
 		b, errB := c.Join(p, path)
 		if (errA == nil) != (errB == nil) {
 			t.Fatalf("join %d: single err=%v cluster err=%v", p, errA, errB)
@@ -192,8 +193,8 @@ func TestClusterMatchesSingleServer(t *testing.T) {
 func TestRejoinAcrossShards(t *testing.T) {
 	c := newTestCluster(t, 4)
 	lmA, lmB := testLandmarks[0], testLandmarks[1]
-	shardA, _ := c.ShardFor(lmA)
-	shardB, _ := c.ShardFor(lmB)
+	shardA := c.table[lmA]
+	shardB := c.table[lmB]
 	if shardA == shardB {
 		t.Fatal("test landmarks landed on the same shard; adjust the set")
 	}
@@ -206,7 +207,7 @@ func TestRejoinAcrossShards(t *testing.T) {
 	if got := c.NumPeers(); got != 1 {
 		t.Fatalf("NumPeers=%d after re-join", got)
 	}
-	if _, err := c.Shard(shardA).PeerInfo(1); !errors.Is(err, server.ErrUnknownPeer) {
+	if _, err := c.shards[shardA].srv.PeerInfo(1); !errors.Is(err, server.ErrUnknownPeer) {
 		t.Fatalf("stale record on old shard: err=%v", err)
 	}
 	info, err := c.PeerInfo(1)
@@ -321,16 +322,16 @@ func TestConcurrentJoinsAcrossShards(t *testing.T) {
 func TestJoinBatchAcrossShards(t *testing.T) {
 	c := newTestCluster(t, 4)
 	single := newTestCluster(t, 1)
-	var items []server.BatchJoin
+	var items []op.JoinEntry
 	for i := 0; i < 24; i++ {
 		lm := testLandmarks[i%len(testLandmarks)]
-		items = append(items, server.BatchJoin{
+		items = append(items, op.JoinEntry{
 			Peer: pathtree.PeerID(i + 1),
 			Path: synthPath(lm, i*13),
 		})
 	}
-	res := c.JoinBatch(items)
-	want := single.JoinBatch(items)
+	res := c.JoinBatchOp(op.BatchJoin(items, 0))
+	want := single.JoinBatchOp(op.BatchJoin(items, 0))
 	for i := range items {
 		if (res[i].Err == nil) != (want[i].Err == nil) {
 			t.Fatalf("entry %d: err=%v want %v", i, res[i].Err, want[i].Err)
@@ -352,11 +353,11 @@ func TestJoinBatchAcrossShards(t *testing.T) {
 
 func TestJoinBatchUnknownLandmarkEntry(t *testing.T) {
 	c := newTestCluster(t, 2)
-	res := c.JoinBatch([]server.BatchJoin{
+	res := c.JoinBatchOp(op.BatchJoin([]op.JoinEntry{
 		{Peer: 1, Path: synthPath(0, 5)},
 		{Peer: 2, Path: []topology.NodeID{1, 2, 99999}},
 		{Peer: 3, Path: nil},
-	})
+	}, 0))
 	if res[0].Err != nil {
 		t.Fatalf("good entry failed: %v", res[0].Err)
 	}
@@ -376,19 +377,19 @@ func TestJoinBatchRejoinMovesShards(t *testing.T) {
 	if _, err := c.Join(1, synthPath(0, 3)); err != nil {
 		t.Fatal(err)
 	}
-	oldShard, _ := c.ShardFor(0)
-	newShard, _ := c.ShardFor(100)
+	oldShard := c.table[0]
+	newShard := c.table[100]
 	if oldShard == newShard {
 		t.Fatalf("landmarks 0 and 100 on the same shard; pick others")
 	}
-	res := c.JoinBatch([]server.BatchJoin{{Peer: 1, Path: synthPath(100, 3)}})
+	res := c.JoinBatchOp(op.BatchJoin([]op.JoinEntry{{Peer: 1, Path: synthPath(100, 3)}}, 0))
 	if res[0].Err != nil {
 		t.Fatal(res[0].Err)
 	}
 	if c.NumPeers() != 1 {
 		t.Fatalf("peers=%d", c.NumPeers())
 	}
-	if got := c.Shard(oldShard).NumPeers(); got != 0 {
+	if got := c.shards[oldShard].srv.NumPeers(); got != 0 {
 		t.Fatalf("old shard still holds %d peers", got)
 	}
 }
@@ -400,10 +401,10 @@ func TestJoinBatchRejoinMovesShards(t *testing.T) {
 func TestJoinBatchDuplicatePeerLastEntryWins(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		c := newTestCluster(t, 4)
-		res := c.JoinBatch([]server.BatchJoin{
+		res := c.JoinBatchOp(op.BatchJoin([]op.JoinEntry{
 			{Peer: 1, Path: synthPath(0, 5)},
 			{Peer: 1, Path: synthPath(100, 5)},
-		})
+		}, 0))
 		if res[0].Err != nil || res[1].Err != nil {
 			t.Fatalf("errs: %v %v", res[0].Err, res[1].Err)
 		}
@@ -417,8 +418,8 @@ func TestJoinBatchDuplicatePeerLastEntryWins(t *testing.T) {
 		if info.Landmark != 100 {
 			t.Fatalf("trial %d: registered under landmark %d, want the last entry's 100", trial, info.Landmark)
 		}
-		oldShard, _ := c.ShardFor(0)
-		if got := c.Shard(oldShard).NumPeers(); got != 0 {
+		oldShard := c.table[0]
+		if got := c.shards[oldShard].srv.NumPeers(); got != 0 {
 			t.Fatalf("trial %d: first entry's shard still holds %d peers", trial, got)
 		}
 	}

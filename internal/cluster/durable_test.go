@@ -580,15 +580,15 @@ func TestDurableFlagAndWideBatchChunking(t *testing.T) {
 		t.Fatal("Durable() = true without DataDir")
 	}
 	const wide = int(op.MaxBatch) + 44
-	items := make([]server.BatchJoin, wide)
+	items := make([]op.JoinEntry, wide)
 	for i := range items {
-		items[i] = server.BatchJoin{
+		items[i] = op.JoinEntry{
 			Peer: pathtree.PeerID(i + 1),
 			Addr: fmt.Sprintf("10.9.0.%d:41", i%250),
 			Path: synthPath(testLandmarks[i%len(testLandmarks)], i),
 		}
 	}
-	for _, res := range c.JoinBatch(items) {
+	for _, res := range c.JoinBatchOp(op.BatchJoin(items, 0)) {
 		if res.Err != nil {
 			t.Fatal(res.Err)
 		}

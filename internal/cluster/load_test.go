@@ -110,8 +110,8 @@ func assertSameState(t *testing.T, want, got *Cluster, label string) {
 		t.Fatalf("%s: %d peers, want %d", label, g, w)
 	}
 	for _, lm := range want.Landmarks() {
-		ws, _ := want.ShardFor(lm)
-		gs, ok := got.ShardFor(lm)
+		ws := want.table[lm]
+		gs, ok := got.table[lm]
 		if !ok || gs != ws {
 			t.Fatalf("%s: landmark %d on shard %d, want shard %d", label, lm, gs, ws)
 		}
@@ -276,8 +276,8 @@ func TestParallelLoadRepeatedPeerFallsBack(t *testing.T) {
 	}
 	writeCheckpointFile(t, dir, ops...)
 	c := reopen(t, dir, 2, false)
-	from, _ := c.ShardFor(0)
-	if to, _ := c.ShardFor(100); to == from {
+	from := c.table[0]
+	if to := c.table[100]; to == from {
 		t.Fatalf("landmarks 0 and 100 share shard %d", to)
 	}
 	if c.NumPeers() != 3 {
@@ -290,7 +290,7 @@ func TestParallelLoadRepeatedPeerFallsBack(t *testing.T) {
 	if info.Landmark != 100 || info.Addr != "10.0.0.9:41" || info.LastRefresh.UnixNano() != 20 {
 		t.Fatalf("peer 1 recovered as %+v, want the later entry's", info)
 	}
-	if n := c.Shard(from).NumPeers(); n != 1 {
+	if n := c.shards[from].srv.NumPeers(); n != 1 {
 		t.Fatalf("landmark 0's shard holds %d peers, want 1", n)
 	}
 	assertSameState(t, reopen(t, dir, 2, true), c, "fallback")

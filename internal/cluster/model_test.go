@@ -30,12 +30,12 @@ import (
 func checkIndex(c *Cluster) error {
 	holder := make(map[topology.NodeID]int)
 	for i := range c.shards {
-		for _, lm := range c.Shard(i).Landmarks() {
+		for _, lm := range c.shards[i].srv.Landmarks() {
 			if j, dup := holder[lm]; dup {
 				return fmt.Errorf("landmark %d held by shards %d and %d", lm, j, i)
 			}
 			holder[lm] = i
-			if owner, ok := c.ShardFor(lm); !ok || owner != i {
+			if owner, ok := c.table[lm]; !ok || owner != i {
 				return fmt.Errorf("landmark %d held by shard %d, the table says %d (%v)", lm, i, owner, ok)
 			}
 		}
@@ -45,8 +45,8 @@ func checkIndex(c *Cluster) error {
 	}
 	resident := make(map[pathtree.PeerID]int)
 	for i := range c.shards {
-		peers := c.Shard(i).Peers()
-		if n := c.Shard(i).NumPeers(); n != len(peers) {
+		peers := c.shards[i].srv.Peers()
+		if n := c.shards[i].srv.NumPeers(); n != len(peers) {
 			return fmt.Errorf("shard %d: NumPeers %d, %d live records", i, n, len(peers))
 		}
 		for _, p := range peers {
@@ -58,7 +58,7 @@ func checkIndex(c *Cluster) error {
 			if !ok || holder[lm] != i {
 				return fmt.Errorf("peer %d resident on shard %d, indexed under landmark %d (%v) of shard %d", p, i, lm, ok, holder[lm])
 			}
-			info, err := c.Shard(i).PeerInfo(p)
+			info, err := c.shards[i].srv.PeerInfo(p)
 			if err != nil || info.ID != p || info.Landmark != lm {
 				return fmt.Errorf("peer %d's entry resolves on shard %d to %+v, %v", p, i, info, err)
 			}
@@ -145,8 +145,8 @@ func TestClusterMatchesModel(t *testing.T) {
 			case r < 35: // join, or re-join wherever the new path leads
 				lm := anyLandmark()
 				if mp, known := m[p]; known && r < 12 { // somewhere on another shard
-					was, _ := c.ShardFor(mp.path[len(mp.path)-1])
-					for s, _ := c.ShardFor(lm); s == was; s, _ = c.ShardFor(lm) {
+					was := c.table[mp.path[len(mp.path)-1]]
+					for s := c.table[lm]; s == was; s = c.table[lm] {
 						lm = anyLandmark()
 					}
 				}
@@ -221,11 +221,11 @@ func TestClusterMatchesModel(t *testing.T) {
 			default: // a move an older build logged: applied, and the table stays
 				lm, dst := anyLandmark(), rng.Intn(c.NumShards())
 				desc = fmt.Sprintf("move record %d to shard %d", lm, dst)
-				owner, _ := c.ShardFor(lm)
-				if err := c.Apply(op.MoveLandmark(lm, owner, dst, uint64(1+step))); err != nil {
+				owner := c.table[lm]
+				if err := c.Apply(op.Op{Kind: op.KindMoveLandmark, Move: op.MoveEntry{Landmark: lm, Src: owner, Dst: dst, Epoch: uint64(1 + step)}}); err != nil {
 					t.Fatalf("seed %d step %d %s: %v", seed, step, desc, err)
 				}
-				if got, _ := c.ShardFor(lm); got != owner {
+				if got := c.table[lm]; got != owner {
 					t.Fatalf("seed %d step %d %s: landmark on shard %d, want %d", seed, step, desc, got, owner)
 				}
 			}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -33,14 +34,14 @@ func snapshotOf(t testing.TB, c *Cluster) []byte {
 func assertSamePlacement(t *testing.T, want, got *Cluster) {
 	t.Helper()
 	for _, lm := range want.Landmarks() {
-		ws, _ := want.ShardFor(lm)
-		gs, ok := got.ShardFor(lm)
+		ws := want.table[lm]
+		gs, ok := got.table[lm]
 		if !ok || gs != ws {
 			t.Fatalf("landmark %d on shard %d, want shard %d", lm, gs, ws)
 		}
 	}
 	for i := 0; i < want.NumShards(); i++ {
-		if w, g := want.Shard(i).NumPeers(), got.Shard(i).NumPeers(); w != g {
+		if w, g := want.shards[i].srv.NumPeers(), got.shards[i].srv.NumPeers(); w != g {
 			t.Fatalf("shard %d holds %d peers, want %d", i, g, w)
 		}
 	}
@@ -75,7 +76,7 @@ func resetSource(t *testing.T) (*Cluster, []byte) {
 func testResetReplaces(t *testing.T) {
 	src, ckpt := resetSource(t)
 	lm := testLandmarks[0]
-	cur, _ := src.ShardFor(lm)
+	cur := src.table[lm]
 	reg := telemetry.NewRegistry()
 	dst, err := New(Config{Landmarks: testLandmarks, Shards: 2, Telemetry: reg})
 	if err != nil {
@@ -100,13 +101,13 @@ func testResetReplaces(t *testing.T) {
 	assertSamePlacement(t, src, dst)
 	assertSameAnswers(t, captureAnswers(t, src), captureAnswers(t, dst), "after reset")
 	for i := 0; i < 2; i++ {
-		g := reg.Get(`proxdisc_shard_peers{shard="` + strconv.Itoa(i) + `"}`).(*telemetry.GaugeFunc)
-		if int(g.Value()) != src.Shard(i).NumPeers() {
-			t.Fatalf("shard %d gauge reads %v, want %d", i, g.Value(), src.Shard(i).NumPeers())
+		series := `proxdisc_shard_peers{shard="` + strconv.Itoa(i) + `"}`
+		if got, want := scraped(t, reg, series), src.shards[i].srv.NumPeers(); got != want {
+			t.Fatalf("shard %d gauge reads %d, want %d", i, got, want)
 		}
 	}
-	if g := reg.Get("proxdisc_peers").(*telemetry.GaugeFunc); int(g.Value()) != src.NumPeers() {
-		t.Fatalf("peer gauge reads %v, want %d", g.Value(), src.NumPeers())
+	if got := scraped(t, reg, "proxdisc_peers"); got != src.NumPeers() {
+		t.Fatalf("peer gauge reads %d, want %d", got, src.NumPeers())
 	}
 
 	// The copy keeps working on the adopted state: it takes writes, and a
@@ -114,10 +115,10 @@ func testResetReplaces(t *testing.T) {
 	if _, err := dst.Join(2000, synthPath(lm, 7)); err != nil {
 		t.Fatal(err)
 	}
-	if err := dst.Apply(op.MoveLandmark(lm, cur, 1-cur, 2)); err != nil {
+	if err := dst.Apply(op.Op{Kind: op.KindMoveLandmark, Move: op.MoveEntry{Landmark: lm, Src: cur, Dst: 1 - cur, Epoch: 2}}); err != nil {
 		t.Fatal(err)
 	}
-	if s, _ := dst.ShardFor(lm); s != cur {
+	if s := dst.table[lm]; s != cur {
 		t.Fatalf("replicated move left landmark %d on shard %d, want %d", lm, s, cur)
 	}
 	if _, err := dst.Lookup(2000); err != nil {
@@ -349,9 +350,9 @@ func TestCheckpointNamingOtherOwnersLoads(t *testing.T) {
 	fresh := newTestCluster(t, shards)
 	var elsewhere []op.Op
 	for i, lm := range testLandmarks {
-		owner, _ := fresh.ShardFor(lm)
+		owner := fresh.table[lm]
 		other := (owner + 1) % shards
-		elsewhere = append(elsewhere, op.MoveLandmark(lm, other, other, uint64(3+i)))
+		elsewhere = append(elsewhere, op.Op{Kind: op.KindMoveLandmark, Move: op.MoveEntry{Landmark: lm, Src: other, Dst: other, Epoch: uint64(3 + i)}})
 	}
 	for _, o := range joins {
 		if err := fresh.Apply(o); err != nil {
@@ -362,8 +363,8 @@ func TestCheckpointNamingOtherOwnersLoads(t *testing.T) {
 	check := func(label string, c *Cluster) {
 		t.Helper()
 		for _, lm := range testLandmarks {
-			w, _ := fresh.ShardFor(lm)
-			if got, ok := c.ShardFor(lm); !ok || got != w {
+			w := fresh.table[lm]
+			if got, ok := c.table[lm]; !ok || got != w {
 				t.Fatalf("%s: landmark %d on shard %d, want the table's %d", label, lm, got, w)
 			}
 		}
@@ -405,7 +406,7 @@ func TestCheckpointNamingOtherOwnersLoads(t *testing.T) {
 	}
 	check("reset", reset)
 
-	unknown := append([]op.Op{op.MoveLandmark(999, 0, 0, 0)}, file...)
+	unknown := append([]op.Op{{Kind: op.KindMoveLandmark, Move: op.MoveEntry{Landmark: 999, Src: 0, Dst: 0, Epoch: 0}}}, file...)
 	if err := reset.ResetFromSnapshot(bytes.NewReader(stream(unknown...))); err == nil {
 		t.Fatal("a reset took a Move naming an unknown landmark")
 	}
@@ -484,4 +485,21 @@ func TestResetFromDuplicateNamingSnapshot(t *testing.T) {
 	if !bytes.Equal(clean, snapshotOf(t, got)) {
 		t.Fatal("a clean snapshot restored to other bytes")
 	}
+}
+
+// scraped reads an integer series off reg's Prometheus exposition, the
+// road /metrics takes.
+func scraped(t *testing.T, reg *telemetry.Registry, series string) int {
+	t.Helper()
+	for _, line := range strings.Split(reg.Exposition(), "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			n, err := strconv.Atoi(v)
+			if err != nil {
+				t.Fatalf("%s reads %q: %v", series, v, err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("the exposition has no %s", series)
+	return 0
 }

@@ -55,7 +55,7 @@ func TestConcurrentJoinsMatchSerial(t *testing.T) {
 		}(w * each)
 	}
 	wg.Wait()
-	shard, _ := c.ShardFor(lm)
+	shard := c.table[lm]
 	if applies := int(c.shards[shard].applies.Value()); applies != workers*each {
 		t.Fatalf("%d applies, want %d", applies, workers*each)
 	}

@@ -130,8 +130,8 @@ func writeEveryBarrier(w *tailWriter, now time.Time, dup bool) {
 	})
 	w.fresh(3)
 	w.barrier(func() error { // applied, it names another shard and changes nothing
-		cur, _ := c.ShardFor(testLandmarks[2])
-		return c.Apply(op.MoveLandmark(testLandmarks[2], cur, (cur+1)%c.NumShards(), 1))
+		cur := c.table[testLandmarks[2]]
+		return c.Apply(op.Op{Kind: op.KindMoveLandmark, Move: op.MoveEntry{Landmark: testLandmarks[2], Src: cur, Dst: (cur + 1) % c.NumShards(), Epoch: 1}})
 	})
 	if dup {
 		x := w.newPeers(1)[0]

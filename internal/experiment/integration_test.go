@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"proxdisc/internal/cluster"
+	"proxdisc/internal/op"
 	"proxdisc/internal/pathtree"
 	"proxdisc/internal/routing"
 	"proxdisc/internal/server"
@@ -117,7 +118,7 @@ func TestPipelineOnSerializedTopology(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := srv2.Join(p, info.Path); err != nil {
+		if _, err := srv2.JoinOp(op.Join(p, info.Path, "", 0)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -12,6 +12,7 @@ import (
 
 	"proxdisc/internal/cluster"
 	"proxdisc/internal/metrics"
+	"proxdisc/internal/op"
 	"proxdisc/internal/pathtree"
 	"proxdisc/internal/routing"
 	"proxdisc/internal/server"
@@ -237,7 +238,7 @@ func (w *World) joinBatched(n, base int) error {
 		if hi > n {
 			hi = n
 		}
-		items := make([]server.BatchJoin, 0, hi-lo)
+		items := make([]op.JoinEntry, 0, hi-lo)
 		atts := make([]topology.NodeID, 0, hi-lo)
 		for i := lo; i < hi; i++ {
 			att := w.LeafPool[i]
@@ -245,10 +246,10 @@ func (w *World) joinBatched(n, base int) error {
 			if err != nil {
 				return err
 			}
-			items = append(items, server.BatchJoin{Peer: pathtree.PeerID(base + i + 1), Path: path})
+			items = append(items, op.JoinEntry{Peer: pathtree.PeerID(base + i + 1), Path: path})
 			atts = append(atts, att)
 		}
-		for k, r := range w.Server.JoinBatch(items) {
+		for k, r := range w.Server.JoinBatchOp(op.BatchJoin(items, 0)) {
 			if r.Err != nil {
 				return fmt.Errorf("experiment: batched join of peer %d: %w", items[k].Peer, r.Err)
 			}

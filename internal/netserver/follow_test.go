@@ -88,23 +88,10 @@ func waitApplied(t *testing.T, f *Follower, clu *cluster.Cluster) {
 	}
 }
 
-// assertSameState asserts the follower's local copy is byte-identical to
-// the primary cluster's state: both serialize through the same canonical
-// snapshot format (sorted landmarks, sorted peers), so equality is exact.
-// The copy must also place every landmark where the primary does.
-func assertSameState(t *testing.T, clu, follower *cluster.Cluster) {
-	t.Helper()
-	for _, lm := range clu.Landmarks() {
-		want, _ := clu.ShardFor(lm)
-		if got, ok := follower.ShardFor(lm); !ok || got != want {
-			t.Fatalf("follower has landmark %d on shard %d, primary on shard %d", lm, got, want)
-		}
-	}
-	assertSameSnapshot(t, clu, follower)
-}
-
-// assertSameSnapshot asserts the follower's copy writes the primary's
-// snapshot bytes, whatever shard count each runs.
+// assertSameSnapshot asserts the follower's local copy is byte-identical
+// to the primary cluster's state, whatever shard count each runs: both
+// serialize through the same canonical snapshot format (sorted landmarks,
+// sorted peers), so equality is exact.
 func assertSameSnapshot(t *testing.T, clu, follower *cluster.Cluster) {
 	t.Helper()
 	var want, got bytes.Buffer
@@ -184,7 +171,7 @@ func TestFollowerConvergesUnderConcurrentWrites(t *testing.T) {
 	}
 
 	waitApplied(t, f, clu)
-	assertSameState(t, clu, fsrv)
+	assertSameSnapshot(t, clu, fsrv)
 	if f.Lag() != 0 {
 		t.Fatalf("converged follower reports lag %d", f.Lag())
 	}
@@ -274,8 +261,7 @@ func TestFollowerByteIdenticalAcrossMidStreamMove(t *testing.T) {
 	close(start)
 	// The move record, the flag and the sweep land mid-stream, racing the
 	// writers above.
-	src, _ := clu.ShardFor(0)
-	if err := clu.Apply(op.MoveLandmark(0, src, 1-src, 1)); err != nil {
+	if err := clu.Apply(op.Op{Kind: op.KindMoveLandmark, Move: op.MoveEntry{Landmark: 0, Src: 0, Dst: 1, Epoch: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := clu.SetSuperPeer(9001, true); err != nil {
@@ -291,10 +277,7 @@ func TestFollowerByteIdenticalAcrossMidStreamMove(t *testing.T) {
 	}
 
 	waitApplied(t, f, clu)
-	assertSameState(t, clu, fsrv)
-	if got, _ := fsrv.ShardFor(0); got != src {
-		t.Fatalf("follower has landmark 0 on shard %d, want the table's %d", got, src)
-	}
+	assertSameSnapshot(t, clu, fsrv)
 	if info, err := fsrv.PeerInfo(9001); err != nil || !info.SuperPeer {
 		t.Fatalf("follower lost the super-peer flag: info=%+v err=%v", info, err)
 	}
@@ -363,7 +346,7 @@ func TestFollowerCatchupAfterKill(t *testing.T) {
 	f2 := newFollowerNode(t, ns.Addr(), resumeAt, fsrv)
 	defer f2.Close()
 	waitApplied(t, f2, clu)
-	assertSameState(t, clu, fsrv)
+	assertSameSnapshot(t, clu, fsrv)
 
 	// A brand-new follower from scratch exercises the same snapshot road.
 	f3 := newFollowerNode(t, ns.Addr(), 0, nil)
@@ -577,7 +560,7 @@ func TestFollowerShipsOversizedOps(t *testing.T) {
 		}
 	}
 	waitApplied(t, live, clu)
-	assertSameState(t, clu, liveSrv)
+	assertSameSnapshot(t, clu, liveSrv)
 
 	// Catch-up follower, subscribed after: the same record comes off the
 	// WAL instead of the live buffer, chunked the same way.
@@ -585,7 +568,7 @@ func TestFollowerShipsOversizedOps(t *testing.T) {
 	late := newFollowerNode(t, ns.Addr(), 0, lateSrv)
 	defer late.Close()
 	waitApplied(t, late, clu)
-	assertSameState(t, clu, lateSrv)
+	assertSameSnapshot(t, clu, lateSrv)
 
 	// After a checkpoint the snapshot itself (256 long-path peers, several
 	// hundred KB) exceeds one frame: a from-scratch follower must receive
@@ -600,7 +583,7 @@ func TestFollowerShipsOversizedOps(t *testing.T) {
 	snapF := newFollowerNode(t, ns.Addr(), 0, snapSrv)
 	defer snapF.Close()
 	waitApplied(t, snapF, clu)
-	assertSameState(t, clu, snapSrv)
+	assertSameSnapshot(t, clu, snapSrv)
 }
 
 // TestFollowRejectedOnReplicaRole: a replica's copy is not the source of
@@ -660,7 +643,7 @@ func TestFollowerReconnectsAfterPrimaryRestart(t *testing.T) {
 	}
 	defer ns2.Close()
 	waitApplied(t, f, clu)
-	assertSameState(t, clu, fsrv)
+	assertSameSnapshot(t, clu, fsrv)
 }
 
 // TestStalledFollowerIsBounded subscribes a raw follower that never reads
@@ -725,7 +708,7 @@ func TestStalledFollowerIsBounded(t *testing.T) {
 		}
 	}
 	waitApplied(t, f, clu)
-	assertSameState(t, clu, fsrv)
+	assertSameSnapshot(t, clu, fsrv)
 	// The stalled connection must be dead (deadline kill), not wedging the
 	// server: its socket sees EOF/reset once the buffered frames drain.
 	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
@@ -1136,7 +1119,7 @@ func TestIdleStreamHeartbeats(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitApplied(t, f, clu)
-	assertSameState(t, clu, fsrv)
+	assertSameSnapshot(t, clu, fsrv)
 	if err := f.Err(); err != nil {
 		t.Fatalf("idle stream flapped: %v", err)
 	}

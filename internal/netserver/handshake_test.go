@@ -40,7 +40,7 @@ func TestFirstFrameMustBeHello(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ns.Close()
-	join, err := proto.EncodeJoinRequest(&proto.JoinRequest{Peer: 1, Addr: "127.0.0.1:9001", Path: []int32{10, 0}})
+	join, err := proto.AppendJoinRequest(nil, &proto.JoinRequest{Peer: 1, Addr: "127.0.0.1:9001", Path: []int32{10, 0}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -447,7 +447,7 @@ type slowReport struct {
 // road. With SlowOp nil the same reports go to Logger. A zero threshold
 // reports nothing.
 func TestSlowOpReports(t *testing.T) {
-	join, err := proto.EncodeJoinRequest(&proto.JoinRequest{Peer: 1, Addr: "10.0.0.1:7000", Path: []int32{10, 11, 0}})
+	join, err := proto.AppendJoinRequest(nil, &proto.JoinRequest{Peer: 1, Addr: "10.0.0.1:7000", Path: []int32{10, 11, 0}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -310,7 +310,7 @@ func rawRoundTrip(t *testing.T, conn net.Conn, typ proto.MsgType, payload []byte
 func TestRetiredForwardedTypesRefused(t *testing.T) {
 	node, logic := startNode(t, []topology.NodeID{0})
 	conn := rawV2(t, node.Addr())
-	join, err := proto.EncodeJoinRequest(&proto.JoinRequest{Peer: 1, Addr: "a", Path: []int32{10, 0}})
+	join, err := proto.AppendJoinRequest(nil, &proto.JoinRequest{Peer: 1, Addr: "a", Path: []int32{10, 0}})
 	if err != nil {
 		t.Fatal(err)
 	}

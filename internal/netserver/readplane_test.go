@@ -90,7 +90,7 @@ func trackThroughChurn(t *testing.T, subscribe bool) (wireBytes, ops uint64) {
 			}
 		}
 	}
-	for i, s := range subs {
+	for i := range subs {
 		// Every cache converges to a fresh lookup over the direct connection.
 		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(2 * time.Millisecond) {
 			fresh, err := direct.Lookup(int64(i + 1))
@@ -98,7 +98,7 @@ func trackThroughChurn(t *testing.T, subscribe bool) (wireBytes, ops uint64) {
 				t.Fatal(err)
 			}
 			directOps++
-			if cache, ok := s.Cache(); ok && candidatesEqual(cache, fresh) {
+			if cache, ok := cachedAnswer(ns, cs[i], int64(i+1)); ok && candidatesEqual(cache, fresh) {
 				break
 			}
 			if time.Now().After(deadline) {

@@ -20,7 +20,7 @@ func FuzzOpDecode(f *testing.F) {
 		Refresh(42, 1<<40),
 		SetSuperPeer(5, true),
 		Expire(1 << 50),
-		MoveLandmark(3, 0, 2, 7),
+		Op{Kind: KindMoveLandmark, Move: MoveEntry{Landmark: 3, Src: 0, Dst: 2, Epoch: 7}},
 	}
 	for _, o := range seeds {
 		b, err := Encode(o)

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"proxdisc/internal/codec"
 	"proxdisc/internal/topology"
 )
 
@@ -40,7 +41,7 @@ var opVectors = []struct {
 	{"super on", "05" + "0000000000000000" + "0000000000000005" + "01", SetSuperPeer(5, true)},
 	{"super off", "05" + "0000000000000000" + "0000000000000005" + "00", SetSuperPeer(5, false)},
 	{"expire", "06" + "0004000000000000", Expire(1 << 50)},
-	{"move landmark", "07" + "0000000000000000" + "00000003" + "0000" + "0002" + "0000000000000007", MoveLandmark(3, 0, 2, 7)},
+	{"move landmark", "07" + "0000000000000000" + "00000003" + "0000" + "0002" + "0000000000000007", Op{Kind: KindMoveLandmark, Move: MoveEntry{Landmark: 3, Src: 0, Dst: 2, Epoch: 7}}},
 }
 
 // TestOpBytesUnchanged: encode → the bytes, the bytes → decode → the op,
@@ -92,15 +93,15 @@ func TestOpCapsReadAsLimit(t *testing.T) {
 		want error
 	}{
 		{"address length 257", join + peer + "0101", ErrLimit},
-		{"address length 256, no bytes", join + peer + "0100", ErrTruncated},
+		{"address length 256, no bytes", join + peer + "0100", codec.ErrTruncated},
 		{"path length 257", join + peer + "0000" + "0101", ErrLimit},
-		{"path length 256, no hops", join + peer + "0000" + "0100", ErrTruncated},
+		{"path length 256, no hops", join + peer + "0000" + "0100", codec.ErrTruncated},
 		{"batch of 257", batch + "0101", ErrLimit},
 		{"batch of none", batch + "0000", ErrLimit},
-		{"batch of 256, none there", batch + "0100", ErrTruncated},
+		{"batch of 256, none there", batch + "0100", codec.ErrTruncated},
 		{"batch entry path length 257", batch + "0001" + peer + "0000" + "0101", ErrLimit},
-		{"leave without a peer", "03" + "0000000000000000", ErrTruncated},
-		{"no timestamp", "06", ErrTruncated},
+		{"leave without a peer", "03" + "0000000000000000", codec.ErrTruncated},
+		{"no timestamp", "06", codec.ErrTruncated},
 	} {
 		b, err := hex.DecodeString(c.hex)
 		if err != nil {

@@ -84,13 +84,10 @@ const (
 	MaxEncodedSize = 16 + MaxBatch*(8+2+MaxAddrLen+2+4*MaxPathLen)
 )
 
-// Codec errors (package codec's, which the wire protocol shares).
-var (
-	// ErrTruncated reports a record shorter than its declared fields.
-	ErrTruncated = codec.ErrTruncated
-	// ErrLimit reports a field exceeding its codec cap.
-	ErrLimit = codec.ErrLimit
-)
+// ErrLimit reports a field exceeding its codec cap (package codec's, which
+// the wire protocol shares, as is codec.ErrTruncated, which a decoder
+// returns for a record shorter than its declared fields).
+var ErrLimit = codec.ErrLimit
 
 // JoinEntry is one peer registration inside a Join or BatchJoin op.
 type JoinEntry struct {
@@ -166,12 +163,6 @@ func SetSuperPeer(p pathtree.PeerID, super bool) Op {
 // Expire builds a TTL sweep op removing every peer whose last refresh is
 // strictly before deadlineNanos.
 func Expire(deadlineNanos int64) Op { return Op{Kind: KindExpire, Time: deadlineNanos} }
-
-// MoveLandmark builds a KindMoveLandmark op with every field set, as an
-// older build's move or checkpoint record carried it.
-func MoveLandmark(lm topology.NodeID, src, dst int, epoch uint64) Op {
-	return Op{Kind: KindMoveLandmark, Move: MoveEntry{Landmark: lm, Src: src, Dst: dst, Epoch: epoch}}
-}
 
 // Append encodes o onto dst and returns the extended slice. The layout is
 //

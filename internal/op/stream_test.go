@@ -13,7 +13,7 @@ import (
 // sampleStream frames sampleOps plus a move and returns the bytes.
 func sampleStream(t *testing.T) ([]Op, []byte) {
 	t.Helper()
-	ops := append(sampleOps(), MoveLandmark(3, 1, 1, 7))
+	ops := append(sampleOps(), Op{Kind: KindMoveLandmark, Move: MoveEntry{Landmark: 3, Src: 1, Dst: 1, Epoch: 7}})
 	var buf bytes.Buffer
 	sw := NewStreamWriter(&buf)
 	for _, o := range ops {

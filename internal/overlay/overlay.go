@@ -22,8 +22,6 @@ type Peer struct {
 	ID pathtree.PeerID
 	// Attachment is the router the peer hangs off.
 	Attachment topology.NodeID
-	// MaxNeighbors caps the peer's degree (0 = unlimited).
-	MaxNeighbors int
 }
 
 // Overlay is an undirected neighbour graph over peers. It is safe for
@@ -63,22 +61,11 @@ func (o *Overlay) Connect(a, b pathtree.PeerID) error {
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	pa, ok := o.peers[a]
-	if !ok {
+	if _, ok := o.peers[a]; !ok {
 		return fmt.Errorf("overlay: unknown peer %d", a)
 	}
-	pb, ok := o.peers[b]
-	if !ok {
+	if _, ok := o.peers[b]; !ok {
 		return fmt.Errorf("overlay: unknown peer %d", b)
-	}
-	if o.links[a][b] {
-		return nil
-	}
-	if pa.MaxNeighbors > 0 && len(o.links[a]) >= pa.MaxNeighbors {
-		return fmt.Errorf("overlay: peer %d at degree cap %d", a, pa.MaxNeighbors)
-	}
-	if pb.MaxNeighbors > 0 && len(o.links[b]) >= pb.MaxNeighbors {
-		return fmt.Errorf("overlay: peer %d at degree cap %d", b, pb.MaxNeighbors)
 	}
 	o.links[a][b] = true
 	o.links[b][a] = true

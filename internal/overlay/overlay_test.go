@@ -51,23 +51,6 @@ func TestConnectBasics(t *testing.T) {
 	}
 }
 
-func TestDegreeCap(t *testing.T) {
-	o := New()
-	if err := o.AddPeer(Peer{ID: 1, MaxNeighbors: 1}); err != nil {
-		t.Fatal(err)
-	}
-	addPeers(t, o, 2, 3)
-	if err := o.Connect(1, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := o.Connect(1, 3); err == nil {
-		t.Fatal("degree cap not enforced")
-	}
-	if err := o.Connect(3, 1); err == nil {
-		t.Fatal("degree cap not enforced symmetrically")
-	}
-}
-
 func TestPeersSortedAndInfo(t *testing.T) {
 	o := New()
 	addPeers(t, o, 5, 1, 3)

@@ -2,6 +2,7 @@ package proto
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"reflect"
@@ -25,7 +26,8 @@ func answerOf(k int) ([]pathtree.Candidate, []Candidate) {
 
 // TestAnswerEncodersMatchWireForm pins that the server's encoders, which
 // write a backend's answer, produce the bytes of the wire-form encoders the
-// golden tables pin, and refuse what those refuse.
+// golden tables pin (a subscribe ack is its seq, then a lookup response's
+// bytes), and refuse what those refuse.
 func TestAnswerEncodersMatchWireForm(t *testing.T) {
 	for _, k := range []int{0, 1, 5, MaxNeighbors} {
 		backend, wire := answerOf(k)
@@ -42,8 +44,7 @@ func TestAnswerEncodersMatchWireForm(t *testing.T) {
 		want, werr := EncodeLookupResponse(&LookupResponse{Neighbors: wire})
 		check("EncodeAnswer", got, gerr, want, werr)
 		got, gerr = EncodeSubscribeAckAnswer(99, backend)
-		want, werr = EncodeSubscribeAck(&SubscribeAck{Seq: 99, Neighbors: wire})
-		check("EncodeSubscribeAckAnswer", got, gerr, want, werr)
+		check("EncodeSubscribeAckAnswer", got, gerr, append(binary.BigEndian.AppendUint64(nil, 99), want...), werr)
 		got, gerr = EncodeResyncAnswer(7, backend)
 		want, werr = EncodeSubEvent(&SubEvent{Seq: 7, Kind: EventResync, Neighbors: wire})
 		check("EncodeResyncAnswer", got, gerr, want, werr)
@@ -115,7 +116,7 @@ func TestDecodedAnswersAliasNothing(t *testing.T) {
 		"lookup": func() ([]byte, error) { return EncodeLookupResponse(&LookupResponse{Neighbors: wire}) },
 		"join":   func() ([]byte, error) { return EncodeJoinResponse(&JoinResponse{Neighbors: wire}) },
 		"batch":  func() ([]byte, error) { return EncodeBatchJoinResponse(&BatchJoinResponse{Results: results}) },
-		"ack":    func() ([]byte, error) { return EncodeSubscribeAck(&SubscribeAck{Seq: 3, Neighbors: wire}) },
+		"ack":    func() ([]byte, error) { return encodeSubscribeAck(&SubscribeAck{Seq: 3, Neighbors: wire}) },
 		"resync": func() ([]byte, error) { return EncodeSubEvent(&SubEvent{Seq: 4, Kind: EventResync, Neighbors: wire}) },
 		"enter":  func() ([]byte, error) { return EncodeSubEvent(&SubEvent{Seq: 5, Kind: EventEnter, Cand: wire[1]}) },
 	}

@@ -9,6 +9,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"testing"
+
+	"proxdisc/internal/codec"
 )
 
 // FuzzReadFrame throws raw bytes at both frame readers. Whatever is
@@ -57,19 +59,19 @@ func FuzzReadFrame(f *testing.F) {
 // request IDs in the wrapping frame are covered by FuzzReadFrame; here the
 // payload itself is adversarial.
 func FuzzDecodeJoinRequest(f *testing.F) {
-	good, _ := EncodeJoinRequest(&JoinRequest{Peer: 42, Addr: "198.51.100.7:9000", Path: []int32{3, 2, 1, 0}})
+	good, _ := AppendJoinRequest(nil, &JoinRequest{Peer: 42, Addr: "198.51.100.7:9000", Path: []int32{3, 2, 1, 0}})
 	f.Add(good)
 	f.Add([]byte{})
-	f.Add(binary.BigEndian.AppendUint16(nil, MaxPathLen+1))
+	f.Add(binary.BigEndian.AppendUint16(nil, codec.MaxPathLen+1))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := decodeJoinRequest(data)
 		if err != nil {
 			return
 		}
-		if len(m.Path) > MaxPathLen || len(m.Addr) > MaxAddrLen {
+		if len(m.Path) > codec.MaxPathLen || len(m.Addr) > MaxAddrLen {
 			t.Fatalf("decoder accepted over-limit message: %d hops, %d addr bytes", len(m.Path), len(m.Addr))
 		}
-		b, err := EncodeJoinRequest(m)
+		b, err := AppendJoinRequest(nil, m)
 		if err != nil {
 			t.Fatalf("re-encode of accepted join failed: %v", err)
 		}
@@ -124,7 +126,7 @@ func FuzzSubscribe(f *testing.F) {
 	if b, err := EncodeSubscribeRequest(&SubscribeRequest{Kind: QueryKClosest, Peer: 42, K: 8}); err == nil {
 		f.Add(b)
 	}
-	if b, err := EncodeSubscribeAck(&SubscribeAck{Seq: 7, Neighbors: []Candidate{{Peer: 3, DTree: 1, Addr: "x:1"}}}); err == nil {
+	if b, err := encodeSubscribeAck(&SubscribeAck{Seq: 7, Neighbors: []Candidate{{Peer: 3, DTree: 1, Addr: "x:1"}}}); err == nil {
 		f.Add(b)
 	}
 	if b, err := EncodeSubEvent(&SubEvent{Seq: 4, Kind: EventEnter, Cand: Candidate{Peer: 9, DTree: 3, Addr: "a:1"}}); err == nil {
@@ -149,7 +151,7 @@ func FuzzSubscribe(f *testing.F) {
 			if len(m.Neighbors) > MaxNeighbors {
 				t.Fatalf("ack accepted %d neighbours", len(m.Neighbors))
 			}
-			if _, err := EncodeSubscribeAck(m); err != nil {
+			if _, err := encodeSubscribeAck(m); err != nil {
 				t.Fatalf("re-encode of accepted ack failed: %v", err)
 			}
 		}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"testing"
 
+	"proxdisc/internal/codec"
 	"proxdisc/internal/op"
 	"proxdisc/internal/pathtree"
 	"proxdisc/internal/topology"
@@ -110,11 +111,6 @@ func wireVectors() []wireVector {
 		},
 		{
 			name: "join request", hex: goldenJoinHex,
-			encode: func() ([]byte, error) { return EncodeJoinRequest(&goldenJoin) },
-			decode: joinInto, want: &goldenJoin,
-		},
-		{
-			name: "join request, appended", hex: goldenJoinHex,
 			encode: func() ([]byte, error) { return AppendJoinRequest(nil, &goldenJoin) },
 			decode: joinInto, want: &goldenJoin,
 		},
@@ -295,7 +291,7 @@ func wireVectors() []wireVector {
 		},
 		{
 			name: "subscribe ack", hex: "0000000000000063" + goldenCandsHex,
-			encode:   func() ([]byte, error) { return EncodeSubscribeAck(&SubscribeAck{Seq: 99, Neighbors: goldenCands}) },
+			encode:   func() ([]byte, error) { return encodeSubscribeAck(&SubscribeAck{Seq: 99, Neighbors: goldenCands}) },
 			decode:   func(b []byte) (any, error) { return DecodeSubscribeAck(b) },
 			want:     &SubscribeAck{Seq: 99, Neighbors: goldenCands},
 			tolerant: true,
@@ -441,35 +437,35 @@ func TestWireCapsReadAsLimit(t *testing.T) {
 		want     error
 	}{
 		{[]string{"join", "join op"}, "path count 257", peer + "0000" + "0101", ErrLimit},
-		{[]string{"join", "join op"}, "path count 256, no hops", peer + "0000" + "0100", ErrTruncated},
+		{[]string{"join", "join op"}, "path count 256, no hops", peer + "0000" + "0100", codec.ErrTruncated},
 		{[]string{"join", "join op"}, "address length 257", peer + "0101", ErrLimit},
-		{[]string{"join", "join op"}, "address length 256, no bytes", peer + "0100", ErrTruncated},
+		{[]string{"join", "join op"}, "address length 256, no bytes", peer + "0100", codec.ErrTruncated},
 		{[]string{"batch", "batch op"}, "33 joins", "0021", ErrLimit},
 		{[]string{"batch", "batch op"}, "no joins", "0000", ErrLimit},
-		{[]string{"batch", "batch op"}, "32 joins, none there", "0020", ErrTruncated},
+		{[]string{"batch", "batch op"}, "32 joins, none there", "0020", codec.ErrTruncated},
 		{[]string{"batch", "batch op"}, "entry path count 257", "0001" + peer + "0000" + "0101", ErrLimit},
 		{[]string{"batch", "batch op"}, "entry address length 257", "0001" + peer + "0101", ErrLimit},
 		{[]string{"batch resp"}, "33 results", "0021", ErrLimit},
 		{[]string{"batch resp"}, "no results", "0000", ErrLimit},
 		{[]string{"batch resp"}, "message length 257", "0001" + "0000" + "0101", ErrLimit},
 		{[]string{"batch resp"}, "257 neighbours", "0001" + "0000" + "0000" + "0101", ErrLimit},
-		{[]string{"batch resp"}, "256 neighbours, none there", "0001" + "0000" + "0000" + "0100", ErrTruncated},
+		{[]string{"batch resp"}, "256 neighbours, none there", "0001" + "0000" + "0000" + "0100", codec.ErrTruncated},
 		{[]string{"join resp", "lookup"}, "257 neighbours", "0101", ErrLimit},
-		{[]string{"join resp", "lookup"}, "256 neighbours, none there", "0100", ErrTruncated},
+		{[]string{"join resp", "lookup"}, "256 neighbours, none there", "0100", codec.ErrTruncated},
 		{[]string{"join resp", "lookup"}, "neighbour address length 257", "0001" + peer + "00000002" + "0101", ErrLimit},
 		{[]string{"landmarks"}, "1025 landmarks", "0401", ErrLimit},
-		{[]string{"landmarks"}, "1024 landmarks, none there", "0400", ErrTruncated},
+		{[]string{"landmarks"}, "1024 landmarks, none there", "0400", codec.ErrTruncated},
 		{[]string{"error"}, "message length 257", "0001" + "0101", ErrLimit},
 		{[]string{"redirect"}, "address length 257", "0101", ErrLimit},
 		{[]string{"status"}, "address length 257", "02000400010004" + "0101", ErrLimit},
 		{[]string{"records"}, "257 records", "0101", ErrLimit},
 		{[]string{"records"}, "no records", "0000", ErrLimit},
-		{[]string{"records"}, "256 records, none there", "0100", ErrTruncated},
+		{[]string{"records"}, "256 records, none there", "0100", codec.ErrTruncated},
 		{[]string{"records"}, "record over op.MaxEncodedSize", "0001" + peer + "00ffffff", ErrLimit},
-		{[]string{"records"}, "record of 16 bytes, none there", "0001" + peer + "00000010", ErrTruncated},
+		{[]string{"records"}, "record of 16 bytes, none there", "0001" + peer + "00000010", codec.ErrTruncated},
 		{[]string{"sub req"}, "k of 257", "03" + peer + "00000000" + "0101", ErrLimit},
 		{[]string{"sub ack"}, "257 neighbours", peer + "0101", ErrLimit},
-		{[]string{"sub ack"}, "256 neighbours, none there", peer + "0100", ErrTruncated},
+		{[]string{"sub ack"}, "256 neighbours, none there", peer + "0100", codec.ErrTruncated},
 		{[]string{"sub event"}, "resync of 257", peer + "04" + "0101", ErrLimit},
 		{[]string{"sub event"}, "enter with address length 257", peer + "01" + peer + "00000001" + "0101", ErrLimit},
 	}

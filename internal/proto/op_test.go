@@ -12,7 +12,7 @@ import (
 // TestJoinOpBridge pins the wire↔op bridge: a join payload decodes into
 // the op that re-encodes to the same payload.
 func TestJoinOpBridge(t *testing.T) {
-	payload, err := EncodeJoinRequest(&JoinRequest{Peer: 42, Addr: "10.0.0.9:41", Path: []int32{7, 3, 100}})
+	payload, err := AppendJoinRequest(nil, &JoinRequest{Peer: 42, Addr: "10.0.0.9:41", Path: []int32{7, 3, 100}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestJoinOpBridge(t *testing.T) {
 	for i, r := range o.Join.Path {
 		path[i] = int32(r)
 	}
-	re, err := EncodeJoinRequest(&JoinRequest{Peer: int64(o.Join.Peer), Addr: o.Join.Addr, Path: path})
+	re, err := AppendJoinRequest(nil, &JoinRequest{Peer: int64(o.Join.Peer), Addr: o.Join.Addr, Path: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestJoinDecodeAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	joinPayload, err := EncodeJoinRequest(&batch.Joins[0])
+	joinPayload, err := AppendJoinRequest(nil, &batch.Joins[0])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"proxdisc/internal/codec"
 	"proxdisc/internal/op"
 	"proxdisc/internal/topology"
 )
@@ -20,7 +21,7 @@ func TestFollowRequestRoundTrip(t *testing.T) {
 			t.Fatalf("after %d, want %d", m.After, after)
 		}
 	}
-	if _, err := DecodeFollowRequest([]byte{1, 2}); !errors.Is(err, ErrTruncated) {
+	if _, err := DecodeFollowRequest([]byte{1, 2}); !errors.Is(err, codec.ErrTruncated) {
 		t.Fatalf("truncated request decoded: %v", err)
 	}
 }

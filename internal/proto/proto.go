@@ -216,8 +216,6 @@ func (t MsgType) String() string {
 const (
 	// MaxFrameSize bounds any frame payload.
 	MaxFrameSize = 1 << 16
-	// MaxPathLen bounds reported router paths.
-	MaxPathLen = codec.MaxPathLen
 	// MaxNeighbors bounds answer lists.
 	MaxNeighbors = 256
 	// MaxAddrLen bounds address strings.
@@ -237,11 +235,11 @@ const (
 	MaxPipelineDepth = 256
 )
 
-// Protocol errors. ErrTruncated and ErrLimit are package codec's, which the
-// op records share.
+// Protocol errors. ErrLimit is package codec's, which the op records
+// share, as is codec.ErrTruncated, which a decoder returns for a payload
+// shorter than its declared fields.
 var (
 	ErrFrameTooLarge = errors.New("proto: frame exceeds MaxFrameSize")
-	ErrTruncated     = codec.ErrTruncated
 	ErrLimit         = codec.ErrLimit
 )
 
@@ -539,14 +537,9 @@ func DecodeError(b []byte) (*Error, error) {
 	return m, r.Done()
 }
 
-// EncodeJoinRequest encodes a JoinRequest payload.
-func EncodeJoinRequest(m *JoinRequest) ([]byte, error) {
-	return AppendJoinRequest(make([]byte, 0, 16+len(m.Addr)+4*len(m.Path)), m)
-}
-
 // AppendJoinRequest encodes m — one join entry — onto dst and returns the
-// extended slice: the allocation-free form of EncodeJoinRequest for
-// callers holding a pooled buffer (GetBuf/PutBuf).
+// extended slice; callers holding a pooled buffer (GetBuf/PutBuf) encode
+// without allocating.
 func AppendJoinRequest(dst []byte, m *JoinRequest) ([]byte, error) {
 	w := codec.Writer{Buf: dst}
 	codec.AppendJoin(&w, m.Peer, m.Addr, m.Path)

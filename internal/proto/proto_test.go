@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"proxdisc/internal/codec"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -77,7 +79,7 @@ func decodeJoinRequest(b []byte) (*JoinRequest, error) {
 
 func TestJoinRequestRoundTrip(t *testing.T) {
 	m := &JoinRequest{Peer: 42, Addr: "127.0.0.1:9000", Path: []int32{5, 9, 13, 0}}
-	b, err := EncodeJoinRequest(m)
+	b, err := AppendJoinRequest(nil, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,10 +98,10 @@ func TestJoinRequestRoundTrip(t *testing.T) {
 }
 
 func TestJoinRequestLimits(t *testing.T) {
-	if _, err := EncodeJoinRequest(&JoinRequest{Path: make([]int32, MaxPathLen+1)}); !errors.Is(err, ErrLimit) {
+	if _, err := AppendJoinRequest(nil, &JoinRequest{Path: make([]int32, codec.MaxPathLen+1)}); !errors.Is(err, ErrLimit) {
 		t.Fatalf("err=%v", err)
 	}
-	if _, err := EncodeJoinRequest(&JoinRequest{Addr: strings.Repeat("x", MaxAddrLen+1)}); !errors.Is(err, ErrLimit) {
+	if _, err := AppendJoinRequest(nil, &JoinRequest{Addr: strings.Repeat("x", MaxAddrLen+1)}); !errors.Is(err, ErrLimit) {
 		t.Fatalf("err=%v", err)
 	}
 	// Decoder-side limit: forge a count beyond the cap.
@@ -115,7 +117,7 @@ func TestJoinRequestLimits(t *testing.T) {
 
 func TestJoinRequestTrailingBytes(t *testing.T) {
 	m := &JoinRequest{Peer: 1, Addr: "a", Path: []int32{0}}
-	b, _ := EncodeJoinRequest(m)
+	b, _ := AppendJoinRequest(nil, m)
 	b = append(b, 0xAB)
 	if _, err := decodeJoinRequest(b); err == nil {
 		t.Fatal("accepted trailing bytes")
@@ -244,12 +246,12 @@ func TestJoinRequestRoundTripProperty(t *testing.T) {
 		m := &JoinRequest{
 			Peer: rng.Int63() - rng.Int63(),
 			Addr: strings.Repeat("a", rng.Intn(64)),
-			Path: make([]int32, rng.Intn(MaxPathLen)),
+			Path: make([]int32, rng.Intn(codec.MaxPathLen)),
 		}
 		for i := range m.Path {
 			m.Path[i] = rng.Int31()
 		}
-		b, err := EncodeJoinRequest(m)
+		b, err := AppendJoinRequest(nil, m)
 		if err != nil {
 			return false
 		}
@@ -405,7 +407,7 @@ func TestDecodeCandidatesTruncated(t *testing.T) {
 		t.Fatalf("err=%v", err)
 	}
 	short[0], short[1] = 0, 3 // count 3, but only 2 entries of bytes
-	if _, err := DecodeJoinResponse(short); !errors.Is(err, ErrTruncated) {
+	if _, err := DecodeJoinResponse(short); !errors.Is(err, codec.ErrTruncated) {
 		t.Fatalf("err=%v", err)
 	}
 	// Trailing garbage after a well-formed list.
@@ -701,7 +703,7 @@ func TestBatchJoinRequestLimits(t *testing.T) {
 	if _, err := EncodeBatchJoinRequest(big); !errors.Is(err, ErrLimit) {
 		t.Fatalf("oversized batch: %v", err)
 	}
-	longPath := &BatchJoinRequest{Joins: []JoinRequest{{Peer: 1, Path: make([]int32, MaxPathLen+1)}}}
+	longPath := &BatchJoinRequest{Joins: []JoinRequest{{Peer: 1, Path: make([]int32, codec.MaxPathLen+1)}}}
 	if _, err := EncodeBatchJoinRequest(longPath); !errors.Is(err, ErrLimit) {
 		t.Fatalf("long path: %v", err)
 	}

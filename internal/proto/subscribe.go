@@ -101,17 +101,9 @@ type SubscribeAck struct {
 	Neighbors []Candidate
 }
 
-// EncodeSubscribeAck encodes a SubscribeAck payload.
-func EncodeSubscribeAck(m *SubscribeAck) ([]byte, error) {
-	w := codec.Writer{Buf: make([]byte, 0, 10+24*len(m.Neighbors))}
-	w.U64(m.Seq)
-	appendCandidates(&w, m.Neighbors)
-	return w.Done()
-}
-
 // EncodeSubscribeAckAnswer encodes a SubscribeAck whose answer is a
-// backend's into a pooled buffer: the server's road, byte for byte
-// EncodeSubscribeAck of the same candidates.
+// backend's into a pooled buffer: seq(8), then the candidates as a
+// LookupResponse lays them out.
 func EncodeSubscribeAckAnswer(seq uint64, cands []pathtree.Candidate) ([]byte, error) {
 	w := codec.Writer{Buf: GetBuf(0)}
 	w.U64(seq)

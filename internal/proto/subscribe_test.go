@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+
+	"proxdisc/internal/pathtree"
 )
 
 func TestSubscribeRequestRoundTrip(t *testing.T) {
@@ -39,7 +41,7 @@ func TestSubscribeAckRoundTrip(t *testing.T) {
 		{Peer: 1, DTree: 2, Addr: "192.0.2.1:7000"},
 		{Peer: 5, DTree: 4, Addr: "192.0.2.5:7000"},
 	}}
-	b, err := EncodeSubscribeAck(&want)
+	b, err := encodeSubscribeAck(&want)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
@@ -77,7 +79,7 @@ func TestSubscribeAckDecodeTolerance(t *testing.T) {
 
 func mustEncodeSubscribeAck(t *testing.T, m *SubscribeAck) []byte {
 	t.Helper()
-	b, err := EncodeSubscribeAck(m)
+	b, err := encodeSubscribeAck(m)
 	if err != nil {
 		t.Fatalf("encode ack: %v", err)
 	}
@@ -143,4 +145,14 @@ func TestSubscribeMsgTypeNames(t *testing.T) {
 	if !bytes.Equal([]byte(MsgType(NumMsgTypes).String()), []byte("unknown")) {
 		t.Fatal("one past the last type must stringify as unknown")
 	}
+}
+
+// encodeSubscribeAck encodes a wire-form ack through the encoder that
+// ships, EncodeSubscribeAckAnswer.
+func encodeSubscribeAck(m *SubscribeAck) ([]byte, error) {
+	cands := make([]pathtree.Candidate, len(m.Neighbors))
+	for i, c := range m.Neighbors {
+		cands[i] = pathtree.Candidate{Peer: pathtree.PeerID(c.Peer), DTree: int(c.DTree), Addr: c.Addr}
+	}
+	return EncodeSubscribeAckAnswer(m.Seq, cands)
 }

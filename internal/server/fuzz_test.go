@@ -20,13 +20,13 @@ func fuzzSeedSnapshot(tb testing.TB, ops ...op.Op) []byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	for _, o := range append(ops, op.MoveLandmark(0, 0, 1, 3)) {
+	for _, o := range append(ops, op.Op{Kind: op.KindMoveLandmark, Move: op.MoveEntry{Landmark: 0, Src: 0, Dst: 1, Epoch: 3}}) {
 		if err := s.Apply(o); err != nil {
 			tb.Fatal(err)
 		}
 	}
 	var buf bytes.Buffer
-	if err := s.Snapshot(&buf); err != nil {
+	if err := WriteSnapshot(&buf, s); err != nil {
 		tb.Fatal(err)
 	}
 	return buf.Bytes()
@@ -57,7 +57,7 @@ func FuzzResetFromSnapshot(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := dst.Join(77, []topology.NodeID{5, 9999}); err != nil {
+		if _, err := dst.JoinOp(op.Join(77, []topology.NodeID{5, 9999}, "", 0)); err != nil {
 			t.Fatal(err)
 		}
 		if err := dst.ResetFromSnapshot(bytes.NewReader(data)); err != nil {
@@ -73,7 +73,7 @@ func FuzzResetFromSnapshot(f *testing.F) {
 		// Round trip: a re-snapshot of the restored server must restore into
 		// a fresh server, reproduce the same records and write the same bytes.
 		var buf, again bytes.Buffer
-		if err := dst.Snapshot(&buf); err != nil {
+		if err := WriteSnapshot(&buf, dst); err != nil {
 			t.Fatalf("re-snapshot of restored state: %v", err)
 		}
 		clone, err := restore(bytes.NewReader(buf.Bytes()), Config{})
@@ -86,7 +86,7 @@ func FuzzResetFromSnapshot(f *testing.F) {
 		if !reflect.DeepEqual(dst.Landmarks(), clone.Landmarks()) {
 			t.Fatalf("round-trip changed the landmarks: %v vs %v", dst.Landmarks(), clone.Landmarks())
 		}
-		if err := clone.Snapshot(&again); err != nil || !bytes.Equal(buf.Bytes(), again.Bytes()) {
+		if err := WriteSnapshot(&again, clone); err != nil || !bytes.Equal(buf.Bytes(), again.Bytes()) {
 			t.Fatalf("round-trip changed the snapshot's bytes (err %v)", err)
 		}
 	})

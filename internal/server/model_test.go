@@ -251,7 +251,7 @@ func TestStateMachineMatchesModel(t *testing.T) {
 				desc = fmt.Sprintf("super %d", p)
 				mp, known := m.peers[p]
 				flag := rng.Intn(2) == 0
-				if err := s.SetSuperPeer(p, flag); (err == nil) != known {
+				if err := s.Apply(op.SetSuperPeer(p, flag)); (err == nil) != known {
 					t.Fatalf("seed %d step %d %s: err=%v known=%v", seed, step, desc, err, known)
 				}
 				if known {
@@ -268,7 +268,7 @@ func TestStateMachineMatchesModel(t *testing.T) {
 					}
 				}
 				slices.Sort(want)
-				if got := s.Expire(); !slices.Equal(got, want) {
+				if got := expire(s); !slices.Equal(got, want) {
 					t.Fatalf("seed %d step %d expire: got %v want %v", seed, step, got, want)
 				}
 			case r < 94: // a join on the server beside, orphaning p's record here
@@ -294,7 +294,7 @@ func TestStateMachineMatchesModel(t *testing.T) {
 			case r < 97:
 				desc = "save"
 				var buf bytes.Buffer
-				if err := s.Snapshot(&buf); err != nil {
+				if err := WriteSnapshot(&buf, s); err != nil {
 					t.Fatal(err)
 				}
 				saved, savedModel = buf.Bytes(), m.clone()

@@ -40,7 +40,7 @@ func TestReadersDuringChurn(t *testing.T) {
 	// Anchor peers are inserted once and never removed: readers may query
 	// them at any instant and must always get an answer.
 	for i := 0; i < anchors; i++ {
-		if _, err := s.Join(pathtree.PeerID(i+1), churnPath(landmark, i)); err != nil {
+		if _, err := s.JoinOp(op.Join(pathtree.PeerID(i+1), churnPath(landmark, i), "", 0)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -64,7 +64,7 @@ func TestReadersDuringChurn(t *testing.T) {
 			base := 10_000 * (w + 1)
 			for r := 0; !stop.Load(); r++ {
 				p := pathtree.PeerID(base + r%500)
-				if _, err := s.Join(p, churnPath(landmark, int(p))); err != nil {
+				if _, err := s.JoinOp(op.Join(p, churnPath(landmark, int(p)), "", 0)); err != nil {
 					fail("churn join %d: %v", p, err)
 					return
 				}
@@ -72,7 +72,7 @@ func TestReadersDuringChurn(t *testing.T) {
 					_ = s.Refresh(p)
 				}
 				if r%5 == 0 {
-					_ = s.SetSuperPeer(p, true)
+					_ = s.Apply(op.SetSuperPeer(p, true))
 				}
 				if r%2 == 0 {
 					s.Leave(p)
@@ -85,12 +85,12 @@ func TestReadersDuringChurn(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for r := 0; !stop.Load(); r++ {
-			items := make([]BatchJoin, 8)
+			items := make([]op.JoinEntry, 8)
 			for i := range items {
 				p := 50_000 + (r%200)*8 + i
-				items[i] = BatchJoin{Peer: pathtree.PeerID(p), Path: churnPath(landmark, p)}
+				items[i] = op.JoinEntry{Peer: pathtree.PeerID(p), Path: churnPath(landmark, p)}
 			}
-			for _, res := range s.JoinBatch(items) {
+			for _, res := range s.JoinBatchOp(op.BatchJoin(items, 0)) {
 				if res.Err != nil {
 					fail("batch join: %v", res.Err)
 					return
@@ -144,7 +144,7 @@ func TestReadersDuringChurn(t *testing.T) {
 	// time, then stop everyone.
 	for i := 0; i < 100; i++ {
 		p := pathtree.PeerID(90_000 + i)
-		if _, err := s.Join(p, churnPath(landmark, int(p))); err != nil {
+		if _, err := s.JoinOp(op.Join(p, churnPath(landmark, int(p)), "", 0)); err != nil {
 			t.Fatalf("driver join: %v", err)
 		}
 	}
@@ -159,7 +159,7 @@ func TestReadersDuringChurn(t *testing.T) {
 	// Quiescent point: live answers must match a server rebuilt from the
 	// snapshot (same state, fresh trees).
 	var buf bytes.Buffer
-	if err := s.Snapshot(&buf); err != nil {
+	if err := WriteSnapshot(&buf, s); err != nil {
 		t.Fatal(err)
 	}
 	ref, err := restore(bytes.NewReader(buf.Bytes()), Config{NeighborCount: 8})
@@ -258,7 +258,7 @@ func TestLookupProceedsWhileWriterMutexHeld(t *testing.T) {
 		name string
 		walk func()
 	}{
-		{"Snapshot", func() { _ = s.Snapshot(io.Discard) }},
+		{"Snapshot", func() { _ = WriteSnapshot(io.Discard, s) }},
 		{"Stats", func() { s.Stats() }},
 		{"Peers", func() { s.Peers() }},
 		{"ExpireOp", func() { s.ExpireOp(op.Expire(3)) }}, // peers 1 and 2

@@ -176,7 +176,7 @@ func TestSnapshotAllocsPerTree(t *testing.T) {
 		}
 	}
 	allocs := testing.AllocsPerRun(3, func() {
-		if err := s.Snapshot(io.Discard); err != nil {
+		if err := WriteSnapshot(io.Discard, s); err != nil {
 			t.Fatal(err)
 		}
 	})

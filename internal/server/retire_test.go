@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"proxdisc/internal/op"
 	"proxdisc/internal/pathtree"
 	"proxdisc/internal/topology"
 )
@@ -33,7 +34,7 @@ func TestRetireRule(t *testing.T) {
 	here, there := []topology.NodeID{7, 0}, []topology.NodeID{8, 100}
 	join := func(s *Server, p pathtree.PeerID, path []topology.NodeID) {
 		t.Helper()
-		if _, err := s.Join(p, path); err != nil {
+		if _, err := s.JoinOp(op.Join(p, path, "", 0)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -468,16 +468,10 @@ func (st *state) apply(o op.Op) error {
 	}
 }
 
-// Join registers peer p with its reported path and returns its closest
-// peers. The answer is computed before insertion, so a peer never appears in
-// its own neighbour list. The path must terminate at a registered landmark.
-func (s *Server) Join(p pathtree.PeerID, path []topology.NodeID) ([]pathtree.Candidate, error) {
-	return s.JoinOp(op.Join(p, path, "", 0))
-}
-
-// JoinOp answers and applies a KindJoin op: the op-native form of Join,
-// used by front ends that carry overlay addresses and by the cluster's
-// primary apply path.
+// JoinOp answers and applies a KindJoin op: it registers the peer with its
+// reported path and returns its closest peers. The answer is computed
+// before insertion, so a peer never appears in its own neighbour list. The
+// path must terminate at a registered landmark.
 func (s *Server) JoinOp(o op.Op) ([]pathtree.Candidate, error) {
 	o = s.stamp(o)
 	if err := validateJoin(&o.Join); err != nil {
@@ -643,42 +637,21 @@ func (s *Server) Retire(o Orphan) (bool, error) {
 	return true, nil
 }
 
-// BatchJoin is one entry of a batched join.
-type BatchJoin struct {
-	// Peer is the joining peer.
-	Peer pathtree.PeerID
-	// Addr is the peer's advertised overlay address ("" for in-process
-	// callers).
-	Addr string
-	// Path is its reported router path, peer-side first.
-	Path []topology.NodeID
-}
-
-// BatchResult is the per-entry answer of JoinBatch: a neighbour list or an
-// error, never both.
+// BatchResult is the per-entry answer of JoinBatchOp: a neighbour list or
+// an error, never both.
 type BatchResult struct {
 	Neighbors []pathtree.Candidate
 	Err       error
 }
 
-// JoinBatch registers a batch of peers under a single writer round — the
-// flash-crowd fast path: one acquisition of the writer mutex for the whole
-// batch, the state lock taken entry by entry so lookups slip in between.
-// Entries are applied in order (so a duplicate peer within the batch
-// behaves exactly like sequential joins), and one entry's failure does not
-// affect the others.
-func (s *Server) JoinBatch(items []BatchJoin) []BatchResult {
-	entries := make([]op.JoinEntry, len(items))
-	for i, it := range items {
-		entries[i] = op.JoinEntry{Peer: it.Peer, Addr: it.Addr, Path: it.Path}
-	}
-	return s.JoinBatchOp(op.BatchJoin(entries, 0))
-}
-
-// JoinBatchOp answers and applies a KindBatchJoin op, entry by entry in
-// order under one writer round. Callers that record or propagate the op
-// must first trim it to the entries that succeeded, so followers and logs
-// never see a rejected entry.
+// JoinBatchOp answers and applies a KindBatchJoin op under a single writer
+// round — the flash-crowd fast path: one acquisition of the writer mutex
+// for the whole batch, the state lock taken entry by entry so lookups slip
+// in between. Entries are applied in order (so a duplicate peer within the
+// batch behaves exactly like sequential joins), and one entry's failure
+// does not affect the others. Callers that record or propagate the op must
+// first trim it to the entries that succeeded, so followers and logs never
+// see a rejected entry.
 func (s *Server) JoinBatchOp(o op.Op) []BatchResult {
 	o = s.stamp(o)
 	out := make([]BatchResult, len(o.Batch))
@@ -766,15 +739,6 @@ func (s *Server) expire(cutoff int64) []pathtree.PeerID {
 	return out
 }
 
-// Expire sweeps out peers whose last refresh is older than the configured
-// PeerTTL, returning the expired IDs. A zero PeerTTL disables expiry.
-func (s *Server) Expire() []pathtree.PeerID {
-	if s.cfg.PeerTTL <= 0 {
-		return nil
-	}
-	return s.ExpireOp(op.Expire(s.cfg.Clock().Add(-s.cfg.PeerTTL).UnixNano()))
-}
-
 // ExpireOp applies a KindExpire op and returns the expired IDs — the
 // answering form of the sweep; Apply runs the identical sweep silently.
 // Because the op carries its deadline and every peer's refresh time comes
@@ -784,11 +748,6 @@ func (s *Server) ExpireOp(o op.Op) []pathtree.PeerID {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	return s.expire(o.Time)
-}
-
-// SetSuperPeer marks or unmarks peer p as a super-peer.
-func (s *Server) SetSuperPeer(p pathtree.PeerID, super bool) error {
-	return s.Apply(op.SetSuperPeer(p, super))
 }
 
 // PeerInfo returns the record for peer p. Its Path is rebuilt from the trie

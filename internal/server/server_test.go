@@ -38,14 +38,14 @@ func TestNewValidation(t *testing.T) {
 
 func TestJoinReturnsNeighborsBeforeInsertion(t *testing.T) {
 	s := newTestServer(t)
-	got, err := s.Join(1, []topology.NodeID{10, 11, 0})
+	got, err := s.JoinOp(op.Join(1, []topology.NodeID{10, 11, 0}, "", 0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 0 {
 		t.Fatalf("first joiner got neighbours %v", got)
 	}
-	got, err = s.Join(2, []topology.NodeID{12, 11, 0})
+	got, err = s.JoinOp(op.Join(2, []topology.NodeID{12, 11, 0}, "", 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,10 +64,10 @@ func TestJoinReturnsNeighborsBeforeInsertion(t *testing.T) {
 
 func TestJoinRejectsUnknownLandmark(t *testing.T) {
 	s := newTestServer(t)
-	if _, err := s.Join(1, []topology.NodeID{10, 99}); !errors.Is(err, ErrUnknownLandmark) {
+	if _, err := s.JoinOp(op.Join(1, []topology.NodeID{10, 99}, "", 0)); !errors.Is(err, ErrUnknownLandmark) {
 		t.Fatalf("err=%v", err)
 	}
-	if _, err := s.Join(1, nil); err == nil {
+	if _, err := s.JoinOp(op.Join(1, nil, "", 0)); err == nil {
 		t.Fatal("accepted empty path")
 	}
 }
@@ -114,10 +114,10 @@ func TestPathCapAtTheDoor(t *testing.T) {
 
 func TestJoinMultipleLandmarks(t *testing.T) {
 	s := newTestServer(t, 0, 100)
-	if _, err := s.Join(1, []topology.NodeID{10, 0}); err != nil {
+	if _, err := s.JoinOp(op.Join(1, []topology.NodeID{10, 0}, "", 0)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Join(2, []topology.NodeID{20, 100}); err != nil {
+	if _, err := s.JoinOp(op.Join(2, []topology.NodeID{20, 100}, "", 0)); err != nil {
 		t.Fatal(err)
 	}
 	// Peers under different landmarks do not see each other.
@@ -136,10 +136,10 @@ func TestJoinMultipleLandmarks(t *testing.T) {
 
 func TestRejoinSwitchingLandmark(t *testing.T) {
 	s := newTestServer(t, 0, 100)
-	if _, err := s.Join(1, []topology.NodeID{10, 0}); err != nil {
+	if _, err := s.JoinOp(op.Join(1, []topology.NodeID{10, 0}, "", 0)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Join(1, []topology.NodeID{10, 100}); err != nil {
+	if _, err := s.JoinOp(op.Join(1, []topology.NodeID{10, 100}, "", 0)); err != nil {
 		t.Fatal(err)
 	}
 	if s.NumPeers() != 1 {
@@ -220,7 +220,7 @@ func TestExpire(t *testing.T) {
 	now = now.Add(10 * time.Second)
 	mustJoin(t, s, 2, 11)
 	now = now.Add(25 * time.Second) // peer 1 is now 35s stale, peer 2 25s
-	expired := s.Expire()
+	expired := expire(s)
 	if len(expired) != 1 || expired[0] != 1 {
 		t.Fatalf("expired=%v", expired)
 	}
@@ -232,11 +232,11 @@ func TestExpire(t *testing.T) {
 		t.Fatal(err)
 	}
 	now = now.Add(25 * time.Second)
-	if expired := s.Expire(); len(expired) != 0 {
+	if expired := expire(s); len(expired) != 0 {
 		t.Fatalf("refreshed peer expired: %v", expired)
 	}
 	now = now.Add(31 * time.Second)
-	if expired := s.Expire(); len(expired) != 1 {
+	if expired := expire(s); len(expired) != 1 {
 		t.Fatalf("stale peer not expired: %v", expired)
 	}
 }
@@ -244,7 +244,7 @@ func TestExpire(t *testing.T) {
 func TestExpireDisabledWithoutTTL(t *testing.T) {
 	s := newTestServer(t)
 	mustJoin(t, s, 1, 10)
-	if got := s.Expire(); got != nil {
+	if got := expire(s); got != nil {
 		t.Fatalf("expiry ran without TTL: %v", got)
 	}
 }
@@ -260,7 +260,7 @@ func TestSuperPeerDelegation(t *testing.T) {
 	s := newTestServer(t)
 	mustJoin(t, s, 1, 10, 11)
 	mustJoin(t, s, 2, 12, 11)
-	if err := s.SetSuperPeer(2, true); err != nil {
+	if err := s.Apply(op.SetSuperPeer(2, true)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Lookup(1); err != nil {
@@ -270,7 +270,7 @@ func TestSuperPeerDelegation(t *testing.T) {
 	if st.SuperPeerDelegations != 1 {
 		t.Fatalf("delegations=%d want 1", st.SuperPeerDelegations)
 	}
-	if err := s.SetSuperPeer(77, true); !errors.Is(err, ErrUnknownPeer) {
+	if err := s.Apply(op.SetSuperPeer(77, true)); !errors.Is(err, ErrUnknownPeer) {
 		t.Fatalf("err=%v", err)
 	}
 }
@@ -329,7 +329,7 @@ func TestConcurrentJoinsLeaves(t *testing.T) {
 			for i := 0; i < 100; i++ {
 				p := pathtree.PeerID(w*1000 + i)
 				path := []topology.NodeID{topology.NodeID(1000 + int(p)), topology.NodeID(1 + i%20), 0}
-				if _, err := s.Join(p, path); err != nil {
+				if _, err := s.JoinOp(op.Join(p, path, "", 0)); err != nil {
 					t.Error(err)
 					return
 				}
@@ -367,7 +367,7 @@ func validateCounts(s *Server) error {
 func mustJoin(t *testing.T, s *Server, p pathtree.PeerID, routers ...topology.NodeID) {
 	t.Helper()
 	path := append(append([]topology.NodeID{}, routers...), 0)
-	if _, err := s.Join(p, path); err != nil {
+	if _, err := s.JoinOp(op.Join(p, path, "", 0)); err != nil {
 		t.Fatalf("Join(%d): %v", p, err)
 	}
 }
@@ -375,18 +375,18 @@ func mustJoin(t *testing.T, s *Server, p pathtree.PeerID, routers ...topology.No
 func TestJoinBatchMatchesSequentialJoins(t *testing.T) {
 	batch := newTestServer(t, 0, 9)
 	seq := newTestServer(t, 0, 9)
-	items := []BatchJoin{
+	items := []op.JoinEntry{
 		{Peer: 1, Path: []topology.NodeID{5, 3, 0}},
 		{Peer: 2, Path: []topology.NodeID{6, 3, 0}},
 		{Peer: 3, Path: []topology.NodeID{7, 9}},
 		{Peer: 4, Path: []topology.NodeID{5, 3, 0}},
 	}
-	res := batch.JoinBatch(items)
+	res := batch.JoinBatchOp(op.BatchJoin(items, 0))
 	if len(res) != len(items) {
 		t.Fatalf("results=%d", len(res))
 	}
 	for i, it := range items {
-		want, wantErr := seq.Join(it.Peer, it.Path)
+		want, wantErr := seq.JoinOp(op.Join(it.Peer, it.Path, "", 0))
 		if (res[i].Err == nil) != (wantErr == nil) {
 			t.Fatalf("entry %d: err=%v want %v", i, res[i].Err, wantErr)
 		}
@@ -406,12 +406,12 @@ func TestJoinBatchMatchesSequentialJoins(t *testing.T) {
 
 func TestJoinBatchPartialFailure(t *testing.T) {
 	s := newTestServer(t)
-	res := s.JoinBatch([]BatchJoin{
+	res := s.JoinBatchOp(op.BatchJoin([]op.JoinEntry{
 		{Peer: 1, Path: []topology.NodeID{4, 0}},
 		{Peer: 2, Path: []topology.NodeID{4, 77}}, // unknown landmark
 		{Peer: 3, Path: nil},                      // empty path
 		{Peer: 4, Path: []topology.NodeID{5, 0}},
-	})
+	}, 0))
 	if res[0].Err != nil || res[3].Err != nil {
 		t.Fatalf("good entries failed: %v %v", res[0].Err, res[3].Err)
 	}
@@ -433,7 +433,17 @@ func TestJoinBatchPartialFailure(t *testing.T) {
 
 func TestJoinBatchEmpty(t *testing.T) {
 	s := newTestServer(t)
-	if res := s.JoinBatch(nil); len(res) != 0 {
+	if res := s.JoinBatchOp(op.BatchJoin(nil, 0)); len(res) != 0 {
 		t.Fatalf("res=%v", res)
 	}
+}
+
+// expire sweeps s's peers whose last refresh is older than the configured
+// PeerTTL, as the cluster's Expire does: one KindExpire op whose time is the
+// deadline. A zero PeerTTL expires nothing.
+func expire(s *Server) []pathtree.PeerID {
+	if s.cfg.PeerTTL <= 0 {
+		return nil
+	}
+	return s.ExpireOp(op.Expire(s.cfg.Clock().Add(-s.cfg.PeerTTL).UnixNano()))
 }

@@ -116,13 +116,6 @@ func WriteSnapshot(w io.Writer, srvs ...*Server) error {
 	return img.write(w)
 }
 
-// Snapshot serializes the server's durable state (landmarks, and every
-// peer's path, address, flag and refresh time) so a restarted
-// management server can resume serving without waiting for the whole
-// population to rejoin — the management server is a single point of
-// failure in the paper's architecture, and this is the standard mitigation.
-func (s *Server) Snapshot(w io.Writer) error { return WriteSnapshot(w, s) }
-
 // ResetFromSnapshot replaces the server's entire peer state with the
 // snapshot's, keeping the configured landmark set (union the snapshot's). It
 // is the follower's catch-up restore. The snapshot is read once, and its

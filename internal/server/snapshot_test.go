@@ -43,15 +43,15 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	s := newTestServer(t, 0, 100)
 	mustJoin(t, s, 1, 10, 11)
 	mustJoin(t, s, 2, 12, 11)
-	if _, err := s.Join(3, []topology.NodeID{20, 100}); err != nil {
+	if _, err := s.JoinOp(op.Join(3, []topology.NodeID{20, 100}, "", 0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SetSuperPeer(2, true); err != nil {
+	if err := s.Apply(op.SetSuperPeer(2, true)); err != nil {
 		t.Fatal(err)
 	}
 
 	var buf bytes.Buffer
-	if err := s.Snapshot(&buf); err != nil {
+	if err := WriteSnapshot(&buf, s); err != nil {
 		t.Fatal(err)
 	}
 	restored, err := restore(bytes.NewReader(buf.Bytes()), Config{})
@@ -111,9 +111,9 @@ func TestSnapshotPreservesRefreshTimes(t *testing.T) {
 		t.Fatal(err)
 	}
 	const crowd = op.MaxBatch + 44
-	flash := make([]BatchJoin, crowd)
+	flash := make([]op.JoinEntry, crowd)
 	for i := range flash {
-		flash[i] = BatchJoin{Peer: pathtree.PeerID(100 + i), Path: []topology.NodeID{topology.NodeID(20 + i%7), 11, 0}}
+		flash[i] = op.JoinEntry{Peer: pathtree.PeerID(100 + i), Path: []topology.NodeID{topology.NodeID(20 + i%7), 11, 0}}
 	}
 	t0 := now
 	mustJoin(t, s, 1, 10)
@@ -121,7 +121,7 @@ func TestSnapshotPreservesRefreshTimes(t *testing.T) {
 	now = now.Add(20 * time.Second)
 	t1 := now
 	mustJoin(t, s, 2, 11)
-	for _, res := range s.JoinBatch(flash) {
+	for _, res := range s.JoinBatchOp(op.BatchJoin(flash, 0)) {
 		if res.Err != nil {
 			t.Fatal(res.Err)
 		}
@@ -160,10 +160,10 @@ func TestSnapshotPreservesRefreshTimes(t *testing.T) {
 	}
 
 	var buf, twinBuf bytes.Buffer
-	if err := s.Snapshot(&buf); err != nil {
+	if err := WriteSnapshot(&buf, s); err != nil {
 		t.Fatal(err)
 	}
-	if err := twin.Snapshot(&twinBuf); err != nil {
+	if err := WriteSnapshot(&twinBuf, twin); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), twinBuf.Bytes()) {
@@ -187,7 +187,7 @@ func TestSnapshotPreservesRefreshTimes(t *testing.T) {
 		t.Fatal(err)
 	}
 	var again bytes.Buffer
-	if err := restored.Snapshot(&again); err != nil {
+	if err := WriteSnapshot(&again, restored); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
@@ -195,7 +195,7 @@ func TestSnapshotPreservesRefreshTimes(t *testing.T) {
 	}
 	// 15 more seconds: peer 1 is 35s stale, everyone else is 15s.
 	now = now.Add(15 * time.Second)
-	expired := restored.Expire()
+	expired := expire(restored)
 	if len(expired) != 1 || expired[0] != 1 {
 		t.Fatalf("expired=%v", expired)
 	}
@@ -238,7 +238,7 @@ func TestSnapshotBytesUnchanged(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := s.Snapshot(&buf); err != nil {
+	if err := WriteSnapshot(&buf, s); err != nil {
 		t.Fatal(err)
 	}
 	if sum := sha256.Sum256(buf.Bytes()); hex.EncodeToString(sum[:]) != golden {
@@ -249,7 +249,7 @@ func TestSnapshotBytesUnchanged(t *testing.T) {
 		t.Fatal(err)
 	}
 	var again bytes.Buffer
-	if err := restored.Snapshot(&again); err != nil {
+	if err := WriteSnapshot(&again, restored); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
@@ -269,7 +269,7 @@ func TestRestoreRejectsGarbage(t *testing.T) {
 func TestSnapshotEmptyServer(t *testing.T) {
 	s := newTestServer(t)
 	var buf bytes.Buffer
-	if err := s.Snapshot(&buf); err != nil {
+	if err := WriteSnapshot(&buf, s); err != nil {
 		t.Fatal(err)
 	}
 	restored, err := restore(bytes.NewReader(buf.Bytes()), Config{})
@@ -289,14 +289,14 @@ func TestResetFromSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := src.Join(1, []topology.NodeID{10, 0}); err != nil {
+	if _, err := src.JoinOp(op.Join(1, []topology.NodeID{10, 0}, "", 0)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := src.Join(2, []topology.NodeID{60, 50}); err != nil {
+	if _, err := src.JoinOp(op.Join(2, []topology.NodeID{60, 50}, "", 0)); err != nil {
 		t.Fatal(err)
 	}
 	var snap bytes.Buffer
-	if err := src.Snapshot(&snap); err != nil {
+	if err := WriteSnapshot(&snap, src); err != nil {
 		t.Fatal(err)
 	}
 
@@ -306,7 +306,7 @@ func TestResetFromSnapshot(t *testing.T) {
 	}
 	// Pre-existing state that the snapshot does NOT contain: it must be gone
 	// after the reset (replace semantics, not a merge).
-	if _, err := dst.Join(99, []topology.NodeID{11, 0}); err != nil {
+	if _, err := dst.JoinOp(op.Join(99, []topology.NodeID{11, 0}, "", 0)); err != nil {
 		t.Fatal(err)
 	}
 	if err := dst.ResetFromSnapshot(bytes.NewReader(snap.Bytes())); err != nil {
@@ -319,10 +319,10 @@ func TestResetFromSnapshot(t *testing.T) {
 		t.Fatal("stale peer survived the reset")
 	}
 	var a, b bytes.Buffer
-	if err := src.Snapshot(&a); err != nil {
+	if err := WriteSnapshot(&a, src); err != nil {
 		t.Fatal(err)
 	}
-	if err := dst.Snapshot(&b); err != nil {
+	if err := WriteSnapshot(&b, dst); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -343,7 +343,7 @@ func TestResetFromSnapshot(t *testing.T) {
 	// snapshot: a record kind no snapshot holds, a path the join door
 	// refuses, and a peer under a landmark held neither by a Move record nor
 	// by the configuration.
-	move := op.MoveLandmark(0, 0, 0, 0)
+	move := op.Op{Kind: op.KindMoveLandmark, Move: op.MoveEntry{Landmark: 0, Src: 0, Dst: 0, Epoch: 0}}
 	bad["leave record"] = opStream(t, move, joinBatch(1, []topology.NodeID{10, 0}), op.Leave(1))
 	bad["path repeats a router"] = opStream(t, move, joinBatch(1, []topology.NodeID{10, 11, 10, 0}))
 	bad["unheld landmark"] = opStream(t, move, joinBatch(1, []topology.NodeID{10, 0}), joinBatch(2, []topology.NodeID{10, 77}))
@@ -363,7 +363,7 @@ func TestResetFromSnapshot(t *testing.T) {
 		}
 	}
 	b.Reset()
-	if err := dst.Snapshot(&b); err != nil {
+	if err := WriteSnapshot(&b, dst); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {

@@ -24,7 +24,7 @@ func TestFanoutAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := srv.Join(subject, []topology.NodeID{5, 3, 0}); err != nil {
+		if _, err := srv.JoinOp(op.Join(subject, []topology.NodeID{5, 3, 0}, "", 0)); err != nil {
 			t.Fatal(err)
 		}
 		p := New(srv, nil)

@@ -119,9 +119,6 @@ type Subscriber struct {
 	lossy    bool // landmark membership overflowed maxLandmarkMembers
 }
 
-// Query returns the filter the subscriber registered.
-func (s *Subscriber) Query() Query { return s.query }
-
 // Ready is signalled (capacity-1, coalesced) whenever events are queued.
 func (s *Subscriber) Ready() <-chan struct{} { return s.notify }
 
@@ -268,9 +265,6 @@ func (p *Plane) Close() {
 		p.tel.Unregister("proxdisc_sub_active")
 	})
 }
-
-// LastSeq is the highest committed sequence the plane has dispatched.
-func (p *Plane) LastSeq() uint64 { return p.lastSeq.Load() }
 
 // Active reports whether any subscriber is registered — the commit tap's
 // cheap gate around copying records for the plane.

@@ -115,8 +115,8 @@ func asSet(cands []pathtree.Candidate) map[pathtree.PeerID]int {
 // checkCoherent asserts the event-folded cache equals a fresh lookup.
 func (w *testWorld) checkCoherent(s *Subscriber, cache map[pathtree.PeerID]int) {
 	w.t.Helper()
-	cache = applyEvents(s.Query().Peer, cache, drain(w.t, s))
-	fresh, err := w.srv.Lookup(s.Query().Peer)
+	cache = applyEvents(s.query.Peer, cache, drain(w.t, s))
+	fresh, err := w.srv.Lookup(s.query.Peer)
 	if err != nil {
 		if isUnknownPeer(err) {
 			if len(cache) != 0 {

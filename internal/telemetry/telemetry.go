@@ -1,15 +1,15 @@
 // Package telemetry is proxdisc's metrics plane: a dependency-free
-// registry of atomic counters, gauges, and bucketed latency histograms,
-// exposed in the Prometheus text format.
+// registry of atomic counters, gauges computed at scrape time, and
+// bucketed latency histograms, exposed in the Prometheus text format.
 //
 // The design splits cost between two paths. The registration path (maps,
 // locks, name formatting) runs once at setup: components resolve their
 // metric pointers when they are constructed and hold them directly. The
-// hot path — Counter.Inc, Gauge.Set, Histogram.Observe — is a handful of
-// atomic operations on those pre-resolved pointers: no map lookups, no
-// locks, and no allocation, so instrumenting a request costs nanoseconds
-// and 0 allocs/op: one request's metrics — a counter, a gauge and a
-// latency observation — allocate nothing (TestHotPathAllocs).
+// hot path — Counter.Inc, Histogram.Observe — is a handful of atomic
+// operations on those pre-resolved pointers: no map lookups, no locks, and
+// no allocation, so instrumenting a request costs nanoseconds and 0
+// allocs/op: one request's metrics — a counter and a latency observation —
+// allocate nothing (TestHotPathAllocs).
 //
 // Metric names follow the Prometheus convention, and a name may carry a
 // fixed label set inline: "proxdisc_requests_total{type=\"join\"}" is one
@@ -22,8 +22,8 @@
 // unexported metrics. Components can therefore instrument unconditionally
 // and let the caller decide whether a registry collects the numbers.
 // Components take their registry in their configs (the Telemetry field of
-// cluster.Config, netserver.Config, netserver.FollowerConfig and
-// client.Config): pass Default to aggregate one process's layers into one
+// cluster.Config, netserver.Config and netserver.FollowerConfig): pass
+// Default to aggregate one process's layers into one
 // scrape, or a fresh registry to keep planes separate. Handler serves a
 // registry for embedding in any HTTP mux.
 package telemetry
@@ -99,57 +99,6 @@ func (c *Counter) writeProm(w *promWriter) {
 	w.uint(c.v.Load())
 }
 
-// Gauge is an instantaneous signed value.
-// Like Counter, the atomic word is padded onto its own cache lines so
-// hot gauges allocated next to other metrics don't false-share.
-type Gauge struct {
-	v    atomic.Int64
-	_    [120]byte
-	name string
-}
-
-// NewGauge returns an unregistered gauge.
-func NewGauge(name string) *Gauge { return &Gauge{name: name} }
-
-// Name implements Metric.
-func (g *Gauge) Name() string { return g.name }
-
-// Set stores v. Nil-safe, like Counter.Inc.
-func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(v)
-}
-
-// Add adds d (negative to subtract). Nil-safe.
-func (g *Gauge) Add(d int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(d)
-}
-
-// Inc adds one. Nil-safe.
-func (g *Gauge) Inc() { g.Add(1) }
-
-// Dec subtracts one. Nil-safe.
-func (g *Gauge) Dec() { g.Add(-1) }
-
-// Value reads the current value (0 for a nil gauge).
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
-}
-
-func (g *Gauge) writeProm(w *promWriter) {
-	w.typeLine(g.name, "gauge")
-	w.series(g.name, "", "")
-	w.int(g.v.Load())
-}
-
 // GaugeFunc is a gauge whose value is computed at scrape time — the
 // bridge for state a component already tracks (queue lengths, peer
 // counts, replication offsets).
@@ -165,9 +114,6 @@ func NewGaugeFunc(name string, fn func() float64) *GaugeFunc {
 
 // Name implements Metric.
 func (g *GaugeFunc) Name() string { return g.name }
-
-// Value evaluates the gauge.
-func (g *GaugeFunc) Value() float64 { return g.fn() }
 
 func (g *GaugeFunc) writeProm(w *promWriter) {
 	w.typeLine(g.name, "gauge")
@@ -228,22 +174,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.buckets[bucketIndex(ns)].Add(1)
 	h.count.Add(1)
 	h.sum.Add(uint64(ns))
-}
-
-// Count reports the number of observations (0 for a nil histogram).
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum reports the total of all observations (0 for a nil histogram).
-func (h *Histogram) Sum() time.Duration {
-	if h == nil {
-		return 0
-	}
-	return time.Duration(h.sum.Load())
 }
 
 // Quantile estimates the q-quantile (0 ≤ q ≤ 1) of everything observed
@@ -366,16 +296,6 @@ func (r *Registry) Unregister(names ...string) {
 	}
 }
 
-// Get returns the registered metric with the given full name, or nil.
-func (r *Registry) Get(name string) Metric {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.byName[name]
-}
-
 // Counter returns the registered counter with the given name, creating
 // and registering it if absent. If the name is held by a different
 // metric type, a fresh counter replaces it. On a nil registry it returns
@@ -392,21 +312,6 @@ func (r *Registry) Counter(name string) *Counter {
 	c := NewCounter(name)
 	r.byName[name] = c
 	return c
-}
-
-// Gauge is Counter's get-or-create for gauges.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return NewGauge(name)
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g, ok := r.byName[name].(*Gauge); ok {
-		return g
-	}
-	g := NewGauge(name)
-	r.byName[name] = g
-	return g
 }
 
 // GaugeFunc registers a computed gauge under the given name, replacing
@@ -488,11 +393,6 @@ func (w *promWriter) series(name, suffix, extra string) {
 
 func (w *promWriter) uint(v uint64) {
 	w.b.WriteString(strconv.FormatUint(v, 10))
-	w.b.WriteByte('\n')
-}
-
-func (w *promWriter) int(v int64) {
-	w.b.WriteString(strconv.FormatInt(v, 10))
 	w.b.WriteByte('\n')
 }
 

@@ -10,6 +10,13 @@ import (
 	"time"
 )
 
+// registered returns the metric r holds under the full name, or nil.
+func registered(r *Registry, name string) Metric {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.byName[name]
+}
+
 func TestCounterGaugeBasics(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c_total")
@@ -21,16 +28,8 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if again := r.Counter("c_total"); again != c {
 		t.Fatalf("get-or-create returned a different counter")
 	}
-	g := r.Gauge("g")
-	g.Set(7)
-	g.Add(-3)
-	g.Inc()
-	g.Dec()
-	if got := g.Value(); got != 4 {
-		t.Fatalf("gauge = %d, want 4", got)
-	}
 	r.GaugeFunc("gf", func() float64 { return 2.5 })
-	if gf, ok := r.Get("gf").(*GaugeFunc); !ok || gf.Value() != 2.5 {
+	if _, ok := registered(r, "gf").(*GaugeFunc); !ok {
 		t.Fatalf("gauge func lookup failed")
 	}
 }
@@ -42,7 +41,6 @@ func TestNilRegistryIsSafe(t *testing.T) {
 	if c.Value() != 1 {
 		t.Fatalf("nil-registry counter not live")
 	}
-	r.Gauge("g").Set(1)
 	r.Histogram("h").Observe(time.Millisecond)
 	r.Register(NewCounter("y"))
 	r.Unregister("y")
@@ -61,16 +59,16 @@ func TestRegisterLastWins(t *testing.T) {
 	r.Register(a)
 	r.Register(b)
 	b.Add(5)
-	if got := r.Get("dup").(*Counter).Value(); got != 5 {
+	if got := registered(r, "dup").(*Counter).Value(); got != 5 {
 		t.Fatalf("last registration did not win: got %d", got)
 	}
 	r.Unregister("dup")
-	if r.Get("dup") != nil {
+	if registered(r, "dup") != nil {
 		t.Fatalf("unregister left the metric behind")
 	}
 	// A histogram replacing a counter under the same name.
 	h := r.Histogram("dup")
-	if _, ok := r.Get("dup").(*Histogram); !ok || h == nil {
+	if _, ok := registered(r, "dup").(*Histogram); !ok || h == nil {
 		t.Fatalf("type-mismatched get-or-create did not replace")
 	}
 }
@@ -88,11 +86,9 @@ func TestConcurrentRegistry(t *testing.T) {
 		go func(id int) {
 			defer wg.Done()
 			c := r.Counter("shared_total")
-			g := r.Gauge("shared_gauge")
 			h := r.Histogram("shared_seconds")
 			for j := 0; j < iters; j++ {
 				c.Inc()
-				g.Add(1)
 				h.Observe(time.Duration(j) * time.Microsecond)
 				if j%100 == 0 {
 					// Exercise the registration path concurrently too.
@@ -103,13 +99,13 @@ func TestConcurrentRegistry(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	c := r.Get("shared_total").(*Counter)
+	c := registered(r, "shared_total").(*Counter)
 	want := uint64(goroutines * (iters + iters/100))
 	if got := c.Value(); got != want {
 		t.Fatalf("counter = %d, want %d", got, want)
 	}
-	h := r.Get("shared_seconds").(*Histogram)
-	if got := h.Count(); got != goroutines*iters {
+	h := registered(r, "shared_seconds").(*Histogram)
+	if got := h.count.Load(); got != goroutines*iters {
 		t.Fatalf("histogram count = %d, want %d", got, goroutines*iters)
 	}
 }
@@ -161,8 +157,8 @@ func TestHistogramQuantileAccuracy(t *testing.T) {
 		vals = append(vals, v)
 		h.Observe(time.Duration(v))
 	}
-	if h.Count() != n {
-		t.Fatalf("count = %d, want %d", h.Count(), n)
+	if h.count.Load() != n {
+		t.Fatalf("count = %d, want %d", h.count.Load(), n)
 	}
 	for _, q := range []float64{0.5, 0.9, 0.99} {
 		exact := float64(q) * float64(10*time.Millisecond) // uniform quantile
@@ -193,8 +189,10 @@ func TestHistogramQuantileEdges(t *testing.T) {
 			t.Errorf("single-sample q=%v = %v, outside its bucket", q, got)
 		}
 	}
-	if h.Sum() != 5*time.Microsecond {
-		t.Fatalf("sum = %v, want 5µs", h.Sum())
+	r := NewRegistry()
+	r.Register(h)
+	if want := "lat_sum 5e-06\n"; !strings.Contains(r.Exposition(), want) {
+		t.Fatalf("exposition lacks %q, the 5µs sum", want)
 	}
 }
 
@@ -202,7 +200,6 @@ func TestPrometheusExposition(t *testing.T) {
 	r := NewRegistry()
 	r.Counter(`reqs_total{type="join"}`).Add(3)
 	r.Counter(`reqs_total{type="lookup"}`).Add(1)
-	r.Gauge("queue_depth").Set(4)
 	r.GaugeFunc("peers", func() float64 { return 12 })
 	h := r.Histogram(`lat_seconds{type="join"}`)
 	h.Observe(1500 * time.Nanosecond) // bucket 1 (le 2.048e-06)
@@ -213,7 +210,6 @@ func TestPrometheusExposition(t *testing.T) {
 		"# TYPE reqs_total counter\n",
 		`reqs_total{type="join"} 3` + "\n",
 		`reqs_total{type="lookup"} 1` + "\n",
-		"# TYPE queue_depth gauge\nqueue_depth 4\n",
 		"# TYPE peers gauge\npeers 12\n",
 		"# TYPE lat_seconds histogram\n",
 		`lat_seconds_bucket{type="join",le="+Inf"} 2` + "\n",
