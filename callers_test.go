@@ -16,24 +16,29 @@ import (
 	"testing"
 )
 
+// waitsForCore is why the ID-keyed pathtree.Tree wrapper keeps methods
+// nothing calls: bench/ladder.go drives the wrapper, which goes whole once
+// the ladder drives pathtree.Core (ROADMAP 5(c) and 6(c)).
+const waitsForCore = "the wrapper goes whole once bench/ladder.go drives Core"
+
 // keptWithoutCaller lists the names under internal/ that stay although no
-// non-test file of the module or of bench/ calls, reads or (for a setting)
+// non-test file of the module or of bench/ uses them or (for a setting)
 // writes them, each with its reason.
 var keptWithoutCaller = map[string]string{
 	"latency.SyntheticKing":            "the King-like RTT matrix the vivaldi, gnp and latency tests run on",
-	"proto.CodeStaleEpoch":             "a reserved wire code: builds that moved landmarks sent it",
-	"proto.CodeWrongShard":             "a reserved wire code: builds that forwarded joins sent it",
-	"pathtree.Tree.CheckInvariants":    "the wrapper bench/ladder.go drives; its methods go when the ladder drives Core",
-	"pathtree.Tree.ClosestToPath":      "the wrapper bench/ladder.go drives; its methods go when the ladder drives Core",
-	"pathtree.Tree.Contains":           "the wrapper bench/ladder.go drives; its methods go when the ladder drives Core",
-	"pathtree.Tree.DTree":              "the wrapper bench/ladder.go drives; its methods go when the ladder drives Core",
-	"pathtree.Tree.Depth":              "the wrapper bench/ladder.go drives; its methods go when the ladder drives Core",
-	"pathtree.Tree.Landmark":           "the wrapper bench/ladder.go drives; its methods go when the ladder drives Core",
-	"pathtree.Tree.Len":                "the wrapper bench/ladder.go drives; its methods go when the ladder drives Core",
-	"pathtree.Tree.PathOf":             "the wrapper bench/ladder.go drives; its methods go when the ladder drives Core",
-	"pathtree.Tree.Peers":              "the wrapper bench/ladder.go drives; its methods go when the ladder drives Core",
-	"pathtree.Tree.Stats":              "the wrapper bench/ladder.go drives; its methods go when the ladder drives Core",
-	"client.Client.Status":             "the pull form of the status request, which no command reads yet",
+	"proto.CodeStaleEpoch":             "a reserved wire code: older builds fenced writes at landmark epochs with it",
+	"proto.CodeWrongShard":             "a reserved wire code: older builds answered a batch entry another node owned with it",
+	"pathtree.Tree.CheckInvariants":    waitsForCore,
+	"pathtree.Tree.ClosestToPath":      waitsForCore,
+	"pathtree.Tree.Contains":           waitsForCore,
+	"pathtree.Tree.DTree":              waitsForCore,
+	"pathtree.Tree.Depth":              waitsForCore,
+	"pathtree.Tree.Landmark":           waitsForCore,
+	"pathtree.Tree.Len":                waitsForCore,
+	"pathtree.Tree.PathOf":             waitsForCore,
+	"pathtree.Tree.Peers":              waitsForCore,
+	"pathtree.Tree.Stats":              waitsForCore,
+	"client.Client.Status":             "a context-less wrapper; it goes with the others when the *Context forms take the short names (ROADMAP 6(a))",
 	"client.Subscription.Err":          "the only report of why Events() closed",
 	"experiment.WorldConfig.Shards":    "a test sets it to run a world over a sharded cluster",
 	"experiment.WorldConfig.BatchSize": "a test sets it to join a world through the batched road",
@@ -44,9 +49,9 @@ var keptWithoutCaller = map[string]string{
 
 // TestNamesHaveCallers type-checks the module and bench/ from their
 // non-test files and fails on a name of a package under internal/ that
-// nothing refers to: a func or method no one calls, a type, const or
-// package-level var no one names, or a struct field no one reads. A
-// name only its own tests use is dead surface. Uses of an instance of a
+// nothing refers to: a func or method no one calls, or a type, const,
+// package-level var or struct field no one names. A name only its own
+// tests use is dead surface. Uses of an instance of a
 // generic type or func count for its origin. A blank name, init, and a
 // method that implements a method of an interface the program or its
 // imports declare (String, the heap.Interface methods) are exempt.

@@ -30,10 +30,9 @@
 // drops that address's session, and a node that failed is forgotten as the
 // learned primary; the request is then sent once more on a fresh dial. A
 // socket write that fails, one that timed out included, closes its
-// session, so the request after it dials afresh
-// (TestSendTimeoutRedials). So
-// a client of a restarted primary (same address, same data directory), or
-// of a server that dropped an idle connection, resumes without caller
+// session, so the request after it dials afresh (TestSendTimeoutRedials).
+// So a client of a restarted primary (same address, same data directory),
+// or of a server that dropped an idle connection, resumes without caller
 // involvement. A re-sent request is at-least-once: a write whose
 // connection died after the send may be applied twice. Every request is
 // idempotent at the server (re-joins replace, leaves of absent peers ack),

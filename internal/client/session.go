@@ -401,11 +401,11 @@ func (st *stream) unsubscribe() {
 // or an unsubscribe nobody waits on.
 func (s *session) post(typ proto.MsgType, id uint64, payload []byte) error {
 	s.wmu.Lock()
-	defer s.wmu.Unlock()
 	err := s.writeLocked(typ, id, payload)
 	if err == nil {
 		err = s.flushLocked()
 	}
+	s.wmu.Unlock()
 	if err != nil {
 		s.writeOff()
 	}

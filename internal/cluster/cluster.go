@@ -382,7 +382,7 @@ func (c *Cluster) Landmarks() []topology.NodeID {
 func (c *Cluster) NeighborCount() int { return c.shards[0].srv.NeighborCount() }
 
 // Join routes the peer's join to the shard owning its path's landmark and
-// returns the closest-peer answer, exactly as server.Server.Join would.
+// returns the closest-peer answer, exactly as the shard's JoinOp would.
 func (c *Cluster) Join(p pathtree.PeerID, path []topology.NodeID) ([]pathtree.Candidate, error) {
 	return c.JoinOp(op.Join(p, path, "", 0))
 }

@@ -261,6 +261,16 @@ func TestLeaveRefreshExpire(t *testing.T) {
 	}
 }
 
+func TestExpireDisabledWithoutTTL(t *testing.T) {
+	c := newTestCluster(t, 1)
+	if _, err := c.Join(1, synthPath(testLandmarks[0], 1)); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Expire(); got != nil {
+		t.Fatalf("expiry ran without TTL: %v", got)
+	}
+}
+
 func TestStatsAggregation(t *testing.T) {
 	c := newTestCluster(t, 4)
 	populate(t, c, 32)

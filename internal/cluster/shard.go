@@ -38,7 +38,6 @@ func newShard(lms []topology.NodeID, cfg Config, idx *server.Index) (*shard, err
 	srv, err := server.NewSharing(server.Config{
 		Landmarks:     lms,
 		NeighborCount: cfg.NeighborCount,
-		PeerTTL:       cfg.PeerTTL,
 		Clock:         cfg.Clock,
 	}, idx)
 	if err != nil {

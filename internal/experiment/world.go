@@ -42,7 +42,7 @@ type WorldConfig struct {
 	// experiment runs unchanged over any count.
 	Shards int
 	// BatchSize, when at least 2, registers newcomers through the
-	// management plane's batched join path (Cluster.JoinBatch) in groups
+	// management plane's batched join path (Cluster.JoinBatchOp) in groups
 	// of this size — the wire protocol's flash-crowd fast path — instead
 	// of one join per call. Capped at proto.MaxBatch by the wire format;
 	// simulations accept any positive value.

@@ -903,7 +903,7 @@ func (s *NetServer) serveJoin(o op.Op) (proto.MsgType, []byte) {
 }
 
 // serveBatchJoin applies a batch's entries against the backend as one
-// JoinBatch and answers each entry on its own: an entry with no path is
+// JoinBatchOp and answers each entry on its own: an entry with no path is
 // refused CodeBadRequest without reaching the backend, and one under a
 // landmark the backend does not hold comes back CodeUnknownLandmark.
 func (s *NetServer) serveBatchJoin(o op.Op) (proto.MsgType, []byte) {

@@ -143,7 +143,7 @@ func TestStateMachineMatchesModel(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		now := int64(1_000_000)
 		s, err := New(Config{
-			Landmarks: lms, NeighborCount: 4, PeerTTL: 40,
+			Landmarks: lms, NeighborCount: 4,
 			Clock: func() time.Time { return time.Unix(0, now) },
 		})
 		if err != nil {
@@ -268,7 +268,7 @@ func TestStateMachineMatchesModel(t *testing.T) {
 					}
 				}
 				slices.Sort(want)
-				if got := expire(s); !slices.Equal(got, want) {
+				if got := expire(s, 40); !slices.Equal(got, want) {
 					t.Fatalf("seed %d step %d expire: got %v want %v", seed, step, got, want)
 				}
 			case r < 94: // a join on the server beside, orphaning p's record here

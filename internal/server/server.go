@@ -172,9 +172,6 @@ type Config struct {
 	// NeighborCount is the number of closest peers returned to a newcomer
 	// (the paper's "short list"). Defaults to DefaultNeighborCount.
 	NeighborCount int
-	// PeerTTL, when positive, is the duration after which a peer that has
-	// not refreshed is eligible for expiry sweeps (faulty-peer handling).
-	PeerTTL time.Duration
 	// Clock supplies the current time; defaults to time.Now. Simulations
 	// inject a virtual clock here.
 	Clock func() time.Time
@@ -346,10 +343,9 @@ func (s *Server) stamp(o op.Op) op.Op {
 // operation without computing any answer. Every path that moves writes
 // around — follower replication, WAL recovery — calls Apply, so a
 // replayed stream reaches exactly the state the original stream built.
-// The answering front doors (Join, JoinOp, JoinBatch, Lookup-free writes)
-// are thin wrappers over the same core. A zero o.Time is stamped from the
-// server clock; stamped ops apply at their recorded instant regardless of
-// the local clock.
+// The answering front doors (JoinOp, JoinBatchOp) are thin wrappers over
+// the same core. A zero o.Time is stamped from the server clock; stamped
+// ops apply at their recorded instant regardless of the local clock.
 func (s *Server) Apply(o op.Op) error {
 	o = s.stamp(o)
 	switch o.Kind {

@@ -210,9 +210,10 @@ func TestLeave(t *testing.T) {
 }
 
 func TestExpire(t *testing.T) {
+	const ttl = 30 * time.Second
 	now := time.Unix(1000, 0)
 	clock := func() time.Time { return now }
-	s, err := New(Config{Landmarks: []topology.NodeID{0}, PeerTTL: 30 * time.Second, Clock: clock})
+	s, err := New(Config{Landmarks: []topology.NodeID{0}, Clock: clock})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +221,7 @@ func TestExpire(t *testing.T) {
 	now = now.Add(10 * time.Second)
 	mustJoin(t, s, 2, 11)
 	now = now.Add(25 * time.Second) // peer 1 is now 35s stale, peer 2 25s
-	expired := expire(s)
+	expired := expire(s, ttl)
 	if len(expired) != 1 || expired[0] != 1 {
 		t.Fatalf("expired=%v", expired)
 	}
@@ -232,20 +233,12 @@ func TestExpire(t *testing.T) {
 		t.Fatal(err)
 	}
 	now = now.Add(25 * time.Second)
-	if expired := expire(s); len(expired) != 0 {
+	if expired := expire(s, ttl); len(expired) != 0 {
 		t.Fatalf("refreshed peer expired: %v", expired)
 	}
 	now = now.Add(31 * time.Second)
-	if expired := expire(s); len(expired) != 1 {
+	if expired := expire(s, ttl); len(expired) != 1 {
 		t.Fatalf("stale peer not expired: %v", expired)
-	}
-}
-
-func TestExpireDisabledWithoutTTL(t *testing.T) {
-	s := newTestServer(t)
-	mustJoin(t, s, 1, 10)
-	if got := expire(s); got != nil {
-		t.Fatalf("expiry ran without TTL: %v", got)
 	}
 }
 
@@ -438,12 +431,8 @@ func TestJoinBatchEmpty(t *testing.T) {
 	}
 }
 
-// expire sweeps s's peers whose last refresh is older than the configured
-// PeerTTL, as the cluster's Expire does: one KindExpire op whose time is the
-// deadline. A zero PeerTTL expires nothing.
-func expire(s *Server) []pathtree.PeerID {
-	if s.cfg.PeerTTL <= 0 {
-		return nil
-	}
-	return s.ExpireOp(op.Expire(s.cfg.Clock().Add(-s.cfg.PeerTTL).UnixNano()))
+// expire sweeps s's peers whose last refresh is older than ttl, as the
+// cluster's Expire does: one KindExpire op whose time is the deadline.
+func expire(s *Server, ttl time.Duration) []pathtree.PeerID {
+	return s.ExpireOp(op.Expire(s.cfg.Clock().Add(-ttl).UnixNano()))
 }

@@ -105,7 +105,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 func TestSnapshotPreservesRefreshTimes(t *testing.T) {
 	now := time.Unix(5000, 0)
 	clock := func() time.Time { return now }
-	cfg := Config{Landmarks: []topology.NodeID{0}, PeerTTL: 30 * time.Second, Clock: clock}
+	cfg := Config{Landmarks: []topology.NodeID{0}, Clock: clock}
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -182,7 +182,7 @@ func TestSnapshotPreservesRefreshTimes(t *testing.T) {
 		t.Fatalf("t1 run of %d peers cut into records of %v entries", crowd+2, runs)
 	}
 
-	restored, err := restore(bytes.NewReader(buf.Bytes()), Config{PeerTTL: 30 * time.Second, Clock: clock})
+	restored, err := restore(bytes.NewReader(buf.Bytes()), Config{Clock: clock})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestSnapshotPreservesRefreshTimes(t *testing.T) {
 	}
 	// 15 more seconds: peer 1 is 35s stale, everyone else is 15s.
 	now = now.Add(15 * time.Second)
-	expired := expire(restored)
+	expired := expire(restored, 30*time.Second)
 	if len(expired) != 1 || expired[0] != 1 {
 		t.Fatalf("expired=%v", expired)
 	}
