@@ -12,8 +12,8 @@
 //     node's one peer index, which the shards' servers share and maintain
 //     (server.Index): an entry names the peer's landmark, the table that
 //     landmark's owner; and
-//   - it answers operations that span landmarks (Peers, aggregate Stats,
-//     Expire) with a scatter-gather fan-out, one goroutine per shard.
+//   - it answers operations that span landmarks (Peers, Expire) with a
+//     scatter-gather fan-out, one goroutine per shard.
 //
 // Because shards never share tree state, a Cluster returns byte-identical
 // candidate sets to a single server.Server over the same peer population —

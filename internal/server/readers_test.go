@@ -193,8 +193,8 @@ func TestReadersDuringChurn(t *testing.T) {
 // TestLookupProceedsWhileWriterMutexHeld pins which lock a whole-state walk
 // holds. With the writer mutex held — first by the test itself, standing in
 // for a snapshot in progress, then by Snapshot, Stats, Peers and the scan of
-// an expiry sweep, each parked in walkHook — Lookup, PeerInfo, NumPeers and
-// ArenaStats (what a metrics scrape reads) return, and a JoinOp does not
+// an expiry sweep, each parked in walkHook — Lookup, PeerInfo, NumPeers,
+// ArenaStats and Stats (what a metrics scrape reads) return, and a JoinOp does not
 // until the mutex is released.
 func TestLookupProceedsWhileWriterMutexHeld(t *testing.T) {
 	const landmark topology.NodeID = 9
@@ -223,6 +223,9 @@ func TestLookupProceedsWhileWriterMutexHeld(t *testing.T) {
 			}
 			if a := s.ArenaStats(); err == nil && a.Records-a.FreeRecords < 18 {
 				err = fmt.Errorf("ArenaStats %+v", a)
+			}
+			if st := s.Stats(); err == nil && st.Peers < 18 {
+				err = fmt.Errorf("Stats %+v", st)
 			}
 			read <- err
 		}()

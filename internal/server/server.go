@@ -52,7 +52,7 @@
 //
 // The writer mutex (wmu) serialises mutators: every op is applied once, by
 // one goroutine at a time, in the order they won the mutex. Every whole-state
-// walk holds it too — collect (Snapshot, WriteSnapshot), Stats, Peers, and
+// walk holds it too — collect (Snapshot, WriteSnapshot), Peers, and
 // the scan by which an expiry sweep finds its peers. A walk is a writer that
 // does not write: holding wmu it reads the state with no other lock, writers
 // queue behind it, and lookups do not notice it: a lookup, and a metrics
