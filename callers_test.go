@@ -22,14 +22,13 @@ import (
 const waitsForCore = "the wrapper goes whole once bench/ladder.go drives Core"
 
 // keptWithoutCaller lists the names under internal/ that stay although no
-// non-test file of the module or of bench/ uses them or (for a setting)
-// writes them, each with its reason.
+// non-test file of the module or of bench/ uses them, reads them (for a
+// field) or writes them (for a setting), each with its reason.
 var keptWithoutCaller = map[string]string{
 	"latency.SyntheticKing":            "the King-like RTT matrix the vivaldi, gnp and latency tests run on",
 	"proto.CodeStaleEpoch":             "a reserved wire code: older builds fenced writes at landmark epochs with it",
 	"proto.CodeWrongShard":             "a reserved wire code: older builds answered a batch entry another node owned with it",
 	"pathtree.Tree.CheckInvariants":    waitsForCore,
-	"pathtree.Tree.ClosestToPath":      waitsForCore,
 	"pathtree.Tree.Contains":           waitsForCore,
 	"pathtree.Tree.DTree":              waitsForCore,
 	"pathtree.Tree.Depth":              waitsForCore,
@@ -37,7 +36,6 @@ var keptWithoutCaller = map[string]string{
 	"pathtree.Tree.Len":                waitsForCore,
 	"pathtree.Tree.PathOf":             waitsForCore,
 	"pathtree.Tree.Peers":              waitsForCore,
-	"pathtree.Tree.Stats":              waitsForCore,
 	"client.Client.Status":             "a context-less wrapper; it goes with the others when the *Context forms take the short names (ROADMAP 6(a))",
 	"client.Subscription.Err":          "the only report of why Events() closed",
 	"experiment.WorldConfig.Shards":    "a test sets it to run a world over a sharded cluster",
@@ -45,6 +43,11 @@ var keptWithoutCaller = map[string]string{
 	"experiment.WorldConfig.DataDir":   "a test sets it to run a world over a durable cluster",
 	"netserver.FollowerConfig.After":   "a test sets it to start a follower past the head of the stream",
 	"cluster.Config.SegmentBytes":      "the netserver tests set it, so checkpoints retire log files and followers take the snapshot road",
+	"pathtree.Scratch.visits":          "TestClosestVisitsBounded reads it, and ROADMAP 18(c) splits it",
+	"pathtree.Scratch.hops":            "TestClosestVisitsBounded reads it",
+	"loadgen.Result.P95":               "proxdisc-loadgen -json encodes the whole Result: a read by reflection",
+	"server.PeerInfo.LastRefresh":      "the model tests check each peer's refresh time through PeerInfo",
+	"server.PeerInfo.SuperPeer":        "the model tests check each peer's super-peer flag through PeerInfo",
 }
 
 // TestNamesHaveCallers type-checks the module and bench/ from their
@@ -55,6 +58,11 @@ var keptWithoutCaller = map[string]string{
 // generic type or func count for its origin. A blank name, init, and a
 // method that implements a method of an interface the program or its
 // imports declare (String, the heap.Interface methods) are exempt.
+//
+// A struct field fails too if no non-test file reads it. The left side of
+// = or op=, x.f++ and x.f--, and a composite literal's key only write it;
+// every other use reads it, &x.f and a selector through an embedded field
+// included. State that nothing reads is work without a purpose.
 //
 // A field of an exported struct that is itself exported is a setting,
 // and it fails too if no non-test file writes it: a keyed or positional
@@ -125,6 +133,8 @@ func TestNamesHaveCallers(t *testing.T) {
 				switch {
 				case !u.used[f]:
 					report(label+"."+f.Name(), "no user")
+				case !u.read[f]:
+					report(label+"."+f.Name(), "never read")
 				case tn.Exported() && f.Exported() && !u.set[f]:
 					report(label+"."+f.Name(), "never set")
 				}
@@ -145,23 +155,21 @@ func TestNamesHaveCallers(t *testing.T) {
 }
 
 // usage records, over every non-test file of the module and of bench/,
-// which objects something refers to and which fields something writes,
-// each by its origin.
+// which objects something refers to, and which fields something reads and
+// which it writes, each by its origin.
 type usage struct {
-	used, set map[types.Object]bool
+	used, read, set map[types.Object]bool
 }
 
 // usage walks the loaded packages' syntax. A selector that reaches a
-// field or method through embedded fields uses each of them. A field is
-// written by a composite literal, keyed or positional, by the left side of
-// an assignment, by x.f++ or x.f--, and by &x.f.
+// field or method through embedded fields uses and reads each of them. A
+// field is written by a composite literal, keyed or positional, by the
+// left side of an assignment, by x.f++ or x.f--, and by &x.f; all but the
+// last only write it.
 func (l *sourceLoader) usage() usage {
-	u := usage{used: map[types.Object]bool{}, set: map[types.Object]bool{}}
+	u := usage{used: map[types.Object]bool{}, read: map[types.Object]bool{}, set: map[types.Object]bool{}}
 	for p, files := range l.files {
 		info := l.infos[p]
-		for _, obj := range info.Uses {
-			u.used[origin(obj)] = true
-		}
 		for _, sel := range info.Selections {
 			typ, idx := sel.Recv(), sel.Index()
 			for _, i := range idx[:len(idx)-1] {
@@ -170,12 +178,18 @@ func (l *sourceLoader) usage() usage {
 				}
 				f := typ.Underlying().(*types.Struct).Field(i)
 				u.used[f.Origin()] = true
+				u.read[f.Origin()] = true
 				typ = f.Type()
 			}
 		}
-		write := func(e ast.Expr) {
+		writeOnly := map[*ast.Ident]bool{}
+		write := func(id *ast.Ident, only bool) {
+			u.set[origin(info.Uses[id])] = true
+			writeOnly[id] = only
+		}
+		assign := func(e ast.Expr, only bool) {
 			if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
-				u.set[origin(info.Uses[sel.Sel])] = true
+				write(sel.Sel, only)
 			}
 		}
 		for _, f := range files {
@@ -183,13 +197,13 @@ func (l *sourceLoader) usage() usage {
 				switch n := n.(type) {
 				case *ast.AssignStmt:
 					for _, lhs := range n.Lhs {
-						write(lhs)
+						assign(lhs, true)
 					}
 				case *ast.IncDecStmt:
-					write(n.X)
+					assign(n.X, true)
 				case *ast.UnaryExpr:
 					if n.Op == token.AND {
-						write(n.X)
+						assign(n.X, false)
 					}
 				case *ast.CompositeLit:
 					st, ok := info.Types[n].Type.Underlying().(*types.Struct)
@@ -198,7 +212,7 @@ func (l *sourceLoader) usage() usage {
 					}
 					for i, elt := range n.Elts {
 						if kv, ok := elt.(*ast.KeyValueExpr); ok {
-							u.set[origin(info.Uses[kv.Key.(*ast.Ident)])] = true
+							write(kv.Key.(*ast.Ident), true)
 						} else {
 							u.set[st.Field(i).Origin()] = true
 						}
@@ -206,6 +220,12 @@ func (l *sourceLoader) usage() usage {
 				}
 				return true
 			})
+		}
+		for id, obj := range info.Uses {
+			u.used[origin(obj)] = true
+			if !writeOnly[id] {
+				u.read[origin(obj)] = true
+			}
 		}
 	}
 	return u

@@ -55,7 +55,7 @@ func main() {
 	for _, variant := range []string{"proximity (proxdisc)", "random"} {
 		mesh := proxdisc.NewOverlay()
 		for _, p := range ids {
-			if err := mesh.AddPeer(proxdisc.OverlayPeer{ID: p, Attachment: sim.Attachments[p]}); err != nil {
+			if err := mesh.AddPeer(p); err != nil {
 				log.Fatal(err)
 			}
 		}

@@ -9,6 +9,7 @@ import (
 
 	"proxdisc/internal/op"
 	"proxdisc/internal/pathtree"
+	"proxdisc/internal/telemetry"
 	"proxdisc/internal/topology"
 	"proxdisc/internal/wal"
 )
@@ -17,12 +18,14 @@ import (
 // out of reach, accumulated WAL bytes alone must trigger a background
 // checkpoint — the adaptive compaction contract.
 func TestSnapshotBytesTriggersCheckpoint(t *testing.T) {
+	reg := telemetry.NewRegistry()
 	c, err := New(Config{
 		Landmarks:     []topology.NodeID{0},
 		DataDir:       t.TempDir(),
 		NoSync:        true,
 		SnapshotBytes: 2 << 10,
 		SnapshotEvery: 1 << 30, // the op-count fallback must not be the trigger
+		Telemetry:     reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -51,8 +54,8 @@ func TestSnapshotBytesTriggersCheckpoint(t *testing.T) {
 	if joined >= 1<<20 {
 		t.Fatalf("checkpoint took %d ops: the byte trigger never fired", joined)
 	}
-	if ds.Log.Appends != uint64(joined) {
-		t.Fatalf("log appends %d, want %d", ds.Log.Appends, joined)
+	if got := scraped(t, reg, "proxdisc_wal_appends_total"); got != int(joined) {
+		t.Fatalf("log appends %d, want %d", got, joined)
 	}
 }
 

@@ -110,7 +110,7 @@
 // Restoring a state (adopt) takes every server's writer mutex and then every
 // state lock (server.Adopt); a write or a whole-state walk holds one writer
 // mutex at a time, so neither can deadlock against it. A walk over every
-// shard — a snapshot, Peers, Stats, an expiry sweep — takes one server's
+// shard — a snapshot, Peers, an expiry sweep — takes one server's
 // writer mutex after another, and adoptMu keeps it and adopt apart, so the
 // walk never reads some shards before a restore and the rest after it.
 package cluster
@@ -758,25 +758,17 @@ func (c *Cluster) expireRouted(o op.Op) []pathtree.PeerID {
 	return out
 }
 
-// Stats scatter-gathers every shard's counters and merges them: counts sum,
-// per-landmark tree statistics union (the shards' landmark sets are
-// disjoint).
+// Stats sums every shard's counters.
 func (c *Cluster) Stats() server.Stats {
-	c.adoptMu.Lock()
-	defer c.adoptMu.Unlock()
-	per := make([]server.Stats, len(c.shards))
-	c.scatter(func(i int, s *server.Server) { per[i] = s.Stats() })
-	merged := server.Stats{TreeStats: make(map[topology.NodeID]pathtree.Stats)}
-	for _, st := range per {
+	var merged server.Stats
+	for _, sh := range c.shards {
+		st := sh.srv.Stats()
 		merged.Peers += st.Peers
 		merged.Joins += st.Joins
 		merged.Leaves += st.Leaves
 		merged.Expiries += st.Expiries
 		merged.Queries += st.Queries
 		merged.SuperPeerDelegations += st.SuperPeerDelegations
-		for lm, ts := range st.TreeStats {
-			merged.TreeStats[lm] = ts
-		}
 	}
 	return merged
 }

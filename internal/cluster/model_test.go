@@ -59,7 +59,7 @@ func checkIndex(c *Cluster) error {
 				return fmt.Errorf("peer %d resident on shard %d, indexed under landmark %d (%v) of shard %d", p, i, lm, ok, holder[lm])
 			}
 			info, err := c.shards[i].srv.PeerInfo(p)
-			if err != nil || info.ID != p || info.Landmark != lm {
+			if err != nil || info.Landmark != lm {
 				return fmt.Errorf("peer %d's entry resolves on shard %d to %+v, %v", p, i, info, err)
 			}
 		}
@@ -237,7 +237,7 @@ func TestClusterMatchesModel(t *testing.T) {
 				t.Fatalf("seed %d step %d %s: %d peers, model holds %d", seed, step, desc, c.NumPeers(), len(m))
 			}
 			for q, mq := range m {
-				want := server.PeerInfo{ID: q, Landmark: mq.path[len(mq.path)-1], Path: mq.path, Addr: mq.addr,
+				want := server.PeerInfo{Landmark: mq.path[len(mq.path)-1], Path: mq.path, Addr: mq.addr,
 					SuperPeer: mq.super, LastRefresh: time.Unix(0, mq.refresh)}
 				if got, err := c.PeerInfo(q); err != nil || !reflect.DeepEqual(got, want) {
 					t.Fatalf("seed %d step %d %s: PeerInfo(%d)\ngot  %+v, %v\nwant %+v", seed, step, desc, q, got, err, want)

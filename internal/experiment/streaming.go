@@ -108,7 +108,7 @@ func RunStreaming(cfg StreamingConfig) (*StreamingResult, error) {
 	for _, variant := range []string{"proximity", "random", "hybrid"} {
 		mesh := overlay.New()
 		for _, p := range peers {
-			if err := mesh.AddPeer(overlay.Peer{ID: p, Attachment: w.Attachments[p]}); err != nil {
+			if err := mesh.AddPeer(p); err != nil {
 				return nil, err
 			}
 		}

@@ -3,8 +3,7 @@
 //
 // The paper's motivating application is mesh-based live streaming: a
 // newcomer asks the server for its closest peers and connects to them. This
-// package keeps the resulting undirected neighbour graph and enforces
-// degree caps.
+// package keeps the resulting undirected neighbour graph.
 package overlay
 
 import (
@@ -13,58 +12,43 @@ import (
 	"sync"
 
 	"proxdisc/internal/pathtree"
-	"proxdisc/internal/topology"
 )
-
-// Peer is one overlay participant.
-type Peer struct {
-	// ID is the peer's identifier.
-	ID pathtree.PeerID
-	// Attachment is the router the peer hangs off.
-	Attachment topology.NodeID
-}
 
 // Overlay is an undirected neighbour graph over peers. It is safe for
 // concurrent use.
 type Overlay struct {
 	mu    sync.RWMutex
-	peers map[pathtree.PeerID]*Peer
-	links map[pathtree.PeerID]map[pathtree.PeerID]bool
+	links map[pathtree.PeerID]map[pathtree.PeerID]bool // every registered peer has an entry
 }
 
 // New returns an empty overlay.
 func New() *Overlay {
-	return &Overlay{
-		peers: make(map[pathtree.PeerID]*Peer),
-		links: make(map[pathtree.PeerID]map[pathtree.PeerID]bool),
-	}
+	return &Overlay{links: make(map[pathtree.PeerID]map[pathtree.PeerID]bool)}
 }
 
 // AddPeer registers a peer. Re-adding an existing ID is an error.
-func (o *Overlay) AddPeer(p Peer) error {
+func (o *Overlay) AddPeer(id pathtree.PeerID) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if _, ok := o.peers[p.ID]; ok {
-		return fmt.Errorf("overlay: peer %d already present", p.ID)
+	if _, ok := o.links[id]; ok {
+		return fmt.Errorf("overlay: peer %d already present", id)
 	}
-	cp := p
-	o.peers[p.ID] = &cp
-	o.links[p.ID] = make(map[pathtree.PeerID]bool)
+	o.links[id] = make(map[pathtree.PeerID]bool)
 	return nil
 }
 
 // Connect links two distinct registered peers. Connecting an existing link
-// is a no-op. Degree caps are enforced on both ends.
+// is a no-op.
 func (o *Overlay) Connect(a, b pathtree.PeerID) error {
 	if a == b {
 		return fmt.Errorf("overlay: self link on peer %d", a)
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if _, ok := o.peers[a]; !ok {
+	if _, ok := o.links[a]; !ok {
 		return fmt.Errorf("overlay: unknown peer %d", a)
 	}
-	if _, ok := o.peers[b]; !ok {
+	if _, ok := o.links[b]; !ok {
 		return fmt.Errorf("overlay: unknown peer %d", b)
 	}
 	o.links[a][b] = true
@@ -99,7 +83,7 @@ func (o *Overlay) Degree(id pathtree.PeerID) int {
 func (o *Overlay) Contains(id pathtree.PeerID) bool {
 	o.mu.RLock()
 	defer o.mu.RUnlock()
-	_, ok := o.peers[id]
+	_, ok := o.links[id]
 	return ok
 }
 
@@ -107,8 +91,8 @@ func (o *Overlay) Contains(id pathtree.PeerID) bool {
 func (o *Overlay) Peers() []pathtree.PeerID {
 	o.mu.RLock()
 	defer o.mu.RUnlock()
-	out := make([]pathtree.PeerID, 0, len(o.peers))
-	for id := range o.peers {
+	out := make([]pathtree.PeerID, 0, len(o.links))
+	for id := range o.links {
 		out = append(out, id)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
@@ -120,7 +104,7 @@ func (o *Overlay) Peers() []pathtree.PeerID {
 func (o *Overlay) ConnectedComponentOf(start pathtree.PeerID) []pathtree.PeerID {
 	o.mu.RLock()
 	defer o.mu.RUnlock()
-	if _, ok := o.peers[start]; !ok {
+	if _, ok := o.links[start]; !ok {
 		return nil
 	}
 	visited := map[pathtree.PeerID]bool{start: true}

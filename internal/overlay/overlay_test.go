@@ -10,7 +10,7 @@ import (
 func addPeers(t *testing.T, o *Overlay, ids ...pathtree.PeerID) {
 	t.Helper()
 	for _, id := range ids {
-		if err := o.AddPeer(Peer{ID: id}); err != nil {
+		if err := o.AddPeer(id); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -19,7 +19,7 @@ func addPeers(t *testing.T, o *Overlay, ids ...pathtree.PeerID) {
 func TestAddPeerDuplicate(t *testing.T) {
 	o := New()
 	addPeers(t, o, 1)
-	if err := o.AddPeer(Peer{ID: 1}); err == nil {
+	if err := o.AddPeer(1); err == nil {
 		t.Fatal("duplicate add accepted")
 	}
 	if !o.Contains(1) || o.Contains(2) {
@@ -58,8 +58,8 @@ func TestPeersSortedAndInfo(t *testing.T) {
 	if len(got) != 3 || got[0] != 1 || got[1] != 3 || got[2] != 5 {
 		t.Fatalf("peers=%v", got)
 	}
-	if p, ok := o.peers[5]; !ok || p.ID != 5 {
-		t.Fatalf("record of peer 5: %v, present %v", p, ok)
+	if !o.Contains(5) {
+		t.Fatal("peer 5 is not registered")
 	}
 }
 
@@ -81,7 +81,7 @@ func TestConnectedComponent(t *testing.T) {
 func TestConcurrentAccess(t *testing.T) {
 	o := New()
 	for i := pathtree.PeerID(0); i < 100; i++ {
-		if err := o.AddPeer(Peer{ID: i}); err != nil {
+		if err := o.AddPeer(i); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -494,7 +494,7 @@ func (c *Core) moved(m int32) {
 func (c *Core) Join(p PeerID, path []topology.NodeID, k int, sc *Scratch) (slot int32, hits []Hit) {
 	cur, i := c.descend(path, sc)
 	if k > 0 {
-		hits = c.closestFrom(cur, len(path)-1, k, none, nil, sc)
+		hits = c.closestFrom(cur, len(path)-1, k, none, sc)
 	}
 	for ; i >= 0; i-- {
 		cur = c.addChild(cur, path[i])
@@ -652,17 +652,17 @@ type Scratch struct {
 // in slot, that peer excluded, sorted by (DTree, Peer). The hits alias sc.
 func (c *Core) Closest(slot int32, k int, sc *Scratch) []Hit {
 	at := c.recs.at(slot).node
-	return c.closestFrom(at, int(c.nodes.at(at).depth), k, slot, nil, sc)
+	return c.closestFrom(at, int(c.nodes.at(at).depth), k, slot, sc)
 }
 
 // ClosestToPath answers the query for a newcomer whose (validated) path is
 // given without inserting it, leaving out the peer in slot skip (none for
-// nobody) and any peer in exclude.
-func (c *Core) ClosestToPath(path []topology.NodeID, k int, skip int32, exclude map[PeerID]bool, sc *Scratch) []Hit {
+// nobody).
+func (c *Core) ClosestToPath(path []topology.NodeID, k int, skip int32, sc *Scratch) []Hit {
 	// The newcomer's would-be depth is len(path)-1, wherever the trie stops
 	// matching its path.
 	cur, _ := c.descend(path, sc)
-	return c.closestFrom(cur, len(path)-1, k, skip, exclude, sc)
+	return c.closestFrom(cur, len(path)-1, k, skip, sc)
 }
 
 // closestFrom computes the exact k-nearest peers by dtree for a query point
@@ -678,7 +678,7 @@ func (c *Core) ClosestToPath(path []topology.NodeID, k int, skip int32, exclude 
 // an equal-distance peer with a smaller ID still wins its tie — and the
 // ascent stops at the first ancestor whose own distance qd − da exceeds w.
 // That makes the answer exact, not approximate.
-func (c *Core) closestFrom(start int32, queryDepth, k int, skip int32, exclude map[PeerID]bool, sc *Scratch) []Hit {
+func (c *Core) closestFrom(start int32, queryDepth, k int, skip int32, sc *Scratch) []Hit {
 	if k <= 0 {
 		return nil
 	}
@@ -711,13 +711,13 @@ func (c *Core) closestFrom(start int32, queryDepth, k int, skip int32, exclude m
 				}
 				if s := n.firstPeer; !n.more {
 					// One peer or none: its ID is in the node.
-					if s != none && s != skip && (exclude == nil || !exclude[n.peer]) {
+					if s != none && s != skip {
 						out = pushHit(out, Hit{Peer: n.peer, DTree: int32(d), Slot: s})
 					}
 				} else {
 					for s != none {
 						rec := c.recs.at(s)
-						if s != skip && (exclude == nil || !exclude[rec.ID]) {
+						if s != skip {
 							out = pushHit(out, Hit{Peer: rec.ID, DTree: int32(d), Slot: s})
 						}
 						s = rec.next
@@ -762,41 +762,6 @@ func pushHit(out []Hit, h Hit) []Hit {
 	}
 	out[i] = h
 	return out
-}
-
-// Stats summarizes tree shape for diagnostics and experiments.
-type Stats struct {
-	// Peers is the number of peers stored.
-	Peers int
-	// Nodes is the number of trie nodes, including the root.
-	Nodes int
-	// MaxDepth is the deepest trie node.
-	MaxDepth int
-	// RouterConflicts counts the trie positions beyond the first that some
-	// router currently occupies (possible with lossy or truncated
-	// traceroutes): Nodes minus distinct routers. The trie remains correct;
-	// the number surfaces measurement-quality problems.
-	RouterConflicts int
-}
-
-// Stats computes current tree statistics in one walk of the trie.
-func (c *Core) Stats() Stats {
-	s := Stats{Peers: c.Len()}
-	routers := make([]topology.NodeID, 0, c.live+1)
-	var visit func(n *node)
-	visit = func(n *node) {
-		routers = append(routers, n.router)
-		s.MaxDepth = max(s.MaxDepth, int(n.depth))
-		kids := c.kidsOf(n)
-		for j := range kids {
-			visit(&kids[j])
-		}
-	}
-	visit(c.nodes.at(root))
-	s.Nodes = len(routers)
-	slices.Sort(routers)
-	s.RouterConflicts = s.Nodes - len(slices.Compact(routers))
-	return s
 }
 
 // ArenaStats reports the occupancy of a tree's three pools. In each, what

@@ -239,34 +239,23 @@ func (t *Tree) Closest(p PeerID, k int) ([]Candidate, error) {
 	return candidates(t.core.Closest(slot, k, sc)), nil
 }
 
-// ClosestToPath answers a closest-peers query for a (possibly not yet
-// inserted) newcomer whose reported path is given, excluding any peers in
-// exclude. This is the server's "second round": the newcomer's candidate
-// list is computed before or without inserting it.
-func (t *Tree) ClosestToPath(path []topology.NodeID, k int, exclude map[PeerID]bool) ([]Candidate, error) {
-	return t.closestToPath(path, k, 0, false, exclude)
-}
-
-// ClosestToPathExcluding is ClosestToPath with a single excluded peer
-// (almost always the joiner itself). It exists so the join hot path never
-// materializes an exclusion map.
+// ClosestToPathExcluding answers a closest-peers query for a (possibly not
+// yet inserted) newcomer whose reported path is given, leaving out peer self
+// (almost always the joiner itself). This is the server's "second round":
+// the newcomer's candidate list is computed before or without inserting it.
 func (t *Tree) ClosestToPathExcluding(path []topology.NodeID, k int, self PeerID) ([]Candidate, error) {
-	return t.closestToPath(path, k, self, true, nil)
-}
-
-func (t *Tree) closestToPath(path []topology.NodeID, k int, self PeerID, hasSelf bool, exclude map[PeerID]bool) ([]Candidate, error) {
 	if err := ValidatePath(path, t.core.Landmark()); err != nil || k <= 0 {
 		return nil, err
 	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	skip := none
-	if slot, ok := t.byPeer[self]; ok && hasSelf {
+	if slot, ok := t.byPeer[self]; ok {
 		skip = slot
 	}
 	sc := GetScratch()
 	defer sc.Release()
-	return candidates(t.core.ClosestToPath(path, k, skip, exclude, sc)), nil
+	return candidates(t.core.ClosestToPath(path, k, skip, sc)), nil
 }
 
 // Peers returns all peer IDs in the tree in ascending order.
@@ -318,11 +307,4 @@ func (t *Tree) CheckInvariants() error {
 		return fmt.Errorf("pathtree: %d peers attached but %d indexed", t.core.Len(), len(t.byPeer))
 	}
 	return nil
-}
-
-// Stats computes current tree statistics.
-func (t *Tree) Stats() Stats {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.core.Stats()
 }

@@ -207,7 +207,7 @@ func TestClosestToPathWithoutInsertion(t *testing.T) {
 	mustInsert(t, tr, 1, P(10, 11, 0))
 	mustInsert(t, tr, 2, P(20, 0))
 	// Newcomer path shares router 11 with peer 1.
-	got, err := tr.ClosestToPath(P(99, 11, 0), 2, nil)
+	got, err := tr.ClosestToPathExcluding(P(99, 11, 0), 2, 3) // newcomer 3
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestClosestToPathExclude(t *testing.T) {
 	tr := New(0, Options{})
 	mustInsert(t, tr, 1, P(10, 0))
 	mustInsert(t, tr, 2, P(11, 0))
-	got, err := tr.ClosestToPath(P(12, 0), 5, map[PeerID]bool{1: true})
+	got, err := tr.ClosestToPathExcluding(P(12, 0), 5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestClosestToPathDivergent(t *testing.T) {
 	// Newcomer path matches nothing beyond the landmark.
 	tr := New(0, Options{})
 	mustInsert(t, tr, 1, P(10, 11, 0))
-	got, err := tr.ClosestToPath(P(50, 51, 52, 0), 1, nil)
+	got, err := tr.ClosestToPathExcluding(P(50, 51, 52, 0), 1, 2) // newcomer 2
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,9 +266,8 @@ func TestRemove(t *testing.T) {
 		t.Fatalf("removed peer still returned: %v", got)
 	}
 	// Pruning: the branch for router 10 must be gone.
-	st := tr.Stats()
-	if st.Nodes != 3 { // root, 11, 20
-		t.Fatalf("nodes=%d want 3 after pruning", st.Nodes)
+	if live := tr.ArenaStats().Live; live != 2 { // 11, 20 under the root
+		t.Fatalf("live nodes=%d want 2 after pruning", live)
 	}
 }
 
@@ -306,15 +305,19 @@ func TestStats(t *testing.T) {
 	tr := New(0, Options{})
 	mustInsert(t, tr, 1, P(10, 11, 0))
 	mustInsert(t, tr, 2, P(12, 11, 0))
-	st := tr.Stats()
-	if st.Peers != 2 {
-		t.Fatalf("peers=%d", st.Peers)
+	if n := tr.Len(); n != 2 {
+		t.Fatalf("peers=%d", n)
 	}
-	if st.Nodes != 4 { // root, 11, 10, 12
-		t.Fatalf("nodes=%d", st.Nodes)
+	if live := tr.ArenaStats().Live; live != 3 { // 11, 10, 12 under the root
+		t.Fatalf("live nodes=%d", live)
 	}
-	if st.MaxDepth != 2 {
-		t.Fatalf("maxDepth=%d", st.MaxDepth)
+	for _, p := range []PeerID{1, 2} {
+		if d, err := tr.Depth(p); err != nil || d != 2 {
+			t.Fatalf("depth of %d=%d err=%v", p, d, err)
+		}
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -323,23 +326,9 @@ func TestRouterConflictDetection(t *testing.T) {
 	tr := New(0, Options{})
 	mustInsert(t, tr, 1, P(11, 5, 0))
 	mustInsert(t, tr, 2, P(11, 0)) // 11 directly under root now too
-	if st := tr.Stats(); st.RouterConflicts != 1 {
-		t.Fatalf("conflicts=%d want 1", st.RouterConflicts)
-	}
 	// Both peers must still be queryable.
 	if d, err := tr.DTree(1, 2); err != nil || d <= 0 {
 		t.Fatalf("dtree=%d err=%v", d, err)
-	}
-	// The count describes the trie as it is now: once the second position is
-	// pruned the conflict is gone, whichever of the two peers leaves.
-	tr.Remove(2)
-	if st := tr.Stats(); st.RouterConflicts != 0 {
-		t.Fatalf("conflicts=%d after removing the conflicting peer, want 0", st.RouterConflicts)
-	}
-	mustInsert(t, tr, 2, P(11, 0))
-	tr.Remove(1)
-	if st := tr.Stats(); st.RouterConflicts != 0 {
-		t.Fatalf("conflicts=%d after removing the first-seen peer, want 0", st.RouterConflicts)
 	}
 }
 
@@ -533,8 +522,8 @@ func TestInsertRemoveChurn(t *testing.T) {
 	}
 }
 
-// Property: ClosestToPath for an inserted peer's own path (excluding the
-// peer) equals Closest for that peer.
+// Property: ClosestToPathExcluding for an inserted peer's own path
+// (excluding the peer) equals Closest for that peer.
 func TestClosestToPathConsistent(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -550,7 +539,7 @@ func TestClosestToPathConsistent(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		b, err := tr.ClosestToPath(path, k, map[PeerID]bool{p: true})
+		b, err := tr.ClosestToPathExcluding(path, k, p)
 		if err != nil {
 			return false
 		}

@@ -568,7 +568,7 @@ func TestClosestVisitsBounded(t *testing.T) {
 		for i := 0; i < queries; i++ {
 			p := 1 + rng.Intn(c.peers)
 			core.Closest(slots[p], k, &resident)
-			core.ClosestToPath(heapPath(1+rng.Intn(200_000)), k, slots[p], nil, &newcomer)
+			core.ClosestToPath(heapPath(1+rng.Intn(200_000)), k, slots[p], &newcomer)
 			path := paths[1+rng.Intn(c.peers)]
 			slot, _ := core.Join(PeerID(c.peers+1+i), path, k, &joiner)
 			joinHops += len(path) - 1

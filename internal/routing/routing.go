@@ -23,11 +23,10 @@ import (
 // Unreachable marks nodes with no path to the BFS source.
 const Unreachable = int32(-1)
 
-// Tree is a shortest-path tree rooted at Root. Parent[u] is the next hop
-// from u toward the root (Parent[Root] == InvalidNode), Depth[u] the hop
-// distance (Unreachable if disconnected).
+// Tree is a shortest-path tree. Parent[u] is the next hop from u toward the
+// root (InvalidNode at the root), Depth[u] the hop distance (Unreachable if
+// disconnected).
 type Tree struct {
-	Root   topology.NodeID
 	Parent []topology.NodeID
 	Depth  []int32
 }
@@ -41,7 +40,6 @@ func BFSTree(g *topology.Graph, root topology.NodeID) (*Tree, error) {
 		return nil, fmt.Errorf("routing: root %d out of range [0,%d)", root, n)
 	}
 	t := &Tree{
-		Root:   root,
 		Parent: make([]topology.NodeID, n),
 		Depth:  make([]int32, n),
 	}

@@ -328,7 +328,7 @@ func TestStateMachineMatchesModel(t *testing.T) {
 				}
 			}
 			for q, mq := range m.peers {
-				want := PeerInfo{ID: q, Landmark: landmarkOf(mq.path), Path: mq.path, Addr: mq.addr,
+				want := PeerInfo{Landmark: landmarkOf(mq.path), Path: mq.path, Addr: mq.addr,
 					SuperPeer: mq.super, LastRefresh: time.Unix(0, mq.refresh)}
 				if got, err := s.PeerInfo(q); err != nil || !reflect.DeepEqual(got, want) {
 					t.Fatalf("seed %d step %d %s: PeerInfo(%d)\ngot  %+v, %v\nwant %+v", seed, step, desc, q, got, err, want)

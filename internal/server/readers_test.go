@@ -192,10 +192,10 @@ func TestReadersDuringChurn(t *testing.T) {
 
 // TestLookupProceedsWhileWriterMutexHeld pins which lock a whole-state walk
 // holds. With the writer mutex held — first by the test itself, standing in
-// for a snapshot in progress, then by Snapshot, Stats, Peers and the scan of
-// an expiry sweep, each parked in walkHook — Lookup, PeerInfo, NumPeers,
-// ArenaStats and Stats (what a metrics scrape reads) return, and a JoinOp does not
-// until the mutex is released.
+// for a snapshot in progress, then by Snapshot, Peers and the scan of an
+// expiry sweep, each parked in walkHook — Lookup, PeerInfo, NumPeers,
+// ArenaStats and Stats (what a metrics scrape reads) return, and a JoinOp
+// does not until the mutex is released.
 func TestLookupProceedsWhileWriterMutexHeld(t *testing.T) {
 	const landmark topology.NodeID = 9
 	s, err := New(Config{Landmarks: []topology.NodeID{landmark}})
@@ -262,7 +262,6 @@ func TestLookupProceedsWhileWriterMutexHeld(t *testing.T) {
 		walk func()
 	}{
 		{"Snapshot", func() { _ = WriteSnapshot(io.Discard, s) }},
-		{"Stats", func() { s.Stats() }},
 		{"Peers", func() { s.Peers() }},
 		{"ExpireOp", func() { s.ExpireOp(op.Expire(3)) }}, // peers 1 and 2
 	}

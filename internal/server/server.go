@@ -62,7 +62,7 @@
 // package pathtree's TestConcurrentChurnQueryNeverSeesRecycled).
 //
 // The state lock (mu, an RWMutex) is what lookups take. Lookup, PeerInfo,
-// NumPeers, ArenaStats and Landmarks read-hold it. A writer, wmu
+// NumPeers, Stats, ArenaStats and Landmarks read-hold it. A writer, wmu
 // already held, takes it exclusively around one single mutation and nothing
 // else: one state.join per entry of a batch (the answer is copied out after
 // the release), one Remove per expired peer or retired orphan.
@@ -180,8 +180,6 @@ type Config struct {
 // PeerInfo is what the server knows of one peer, as PeerInfo() reports it.
 // It is assembled per call from the peer's record and the trie, not stored.
 type PeerInfo struct {
-	// ID is the peer's identifier.
-	ID pathtree.PeerID
 	// Landmark is the landmark whose tree holds the peer.
 	Landmark topology.NodeID
 	// Path is the reported router path, peer-side first: the routers from
@@ -208,8 +206,6 @@ type Stats struct {
 	// SuperPeerDelegations counts queries answered by delegating to a
 	// nearby super-peer rather than by a full tree walk.
 	SuperPeerDelegations int
-	// TreeStats maps each landmark to its path-tree statistics.
-	TreeStats map[topology.NodeID]pathtree.Stats
 }
 
 // state is the server's mutable state: the trees and the peer index. A
@@ -758,7 +754,6 @@ func (s *Server) PeerInfo(p pathtree.PeerID) (PeerInfo, error) {
 	}
 	rec := tree.Record(r.slot)
 	return PeerInfo{
-		ID:          rec.ID,
 		Landmark:    r.lm,
 		Path:        tree.AppendPath(make([]topology.NodeID, 0, tree.Depth(r.slot)+1), r.slot),
 		Addr:        string(tree.Addr(rec)),
@@ -812,22 +807,16 @@ func (s *Server) Peers() []pathtree.PeerID {
 	return out
 }
 
-// Stats snapshots server counters and tree shapes.
+// Stats snapshots the server's counters.
 func (s *Server) Stats() Stats {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	s.walking()
-	st := Stats{
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return Stats{
 		Peers:                s.st.resident(),
 		Joins:                int(s.joins.Load()),
 		Leaves:               int(s.leaves.Load()),
 		Expiries:             int(s.expiries.Load()),
 		Queries:              int(s.queries.Load()),
 		SuperPeerDelegations: int(s.delegations.Load()),
-		TreeStats:            make(map[topology.NodeID]pathtree.Stats, len(s.st.trees)),
 	}
-	for lm, tree := range s.st.trees {
-		st.TreeStats[lm] = tree.Stats()
-	}
-	return st
 }

@@ -153,9 +153,8 @@ func TestRejoinSwitchingLandmark(t *testing.T) {
 		t.Fatalf("landmark=%d want 100", info.Landmark)
 	}
 	// Old tree must no longer hold the peer.
-	st := s.Stats()
-	if st.TreeStats[0].Peers != 0 || st.TreeStats[100].Peers != 1 {
-		t.Fatalf("tree stats: %+v", st.TreeStats)
+	if n0, n100 := s.st.trees[0].Len(), s.st.trees[100].Len(); n0 != 0 || n100 != 1 {
+		t.Fatalf("tree peers: %d at 0, %d at 100", n0, n100)
 	}
 }
 
@@ -295,8 +294,8 @@ func TestStatsCounters(t *testing.T) {
 	if st.Joins != 2 || st.Leaves != 1 || st.Queries != 3 || st.Peers != 1 {
 		t.Fatalf("stats=%+v", st)
 	}
-	if st.TreeStats[0].Peers != 1 {
-		t.Fatalf("tree stats=%+v", st.TreeStats[0])
+	if n := s.st.trees[0].Len(); n != 1 {
+		t.Fatalf("tree peers=%d", n)
 	}
 }
 
@@ -346,8 +345,8 @@ func TestConcurrentJoinsLeaves(t *testing.T) {
 func validateCounts(s *Server) error {
 	st := s.Stats()
 	total := 0
-	for _, ts := range st.TreeStats {
-		total += ts.Peers
+	for _, tree := range s.st.trees {
+		total += tree.Len()
 	}
 	if total != st.Peers {
 		return errors.New("tree peer totals disagree with registry")

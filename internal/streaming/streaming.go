@@ -82,7 +82,6 @@ type Session struct {
 	rng     *rand.Rand
 	have    map[pathtree.PeerID][]bool
 	deliver map[pathtree.PeerID][]int64 // delivery time per chunk, -1 absent
-	sending map[pathtree.PeerID]int     // in-flight uploads per peer
 }
 
 // NewSession prepares a broadcast from source over the given mesh. hops
@@ -104,7 +103,6 @@ func NewSession(mesh *overlay.Overlay, source pathtree.PeerID, hops HopFunc, cfg
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		have:    make(map[pathtree.PeerID][]bool),
 		deliver: make(map[pathtree.PeerID][]int64),
-		sending: make(map[pathtree.PeerID]int),
 	}
 	for _, p := range mesh.Peers() {
 		s.have[p] = make([]bool, cfg.Chunks)

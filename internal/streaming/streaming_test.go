@@ -13,7 +13,7 @@ func lineMesh(t *testing.T, n int) (*overlay.Overlay, HopFunc) {
 	t.Helper()
 	o := overlay.New()
 	for i := 1; i <= n; i++ {
-		if err := o.AddPeer(overlay.Peer{ID: pathtree.PeerID(i)}); err != nil {
+		if err := o.AddPeer(pathtree.PeerID(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -94,7 +94,7 @@ func TestFartherPeersReceiveLater(t *testing.T) {
 
 func TestDisconnectedPeerMissesChunks(t *testing.T) {
 	o, hops := lineMesh(t, 4)
-	if err := o.AddPeer(overlay.Peer{ID: 50}); err != nil { // isolated peer
+	if err := o.AddPeer(50); err != nil { // isolated peer
 		t.Fatal(err)
 	}
 	sess, err := NewSession(o, 1, hops, Config{Chunks: 5, Seed: 3})
@@ -116,7 +116,7 @@ func TestProximityBeatsDistantMesh(t *testing.T) {
 	build := func(hop int) *Result {
 		o := overlay.New()
 		for i := 1; i <= 20; i++ {
-			if err := o.AddPeer(overlay.Peer{ID: pathtree.PeerID(i)}); err != nil {
+			if err := o.AddPeer(pathtree.PeerID(i)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -150,7 +150,7 @@ func TestUploadCapacitySerializes(t *testing.T) {
 	build := func(slots int) *Result {
 		o := overlay.New()
 		for i := 1; i <= 30; i++ {
-			if err := o.AddPeer(overlay.Peer{ID: pathtree.PeerID(i)}); err != nil {
+			if err := o.AddPeer(pathtree.PeerID(i)); err != nil {
 				t.Fatal(err)
 			}
 		}

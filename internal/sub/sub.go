@@ -116,7 +116,6 @@ type Subscriber struct {
 	inLast   map[pathtree.PeerID]int // peer -> DTree of the current answer
 	known    bool                    // peer query: subject currently registered
 	members  map[pathtree.PeerID]struct{}
-	lossy    bool // landmark membership overflowed maxLandmarkMembers
 }
 
 // Ready is signalled (capacity-1, coalesced) whenever events are queued.
@@ -610,8 +609,6 @@ func (p *Plane) evalLandmark(s *Subscriber, seq uint64, o *op.Op) {
 				kind = proto.EventEnter
 				if len(s.members) < maxLandmarkMembers {
 					s.members[e.Peer] = struct{}{}
-				} else {
-					s.lossy = true
 				}
 			}
 			if s.push(Event{Seq: seq, Kind: kind, Peer: e.Peer}) {
@@ -684,7 +681,6 @@ func (p *Plane) resyncOne(s *Subscriber, seq uint64) {
 		// observation-since-subscribe); an empty resync tells the client its
 		// view is no longer complete.
 		s.members = make(map[pathtree.PeerID]struct{})
-		s.lossy = true
 	}
 	s.supersede(ev)
 }

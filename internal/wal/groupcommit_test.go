@@ -55,9 +55,9 @@ func TestMaxSyncDelayBatchesFsyncs(t *testing.T) {
 	}
 	close(hold)
 	wg.Wait()
-	m := log.Metrics()
-	if m.Appends != writers*each {
-		t.Fatalf("appends %d, want %d", m.Appends, writers*each)
+	m, appends := log.Metrics(), log.appends.Value()
+	if appends != writers*each {
+		t.Fatalf("appends %d, want %d", appends, writers*each)
 	}
 	if m.SyncedRecords != writers*each {
 		t.Fatalf("synced records %d, want %d", m.SyncedRecords, writers*each)
@@ -65,8 +65,8 @@ func TestMaxSyncDelayBatchesFsyncs(t *testing.T) {
 	if m.Fsyncs == 0 {
 		t.Fatal("no fsyncs counted")
 	}
-	if m.Fsyncs >= m.Appends {
-		t.Fatalf("group commit never batched: %d fsyncs for %d appends", m.Fsyncs, m.Appends)
+	if m.Fsyncs >= appends {
+		t.Fatalf("group commit never batched: %d fsyncs for %d appends", m.Fsyncs, appends)
 	}
 }
 
@@ -164,9 +164,8 @@ func TestMetricsNoSync(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m := log.Metrics()
-	if m.Appends != 5 || m.Fsyncs != 0 {
-		t.Fatalf("metrics %+v, want 5 appends and 0 fsyncs", m)
+	if m, appends := log.Metrics(), log.appends.Value(); appends != 5 || m.Fsyncs != 0 {
+		t.Fatalf("%d appends, metrics %+v, want 5 appends and 0 fsyncs", appends, m)
 	}
 }
 

@@ -218,7 +218,6 @@ func (s *Sharded) initMetrics() {
 // Metrics returns the log's group-commit counters.
 func (s *Sharded) Metrics() Metrics {
 	return Metrics{
-		Appends:       s.appends.Value(),
 		Fsyncs:        s.fsyncs.Value(),
 		SyncedRecords: s.syncedRecords.Value(),
 	}

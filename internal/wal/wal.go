@@ -107,8 +107,6 @@ type Options struct {
 // Metrics reports a log's group-commit counters. SyncedRecords/Fsyncs is
 // the average commit batch: how many records each disk sync covered.
 type Metrics struct {
-	// Appends is the number of records appended.
-	Appends uint64
 	// Fsyncs is the number of fsync syscalls issued (0 with NoSync).
 	Fsyncs uint64
 	// SyncedRecords is the number of records made durable by those

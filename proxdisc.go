@@ -211,9 +211,6 @@ func HopDistances(sim *Simulation, from RouterID) ([]int32, error) {
 // concurrent use.
 type Overlay = overlay.Overlay
 
-// OverlayPeer describes one overlay participant.
-type OverlayPeer = overlay.Peer
-
 // NewOverlay returns an empty overlay mesh.
 func NewOverlay() *Overlay { return overlay.New() }
 
