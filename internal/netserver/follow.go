@@ -267,17 +267,13 @@ func (f *followConn) take(cursor uint64) ([]proto.OpRecord, takeState) {
 	if f.buf[0].Seq > cursor+1 {
 		return nil, needCatchup
 	}
-	size := 2
+	data := 0
 	out := make([]proto.OpRecord, 0, len(f.buf))
-	for i := range f.buf {
-		r := f.buf[i]
-		if len(out) == proto.MaxStreamRecords {
+	for _, r := range f.buf {
+		if len(out) > 0 && !proto.OpRecordsFit(len(out)+1, data+len(r.Data)) {
 			break
 		}
-		if len(out) > 0 && size+12+len(r.Data)+9 > proto.MaxFrameSize {
-			break
-		}
-		size += 12 + len(r.Data)
+		data += len(r.Data)
 		out = append(out, r)
 	}
 	f.buf = f.buf[len(out):]
@@ -541,7 +537,7 @@ func (f *followConn) catchup(cursor uint64) (uint64, bool) {
 func (f *followConn) shipTail(cursor uint64) (uint64, error) {
 	var (
 		batch []proto.OpRecord
-		size  = 2
+		data  int // op bytes in batch
 	)
 	flush := func() error {
 		if len(batch) == 0 {
@@ -553,18 +549,17 @@ func (f *followConn) shipTail(cursor uint64) (uint64, error) {
 		if !f.sendBatch(batch) {
 			return errSendFailed
 		}
-		batch, size = nil, 2
+		batch, data = nil, 0
 		return nil
 	}
 	err := f.hub.src.ReadCommitted(cursor, func(seq uint64, rec []byte) error {
-		data := append([]byte(nil), rec...)
-		if len(batch) == proto.MaxStreamRecords || size+12+len(data)+9 > proto.MaxFrameSize {
+		if !proto.OpRecordsFit(len(batch)+1, data+len(rec)) {
 			if err := flush(); err != nil {
 				return err
 			}
 		}
-		batch = append(batch, proto.OpRecord{Seq: seq, Data: data})
-		size += 12 + len(data)
+		batch = append(batch, proto.OpRecord{Seq: seq, Data: append([]byte(nil), rec...)})
+		data += len(rec)
 		cursor = seq
 		return nil
 	})

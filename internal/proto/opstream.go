@@ -98,23 +98,32 @@ type OpRecords struct {
 	Records []OpRecord
 }
 
+// OpRecordsFit reports whether n records holding dataBytes bytes of op
+// data in all fit one MsgOpRecords frame: at most MaxStreamRecords, and
+// the payload below plus the frame's type and request ID within
+// MaxFrameSize. Senders batch greedily and flush before a record would not
+// fit.
+func OpRecordsFit(n, dataBytes int) bool {
+	return n <= MaxStreamRecords && 2+12*n+dataBytes+frameIDHeaderSize-4 <= MaxFrameSize
+}
+
 // EncodeOpRecords encodes an OpRecords payload:
 //
 //	count(2) then per record seq(8) len(4) data
 //
-// It enforces the frame budget, so callers batch greedily and flush when
-// encoding reports the frame is full.
+// It refuses a batch that OpRecordsFit refuses.
 func EncodeOpRecords(m *OpRecords) ([]byte, error) {
 	if len(m.Records) == 0 || len(m.Records) > MaxStreamRecords {
 		return nil, fmt.Errorf("%w: %d stream records", ErrLimit, len(m.Records))
 	}
-	size := 2
+	data := 0
 	for i := range m.Records {
-		size += 12 + len(m.Records[i].Data)
+		data += len(m.Records[i].Data)
 	}
-	if size+9 > MaxFrameSize { // so no record here is near op.MaxEncodedSize
+	if !OpRecordsFit(len(m.Records), data) { // so no record here is near op.MaxEncodedSize
 		return nil, ErrFrameTooLarge
 	}
+	size := 2 + 12*len(m.Records) + data
 	// The payload comes from the frame pool: the op-stream sender hands it
 	// to the connection writer, which recycles it after the frame is
 	// copied out — assembling a MsgOpRecords frame allocates nothing in

@@ -3,6 +3,7 @@ package proto
 import (
 	"bytes"
 	"errors"
+	"io"
 	"testing"
 
 	"proxdisc/internal/codec"
@@ -84,6 +85,19 @@ func TestOpRecordsLimits(t *testing.T) {
 	huge := OpRecord{Seq: 1, Data: make([]byte, MaxFrameSize)}
 	if _, err := EncodeOpRecords(&OpRecords{Records: []OpRecord{huge}}); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("huge record: %v", err)
+	}
+	// The budget is the frame's: the largest record OpRecordsFit admits
+	// goes out as one ID frame, and one byte more is refused.
+	most := OpRecord{Seq: 1, Data: make([]byte, MaxFrameSize-2-12-9)}
+	full, err := EncodeOpRecords(&OpRecords{Records: []OpRecord{most}})
+	if err != nil || !OpRecordsFit(1, len(most.Data)) {
+		t.Fatalf("largest record: %v", err)
+	}
+	if err := WriteFrameID(io.Discard, MsgOpRecords, 1, full); err != nil {
+		t.Fatalf("largest record's frame: %v", err)
+	}
+	if OpRecordsFit(1, len(most.Data)+1) {
+		t.Fatal("OpRecordsFit admits a record one byte over the frame")
 	}
 	// Truncated payloads fail loudly.
 	payload, err := EncodeOpRecords(&OpRecords{Records: []OpRecord{{Seq: 3, Data: []byte{1, 2, 3}}}})
