@@ -433,9 +433,15 @@ func (c *Cluster) joinRoute(o op.Op, quiet bool) ([]pathtree.Candidate, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := g.applyOp(o, quiet)
+	g.applies.Inc()
+	var cands []pathtree.Candidate
+	if quiet {
+		err = g.srv.Apply(o)
+	} else {
+		cands, err = g.srv.JoinOp(o)
+	}
 	c.retireOrphans(g)
-	return res.cands, err
+	return cands, err
 }
 
 // retireOrphans retires the records that joins on g left behind in trees of
@@ -547,15 +553,23 @@ func (c *Cluster) batchRoute(o op.Op, quiet bool) (out []server.BatchResult, acc
 		if len(g.idxs) == 0 {
 			continue
 		}
-		res, _ := c.shards[shard].applyOp(op.BatchJoin(g.entries, o.Time), quiet)
-		for k, r := range res.batch {
+		sh := c.shards[shard]
+		sh.applies.Inc()
+		b := op.BatchJoin(g.entries, o.Time)
+		var res []server.BatchResult
+		if quiet {
+			_ = sh.srv.Apply(b) // answers nothing, and refuses no batch
+		} else {
+			res = sh.srv.JoinBatchOp(b)
+		}
+		for k, r := range res {
 			i := g.idxs[k]
 			out[i] = r
 			if r.Err == nil {
 				accepted = append(accepted, items[i])
 			}
 		}
-		c.retireOrphans(c.shards[shard])
+		c.retireOrphans(sh)
 	}
 	return out, accepted, deferred
 }
@@ -661,7 +675,10 @@ func (c *Cluster) applyRouted(o op.Op) error {
 		}
 		return nil
 	case op.KindLeave, op.KindRefresh, op.KindSetSuperPeer:
-		_, err := atPeer(c, o.Peer, func(g *shard, _ pathtree.PeerID) (opResult, error) { return g.applyOp(o, quiet) })
+		_, err := atPeer(c, o.Peer, func(g *shard, _ pathtree.PeerID) (struct{}, error) {
+			g.applies.Inc()
+			return struct{}{}, g.srv.Apply(o)
+		})
 		return err
 	case op.KindExpire:
 		c.expireRouted(o)
@@ -743,9 +760,9 @@ func (c *Cluster) expireRouted(o op.Op) []pathtree.PeerID {
 	c.adoptMu.Lock()
 	defer c.adoptMu.Unlock()
 	per := make([][]pathtree.PeerID, len(c.shards))
-	c.scatter(func(i int, _ *server.Server) {
-		res, _ := c.shards[i].applyOp(o, false)
-		per[i] = res.expired
+	c.scatter(func(i int, s *server.Server) {
+		c.shards[i].applies.Inc()
+		per[i] = s.ExpireOp(o)
 	})
 	var out []pathtree.PeerID
 	for _, ps := range per {
