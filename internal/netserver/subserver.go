@@ -110,15 +110,11 @@ func subErrCode(err error) uint16 {
 	switch {
 	case errors.Is(err, sub.ErrUnknownLandmark):
 		return proto.CodeUnknownLandmark
-	case isUnknownPeerErr(err):
+	case errors.Is(err, server.ErrUnknownPeer):
 		return proto.CodeUnknownPeer
 	default:
 		return proto.CodeBadRequest
 	}
-}
-
-func isUnknownPeerErr(err error) bool {
-	return errors.Is(err, pathtree.ErrUnknownPeer) || errors.Is(err, server.ErrUnknownPeer)
 }
 
 // serveUnsubscribe cancels a subscription registered on this connection

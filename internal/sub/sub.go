@@ -750,5 +750,5 @@ func pathDTree(a, b []topology.NodeID) int {
 }
 
 func isUnknownPeer(err error) bool {
-	return errors.Is(err, server.ErrUnknownPeer) || errors.Is(err, pathtree.ErrUnknownPeer)
+	return errors.Is(err, server.ErrUnknownPeer)
 }
