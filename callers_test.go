@@ -148,7 +148,7 @@ func TestNamesHaveCallers(t *testing.T) {
 	}
 	if len(dead) > 0 {
 		slices.Sort(dead)
-		t.Fatalf("names under internal/ that no non-test file uses:\n  %s\n"+
+		t.Fatalf("names under internal/ that no non-test file uses (or, for a field, reads or sets):\n  %s\n"+
 			"delete each (with the tests that check only it), or list it in keptWithoutCaller with its reason",
 			strings.Join(dead, "\n  "))
 	}
