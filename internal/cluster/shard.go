@@ -13,10 +13,8 @@ import (
 type shard struct {
 	srv *server.Server
 
-	// applies counts the ops the cluster applies to the server, each
-	// through the server method its kind and road call for (JoinOp,
-	// JoinBatchOp, ExpireOp, or Apply for a quiet op), and the groups the
-	// checkpoint loader hands the server whole.
+	// applies counts the ops the cluster's roads hand the server, one per
+	// server call, and the groups the checkpoint loader hands it whole.
 	// newShard seeds a private counter; Cluster.initMetrics swaps in the
 	// registered per-shard series before the shard takes traffic.
 	applies *telemetry.Counter
