@@ -146,6 +146,38 @@ func TestWireErrors(t *testing.T) {
 	}
 }
 
+// TestMalformedPathIsBadRequest: a join whose path repeats a router, holds
+// an anonymous one or is empty is the client's fault, so it is answered
+// CodeBadRequest, as a single join and as a batch entry, and registers
+// nothing.
+func TestMalformedPathIsBadRequest(t *testing.T) {
+	ns, _ := startServer(t)
+	c := dial(t, ns)
+	for i, path := range [][]int32{{5, 5, 0}, {-1, 0}, {}} {
+		peer := int64(10 + i)
+		var werr *proto.Error
+		if _, err := c.Join(peer, "x", path); !errors.As(err, &werr) || werr.Code != proto.CodeBadRequest {
+			t.Fatalf("join with path %v: err=%v, want CodeBadRequest", path, err)
+		}
+		res, err := c.JoinBatch([]client.BatchItem{
+			{Peer: 1, Addr: "a", Path: []int32{7, 0}},
+			{Peer: peer, Addr: "x", Path: path},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res[0].Err != nil {
+			t.Fatalf("batch with path %v: good entry refused: %v", path, res[0].Err)
+		}
+		if !errors.As(res[1].Err, &werr) || werr.Code != proto.CodeBadRequest {
+			t.Fatalf("batch entry with path %v: err=%v, want CodeBadRequest", path, res[1].Err)
+		}
+		if _, err := c.Lookup(peer); !errors.As(err, &werr) || werr.Code != proto.CodeUnknownPeer {
+			t.Fatalf("peer %d with path %v registered: lookup err=%v", peer, path, err)
+		}
+	}
+}
+
 func TestUnknownMessageType(t *testing.T) {
 	ns, _ := startServer(t)
 	conn := rawV2(t, ns.Addr())
