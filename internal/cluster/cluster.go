@@ -403,36 +403,48 @@ func (c *Cluster) JoinOp(o op.Op) ([]pathtree.Candidate, error) {
 	return cands, nil
 }
 
-// enter resolves the shard that owns landmark lm.
-func (c *Cluster) enter(lm topology.NodeID) (*shard, error) {
-	shard, ok := c.table[lm]
-	if !ok {
-		return nil, fmt.Errorf("%w (router %d)", server.ErrUnknownLandmark, lm)
+// shardOf resolves the shard that owns landmark lm.
+func (c *Cluster) shardOf(lm topology.NodeID) (int, error) {
+	if shard, ok := c.table[lm]; ok {
+		return shard, nil
 	}
-	return c.shards[shard], nil
+	return 0, fmt.Errorf("%w (router %d)", server.ErrUnknownLandmark, lm)
 }
 
-// enterPeer is enter for a request that names a peer and no path: the index
-// entry names the landmark, the table its owner.
+// pathShard resolves the shard that owns the landmark a join's path ends at:
+// every road of a join — answered, batched, replayed or loaded — routes it
+// here, and the owning server's door checks the rest of the entry. An empty
+// path names no landmark, and is refused as the door refuses it.
+func (c *Cluster) pathShard(path []topology.NodeID) (int, error) {
+	if len(path) == 0 {
+		return 0, fmt.Errorf("%w: empty path", server.ErrBadJoin)
+	}
+	return c.shardOf(path[len(path)-1])
+}
+
+// enterPeer resolves the shard of a request that names a peer and no path:
+// the index entry names the landmark, the table its owner.
 func (c *Cluster) enterPeer(p pathtree.PeerID) (*shard, error) {
 	lm, _, ok := c.idx.Load().Place(p)
 	if !ok {
 		return nil, fmt.Errorf("%w: %d", server.ErrUnknownPeer, p)
 	}
-	return c.enter(lm)
+	shard, err := c.shardOf(lm)
+	if err != nil {
+		return nil, err
+	}
+	return c.shards[shard], nil
 }
 
 // joinRoute routes a join op to the shard owning its path's landmark. It is
 // the shared road of answering joins (quiet=false) and silent ones
 // (quiet=true: Apply and WAL recovery).
 func (c *Cluster) joinRoute(o op.Op, quiet bool) ([]pathtree.Candidate, error) {
-	if len(o.Join.Path) == 0 {
-		return nil, errors.New("server: empty path")
-	}
-	g, err := c.enter(o.Join.Path[len(o.Join.Path)-1])
+	shard, err := c.pathShard(o.Join.Path)
 	if err != nil {
 		return nil, err
 	}
+	g := c.shards[shard]
 	g.applies.Inc()
 	var cands []pathtree.Candidate
 	if quiet {
@@ -453,8 +465,8 @@ func (c *Cluster) retireOrphans(g *shard) {
 	for _, o := range g.srv.TakeOrphans() {
 		// The owner holds the orphan's tree, so Retire refuses nothing, and
 		// whether it found the record still there changes nothing here.
-		if owner, err := c.enter(o.Landmark); err == nil {
-			_, _ = owner.srv.Retire(o)
+		if owner, err := c.shardOf(o.Landmark); err == nil {
+			_, _ = c.shards[owner].srv.Retire(o)
 		}
 	}
 }
@@ -530,24 +542,18 @@ func (c *Cluster) batchRoute(o op.Op, quiet bool) (out []server.BatchResult, acc
 	// whose count is small and fixed.
 	groups := make([]batchGroup, len(c.shards))
 	for i := range items {
-		it := &items[i]
-		if len(it.Path) == 0 {
-			out[i].Err = errors.New("server: empty path")
+		shard, err := c.pathShard(items[i].Path)
+		if err != nil {
+			out[i].Err = err
 			continue
 		}
-		lm := it.Path[len(it.Path)-1]
-		shard, ok := c.table[lm]
-		if !ok {
-			out[i].Err = fmt.Errorf("%w (router %d)", server.ErrUnknownLandmark, lm)
-			continue
-		}
-		if dup(it.Peer, i) {
+		if dup(items[i].Peer, i) {
 			deferred = append(deferred, i)
 			continue
 		}
 		g := &groups[shard]
 		g.idxs = append(g.idxs, i)
-		g.entries = append(g.entries, *it)
+		g.entries = append(g.entries, items[i])
 	}
 	for shard, g := range groups {
 		if len(g.idxs) == 0 {

@@ -2,13 +2,11 @@ package cluster
 
 import (
 	"errors"
-	"fmt"
 	"io"
 	"sync"
 
 	"proxdisc/internal/op"
 	"proxdisc/internal/pathtree"
-	"proxdisc/internal/server"
 	"proxdisc/internal/wal"
 )
 
@@ -233,14 +231,9 @@ func (l *shardLoader) split(o op.Op) error {
 	l.owner = l.owner[:0]
 	clear(l.count)
 	for i := range o.Batch {
-		path := o.Batch[i].Path
-		if len(path) == 0 {
-			return errors.New("server: empty path")
-		}
-		lm := path[len(path)-1]
-		shard, ok := l.c.table[lm]
-		if !ok {
-			return fmt.Errorf("%w (router %d)", server.ErrUnknownLandmark, lm)
+		shard, err := l.c.pathShard(o.Batch[i].Path)
+		if err != nil {
+			return err
 		}
 		l.owner = append(l.owner, shard)
 		l.count[shard]++

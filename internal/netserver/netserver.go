@@ -714,6 +714,22 @@ func errResp(code uint16, err error) (proto.MsgType, []byte) {
 	return proto.MsgError, proto.EncodeError(&proto.Error{Code: code, Message: err.Error()})
 }
 
+// errCode is the wire code of the backend's refusal of a join, lookup or
+// refresh: a malformed join is the client's fault, an unknown landmark or
+// peer is named as such, and anything else is the server's.
+func errCode(err error) uint16 {
+	switch {
+	case errors.Is(err, server.ErrBadJoin):
+		return proto.CodeBadRequest
+	case errors.Is(err, server.ErrUnknownLandmark):
+		return proto.CodeUnknownLandmark
+	case errors.Is(err, server.ErrUnknownPeer):
+		return proto.CodeUnknownPeer
+	default:
+		return proto.CodeInternal
+	}
+}
+
 // serveInline serves a pipelined request on the calling reader goroutine
 // when it can never wait on the disk: status, landmarks and every lookup,
 // malformed ones included. ok=false sends the request to the pool
@@ -787,9 +803,6 @@ func (s *NetServer) handleReq(typ proto.MsgType, payload []byte) (proto.MsgType,
 		if err != nil {
 			return errResp(proto.CodeBadRequest, err)
 		}
-		if len(o.Join.Path) == 0 {
-			return errResp(proto.CodeBadRequest, errors.New("netserver: empty path"))
-		}
 		return s.serveJoin(o)
 
 	case proto.MsgBatchJoinRequest:
@@ -810,11 +823,7 @@ func (s *NetServer) handleReq(typ proto.MsgType, payload []byte) (proto.MsgType,
 		}
 		cands, err := s.cfg.Server.Lookup(pathtree.PeerID(req.Peer))
 		if err != nil {
-			code := proto.CodeInternal
-			if errors.Is(err, server.ErrUnknownPeer) {
-				code = proto.CodeUnknownPeer
-			}
-			return errResp(code, err)
+			return errResp(errCode(err), err)
 		}
 		b, err := proto.EncodeAnswer(cands)
 		if err != nil {
@@ -842,11 +851,7 @@ func (s *NetServer) handleReq(typ proto.MsgType, payload []byte) (proto.MsgType,
 			return errResp(proto.CodeBadRequest, err)
 		}
 		if err := s.cfg.Server.Apply(o); err != nil {
-			code := proto.CodeInternal
-			if errors.Is(err, server.ErrUnknownPeer) {
-				code = proto.CodeUnknownPeer
-			}
-			return errResp(code, err)
+			return errResp(errCode(err), err)
 		}
 		return proto.MsgAck, nil
 
@@ -889,11 +894,7 @@ func (s *NetServer) primaryAddr() string { return s.cfg.Replication.cfg.PrimaryA
 func (s *NetServer) serveJoin(o op.Op) (proto.MsgType, []byte) {
 	cands, err := s.cfg.Server.JoinOp(o)
 	if err != nil {
-		code := proto.CodeInternal
-		if errors.Is(err, server.ErrUnknownLandmark) {
-			code = proto.CodeUnknownLandmark
-		}
-		return errResp(code, err)
+		return errResp(errCode(err), err)
 	}
 	b, err := proto.EncodeAnswer(cands)
 	if err != nil {
@@ -902,36 +903,17 @@ func (s *NetServer) serveJoin(o op.Op) (proto.MsgType, []byte) {
 	return proto.MsgJoinResponse, b
 }
 
-// serveBatchJoin applies a batch's entries against the backend as one
-// JoinBatchOp and answers each entry on its own: an entry with no path is
-// refused CodeBadRequest without reaching the backend, and one under a
-// landmark the backend does not hold comes back CodeUnknownLandmark.
+// serveBatchJoin applies a batch against the backend as one JoinBatchOp and
+// answers each entry on its own, a refused entry with its errCode.
 func (s *NetServer) serveBatchJoin(o op.Op) (proto.MsgType, []byte) {
-	results := make([]proto.BatchAnswer, len(o.Batch))
-	entries := make([]op.JoinEntry, 0, len(o.Batch))
-	idxs := make([]int, 0, len(o.Batch))
-	for i := range o.Batch {
-		if len(o.Batch[i].Path) == 0 {
-			results[i] = proto.BatchAnswer{Code: proto.CodeBadRequest, Message: "netserver: empty path"}
+	res := s.cfg.Server.JoinBatchOp(o)
+	results := make([]proto.BatchAnswer, len(res))
+	for i := range res {
+		if err := res[i].Err; err != nil {
+			results[i] = proto.BatchAnswer{Code: errCode(err), Message: err.Error()}
 			continue
 		}
-		entries = append(entries, o.Batch[i])
-		idxs = append(idxs, i)
-	}
-	if len(entries) > 0 {
-		res := s.cfg.Server.JoinBatchOp(op.BatchJoin(entries, o.Time))
-		for k := range res {
-			i := idxs[k]
-			if err := res[k].Err; err != nil {
-				code := proto.CodeInternal
-				if errors.Is(err, server.ErrUnknownLandmark) {
-					code = proto.CodeUnknownLandmark
-				}
-				results[i] = proto.BatchAnswer{Code: code, Message: err.Error()}
-				continue
-			}
-			results[i].Neighbors = res[k].Neighbors
-		}
+		results[i].Neighbors = res[i].Neighbors
 	}
 	b, err := proto.EncodeBatchAnswer(results)
 	if err != nil {

@@ -158,6 +158,12 @@ const DefaultNeighborCount = 5
 // a registered landmark.
 var ErrUnknownLandmark = errors.New("server: path does not end at a registered landmark")
 
+// ErrBadJoin is returned for a join refused at the door, whatever the state
+// holds: its path is empty, repeats a router, holds an anonymous one or runs
+// past the path cap, or its address runs past the address cap. The fault is
+// the caller's.
+var ErrBadJoin = errors.New("server: malformed join")
+
 // ErrUnknownPeer is returned by lookups for absent peers.
 var ErrUnknownPeer = errors.New("server: unknown peer")
 
@@ -392,15 +398,21 @@ func (s *Server) Apply(o op.Op) error {
 // the state, which alone knows its trees. The op format's caps are checked
 // here too, not when the op is encoded for the log after it has applied: the
 // trees' address pools rely on the address cap, and their one-byte depths on
-// the path cap, which ValidatePath checks.
+// the path cap, which ValidatePath checks. Every refusal wraps ErrBadJoin.
 func validateJoin(e *op.JoinEntry) error {
+	var err error
 	switch {
 	case len(e.Path) == 0:
-		return errors.New("server: empty path")
+		err = errors.New("empty path")
 	case len(e.Addr) > op.MaxAddrLen:
-		return fmt.Errorf("server: address of %d bytes exceeds %d", len(e.Addr), op.MaxAddrLen)
+		err = fmt.Errorf("address of %d bytes exceeds %d", len(e.Addr), op.MaxAddrLen)
+	default:
+		err = pathtree.ValidatePath(e.Path, e.Path[len(e.Path)-1])
 	}
-	return pathtree.ValidatePath(e.Path, e.Path[len(e.Path)-1])
+	if err != nil {
+		return fmt.Errorf("%w: %w", ErrBadJoin, err)
+	}
+	return nil
 }
 
 // validEntries drops the entries of a replayed batch that fail validateJoin.
