@@ -176,9 +176,6 @@ func main() {
 	if *shards < 1 {
 		die("-shards must be at least 1", "shards", *shards)
 	}
-	if err := shardsBeyondLandmarks(*shards, len(lmIDs)); err != nil {
-		die(err.Error())
-	}
 	// Follower mode: a replica whose copy is fed by the primary's op
 	// stream, over the primary's landmarks.
 	if *follow != "" {
@@ -339,16 +336,6 @@ func main() {
 func followConflict(dataDir string) error {
 	if dataDir != "" {
 		return errors.New("-follow keeps its copy in memory only (a durable follower is not supported); drop -data-dir")
-	}
-	return nil
-}
-
-// shardsBeyondLandmarks refuses more shards than landmarks. The landmark is
-// the unit of sharding, and nothing in this process moves one, so a shard
-// beyond the landmark count would stay empty for good.
-func shardsBeyondLandmarks(shards, landmarks int) error {
-	if shards > landmarks {
-		return fmt.Errorf("-shards %d exceeds the %d landmarks of -landmarks: a shard holds whole landmarks, so at most %d can hold any", shards, landmarks, landmarks)
 	}
 	return nil
 }

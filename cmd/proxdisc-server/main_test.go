@@ -31,20 +31,6 @@ func TestFollowConflict(t *testing.T) {
 	}
 }
 
-// TestShardsBeyondLandmarks pins that a primary refuses more shards than
-// landmarks, naming both counts, and takes up to one shard per landmark.
-func TestShardsBeyondLandmarks(t *testing.T) {
-	for _, shards := range []int{1, 3} {
-		if err := shardsBeyondLandmarks(shards, 3); err != nil {
-			t.Fatalf("-shards %d beside 3 landmarks refused: %v", shards, err)
-		}
-	}
-	err := shardsBeyondLandmarks(4, 3)
-	if err == nil || !strings.Contains(err.Error(), "-shards 4") || !strings.Contains(err.Error(), "3 landmarks") {
-		t.Fatalf("-shards 4 beside 3 landmarks: %v, want an error naming both counts", err)
-	}
-}
-
 // TestPrimaryLandmarks: a follower starts only with its primary's
 // landmarks, in any order and over any shard count, and otherwise fails
 // naming both sets; a primary it cannot reach fails the check.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -67,11 +68,13 @@ func TestNewValidation(t *testing.T) {
 }
 
 // TestNewRefusesShardsBeyondLandmarks pins that New refuses more shards than
-// landmarks: the landmark is the unit of sharding and the table New deals
-// never changes, so a shard dealt no landmark would stay empty for good.
+// landmarks, naming both counts: the landmark is the unit of sharding and the
+// table New deals never changes, so a shard dealt no landmark would stay
+// empty for good.
 func TestNewRefusesShardsBeyondLandmarks(t *testing.T) {
-	if _, err := New(Config{Landmarks: []topology.NodeID{1, 2}, Shards: 3}); err == nil {
-		t.Fatal("accepted 3 shards for 2 landmarks")
+	_, err := New(Config{Landmarks: []topology.NodeID{1, 2}, Shards: 3})
+	if err == nil || !strings.Contains(err.Error(), "3 shards") || !strings.Contains(err.Error(), "2 landmarks") {
+		t.Fatalf("3 shards for 2 landmarks: %v, want an error naming both counts", err)
 	}
 	if c, err := New(Config{Landmarks: []topology.NodeID{1, 2}, Shards: 2}); err != nil {
 		t.Fatalf("refused a shard per landmark: %v", err)
