@@ -46,8 +46,8 @@ var keptWithoutCaller = map[string]string{
 	"pathtree.Scratch.visits":          "TestClosestVisitsBounded reads it, and ROADMAP 18(c) splits it",
 	"pathtree.Scratch.hops":            "TestClosestVisitsBounded reads it",
 	"loadgen.Result.P95":               "proxdisc-loadgen -json encodes the whole Result: a read by reflection",
-	"server.PeerInfo.LastRefresh":      "the model tests check each peer's refresh time through PeerInfo",
-	"server.PeerInfo.SuperPeer":        "the model tests check each peer's super-peer flag through PeerInfo",
+	"server.PeerInfo.LastRefresh":      "TestClusterMatchesModel checks each peer's refresh time through PeerInfo",
+	"server.PeerInfo.SuperPeer":        "TestClusterMatchesModel checks each peer's super-peer flag through PeerInfo",
 }
 
 // TestNamesHaveCallers type-checks the module and bench/ from their

@@ -1,18 +1,12 @@
 package server
 
 import (
-	"bytes"
-	"cmp"
-	"errors"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"proxdisc/internal/op"
 	"proxdisc/internal/pathtree"
@@ -54,291 +48,6 @@ func (s *Server) checkState(sharing ...*Server) error {
 		return fmt.Errorf("%d records resident, %d peers indexed", resident, indexed)
 	}
 	return nil
-}
-
-// modelPeer is what the reference model knows of one registered peer: the
-// arguments of the op that last wrote each field.
-type modelPeer struct {
-	path    []topology.NodeID
-	addr    string
-	super   bool
-	refresh int64
-}
-
-// model is the brute-force reference: a map from peer to its last report,
-// and the set of landmarks held.
-type model struct {
-	peers map[pathtree.PeerID]modelPeer
-	lms   map[topology.NodeID]bool
-}
-
-func (m *model) clone() *model {
-	c := &model{peers: make(map[pathtree.PeerID]modelPeer, len(m.peers)), lms: make(map[topology.NodeID]bool)}
-	for p, mp := range m.peers {
-		c.peers[p] = mp
-	}
-	for lm := range m.lms {
-		c.lms[lm] = true
-	}
-	return c
-}
-
-func landmarkOf(path []topology.NodeID) topology.NodeID { return path[len(path)-1] }
-
-// closest is the reference answer (pathtree/prop_test.go's bruteClosest,
-// over the peers of one landmark and with addresses): every other peer's
-// dtree to p by suffix matching of the two reported paths, fully sorted,
-// first k kept.
-func (m *model) closest(p pathtree.PeerID, k int) []pathtree.Candidate {
-	mine := m.peers[p].path
-	want := []pathtree.Candidate{}
-	for q, mq := range m.peers {
-		if q == p || landmarkOf(mq.path) != landmarkOf(mine) {
-			continue
-		}
-		i, j := len(mine)-1, len(mq.path)-1
-		for i >= 0 && j >= 0 && mine[i] == mq.path[j] {
-			i, j = i-1, j-1
-		}
-		want = append(want, pathtree.Candidate{Peer: q, DTree: i + 1 + j + 1, Addr: mq.addr})
-	}
-	slices.SortFunc(want, func(a, b pathtree.Candidate) int {
-		return cmp.Or(cmp.Compare(a.DTree, b.DTree), cmp.Compare(a.Peer, b.Peer))
-	})
-	return want[:min(k, len(want))]
-}
-
-// modelPath draws a short path through a small router universe under lm, so
-// that peers share routers, attach at interior routers and collide on the
-// same one.
-func modelPath(rng *rand.Rand, lm topology.NodeID) []topology.NodeID {
-	var path []topology.NodeID
-	for r := topology.NodeID(1 + rng.Intn(120)); r > 0 && len(path) < 6; r /= topology.NodeID(2 + rng.Intn(3)) {
-		path = append(path, 1000*(lm+1)+r)
-	}
-	return append(path, lm)
-}
-
-// modelAddr draws an address for p of a random length in 0..op.MaxAddrLen,
-// so that re-joins move between the address pool's size classes and within
-// one, and a stale byte shows.
-func modelAddr(rng *rand.Rand, p pathtree.PeerID) string {
-	return strings.Repeat(fmt.Sprintf("a%d.%d.", p, rng.Intn(1000)), op.MaxAddrLen)[:rng.Intn(op.MaxAddrLen+1)]
-}
-
-// TestStateMachineMatchesModel drives a server through seeded random steps —
-// join, re-join under another path or another landmark, batch join with bad
-// entries, leave, refresh, super-peer flag, expiry, a join on a second server
-// over the same index under a landmark of its own, and re-joins back (each
-// orphaning a record the other server retires), ResetFromSnapshot — and
-// after every step requires: every tree passes CheckInvariants (pruning,
-// chains, the four pools' accounting), counts its live records in Len() and
-// agrees with the index; every peer's PeerInfo, path included, is what was
-// last reported; and Lookup equals the brute-force answer.
-func TestStateMachineMatchesModel(t *testing.T) {
-	lms := []topology.NodeID{0, 1, 2}
-	const awayLm = topology.NodeID(3) // the second server's landmark, which s refuses
-	drawn := append(slices.Clone(lms), awayLm)
-	for seed := int64(1); seed <= 4; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		now := int64(1_000_000)
-		s, err := New(Config{
-			Landmarks: lms, NeighborCount: 4,
-			Clock: func() time.Time { return time.Unix(0, now) },
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		m := &model{peers: map[pathtree.PeerID]modelPeer{}, lms: map[topology.NodeID]bool{0: true, 1: true, 2: true}}
-		var saved []byte // a whole-state snapshot taken at some earlier step
-		var savedModel *model
-		// away is a second server on s's index, holding awayLm; awayModel is
-		// what the model knows of the peers that joined there. s does not
-		// know those peers, and nothing expires them over there.
-		var away *Server
-		var awayModel map[pathtree.PeerID]modelPeer
-		newAway := func() {
-			if away, err = NewSharing(Config{Landmarks: []topology.NodeID{awayLm}}, s.st.idx); err != nil {
-				t.Fatal(err)
-			}
-			awayModel = map[pathtree.PeerID]modelPeer{}
-		}
-		newAway()
-
-		join := func(p pathtree.PeerID) op.JoinEntry {
-			return op.JoinEntry{Peer: p, Path: modelPath(rng, drawn[rng.Intn(len(drawn))]), Addr: modelAddr(rng, p)}
-		}
-		// registered records an accepted join; settle, after the op it came
-		// in, checks that the joins of peers that were away — and no others —
-		// orphaned their records there, and retires them the way a cluster
-		// would.
-		rehomed := map[pathtree.PeerID]bool{}
-		registered := func(e op.JoinEntry) {
-			m.peers[e.Peer] = modelPeer{path: e.Path, addr: e.Addr, refresh: now}
-			if _, wasAway := awayModel[e.Peer]; wasAway {
-				rehomed[e.Peer] = true
-				delete(awayModel, e.Peer)
-			}
-		}
-		settle := func() {
-			for _, o := range s.TakeOrphans() {
-				first, err1 := away.Retire(o)
-				again, err2 := away.Retire(o)
-				if !rehomed[o.Peer] || !first || again || err1 != nil || err2 != nil {
-					t.Fatalf("seed %d: orphan %+v: re-homed=%v, or not retired exactly once", seed, o, rehomed[o.Peer])
-				}
-				delete(rehomed, o.Peer)
-			}
-			if len(rehomed) != 0 {
-				t.Fatalf("seed %d: joins of %v left no orphan", seed, rehomed)
-			}
-		}
-		for step := 0; step < 400; step++ {
-			now += int64(1 + rng.Intn(3))
-			p := pathtree.PeerID(1 + rng.Intn(60))
-			desc := ""
-			switch r := rng.Intn(100); {
-			case r < 40: // join, or re-join wherever the new path leads
-				e := join(p)
-				desc = fmt.Sprintf("join %d %v", p, e.Path)
-				want := []pathtree.Candidate{}
-				if m.lms[landmarkOf(e.Path)] {
-					probe := m.clone()
-					probe.peers[p] = modelPeer{path: e.Path}
-					want = probe.closest(p, 4)
-				}
-				got, err := s.JoinOp(op.Op{Kind: op.KindJoin, Join: e})
-				if ok := m.lms[landmarkOf(e.Path)]; ok != (err == nil) {
-					t.Fatalf("seed %d step %d %s: err=%v, landmark held=%v", seed, step, desc, err, ok)
-				} else if ok {
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("seed %d step %d %s:\ngot  %v\nwant %v", seed, step, desc, got, want)
-					}
-					registered(e)
-					settle()
-				}
-			case r < 50: // a batch: good entries, a repeated peer, and two bad ones
-				es := []op.JoinEntry{join(p), join(p + 1), {Peer: p + 2, Path: []topology.NodeID{7, 7, 0}}, join(p), {Peer: p + 3}}
-				desc = fmt.Sprintf("batch from %d", p)
-				for i, res := range s.JoinBatchOp(op.BatchJoin(es, 0)) {
-					good := len(es[i].Path) > 0 && es[i].Path[0] != 7 && m.lms[landmarkOf(es[i].Path)]
-					if good != (res.Err == nil) {
-						t.Fatalf("seed %d step %d %s: entry %d err=%v, want accepted=%v", seed, step, desc, i, res.Err, good)
-					}
-					if good {
-						registered(es[i])
-					}
-				}
-				settle()
-			case r < 62:
-				desc = fmt.Sprintf("leave %d", p)
-				_, known := m.peers[p]
-				if s.Leave(p) != known {
-					t.Fatalf("seed %d step %d %s: known=%v", seed, step, desc, known)
-				}
-				delete(m.peers, p)
-			case r < 72:
-				desc = fmt.Sprintf("refresh %d", p)
-				mp, known := m.peers[p]
-				if err := s.Refresh(p); (err == nil) != known {
-					t.Fatalf("seed %d step %d %s: err=%v known=%v", seed, step, desc, err, known)
-				}
-				if known {
-					mp.refresh = now
-					m.peers[p] = mp
-				}
-			case r < 80:
-				desc = fmt.Sprintf("super %d", p)
-				mp, known := m.peers[p]
-				flag := rng.Intn(2) == 0
-				if err := s.Apply(op.SetSuperPeer(p, flag)); (err == nil) != known {
-					t.Fatalf("seed %d step %d %s: err=%v known=%v", seed, step, desc, err, known)
-				}
-				if known {
-					mp.super = flag
-					m.peers[p] = mp
-				}
-			case r < 86:
-				desc = "expire"
-				var want []pathtree.PeerID
-				for q, mq := range m.peers {
-					if mq.refresh < now-40 {
-						want = append(want, q)
-						delete(m.peers, q)
-					}
-				}
-				slices.Sort(want)
-				if got := expire(s, 40); !slices.Equal(got, want) {
-					t.Fatalf("seed %d step %d expire: got %v want %v", seed, step, got, want)
-				}
-			case r < 94: // a join on the server beside, orphaning p's record here
-				e := op.JoinEntry{Peer: p, Path: modelPath(rng, awayLm), Addr: modelAddr(rng, p)}
-				desc = fmt.Sprintf("join %d beside %v", p, e.Path)
-				if _, err := away.JoinOp(op.Op{Kind: op.KindJoin, Join: e}); err != nil {
-					t.Fatalf("seed %d step %d %s: %v", seed, step, desc, err)
-				}
-				_, here := m.peers[p]
-				for _, o := range away.TakeOrphans() {
-					first, err1 := s.Retire(o)
-					again, err2 := s.Retire(o)
-					if !here || o.Peer != p || !first || again || err1 != nil || err2 != nil {
-						t.Fatalf("seed %d step %d %s: orphan %+v: was here=%v, or not retired exactly once", seed, step, desc, o, here)
-					}
-					here = false
-				}
-				if here {
-					t.Fatalf("seed %d step %d %s: the join left no orphan here", seed, step, desc)
-				}
-				delete(m.peers, p)
-				awayModel[p] = modelPeer{path: e.Path, addr: e.Addr, refresh: now}
-			case r < 97:
-				desc = "save"
-				var buf bytes.Buffer
-				if err := WriteSnapshot(&buf, s); err != nil {
-					t.Fatal(err)
-				}
-				saved, savedModel = buf.Bytes(), m.clone()
-			default:
-				desc = "reset"
-				if saved == nil {
-					break
-				}
-				if err := s.ResetFromSnapshot(bytes.NewReader(saved)); err != nil {
-					t.Fatal(err)
-				}
-				m = savedModel.clone()
-				for _, lm := range lms { // the configured set comes back with a reset
-					m.lms[lm] = true
-				}
-				newAway() // and the index is a new one: what was away is gone
-			}
-
-			if err := s.checkState(away); err != nil {
-				t.Fatalf("seed %d step %d %s: %v", seed, step, desc, err)
-			}
-			if s.NumPeers() != len(m.peers) {
-				t.Fatalf("seed %d step %d %s: %d peers, model holds %d", seed, step, desc, s.NumPeers(), len(m.peers))
-			}
-			if away.NumPeers() != len(awayModel) {
-				t.Fatalf("seed %d step %d %s: %d peers away, model holds %d", seed, step, desc, away.NumPeers(), len(awayModel))
-			}
-			for q := range awayModel { // a peer that is away is not known here
-				if _, err := s.Lookup(q); !errors.Is(err, ErrUnknownPeer) {
-					t.Fatalf("seed %d step %d %s: Lookup(%d) of a peer that is away: %v", seed, step, desc, q, err)
-				}
-			}
-			for q, mq := range m.peers {
-				want := PeerInfo{Landmark: landmarkOf(mq.path), Path: mq.path, Addr: mq.addr,
-					SuperPeer: mq.super, LastRefresh: time.Unix(0, mq.refresh)}
-				if got, err := s.PeerInfo(q); err != nil || !reflect.DeepEqual(got, want) {
-					t.Fatalf("seed %d step %d %s: PeerInfo(%d)\ngot  %+v, %v\nwant %+v", seed, step, desc, q, got, err, want)
-				}
-				if got, err := s.Lookup(q); err != nil || !reflect.DeepEqual(got, m.closest(q, 4)) {
-					t.Fatalf("seed %d step %d %s: Lookup(%d)\ngot  %v, %v\nwant %v", seed, step, desc, q, got, err, m.closest(q, 4))
-				}
-			}
-		}
-	}
 }
 
 // TestChurnRecyclesSlots churns a fixed population ten times over — every

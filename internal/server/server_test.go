@@ -372,6 +372,7 @@ func TestJoinBatchMatchesSequentialJoins(t *testing.T) {
 		{Peer: 2, Path: []topology.NodeID{6, 3, 0}},
 		{Peer: 3, Path: []topology.NodeID{7, 9}},
 		{Peer: 4, Path: []topology.NodeID{5, 3, 0}},
+		{Peer: 1, Path: []topology.NodeID{6, 9}}, // a repeated peer re-joins under the other landmark
 	}
 	res := batch.JoinBatchOp(op.BatchJoin(items, 0))
 	if len(res) != len(items) {
