@@ -46,7 +46,7 @@ func TestDTreeUpperBoundsTrueDistance(t *testing.T) {
 		if infoP.Landmark != infoQ.Landmark {
 			continue // different trees: no dtree defined
 		}
-		dtree := refDTreeFromPaths(infoP.Path, infoQ.Path)
+		dtree := pathDTree(infoP.Path, infoQ.Path)
 		dist, err := routing.BFSDistances(w.Graph, w.Attachments[p])
 		if err != nil {
 			t.Fatal(err)
@@ -73,9 +73,9 @@ func TestDTreeUpperBoundsTrueDistance(t *testing.T) {
 	}
 }
 
-// refDTreeFromPaths computes dtree by common-suffix matching of two
+// pathDTree computes dtree by common-suffix matching of two
 // peer→landmark paths.
-func refDTreeFromPaths(a, b []topology.NodeID) int {
+func pathDTree(a, b []topology.NodeID) int {
 	i, j := len(a)-1, len(b)-1
 	common := 0
 	for i >= 0 && j >= 0 && a[i] == b[j] {

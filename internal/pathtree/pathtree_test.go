@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math/rand"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -347,43 +346,11 @@ func pathDTree(pp, qq []topology.NodeID) int {
 	return (len(pp) - common) + (len(qq) - common)
 }
 
-// refDTree computes dtree between two inserted peers from their stored paths.
-func refDTree(t *Tree, p, q PeerID) int {
-	pp, err := t.PathOf(p)
-	if err != nil {
-		panic(err)
-	}
-	qq, err := t.PathOf(q)
-	if err != nil {
-		panic(err)
-	}
-	return pathDTree(pp, qq)
-}
-
-// refClosest is the O(n log n) reference for Closest.
-func refClosest(t *Tree, p PeerID, k int) []Candidate {
-	var out []Candidate
-	for _, q := range t.Peers() {
-		if q == p {
-			continue
-		}
-		out = append(out, Candidate{Peer: q, DTree: refDTree(t, p, q)})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].DTree != out[j].DTree {
-			return out[i].DTree < out[j].DTree
-		}
-		return out[i].Peer < out[j].Peer
-	})
-	if len(out) > k {
-		out = out[:k]
-	}
-	return out
-}
-
-// randomTree fills a tree with random branching paths.
-func randomTree(rng *rand.Rand, peers int) *Tree {
+// randomTree fills a tree with random branching paths, and returns the paths
+// it inserted.
+func randomTree(rng *rand.Rand, peers int) (*Tree, map[PeerID][]topology.NodeID) {
 	tr := New(0, Options{})
+	paths := make(map[PeerID][]topology.NodeID, peers)
 	for p := 1; p <= peers; p++ {
 		depth := 1 + rng.Intn(6)
 		path := make([]topology.NodeID, 0, depth+1)
@@ -401,15 +368,16 @@ func randomTree(rng *rand.Rand, peers int) *Tree {
 		if err := tr.Insert(PeerID(p), path); err != nil {
 			panic(err)
 		}
+		paths[PeerID(p)] = path
 	}
-	return tr
+	return tr, paths
 }
 
 // Property: Closest agrees exactly with the brute-force reference.
 func TestClosestMatchesBruteForce(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		tr := randomTree(rng, 2+rng.Intn(60))
+		tr, paths := randomTree(rng, 2+rng.Intn(60))
 		peers := tr.Peers()
 		p := peers[rng.Intn(len(peers))]
 		k := 1 + rng.Intn(8)
@@ -417,7 +385,7 @@ func TestClosestMatchesBruteForce(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		want := refClosest(tr, p, k)
+		want := bruteClosest(paths, paths[p], k, p)
 		if len(got) != len(want) {
 			return false
 		}
@@ -437,7 +405,7 @@ func TestClosestMatchesBruteForce(t *testing.T) {
 func TestDTreeMatchesReference(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		tr := randomTree(rng, 2+rng.Intn(40))
+		tr, paths := randomTree(rng, 2+rng.Intn(40))
 		peers := tr.Peers()
 		p := peers[rng.Intn(len(peers))]
 		q := peers[rng.Intn(len(peers))]
@@ -449,7 +417,7 @@ func TestDTreeMatchesReference(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return d1 == d2 && d1 == refDTree(tr, p, q)
+		return d1 == d2 && d1 == pathDTree(paths[p], paths[q])
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)
@@ -460,7 +428,7 @@ func TestDTreeMatchesReference(t *testing.T) {
 func TestInsertRemoveChurn(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		tr := randomTree(rng, 30)
+		tr, paths := randomTree(rng, 30)
 		peers := tr.Peers()
 		// Remove a random half.
 		removed := map[PeerID]bool{}
@@ -468,6 +436,7 @@ func TestInsertRemoveChurn(t *testing.T) {
 			if rng.Intn(2) == 0 {
 				tr.Remove(p)
 				removed[p] = true
+				delete(paths, p)
 			}
 		}
 		if tr.Len() != len(peers)-len(removed) {
@@ -488,14 +457,6 @@ func TestInsertRemoveChurn(t *testing.T) {
 		// Node reuse under churn: drain and refill the same population
 		// repeatedly. A drained tree holds every carved node slot free, and
 		// a refill carves no more than refillBound proves it can.
-		paths := map[PeerID][]topology.NodeID{}
-		for _, p := range tr.Peers() {
-			path, err := tr.PathOf(p)
-			if err != nil {
-				return false
-			}
-			paths[p] = path
-		}
 		for cycle := 0; cycle < 4; cycle++ {
 			hw, bound := tr.ArenaStats().Allocated, refillBound(tr.core)
 			for p := range paths {
@@ -527,7 +488,7 @@ func TestInsertRemoveChurn(t *testing.T) {
 func TestClosestToPathConsistent(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		tr := randomTree(rng, 2+rng.Intn(40))
+		tr, _ := randomTree(rng, 2+rng.Intn(40))
 		peers := tr.Peers()
 		p := peers[rng.Intn(len(peers))]
 		path, err := tr.PathOf(p)
