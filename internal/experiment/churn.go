@@ -2,6 +2,8 @@ package experiment
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"proxdisc/internal/metrics"
 	"proxdisc/internal/pathtree"
@@ -155,11 +157,7 @@ func runChurnVariant(cfg ChurnConfig, cleanup bool) (ChurnPoint, error) {
 	}
 	// Evaluate: for sampled live peers, request neighbours; count stale
 	// answers; score live neighbours against the live-only optimum.
-	livePeers := make([]pathtree.PeerID, 0, len(alive))
-	for p := range alive {
-		livePeers = append(livePeers, p)
-	}
-	sortPeerIDs(livePeers)
+	livePeers := slices.Sorted(maps.Keys(alive))
 	if cfg.SamplePeers > 0 && cfg.SamplePeers < len(livePeers) {
 		livePeers = livePeers[:cfg.SamplePeers]
 	}
@@ -168,47 +166,30 @@ func runChurnVariant(cfg ChurnConfig, cleanup bool) (ChurnPoint, error) {
 		liveAtt[p] = w.Attachments[p]
 	}
 	var staleAnswers, totalAnswers int
-	var sumD, sumBest int
+	var q Quality
 	for _, p := range livePeers {
 		answer, err := w.Server.Lookup(p)
 		if err != nil {
 			return pt, err
 		}
-		if len(answer) == 0 {
-			continue
-		}
-		dist, err := bfsFrom(w, w.Attachments[p])
-		if err != nil {
-			return pt, err
-		}
 		liveIDs := make([]pathtree.PeerID, 0, len(answer))
 		for _, c := range answer {
-			totalAnswers++
 			if alive[c.Peer] {
 				liveIDs = append(liveIDs, c.Peer)
-			} else {
-				staleAnswers++
 			}
 		}
+		totalAnswers += len(answer)
+		staleAnswers += len(answer) - len(liveIDs)
 		if len(liveIDs) == 0 {
 			continue
 		}
-		d, err := metrics.NeighborScore(dist, w.Attachments, liveIDs)
-		if err != nil {
+		if err := q.add(w.Graph.HopsFrom(liveAtt[p]), liveAtt, p, liveIDs, nil); err != nil {
 			return pt, err
 		}
-		best, err := metrics.BestK(dist, liveAtt, p, len(liveIDs))
-		if err != nil {
-			return pt, err
-		}
-		sumD += d
-		sumBest += best
 	}
 	if totalAnswers > 0 {
 		pt.StaleAnswerFraction = float64(staleAnswers) / float64(totalAnswers)
 	}
-	if sumBest > 0 {
-		pt.DOverDclosest = float64(sumD) / float64(sumBest)
-	}
+	pt.DOverDclosest = q.DOverDclosest()
 	return pt, nil
 }

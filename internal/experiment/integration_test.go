@@ -8,7 +8,6 @@ import (
 	"proxdisc/internal/cluster"
 	"proxdisc/internal/op"
 	"proxdisc/internal/pathtree"
-	"proxdisc/internal/routing"
 	"proxdisc/internal/server"
 	"proxdisc/internal/topology"
 )
@@ -47,11 +46,7 @@ func TestDTreeUpperBoundsTrueDistance(t *testing.T) {
 			continue // different trees: no dtree defined
 		}
 		dtree := pathDTree(infoP.Path, infoQ.Path)
-		dist, err := routing.BFSDistances(w.Graph, w.Attachments[p])
-		if err != nil {
-			t.Fatal(err)
-		}
-		d := int(dist[w.Attachments[q]])
+		d := int(w.Graph.HopsFrom(w.Attachments[p])[w.Attachments[q]])
 		if d > dtree {
 			t.Fatalf("d(%d,%d)=%d exceeds dtree=%d — dtree is not a valid walk",
 				p, q, d, dtree)

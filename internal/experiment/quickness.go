@@ -8,8 +8,6 @@ import (
 	"proxdisc/internal/latency"
 	"proxdisc/internal/metrics"
 	"proxdisc/internal/pathtree"
-	"proxdisc/internal/routing"
-	"proxdisc/internal/topology"
 	"proxdisc/internal/vivaldi"
 )
 
@@ -112,26 +110,16 @@ func RunQuickness(cfg QuicknessConfig) (*QuicknessResult, error) {
 	// consistent with the hop-based D metric).
 	peerList := w.Server.Peers()
 	n := len(peerList)
-	att := make([]topology.NodeID, n)
-	index := make(map[pathtree.PeerID]int, n)
-	for i, p := range peerList {
-		att[i] = w.Attachments[p]
-		index[p] = i
-	}
 	m := latency.NewMatrix(n)
 	hop := make([][]int32, n)
-	for i := 0; i < n; i++ {
-		dist, err := routing.BFSDistances(w.Graph, att[i])
-		if err != nil {
-			return nil, err
-		}
-		hop[i] = dist
+	for i, p := range peerList {
+		hop[i] = w.Graph.HopsFrom(w.Attachments[p])
 		for j := 0; j < n; j++ {
 			if i == j {
 				continue
 			}
-			d := dist[att[j]]
-			if d == routing.Unreachable {
+			d := hop[i][w.Attachments[peerList[j]]]
+			if d < 0 {
 				return nil, fmt.Errorf("quickness: peer %d unreachable from %d", j, i)
 			}
 			rtt := 2 * float64(d)
@@ -142,7 +130,26 @@ func RunQuickness(cfg QuicknessConfig) (*QuicknessResult, error) {
 		}
 	}
 
+	// Each system's answers for the same sampled peers, scored like the
+	// path tree's; closest(i, k) returns peer indices.
 	evalSample := samplePeerIndices(n, cfg.SamplePeers, cfg.World.Seed+5)
+	score := func(closest func(i, k int) []int) (float64, error) {
+		var q Quality
+		for _, i := range evalSample {
+			picks := closest(i, w.Cfg.NeighborCount)
+			ids := make([]pathtree.PeerID, len(picks))
+			for x, j := range picks {
+				ids[x] = peerList[j]
+			}
+			if err := q.add(hop[i], w.Attachments, peerList[i], ids, nil); err != nil {
+				return 0, err
+			}
+		}
+		if q.SumDclosest == 0 {
+			return 0, fmt.Errorf("quickness: degenerate sample")
+		}
+		return q.DOverDclosest(), nil
+	}
 
 	// --- Vivaldi checkpoints ---
 	vs := vivaldi.NewSystem(m, cfg.World.Seed+6)
@@ -152,9 +159,7 @@ func RunQuickness(cfg QuicknessConfig) (*QuicknessResult, error) {
 			vs.Round(vivaldiNeighbors)
 		}
 		prevRounds = rounds
-		ratio, err := coordinateQuality(hop, att, evalSample, w.Cfg.NeighborCount, func(i, k int) []int {
-			return vs.KClosest(i, k)
-		})
+		ratio, err := score(vs.KClosest)
 		if err != nil {
 			return nil, err
 		}
@@ -175,8 +180,8 @@ func RunQuickness(cfg QuicknessConfig) (*QuicknessResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	ratio, err := coordinateQuality(hop, att, evalSample, w.Cfg.NeighborCount, func(i, k int) []int {
-		return gnpKClosest(coords, i, k)
+	ratio, err := score(func(i, k int) []int {
+		return latency.Nearest(n, i, k, func(j int) float64 { return gnp.Distance(coords[i], coords[j]) })
 	})
 	if err != nil {
 		return nil, err
@@ -189,72 +194,6 @@ func RunQuickness(cfg QuicknessConfig) (*QuicknessResult, error) {
 	return res, nil
 }
 
-// coordinateQuality scores a coordinate system's k-closest answers with the
-// same ΣD/ΣDclosest ratio used everywhere else. hop[i] is the BFS distance
-// vector from peer i's attachment router att[i]; closest(i,k) returns peer
-// indices.
-func coordinateQuality(hop [][]int32, att []topology.NodeID, sample []int, k int, closest func(i, k int) []int) (float64, error) {
-	n := len(hop)
-	sumD, sumBest := 0, 0
-	for _, i := range sample {
-		picks := closest(i, k)
-		for _, j := range picks {
-			sumD += int(hop[i][att[j]])
-		}
-		// Brute-force best k.
-		ds := make([]int, 0, n-1)
-		for j := 0; j < n; j++ {
-			if j == i {
-				continue
-			}
-			ds = append(ds, int(hop[i][att[j]]))
-		}
-		sortInts(ds)
-		kk := k
-		if kk > len(ds) {
-			kk = len(ds)
-		}
-		for x := 0; x < kk; x++ {
-			sumBest += ds[x]
-		}
-	}
-	if sumBest == 0 {
-		return 0, fmt.Errorf("quickness: degenerate sample")
-	}
-	return float64(sumD) / float64(sumBest), nil
-}
-
-func gnpKClosest(coords [][]float64, i, k int) []int {
-	type cand struct {
-		j int
-		d float64
-	}
-	cands := make([]cand, 0, len(coords)-1)
-	for j := range coords {
-		if j == i {
-			continue
-		}
-		cands = append(cands, cand{j, gnp.Distance(coords[i], coords[j])})
-	}
-	if k > len(cands) {
-		k = len(cands)
-	}
-	for a := 0; a < k; a++ {
-		best := a
-		for b := a + 1; b < len(cands); b++ {
-			if cands[b].d < cands[best].d || (cands[b].d == cands[best].d && cands[b].j < cands[best].j) {
-				best = b
-			}
-		}
-		cands[a], cands[best] = cands[best], cands[a]
-	}
-	out := make([]int, k)
-	for a := 0; a < k; a++ {
-		out[a] = cands[a].j
-	}
-	return out
-}
-
 func samplePeerIndices(n, k int, seed int64) []int {
 	rng := rand.New(rand.NewSource(seed))
 	if k >= n {
@@ -265,12 +204,4 @@ func samplePeerIndices(n, k int, seed int64) []int {
 		return out
 	}
 	return rng.Perm(n)[:k]
-}
-
-func sortInts(v []int) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
 }

@@ -7,7 +7,6 @@ import (
 	"proxdisc/internal/metrics"
 	"proxdisc/internal/overlay"
 	"proxdisc/internal/pathtree"
-	"proxdisc/internal/routing"
 	"proxdisc/internal/streaming"
 )
 
@@ -82,11 +81,7 @@ func RunStreaming(cfg StreamingConfig) (*StreamingResult, error) {
 	// Precompute pairwise hop distances between peer attachments.
 	hopTable := make(map[pathtree.PeerID][]int32, len(peers))
 	for _, p := range peers {
-		dist, err := routing.BFSDistances(w.Graph, w.Attachments[p])
-		if err != nil {
-			return nil, err
-		}
-		hopTable[p] = dist
+		hopTable[p] = w.Graph.HopsFrom(w.Attachments[p])
 	}
 	hops := func(a, b pathtree.PeerID) (int, error) {
 		row, ok := hopTable[a]
@@ -98,7 +93,7 @@ func RunStreaming(cfg StreamingConfig) (*StreamingResult, error) {
 			return 0, fmt.Errorf("streaming: unknown peer %d", b)
 		}
 		d := row[att]
-		if d == routing.Unreachable {
+		if d < 0 {
 			return 0, fmt.Errorf("streaming: unreachable pair (%d,%d)", a, b)
 		}
 		return int(d), nil

@@ -8,13 +8,11 @@ package experiment
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"proxdisc/internal/cluster"
 	"proxdisc/internal/metrics"
 	"proxdisc/internal/op"
 	"proxdisc/internal/pathtree"
-	"proxdisc/internal/routing"
 	"proxdisc/internal/server"
 	"proxdisc/internal/topology"
 	"proxdisc/internal/traceroute"
@@ -259,7 +257,8 @@ func (w *World) joinBatched(n, base int) error {
 	return nil
 }
 
-// Quality aggregates the paper's evaluation sums over a set of peers.
+// Quality aggregates the paper's evaluation sums over a set of peers; every
+// series that reports ΣD/ΣDclosest scores its peers through add.
 type Quality struct {
 	// Peers is the number of peers evaluated.
 	Peers int
@@ -285,6 +284,32 @@ func (q Quality) DrandomOverDclosest() float64 {
 	return float64(q.SumDrandom) / float64(q.SumDclosest)
 }
 
+// add scores one peer p's answer: D over its picks, Dclosest over the
+// len(picks) peers of among nearest p, and Drandom over as many peers of
+// among drawn with rng, only when rng is non-nil. dist is the hop vector
+// from p's router (topology.Graph.HopsFrom); among must hold every pick.
+func (q *Quality) add(dist []int32, among metrics.Attachments, p pathtree.PeerID, picks []pathtree.PeerID, rng *rand.Rand) error {
+	d, err := metrics.NeighborScore(dist, among, picks)
+	if err != nil {
+		return err
+	}
+	best, err := metrics.BestK(dist, among, p, len(picks))
+	if err != nil {
+		return err
+	}
+	if rng != nil {
+		r, err := metrics.RandomK(dist, among, p, len(picks), rng)
+		if err != nil {
+			return err
+		}
+		q.SumDrandom += r
+	}
+	q.Peers++
+	q.SumD += d
+	q.SumDclosest += best
+	return nil
+}
+
 // rngShuffleLeaves shuffles the remaining leaf pool in place with the
 // world's RNG, letting churn experiments deal attachments deterministically.
 func (w *World) rngShuffleLeaves() {
@@ -293,21 +318,11 @@ func (w *World) rngShuffleLeaves() {
 	})
 }
 
-// bfsFrom returns BFS hop distances from an attachment router.
-func bfsFrom(w *World, att topology.NodeID) ([]int32, error) {
-	return routing.BFSDistances(w.Graph, att)
-}
-
-// sortPeerIDs sorts peer IDs ascending.
-func sortPeerIDs(ps []pathtree.PeerID) {
-	sort.Slice(ps, func(i, j int) bool { return ps[i] < ps[j] })
-}
-
 // EvaluateQuality scores up to samplePeers randomly chosen joined peers:
 // for each, it asks the server for the peer's current neighbour list and
 // compares its total hop distance D against the brute-force optimum and a
-// random pick, exactly as the paper's evaluation does. samplePeers <= 0
-// evaluates every peer.
+// random pick of as many peers, exactly as the paper's evaluation does.
+// samplePeers <= 0 evaluates every peer.
 func (w *World) EvaluateQuality(samplePeers int) (Quality, error) {
 	peers := w.Server.Peers()
 	if len(peers) < 2 {
@@ -317,7 +332,6 @@ func (w *World) EvaluateQuality(samplePeers int) (Quality, error) {
 		w.rng.Shuffle(len(peers), func(i, j int) { peers[i], peers[j] = peers[j], peers[i] })
 		peers = peers[:samplePeers]
 	}
-	k := w.Cfg.NeighborCount
 	evalRNG := rand.New(rand.NewSource(w.Cfg.Seed + 4))
 	var q Quality
 	for _, p := range peers {
@@ -332,36 +346,13 @@ func (w *World) EvaluateQuality(samplePeers int) (Quality, error) {
 		if len(neighbors) == 0 {
 			continue
 		}
-		dist, err := routing.BFSDistances(w.Graph, att)
-		if err != nil {
-			return Quality{}, err
-		}
 		ids := make([]pathtree.PeerID, len(neighbors))
 		for i, c := range neighbors {
 			ids[i] = c.Peer
 		}
-		d, err := metrics.NeighborScore(dist, w.Attachments, ids)
-		if err != nil {
+		if err := q.add(w.Graph.HopsFrom(att), w.Attachments, p, ids, evalRNG); err != nil {
 			return Quality{}, err
 		}
-		// Compare like against like: the optimum and random sets have the
-		// same size as the answer actually returned.
-		kk := len(ids)
-		if kk > k {
-			kk = k
-		}
-		dBest, err := metrics.BestK(dist, w.Attachments, p, kk)
-		if err != nil {
-			return Quality{}, err
-		}
-		dRand, err := metrics.RandomK(dist, w.Attachments, p, kk, evalRNG)
-		if err != nil {
-			return Quality{}, err
-		}
-		q.Peers++
-		q.SumD += d
-		q.SumDclosest += dBest
-		q.SumDrandom += dRand
 	}
 	if q.SumDclosest == 0 {
 		return q, fmt.Errorf("experiment: degenerate evaluation (ΣDclosest = 0 over %d peers)", q.Peers)

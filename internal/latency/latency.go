@@ -4,7 +4,8 @@
 // distances, 2 ms per hop. SyntheticKing generates one with the
 // statistical features of the public King data set (log-normal marginals,
 // controlled triangle-inequality violations); the vivaldi, gnp and
-// latency tests run on it.
+// latency tests run on it. Nearest is the k-nearest pick both baselines
+// answer the paper's closest-peer question with.
 package latency
 
 import (
@@ -34,6 +35,36 @@ func (m *Matrix) RTT(i, j int) float64 { return m.rtt[i*m.n+j] }
 func (m *Matrix) SetRTT(i, j int, ms float64) {
 	m.rtt[i*m.n+j] = ms
 	m.rtt[j*m.n+i] = ms
+}
+
+// Nearest returns the k hosts other than i, of hosts 0..n-1, nearest to i
+// by dist(j), in ascending distance with ties to the smaller index; k is
+// clamped to n-1.
+func Nearest(n, i, k int, dist func(j int) float64) []int {
+	type cand struct {
+		j int
+		d float64
+	}
+	cands := make([]cand, 0, n-1)
+	for j := 0; j < n; j++ {
+		if j != i {
+			cands = append(cands, cand{j, dist(j)})
+		}
+	}
+	// Partial selection sort is fine for small k.
+	k = min(k, len(cands))
+	out := make([]int, k)
+	for a := range out {
+		best := a
+		for b := a + 1; b < len(cands); b++ {
+			if cands[b].d < cands[best].d || (cands[b].d == cands[best].d && cands[b].j < cands[best].j) {
+				best = b
+			}
+		}
+		cands[a], cands[best] = cands[best], cands[a]
+		out[a] = cands[a].j
+	}
+	return out
 }
 
 // The King-like shape: a median RTT of 80 ms (the published distribution's

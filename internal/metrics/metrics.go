@@ -15,7 +15,6 @@ import (
 	"strings"
 
 	"proxdisc/internal/pathtree"
-	"proxdisc/internal/routing"
 	"proxdisc/internal/topology"
 )
 
@@ -24,7 +23,7 @@ type Attachments map[pathtree.PeerID]topology.NodeID
 
 // NeighborScore computes D for one peer: the sum of hop distances from the
 // peer's attachment router to each neighbour's attachment router. dist must
-// be the BFS distance vector from the peer's attachment (routing.BFSDistances).
+// be the hop vector from the peer's attachment (topology.Graph.HopsFrom).
 func NeighborScore(dist []int32, att Attachments, neighbors []pathtree.PeerID) (int, error) {
 	total := 0
 	for _, q := range neighbors {
@@ -33,7 +32,7 @@ func NeighborScore(dist []int32, att Attachments, neighbors []pathtree.PeerID) (
 			return 0, fmt.Errorf("metrics: neighbour %d has no attachment", q)
 		}
 		d := dist[router]
-		if d == routing.Unreachable {
+		if d < 0 {
 			return 0, fmt.Errorf("metrics: neighbour %d unreachable", q)
 		}
 		total += int(d)
@@ -53,7 +52,7 @@ func BestK(dist []int32, att Attachments, self pathtree.PeerID, k int) (int, err
 			continue
 		}
 		d := dist[router]
-		if d == routing.Unreachable {
+		if d < 0 {
 			return 0, fmt.Errorf("metrics: peer %d unreachable", q)
 		}
 		ds = append(ds, int(d))
@@ -90,7 +89,7 @@ func RandomK(dist []int32, att Attachments, self pathtree.PeerID, k int, rng *ra
 	total := 0
 	for i := 0; i < k; i++ {
 		d := dist[att[others[i]]]
-		if d == routing.Unreachable {
+		if d < 0 {
 			return 0, fmt.Errorf("metrics: peer %d unreachable", others[i])
 		}
 		total += int(d)

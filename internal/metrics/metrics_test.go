@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"proxdisc/internal/pathtree"
-	"proxdisc/internal/routing"
 	"proxdisc/internal/topology"
 )
 
@@ -19,11 +18,7 @@ func lineDist(t *testing.T) ([]int32, *topology.Graph) {
 			t.Fatal(err)
 		}
 	}
-	dist, err := routing.BFSDistances(g, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return dist, g
+	return g.HopsFrom(0), g
 }
 
 func TestNeighborScore(t *testing.T) {
@@ -46,7 +41,7 @@ func TestNeighborScoreUnreachable(t *testing.T) {
 	if err := g.AddEdge(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	dist, _ := routing.BFSDistances(g, 0)
+	dist := g.HopsFrom(0)
 	att := Attachments{1: 2}
 	if _, err := NeighborScore(dist, att, []pathtree.PeerID{1}); err == nil {
 		t.Fatal("accepted unreachable neighbour")

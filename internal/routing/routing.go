@@ -1,12 +1,8 @@
-// Package routing computes shortest paths over router-level topologies.
-//
-// The proxdisc simulator needs two things from its routing substrate:
-//
-//   - hop-count distances between arbitrary router pairs (the paper's D,
-//     Dclosest and Drandom metrics are sums of hop distances);
-//   - a deterministic routing tree toward each landmark, so that a simulated
-//     traceroute from a peer to a landmark always reports the same router
-//     path the "network" would use.
+// Package routing computes the deterministic routing tree toward each
+// landmark, so that a simulated traceroute from a peer to a landmark always
+// reports the same router path the "network" would use. A tree's depths
+// are topology.Graph.HopsFrom's hop distances, which the paper's D,
+// Dclosest and Drandom sums read directly.
 //
 // Determinism matters: real networks have a single installed route at any
 // moment, and the reproducibility of every experiment depends on stable
@@ -39,28 +35,14 @@ func BFSTree(g *topology.Graph, root topology.NodeID) (*Tree, error) {
 	if int(root) < 0 || int(root) >= n {
 		return nil, fmt.Errorf("routing: root %d out of range [0,%d)", root, n)
 	}
-	t := &Tree{
-		Parent: make([]topology.NodeID, n),
-		Depth:  make([]int32, n),
-	}
-	for i := range t.Parent {
-		t.Parent[i] = topology.InvalidNode
-		t.Depth[i] = Unreachable
-	}
-	t.Depth[root] = 0
-	queue := make([]topology.NodeID, 0, n)
-	queue = append(queue, root)
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, v := range g.Neighbors(u) {
-			switch {
-			case t.Depth[v] == Unreachable:
-				t.Depth[v] = t.Depth[u] + 1
-				t.Parent[v] = u
-				queue = append(queue, v)
-			case t.Depth[v] == t.Depth[u]+1 && u < t.Parent[v]:
-				// Deterministic tie-break toward the smaller parent ID.
+	t := &Tree{Parent: make([]topology.NodeID, n), Depth: g.HopsFrom(root)}
+	for v, d := range t.Depth {
+		t.Parent[v] = topology.InvalidNode
+		if d <= 0 {
+			continue
+		}
+		for _, u := range g.Neighbors(topology.NodeID(v)) {
+			if t.Depth[u] == d-1 && (t.Parent[v] == topology.InvalidNode || u < t.Parent[v]) {
 				t.Parent[v] = u
 			}
 		}
@@ -79,15 +61,4 @@ func (t *Tree) PathFrom(u topology.NodeID) []topology.NodeID {
 		path = append(path, v)
 	}
 	return path
-}
-
-// BFSDistances returns hop distances from src to every node (Unreachable for
-// disconnected nodes). This is the workhorse of the brute-force Dclosest
-// baseline: one call yields a newcomer's distance to every candidate peer.
-func BFSDistances(g *topology.Graph, src topology.NodeID) ([]int32, error) {
-	t, err := BFSTree(g, src)
-	if err != nil {
-		return nil, err
-	}
-	return t.Depth, nil
 }

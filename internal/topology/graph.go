@@ -13,6 +13,7 @@ package topology
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -149,32 +150,30 @@ func (g *Graph) Edges() [][2]NodeID {
 // IsConnected reports whether the graph is a single connected component.
 // The empty graph is considered connected.
 func (g *Graph) IsConnected() bool {
-	n := len(g.adj)
-	if n == 0 {
-		return true
-	}
-	return g.componentSize(0) == n
+	return len(g.adj) == 0 || !slices.Contains(g.HopsFrom(0), -1)
 }
 
-// componentSize returns the size of the connected component containing start.
-func (g *Graph) componentSize(start NodeID) int {
-	visited := make([]bool, len(g.adj))
-	queue := make([]NodeID, 0, len(g.adj))
-	queue = append(queue, start)
-	visited[start] = true
-	count := 0
+// HopsFrom returns the hop distance from src to every node, −1 for the
+// nodes src cannot reach. Landmark placement, routing trees and the
+// simulator's ΣD scoring all walk the map through it.
+func (g *Graph) HopsFrom(src NodeID) []int32 {
+	dist := make([]int32, len(g.adj))
+	for i := range dist {
+		dist[i] = -1
+	}
+	dist[src] = 0
+	queue := append(make([]NodeID, 0, len(g.adj)), src)
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]
-		count++
 		for _, v := range g.adj[u] {
-			if !visited[v] {
-				visited[v] = true
+			if dist[v] < 0 {
+				dist[v] = dist[u] + 1
 				queue = append(queue, v)
 			}
 		}
 	}
-	return count
+	return dist
 }
 
 // ConnectedComponents returns the node sets of all connected components,

@@ -167,3 +167,38 @@ func mustEdge(t *testing.T, g *Graph, u, v NodeID) {
 		t.Fatalf("AddEdge(%d,%d): %v", u, v, err)
 	}
 }
+
+func TestHopsFromSymmetric(t *testing.T) {
+	g, err := Generate(Config{Model: ModelBarabasiAlbert, CoreRouters: 200, LeafRouters: 100, EdgesPerNode: 2, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(9))
+	for k := 0; k < 10; k++ {
+		u := NodeID(rng.Intn(g.NumNodes()))
+		v := NodeID(rng.Intn(g.NumNodes()))
+		du, dv := g.HopsFrom(u), g.HopsFrom(v)
+		if du[v] != dv[u] {
+			t.Fatalf("asymmetric hop distance d(%d,%d)=%d but d(%d,%d)=%d", u, v, du[v], v, u, dv[u])
+		}
+	}
+}
+
+// Property: hop distances obey the triangle inequality on connected graphs.
+func TestHopTriangleInequality(t *testing.T) {
+	g, err := Generate(Config{Model: ModelBarabasiAlbert, CoreRouters: 120, LeafRouters: 80, EdgesPerNode: 2, Seed: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := g.NumNodes()
+	f := func(a, b, c uint16) bool {
+		u := NodeID(int(a) % n)
+		v := NodeID(int(b) % n)
+		w := NodeID(int(c) % n)
+		du, dv := g.HopsFrom(u), g.HopsFrom(v)
+		return du[w] <= du[v]+dv[w]
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -79,7 +79,7 @@ func placeKCenter(g *Graph, k int) ([]NodeID, error) {
 	}
 	chosen := []NodeID{first}
 	// minDist[u] = hop distance from u to the nearest chosen landmark.
-	minDist := bfsFrom(g, first)
+	minDist := g.HopsFrom(first)
 	for len(chosen) < k {
 		// Farthest non-leaf router from the current set.
 		far := InvalidNode
@@ -97,7 +97,7 @@ func placeKCenter(g *Graph, k int) ([]NodeID, error) {
 			break // graph exhausted: fewer than k distinct centers exist
 		}
 		chosen = append(chosen, far)
-		for u, d := range bfsFrom(g, far) {
+		for u, d := range g.HopsFrom(far) {
 			if d >= 0 && (minDist[u] < 0 || d < minDist[u]) {
 				minDist[u] = d
 			}
@@ -107,28 +107,6 @@ func placeKCenter(g *Graph, k int) ([]NodeID, error) {
 		return nil, fmt.Errorf("topology: k-center found only %d of %d landmarks", len(chosen), k)
 	}
 	return chosen, nil
-}
-
-// bfsFrom is a plain BFS used by placement (duplicating routing's would
-// create an import cycle).
-func bfsFrom(g *Graph, src NodeID) []int32 {
-	dist := make([]int32, g.NumNodes())
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[src] = 0
-	queue := []NodeID{src}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, v := range g.Neighbors(u) {
-			if dist[v] < 0 {
-				dist[v] = dist[u] + 1
-				queue = append(queue, v)
-			}
-		}
-	}
-	return dist
 }
 
 // placeDegreeWeighted samples k distinct non-leaf routers with probability

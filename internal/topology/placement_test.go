@@ -161,9 +161,9 @@ func coverageRadius(g *Graph, landmarks []NodeID) (int, error) {
 	if len(landmarks) == 0 {
 		return 0, fmt.Errorf("topology: no landmarks")
 	}
-	minDist := bfsFrom(g, landmarks[0])
+	minDist := g.HopsFrom(landmarks[0])
 	for _, lm := range landmarks[1:] {
-		for u, d := range bfsFrom(g, lm) {
+		for u, d := range g.HopsFrom(lm) {
 			if d >= 0 && (minDist[u] < 0 || d < minDist[u]) {
 				minDist[u] = d
 			}

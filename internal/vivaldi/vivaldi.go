@@ -173,34 +173,7 @@ func (s *System) SamplesUsed() int { return s.samples }
 // KClosest returns the k hosts whose coordinates are nearest to host i —
 // Vivaldi's answer to the paper's closest-peer question.
 func (s *System) KClosest(i, k int) []int {
-	type cand struct {
-		j int
-		d float64
-	}
-	cands := make([]cand, 0, len(s.nodes)-1)
-	for j := range s.nodes {
-		if j == i {
-			continue
-		}
-		cands = append(cands, cand{j, Distance(s.nodes[i].coord, s.nodes[j].coord)})
-	}
-	// Partial selection sort is fine for small k.
-	if k > len(cands) {
-		k = len(cands)
-	}
-	for a := 0; a < k; a++ {
-		best := a
-		for b := a + 1; b < len(cands); b++ {
-			if cands[b].d < cands[best].d ||
-				(cands[b].d == cands[best].d && cands[b].j < cands[best].j) {
-				best = b
-			}
-		}
-		cands[a], cands[best] = cands[best], cands[a]
-	}
-	out := make([]int, k)
-	for a := 0; a < k; a++ {
-		out[a] = cands[a].j
-	}
-	return out
+	return latency.Nearest(len(s.nodes), i, k, func(j int) float64 {
+		return Distance(s.nodes[i].coord, s.nodes[j].coord)
+	})
 }

@@ -66,6 +66,7 @@
 package proxdisc
 
 import (
+	"fmt"
 	"time"
 
 	"proxdisc/internal/client"
@@ -75,7 +76,6 @@ import (
 	"proxdisc/internal/overlay"
 	"proxdisc/internal/pathtree"
 	"proxdisc/internal/proto"
-	"proxdisc/internal/routing"
 	"proxdisc/internal/streaming"
 	"proxdisc/internal/topology"
 	"proxdisc/internal/traceroute"
@@ -201,10 +201,14 @@ func NewSimulation(cfg SimulationConfig) (*Simulation, error) {
 }
 
 // HopDistances returns the hop distance from one router to every router of
-// the simulation's topology (routing.Unreachable, −1, for disconnected
-// routers). Examples and applications use it to score neighbour sets.
+// the simulation's topology (−1 for routers it cannot reach); a router
+// outside the topology is an error. Examples and applications use it to
+// score neighbour sets.
 func HopDistances(sim *Simulation, from RouterID) ([]int32, error) {
-	return routing.BFSDistances(sim.Graph, from)
+	if n := sim.Graph.NumNodes(); from < 0 || int(from) >= n {
+		return nil, fmt.Errorf("proxdisc: router %d out of range [0,%d)", from, n)
+	}
+	return sim.Graph.HopsFrom(from), nil
 }
 
 // Overlay is the peer mesh built from closest-peer answers. Safe for

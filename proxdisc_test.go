@@ -27,6 +27,11 @@ func TestPublicSimulation(t *testing.T) {
 	if q.DOverDclosest() < 1.0 || q.DOverDclosest() > 2.0 {
 		t.Fatalf("D/Dclosest=%v", q.DOverDclosest())
 	}
+	for _, r := range []RouterID{-1, RouterID(sim.Graph.NumNodes())} {
+		if _, err := HopDistances(sim, r); err == nil {
+			t.Fatalf("HopDistances from router %d, outside the topology, answered", r)
+		}
+	}
 }
 
 // TestPublicNetworkStack runs server + landmark + agent end to end on
