@@ -1,5 +1,5 @@
-// Native fuzz targets for the frame reader and the join decoders: the
-// surfaces a malicious peer controls byte-for-byte. Each target checks two
+// Native fuzz targets for the frame reader and the request decoders a
+// server runs: the surfaces a malicious peer controls byte-for-byte. Each target checks two
 // properties — no panic on arbitrary input, and encode/decode round-trip
 // stability for inputs the decoder accepts.
 package proto
@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"proxdisc/internal/codec"
+	"proxdisc/internal/op"
 )
 
 // FuzzReadFrame throws raw bytes at both frame readers. Whatever is
@@ -55,34 +56,53 @@ func FuzzReadFrame(f *testing.F) {
 	})
 }
 
-// FuzzDecodeJoinRequest checks the singular join decoder: malformed
-// request IDs in the wrapping frame are covered by FuzzReadFrame; here the
-// payload itself is adversarial.
+// FuzzDecodeJoinRequest checks the decoders a server runs on the
+// single-peer requests: DecodeJoinOp, and DecodeLookupRequest,
+// DecodeLeaveOp and DecodeRefreshOp, which read the same 8-byte peer ID and
+// must agree. Malformed request IDs in the wrapping frame are covered by
+// FuzzReadFrame; here the payload itself is adversarial.
 func FuzzDecodeJoinRequest(f *testing.F) {
 	good, _ := AppendJoinRequest(nil, &JoinRequest{Peer: 42, Addr: "198.51.100.7:9000", Path: []int32{3, 2, 1, 0}})
 	f.Add(good)
 	f.Add([]byte{})
 	f.Add(binary.BigEndian.AppendUint16(nil, codec.MaxPathLen+1))
+	f.Add(EncodeLookupRequest(&LookupRequest{Peer: -7}))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := decodeJoinRequest(data)
-		if err != nil {
-			return
+		if o, err := DecodeJoinOp(data); err == nil {
+			if b := appendEntries(t, nil, o.Join); !bytes.Equal(b, data) {
+				t.Fatalf("join encoding not canonical: %x vs %x", b, data)
+			}
 		}
-		if len(m.Path) > codec.MaxPathLen || len(m.Addr) > MaxAddrLen {
-			t.Fatalf("decoder accepted over-limit message: %d hops, %d addr bytes", len(m.Path), len(m.Addr))
+		m, err := DecodeLookupRequest(data)
+		for _, decode := range []func([]byte) (op.Op, error){DecodeLeaveOp, DecodeRefreshOp} {
+			if o, oerr := decode(data); (oerr == nil) != (err == nil) || err == nil && int64(o.Peer) != m.Peer {
+				t.Fatalf("peer-ID decoders disagree: lookup %d, %v; op %d, %v", m.Peer, err, o.Peer, oerr)
+			}
 		}
-		b, err := AppendJoinRequest(nil, m)
-		if err != nil {
-			t.Fatalf("re-encode of accepted join failed: %v", err)
-		}
-		if !bytes.Equal(b, data) {
-			t.Fatalf("join encoding not canonical: %x vs %x", b, data)
+		if err == nil && !bytes.Equal(EncodeLookupRequest(m), data) {
+			t.Fatalf("peer-ID encoding not canonical: %x", data)
 		}
 	})
 }
 
-// FuzzDecodeBatchJoinRequest targets the batch decoder: truncated batch
-// payloads, lying counts, and per-entry limit violations.
+// appendEntries re-encodes decoded join entries onto dst in the wire
+// layout, failing t on an entry past a codec cap, which no decoder may
+// accept.
+func appendEntries(t *testing.T, dst []byte, entries ...op.JoinEntry) []byte {
+	w := codec.Writer{Buf: dst}
+	for _, e := range entries {
+		codec.AppendJoin(&w, e.Peer, e.Addr, e.Path)
+	}
+	b, err := w.Done()
+	if err != nil {
+		t.Fatalf("re-encode of an accepted join entry failed: %v", err)
+	}
+	return b
+}
+
+// FuzzDecodeBatchJoinRequest targets DecodeBatchJoinOp, the server's batch
+// decoder: truncated batch payloads, lying counts, and per-entry limit
+// violations.
 func FuzzDecodeBatchJoinRequest(f *testing.F) {
 	good, _ := EncodeBatchJoinRequest(&BatchJoinRequest{Joins: []JoinRequest{
 		{Peer: 1, Addr: "a", Path: []int32{1, 0}},
@@ -95,18 +115,14 @@ func FuzzDecodeBatchJoinRequest(f *testing.F) {
 		f.Add(good[:len(good)-3])
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := DecodeBatchJoinRequest(data)
+		o, err := DecodeBatchJoinOp(data)
 		if err != nil {
 			return
 		}
-		if len(m.Joins) == 0 || len(m.Joins) > MaxBatch {
-			t.Fatalf("decoder accepted batch of %d joins", len(m.Joins))
+		if len(o.Batch) == 0 || len(o.Batch) > MaxBatch {
+			t.Fatalf("decoder accepted batch of %d joins", len(o.Batch))
 		}
-		b, err := EncodeBatchJoinRequest(m)
-		if err != nil {
-			t.Fatalf("re-encode of accepted batch failed: %v", err)
-		}
-		if !bytes.Equal(b, data) {
+		if b := appendEntries(t, binary.BigEndian.AppendUint16(nil, uint16(len(o.Batch))), o.Batch...); !bytes.Equal(b, data) {
 			t.Fatalf("batch encoding not canonical")
 		}
 	})
