@@ -306,21 +306,11 @@ func Listen(cfg Config) (*NetServer, error) {
 			cfg.Workers = 8
 		}
 	}
-	if cfg.MaxBatch <= 0 || cfg.MaxBatch > proto.MaxBatch {
-		cfg.MaxBatch = proto.MaxBatch
-	}
-	// Derate the batch limit so a full batch RESPONSE is guaranteed to fit
-	// one frame even when every entry returns NeighborCount candidates
-	// with maximum-length addresses; otherwise a large -neighbors setting
-	// would make EncodeBatchAnswer overflow MaxFrameSize and void
-	// whole batches with CodeInternal after the joins already applied.
-	perCand := 8 + 4 + 2 + proto.MaxAddrLen                     // peer + dtree + addr
-	perResult := 2 + 2 + 2 + cfg.Server.NeighborCount()*perCand // code + empty msg + count + candidates
-	if fit := (proto.MaxFrameSize - 16) / perResult; fit < cfg.MaxBatch {
+	// Derate the batch limit so a full batch's answer always fits one
+	// frame, whatever the -neighbors setting; otherwise EncodeBatchAnswer
+	// would refuse it after the joins applied, voiding the whole batch.
+	if fit := max(1, proto.BatchAnswerFit(cfg.Server.NeighborCount())); cfg.MaxBatch <= 0 || cfg.MaxBatch > fit {
 		cfg.MaxBatch = fit
-	}
-	if cfg.MaxBatch < 1 {
-		cfg.MaxBatch = 1
 	}
 	ln, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {

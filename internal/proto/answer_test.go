@@ -5,7 +5,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"reflect"
+	"strings"
 	"testing"
 
 	"proxdisc/internal/pathtree"
@@ -151,5 +153,39 @@ func TestDecodedAnswersAliasNothing(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: decoded %+v changed to %+v once its payload was recycled", name, want, got)
 		}
+	}
+}
+
+// TestBatchAnswerFit pins the batch answer's frame budget at its boundary
+// for k = 10: 24 entries of 10 candidates with MaxAddrLen-byte addresses
+// encode and go out through WriteFrameID, 25 are refused. At the default
+// k = 5 the budget is MaxBatch.
+func TestBatchAnswerFit(t *testing.T) {
+	if got := BatchAnswerFit(5); got != MaxBatch {
+		t.Fatalf("BatchAnswerFit(5) = %d, want %d", got, MaxBatch)
+	}
+	if got := BatchAnswerFit(10); got != 24 {
+		t.Fatalf("BatchAnswerFit(10) = %d, want 24", got)
+	}
+	cands := make([]pathtree.Candidate, 10)
+	for i := range cands {
+		cands[i] = pathtree.Candidate{Peer: pathtree.PeerID(i), DTree: i, Addr: strings.Repeat("a", MaxAddrLen)}
+	}
+	answer := func(n int) []BatchAnswer {
+		res := make([]BatchAnswer, n)
+		for i := range res {
+			res[i].Neighbors = cands
+		}
+		return res
+	}
+	b, err := EncodeBatchAnswer(answer(24))
+	if err != nil {
+		t.Fatalf("24 entries: %v", err)
+	}
+	if err := WriteFrameID(io.Discard, MsgBatchJoinResponse, 1<<63, b); err != nil {
+		t.Fatalf("24 entries' frame: %v", err)
+	}
+	if _, err := EncodeBatchAnswer(answer(25)); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("25 entries: %v, want ErrFrameTooLarge", err)
 	}
 }

@@ -885,6 +885,18 @@ func EncodeBatchAnswer(res []BatchAnswer) ([]byte, error) {
 	return pooledBatch(&w)
 }
 
+// BatchAnswerFit returns how many entries of a batch answer (at most
+// MaxBatch) fit one frame however they are answered: each with k
+// candidates of MaxAddrLen-byte addresses, or with an error message of
+// MaxAddrLen bytes. A server that accepts no larger batch never has a
+// batch's answer refused by EncodeBatchAnswer after the joins applied.
+func BatchAnswerFit(k int) int {
+	// An entry is its code, message and count, then the larger body; the
+	// frame also holds its type and request ID (9) and the entry count (2).
+	perEntry := 2 + 2 + 2 + max(MaxAddrLen, k*(candidateFixed+2+MaxAddrLen))
+	return min(MaxBatch, (MaxFrameSize-9-2)/perEntry)
+}
+
 // pooledBatch is pooled for a batch answer, which must also fit one frame.
 func pooledBatch(w *codec.Writer) ([]byte, error) {
 	if len(w.Buf)+9 > MaxFrameSize {
