@@ -351,9 +351,10 @@ func (c *Client) isClosed() bool {
 	return c.closed
 }
 
-// backoffDelay is the bounded exponential pause before resubscribe
-// `attempt` (1-based): 50ms doubling per attempt, capped at 2s.
-func backoffDelay(attempt int) time.Duration {
+// BackoffDelay is the bounded exponential pause before retry `attempt`
+// (1-based) of a subscription's resubscribe or a follower's redial: 50ms
+// doubling per attempt, capped at 2s.
+func BackoffDelay(attempt int) time.Duration {
 	d := 50 * time.Millisecond
 	for i := 1; i < attempt && d < 2*time.Second; i++ {
 		d *= 2

@@ -462,13 +462,13 @@ func dialled(c *Client) *session {
 // TestFailoverHelpers pins the backoff a resubscribing subscription waits: it
 // doubles from 50ms up to the 2s cap.
 func TestFailoverHelpers(t *testing.T) {
-	if d := backoffDelay(1); d != 50*time.Millisecond {
+	if d := BackoffDelay(1); d != 50*time.Millisecond {
 		t.Fatalf("backoff(1)=%v", d)
 	}
-	if d := backoffDelay(2); d != 100*time.Millisecond {
+	if d := BackoffDelay(2); d != 100*time.Millisecond {
 		t.Fatalf("backoff(2)=%v", d)
 	}
-	if d := backoffDelay(10); d != 2*time.Second {
+	if d := BackoffDelay(10); d != 2*time.Second {
 		t.Fatalf("backoff(10)=%v, want the 2s cap", d)
 	}
 }

@@ -252,7 +252,7 @@ func (s *Subscription) resubscribe(old *stream) *stream {
 			s.fail(err)
 			return nil
 		}
-		t := time.NewTimer(backoffDelay(attempt))
+		t := time.NewTimer(BackoffDelay(attempt))
 		select {
 		case <-t.C:
 		case <-s.ctx.Done():

@@ -128,16 +128,6 @@ type FollowerConfig struct {
 // frame in both directions carries it.
 const followReqID = 1
 
-// The follower waits redialBackoff before redialling a dead stream,
-// doubling per failed dial up to maxRedialBackoff. The resumed session picks
-// up exactly where the last one stopped: catch-up runs from the
-// acknowledged offset, via the primary's WAL tail — or its latest snapshot
-// when the tail has been compacted away.
-const (
-	redialBackoff    = 50 * time.Millisecond
-	maxRedialBackoff = 2 * time.Second
-)
-
 // followHeartbeat is the longest the follower goes without an ack while
 // frames that ask for none (snapshot fragments) keep arriving, so the
 // primary's read deadline stays fed.
@@ -211,10 +201,14 @@ func StartFollower(cfg FollowerConfig) (*Follower, error) {
 	return f, nil
 }
 
-// run consumes sessions until Close, redialling with bounded backoff.
+// run consumes sessions until Close. It redials a dead stream after
+// client.BackoffDelay(attempt), where attempt is 1 plus the dials that
+// failed since the last session ran. The resumed session picks up exactly where the last one
+// stopped: catch-up runs from the acknowledged offset, via the primary's
+// WAL tail — or its latest snapshot when the tail has been compacted away.
 func (f *Follower) run(conn net.Conn, br *bufio.Reader) {
 	defer f.wg.Done()
-	backoff := redialBackoff
+	attempt := 1
 	for {
 		if conn != nil {
 			err := f.stream(conn, br)
@@ -225,12 +219,12 @@ func (f *Follower) run(conn net.Conn, br *bufio.Reader) {
 			f.noteErr(err)
 			f.cfg.Logger("netserver: follower stream to %s ended: %v (resuming after seq %d)",
 				f.cfg.PrimaryAddr, err, f.applied.Load())
-			backoff = redialBackoff // the session ran; start backoff afresh
+			attempt = 1 // the session ran; start backoff afresh
 		}
 		select {
 		case <-f.ctx.Done():
 			return
-		case <-time.After(backoff):
+		case <-time.After(client.BackoffDelay(attempt)):
 		}
 		f.reconnects.Inc()
 		var err error
@@ -240,7 +234,7 @@ func (f *Follower) run(conn net.Conn, br *bufio.Reader) {
 			}
 			f.noteErr(err)
 			f.cfg.Logger("netserver: follower redial %s: %v", f.cfg.PrimaryAddr, err)
-			backoff = min(2*backoff, maxRedialBackoff)
+			attempt++
 		}
 	}
 }
