@@ -25,19 +25,18 @@ import (
 // ignored.
 //
 // Only a sync cycle's leader touches the file. An appender, under the log's
-// one mutex, takes its sequences, frames its records into the active buffer
-// and queues them for the commit tap; it never writes, fsyncs or rotates.
+// one mutex, takes its sequences and frames its records into the active
+// buffer; it never writes, fsyncs or rotates.
 //
 // The group commit is built around the durable mark: the highest sequence
 // at or below which every record is on stable storage. An appender whose
 // records are above the mark either leads the next sync cycle or waits for
 // the running one to end; only one cycle runs at a time. A cycle's leader,
 // under the mutex, takes the last assigned sequence as the mark it will
-// claim, swaps the active buffer with a spare and takes the tap queue. With
-// the mutex released it writes the buffer once and fsyncs once, starts the
-// next segment (named mark+1) if this one has reached Options.SegmentBytes,
-// advances the mark, hands the taken records to the tap in the order they
-// were queued, and then releases every waiter of the cycle at once. The
+// claim and swaps the active buffer with a spare. With the mutex released it
+// writes the buffer once and fsyncs once, starts the next segment (named
+// mark+1) if this one has reached Options.SegmentBytes, advances the mark,
+// hands the tap each record the buffer framed, in order, and then releases every waiter of the cycle at once. The
 // waiters it covered return; of the rest, one leads the next cycle. So the
 // tap sees only durable records, in contiguous order, and a record reaches
 // the tap before its Append returns.
@@ -48,12 +47,10 @@ type Sharded struct {
 	dir  string
 	opts Options
 
-	mu     sync.Mutex    // guards sequence assignment, buf and tapq
-	seq    atomic.Uint64 // last assigned sequence; stored under mu
-	buf    []byte        // framed records not yet written: the active buffer
-	tapq   []tapRec      // the records framed into buf, for the tap
-	spare  []byte        // the buffer the leader writes; only the leader touches it
-	spareQ []tapRec      // the tap queue the leader took; only the leader touches it
+	mu    sync.Mutex    // guards sequence assignment and buf
+	seq   atomic.Uint64 // last assigned sequence; stored under mu
+	buf   []byte        // framed records not yet written: the active buffer
+	spare []byte        // the buffer the leader writes and taps; only the leader touches it
 
 	// The active segment. Only a sync cycle's leader, or an open, EnsureSeq
 	// or Close that no cycle runs beside, touches it.
@@ -85,13 +82,6 @@ type Sharded struct {
 	syncedRecords *telemetry.Counter
 	appendLatency *telemetry.Histogram
 	fsyncLatency  *telemetry.Histogram
-}
-
-// tapRec is a record queued for the commit tap. rec is the appender's own
-// slice, valid until its Append returns — which is after the tap call.
-type tapRec struct {
-	seq uint64
-	rec []byte
 }
 
 // shardSegName formats a segment file name. This log writes stream 0 only;
@@ -228,9 +218,10 @@ func (s *Sharded) Metrics() Metrics {
 // record above the head reaches the new tap; records at or below it are
 // its blind spot, which ReadAfter serves. Each sync cycle's leader calls
 // the tap after the fsync that made the records durable and before their
-// appenders return, in contiguous sequence order. The tap must not block
-// and must not retain rec, which its appender owns. Once SetOnAppend
-// returns, the previous tap is never called again.
+// appenders return, in contiguous sequence order. rec is the record's bytes
+// in the buffer the cycle wrote, valid until the tap returns: the tap must
+// not block and must not retain rec. Once SetOnAppend returns, the
+// previous tap is never called again.
 func (s *Sharded) SetOnAppend(fn func(seq uint64, rec []byte)) (head uint64) {
 	s.tapMu.Lock()
 	defer s.tapMu.Unlock()
@@ -313,7 +304,6 @@ func (s *Sharded) Append(stream int, recs ...[]byte) (uint64, error) {
 		crc := crc32.Update(crc32.Checksum(hdr[4:12], crcTable), crcTable, rec)
 		binary.BigEndian.PutUint32(hdr[12:16], crc)
 		s.buf = append(append(s.buf, hdr[:]...), rec...)
-		s.tapq = append(s.tapq, tapRec{seq: seq, rec: rec})
 	}
 	s.seq.Store(seq)
 	s.mu.Unlock()
@@ -378,7 +368,8 @@ func (s *Sharded) syncTo(target uint64) error {
 
 // runCycle is one sync cycle, run by its leader: take the buffered records
 // under the mutex, write and fsync them with it released, advance the
-// durable mark, and hand the records to the commit tap.
+// durable mark, and hand the records, read back from the written buffer,
+// to the commit tap.
 func (s *Sharded) runCycle() error {
 	if err := s.err(); err != nil {
 		return err
@@ -397,7 +388,6 @@ func (s *Sharded) runCycle() error {
 	s.mu.Lock()
 	mark := s.seq.Load()
 	s.buf, s.spare = s.spare[:0], s.buf
-	s.tapq, s.spareQ = s.spareQ[:0], s.tapq
 	s.mu.Unlock()
 	if s.cycleHook != nil {
 		s.cycleHook()
@@ -412,13 +402,14 @@ func (s *Sharded) runCycle() error {
 	}
 	s.tapMu.Lock()
 	if fn := s.onAppend; fn != nil {
-		for _, r := range s.spareQ {
-			fn(r.seq, r.rec)
+		for b := s.spare; len(b) > 0; {
+			end := frameHeader + int(binary.BigEndian.Uint32(b[:4]))
+			fn(binary.BigEndian.Uint64(b[4:12]), b[frameHeader:end])
+			b = b[end:]
 		}
 	}
 	s.tapped.Store(mark)
 	s.tapMu.Unlock()
-	clear(s.spareQ)
 	return nil
 }
 
