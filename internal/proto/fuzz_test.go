@@ -1,7 +1,7 @@
 // Native fuzz targets for the frame reader and the request decoders a
-// server runs: the surfaces a malicious peer controls byte-for-byte. Each target checks two
-// properties — no panic on arbitrary input, and encode/decode round-trip
-// stability for inputs the decoder accepts.
+// server runs: the surfaces a malicious peer controls byte-for-byte. Each
+// target checks two properties — no panic on arbitrary input, and
+// encode/decode round-trip stability for inputs the decoder accepts.
 package proto
 
 import (
@@ -75,7 +75,7 @@ func FuzzDecodeJoinRequest(f *testing.F) {
 		}
 		m, err := DecodeLookupRequest(data)
 		for _, decode := range []func([]byte) (op.Op, error){DecodeLeaveOp, DecodeRefreshOp} {
-			if o, oerr := decode(data); (oerr == nil) != (err == nil) || err == nil && int64(o.Peer) != m.Peer {
+			if o, oerr := decode(data); (oerr == nil) != (err == nil) || (err == nil && int64(o.Peer) != m.Peer) {
 				t.Fatalf("peer-ID decoders disagree: lookup %d, %v; op %d, %v", m.Peer, err, o.Peer, oerr)
 			}
 		}

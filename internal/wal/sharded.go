@@ -36,10 +36,10 @@ import (
 // claim and swaps the active buffer with a spare. With the mutex released it
 // writes the buffer once and fsyncs once, starts the next segment (named
 // mark+1) if this one has reached Options.SegmentBytes, advances the mark,
-// hands the tap each record the buffer framed, in order, and then releases every waiter of the cycle at once. The
-// waiters it covered return; of the rest, one leads the next cycle. So the
-// tap sees only durable records, in contiguous order, and a record reaches
-// the tap before its Append returns.
+// hands the tap each record the buffer framed, in order, and then releases
+// every waiter of the cycle at once. The waiters it covered return; of the
+// rest, one leads the next cycle. So the tap sees only durable records, in
+// contiguous order, and a record reaches the tap before its Append returns.
 //
 // Append is safe for concurrent use; EnsureSeq and Replay must complete
 // before the first Append.
@@ -404,7 +404,7 @@ func (s *Sharded) runCycle() error {
 	if fn := s.onAppend; fn != nil {
 		for b := s.spare; len(b) > 0; {
 			end := frameHeader + int(binary.BigEndian.Uint32(b[:4]))
-			fn(binary.BigEndian.Uint64(b[4:12]), b[frameHeader:end])
+			fn(binary.BigEndian.Uint64(b[4:12]), b[frameHeader:end:end])
 			b = b[end:]
 		}
 	}
