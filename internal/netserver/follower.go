@@ -203,9 +203,10 @@ func StartFollower(cfg FollowerConfig) (*Follower, error) {
 
 // run consumes sessions until Close. It redials a dead stream after
 // client.BackoffDelay(attempt), where attempt is 1 plus the dials that
-// failed since the last session ran. The resumed session picks up exactly where the last one
-// stopped: catch-up runs from the acknowledged offset, via the primary's
-// WAL tail — or its latest snapshot when the tail has been compacted away.
+// failed since the last session ran. The resumed session picks up exactly
+// where the last one stopped: catch-up runs from the acknowledged offset,
+// via the primary's WAL tail — or its latest snapshot when the tail has
+// been compacted away.
 func (f *Follower) run(conn net.Conn, br *bufio.Reader) {
 	defer f.wg.Done()
 	attempt := 1
