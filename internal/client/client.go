@@ -422,17 +422,17 @@ func (c *Client) Join(peer int64, overlayAddr string, path []int32) ([]proto.Can
 	return c.JoinContext(context.Background(), peer, overlayAddr, path)
 }
 
-// BatchItem is one entry of a batched join.
-type BatchItem struct {
-	// Peer is the joining peer's ID.
-	Peer int64
-	// Addr is its advertised overlay address.
-	Addr string
-	// Path is its router path, peer-side first, ending at a landmark.
-	Path []int32
-}
+// BatchItem is one entry of a batched join: the joining peer's ID, its
+// advertised overlay address and its router path, peer-side first, ending
+// at a landmark. It is the wire's join entry, so a batch is encoded
+// straight from the caller's items.
+type BatchItem = proto.JoinRequest
 
-// BatchResult is the per-entry outcome of JoinBatch.
+// BatchResult is the per-entry outcome of JoinBatch. The neighbour lists of
+// one frame's entries are runs of one candidate block, their addresses
+// substrings of one string; nothing rewrites either once it is returned,
+// and each run's capacity ends where it does, so appending to one list
+// never touches another.
 type BatchResult struct {
 	Neighbors []proto.Candidate
 	Err       error
@@ -458,15 +458,12 @@ func (c *Client) JoinBatchContext(ctx context.Context, items []BatchItem) ([]Bat
 			n = m
 		}
 		hi := min(lo+n, len(items))
-		req := &proto.BatchJoinRequest{Joins: make([]proto.JoinRequest, hi-lo)}
-		for i, it := range items[lo:hi] {
-			req.Joins[i] = proto.JoinRequest{Peer: it.Peer, Addr: it.Addr, Path: it.Path}
-		}
-		payload, err := proto.EncodeBatchJoinRequest(req)
+		payload, err := proto.AppendBatchJoinRequest(proto.GetBuf(0), items[lo:hi])
 		if err != nil {
 			return nil, err
 		}
 		resp, err := c.roundTrip(ctx, proto.MsgBatchJoinRequest, payload, proto.MsgBatchJoinResponse, nil)
+		proto.PutBuf(payload)
 		if err != nil {
 			var werr *proto.Error
 			if errors.As(err, &werr) && werr.Code == proto.CodeBadRequest {

@@ -387,20 +387,26 @@ func (c *Cluster) Join(p pathtree.PeerID, path []topology.NodeID) ([]pathtree.Ca
 	return c.JoinOp(op.Join(p, path, "", 0))
 }
 
-// JoinOp answers and applies a KindJoin op: Join's op-native form, used by
-// front ends whose joins carry overlay addresses. The op is committed to
-// the write-ahead log (when the node is durable) before the answer is
-// returned, so an acknowledged join survives a crash.
-func (c *Cluster) JoinOp(o op.Op) ([]pathtree.Candidate, error) {
+// JoinInto answers and applies a KindJoin op, appending the answer to ans
+// and returning its run: Join's op-native form, used by front ends whose
+// joins carry overlay addresses. The op is committed to the write-ahead log
+// (when the node is durable) before the answer is returned, so an
+// acknowledged join survives a crash.
+func (c *Cluster) JoinInto(o op.Op, ans *pathtree.Answers) (pathtree.Answer, error) {
 	o = c.stamp(o)
-	cands, err := c.joinRoute(o, false)
+	run, err := c.joinRoute(o, ans)
 	if err != nil {
-		return nil, err
+		return pathtree.Answer{}, err
 	}
 	if err := c.commit(o); err != nil {
-		return nil, err
+		return pathtree.Answer{}, err
 	}
-	return cands, nil
+	return run, nil
+}
+
+// JoinOp is JoinInto with its answer copied out of a pooled block.
+func (c *Cluster) JoinOp(o op.Op) ([]pathtree.Candidate, error) {
+	return pathtree.Answered(func(ans *pathtree.Answers) (pathtree.Answer, error) { return c.JoinInto(o, ans) })
 }
 
 // shardOf resolves the shard that owns landmark lm.
@@ -437,23 +443,23 @@ func (c *Cluster) enterPeer(p pathtree.PeerID) (*shard, error) {
 }
 
 // joinRoute routes a join op to the shard owning its path's landmark. It is
-// the shared road of answering joins (quiet=false) and silent ones
-// (quiet=true: Apply and WAL recovery).
-func (c *Cluster) joinRoute(o op.Op, quiet bool) ([]pathtree.Candidate, error) {
+// the shared road of answering joins, which answer into ans, and silent
+// ones (a nil ans: Apply and WAL recovery).
+func (c *Cluster) joinRoute(o op.Op, ans *pathtree.Answers) (pathtree.Answer, error) {
 	shard, err := c.pathShard(o.Join.Path)
 	if err != nil {
-		return nil, err
+		return pathtree.Answer{}, err
 	}
 	g := c.shards[shard]
 	g.applies.Inc()
-	var cands []pathtree.Candidate
-	if quiet {
+	var run pathtree.Answer
+	if ans == nil {
 		err = g.srv.Apply(o)
 	} else {
-		cands, err = g.srv.JoinOp(o)
+		run, err = g.srv.JoinInto(o, ans)
 	}
 	c.retireOrphans(g)
-	return cands, err
+	return run, err
 }
 
 // retireOrphans retires the records that joins on g left behind in trees of
@@ -471,49 +477,60 @@ func (c *Cluster) retireOrphans(g *shard) {
 	}
 }
 
-// JoinBatchOp registers a batch of peers, grouping entries by the shard
+// JoinBatchInto registers a batch of peers, grouping entries by the shard
 // owning each path's landmark so every shard is hit with one
-// single-lock-acquisition batch apply instead of per-join locking. Results
-// are positional: out[i] answers o.Batch[i]. On a durable node the accepted
-// entries are committed to the write-ahead log before the answers are
-// returned.
-func (c *Cluster) JoinBatchOp(o op.Op) []server.BatchResult {
+// single-lock-acquisition batch apply instead of per-join locking. It
+// empties ans and answers into it positionally: ans.Entries[i] answers
+// o.Batch[i]. On a durable node the accepted entries are committed to the
+// write-ahead log before it returns.
+func (c *Cluster) JoinBatchInto(o op.Op, ans *pathtree.Answers) {
 	o = c.stamp(o)
-	out, accepted, deferred := c.batchRoute(o, false)
+	ans.Reset(len(o.Batch))
+	r := routePool.Get().(*route)
+	defer r.release()
+	accepted, _ := c.batchRoute(o, r, ans)
 	if len(accepted) > 0 {
 		if err := c.commit(op.BatchJoin(accepted, o.Time)); err != nil {
 			// The entries applied but are not durable: withdraw the
 			// acknowledgement so no client treats them as committed.
-			for i := range out {
-				if out[i].Err == nil {
-					out[i] = server.BatchResult{Err: err}
+			for i := range ans.Entries {
+				if ans.Entries[i].Err == nil {
+					ans.Entries[i] = pathtree.Answer{Err: err}
 				}
 			}
-			return out
+			return
 		}
 	}
 	// Duplicate-peer entries, which need batch order, take the singular
 	// path, in batch order; they are rare, so the flash-crowd case loses
 	// nothing.
-	for _, i := range deferred {
-		out[i].Neighbors, out[i].Err = c.JoinOp(op.Op{Kind: op.KindJoin, Time: o.Time, Join: o.Batch[i]})
+	for i, shard := range r.owner {
+		if shard == repeated {
+			e := &ans.Entries[i]
+			*e, e.Err = c.JoinInto(op.Op{Kind: op.KindJoin, Time: o.Time, Join: o.Batch[i]}, ans)
+		}
 	}
-	return out
+}
+
+// JoinBatchOp is JoinBatchInto into a pooled block, of which it keeps each
+// entry's outcome.
+func (c *Cluster) JoinBatchOp(o op.Op) []server.BatchResult {
+	ans := pathtree.GetAnswers()
+	defer ans.Release()
+	c.JoinBatchInto(o, ans)
+	return server.Results(ans)
 }
 
 // batchRoute resolves every entry's shard and applies one batch per shard
-// group: the shared road of JoinBatchOp and of a recorded batch, replayed or
-// replicated (quiet, which computes no answers and so lists nothing as
-// accepted).
-// out holds the answers and the entries refused; deferred lists, in batch
+// group: the shared road of JoinBatchInto, which answers into ans, and of a
+// recorded batch, replayed or replicated (a nil ans, which computes no
+// answers and so accepts nothing). refused is the first entry refused for
+// its path, whose error ans.Entries also holds. r.owner marks, in batch
 // order, the entries whose peer the batch repeats, which the caller takes
-// through the singular road once it is done with the grouped ones.
-func (c *Cluster) batchRoute(o op.Op, quiet bool) (out []server.BatchResult, accepted []op.JoinEntry, deferred []int) {
+// through the singular road once it is done with the grouped ones. The
+// accepted entries are views into r, in the order they applied.
+func (c *Cluster) batchRoute(o op.Op, r *route, ans *pathtree.Answers) (accepted []op.JoinEntry, refused error) {
 	items := o.Batch
-	out = make([]server.BatchResult, len(items))
-	if len(items) == 0 {
-		return out, nil, nil
-	}
 	// A peer appearing more than once in the batch must end up registered
 	// by its LAST entry, exactly as sequential joins would leave it; the
 	// per-shard groups below run in shard order, not batch order, so
@@ -538,46 +555,118 @@ func (c *Cluster) batchRoute(o op.Op, quiet bool) (out []server.BatchResult, acc
 		}
 		return false
 	}
-	// Resolve every entry's shard. Groups are a slice indexed by shard,
-	// whose count is small and fixed.
-	groups := make([]batchGroup, len(c.shards))
+	r.reset(len(c.shards))
 	for i := range items {
 		shard, err := c.pathShard(items[i].Path)
-		if err != nil {
-			out[i].Err = err
-			continue
+		switch {
+		case err != nil:
+			shard = unrouted
+			if refused == nil {
+				refused = err
+			}
+			if ans != nil {
+				ans.Entries[i].Err = err
+			}
+		case dup(items[i].Peer, i):
+			shard = repeated
 		}
-		if dup(items[i].Peer, i) {
-			deferred = append(deferred, i)
-			continue
-		}
-		g := &groups[shard]
-		g.idxs = append(g.idxs, i)
-		g.entries = append(g.entries, items[i])
+		r.owner = append(r.owner, shard)
 	}
-	for shard, g := range groups {
-		if len(g.idxs) == 0 {
+	r.sorted = r.sort(items, r.sorted)
+	for shard, n := range r.count {
+		if n == 0 {
 			continue
 		}
+		end := r.next[shard]
 		sh := c.shards[shard]
 		sh.applies.Inc()
-		b := op.BatchJoin(g.entries, o.Time)
-		var res []server.BatchResult
-		if quiet {
+		b := op.BatchJoin(r.sorted[end-n:end:end], o.Time)
+		if ans == nil {
 			_ = sh.srv.Apply(b) // answers nothing, and refuses no batch
 		} else {
-			res = sh.srv.JoinBatchOp(b)
-		}
-		for k, r := range res {
-			i := g.idxs[k]
-			out[i] = r
-			if r.Err == nil {
-				accepted = append(accepted, items[i])
-			}
+			sh.srv.JoinBatchInto(b, r.at[end-n:end], ans)
 		}
 		c.retireOrphans(sh)
 	}
-	return out, accepted, deferred
+	if ans == nil {
+		return nil, refused
+	}
+	accepted = r.sorted[:0]
+	for k := range r.sorted {
+		if ans.Entries[r.at[k]].Err == nil {
+			accepted = append(accepted, r.sorted[k])
+		}
+	}
+	return accepted, refused
+}
+
+// The marks of shardSort.owner for an entry that joins no group.
+const (
+	unrouted = -1 // its path names no landmark held here
+	repeated = -2 // its peer appears again in the batch
+)
+
+// shardSort groups a batch's entries by owning shard with a stable counting
+// sort: one pass counts the groups, one places every entry, so the groups
+// are runs of one array, in shard order, each in batch order. It serves
+// both batch roads: batchRoute, and the recovery pass's split.
+type shardSort struct {
+	owner []int   // each entry's shard, or a mark that it joins no group
+	count []int   // entries per shard
+	next  []int   // after sort, the end of each shard's run
+	at    []int32 // after sort, the batch position of each sorted entry
+}
+
+// reset readies s for a batch over the given number of shards.
+func (s *shardSort) reset(shards int) {
+	s.owner = s.owner[:0]
+	if len(s.count) != shards {
+		s.count, s.next = make([]int, shards), make([]int, shards)
+	}
+}
+
+// sort places the entries of batch that s.owner routes into sorted, grown
+// to their number, and returns it: shard g's group is
+// sorted[next[g]-count[g]:next[g]].
+func (s *shardSort) sort(batch, sorted []op.JoinEntry) []op.JoinEntry {
+	clear(s.count)
+	n := 0
+	for _, shard := range s.owner {
+		if shard >= 0 {
+			s.count[shard]++
+			n++
+		}
+	}
+	sorted = slices.Grow(sorted[:0], n)[:n]
+	s.at = slices.Grow(s.at[:0], n)[:n]
+	at := 0
+	for shard, k := range s.count {
+		s.next[shard] = at
+		at += k
+	}
+	for i, shard := range s.owner {
+		if shard >= 0 {
+			sorted[s.next[shard]] = batch[i]
+			s.at[s.next[shard]] = int32(i)
+			s.next[shard]++
+		}
+	}
+	return sorted
+}
+
+// route is batchRoute's working memory: the sort and the array it sorts
+// into. It comes from routePool, so a batch allocates none of it.
+type route struct {
+	shardSort
+	sorted []op.JoinEntry
+}
+
+var routePool = sync.Pool{New: func() any { return new(route) }}
+
+// release returns r to the pool, dropping its views of the batch's entries.
+func (r *route) release() {
+	clear(r.sorted)
+	routePool.Put(r)
 }
 
 // dupScanMax is the widest batch batchRoute scans pairwise for repeated
@@ -601,17 +690,15 @@ func repeatedPeers(items []op.JoinEntry) []pathtree.PeerID {
 	return reps
 }
 
-// batchGroup collects the batch entries bound for one shard and their
-// positions in the caller's slice.
-type batchGroup struct {
-	idxs    []int
-	entries []op.JoinEntry
+// LookupInto re-answers the closest-peers query for a registered peer,
+// delegating to the shard that holds it, and appends the answer to ans.
+func (c *Cluster) LookupInto(p pathtree.PeerID, ans *pathtree.Answers) (pathtree.Answer, error) {
+	return atPeer(c, p, func(g *shard, p pathtree.PeerID) (pathtree.Answer, error) { return g.srv.LookupInto(p, ans) })
 }
 
-// Lookup re-answers the closest-peers query for a registered peer,
-// delegating to the shard that holds it.
+// Lookup is LookupInto with its answer copied out of a pooled block.
 func (c *Cluster) Lookup(p pathtree.PeerID) ([]pathtree.Candidate, error) {
-	return atPeer(c, p, func(g *shard, p pathtree.PeerID) ([]pathtree.Candidate, error) { return g.srv.Lookup(p) })
+	return pathtree.Answered(func(ans *pathtree.Answers) (pathtree.Answer, error) { return c.LookupInto(p, ans) })
 }
 
 // atPeer runs a peer-keyed read or write on the shard that holds the peer's
@@ -660,22 +747,23 @@ func (c *Cluster) Apply(o op.Op) error {
 // applyRouted dispatches an op to the shard(s) it concerns, silently and
 // without logging it: the shared body of Apply and WAL replay.
 func (c *Cluster) applyRouted(o op.Op) error {
-	const quiet = true
 	switch o.Kind {
 	case op.KindJoin:
-		_, err := c.joinRoute(o, quiet)
+		_, err := c.joinRoute(o, nil)
 		return err
 	case op.KindBatchJoin:
 		// A batch applies the way the answering road applied it: one group
 		// per shard, then the singular road for what the grouping left.
-		out, _, deferred := c.batchRoute(o, quiet)
-		for i := range out {
-			if out[i].Err != nil {
-				return out[i].Err
-			}
+		r := routePool.Get().(*route)
+		defer r.release()
+		if _, err := c.batchRoute(o, r, nil); err != nil {
+			return err
 		}
-		for _, i := range deferred {
-			if _, err := c.joinRoute(op.Op{Kind: op.KindJoin, Time: o.Time, Join: o.Batch[i]}, quiet); err != nil {
+		for i, shard := range r.owner {
+			if shard != repeated {
+				continue
+			}
+			if _, err := c.joinRoute(op.Op{Kind: op.KindJoin, Time: o.Time, Join: o.Batch[i]}, nil); err != nil {
 				return err
 			}
 		}

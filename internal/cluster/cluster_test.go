@@ -340,14 +340,16 @@ func TestJoinBatchAcrossShards(t *testing.T) {
 			Path: synthPath(lm, i*13),
 		})
 	}
-	res := c.JoinBatchOp(op.BatchJoin(items, 0))
-	want := single.JoinBatchOp(op.BatchJoin(items, 0))
+	res, want := new(pathtree.Answers), new(pathtree.Answers)
+	c.JoinBatchInto(op.BatchJoin(items, 0), res)
+	single.JoinBatchInto(op.BatchJoin(items, 0), want)
 	for i := range items {
-		if (res[i].Err == nil) != (want[i].Err == nil) {
-			t.Fatalf("entry %d: err=%v want %v", i, res[i].Err, want[i].Err)
+		r, w := res.Entries[i], want.Entries[i]
+		if (r.Err == nil) != (w.Err == nil) {
+			t.Fatalf("entry %d: err=%v want %v", i, r.Err, w.Err)
 		}
-		if !reflect.DeepEqual(res[i].Neighbors, want[i].Neighbors) {
-			t.Fatalf("entry %d: %+v want %+v", i, res[i].Neighbors, want[i].Neighbors)
+		if got, want := res.Candidates(r.Lo, r.Hi), want.Candidates(w.Lo, w.Hi); !reflect.DeepEqual(got, want) {
+			t.Fatalf("entry %d: %+v want %+v", i, got, want)
 		}
 	}
 	if c.NumPeers() != 24 {

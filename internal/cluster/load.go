@@ -53,9 +53,7 @@ type shardLoader struct {
 	handed   int            // join entries split among the appliers since then
 	barriers int            // records applied on the calling goroutine
 	named    peerSet        // every peer the join records read so far name
-	owner    []int          // the owning shard of each entry of the batch being split
-	count    []int          // entries per shard in that batch
-	next     []int          // each shard's next place in the batch sorted by shard
+	groups   shardSort      // the batch being split, grouped by owning shard
 }
 
 // errInexact ends a pass whose appliers took two entries naming one peer:
@@ -179,7 +177,7 @@ func (l *shardLoader) drain() error {
 func (l *shardLoader) start() {
 	n := len(l.c.shards)
 	l.queues, l.runs = make([]chan []op.Op, n), make([][]op.Op, n)
-	l.sizes, l.count, l.next = make([]int, n), make([]int, n), make([]int, n)
+	l.sizes = make([]int, n)
 	for i, g := range l.c.shards {
 		// The decoder may run up to 16 runs (4 096 entries) ahead of an
 		// applier: enough that it rarely waits on one, little enough that
@@ -228,34 +226,26 @@ func (l *shardLoader) split(o op.Op) error {
 	if l.queues == nil {
 		l.start()
 	}
-	l.owner = l.owner[:0]
-	clear(l.count)
+	g := &l.groups
+	g.reset(len(l.c.shards))
+	one := true
 	for i := range o.Batch {
 		shard, err := l.c.pathShard(o.Batch[i].Path)
 		if err != nil {
 			return err
 		}
-		l.owner = append(l.owner, shard)
-		l.count[shard]++
+		g.owner = append(g.owner, shard)
+		one = one && shard == g.owner[0]
 	}
-	if first := l.owner[0]; l.count[first] == len(o.Batch) {
-		l.queue(first, o)
+	if one {
+		l.queue(g.owner[0], o)
 		return nil
 	}
-	// A stable counting sort by shard into one new array, cut into the
-	// groups: one allocation per record however many shards it spans.
-	sorted := make([]op.JoinEntry, len(o.Batch))
-	at := 0
-	for shard, n := range l.count {
-		l.next[shard] = at
-		at += n
-	}
-	for i, shard := range l.owner {
-		sorted[l.next[shard]] = o.Batch[i]
-		l.next[shard]++
-	}
-	for shard, n := range l.count {
-		if end := l.next[shard]; n > 0 {
+	// Sorted by shard into one new array, cut into the groups: one
+	// allocation per record however many shards it spans.
+	sorted := g.sort(o.Batch, nil)
+	for shard, n := range g.count {
+		if end := g.next[shard]; n > 0 {
 			l.queue(shard, op.BatchJoin(sorted[end-n:end:end], o.Time))
 		}
 	}

@@ -387,10 +387,14 @@ func TestWideBatchDefersRepeatedPeersInOrder(t *testing.T) {
 				}
 			}
 			c := newTestCluster(t, 4)
-			out, _, deferred := c.batchRoute(op.BatchJoin(entries, 7), true)
-			for i := range out {
-				if out[i].Err != nil {
-					t.Fatalf("entry %d: %v", i, out[i].Err)
+			var r route
+			if _, err := c.batchRoute(op.BatchJoin(entries, 7), &r, nil); err != nil {
+				t.Fatal(err)
+			}
+			var deferred []int
+			for i, shard := range r.owner {
+				if shard == repeated {
+					deferred = append(deferred, i)
 				}
 			}
 			if !reflect.DeepEqual(deferred, want) {

@@ -269,6 +269,16 @@ func (w *Writer) Str(s string) {
 	w.Buf = append(w.Buf, s...)
 }
 
+// StrBytes appends a counted string like Str, from a view of its bytes.
+func (w *Writer) StrBytes(b []byte) {
+	if len(b) > MaxAddrLen {
+		w.Fail(limit(len(b), "string bytes"))
+		return
+	}
+	w.U16(uint16(len(b)))
+	w.Buf = append(w.Buf, b...)
+}
+
 // AppendJoin appends one join entry, the registration of one peer:
 //
 //	peer(8) addrLen(2) addr pathLen(2) router(4)...

@@ -42,11 +42,16 @@
 // read-only, so finding the shard takes no lock.
 //
 // Closest-peer answers carry dialable endpoints: every candidate comes back
-// from the backend with the overlay address its peer advertised, read from
-// the peer's record, and is encoded from that answer straight into the
-// pooled response payload (proto.EncodeAnswer and its batch and
-// subscription siblings), so an address is copied once between the backend
-// and the connection's write buffer.
+// from the backend with the overlay address its peer advertised. A join, a
+// batch or a lookup hands the backend a pooled answer block
+// (pathtree.Answers), which the backend fills from its trees under the
+// writer mutex or the state lock, and the response payload is encoded from
+// that block into a pooled buffer (proto.EncodeAnswer, EncodeBatchAnswer):
+// each address is copied once from its tree into the block and once from
+// the block into the payload, and a batch's road allocates per batch — the
+// string of its request's addresses — not per entry
+// (TestBatchRoadAllocs). A subscription's answers still come as the
+// backend's []pathtree.Candidate.
 //
 // A NetServer fronts one node's cluster.Cluster, one shard or many, a
 // primary's or a follower's copy, and serves every landmark that cluster
@@ -796,30 +801,29 @@ func (s *NetServer) handleReq(typ proto.MsgType, payload []byte) (proto.MsgType,
 		return s.serveJoin(o)
 
 	case proto.MsgBatchJoinRequest:
-		o, err := proto.DecodeBatchJoinOp(payload)
-		if err != nil {
+		m := batchOps.Get().(*proto.BatchJoinOp)
+		defer batchOps.Put(m)
+		if err := m.Decode(payload); err != nil {
 			return errResp(proto.CodeBadRequest, err)
 		}
-		if len(o.Batch) > s.cfg.MaxBatch {
+		if len(m.Op.Batch) > s.cfg.MaxBatch {
 			return errResp(proto.CodeBadRequest,
-				fmt.Errorf("netserver: batch of %d joins exceeds limit %d", len(o.Batch), s.cfg.MaxBatch))
+				fmt.Errorf("netserver: batch of %d joins exceeds limit %d", len(m.Op.Batch), s.cfg.MaxBatch))
 		}
-		return s.serveBatchJoin(o)
+		return s.serveBatchJoin(m.Op)
 
 	case proto.MsgLookupRequest:
 		req, err := proto.DecodeLookupRequest(payload)
 		if err != nil {
 			return errResp(proto.CodeBadRequest, err)
 		}
-		cands, err := s.cfg.Server.Lookup(pathtree.PeerID(req.Peer))
+		ans := pathtree.GetAnswers()
+		defer ans.Release()
+		run, err := s.cfg.Server.LookupInto(pathtree.PeerID(req.Peer), ans)
 		if err != nil {
 			return errResp(errCode(err), err)
 		}
-		b, err := proto.EncodeAnswer(cands)
-		if err != nil {
-			return errResp(proto.CodeInternal, err)
-		}
-		return proto.MsgLookupResponse, b
+		return answerResp(proto.MsgLookupResponse, ans, run)
 
 	case proto.MsgLeaveRequest:
 		o, err := proto.DecodeLeaveOp(payload)
@@ -878,34 +882,41 @@ func (s *NetServer) rejectWriteOnReplica(typ proto.MsgType) (proto.MsgType, []by
 // dials.
 func (s *NetServer) primaryAddr() string { return s.cfg.Replication.cfg.PrimaryAddr }
 
+// batchOps recycles the decoded batch requests: entries, hops and all, so
+// a batch's decode allocates only the string of its addresses. Nothing the
+// backend keeps aliases the entries or their paths: it copies what it
+// keeps into its trees and its log.
+var batchOps = sync.Pool{New: func() any { return new(proto.BatchJoinOp) }}
+
 // serveJoin applies a join op against the local backend and returns the
-// response frame. The op carries the overlay address, so the backend's
-// durable record and the front end's address cache are fed by one value.
+// response frame, encoded from the answer block the backend wrote.
 func (s *NetServer) serveJoin(o op.Op) (proto.MsgType, []byte) {
-	cands, err := s.cfg.Server.JoinOp(o)
+	ans := pathtree.GetAnswers()
+	defer ans.Release()
+	run, err := s.cfg.Server.JoinInto(o, ans)
 	if err != nil {
 		return errResp(errCode(err), err)
 	}
-	b, err := proto.EncodeAnswer(cands)
+	return answerResp(proto.MsgJoinResponse, ans, run)
+}
+
+// answerResp encodes one answer of a block as a join or lookup response.
+func answerResp(typ proto.MsgType, ans *pathtree.Answers, run pathtree.Answer) (proto.MsgType, []byte) {
+	b, err := proto.EncodeAnswer(ans, run)
 	if err != nil {
 		return errResp(proto.CodeInternal, err)
 	}
-	return proto.MsgJoinResponse, b
+	return typ, b
 }
 
-// serveBatchJoin applies a batch against the backend as one JoinBatchOp and
-// answers each entry on its own, a refused entry with its errCode.
+// serveBatchJoin applies a batch against the backend as one JoinBatchInto
+// and answers each entry on its own from the block it wrote, a refused
+// entry with its errCode.
 func (s *NetServer) serveBatchJoin(o op.Op) (proto.MsgType, []byte) {
-	res := s.cfg.Server.JoinBatchOp(o)
-	results := make([]proto.BatchAnswer, len(res))
-	for i := range res {
-		if err := res[i].Err; err != nil {
-			results[i] = proto.BatchAnswer{Code: errCode(err), Message: err.Error()}
-			continue
-		}
-		results[i].Neighbors = res[i].Neighbors
-	}
-	b, err := proto.EncodeBatchAnswer(results)
+	ans := pathtree.GetAnswers()
+	defer ans.Release()
+	s.cfg.Server.JoinBatchInto(o, ans)
+	b, err := proto.EncodeBatchAnswer(ans, errCode)
 	if err != nil {
 		return errResp(proto.CodeInternal, err)
 	}

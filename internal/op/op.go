@@ -237,13 +237,21 @@ func GetBuf() []byte {
 	}
 }
 
+// keptBufCap is the largest buffer PutBuf keeps: one a live record grows.
+// A wire batch, at most an eighth of MaxBatch joins, encodes in about
+// 1.5 KiB with 15-byte addresses and 5-hop paths, and in 3 KiB with 16
+// hops. A batch of MaxBatch joins — an in-process fill's — grows its buffer
+// to 16 KiB, and nothing empties the freelist: kept, such buffers would
+// stay for the life of the process, whatever the traffic after them.
+const keptBufCap = 4 << 10
+
 // PutBuf returns a buffer obtained from GetBuf (or grown from one by
 // Append) to the codec pool. Callers must not retain any reference into it
-// afterwards. Buffers beyond the largest encodable op are dropped so the
-// pool cannot pin pathological allocations; when the freelist is full the
-// buffer falls to the GC.
+// afterwards. Buffers grown past keptBufCap are dropped, so the freelist
+// holds at most 64 live records' worth; when it is full the buffer falls to
+// the GC too.
 func PutBuf(b []byte) {
-	if cap(b) == 0 || cap(b) > MaxEncodedSize {
+	if cap(b) == 0 || cap(b) > keptBufCap {
 		return
 	}
 	select {

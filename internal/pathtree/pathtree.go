@@ -215,6 +215,125 @@ func GetScratch() *Scratch { return scratchPool.Get().(*Scratch) }
 // Release returns sc to the pool. Hits that alias it are dead from here on.
 func (sc *Scratch) Release() { scratchPool.Put(sc) }
 
+// Answers is one caller-owned block of closest-peer answers: the candidates
+// of every answer written into it in one slice, and their addresses in one
+// byte block. A server writes it straight from its trees, an encoder reads
+// it straight into a response frame, so each address is copied once
+// between the two. A block from GetAnswers, released once read, has grown
+// to its callers' answers, so writing and reading an answer of any number
+// of entries allocates nothing.
+type Answers struct {
+	// Entries answers a batch, positionally: entry i answers the batch's
+	// join i. An answer to one join or lookup is the Answer its writer
+	// returns instead.
+	Entries []Answer
+	// Cands holds every answer's candidates, each answer one run of them.
+	Cands []AnswerCand
+	// Addrs holds the candidates' addresses back to back, in Cands order.
+	Addrs []byte
+
+	// cands and addrs back a new block's Cands and Addrs, so that a block
+	// the pool had to make answers a join or a lookup in the one allocation
+	// that made it: the collector empties the pool, and the race detector
+	// drops a quarter of what is put back.
+	cands [16]AnswerCand
+	addrs [512]byte
+}
+
+// Answer is one answer in a block: its candidates, Cands[Lo:Hi], or the
+// error that refused the query.
+type Answer struct {
+	Lo, Hi int32
+	Err    error
+}
+
+// AnswerCand is one candidate in a block. Its address is the run of Addrs
+// from the previous candidate's AddrEnd (0 for the first) to its own.
+type AnswerCand struct {
+	Peer    PeerID
+	DTree   int32
+	AddrEnd int32
+}
+
+// answersPool recycles answer blocks the way scratchPool recycles query
+// scratch. Being a sync.Pool, it is emptied by the collector: a block grown
+// by one wide batch is not kept for the life of the process.
+var answersPool = sync.Pool{New: func() any {
+	a := new(Answers)
+	a.Cands, a.Addrs = a.cands[:0], a.addrs[:0]
+	return a
+}}
+
+// GetAnswers takes an empty block from the pool; Release returns it.
+func GetAnswers() *Answers {
+	a := answersPool.Get().(*Answers)
+	a.Reset(0)
+	return a
+}
+
+// Release returns a to the pool. Anything that views its slices is dead
+// from here on: what outlives the block is copied out of it first
+// (Candidates).
+func (a *Answers) Release() { answersPool.Put(a) }
+
+// Reset empties the block and opens n zeroed entries.
+func (a *Answers) Reset(n int) {
+	a.Entries = slices.Grow(a.Entries[:0], n)[:n]
+	clear(a.Entries)
+	a.Cands, a.Addrs = a.Cands[:0], a.Addrs[:0]
+}
+
+// Add appends one candidate, copying its address into the block.
+func (a *Answers) Add(p PeerID, dtree int32, addr []byte) {
+	a.Addrs = append(a.Addrs, addr...)
+	a.Cands = append(a.Cands, AnswerCand{Peer: p, DTree: dtree, AddrEnd: int32(len(a.Addrs))})
+}
+
+// Addr returns candidate j's address, a view into the block.
+func (a *Answers) Addr(j int32) []byte {
+	start := int32(0)
+	if j > 0 {
+		start = a.Cands[j-1].AddrEnd
+	}
+	return a.Addrs[start:a.Cands[j].AddrEnd]
+}
+
+// Answered runs call, an answering road that appends one answer to a block,
+// on a block from the pool, and copies the answer out: the form of the
+// answer for callers that keep it.
+func Answered(call func(*Answers) (Answer, error)) ([]Candidate, error) {
+	a := GetAnswers()
+	defer a.Release()
+	run, err := call(a)
+	if err != nil {
+		return nil, err
+	}
+	return a.Candidates(run.Lo, run.Hi), nil
+}
+
+// Candidates copies candidates lo to hi out of the block in the backend's
+// form, their addresses substrings of one string: two allocations however
+// many there are, and nothing that aliases the block.
+func (a *Answers) Candidates(lo, hi int32) []Candidate {
+	out := make([]Candidate, hi-lo)
+	if lo == hi {
+		return out
+	}
+	start := int32(0)
+	if lo > 0 {
+		start = a.Cands[lo-1].AddrEnd
+	}
+	addrs := string(a.Addrs[start:a.Cands[hi-1].AddrEnd])
+	from := int32(0)
+	for j := lo; j < hi; j++ {
+		c := &a.Cands[j]
+		to := c.AddrEnd - start
+		out[j-lo] = Candidate{Peer: c.Peer, DTree: int(c.DTree), Addr: addrs[from:to]}
+		from = to
+	}
+	return out
+}
+
 // candidates copies a query's hits out of its scratch: the query's one
 // allocation.
 func candidates(hits []Hit) []Candidate {

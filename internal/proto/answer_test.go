@@ -26,6 +26,29 @@ func answerOf(k int) ([]pathtree.Candidate, []Candidate) {
 	return backend, wire
 }
 
+// blockOf writes entries answers into one answer block, each the candidates
+// cands, except those errs refuses.
+func blockOf(cands []pathtree.Candidate, entries int, errs map[int]error) *pathtree.Answers {
+	a := new(pathtree.Answers)
+	a.Reset(entries)
+	for i := range a.Entries {
+		if err := errs[i]; err != nil {
+			a.Entries[i].Err = err
+			continue
+		}
+		a.Entries[i].Lo = int32(len(a.Cands))
+		for _, c := range cands {
+			a.Add(c.Peer, int32(c.DTree), []byte(c.Addr))
+		}
+		a.Entries[i].Hi = int32(len(a.Cands))
+	}
+	return a
+}
+
+// wrongShard is the code function of the batch answers below: every refusal
+// is CodeWrongShard.
+func wrongShard(error) uint16 { return CodeWrongShard }
+
 // TestAnswerEncodersMatchWireForm pins that the server's encoders, which
 // write a backend's answer, produce the bytes of the wire-form encoders the
 // golden tables pin (a subscribe ack is its seq, then a lookup response's
@@ -42,7 +65,8 @@ func TestAnswerEncodersMatchWireForm(t *testing.T) {
 				t.Errorf("k=%d %s: %x, want %x", k, name, got, want)
 			}
 		}
-		got, gerr := EncodeAnswer(backend)
+		block := blockOf(backend, 1, nil)
+		got, gerr := EncodeAnswer(block, block.Entries[0])
 		want, werr := EncodeLookupResponse(&LookupResponse{Neighbors: wire})
 		check("EncodeAnswer", got, gerr, want, werr)
 		got, gerr = EncodeSubscribeAckAnswer(99, backend)
@@ -51,28 +75,28 @@ func TestAnswerEncodersMatchWireForm(t *testing.T) {
 		want, werr = EncodeSubEvent(&SubEvent{Seq: 7, Kind: EventResync, Neighbors: wire})
 		check("EncodeResyncAnswer", got, gerr, want, werr)
 		if k <= 5 {
-			got, gerr = EncodeBatchAnswer([]BatchAnswer{{Neighbors: backend}, {Code: CodeWrongShard, Message: "10.0.0.9:7470"}, {Neighbors: backend}})
+			got, gerr = EncodeBatchAnswer(blockOf(backend, 3, map[int]error{1: errors.New("10.0.0.9:7470")}), wrongShard)
 			want, werr = EncodeBatchJoinResponse(&BatchJoinResponse{Results: []BatchJoinResult{{Neighbors: wire}, {Code: CodeWrongShard, Message: "10.0.0.9:7470"}, {Neighbors: wire}}})
 			check("EncodeBatchAnswer", got, gerr, want, werr)
 		}
 	}
 	over, _ := answerOf(MaxNeighbors + 1)
-	if _, err := EncodeAnswer(over); !errors.Is(err, ErrLimit) {
-		t.Errorf("EncodeAnswer of %d candidates: %v, want ErrLimit", len(over), err)
+	if block := blockOf(over, 1, nil); !errors.Is(second(EncodeAnswer(block, block.Entries[0])), ErrLimit) {
+		t.Errorf("EncodeAnswer of %d candidates: want ErrLimit", len(over))
 	}
 	full, _ := answerOf(MaxNeighbors)
-	big := make([]BatchAnswer, MaxBatch)
-	for i := range big {
-		big[i].Neighbors = full
-	}
-	if _, err := EncodeBatchAnswer(big); !errors.Is(err, ErrFrameTooLarge) {
+	if _, err := EncodeBatchAnswer(blockOf(full, MaxBatch, nil), wrongShard); !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("EncodeBatchAnswer over a frame: %v, want ErrFrameTooLarge", err)
 	}
 }
 
+// second returns the error of a call's two results.
+func second[T any](_ T, err error) error { return err }
+
 // TestDecodeCandidatesAllocs pins the client's decode of a candidate list:
 // two allocations whatever its length, the slice and the one string every
-// address is copied into.
+// address is copied into. A batch answer costs four whatever its width:
+// the response, its results, one candidate block and one string.
 func TestDecodeCandidatesAllocs(t *testing.T) {
 	for _, k := range []int{1, 5, 32, MaxNeighbors} {
 		_, wire := answerOf(k)
@@ -89,22 +113,28 @@ func TestDecodeCandidatesAllocs(t *testing.T) {
 			t.Errorf("decoding %d candidates allocates %v times, want 2", k, allocs)
 		}
 	}
-	var batch BatchJoinResponse
-	for i := 0; i < MaxBatch; i++ {
-		_, wire := answerOf(5)
-		batch.Results = append(batch.Results, BatchJoinResult{Neighbors: wire})
-	}
-	payload, err := EncodeBatchJoinResponse(&batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := DecodeBatchJoinResponse(payload); err != nil {
+	for _, width := range []int{1, 8, MaxBatch} {
+		var batch BatchJoinResponse
+		for i := 0; i < width; i++ {
+			_, wire := answerOf(5)
+			res := BatchJoinResult{Neighbors: wire}
+			if i%7 == 3 {
+				res = BatchJoinResult{Code: CodeUnknownLandmark, Message: "no such landmark"}
+			}
+			batch.Results = append(batch.Results, res)
+		}
+		payload, err := EncodeBatchJoinResponse(&batch)
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	if want := float64(2 + 2*MaxBatch); allocs > want {
-		t.Errorf("decoding a %d-entry batch answer allocates %v times, want ≤ %v", MaxBatch, allocs, want)
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := DecodeBatchJoinResponse(payload); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 4 {
+			t.Errorf("decoding a %d-entry batch answer allocates %v times, want 4", width, allocs)
+		}
 	}
 }
 
@@ -171,21 +201,15 @@ func TestBatchAnswerFit(t *testing.T) {
 	for i := range cands {
 		cands[i] = pathtree.Candidate{Peer: pathtree.PeerID(i), DTree: i, Addr: strings.Repeat("a", MaxAddrLen)}
 	}
-	answer := func(n int) []BatchAnswer {
-		res := make([]BatchAnswer, n)
-		for i := range res {
-			res[i].Neighbors = cands
-		}
-		return res
-	}
-	b, err := EncodeBatchAnswer(answer(24))
+	answer := func(n int) *pathtree.Answers { return blockOf(cands, n, nil) }
+	b, err := EncodeBatchAnswer(answer(24), wrongShard)
 	if err != nil {
 		t.Fatalf("24 entries: %v", err)
 	}
 	if err := WriteFrameID(io.Discard, MsgBatchJoinResponse, 1<<63, b); err != nil {
 		t.Fatalf("24 entries' frame: %v", err)
 	}
-	if _, err := EncodeBatchAnswer(answer(25)); !errors.Is(err, ErrFrameTooLarge) {
+	if _, err := EncodeBatchAnswer(answer(25), wrongShard); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("25 entries: %v, want ErrFrameTooLarge", err)
 	}
 }

@@ -100,9 +100,10 @@ func appendEntries(t *testing.T, dst []byte, entries ...op.JoinEntry) []byte {
 	return b
 }
 
-// FuzzDecodeBatchJoinRequest targets DecodeBatchJoinOp, the server's batch
+// FuzzDecodeBatchJoinRequest targets BatchJoinOp.Decode, the server's batch
 // decoder: truncated batch payloads, lying counts, and per-entry limit
-// violations.
+// violations. One target decodes every input, as a server's pooled one
+// does.
 func FuzzDecodeBatchJoinRequest(f *testing.F) {
 	good, _ := EncodeBatchJoinRequest(&BatchJoinRequest{Joins: []JoinRequest{
 		{Peer: 1, Addr: "a", Path: []int32{1, 0}},
@@ -114,11 +115,12 @@ func FuzzDecodeBatchJoinRequest(f *testing.F) {
 	if len(good) > 3 {
 		f.Add(good[:len(good)-3])
 	}
+	var m BatchJoinOp
 	f.Fuzz(func(t *testing.T, data []byte) {
-		o, err := DecodeBatchJoinOp(data)
-		if err != nil {
+		if err := m.Decode(data); err != nil {
 			return
 		}
+		o := m.Op
 		if len(o.Batch) == 0 || len(o.Batch) > MaxBatch {
 			t.Fatalf("decoder accepted batch of %d joins", len(o.Batch))
 		}

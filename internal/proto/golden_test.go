@@ -191,7 +191,7 @@ func wireVectors() []wireVector {
 		},
 		{
 			name: "batch join request → op", hex: goldenBatchHex,
-			decode: func(b []byte) (any, error) { return DecodeBatchJoinOp(b) },
+			decode: func(b []byte) (any, error) { var m BatchJoinOp; err := m.Decode(b); return m.Op, err },
 			want:   batchOp,
 		},
 		{
@@ -415,7 +415,7 @@ func TestWireCapsReadAsLimit(t *testing.T) {
 		"join":       joinInto,
 		"join op":    func(b []byte) error { _, err := DecodeJoinOp(b); return err },
 		"batch":      func(b []byte) error { _, err := DecodeBatchJoinRequest(b); return err },
-		"batch op":   func(b []byte) error { _, err := DecodeBatchJoinOp(b); return err },
+		"batch op":   func(b []byte) error { return new(BatchJoinOp).Decode(b) },
 		"batch resp": func(b []byte) error { _, err := DecodeBatchJoinResponse(b); return err },
 		"join resp":  func(b []byte) error { _, err := DecodeJoinResponse(b); return err },
 		"lookup":     func(b []byte) error { _, err := DecodeLookupResponse(b); return err },

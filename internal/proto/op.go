@@ -1,9 +1,13 @@
 package proto
 
 import (
+	"slices"
+	"strings"
+
 	"proxdisc/internal/codec"
 	"proxdisc/internal/op"
 	"proxdisc/internal/pathtree"
+	"proxdisc/internal/topology"
 )
 
 // This file bridges wire payloads and the canonical typed operation
@@ -23,16 +27,57 @@ func DecodeJoinOp(b []byte) (op.Op, error) {
 	return o, r.Done()
 }
 
-// DecodeBatchJoinOp decodes a MsgBatchJoinRequest payload into a
-// KindBatchJoin op.
-func DecodeBatchJoinOp(b []byte) (op.Op, error) {
+// BatchJoinOp is a reusable decode target for MsgBatchJoinRequest payloads:
+// a KindBatchJoin op whose entries' paths are runs of one block of hops and
+// whose addresses are substrings of one string. A target reused from call
+// to call has grown its entries and hops, so a decode allocates the string
+// and nothing else. The entries and their paths are good until the next
+// Decode; the addresses, being a string, for ever.
+type BatchJoinOp struct {
+	// Op is the decoded op.
+	Op   op.Op
+	hops []topology.NodeID
+}
+
+// Decode decodes a MsgBatchJoinRequest payload into m.Op in two passes,
+// the first measuring the paths and addresses, the second filling the
+// blocks. It accepts and refuses exactly what codec.ReadJoin does, entry by
+// entry.
+func (m *BatchJoinOp) Decode(b []byte) error {
 	r := codec.NewReader(b)
-	o := op.Op{Kind: op.KindBatchJoin, Batch: make([]op.JoinEntry, r.Count(1, MaxBatch, "joins"))}
-	for i := range o.Batch {
-		e := &o.Batch[i]
-		codec.ReadJoin(&r, &e.Peer, &e.Addr, &e.Path)
+	n := r.Count(1, MaxBatch, "joins")
+	fill := r // the second pass's reader, at the first entry
+	hops, size := 0, 0
+	for range n {
+		r.I64()
+		size += len(r.StrBytes())
+		k := r.Count(0, codec.MaxPathLen, "path hops")
+		hops += k
+		r.Bytes(4 * k)
 	}
-	return o, r.Done()
+	m.Op = op.Op{Kind: op.KindBatchJoin, Batch: m.Op.Batch[:0]}
+	if err := r.Done(); err != nil {
+		return err
+	}
+	m.Op.Batch = slices.Grow(m.Op.Batch, n)[:n]
+	m.hops = slices.Grow(m.hops[:0], hops)[:hops]
+	var addrs strings.Builder
+	addrs.Grow(size)
+	at := 0
+	for i := range m.Op.Batch {
+		e := &m.Op.Batch[i]
+		e.Peer = pathtree.PeerID(fill.I64())
+		start := addrs.Len()
+		addrs.Write(fill.StrBytes())
+		e.Addr = addrs.String()[start:]
+		k := fill.Count(0, codec.MaxPathLen, "path hops")
+		e.Path = m.hops[at : at+k : at+k]
+		for j := range e.Path {
+			e.Path[j] = topology.NodeID(fill.I32())
+		}
+		at += k
+	}
+	return nil
 }
 
 // DecodeLeaveOp decodes a MsgLeaveRequest payload into a KindLeave op.

@@ -52,10 +52,11 @@ func TestBatchJoinOpBridge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, err := DecodeBatchJoinOp(payload)
-	if err != nil {
+	var m BatchJoinOp
+	if err := m.Decode(payload); err != nil {
 		t.Fatal(err)
 	}
+	o := m.Op
 	if o.Kind != op.KindBatchJoin || len(o.Batch) != 2 {
 		t.Fatalf("decoded %+v", o)
 	}
@@ -63,8 +64,8 @@ func TestBatchJoinOpBridge(t *testing.T) {
 		!reflect.DeepEqual(o.Batch[1].Path, []topology.NodeID{6, 5, 0}) {
 		t.Fatalf("entry %+v", o.Batch[1])
 	}
-	if _, err := DecodeBatchJoinOp([]byte{0xff}); err == nil {
-		t.Fatal("DecodeBatchJoinOp accepted garbage")
+	if err := m.Decode([]byte{0xff}); err == nil {
+		t.Fatal("BatchJoinOp.Decode accepted garbage")
 	}
 }
 
@@ -87,10 +88,11 @@ func TestPeerOpBridges(t *testing.T) {
 
 // TestJoinDecodeAllocs pins what decoding a join costs on the roads a
 // server takes: a wire join lands in its op with nothing allocated but what
-// the op keeps — the batch slice, and an address and a path per entry —
-// and a reused request struct costs nothing; nor does the client's road,
-// encoding a join into a pooled buffer. (Through an intermediate request
-// struct a 32-entry batch cost 99.)
+// the op keeps — an address and a path — a batch in a reused op with one
+// string for all its addresses, and a reused request struct costs nothing;
+// nor does the client's road, encoding a join into a pooled buffer.
+// (Through an intermediate request struct a 32-entry batch cost 99, into a
+// fresh op with an address and a path per entry 66.)
 func TestJoinDecodeAllocs(t *testing.T) {
 	batch := &BatchJoinRequest{Joins: make([]JoinRequest, MaxBatch)}
 	for i := range batch.Joins {
@@ -105,12 +107,13 @@ func TestJoinDecodeAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	var reused JoinRequest
+	var batchOp BatchJoinOp
 	for _, c := range []struct {
 		name string
 		max  float64
 		run  func() error
 	}{
-		{"DecodeBatchJoinOp, 32 entries", 2*MaxBatch + 2, func() error { _, err := DecodeBatchJoinOp(batchPayload); return err }},
+		{"BatchJoinOp.Decode, 32 entries, reused", 1, func() error { return batchOp.Decode(batchPayload) }},
 		{"DecodeJoinOp", 2, func() error { _, err := DecodeJoinOp(joinPayload); return err }},
 		{"DecodeJoinRequestInto, reused", 0, func() error { return DecodeJoinRequestInto(&reused, joinPayload) }},
 		{"AppendJoinRequest into a pooled buffer", 0, func() error {

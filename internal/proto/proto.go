@@ -16,15 +16,16 @@
 // straight into the op a server applies (op.go). The candidate list —
 // count(2) {peer(8) dtree(4) addrLen(2) addr}... — is appendCandidate and
 // readCandidates in this file. A server writes it from its backend's
-// []pathtree.Candidate (EncodeAnswer and its batch and subscription
-// siblings), a client reads it into []Candidate; each address is copied
-// once on each side.
+// answer block (EncodeAnswer, EncodeBatchAnswer) or, for a subscription,
+// from a []pathtree.Candidate; a client reads it into []Candidate. Each
+// address is copied once on each side.
 //
 // Writing and reading a frame through buffered streams
 // (TestFrameRoundTripAllocs) and the client's encoding of a join into a
 // pooled buffer (TestJoinDecodeAllocs) allocate nothing. A wire join
-// decoded on the server allocates only what its op keeps, and the client's
-// decode of an answer two allocations whatever its length
+// decoded on the server allocates only what its op keeps, a batch of them
+// into a reused op one string for all addresses, and the client's decode of
+// an answer two allocations whatever its length, of a batch answer four
 // (TestJoinDecodeAllocs, TestDecodeCandidatesAllocs).
 //
 // # Protocol versions
@@ -634,12 +635,25 @@ func encodeCandidates(cands []Candidate) ([]byte, error) {
 	return pooled(&w)
 }
 
-// EncodeAnswer encodes a backend's answer as a join or lookup response (the
-// two payloads are the same bytes) into a pooled buffer: the server's road,
-// byte for byte EncodeJoinResponse of the same candidates.
-func EncodeAnswer(cands []pathtree.Candidate) ([]byte, error) {
+// appendRun appends one answer of a backend's answer block as a candidate
+// list, each address read straight out of the block.
+func appendRun(w *codec.Writer, a *pathtree.Answers, run pathtree.Answer) {
+	w.Count(int(run.Hi-run.Lo), 0, MaxNeighbors, "neighbours")
+	for j := run.Lo; j < run.Hi; j++ {
+		c := &a.Cands[j]
+		w.I64(int64(c.Peer))
+		w.I32(c.DTree)
+		w.StrBytes(a.Addr(j))
+	}
+}
+
+// EncodeAnswer encodes one answer of a backend's answer block as a join or
+// lookup response (the two payloads are the same bytes) into a pooled
+// buffer: the server's road, byte for byte EncodeJoinResponse of the same
+// candidates.
+func EncodeAnswer(a *pathtree.Answers, run pathtree.Answer) ([]byte, error) {
 	w := codec.Writer{Buf: GetBuf(0)}
-	appendAnswer(&w, cands)
+	appendRun(&w, a, run)
 	return pooled(&w)
 }
 
@@ -825,10 +839,17 @@ type BatchJoinResponse struct {
 // EncodeBatchJoinRequest encodes a BatchJoinRequest payload — count(2)
 // then that many join entries.
 func EncodeBatchJoinRequest(m *BatchJoinRequest) ([]byte, error) {
-	w := codec.Writer{Buf: make([]byte, 0, 64*len(m.Joins))}
-	w.Count(len(m.Joins), 1, MaxBatch, "joins")
-	for i := range m.Joins {
-		j := &m.Joins[i]
+	return AppendBatchJoinRequest(make([]byte, 0, 64*len(m.Joins)), m.Joins)
+}
+
+// AppendBatchJoinRequest encodes a BatchJoinRequest of joins onto dst, which
+// holds nothing, and returns the extended slice: the client's road, which
+// encodes into a pooled buffer (GetBuf/PutBuf) without allocating.
+func AppendBatchJoinRequest(dst []byte, joins []JoinRequest) ([]byte, error) {
+	w := codec.Writer{Buf: dst}
+	w.Count(len(joins), 1, MaxBatch, "joins")
+	for i := range joins {
+		j := &joins[i]
 		codec.AppendJoin(&w, j.Peer, j.Addr, j.Path)
 	}
 	if len(w.Buf)+9 > MaxFrameSize {
@@ -838,7 +859,7 @@ func EncodeBatchJoinRequest(m *BatchJoinRequest) ([]byte, error) {
 }
 
 // DecodeBatchJoinRequest decodes a BatchJoinRequest payload. Servers
-// decode it with DecodeBatchJoinOp.
+// decode it with BatchJoinOp.Decode.
 func DecodeBatchJoinRequest(b []byte) (*BatchJoinRequest, error) {
 	r := codec.NewReader(b)
 	m := &BatchJoinRequest{Joins: make([]JoinRequest, r.Count(1, MaxBatch, "joins"))}
@@ -863,24 +884,23 @@ func EncodeBatchJoinResponse(m *BatchJoinResponse) ([]byte, error) {
 	return pooledBatch(&w)
 }
 
-// BatchAnswer is one entry of a batch join's answer as a server holds it:
-// a wire error code and detail, or its backend's answer. It is the
-// BatchJoinResult of the same fields.
-type BatchAnswer struct {
-	Code      uint16
-	Message   string
-	Neighbors []pathtree.Candidate
-}
-
-// EncodeBatchAnswer encodes a server's batch answer into a pooled buffer:
-// byte for byte EncodeBatchJoinResponse of the same results.
-func EncodeBatchAnswer(res []BatchAnswer) ([]byte, error) {
+// EncodeBatchAnswer encodes a backend's answer block to a batch join into a
+// pooled buffer, one result per entry: its candidates, or its refusal as
+// code(err) and the error's text. It is byte for byte
+// EncodeBatchJoinResponse of the same results.
+func EncodeBatchAnswer(a *pathtree.Answers, code func(error) uint16) ([]byte, error) {
 	w := codec.Writer{Buf: GetBuf(0)}
-	w.Count(len(res), 1, MaxBatch, "results")
-	for i := range res {
-		w.U16(res[i].Code)
-		appendMessage(&w, res[i].Message)
-		appendAnswer(&w, res[i].Neighbors)
+	w.Count(len(a.Entries), 1, MaxBatch, "results")
+	for _, e := range a.Entries {
+		if e.Err != nil {
+			w.U16(code(e.Err))
+			appendMessage(&w, e.Err.Error())
+			w.Count(0, 0, MaxNeighbors, "neighbours")
+			continue
+		}
+		w.U16(0)
+		w.Str("")
+		appendRun(&w, a, e)
 	}
 	return pooledBatch(&w)
 }
@@ -905,14 +925,53 @@ func pooledBatch(w *codec.Writer) ([]byte, error) {
 	return pooled(w)
 }
 
-// DecodeBatchJoinResponse decodes a BatchJoinResponse payload.
+// DecodeBatchJoinResponse decodes a BatchJoinResponse payload in two passes,
+// as readCandidates reads one list: the first measures, the second fills
+// one candidate block, cut into the results' neighbour lists, and one
+// string, of which every message and address is a substring. A response of
+// any width costs four allocations and aliases nothing it was decoded from.
 func DecodeBatchJoinResponse(b []byte) (*BatchJoinResponse, error) {
 	r := codec.NewReader(b)
 	m := &BatchJoinResponse{Results: make([]BatchJoinResult, r.Count(1, MaxBatch, "results"))}
-	for i := range m.Results {
-		m.Results[i] = BatchJoinResult{Code: r.U16(), Message: r.Str(), Neighbors: readCandidates(&r)}
+	fill := r // the second pass's reader, at the first result
+	cands, size := 0, 0
+	for range m.Results {
+		r.U16()
+		size += len(r.StrBytes())
+		n := r.Count(0, MaxNeighbors, "neighbours")
+		cands += n
+		for range n {
+			r.Bytes(candidateFixed)
+			size += len(r.StrBytes())
+		}
 	}
-	return m, r.Done()
+	if err := r.Done(); err != nil {
+		return m, err
+	}
+	block := make([]Candidate, cands)
+	// A Builder never rewrites bytes it has handed out, so each substring
+	// stays good as strs grows; grown to size first, it allocates once.
+	var strs strings.Builder
+	strs.Grow(size)
+	str := func() string {
+		start := strs.Len()
+		strs.Write(fill.StrBytes())
+		return strs.String()[start:]
+	}
+	for i := range m.Results {
+		res := &m.Results[i]
+		res.Code = fill.U16()
+		res.Message = str()
+		n := fill.Count(0, MaxNeighbors, "neighbours")
+		res.Neighbors, block = block[:n:n], block[n:]
+		for j := range res.Neighbors {
+			c := &res.Neighbors[j]
+			c.Peer = fill.I64()
+			c.DTree = fill.I32()
+			c.Addr = str()
+		}
+	}
+	return m, nil
 }
 
 // Node roles carried by Status.

@@ -64,8 +64,9 @@
 // The state lock (mu, an RWMutex) is what lookups take. Lookup, PeerInfo,
 // NumPeers, Stats, ArenaStats and Landmarks read-hold it. A writer, wmu
 // already held, takes it exclusively around one single mutation and nothing
-// else: one state.join per entry of a batch (the answer is copied out after
-// the release), one Remove per expired peer or retired orphan.
+// else: one state.join per entry of a batch (the answer is written into the
+// caller's answer block after the release), one Remove per expired peer
+// or retired orphan.
 // So the order is wmu → mu, a reader waits for at most the one mutation in
 // progress, and a writer for the lookups in flight when it asks. Adopt, the
 // one assignment of a whole state, takes every one's wmu, then every one's
@@ -140,7 +141,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -345,9 +345,10 @@ func (s *Server) stamp(o op.Op) op.Op {
 // operation without computing any answer. Every path that moves writes
 // around — follower replication, WAL recovery — calls Apply, so a
 // replayed stream reaches exactly the state the original stream built.
-// The answering front doors (JoinOp, JoinBatchOp) are thin wrappers over
-// the same core. A zero o.Time is stamped from the server clock; stamped
-// ops apply at their recorded instant regardless of the local clock.
+// The answering front doors (JoinInto, JoinBatchInto) are thin wrappers
+// over the same core. A zero o.Time is stamped from the server clock;
+// stamped ops apply at their recorded instant regardless of the local
+// clock.
 func (s *Server) Apply(o op.Op) error {
 	o = s.stamp(o)
 	switch o.Kind {
@@ -362,7 +363,7 @@ func (s *Server) Apply(o op.Op) error {
 	defer s.wmu.Unlock()
 	switch o.Kind {
 	case op.KindJoin:
-		_, err := s.register(&o.Join, o.Time, 0)
+		_, err := s.register(&o.Join, o.Time, nil)
 		if err == nil {
 			s.joins.Add(1)
 		}
@@ -372,7 +373,7 @@ func (s *Server) Apply(o op.Op) error {
 		// answering path's per-entry isolation.
 		n := 0
 		for i := range o.Batch {
-			if _, err := s.register(&o.Batch[i], o.Time, 0); err == nil {
+			if _, err := s.register(&o.Batch[i], o.Time, nil); err == nil {
 				n++
 			}
 		}
@@ -392,7 +393,7 @@ func (s *Server) Apply(o op.Op) error {
 }
 
 // validateJoin is the check every reported path passes exactly once, at the
-// door it enters by (Apply, JoinOp, JoinBatchOp),
+// door it enters by (Apply, JoinInto, JoinBatchInto),
 // before the op reaches the state: past it, state and trie trust their
 // input. That the path ends at a landmark held here is the one check left to
 // the state, which alone knows its trees. The op format's caps are checked
@@ -472,32 +473,42 @@ func (st *state) apply(o op.Op) error {
 	}
 }
 
-// JoinOp answers and applies a KindJoin op: it registers the peer with its
-// reported path and returns its closest peers. The answer is computed
-// before insertion, so a peer never appears in its own neighbour list. The
-// path must terminate at a registered landmark.
-func (s *Server) JoinOp(o op.Op) ([]pathtree.Candidate, error) {
+// JoinInto answers and applies a KindJoin op: it registers the peer with
+// its reported path and appends its closest peers to ans, returning their
+// run. The answer is computed before insertion, so a peer never appears in
+// its own neighbour list. The path must terminate at a registered landmark.
+func (s *Server) JoinInto(o op.Op, ans *pathtree.Answers) (pathtree.Answer, error) {
 	o = s.stamp(o)
 	if err := validateJoin(&o.Join); err != nil {
-		return nil, err
+		return pathtree.Answer{}, err
 	}
 	s.wmu.Lock()
-	cands, err := s.register(&o.Join, o.Time, s.cfg.NeighborCount)
+	run, err := s.register(&o.Join, o.Time, ans)
 	s.wmu.Unlock()
 	if err == nil {
 		s.joins.Add(1)
 		s.queries.Add(1)
 	}
-	return cands, err
+	return run, err
+}
+
+// JoinOp is JoinInto with its answer copied out of a pooled block.
+func (s *Server) JoinOp(o op.Op) ([]pathtree.Candidate, error) {
+	return pathtree.Answered(func(ans *pathtree.Answers) (pathtree.Answer, error) { return s.JoinInto(o, ans) })
 }
 
 // register is one join's visit to the state, for a caller holding wmu. The
 // state lock is held exclusively for st.join alone — the descent, the
 // newcomer's query on the way down, the attach — and released before the
-// answer is copied out of the scratch: reading the hits' records and
-// addresses needs only wmu. Lookups therefore wait for at most one join, however long the batch
-// the join came in.
-func (s *Server) register(e *op.JoinEntry, timeNanos int64, k int) ([]pathtree.Candidate, error) {
+// answer is written from the scratch into ans: reading the hits' records
+// and addresses needs only wmu. Lookups therefore wait for at most one
+// join, however long the batch the join came in. A nil ans registers the
+// peer without answering.
+func (s *Server) register(e *op.JoinEntry, timeNanos int64, ans *pathtree.Answers) (pathtree.Answer, error) {
+	k := 0
+	if ans != nil {
+		k = s.cfg.NeighborCount
+	}
 	s.mu.Lock()
 	tree, _, hits, orphan, err := s.st.join(e, timeNanos, k, &s.wsc)
 	s.mu.Unlock()
@@ -507,11 +518,11 @@ func (s *Server) register(e *op.JoinEntry, timeNanos int64, k int) ([]pathtree.C
 		s.orphaned.Store(true)
 		s.orphanMu.Unlock()
 	}
-	if err != nil || k == 0 {
-		return nil, err
+	if err != nil || ans == nil {
+		return pathtree.Answer{}, err
 	}
-	cands, _ := answer(tree, hits)
-	return cands, nil
+	run, _ := answer(tree, hits, ans)
+	return run, nil
 }
 
 // find returns the tree and place of peer p's record. A peer whose entry
@@ -536,33 +547,18 @@ func (st *state) record(p pathtree.PeerID) (*pathtree.Record, error) {
 	return tree.Record(r.slot), nil
 }
 
-// answer copies a query's hits out of the scratch into the neighbour list —
-// the address copied out of each candidate's tree, all of them into one
-// string — and reports whether a super-peer sits within delegation range
-// (dtree ≤ 2).
-func answer(tree *pathtree.Core, hits []pathtree.Hit) (cands []pathtree.Candidate, superNear bool) {
-	size := 0
+// answer appends a query's hits to ans as one run of candidates, each
+// address copied out of its tree into the block, and reports whether a
+// super-peer sits within delegation range (dtree ≤ 2).
+func answer(tree *pathtree.Core, hits []pathtree.Hit, ans *pathtree.Answers) (run pathtree.Answer, superNear bool) {
+	run.Lo = int32(len(ans.Cands))
 	for _, h := range hits {
-		size += len(tree.Addr(tree.Record(h.Slot)))
-	}
-	var addrs strings.Builder
-	addrs.Grow(size)
-	cands = make([]pathtree.Candidate, len(hits))
-	for i, h := range hits {
 		rec := tree.Record(h.Slot)
-		cands[i] = pathtree.Candidate{Peer: h.Peer, DTree: int(h.DTree), Addr: appendAddr(&addrs, tree.Addr(rec))}
+		ans.Add(h.Peer, h.DTree, tree.Addr(rec))
 		superNear = superNear || (rec.Super && h.DTree <= 2)
 	}
-	return cands, superNear
-}
-
-// appendAddr writes addr to b and returns it as a substring of what b holds.
-// A Builder never rewrites bytes it has handed out, so the substring stays
-// good as b grows; grown to size first, b makes one allocation for all.
-func appendAddr(b *strings.Builder, addr []byte) string {
-	start := b.Len()
-	b.Write(addr)
-	return b.String()[start:]
+	run.Hi = int32(len(ans.Cands))
+	return run, superNear
 }
 
 // join is the one registration road, shared by the answering and the silent
@@ -641,64 +637,95 @@ func (s *Server) Retire(o Orphan) (bool, error) {
 	return true, nil
 }
 
-// BatchResult is the per-entry answer of JoinBatchOp: a neighbour list or
-// an error, never both.
+// BatchResult is the per-entry outcome of JoinBatchOp: nil, or the error
+// that refused the entry. The entries' answers are what JoinBatchInto
+// writes into its block.
 type BatchResult struct {
-	Neighbors []pathtree.Candidate
-	Err       error
+	Err error
 }
 
-// JoinBatchOp answers and applies a KindBatchJoin op under a single writer
-// round — the flash-crowd fast path: one acquisition of the writer mutex
-// for the whole batch, the state lock taken entry by entry so lookups slip
-// in between. Entries are applied in order (so a duplicate peer within the
-// batch behaves exactly like sequential joins), and one entry's failure
-// does not affect the others. Callers that record or propagate the op must
-// first trim it to the entries that succeeded, so followers and logs never
-// see a rejected entry.
-func (s *Server) JoinBatchOp(o op.Op) []BatchResult {
+// JoinBatchInto answers and applies a KindBatchJoin op under a single
+// writer round — the flash-crowd fast path: one acquisition of the writer
+// mutex for the whole batch, the state lock taken entry by entry so lookups
+// slip in between. Entries are applied in order (so a duplicate peer within
+// the batch behaves exactly like sequential joins), and one entry's failure
+// does not affect the others. Entry k's answer, or its refusal, goes to
+// ans.Entries[at[k]] (ans.Entries[k] when at is nil), its candidates
+// appended to the block. Callers that record or propagate the op must first
+// trim it to the entries that succeeded, so followers and logs never see a
+// rejected entry.
+func (s *Server) JoinBatchInto(o op.Op, at []int32, ans *pathtree.Answers) {
 	o = s.stamp(o)
-	out := make([]BatchResult, len(o.Batch))
-	for i := range o.Batch {
-		out[i].Err = validateJoin(&o.Batch[i])
+	entry := func(k int) *pathtree.Answer {
+		if at == nil {
+			return &ans.Entries[k]
+		}
+		return &ans.Entries[at[k]]
+	}
+	for k := range o.Batch {
+		*entry(k) = pathtree.Answer{Err: validateJoin(&o.Batch[k])}
 	}
 	n := 0
 	s.wmu.Lock()
-	for i := range o.Batch {
-		if out[i].Err != nil {
-			continue // rejected at the door
-		}
-		if out[i].Neighbors, out[i].Err = s.register(&o.Batch[i], o.Time, s.cfg.NeighborCount); out[i].Err == nil {
-			n++
+	for k := range o.Batch {
+		if e := entry(k); e.Err == nil { // else rejected at the door
+			*e, e.Err = s.register(&o.Batch[k], o.Time, ans)
+			if e.Err == nil {
+				n++
+			}
 		}
 	}
 	s.wmu.Unlock()
 	s.joins.Add(int64(n))
 	s.queries.Add(int64(n))
+}
+
+// JoinBatchOp is JoinBatchInto into a pooled block, of which it keeps each
+// entry's outcome.
+func (s *Server) JoinBatchOp(o op.Op) []BatchResult {
+	ans := pathtree.GetAnswers()
+	defer ans.Release()
+	ans.Reset(len(o.Batch))
+	s.JoinBatchInto(o, nil, ans)
+	return Results(ans)
+}
+
+// Results reads each entry's outcome out of a batch's answer block.
+func Results(ans *pathtree.Answers) []BatchResult {
+	out := make([]BatchResult, len(ans.Entries))
+	for i, e := range ans.Entries {
+		out[i].Err = e.Err
+	}
 	return out
 }
 
-// Lookup re-answers the closest-peers query for an already registered peer.
-// When a super-peer exists at dtree 0..2 from the peer, the server delegates
-// (counts the delegation and still returns the list, modelling the
-// super-peer answering from its local cache). Lookup read-holds the state
-// lock: it waits for at most the one mutation a writer is in the middle of,
-// never for a batch, a snapshot or any other walk.
-func (s *Server) Lookup(p pathtree.PeerID) ([]pathtree.Candidate, error) {
+// LookupInto re-answers the closest-peers query for an already registered
+// peer, appending the answer to ans and returning its run. When a
+// super-peer exists at dtree 0..2 from the peer, the server delegates
+// (counts the delegation and still answers, modelling the super-peer
+// answering from its local cache). LookupInto read-holds the state lock: it
+// waits for at most the one mutation a writer is in the middle of, never
+// for a batch, a snapshot or any other walk.
+func (s *Server) LookupInto(p pathtree.PeerID, ans *pathtree.Answers) (pathtree.Answer, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	tree, r, err := s.st.find(p)
 	if err != nil {
-		return nil, err
+		return pathtree.Answer{}, err
 	}
 	sc := pathtree.GetScratch()
-	cands, superNear := answer(tree, tree.Closest(r.slot, s.cfg.NeighborCount, sc))
+	run, superNear := answer(tree, tree.Closest(r.slot, s.cfg.NeighborCount, sc), ans)
 	sc.Release()
 	s.queries.Add(1)
 	if superNear {
 		s.delegations.Add(1)
 	}
-	return cands, nil
+	return run, nil
+}
+
+// Lookup is LookupInto with its answer copied out of a pooled block.
+func (s *Server) Lookup(p pathtree.PeerID) ([]pathtree.Candidate, error) {
+	return pathtree.Answered(func(ans *pathtree.Answers) (pathtree.Answer, error) { return s.LookupInto(p, ans) })
 }
 
 // Refresh updates a peer's liveness timestamp (heartbeat).

@@ -2,6 +2,7 @@ package server
 
 import (
 	"errors"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -374,22 +375,17 @@ func TestJoinBatchMatchesSequentialJoins(t *testing.T) {
 		{Peer: 4, Path: []topology.NodeID{5, 3, 0}},
 		{Peer: 1, Path: []topology.NodeID{6, 9}}, // a repeated peer re-joins under the other landmark
 	}
-	res := batch.JoinBatchOp(op.BatchJoin(items, 0))
+	res := batchAnswers(batch, op.BatchJoin(items, 0))
 	if len(res) != len(items) {
 		t.Fatalf("results=%d", len(res))
 	}
 	for i, it := range items {
 		want, wantErr := seq.JoinOp(op.Join(it.Peer, it.Path, "", 0))
-		if (res[i].Err == nil) != (wantErr == nil) {
-			t.Fatalf("entry %d: err=%v want %v", i, res[i].Err, wantErr)
+		if (res[i].err == nil) != (wantErr == nil) {
+			t.Fatalf("entry %d: err=%v want %v", i, res[i].err, wantErr)
 		}
-		if len(res[i].Neighbors) != len(want) {
-			t.Fatalf("entry %d: %d neighbours want %d", i, len(res[i].Neighbors), len(want))
-		}
-		for k := range want {
-			if res[i].Neighbors[k] != want[k] {
-				t.Fatalf("entry %d neighbour %d: %+v want %+v", i, k, res[i].Neighbors[k], want[k])
-			}
+		if !reflect.DeepEqual(res[i].neighbors, want) {
+			t.Fatalf("entry %d: neighbours %+v want %+v", i, res[i].neighbors, want)
 		}
 	}
 	if batch.NumPeers() != seq.NumPeers() {
@@ -397,21 +393,42 @@ func TestJoinBatchMatchesSequentialJoins(t *testing.T) {
 	}
 }
 
+// batchAnswer is one entry of a batch's answer, copied out of its block.
+type batchAnswer struct {
+	neighbors []pathtree.Candidate
+	err       error
+}
+
+// batchAnswers answers a batch through JoinBatchInto and copies each entry's
+// answer out of the block.
+func batchAnswers(s *Server, o op.Op) []batchAnswer {
+	ans := new(pathtree.Answers)
+	ans.Reset(len(o.Batch))
+	s.JoinBatchInto(o, nil, ans)
+	out := make([]batchAnswer, len(o.Batch))
+	for i, e := range ans.Entries {
+		if out[i].err = e.Err; e.Err == nil {
+			out[i].neighbors = ans.Candidates(e.Lo, e.Hi)
+		}
+	}
+	return out
+}
+
 func TestJoinBatchPartialFailure(t *testing.T) {
 	s := newTestServer(t)
-	res := s.JoinBatchOp(op.BatchJoin([]op.JoinEntry{
+	res := batchAnswers(s, op.BatchJoin([]op.JoinEntry{
 		{Peer: 1, Path: []topology.NodeID{4, 0}},
 		{Peer: 2, Path: []topology.NodeID{4, 77}}, // unknown landmark
 		{Peer: 3, Path: nil},                      // empty path
 		{Peer: 4, Path: []topology.NodeID{5, 0}},
 	}, 0))
-	if res[0].Err != nil || res[3].Err != nil {
-		t.Fatalf("good entries failed: %v %v", res[0].Err, res[3].Err)
+	if res[0].err != nil || res[3].err != nil {
+		t.Fatalf("good entries failed: %v %v", res[0].err, res[3].err)
 	}
-	if !errors.Is(res[1].Err, ErrUnknownLandmark) {
-		t.Fatalf("entry 1 err=%v", res[1].Err)
+	if !errors.Is(res[1].err, ErrUnknownLandmark) {
+		t.Fatalf("entry 1 err=%v", res[1].err)
 	}
-	if res[2].Err == nil {
+	if res[2].err == nil {
 		t.Fatal("empty path accepted")
 	}
 	if s.NumPeers() != 2 {
@@ -419,8 +436,8 @@ func TestJoinBatchPartialFailure(t *testing.T) {
 	}
 	// The second good entry must see the first as a neighbour: entries are
 	// applied in order within the single lock hold.
-	if len(res[3].Neighbors) != 1 || res[3].Neighbors[0].Peer != 1 {
-		t.Fatalf("entry 3 neighbours=%+v", res[3].Neighbors)
+	if len(res[3].neighbors) != 1 || res[3].neighbors[0].Peer != 1 {
+		t.Fatalf("entry 3 neighbours=%+v", res[3].neighbors)
 	}
 }
 

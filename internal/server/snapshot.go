@@ -71,6 +71,15 @@ func (s *Server) collect(img *image) {
 	}
 }
 
+// appendAddr writes addr to b and returns it as a substring of what b holds.
+// A Builder never rewrites bytes it has handed out, so the substring stays
+// good as b grows; grown to size first, b makes one allocation for all.
+func appendAddr(b *strings.Builder, addr []byte) string {
+	start := b.Len()
+	b.Write(addr)
+	return b.String()[start:]
+}
+
 // write orders the image and frames it as an op stream.
 func (img *image) write(w io.Writer) error {
 	slices.SortFunc(img.moves, func(a, b op.MoveEntry) int { return cmp.Compare(a.Landmark, b.Landmark) })

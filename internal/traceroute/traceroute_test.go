@@ -8,6 +8,19 @@ import (
 	"proxdisc/internal/topology"
 )
 
+// lineGraph is a line of n routers, 0 — 1 — … — n-1: router r's trace to
+// landmark 0 has r hops, long enough for every truncation rule.
+func lineGraph(t *testing.T, n int) *topology.Graph {
+	t.Helper()
+	g := topology.NewGraph(n)
+	for r := 1; r < n; r++ {
+		if err := g.AddEdge(topology.NodeID(r-1), topology.NodeID(r)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return g
+}
+
 func testGraph(t *testing.T) *topology.Graph {
 	t.Helper()
 	g, err := topology.Generate(topology.Config{Model: topology.ModelBarabasiAlbert, CoreRouters: 200, LeafRouters: 150, EdgesPerNode: 2, Seed: 31})
@@ -128,13 +141,12 @@ func TestTraceRejectsBadLoss(t *testing.T) {
 }
 
 func TestTraceMaxTTLTruncates(t *testing.T) {
-	g := testGraph(t)
-	tr := New(g)
-	full, _ := tr.Trace(77, 0, Config{}, nil)
-	if len(full.Hops) < 3 {
-		t.Skip("path too short to exercise TTL")
+	tr := New(lineGraph(t, 12))
+	full, _ := tr.Trace(11, 0, Config{}, nil)
+	if len(full.Hops) != 11 || !full.Complete {
+		t.Fatalf("full trace from router 11: %d hops, complete %v; want 11, true", len(full.Hops), full.Complete)
 	}
-	short, _ := tr.Trace(77, 0, Config{MaxTTL: 1}, nil)
+	short, _ := tr.Trace(11, 0, Config{MaxTTL: 1}, nil)
 	if short.Complete {
 		t.Fatal("TTL-limited trace reported complete")
 	}
@@ -144,13 +156,12 @@ func TestTraceMaxTTLTruncates(t *testing.T) {
 }
 
 func TestTraceKeepEvery(t *testing.T) {
-	g := testGraph(t)
-	tr := New(g)
-	full, _ := tr.Trace(88, 0, Config{}, nil)
-	if len(full.Hops) < 4 {
-		t.Skip("path too short")
+	tr := New(lineGraph(t, 12))
+	full, _ := tr.Trace(11, 0, Config{}, nil)
+	if len(full.Hops) != 11 {
+		t.Fatalf("full trace from router 11: %d hops, want 11", len(full.Hops))
 	}
-	reduced, _ := tr.Trace(88, 0, Config{KeepEvery: 2}, nil)
+	reduced, _ := tr.Trace(11, 0, Config{KeepEvery: 2}, nil)
 	if len(reduced.Hops) >= len(full.Hops) {
 		t.Fatalf("KeepEvery=2 kept %d of %d hops", len(reduced.Hops), len(full.Hops))
 	}
@@ -160,13 +171,12 @@ func TestTraceKeepEvery(t *testing.T) {
 }
 
 func TestTracePrefixHops(t *testing.T) {
-	g := testGraph(t)
-	tr := New(g)
-	full, _ := tr.Trace(99, 0, Config{}, nil)
-	if len(full.Hops) < 4 {
-		t.Skip("path too short")
+	tr := New(lineGraph(t, 12))
+	full, _ := tr.Trace(11, 0, Config{}, nil)
+	if len(full.Hops) != 11 {
+		t.Fatalf("full trace from router 11: %d hops, want 11", len(full.Hops))
 	}
-	reduced, _ := tr.Trace(99, 0, Config{PrefixHops: 2}, nil)
+	reduced, _ := tr.Trace(11, 0, Config{PrefixHops: 2}, nil)
 	// 2 prefix hops plus the re-appended landmark.
 	if len(reduced.Hops) != 3 {
 		t.Fatalf("PrefixHops=2 kept %d hops", len(reduced.Hops))
