@@ -54,14 +54,15 @@ func TestLookupRoadAllocs(t *testing.T) {
 	}
 }
 
-// TestBatchRoadAllocs pins what the server side of one batch join
-// allocates: the request decoded into a pooled op, the entries grouped by
-// shard in pooled scratch, their answers written into a pooled answer
-// block and the response encoded from it into a pooled buffer. One
+// TestBatchRoadAllocs pins what the server side of a join allocates, one
+// join or a batch: the request decoded into a pooled op, the entries
+// grouped by shard in pooled scratch, their answers written into a pooled
+// answer block and the response encoded from it into a pooled buffer. One
 // allocation is left, the string of the request's addresses, so a batch
-// of 8 entries costs what one of 32 does; the budget of 4 leaves room for
-// a stray allocation of the runtime's, not for one per entry. The peers
-// re-join where they are, so the trees' pools grow nothing.
+// of 8 entries costs what one of 32 does, and a single join what a batch
+// does; the budget of 4 leaves room for a stray allocation of the
+// runtime's, not for one per entry. The peers re-join where they are, so
+// the trees' pools grow nothing.
 func TestBatchRoadAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes what is allocated")
@@ -76,10 +77,13 @@ func TestBatchRoadAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ns.Close()
+	join := func(p int) proto.JoinRequest {
+		return proto.JoinRequest{Peer: int64(p), Addr: fmt.Sprintf("10.0.%d.%d:7000", p/250, p%250), Path: benchPathFor(int64(p))}
+	}
 	batch := func(first, n int) []byte {
 		m := &proto.BatchJoinRequest{}
 		for p := first; p < first+n; p++ {
-			m.Joins = append(m.Joins, proto.JoinRequest{Peer: int64(p), Addr: fmt.Sprintf("10.0.%d.%d:7000", p/250, p%250), Path: benchPathFor(int64(p))})
+			m.Joins = append(m.Joins, join(p))
 		}
 		b, err := proto.EncodeBatchJoinRequest(m)
 		if err != nil {
@@ -87,24 +91,38 @@ func TestBatchRoadAllocs(t *testing.T) {
 		}
 		return b
 	}
-	serve := func(payload []byte) {
-		typ, resp := ns.handleReq(proto.MsgBatchJoinRequest, payload)
-		if typ != proto.MsgBatchJoinResponse {
-			t.Fatalf("batch answered with message type %v", typ)
+	single := join(100)
+	one, err := proto.AppendJoinRequest(nil, &single)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serve := func(typ, want proto.MsgType, payload []byte) {
+		got, resp := ns.handleReq(typ, payload)
+		if got != want {
+			t.Fatalf("%v answered with message type %v", typ, got)
 		}
 		proto.PutBuf(resp)
 	}
 	for p := 1; p <= 2000; p += proto.MaxBatch {
-		serve(batch(p, proto.MaxBatch))
+		serve(proto.MsgBatchJoinRequest, proto.MsgBatchJoinResponse, batch(p, proto.MaxBatch))
 	}
-	allocs := make(map[int]float64)
-	for _, n := range []int{8, proto.MaxBatch} {
-		payload := batch(100, n)
-		allocs[n] = testing.AllocsPerRun(200, func() { serve(payload) })
-		t.Logf("%.2f allocations per batch of %d joins, server side", allocs[n], n)
+	inputs := []struct {
+		name      string
+		typ, want proto.MsgType
+		payload   []byte
+	}{
+		{"batch of 8 joins", proto.MsgBatchJoinRequest, proto.MsgBatchJoinResponse, batch(100, 8)},
+		{fmt.Sprintf("batch of %d joins", proto.MaxBatch), proto.MsgBatchJoinRequest, proto.MsgBatchJoinResponse, batch(100, proto.MaxBatch)},
+		{"single join", proto.MsgJoinRequest, proto.MsgJoinResponse, one},
 	}
-	if allocs[8] != allocs[proto.MaxBatch] || allocs[proto.MaxBatch] > 4 {
-		t.Errorf("a batch of 8 joins allocates %v times and one of %d %v, want the same and ≤ 4",
-			allocs[8], proto.MaxBatch, allocs[proto.MaxBatch])
+	allocs := make([]float64, len(inputs))
+	for i, in := range inputs {
+		allocs[i] = testing.AllocsPerRun(200, func() { serve(in.typ, in.want, in.payload) })
+		t.Logf("%.2f allocations per %s, server side", allocs[i], in.name)
+	}
+	for i, in := range inputs {
+		if allocs[i] != allocs[0] || allocs[i] > 4 {
+			t.Errorf("a %s allocates %v times and a %s %v, want the same and ≤ 4", in.name, allocs[i], inputs[0].name, allocs[0])
+		}
 	}
 }
