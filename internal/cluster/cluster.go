@@ -387,26 +387,14 @@ func (c *Cluster) Join(p pathtree.PeerID, path []topology.NodeID) ([]pathtree.Ca
 	return c.JoinOp(op.Join(p, path, "", 0))
 }
 
-// JoinInto answers and applies a KindJoin op, appending the answer to ans
-// and returning its run: Join's op-native form, used by front ends whose
-// joins carry overlay addresses. The op is committed to the write-ahead log
-// (when the node is durable) before the answer is returned, so an
-// acknowledged join survives a crash.
-func (c *Cluster) JoinInto(o op.Op, ans *pathtree.Answers) (pathtree.Answer, error) {
-	o = c.stamp(o)
-	run, err := c.joinRoute(o, ans)
-	if err != nil {
-		return pathtree.Answer{}, err
-	}
-	if err := c.commit(o); err != nil {
-		return pathtree.Answer{}, err
-	}
-	return run, nil
-}
-
-// JoinOp is JoinInto with its answer copied out of a pooled block.
+// JoinOp answers and applies a KindJoin op as a batch of one
+// (JoinBatchInto), its answer copied out of a pooled block: Join's
+// op-native form, whose op may carry an overlay address.
 func (c *Cluster) JoinOp(o op.Op) ([]pathtree.Candidate, error) {
-	return pathtree.Answered(func(ans *pathtree.Answers) (pathtree.Answer, error) { return c.JoinInto(o, ans) })
+	return pathtree.Answered(func(ans *pathtree.Answers) (pathtree.Answer, error) {
+		c.JoinBatchInto(op.BatchJoin([]op.JoinEntry{o.Join}, o.Time), ans)
+		return ans.Entries[0], ans.Entries[0].Err
+	})
 }
 
 // shardOf resolves the shard that owns landmark lm.
@@ -442,26 +430,6 @@ func (c *Cluster) enterPeer(p pathtree.PeerID) (*shard, error) {
 	return c.shards[shard], nil
 }
 
-// joinRoute routes a join op to the shard owning its path's landmark. It is
-// the shared road of answering joins, which answer into ans, and silent
-// ones (a nil ans: Apply and WAL recovery).
-func (c *Cluster) joinRoute(o op.Op, ans *pathtree.Answers) (pathtree.Answer, error) {
-	shard, err := c.pathShard(o.Join.Path)
-	if err != nil {
-		return pathtree.Answer{}, err
-	}
-	g := c.shards[shard]
-	g.applies.Inc()
-	var run pathtree.Answer
-	if ans == nil {
-		err = g.srv.Apply(o)
-	} else {
-		run, err = g.srv.JoinInto(o, ans)
-	}
-	c.retireOrphans(g)
-	return run, err
-}
-
 // retireOrphans retires the records that joins on g left behind in trees of
 // other shards: a re-join under a landmark owned elsewhere replaces the
 // peer's record, as on a single server, instead of duplicating it. Each goes
@@ -481,33 +449,25 @@ func (c *Cluster) retireOrphans(g *shard) {
 // owning each path's landmark so every shard is hit with one
 // single-lock-acquisition batch apply instead of per-join locking. It
 // empties ans and answers into it positionally: ans.Entries[i] answers
-// o.Batch[i]. On a durable node the accepted entries are committed to the
-// write-ahead log before it returns.
+// o.Batch[i]. It is the one road of every answered join: a single join is a
+// batch of one (JoinOp). On a durable node the accepted entries are
+// committed to the write-ahead log, as one record, before it returns.
 func (c *Cluster) JoinBatchInto(o op.Op, ans *pathtree.Answers) {
 	o = c.stamp(o)
 	ans.Reset(len(o.Batch))
 	r := routePool.Get().(*route)
 	defer r.release()
 	accepted, _ := c.batchRoute(o, r, ans)
-	if len(accepted) > 0 {
-		if err := c.commit(op.BatchJoin(accepted, o.Time)); err != nil {
-			// The entries applied but are not durable: withdraw the
-			// acknowledgement so no client treats them as committed.
-			for i := range ans.Entries {
-				if ans.Entries[i].Err == nil {
-					ans.Entries[i] = pathtree.Answer{Err: err}
-				}
-			}
-			return
-		}
+	if len(accepted) == 0 {
+		return
 	}
-	// Duplicate-peer entries, which need batch order, take the singular
-	// path, in batch order; they are rare, so the flash-crowd case loses
-	// nothing.
-	for i, shard := range r.owner {
-		if shard == repeated {
-			e := &ans.Entries[i]
-			*e, e.Err = c.JoinInto(op.Op{Kind: op.KindJoin, Time: o.Time, Join: o.Batch[i]}, ans)
+	if err := c.commit(op.BatchJoin(accepted, o.Time)); err != nil {
+		// The entries applied but are not durable: withdraw the
+		// acknowledgement so no client treats them as committed.
+		for i := range ans.Entries {
+			if ans.Entries[i].Err == nil {
+				ans.Entries[i] = pathtree.Answer{Err: err}
+			}
 		}
 	}
 }
@@ -523,18 +483,18 @@ func (c *Cluster) JoinBatchOp(o op.Op) []server.BatchResult {
 
 // batchRoute resolves every entry's shard and applies one batch per shard
 // group: the shared road of JoinBatchInto, which answers into ans, and of a
-// recorded batch, replayed or replicated (a nil ans, which computes no
-// answers and so accepts nothing). refused is the first entry refused for
+// recorded join or batch, replayed or replicated (a nil ans, which computes
+// no answers and so accepts nothing). refused is the first entry refused for
 // its path, whose error ans.Entries also holds. r.owner marks, in batch
-// order, the entries whose peer the batch repeats, which the caller takes
-// through the singular road once it is done with the grouped ones. The
-// accepted entries are views into r, in the order they applied.
+// order, the entries whose peer the batch repeats, which apply after the
+// grouped ones. The accepted entries are views into r, in the order they
+// applied.
 func (c *Cluster) batchRoute(o op.Op, r *route, ans *pathtree.Answers) (accepted []op.JoinEntry, refused error) {
 	items := o.Batch
 	// A peer appearing more than once in the batch must end up registered
 	// by its LAST entry, exactly as sequential joins would leave it; the
 	// per-shard groups below run in shard order, not batch order, so
-	// duplicate-peer entries go through the in-order singular path.
+	// duplicate-peer entries apply after them, one at a time in batch order.
 	// Wire batches are short, so a quadratic scan beats building a count
 	// map — it allocates nothing on the hot path; a wider batch (an
 	// in-process JoinBatchOp, a recorded batch of up to op.MaxBatch entries)
@@ -574,19 +534,15 @@ func (c *Cluster) batchRoute(o op.Op, r *route, ans *pathtree.Answers) (accepted
 	}
 	r.sorted = r.sort(items, r.sorted)
 	for shard, n := range r.count {
-		if n == 0 {
-			continue
+		if end := r.next[shard]; n > 0 {
+			c.applyRun(shard, o.Time, r.sorted[end-n:end:end], r.at[end-n:end], ans)
 		}
-		end := r.next[shard]
-		sh := c.shards[shard]
-		sh.applies.Inc()
-		b := op.BatchJoin(r.sorted[end-n:end:end], o.Time)
-		if ans == nil {
-			_ = sh.srv.Apply(b) // answers nothing, and refuses no batch
-		} else {
-			sh.srv.JoinBatchInto(b, r.at[end-n:end], ans)
-		}
-		c.retireOrphans(sh)
+	}
+	// The repeated peers' entries follow the groups, each a batch of one on
+	// its shard.
+	for k := r.next[len(r.next)-1]; k < len(r.sorted); k++ {
+		shard, _ := c.pathShard(r.sorted[k].Path) // routed above
+		c.applyRun(shard, o.Time, r.sorted[k:k+1:k+1], r.at[k:k+1], ans)
 	}
 	if ans == nil {
 		return nil, refused
@@ -600,6 +556,20 @@ func (c *Cluster) batchRoute(o op.Op, r *route, ans *pathtree.Answers) (accepted
 	return accepted, refused
 }
 
+// applyRun applies entries of a batch, all owned by one shard, to that
+// shard as one batch: answered into ans at positions at, or silently with a
+// nil ans.
+func (c *Cluster) applyRun(shard int, t int64, entries []op.JoinEntry, at []int32, ans *pathtree.Answers) {
+	sh := c.shards[shard]
+	sh.applies.Inc()
+	if b := op.BatchJoin(entries, t); ans == nil {
+		_ = sh.srv.Apply(b) // answers nothing, and refuses no batch
+	} else {
+		sh.srv.JoinBatchInto(b, at, ans)
+	}
+	c.retireOrphans(sh)
+}
+
 // The marks of shardSort.owner for an entry that joins no group.
 const (
 	unrouted = -1 // its path names no landmark held here
@@ -608,8 +578,9 @@ const (
 
 // shardSort groups a batch's entries by owning shard with a stable counting
 // sort: one pass counts the groups, one places every entry, so the groups
-// are runs of one array, in shard order, each in batch order. It serves
-// both batch roads: batchRoute, and the recovery pass's split.
+// are runs of one array, in shard order, each in batch order, and the
+// entries of a repeated peer follow them, in batch order. It serves both
+// batch roads: batchRoute, and the recovery pass's split.
 type shardSort struct {
 	owner []int   // each entry's shard, or a mark that it joins no group
 	count []int   // entries per shard
@@ -625,15 +596,18 @@ func (s *shardSort) reset(shards int) {
 	}
 }
 
-// sort places the entries of batch that s.owner routes into sorted, grown
-// to their number, and returns it: shard g's group is
-// sorted[next[g]-count[g]:next[g]].
+// sort places the entries of batch that s.owner routes or marks repeated
+// into sorted, grown to their number, and returns it: shard g's group is
+// sorted[next[g]-count[g]:next[g]], and the repeated entries are
+// sorted[next[len(next)-1]:].
 func (s *shardSort) sort(batch, sorted []op.JoinEntry) []op.JoinEntry {
 	clear(s.count)
 	n := 0
 	for _, shard := range s.owner {
 		if shard >= 0 {
 			s.count[shard]++
+		}
+		if shard != unrouted {
 			n++
 		}
 	}
@@ -645,11 +619,18 @@ func (s *shardSort) sort(batch, sorted []op.JoinEntry) []op.JoinEntry {
 		at += k
 	}
 	for i, shard := range s.owner {
-		if shard >= 0 {
-			sorted[s.next[shard]] = batch[i]
-			s.at[s.next[shard]] = int32(i)
+		k := at // a repeated entry's place, after the groups
+		switch {
+		case shard >= 0:
+			k = s.next[shard]
 			s.next[shard]++
+		case shard == repeated:
+			at++
+		default:
+			continue
 		}
+		sorted[k] = batch[i]
+		s.at[k] = int32(i)
 	}
 	return sorted
 }
@@ -748,26 +729,17 @@ func (c *Cluster) Apply(o op.Op) error {
 // without logging it: the shared body of Apply and WAL replay.
 func (c *Cluster) applyRouted(o op.Op) error {
 	switch o.Kind {
-	case op.KindJoin:
-		_, err := c.joinRoute(o, nil)
-		return err
-	case op.KindBatchJoin:
-		// A batch applies the way the answering road applied it: one group
-		// per shard, then the singular road for what the grouping left.
+	case op.KindJoin, op.KindBatchJoin:
+		// A join applies the way the answering road applied it, a single
+		// one (a record of an older log, or an in-process Apply) as a batch
+		// of one.
+		if o.Kind == op.KindJoin {
+			o = op.BatchJoin([]op.JoinEntry{o.Join}, o.Time)
+		}
 		r := routePool.Get().(*route)
 		defer r.release()
-		if _, err := c.batchRoute(o, r, nil); err != nil {
-			return err
-		}
-		for i, shard := range r.owner {
-			if shard != repeated {
-				continue
-			}
-			if _, err := c.joinRoute(op.Op{Kind: op.KindJoin, Time: o.Time, Join: o.Batch[i]}, nil); err != nil {
-				return err
-			}
-		}
-		return nil
+		_, err := c.batchRoute(o, r, nil)
+		return err
 	case op.KindLeave, op.KindRefresh, op.KindSetSuperPeer:
 		_, err := atPeer(c, o.Peer, func(g *shard, _ pathtree.PeerID) (struct{}, error) {
 			g.applies.Inc()

@@ -42,15 +42,17 @@
 // read-only, so finding the shard takes no lock.
 //
 // Closest-peer answers carry dialable endpoints: every candidate comes back
-// from the backend with the overlay address its peer advertised. A join, a
-// batch or a lookup hands the backend a pooled answer block
-// (pathtree.Answers), which the backend fills from its trees under the
-// writer mutex or the state lock, and the response payload is encoded from
-// that block into a pooled buffer (proto.EncodeAnswer, EncodeBatchAnswer):
-// each address is copied once from its tree into the block and once from
-// the block into the payload, and a batch's road allocates per batch — the
-// string of its request's addresses — not per entry
-// (TestBatchRoadAllocs). A subscription's answers still come as the
+// from the backend with the overlay address its peer advertised. A join
+// and a lookup hand the backend a pooled answer block (pathtree.Answers),
+// which the backend fills from its trees under the writer mutex or the
+// state lock, and the response payload is encoded from that block into a
+// pooled buffer (proto.EncodeAnswer, EncodeBatchAnswer): each address is
+// copied once from its tree into the block and once from the block into
+// the payload. Joins take one road: a single join decodes into the pooled
+// batch op as a batch of one, goes to the backend's JoinBatchInto as a
+// batch does, and is answered from its one entry. The road allocates per
+// request — the string of its addresses — not per entry, so a single join
+// costs what a batch does (TestBatchRoadAllocs). A subscription's answers still come as the
 // backend's []pathtree.Candidate.
 //
 // A NetServer fronts one node's cluster.Cluster, one shard or many, a
@@ -793,24 +795,38 @@ func (s *NetServer) handleReq(typ proto.MsgType, payload []byte) (proto.MsgType,
 		}
 		return proto.MsgLandmarksResponse, b
 
-	case proto.MsgJoinRequest:
-		o, err := proto.DecodeJoinOp(payload)
-		if err != nil {
-			return errResp(proto.CodeBadRequest, err)
-		}
-		return s.serveJoin(o)
-
-	case proto.MsgBatchJoinRequest:
+	case proto.MsgJoinRequest, proto.MsgBatchJoinRequest:
+		// One road for both: a single join is a batch of one, answered
+		// from its one entry.
 		m := batchOps.Get().(*proto.BatchJoinOp)
 		defer batchOps.Put(m)
-		if err := m.Decode(payload); err != nil {
+		var err error
+		if typ == proto.MsgJoinRequest {
+			err = m.DecodeJoin(payload)
+		} else {
+			err = m.Decode(payload)
+		}
+		if err != nil {
 			return errResp(proto.CodeBadRequest, err)
 		}
 		if len(m.Op.Batch) > s.cfg.MaxBatch {
 			return errResp(proto.CodeBadRequest,
 				fmt.Errorf("netserver: batch of %d joins exceeds limit %d", len(m.Op.Batch), s.cfg.MaxBatch))
 		}
-		return s.serveBatchJoin(m.Op)
+		ans := pathtree.GetAnswers()
+		defer ans.Release()
+		s.cfg.Server.JoinBatchInto(m.Op, ans)
+		if typ == proto.MsgJoinRequest {
+			if err := ans.Entries[0].Err; err != nil {
+				return errResp(errCode(err), err)
+			}
+			return answerResp(proto.MsgJoinResponse, ans, ans.Entries[0])
+		}
+		b, err := proto.EncodeBatchAnswer(ans, errCode)
+		if err != nil {
+			return errResp(proto.CodeInternal, err)
+		}
+		return proto.MsgBatchJoinResponse, b
 
 	case proto.MsgLookupRequest:
 		req, err := proto.DecodeLookupRequest(payload)
@@ -888,18 +904,6 @@ func (s *NetServer) primaryAddr() string { return s.cfg.Replication.cfg.PrimaryA
 // keeps into its trees and its log.
 var batchOps = sync.Pool{New: func() any { return new(proto.BatchJoinOp) }}
 
-// serveJoin applies a join op against the local backend and returns the
-// response frame, encoded from the answer block the backend wrote.
-func (s *NetServer) serveJoin(o op.Op) (proto.MsgType, []byte) {
-	ans := pathtree.GetAnswers()
-	defer ans.Release()
-	run, err := s.cfg.Server.JoinInto(o, ans)
-	if err != nil {
-		return errResp(errCode(err), err)
-	}
-	return answerResp(proto.MsgJoinResponse, ans, run)
-}
-
 // answerResp encodes one answer of a block as a join or lookup response.
 func answerResp(typ proto.MsgType, ans *pathtree.Answers, run pathtree.Answer) (proto.MsgType, []byte) {
 	b, err := proto.EncodeAnswer(ans, run)
@@ -907,20 +911,6 @@ func answerResp(typ proto.MsgType, ans *pathtree.Answers, run pathtree.Answer) (
 		return errResp(proto.CodeInternal, err)
 	}
 	return typ, b
-}
-
-// serveBatchJoin applies a batch against the backend as one JoinBatchInto
-// and answers each entry on its own from the block it wrote, a refused
-// entry with its errCode.
-func (s *NetServer) serveBatchJoin(o op.Op) (proto.MsgType, []byte) {
-	ans := pathtree.GetAnswers()
-	defer ans.Release()
-	s.cfg.Server.JoinBatchInto(o, ans)
-	b, err := proto.EncodeBatchAnswer(ans, errCode)
-	if err != nil {
-		return errResp(proto.CodeInternal, err)
-	}
-	return proto.MsgBatchJoinResponse, b
 }
 
 // LandmarkResponder answers UDP probe datagrams, letting peers measure RTT

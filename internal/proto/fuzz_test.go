@@ -57,7 +57,7 @@ func FuzzReadFrame(f *testing.F) {
 }
 
 // FuzzDecodeJoinRequest checks the decoders a server runs on the
-// single-peer requests: DecodeJoinOp, and DecodeLookupRequest,
+// single-peer requests: BatchJoinOp.DecodeJoin, and DecodeLookupRequest,
 // DecodeLeaveOp and DecodeRefreshOp, which read the same 8-byte peer ID and
 // must agree. Malformed request IDs in the wrapping frame are covered by
 // FuzzReadFrame; here the payload itself is adversarial.
@@ -68,7 +68,7 @@ func FuzzDecodeJoinRequest(f *testing.F) {
 	f.Add(binary.BigEndian.AppendUint16(nil, codec.MaxPathLen+1))
 	f.Add(EncodeLookupRequest(&LookupRequest{Peer: -7}))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if o, err := DecodeJoinOp(data); err == nil {
+		if o, err := decodeJoinOp(data); err == nil {
 			if b := appendEntries(t, nil, o.Join); !bytes.Equal(b, data) {
 				t.Fatalf("join encoding not canonical: %x vs %x", b, data)
 			}

@@ -79,6 +79,21 @@ func joinOp(m JoinRequest) op.Op {
 	return op.Join(pathtree.PeerID(m.Peer), path, m.Addr, 0)
 }
 
+// decodeJoinOp decodes a single join payload the way a server does, into a
+// BatchJoinOp as a batch of one, and returns the one join it carries as a
+// KindJoin op.
+func decodeJoinOp(b []byte) (op.Op, error) {
+	var m BatchJoinOp
+	if err := m.DecodeJoin(b); err != nil {
+		return op.Op{}, err
+	}
+	if len(m.Op.Batch) != 1 {
+		return op.Op{}, fmt.Errorf("a single join decoded into %d entries", len(m.Op.Batch))
+	}
+	e := m.Op.Batch[0]
+	return op.Join(e.Peer, e.Path, e.Addr, m.Op.Time), nil
+}
+
 func wireVectors() []wireVector {
 	joinInto := func(b []byte) (any, error) {
 		var m JoinRequest
@@ -116,7 +131,7 @@ func wireVectors() []wireVector {
 		},
 		{
 			name: "join request → op", hex: goldenJoinHex,
-			decode: func(b []byte) (any, error) { return DecodeJoinOp(b) },
+			decode: func(b []byte) (any, error) { return decodeJoinOp(b) },
 			want:   joinOp(goldenJoin),
 		},
 		{
@@ -413,7 +428,7 @@ func TestWireCapsReadAsLimit(t *testing.T) {
 	joinInto := func(b []byte) error { return DecodeJoinRequestInto(&JoinRequest{}, b) }
 	dec := map[string]func(b []byte) error{
 		"join":       joinInto,
-		"join op":    func(b []byte) error { _, err := DecodeJoinOp(b); return err },
+		"join op":    func(b []byte) error { _, err := decodeJoinOp(b); return err },
 		"batch":      func(b []byte) error { _, err := DecodeBatchJoinRequest(b); return err },
 		"batch op":   func(b []byte) error { return new(BatchJoinOp).Decode(b) },
 		"batch resp": func(b []byte) error { _, err := DecodeBatchJoinResponse(b); return err },

@@ -16,36 +16,40 @@ import (
 // apply, and the record the write-ahead log persists are one value with
 // one meaning. The wire layouts are those of the request structs — the
 // join entry is the same bytes in both — and only the decode target
-// differs. The ops are unstamped; the applying backend stamps them from its
-// own clock.
+// differs. A join, single or batched, decodes into a KindBatchJoin op, a
+// single one as a batch of one, so the server answers both on one road.
+// The ops are unstamped; the applying backend stamps them from its own
+// clock.
 
-// DecodeJoinOp decodes a MsgJoinRequest payload into a KindJoin op.
-func DecodeJoinOp(b []byte) (op.Op, error) {
-	r := codec.NewReader(b)
-	o := op.Op{Kind: op.KindJoin}
-	codec.ReadJoin(&r, &o.Join.Peer, &o.Join.Addr, &o.Join.Path)
-	return o, r.Done()
-}
-
-// BatchJoinOp is a reusable decode target for MsgBatchJoinRequest payloads:
-// a KindBatchJoin op whose entries' paths are runs of one block of hops and
-// whose addresses are substrings of one string. A target reused from call
-// to call has grown its entries and hops, so a decode allocates the string
-// and nothing else. The entries and their paths are good until the next
-// Decode; the addresses, being a string, for ever.
+// BatchJoinOp is a reusable decode target for join payloads: a KindBatchJoin
+// op whose entries' paths are runs of one block of hops and whose addresses
+// are substrings of one string. A target reused from call to call has grown
+// its entries and hops, so a decode allocates the string and nothing else.
+// The entries and their paths are good until the next decode; the
+// addresses, being a string, for ever.
 type BatchJoinOp struct {
 	// Op is the decoded op.
 	Op   op.Op
 	hops []topology.NodeID
 }
 
-// Decode decodes a MsgBatchJoinRequest payload into m.Op in two passes,
-// the first measuring the paths and addresses, the second filling the
-// blocks. It accepts and refuses exactly what codec.ReadJoin does, entry by
-// entry.
+// Decode decodes a MsgBatchJoinRequest payload into m.Op.
 func (m *BatchJoinOp) Decode(b []byte) error {
 	r := codec.NewReader(b)
 	n := r.Count(1, MaxBatch, "joins")
+	return m.decode(r, n)
+}
+
+// DecodeJoin decodes a MsgJoinRequest payload — one join entry, with no
+// count before it — into m.Op, as a batch of one.
+func (m *BatchJoinOp) DecodeJoin(b []byte) error {
+	return m.decode(codec.NewReader(b), 1)
+}
+
+// decode reads n join entries from r into m.Op in two passes, the first
+// measuring the paths and addresses, the second filling the blocks. It
+// accepts and refuses exactly what codec.ReadJoin does, entry by entry.
+func (m *BatchJoinOp) decode(r codec.Reader, n int) error {
 	fill := r // the second pass's reader, at the first entry
 	hops, size := 0, 0
 	for range n {

@@ -9,38 +9,40 @@ import (
 	"proxdisc/internal/topology"
 )
 
-// TestJoinOpBridge pins the wire↔op bridge: a join payload decodes into
-// the op that re-encodes to the same payload.
+// TestJoinOpBridge pins the wire↔op bridge: a join payload decodes into a
+// batch of one whose entry re-encodes to the same payload.
 func TestJoinOpBridge(t *testing.T) {
 	payload, err := AppendJoinRequest(nil, &JoinRequest{Peer: 42, Addr: "10.0.0.9:41", Path: []int32{7, 3, 100}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, err := DecodeJoinOp(payload)
-	if err != nil {
+	var m BatchJoinOp
+	if err := m.DecodeJoin(payload); err != nil {
 		t.Fatal(err)
 	}
-	if o.Kind != op.KindJoin || o.Time != 0 {
-		t.Fatalf("decoded op %+v: want unstamped KindJoin", o)
+	o := m.Op
+	if o.Kind != op.KindBatchJoin || o.Time != 0 || len(o.Batch) != 1 {
+		t.Fatalf("decoded op %+v: want an unstamped KindBatchJoin of one entry", o)
 	}
 	want := op.JoinEntry{Peer: 42, Addr: "10.0.0.9:41", Path: []topology.NodeID{7, 3, 100}}
-	if !reflect.DeepEqual(o.Join, want) {
-		t.Fatalf("entry %+v, want %+v", o.Join, want)
+	if !reflect.DeepEqual(o.Batch[0], want) {
+		t.Fatalf("entry %+v, want %+v", o.Batch[0], want)
 	}
-	// The way back: the op re-encodes to the payload it came from.
-	path := make([]int32, len(o.Join.Path))
-	for i, r := range o.Join.Path {
+	// The way back: the entry re-encodes to the payload it came from.
+	e := o.Batch[0]
+	path := make([]int32, len(e.Path))
+	for i, r := range e.Path {
 		path[i] = int32(r)
 	}
-	re, err := AppendJoinRequest(nil, &JoinRequest{Peer: int64(o.Join.Peer), Addr: o.Join.Addr, Path: path})
+	re, err := AppendJoinRequest(nil, &JoinRequest{Peer: int64(e.Peer), Addr: e.Addr, Path: path})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(re, payload) {
 		t.Fatalf("re-encoding a decoded join op changed its bytes:\n %x\n %x", re, payload)
 	}
-	if _, err := DecodeJoinOp([]byte{1, 2}); err == nil {
-		t.Fatal("DecodeJoinOp accepted garbage")
+	if err := m.DecodeJoin([]byte{1, 2}); err == nil {
+		t.Fatal("BatchJoinOp.DecodeJoin accepted garbage")
 	}
 }
 
@@ -87,12 +89,12 @@ func TestPeerOpBridges(t *testing.T) {
 }
 
 // TestJoinDecodeAllocs pins what decoding a join costs on the roads a
-// server takes: a wire join lands in its op with nothing allocated but what
-// the op keeps — an address and a path — a batch in a reused op with one
-// string for all its addresses, and a reused request struct costs nothing;
-// nor does the client's road, encoding a join into a pooled buffer.
-// (Through an intermediate request struct a 32-entry batch cost 99, into a
-// fresh op with an address and a path per entry 66.)
+// server takes: a batch, or a single join as a batch of one, lands in a
+// reused op with one string for all its addresses, and a reused request
+// struct costs nothing; nor does the client's road, encoding a join into a
+// pooled buffer. (Through an intermediate request struct a 32-entry batch
+// cost 99, into a fresh op with an address and a path per entry 66; a
+// single join into a fresh op 2.)
 func TestJoinDecodeAllocs(t *testing.T) {
 	batch := &BatchJoinRequest{Joins: make([]JoinRequest, MaxBatch)}
 	for i := range batch.Joins {
@@ -114,7 +116,7 @@ func TestJoinDecodeAllocs(t *testing.T) {
 		run  func() error
 	}{
 		{"BatchJoinOp.Decode, 32 entries, reused", 1, func() error { return batchOp.Decode(batchPayload) }},
-		{"DecodeJoinOp", 2, func() error { _, err := DecodeJoinOp(joinPayload); return err }},
+		{"BatchJoinOp, one join, reused", 1, func() error { return batchOp.DecodeJoin(joinPayload) }},
 		{"DecodeJoinRequestInto, reused", 0, func() error { return DecodeJoinRequestInto(&reused, joinPayload) }},
 		{"AppendJoinRequest into a pooled buffer", 0, func() error {
 			buf, err := AppendJoinRequest(GetBuf(0), &batch.Joins[0])

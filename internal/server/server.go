@@ -6,7 +6,8 @@
 // the router path from itself to its closest landmark (which the peer
 // discovered in the "first round" with the traceroute-like tool); the server
 // answers with the k peers whose paths indicate they are nearest, then
-// inserts the newcomer so later arrivals can discover it.
+// inserts the newcomer so later arrivals can discover it. Joins are answered
+// on one road, JoinBatchInto: a single join is a batch of one (JoinOp).
 //
 // The server also implements the paper's future-work items: peer departure
 // and expiry (faulty peers / handover), and super-peer delegation.
@@ -345,8 +346,8 @@ func (s *Server) stamp(o op.Op) op.Op {
 // operation without computing any answer. Every path that moves writes
 // around — follower replication, WAL recovery — calls Apply, so a
 // replayed stream reaches exactly the state the original stream built.
-// The answering front doors (JoinInto, JoinBatchInto) are thin wrappers
-// over the same core. A zero o.Time is stamped from the server clock;
+// The answering door, JoinBatchInto, which answers a single join as a
+// batch of one, registers through the same core. A zero o.Time is stamped from the server clock;
 // stamped ops apply at their recorded instant regardless of the local
 // clock.
 func (s *Server) Apply(o op.Op) error {
@@ -393,13 +394,13 @@ func (s *Server) Apply(o op.Op) error {
 }
 
 // validateJoin is the check every reported path passes exactly once, at the
-// door it enters by (Apply, JoinInto, JoinBatchInto),
-// before the op reaches the state: past it, state and trie trust their
-// input. That the path ends at a landmark held here is the one check left to
-// the state, which alone knows its trees. The op format's caps are checked
-// here too, not when the op is encoded for the log after it has applied: the
-// trees' address pools rely on the address cap, and their one-byte depths on
-// the path cap, which ValidatePath checks. Every refusal wraps ErrBadJoin.
+// door it enters by (Apply, JoinBatchInto), before the op reaches the state:
+// past it, state and trie trust their input. That the path ends at a
+// landmark held here is the one check left to the state, which alone knows
+// its trees. The op format's caps are checked here too, not when the op is
+// encoded for the log after it has applied: the trees' address pools rely on
+// the address cap, and their one-byte depths on the path cap, which
+// ValidatePath checks. Every refusal wraps ErrBadJoin.
 func validateJoin(e *op.JoinEntry) error {
 	var err error
 	switch {
@@ -473,28 +474,14 @@ func (st *state) apply(o op.Op) error {
 	}
 }
 
-// JoinInto answers and applies a KindJoin op: it registers the peer with
-// its reported path and appends its closest peers to ans, returning their
-// run. The answer is computed before insertion, so a peer never appears in
-// its own neighbour list. The path must terminate at a registered landmark.
-func (s *Server) JoinInto(o op.Op, ans *pathtree.Answers) (pathtree.Answer, error) {
-	o = s.stamp(o)
-	if err := validateJoin(&o.Join); err != nil {
-		return pathtree.Answer{}, err
-	}
-	s.wmu.Lock()
-	run, err := s.register(&o.Join, o.Time, ans)
-	s.wmu.Unlock()
-	if err == nil {
-		s.joins.Add(1)
-		s.queries.Add(1)
-	}
-	return run, err
-}
-
-// JoinOp is JoinInto with its answer copied out of a pooled block.
+// JoinOp answers and applies a KindJoin op as a batch of one
+// (JoinBatchInto), its answer copied out of a pooled block.
 func (s *Server) JoinOp(o op.Op) ([]pathtree.Candidate, error) {
-	return pathtree.Answered(func(ans *pathtree.Answers) (pathtree.Answer, error) { return s.JoinInto(o, ans) })
+	return pathtree.Answered(func(ans *pathtree.Answers) (pathtree.Answer, error) {
+		ans.Reset(1)
+		s.JoinBatchInto(op.BatchJoin([]op.JoinEntry{o.Join}, o.Time), nil, ans)
+		return ans.Entries[0], ans.Entries[0].Err
+	})
 }
 
 // register is one join's visit to the state, for a caller holding wmu. The
