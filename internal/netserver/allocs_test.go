@@ -61,22 +61,14 @@ func TestLookupRoadAllocs(t *testing.T) {
 // allocation is left, the string of the request's addresses, so a batch
 // of 8 entries costs what one of 32 does, and a single join what a batch
 // does; the budget of 4 leaves room for a stray allocation of the
-// runtime's, not for one per entry. The peers re-join where they are, so
-// the trees' pools grow nothing.
+// runtime's, not for one per entry. A durable node (NoSync) costs what an
+// in-memory one does: the op is encoded into a pooled buffer and framed
+// in the log's write buffer. The peers re-join where they are, so the
+// trees' pools grow nothing.
 func TestBatchRoadAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes what is allocated")
 	}
-	clu, err := cluster.New(cluster.Config{Landmarks: benchLandmarks, Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer clu.Close()
-	ns, err := Listen(Config{Addr: "127.0.0.1:0", Server: clu})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ns.Close()
 	join := func(p int) proto.JoinRequest {
 		return proto.JoinRequest{Peer: int64(p), Addr: fmt.Sprintf("10.0.%d.%d:7000", p/250, p%250), Path: benchPathFor(int64(p))}
 	}
@@ -96,16 +88,6 @@ func TestBatchRoadAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serve := func(typ, want proto.MsgType, payload []byte) {
-		got, resp := ns.handleReq(typ, payload)
-		if got != want {
-			t.Fatalf("%v answered with message type %v", typ, got)
-		}
-		proto.PutBuf(resp)
-	}
-	for p := 1; p <= 2000; p += proto.MaxBatch {
-		serve(proto.MsgBatchJoinRequest, proto.MsgBatchJoinResponse, batch(p, proto.MaxBatch))
-	}
 	inputs := []struct {
 		name      string
 		typ, want proto.MsgType
@@ -115,14 +97,50 @@ func TestBatchRoadAllocs(t *testing.T) {
 		{fmt.Sprintf("batch of %d joins", proto.MaxBatch), proto.MsgBatchJoinRequest, proto.MsgBatchJoinResponse, batch(100, proto.MaxBatch)},
 		{"single join", proto.MsgJoinRequest, proto.MsgJoinResponse, one},
 	}
-	allocs := make([]float64, len(inputs))
-	for i, in := range inputs {
-		allocs[i] = testing.AllocsPerRun(200, func() { serve(in.typ, in.want, in.payload) })
-		t.Logf("%.2f allocations per %s, server side", allocs[i], in.name)
+	arms := []struct {
+		name string
+		cfg  cluster.Config
+	}{
+		{"in memory", cluster.Config{Landmarks: benchLandmarks, Shards: 4}},
+		{"durable", cluster.Config{Landmarks: benchLandmarks, Shards: 4, DataDir: t.TempDir(), NoSync: true}},
 	}
-	for i, in := range inputs {
-		if allocs[i] != allocs[0] || allocs[i] > 4 {
-			t.Errorf("a %s allocates %v times and a %s %v, want the same and ≤ 4", in.name, allocs[i], inputs[0].name, allocs[0])
+	var first []float64 // the in-memory arm's
+	for _, arm := range arms {
+		clu, err := cluster.New(arm.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer clu.Close()
+		ns, err := Listen(Config{Addr: "127.0.0.1:0", Server: clu})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ns.Close()
+		serve := func(typ, want proto.MsgType, payload []byte) {
+			got, resp := ns.handleReq(typ, payload)
+			if got != want {
+				t.Fatalf("%s: %v answered with message type %v", arm.name, typ, got)
+			}
+			proto.PutBuf(resp)
+		}
+		for p := 1; p <= 2000; p += proto.MaxBatch {
+			serve(proto.MsgBatchJoinRequest, proto.MsgBatchJoinResponse, batch(p, proto.MaxBatch))
+		}
+		allocs := make([]float64, len(inputs))
+		for i, in := range inputs {
+			allocs[i] = testing.AllocsPerRun(200, func() { serve(in.typ, in.want, in.payload) })
+			t.Logf("%s: %.2f allocations per %s, server side", arm.name, allocs[i], in.name)
+		}
+		if first == nil {
+			first = allocs
+		}
+		for i, in := range inputs {
+			if allocs[i] != allocs[0] || allocs[i] > 4 {
+				t.Errorf("%s: a %s allocates %v times and a %s %v, want the same and ≤ 4", arm.name, in.name, allocs[i], inputs[0].name, allocs[0])
+			}
+			if allocs[i] != first[i] {
+				t.Errorf("a %s allocates %v times on a %s node and %v %s, want the same", in.name, allocs[i], arm.name, first[i], arms[0].name)
+			}
 		}
 	}
 }

@@ -296,14 +296,15 @@ func (s *Sharded) Append(stream int, recs ...[]byte) (uint64, error) {
 		return 0, err
 	}
 	seq := s.seq.Load()
-	var hdr [frameHeader]byte
 	for _, rec := range recs {
 		seq++
-		binary.BigEndian.PutUint32(hdr[:4], uint32(len(rec)))
-		binary.BigEndian.PutUint64(hdr[4:12], seq)
-		crc := crc32.Update(crc32.Checksum(hdr[4:12], crcTable), crcTable, rec)
-		binary.BigEndian.PutUint32(hdr[12:16], crc)
-		s.buf = append(append(s.buf, hdr[:]...), rec...)
+		// The header is built in the write buffer and checksummed there: a
+		// header array of its own would escape to the checksum's assembly,
+		// one allocation per append.
+		at := len(s.buf)
+		s.buf = binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint32(s.buf, uint32(len(rec))), seq)
+		crc := crc32.Update(crc32.Checksum(s.buf[at+4:], crcTable), crcTable, rec)
+		s.buf = append(binary.BigEndian.AppendUint32(s.buf, crc), rec...)
 	}
 	s.seq.Store(seq)
 	s.mu.Unlock()
