@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"proxdisc/internal/op"
+	"proxdisc/internal/proto"
 	"proxdisc/internal/server"
 	"proxdisc/internal/wal"
 )
@@ -281,28 +282,28 @@ func (c *Cluster) commit(o op.Op) error {
 	if c.log == nil {
 		return nil
 	}
-	// Encode into pooled buffers: the WAL copies each record into its own
-	// write buffer and hands it to the commit tap, which must not retain
-	// it, before Append returns, so every buffer recycles as soon as
-	// Append comes back — the encode side of a committed op is
-	// allocation-free in steady state. The one-record common case keeps
+	// Encode into the frame buffer pool's buffers: the WAL copies each
+	// record into its own write buffer and hands it to the commit tap,
+	// which must not retain it, before Append returns, so every buffer
+	// recycles as soon as Append comes back — the encode side of a
+	// committed op is allocation-free in steady state. The one-record common case keeps
 	// the record slice itself on the stack too.
 	var recsArr [1][]byte
 	recs := recsArr[:0]
 	if o.Kind == op.KindBatchJoin && len(o.Batch) > op.MaxBatch {
 		for start := 0; start < len(o.Batch); start += op.MaxBatch {
 			end := min(start+op.MaxBatch, len(o.Batch))
-			rec, err := op.Append(op.GetBuf(), op.BatchJoin(o.Batch[start:end], o.Time))
+			rec, err := op.Append(proto.GetBuf(0), op.BatchJoin(o.Batch[start:end], o.Time))
 			if err != nil {
 				for _, r := range recs {
-					op.PutBuf(r)
+					proto.PutBuf(r)
 				}
 				return fmt.Errorf("cluster: encode op: %w", err)
 			}
 			recs = append(recs, rec)
 		}
 	} else {
-		rec, err := op.Append(op.GetBuf(), o)
+		rec, err := op.Append(proto.GetBuf(0), o)
 		if err != nil {
 			return fmt.Errorf("cluster: encode op: %w", err)
 		}
@@ -314,7 +315,7 @@ func (c *Cluster) commit(o op.Op) error {
 	}
 	_, err := c.log.Append(0, recs...)
 	for _, rec := range recs {
-		op.PutBuf(rec)
+		proto.PutBuf(rec)
 	}
 	if err != nil {
 		return fmt.Errorf("cluster: wal append: %w", err)

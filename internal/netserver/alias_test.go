@@ -10,7 +10,6 @@ import (
 
 	"proxdisc/internal/client"
 	"proxdisc/internal/cluster"
-	"proxdisc/internal/op"
 	"proxdisc/internal/pathtree"
 	"proxdisc/internal/proto"
 	"proxdisc/internal/server"
@@ -18,12 +17,12 @@ import (
 )
 
 // scribble overwrites the pooled memory of the write and read roads as the
-// calls after a batch join would: every frame buffer, decoded batch op,
-// answer block and op encode buffer the pools hold is taken, filled with
-// garbage and put back.
+// calls after a batch join would: every frame buffer (a committed op is
+// encoded into one too), decoded batch op and answer block the pools hold
+// is taken, filled with garbage and put back.
 func scribble() {
 	const each = 64 // more than the road ever holds at once
-	var bufs, opBufs [][]byte
+	var bufs [][]byte
 	var ops []*proto.BatchJoinOp
 	var blocks []*pathtree.Answers
 	for range each {
@@ -32,12 +31,6 @@ func scribble() {
 		b = b[:cap(b)]
 		for i := range b {
 			b[i] = 0x5A
-		}
-		ob := op.GetBuf()
-		opBufs = append(opBufs, ob)
-		ob = ob[:cap(ob)]
-		for i := range ob {
-			ob[i] = 0x5A
 		}
 		m := batchOps.Get().(*proto.BatchJoinOp)
 		ops = append(ops, m)
@@ -59,7 +52,6 @@ func scribble() {
 	}
 	for i := range each {
 		proto.PutBuf(bufs[i])
-		op.PutBuf(opBufs[i])
 		batchOps.Put(ops[i])
 		blocks[i].Release()
 	}

@@ -216,50 +216,6 @@ func Append(dst []byte, o Op) ([]byte, error) {
 // Encode encodes o into a fresh buffer.
 func Encode(o Op) ([]byte, error) { return Append(nil, o) }
 
-// bufFree recycles encode buffers across the commit and replication hot
-// paths — the op-codec side of the proto.GetBuf/PutBuf discipline. A
-// caller takes a zero-length buffer, Appends an op into it, hands the
-// bytes to a consumer that copies them (the WAL's write buffer, a commit
-// tap), and puts the buffer back, so encoding a committed op allocates
-// nothing in steady state. A bounded channel freelist rather than a
-// sync.Pool: nonblocking channel transfer of a slice header allocates
-// nothing, whereas sync.Pool.Put must box the header (&b escapes).
-var bufFree = make(chan []byte, 64)
-
-// GetBuf returns a zero-length buffer from the codec pool, intended as the
-// dst of Append. Return it with PutBuf once its bytes have been consumed.
-func GetBuf() []byte {
-	select {
-	case b := <-bufFree:
-		return b
-	default:
-		return make([]byte, 0, 512)
-	}
-}
-
-// keptBufCap is the largest buffer PutBuf keeps: one a live record grows.
-// A wire batch, at most an eighth of MaxBatch joins, encodes in about
-// 1.5 KiB with 15-byte addresses and 5-hop paths, and in 3 KiB with 16
-// hops. A batch of MaxBatch joins — an in-process fill's — grows its buffer
-// to 16 KiB, and nothing empties the freelist: kept, such buffers would
-// stay for the life of the process, whatever the traffic after them.
-const keptBufCap = 4 << 10
-
-// PutBuf returns a buffer obtained from GetBuf (or grown from one by
-// Append) to the codec pool. Callers must not retain any reference into it
-// afterwards. Buffers grown past keptBufCap are dropped, so the freelist
-// holds at most 64 live records' worth; when it is full the buffer falls to
-// the GC too.
-func PutBuf(b []byte) {
-	if cap(b) == 0 || cap(b) > keptBufCap {
-		return
-	}
-	select {
-	case bufFree <- b[:0]:
-	default:
-	}
-}
-
 // Decode decodes one op from b, which must contain exactly one encoded op
 // (trailing bytes are an error — log records and wire payloads are framed
 // by their carriers).
