@@ -3,12 +3,14 @@ package cluster
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
 	"proxdisc/internal/op"
 	"proxdisc/internal/pathtree"
 	"proxdisc/internal/proto"
+	"proxdisc/internal/topology"
 )
 
 // recTap records every WAL record the commit tap observes, copying the
@@ -156,4 +158,72 @@ func TestBatchJoinOneRecordOneFrame(t *testing.T) {
 	}
 
 	assertSameAnswers(t, want, captureAnswers(t, re), "after kill-9 replay of batch records")
+}
+
+// TestRepeatedPeerBatchCommitsOneRecord: an answered batch that names a
+// peer more than once commits as one record, the grouped entries first and
+// the repeated peer's accepted entries after them in batch order, and a
+// crashed node recovers it — through the serial road and through the
+// shard-parallel pass, which cannot vouch for a batch naming a new peer
+// twice and falls back — to the live node's state, each repeated peer held
+// by its last entry.
+func TestRepeatedPeerBatchCommitsOneRecord(t *testing.T) {
+	dir := t.TempDir()
+	cfg := durableConfig(dir, 4)
+	cfg.NoSync = true
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := []op.JoinEntry{
+		{Peer: 1, Addr: "10.0.0.1:1", Path: synthPath(0, 1)},
+		{Peer: 2, Addr: "10.0.0.2:1", Path: synthPath(100, 2)},
+		{Peer: 1, Addr: "10.0.0.1:2", Path: synthPath(200, 1)},
+		{Peer: 3, Addr: "10.0.0.3:1", Path: synthPath(300, 3)},
+		{Peer: 2, Path: []topology.NodeID{7, 999}}, // refused: no such landmark
+		{Peer: 1, Addr: "10.0.0.1:3", Path: synthPath(100, 1)},
+	}
+	for i, res := range c.JoinBatchOp(op.BatchJoin(entries, 0)) {
+		if (i == 4) != (res.Err != nil) {
+			t.Fatalf("entry %d: %v", i, res.Err)
+		}
+	}
+	var recs [][]byte
+	if err := c.ReadCommitted(0, func(_ uint64, rec []byte) error {
+		recs = append(recs, bytes.Clone(rec))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 {
+		t.Fatalf("the batch committed %d records, want 1", len(recs))
+	}
+	o, err := op.Decode(recs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var order []int
+	for _, e := range o.Batch {
+		for i := range entries {
+			if entries[i].Peer == e.Peer && entries[i].Addr == e.Addr {
+				order = append(order, i)
+			}
+		}
+	}
+	// Peer 3's entry groups by shard; those of peers 1 and 2, each named
+	// more than once (peer 2's second entry refused), follow in batch order.
+	if want := []int{3, 0, 1, 2, 5}; !slices.Equal(order, want) {
+		t.Fatalf("the record holds entries %v, want %v", order, want)
+	}
+	if info, err := c.PeerInfo(1); err != nil || info.Addr != "10.0.0.1:3" {
+		t.Fatalf("peer 1: %+v, %v: want its last entry", info, err)
+	}
+	// Crash: the live node is abandoned with its log mid-life.
+	serial := reopen(t, dir, 4, true)
+	parallel := reopen(t, dir, 4, false)
+	assertSameState(t, c, serial, "serial road")
+	assertSameState(t, serial, parallel, "parallel pass")
+	if st := parallel.DurabilityStats(); st.TailRecords != 1 || st.SerialRecords != 1 {
+		t.Fatalf("%d serial records over a tail of %d, want the fallback's 1 over 1", st.SerialRecords, st.TailRecords)
+	}
 }

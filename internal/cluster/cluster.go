@@ -57,8 +57,9 @@
 // the latest checkpoint and then the log tail with one applier per shard,
 // each taking its shard's entries of batch joins of new peers in file order
 // through the normal apply path; every other record — a move record, a
-// flag, a leave or refresh, a single or re-homing join, an expiry sweep —
-// waits for the appliers to drain and applies serially between them. When
+// flag, a leave or refresh, a re-homing join, a single-join record of an
+// older log, an expiry sweep — waits for the appliers to drain and applies
+// serially between them. When
 // each peer has one writer at a time, a restarted node serves the exact
 // peer set (and, for joins that arrived over the wire, the exact overlay
 // addresses) it acknowledged before the crash (TestCrashRecoveryExactState,

@@ -22,12 +22,13 @@ import (
 //     entries, and the applier applies every group to the shard's server
 //     whole, so each shard sees its entries in stream order. A checkpoint is
 //     almost all such records, and so is the tail of a crowd of new peers.
-//   - Every other record — a single join, a batch naming a resident peer, a
-//     leave, refresh or flag, an expiry sweep, a move record — is a
-//     barrier: it waits for the appliers to drain and then applies on the
-//     calling goroutine through applyRecovered, as on the serial road. A
-//     re-homing join must retire the record it orphans, a leave is routed by
-//     the index as it stands, and sweeps see every shard, so none of them
+//   - Every other record — a single-join record (KindJoin: an older log's,
+//     or an in-process Apply's), a batch naming a resident peer, a leave,
+//     refresh or flag, an expiry sweep, a move record — is a barrier: it
+//     waits for the appliers to drain and then applies on the calling
+//     goroutine through applyRecovered, as on the serial road. A re-homing
+//     join must retire the record it orphans, a leave is routed by the
+//     index as it stands, and sweeps see every shard, so none of them
 //     commutes with the appliers' work.
 //
 // Two entries naming the same peer between two barriers are the one thing
@@ -38,7 +39,9 @@ import (
 // every barrier and at the end the loader checks that the peers number
 // those held when the stretch began plus the entries handed out since
 // (drain); when they do not, the pass cannot vouch for its state, and the
-// caller discards it and takes the serial road for the whole open.
+// caller discards it and takes the serial road for the whole open. A batch
+// that names a new peer twice — the repeated entries of an answered batch
+// commit in its one record — falls back the same way.
 //
 // The appliers start with the first split record, so an open with nothing
 // to split starts none; stop ends them, error or not.
