@@ -59,13 +59,13 @@
 // through the normal apply path; every other record — a move record, a
 // flag, a leave or refresh, a re-homing join, a single-join record of an
 // older log, an expiry sweep — waits for the appliers to drain and applies
-// serially between them. When
-// each peer has one writer at a time, a restarted node serves the exact
-// peer set (and, for joins that arrived over the wire, the exact overlay
-// addresses) it acknowledged before the crash (TestCrashRecoveryExactState,
-// TestCheckpointUnderWriters, TestParallelTailMatchesSerialTail), and a
-// node killed with writers on every shard recovers what an uninterrupted
-// run holds (TestShardedWALKillDashNineRecovery). Two writers racing on one
+// serially between them. When each peer has one writer at a time, a
+// restarted node serves the exact peer set (and, for joins that arrived
+// over the wire, the exact overlay addresses) it acknowledged before the
+// crash (TestCrashRecoveryExactState, TestCheckpointUnderWriters,
+// TestParallelTailMatchesSerialTail), and a node killed with writers on
+// every shard recovers what an uninterrupted run holds
+// (TestShardedWALKillDashNineRecovery). Two writers racing on one
 // peer can log in the opposite order to the one they applied in, and
 // recovery then holds the logged order. The appliers' order decides nothing
 // unless two batches between the same two serial records name one peer,

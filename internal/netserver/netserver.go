@@ -52,8 +52,8 @@
 // batch op as a batch of one, goes to the backend's JoinBatchInto as a
 // batch does, and is answered from its one entry. The road allocates per
 // request — the string of its addresses — not per entry, so a single join
-// costs what a batch does (TestBatchRoadAllocs). A subscription's answers still come as the
-// backend's []pathtree.Candidate.
+// costs what a batch does (TestBatchRoadAllocs). A subscription's answers
+// still come as the backend's []pathtree.Candidate.
 //
 // A NetServer fronts one node's cluster.Cluster, one shard or many, a
 // primary's or a follower's copy, and serves every landmark that cluster

@@ -22,10 +22,10 @@
 //
 // Writing and reading a frame through buffered streams
 // (TestFrameRoundTripAllocs) and the client's encoding of a join into a
-// pooled buffer (TestJoinDecodeAllocs) allocate nothing. A wire join
-// decoded on the server allocates only what its op keeps, a batch of them
-// into a reused op one string for all addresses, and the client's decode of
-// an answer two allocations whatever its length, of a batch answer four
+// pooled buffer (TestJoinDecodeAllocs) allocate nothing. A wire join, or a
+// batch of them, decoded on the server into a reused op allocates one
+// string for all addresses, and the client's decode of an answer two
+// allocations whatever its length, of a batch answer four
 // (TestJoinDecodeAllocs, TestDecodeCandidatesAllocs).
 //
 // # Protocol versions
