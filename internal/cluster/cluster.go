@@ -735,6 +735,9 @@ func (c *Cluster) applyRouted(o op.Op) error {
 		// one (a record of an older log, or an in-process Apply) as a batch
 		// of one.
 		if o.Kind == op.KindJoin {
+			if err := server.ValidateJoin(&o.Join); err != nil {
+				return err
+			}
 			o = op.BatchJoin([]op.JoinEntry{o.Join}, o.Time)
 		}
 		r := routePool.Get().(*route)

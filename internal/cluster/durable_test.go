@@ -865,3 +865,23 @@ func TestOversizeJoinRefusedAtTheDoor(t *testing.T) {
 		})
 	}
 }
+
+// TestApplyRefusesMalformedJoin: Apply of a single join whose path the
+// server refuses — here a router repeats — returns the refusal, as a wire
+// join gets it, and neither applies nor logs the join. The batch road it
+// is routed on skips a refused entry without an error, so nothing but the
+// door's own check keeps the record out of the log.
+func TestApplyRefusesMalformedJoin(t *testing.T) {
+	c, err := New(durableConfig(t.TempDir(), 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	head := c.CommittedHead()
+	if err := c.Apply(op.Join(1, []topology.NodeID{5, 5, testLandmarks[0]}, "", 0)); !errors.Is(err, server.ErrBadJoin) {
+		t.Fatalf("Apply of a malformed join: %v, want server.ErrBadJoin", err)
+	}
+	if n, h := c.NumPeers(), c.CommittedHead(); n != 0 || h != head {
+		t.Fatalf("after a refused join: %d peers resident, log head %d → %d", n, head, h)
+	}
+}

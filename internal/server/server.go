@@ -354,7 +354,7 @@ func (s *Server) Apply(o op.Op) error {
 	o = s.stamp(o)
 	switch o.Kind {
 	case op.KindJoin:
-		if err := validateJoin(&o.Join); err != nil {
+		if err := ValidateJoin(&o.Join); err != nil {
 			return err
 		}
 	case op.KindBatchJoin:
@@ -393,15 +393,17 @@ func (s *Server) Apply(o op.Op) error {
 	return err
 }
 
-// validateJoin is the check every reported path passes exactly once, at the
-// door it enters by (Apply, JoinBatchInto), before the op reaches the state:
-// past it, state and trie trust their input. That the path ends at a
+// ValidateJoin is the check every reported path passes at the door it
+// enters by (Apply, JoinBatchInto), before the op reaches the state: past
+// it, state and trie trust their input. A batch's silent apply skips an
+// entry it refuses, so a cluster applying a single join as a batch of one
+// asks it first, to refuse the join as Apply refuses one. That the path ends at a
 // landmark held here is the one check left to the state, which alone knows
 // its trees. The op format's caps are checked here too, not when the op is
 // encoded for the log after it has applied: the trees' address pools rely on
 // the address cap, and their one-byte depths on the path cap, which
 // ValidatePath checks. Every refusal wraps ErrBadJoin.
-func validateJoin(e *op.JoinEntry) error {
+func ValidateJoin(e *op.JoinEntry) error {
 	var err error
 	switch {
 	case len(e.Path) == 0:
@@ -417,12 +419,12 @@ func validateJoin(e *op.JoinEntry) error {
 	return nil
 }
 
-// validEntries drops the entries of a replayed batch that fail validateJoin.
+// validEntries drops the entries of a replayed batch that fail ValidateJoin.
 // A recorded batch carries only entries the primary accepted, so none
 // should — the copy is made only when one does — but a tolerant replay skips
 // a bad entry rather than abort the batch.
 func validEntries(batch []op.JoinEntry) []op.JoinEntry {
-	invalid := func(e op.JoinEntry) bool { return validateJoin(&e) != nil }
+	invalid := func(e op.JoinEntry) bool { return ValidateJoin(&e) != nil }
 	if !slices.ContainsFunc(batch, invalid) {
 		return batch
 	}
@@ -556,7 +558,7 @@ func answer(tree *pathtree.Core, hits []pathtree.Hit, ans *pathtree.Answers) (ru
 // slot). With k > 0 the newcomer's k closest peers are found on the way down
 // the path, before it is attached, so a peer never appears in its own answer;
 // the hits alias sc, that query's scratch. The entry's path has passed
-// validateJoin.
+// ValidateJoin.
 //
 // orphan is noRef unless the entry the join replaced names a tree not held
 // here. Only the holder of a tree writes entries that name it, and the caller
@@ -650,7 +652,7 @@ func (s *Server) JoinBatchInto(o op.Op, at []int32, ans *pathtree.Answers) {
 		return &ans.Entries[at[k]]
 	}
 	for k := range o.Batch {
-		*entry(k) = pathtree.Answer{Err: validateJoin(&o.Batch[k])}
+		*entry(k) = pathtree.Answer{Err: ValidateJoin(&o.Batch[k])}
 	}
 	n := 0
 	s.wmu.Lock()
