@@ -347,9 +347,9 @@ func (s *Server) stamp(o op.Op) op.Op {
 // around — follower replication, WAL recovery — calls Apply, so a
 // replayed stream reaches exactly the state the original stream built.
 // The answering door, JoinBatchInto, which answers a single join as a
-// batch of one, registers through the same core. A zero o.Time is stamped from the server clock;
-// stamped ops apply at their recorded instant regardless of the local
-// clock.
+// batch of one, registers through the same core. A zero o.Time is stamped
+// from the server clock; stamped ops apply at their recorded instant
+// regardless of the local clock.
 func (s *Server) Apply(o op.Op) error {
 	o = s.stamp(o)
 	switch o.Kind {
@@ -397,12 +397,12 @@ func (s *Server) Apply(o op.Op) error {
 // enters by (Apply, JoinBatchInto), before the op reaches the state: past
 // it, state and trie trust their input. A batch's silent apply skips an
 // entry it refuses, so a cluster applying a single join as a batch of one
-// asks it first, to refuse the join as Apply refuses one. That the path ends at a
-// landmark held here is the one check left to the state, which alone knows
-// its trees. The op format's caps are checked here too, not when the op is
-// encoded for the log after it has applied: the trees' address pools rely on
-// the address cap, and their one-byte depths on the path cap, which
-// ValidatePath checks. Every refusal wraps ErrBadJoin.
+// asks it first, to refuse the join as Apply refuses one. That the path
+// ends at a landmark held here is the one check left to the state, which
+// alone knows its trees. The op format's caps are checked here too, not when
+// the op is encoded for the log after it has applied: the trees' address
+// pools rely on the address cap, and their one-byte depths on the path cap,
+// which ValidatePath checks. Every refusal wraps ErrBadJoin.
 func ValidateJoin(e *op.JoinEntry) error {
 	var err error
 	switch {
