@@ -439,3 +439,57 @@ func TestDurabilityStatsLoadTime(t *testing.T) {
 		t.Fatalf("recovered node: load time %v, %d peers", st.LoadTime, re.NumPeers())
 	}
 }
+
+// TestRepeatedPeerBatchIsABarrier: a log tail whose middle record is a
+// batch naming a new peer twice — an answered batch's repeated entries
+// commit in its one record — recovers through the shard-parallel pass with
+// that record alone applied serially, as a barrier, where a pass that split
+// it among the appliers could not vouch for its state and replayed the
+// whole tail serially. The state is the serial road's.
+func TestRepeatedPeerBatchIsABarrier(t *testing.T) {
+	dir := t.TempDir()
+	cfg := durableConfig(dir, 2)
+	cfg.NoSync = true
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := 1
+	fresh := func(at int64) {
+		entries := make([]op.JoinEntry, 16)
+		for i := range entries {
+			entries[i] = op.JoinEntry{Peer: pathtree.PeerID(next), Path: synthPath(testLandmarks[next%len(testLandmarks)], next)}
+			next++
+		}
+		for _, res := range c.JoinBatchOp(op.BatchJoin(entries, at)) {
+			if res.Err != nil {
+				t.Fatal(res.Err)
+			}
+		}
+	}
+	for r := 0; r < 20; r++ {
+		fresh(int64(r + 1))
+	}
+	p := pathtree.PeerID(1 << 20) // a peer no record named before
+	for _, res := range c.JoinBatchOp(op.BatchJoin([]op.JoinEntry{
+		{Peer: p, Addr: "10.0.0.1:1", Path: synthPath(0, 1)},
+		{Peer: pathtree.PeerID(next), Path: synthPath(200, 2)},
+		{Peer: p, Addr: "10.0.0.1:2", Path: synthPath(100, 3)},
+	}, 21)) {
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+	}
+	next++
+	for r := 0; r < 20; r++ {
+		fresh(int64(r + 22))
+	}
+	// Crash: the live node is abandoned with its log mid-life.
+	serial := reopen(t, dir, 2, true)
+	parallel := reopen(t, dir, 2, false)
+	assertSameState(t, c, serial, "serial road")
+	assertSameState(t, serial, parallel, "parallel pass")
+	if st := parallel.DurabilityStats(); st.TailRecords != 41 || st.SerialRecords != 1 {
+		t.Fatalf("%d serial records over a tail of %d, want 1 over 41", st.SerialRecords, st.TailRecords)
+	}
+}
