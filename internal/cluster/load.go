@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"io"
+	"slices"
 	"sync"
 
 	"proxdisc/internal/op"
@@ -23,11 +24,13 @@ import (
 //     whole, so each shard sees its entries in stream order. A checkpoint is
 //     almost all such records, and so is the tail of a crowd of new peers.
 //   - Every other record — a single-join record (KindJoin: an older log's,
-//     or an in-process Apply's), a batch naming a resident peer, a leave,
-//     refresh or flag, an expiry sweep, a move record — is a barrier: it
-//     waits for the appliers to drain and then applies on the calling
-//     goroutine through applyRecovered, as on the serial road. A re-homing
-//     join must retire the record it orphans, a leave is routed by the
+//     or an in-process Apply's), a batch naming a resident peer or naming
+//     one peer twice (an answered batch commits its repeated entries in its
+//     one record), a leave, refresh or flag, an expiry sweep, a move record
+//     — is a barrier: it waits for the appliers to drain and then applies
+//     on the calling goroutine through applyRecovered, as on the serial
+//     road. A re-homing join must retire the record it orphans, a repeated
+//     peer must end up held by its last entry, a leave is routed by the
 //     index as it stands, and sweeps see every shard, so none of them
 //     commutes with the appliers' work.
 //
@@ -40,8 +43,7 @@ import (
 // those held when the stretch began plus the entries handed out since
 // (drain); when they do not, the pass cannot vouch for its state, and the
 // caller discards it and takes the serial road for the whole open. A batch
-// that names a new peer twice — the repeated entries of an answered batch
-// commit in its one record — falls back the same way.
+// that names a peer twice never gets that far: it is a barrier.
 //
 // The appliers start with the first split record, so an open with nothing
 // to split starts none; stop ends them, error or not.
@@ -123,17 +125,18 @@ func (l *shardLoader) take(o *op.Op) error {
 }
 
 // fresh adds a batch's peers to the named set and reports whether none of
-// them is a peer the index holds. The index holds only peers some record
-// read before named, so it is asked only about a peer the set already held:
+// them is a peer the index holds or one the batch names before. Both are
+// peers some entry read before named, so only a peer the set already held
+// is looked for, in the index and then among the batch's earlier entries:
 // a crowd of new peers goes through without touching the stripes the
 // appliers are writing.
 func (l *shardLoader) fresh(batch []op.JoinEntry) bool {
 	idx := l.c.idx.Load()
 	fresh := true
 	for i := range batch {
-		if l.named.add(batch[i].Peer) && fresh {
-			_, _, held := idx.Place(batch[i].Peer)
-			fresh = !held
+		if p := batch[i].Peer; l.named.add(p) && fresh {
+			_, _, held := idx.Place(p)
+			fresh = !held && !slices.ContainsFunc(batch[:i], func(e op.JoinEntry) bool { return e.Peer == p })
 		}
 	}
 	return fresh
