@@ -885,3 +885,36 @@ func TestApplyRefusesMalformedJoin(t *testing.T) {
 		t.Fatalf("after a refused join: %d peers resident, log head %d → %d", n, head, h)
 	}
 }
+
+// TestApplyRefusesBatchWithABadEntry: Apply of a batch checks every entry
+// before it applies any. An entry whose landmark the node does not serve,
+// or whose path the server refuses, refuses the whole batch with that
+// entry's error: the good entry beside it is not applied, and nothing is
+// logged.
+func TestApplyRefusesBatchWithABadEntry(t *testing.T) {
+	good := op.JoinEntry{Peer: 1, Addr: "10.0.0.1:7000", Path: synthPath(testLandmarks[0], 1)}
+	for _, tc := range []struct {
+		name string
+		bad  []topology.NodeID
+		want error
+	}{
+		{"unknown landmark", []topology.NodeID{7, 999}, server.ErrUnknownLandmark},
+		{"repeated router", []topology.NodeID{5, 5, 0}, server.ErrBadJoin},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := New(durableConfig(t.TempDir(), 2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			head := c.CommittedHead()
+			batch := op.BatchJoin([]op.JoinEntry{good, {Peer: 2, Path: tc.bad}}, 0)
+			if err := c.Apply(batch); !errors.Is(err, tc.want) {
+				t.Fatalf("Apply of %v: %v, want %v", batch.Batch, err, tc.want)
+			}
+			if n, h := c.NumPeers(), c.CommittedHead(); n != 0 || h != head {
+				t.Fatalf("after a refused batch: %d peers resident, log head %d → %d", n, head, h)
+			}
+		})
+	}
+}
