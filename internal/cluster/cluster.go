@@ -717,13 +717,40 @@ func (c *Cluster) SetSuperPeer(p pathtree.PeerID, super bool) error {
 // durable nodes. It is the write door of front ends that have already
 // decoded a wire request into an op, and of a follower applying its
 // primary's committed stream. Leave of an unknown peer returns
-// server.ErrUnknownPeer.
+// server.ErrUnknownPeer. A join or batch is refused whole, with nothing
+// applied or logged, unless every entry passes checkJoin.
 func (c *Cluster) Apply(o op.Op) error {
 	o = c.stamp(o)
+	switch o.Kind {
+	case op.KindJoin:
+		if err := c.checkJoin(&o.Join); err != nil {
+			return err
+		}
+	case op.KindBatchJoin:
+		for i := range o.Batch {
+			if err := c.checkJoin(&o.Batch[i]); err != nil {
+				return err
+			}
+		}
+	}
 	if err := c.applyRouted(o); err != nil {
 		return err
 	}
 	return c.commit(o)
+}
+
+// checkJoin is Apply's check of one join entry: it passes server.ValidateJoin
+// and ends at a landmark served here. The batch road applies silently and
+// skips an entry its server refuses, so without the check a good entry
+// beside a bad one would apply, and the record be logged with the bad entry
+// in it, or not at all. Replay does not ask it: a record holds only entries
+// a primary accepted.
+func (c *Cluster) checkJoin(e *op.JoinEntry) error {
+	if err := server.ValidateJoin(e); err != nil {
+		return err
+	}
+	_, err := c.pathShard(e.Path)
+	return err
 }
 
 // applyRouted dispatches an op to the shard(s) it concerns, silently and
@@ -735,9 +762,6 @@ func (c *Cluster) applyRouted(o op.Op) error {
 		// one (a record of an older log, or an in-process Apply) as a batch
 		// of one.
 		if o.Kind == op.KindJoin {
-			if err := server.ValidateJoin(&o.Join); err != nil {
-				return err
-			}
 			o = op.BatchJoin([]op.JoinEntry{o.Join}, o.Time)
 		}
 		r := routePool.Get().(*route)

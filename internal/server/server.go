@@ -396,9 +396,8 @@ func (s *Server) Apply(o op.Op) error {
 // ValidateJoin is the check every reported path passes at the door it
 // enters by (Apply, JoinBatchInto), before the op reaches the state: past
 // it, state and trie trust their input. A batch's silent apply skips an
-// entry it refuses, so a cluster applying a single join as a batch of one
-// asks it first, to refuse the join as Apply refuses one. That the path
-// ends at a landmark held here is the one check left to the state, which
+// entry it refuses, so a cluster's Apply asks it of every entry first, to
+// refuse the whole op. That the path ends at a landmark held here is the one check left to the state, which
 // alone knows its trees. The op format's caps are checked here too, not when
 // the op is encoded for the log after it has applied: the trees' address
 // pools rely on the address cap, and their one-byte depths on the path cap,
