@@ -397,11 +397,12 @@ func (s *Server) Apply(o op.Op) error {
 // enters by (Apply, JoinBatchInto), before the op reaches the state: past
 // it, state and trie trust their input. A batch's silent apply skips an
 // entry it refuses, so a cluster's Apply asks it of every entry first, to
-// refuse the whole op. That the path ends at a landmark held here is the one check left to the state, which
-// alone knows its trees. The op format's caps are checked here too, not when
-// the op is encoded for the log after it has applied: the trees' address
-// pools rely on the address cap, and their one-byte depths on the path cap,
-// which ValidatePath checks. Every refusal wraps ErrBadJoin.
+// refuse the whole op. That the path ends at a landmark held here is the
+// one check left to the state, which alone knows its trees. The op format's
+// caps are checked here too, not when the op is encoded for the log after
+// it has applied: the trees' address pools rely on the address cap, and
+// their one-byte depths on the path cap, which ValidatePath checks. Every
+// refusal wraps ErrBadJoin.
 func ValidateJoin(e *op.JoinEntry) error {
 	var err error
 	switch {
