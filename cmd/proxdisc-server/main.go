@@ -70,8 +70,9 @@
 //     proxdisc_checkpoint_duration_seconds, and
 //     proxdisc_arena_bytes{pool=nodes|records|addrs|index,state=live|free},
 //     what the path trees' pools hold in use and free (parked on free
-//     lists, and for nodes the slack of child runs), and the peer index's
-//     slots in use and empty; for the last durable open,
+//     lists, and for nodes the slack of child runs; addrs counts text
+//     addresses only, a record holding an IPv4 endpoint itself), and the
+//     peer index's slots in use and empty; for the last durable open,
 //     proxdisc_recovery_load_seconds (the checkpoint load),
 //     proxdisc_recovery_replay_seconds (the log tail's replay), and
 //     proxdisc_recovery_serial_records (the tail's records applied

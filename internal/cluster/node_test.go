@@ -23,12 +23,12 @@ func heapAlloc() uint64 {
 // the live heap a 4-shard cluster holds for 50 000 loadgen.TreePath peers
 // with addresses, divided by the peers. Each join is built inside the loop
 // and dropped, so what stays is what the node owns, its copy of the address
-// included. The budget is the measured 115.6 B — what
+// included. The budget is the measured 96.5 B — within a byte of what
 // server.TestResidentBytesPerPeer measures for a lone server, because a node
 // holds one peer index, not one per shard and another above them — plus
 // 3 %.
 func TestNodeResidentBytesPerPeer(t *testing.T) {
-	const peers, budget = 50_000, 119
+	const peers, budget = 50_000, 100
 	lms := []topology.NodeID{0, 1, 2, 3}
 	base := heapAlloc()
 	c, err := New(Config{Landmarks: lms, Shards: 4})

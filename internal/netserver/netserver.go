@@ -47,8 +47,9 @@
 // which the backend fills from its trees under the writer mutex or the
 // state lock, and the response payload is encoded from that block into a
 // pooled buffer (proto.EncodeAnswer, EncodeBatchAnswer): each address is
-// copied once from its tree into the block and once from the block into
-// the payload. Joins take one road: a single join decodes into the pooled
+// written once into the block, formatted from its peer's record (an IPv4
+// endpoint) or copied from its tree's address pool (any other address),
+// and copied once from the block into the payload. Joins take one road: a single join decodes into the pooled
 // batch op as a batch of one, goes to the backend's JoinBatchInto as a
 // batch does, and is answered from its one entry. The road allocates per
 // request — the string of its addresses — not per entry, so a single join

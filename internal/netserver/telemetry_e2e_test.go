@@ -122,7 +122,7 @@ func TestMetricsEndpointEndToEnd(t *testing.T) {
 		if p%2 == 0 {
 			path = []int32{210, 100}
 		}
-		if _, err := c.Join(p, "10.0.0.1:41", path); err != nil {
+		if _, err := c.Join(p, "peer.one:41", path); err != nil {
 			t.Fatalf("join %d: %v", p, err)
 		}
 	}
@@ -191,8 +191,8 @@ func TestMetricsEndpointEndToEnd(t *testing.T) {
 	}
 	// The trees' pools, in bytes: per landmark one router below the root,
 	// alone in a one-node child run, one record per peer, and each 11-byte
-	// address in a 16-byte run. No peer has left and no run has slack, so
-	// nothing is free.
+	// text address in a 16-byte run (an IPv4 endpoint would take none). No
+	// peer has left and no run has slack, so nothing is free.
 	for series, want := range map[string]int{
 		"nodes":   2 * pathtree.NodeBytes,
 		"records": joins * pathtree.RecordBytes,

@@ -17,10 +17,10 @@ import (
 // nodes from chunks of nodeChunk slots, address bytes from chunks of
 // addrChunk bytes; a chunk is never reallocated, so growing a tree copies
 // nothing and its slack is at most one chunk per pool. Nodes take runs of
-// power-of-two sizes (a node's children are one run) and addresses runs in
-// addrStep-byte size classes — the Go allocator's own small-size step, so an
-// address costs no more here than as a string of its own — up to
-// codec.MaxAddrLen.
+// power-of-two sizes (a node's children are one run) and text addresses
+// runs in addrStep-byte size classes — the Go allocator's own small-size
+// step, so an address costs no more here than as a string of its own — up
+// to codec.MaxAddrLen. An IPv4 endpoint takes no run: its record holds it.
 const (
 	slabShift   = 8
 	slabSize    = 1 << slabShift
@@ -103,8 +103,10 @@ var vacant = node{router: topology.InvalidNode, parent: none, firstPeer: none}
 // management server keeps about the peer apart from its path, which is the
 // parent chain of the node the record hangs off. The trie reads ID and its
 // own two links; RefreshNanos, Super and the address are the caller's, zero
-// on a fresh record. The address lives in the tree's address pool (SetAddr
-// writes it, Addr reads it), so a record is 32 bytes and holds no pointer.
+// on a fresh record. SetAddr writes the address and AppendAddr reads it: an
+// IPv4 endpoint in its canonical form is held in the record itself, any
+// other address in the tree's address pool, so a record is 32 bytes and
+// holds no pointer.
 type Record struct {
 	// ID is the peer. Join sets it and the node the record hangs off keeps a
 	// copy, so the caller must not change it.
@@ -112,8 +114,10 @@ type Record struct {
 	// RefreshNanos is the time of the last join or refresh, in Unix
 	// nanoseconds.
 	RefreshNanos int64
-	// addr is the offset in the address pool of the run holding the
-	// address, and addrLen its length; an empty address owns no run.
+	// addr and addrLen hold the address in the form inline names. Inline,
+	// addr is the IPv4 address's bits and addrLen the port. Otherwise addr
+	// is the offset in the address pool of the run holding the text, and
+	// addrLen its length; an empty address owns no run.
 	addr int32
 	// node is the trie node the peer is attached at (none while the record
 	// is free); next links the records attached at one node, and the free
@@ -121,7 +125,8 @@ type Record struct {
 	node, next int32
 	addrLen    uint16
 	// Super marks a super-peer.
-	Super bool
+	Super  bool
+	inline bool
 }
 
 // slab is a pool of fixed-size slots carved from chunks and addressed by
@@ -283,27 +288,138 @@ func (c *Core) Len() int { return int(c.recs.carved - c.recs.freeN) }
 // fields that are its own. The pointer is good until the slot is removed.
 func (c *Core) Record(slot int32) *Record { return c.recs.at(slot) }
 
-// SetAddr copies addr in as the address of rec, a live record of this tree,
-// and frees the run the old address held (which a new address of the same
-// size class takes straight back). addr is at most codec.MaxAddrLen bytes:
-// the caller checks that where the address enters.
+// SetAddr sets addr as the address of rec, a live record of this tree, and
+// frees the run the old address held (which a new text address of the same
+// size class takes straight back). An IPv4 endpoint in the canonical form
+// parseEndpoint takes is held in the record; any other address is copied
+// into the pool. addr is at most codec.MaxAddrLen bytes: the caller checks
+// that where the address enters.
 func (c *Core) SetAddr(rec *Record, addr string) {
-	if rec.addrLen > 0 {
+	if !rec.inline && rec.addrLen > 0 {
 		c.addrs.release(rec.addr, addrClass(int(rec.addrLen)))
 	}
+	if ip, port, ok := parseEndpoint(addr); ok {
+		rec.addr, rec.addrLen, rec.inline = int32(ip), port, true
+		return
+	}
+	rec.inline = false
 	if rec.addrLen = uint16(len(addr)); len(addr) > 0 {
 		rec.addr = c.addrs.alloc(addrClass(len(addr)))
 		copy(c.addrs.run(rec.addr, len(addr)), addr)
 	}
 }
 
-// Addr returns rec's address. The bytes alias the tree's pool: they are good
-// under the lock rec was read under, until the next modifying call.
-func (c *Core) Addr(rec *Record) []byte {
-	if rec.addrLen == 0 {
-		return nil
+// AppendAddr appends rec's address to dst, byte for byte as SetAddr was
+// handed it, and returns the extended slice. It reads the pool only for a
+// text address: an inline one is formatted from the record.
+func (c *Core) AppendAddr(dst []byte, rec *Record) []byte {
+	if rec.inline {
+		return appendEndpoint(dst, uint32(rec.addr), rec.addrLen)
 	}
-	return c.addrs.run(rec.addr, int(rec.addrLen))
+	if rec.addrLen == 0 {
+		return dst
+	}
+	return append(dst, c.addrs.run(rec.addr, int(rec.addrLen))...)
+}
+
+// MaxEndpointLen is the longest address a record holds inline.
+const MaxEndpointLen = len("255.255.255.255:65535")
+
+// parseEndpoint reads s as an IPv4 endpoint in the one form appendEndpoint
+// writes back byte for byte: four decimal octets of at most 255, dot
+// separated, a colon and a decimal port of at most 65535, no number with a
+// leading zero and nothing else. ok is false for anything else, which stays
+// text.
+func parseEndpoint(s string) (ip uint32, port uint16, ok bool) {
+	if len(s) < len("0.0.0.0:0") || len(s) > MaxEndpointLen {
+		return 0, 0, false
+	}
+	i := 0
+	for field := 0; field < 5; field++ {
+		v, start := uint32(0), i
+		for ; i < len(s) && i-start < 5 && s[i]-'0' <= 9; i++ {
+			v = v*10 + uint32(s[i]-'0')
+		}
+		if i == start || (s[start] == '0' && i-start > 1) {
+			return 0, 0, false
+		}
+		if field == 4 {
+			return ip, uint16(v), v <= 0xffff && i == len(s)
+		}
+		sep := byte('.')
+		if field == 3 {
+			sep = ':'
+		}
+		if v > 255 || i == len(s) || s[i] != sep {
+			return 0, 0, false
+		}
+		ip = ip<<8 | v
+		i++
+	}
+	panic("unreachable")
+}
+
+// octetText[v] is octet v's decimal digits and a dot, packed little-endian
+// in the low four bytes, with their length in the fifth.
+var octetText = func() (t [256]uint64) {
+	for v := range t {
+		text := fmt.Sprintf("%d.", v)
+		var b [8]byte
+		copy(b[:], text)
+		b[4] = byte(len(text))
+		t[v] = binary.LittleEndian.Uint64(b[:])
+	}
+	return t
+}()
+
+// digitPairs[v] is v's two decimal digits, 0 ≤ v < 100, packed
+// little-endian.
+var digitPairs = func() (t [100]uint16) {
+	for v := range t {
+		t[v] = uint16('0'+v/10) | uint16('0'+v%10)<<8
+	}
+	return t
+}()
+
+// appendEndpoint appends the canonical text of an IPv4 endpoint to dst.
+// Each octet is one table load and one 4-byte store, the next store
+// overwriting what lies past the dot; the port is one to three stores.
+func appendEndpoint(dst []byte, ip uint32, port uint16) []byte {
+	n := len(dst)
+	dst = slices.Grow(dst, MaxEndpointLen)
+	b := dst[n : n+MaxEndpointLen]
+	i := 0
+	for shift := 24; shift >= 0; shift -= 8 {
+		t := octetText[ip>>shift&255]
+		binary.LittleEndian.PutUint32(b[i:], uint32(t))
+		i += int(t >> 32)
+	}
+	b[i-1] = ':'
+	le := binary.LittleEndian
+	switch v := uint(port); {
+	case v >= 10_000:
+		q := v / 10_000
+		b[i] = '0' + byte(q)
+		v -= q * 10_000
+		le.PutUint16(b[i+1:], digitPairs[v/100])
+		le.PutUint16(b[i+3:], digitPairs[v%100])
+		i += 5
+	case v >= 1_000:
+		le.PutUint16(b[i:], digitPairs[v/100])
+		le.PutUint16(b[i+2:], digitPairs[v%100])
+		i += 4
+	case v >= 100:
+		b[i] = '0' + byte(v/100)
+		le.PutUint16(b[i+1:], digitPairs[v%100])
+		i += 3
+	case v >= 10:
+		le.PutUint16(b[i:], digitPairs[v])
+		i += 2
+	default:
+		b[i] = '0' + byte(v)
+		i++
+	}
+	return dst[:n+i]
 }
 
 // Holds reports whether slot is the live record of peer p: the check for a
@@ -777,7 +893,8 @@ type ArenaStats struct {
 	// Records and FreeRecords are the records carved and those parked on
 	// the free list.
 	Records, FreeRecords int
-	// AddrBytes and FreeAddrBytes are the same for address bytes.
+	// AddrBytes and FreeAddrBytes are the same for address bytes, which
+	// only text addresses take: a record holds an IPv4 endpoint itself.
 	AddrBytes, FreeAddrBytes int
 }
 
@@ -812,8 +929,9 @@ func (c *Core) ArenaStats() ArenaStats {
 // pools, that everything carved is accounted for. A node slot holds a
 // router of the trie, is slack at the end of a live child run, or lies in
 // a parked run — each exactly once, and only live slots hold a router; a
-// record is chained at its node or parked; the live and free address runs
-// tile the carved bytes. It is O(size) and intended for tests and
+// record is chained at its node or parked, and a parked one holds no
+// address; the runs of live text addresses and the free runs tile the
+// carved address bytes, and an inline address claims none. It is O(size) and intended for tests and
 // debugging; it returns the first violation found.
 func (c *Core) CheckInvariants() error {
 	var liveNodes, liveRecs int32
@@ -867,7 +985,7 @@ func (c *Core) CheckInvariants() error {
 			if rec.node != m {
 				return fmt.Errorf("pathtree: peer %d chained at node %d but records node index %d", rec.ID, n.router, rec.node)
 			}
-			if l := int(rec.addrLen); l > codec.MaxAddrLen || (l > 0 && !claimAddr(rec.addr, int32(addrClass(l)+1)*addrStep)) {
+			if l := int(rec.addrLen); !rec.inline && (l > codec.MaxAddrLen || (l > 0 && !claimAddr(rec.addr, int32(addrClass(l)+1)*addrStep))) {
 				return fmt.Errorf("pathtree: peer %d's %d-byte address at %d is outside the pool or overlaps another", rec.ID, l, rec.addr)
 			}
 		}
@@ -940,7 +1058,7 @@ func (c *Core) CheckInvariants() error {
 	}
 	freeRecs, err := chainLen(c.recs.free, c.recs.carved, func(i int32) (int32, bool) {
 		r := c.recs.at(i)
-		return r.next, r.node == none && r.addrLen == 0
+		return r.next, r.node == none && r.addrLen == 0 && !r.inline
 	})
 	if err != nil || freeRecs != c.recs.freeN || liveRecs+freeRecs != c.recs.carved {
 		return fmt.Errorf("pathtree: record pool: %d live + %d free (%d accounted, %v) != %d carved",

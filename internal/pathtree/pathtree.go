@@ -217,9 +217,9 @@ func (sc *Scratch) Release() { scratchPool.Put(sc) }
 
 // Answers is one caller-owned block of closest-peer answers: the candidates
 // of every answer written into it in one slice, and their addresses in one
-// byte block. A server writes it straight from its trees, an encoder reads
-// it straight into a response frame, so each address is copied once
-// between the two. A block from GetAnswers, released once read, has grown
+// byte block. A server writes it straight from its trees' records (Add),
+// an encoder reads it straight into a response frame, so each address is
+// written once between the two. A block from GetAnswers, released once read, has grown
 // to its callers' answers, so writing and reading an answer of any number
 // of entries allocates nothing.
 type Answers struct {
@@ -283,10 +283,13 @@ func (a *Answers) Reset(n int) {
 	a.Cands, a.Addrs = a.Cands[:0], a.Addrs[:0]
 }
 
-// Add appends one candidate, copying its address into the block.
-func (a *Answers) Add(p PeerID, dtree int32, addr []byte) {
-	a.Addrs = append(a.Addrs, addr...)
-	a.Cands = append(a.Cands, AnswerCand{Peer: p, DTree: dtree, AddrEnd: int32(len(a.Addrs))})
+// Add appends hit h of tree c as one candidate, its address written
+// straight into the block from the record, which it returns.
+func (a *Answers) Add(c *Core, h Hit) *Record {
+	rec := c.recs.at(h.Slot)
+	a.Addrs = c.AppendAddr(a.Addrs, rec)
+	a.Cands = append(a.Cands, AnswerCand{Peer: h.Peer, DTree: h.DTree, AddrEnd: int32(len(a.Addrs))})
+	return rec
 }
 
 // Addr returns candidate j's address, a view into the block.

@@ -561,10 +561,10 @@ func TestInvariantsUnderChurn(t *testing.T) {
 }
 
 // TestCheckInvariantsDetectsCorruption corrupts one thing at a time in a
-// fresh, healthy tree — peers 1 and 2 under router 11, addresses set, a
-// pruned router's slot left as slack in the landmark's child run, and the
-// one-node runs both child runs outgrew parked on the free list — and
-// requires the checker to name each.
+// fresh, healthy tree — peers 1 and 2 under router 11, text addresses set,
+// peer 3's record free, a pruned router's slot left as slack in the
+// landmark's child run, and the one-node runs both child runs outgrew
+// parked on the free list — and requires the checker to name each.
 func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	for _, tc := range []struct {
 		name, want string
@@ -624,6 +624,10 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 		{"leaked address bytes", "address pool", func(c *Core, _, _ *Record, _ *node) {
 			c.addrs.carved += addrStep
 		}},
+		{"free record keeps an inline address", "record pool", func(c *Core, _, _ *Record, _ *node) {
+			free := c.recs.at(c.recs.free) // "10.0.0.1:0": only the form says so
+			free.addr, free.addrLen, free.inline = 0x0a000001, 0, true
+		}},
 	} {
 		tr := New(0, Options{})
 		mustInsert(t, tr, 1, P(10, 11, 0))
@@ -632,8 +636,8 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 		tr.Remove(3)
 		c := tr.core
 		r1, r2 := c.recs.at(tr.byPeer[1]), c.recs.at(tr.byPeer[2])
-		c.SetAddr(r1, "10.0.0.1:9000")
-		c.SetAddr(r2, "10.0.0.2:9000")
+		c.SetAddr(r1, "peer-1:9000") // text, in runs of one size class
+		c.SetAddr(r2, "peer-2:9000")
 		rn := c.nodes.at(root)
 		if err := tr.CheckInvariants(); err != nil || c.nodes.free[0] == none || rn.kidsLen == rn.kidsCap() {
 			t.Fatalf("%s: healthy tree failed: %v (a run parked: %v, slack in the root's run: %v)",

@@ -1,6 +1,7 @@
 package pathtree
 
 import (
+	"fmt"
 	"maps"
 	"math/rand"
 	"reflect"
@@ -312,14 +313,22 @@ func TestQuickInsertRemoveInvariants(t *testing.T) {
 }
 
 // TestQuickAddressPool churns random populations through joins, address
-// changes, removals and re-joins, each address of a random length in
-// 0..codec.MaxAddrLen, and after every step requires the pools' bookkeeping
-// to hold, Len() to count the live peers, and every live peer's address to
-// read back as it was last set.
+// changes, removals and re-joins, each address a canonical IPv4 endpoint
+// (held in the record), one of its near misses, or text of a random length
+// in 0..codec.MaxAddrLen (each held in the pool), so records change form
+// both ways. After every step it requires the pools' bookkeeping to hold,
+// Len() to count the live peers, and every live peer's address to read back
+// as it was last set.
 func TestQuickAddressPool(t *testing.T) {
 	f := func(ps pathSet) bool {
 		rng := rand.New(rand.NewSource(ps.seed + 3))
 		randAddr := func() string {
+			switch rng.Intn(3) {
+			case 0:
+				return fmt.Sprintf("%d.%d.%d.%d:%d", rng.Intn(256), rng.Intn(256), rng.Intn(256), rng.Intn(256), rng.Intn(1<<16))
+			case 1:
+				return nearEndpoints[rng.Intn(len(nearEndpoints))]
+			}
 			b := make([]byte, rng.Intn(codec.MaxAddrLen+1))
 			for i := range b {
 				b[i] = byte('a' + rng.Intn(26))
@@ -364,7 +373,7 @@ func TestQuickAddressPool(t *testing.T) {
 				return false
 			}
 			for q, l := range model {
-				if got := string(core.Addr(core.Record(l.slot))); !core.Holds(l.slot, q) || got != l.addr {
+				if got := string(core.AppendAddr(nil, core.Record(l.slot))); !core.Holds(l.slot, q) || got != l.addr {
 					t.Logf("step %d: peer %d reads address %q, want %q", step, q, got, l.addr)
 					return false
 				}

@@ -38,7 +38,8 @@ func blockOf(cands []pathtree.Candidate, entries int, errs map[int]error) *patht
 		}
 		a.Entries[i].Lo = int32(len(a.Cands))
 		for _, c := range cands {
-			a.Add(c.Peer, int32(c.DTree), []byte(c.Addr))
+			a.Addrs = append(a.Addrs, c.Addr...)
+			a.Cands = append(a.Cands, pathtree.AnswerCand{Peer: c.Peer, DTree: int32(c.DTree), AddrEnd: int32(len(a.Addrs))})
 		}
 		a.Entries[i].Hi = int32(len(a.Cands))
 	}

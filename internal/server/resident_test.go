@@ -44,9 +44,9 @@ func heapBytes() (alloc, inuse int64) {
 // server holds for 50 000 peers with addresses, divided by the peers. Each
 // join is built inside the loop and dropped, so what stays is what the
 // server owns, its copy of the address included. The budget is the measured
-// 115.6 B plus 3 %; the package comment has the table.
+// 97.2 B plus 3 %; the package comment has the table.
 func TestResidentBytesPerPeer(t *testing.T) {
-	const peers, budget = 50_000, 119
+	const peers, budget = 50_000, 100
 	base, _ := heapBytes()
 	s, err := New(Config{Landmarks: residentLandmarks})
 	if err != nil {

@@ -16,27 +16,28 @@
 //
 // Per landmark, one pathtree.Core: the trie of routers and, chained to the
 // router each peer's path ends at, one fixed-size pathtree.Record per peer —
-// ID, refresh time in nanoseconds, super-peer flag, and where in the tree's
-// address pool its address lies. The record and the address are all that is
-// stored of a peer. Its path is not: it is the chain of routers from the
+// ID, refresh time in nanoseconds, super-peer flag, and the address: an IPv4
+// endpoint in its canonical form in the record itself, any other address as
+// text in the tree's address pool. The record and the address are all that
+// is stored of a peer. Its path is not: it is the chain of routers from the
 // record's node up to the landmark, and PeerInfo and snapshots rebuild it
 // from there. Beside the trees there is one table, the Index, from peer ID to
 // (landmark, slot), which is how every peer-keyed request finds the record.
 // A lone server owns its index; the servers of a cluster share one, so a
 // node holds one entry per peer however many shards it runs — the entry
 // names a landmark, not a server, and the cluster routes by it too.
-// Measured with 50 000 loadgen.TreePath peers carrying 13- to 17-byte
-// addresses over four landmarks (TestResidentBytesPerPeer here,
-// TestNodeResidentBytesPerPeer for a 4-shard cluster: the same number), a
+// Measured with 50 000 loadgen.TreePath peers carrying 13- to 17-byte IPv4
+// endpoints over four landmarks (TestResidentBytesPerPeer here,
+// TestNodeResidentBytesPerPeer for a 4-shard cluster: within a byte), a
 // peer costs
 //
-//	peer records      32 B/peer   one 32-byte slot each
-//	addresses         18 B/peer   runs in 8-byte size classes
+//	peer records      32 B/peer   one 32-byte slot each, the address in it
+//	addresses          0 B/peer   (a text address: runs in 8-byte size classes)
 //	trie nodes        44 B/peer   32-byte slots in sibling runs, 1.38 per peer:
 //	                              1.37 routers and the runs' slack
 //	peer index        20 B/peer   16-byte {peer key, landmark, slot} slots, 64 tables
-//	chunk slack        2 B/peer   at most one chunk per pool per tree
-//	                 116 B/peer
+//	chunk slack        1 B/peer   at most one chunk per pool per tree
+//	                  97 B/peer
 //
 // There is one copy of all of it, and no pool holds a pointer, so no peer is
 // a heap object of its own: a collection marks one chunk per few hundred
@@ -537,13 +538,12 @@ func (st *state) record(p pathtree.PeerID) (*pathtree.Record, error) {
 }
 
 // answer appends a query's hits to ans as one run of candidates, each
-// address copied out of its tree into the block, and reports whether a
+// address written into the block from its record, and reports whether a
 // super-peer sits within delegation range (dtree ≤ 2).
 func answer(tree *pathtree.Core, hits []pathtree.Hit, ans *pathtree.Answers) (run pathtree.Answer, superNear bool) {
 	run.Lo = int32(len(ans.Cands))
 	for _, h := range hits {
-		rec := tree.Record(h.Slot)
-		ans.Add(h.Peer, h.DTree, tree.Addr(rec))
+		rec := ans.Add(tree, h)
 		superNear = superNear || (rec.Super && h.DTree <= 2)
 	}
 	run.Hi = int32(len(ans.Cands))
@@ -781,10 +781,11 @@ func (s *Server) PeerInfo(p pathtree.PeerID) (PeerInfo, error) {
 		return PeerInfo{}, err
 	}
 	rec := tree.Record(r.slot)
+	var addr [op.MaxAddrLen]byte
 	return PeerInfo{
 		Landmark:    r.lm,
 		Path:        tree.AppendPath(make([]topology.NodeID, 0, tree.Depth(r.slot)+1), r.slot),
-		Addr:        string(tree.Addr(rec)),
+		Addr:        string(tree.AppendAddr(addr[:0], rec)),
 		SuperPeer:   rec.Super,
 		LastRefresh: time.Unix(0, rec.RefreshNanos),
 	}, nil

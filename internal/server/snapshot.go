@@ -34,8 +34,10 @@ import (
 // Trees are not serialized; the joins rebuild them.
 
 // snapPeer is one peer record lifted out of the state. entry.Path is the
-// path as the trie walk rebuilt it, in memory the walk allocated: the state
-// does not refer to it, so it is safe past the walk.
+// path as the trie walk rebuilt it, in memory the walk allocated, and
+// entry.Addr the address as the record or the tree's pool gave it back,
+// written into a block collect allocated: the state refers to neither, so
+// both are safe past the walk.
 type snapPeer struct {
 	at    int64 // LastRefresh in Unix nanoseconds
 	entry op.JoinEntry
@@ -52,21 +54,25 @@ type image struct {
 // state. It is a walk: the writer mutex keeps mutators out while it copies,
 // and the state lock is never taken, so a snapshot costs lookups nothing. A
 // peer's path is not stored, so each tree is walked once, depth-first, and
-// hands every peer the path the walk stands on; its addresses are copied
-// into one block per tree.
+// hands every peer the path the walk stands on; its addresses are written
+// into one block per tree, each read out of its record or its pool run
+// through one scratch buffer.
 func (s *Server) collect(img *image) {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	s.walking()
+	var scratch [op.MaxAddrLen]byte
 	for lm, tree := range s.st.trees {
 		img.moves = append(img.moves, op.MoveEntry{Landmark: lm})
 		img.peers = slices.Grow(img.peers, tree.Len())
 		var addrs strings.Builder
+		// The live text runs hold at least the text addresses, and no inline
+		// one is longer than pathtree.MaxEndpointLen.
 		as := tree.ArenaStats()
-		addrs.Grow(as.AddrBytes - as.FreeAddrBytes) // the live runs: at least the live addresses
+		addrs.Grow(as.AddrBytes - as.FreeAddrBytes + tree.Len()*pathtree.MaxEndpointLen)
 		tree.Walk(func(rec *pathtree.Record, path []topology.NodeID) {
 			img.peers = append(img.peers, snapPeer{rec.RefreshNanos,
-				op.JoinEntry{Peer: rec.ID, Addr: appendAddr(&addrs, tree.Addr(rec)), Path: path}, rec.Super})
+				op.JoinEntry{Peer: rec.ID, Addr: appendAddr(&addrs, tree.AppendAddr(scratch[:0], rec)), Path: path}, rec.Super})
 		})
 	}
 }
