@@ -331,32 +331,32 @@ const MaxEndpointLen = len("255.255.255.255:65535")
 // leading zero and nothing else. ok is false for anything else, which stays
 // text.
 func parseEndpoint(s string) (ip uint32, port uint16, ok bool) {
-	if len(s) < len("0.0.0.0:0") || len(s) > MaxEndpointLen {
+	if len(s) > MaxEndpointLen {
 		return 0, 0, false
 	}
 	i := 0
-	for field := 0; field < 5; field++ {
-		v, start := uint32(0), i
-		for ; i < len(s) && i-start < 5 && s[i]-'0' <= 9; i++ {
-			v = v*10 + uint32(s[i]-'0')
-		}
-		if i == start || (s[start] == '0' && i-start > 1) {
+	for _, sep := range [...]byte{'.', '.', '.', ':'} {
+		v, j := decimal(s, i)
+		if j == i || v > 255 || j == len(s) || s[j] != sep {
 			return 0, 0, false
 		}
-		if field == 4 {
-			return ip, uint16(v), v <= 0xffff && i == len(s)
-		}
-		sep := byte('.')
-		if field == 3 {
-			sep = ':'
-		}
-		if v > 255 || i == len(s) || s[i] != sep {
-			return 0, 0, false
-		}
-		ip = ip<<8 | v
-		i++
+		ip, i = ip<<8|v, j+1
 	}
-	panic("unreachable")
+	v, j := decimal(s, i)
+	return ip, uint16(v), j > i && j == len(s) && v <= 0xffff
+}
+
+// decimal reads the number of at most five digits, without a leading zero,
+// that starts s[i:], and returns it and the index past it: j == i when
+// there is none.
+func decimal(s string, i int) (v uint32, j int) {
+	for j = i; j < len(s) && j-i < 5 && s[j]-'0' <= 9; j++ {
+		v = v*10 + uint32(s[j]-'0')
+	}
+	if j-i > 1 && s[i] == '0' {
+		return 0, i
+	}
+	return v, j
 }
 
 // octetText[v] is octet v's decimal digits and a dot, packed little-endian
@@ -931,8 +931,9 @@ func (c *Core) ArenaStats() ArenaStats {
 // a parked run — each exactly once, and only live slots hold a router; a
 // record is chained at its node or parked, and a parked one holds no
 // address; the runs of live text addresses and the free runs tile the
-// carved address bytes, and an inline address claims none. It is O(size) and intended for tests and
-// debugging; it returns the first violation found.
+// carved address bytes, and an inline address claims none. It is O(size)
+// and intended for tests and debugging; it returns the first violation
+// found.
 func (c *Core) CheckInvariants() error {
 	var liveNodes, liveRecs int32
 	// claimer returns a claim function over a pool of n units: claim marks
