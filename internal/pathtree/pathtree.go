@@ -219,9 +219,9 @@ func (sc *Scratch) Release() { scratchPool.Put(sc) }
 // of every answer written into it in one slice, and their addresses in one
 // byte block. A server writes it straight from its trees' records (Add),
 // an encoder reads it straight into a response frame, so each address is
-// written once between the two. A block from GetAnswers, released once read, has grown
-// to its callers' answers, so writing and reading an answer of any number
-// of entries allocates nothing.
+// written once between the two. A block from GetAnswers, released once
+// read, has grown to its callers' answers, so writing and reading an answer
+// of any number of entries allocates nothing.
 type Answers struct {
 	// Entries answers a batch, positionally: entry i answers the batch's
 	// join i. An answer to one join or lookup is the Answer its writer
