@@ -305,8 +305,8 @@ func TestParallelLoadRepeatedPeerFallsBack(t *testing.T) {
 }
 
 // TestRefusedLoadLeavesNoApplier: a checkpoint refused part-way through —
-// a batch naming an unknown landmark, a file cut short — fails the open
-// and leaves no applier goroutine behind.
+// a batch naming an unknown landmark, one whose path repeats a router, a
+// file cut short — fails the open and leaves no applier goroutine behind.
 func TestRefusedLoadLeavesNoApplier(t *testing.T) {
 	var ops []op.Op
 	for r := 0; r < 40; r++ {
@@ -318,6 +318,7 @@ func TestRefusedLoadLeavesNoApplier(t *testing.T) {
 		ops = append(ops, op.BatchJoin(entries, int64(r+1)))
 	}
 	unknown := op.BatchJoin([]op.JoinEntry{{Peer: 1 << 20, Path: synthPath(999, 1)}}, 50)
+	repeats := op.BatchJoin([]op.JoinEntry{{Peer: 1 << 20, Path: []topology.NodeID{7, 7, testLandmarks[1]}}}, 50)
 	cases := []struct {
 		name string
 		file func(dir string)
@@ -326,6 +327,9 @@ func TestRefusedLoadLeavesNoApplier(t *testing.T) {
 		{"unknown landmark", func(dir string) {
 			writeCheckpointFile(t, dir, append(append(ops[:30:30], unknown), ops[30:]...)...)
 		}, "(router 999)"},
+		{"repeated router", func(dir string) {
+			writeCheckpointFile(t, dir, append(append(ops[:30:30], repeats), ops[30:]...)...)
+		}, "repeats"},
 		{"cut short", func(dir string) {
 			writeCheckpointFile(t, dir, ops...)
 			snaps, err := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
