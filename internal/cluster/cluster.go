@@ -406,15 +406,22 @@ func (c *Cluster) shardOf(lm topology.NodeID) (int, error) {
 	return 0, fmt.Errorf("%w (router %d)", server.ErrUnknownLandmark, lm)
 }
 
-// pathShard resolves the shard that owns the landmark a join's path ends at:
-// every road of a join — answered, batched, replayed or loaded — routes it
-// here, and the owning server's door checks the rest of the entry. An empty
-// path names no landmark, and is refused as the door refuses it.
-func (c *Cluster) pathShard(path []topology.NodeID) (int, error) {
-	if len(path) == 0 {
-		return 0, fmt.Errorf("%w: empty path", server.ErrBadJoin)
+// route is a cluster's one check of a join entry, and resolves the shard
+// that owns the landmark its path ends at. Every road of a join visits each
+// entry here once, before any lock: an answered join or batch and Apply's
+// (batchRoute), a follower's records and the log's tail (Apply and
+// applyRecovered, through batchRoute), and a checkpoint's, on the serial
+// road (batchRoute) and on the parallel pass (shardLoader.split). The entry
+// must pass server.ValidateJoin — the op format's caps, a non-empty path,
+// no anonymous or repeated router — and end at a landmark served here; the
+// servers behind trust every entry routed to them
+// (TestOversizeJoinRefusedAtTheDoor, TestApplyRefusesBatchWithABadEntry,
+// TestRefusedLoadLeavesNoApplier).
+func (c *Cluster) route(e *op.JoinEntry) (int, error) {
+	if err := server.ValidateJoin(e); err != nil {
+		return 0, err
 	}
-	return c.shardOf(path[len(path)-1])
+	return c.shardOf(e.Path[len(e.Path)-1])
 }
 
 // enterPeer resolves the shard of a request that names a peer and no path:
@@ -482,14 +489,16 @@ func (c *Cluster) JoinBatchOp(o op.Op) []server.BatchResult {
 	return server.Results(ans)
 }
 
-// batchRoute resolves every entry's shard and applies one batch per shard
+// batchRoute routes every entry (route) and applies one batch per shard
 // group: the shared road of JoinBatchInto, which answers into ans, and of a
-// recorded join or batch, replayed or replicated (a nil ans, which computes
-// no answers and so accepts nothing). refused is the first entry refused for
-// its path, whose error ans.Entries also holds. r.owner marks, in batch
-// order, the entries whose peer the batch repeats, which apply after the
-// grouped ones. The accepted entries are views into r, in the order they
-// applied.
+// join or batch applied silently — Apply's, replayed or replicated (a nil
+// ans, which computes no answers and so accepts nothing). refused is the
+// first entry route refused. With ans, that entry's error is its answer and
+// the others apply; without, the whole op is refused before any group
+// applies, so a silent road never applies part of a record. r.owner marks,
+// in batch order, the entries whose peer the batch repeats, which apply
+// after the grouped ones. The accepted entries are views into r, in the
+// order they applied.
 func (c *Cluster) batchRoute(o op.Op, r *route, ans *pathtree.Answers) (accepted []op.JoinEntry, refused error) {
 	items := o.Batch
 	// A peer appearing more than once in the batch must end up registered
@@ -518,7 +527,7 @@ func (c *Cluster) batchRoute(o op.Op, r *route, ans *pathtree.Answers) (accepted
 	}
 	r.reset(len(c.shards))
 	for i := range items {
-		shard, err := c.pathShard(items[i].Path)
+		shard, err := c.route(&items[i])
 		switch {
 		case err != nil:
 			shard = unrouted
@@ -533,6 +542,9 @@ func (c *Cluster) batchRoute(o op.Op, r *route, ans *pathtree.Answers) (accepted
 		}
 		r.owner = append(r.owner, shard)
 	}
+	if ans == nil && refused != nil {
+		return nil, refused
+	}
 	r.sorted = r.sort(items, r.sorted)
 	for shard, n := range r.count {
 		if end := r.next[shard]; n > 0 {
@@ -540,9 +552,10 @@ func (c *Cluster) batchRoute(o op.Op, r *route, ans *pathtree.Answers) (accepted
 		}
 	}
 	// The repeated peers' entries follow the groups, each a batch of one on
-	// its shard.
+	// its shard. route passed them above, so their landmarks are served here.
 	for k := r.next[len(r.next)-1]; k < len(r.sorted); k++ {
-		shard, _ := c.pathShard(r.sorted[k].Path) // routed above
+		path := r.sorted[k].Path
+		shard, _ := c.shardOf(path[len(path)-1])
 		c.applyRun(shard, o.Time, r.sorted[k:k+1:k+1], r.at[k:k+1], ans)
 	}
 	if ans == nil {
@@ -557,14 +570,14 @@ func (c *Cluster) batchRoute(o op.Op, r *route, ans *pathtree.Answers) (accepted
 	return accepted, refused
 }
 
-// applyRun applies entries of a batch, all owned by one shard, to that
+// applyRun applies entries of a batch, all routed to one shard, to that
 // shard as one batch: answered into ans at positions at, or silently with a
 // nil ans.
 func (c *Cluster) applyRun(shard int, t int64, entries []op.JoinEntry, at []int32, ans *pathtree.Answers) {
 	sh := c.shards[shard]
 	sh.applies.Inc()
 	if b := op.BatchJoin(entries, t); ans == nil {
-		_ = sh.srv.Apply(b) // answers nothing, and refuses no batch
+		_ = sh.srv.Apply(b) // answers nothing; route refused what the shard would
 	} else {
 		sh.srv.JoinBatchInto(b, at, ans)
 	}
@@ -573,7 +586,7 @@ func (c *Cluster) applyRun(shard int, t int64, entries []op.JoinEntry, at []int3
 
 // The marks of shardSort.owner for an entry that joins no group.
 const (
-	unrouted = -1 // its path names no landmark held here
+	unrouted = -1 // route refused it
 	repeated = -2 // its peer appears again in the batch
 )
 
@@ -717,40 +730,15 @@ func (c *Cluster) SetSuperPeer(p pathtree.PeerID, super bool) error {
 // durable nodes. It is the write door of front ends that have already
 // decoded a wire request into an op, and of a follower applying its
 // primary's committed stream. Leave of an unknown peer returns
-// server.ErrUnknownPeer. A join or batch is refused whole, with nothing
-// applied or logged, unless every entry passes checkJoin.
+// server.ErrUnknownPeer. A join or batch with an entry route refuses is
+// refused whole, with that entry's error, and nothing applied or logged
+// (TestApplyRefusesMalformedJoin, TestApplyRefusesBatchWithABadEntry).
 func (c *Cluster) Apply(o op.Op) error {
 	o = c.stamp(o)
-	switch o.Kind {
-	case op.KindJoin:
-		if err := c.checkJoin(&o.Join); err != nil {
-			return err
-		}
-	case op.KindBatchJoin:
-		for i := range o.Batch {
-			if err := c.checkJoin(&o.Batch[i]); err != nil {
-				return err
-			}
-		}
-	}
 	if err := c.applyRouted(o); err != nil {
 		return err
 	}
 	return c.commit(o)
-}
-
-// checkJoin is Apply's check of one join entry: it passes server.ValidateJoin
-// and ends at a landmark served here. The batch road applies silently and
-// skips an entry its server refuses, so without the check a good entry
-// beside a bad one would apply, and the record be logged with the bad entry
-// in it, or not at all. Replay does not ask it: a record holds only entries
-// a primary accepted.
-func (c *Cluster) checkJoin(e *op.JoinEntry) error {
-	if err := server.ValidateJoin(e); err != nil {
-		return err
-	}
-	_, err := c.pathShard(e.Path)
-	return err
 }
 
 // applyRouted dispatches an op to the shard(s) it concerns, silently and

@@ -210,10 +210,11 @@ func (l *shardLoader) apply(g *shard, q <-chan []op.Op) {
 	defer l.running.Done()
 	for run := range q {
 		for _, o := range run {
-			// The group goes to the server whole. The server skips an entry
-			// it cannot register, as on the serial road; the peers then
-			// number fewer than the entries handed out, and the open goes
-			// that road.
+			// The group goes to the server whole, and the server registers
+			// every entry: split routed each one (route), so its path
+			// passed server.ValidateJoin and ends at a landmark g holds. A
+			// record with an entry route refuses never reaches an applier;
+			// it fails the open (TestRefusedLoadLeavesNoApplier).
 			g.applies.Inc()
 			_ = g.srv.Apply(o)
 		}
@@ -221,10 +222,13 @@ func (l *shardLoader) apply(g *shard, q <-chan []op.Op) {
 	}
 }
 
-// split resolves the owning shard of each entry of a batch and adds one
-// group per shard to the shard's run, entries in batch order. An entry with
-// no path or an unknown landmark fails the pass, as it fails the serial
-// road.
+// split routes each entry of a batch (route: the cluster's one check of an
+// entry, made here on the decoding goroutine) and adds one group per shard
+// to the shard's run, entries in batch order. An entry route refuses — a
+// path that is empty, over the cap, repeats a router or holds an anonymous
+// one, an address over the cap, a landmark not served here — fails the pass
+// before any of the record is handed out, as it fails the serial road
+// (TestRefusedLoadLeavesNoApplier).
 func (l *shardLoader) split(o op.Op) error {
 	if len(o.Batch) == 0 {
 		return nil
@@ -236,7 +240,7 @@ func (l *shardLoader) split(o op.Op) error {
 	g.reset(len(l.c.shards))
 	one := true
 	for i := range o.Batch {
-		shard, err := l.c.pathShard(o.Batch[i].Path)
+		shard, err := l.c.route(&o.Batch[i])
 		if err != nil {
 			return err
 		}

@@ -1,9 +1,11 @@
 package pathtree
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"proxdisc/internal/codec"
 	"proxdisc/internal/topology"
 )
 
@@ -102,6 +104,26 @@ func BenchmarkHubChurn(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				slot, _ := core.Join(PeerID(kids+1), paths[i%len(paths)], bc.k, &sc)
 				core.Remove(slot)
+			}
+		})
+	}
+}
+
+// BenchmarkValidatePath measures the check a join's path passes once, where
+// it enters the program, before any lock: at the bench's path length (7
+// routers, the landmark included) and at the format's cap (codec.MaxPathLen),
+// where the repeat scan's quadratic cost shows.
+func BenchmarkValidatePath(b *testing.B) {
+	for _, hops := range []int{7, codec.MaxPathLen} {
+		path := make([]topology.NodeID, hops) // ends at propLandmark
+		for i := range path[:hops-1] {
+			path[i] = topology.NodeID(1000 + i)
+		}
+		b.Run(fmt.Sprintf("%d hops", hops), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := ValidatePath(path, propLandmark); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

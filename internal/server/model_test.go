@@ -184,14 +184,15 @@ func TestLookupNeverSeesRecycledSlot(t *testing.T) {
 }
 
 // TestApplyBatchSkipsBadEntries: a replayed batch is tolerant — an entry
-// that fails the door check or names a landmark not held here is skipped,
-// the rest apply.
+// whose path names no landmark held here, or none at all, is skipped, the
+// rest apply. A path the door check refuses never gets here: a cluster's
+// route refuses its whole record (TestApplyRefusesBatchWithABadEntry,
+// TestRefusedLoadLeavesNoApplier).
 func TestApplyBatchSkipsBadEntries(t *testing.T) {
 	s := newTestServer(t)
 	err := s.Apply(op.BatchJoin([]op.JoinEntry{
 		{Peer: 1, Path: []topology.NodeID{4, 0}},
-		{Peer: 2, Path: []topology.NodeID{4, 4, 0}}, // repeated router
-		{Peer: 3}, // empty path
+		{Peer: 3},                                 // empty path
 		{Peer: 4, Path: []topology.NodeID{4, 77}}, // landmark not held
 		{Peer: 5, Path: []topology.NodeID{5, 0}},
 	}, 9))

@@ -160,10 +160,11 @@ const DefaultNeighborCount = 5
 // a registered landmark.
 var ErrUnknownLandmark = errors.New("server: path does not end at a registered landmark")
 
-// ErrBadJoin is returned for a join refused at the door, whatever the state
+// ErrBadJoin is returned for a join ValidateJoin refuses, whatever the state
 // holds: its path is empty, repeats a router, holds an anonymous one or runs
 // past the path cap, or its address runs past the address cap. The fault is
-// the caller's.
+// the caller's. A server, which trusts its entries, returns it for an empty
+// path alone.
 var ErrBadJoin = errors.New("server: malformed join")
 
 // ErrUnknownPeer is returned by lookups for absent peers.
@@ -347,20 +348,14 @@ func (s *Server) stamp(o op.Op) op.Op {
 // operation without computing any answer. Every path that moves writes
 // around — follower replication, WAL recovery — calls Apply, so a
 // replayed stream reaches exactly the state the original stream built.
-// The answering door, JoinBatchInto, which answers a single join as a
+// The answering road, JoinBatchInto, which answers a single join as a
 // batch of one, registers through the same core. A zero o.Time is stamped
 // from the server clock; stamped ops apply at their recorded instant
-// regardless of the local clock.
+// regardless of the local clock. A join entry is trusted: it passed
+// ValidateJoin at one of the two doors (see ValidateJoin), and Apply
+// checks only that its path ends at a landmark held here.
 func (s *Server) Apply(o op.Op) error {
 	o = s.stamp(o)
-	switch o.Kind {
-	case op.KindJoin:
-		if err := ValidateJoin(&o.Join); err != nil {
-			return err
-		}
-	case op.KindBatchJoin:
-		o.Batch = validEntries(o.Batch)
-	}
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	switch o.Kind {
@@ -394,16 +389,19 @@ func (s *Server) Apply(o op.Op) error {
 	return err
 }
 
-// ValidateJoin is the check every reported path passes at the door it
-// enters by (Apply, JoinBatchInto), before the op reaches the state: past
-// it, state and trie trust their input. A batch's silent apply skips an
-// entry it refuses, so a cluster's Apply asks it of every entry first, to
-// refuse the whole op. That the path ends at a landmark held here is the
-// one check left to the state, which alone knows its trees. The op format's
-// caps are checked here too, not when the op is encoded for the log after
-// it has applied: the trees' address pools rely on the address cap, and
-// their one-byte depths on the path cap, which ValidatePath checks. Every
-// refusal wraps ErrBadJoin.
+// ValidateJoin is the check a join entry passes where it enters from outside
+// the program, before any state sees it: past it, server, state and trie
+// trust the entry, as pathtree.Core trusts its caller. There are two doors.
+// A cluster's route asks it of every entry on every road of a join —
+// answered, applied, followed, replayed, loaded — before any lock
+// (TestOversizeJoinRefusedAtTheDoor, TestApplyRefusesBatchWithABadEntry,
+// TestRefusedLoadLeavesNoApplier); ResetFromSnapshot asks it of every entry
+// of the bytes it reads into a bare server (FuzzResetFromSnapshot). That the
+// path ends at a landmark held here is the one check left to the state,
+// which alone knows its trees. The op format's caps are checked here too,
+// not when the op is encoded for the log after it has applied: the trees'
+// address pools rely on the address cap, and their one-byte depths on the
+// path cap, which ValidatePath checks. Every refusal wraps ErrBadJoin.
 func ValidateJoin(e *op.JoinEntry) error {
 	var err error
 	switch {
@@ -418,18 +416,6 @@ func ValidateJoin(e *op.JoinEntry) error {
 		return fmt.Errorf("%w: %w", ErrBadJoin, err)
 	}
 	return nil
-}
-
-// validEntries drops the entries of a replayed batch that fail ValidateJoin.
-// A recorded batch carries only entries the primary accepted, so none
-// should — the copy is made only when one does — but a tolerant replay skips
-// a bad entry rather than abort the batch.
-func validEntries(batch []op.JoinEntry) []op.JoinEntry {
-	invalid := func(e op.JoinEntry) bool { return ValidateJoin(&e) != nil }
-	if !slices.ContainsFunc(batch, invalid) {
-		return batch
-	}
-	return slices.DeleteFunc(slices.Clone(batch), invalid)
 }
 
 // apply dispatches an op that is one single mutation of a registered peer or
@@ -557,14 +543,19 @@ func answer(tree *pathtree.Core, hits []pathtree.Hit, ans *pathtree.Answers) (ru
 // with a fresh record stamped at the op's time, which it returns as (tree,
 // slot). With k > 0 the newcomer's k closest peers are found on the way down
 // the path, before it is attached, so a peer never appears in its own answer;
-// the hits alias sc, that query's scratch. The entry's path has passed
-// ValidateJoin.
+// the hits alias sc, that query's scratch. The entry has passed ValidateJoin
+// at a door; what join checks is the lookup only the state can make, that
+// the path's last router names a tree held here, which an empty path does
+// not.
 //
 // orphan is noRef unless the entry the join replaced names a tree not held
 // here. Only the holder of a tree writes entries that name it, and the caller
 // holds this server's state lock, so an entry read before the descent and
 // naming a tree held here is still the entry replaced after it.
 func (st *state) join(e *op.JoinEntry, timeNanos int64, k int, sc *pathtree.Scratch) (tree *pathtree.Core, slot int32, hits []pathtree.Hit, orphan ref, err error) {
+	if len(e.Path) == 0 {
+		return nil, 0, nil, noRef, fmt.Errorf("%w: empty path", ErrBadJoin)
+	}
 	lm := e.Path[len(e.Path)-1]
 	tree, ok := st.trees[lm]
 	if !ok {
@@ -640,9 +631,11 @@ type BatchResult struct {
 // the batch behaves exactly like sequential joins), and one entry's failure
 // does not affect the others. Entry k's answer, or its refusal, goes to
 // ans.Entries[at[k]] (ans.Entries[k] when at is nil), its candidates
-// appended to the block. Callers that record or propagate the op must first
-// trim it to the entries that succeeded, so followers and logs never see a
-// rejected entry.
+// appended to the block. The entries are trusted, as Apply trusts them: a
+// cluster's route checked each before the batch got here, and the only
+// refusal left is a path that names no tree held here. Callers that record
+// or propagate the op must first trim it to the entries that succeeded, so
+// followers and logs never see a rejected entry.
 func (s *Server) JoinBatchInto(o op.Op, at []int32, ans *pathtree.Answers) {
 	o = s.stamp(o)
 	entry := func(k int) *pathtree.Answer {
@@ -651,17 +644,12 @@ func (s *Server) JoinBatchInto(o op.Op, at []int32, ans *pathtree.Answers) {
 		}
 		return &ans.Entries[at[k]]
 	}
-	for k := range o.Batch {
-		*entry(k) = pathtree.Answer{Err: ValidateJoin(&o.Batch[k])}
-	}
 	n := 0
 	s.wmu.Lock()
 	for k := range o.Batch {
-		if e := entry(k); e.Err == nil { // else rejected at the door
-			*e, e.Err = s.register(&o.Batch[k], o.Time, ans)
-			if e.Err == nil {
-				n++
-			}
+		e := entry(k)
+		if *e, e.Err = s.register(&o.Batch[k], o.Time, ans); e.Err == nil {
+			n++
 		}
 	}
 	s.wmu.Unlock()

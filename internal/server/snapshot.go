@@ -135,8 +135,10 @@ func WriteSnapshot(w io.Writer, srvs ...*Server) error {
 // snapshot's, keeping the configured landmark set (union the snapshot's). It
 // is the follower's catch-up restore. The snapshot is read once, and its
 // records go through Apply into a server built off to the side: Move and
-// flag records as they are, each batch entry as one join, so an entry Apply
-// refuses refuses the whole snapshot. A flag naming a peer the snapshot does
+// flag records as they are, each batch entry as one join. The bytes come
+// from outside the program and no cluster routed them, so this is one of
+// ValidateJoin's two doors: an entry it or Apply refuses refuses the whole
+// snapshot (FuzzResetFromSnapshot). A flag naming a peer the snapshot does
 // not hold is ignored, as recovery ignores one (cluster.applyRecovered).
 // Adopt publishes the side server's state only once the whole snapshot, end
 // frame included, was good and every record applied; otherwise the previous
@@ -153,7 +155,11 @@ func (s *Server) ResetFromSnapshot(r io.ReadSeeker) error {
 			return nil
 		case op.KindBatchJoin:
 			for _, e := range o.Batch {
-				if err := side.Apply(op.Op{Kind: op.KindJoin, Time: o.Time, Join: e}); err != nil {
+				err := ValidateJoin(&e)
+				if err == nil {
+					err = side.Apply(op.Op{Kind: op.KindJoin, Time: o.Time, Join: e})
+				}
+				if err != nil {
 					return fmt.Errorf("peer %d: %w", e.Peer, err)
 				}
 			}
