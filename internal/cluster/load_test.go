@@ -38,7 +38,7 @@ func checkpointFile(t *testing.T, dir string) []byte {
 
 // copyDataDir copies a durable node's data directory file by file: the disk
 // image a kill -9 would leave behind.
-func copyDataDir(t *testing.T, src, dst string) {
+func copyDataDir(t testing.TB, src, dst string) {
 	t.Helper()
 	err := filepath.Walk(src, func(path string, info os.FileInfo, err error) error {
 		if err != nil {
