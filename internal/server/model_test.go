@@ -190,10 +190,15 @@ func TestLookupNeverSeesRecycledSlot(t *testing.T) {
 // TestRefusedLoadLeavesNoApplier).
 func TestApplyBatchSkipsBadEntries(t *testing.T) {
 	s := newTestServer(t)
+	long := make([]topology.NodeID, op.MaxPathLen+1) // one hop past the cap, ending at landmark 0
+	for i := range long[:op.MaxPathLen] {
+		long[i] = topology.NodeID(1000 + i)
+	}
 	err := s.Apply(op.BatchJoin([]op.JoinEntry{
 		{Peer: 1, Path: []topology.NodeID{4, 0}},
 		{Peer: 3},                                 // empty path
 		{Peer: 4, Path: []topology.NodeID{4, 77}}, // landmark not held
+		{Peer: 6, Path: long},
 		{Peer: 5, Path: []topology.NodeID{5, 0}},
 	}, 9))
 	if err != nil {
