@@ -61,8 +61,7 @@ type node struct {
 	// kidsCap() slots starting at kidsOff, in no order. They are the tail
 	// of the node's child run; its first keySlots() slots hold the routers.
 	kidsOff, kidsLen int32
-	// depth is the distance from the landmark in hops: ValidatePath caps a
-	// path at codec.MaxPathLen routers, so it is at most 255.
+	// depth is the distance from the landmark in hops, at most MaxDepth.
 	depth uint8
 	// kidsLog is 0 when the node owns no child run, else 1 + the run's size
 	// class: the run is 1<<(kidsLog-1) slots.
@@ -250,6 +249,13 @@ func (p *addrPool) release(off int32, class int) {
 	p.free[class] = off
 	p.freeN += int32(class+1) * addrStep
 }
+
+// MaxDepth is the deepest a trie node sits below its landmark: a node keeps
+// its depth in one byte. A path of codec.MaxPathLen routers reaches it, so
+// the op format's path cap is the depth cap, and every road into a tree
+// refuses what would pass it: ValidatePath at the doors, and the server's
+// join (server.ErrBadJoin) on a bare server's exported calls.
+const MaxDepth = codec.MaxPathLen - 1
 
 // Core is the per-landmark path prefix tree, keyed by slot: Join returns
 // the slot of the peer's record, and every later call names the peer by it.

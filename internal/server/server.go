@@ -164,7 +164,7 @@ var ErrUnknownLandmark = errors.New("server: path does not end at a registered l
 // holds: its path is empty, repeats a router, holds an anonymous one or runs
 // past the path cap, or its address runs past the address cap. The fault is
 // the caller's. A server, which trusts its entries, returns it for an empty
-// path alone.
+// path or one over the cap alone.
 var ErrBadJoin = errors.New("server: malformed join")
 
 // ErrUnknownPeer is returned by lookups for absent peers.
@@ -546,15 +546,17 @@ func answer(tree *pathtree.Core, hits []pathtree.Hit, ans *pathtree.Answers) (ru
 // the hits alias sc, that query's scratch. The entry has passed ValidateJoin
 // at a door; what join checks is the lookup only the state can make, that
 // the path's last router names a tree held here, which an empty path does
-// not.
+// not, and the one length check that keeps the trie's depth in its byte
+// (pathtree.MaxDepth), O(1), so an exported call on a bare server refuses a
+// path over the cap instead of corrupting the tree.
 //
 // orphan is noRef unless the entry the join replaced names a tree not held
 // here. Only the holder of a tree writes entries that name it, and the caller
 // holds this server's state lock, so an entry read before the descent and
 // naming a tree held here is still the entry replaced after it.
 func (st *state) join(e *op.JoinEntry, timeNanos int64, k int, sc *pathtree.Scratch) (tree *pathtree.Core, slot int32, hits []pathtree.Hit, orphan ref, err error) {
-	if len(e.Path) == 0 {
-		return nil, 0, nil, noRef, fmt.Errorf("%w: empty path", ErrBadJoin)
+	if len(e.Path) == 0 || len(e.Path) > pathtree.MaxDepth+1 {
+		return nil, 0, nil, noRef, fmt.Errorf("%w: path of %d hops", ErrBadJoin, len(e.Path))
 	}
 	lm := e.Path[len(e.Path)-1]
 	tree, ok := st.trees[lm]
