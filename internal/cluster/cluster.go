@@ -32,10 +32,10 @@
 // shards, and the table never changes after: every operation touches one
 // landmark's tree, so a fixed deal is all that sharding needs, and routing
 // a request is a read of the table with no lock. Builds that moved
-// landmarks between shards logged each move and wrote every landmark's
-// owning shard and fencing epoch into their checkpoints; such a log or
-// checkpoint still loads, and every landmark lands on the shard this table
-// deals it, with every peer it holds (TestCheckpointNamingOtherOwnersLoads).
+// landmarks between shards logged each move; such a log still replays, and
+// no checkpoint names a shard: whatever servers wrote one, every landmark
+// it holds lands on the shard this table deals it, with every peer it holds
+// (TestCheckpointNamingOtherOwnersLoads).
 //
 // # Durability and recovery
 //
@@ -47,41 +47,61 @@
 // directory in the background (Config.SnapshotBytes, with SnapshotEvery as
 // the op-count fallback) and again on Close, after which the log is
 // truncated at the checkpoint boundary, so the disk footprint is bounded by
-// the checkpoint cadence; a checkpoint is a snapshot (package server,
-// snapshot.go). Config.MaxSyncDelay shapes the group commit, and
+// the checkpoint cadence. Config.MaxSyncDelay shapes the group commit, and
 // DurabilityStats has its counters. Expiry sweeps are logged as a single
 // deadline-carrying op, not as per-peer leaves, so logs stay compact and
 // every copy re-derives the identical expiry set.
 //
-// New on a populated directory recovers before returning: one pass reads
-// the latest checkpoint and then the log tail with one applier per shard,
-// each taking its shard's entries of batch joins of new peers in file order
-// through the normal apply path; every other record — a move record, a
-// flag, a leave or refresh, a re-homing join, a single-join record of an
-// older log, an expiry sweep — waits for the appliers to drain and applies
-// serially between them. When each peer has one writer at a time, a
-// restarted node serves the exact peer set (and, for joins that arrived
-// over the wire, the exact overlay addresses) it acknowledged before the
-// crash (TestCrashRecoveryExactState, TestCheckpointUnderWriters,
-// TestParallelTailMatchesSerialTail), and a node killed with writers on
-// every shard recovers what an uninterrupted run holds
-// (TestShardedWALKillDashNineRecovery). Two writers racing on one
+// A checkpoint is a snapshot (package server, snapshot.go): not ops but the
+// trees themselves, a header of the held landmarks and then one section per
+// landmark, ascending, each the tree's nodes depth-first with the peers
+// attached at each node after it (package pathtree, section.go), the whole
+// framed and closed by an end frame that carries the total nodes and peers
+// (package op, stream.go). It is written tree by tree, each encoded under
+// its shard's writer mutex into a buffer that holds that tree alone and
+// written out with no lock held.
+//
+// New on a populated directory recovers before returning. One goroutine per
+// shard builds its trees straight from their sections — no path is
+// descended, no endpoint parsed, the peer index reserved once for the end
+// frame's total — while the calling goroutine reads the file; then one pass
+// reads the log tail with one applier per shard, each taking its shard's
+// entries of batch joins of new peers in log order through the normal apply
+// path; every other record — a move record, a flag, a leave or refresh, a
+// re-homing join, a single-join record of an older log, an expiry sweep —
+// waits for the appliers to drain and applies serially between them. When
+// each peer has one writer at a time, a restarted node serves the exact
+// peer set (and, for joins that arrived over the wire, the exact overlay
+// addresses) it acknowledged before the crash (TestCrashRecoveryExactState,
+// TestCheckpointUnderWriters, TestParallelTailMatchesSerialTail), and a
+// node killed with writers on every shard recovers what an uninterrupted
+// run holds (TestShardedWALKillDashNineRecovery). Two writers racing on one
 // peer can log in the opposite order to the one they applied in, and
-// recovery then holds the logged order. The appliers' order decides nothing
-// unless two batches between the same two serial records name one peer,
-// which a checkpoint of this build can: it walks one shard at a time while
-// the others take writes, so a peer re-homed between two shards' walks is
-// written under both. The pass counts the peers at every serial record and
-// at the end, and a count short of the entries handed out sends the whole
-// open again through the serial road, where the later entry wins and the
-// log tail settles the rest (TestCheckpointUnderWriters crashes a node
-// checkpointing beside writers and expiry sweeps, and logs how many of its
-// recoveries fell back). The log's tail can only be torn, and recovered
-// state is a prefix of the committed order (package wal); a checkpoint,
-// which is only ever renamed into place whole, gets no such tolerance — one
-// that is truncated, fails a CRC, or is in the gob format that preceded op
-// streams (no reader for it is kept) fails New with the directory
-// untouched.
+// recovery then holds the logged order.
+//
+// A checkpoint can name one peer in two sections: it walks one tree at a
+// time while the others take writes, so a peer re-homed between two trees'
+// walks is written under both. The builders count the peers they register;
+// a count short of the end frame's total means the pass cannot vouch for
+// its state, and the whole open goes again through the serial road, which
+// builds the sections one after another and keeps the record with the
+// later refresh time (the later section's on a tie), retiring the other;
+// the log tail settles the rest (TestParallelLoadRepeatedPeerFallsBack,
+// TestResetFromDuplicateNamingSnapshot; TestCheckpointUnderWriters crashes
+// a node checkpointing beside writers and expiry sweeps, and logs how many
+// of its recoveries fell back). The tail's pass counts the same way at every
+// serial record and at the end. The load checks structure, not paths: a
+// section deeper than the trie's one-byte depth, with a router repeated on
+// a path from the landmark or anonymous, siblings out of order, counts other
+// than the header's, or a peer repeated within it fails the open before
+// anything is published (TestRefusedLoadLeavesNoApplier), and so does a
+// section of a landmark the node does not serve. The log's tail can only be
+// torn, and recovered state is a prefix of the committed order (package
+// wal); a checkpoint, which is only ever renamed into place whole, gets no
+// such tolerance — one that is truncated, fails a CRC, or is in the
+// op-stream format or the gob format that preceded tree sections (no reader
+// is kept for either; TestOpStreamCheckpointRefused) fails New with the
+// directory untouched.
 //
 // # Locks on the hot paths
 //
@@ -409,14 +429,15 @@ func (c *Cluster) shardOf(lm topology.NodeID) (int, error) {
 // route is a cluster's one check of a join entry, and resolves the shard
 // that owns the landmark its path ends at. Every road of a join visits each
 // entry here once, before any lock: an answered join or batch and Apply's
-// (batchRoute), a follower's records and the log's tail (Apply and
-// applyRecovered, through batchRoute), and a checkpoint's, on the serial
-// road (batchRoute) and on the parallel pass (shardLoader.split). The entry
-// must pass server.ValidateJoin — the op format's caps, a non-empty path,
-// no anonymous or repeated router — and end at a landmark served here; the
-// servers behind trust every entry routed to them
-// (TestOversizeJoinRefusedAtTheDoor, TestApplyRefusesBatchWithABadEntry,
-// TestRefusedLoadLeavesNoApplier).
+// (batchRoute), a follower's records and the log's tail, on the serial road
+// (Apply and applyRecovered, through batchRoute) and on the parallel pass
+// (shardLoader.split). The entry must pass server.ValidateJoin — the op
+// format's caps, a non-empty path, no anonymous or repeated router — and
+// end at a landmark served here; the servers behind trust every entry
+// routed to them (TestOversizeJoinRefusedAtTheDoor,
+// TestApplyRefusesBatchWithABadEntry, TestRefusedTailLeavesNoApplier). A
+// checkpoint holds trees, not joins, and is checked by the shards' section
+// builders instead (server.LoadSnapshot).
 func (c *Cluster) route(e *op.JoinEntry) (int, error) {
 	if err := server.ValidateJoin(e); err != nil {
 		return 0, err

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -17,25 +16,25 @@ import (
 // server snapshot (restorable by ResetFromSnapshot), byte-identical to the
 // one a single server holding the same state would write: it is the
 // checkpoint file, the catch-up image a primary ships, and the form copies
-// are compared by. It names no owner — the table is New's — and runs in two
-// phases. The state is serialized into memory under one adoptMu hold, so
-// every shard is read from one state, and the lock is released the moment
-// the bytes exist; they are then written with no cluster lock held, so
-// writes go on while a checkpoint reaches the disk.
+// are compared by. It names no owner — the table is New's. The trees are
+// walked one at a time, each under its shard's writer mutex, into a buffer
+// that holds that tree alone, which is written out with no lock held, so
+// writes go on while a checkpoint reaches the disk (server.WriteSnapshot).
+// One adoptMu hold covers the whole snapshot, so no restore lands between
+// two trees' walks.
 func (c *Cluster) Snapshot(w io.Writer) error {
+	c.adoptMu.Lock()
+	defer c.adoptMu.Unlock()
+	return server.WriteSnapshot(w, c.servers()...)
+}
+
+// servers lists the shards' servers, in shard order.
+func (c *Cluster) servers() []*server.Server {
 	srvs := make([]*server.Server, len(c.shards))
 	for i, g := range c.shards {
 		srvs[i] = g.srv
 	}
-	var buf bytes.Buffer
-	c.adoptMu.Lock()
-	err := server.WriteSnapshot(&buf, srvs...)
-	c.adoptMu.Unlock()
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(buf.Bytes())
-	return err
+	return srvs
 }
 
 // defaultSnapshotEvery is the op-count fallback between automatic
@@ -54,18 +53,19 @@ func (c *Cluster) Durable() bool { return c.log != nil }
 // checkpointer. Called by New before the cluster is visible to anyone.
 //
 // The checkpoint is read before the log is opened and must be good to its
-// end frame: a truncated or corrupt file, one in the gob format that
-// preceded op streams, or one that names a landmark this configuration
-// lacks fails the open with nothing on disk touched. One
-// shardLoader reads the checkpoint (restore, the step ResetFromSnapshot
-// takes too) and then the tail: batch joins of peers the index does not
-// hold apply shard-parallel, every other record serially between them. When
-// the loader cannot vouch for its state — a peer named twice among the
-// appliers' entries — the state is discarded (the shards' counters keep what
-// it counted) and the whole open goes through the serial road, which is the
-// reference the parallel one must equal: loadCheckpoint, then the tail
-// record by record. The log reads its records from the files, so the tail
-// can be replayed twice.
+// end frame: a truncated or corrupt file, one in the op-stream or gob
+// format that preceded tree sections, or one that names a landmark this
+// configuration lacks fails the open with nothing on disk touched. Each
+// shard's builder loads the checkpoint's sections of its landmarks (restore,
+// the step ResetFromSnapshot takes too); then one shardLoader reads the
+// tail: batch joins of peers the index does not hold apply shard-parallel,
+// every other record serially between them. When either pass cannot vouch
+// for its state — a peer in two sections, or named twice among the
+// appliers' entries — the state is discarded (the shards' counters keep
+// what it counted) and the whole open goes through the serial road, which
+// is the reference the parallel one must equal: loadCheckpoint, then the
+// tail record by record. The log reads its records from the files, so the
+// tail can be replayed twice.
 func (c *Cluster) openDurable() error {
 	snap, snapSeq, hasSnap, err := wal.OpenLatestSnapshot(c.cfg.DataDir)
 	if err != nil {
@@ -140,8 +140,8 @@ func (c *Cluster) openDurable() error {
 }
 
 // replayTail decodes the log's records past after, in order, and hands each
-// to apply. The op is reused between calls, as op.ReadStream reuses it for
-// a checkpoint: apply must copy what it keeps, or take the slices outright.
+// to apply. The op is reused between calls: apply must copy what it keeps,
+// or take the slices outright.
 func replayTail(log *wal.Sharded, after uint64, apply func(o *op.Op) error) error {
 	var o op.Op
 	return log.Replay(after, func(seq uint64, rec []byte) error {
@@ -157,14 +157,15 @@ func replayTail(log *wal.Sharded, after uint64, apply func(o *op.Op) error) erro
 
 // restore loads a checkpoint, good to its end frame, into c, which holds no
 // state yet: the first step of a durable open and ResetFromSnapshot's
-// loader. The shard-parallel pass reads it through l; when the pass cannot
-// vouch for its state, or Config.serialLoad asks for the reference road,
-// reload reads it again from its start through the serial road. exact
-// reports whether the parallel pass vouched for the state, which a log
-// tail read through l may then extend.
+// loader. The shard-parallel pass builds each shard's trees on a goroutine
+// of its own and tells l every peer it loads, so the tail's pass knows them;
+// when the pass cannot vouch for its state, or Config.serialLoad asks for
+// the reference road, reload reads the checkpoint again from its start
+// through the serial road. exact reports whether the parallel pass vouched
+// for the state, which a log tail read through l may then extend.
 func (c *Cluster) restore(l *shardLoader, ckpt io.ReadSeeker) (exact bool, err error) {
 	if exact = !c.cfg.serialLoad; exact {
-		exact, err = l.load(ckpt)
+		exact, err = server.LoadSnapshot(ckpt, c.servers(), c.shardOf, true, l.named.addShared())
 	}
 	if err == nil && !exact {
 		err = c.reload(ckpt)
@@ -193,16 +194,14 @@ func (c *Cluster) reload(ckpt io.ReadSeeker) error {
 	return c.loadCheckpoint(ckpt)
 }
 
-// loadCheckpoint applies a checkpoint, good to its end frame, through the
-// road the log's tail takes, one record after another: a checkpoint is a
-// compacted op log, so loading it is replaying it. Its Move records come
-// first; each must name a landmark the cluster serves, and whatever owner
-// and epoch one names — files written by builds that moved landmarks name
-// both — its landmark stays on the shard New dealt it
-// (TestCheckpointNamingOtherOwnersLoads). It is the serial road: the
-// reference the shard-parallel pass is held to, and its fallback.
-func (c *Cluster) loadCheckpoint(r io.Reader) error {
-	return op.ReadStream(r, func(o *op.Op) error { return c.applyRecovered(*o) })
+// loadCheckpoint builds the shards' trees from a checkpoint, good to its end
+// frame, one section after another (server.LoadSnapshot without its
+// parallel pass): the serial road, the reference the shard-parallel pass is
+// held to, and its fallback. Every landmark the checkpoint holds must be one
+// the cluster serves, and stays on the shard New dealt it.
+func (c *Cluster) loadCheckpoint(r io.ReadSeeker) error {
+	_, err := server.LoadSnapshot(r, c.servers(), c.shardOf, false, nil)
+	return err
 }
 
 // applyRecovered replays one recovered op — a checkpoint record or a

@@ -2,27 +2,29 @@ package cluster
 
 import (
 	"errors"
-	"io"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"proxdisc/internal/op"
 	"proxdisc/internal/pathtree"
 	"proxdisc/internal/wal"
 )
 
-// shardLoader is the one recovery pass of a durable open: it reads the
-// checkpoint and then the log's tail, in that order, and spreads the serial
-// road's work (applyRecovered on every record) over one applier goroutine
-// per shard, whose trees are independent. The calling goroutine decodes the
-// records in order, and one rule decides where each applies:
+// shardLoader is the log tail's pass of a durable open: it reads the
+// records past the checkpoint and spreads the serial road's work
+// (applyRecovered on every record) over one applier goroutine per shard,
+// whose trees are independent. The checkpoint before it is loaded by the
+// shards' own builders (server.LoadSnapshot), which tell the loader every
+// peer they load (named). The calling goroutine decodes the records in
+// order, and one rule decides where each applies:
 //
 //   - A batch join none of whose entries names a peer the index holds as
 //     the record is read is split by owning shard. Each group joins its
 //     shard's run, which goes to the shard's FIFO once it holds runEntries
 //     entries, and the applier applies every group to the shard's server
-//     whole, so each shard sees its entries in stream order. A checkpoint is
-//     almost all such records, and so is the tail of a crowd of new peers.
+//     whole, so each shard sees its entries in log order. The tail of a
+//     crowd of new peers is almost all such records.
 //   - Every other record — a single-join record (KindJoin: an older log's,
 //     or an in-process Apply's), a batch naming a resident peer or naming
 //     one peer twice (an answered batch commits its repeated entries in its
@@ -64,14 +66,6 @@ type shardLoader struct {
 // errInexact ends a pass whose appliers took two entries naming one peer:
 // its state may differ from the serial road's.
 var errInexact = errors.New("cluster: a peer named twice between two barriers")
-
-// load reads a checkpoint, good to its end frame, through the loader.
-func (l *shardLoader) load(r io.Reader) (exact bool, err error) {
-	if err = op.ReadStream(r, l.read); err == nil {
-		err = l.drain()
-	}
-	return vouch(err)
-}
 
 // replay reads the log's records past after through the loader. It counts
 // its barriers into the cluster's serial records.
@@ -149,17 +143,32 @@ type peerSet []uint64
 
 const peerSetLog2 = 22
 
-// add adds p and reports whether the set held it already.
-func (s *peerSet) add(p pathtree.PeerID) bool {
+// bit locates p's bit: Fibonacci hashing, whose product's top bits mix all
+// of the ID's.
+func (s *peerSet) bit(p pathtree.PeerID) (w *uint64, bit uint64) {
 	if *s == nil {
 		*s = make(peerSet, 1<<peerSetLog2/64)
 	}
-	// Fibonacci hashing: the product's top bits mix all of the ID's.
 	h := uint64(p) * 0x9e3779b97f4a7c15 >> (64 - peerSetLog2)
-	w, bit := &(*s)[h/64], uint64(1)<<(h%64)
+	return &(*s)[h/64], uint64(1) << (h % 64)
+}
+
+// add adds p and reports whether the set held it already.
+func (s *peerSet) add(p pathtree.PeerID) bool {
+	w, bit := s.bit(p)
 	held := *w&bit != 0
 	*w |= bit
 	return held
+}
+
+// addShared returns an add that goroutines may call side by side: a
+// checkpoint's builders tell the set every peer they load.
+func (s *peerSet) addShared() func(pathtree.PeerID) {
+	s.bit(0) // allocates the set, before anyone adds
+	return func(p pathtree.PeerID) {
+		w, bit := s.bit(p)
+		atomic.OrUint64(w, bit)
+	}
 }
 
 // drain hands every run over, waits until the appliers have applied them,
@@ -214,7 +223,7 @@ func (l *shardLoader) apply(g *shard, q <-chan []op.Op) {
 			// every entry: split routed each one (route), so its path
 			// passed server.ValidateJoin and ends at a landmark g holds. A
 			// record with an entry route refuses never reaches an applier;
-			// it fails the open (TestRefusedLoadLeavesNoApplier).
+			// it fails the open (TestRefusedTailLeavesNoApplier).
 			g.applies.Inc()
 			_ = g.srv.Apply(o)
 		}
@@ -228,7 +237,7 @@ func (l *shardLoader) apply(g *shard, q <-chan []op.Op) {
 // path that is empty, over the cap, repeats a router or holds an anonymous
 // one, an address over the cap, a landmark not served here — fails the pass
 // before any of the record is handed out, as it fails the serial road
-// (TestRefusedLoadLeavesNoApplier).
+// (TestRefusedTailLeavesNoApplier).
 func (l *shardLoader) split(o op.Op) error {
 	if len(o.Batch) == 0 {
 		return nil

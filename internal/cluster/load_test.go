@@ -72,30 +72,70 @@ func copyDataDir(t testing.TB, src, dst string) {
 	}
 }
 
-// writeCheckpointFile writes ops as the checkpoint of an empty data
-// directory, as a file written by hand or by another build would be.
+// writeCheckpointFile writes checkpointBytes(ops) as the checkpoint of an
+// empty data directory, as a file written by hand or by another build would
+// be.
 func writeCheckpointFile(t *testing.T, dir string, ops ...op.Op) {
 	t.Helper()
-	err := wal.WriteSnapshot(dir, 0, func(w io.Writer) error {
-		sw := op.NewStreamWriter(w)
-		for _, o := range ops {
-			sw.Write(o)
-		}
-		return sw.Close()
-	})
-	if err != nil {
+	if err := wal.WriteSnapshot(dir, 0, func(w io.Writer) error {
+		_, err := w.Write(checkpointBytes(t, ops...))
+		return err
+	}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// loadCheckpointParallel applies a checkpoint through a shardLoader of its
-// own and reports whether the pass vouches for the state it built (see
-// shardLoader); when it does not, the state may differ from loadCheckpoint's.
-// On return no applier is left running, error or not.
-func (c *Cluster) loadCheckpointParallel(r io.Reader) (exact bool, err error) {
-	l := &shardLoader{c: c}
-	defer l.stop()
-	return l.load(r)
+// checkpointBytes is the test side's section writer: the snapshot of one
+// bare server per landmark, each fed, in order, the join entries of ops
+// whose path ends at its landmark and the flags naming a peer it holds.
+// Each server keeps an index of its own, so a peer joined under two
+// landmarks is named in two sections, as a checkpoint taken beside
+// re-homing writers names it; and a bare server trusts its entries, so a
+// path a cluster's route would refuse lands in its tree.
+func checkpointBytes(t testing.TB, ops ...op.Op) []byte {
+	t.Helper()
+	byLandmark := make(map[topology.NodeID]*server.Server)
+	var srvs []*server.Server
+	for _, o := range ops {
+		entries := o.Batch
+		switch o.Kind {
+		case op.KindJoin:
+			entries = []op.JoinEntry{o.Join}
+		case op.KindSetSuperPeer:
+			for _, s := range srvs {
+				if err := s.Apply(o); err != nil && !errors.Is(err, server.ErrUnknownPeer) {
+					t.Fatal(err)
+				}
+			}
+		}
+		for _, e := range entries {
+			lm := e.Path[len(e.Path)-1]
+			s := byLandmark[lm]
+			if s == nil {
+				var err error
+				if s, err = server.New(server.Config{Landmarks: []topology.NodeID{lm}}); err != nil {
+					t.Fatal(err)
+				}
+				byLandmark[lm], srvs = s, append(srvs, s)
+			}
+			if err := s.Apply(op.Op{Kind: op.KindJoin, Time: o.Time, Join: e}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var buf bytes.Buffer
+	if err := server.WriteSnapshot(&buf, srvs...); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// loadCheckpointParallel builds a checkpoint into c through the shards'
+// parallel builders alone and reports whether the pass vouches for the
+// state it built; when it does not, the state may differ from
+// loadCheckpoint's. On return no builder is left running, error or not.
+func (c *Cluster) loadCheckpointParallel(r io.ReadSeeker) (exact bool, err error) {
+	return server.LoadSnapshot(r, c.servers(), c.shardOf, true, nil)
 }
 
 // assertSameState fails unless got holds want's state: the same fresh
@@ -134,10 +174,10 @@ func assertSameState(t *testing.T, want, got *Cluster, label string) {
 }
 
 // buildLoadFixture fills a durable cluster of the given shard count in dir
-// with n peers — runs of a shared refresh time longer than a wire batch, so
-// the checkpoint holds records of up to op.MaxBatch entries; wire addresses;
-// re-joins under another landmark; super-peers; and leaves — then
-// checkpoints and closes it. It returns the snapshot taken before the close.
+// with n peers — runs of a shared refresh time longer than a wire batch;
+// wire addresses; re-joins under another landmark; super-peers; and leaves
+// — then checkpoints and closes it. It returns the snapshot taken before
+// the close.
 func buildLoadFixture(t *testing.T, dir string, shards, n int) []byte {
 	t.Helper()
 	cfg := durableConfig(dir, shards)
@@ -220,21 +260,17 @@ func TestParallelLoadMatchesSerialLoad(t *testing.T) {
 			src := t.TempDir()
 			before := buildLoadFixture(t, src, shards, 20_000)
 			file := checkpointFile(t, src)
-			wide, supers := 0, 0
-			if err := op.ReadStream(bytes.NewReader(file), func(o *op.Op) error {
-				wide = max(wide, len(o.Batch))
-				if o.Kind == op.KindSetSuperPeer {
-					supers++
-				}
-				return nil
-			}); err != nil {
-				t.Fatal(err)
-			}
-			if wide <= dupScanMax || supers == 0 {
-				t.Fatalf("fixture: widest record %d entries, %d super-peers", wide, supers)
-			}
 
 			serial := reopen(t, src, shards, true)
+			supers := 0
+			for _, p := range serial.Peers() {
+				if info, err := serial.PeerInfo(p); err == nil && info.SuperPeer {
+					supers++
+				}
+			}
+			if supers == 0 {
+				t.Fatal("fixture: no super-peer")
+			}
 			parallel := reopen(t, src, shards, false)
 			if !bytes.Equal(snapshotOf(t, serial), before) {
 				t.Fatal("the serial road did not recover the checkpointed state")
@@ -259,9 +295,9 @@ func TestParallelLoadMatchesSerialLoad(t *testing.T) {
 }
 
 // TestParallelLoadRepeatedPeerFallsBack: a checkpoint that names a peer
-// twice, under landmarks of different shards, recovers as the serial road
-// recovers it — the later entry wins — though the parallel pass alone
-// cannot say which one its appliers let win.
+// twice, in sections of landmarks on different shards, recovers as the
+// serial road recovers it — the record with the later refresh time wins —
+// though the parallel pass alone cannot say which one its builders let win.
 func TestParallelLoadRepeatedPeerFallsBack(t *testing.T) {
 	dir := t.TempDir()
 	ops := []op.Op{
@@ -305,8 +341,9 @@ func TestParallelLoadRepeatedPeerFallsBack(t *testing.T) {
 }
 
 // TestRefusedLoadLeavesNoApplier: a checkpoint refused part-way through —
-// a batch naming an unknown landmark, one whose path repeats a router, a
-// file cut short — fails the open and leaves no applier goroutine behind.
+// a section of a landmark the node does not serve, one holding a path that
+// repeats a router, a file cut short — fails the open and leaves no builder
+// goroutine behind.
 func TestRefusedLoadLeavesNoApplier(t *testing.T) {
 	var ops []op.Op
 	for r := 0; r < 40; r++ {

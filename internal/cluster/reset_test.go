@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"reflect"
 	"strconv"
 	"strings"
@@ -16,6 +17,7 @@ import (
 	"proxdisc/internal/server"
 	"proxdisc/internal/telemetry"
 	"proxdisc/internal/topology"
+	"proxdisc/internal/wal"
 )
 
 // snapshotOf writes c's snapshot: the checkpoint a durable node writes and
@@ -242,26 +244,12 @@ func FuzzResetFromSnapshot(f *testing.F) {
 		}
 	}
 	f.Add(snapshotOf(f, seed))
-	// The same state as a build that had moved landmark 0 onto shard 1
-	// wrote it: every Move record naming shard 1, landmark 0's at epoch 1.
-	var moved bytes.Buffer
-	sw := op.NewStreamWriter(&moved)
-	if err := op.ReadStream(bytes.NewReader(snapshotOf(f, seed)), func(o *op.Op) error {
-		if o.Kind == op.KindMoveLandmark {
-			o.Move.Src, o.Move.Dst = 1, 1
-			if o.Move.Landmark == 0 {
-				o.Move.Epoch = 1
-			}
-		}
-		sw.Write(*o)
-		return nil
-	}); err != nil {
-		f.Fatal(err)
-	}
-	if err := sw.Close(); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(moved.Bytes())
+	// A peer in two sections, under landmarks of both shards, as a
+	// checkpoint taken beside a re-homing writer holds it.
+	f.Add(checkpointBytes(f,
+		op.Join(1, []topology.NodeID{10, 11, 0}, "10.0.0.1:41", 7),
+		op.Join(2, []topology.NodeID{20, 50}, "", 7),
+		op.Join(1, []topology.NodeID{21, 50}, "peer-1:41", 9)))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dst, err := New(Config{Landmarks: []topology.NodeID{0, 50}, Shards: 2})
@@ -326,15 +314,15 @@ func TestClusterSnapshotRestorable(t *testing.T) {
 	}
 }
 
-// TestCheckpointNamingOtherOwnersLoads pins that the landmark table is the one
-// New deals, whatever a checkpoint's Move records say. Builds that moved
-// landmarks between shards wrote each landmark's owning shard and fencing
-// epoch into those records: a file naming owners other than the round-robin
-// ones, at non-zero epochs, loads through a durable open and through
-// ResetFromSnapshot onto the table's owners, with every peer it holds, into
-// the state a fresh cluster fed the same joins holds. A Move naming a
-// landmark the cluster does not serve is still refused, and the state stays
-// what it was.
+// TestCheckpointNamingOtherOwnersLoads pins that the landmark table is the
+// one New deals, whatever servers wrote a checkpoint: a file written by one
+// bare server per landmark, not by this cluster's shards, loads through a
+// durable open and through ResetFromSnapshot onto the table's owners, with
+// every peer it holds, into the state a fresh cluster fed the same joins
+// holds. (Builds that moved landmarks between shards also wrote owners and
+// epochs into their checkpoints; no file of the section form names an
+// owner.) A section of a landmark the cluster does not serve is refused,
+// and the state stays what it was.
 func TestCheckpointNamingOtherOwnersLoads(t *testing.T) {
 	const shards, peers = 2, 240
 	var joins []op.Op
@@ -348,12 +336,6 @@ func TestCheckpointNamingOtherOwnersLoads(t *testing.T) {
 		joins = append(joins, op.BatchJoin(entries, int64(1_000+first)))
 	}
 	fresh := newTestCluster(t, shards)
-	var elsewhere []op.Op
-	for i, lm := range testLandmarks {
-		owner := fresh.table[lm]
-		other := (owner + 1) % shards
-		elsewhere = append(elsewhere, op.Op{Kind: op.KindMoveLandmark, Move: op.MoveEntry{Landmark: lm, Src: other, Dst: other, Epoch: uint64(3 + i)}})
-	}
 	for _, o := range joins {
 		if err := fresh.Apply(o); err != nil {
 			t.Fatal(err)
@@ -376,21 +358,9 @@ func TestCheckpointNamingOtherOwnersLoads(t *testing.T) {
 			t.Fatalf("%s: snapshot differs from a fresh cluster's fed the same joins", label)
 		}
 	}
-	stream := func(ops ...op.Op) []byte {
-		var buf bytes.Buffer
-		sw := op.NewStreamWriter(&buf)
-		for _, o := range ops {
-			sw.Write(o)
-		}
-		if err := sw.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	file := append(elsewhere, joins...)
 
 	dir := t.TempDir()
-	writeCheckpointFile(t, dir, file...)
+	writeCheckpointFile(t, dir, joins...)
 	cfg := durableConfig(dir, shards)
 	cfg.NoSync = true
 	durable, err := New(cfg)
@@ -401,32 +371,68 @@ func TestCheckpointNamingOtherOwnersLoads(t *testing.T) {
 	check("durable open", durable)
 
 	reset := newTestCluster(t, shards)
-	if err := reset.ResetFromSnapshot(bytes.NewReader(stream(file...))); err != nil {
+	if err := reset.ResetFromSnapshot(bytes.NewReader(checkpointBytes(t, joins...))); err != nil {
 		t.Fatal(err)
 	}
 	check("reset", reset)
 
-	unknown := append([]op.Op{{Kind: op.KindMoveLandmark, Move: op.MoveEntry{Landmark: 999, Src: 0, Dst: 0, Epoch: 0}}}, file...)
-	if err := reset.ResetFromSnapshot(bytes.NewReader(stream(unknown...))); err == nil {
-		t.Fatal("a reset took a Move naming an unknown landmark")
+	unknown := append([]op.Op{op.Join(1_000, synthPath(999, 1), "", 1)}, joins...)
+	if err := reset.ResetFromSnapshot(bytes.NewReader(checkpointBytes(t, unknown...))); err == nil {
+		t.Fatal("a reset took a section of an unknown landmark")
 	}
 	check("after a refused reset", reset)
 	bad := t.TempDir()
 	writeCheckpointFile(t, bad, unknown...)
 	if c, err := New(durableConfig(bad, shards)); err == nil {
 		c.Close()
-		t.Fatal("a durable open took a Move naming an unknown landmark")
+		t.Fatal("a durable open took a section of an unknown landmark")
+	}
+}
+
+// TestOpStreamCheckpointRefused: a checkpoint in the op-stream form that
+// preceded tree sections fails a durable open with the format named and the
+// directory untouched, and a reset with the format named and the state
+// unchanged: no reader for it is kept.
+func TestOpStreamCheckpointRefused(t *testing.T) {
+	// The op-stream magic and one framed move record, as such a file opened.
+	file := []byte("pxdopstr\x00\x00\x00\x19\x12\x34\x56\x78\x07\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00")
+	dir := t.TempDir()
+	if err := wal.WriteSnapshot(dir, 0, func(w io.Writer) error {
+		_, err := w.Write(file)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	before := dirListing(t, dir)
+	if c, err := New(durableConfig(dir, 2)); err == nil {
+		c.Close()
+		t.Fatal("a durable open took an op-stream checkpoint")
+	} else if !errors.Is(err, op.ErrOpStreamFormat) || !strings.Contains(err.Error(), "op-stream") {
+		t.Fatalf("refused with %v, want the op-stream format named", err)
+	}
+	if after := dirListing(t, dir); !reflect.DeepEqual(before, after) {
+		t.Fatalf("the refused open changed the directory: %v, then %v", before, after)
+	}
+
+	c := newTestCluster(t, 2)
+	populate(t, c, 16)
+	held := snapshotOf(t, c)
+	if err := c.ResetFromSnapshot(bytes.NewReader(file)); !errors.Is(err, op.ErrOpStreamFormat) {
+		t.Fatalf("a reset from an op-stream checkpoint: %v, want the format named", err)
+	}
+	if !bytes.Equal(held, snapshotOf(t, c)) {
+		t.Fatal("a refused reset changed the state")
 	}
 }
 
 // TestResetFromDuplicateNamingSnapshot: a follower's catch-up restore takes
 // the durable open's checkpoint step. A snapshot naming peers in two
-// batches, under landmarks of different shards — what a checkpoint taken
+// sections, of landmarks on different shards — what a checkpoint taken
 // beside re-homing writers holds (TestCheckpointUnderWriters logs how
 // often) — restores onto four shards into the serial road's state, the
-// later entry winning, and re-snapshots to the serial road's bytes, however
-// the appliers' timing sends the pass. A clean snapshot restores the same
-// way, to its own bytes.
+// record with the later refresh time winning, and re-snapshots to the
+// serial road's bytes, however the builders' timing sends the pass. A clean
+// snapshot restores the same way, to its own bytes.
 func TestResetFromDuplicateNamingSnapshot(t *testing.T) {
 	const shards, runs, width = 4, 8, 64
 	var ops []op.Op
@@ -446,15 +452,7 @@ func TestResetFromDuplicateNamingSnapshot(t *testing.T) {
 		rehomed = append(rehomed, op.JoinEntry{Peer: pathtree.PeerID(p), Addr: fmt.Sprintf("10.9.%d.%d:41", p/256, p%256), Path: synthPath(lm, p+3)})
 	}
 	ops = append(ops, op.BatchJoin(rehomed, 100), op.SetSuperPeer(8, true))
-	var buf bytes.Buffer
-	sw := op.NewStreamWriter(&buf)
-	for _, o := range ops {
-		sw.Write(o)
-	}
-	if err := sw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	file := buf.Bytes()
+	file := checkpointBytes(t, ops...)
 
 	restored := func(data []byte, serial bool) *Cluster {
 		t.Helper()

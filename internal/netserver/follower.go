@@ -54,7 +54,7 @@ import (
 // reach each follower's bounded buffer from the commit tap, a follower that
 // lags is fed by reading the log's files, and one behind the log's
 // retention floor — it reconnected after the primary compacted — receives
-// the latest on-disk checkpoint, shipped as the op stream it is, plus the
+// the latest on-disk checkpoint, shipped as the file it is, plus the
 // tail after it. The primary sends at most a bounded window beyond the
 // follower's last acknowledged sequence, so a stalled follower exerts
 // backpressure on its own stream instead of ballooning the primary. Acks

@@ -2,12 +2,12 @@
 // management plane. Every write — a peer joining, a flash-crowd batch of
 // joins, a departure, a liveness refresh, a super-peer flag, a TTL expiry
 // sweep — is one Op, and every layer that moves writes around speaks Op:
-// the server applies them, the write-ahead log persists them, the
-// checkpoint compacts them, the follower stream ships them, and the TCP
-// front end decodes wire requests into them before dispatch. One type, one
-// binary codec, one replay semantics, so the record/ship/recover paths can
-// never drift apart. A snapshot is itself a run of ops — the shortest one
-// that rebuilds the state — framed as an op stream (stream.go).
+// the server applies them, the write-ahead log persists them, the follower
+// stream ships them, and the TCP front end decodes wire requests into them
+// before dispatch. One type, one binary codec, one replay semantics, so the
+// record/ship/recover paths can never drift apart. A checkpoint is not a run
+// of ops but the trees themselves, framed as a checkpoint stream
+// (stream.go), whose frames this package bounds by MaxEncodedSize.
 //
 // Ops are deterministic: a Join or Refresh carries the apply-time
 // timestamp and an Expire carries its cutoff deadline, so replaying the
@@ -22,8 +22,8 @@
 // record layout; the join entry inside a Join or BatchJoin record is
 // codec.AppendJoin / codec.ReadJoin, the same bytes a wire join carries.
 // Encoding an op into a pooled buffer and decoding it into a reused one
-// (TestCodecAllocs), and reading an op stream into one reused op
-// (TestStreamReadReusesOp), allocate nothing.
+// (TestCodecAllocs) allocate nothing, and reading a checkpoint stream into
+// one reused buffer (TestStreamReadReusesBuffer) allocates a handful.
 package op
 
 import (
@@ -54,12 +54,12 @@ const (
 	// command rather than as per-peer leaves, so logs stay compact and
 	// byte-comparable across copies.
 	KindExpire
-	// KindMoveLandmark names one landmark. A snapshot opens with one per
-	// landmark it holds, which brings the landmark's tree into the state
-	// being loaded. Builds that moved landmarks between shards also logged
-	// one per move and wrote owners and fencing epochs into it (MoveEntry);
-	// every reader still accepts such a record, checks that its landmark
-	// is served, and ignores the rest.
+	// KindMoveLandmark names one landmark, whose tree it brings into the
+	// state. Builds that moved landmarks between shards logged one per move
+	// and wrote owners and fencing epochs into it (MoveEntry); the op-stream
+	// checkpoints that preceded tree sections opened with one per held
+	// landmark. Every log reader still accepts such a record, checks that
+	// its landmark is served, and ignores the rest.
 	KindMoveLandmark
 )
 

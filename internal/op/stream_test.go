@@ -4,155 +4,174 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
+	"fmt"
 	"io"
 	"runtime"
 	"testing"
 )
 
-// sampleStream frames sampleOps plus a move and returns the bytes.
-func sampleStream(t *testing.T) ([]Op, []byte) {
+// sampleStream frames the encodings of sampleOps plus a frame of the cap's
+// length, and returns the bodies and the bytes.
+func sampleStream(t *testing.T) ([][]byte, []byte) {
 	t.Helper()
-	ops := append(sampleOps(), Op{Kind: KindMoveLandmark, Move: MoveEntry{Landmark: 3, Src: 1, Dst: 1, Epoch: 7}})
+	var bodies [][]byte
+	for _, o := range sampleOps() {
+		rec, err := Encode(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies = append(bodies, rec)
+	}
+	bodies = append(bodies, bytes.Repeat([]byte{7}, MaxEncodedSize))
 	var buf bytes.Buffer
 	sw := NewStreamWriter(&buf)
-	for _, o := range ops {
-		if err := sw.Write(o); err != nil {
+	for _, b := range bodies {
+		if err := sw.Write(b); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := sw.Close(); err != nil {
+	if err := sw.Close(11, 22); err != nil {
 		t.Fatal(err)
 	}
-	return ops, buf.Bytes()
+	return bodies, buf.Bytes()
 }
 
-// readAll reads a stream to its end and returns re-encodings of its ops
-// (the callback's Op is reused, so it must not be kept).
-func readAll(b []byte) ([][]byte, error) {
-	var recs [][]byte
-	err := ReadStream(bytes.NewReader(b), func(o *Op) error {
-		rec, err := Encode(*o)
-		recs = append(recs, rec)
-		return err
-	})
-	return recs, err
+// readAll reads a stream to its end and returns its bodies and totals.
+func readAll(b []byte) (bodies [][]byte, nodes, peers uint64, err error) {
+	sr, err := NewStreamReader(bytes.NewReader(b))
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	for {
+		body, err := sr.Next(nil)
+		if err == io.EOF {
+			return bodies, sr.Nodes, sr.Peers, nil
+		}
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		bodies = append(bodies, body)
+	}
 }
 
 func TestStreamRoundTrip(t *testing.T) {
-	ops, stream := sampleStream(t)
-	recs, err := readAll(stream)
+	bodies, stream := sampleStream(t)
+	got, nodes, peers, err := readAll(stream)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != len(ops) {
-		t.Fatalf("read %d ops, wrote %d", len(recs), len(ops))
+	if len(got) != len(bodies) || nodes != 11 || peers != 22 {
+		t.Fatalf("read %d frames and totals %d, %d; wrote %d and 11, 22", len(got), nodes, peers, len(bodies))
 	}
-	for i, o := range ops {
-		want, _ := Encode(o)
-		if !bytes.Equal(recs[i], want) {
-			t.Errorf("op %d changed across the stream: %x, want %x", i, recs[i], want)
+	for i := range bodies {
+		if !bytes.Equal(got[i], bodies[i]) {
+			t.Errorf("frame %d changed across the stream", i)
 		}
 	}
-	// The callback's error ends the read and is returned as is.
-	stop := errors.New("stop")
-	if err := ReadStream(bytes.NewReader(stream), func(*Op) error { return stop }); err != stop {
-		t.Fatalf("callback error came back as %v", err)
-	}
-	// An op that does not encode fails the writer for good.
-	sw := NewStreamWriter(io.Discard)
-	if err := sw.Write(Op{Kind: 99}); err == nil || sw.Write(Leave(1)) == nil || sw.Close() == nil {
-		t.Fatal("writer carried on past an op it could not encode")
+	// A body out of bounds fails the writer for good.
+	for _, size := range []int{0, MaxEncodedSize + 1} {
+		sw := NewStreamWriter(io.Discard)
+		if err := sw.Write(make([]byte, size)); !errors.Is(err, ErrLimit) || sw.Write([]byte{1}) == nil || sw.Close(0, 0) == nil {
+			t.Fatalf("writer carried on past a frame of %d bytes: %v", size, err)
+		}
 	}
 }
 
-// TestStreamRejects is the contract that replaced gob's accidental
-// strictness: nothing short of the exact bytes written reads as a stream.
+// TestStreamRejects: nothing short of the exact bytes written reads as a
+// stream, and the formats it replaced are refused by name.
 func TestStreamRejects(t *testing.T) {
 	_, stream := sampleStream(t)
 	isNamed := func(err error) bool {
 		return errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, ErrStreamFormat) ||
 			errors.Is(err, ErrStreamCorrupt) || errors.Is(err, ErrLimit)
 	}
-	for n := 0; n < len(stream); n++ {
-		if _, err := readAll(stream[:n]); !errors.Is(err, io.ErrUnexpectedEOF) {
-			t.Fatalf("prefix of %d/%d bytes: %v, want io.ErrUnexpectedEOF", n, len(stream), err)
+	for n := 0; n < len(stream); n += 1 + n/64 {
+		if _, _, _, err := readAll(stream[:n]); !isNamed(err) {
+			t.Fatalf("prefix of %d/%d bytes: %v, want a named stream error", n, len(stream), err)
 		}
 	}
-	for bit := 0; bit < 8*len(stream); bit++ {
+	for bit := 0; bit < 8*len(stream); bit += 1 + bit/256 {
 		flipped := bytes.Clone(stream)
 		flipped[bit/8] ^= 1 << (bit % 8)
-		// Whatever the flip hits — magic, a length, a CRC, a payload, the
-		// end frame — the failure carries one of the stream's names, never
-		// a bare codec error: the CRC is checked before the op is decoded.
-		if _, err := readAll(flipped); !isNamed(err) {
+		// Whatever the flip hits — magic, a length, a CRC, a body, the end
+		// frame — the failure carries one of the stream's names.
+		if _, _, _, err := readAll(flipped); !isNamed(err) {
 			t.Fatalf("bit %d flipped: %v, want a named stream error", bit, err)
 		}
 	}
-	if _, err := readAll(append(bytes.Clone(stream), 0)); !errors.Is(err, ErrStreamCorrupt) {
+	if _, _, _, err := readAll(append(bytes.Clone(stream), 0)); !errors.Is(err, ErrStreamCorrupt) {
 		t.Fatalf("trailing byte: %v, want ErrStreamCorrupt", err)
 	}
-	if _, err := readAll([]byte("\x00pxdctb1 and then a gob header")); !errors.Is(err, ErrStreamFormat) {
+	if _, _, _, err := readAll([]byte("\x00pxdctb1 and then a gob header")); !errors.Is(err, ErrStreamFormat) {
 		t.Fatalf("old checkpoint magic: %v, want ErrStreamFormat", err)
+	}
+	if _, _, _, err := readAll(append(bytes.Clone(opStreamMagic[:]), stream[8:]...)); !errors.Is(err, ErrOpStreamFormat) {
+		t.Fatalf("op-stream magic: %v, want ErrOpStreamFormat", err)
 	}
 
 	// An end frame whose count is off by one, with a CRC that matches it:
-	// a stream cut (or spliced) at a record boundary.
-	end := len(stream) - 16
+	// a stream cut (or spliced) at a frame boundary.
+	end := len(stream) - endLen
 	for _, delta := range []uint64{1, ^uint64(0)} {
 		forged := bytes.Clone(stream)
 		binary.BigEndian.PutUint64(forged[end+8:], binary.BigEndian.Uint64(forged[end+8:])+delta)
-		binary.BigEndian.PutUint32(forged[end+4:], crc32.Update(crc32.Checksum(forged[end:end+4], streamCRC), streamCRC, forged[end+8:]))
-		if _, err := readAll(forged); !errors.Is(err, ErrStreamCorrupt) {
+		h := [8]byte(forged[end:])
+		binary.BigEndian.PutUint32(forged[end+4:], sum(&h, forged[end+8:]))
+		if _, _, _, err := readAll(forged); !errors.Is(err, ErrStreamCorrupt) {
 			t.Fatalf("end frame count off by %d: %v, want ErrStreamCorrupt", int64(delta), err)
 		}
 	}
 
-	// A record length over the codec's bound is refused before a buffer is
+	// A frame length over the codec's bound is refused before a buffer is
 	// sized from it: 4 GiB is never allocated.
 	for _, size := range []uint32{MaxEncodedSize + 1, 1<<32 - 1} {
-		huge := binary.BigEndian.AppendUint32(bytes.Clone(streamMagic[:]), size)
-		huge = append(huge, 0, 0, 0, 0)
+		var huge bytes.Buffer
+		sw := NewStreamWriter(&huge)
+		sw.Write([]byte{1})
+		sw.Close(0, 0)
+		b := huge.Bytes()
+		b = append(append(b[:8:8], binary.BigEndian.AppendUint32(nil, size)...), b[12:]...)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, err := readAll(huge)
+		_, _, _, err := readAll(b)
 		runtime.ReadMemStats(&after)
 		if !errors.Is(err, ErrLimit) {
-			t.Fatalf("record length %d: %v, want ErrLimit", size, err)
+			t.Fatalf("frame length %d: %v, want ErrLimit", size, err)
 		}
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
-			t.Fatalf("record length %d: reader allocated %d bytes before refusing", size, grew)
+			t.Fatalf("frame length %d: reader allocated %d bytes before refusing", size, grew)
 		}
 	}
 }
 
-// TestStreamReadReusesOp pins the reader's allocation contract: one Op and
-// one record buffer serve the whole stream.
-func TestStreamReadReusesOp(t *testing.T) {
+// TestStreamReadReusesBuffer pins the reader's allocation contract: a
+// caller that hands each body back reads the whole stream into one buffer.
+func TestStreamReadReusesBuffer(t *testing.T) {
 	var buf bytes.Buffer
 	sw := NewStreamWriter(&buf)
-	for i := 0; i < 200; i++ {
-		sw.Write(BatchJoin(sampleOps()[2].Batch, int64(i)))
+	want := make([]string, 200)
+	for i := range want {
+		want[i] = fmt.Sprintf("frame %d", i)
+		sw.Write([]byte(want[i]))
 	}
-	if err := sw.Close(); err != nil {
+	if err := sw.Close(0, 200); err != nil {
 		t.Fatal(err)
 	}
-	var first *Op
 	allocs := testing.AllocsPerRun(10, func() {
-		first = nil
-		if err := ReadStream(bytes.NewReader(buf.Bytes()), func(o *Op) error {
-			if first == nil {
-				first = o
-			}
-			if o != first || len(o.Batch) != 2 || o.Batch[1].Path[1] != 9 {
-				t.Fatalf("record %d: op %p (first %p) decoded as %+v", o.Time, o, first, o.Batch)
-			}
-			return nil
-		}); err != nil {
+		sr, err := NewStreamReader(bytes.NewReader(buf.Bytes()))
+		if err != nil {
 			t.Fatal(err)
+		}
+		var body []byte
+		for i := 0; ; i++ {
+			if body, err = sr.Next(body); err == io.EOF {
+				break
+			} else if err != nil || string(body) != want[i] {
+				t.Fatalf("frame %d read as %q (%v)", i, body, err)
+			}
 		}
 	})
 	if allocs > 20 {
-		t.Fatalf("reading 200 records allocated %v times, want a handful", allocs)
+		t.Fatalf("reading 200 frames allocated %v times, want a handful", allocs)
 	}
 }

@@ -714,39 +714,6 @@ func (c *Core) AppendPath(dst []topology.NodeID, slot int32) []topology.NodeID {
 	return dst
 }
 
-// Walk visits every resident peer, depth-first, with its reported path
-// (peer-side first). Peers attached at one router are handed the same slice;
-// it aliases memory Walk allocates in large blocks and never writes again,
-// so fn may keep it but must not modify it.
-func (c *Core) Walk(fn func(rec *Record, path []topology.NodeID)) {
-	var stack, block []topology.NodeID // routers from the landmark down; unused arena
-	var visit func(m int32)
-	visit = func(m int32) {
-		n := c.nodes.at(m)
-		stack = append(stack, n.router)
-		if n.firstPeer != none {
-			if len(block) < len(stack) {
-				block = make([]topology.NodeID, max(len(stack), 1<<14))
-			}
-			path := block[:len(stack):len(stack)]
-			block = block[len(stack):]
-			for i, r := range stack {
-				path[len(path)-1-i] = r
-			}
-			for s := n.firstPeer; s != none; {
-				rec := c.recs.at(s)
-				s = rec.next
-				fn(rec, path)
-			}
-		}
-		for j := range n.kidsLen {
-			visit(n.kidsOff + j)
-		}
-		stack = stack[:len(stack)-1]
-	}
-	visit(root)
-}
-
 // span is a run of siblings the breadth-first search holds in its queue.
 type span struct{ off, n int32 }
 

@@ -16,8 +16,9 @@ import (
 // the write-ahead log stores them, so the bytes a follower applies are the
 // bytes the primary committed — one codec from wire to disk. A
 // MsgSnapshotChunk payload is opaque here; what it carries is the
-// primary's checkpoint file, itself a framed run of the same op encoding
-// (op.ReadStream), so catch-up adds no second format either.
+// primary's checkpoint file, the framed sections of its trees
+// (op.StreamReader), which a durable open loads too, so catch-up adds no
+// format of its own.
 
 // Op-stream limits.
 const (

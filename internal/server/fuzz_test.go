@@ -33,11 +33,12 @@ func fuzzSeedSnapshot(tb testing.TB, ops ...op.Op) []byte {
 }
 
 // FuzzResetFromSnapshot feeds arbitrary bytes to the snapshot reader —
-// op.ReadStream's framing plus op.DecodeInto, the surface a checkpoint load
-// and a follower catch-up trust — and, whenever the input reads as a valid
-// snapshot, checks the restore/re-snapshot round trip: restoring the
-// server's own snapshot into a fresh server must reproduce the identical
-// peer set, paths included, and write the identical bytes again.
+// op.StreamReader's framing, the header and pathtree.ReadSection, the
+// surface a checkpoint load and a follower catch-up trust — and, whenever
+// the input reads as a valid snapshot, checks the restore/re-snapshot round
+// trip: restoring the server's own snapshot into a fresh server must
+// reproduce the identical peer set, paths included, and write the identical
+// bytes again.
 func FuzzResetFromSnapshot(f *testing.F) {
 	f.Add(fuzzSeedSnapshot(f,
 		op.Join(1, []topology.NodeID{10, 11, 0}, "", 1),

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"math"
 	"math/bits"
 	"math/rand/v2"
 	"slices"
@@ -189,6 +190,28 @@ func (s *indexStripe) grow() {
 			j -= n
 		}
 		s.slots[j] = e
+	}
+}
+
+// Reserve sizes every empty table of x for its share of n entries, so that
+// filling x with n peers rebuilds no table: a checkpoint's load reserves
+// what the file holds before it registers the first peer. A stripe's share
+// is n/64 plus three standard deviations of the binomial spread, at the
+// load a rebuild stops at; a stripe that draws more than that grows as
+// usual. A table that holds entries keeps its size.
+func (x *Index) Reserve(n int) {
+	mean := float64(n) / indexStripes
+	slots := max(minSlots, int((mean+3*math.Sqrt(mean))*10/maxLoadTenths)+1)
+	for i := range x.stripes {
+		s := &x.stripes[i]
+		s.mu.Lock()
+		if s.used == 0 && len(s.slots) < slots {
+			s.slots = make([]entry, slots)
+			for j := range s.slots {
+				s.slots[j].lm = noRef.lm
+			}
+		}
+		s.mu.Unlock()
 	}
 }
 

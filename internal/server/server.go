@@ -20,7 +20,7 @@
 // endpoint in its canonical form in the record itself, any other address as
 // text in the tree's address pool. The record and the address are all that
 // is stored of a peer. Its path is not: it is the chain of routers from the
-// record's node up to the landmark, and PeerInfo and snapshots rebuild it
+// record's node up to the landmark, and PeerInfo rebuilds it
 // from there. Beside the trees there is one table, the Index, from peer ID to
 // (landmark, slot), which is how every peer-keyed request finds the record.
 // A lone server owns its index; the servers of a cluster share one, so a
@@ -54,7 +54,7 @@
 //
 // The writer mutex (wmu) serialises mutators: every op is applied once, by
 // one goroutine at a time, in the order they won the mutex. Every whole-state
-// walk holds it too — collect (Snapshot, WriteSnapshot), Peers, and
+// walk holds it too — a snapshot's walk of a tree (WriteSnapshot), Peers, and
 // the scan by which an expiry sweep finds its peers. A walk is a writer that
 // does not write: holding wmu it reads the state with no other lock, writers
 // queue behind it, and lookups do not notice it: a lookup, and a metrics
@@ -352,8 +352,8 @@ func (s *Server) stamp(o op.Op) op.Op {
 // batch of one, registers through the same core. A zero o.Time is stamped
 // from the server clock; stamped ops apply at their recorded instant
 // regardless of the local clock. A join entry is trusted: it passed
-// ValidateJoin at one of the two doors (see ValidateJoin), and Apply
-// checks only that its path ends at a landmark held here.
+// ValidateJoin at a cluster's route (see ValidateJoin), and Apply checks
+// only that its path ends at a landmark held here and is within the cap.
 func (s *Server) Apply(o op.Op) error {
 	o = s.stamp(o)
 	s.wmu.Lock()
@@ -391,14 +391,16 @@ func (s *Server) Apply(o op.Op) error {
 
 // ValidateJoin is the check a join entry passes where it enters from outside
 // the program, before any state sees it: past it, server, state and trie
-// trust the entry, as pathtree.Core trusts its caller. There are two doors.
-// A cluster's route asks it of every entry on every road of a join —
-// answered, applied, followed, replayed, loaded — before any lock
-// (TestOversizeJoinRefusedAtTheDoor, TestApplyRefusesBatchWithABadEntry,
-// TestRefusedLoadLeavesNoApplier); ResetFromSnapshot asks it of every entry
-// of the bytes it reads into a bare server (FuzzResetFromSnapshot). That the
-// path ends at a landmark held here is the one check left to the state,
-// which alone knows its trees. The op format's caps are checked here too,
+// trust the entry, as pathtree.Core trusts its caller. A cluster's route
+// asks it of every entry on every road of an op — answered, applied,
+// followed, replayed — before any lock (TestOversizeJoinRefusedAtTheDoor,
+// TestApplyRefusesBatchWithABadEntry, TestRefusedTailLeavesNoApplier). A
+// checkpoint holds no joins: its door is pathtree.ReadSection, whose checks
+// of a tree's structure refuse every tree a path ValidateJoin refuses
+// could have built (LoadSnapshot; TestRefusedLoadLeavesNoApplier,
+// FuzzResetFromSnapshot, FuzzSection). That the path ends at a landmark
+// held here is the one check left to the state, which alone knows its
+// trees. The op format's caps are checked here too,
 // not when the op is encoded for the log after it has applied: the trees'
 // address pools rely on the address cap, and their one-byte depths on the
 // path cap, which ValidatePath checks. Every refusal wraps ErrBadJoin.
@@ -449,10 +451,10 @@ func (st *state) apply(o op.Op) error {
 		rec.Super = o.Super
 		return nil
 	case op.KindMoveLandmark:
-		// A snapshot's Move records bring their landmarks into a state being
-		// loaded: the tree is created if absent. The shards and epoch a
-		// record names, which builds that moved landmarks between shards
-		// wrote, mean nothing to a server.
+		// A Move record brings its landmark into the state: the tree is
+		// created if absent. The shards and epoch a record names, which
+		// builds that moved landmarks between shards logged, mean nothing to
+		// a server.
 		lm := o.Move.Landmark
 		if _, ok := st.trees[lm]; !ok {
 			st.trees[lm] = pathtree.NewCore(lm)

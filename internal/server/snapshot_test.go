@@ -16,10 +16,12 @@ import (
 	"proxdisc/internal/topology"
 )
 
-// oldFormatSnapshots are the openings of the two snapshot formats that
-// preceded op streams: a cluster checkpoint (magic, then a gob header) and
-// a bare gob-encoded server snapshot. No reader is kept for either.
+// oldFormatSnapshots are the openings of the snapshot formats that preceded
+// tree sections: an op stream (its magic, then a framed move record), a
+// cluster checkpoint (magic, then a gob header) and a bare gob-encoded
+// server snapshot. No reader is kept for any.
 var oldFormatSnapshots = map[string][]byte{
+	"op stream":        []byte("pxdopstr\x00\x00\x00\x19\x12\x34\x56\x78\x07\x00\x00\x00\x00\x00\x00\x00\x00"),
 	"checkpoint magic": []byte("\x00pxdctb1\x00\x00\x00\x10old gob header.."),
 	"bare gob":         []byte("\x4f\xff\x81\x03\x01\x01\x08snapshot\x01\xff\x82\x00\x01\x05"),
 }
@@ -96,12 +98,12 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotPreservesRefreshTimes: refresh times ride the snapshot as the
-// Time of the batch records, so expiry after a restore behaves as if the
-// server had never stopped. The snapshot is a function of the state, not
-// of the history: a twin driven to the same state by other ops in another
-// order writes the same bytes, and a run of more than op.MaxBatch peers
-// sharing one LastRefresh is cut into several records and still round-trips.
+// TestSnapshotPreservesRefreshTimes: refresh times ride the snapshot in
+// the peers' records, so expiry after a restore behaves as if the server
+// had never stopped. The snapshot is a function of the state, not of the
+// history: a twin driven to the same state by other ops in another order
+// writes the same bytes, and a crowd of more than op.MaxBatch peers sharing
+// one LastRefresh round-trips.
 func TestSnapshotPreservesRefreshTimes(t *testing.T) {
 	now := time.Unix(5000, 0)
 	clock := func() time.Time { return now }
@@ -169,19 +171,6 @@ func TestSnapshotPreservesRefreshTimes(t *testing.T) {
 	if !bytes.Equal(buf.Bytes(), twinBuf.Bytes()) {
 		t.Fatal("equal states reached by different histories wrote different snapshots")
 	}
-	var runs []int // entries per record of the t1 run
-	if err := op.ReadStream(bytes.NewReader(buf.Bytes()), func(o *op.Op) error {
-		if o.Kind == op.KindBatchJoin && o.Time == t1.UnixNano() {
-			runs = append(runs, len(o.Batch))
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(runs) != 2 || runs[0] != op.MaxBatch || runs[1] != crowd+2-op.MaxBatch {
-		t.Fatalf("t1 run of %d peers cut into records of %v entries", crowd+2, runs)
-	}
-
 	restored, err := restore(bytes.NewReader(buf.Bytes()), Config{Clock: clock})
 	if err != nil {
 		t.Fatal(err)
@@ -208,7 +197,7 @@ func TestSnapshotPreservesRefreshTimes(t *testing.T) {
 // bytes), one super-peer, one leave and one re-join that changes its
 // address's length. Restore then Snapshot must give the same bytes back.
 func TestSnapshotBytesUnchanged(t *testing.T) {
-	const golden = "a507cdc7e95e7dd0ca79290e69ea18cee222e122fba7653ee1984068d8953b00"
+	const golden = "f44ab19a397eba49d560e79c559a8aa3ad740b9149e37267af5ae02726529ca5"
 	s, err := New(Config{Landmarks: []topology.NodeID{0, 1, 2, 3}})
 	if err != nil {
 		t.Fatal(err)
@@ -340,13 +329,18 @@ func TestResetFromSnapshot(t *testing.T) {
 		bad[fmt.Sprintf("truncated to %d bytes", n)] = snap.Bytes()[:n]
 	}
 	// Streams good to their end frame whose content has no place in a
-	// snapshot: a record kind no snapshot holds, a path the join door
-	// refuses, and a peer under a landmark held neither by a Move record nor
-	// by the configuration.
-	move := op.Op{Kind: op.KindMoveLandmark, Move: op.MoveEntry{Landmark: 0, Src: 0, Dst: 0, Epoch: 0}}
-	bad["leave record"] = opStream(t, move, joinBatch(1, []topology.NodeID{10, 0}), op.Leave(1))
-	bad["path repeats a router"] = opStream(t, move, joinBatch(1, []topology.NodeID{10, 11, 10, 0}))
-	bad["unheld landmark"] = opStream(t, move, joinBatch(1, []topology.NodeID{10, 0}), joinBatch(2, []topology.NodeID{10, 77}))
+	// snapshot: a path the join door refuses, and a peer named twice in one
+	// tree's section.
+	bad["path repeats a router"] = snapshotOfTrees(t, func(s *Server) {
+		if err := s.Apply(op.Join(1, []topology.NodeID{10, 11, 10, 0}, "", 1)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	bad["peer twice in a section"] = snapshotOfTrees(t, func(s *Server) {
+		tree := s.st.trees[0]
+		tree.Join(1, []topology.NodeID{10, 0}, 0, nil)
+		tree.Join(1, []topology.NodeID{11, 0}, 0, nil)
+	})
 	for name, data := range bad {
 		_, oldFormat := oldFormatSnapshots[name]
 		_, restoreErr := restore(bytes.NewReader(data), Config{})
@@ -370,33 +364,18 @@ func TestResetFromSnapshot(t *testing.T) {
 		t.Fatal("refused snapshots changed the state")
 	}
 
-	// A flag naming a peer the snapshot does not hold is ignored, as
-	// recovery ignores a record naming a gone peer: the restore takes the
-	// rest.
-	stray := opStream(t, move, joinBatch(1, []topology.NodeID{10, 0}), op.SetSuperPeer(5, true))
-	if err := dst.ResetFromSnapshot(bytes.NewReader(stray)); err != nil {
-		t.Fatalf("a flag naming an absent peer refused the snapshot: %v", err)
-	}
-	if info, err := dst.PeerInfo(1); err != nil || info.SuperPeer || dst.NumPeers() != 1 {
-		t.Fatalf("after a stray flag: %d peers, peer 1 %+v, %v", dst.NumPeers(), info, err)
-	}
 }
 
-// opStream frames ops as an op stream, good to its end frame.
-func opStream(t *testing.T, ops ...op.Op) []byte {
+// snapshotOfTrees writes the snapshot of a server over landmark 0 that fill
+// has built: a bare server trusts its entries, and a test may also reach
+// past it to its trees, so the snapshot may hold what no door would let in.
+func snapshotOfTrees(t *testing.T, fill func(s *Server)) []byte {
 	t.Helper()
+	s := newTestServer(t, 0)
+	fill(s)
 	var buf bytes.Buffer
-	sw := op.NewStreamWriter(&buf)
-	for _, o := range ops {
-		sw.Write(o)
-	}
-	if err := sw.Close(); err != nil {
+	if err := WriteSnapshot(&buf, s); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
-}
-
-// joinBatch is a one-entry batch join of peer p at time 1.
-func joinBatch(p pathtree.PeerID, path []topology.NodeID) op.Op {
-	return op.BatchJoin([]op.JoinEntry{{Peer: p, Path: path}}, 1)
 }
