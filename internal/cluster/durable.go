@@ -204,9 +204,8 @@ func (c *Cluster) loadCheckpoint(r io.ReadSeeker) error {
 	return err
 }
 
-// applyRecovered replays one recovered op — a checkpoint record or a
-// logged one — through the normal routing, silently (no answers, no
-// re-logging). A leave, refresh, or super-flag whose peer is gone is
+// applyRecovered replays one record of the log's tail through the normal
+// routing, silently (no answers, no re-logging). A leave, refresh, or super-flag whose peer is gone is
 // tolerated: a write takes its log sequence after it applies, so two writes
 // racing on one peer can log in the opposite order to the one they applied
 // in, and recovery then holds the logged order, not the one the live node

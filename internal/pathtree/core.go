@@ -253,8 +253,9 @@ func (p *addrPool) release(off int32, class int) {
 // MaxDepth is the deepest a trie node sits below its landmark: a node keeps
 // its depth in one byte. A path of codec.MaxPathLen routers reaches it, so
 // the op format's path cap is the depth cap, and every road into a tree
-// refuses what would pass it: ValidatePath at the doors, and the server's
-// join (server.ErrBadJoin) on a bare server's exported calls.
+// refuses what would pass it: ValidatePath at the op roads' door, the
+// server's join (server.ErrBadJoin) on a bare server's exported calls, and
+// ReadSection on a checkpoint's sections.
 const MaxDepth = codec.MaxPathLen - 1
 
 // Core is the per-landmark path prefix tree, keyed by slot: Join returns

@@ -197,8 +197,8 @@ func (s *indexStripe) grow() {
 // filling x with n peers rebuilds no table: a checkpoint's load reserves
 // what the file holds before it registers the first peer. A stripe's share
 // is n/64 plus three standard deviations of the binomial spread, at the
-// load a rebuild stops at; a stripe that draws more than that grows as
-// usual. A table that holds entries keeps its size.
+// highest load a table reaches before a rebuild; a stripe that draws more
+// than that grows as usual. A table that holds entries keeps its size.
 func (x *Index) Reserve(n int) {
 	mean := float64(n) / indexStripes
 	slots := max(minSlots, int((mean+3*math.Sqrt(mean))*10/maxLoadTenths)+1)

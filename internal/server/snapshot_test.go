@@ -3,8 +3,10 @@ package server
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math/rand"
 	"strings"
@@ -341,6 +343,14 @@ func TestResetFromSnapshot(t *testing.T) {
 		tree.Join(1, []topology.NodeID{10, 0}, 0, nil)
 		tree.Join(1, []topology.NodeID{11, 0}, 0, nil)
 	})
+	// An end frame whose peer total is one short of the sections', its CRC
+	// made to match: what would let a pass vouch for a peer named twice.
+	forged := bytes.Clone(snap.Bytes())
+	end := len(forged) - 32
+	binary.BigEndian.PutUint64(forged[end+24:], binary.BigEndian.Uint64(forged[end+24:])-1)
+	crc := crc32.MakeTable(crc32.Castagnoli)
+	binary.BigEndian.PutUint32(forged[end+4:], crc32.Update(crc32.Checksum(forged[end:end+4], crc), crc, forged[end+8:]))
+	bad["totals other than the sections'"] = forged
 	for name, data := range bad {
 		_, oldFormat := oldFormatSnapshots[name]
 		_, restoreErr := restore(bytes.NewReader(data), Config{})
