@@ -343,6 +343,18 @@ func TestResetFromSnapshot(t *testing.T) {
 		tree.Join(1, []topology.NodeID{10, 0}, 0, nil)
 		tree.Join(1, []topology.NodeID{11, 0}, 0, nil)
 	})
+	// The same, in a later section whose first record of the peer loses to
+	// an earlier section's on refresh time and whose second would win.
+	bad["peer twice in a later section"] = snapshotOfTrees(t, func(s *Server) {
+		if err := s.Apply(op.Join(1, []topology.NodeID{10, 0}, "", 5)); err != nil {
+			t.Fatal(err)
+		}
+		tree := s.st.trees[1]
+		for i, at := range []int64{3, 7} {
+			slot, _ := tree.Join(1, []topology.NodeID{topology.NodeID(20 + i), 1}, 0, nil)
+			tree.Record(slot).RefreshNanos = at
+		}
+	})
 	// An end frame whose peer total is one short of the sections', its CRC
 	// made to match: what would let a pass vouch for a peer named twice.
 	forged := bytes.Clone(snap.Bytes())
@@ -376,12 +388,13 @@ func TestResetFromSnapshot(t *testing.T) {
 
 }
 
-// snapshotOfTrees writes the snapshot of a server over landmark 0 that fill
-// has built: a bare server trusts its entries, and a test may also reach
-// past it to its trees, so the snapshot may hold what no door would let in.
+// snapshotOfTrees writes the snapshot of a server over landmarks 0 and 1
+// that fill has built: a bare server trusts its entries, and a test may also
+// reach past it to its trees, so the snapshot may hold what no door would
+// let in.
 func snapshotOfTrees(t *testing.T, fill func(s *Server)) []byte {
 	t.Helper()
-	s := newTestServer(t, 0)
+	s := newTestServer(t, 0, 1)
 	fill(s)
 	var buf bytes.Buffer
 	if err := WriteSnapshot(&buf, s); err != nil {
