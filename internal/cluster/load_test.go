@@ -296,11 +296,13 @@ func TestParallelLoadMatchesSerialLoad(t *testing.T) {
 
 // TestParallelLoadRepeatedPeerFallsBack: a checkpoint that names a peer
 // twice, in sections of landmarks on different shards, recovers as the
-// serial road recovers it — the record with the later refresh time wins —
-// though the parallel pass alone cannot say which one its builders let win.
+// serial road recovers it — the record with the later refresh time wins,
+// whichever section holds it — though the parallel pass alone cannot say
+// which one its builders let win.
 func TestParallelLoadRepeatedPeerFallsBack(t *testing.T) {
 	dir := t.TempDir()
 	ops := []op.Op{
+		op.BatchJoin([]op.JoinEntry{{Peer: 4, Addr: "10.0.0.4:41", Path: synthPath(100, 6)}}, 5),
 		op.BatchJoin([]op.JoinEntry{
 			{Peer: 1, Addr: "10.0.0.1:41", Path: synthPath(0, 3)},
 			{Peer: 2, Path: synthPath(0, 4)},
@@ -309,6 +311,7 @@ func TestParallelLoadRepeatedPeerFallsBack(t *testing.T) {
 			{Peer: 1, Addr: "10.0.0.9:41", Path: synthPath(100, 3)},
 			{Peer: 3, Path: synthPath(100, 5)},
 		}, 20),
+		op.BatchJoin([]op.JoinEntry{{Peer: 4, Addr: "10.0.0.40:41", Path: synthPath(0, 6)}}, 30),
 	}
 	writeCheckpointFile(t, dir, ops...)
 	c := reopen(t, dir, 2, false)
@@ -316,18 +319,23 @@ func TestParallelLoadRepeatedPeerFallsBack(t *testing.T) {
 	if to := c.table[100]; to == from {
 		t.Fatalf("landmarks 0 and 100 share shard %d", to)
 	}
-	if c.NumPeers() != 3 {
-		t.Fatalf("%d peers, want 3", c.NumPeers())
+	if c.NumPeers() != 4 {
+		t.Fatalf("%d peers, want 4", c.NumPeers())
 	}
-	info, err := c.PeerInfo(1)
-	if err != nil {
-		t.Fatal(err)
+	for p, want := range map[pathtree.PeerID]server.PeerInfo{
+		1: {Landmark: 100, Addr: "10.0.0.9:41", LastRefresh: time.Unix(0, 20)}, // the later section's
+		4: {Landmark: 0, Addr: "10.0.0.40:41", LastRefresh: time.Unix(0, 30)},  // the earlier section's
+	} {
+		info, err := c.PeerInfo(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Landmark != want.Landmark || info.Addr != want.Addr || !info.LastRefresh.Equal(want.LastRefresh) {
+			t.Fatalf("peer %d recovered as %+v, want the newer record's", p, info)
+		}
 	}
-	if info.Landmark != 100 || info.Addr != "10.0.0.9:41" || info.LastRefresh.UnixNano() != 20 {
-		t.Fatalf("peer 1 recovered as %+v, want the later entry's", info)
-	}
-	if n := c.shards[from].srv.NumPeers(); n != 1 {
-		t.Fatalf("landmark 0's shard holds %d peers, want 1", n)
+	if n := c.shards[from].srv.NumPeers(); n != 2 {
+		t.Fatalf("landmark 0's shard holds %d peers, want 2", n)
 	}
 	assertSameState(t, reopen(t, dir, 2, true), c, "fallback")
 

@@ -283,29 +283,26 @@ func (l *loader) stop() error {
 }
 
 // build builds a section's tree, registers its peers and gives the tree to
-// its server. On the parallel road a peer's entry is written whatever it
-// said (a count short of the total tells); on the serial one a peer an
-// earlier section named keeps the entry with the later refresh time.
+// its server. Each peer's entry is pointed at its record as it is read, so
+// while a section is read the index names its latest record of every peer
+// it holds, and a second record of one peer meets the first. On the
+// parallel road that is all (a count short of the total tells of a peer
+// another section named); on the serial one a peer an earlier section
+// named keeps the record with the later refresh time, and the entries of
+// the section's losing records go back to their winners once it is read.
 func (l *loader) build(sec section, parallel bool) error {
 	s := l.srvs[l.owner[sec.lm]]
+	var back []Orphan // earlier sections' records that beat this one's
 	tree, err := pathtree.ReadSection(sec.frames, func(slot int32, rec *pathtree.Record) error {
-		at := ref{sec.lm, slot}
-		var old ref
-		var had bool
-		if parallel {
-			old, had = l.idx.swap(rec.ID, at)
-		} else if old, had = l.idx.get(rec.ID); !had {
-			l.idx.swap(rec.ID, at)
-		}
+		old, had := l.idx.swap(rec.ID, ref{sec.lm, slot})
 		switch {
 		case had && old.lm == sec.lm:
 			return fmt.Errorf("%w: peer %d repeats in landmark %d's section", errMalformed, rec.ID, sec.lm)
 		case had && !parallel:
-			held := l.srvs[l.owner[old.lm]].st.trees[old.lm].Record(old.slot)
-			if rec.RefreshNanos >= held.RefreshNanos {
-				l.idx.swap(rec.ID, at)
+			if held := l.srvs[l.owner[old.lm]].st.trees[old.lm].Record(old.slot); rec.RefreshNanos >= held.RefreshNanos {
 				l.losers = append(l.losers, Orphan{rec.ID, old.lm, old.slot})
 			} else {
+				back = append(back, Orphan{rec.ID, old.lm, old.slot})
 				l.losers = append(l.losers, Orphan{rec.ID, sec.lm, slot})
 			}
 		}
@@ -316,6 +313,9 @@ func (l *loader) build(sec section, parallel bool) error {
 	})
 	if err != nil {
 		return err
+	}
+	for _, o := range back {
+		l.idx.swap(o.Peer, ref{o.Landmark, o.slot})
 	}
 	s.wmu.Lock()
 	s.mu.Lock()
