@@ -178,6 +178,10 @@ func TestSectionRefuses(t *testing.T) {
 	cut := good.frame(9)[0]
 	short := hand().node(9, 2, 0).node(10, 0, 1).peer(1, 0, "")
 	short.nodes++ // the header counts the child that never comes
+	// over's nodes promise more children than its header counts: once the
+	// count is read, a last node claims a child run no section could fill.
+	over := hand().node(9, 2, 0).node(10, 1, 0).node(11, 0, 1).peer(1, 0, "").node(12, 1<<40, 0)
+	over.nodes--
 	for name, fs := range map[string][][]byte{
 		"deeper than MaxDepth":    deep.frame(9),
 		"repeat on a path":        hand().node(9, 1, 0).node(10, 1, 0).node(10, 0, 1).peer(1, 0, "").frame(9),
@@ -193,6 +197,7 @@ func TestSectionRefuses(t *testing.T) {
 		"address over the cap":    hand().node(9, 0, 1).peer(1, 0, strings.Repeat("a", codec.MaxAddrLen+1)).frame(9),
 		"endpoint held as text":   hand().node(9, 0, 1).peer(1, 0, "10.0.0.1:80").frame(9),
 		"children short":          short.frame(9),
+		"children past the count": over.frame(9),
 		"a node past the last":    hand().node(9, 1, 0).node(10, 0, 1).peer(1, 0, "").node(11, 0, 1).peer(2, 0, "").frame(9),
 		"item cut by the frame":   [][]byte{cut[:len(cut)-1]},
 		"frames other than said":  {cut, hand().node(12, 0, 1).buf},
