@@ -218,10 +218,8 @@ func ReadSection(frames [][]byte, fn func(slot int32, rec *Record) error) (*Core
 			}
 		}
 	}
-	for _, e := range d.stack {
-		if e.left > 0 {
-			return nil, fmt.Errorf("pathtree: section ends with node %d short of %d children", d.c.nodes.at(e.node).router, e.left)
-		}
+	if d.owed > 0 {
+		return nil, fmt.Errorf("pathtree: section ends %d children short", d.owed)
 	}
 	if d.nodes != h.Nodes || d.peers != h.Peers || d.want > 0 {
 		return nil, fmt.Errorf("pathtree: section holds %d nodes and %d peers, its header says %d and %d",
@@ -238,6 +236,7 @@ type sectionReader struct {
 	// stack holds the path from the landmark to the last node read, each
 	// with the children it still expects.
 	stack        []pathEntry
+	owed         int   // the children the stack's nodes still expect
 	at           int32 // the node the next peers attach at
 	want         int   // the peers still to come at it
 	last         PeerID
@@ -268,9 +267,6 @@ func (d *sectionReader) item(f []byte) ([]byte, error) {
 	}
 	f = f[4+n+m:]
 	c := d.c
-	if kids > uint64(d.h.Nodes-d.nodes-1) || peers > uint64(d.h.Peers-d.peers) {
-		return nil, fmt.Errorf("pathtree: node %d counts %d children and %d peers past the header's", r, kids, peers)
-	}
 	at := root
 	if d.nodes == 0 {
 		if r != c.landmark {
@@ -308,10 +304,18 @@ func (d *sectionReader) item(f []byte) ([]byte, error) {
 		}
 		pn.kidsLen++
 		top.left--
+		d.owed--
 		c.live++
 		*c.nodes.at(at) = node{router: r, parent: top.node, depth: pn.depth + 1, firstPeer: none}
 	}
+	// Every node the header counts is read, owed to a node read, or not yet
+	// claimed: a node claims no more children than are left unclaimed, so
+	// no child run outgrows the section.
+	if kids > uint64(d.h.Nodes-d.nodes-1-d.owed) || peers > uint64(d.h.Peers-d.peers) {
+		return nil, fmt.Errorf("pathtree: node %d counts %d children and %d peers past the header's", r, kids, peers)
+	}
 	d.nodes++
+	d.owed += int(kids)
 	if kids > 0 {
 		class := 0
 		for int64(runCap(class)) < int64(kids) {
