@@ -205,14 +205,15 @@ func (c *Cluster) loadCheckpoint(r io.ReadSeeker) error {
 }
 
 // applyRecovered replays one record of the log's tail through the normal
-// routing, silently (no answers, no re-logging). A leave, refresh, or super-flag whose peer is gone is
-// tolerated: a write takes its log sequence after it applies, so two writes
-// racing on one peer can log in the opposite order to the one they applied
-// in, and recovery then holds the logged order, not the one the live node
-// answered from. That is outside what recovery guarantees, which is the
-// exact state only while each peer has one writer at a time (ROADMAP item
-// 16); under that, a record naming a gone peer is one whose peer a
-// checkpoint walked past its mark had already dropped.
+// routing, silently (no answers, no re-logging). A leave, refresh, or
+// super-flag whose peer is gone is tolerated: a write takes its log sequence
+// after it applies, so two writes racing on one peer can log in the opposite
+// order to the one they applied in, and recovery then holds the logged
+// order, not the one the live node answered from. That is outside what
+// recovery guarantees, which is the exact state only while each peer has one
+// writer at a time (ROADMAP item 16); under that, a record naming a gone
+// peer is one whose peer a checkpoint walked past its mark had already
+// dropped.
 func (c *Cluster) applyRecovered(o op.Op) error {
 	if err := c.applyRouted(o); err != nil && !errors.Is(err, server.ErrUnknownPeer) {
 		return err
