@@ -10,8 +10,9 @@ import (
 	"testing"
 )
 
-// sampleStream frames the encodings of sampleOps plus a frame of the cap's
-// length, and returns the bodies and the bytes.
+// sampleStream frames the encodings of sampleOps and returns the bodies and
+// the bytes. It is small enough for TestStreamRejects to cut and flip
+// everywhere; capStream holds the one frame of the cap's length.
 func sampleStream(t *testing.T) ([][]byte, []byte) {
 	t.Helper()
 	var bodies [][]byte
@@ -22,7 +23,19 @@ func sampleStream(t *testing.T) ([][]byte, []byte) {
 		}
 		bodies = append(bodies, rec)
 	}
-	bodies = append(bodies, bytes.Repeat([]byte{7}, MaxEncodedSize))
+	return bodies, frameAll(t, bodies)
+}
+
+// capStream frames one body of MaxEncodedSize bytes between two short ones.
+func capStream(t *testing.T) ([][]byte, []byte) {
+	t.Helper()
+	bodies := [][]byte{{1}, bytes.Repeat([]byte{7}, MaxEncodedSize), {2, 3}}
+	return bodies, frameAll(t, bodies)
+}
+
+// frameAll writes bodies as one stream closed with the totals 11 and 22.
+func frameAll(t *testing.T, bodies [][]byte) []byte {
+	t.Helper()
 	var buf bytes.Buffer
 	sw := NewStreamWriter(&buf)
 	for _, b := range bodies {
@@ -33,7 +46,7 @@ func sampleStream(t *testing.T) ([][]byte, []byte) {
 	if err := sw.Close(11, 22); err != nil {
 		t.Fatal(err)
 	}
-	return bodies, buf.Bytes()
+	return buf.Bytes()
 }
 
 // readAll reads a stream to its end and returns its bodies and totals.
@@ -55,17 +68,19 @@ func readAll(b []byte) (bodies [][]byte, nodes, peers uint64, err error) {
 }
 
 func TestStreamRoundTrip(t *testing.T) {
-	bodies, stream := sampleStream(t)
-	got, nodes, peers, err := readAll(stream)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(bodies) || nodes != 11 || peers != 22 {
-		t.Fatalf("read %d frames and totals %d, %d; wrote %d and 11, 22", len(got), nodes, peers, len(bodies))
-	}
-	for i := range bodies {
-		if !bytes.Equal(got[i], bodies[i]) {
-			t.Errorf("frame %d changed across the stream", i)
+	for _, mk := range []func(*testing.T) ([][]byte, []byte){sampleStream, capStream} {
+		bodies, stream := mk(t)
+		got, nodes, peers, err := readAll(stream)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(bodies) || nodes != 11 || peers != 22 {
+			t.Fatalf("read %d frames and totals %d, %d; wrote %d and 11, 22", len(got), nodes, peers, len(bodies))
+		}
+		for i := range bodies {
+			if !bytes.Equal(got[i], bodies[i]) {
+				t.Errorf("frame %d changed across the stream", i)
+			}
 		}
 	}
 	// A body out of bounds fails the writer for good.
@@ -85,12 +100,12 @@ func TestStreamRejects(t *testing.T) {
 		return errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, ErrStreamFormat) ||
 			errors.Is(err, ErrStreamCorrupt) || errors.Is(err, ErrLimit)
 	}
-	for n := 0; n < len(stream); n += 1 + n/64 {
+	for n := 0; n < len(stream); n++ {
 		if _, _, _, err := readAll(stream[:n]); !isNamed(err) {
 			t.Fatalf("prefix of %d/%d bytes: %v, want a named stream error", n, len(stream), err)
 		}
 	}
-	for bit := 0; bit < 8*len(stream); bit += 1 + bit/256 {
+	for bit := 0; bit < 8*len(stream); bit++ {
 		flipped := bytes.Clone(stream)
 		flipped[bit/8] ^= 1 << (bit % 8)
 		// Whatever the flip hits — magic, a length, a CRC, a body, the end
@@ -99,6 +114,30 @@ func TestStreamRejects(t *testing.T) {
 			t.Fatalf("bit %d flipped: %v, want a named stream error", bit, err)
 		}
 	}
+	// The cap-length frame: cut and flipped in its header, at both ends of
+	// its body, and in the frames and end frame around it.
+	_, big := capStream(t)
+	bigHdr := len(streamMagic) + 9 // the short first frame
+	bigEnd := bigHdr + 8 + MaxEncodedSize
+	var cuts []int
+	for _, at := range []int{bigHdr, bigEnd, len(big) - endLen} {
+		for n := max(at-12, 0); n < at+12; n++ {
+			cuts = append(cuts, n)
+		}
+	}
+	for _, n := range cuts {
+		if _, _, _, err := readAll(big[:n]); !isNamed(err) {
+			t.Fatalf("cap stream cut at %d/%d bytes: %v, want a named stream error", n, len(big), err)
+		}
+		for bit := range 8 {
+			flipped := bytes.Clone(big)
+			flipped[n] ^= 1 << bit
+			if _, _, _, err := readAll(flipped); !isNamed(err) {
+				t.Fatalf("cap stream byte %d bit %d flipped: %v, want a named stream error", n, bit, err)
+			}
+		}
+	}
+
 	if _, _, _, err := readAll(append(bytes.Clone(stream), 0)); !errors.Is(err, ErrStreamCorrupt) {
 		t.Fatalf("trailing byte: %v, want ErrStreamCorrupt", err)
 	}

@@ -42,15 +42,18 @@ const (
 	sectionHeaderLen = 16
 	// maxItem is the longest item: a peer with a text address of the cap.
 	maxItem = 8 + 8 + 1 + 2 + codec.MaxAddrLen
-	// maxNodeItem is the longest node item, minNodeItem and minPeerItem the
-	// shortest of each kind.
+	// maxNodeItem is the longest node item and minNodeItem the shortest;
+	// MinPeerItem is the shortest peer item.
 	maxNodeItem = 4 + 2*binary.MaxVarintLen32
 	minNodeItem = 4 + 1 + 1
-	minPeerItem = 8 + 8 + 1 + 1
 
 	flagSuper  = 1 << 0
 	flagInline = 1 << 1
 )
+
+// MinPeerItem is the fewest bytes a peer takes of a section: what bounds how
+// many peers a file of a given size can hold, whatever its totals claim.
+const MinPeerItem = 8 + 8 + 1 + 1
 
 // SectionHeader is what opens a section: the tree's landmark, the frames the
 // section spans and the nodes (the landmark's included) and peers it holds.
@@ -201,7 +204,7 @@ func ReadSection(frames [][]byte, fn func(slot int32, rec *Record) error) (*Core
 	switch {
 	case h.Frames != len(frames):
 		return nil, fmt.Errorf("pathtree: section of %d frames says %d", len(frames), h.Frames)
-	case h.Nodes*minNodeItem+h.Peers*minPeerItem > size:
+	case h.Nodes*minNodeItem+h.Peers*MinPeerItem > size:
 		return nil, fmt.Errorf("pathtree: %d bytes cannot hold %d nodes and %d peers", size, h.Nodes, h.Peers)
 	case h.Landmark == topology.InvalidNode:
 		return nil, errors.New("pathtree: section of the anonymous router")

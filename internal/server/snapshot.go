@@ -114,18 +114,19 @@ var errMalformed = errors.New("server: malformed snapshot")
 // refuses the landmark; a server that lacks the landmark's tree gets it.
 //
 // With parallel set, one goroutine per server builds the trees of the
-// sections it takes, straight from their frames, and registers each peer
-// in the index, reserved once for the end frame's total; onPeer, when not
-// nil, is told every peer, from those goroutines. A peer in two sections
-// leaves the index short of that total, and exact then reports that the
-// pass cannot vouch for its state: the caller discards it and loads again
-// without parallel. That road builds the sections one after another, in
-// file order, and of a peer named twice keeps the record with the later
-// refresh time, the later section's on a tie, and retires the other
-// (Retire). Either road refuses, before the caller publishes anything, a
-// section ReadSection refuses, a peer that repeats within one section
-// (TestRefusedLoadLeavesNoApplier), a landmark place refuses, sections out
-// of the header's order, and totals other than the sections'.
+// sections it takes, straight from their frames, and registers each peer in
+// the index, reserved once for the end frame's total (or for the peers the
+// file could hold, if fewer); onPeer, when not nil, is told every peer, from
+// those goroutines. A peer in two sections leaves the index short of that
+// total, and exact then reports that the pass cannot vouch for its state:
+// the caller discards it and loads again without parallel. That road builds
+// the sections one after another, in file order, and of a peer named twice
+// keeps the record with the later refresh time, the later section's on a
+// tie, and retires the other (Retire). Either road refuses, before the
+// caller publishes anything, a section ReadSection refuses, a peer that
+// repeats within one section (TestRefusedLoadLeavesNoApplier), a landmark
+// place refuses, sections out of the header's order, and totals other than
+// the sections'.
 func LoadSnapshot(r io.ReadSeeker, srvs []*Server, place func(topology.NodeID) (int, error), parallel bool, onPeer func(pathtree.PeerID)) (exact bool, err error) {
 	sr, err := op.NewStreamReader(r)
 	if err != nil {
@@ -145,9 +146,9 @@ func LoadSnapshot(r io.ReadSeeker, srvs []*Server, place func(topology.NodeID) (
 			return false, err
 		}
 	}
-	// No peer takes fewer bytes of the file than one, so a total it cannot
-	// hold reserves no more than the file's size.
-	l.idx.Reserve(int(min(sr.Peers, uint64(sr.Size()))))
+	// A total the file cannot hold reserves no more than the peers it
+	// could: no peer takes fewer than MinPeerItem bytes of it.
+	l.idx.Reserve(int(min(sr.Peers, uint64(sr.Size())/pathtree.MinPeerItem)))
 	if parallel {
 		l.start()
 		defer l.stop()

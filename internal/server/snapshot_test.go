@@ -9,6 +9,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -357,12 +358,7 @@ func TestResetFromSnapshot(t *testing.T) {
 	})
 	// An end frame whose peer total is one short of the sections', its CRC
 	// made to match: what would let a pass vouch for a peer named twice.
-	forged := bytes.Clone(snap.Bytes())
-	end := len(forged) - 32
-	binary.BigEndian.PutUint64(forged[end+24:], binary.BigEndian.Uint64(forged[end+24:])-1)
-	crc := crc32.MakeTable(crc32.Castagnoli)
-	binary.BigEndian.PutUint32(forged[end+4:], crc32.Update(crc32.Checksum(forged[end:end+4], crc), crc, forged[end+8:]))
-	bad["totals other than the sections'"] = forged
+	bad["totals other than the sections'"] = forgePeerTotal(snap.Bytes(), func(n uint64) uint64 { return n - 1 })
 	for name, data := range bad {
 		_, oldFormat := oldFormatSnapshots[name]
 		_, restoreErr := restore(bytes.NewReader(data), Config{})
@@ -386,6 +382,49 @@ func TestResetFromSnapshot(t *testing.T) {
 		t.Fatal("refused snapshots changed the state")
 	}
 
+	// A peer total far past what the file holds, its CRC made to match (a
+	// catch-up image comes from outside), sizes the index by the file: the
+	// refused load allocates about what the good one does, not an index
+	// for the claimed total.
+	many := snapshotOfTrees(t, func(s *Server) {
+		for i := range 3000 {
+			if err := s.Apply(op.Join(pathtree.PeerID(i+1), []topology.NodeID{topology.NodeID(10 + i%100), 0}, "", 1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	huge := forgePeerTotal(many, func(uint64) uint64 { return 1 << 40 })
+	allocated := func(data []byte) (uint64, error) {
+		side := newTestServer(t, 0, 1)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := side.ResetFromSnapshot(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc, err
+	}
+	good, err := allocated(many)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forgedAlloc, err := allocated(huge)
+	if err == nil {
+		t.Fatal("ResetFromSnapshot accepted a peer total of 2^40")
+	}
+	if forgedAlloc > good+uint64(len(many)) {
+		t.Fatalf("a forged peer total made the load allocate %d bytes; the good load of the %d-byte file allocates %d",
+			forgedAlloc, len(many), good)
+	}
+}
+
+// forgePeerTotal returns a copy of a snapshot whose end frame's peer total
+// is what total makes of it, with the frame's CRC made to match.
+func forgePeerTotal(snap []byte, total func(uint64) uint64) []byte {
+	forged := bytes.Clone(snap)
+	end := len(forged) - 32
+	binary.BigEndian.PutUint64(forged[end+24:], total(binary.BigEndian.Uint64(forged[end+24:])))
+	crc := crc32.MakeTable(crc32.Castagnoli)
+	binary.BigEndian.PutUint32(forged[end+4:], crc32.Update(crc32.Checksum(forged[end:end+4], crc), crc, forged[end+8:]))
+	return forged
 }
 
 // snapshotOfTrees writes the snapshot of a server over landmarks 0 and 1
