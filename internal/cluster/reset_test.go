@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -482,6 +483,32 @@ func TestResetFromDuplicateNamingSnapshot(t *testing.T) {
 	assertSameState(t, restored(clean, true), got, "clean restore")
 	if !bytes.Equal(clean, snapshotOf(t, got)) {
 		t.Fatal("a clean snapshot restored to other bytes")
+	}
+}
+
+// TestCatchupRestoreBuildsNoTailFilter: a follower's catch-up restore reads
+// no log tail, so it builds none of the durable open's set of the peers the
+// checkpoint loaded (2^22 bits, 512 KiB alone): restoring a 300-peer
+// snapshot onto four shards allocates under 512 KiB.
+func TestCatchupRestoreBuildsNoTailFilter(t *testing.T) {
+	src := newTestCluster(t, 4)
+	populate(t, src, 300)
+	snap := snapshotOf(t, src)
+	c := newTestCluster(t, 4)
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		if err := c.ResetFromSnapshot(bytes.NewReader(snap)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if c.NumPeers() != 300 {
+		t.Fatalf("%d peers restored, want 300", c.NumPeers())
+	}
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 512<<10 {
+		t.Fatalf("restoring a %d-byte snapshot of 300 peers onto 4 shards allocated %d bytes, want under 512 KiB", len(snap), per)
 	}
 }
 
