@@ -71,11 +71,17 @@ func (c *Cluster) openDurable() error {
 	if err != nil {
 		return err
 	}
-	var ckpt io.ReadSeeker // nil when there is no checkpoint
-	if hasSnap {
-		defer snap.Close()
-		ckpt = snap
+	if !hasSnap {
+		return c.recoverFrom(nil, 0)
 	}
+	defer snap.Close()
+	return c.recoverFrom(snap, snapSeq)
+}
+
+// recoverFrom is openDurable past the checkpoint's opening: ckpt, nil when
+// the directory holds none, covers the log up to snapSeq.
+func (c *Cluster) recoverFrom(ckpt io.ReadSeeker, snapSeq uint64) error {
+	var err error
 	l := &shardLoader{c: c}
 	defer l.stop()
 	exact := !c.cfg.serialLoad // the parallel pass vouches for the state so far
