@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -345,6 +346,82 @@ func TestParallelLoadRepeatedPeerFallsBack(t *testing.T) {
 	}
 	if exact, err := fresh.loadCheckpointParallel(bytes.NewReader(checkpointFile(t, dir))); err != nil || exact {
 		t.Fatalf("parallel pass over a repeated peer: exact=%v err=%v", exact, err)
+	}
+}
+
+// countingReader is a checkpoint source that counts, for each byte, the
+// reads that returned it.
+type countingReader struct {
+	r     *bytes.Reader
+	reads []int
+}
+
+func (c *countingReader) Read(b []byte) (int, error) {
+	at := int(c.r.Size()) - c.r.Len()
+	n, err := c.r.Read(b)
+	for i := range n {
+		c.reads[at+i]++
+	}
+	return n, err
+}
+
+func (c *countingReader) Seek(off int64, whence int) (int64, error) { return c.r.Seek(off, whence) }
+
+// TestCheckpointReadOnce: a checkpoint whose sections name peers twice is
+// read once, by a durable open and by a catch-up restore alike: no byte of
+// its first section is read a second time, for the builders settle each
+// such peer themselves.
+func TestCheckpointReadOnce(t *testing.T) {
+	entries := func(lm topology.NodeID, n int) []op.JoinEntry {
+		out := make([]op.JoinEntry, n)
+		for i := range out {
+			out[i] = op.JoinEntry{Peer: pathtree.PeerID(i + 1), Path: synthPath(lm, i)}
+		}
+		return out
+	}
+	// 2 000 peers under landmark 0, the first 50 of them again, later,
+	// under landmark 100, which four shards deal to another shard.
+	file := checkpointBytes(t, op.BatchJoin(entries(0, 2000), 10), op.BatchJoin(entries(100, 50), 20))
+	// The first section is the frame after the magic and the header frame.
+	start := 8 + 8 + int(binary.BigEndian.Uint32(file[8:]))
+	end := start + 8 + int(binary.BigEndian.Uint32(file[start:]))
+	for _, tc := range []struct {
+		name string
+		load func(r io.ReadSeeker) (*Cluster, error)
+	}{
+		{"durable open", func(r io.ReadSeeker) (*Cluster, error) {
+			dir := t.TempDir()
+			c, err := New(Config{Landmarks: testLandmarks, Shards: 4, NoSync: true})
+			if err != nil {
+				return nil, err
+			}
+			c.cfg.DataDir = dir // New opened nothing: the open is recoverFrom's, from r
+			if err := c.recoverFrom(r, 0); err != nil {
+				return nil, err
+			}
+			t.Cleanup(func() { c.Close() })
+			return c, nil
+		}},
+		{"catch-up restore", func(r io.ReadSeeker) (*Cluster, error) {
+			c := newTestCluster(t, 4)
+			return c, c.ResetFromSnapshot(r)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := &countingReader{r: bytes.NewReader(file), reads: make([]int, len(file))}
+			c, err := tc.load(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.NumPeers() != 2000 {
+				t.Fatalf("%d peers, want 2000", c.NumPeers())
+			}
+			for i := start; i < end; i++ {
+				if r.reads[i] > 1 {
+					t.Fatalf("byte %d of the first section (bytes %d to %d) was read %d times", i, start, end, r.reads[i])
+				}
+			}
+		})
 	}
 }
 
