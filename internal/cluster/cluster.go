@@ -81,20 +81,24 @@
 //
 // A checkpoint can name one peer in two sections: it walks one tree at a
 // time while the others take writes, so a peer re-homed between two trees'
-// walks is written under both. The builders count the peers they register;
-// a count short of the end frame's total means the pass cannot vouch for
-// its state, and the whole open goes again through the serial road, which
-// builds the sections one after another and keeps the record with the
-// later refresh time (the later section's on a tie), retiring the other;
-// the log tail settles the rest (TestParallelLoadRepeatedPeerFallsBack,
-// TestResetFromDuplicateNamingSnapshot; TestCheckpointUnderWriters crashes
-// a node checkpointing beside writers and expiry sweeps, and logs how many
-// of its recoveries fell back). The tail's pass counts the same way at every
-// serial record and at the end. The load checks structure, not paths: a
+// walks is written under both. A builder that finds the peer registered
+// already notes the record it displaced; once every builder is done, one
+// pass keeps of each such peer the record with the later refresh time (the
+// later section's on a tie) and retires the others, and the log tail
+// settles the rest. There is one load road, and it reads the file once
+// (TestRepeatedPeerLoadKeepsNewerRecord,
+// TestResetFromDuplicateNamingSnapshot, TestCheckpointReadOnce;
+// TestCheckpointUnderWriters crashes a node checkpointing beside writers
+// and expiry sweeps, and logs how many of its checkpoints named a peer
+// twice). The tail's pass counts the peers it registers at every serial
+// record and at the end, and when a count falls short it loads the
+// checkpoint again and replays the tail serially. The load checks
+// structure, not paths: a
 // section deeper than the trie's one-byte depth, with a router repeated on
 // a path from the landmark or anonymous, siblings out of order, counts other
 // than the header's, or a peer repeated within it fails the open before
-// anything is published (TestRefusedLoadLeavesNoApplier), and so does a
+// anything is published (TestRefusedLoadLeavesNoApplier,
+// TestSectionRepeatRefusedOnFourShards), and so does a
 // section of a landmark the node does not serve. The log's tail can only be
 // torn, and recovered state is a prefix of the committed order (package
 // wal); a checkpoint, which is only ever renamed into place whole, gets no
@@ -215,10 +219,9 @@ type Config struct {
 	PeerTTL       time.Duration
 	Clock         func() time.Time
 
-	// serialLoad makes a durable open load its checkpoint and replay its
-	// log tail through the serial road alone (loadCheckpoint, then the tail
-	// record by record): the reference the shard-parallel pass is compared
-	// against in tests.
+	// serialLoad makes a durable open replay its log tail record by record,
+	// with no appliers: the serial road, the reference tests hold the
+	// shard-parallel tail pass to. The checkpoint loads as on every open.
 	serialLoad bool
 }
 

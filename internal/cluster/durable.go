@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"proxdisc/internal/op"
+	"proxdisc/internal/pathtree"
 	"proxdisc/internal/proto"
 	"proxdisc/internal/server"
 	"proxdisc/internal/wal"
@@ -52,20 +53,21 @@ func (c *Cluster) Durable() bool { return c.log != nil }
 // latest checkpoint plus the write-ahead log tail, and arms the background
 // checkpointer. Called by New before the cluster is visible to anyone.
 //
-// The checkpoint is read before the log is opened and must be good to its
-// end frame: a truncated or corrupt file, one in the op-stream or gob
+// The checkpoint is read before the log is opened, once, and must be good
+// to its end frame: a truncated or corrupt file, one in the op-stream or gob
 // format that preceded tree sections, or one that names a landmark this
 // configuration lacks fails the open with nothing on disk touched. Each
-// shard's builder loads the checkpoint's sections of its landmarks (restore,
-// the step ResetFromSnapshot takes too); then one shardLoader reads the
-// tail: batch joins of peers the index does not hold apply shard-parallel,
-// every other record serially between them. When either pass cannot vouch
-// for its state — a peer in two sections, or named twice among the
+// shard's builder loads the checkpoint's sections of its landmarks, and a
+// peer named in two sections is settled once they are done (restore, the
+// step ResetFromSnapshot takes too; TestCheckpointReadOnce). Then one
+// shardLoader reads the tail: batch joins of peers the index does not hold
+// apply shard-parallel, every other record serially between them. When
+// that pass cannot vouch for its state — a peer named twice among the
 // appliers' entries — the state is discarded (the shards' counters keep
-// what it counted) and the whole open goes through the serial road, which
-// is the reference the parallel one must equal: loadCheckpoint, then the
-// tail record by record. The log reads its records from the files, so the
-// tail can be replayed twice.
+// what it counted), the checkpoint is loaded again (reload) and the tail
+// replays record by record: the serial road, the reference the parallel
+// pass must equal. The log reads its records from the files, so the tail
+// can be replayed twice.
 func (c *Cluster) openDurable() error {
 	snap, snapSeq, hasSnap, err := wal.OpenLatestSnapshot(c.cfg.DataDir)
 	if err != nil {
@@ -81,13 +83,11 @@ func (c *Cluster) openDurable() error {
 // recoverFrom is openDurable past the checkpoint's opening: ckpt, nil when
 // the directory holds none, covers the log up to snapSeq.
 func (c *Cluster) recoverFrom(ckpt io.ReadSeeker, snapSeq uint64) error {
-	var err error
 	l := &shardLoader{c: c}
 	defer l.stop()
-	exact := !c.cfg.serialLoad // the parallel pass vouches for the state so far
 	if ckpt != nil {
 		loadStart := time.Now()
-		if exact, err = c.restore(l, ckpt); err != nil {
+		if err := c.restore(ckpt, l.named.addShared()); err != nil {
 			return fmt.Errorf("cluster: checkpoint %d: %w", snapSeq, err)
 		}
 		c.loadNanos.Store(int64(time.Since(loadStart)))
@@ -113,8 +113,9 @@ func (c *Cluster) recoverFrom(ckpt io.ReadSeeker, snapSeq uint64) error {
 		return err
 	}
 	// On a fallback from the tail, the replay time covers the checkpoint's
-	// serial reload too.
+	// reload too.
 	replayStart := time.Now()
+	exact := !c.cfg.serialLoad
 	if exact {
 		if exact, err = l.replay(log, snapSeq); err == nil && !exact {
 			err = c.reload(ckpt)
@@ -163,25 +164,16 @@ func replayTail(log *wal.Sharded, after uint64, apply func(o *op.Op) error) erro
 
 // restore loads a checkpoint, good to its end frame, into c, which holds no
 // state yet: the first step of a durable open and ResetFromSnapshot's
-// loader. The shard-parallel pass builds each shard's trees on a goroutine
-// of its own and tells l every peer it loads, so the tail's pass knows them;
-// when the pass cannot vouch for its state, or Config.serialLoad asks for
-// the reference road, reload reads the checkpoint again from its start
-// through the serial road. exact reports whether the parallel pass vouched
-// for the state, which a log tail read through l may then extend.
-func (c *Cluster) restore(l *shardLoader, ckpt io.ReadSeeker) (exact bool, err error) {
-	if exact = !c.cfg.serialLoad; exact {
-		exact, err = server.LoadSnapshot(ckpt, c.servers(), c.shardOf, true, l.named.addShared())
-	}
-	if err == nil && !exact {
-		err = c.reload(ckpt)
-	}
-	return exact, err
+// loader. The shards' builders load their sections side by side and settle
+// a peer named in two sections (server.LoadSnapshot); onPeer, when not nil,
+// is told every peer they load: a durable open's tail pass must know them.
+func (c *Cluster) restore(ckpt io.ReadSeeker, onPeer func(pathtree.PeerID)) error {
+	return server.LoadSnapshot(ckpt, c.servers(), c.shardOf, onPeer)
 }
 
-// reload discards the state a parallel pass built — the shards' counters
-// keep what it counted — and loads the checkpoint, if there is one, again
-// from its start through the serial road.
+// reload discards the state a parallel tail pass built — the shards'
+// counters keep what it counted — and loads the checkpoint, if there is
+// one, again from its start, for the tail to replay serially over.
 func (c *Cluster) reload(ckpt io.ReadSeeker) error {
 	empty, err := New(c.sideConfig())
 	if err != nil {
@@ -197,17 +189,7 @@ func (c *Cluster) reload(ckpt io.ReadSeeker) error {
 	if _, err := ckpt.Seek(0, io.SeekStart); err != nil {
 		return err
 	}
-	return c.loadCheckpoint(ckpt)
-}
-
-// loadCheckpoint builds the shards' trees from a checkpoint, good to its end
-// frame, one section after another (server.LoadSnapshot without its
-// parallel pass): the serial road, the reference the shard-parallel pass is
-// held to, and its fallback. Every landmark the checkpoint holds must be one
-// the cluster serves, and stays on the shard New dealt it.
-func (c *Cluster) loadCheckpoint(r io.ReadSeeker) error {
-	_, err := server.LoadSnapshot(r, c.servers(), c.shardOf, false, nil)
-	return err
+	return c.restore(ckpt, nil)
 }
 
 // applyRecovered replays one record of the log's tail through the normal
@@ -229,12 +211,14 @@ func (c *Cluster) applyRecovered(o op.Op) error {
 
 // ResetFromSnapshot replaces the cluster's whole state — trees and peer
 // index — with a checkpoint's: a follower's catch-up restore. The checkpoint
-// is loaded into a cluster built off to the side by the durable open's own
-// step (restore: the shard-parallel pass, and the serial road when the pass
-// cannot vouch for its state, which reads r a second time), and published
-// (adopt) only once all of it, end frame included, has applied; a bad one
-// leaves the previous state. A durable cluster refuses: its log would no
-// longer describe it.
+// is read once, into a cluster built off to the side, by the durable open's
+// own step (restore: the shards' builders side by side, a peer named in two
+// sections settled after them; TestResetFromDuplicateNamingSnapshot,
+// TestCheckpointReadOnce), and published (adopt) only once all of it, end
+// frame included, has loaded; a bad one leaves the previous state. It reads
+// no log tail, so it tells no tail pass the peers it loads
+// (TestCatchupRestoreBuildsNoTailFilter). A durable cluster refuses: its
+// log would no longer describe it.
 func (c *Cluster) ResetFromSnapshot(r io.ReadSeeker) error {
 	if c.log != nil {
 		return errors.New("cluster: ResetFromSnapshot on a durable cluster")
@@ -243,10 +227,7 @@ func (c *Cluster) ResetFromSnapshot(r io.ReadSeeker) error {
 	if err != nil {
 		return err
 	}
-	l := &shardLoader{c: fresh}
-	_, err = fresh.restore(l, r)
-	l.stop()
-	if err != nil {
+	if err := fresh.restore(r, nil); err != nil {
 		return fmt.Errorf("cluster: snapshot: %w", err)
 	}
 	c.adopt(fresh)

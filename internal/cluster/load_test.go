@@ -131,14 +131,6 @@ func checkpointBytes(t testing.TB, ops ...op.Op) []byte {
 	return buf.Bytes()
 }
 
-// loadCheckpointParallel builds a checkpoint into c through the shards'
-// parallel builders alone and reports whether the pass vouches for the
-// state it built; when it does not, the state may differ from
-// loadCheckpoint's. On return no builder is left running, error or not.
-func (c *Cluster) loadCheckpointParallel(r io.ReadSeeker) (exact bool, err error) {
-	return server.LoadSnapshot(r, c.servers(), c.shardOf, true, nil)
-}
-
 // assertSameState fails unless got holds want's state: the same fresh
 // snapshot bytes, peer count, records, placement, and the answers of a
 // sample of lookups.
@@ -235,8 +227,8 @@ func buildLoadFixture(t *testing.T, dir string, shards, n int) []byte {
 	return want
 }
 
-// reopen opens a copy of the data directory src, through the serial road
-// alone when serial is set.
+// reopen opens a copy of the data directory src, replaying its log tail
+// serially when serial is set.
 func reopen(t *testing.T, src string, shards int, serial bool) *Cluster {
 	t.Helper()
 	dir := t.TempDir()
@@ -251,56 +243,44 @@ func reopen(t *testing.T, src string, shards int, serial bool) *Cluster {
 	return c
 }
 
-// TestParallelLoadMatchesSerialLoad pins the shard-parallel checkpoint load
-// to the serial road, on four shards and on three, where one shard holds
-// several landmarks: the two reopened nodes hold the same state, and the
-// parallel pass vouches for its result rather than falling back.
+// TestParallelLoadMatchesSerialLoad pins the checkpoint load, one builder
+// per shard, to the checkpointed state: reopened on four shards, on three,
+// where one shard holds several landmarks, and on one, whose one builder
+// loads the sections one after another, a node writes the snapshot bytes
+// it held before, super-peers included.
 func TestParallelLoadMatchesSerialLoad(t *testing.T) {
-	for _, shards := range []int{4, 3} {
+	for _, shards := range []int{4, 3, 1} {
 		t.Run(fmt.Sprintf("%d shards", shards), func(t *testing.T) {
 			src := t.TempDir()
 			before := buildLoadFixture(t, src, shards, 20_000)
-			file := checkpointFile(t, src)
-
-			serial := reopen(t, src, shards, true)
+			c := reopen(t, src, shards, false)
 			supers := 0
-			for _, p := range serial.Peers() {
-				if info, err := serial.PeerInfo(p); err == nil && info.SuperPeer {
+			for _, p := range c.Peers() {
+				if info, err := c.PeerInfo(p); err == nil && info.SuperPeer {
 					supers++
 				}
 			}
 			if supers == 0 {
 				t.Fatal("fixture: no super-peer")
 			}
-			parallel := reopen(t, src, shards, false)
-			if !bytes.Equal(snapshotOf(t, serial), before) {
-				t.Fatal("the serial road did not recover the checkpointed state")
+			if !bytes.Equal(snapshotOf(t, c), before) {
+				t.Fatal("the reopened node does not hold the checkpointed state")
 			}
-			if parallel.DurabilityStats().LoadTime <= 0 {
+			if c.DurabilityStats().LoadTime <= 0 {
 				t.Fatal("no load time on a recovered node")
 			}
-			assertSameState(t, serial, parallel, "parallel load")
-
-			// The parallel pass alone, with no fallback behind it.
-			fresh, err := New(Config{Landmarks: testLandmarks, Shards: shards})
-			if err != nil {
+			if err := checkIndex(c); err != nil {
 				t.Fatal(err)
 			}
-			exact, err := fresh.loadCheckpointParallel(bytes.NewReader(file))
-			if err != nil || !exact {
-				t.Fatalf("parallel pass: exact=%v err=%v", exact, err)
-			}
-			assertSameState(t, serial, fresh, "parallel pass")
 		})
 	}
 }
 
-// TestParallelLoadRepeatedPeerFallsBack: a checkpoint that names a peer
-// twice, in sections of landmarks on different shards, recovers as the
-// serial road recovers it — the record with the later refresh time wins,
-// whichever section holds it — though the parallel pass alone cannot say
-// which one its builders let win.
-func TestParallelLoadRepeatedPeerFallsBack(t *testing.T) {
+// TestRepeatedPeerLoadKeepsNewerRecord: a checkpoint that names a peer
+// twice, in sections of landmarks on different shards, loads with the
+// record with the later refresh time, whichever section holds it, and the
+// other retired — on a durable open and on a catch-up restore alike.
+func TestRepeatedPeerLoadKeepsNewerRecord(t *testing.T) {
 	dir := t.TempDir()
 	ops := []op.Op{
 		op.BatchJoin([]op.JoinEntry{{Peer: 4, Addr: "10.0.0.4:41", Path: synthPath(100, 6)}}, 5),
@@ -315,37 +295,36 @@ func TestParallelLoadRepeatedPeerFallsBack(t *testing.T) {
 		op.BatchJoin([]op.JoinEntry{{Peer: 4, Addr: "10.0.0.40:41", Path: synthPath(0, 6)}}, 30),
 	}
 	writeCheckpointFile(t, dir, ops...)
-	c := reopen(t, dir, 2, false)
-	from := c.table[0]
-	if to := c.table[100]; to == from {
-		t.Fatalf("landmarks 0 and 100 share shard %d", to)
-	}
-	if c.NumPeers() != 4 {
-		t.Fatalf("%d peers, want 4", c.NumPeers())
-	}
-	for p, want := range map[pathtree.PeerID]server.PeerInfo{
-		1: {Landmark: 100, Addr: "10.0.0.9:41", LastRefresh: time.Unix(0, 20)}, // the later section's
-		4: {Landmark: 0, Addr: "10.0.0.40:41", LastRefresh: time.Unix(0, 30)},  // the earlier section's
-	} {
-		info, err := c.PeerInfo(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if info.Landmark != want.Landmark || info.Addr != want.Addr || !info.LastRefresh.Equal(want.LastRefresh) {
-			t.Fatalf("peer %d recovered as %+v, want the newer record's", p, info)
-		}
-	}
-	if n := c.shards[from].srv.NumPeers(); n != 2 {
-		t.Fatalf("landmark 0's shard holds %d peers, want 2", n)
-	}
-	assertSameState(t, reopen(t, dir, 2, true), c, "fallback")
-
-	fresh, err := New(Config{Landmarks: testLandmarks, Shards: 2})
-	if err != nil {
+	reset := newTestCluster(t, 2)
+	if err := reset.ResetFromSnapshot(bytes.NewReader(checkpointFile(t, dir))); err != nil {
 		t.Fatal(err)
 	}
-	if exact, err := fresh.loadCheckpointParallel(bytes.NewReader(checkpointFile(t, dir))); err != nil || exact {
-		t.Fatalf("parallel pass over a repeated peer: exact=%v err=%v", exact, err)
+	for name, c := range map[string]*Cluster{"durable open": reopen(t, dir, 2, false), "catch-up restore": reset} {
+		from := c.table[0]
+		if to := c.table[100]; to == from {
+			t.Fatalf("landmarks 0 and 100 share shard %d", to)
+		}
+		if c.NumPeers() != 4 {
+			t.Fatalf("%s: %d peers, want 4", name, c.NumPeers())
+		}
+		for p, want := range map[pathtree.PeerID]server.PeerInfo{
+			1: {Landmark: 100, Addr: "10.0.0.9:41", LastRefresh: time.Unix(0, 20)}, // the later section's
+			4: {Landmark: 0, Addr: "10.0.0.40:41", LastRefresh: time.Unix(0, 30)},  // the earlier section's
+		} {
+			info, err := c.PeerInfo(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info.Landmark != want.Landmark || info.Addr != want.Addr || !info.LastRefresh.Equal(want.LastRefresh) {
+				t.Fatalf("%s: peer %d loaded as %+v, want the newer record's", name, p, info)
+			}
+		}
+		if n := c.shards[from].srv.NumPeers(); n != 2 {
+			t.Fatalf("%s: landmark 0's shard holds %d peers, want 2", name, n)
+		}
+		if err := checkIndex(c); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 	}
 }
 
@@ -422,6 +401,92 @@ func TestCheckpointReadOnce(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// treesFile writes trees, ascending by landmark, as a snapshot framed the
+// way server.WriteSnapshot frames its servers' trees: a test may build a
+// tree no server would hold.
+func treesFile(t *testing.T, trees ...*pathtree.Core) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	sw := op.NewStreamWriter(&buf)
+	head := binary.BigEndian.AppendUint32(nil, uint32(len(trees)))
+	for _, tree := range trees {
+		head = binary.BigEndian.AppendUint32(head, uint32(tree.Landmark()))
+	}
+	sw.Write(head)
+	var nodes, peers uint64
+	for _, tree := range trees {
+		sec, cuts := tree.AppendSection(nil, nil, op.MaxEncodedSize)
+		h, err := pathtree.ParseSectionHeader(sec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes, peers = nodes+uint64(h.Nodes), peers+uint64(h.Peers)
+		prev := 0
+		for _, cut := range append(cuts, len(sec)) {
+			sw.Write(sec[prev:cut])
+			prev = cut
+		}
+	}
+	if err := sw.Close(nodes, peers); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestSectionRepeatRefusedOnFourShards: a peer named twice in one section,
+// as its first and its last record, and once more, newer, in the middle of
+// a section another shard's builder loads, is refused by each of 50
+// restores onto four shards and by a durable open, however the builders'
+// registrations interleave; a refused restore leaves the state it found.
+func TestSectionRepeatRefusedOnFourShards(t *testing.T) {
+	a, b := pathtree.NewCore(0), pathtree.NewCore(100)
+	for i := range 2000 {
+		a.Join(pathtree.PeerID(i+2), synthPath(0, i), 0, nil)
+		b.Join(pathtree.PeerID(i+5000), synthPath(100, i), 0, nil)
+	}
+	// Landmark 0's routers are 1 000 001 on; landmark 100's 101 000 001 on,
+	// 101 000 004 the fourth of its root's eight children.
+	for _, at := range []struct {
+		tree *pathtree.Core
+		path []topology.NodeID
+		time int64
+	}{
+		{a, []topology.NodeID{999_999, 0}, 5},
+		{a, []topology.NodeID{1_500_000, 0}, 6},
+		{b, []topology.NodeID{105_000_000, 101_000_004, 100}, 9},
+	} {
+		slot, _ := at.tree.Join(1, at.path, 0, nil)
+		at.tree.Record(slot).RefreshNanos = at.time
+	}
+	file := treesFile(t, a, b)
+
+	c := newTestCluster(t, 4)
+	populate(t, c, 64)
+	held := snapshotOf(t, c)
+	for try := range 50 {
+		err := c.ResetFromSnapshot(bytes.NewReader(file))
+		if err == nil || !strings.Contains(err.Error(), "peer 1 repeats in landmark 0's section") {
+			t.Fatalf("restore %d: %v, want peer 1 refused as repeating in landmark 0's section", try, err)
+		}
+	}
+	if !bytes.Equal(held, snapshotOf(t, c)) {
+		t.Fatal("a refused restore changed the state")
+	}
+	dir := t.TempDir()
+	if err := wal.WriteSnapshot(dir, 0, func(w io.Writer) error {
+		_, err := w.Write(file)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if d, err := New(durableConfig(dir, 4)); err == nil {
+		d.Close()
+		t.Fatal("a durable open took a section naming a peer twice")
+	} else if !strings.Contains(err.Error(), "repeats") {
+		t.Fatalf("a durable open refused with %v, want the repeat named", err)
 	}
 }
 

@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"reflect"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -430,10 +432,10 @@ func TestOpStreamCheckpointRefused(t *testing.T) {
 // the durable open's checkpoint step. A snapshot naming peers in two
 // sections, of landmarks on different shards — what a checkpoint taken
 // beside re-homing writers holds (TestCheckpointUnderWriters logs how
-// often) — restores onto four shards into the serial road's state, the
-// record with the later refresh time winning, and re-snapshots to the
-// serial road's bytes, however the builders' timing sends the pass. A clean
-// snapshot restores the same way, to its own bytes.
+// often) — restores onto four shards into the state a rule of the test's
+// own derives from the ops that built it, and re-snapshots to that state's
+// bytes, however the builders' timing runs. A clean snapshot restores the
+// same way, to its own bytes.
 func TestResetFromDuplicateNamingSnapshot(t *testing.T) {
 	const shards, runs, width = 4, 8, 64
 	var ops []op.Op
@@ -455,33 +457,59 @@ func TestResetFromDuplicateNamingSnapshot(t *testing.T) {
 	ops = append(ops, op.BatchJoin(rehomed, 100), op.SetSuperPeer(8, true))
 	file := checkpointBytes(t, ops...)
 
-	restored := func(data []byte, serial bool) *Cluster {
-		t.Helper()
-		c, err := New(Config{Landmarks: testLandmarks, Shards: shards, serialLoad: serial})
-		if err != nil {
+	// The rule: a peer's records are its last entry under each landmark,
+	// and of those the newest wins, the later landmark's on a tie.
+	type record struct {
+		e  op.JoinEntry
+		at int64
+	}
+	records := make(map[pathtree.PeerID]map[topology.NodeID]record)
+	for _, o := range ops {
+		for _, e := range o.Batch {
+			if records[e.Peer] == nil {
+				records[e.Peer] = make(map[topology.NodeID]record)
+			}
+			records[e.Peer][e.Path[len(e.Path)-1]] = record{e, o.Time}
+		}
+	}
+	want := newTestCluster(t, shards)
+	for _, byLandmark := range records {
+		var win record
+		for _, lm := range slices.Sorted(maps.Keys(byLandmark)) {
+			if r := byLandmark[lm]; r.at >= win.at {
+				win = r
+			}
+		}
+		if err := want.Apply(op.BatchJoin([]op.JoinEntry{win.e}, win.at)); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := want.SetSuperPeer(8, true); err != nil {
+		t.Fatal(err)
+	}
+	info, err := want.PeerInfo(1)
+	if err != nil || info.Landmark != testLandmarks[2] || info.LastRefresh.UnixNano() != 100 {
+		t.Fatalf("the rule: peer 1 is %+v (%v), want the later entry's", info, err)
+	}
+
+	restored := func(data []byte) *Cluster {
+		t.Helper()
+		c := newTestCluster(t, shards)
 		if err := c.ResetFromSnapshot(bytes.NewReader(data)); err != nil {
 			t.Fatal(err)
 		}
 		return c
 	}
-	want := restored(file, true)
-	if want.NumPeers() != runs*width {
-		t.Fatalf("serial road: %d peers, want %d", want.NumPeers(), runs*width)
-	}
-	info, err := want.PeerInfo(1)
-	if err != nil || info.Landmark != testLandmarks[2] || info.LastRefresh.UnixNano() != 100 {
-		t.Fatalf("serial road: peer 1 is %+v (%v), want the later entry's", info, err)
-	}
 	for i := 0; i < 10; i++ {
-		assertSameState(t, want, restored(file, false), fmt.Sprintf("duplicate-naming restore %d", i))
+		got := restored(file)
+		assertSameState(t, want, got, fmt.Sprintf("duplicate-naming restore %d", i))
+		if err := checkIndex(got); err != nil {
+			t.Fatalf("duplicate-naming restore %d: %v", i, err)
+		}
 	}
 
 	clean := snapshotOf(t, want)
-	got := restored(clean, false)
-	assertSameState(t, restored(clean, true), got, "clean restore")
-	if !bytes.Equal(clean, snapshotOf(t, got)) {
+	if !bytes.Equal(clean, snapshotOf(t, restored(clean))) {
 		t.Fatal("a clean snapshot restored to other bytes")
 	}
 }

@@ -68,8 +68,9 @@ import (
 // does not. The stream is deduplicated by sequence, so the primary is free
 // to hand it overlapping ranges (the WAL tail re-read after a reconnect).
 // A shipped checkpoint is restored by the road a durable open loads its
-// own (cluster.Cluster.ResetFromSnapshot): the shard-parallel pass, the
-// serial one when the pass cannot vouch for its state, then one
+// own (cluster.Cluster.ResetFromSnapshot): one builder per shard, a peer
+// named in two sections settled after them, the file read once
+// (TestResetFromDuplicateNamingSnapshot, TestCheckpointReadOnce), then one
 // publication. The restore replaces the copy rather than merging, so peers
 // that departed during the outage disappear from the follower too — and
 // only once the whole shipped stream, end frame included, has read
@@ -95,8 +96,8 @@ type FollowerBackend interface {
 	// Apply applies one committed op.
 	Apply(o op.Op) error
 	// ResetFromSnapshot replaces the entire local state with the
-	// snapshot's. A cluster's restore may read the snapshot twice (its
-	// serial fallback starts again from the top), so the reader seeks.
+	// snapshot's. The reader seeks because a checkpoint's end frame, read
+	// first, closes the file.
 	ResetFromSnapshot(r io.ReadSeeker) error
 }
 

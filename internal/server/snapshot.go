@@ -113,94 +113,79 @@ var errMalformed = errors.New("server: malformed snapshot")
 // server (an index into srvs) that takes a landmark the snapshot holds, or
 // refuses the landmark; a server that lacks the landmark's tree gets it.
 //
-// With parallel set, one goroutine per server builds the trees of the
-// sections it takes, straight from their frames, and registers each peer in
-// the index, reserved once for the end frame's total (or for the peers the
-// file could hold, if fewer); onPeer, when not nil, is told every peer, from
-// those goroutines. A peer in two sections leaves the index short of that
-// total, and exact then reports that the pass cannot vouch for its state:
-// the caller discards it and loads again without parallel. That road builds
-// the sections one after another, in file order, and of a peer named twice
-// keeps the record with the later refresh time, the later section's on a
-// tie, and retires the other (Retire). Either road refuses, before the
-// caller publishes anything, a section ReadSection refuses, a peer that
-// repeats within one section (TestRefusedLoadLeavesNoApplier), a landmark
-// place refuses, sections out of the header's order, and totals other than
-// the sections'.
-func LoadSnapshot(r io.ReadSeeker, srvs []*Server, place func(topology.NodeID) (int, error), parallel bool, onPeer func(pathtree.PeerID)) (exact bool, err error) {
+// One goroutine per server builds the trees of the sections it takes,
+// straight from their frames, and registers each peer in the index,
+// reserved once for the end frame's total (or for the peers the file could
+// hold, if fewer); onPeer, when not nil, is told every peer, from those
+// goroutines. A peer in two sections is settled once the builders are done
+// (settle): the record with the later refresh time wins, the later
+// section's on a tie, and the other is retired (Retire). LoadSnapshot
+// refuses, before the caller publishes anything, a section ReadSection
+// refuses, a peer that repeats within one section (TestResetFromSnapshot,
+// TestSectionRepeatRefusedOnFourShards), a landmark place refuses, sections
+// out of the header's order, and totals other than the sections'.
+func LoadSnapshot(r io.ReadSeeker, srvs []*Server, place func(topology.NodeID) (int, error), onPeer func(pathtree.PeerID)) error {
 	sr, err := op.NewStreamReader(r)
 	if err != nil {
-		return false, err
+		return err
 	}
 	head, err := sr.Next(nil)
 	if err != nil {
-		return false, noEnd(err)
+		return noEnd(err)
 	}
 	l := &loader{srvs: srvs, idx: srvs[0].st.idx, owner: make(map[topology.NodeID]int), onPeer: onPeer}
 	lms, err := readHeader(head)
 	if err != nil {
-		return false, err
+		return err
 	}
 	for _, lm := range lms {
 		if l.owner[lm], err = place(lm); err != nil {
-			return false, err
+			return err
 		}
 	}
 	// A total the file cannot hold reserves no more than the peers it
 	// could: no peer takes fewer than MinPeerItem bytes of it.
 	l.idx.Reserve(int(min(sr.Peers, uint64(sr.Size())/pathtree.MinPeerItem)))
-	if parallel {
-		l.start()
-		defer l.stop()
-	}
+	l.start()
+	defer l.stop()
 	var nodes, peers uint64
 	for _, lm := range lms {
 		first, err := sr.Next(nil)
 		if err != nil {
-			return false, noEnd(err)
+			return noEnd(err)
 		}
 		h, err := pathtree.ParseSectionHeader(first)
 		if err != nil {
-			return false, err
+			return err
 		}
 		if h.Landmark != lm {
-			return false, fmt.Errorf("%w: a section of landmark %d where the header lists %d", errMalformed, h.Landmark, lm)
+			return fmt.Errorf("%w: a section of landmark %d where the header lists %d", errMalformed, h.Landmark, lm)
 		}
 		frames := [][]byte{first}
 		for len(frames) < h.Frames {
 			f, err := sr.Next(nil)
 			if err != nil {
-				return false, noEnd(err)
+				return noEnd(err)
 			}
 			frames = append(frames, f)
 		}
 		nodes, peers = nodes+uint64(h.Nodes), peers+uint64(h.Peers)
-		if parallel {
-			l.queues[l.owner[lm]] <- section{lm, frames}
-		} else if err := l.build(section{lm, frames}, false); err != nil {
-			return false, err
-		}
+		l.queues[l.owner[lm]] <- section{lm, frames}
 	}
 	if _, err := sr.Next(nil); err != io.EOF {
 		if err == nil {
 			err = fmt.Errorf("%w: a frame after the last section", errMalformed)
 		}
-		return false, err
+		return err
 	}
 	if nodes != sr.Nodes || peers != sr.Peers {
-		return false, fmt.Errorf("%w: sections of %d nodes and %d peers, the end frame says %d and %d",
+		return fmt.Errorf("%w: sections of %d nodes and %d peers, the end frame says %d and %d",
 			errMalformed, nodes, peers, sr.Nodes, sr.Peers)
 	}
-	if !parallel {
-		for _, o := range l.losers {
-			_, _ = l.srvs[l.owner[o.Landmark]].Retire(o)
-		}
-		return false, nil
-	}
 	if err := l.stop(); err != nil {
-		return false, err
+		return err
 	}
-	return l.idx.Len() == int(sr.Peers), nil
+	return l.settle()
 }
 
 // noEnd names an end frame met where a frame was due.
@@ -234,22 +219,23 @@ type section struct {
 	frames [][]byte
 }
 
-// loader is LoadSnapshot's state: the servers, the goroutine per server of
-// the parallel road and the records the serial road retires at its end.
+// loader is LoadSnapshot's state: the servers, their builders, and the
+// records each builder found its peer's entry naming.
 type loader struct {
-	srvs   []*Server
-	idx    *Index
-	owner  map[topology.NodeID]int // the server each held landmark goes to
-	onPeer func(pathtree.PeerID)
-	queues []chan section
-	errs   []error
-	wg     sync.WaitGroup
-	losers []Orphan
+	srvs      []*Server
+	idx       *Index
+	owner     map[topology.NodeID]int // the server each held landmark goes to
+	onPeer    func(pathtree.PeerID)
+	queues    []chan section
+	errs      []error
+	displaced [][]Orphan
+	wg        sync.WaitGroup
 }
 
 // start runs one builder per server, fed by its queue.
 func (l *loader) start() {
-	l.queues, l.errs = make([]chan section, len(l.srvs)), make([]error, len(l.srvs))
+	n := len(l.srvs)
+	l.queues, l.errs, l.displaced = make([]chan section, n), make([]error, n), make([][]Orphan, n)
 	for i := range l.srvs {
 		q := make(chan section, 1)
 		l.queues[i] = q
@@ -258,7 +244,7 @@ func (l *loader) start() {
 			defer l.wg.Done()
 			for sec := range q {
 				if l.errs[i] == nil {
-					l.errs[i] = l.build(sec, true)
+					l.errs[i] = l.build(sec, &l.displaced[i])
 				}
 			}
 		}()
@@ -284,28 +270,14 @@ func (l *loader) stop() error {
 }
 
 // build builds a section's tree, registers its peers and gives the tree to
-// its server. Each peer's entry is pointed at its record as it is read, so
-// while a section is read the index names its latest record of every peer
-// it holds, and a second record of one peer meets the first. On the
-// parallel road that is all (a count short of the total tells of a peer
-// another section named); on the serial one a peer an earlier section
-// named keeps the record with the later refresh time, and the entries of
-// the section's losing records go back to their winners once it is read.
-func (l *loader) build(sec section, parallel bool) error {
+// its server. Each peer's entry is pointed at its record as it is read; a
+// record the entry named before — of this section or of another, loaded in
+// whatever order the builders ran — goes to displaced, for settle.
+func (l *loader) build(sec section, displaced *[]Orphan) error {
 	s := l.srvs[l.owner[sec.lm]]
-	var back []Orphan // earlier sections' records that beat this one's
 	tree, err := pathtree.ReadSection(sec.frames, func(slot int32, rec *pathtree.Record) error {
-		old, had := l.idx.swap(rec.ID, ref{sec.lm, slot})
-		switch {
-		case had && old.lm == sec.lm:
-			return fmt.Errorf("%w: peer %d repeats in landmark %d's section", errMalformed, rec.ID, sec.lm)
-		case had && !parallel:
-			if held := l.srvs[l.owner[old.lm]].st.trees[old.lm].Record(old.slot); rec.RefreshNanos >= held.RefreshNanos {
-				l.losers = append(l.losers, Orphan{rec.ID, old.lm, old.slot})
-			} else {
-				back = append(back, Orphan{rec.ID, old.lm, old.slot})
-				l.losers = append(l.losers, Orphan{rec.ID, sec.lm, slot})
-			}
+		if old, had := l.idx.swap(rec.ID, ref{sec.lm, slot}); had {
+			*displaced = append(*displaced, Orphan{rec.ID, old.lm, old.slot})
 		}
 		if l.onPeer != nil {
 			l.onPeer(rec.ID)
@@ -314,9 +286,6 @@ func (l *loader) build(sec section, parallel bool) error {
 	})
 	if err != nil {
 		return err
-	}
-	for _, o := range back {
-		l.idx.swap(o.Peer, ref{o.Landmark, o.slot})
 	}
 	s.wmu.Lock()
 	s.mu.Lock()
@@ -327,17 +296,57 @@ func (l *loader) build(sec section, parallel bool) error {
 	return nil
 }
 
+// settle decides, once the builders are done, each peer whose entry named
+// a record before: a checkpoint walked beside re-homing writers names such
+// a peer in two sections. Of the peer's records — those displaced and the
+// one its entry names — two in one landmark's section are refused;
+// otherwise the one with the later refresh time wins, the later section's
+// on a tie, the entry is pointed at it, and the others are retired. It sees
+// every record of the peer however the builders ran, so what it decides
+// does not depend on their timing.
+func (l *loader) settle() error {
+	var recs []Orphan
+	for _, o := range slices.Concat(l.displaced...) {
+		lm, slot, _ := l.idx.Place(o.Peer)
+		recs = append(recs, o, Orphan{o.Peer, lm, slot})
+	}
+	slices.SortFunc(recs, func(a, b Orphan) int {
+		return cmp.Or(cmp.Compare(a.Peer, b.Peer), cmp.Compare(a.Landmark, b.Landmark), cmp.Compare(a.slot, b.slot))
+	})
+	recs = slices.Compact(recs) // a peer displaced twice had its entry's record added twice
+	refresh := func(o Orphan) int64 {
+		return l.srvs[l.owner[o.Landmark]].st.trees[o.Landmark].Record(o.slot).RefreshNanos
+	}
+	for len(recs) > 0 {
+		win, n := recs[0], 1
+		for ; n < len(recs) && recs[n].Peer == win.Peer; n++ {
+			if recs[n].Landmark == recs[n-1].Landmark {
+				return fmt.Errorf("%w: peer %d repeats in landmark %d's section", errMalformed, win.Peer, recs[n].Landmark)
+			}
+			if refresh(recs[n]) >= refresh(win) {
+				win = recs[n]
+			}
+		}
+		l.idx.swap(win.Peer, ref{win.Landmark, win.slot})
+		for _, o := range recs[:n] {
+			_, _ = l.srvs[l.owner[o.Landmark]].Retire(o) // the winner, which the entry names, stays
+		}
+		recs = recs[n:]
+	}
+	return nil
+}
+
 // ResetFromSnapshot replaces the server's entire peer state with the
 // snapshot's, keeping the configured landmark set (union the snapshot's). It
 // is the follower's catch-up restore. The snapshot is loaded into a server
 // built off to the side by the loader a cluster's open takes
-// (LoadSnapshot, on its serial road: the server is one), whose checks are
+// (LoadSnapshot, with the one builder of the one server), whose checks are
 // the checkpoint road's door (FuzzResetFromSnapshot). Adopt publishes the
 // side server's state only once the whole snapshot, end frame included, was
 // good; otherwise the previous state stays.
 func (s *Server) ResetFromSnapshot(r io.ReadSeeker) error {
 	side, _ := newServer(s.cfg, NewIndex()) // the configuration was checked at construction
-	if _, err := LoadSnapshot(r, []*Server{side}, func(topology.NodeID) (int, error) { return 0, nil }, false, nil); err != nil {
+	if err := LoadSnapshot(r, []*Server{side}, func(topology.NodeID) (int, error) { return 0, nil }, nil); err != nil {
 		return fmt.Errorf("server: snapshot: %w", err)
 	}
 	Adopt([]*Server{s}, []*Server{side})

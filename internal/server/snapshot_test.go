@@ -357,7 +357,7 @@ func TestResetFromSnapshot(t *testing.T) {
 		}
 	})
 	// An end frame whose peer total is one short of the sections', its CRC
-	// made to match: what would let a pass vouch for a peer named twice.
+	// made to match.
 	bad["totals other than the sections'"] = forgePeerTotal(snap.Bytes(), func(n uint64) uint64 { return n - 1 })
 	for name, data := range bad {
 		_, oldFormat := oldFormatSnapshots[name]
