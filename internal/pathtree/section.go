@@ -177,7 +177,7 @@ func (c *Core) appendPeer(buf []byte, rec *Record) []byte {
 var errSectionShort = errors.New("pathtree: section item cut short")
 
 // ReadSection builds a tree from a section's frames, and hands fn each
-// peer's slot and record as it is placed; fn's error ends the build. It
+// peer's slot and record as it is placed, when fn is not nil. It
 // allocates every child run at its final size class, descends no path and
 // parses no IPv4 endpoint. What it refuses is what would leave a tree
 // whose CheckInvariants fails, or one that a peer's path ValidatePath
@@ -189,7 +189,7 @@ var errSectionShort = errors.New("pathtree: section item cut short")
 // order at a node, an unknown flag, an address over codec.MaxAddrLen or a
 // text one in the form a record holds inline. That no peer repeats across
 // the tree is the caller's to check (fn sees each one).
-func ReadSection(frames [][]byte, fn func(slot int32, rec *Record) error) (*Core, error) {
+func ReadSection(frames [][]byte, fn func(slot int32, rec *Record)) (*Core, error) {
 	if len(frames) == 0 {
 		return nil, errors.New("pathtree: section of no frames")
 	}
@@ -235,7 +235,7 @@ func ReadSection(frames [][]byte, fn func(slot int32, rec *Record) error) (*Core
 type sectionReader struct {
 	c  *Core
 	h  SectionHeader
-	fn func(int32, *Record) error
+	fn func(int32, *Record)
 	// stack holds the path from the landmark to the last node read, each
 	// with the children it still expects.
 	stack        []pathEntry
@@ -382,9 +382,7 @@ func (d *sectionReader) peer(f []byte) ([]byte, error) {
 	d.want--
 	d.peers++
 	if d.fn != nil {
-		if err := d.fn(slot, rec); err != nil {
-			return nil, err
-		}
+		d.fn(slot, rec)
 	}
 	return f, nil
 }

@@ -83,9 +83,8 @@ func TestSectionRoundTrip(t *testing.T) {
 				}
 			}
 			seen := make(map[int32]*Record)
-			got, err := ReadSection(fs, func(slot int32, rec *Record) error {
+			got, err := ReadSection(fs, func(slot int32, rec *Record) {
 				seen[slot] = rec
-				return nil
 			})
 			if err != nil {
 				t.Fatal(err)

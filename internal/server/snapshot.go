@@ -275,14 +275,13 @@ func (l *loader) stop() error {
 // whatever order the builders ran — goes to displaced, for settle.
 func (l *loader) build(sec section, displaced *[]Orphan) error {
 	s := l.srvs[l.owner[sec.lm]]
-	tree, err := pathtree.ReadSection(sec.frames, func(slot int32, rec *pathtree.Record) error {
+	tree, err := pathtree.ReadSection(sec.frames, func(slot int32, rec *pathtree.Record) {
 		if old, had := l.idx.swap(rec.ID, ref{sec.lm, slot}); had {
 			*displaced = append(*displaced, Orphan{rec.ID, old.lm, old.slot})
 		}
 		if l.onPeer != nil {
 			l.onPeer(rec.ID)
 		}
-		return nil
 	})
 	if err != nil {
 		return err
